@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test race bench bench-smoke benchcmp gobench experiments soak syncbench parbench profile fmt vet cover
+.PHONY: all check test race bench bench-smoke benchcmp benchtest gobench experiments soak syncbench parbench profile fmt vet cover
 
 all: vet test
 
@@ -44,6 +44,12 @@ benchcmp:
 	go run ./cmd/experiments -bench -out /tmp/BENCH_combining_new.json
 	go run ./cmd/benchcmp BENCH_combining.json /tmp/BENCH_combining_new.json
 
+# benchtest vets and tests bench/, the repo's benchmark (BENCHMARK.json).
+# It is a nested module the root `go build ./...` never compiles, so this
+# is what catches an internal/par or pkg/sync API change that breaks it.
+benchtest:
+	cd bench && go vet ./... && go test ./...
+
 # gobench runs the go-test microbenchmarks (formerly `make bench`).
 gobench:
 	go test -bench=. -benchmem ./...
@@ -56,7 +62,9 @@ soak:
 
 # syncbench runs the pkg/sync microbenchmarks against their stdlib
 # baselines (sharded counter vs bare atomic vs mutex; MCS vs sync.Mutex;
-# tournament barrier vs WaitGroup fork-join).  The wall-clock sweeps that
+# tournament barrier vs WaitGroup fork-join), the lock and barrier pairs
+# both matched (one goroutine per P) and oversubscribed (64 goroutines on
+# the same Ps, the *Oversub benchmarks).  The wall-clock sweeps that
 # land in BENCH_combining.json's sync_primitives section come from
 # cmd/experiments (`make bench`).
 syncbench:

@@ -212,8 +212,8 @@ func TestBarrierSpinPolicyTracksGOMAXPROCS(t *testing.T) {
 		p.Start()
 		p.Run(func(w int) { b.Sync(w) }) // …one episode re-evaluates
 		p.Stop()
-		if got := pol.SpinBudget(); got != spinLimit {
-			t.Fatalf("%s after GOMAXPROCS(%d) and one Sync: spin budget %d, want %d", name, width, got, spinLimit)
+		if got := pol.SpinBudget(); got != SpinLimit {
+			t.Fatalf("%s after GOMAXPROCS(%d) and one Sync: spin budget %d, want %d", name, width, got, SpinLimit)
 		}
 		runtime.GOMAXPROCS(1)
 		p.Start()

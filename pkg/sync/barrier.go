@@ -2,17 +2,15 @@ package sync
 
 import (
 	"math/bits"
-	"runtime"
-	"sync/atomic"
 
 	"combining/internal/par"
 )
 
-// flag is a one-word spin target on its own cache line, written by exactly
-// one peer and read by exactly one owner per episode.
+// flag is a one-word wait target on its own cache line, written by exactly
+// one peer and awaited by exactly one owner per episode.
 type flag struct {
-	v atomic.Uint32
-	_ [par.CacheLine - 4]byte
+	v par.Wait
+	_ [par.CacheLine - 16]byte
 }
 
 // localSense is a participant's private sense bit, padded so flipping it
@@ -27,7 +25,7 @@ type localSense struct {
 // round's winner when w ≡ 0 (mod 2^(r+1)) and its opponent is w + 2^r (a
 // bye when that exceeds n−1).  A loser stores its arrival into the
 // winner's round flag — the software image of a combined fetch-and-add
-// climbing one level of the paper's combining tree — and then spins on its
+// climbing one level of the paper's combining tree — and then waits on its
 // own wakeup flag.  The undefeated participant 0 plays the memory module:
 // once its last opponent arrives, the whole machine has arrived, and the
 // release retraces the bracket top-down, each winner waking the losers of
@@ -44,8 +42,11 @@ type localSense struct {
 // Barrier implements the same Sync(worker) contract as the phase barriers
 // in internal/par and reuses their episode spin policy: the spin budget is
 // re-evaluated against GOMAXPROCS once per episode (by participant 0), and
-// collapses to zero — yield immediately — whenever the participants
-// outnumber the processors.
+// collapses to zero whenever the participants outnumber the processors.
+// Every wait is a par.Wait: a participant that outlasts the budget parks on
+// its flag's own channel (at once when the budget is zero), so an early
+// arriver costs the scheduler nothing until the one store it waits for,
+// and that store — a swap — is still the only remote write per signal.
 type Barrier struct {
 	par.SpinPolicy
 	n       int
@@ -104,22 +105,14 @@ func (b *Barrier) Wait(w int) {
 			// when the opponent index falls off the bracket).
 			opp := w + 1<<r
 			if opp < b.n {
-				for spins := int32(0); b.arrival[w][r].v.Load() != s; spins++ {
-					if spins >= spin {
-						runtime.Gosched()
-					}
-				}
+				b.arrival[w][r].v.Await(s, spin)
 			}
 		} else {
 			// Loser of round r: combine our arrival into the winner,
-			// then spin locally until the release wave reaches us.
+			// then wait locally until the release wave reaches us.
 			win := w - 1<<r
-			b.arrival[win][r].v.Store(s)
-			for spins := int32(0); b.wake[w].v.Load() != s; spins++ {
-				if spins >= spin {
-					runtime.Gosched()
-				}
-			}
+			b.arrival[win][r].v.Set(s)
+			b.wake[w].v.Await(s, spin)
 			lost = r
 			break
 		}
@@ -130,7 +123,7 @@ func (b *Barrier) Wait(w int) {
 	for r := lost - 1; r >= 0; r-- {
 		opp := w + 1<<r
 		if opp < b.n {
-			b.wake[opp].v.Store(s)
+			b.wake[opp].v.Set(s)
 		}
 	}
 }

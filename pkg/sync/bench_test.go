@@ -1,6 +1,7 @@
 package sync_test
 
 import (
+	"runtime"
 	stdsync "sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,23 @@ import (
 // Stdlib-baseline benchmarks for the three primitives.  CI runs these in
 // smoke mode (-benchtime=1x); cmd/experiments runs the real wall-clock
 // sweeps that land in BENCH_combining.json's sync_primitives section.
+//
+// The lock and barrier benchmarks come in two regimes: matched (one
+// goroutine per P, where spinning pays) and oversubscribed (oversubWidth
+// goroutines on the same Ps, where only a parked waiter is free).
+
+const oversubWidth = 64
+
+// matchedWidth is one goroutine per P, but at least the two a barrier
+// needs to have anything to wait for.
+func matchedWidth() int { return max(2, runtime.GOMAXPROCS(0)) }
+
+// oversubscribe makes b.RunParallel start oversubWidth goroutines (rounded
+// up to a multiple of GOMAXPROCS).
+func oversubscribe(b *testing.B) {
+	p := runtime.GOMAXPROCS(0)
+	b.SetParallelism((oversubWidth + p - 1) / p)
+}
 
 func BenchmarkSyncCounterAdd(b *testing.B) {
 	c := csync.NewCounter()
@@ -43,7 +61,7 @@ func BenchmarkSyncMutexCounterAdd(b *testing.B) {
 	_ = v
 }
 
-func BenchmarkSyncMCSLock(b *testing.B) {
+func benchMCSLock(b *testing.B) {
 	var l csync.MCSLock
 	var v int64
 	b.RunParallel(func(pb *testing.PB) {
@@ -55,7 +73,7 @@ func BenchmarkSyncMCSLock(b *testing.B) {
 	})
 }
 
-func BenchmarkSyncStdMutexLock(b *testing.B) {
+func benchStdMutexLock(b *testing.B) {
 	var mu stdsync.Mutex
 	var v int64
 	b.RunParallel(func(pb *testing.PB) {
@@ -67,8 +85,21 @@ func BenchmarkSyncStdMutexLock(b *testing.B) {
 	})
 }
 
-func BenchmarkSyncBarrier(b *testing.B) {
-	const n = 4
+func BenchmarkSyncMCSLock(b *testing.B)      { benchMCSLock(b) }
+func BenchmarkSyncStdMutexLock(b *testing.B) { benchStdMutexLock(b) }
+
+func BenchmarkSyncMCSLockOversub(b *testing.B) {
+	oversubscribe(b)
+	benchMCSLock(b)
+}
+
+func BenchmarkSyncStdMutexLockOversub(b *testing.B) {
+	oversubscribe(b)
+	benchStdMutexLock(b)
+}
+
+// benchBarrier times one episode of an n-wide tournament barrier.
+func benchBarrier(b *testing.B, n int) {
 	bar := csync.NewBarrier(n)
 	var wg stdsync.WaitGroup
 	start := make(chan struct{})
@@ -91,10 +122,9 @@ func BenchmarkSyncBarrier(b *testing.B) {
 	wg.Wait()
 }
 
-func BenchmarkSyncWaitGroupForkJoin(b *testing.B) {
-	// The stdlib has no reusable barrier; the idiomatic equivalent of one
-	// barrier episode is forking n-1 goroutines and joining them.
-	const n = 4
+// benchForkJoin times the stdlib's idiomatic equivalent of one barrier
+// episode (it has no reusable barrier): fork n-1 goroutines and join them.
+func benchForkJoin(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		var wg stdsync.WaitGroup
 		for w := 1; w < n; w++ {
@@ -104,3 +134,8 @@ func BenchmarkSyncWaitGroupForkJoin(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+func BenchmarkSyncBarrier(b *testing.B)                  { benchBarrier(b, matchedWidth()) }
+func BenchmarkSyncWaitGroupForkJoin(b *testing.B)        { benchForkJoin(b, matchedWidth()) }
+func BenchmarkSyncBarrierOversub(b *testing.B)           { benchBarrier(b, oversubWidth) }
+func BenchmarkSyncWaitGroupForkJoinOversub(b *testing.B) { benchForkJoin(b, oversubWidth) }

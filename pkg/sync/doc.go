@@ -7,23 +7,30 @@
 // merging concurrent RMWs to one location inside the interconnect, so the
 // hot memory module sees O(log n) traffic instead of O(n).  Mellor-Crummey
 // and Scott showed the same idea lands in software: locks and barriers in
-// which every waiter spins on its own locally-accessible flag, and a single
-// remote write by some other processor ends the spin.  This package is that
+// which every waiter waits on its own locally-accessible flag, and a single
+// remote write by some other processor ends the wait.  This package is that
 // translation, in pure Go, with each primitive named by the combinable
-// mapping it implements (DESIGN.md §9 carries the full correspondence):
+// mapping it implements (DESIGN.md §9 carries the full correspondence).
+//
+// Under a runtime that multiplexes many goroutines onto few processors a
+// local spin only pays while the waiter keeps its processor, so every wait
+// here is one primitive, par.Wait: spin briefly, yield twice, then park on
+// a channel private to the flag.  The waker's single remote write is a
+// swap whose old value says whether to send, so a parked waiter costs the
+// scheduler nothing and the O(1)-remote-reference counts below stand.
 //
 //   - MCSLock — the queue lock built on one atomic swap per acquisition
 //     (the paper's I_v constant mapping with the old value returned).  Each
-//     waiter spins on its own cache-line-padded queue node; handoff is one
-//     remote store.  O(1) remote references per acquisition regardless of
+//     waiter waits on its own cache-line-padded queue node; handoff is one
+//     remote write.  O(1) remote references per acquisition regardless of
 //     contention.
 //
 //   - Barrier — a tournament (combining-tree) barrier with statically
 //     assigned winners.  Each arrival is the software image of a combined
 //     fetch-and-add propagating up a combining tree: a loser's arrival
 //     flag is "combined" into its subtree winner, the champion plays the
-//     memory module and releases the tree top-down.  Local-spin flags
-//     only; reusable via sense reversal.
+//     memory module and releases the tree top-down.  Local flags only;
+//     reusable via sense reversal.
 //
 //   - Counter — a sharded combining counter: adds land on per-processor
 //     cache-line-padded shards (fetch-and-add on a line nothing else
@@ -34,7 +41,7 @@
 //   - FECell — a full/empty-bit synchronization cell (the paper's §5.5
 //     two-state tables, as in the Denelcor HEP): conditional stores fail
 //     on a full cell, consuming loads empty it, and the blocking variants
-//     give producer/consumer handoff without a lock.
+//     give producer/consumer handoff, blocked callers queueing per side.
 //
 // Every primitive is validated two ways in this repository: differentially
 // against the simulator's serial oracle (core.SerialReplies on the

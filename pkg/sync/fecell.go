@@ -1,6 +1,7 @@
 package sync
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"combining/internal/par"
@@ -25,15 +26,43 @@ const (
 // the old tag at decombining time.
 //
 // The blocking variants (Put, Take) give producer/consumer handoff without
-// a lock: each value stored is consumed by exactly one Take.  Waiters use
-// the GOMAXPROCS-aware backoff from internal/par, so oversubscribed
-// spinners yield instead of burning the processor the producer needs.
+// a lock on the data path: each value stored is consumed by exactly one
+// Take.  Blocked consumers queue on one MCSLock and blocked producers on
+// another, so each side has a single head waiter; it owns that side's
+// par.Wait word, which every opposite transition sets, and waits on it
+// spin-then-park like a lock waiter.
 //
 // The zero value is an empty cell.
 type FECell struct {
-	state atomic.Uint32
-	_     [par.CacheLine - 4]byte
-	val   int64 // guarded by state: written only empty→full, read only full→empty
+	state       atomic.Uint32
+	full, empty par.Wait // awaited by the head taker / head putter
+	_           [par.CacheLine - 40]byte
+	val         int64 // guarded by state: written only empty→full, read only full→empty
+
+	takers, putters MCSLock // queue the blocked callers of Take / Put
+}
+
+// publish ends a feBusy transition in state s and signals the side that
+// waits for it.  The signal shares the state line the caller already owns.
+func (c *FECell) publish(s uint32, w *par.Wait) {
+	c.state.Store(s)
+	w.Set(1)
+}
+
+// await runs try as the head of its side's queue until it succeeds.  The
+// head clears its word before each attempt and the opposite side sets it
+// after each transition, so either the attempt sees the transition or the
+// Await sees the set (and a set that races the clear only costs a retry).
+func (c *FECell) await(queue *MCSLock, w *par.Wait, try func() bool) {
+	q := queue.Lock()
+	for {
+		w.Init(0)
+		if try() {
+			break
+		}
+		w.Await(1, par.SpinLimit)
+	}
+	queue.Unlock(q)
 }
 
 // TryPut is fe-store-if-clear-and-set: store v and set the flag only when
@@ -46,7 +75,7 @@ func (c *FECell) TryPut(v int64) bool {
 		case feEmpty:
 			if c.state.CompareAndSwap(feEmpty, feBusy) {
 				c.val = v
-				c.state.Store(feFull)
+				c.publish(feFull, &c.full)
 				return true
 			}
 		default:
@@ -67,7 +96,7 @@ func (c *FECell) TryTake() (int64, bool) {
 		case feFull:
 			if c.state.CompareAndSwap(feFull, feBusy) {
 				v := c.val
-				c.state.Store(feEmpty)
+				c.publish(feEmpty, &c.empty)
 				return v, true
 			}
 		default:
@@ -78,24 +107,27 @@ func (c *FECell) TryTake() (int64, bool) {
 // Set is fe-store-and-set: store v and set the flag regardless of the
 // cell's previous state.
 func (c *FECell) Set(v int64) {
-	bo := par.NewBackoff()
-	for {
+	// feBusy lasts two instructions on its owner's side, so this is a bare
+	// bounded spin; it yields only in case that owner was descheduled
+	// mid-transition, and never parks.
+	for i := 0; ; i++ {
 		s := c.state.Load()
 		if s != feBusy && c.state.CompareAndSwap(s, feBusy) {
 			c.val = v
-			c.state.Store(feFull)
+			c.publish(feFull, &c.full)
 			return
 		}
-		bo.Pause()
+		if i >= par.SpinLimit {
+			runtime.Gosched()
+		}
 	}
 }
 
 // Put blocks until the cell is empty, then stores v and sets the flag —
 // the producer half of the HEP handoff.
 func (c *FECell) Put(v int64) {
-	bo := par.NewBackoff()
-	for !c.TryPut(v) {
-		bo.Pause()
+	if !c.TryPut(v) {
+		c.await(&c.putters, &c.empty, func() bool { return c.TryPut(v) })
 	}
 }
 
@@ -103,13 +135,11 @@ func (c *FECell) Put(v int64) {
 // the cell — the consumer half.  Each value Put is returned by exactly one
 // Take.
 func (c *FECell) Take() int64 {
-	bo := par.NewBackoff()
-	for {
-		if v, ok := c.TryTake(); ok {
-			return v
-		}
-		bo.Pause()
+	v, ok := c.TryTake()
+	if !ok {
+		c.await(&c.takers, &c.full, func() bool { v, ok = c.TryTake(); return ok })
 	}
+	return v
 }
 
 // Full reports whether the cell currently holds a value.  Like any
