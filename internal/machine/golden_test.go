@@ -1,0 +1,181 @@
+package machine
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"combining/internal/busnet"
+	"combining/internal/engine"
+	"combining/internal/faults"
+	"combining/internal/hypercube"
+	"combining/internal/network"
+	"combining/internal/word"
+)
+
+// Golden digests: the cycle-domain output of every wiring, pinned across
+// commits.  The determinism tests compare Workers widths to each other
+// within one build; nothing else compares a run to what the same run
+// produced before a change.  One fixed program set runs on each of the six
+// wirings under four plans, serially and — where the plan allows a
+// parallel stepper — at Workers 3, and an FNV-1a digest of the marshalled
+// Snapshot plus the final memory image must equal the committed table.  A
+// refactor that claims "same behaviour" leaves the table alone; a change
+// that means to move a counter edits exactly the rows it moves and says why.
+
+const (
+	goldenProcs = 64
+	goldenOps   = 16
+	// goldenStride spaces each processor's instructions so every run
+	// outlasts the last window of the crash plan (a link burst ending at
+	// cycle 940) however fast the wiring is.
+	goldenStride = 80
+	goldenAddrs  = 7 + goldenProcs
+)
+
+// goldenPrograms is faultPrograms with the issue cycles spread out.
+func goldenPrograms() [][]Instr {
+	progs := faultPrograms(goldenProcs, goldenOps)
+	for _, prog := range progs {
+		for i := range prog {
+			prog[i].MinCycle = int64(i * goldenStride)
+		}
+	}
+	return progs
+}
+
+// hotTagged marks requests to the shared counter as hot-spot traffic, so
+// the hot/cold completion split is part of what the digests pin (program
+// injectors leave every request untagged).
+type hotTagged struct{ network.Injector }
+
+func (h hotTagged) Next(cycle int64) (network.Injection, bool) {
+	in, ok := h.Injector.Next(cycle)
+	in.Hot = ok && in.Req.Addr == hotCell
+	return in, ok
+}
+
+var goldenWirings = []struct {
+	name  string
+	build func(plan *faults.Plan, workers int, inj []network.Injector) soakEngine
+}{
+	{"omega", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+		return network.NewSim(network.Config{Procs: goldenProcs, WaitBufCap: 8, Faults: p, Workers: w}, inj)
+	}},
+	{"omega4", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+		return network.NewSim(network.Config{Procs: goldenProcs, Radix: 4, WaitBufCap: 8, Faults: p, Workers: w}, inj)
+	}},
+	{"fattree", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+		return network.NewSim(network.Config{
+			Topology: engine.FatTreeOf(goldenProcs, 2), WaitBufCap: 8, Faults: p, Workers: w}, inj)
+	}},
+	{"hypercube", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+		return hypercube.NewSim(hypercube.Config{Nodes: goldenProcs, WaitBufCap: 8, Faults: p, Workers: w}, inj)
+	}},
+	{"torus", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+		return hypercube.NewSim(hypercube.Config{
+			Topology: engine.TorusOf(8, 8), WaitBufCap: 8, Faults: p, Workers: w}, inj)
+	}},
+	{"bus", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+		return busnet.NewSim(busnet.Config{Procs: goldenProcs, Banks: 8, WaitBufCap: 8, Faults: p, Workers: w}, inj)
+	}},
+}
+
+var goldenPlans = []struct {
+	name string
+	plan func() *faults.Plan
+}{
+	{"clean", func() *faults.Plan { return nil }},
+	{"faults", func() *faults.Plan { return faults.Default(71) }},
+	{"crashdrop", func() *faults.Plan { return crashDropPlan(72) }},
+	{"adversarial", func() *faults.Plan { return faults.DefaultAdversarial(73) }},
+}
+
+// goldenDigest runs the program set to completion on one machine and hashes
+// what it left behind.
+func goldenDigest(t *testing.T, name string, eng soakEngine, m *Machine) string {
+	t.Helper()
+	m.BindEngine(eng)
+	if !m.Run(400000) {
+		if eng.Stalled() {
+			t.Fatalf("%s: watchdog tripped:\n%s", name, eng.StallReport())
+		}
+		t.Fatalf("%s: programs did not complete (%d in flight)", name, eng.InFlight())
+	}
+	h := fnv.New64a()
+	h.Write(eng.Snapshot().JSON())
+	for a := word.Addr(0); a < goldenAddrs; a++ {
+		fmt.Fprintf(h, "|%d=%v", a, eng.Memory().Peek(a))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func TestGoldenDigests(t *testing.T) {
+	for _, wiring := range goldenWirings {
+		for _, pl := range goldenPlans {
+			widths := []int{1, 3}
+			if plan := pl.plan(); plan != nil && plan.HasAdversarial() {
+				widths = []int{1} // relaxed-delivery plans pin the serial stepper
+			}
+			for _, w := range widths {
+				key := fmt.Sprintf("%s/%s/w%d", wiring.name, pl.name, w)
+				m, inj := NewInjectors(goldenPrograms())
+				for p := range inj {
+					inj[p] = hotTagged{inj[p]}
+				}
+				got := goldenDigest(t, key, wiring.build(pl.plan(), w, inj), m)
+				if want, ok := goldenTable[key]; !ok || got != want {
+					t.Errorf("golden digest moved:\n\t%q: %q,   (committed: %q)", key, got, want)
+				}
+			}
+		}
+	}
+}
+
+// goldenTable is the committed cycle-domain behaviour, one row per
+// (wiring, plan, Workers).  Workers must be unobservable, so the w1 and w3
+// rows of a pair are equal by construction.
+var goldenTable = map[string]string{
+	"omega/clean/w1":           "755444adfcd24202",
+	"omega/clean/w3":           "755444adfcd24202",
+	"omega/faults/w1":          "34b266b50ba98efe",
+	"omega/faults/w3":          "34b266b50ba98efe",
+	"omega/crashdrop/w1":       "b4cca465284a0427",
+	"omega/crashdrop/w3":       "b4cca465284a0427",
+	"omega/adversarial/w1":     "75e8edab8a7d532f",
+	"omega4/clean/w1":          "a6608ed54f5e7ea6",
+	"omega4/clean/w3":          "a6608ed54f5e7ea6",
+	"omega4/faults/w1":         "81eb391a9432d534",
+	"omega4/faults/w3":         "81eb391a9432d534",
+	"omega4/crashdrop/w1":      "85af83f5fd99d1fb",
+	"omega4/crashdrop/w3":      "85af83f5fd99d1fb",
+	"omega4/adversarial/w1":    "afbab0e5ace24833",
+	"fattree/clean/w1":         "748b271a60143555",
+	"fattree/clean/w3":         "748b271a60143555",
+	"fattree/faults/w1":        "ad31ff16c948c632",
+	"fattree/faults/w3":        "ad31ff16c948c632",
+	"fattree/crashdrop/w1":     "c09c732b412b8a23",
+	"fattree/crashdrop/w3":     "c09c732b412b8a23",
+	"fattree/adversarial/w1":   "979079b6b6009ff8",
+	"hypercube/clean/w1":       "5861ed926c23ba02",
+	"hypercube/clean/w3":       "5861ed926c23ba02",
+	"hypercube/faults/w1":      "217a0f2116d73b4e",
+	"hypercube/faults/w3":      "217a0f2116d73b4e",
+	"hypercube/crashdrop/w1":   "f07410764b63e073",
+	"hypercube/crashdrop/w3":   "f07410764b63e073",
+	"hypercube/adversarial/w1": "9d3716f5ecd8d84f",
+	"torus/clean/w1":           "f8b6e1e7087cdd68",
+	"torus/clean/w3":           "f8b6e1e7087cdd68",
+	"torus/faults/w1":          "92ef94d259f94c10",
+	"torus/faults/w3":          "92ef94d259f94c10",
+	"torus/crashdrop/w1":       "74670601af98e9c5",
+	"torus/crashdrop/w3":       "74670601af98e9c5",
+	"torus/adversarial/w1":     "5a6a6689e5168e7b",
+	"bus/clean/w1":             "15422c68375b93a5",
+	"bus/clean/w3":             "15422c68375b93a5",
+	"bus/faults/w1":            "2b88cecd2cb64a08",
+	"bus/faults/w3":            "2b88cecd2cb64a08",
+	"bus/crashdrop/w1":         "82df3a5ef124c2db",
+	"bus/crashdrop/w3":         "82df3a5ef124c2db",
+	"bus/adversarial/w1":       "754cd84a701b6ad4",
+}
