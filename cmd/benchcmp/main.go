@@ -1,25 +1,29 @@
 // Command benchcmp compares two BENCH_combining.json baselines
 // benchstat-style: points are matched across files by their parameter
 // fields (procs, hot_fraction, workers, …), the metric fields of matched
-// pairs are diffed, and every change beyond a relative threshold is
-// printed as old → new with the percentage delta.
+// pairs are diffed, and every change is printed as old → new with the
+// percentage delta.
 //
 // Usage:
 //
 //	benchcmp [-threshold 5] [-all] [-fail] old.json new.json
 //
-// -threshold sets the reporting cutoff in percent (default 5; metrics
-// measured in wall-clock time wobble run to run, while the cycle-domain
-// metrics — bandwidth, latency in cycles, combines — are deterministic
-// for equal parameters and should normally move 0%).  -all prints every
-// matched metric regardless of the threshold.  -fail exits with status 1
-// when any change beyond the threshold was found, for use as a CI
-// regression gate:
+// The two clocks are treated differently.  Cycle-domain metrics —
+// bandwidth, latency in cycles, combines — are deterministic for equal
+// parameters: any difference at all is reported.  Wall-clock metrics wobble
+// run to run and host to host: -threshold sets their reporting cutoff in
+// percent (default 5).  -all prints every matched metric.
+//
+// -fail makes the comparison a regression gate: exit status 1 iff a
+// cycle-domain metric differs at all, or a point (or section) of the old
+// file is missing from the new one.  Wall-clock changes are reported and
+// never fail; neither does the asyncnet_faa section, whose goroutine engine
+// has no cycle clock, so even its combine count rides on the scheduler.
 //
 //	go run ./cmd/experiments -bench -out /tmp/new.json
 //	go run ./cmd/benchcmp -fail BENCH_combining.json /tmp/new.json
 //
-// Points present in only one file (a new sweep section, a removed cell)
+// Points present only in the new file (a new sweep section, a new cell)
 // are listed but never fail the comparison — schema growth is expected.
 package main
 
@@ -27,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -34,9 +39,9 @@ import (
 )
 
 // metricFields are the per-point result fields; everything else scalar in
-// a point is treated as its identity.  Wall-clock metrics are marked so
-// the report can annotate them (they vary across runs and hosts even when
-// the simulation is unchanged).
+// a point is treated as its identity.  The value marks the wall-clock
+// metrics (they vary across runs and hosts even when the simulation is
+// unchanged); false is the cycle domain.
 var metricFields = map[string]bool{
 	"bandwidth_ops_per_cycle": false,
 	"mean_latency_cycles":     false,
@@ -49,6 +54,11 @@ var metricFields = map[string]bool{
 	"ns_per_op":               true,
 	"ops_per_sec":             true,
 }
+
+// clocklessSections hold points measured on the goroutine engine: there is
+// no cycle clock, so their cycle-domain-named counts (combines) depend on
+// the scheduler and never fail the gate.
+var clocklessSections = map[string]bool{"asyncnet_faa": true}
 
 // ignoredFields are neither identity nor metric: nested objects and
 // host-dependent context.
@@ -63,7 +73,7 @@ type point map[string]any
 func identity(p point) string {
 	keys := make([]string, 0, len(p))
 	for k := range p {
-		if metricFields[k] || ignoredFields[k] {
+		if _, isMetric := metricFields[k]; isMetric || ignoredFields[k] {
 			continue
 		}
 		if _, isObj := p[k].(map[string]any); isObj {
@@ -80,9 +90,9 @@ func identity(p point) string {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 5, "report metrics whose relative change exceeds this percentage")
-	all := flag.Bool("all", false, "print every matched metric, not just changes beyond the threshold")
-	failOn := flag.Bool("fail", false, "exit with status 1 if any change beyond the threshold was found")
+	threshold := flag.Float64("threshold", 5, "report wall-clock metrics whose relative change exceeds this percentage")
+	all := flag.Bool("all", false, "print every matched metric, not just the changes")
+	failOn := flag.Bool("fail", false, "exit with status 1 if a cycle-domain metric differs or an old point is missing")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchcmp [-threshold pct] [-all] [-fail] old.json new.json")
@@ -102,7 +112,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
 		os.Exit(2)
 	}
+	res := compare(os.Stdout, oldRep, newRep, flag.Arg(0), flag.Arg(1), *threshold, *all)
+	if *failOn && res.regressed() {
+		os.Exit(1)
+	}
+}
 
+// result tallies one comparison.
+type result struct {
+	compared  int // metric pairs diffed
+	cycleDiff int // cycle-domain metrics that differ at all (clockless sections excluded)
+	wallDiff  int // wall-clock or clockless metrics beyond the threshold
+	missing   int // old points with no counterpart in the new file
+}
+
+// regressed is the -fail verdict.
+func (r result) regressed() bool { return r.cycleDiff > 0 || r.missing > 0 }
+
+// compare diffs two reports onto w; oldName and newName label one-sided
+// points.
+func compare(w io.Writer, oldRep, newRep map[string][]point, oldName, newName string, threshold float64, all bool) result {
 	sections := make([]string, 0, len(oldRep))
 	for sec := range oldRep {
 		sections = append(sections, sec)
@@ -114,15 +143,16 @@ func main() {
 	}
 	sort.Strings(sections)
 
-	changed, compared := 0, 0
+	var res result
 	for _, sec := range sections {
 		oldPts, newPts := index(oldRep[sec]), index(newRep[sec])
 		if oldPts == nil && newPts != nil {
-			fmt.Printf("%s: section only in %s (%d points)\n", sec, flag.Arg(1), len(newPts))
+			fmt.Fprintf(w, "%s: section only in %s (%d points)\n", sec, newName, len(newPts))
 			continue
 		}
 		if newPts == nil && oldPts != nil {
-			fmt.Printf("%s: section only in %s (%d points)\n", sec, flag.Arg(0), len(oldPts))
+			fmt.Fprintf(w, "%s: section only in %s (%d points)\n", sec, oldName, len(oldPts))
+			res.missing += len(oldPts)
 			continue
 		}
 		ids := make([]string, 0, len(oldPts))
@@ -133,7 +163,8 @@ func main() {
 		for _, id := range ids {
 			np, ok := newPts[id]
 			if !ok {
-				fmt.Printf("%s: point only in %s: %s\n", sec, flag.Arg(0), id)
+				fmt.Fprintf(w, "%s: point only in %s: %s\n", sec, oldName, id)
+				res.missing++
 				continue
 			}
 			op := oldPts[id]
@@ -143,32 +174,36 @@ func main() {
 				if !ook || !nok {
 					continue
 				}
-				compared++
+				res.compared++
 				delta := relDelta(ov, nv)
-				beyond := math.Abs(delta) > *threshold
-				if beyond {
-					changed++
-				}
-				if beyond || *all {
-					note := ""
-					if metricFields[metric] {
+				note, report := "", ov != nv
+				if wall := metricFields[metric]; wall || clocklessSections[sec] {
+					note = "  (clockless)"
+					if wall {
 						note = "  (wall-clock)"
 					}
-					fmt.Printf("%s: %s\n    %-24s %12.4f → %12.4f   %+7.2f%%%s\n",
+					report = math.Abs(delta) > threshold
+					if report {
+						res.wallDiff++
+					}
+				} else if report {
+					res.cycleDiff++
+				}
+				if report || all {
+					fmt.Fprintf(w, "%s: %s\n    %-24s %12.4f → %12.4f   %+7.2f%%%s\n",
 						sec, id, metric, ov, nv, delta, note)
 				}
 			}
 		}
 		for id := range newPts {
 			if _, ok := oldPts[id]; !ok {
-				fmt.Printf("%s: point only in %s: %s\n", sec, flag.Arg(1), id)
+				fmt.Fprintf(w, "%s: point only in %s: %s\n", sec, newName, id)
 			}
 		}
 	}
-	fmt.Printf("%d metrics compared, %d beyond ±%g%%\n", compared, changed, *threshold)
-	if *failOn && changed > 0 {
-		os.Exit(1)
-	}
+	fmt.Fprintf(w, "%d metrics compared: %d cycle-domain differences, %d old points missing, %d wall-clock beyond ±%g%%\n",
+		res.compared, res.cycleDiff, res.missing, res.wallDiff, threshold)
+	return res
 }
 
 // load reads a bench report as section → raw point list, skipping the

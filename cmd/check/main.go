@@ -200,13 +200,6 @@ func healthySoak(rounds, procs, ops, addrs int, seed uint64, verbose bool) (chec
 	return checked, failed
 }
 
-// faultEngine is what the fault soak needs from a cycle-driven transport.
-type faultEngine interface {
-	combining.MachineEngine
-	Snapshot() combining.StatsSnapshot
-	Memory() *combining.MemArray
-}
-
 // faultSoak runs randomized programs under the default fault plan on the
 // three cycle-driven engines, and a hot-spot soak on the goroutine engine,
 // verifying M2 serializability and exactly-once completion.  Fault counts
@@ -216,22 +209,22 @@ type faultEngine interface {
 func faultSoak(rounds, procs, ops, addrs int, seed uint64, verbose bool) (checked, failed int) {
 	engines := []struct {
 		name  string
-		build func(plan *combining.FaultPlan, inj []combining.Injector) faultEngine
+		build func(plan *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine
 	}{
-		{"network+faults", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"network+faults", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{Procs: procs, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"fattree+faults", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"fattree+faults", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{
 				Topology: combining.FatTreeTopology(procs, 2), WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"busnet+faults", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"busnet+faults", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewBusSim(combining.BusConfig{Procs: procs, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"hypercube+faults", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"hypercube+faults", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{Nodes: procs, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"torus+faults", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"torus+faults", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{
 				Topology: combining.SquareTorusTopology(procs), WaitBufCap: 64, Faults: p}, inj)
 		}},
@@ -350,16 +343,6 @@ func asyncFaultRound(procs, opsPerPort int, seed uint64) (injected int64, err er
 	return net.Snapshot().Counters["faults_injected"], nil
 }
 
-// overEngine is what the overload soak needs from a cycle-driven
-// transport: stepping, the shared snapshot, memory, and the watchdog.
-type overEngine interface {
-	combining.MachineEngine
-	Snapshot() combining.StatsSnapshot
-	Memory() *combining.MemArray
-	Stalled() bool
-	StallReport() string
-}
-
 // overloadSoak drives a pure hot spot through each engine with every
 // queue at its minimum capacity — the configuration in which any flaw in
 // the credit scheme deadlocks or livelocks — clean and under the default
@@ -369,21 +352,21 @@ type overEngine interface {
 func overloadSoak(rounds, procs, ops int, seed uint64, verbose bool) (checked, failed int) {
 	engines := []struct {
 		name  string
-		build func(plan *combining.FaultPlan, inj []combining.Injector) overEngine
+		build func(plan *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine
 	}{
-		{"network", func(p *combining.FaultPlan, inj []combining.Injector) overEngine {
+		{"network", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{
 				Procs: procs, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
 				WaitBufCap: 4, Faults: p,
 			}, inj)
 		}},
-		{"busnet", func(p *combining.FaultPlan, inj []combining.Injector) overEngine {
+		{"busnet", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewBusSim(combining.BusConfig{
 				Procs: procs, Banks: 4, QueueCap: 1, BankQueueCap: 1,
 				WaitBufCap: 4, Faults: p,
 			}, inj)
 		}},
-		{"hypercube", func(p *combining.FaultPlan, inj []combining.Injector) overEngine {
+		{"hypercube", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{
 				Nodes: procs, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
 				WaitBufCap: 4, Faults: p,
@@ -533,22 +516,22 @@ func asyncOverloadRound(procs, opsPerPort int, plan *combining.FaultPlan) error 
 func crashSoak(rounds, procs, ops, addrs int, seed uint64, verbose bool) (checked, failed int) {
 	engines := []struct {
 		name  string
-		build func(plan *combining.FaultPlan, inj []combining.Injector) faultEngine
+		build func(plan *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine
 	}{
-		{"network", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"network", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{Procs: procs, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"fattree", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"fattree", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{
 				Topology: combining.FatTreeTopology(procs, 2), WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"busnet", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"busnet", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewBusSim(combining.BusConfig{Procs: procs, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"hypercube", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"hypercube", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{Nodes: procs, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"torus", func(p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"torus", func(p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{
 				Topology: combining.SquareTorusTopology(procs), WaitBufCap: 64, Faults: p}, inj)
 		}},
@@ -648,25 +631,25 @@ func crashSoak(rounds, procs, ops, addrs int, seed uint64, verbose bool) (checke
 func parallelSoak(rounds, procs, ops, addrs int, seed uint64, verbose bool) (checked, failed int) {
 	engines := []struct {
 		name  string
-		build func(workers int, plan *combining.FaultPlan, inj []combining.Injector) faultEngine
+		build func(workers int, plan *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine
 	}{
-		{"network", func(w int, p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"network", func(w int, p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{
 				Procs: procs, WaitBufCap: 64, Faults: p, Workers: w}, inj)
 		}},
-		{"fattree", func(w int, p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"fattree", func(w int, p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewSim(combining.NetConfig{
 				Topology: combining.FatTreeTopology(procs, 2), WaitBufCap: 64, Faults: p, Workers: w}, inj)
 		}},
-		{"busnet", func(w int, p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"busnet", func(w int, p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewBusSim(combining.BusConfig{
 				Procs: procs, Banks: 4, WaitBufCap: 64, Faults: p, Workers: w}, inj)
 		}},
-		{"hypercube", func(w int, p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"hypercube", func(w int, p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{
 				Nodes: procs, WaitBufCap: 64, Faults: p, Workers: w}, inj)
 		}},
-		{"torus", func(w int, p *combining.FaultPlan, inj []combining.Injector) faultEngine {
+		{"torus", func(w int, p *combining.FaultPlan, inj []combining.Injector) combining.MachineEngine {
 			return combining.NewCubeSim(combining.CubeConfig{
 				Topology: combining.SquareTorusTopology(procs), WaitBufCap: 64, Faults: p, Workers: w}, inj)
 		}},

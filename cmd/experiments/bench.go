@@ -19,8 +19,8 @@ import (
 // repository commits (see EXPERIMENTS.md §Measured baselines).  Every number
 // is extracted through the engines' shared Snapshot() API rather than from
 // ad-hoc counters, so the file doubles as a schema test of the
-// instrumentation.  `make bench` regenerates it; `make bench-smoke` runs the
-// same code at small N for CI.
+// instrumentation.  `make bench` regenerates it; `make benchcmp` regenerates
+// it into /tmp and fails if any cycle-domain number moved (the CI gate).
 
 var (
 	bench    = flag.Bool("bench", false, "emit the JSON bench baseline and exit")

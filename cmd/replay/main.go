@@ -196,15 +196,9 @@ func main() {
 	}
 }
 
-// replayEngine is what trace replay needs from any wiring.
-type replayEngine interface {
-	combining.MachineEngine
-	Snapshot() combining.StatsSnapshot
-}
-
 // buildEngine constructs the selected wiring, validating its config for a
 // one-line error instead of a constructor panic.
-func buildEngine(topo string, n, queue, waitCap int, plan *combining.FaultPlan, inj []combining.Injector) (replayEngine, error) {
+func buildEngine(topo string, n, queue, waitCap int, plan *combining.FaultPlan, inj []combining.Injector) (combining.MachineEngine, error) {
 	switch topo {
 	case "omega", "omega4", "fattree":
 		cfg := combining.NetConfig{Procs: n, QueueCap: queue, WaitBufCap: waitCap, Faults: plan}

@@ -365,7 +365,9 @@ type Instr = machine.Instr
 // consistent by construction.
 type M1Machine = machine.M1Machine
 
-// MachineEngine is any transport programs can run on.
+// MachineEngine is any cycle-driven transport programs can run on — the one
+// method set (step, run, drain, watchdog, snapshot, memory) all three cycle
+// engines share.
 type MachineEngine = machine.Engine
 
 // Program builders.

@@ -19,11 +19,7 @@ import (
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/flow"
-	"combining/internal/memory"
-	"combining/internal/network"
 	"combining/internal/par"
-	"combining/internal/recover"
 	"combining/internal/stats"
 	"combining/internal/word"
 )
@@ -44,7 +40,7 @@ type Config struct {
 	BankQueueCap int
 	// WatchdogCycles is the progress watchdog limit (see
 	// internal/network.Config.WatchdogCycles): 0 defaults to
-	// network.DefaultWatchdogCycles, negative disables.
+	// engine.DefaultWatchdogCycles, negative disables.
 	WatchdogCycles int64
 	// WaitBufCap bounds the FIFO's wait buffer (0 disables combining).
 	WaitBufCap int
@@ -67,30 +63,9 @@ type Config struct {
 	Faults *faults.Plan
 }
 
-type qmsg struct {
-	req   core.Request
-	src   int
-	issue int64
-	hot   bool
-}
-
-// busHeldFwd is a request deferred by link-level reordering on its
-// terminal link (FIFO head → bank); it enters the bank at release, or one
-// cycle later per cycle the bank is crashed or full.
-type busHeldFwd struct {
-	release int64
-	bank    int
-	m       qmsg
-}
-
-// busHeldRev is a reply deferred by link-level reordering on its terminal
-// link (bank → return bus → processor); it is delivered at release.
-type busHeldRev struct {
-	release int64
-	rep     core.Reply
-	src     int
-	issue   int64
-}
+// qmsg is a request in the decoupling FIFO: the rim's message as it is.
+// Replies return by Src.
+type qmsg = engine.Fwd
 
 type brec struct {
 	core.Record
@@ -102,95 +77,36 @@ type brec struct {
 	reps2 []core.Leaf
 }
 
-// Stats summarizes a run.
+// Stats summarizes a run: the rim's totals plus the bus's own counters.
 type Stats struct {
-	Cycles     int64
-	Issued     int64
-	Completed  int64
-	LatencySum int64
-	Combines   int64
-	BankOps    int64
+	engine.Totals
+
+	Combines int64
 	// BusOps counts requests the bus carried into the decoupling FIFO —
-	// part of the movement signature the progress watchdog keys on.
+	// the movement signature the progress watchdog keys on.
 	BusOps int64
 	// HOLBlocked counts cycles the FIFO head was stalled on a busy bank.
 	HOLBlocked int64
-
-	// SaturationCycles counts cycles the decoupling FIFO was full with
-	// the head blocked on a busy bank — the bus machine's saturation
-	// regime; SaturationMaxStreak is the longest run.
-	SaturationCycles    int64
-	SaturationMaxStreak int64
-
-	// WatchdogTrips is 1 if the progress watchdog declared a stall.
-	WatchdogTrips int64
-
-	// Checkpoints counts bank checkpoints committed (crash plans only;
-	// see internal/recover).
-	Checkpoints int64
 }
 
-// MeanLatency is the average round trip in cycles.
-func (s Stats) MeanLatency() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.Completed)
-}
-
-// Bandwidth is completed operations per cycle.
-func (s Stats) Bandwidth() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Completed) / float64(s.Cycles)
-}
-
-// Sim is the cycle-driven bus machine.
+// Sim is the cycle-driven bus machine: the rim (processor ports, terminal
+// links, banks, step frame — the embedded engine.Shell) around one bus and
+// its decoupling FIFO.  The machine has two kinds of fault domain: the bus
+// + FIFO (switch site (0, 0) — a stall window freezes it, a crash flushes
+// the FIFO, the wait buffer and the reply metadata) and each bank (a crash
+// rolls the module back to its last checkpoint).
 type Sim struct {
-	cfg     Config
-	mem     *memory.Array
-	inj     []network.Injector
-	pending []*qmsg
-	queue   []qmsg
-	wait    *core.WaitBuffer[brec]
-	meta    map[word.ReqID]qmsg
-	pol     core.Policy
+	engine.Shell
 
-	cycle int64
-	stats Stats
-	// lat records per-completion round-trip latency in cycles; fifoHW
-	// tracks the deepest decoupling FIFO observed.
-	lat    stats.Histogram
+	cfg   Config
+	queue []qmsg
+	wait  *core.WaitBuffer[brec]
+	pol   core.Policy
+
+	// stats holds the bus's own counters (the rim's are in the Shell);
+	// fifoHW tracks the deepest decoupling FIFO observed.
+	stats  Stats
 	fifoHW stats.HighWater
-
-	// wd is the progress watchdog; sat the saturation monitor.
-	wd  *flow.Watchdog
-	sat flow.Saturation
-
-	// Fault-mode state (nil/zero on a healthy machine); see
-	// internal/network.Sim for the shared recovery discipline.
-	flt     *faults.Injector
-	trk     *faults.Tracker
-	retry   [][]qmsg
-	orphans int64
-	// Adversarial-delivery state (plan.HasAdversarial(); Validate rejects
-	// Workers > 1 with such plans): adv arms the integrity layer on the
-	// terminal links, and fwdLimbo/revLimbo hold reordered messages until
-	// their release cycle (drained serially at the top of step).
-	adv      bool
-	fwdLimbo []busHeldFwd
-	revLimbo []busHeldRev
-
-	// Crash–restart state (crash plans only, nil/false otherwise): rec is
-	// the recovery ledger; busDead and bankDead hold the previous cycle's
-	// crash masks for edge detection.  The bus machine has two fault
-	// domains: the bus + decoupling FIFO (switch site (0, 0) — a crash
-	// flushes the FIFO, the wait buffer and the reply metadata) and each
-	// bank (a crash rolls the module back to its last checkpoint).
-	rec      *recover.Manager
-	busDead  bool
-	bankDead []bool
 
 	// Parallel bank-scan state (Config.Workers > 1, nil otherwise): the
 	// worker pool (persistent workers bracketed by Run/Drain), the scan
@@ -203,12 +119,15 @@ type Sim struct {
 }
 
 // bankTick is one bank's compute-phase result: the reply its module
-// completed this cycle, if any.  Padded: workers write adjacent entries
-// of the contiguous buffer during the compute phase, and unpadded
-// neighbors would false-share at the split boundaries.
+// completed this cycle with the request it answers, if any, and the rim
+// counts the tick made — each bank is its own shard.  Padded: workers write
+// adjacent entries of the contiguous buffer during the compute phase, and
+// unpadded neighbors would false-share at the split boundaries.
 type bankTick struct {
 	rep core.Reply
+	m   qmsg
 	ok  bool
+	rim engine.Shard
 	_   [64]byte
 }
 
@@ -242,7 +161,7 @@ func (c *Config) normalize() error {
 		c.BankQueueCap = 1
 	}
 	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = network.DefaultWatchdogCycles
+		c.WatchdogCycles = engine.DefaultWatchdogCycles
 	}
 	if c.BankService == 0 {
 		c.BankService = 4
@@ -251,52 +170,155 @@ func (c *Config) normalize() error {
 }
 
 // NewSim builds the machine.
-func NewSim(cfg Config, inj []network.Injector) *Sim {
+func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	if err := cfg.normalize(); err != nil {
 		panic(err)
 	}
 	if len(inj) != cfg.Procs {
 		panic(fmt.Sprintf("busnet: got %d injectors for %d processors", len(inj), cfg.Procs))
 	}
-	memOpts := []memory.Option{memory.WithServiceTime(cfg.BankService)}
-	if cfg.BankQueueCap > 0 {
-		memOpts = append(memOpts, memory.WithQueueCap(cfg.BankQueueCap))
-	}
-	if cfg.Faults != nil {
-		memOpts = append(memOpts, memory.WithReplyCache())
-		if cfg.Faults.HasCrashes() {
-			memOpts = append(memOpts, memory.WithCheckpoints())
-		}
-		if cfg.Faults.Canary == "nodedup" {
-			memOpts = append(memOpts, memory.WithNoDedupCanary())
-		}
-	}
 	s := &Sim{
-		cfg:     cfg,
-		mem:     memory.NewArray(cfg.Banks, memOpts...),
-		inj:     inj,
-		pending: make([]*qmsg, cfg.Procs),
-		wait:    core.NewWaitBuffer[brec](cfg.WaitBufCap),
-		meta:    make(map[word.ReqID]qmsg),
-		pol:     core.Policy{AllowReversal: cfg.AllowReversal},
-		wd:      flow.NewWatchdog(cfg.WatchdogCycles),
-	}
-	if cfg.Faults != nil {
-		s.flt = faults.NewInjector(*cfg.Faults)
-		s.trk = faults.NewTracker(s.flt)
-		s.adv = s.flt.Plan().HasAdversarial()
-		s.retry = make([][]qmsg, cfg.Procs)
-		if plan := s.flt.Plan(); plan.HasCrashes() {
-			s.rec = recover.New(plan.CheckpointEvery)
-			s.bankDead = make([]bool, cfg.Banks)
-		}
+		cfg:  cfg,
+		wait: core.NewWaitBuffer[brec](cfg.WaitBufCap),
+		pol:  core.Policy{AllowReversal: cfg.AllowReversal},
 	}
 	if cfg.Workers > 1 {
 		s.pool = par.NewPool(cfg.Workers)
 		s.tickFn = s.tickWorker
 		s.tickBuf = make([]bankTick, cfg.Banks)
 	}
+	s.Shell.Init(engine.ShellConfig{
+		Engine: "busnet",
+		Hooks: engine.Hooks{
+			Sweep:     s.sweep,
+			Flush:     func(_, _ int) []word.ReqID { return s.crashBus() },
+			CanFeed:   func(bank int) bool { return s.Memory().Module(bank).CanEnqueue() },
+			Saturated: s.saturated,
+			Hops:      func() int64 { return s.stats.BusOps },
+			Queued:    func() int { return len(s.queue) + s.wait.Len() },
+			Detail:    s.stallDetail,
+			Observe:   s.observe,
+			// The wait buffer sits on the processor side of the return bus.
+			Reassemble: s.fanOut,
+		},
+		Injectors:      inj,
+		Pool:           s.pool,
+		Modules:        cfg.Banks,
+		Service:        cfg.BankService,
+		MemQueueCap:    cfg.BankQueueCap,
+		Stages:         1,
+		Width:          1,
+		WatchdogCycles: cfg.WatchdogCycles,
+		Faults:         cfg.Faults,
+	})
 	return s
+}
+
+// Stats snapshots the counters.
+func (s *Sim) Stats() Stats {
+	st := s.stats
+	st.Totals = s.Totals()
+	return st
+}
+
+// observe adds the bus's counters and gauges to a snapshot the rim has
+// started.  HOLBlocked doubles as holds_mem: a head-of-line block IS this
+// machine's memory-input hold (the blocked request sits at the FIFO head
+// waiting for its bank), published under both the bus-specific and the
+// cross-engine name.
+func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
+	c.HotCompleted, c.ColdCompleted = 0, 0
+	c.Combines = s.stats.Combines
+	c.CombineRejects = s.wait.Rejections
+	c.BankOps = s.Totals().MemRequests
+	c.BusOps = s.stats.BusOps
+	c.HOLBlocked = s.stats.HOLBlocked
+	c.HoldsMem = s.stats.HOLBlocked
+	gauges["fifo_max"] = s.fifoHW.Load()
+	gauges["max_mem_queue"] = int64(s.Memory().MaxQueueDepth())
+}
+
+// saturated: the decoupling FIFO is full AND its head is blocked on a busy
+// bank — offered load has nowhere to go but the bus arbitration holds, the
+// bus machine's tree-saturation analogue.
+func (s *Sim) saturated() bool {
+	if len(s.queue) == 0 || len(s.queue) < s.cfg.QueueCap {
+		return false
+	}
+	bank := s.Memory().HomeOf(s.queue[0].Req.Addr)
+	return !s.Memory().Module(bank).CanEnqueue()
+}
+
+func (s *Sim) stallDetail() string {
+	banks := 0
+	for b := 0; b < s.cfg.Banks; b++ {
+		banks += s.Memory().Module(b).QueueLen()
+	}
+	return fmt.Sprintf("fifo=%d wait=%d banks=%d", len(s.queue), s.wait.Len(), banks)
+}
+
+// sweep is the fabric's share of one cycle: bank completions return (and
+// decombine), the FIFO head dispatches, and one processor wins the bus.
+func (s *Sim) sweep() {
+	// Bank completions: tick every bank (compute — bank-local), then
+	// commit the completed replies in ascending bank order (drop decisions,
+	// decombining and delivery all touch shared state).
+	if s.pool != nil {
+		s.pool.Run(s.tickFn)
+		for b := range s.tickBuf {
+			t := &s.tickBuf[b]
+			s.Merge(&t.rim)
+			if t.ok {
+				s.commitBank(t.rep, &t.m)
+			}
+		}
+	} else {
+		for b := 0; b < s.cfg.Banks; b++ {
+			if rep, m, ok := s.tickBank(b, s.Own()); ok {
+				s.commitBank(rep, &m)
+			}
+		}
+	}
+
+	if s.SwitchStalled(0, 0) || s.SwitchDead(0, 0) {
+		return // blackout or crash: the bus and decoupling FIFO freeze
+	}
+
+	// Dispatch the FIFO head when its bank has input-queue room (with the
+	// default BankQueueCap of 1: when the bank is idle).  A dead bank holds
+	// the head like a busy one.
+	if len(s.queue) > 0 {
+		head := s.queue[0]
+		bank := s.Memory().HomeOf(head.Req.Addr)
+		if s.ModuleDead(bank) || !s.Memory().Module(bank).CanEnqueue() {
+			s.stats.HOLBlocked++
+		} else {
+			copy(s.queue, s.queue[1:])
+			s.queue = s.queue[:len(s.queue)-1]
+			if !s.LinkDropsFwd(1, bank, 0, &head.Req) {
+				s.EnterMemory(faults.Site(1, bank, 0), bank, head, s.Own())
+			}
+		}
+	}
+
+	// Bus arbitration: round-robin; the bus carries one request per cycle,
+	// and a transfer lost on the bus still consumes it.
+	rot := int(s.Cycle())
+	for off := 0; off < s.cfg.Procs; off++ {
+		p := (off + rot) % s.cfg.Procs
+		m := s.Offer(p)
+		if m == nil {
+			continue
+		}
+		if s.LinkDropsFwd(0, 0, p, &m.Req) {
+			s.Lost(p)
+			break
+		}
+		if s.enqueue(*m) {
+			s.Sent(p)
+			break
+		}
+	}
 }
 
 // tickWorker is the per-worker body of the parallel bank compute phase,
@@ -304,298 +326,29 @@ func NewSim(cfg Config, inj []network.Injector) *Sim {
 func (s *Sim) tickWorker(w int) {
 	lo, hi := par.Split(s.cfg.Banks, s.pool.Workers(), w)
 	for b := lo; b < hi; b++ {
-		s.tickBuf[b].rep, s.tickBuf[b].ok = s.tickBank(b)
+		t := &s.tickBuf[b]
+		t.rep, t.m, t.ok = s.tickBank(b, &t.rim)
 	}
 }
 
-// Faults exposes the fault injector (nil on a healthy machine).
-func (s *Sim) Faults() *faults.Injector { return s.flt }
-
-// Tracker exposes the exactly-once delivery ledger (nil on a healthy
-// machine).
-func (s *Sim) Tracker() *faults.Tracker { return s.trk }
-
-// Orphans reports replies that arrived with no request metadata (fault mode
-// only).
-func (s *Sim) Orphans() int64 { return s.orphans }
-
-// Recovery exposes the crash–restart ledger (nil without crash windows).
-func (s *Sim) Recovery() *recover.Manager { return s.rec }
-
-// Memory exposes the banks.
-func (s *Sim) Memory() *memory.Array { return s.mem }
-
-// Stats snapshots the counters.
-func (s *Sim) Stats() Stats { return s.stats }
-
-// Snapshot captures the run's instrumentation behind the shared
-// cross-engine API (see internal/stats).
-func (s *Sim) Snapshot() stats.Snapshot {
-	snap := stats.Snapshot{
-		Engine: "busnet",
-		// HOLBlocked doubles as holds_mem: a head-of-line block IS this
-		// machine's memory-input hold (the blocked request sits at the
-		// FIFO head waiting for its bank), published under both the
-		// bus-specific and the cross-engine name.
-		Counters: engine.Counters{
-			Cycles:           s.stats.Cycles,
-			Issued:           s.stats.Issued,
-			Completed:        s.stats.Completed,
-			Replies:          s.stats.Completed,
-			Combines:         s.stats.Combines,
-			CombineRejects:   s.wait.Rejections,
-			BankOps:          s.stats.BankOps,
-			BusOps:           s.stats.BusOps,
-			HOLBlocked:       s.stats.HOLBlocked,
-			SaturationCycles: s.stats.SaturationCycles,
-			HoldsMem:         s.stats.HOLBlocked,
-			WatchdogTrips:    s.stats.WatchdogTrips,
-			Checkpoints:      s.stats.Checkpoints,
-		}.Map(),
-		Gauges: map[string]int64{
-			"fifo_max":              s.fifoHW.Load(),
-			"max_mem_queue":         int64(s.mem.MaxQueueDepth()),
-			"saturation_max_streak": s.stats.SaturationMaxStreak,
-		},
-		Histograms: map[string]stats.HistogramSnapshot{
-			"latency_cycles": s.lat.Snapshot(),
-		},
+// tickBank advances bank b one service cycle, returning a completed reply
+// and the request it answers if one emerged.  Everything here is bank-local
+// (the slowdown-window decision is a pure hash with atomic counters), so
+// banks tick in parallel under Config.Workers.
+func (s *Sim) tickBank(b int, sh *engine.Shard) (core.Reply, qmsg, bool) {
+	if !s.ModuleUp(b, sh) || s.MemStalled(b) {
+		return core.Reply{}, qmsg{}, false
 	}
-	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.orphans, s.rec.Counters())
-	}
-	return snap
+	return s.Serve(b, sh)
 }
 
-// InFlight counts requests in the machine.  Under a fault plan the
-// tracker's ledger answers instead (see internal/network.Sim.InFlight).
-func (s *Sim) InFlight() int {
-	if s.trk != nil {
-		return s.trk.Outstanding()
+// commitBank sends one completed reply down the return bus — the
+// processor terminal link — unless the link drops it.
+func (s *Sim) commitBank(rep core.Reply, m *qmsg) {
+	if s.LinkDropsRev(2, 0, m.Src, &rep) {
+		return // reply lost on the return path
 	}
-	n := len(s.queue) + s.wait.Len() + len(s.meta)
-	for _, p := range s.pending {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Step advances one cycle: bank completions return (and decombine), the
-// FIFO head dispatches, and one processor wins the bus.
-func (s *Sim) Step() {
-	s.step()
-
-	// Saturation: the decoupling FIFO is full AND its head is blocked on a
-	// busy bank — offered load has nowhere to go but the bus arbitration
-	// holds, the bus machine's tree-saturation analogue.
-	s.sat.Observe(len(s.queue) >= s.cfg.QueueCap && s.holBlockedNow())
-	s.stats.SaturationCycles = s.sat.Cycles()
-	s.stats.SaturationMaxStreak = s.sat.MaxStreak()
-	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
-		s.stats.WatchdogTrips++
-	}
-}
-
-// holBlockedNow reports whether the FIFO head currently cannot dispatch.
-func (s *Sim) holBlockedNow() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	bank := s.mem.HomeOf(s.queue[0].req.Addr)
-	return !s.mem.Module(bank).CanEnqueue()
-}
-
-// progressSig is the watchdog's monotone progress signature (see
-// internal/network.Sim.progressSig): issues, bus transfers, bank feeds and
-// service cycles, completions, and fault events all change it.
-func (s *Sim) progressSig() int64 {
-	sig := s.stats.Issued + s.stats.Completed + s.stats.BusOps +
-		s.stats.BankOps + s.orphans
-	for b := 0; b < s.cfg.Banks; b++ {
-		sig += s.mem.Module(b).BusyCycles
-	}
-	if s.flt != nil {
-		sig += s.flt.Injected()
-	}
-	return sig
-}
-
-// Stalled reports whether the progress watchdog has tripped.
-func (s *Sim) Stalled() bool { return s.wd.Tripped() }
-
-// StallReport formats the watchdog diagnostic with a queue snapshot.
-func (s *Sim) StallReport() string {
-	banks := 0
-	for b := 0; b < s.cfg.Banks; b++ {
-		banks += s.mem.Module(b).QueueLen()
-	}
-	detail := fmt.Sprintf("fifo=%d wait=%d banks=%d meta=%d", len(s.queue), s.wait.Len(), banks, len(s.meta))
-	crashed := ""
-	if s.flt != nil {
-		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
-	}
-	return flow.StallReport("busnet", s.wd, s.InFlight(), crashed, detail)
-}
-
-func (s *Sim) step() {
-	s.cycle++
-	s.stats.Cycles++
-	s.updateCrashState()
-	if s.rec != nil && s.rec.CheckpointDue(s.cycle) {
-		for b := 0; b < s.cfg.Banks; b++ {
-			if !s.bankDead[b] {
-				s.mem.Module(b).Checkpoint()
-				s.stats.Checkpoints++
-			}
-		}
-	}
-	if s.flt != nil {
-		for _, p := range s.trk.Expired(s.cycle) {
-			s.retry[p.Proc] = append(s.retry[p.Proc],
-				qmsg{req: p.Req, src: p.Proc, issue: p.IssueCycle, hot: p.Hot})
-		}
-		if s.adv {
-			s.drainLimbo()
-		}
-	}
-
-	// Bank completions: tick every bank (compute — bank-local), then
-	// commit the completed replies in ascending bank order (metadata, drop
-	// decisions, decombining and delivery all touch shared state).
-	if s.pool != nil {
-		s.pool.Run(s.tickFn)
-		for b := 0; b < s.cfg.Banks; b++ {
-			if s.tickBuf[b].ok {
-				s.commitBank(b, s.tickBuf[b].rep)
-			}
-		}
-	} else {
-		for b := 0; b < s.cfg.Banks; b++ {
-			if rep, ok := s.tickBank(b); ok {
-				s.commitBank(b, rep)
-			}
-		}
-	}
-
-	if s.flt != nil && s.flt.Stalled(0, 0, s.cycle) {
-		return // blackout: the bus and decoupling FIFO freeze
-	}
-	if s.busDead {
-		return // crashed bus/FIFO: nothing moves until the restart
-	}
-
-	// Dispatch the FIFO head when its bank has input-queue room (with the
-	// default BankQueueCap of 1: when the bank is idle).
-	if len(s.queue) > 0 {
-		head := s.queue[0]
-		bank := s.mem.HomeOf(head.req.Addr)
-		if s.bankDead != nil && s.bankDead[bank] {
-			s.stats.HOLBlocked++ // dead bank: the head holds, like a busy one
-		} else if s.mem.Module(bank).CanEnqueue() {
-			copy(s.queue, s.queue[1:])
-			s.queue = s.queue[:len(s.queue)-1]
-			if s.flt != nil && (s.flt.DropForward(faults.Site(1, bank, 0), head.req.ID, head.req.Attempt) ||
-				s.flt.DropLinkFwd(1, bank, s.cycle)) {
-				// Request lost on the FIFO-to-bank link.
-			} else if s.adv {
-				if d := s.flt.ReorderDelay(faults.Site(1, bank, 0),
-					head.req.ID, head.req.Attempt); d > 0 {
-					s.fwdLimbo = append(s.fwdLimbo,
-						busHeldFwd{release: s.cycle + d, bank: bank, m: head})
-				} else {
-					s.bankEnter(bank, head)
-				}
-			} else {
-				s.meta[head.req.ID] = head
-				s.mem.Module(bank).Enqueue(head.req)
-				s.stats.BankOps++
-			}
-		} else {
-			s.stats.HOLBlocked++
-		}
-	}
-
-	// Bus arbitration: round-robin; one request enters the FIFO.
-	for off := 0; off < s.cfg.Procs; off++ {
-		p := (off + int(s.cycle)) % s.cfg.Procs
-		if s.flt != nil && len(s.retry[p]) > 0 {
-			// Retransmissions take the proc's bus slot, bypassing the
-			// pending slot (a held fresh request may be waiting on
-			// exactly the delivery this retransmit recovers).
-			m := s.retry[p][0]
-			if s.flt.DropForward(faults.Site(0, 0, p), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(0, 0, s.cycle) {
-				s.retry[p] = s.retry[p][1:]
-				break // the lost transfer still consumed the bus cycle
-			}
-			if s.enqueue(m) {
-				s.retry[p] = s.retry[p][1:]
-				break
-			}
-			continue
-		}
-		if s.pending[p] == nil {
-			inj, ok := s.inj[p].Next(s.cycle)
-			if !ok {
-				continue
-			}
-			req := inj.Req
-			if s.trk != nil {
-				if req.Reps == nil && len(req.Srcs) == 1 {
-					req = req.WithReps()
-				}
-				s.trk.Track(p, req, inj.Hot, s.cycle)
-			}
-			s.pending[p] = &qmsg{req: req, src: p, issue: s.cycle, hot: inj.Hot}
-			s.stats.Issued++
-		}
-		m := s.pending[p]
-		if s.trk != nil && m.req.Attempt == 0 && s.trk.HeldBack(p, m.req.Addr) {
-			continue // hold: earlier same-address request undelivered
-		}
-		if s.flt != nil && (s.flt.DropForward(faults.Site(0, 0, p), m.req.ID, m.req.Attempt) ||
-			s.flt.DropLinkFwd(0, 0, s.cycle)) {
-			s.pending[p] = nil
-			break // lost on the bus; the transfer consumed the cycle
-		}
-		if s.enqueue(*m) {
-			s.pending[p] = nil
-			break // the bus carries one request per cycle
-		}
-	}
-}
-
-// updateCrashState advances the crash masks one cycle, with edge detection:
-// a rising edge flushes the component (its queued work is lost and reported
-// to the recovery ledger), a falling edge is the restart.  It runs serially
-// at the top of every cycle so the masks are stable before any sweep reads
-// them, keeping parallel runs byte-identical.
-func (s *Sim) updateCrashState() {
-	if s.rec == nil {
-		return
-	}
-	busNow := s.flt.SwitchCrashed(0, 0, s.cycle)
-	switch {
-	case busNow && !s.busDead:
-		s.rec.NoteCrash()
-		s.rec.NoteLost(s.trk, s.crashBus())
-	case !busNow && s.busDead:
-		s.rec.NoteRestore()
-	}
-	s.busDead = busNow
-	for b := 0; b < s.cfg.Banks; b++ {
-		now := s.flt.MemCrashed(b, s.cycle)
-		switch {
-		case now && !s.bankDead[b]:
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.mem.Module(b).Crash())
-		case !now && s.bankDead[b]:
-			s.rec.NoteRestore()
-		}
-		s.bankDead[b] = now
-	}
+	s.Deliver(faults.Site(2, 0, m.Src), m.Src, rep, m.Issue, m.Hot)
 }
 
 // crashBus flushes the bus fault domain: the decoupling FIFO, the wait
@@ -606,190 +359,35 @@ func (s *Sim) updateCrashState() {
 // leaf ids are the operations whose reply path was lost.
 func (s *Sim) crashBus() []word.ReqID {
 	var lost []word.ReqID
-	add := func(reps []core.Leaf, id word.ReqID) {
-		if len(reps) == 0 {
-			lost = append(lost, id)
-			return
-		}
-		for _, l := range reps {
-			lost = append(lost, l.ID)
-		}
-	}
 	for i := range s.queue {
-		add(s.queue[i].req.Reps, s.queue[i].req.ID)
+		lost = engine.LostLeaves(lost, s.queue[i].Req.Reps, s.queue[i].Req.ID)
 	}
 	for _, rec := range s.wait.Flush() {
-		add(rec.reps2, rec.ID2)
+		lost = engine.LostLeaves(lost, rec.reps2, rec.ID2)
 	}
-	for _, m := range s.meta {
-		add(m.req.Reps, m.req.ID)
-	}
+	s.FlushMeta(func(m *qmsg) { lost = engine.LostLeaves(lost, m.Req.Reps, m.Req.ID) })
 	s.queue = s.queue[:0]
-	clear(s.meta)
 	return lost
 }
 
-// tickBank advances bank b one service cycle, returning a completed reply
-// if one emerged.  Everything here is bank-local (the slowdown-window
-// decision is a pure hash with atomic counters), so banks tick in parallel
-// under Config.Workers.
-func (s *Sim) tickBank(b int) (core.Reply, bool) {
-	if s.bankDead != nil && s.bankDead[b] {
-		return core.Reply{}, false // crashed bank serves nothing until restart
-	}
-	if s.flt != nil && s.flt.MemStalled(b, s.cycle) {
-		return core.Reply{}, false // bank inside a slowdown window serves nothing
-	}
-	return s.mem.Module(b).Tick()
-}
-
-// commitBank resolves one completed reply against the shared machine state:
-// metadata, the reply-drop decision, and delivery with decombining.
-func (s *Sim) commitBank(b int, rep core.Reply) {
-	m, found := s.meta[rep.ID]
-	if !found {
-		if s.flt != nil {
-			s.orphans++ // losing copy of an original/retransmit pair
-			return
-		}
-		panic(fmt.Sprintf("busnet: cycle %d, bank %d: reply id %d (%v) without metadata",
-			s.cycle, b, rep.ID, rep))
-	}
-	delete(s.meta, rep.ID)
-	if s.flt != nil && (s.flt.DropReply(faults.Site(2, 0, m.src), rep.ID, rep.Attempt) ||
-		s.flt.DropLinkRev(2, 0, s.cycle)) {
-		return // reply lost on the return path
-	}
-	if s.adv {
-		// The return bus is the adversarial terminal link: stamp at the
-		// bank's output latch (the last trusted hop), then the link may
-		// defer, duplicate, or corrupt before deliverVerified checks it.
-		rep = core.StampReply(rep)
-		if d := s.flt.ReorderDelay(faults.Site(2, 0, m.src), rep.ID, rep.Attempt); d > 0 {
-			s.revLimbo = append(s.revLimbo,
-				busHeldRev{release: s.cycle + d, rep: rep, src: m.src, issue: m.issue})
-			return
-		}
-		s.deliverVerified(rep, m.src, m.issue)
-		return
-	}
-	s.deliver(rep, m.src, m.issue)
-}
-
-// bankEnter crosses the adversarial terminal link into a bank: the
-// request is stamped at the FIFO head (combining is finished there, the
-// last trusted hop), possibly corrupted on the wire, verified, and
-// quarantined on mismatch; the retransmit machinery then repairs the loss
-// exactly-once.  The duplicate draw comes after verification; with the
-// classic BankQueueCap of 1 the second copy usually finds the bank full
-// and vanishes harmlessly, so forward duplication mostly exercises the
-// reply path's orphan accounting on deeper bank queues.
-func (s *Sim) bankEnter(bank int, m qmsg) {
-	m.req = core.StampRequest(m.req)
-	wire := m.req
-	site := faults.Site(1, bank, 0)
-	if mask := s.flt.CorruptMask(site, m.req.ID, m.req.Attempt); mask != 0 {
-		wire = core.CorruptRequest(wire, mask)
-	}
-	if !core.RequestOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: equivalent to a detected drop on this link
-	}
-	s.meta[wire.ID] = m
-	s.mem.Module(bank).Enqueue(wire)
-	s.stats.BankOps++
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && s.mem.Module(bank).CanEnqueue() {
-		// Deep-copied so the two queued copies share no Srcs/Reps storage.
-		s.mem.Module(bank).Enqueue(wire.Clone())
-		s.stats.BankOps++
-	}
-}
-
-// deliverVerified is the processor side of the adversarial return bus:
-// corrupt on the wire, verify the checksum, quarantine on mismatch (the
-// processor retransmits and the bank reply cache answers), and deliver —
-// twice when the link duplicates, with the tracker suppressing the
-// second copy after decombining consumed the wait records.
-func (s *Sim) deliverVerified(rep core.Reply, src int, issue int64) {
-	site := faults.Site(2, 0, src)
-	wire := rep
-	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
-		wire = core.CorruptReply(wire, mask)
-	}
-	if !core.ReplyOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: the retransmit machinery re-drives the op
-	}
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) {
-		// Deep-copied so the duplicate shares no Leaves storage with the
-		// reply delivered below (decombining reads both).
-		s.deliver(wire.Clone(), src, issue)
-	}
-	s.deliver(wire, src, issue)
-}
-
-// drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of step — Validate rejects adversarial plans
-// with Workers > 1 — so release order is defined by the serial sweep.  A
-// forward release finding its bank crashed or full re-holds one cycle
-// (the deferral bound is on the adversarial link, not on ordinary
-// backpressure), and held messages are never re-reordered.
-func (s *Sim) drainLimbo() {
-	if len(s.fwdLimbo) > 0 {
-		keep := s.fwdLimbo[:0]
-		for _, h := range s.fwdLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			if (s.bankDead != nil && s.bankDead[h.bank]) || !s.mem.Module(h.bank).CanEnqueue() {
-				h.release = s.cycle + 1
-				keep = append(keep, h)
-				continue
-			}
-			s.bankEnter(h.bank, h.m)
-		}
-		s.fwdLimbo = keep
-	}
-	if len(s.revLimbo) > 0 {
-		keep := s.revLimbo[:0]
-		for _, h := range s.revLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			s.deliverVerified(h.rep, h.src, h.issue)
-		}
-		s.revLimbo = keep
-	}
-}
-
-// deliver routes a reply (and its decombined fan-out) back to processors.
-func (s *Sim) deliver(rep core.Reply, src int, issue int64) {
+// fanOut is the far side of the return bus: a reply decombines against the
+// FIFO's wait buffer and every leaf completes at its own processor.
+func (s *Sim) fanOut(src int, rep core.Reply, issue int64, hot bool) {
 	match := func(r brec) bool { return core.CanDecombine(r.Record, rep) }
 	if rec, ok := s.wait.PopMatch(rep.ID, match); ok {
 		r1, r2 := core.DecombineExact(rec.Record, rep)
-		s.deliver(r1, src, issue)
-		s.deliver(r2, rec.src2, rec.issue2)
+		s.fanOut(src, r1, issue, hot)
+		s.fanOut(rec.src2, r2, rec.issue2, rec.hot2)
 		return
 	}
-	if s.trk != nil {
-		if _, ok := s.trk.Deliver(rep.ID, s.cycle); !ok {
-			return // duplicate of an already-delivered reply; suppressed
-		}
-	}
-	s.rec.NoteDelivered(rep.ID)
-	s.stats.Completed++
-	s.stats.LatencySum += s.cycle - issue
-	s.lat.Record(s.cycle - issue)
-	s.inj[src].Deliver(rep, s.cycle)
+	s.Complete(src, rep, issue, hot)
 }
 
 // enqueue inserts a request into the FIFO, combining with the most recent
 // same-address entry when possible (the M2.3 scan shared with the other
 // engines via core.CombineAtTail).
 func (s *Sim) enqueue(m qmsg) bool {
-	tc, rejected, ok := core.CombineAtTail(s.queue, qmsgReq, m.req, s.pol, s.wait.CanPush)
+	tc, rejected, ok := core.CombineAtTail(s.queue, qmsgReq, m.Req, s.pol, s.wait.CanPush)
 	if rejected {
 		s.wait.Rejections++
 	}
@@ -801,12 +399,12 @@ func (s *Sim) enqueue(m qmsg) bool {
 		}
 		if s.wait.Push(tc.Rec.ID1, brec{
 			Record: tc.Rec,
-			src2:   second.src,
-			issue2: second.issue,
-			hot2:   second.hot,
-			reps2:  second.req.Reps,
+			src2:   second.Src,
+			issue2: second.Issue,
+			hot2:   second.Hot,
+			reps2:  second.Req.Reps,
 		}) {
-			*queued = qmsg{req: tc.Combined, src: first.src, issue: first.issue, hot: first.hot}
+			*queued = qmsg{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot}
 			s.stats.Combines++
 			s.stats.BusOps++
 			return true
@@ -822,37 +420,4 @@ func (s *Sim) enqueue(m qmsg) bool {
 }
 
 // qmsgReq projects a queued message to its request for the shared scan.
-func qmsgReq(m *qmsg) *core.Request { return &m.req }
-
-// Run advances the machine, stopping early if the watchdog trips.
-func (s *Sim) Run(cycles int) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < cycles; i++ {
-		if s.wd.Tripped() {
-			return
-		}
-		s.Step()
-	}
-}
-
-// Drain runs until the machine is empty, up to the bound.  A watchdog trip
-// ends the drain immediately.
-func (s *Sim) Drain(maxCycles int) bool {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < maxCycles; i++ {
-		if s.wd.Tripped() {
-			return false
-		}
-		s.Step()
-		if s.InFlight() == 0 {
-			return true
-		}
-	}
-	return s.InFlight() == 0
-}
+func qmsgReq(m *qmsg) *core.Request { return &m.Req }

@@ -31,11 +31,9 @@ import (
 	"combining/internal/faults"
 	"combining/internal/hypercube"
 	"combining/internal/machine"
-	"combining/internal/memory"
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
-	"combining/internal/stats"
 	"combining/internal/word"
 )
 
@@ -166,15 +164,8 @@ func Programs(seed uint64, procs, ops, addrs int) [][]machine.Instr {
 	return progs
 }
 
-// chaosEngine is what one scenario run needs from a cycle engine.
-type chaosEngine interface {
-	machine.Engine
-	Snapshot() stats.Snapshot
-	Memory() *memory.Array
-}
-
 // newEngine builds and validates the scenario's wiring.
-func newEngine(sc Scenario, inj []network.Injector) (chaosEngine, error) {
+func newEngine(sc Scenario, inj []network.Injector) (engine.Machine, error) {
 	switch sc.Topology {
 	case "omega":
 		cfg := network.Config{Procs: sc.Procs, WaitBufCap: 64, Faults: sc.Plan}

@@ -1,0 +1,315 @@
+package engine
+
+import (
+	"fmt"
+
+	"combining/internal/core"
+	"combining/internal/word"
+)
+
+// The terminal links and the memory modules behind them.  A terminal link
+// is the last hop on either side of the fabric: fabric → memory module and
+// fabric → processor.  Under an adversarial plan these are the links that
+// reorder, duplicate and corrupt; the message is stamped with its checksum
+// at the last trusted hop (the caller's side), verified on the far side,
+// and quarantined on mismatch — the retransmit machinery then repairs the
+// loss exactly-once.  The fabric names each link by the fault site it
+// passes in; the shell never interprets it.
+
+// heldFwd is a request deferred by reordering on the link into module mod:
+// it enters the module at release, or one cycle later per cycle the module
+// cannot take it.
+type heldFwd struct {
+	release int64
+	site    uint64
+	mod     int
+	m       Fwd
+}
+
+// heldRev is a reply deferred by reordering on the link to processor proc;
+// it is delivered at release.
+type heldRev struct {
+	release int64
+	site    uint64
+	proc    int
+	rep     core.Reply
+	issue   int64
+	hot     bool
+}
+
+// Own returns the shell's own counter shard, for serial callers.
+func (s *Shell) Own() *Shard { return &s.tot.Shard }
+
+// Merge folds a worker's shard into the run totals and clears it.
+func (s *Shell) Merge(sh *Shard) {
+	s.tot.MemRequests += sh.MemRequests
+	s.tot.MemAcks += sh.MemAcks
+	s.tot.Checkpoints += sh.Checkpoints
+	s.tot.Orphans += sh.Orphans
+	*sh = Shard{}
+}
+
+// EnterMemory carries a request across the terminal link into module mod
+// and files its metadata until the reply emerges.  The caller has already
+// checked that the module can take it.  Under an adversarial plan the link
+// may first defer it into limbo; nothing is filed for a message that never
+// arrives.
+func (s *Shell) EnterMemory(site uint64, mod int, m Fwd, sh *Shard) {
+	if s.adv {
+		if d := s.flt.ReorderDelay(site, m.Req.ID, m.Req.Attempt); d > 0 {
+			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.cycle + d, site: site, mod: mod, m: m})
+			return
+		}
+		s.memEnter(site, mod, m, sh)
+		return
+	}
+	sh.MemRequests++
+	s.metaInsert(mod, m)
+	s.mem.Module(mod).Enqueue(m.Req)
+}
+
+// memEnter is the module side of the adversarial link: the request is
+// stamped (combining has legitimately rewritten the op by now), possibly
+// corrupted on the wire, verified, and quarantined on mismatch.  The
+// duplicate draw comes after verification so dup_injected counts only
+// messages that actually entered the module twice; metadata is filed
+// before the duplicate and never for a quarantined request.
+func (s *Shell) memEnter(site uint64, mod int, m Fwd, sh *Shard) {
+	m.Req = core.StampRequest(m.Req)
+	wire := m.Req
+	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
+		wire = core.CorruptRequest(wire, mask)
+	}
+	if !core.RequestOK(wire) {
+		s.flt.NoteCorruptDropped()
+		return // quarantined: equivalent to a detected drop on this link
+	}
+	module := s.mem.Module(mod)
+	sh.MemRequests++
+	s.metaInsert(mod, m)
+	module.Enqueue(wire)
+	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && module.CanEnqueue() {
+		// Network-born duplicate: the link re-emits a message the sender
+		// never retransmitted.  The reply cache answers the second copy
+		// from its leaf values; its reply finds no metadata and orphans.
+		// The copy deep-copies its Srcs/Reps slices — a shallow second
+		// enqueue would share backing arrays with the first.
+		sh.MemRequests++
+		module.Enqueue(wire.Clone())
+	}
+}
+
+// metaInsert files a request under its module's shard, reusing a recycled
+// box so the steady-state insert allocates nothing.
+func (s *Shell) metaInsert(mod int, m Fwd) {
+	var box *Fwd
+	if free := s.metaFree[mod]; len(free) > 0 {
+		box = free[len(free)-1]
+		s.metaFree[mod] = free[:len(free)-1]
+	} else {
+		box = new(Fwd)
+	}
+	*box = m
+	s.meta[mod][m.Req.ID] = box
+}
+
+// FlushMeta discards every filed request — a fault domain that holds the
+// reply routing state died — calling lost for each.  Requests already
+// inside a module keep executing; their replies surface as orphans and the
+// retransmit path re-drives them through the reply caches.
+func (s *Shell) FlushMeta(lost func(m *Fwd)) {
+	for mod, shard := range s.meta {
+		for id, box := range shard {
+			lost(box)
+			*box = Fwd{}
+			s.metaFree[mod] = append(s.metaFree[mod], box)
+			delete(shard, id)
+		}
+	}
+}
+
+// ModuleUp is the first guard of every module tick: a crashed module serves
+// nothing until it restarts; a live one commits its recovery image when a
+// checkpoint is due — executed-but-uncommitted leaves join the committed
+// cache and withheld replies become releasable (memory.Module.Checkpoint).
+func (s *Shell) ModuleUp(mod int, sh *Shard) bool {
+	if s.rec == nil {
+		return true
+	}
+	if s.memDead[mod] {
+		return false
+	}
+	if s.rec.CheckpointDue(s.cycle) {
+		s.mem.Module(mod).Checkpoint()
+		sh.Checkpoints++
+	}
+	return true
+}
+
+// MemStalled is the second guard: a module inside a slowdown window serves
+// nothing this cycle (the lost module-cycle is counted).
+func (s *Shell) MemStalled(mod int) bool {
+	return s.flt != nil && s.flt.MemStalled(mod, s.cycle)
+}
+
+// Serve advances module mod one service cycle and, when a reply emerges,
+// returns it with the request it answers.  A reply with no filed request is
+// expected under retransmission — an original and a retransmit both reached
+// memory, the first reply consumed the metadata — and counts as an orphan;
+// on a healthy machine it is a bug.
+func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, Fwd, bool) {
+	rep, ok := s.mem.Module(mod).Tick()
+	if !ok {
+		return rep, Fwd{}, false
+	}
+	sh.MemAcks++
+	box, found := s.meta[mod][rep.ID]
+	if !found {
+		if s.flt == nil {
+			panic(fmt.Sprintf("%s: cycle %d, module %d: reply id %d (%v) with no request metadata",
+				s.name, s.cycle, mod, rep.ID, rep))
+		}
+		sh.Orphans++
+		return rep, Fwd{}, false
+	}
+	m := *box
+	*box = Fwd{}
+	s.metaFree[mod] = append(s.metaFree[mod], box)
+	delete(s.meta[mod], rep.ID)
+	return rep, m, true
+}
+
+// Deliver carries a reply across the terminal link to processor proc.
+// Under an adversarial plan the link may defer (reorder), duplicate or
+// corrupt it; the reply is stamped here, the last trusted hop.
+func (s *Shell) Deliver(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
+	if s.adv {
+		rep = core.StampReply(rep)
+		if d := s.flt.ReorderDelay(site, rep.ID, rep.Attempt); d > 0 {
+			s.revLimbo = append(s.revLimbo,
+				heldRev{release: s.cycle + d, site: site, proc: proc, rep: rep, issue: issue, hot: hot})
+			return
+		}
+		s.deliverVerified(site, proc, rep, issue, hot)
+		return
+	}
+	s.arrive(proc, rep, issue, hot)
+}
+
+// deliverVerified is the processor side of the adversarial link: corrupt on
+// the wire, verify the checksum, quarantine on mismatch (the processor
+// retransmits and the reply cache answers), and deliver — twice when the
+// link duplicates, with the tracker suppressing the second copy.  The
+// duplicate owns its Leaves map: a shallow copy would share it with the
+// original (core.Reply.Clone).
+func (s *Shell) deliverVerified(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
+	if mask := s.flt.CorruptMask(site, rep.ID, rep.Attempt); mask != 0 {
+		rep = core.CorruptReply(rep, mask)
+	}
+	if !core.ReplyOK(rep) {
+		s.flt.NoteCorruptDropped()
+		return // quarantined: the retransmit machinery re-drives the op
+	}
+	if s.flt.Duplicate(site, rep.ID, rep.Attempt) {
+		s.arrive(proc, rep.Clone(), issue, hot)
+	}
+	s.arrive(proc, rep, issue, hot)
+}
+
+func (s *Shell) arrive(proc int, rep core.Reply, issue int64, hot bool) {
+	if s.hooks.Reassemble != nil {
+		s.hooks.Reassemble(proc, rep, issue, hot)
+		return
+	}
+	s.Complete(proc, rep, issue, hot)
+}
+
+// Complete hands one decombined reply to its processor and does the
+// delivery accounting: duplicate suppression, the crash-replay ledger,
+// latency, and the completion counters.
+func (s *Shell) Complete(proc int, rep core.Reply, issue int64, hot bool) {
+	if s.trk != nil {
+		if _, ok := s.trk.Deliver(rep.ID, s.cycle); !ok {
+			return // duplicate of an already-delivered reply; suppressed
+		}
+	}
+	if s.rec != nil {
+		// A completion whose in-flight copy a crash flushed was re-driven
+		// here by the retry machinery — count the replay.
+		s.rec.NoteDelivered(rep.ID)
+	}
+	lat := s.cycle - issue
+	s.tot.Completed++
+	s.tot.LatencySum += lat
+	s.lat.Record(lat)
+	if hot {
+		s.tot.HotCompleted++
+		s.tot.HotLatencySum += lat
+	} else {
+		s.tot.ColdCompleted++
+		s.tot.ColdLatencySum += lat
+	}
+	s.inj[proc].Deliver(rep, s.cycle)
+}
+
+// drainLimbo releases reordered messages whose deferral has elapsed.  It
+// runs serially at the top of Step — adversarial plans are rejected at
+// Workers > 1 — so release order is defined by the serial sweep.  A forward
+// release finding its module crashed or unable to take it re-holds one
+// cycle (the deferral bound is on the adversarial link, not on ordinary
+// backpressure), and held messages are never re-reordered, so the deferral
+// is bounded by ReorderMax plus the backpressure already counted against
+// every request.
+func (s *Shell) drainLimbo() {
+	if len(s.fwdLimbo) > 0 {
+		keep := s.fwdLimbo[:0]
+		for _, h := range s.fwdLimbo {
+			if h.release > s.cycle {
+				keep = append(keep, h)
+				continue
+			}
+			if s.ModuleDead(h.mod) || !s.hooks.CanFeed(h.mod) {
+				h.release = s.cycle + 1
+				keep = append(keep, h)
+				continue
+			}
+			s.memEnter(h.site, h.mod, h.m, s.Own())
+		}
+		s.fwdLimbo = keep
+	}
+	if len(s.revLimbo) > 0 {
+		keep := s.revLimbo[:0]
+		for _, h := range s.revLimbo {
+			if h.release > s.cycle {
+				keep = append(keep, h)
+				continue
+			}
+			s.deliverVerified(h.site, h.proc, h.rep, h.issue, h.hot)
+		}
+		s.revLimbo = keep
+	}
+}
+
+// LostLeaves appends to ids the leaf request ids a flushed request or wait
+// record represented: its own id when uncombined, otherwise every leaf of
+// its representation list.  Flush hooks build their loss reports with it.
+func LostLeaves(ids []word.ReqID, reps []core.Leaf, id word.ReqID) []word.ReqID {
+	if len(reps) == 0 {
+		return append(ids, id)
+	}
+	for _, lf := range reps {
+		ids = append(ids, lf.ID)
+	}
+	return ids
+}
+
+// LostReply is LostLeaves for a flushed reply.
+func LostReply(ids []word.ReqID, rep *core.Reply) []word.ReqID {
+	if rep.Leaves == nil {
+		return append(ids, rep.ID)
+	}
+	for id := range rep.Leaves {
+		ids = append(ids, id)
+	}
+	return ids
+}

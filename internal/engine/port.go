@@ -1,0 +1,59 @@
+package engine
+
+// The processor port: what a processor offers the fabric each cycle.  The
+// fabric keeps its own arbitration loop — which ports it visits, in what
+// order, and what a lost transfer costs — and drives each port through
+// Offer, then Sent or Lost.
+
+// Offer returns the request processor p would send this cycle, or nil when
+// it has none.  A retransmission takes the port's slot ahead of fresh
+// traffic, bypassing the pending slot entirely: a fresh request held there
+// may be waiting on exactly the delivery this retransmit recovers.
+// Otherwise the pending slot is offered, refilled from the injector when
+// empty; under a fault plan the fresh request is registered with the retry
+// tracker, and held at the port while an earlier request by p to the same
+// address is undelivered, so a drop cannot reorder the processor's own
+// accesses to a location.  The returned message stays owned by the port
+// until Sent or Lost.
+func (s *Shell) Offer(p int) *Fwd {
+	if s.flt != nil && len(s.retry[p]) > 0 {
+		return &s.retry[p][0]
+	}
+	if !s.hasPending[p] {
+		in, ok := s.inj[p].Next(s.cycle)
+		if !ok {
+			return nil
+		}
+		req := in.Req
+		if s.trk != nil {
+			if req.Reps == nil && len(req.Srcs) == 1 {
+				// The reply cache needs every message to name its
+				// leaves exactly.
+				req = req.WithReps()
+			}
+			s.trk.Track(p, req, in.Hot, s.cycle)
+		}
+		s.pending[p] = Fwd{Req: req, Src: p, Issue: s.cycle, Hot: in.Hot}
+		s.hasPending[p] = true
+		s.tot.Issued++
+	}
+	m := &s.pending[p]
+	if s.trk != nil && m.Req.Attempt == 0 && s.trk.HeldBack(p, m.Req.Addr) {
+		return nil
+	}
+	return m
+}
+
+// Sent records that the fabric accepted p's offer.
+func (s *Shell) Sent(p int) {
+	if s.flt != nil && len(s.retry[p]) > 0 {
+		s.retry[p] = s.retry[p][1:]
+		return
+	}
+	s.hasPending[p] = false
+}
+
+// Lost records that p's offer died on the port's link.  The port moves on
+// exactly as if the message had been sent: recovery is the retry tracker's
+// timeout, not the port's business.
+func (s *Shell) Lost(p int) { s.Sent(p) }

@@ -1,0 +1,541 @@
+package engine
+
+import (
+	"fmt"
+
+	"combining/internal/core"
+	"combining/internal/faults"
+	"combining/internal/flow"
+	"combining/internal/memory"
+	"combining/internal/par"
+	"combining/internal/recover"
+	"combining/internal/stats"
+	"combining/internal/word"
+)
+
+// Injection is one request offered by an injector, tagged for metrics.
+type Injection struct {
+	Req core.Request
+	Hot bool
+}
+
+// Injector supplies traffic for one processor port and consumes replies.
+// Implementations need not be safe for concurrent use; the shell calls
+// them from a single goroutine.
+type Injector interface {
+	// Next offers the next request at the given cycle.  ok=false means
+	// the processor has nothing to issue this cycle.  A request returned
+	// by Next is guaranteed to be injected (possibly stalled for queue
+	// space first); Next is not called again until then.
+	Next(cycle int64) (Injection, bool)
+	// Deliver hands a completed reply back.
+	Deliver(rep core.Reply, cycle int64)
+}
+
+// DefaultWatchdogCycles is the default no-progress limit: far above the
+// fault plans' capped retransmit backoff (RetryCap defaults to 512 cycles),
+// so only a genuine livelock or deadlock can trip it.
+const DefaultWatchdogCycles = 10000
+
+// Machine is what every cycle engine offers its drivers — soaks, replay,
+// the chaos fuzzer, program runners.  The embedded Shell satisfies it.
+type Machine interface {
+	Step()
+	Run(cycles int)
+	Drain(maxCycles int) bool
+	InFlight() int
+	Stalled() bool
+	StallReport() string
+	Snapshot() stats.Snapshot
+	Memory() *memory.Array
+}
+
+// Fwd is a request in flight, as the rim sees it: the port creates one per
+// issue, the fabric carries it hop by hop (wrapping it with whatever
+// per-hop state it needs), and the memory terminal link files it until the
+// module's reply emerges.
+type Fwd struct {
+	Req core.Request
+	// Src is the issuing processor — the reply's destination on fabrics
+	// that route replies by address.
+	Src int
+	// Issue is the first injection cycle; latency is measured from here.
+	Issue int64
+	// Hot marks hot-spot traffic for the per-class completion counters.
+	Hot bool
+	// Path is the reply route header of fabrics whose replies retrace a
+	// recorded path (Section 4.1): the fabric attaches and extends it, the
+	// rim only carries it across the memory module.  Fabrics that route
+	// replies by Src leave it nil.
+	Path []uint8
+}
+
+// Shard is the block of counters the terminal links and module guards
+// write.  Every such call takes the caller's shard, so a worker phase
+// writes only memory it owns; serial callers pass Shell.Own and parallel
+// steppers fold their per-worker shards in with Shell.Merge.
+type Shard struct {
+	MemRequests int64 // requests handed to memory modules
+	MemAcks     int64 // replies that emerged from memory modules
+	Checkpoints int64 // module checkpoints committed
+	Orphans     int64 // module replies with no request metadata
+}
+
+// Totals is the rim's half of an engine's run statistics; each engine's
+// Stats embeds it beside its own hop and hold counters.
+type Totals struct {
+	Cycles    int64
+	Issued    int64
+	Completed int64
+
+	// Latency sums, split by traffic class for the tree-saturation
+	// experiment (E9).
+	LatencySum     int64
+	HotCompleted   int64
+	HotLatencySum  int64
+	ColdCompleted  int64
+	ColdLatencySum int64
+
+	// SaturationCycles counts cycles the engine's saturation predicate
+	// held; SaturationMaxStreak is the longest such run.
+	SaturationCycles    int64
+	SaturationMaxStreak int64
+
+	// WatchdogTrips is 1 if the progress watchdog declared a stall.
+	WatchdogTrips int64
+
+	Shard
+}
+
+// MeanLatency returns average round-trip cycles over completed requests.
+func (t Totals) MeanLatency() float64 { return ratio(t.LatencySum, t.Completed) }
+
+// ColdMeanLatency returns the mean latency of non-hot traffic.
+func (t Totals) ColdMeanLatency() float64 { return ratio(t.ColdLatencySum, t.ColdCompleted) }
+
+// HotMeanLatency returns the mean latency of hot-spot traffic.
+func (t Totals) HotMeanLatency() float64 { return ratio(t.HotLatencySum, t.HotCompleted) }
+
+// Bandwidth returns completed memory operations per cycle.
+func (t Totals) Bandwidth() float64 { return ratio(t.Completed, t.Cycles) }
+
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// Hooks is everything a fabric supplies to the rim.  All but Reassemble
+// are required; Flush is never called when the machine has no switch fault
+// domains (Stages·Width == 0).  The shell calls them from the stepping
+// goroutine only.
+type Hooks struct {
+	// Sweep moves one cycle's messages: the reverse, memory and forward
+	// hop sweeps and the port arbitration loop, in the fabric's order.
+	Sweep func()
+	// Flush empties the switch fault domain (stage, index) on its crash
+	// edge and returns the leaf request ids whose only copy was there.
+	Flush func(stage, index int) []word.ReqID
+	// CanFeed reports whether module mod can take one more request now —
+	// the fabric's own feed rule, asked when a reordered request leaves
+	// limbo.
+	CanFeed func(mod int) bool
+	// Saturated is the fabric's tree-saturation predicate for this cycle.
+	Saturated func() bool
+	// Hops is the fabric's monotone message-movement count, the part of
+	// the watchdog's progress signature the rim cannot see.
+	Hops func() int64
+	// Queued counts messages and wait records held in the fabric's own
+	// queues (a clean machine's in-flight census adds ports and modules).
+	Queued func() int
+	// Detail renders the fabric's queue occupancy for a stall report.
+	Detail func() string
+	// Observe adds the fabric's hop, hold and combine counters and its
+	// gauges to a snapshot the rim has started.
+	Observe func(c *Counters, gauges map[string]int64)
+	// Reassemble, when set, is the far side of the processor terminal
+	// link: a fabric whose wait buffer sits behind that link (the bus)
+	// decombines there and ends every leaf in Complete.  nil means replies
+	// cross the link already decombined.
+	Reassemble func(proc int, rep core.Reply, issue int64, hot bool)
+}
+
+// ShellConfig sizes a Shell.
+type ShellConfig struct {
+	// Engine names the machine in Snapshot.Engine and in messages.
+	Engine    string
+	Hooks     Hooks
+	Injectors []Injector
+	// Pool, when non-nil, is the fabric's worker pool; Run and Drain keep
+	// its workers alive across their cycles.
+	Pool *par.Pool
+	// Modules, Service and MemQueueCap shape the memory array
+	// (MemQueueCap <= 0 leaves the module input queues unbounded).
+	Modules, Service, MemQueueCap int
+	// Stages × Width are the switch fault domains: site (stage, index)
+	// for index < Width is what stall and crash windows select.
+	Stages, Width  int
+	WatchdogCycles int64
+	Faults         *faults.Plan
+}
+
+// Shell is the wiring-independent rim of a cycle machine.  It owns the
+// step frame (cycle advance, stall and crash masks with edge detection,
+// retransmit expiry, limbo release, saturation monitor, watchdog), the
+// processor ports, both terminal links with their integrity layer, the
+// memory array with its module guards and request metadata, and the
+// observation surface (Run, Drain, InFlight, StallReport, Snapshot).  A
+// cycle engine embeds one and supplies Hooks; what the engine keeps is its
+// queues and the hop sweeps over them.
+//
+// Worker-phase rule: a parallel sweep may call SwitchStalled, SwitchDead,
+// ModuleDead, LinkDropsFwd, LinkDropsRev, and — for modules the worker
+// owns, with the worker's own Shard — ModuleUp, MemStalled, Serve and
+// EnterMemory.  Offer, Sent, Lost, Deliver and Complete belong to one
+// goroutine at a time.  Adversarial plans, whose limbo buffers EnterMemory
+// appends to, are rejected at Workers > 1 by Spec.
+type Shell struct {
+	name  string
+	hooks Hooks
+	inj   []Injector
+	mem   *memory.Array
+	pool  *par.Pool
+
+	cycle int64
+	tot   Totals
+	lat   stats.Histogram
+	wd    *flow.Watchdog
+	sat   flow.Saturation
+
+	// pending holds a request accepted from an injector but not yet taken
+	// by the fabric; values, not pointers, so the steady-state port never
+	// forces a heap escape.  retry queues retransmissions per processor,
+	// offered ahead of fresh traffic.
+	pending    []Fwd
+	hasPending []bool
+	retry      [][]Fwd
+
+	// meta preserves a request across its memory module, which only
+	// transports core requests.  It is sharded per module: meta[mod] is
+	// written by whoever feeds module mod and consumed when that module's
+	// reply emerges, so under a parallel stepper each shard has one owner
+	// per phase.  The boxes are recycled per module through metaFree (same
+	// ownership), keeping the steady-state memory handoff allocation-free.
+	meta     []map[word.ReqID]*Fwd
+	metaFree [][]*Fwd
+
+	// Fault-mode state (nil/empty on a healthy machine).  stall and swDead
+	// are this cycle's masks over the Stages × Width switch sites, memDead
+	// over the modules; all three are filled serially at the top of Step,
+	// so every Workers width sees the same schedule.
+	flt     *faults.Injector
+	trk     *faults.Tracker
+	rec     *recover.Manager
+	width   int
+	stall   []bool
+	swDead  []bool
+	memDead []bool
+	// adv arms the integrity layer on the terminal links; the limbo
+	// buffers hold reordered messages until their release cycle.
+	adv      bool
+	fwdLimbo []heldFwd
+	revLimbo []heldRev
+}
+
+// Init sizes the shell; the embedding engine calls it once from its
+// constructor, after validating its own Config.
+func (s *Shell) Init(cfg ShellConfig) {
+	procs := len(cfg.Injectors)
+	memOpts := []memory.Option{memory.WithServiceTime(cfg.Service)}
+	if cfg.MemQueueCap > 0 {
+		memOpts = append(memOpts, memory.WithQueueCap(cfg.MemQueueCap))
+	}
+	if cfg.Faults != nil {
+		memOpts = append(memOpts, memory.WithReplyCache())
+		if cfg.Faults.HasCrashes() {
+			memOpts = append(memOpts, memory.WithCheckpoints())
+		}
+		if cfg.Faults.Canary == "nodedup" {
+			memOpts = append(memOpts, memory.WithNoDedupCanary())
+		}
+	}
+	*s = Shell{
+		name:       cfg.Engine,
+		hooks:      cfg.Hooks,
+		inj:        cfg.Injectors,
+		mem:        memory.NewArray(cfg.Modules, memOpts...),
+		pool:       cfg.Pool,
+		wd:         flow.NewWatchdog(cfg.WatchdogCycles),
+		pending:    make([]Fwd, procs),
+		hasPending: make([]bool, procs),
+		meta:       make([]map[word.ReqID]*Fwd, cfg.Modules),
+		metaFree:   make([][]*Fwd, cfg.Modules),
+		width:      cfg.Width,
+	}
+	for i := range s.meta {
+		s.meta[i] = make(map[word.ReqID]*Fwd)
+	}
+	if cfg.Faults == nil {
+		return
+	}
+	s.flt = faults.NewInjector(*cfg.Faults)
+	s.trk = faults.NewTracker(s.flt)
+	plan := s.flt.Plan()
+	s.adv = plan.HasAdversarial()
+	s.retry = make([][]Fwd, procs)
+	s.stall = make([]bool, cfg.Stages*cfg.Width)
+	if plan.HasCrashes() {
+		s.rec = recover.New(plan.CheckpointEvery)
+		s.swDead = make([]bool, cfg.Stages*cfg.Width)
+		s.memDead = make([]bool, cfg.Modules)
+	}
+}
+
+// Step advances the machine one cycle: the frame's prologue, the fabric's
+// sweep, the frame's epilogue.
+func (s *Shell) Step() {
+	s.cycle++
+	s.tot.Cycles++
+	if s.flt != nil {
+		// Each stall query counts a lost switch-cycle: once per site.
+		for d := range s.stall {
+			s.stall[d] = s.flt.Stalled(d/s.width, d%s.width, s.cycle)
+		}
+		if s.rec != nil {
+			s.updateCrashState()
+		}
+		for _, p := range s.trk.Expired(s.cycle) {
+			s.retry[p.Proc] = append(s.retry[p.Proc],
+				Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot})
+		}
+		if s.adv {
+			s.drainLimbo()
+		}
+	}
+	s.hooks.Sweep()
+
+	s.sat.Observe(s.hooks.Saturated())
+	s.tot.SaturationCycles = s.sat.Cycles()
+	s.tot.SaturationMaxStreak = s.sat.MaxStreak()
+	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
+		s.tot.WatchdogTrips++
+	}
+}
+
+// updateCrashState moves the crash masks one cycle with edge detection.  A
+// rising edge (component entering its window) flushes the component's
+// volatile state and records the lost in-flight operations; a falling edge
+// is the restart — the component rejoins empty (switch site) or at its last
+// checkpoint (module).  Every injector query counts a dead component-cycle,
+// so each site is asked exactly once per cycle.
+func (s *Shell) updateCrashState() {
+	for d := range s.swDead {
+		stage, idx := d/s.width, d%s.width
+		dead := s.flt.SwitchCrashed(stage, idx, s.cycle)
+		if dead && !s.swDead[d] {
+			s.rec.NoteCrash()
+			s.rec.NoteLost(s.trk, s.hooks.Flush(stage, idx))
+		} else if !dead && s.swDead[d] {
+			s.rec.NoteRestore()
+		}
+		s.swDead[d] = dead
+	}
+	for mod := range s.memDead {
+		dead := s.flt.MemCrashed(mod, s.cycle)
+		if dead && !s.memDead[mod] {
+			s.rec.NoteCrash()
+			s.rec.NoteLost(s.trk, s.mem.Module(mod).Crash())
+		} else if !dead && s.memDead[mod] {
+			s.rec.NoteRestore()
+		}
+		s.memDead[mod] = dead
+	}
+}
+
+// progressSig is the watchdog's monotone progress signature: any message
+// movement — an issue, a hop, a module feed, service cycle or reply, a
+// delivery, or a fault event that consumes a message — changes it.  If it
+// freezes with work in flight, nothing is moving anywhere.
+func (s *Shell) progressSig() int64 {
+	sig := s.tot.Issued + s.tot.Completed + s.tot.MemRequests + s.tot.MemAcks +
+		s.tot.Orphans + s.hooks.Hops()
+	for mod := 0; mod < s.mem.Modules(); mod++ {
+		sig += s.mem.Module(mod).BusyCycles
+	}
+	if s.flt != nil {
+		sig += s.flt.Injected()
+	}
+	return sig
+}
+
+// Run advances the machine the given number of cycles, stopping early if
+// the progress watchdog trips (a stalled machine makes no further progress
+// by definition; callers check Stalled / StallReport).  A parallel machine
+// starts its persistent workers here, once per Run — not once per cycle —
+// and retires them on return; a bare Step outside Run still works through
+// the pool's spawn fallback.
+func (s *Shell) Run(cycles int) {
+	if s.pool != nil {
+		s.pool.Start()
+		defer s.pool.Stop()
+	}
+	for i := 0; i < cycles && !s.wd.Tripped(); i++ {
+		s.Step()
+	}
+}
+
+// Drain runs the machine until no requests remain in flight (injectors
+// willing, i.e. they stop offering traffic), up to the given cycle bound.
+// It reports whether the machine fully drained; a watchdog trip ends the
+// drain at once, since no amount of further cycles empties a stalled
+// machine.
+func (s *Shell) Drain(maxCycles int) bool {
+	if s.pool != nil {
+		s.pool.Start()
+		defer s.pool.Stop()
+	}
+	for i := 0; i < maxCycles; i++ {
+		if s.wd.Tripped() {
+			return false
+		}
+		s.Step()
+		if s.InFlight() == 0 {
+			return true
+		}
+	}
+	return s.InFlight() == 0
+}
+
+// InFlight reports requests somewhere in the machine: pending at a port,
+// queued in the fabric, or inside a memory module.  Under a fault plan,
+// physical occupancy is the wrong notion — messages vanish on dropped links
+// and stale wait records linger by design — so the tracker's ledger answers
+// instead: requests issued but not yet delivered.
+func (s *Shell) InFlight() int {
+	if s.trk != nil {
+		return s.trk.Outstanding()
+	}
+	return s.atPorts() + s.hooks.Queued() + s.inMemory()
+}
+
+func (s *Shell) atPorts() int {
+	n := 0
+	for _, occupied := range s.hasPending {
+		if occupied {
+			n++
+		}
+	}
+	return n
+}
+
+func (s *Shell) inMemory() int {
+	n := 0
+	for _, shard := range s.meta {
+		n += len(shard)
+	}
+	return n
+}
+
+// Stalled reports whether the progress watchdog has tripped: work was in
+// flight and nothing moved for the configured number of cycles.
+func (s *Shell) Stalled() bool { return s.wd.Tripped() }
+
+// StallReport formats the watchdog diagnostic with a queue snapshot — the
+// state dump a failing soak prints next to its replay seed.
+func (s *Shell) StallReport() string {
+	crashed := ""
+	if s.flt != nil {
+		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
+	}
+	detail := fmt.Sprintf("pending=%d meta=%d\n%s", s.atPorts(), s.inMemory(), s.hooks.Detail())
+	return flow.StallReport(s.name, s.wd, s.InFlight(), crashed, detail)
+}
+
+// Snapshot captures the run's instrumentation behind the shared
+// cross-engine API (see internal/stats): the rim's counters, then whatever
+// the fabric adds, then the fault/recovery block when a plan is armed.
+func (s *Shell) Snapshot() stats.Snapshot {
+	c := Counters{
+		Cycles:           s.tot.Cycles,
+		Issued:           s.tot.Issued,
+		Completed:        s.tot.Completed,
+		HotCompleted:     s.tot.HotCompleted,
+		ColdCompleted:    s.tot.ColdCompleted,
+		Replies:          s.tot.Completed,
+		SaturationCycles: s.tot.SaturationCycles,
+		WatchdogTrips:    s.tot.WatchdogTrips,
+		Checkpoints:      s.tot.Checkpoints,
+	}
+	gauges := map[string]int64{"saturation_max_streak": s.tot.SaturationMaxStreak}
+	s.hooks.Observe(&c, gauges)
+	snap := stats.Snapshot{
+		Engine:     s.name,
+		Counters:   c.Map(),
+		Gauges:     gauges,
+		Histograms: map[string]stats.HistogramSnapshot{"latency_cycles": s.lat.Snapshot()},
+	}
+	if s.flt != nil {
+		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.tot.Orphans, s.rec.Counters())
+	}
+	return snap
+}
+
+// Cycle returns the current cycle number.
+func (s *Shell) Cycle() int64 { return s.cycle }
+
+// Totals returns the rim's run counters.
+func (s *Shell) Totals() Totals { return s.tot }
+
+// Latency snapshots the round-trip histogram (cycles per completion).
+func (s *Shell) Latency() stats.HistogramSnapshot { return s.lat.Snapshot() }
+
+// Memory exposes the module array (for initialization and inspection).
+func (s *Shell) Memory() *memory.Array { return s.mem }
+
+// Faults exposes the fault injector (nil on a healthy machine).
+func (s *Shell) Faults() *faults.Injector { return s.flt }
+
+// Tracker exposes the exactly-once delivery ledger (nil on a healthy
+// machine).
+func (s *Shell) Tracker() *faults.Tracker { return s.trk }
+
+// Recovery exposes the crash–restart ledger (nil without crash windows).
+func (s *Shell) Recovery() *recover.Manager { return s.rec }
+
+// Orphans reports module replies that arrived with no request metadata —
+// the expected fate of the losing copy when an original and a retransmit
+// both reach memory (fault mode only; on a healthy machine an orphan is a
+// bug and panics instead).
+func (s *Shell) Orphans() int64 { return s.tot.Orphans }
+
+// SwitchStalled reports whether switch site (stage, index) is inside a
+// stall window this cycle.
+func (s *Shell) SwitchStalled(stage, index int) bool {
+	return s.flt != nil && s.stall[stage*s.width+index]
+}
+
+// SwitchDead reports whether switch site (stage, index) is crashed this
+// cycle.
+func (s *Shell) SwitchDead(stage, index int) bool {
+	return s.rec != nil && s.swDead[stage*s.width+index]
+}
+
+// ModuleDead reports whether module mod is crashed this cycle.
+func (s *Shell) ModuleDead(mod int) bool { return s.rec != nil && s.memDead[mod] }
+
+// LinkDropsFwd reports whether the request crossing the link into site
+// (stage, index) at port dies there this cycle — to the plan's Bernoulli
+// forward drops or to a link-down window — counting the loss.
+func (s *Shell) LinkDropsFwd(stage, index, port int, req *core.Request) bool {
+	return s.flt != nil &&
+		(s.flt.DropForward(faults.Site(stage, index, port), req.ID, req.Attempt) ||
+			s.flt.DropLinkFwd(stage, index, s.cycle))
+}
+
+// LinkDropsRev is LinkDropsFwd for a reply on the reverse link.
+func (s *Shell) LinkDropsRev(stage, index, port int, rep *core.Reply) bool {
+	return s.flt != nil &&
+		(s.flt.DropReply(faults.Site(stage, index, port), rep.ID, rep.Attempt) ||
+			s.flt.DropLinkRev(stage, index, s.cycle))
+}

@@ -1,0 +1,195 @@
+package engine
+
+import (
+	"sort"
+	"testing"
+
+	"combining/internal/core"
+	"combining/internal/faults"
+	"combining/internal/rmw"
+	"combining/internal/word"
+)
+
+// loopback is the smallest fabric the shell can drive, and the whole of what
+// a new wiring writes: a sweep.  Each port hands straight to the memory
+// terminal link of its request's home module; each module reply hands
+// straight to the processor terminal link.  No switches, no queues, no
+// combining — so everything the tests below observe is the rim's doing.
+type loopback struct {
+	Shell
+	moved int64
+}
+
+func newLoopback(plan *faults.Plan, inj []Injector) *loopback {
+	l := &loopback{}
+	l.Init(ShellConfig{
+		Engine: "loopback", Injectors: inj,
+		Modules: len(inj), Service: 2, MemQueueCap: 2,
+		WatchdogCycles: DefaultWatchdogCycles, Faults: plan,
+		Hooks: Hooks{
+			Sweep:     l.sweep,
+			CanFeed:   func(mod int) bool { return l.Memory().Module(mod).CanEnqueue() },
+			Saturated: func() bool { return false },
+			Hops:      func() int64 { return l.moved },
+			Queued:    func() int { return 0 },
+			Detail:    func() string { return "" },
+			Observe:   func(*Counters, map[string]int64) {},
+		},
+	})
+	return l
+}
+
+func (l *loopback) sweep() {
+	for mod := 0; mod < l.Memory().Modules(); mod++ {
+		if !l.ModuleUp(mod, l.Own()) || l.MemStalled(mod) {
+			continue
+		}
+		if rep, m, ok := l.Serve(mod, l.Own()); ok && !l.LinkDropsRev(1, m.Src, 0, &rep) {
+			l.moved++
+			l.Deliver(faults.Site(1, m.Src, 0), m.Src, rep, m.Issue, m.Hot)
+		}
+	}
+	for p := 0; p < l.Memory().Modules(); p++ {
+		m := l.Offer(p)
+		if m == nil {
+			continue
+		}
+		mod := l.Memory().HomeOf(m.Req.Addr)
+		if l.ModuleDead(mod) || !l.Memory().Module(mod).CanEnqueue() {
+			continue
+		}
+		if l.LinkDropsFwd(0, mod, 0, &m.Req) {
+			l.Lost(p)
+			continue
+		}
+		l.moved++
+		l.EnterMemory(faults.Site(0, mod, 0), mod, *m, l.Own())
+		l.Sent(p)
+	}
+}
+
+// adder issues ops fetch-and-adds, alternating the shared cell 0 with a
+// private cell, at most two outstanding; it keeps every reply.
+type adder struct {
+	proc, nprocs, ops int
+	ids               *word.IDGen
+	issued, out       int
+	hotIDs            map[word.ReqID]bool
+	hot, private      []int64
+}
+
+func (a *adder) Next(int64) (Injection, bool) {
+	if a.issued == a.ops || a.out == 2 {
+		return Injection{}, false
+	}
+	id := a.ids.NextPartitioned(a.nprocs)
+	addr := word.Addr(0)
+	if a.issued%2 == 1 {
+		addr = word.Addr(a.nprocs + a.proc)
+	}
+	a.hotIDs[id] = addr == 0
+	a.issued++
+	a.out++
+	return Injection{Req: core.NewRequest(id, addr, rmw.FetchAdd(1), word.ProcID(a.proc)), Hot: addr == 0}, true
+}
+
+func (a *adder) Deliver(rep core.Reply, _ int64) {
+	a.out--
+	if a.hotIDs[rep.ID] {
+		a.hot = append(a.hot, rep.Val.Val)
+	} else {
+		a.private = append(a.private, rep.Val.Val)
+	}
+	delete(a.hotIDs, rep.ID)
+}
+
+// TestShellLoopback drives the rim through the fake fabric, clean and under
+// the two plans that exercise everything the rim owns — the adversarial
+// terminal links (reorder, duplicate, corrupt, limbo) and crash windows
+// with drops (crash edges, checkpoints, retry lists, module guards) — and
+// checks exactly-once completion and agreement with core.SerialReplies.
+func TestShellLoopback(t *testing.T) {
+	crashDrop := faults.Default(5)
+	crashDrop.MemCrashes = []faults.Window{{Stage: -1, Index: 0, From: 120, To: 200}}
+	crashDrop.LinkCrashes = []faults.Window{{Stage: 1, Index: 3, From: 60, To: 90}}
+	for _, tc := range []struct {
+		name    string
+		plan    *faults.Plan
+		engaged []string // counters that must be nonzero: no vacuous pass
+	}{
+		{"clean", nil, nil},
+		{"adversarial", faults.DefaultAdversarial(4),
+			[]string{"reordered_held", "dup_injected", "corrupt_dropped", "retries", "duplicates_suppressed"}},
+		{"crashdrop", crashDrop,
+			[]string{"crashes", "restores", "checkpoints", "lost_in_flight", "drops_fwd", "drops_rev", "retries"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n, ops = 8, 40
+			adders := make([]*adder, n)
+			inj := make([]Injector, n)
+			for p := range inj {
+				adders[p] = &adder{proc: p, nprocs: n, ops: ops, ids: word.Partition(p, n), hotIDs: map[word.ReqID]bool{}}
+				inj[p] = adders[p]
+			}
+			l := newLoopback(tc.plan, inj)
+			var m Machine = l // the embedded shell is the whole Machine
+			if !m.Drain(200000) {
+				t.Fatalf("did not drain (stalled=%v):\n%s", m.Stalled(), m.StallReport())
+			}
+
+			var hot []int64
+			for p, a := range adders {
+				if len(a.hot)+len(a.private) != ops {
+					t.Fatalf("proc %d got %d replies for %d requests", p, len(a.hot)+len(a.private), ops)
+				}
+				hot = append(hot, a.hot...)
+				// The private cell has one writer with one request outstanding
+				// (the window of two alternates cells), so its replies arrive
+				// in program order: the serial replies as issued.
+				want, final := core.SerialReplies(word.Word{}, repeat(rmw.FetchAdd(1), len(a.private)))
+				for i, v := range a.private {
+					if v != want[i].Val {
+						t.Fatalf("proc %d private reply %d = %d, serial %d", p, i, v, want[i].Val)
+					}
+				}
+				if got := m.Memory().Peek(word.Addr(n + p)); got != final {
+					t.Fatalf("proc %d private cell = %v, serial %v", p, got, final)
+				}
+			}
+			// The shared cell: some serial order of all the adds produced
+			// exactly these replies, each once.
+			sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
+			want, final := core.SerialReplies(word.Word{}, repeat(rmw.FetchAdd(1), len(hot)))
+			for i, v := range hot {
+				if v != want[i].Val {
+					t.Fatalf("sorted shared reply %d = %d, serial %d (lost or doubled add)", i, v, want[i].Val)
+				}
+			}
+			if got := m.Memory().Peek(0); got != final {
+				t.Fatalf("shared cell = %v, serial %v", got, final)
+			}
+
+			c := m.Snapshot().Counters
+			if c["issued"] != n*ops || c["completed"] != n*ops {
+				t.Fatalf("issued %d completed %d, want %d each", c["issued"], c["completed"], n*ops)
+			}
+			if c["hot_completed"]+c["cold_completed"] != c["completed"] || c["hot_completed"] != int64(len(hot)) {
+				t.Fatalf("hot %d + cold %d vs completed %d (%d shared adds)",
+					c["hot_completed"], c["cold_completed"], c["completed"], len(hot))
+			}
+			for _, key := range tc.engaged {
+				if c[key] == 0 {
+					t.Errorf("counter %s is zero — the plan never exercised it\n%v", key, c)
+				}
+			}
+		})
+	}
+}
+
+func repeat(op rmw.Mapping, n int) []rmw.Mapping {
+	ops := make([]rmw.Mapping, n)
+	for i := range ops {
+		ops[i] = op
+	}
+	return ops
+}

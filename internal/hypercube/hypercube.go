@@ -23,11 +23,7 @@ import (
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/flow"
-	"combining/internal/memory"
-	"combining/internal/network"
 	"combining/internal/par"
-	"combining/internal/recover"
 	"combining/internal/stats"
 	"combining/internal/word"
 )
@@ -58,7 +54,7 @@ type Config struct {
 	MemQueueCap int
 	// WatchdogCycles is the progress watchdog limit (see
 	// internal/network.Config.WatchdogCycles): 0 defaults to
-	// network.DefaultWatchdogCycles, negative disables.
+	// engine.DefaultWatchdogCycles, negative disables.
 	WatchdogCycles int64
 	// WaitBufCap bounds each node's wait buffer (0 disables combining).
 	WaitBufCap int
@@ -80,11 +76,10 @@ type Config struct {
 	Faults *faults.Plan
 }
 
+// fwdM is a request in flight: the rim's message plus the hop stamp that
+// keeps it to one link per cycle.  Replies route by Src.
 type fwdM struct {
-	req   core.Request
-	src   int // source node, for reply routing
-	issue int64
-	hot   bool
+	engine.Fwd
 	moved int64 // last cycle this message hopped
 }
 
@@ -94,24 +89,6 @@ type revM struct {
 	issue int64
 	hot   bool
 	moved int64
-}
-
-// cubeHeldFwd is a request deferred by link-level reordering on its
-// terminal link (the node's combining queue → its memory module); it
-// re-enters the module at release, or one cycle later per cycle the
-// module is crashed or busy.
-type cubeHeldFwd struct {
-	release int64
-	node    int
-	m       fwdM
-}
-
-// cubeHeldRev is a reply deferred by link-level reordering on its
-// terminal link (the home node's router → its processor).
-type cubeHeldRev struct {
-	release int64
-	node    int
-	r       revM
 }
 
 type hrec struct {
@@ -156,14 +133,12 @@ func (nd *node) canAcceptRev(revCap int) bool {
 	return true
 }
 
-// Stats summarizes a run.
+// Stats summarizes a run: the rim's totals plus the direct fabric's own hop,
+// hold and combine counters.
 type Stats struct {
-	Cycles     int64
-	Issued     int64
-	Completed  int64
-	LatencySum int64
-	Combines   int64
-	MemOps     int64
+	engine.Totals
+
+	Combines int64
 
 	// FwdHops and RevHops count link traversals — the movement signature
 	// the progress watchdog keys on.
@@ -173,85 +148,27 @@ type Stats struct {
 	// reverse-credit check, by full memory combining queues, and of
 	// module completions blocked on reverse credit.
 	HoldsRev, HoldsMem, HoldsMemOut int64
-
-	// SaturationCycles counts cycles a full memory combining queue had
-	// backed traffic up into a full forward queue; SaturationMaxStreak is
-	// the longest run.
-	SaturationCycles    int64
-	SaturationMaxStreak int64
-
-	// WatchdogTrips is 1 if the progress watchdog declared a stall.
-	WatchdogTrips int64
-
-	// Checkpoints counts module checkpoints committed (crash plans only).
-	Checkpoints int64
 }
 
-// MeanLatency is average round-trip cycles.
-func (s Stats) MeanLatency() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.Completed)
-}
-
-// Bandwidth is completed operations per cycle.
-func (s Stats) Bandwidth() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Completed) / float64(s.Cycles)
-}
-
-// Sim is the cycle-driven hypercube machine.
+// Sim is the cycle-driven direct-connection machine: the rim (processor
+// ports, terminal links, memory modules, step frame — the embedded
+// engine.Shell) around the store-and-forward routers.  A switch crash
+// window (Index = node) kills the whole node — router queues, wait buffer,
+// memory combining queue and the module; a memory crash window kills the
+// module alone while the router keeps forwarding through traffic.
 type Sim struct {
-	cfg     Config
-	topo    engine.Direct // the link structure; all routing lives here
-	n, d    int           // node count and link degree
-	nodes   []*node
-	mem     *memory.Array
-	inj     []network.Injector
-	pending []*fwdM
-	// meta preserves message metadata across the memory module.  It is
-	// sharded per node: module i's requests are fed and reaped only by node
-	// i's memory tick, so each shard has exactly one owner under the
-	// parallel stepper.
-	meta []map[word.ReqID]fwdM
-	pol  core.Policy
+	engine.Shell
 
-	cycle int64
-	stats Stats
-	// lat records per-completion round-trip latency in cycles; memQHW
-	// tracks the deepest per-node memory combining queue observed.
-	lat    stats.Histogram
+	cfg   Config
+	topo  engine.Direct // the link structure; all routing lives here
+	n, d  int           // node count and link degree
+	nodes []*node
+	pol   core.Policy
+
+	// stats holds the fabric's own counters (the rim's are in the Shell);
+	// memQHW tracks the deepest per-node memory combining queue observed.
+	stats  Stats
 	memQHW stats.HighWater
-
-	// wd is the progress watchdog; sat the tree-saturation monitor.
-	wd  *flow.Watchdog
-	sat flow.Saturation
-
-	// Fault-mode state (nil/zero on a healthy machine); see
-	// internal/network.Sim for the shared recovery discipline.
-	flt       *faults.Injector
-	trk       *faults.Tracker
-	retry     [][]fwdM
-	stallMask []bool
-	orphans   int64
-	// Crash–restart state (nil/empty without crash windows): a Crashes
-	// window (Index = node) kills the whole node — router queues, wait
-	// buffer, memory combining queue and the module; a MemCrashes window
-	// kills the module alone.  Masks are advanced serially at the top of
-	// Step with edge detection (see internal/network.Sim.updateCrashState).
-	rec      *recover.Manager
-	nodeMask []bool
-	memMask  []bool
-	// Adversarial-delivery state (plan.HasAdversarial(); Validate rejects
-	// Workers > 1 with such plans): adv arms the integrity layer on the
-	// terminal links, and fwdLimbo/revLimbo hold reordered messages until
-	// their release cycle (drained serially at the top of Step).
-	adv      bool
-	fwdLimbo []cubeHeldFwd
-	revLimbo []cubeHeldRev
 
 	// Parallel memory-tick state (Config.Workers > 1, nil/empty
 	// otherwise): worker pool (persistent workers bracketed by
@@ -268,8 +185,9 @@ type Sim struct {
 // cubeShard is one worker's slice of the memory-tick statistics, padded so
 // adjacent shards in the contiguous slice never share a cache line.
 type cubeShard struct {
-	memOps, holdsMemOut, orphans, ckpts int64
-	_                                   [64]byte
+	holdsMemOut int64
+	rim         engine.Shard
+	_           [64]byte
 }
 
 // Validate reports whether the configuration is usable, with the
@@ -312,7 +230,7 @@ func (c *Config) normalize() error {
 		c.QueueCap = 4
 	}
 	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = network.DefaultWatchdogCycles
+		c.WatchdogCycles = engine.DefaultWatchdogCycles
 	}
 	if c.MemService == 0 {
 		c.MemService = 1
@@ -335,7 +253,7 @@ func (c Config) resolveTopology() engine.Direct {
 }
 
 // NewSim builds the machine with one injector per node.
-func NewSim(cfg Config, inj []network.Injector) *Sim {
+func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	if err := cfg.normalize(); err != nil {
 		panic(err)
 	}
@@ -345,49 +263,18 @@ func NewSim(cfg Config, inj []network.Injector) *Sim {
 	topo := cfg.resolveTopology()
 	n := cfg.Nodes
 	d := topo.Degree()
-	memOpts := []memory.Option{memory.WithServiceTime(cfg.MemService)}
-	if cfg.Faults != nil {
-		memOpts = append(memOpts, memory.WithReplyCache())
-		if cfg.Faults.HasCrashes() {
-			memOpts = append(memOpts, memory.WithCheckpoints())
-		}
-		if cfg.Faults.Canary == "nodedup" {
-			memOpts = append(memOpts, memory.WithNoDedupCanary())
-		}
-	}
-	meta := make([]map[word.ReqID]fwdM, n)
-	for i := range meta {
-		meta[i] = make(map[word.ReqID]fwdM)
-	}
 	s := &Sim{
-		cfg:     cfg,
-		topo:    topo,
-		n:       n,
-		d:       d,
-		mem:     memory.NewArray(n, memOpts...),
-		inj:     inj,
-		pending: make([]*fwdM, n),
-		meta:    meta,
-		pol:     core.Policy{AllowReversal: cfg.AllowReversal},
-		wd:      flow.NewWatchdog(cfg.WatchdogCycles),
+		cfg:  cfg,
+		topo: topo,
+		n:    n,
+		d:    d,
+		pol:  core.Policy{AllowReversal: cfg.AllowReversal},
 	}
 	if cfg.Workers > 1 {
 		s.pool = par.NewPool(cfg.Workers)
 		s.tickFn = s.tickWorker
 		s.shards = make([]cubeShard, s.pool.Workers())
 		s.delivBuf = make([][]revM, n)
-	}
-	if cfg.Faults != nil {
-		s.flt = faults.NewInjector(*cfg.Faults)
-		s.trk = faults.NewTracker(s.flt)
-		s.adv = s.flt.Plan().HasAdversarial()
-		s.retry = make([][]fwdM, n)
-		s.stallMask = make([]bool, n)
-		if plan := s.flt.Plan(); plan.HasCrashes() {
-			s.rec = recover.New(plan.CheckpointEvery)
-			s.nodeMask = make([]bool, n)
-			s.memMask = make([]bool, n)
-		}
 	}
 	s.nodes = make([]*node, n)
 	for i := range s.nodes {
@@ -397,131 +284,77 @@ func NewSim(cfg Config, inj []network.Injector) *Sim {
 			wait: core.NewWaitBuffer[hrec](cfg.WaitBufCap),
 		}
 	}
+	s.Shell.Init(engine.ShellConfig{
+		Engine: "hypercube",
+		Hooks: engine.Hooks{
+			Sweep: s.sweep,
+			Flush: func(_, i int) []word.ReqID { return s.crashNode(i) },
+			// The module is fed one request at a time, only when idle and
+			// only by a live router.
+			CanFeed: func(i int) bool {
+				return !s.SwitchDead(0, i) && s.Memory().Module(i).QueueLen() == 0
+			},
+			Saturated: s.treeSaturated,
+			Hops:      func() int64 { return s.stats.FwdHops + s.stats.RevHops },
+			Queued:    s.queued,
+			Detail:    s.stallDetail,
+			Observe:   s.observe,
+		},
+		Injectors:      inj,
+		Pool:           s.pool,
+		Modules:        n,
+		Service:        cfg.MemService,
+		Stages:         1,
+		Width:          n,
+		WatchdogCycles: cfg.WatchdogCycles,
+		Faults:         cfg.Faults,
+	})
 	return s
 }
 
-// Memory exposes the distributed shared memory.
-func (s *Sim) Memory() *memory.Array { return s.mem }
-
 // homeOf returns the node owning an address.
-func (s *Sim) homeOf(addr word.Addr) int { return s.mem.HomeOf(addr) }
+func (s *Sim) homeOf(addr word.Addr) int { return s.Memory().HomeOf(addr) }
 
 // Topology exposes the link structure the machine was built with.
 func (s *Sim) Topology() engine.Direct { return s.topo }
 
-// Step advances one cycle.
-func (s *Sim) Step() {
-	s.cycle++
-	s.stats.Cycles++
-	if s.flt != nil {
-		for i := range s.stallMask {
-			s.stallMask[i] = s.flt.Stalled(0, i, s.cycle)
-		}
-		if s.rec != nil {
-			s.updateCrashState()
-		}
-		for _, p := range s.trk.Expired(s.cycle) {
-			s.retry[p.Proc] = append(s.retry[p.Proc],
-				fwdM{req: p.Req, src: p.Proc, issue: p.IssueCycle, hot: p.Hot})
-		}
-		if s.adv {
-			s.drainLimbo()
-		}
-	}
+// sweep is the fabric's share of one cycle.
+func (s *Sim) sweep() {
 	s.drainReverse()
 	s.tickMemory()
 	s.drainForward()
 	s.injectAll()
-
-	s.sat.Observe(s.treeSaturated())
-	s.stats.SaturationCycles = s.sat.Cycles()
-	s.stats.SaturationMaxStreak = s.sat.MaxStreak()
-	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
-		s.stats.WatchdogTrips++
-	}
 }
 
-// updateCrashState advances the crash–restart masks one cycle (serial, with
-// edge detection, as in internal/network).  A node crash flushes the whole
-// node — router queues, wait buffer, memory combining queue and the module;
-// a memory crash rolls back the module alone while the router keeps
-// forwarding through traffic.
-func (s *Sim) updateCrashState() {
-	for i := 0; i < s.n; i++ {
-		dead := s.flt.SwitchCrashed(0, i, s.cycle)
-		if dead && !s.nodeMask[i] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.crashNode(i))
-		} else if !dead && s.nodeMask[i] {
-			s.rec.NoteRestore()
-		}
-		s.nodeMask[i] = dead
-		mdead := s.flt.MemCrashed(i, s.cycle)
-		if mdead && !s.memMask[i] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.mem.Module(i).Crash())
-		} else if !mdead && s.memMask[i] {
-			s.rec.NoteRestore()
-		}
-		s.memMask[i] = mdead
-	}
-}
+// down reports whether node i's router moves nothing this cycle: stalled
+// by a window, or crashed until its restart.
+func (s *Sim) down(i int) bool { return s.SwitchStalled(0, i) || s.SwitchDead(0, i) }
 
 // crashNode flushes node i's volatile router state and rolls its module
 // back to the last checkpoint, returning every lost leaf id.
 func (s *Sim) crashNode(i int) []word.ReqID {
 	nd := s.nodes[i]
 	var ids []word.ReqID
-	addReq := func(req *core.Request) {
-		if req.Reps == nil {
-			ids = append(ids, req.ID)
-			return
-		}
-		for _, lf := range req.Reps {
-			ids = append(ids, lf.ID)
-		}
-	}
 	for dim := 0; dim < s.d; dim++ {
 		for j := range nd.out[dim] {
-			addReq(&nd.out[dim][j].req)
+			req := &nd.out[dim][j].Req
+			ids = engine.LostLeaves(ids, req.Reps, req.ID)
 		}
 		nd.out[dim] = nil
 		for j := range nd.rout[dim] {
-			rep := &nd.rout[dim][j].rep
-			if rep.Leaves == nil {
-				ids = append(ids, rep.ID)
-				continue
-			}
-			for id := range rep.Leaves {
-				ids = append(ids, id)
-			}
+			ids = engine.LostReply(ids, &nd.rout[dim][j].rep)
 		}
 		nd.rout[dim] = nil
 	}
 	for j := range nd.memQ {
-		addReq(&nd.memQ[j].req)
+		req := &nd.memQ[j].Req
+		ids = engine.LostLeaves(ids, req.Reps, req.ID)
 	}
 	nd.memQ = nil
 	for _, rec := range nd.wait.Flush() {
-		if rec.reps2 == nil {
-			ids = append(ids, rec.ID2)
-			continue
-		}
-		for _, lf := range rec.reps2 {
-			ids = append(ids, lf.ID)
-		}
+		ids = engine.LostLeaves(ids, rec.reps2, rec.ID2)
 	}
-	ids = append(ids, s.mem.Module(i).Crash()...)
-	return ids
-}
-
-// nodeDead reports whether node i's router is crashed this cycle.
-func (s *Sim) nodeDead(i int) bool { return s.rec != nil && s.nodeMask[i] }
-
-// modDead reports whether node i's module is crashed this cycle (a dead
-// node takes its module down with it).
-func (s *Sim) modDead(i int) bool {
-	return s.rec != nil && (s.memMask[i] || s.nodeMask[i])
+	return append(ids, s.Memory().Module(i).Crash()...)
 }
 
 // treeSaturated reports whether hot-spot backpressure has propagated out of
@@ -547,27 +380,9 @@ func (s *Sim) treeSaturated() bool {
 	return false
 }
 
-// progressSig is the watchdog's monotone progress signature: injections,
-// hops, memory feeds and service cycles, completions, and fault events all
-// change it (see internal/network.Sim.progressSig).
-func (s *Sim) progressSig() int64 {
-	sig := s.stats.Issued + s.stats.Completed + s.stats.FwdHops +
-		s.stats.RevHops + s.stats.MemOps + s.orphans
-	for i := 0; i < s.n; i++ {
-		sig += s.mem.Module(i).BusyCycles
-	}
-	if s.flt != nil {
-		sig += s.flt.Injected()
-	}
-	return sig
-}
-
-// Stalled reports whether the progress watchdog has tripped.
-func (s *Sim) Stalled() bool { return s.wd.Tripped() }
-
-// StallReport formats the watchdog diagnostic with a queue snapshot.
-func (s *Sim) StallReport() string {
-	fwd, rev, memq, wait := 0, 0, 0, 0
+// occupancy sums the router queues, memory combining queues and wait
+// buffers over all nodes.
+func (s *Sim) occupancy() (fwd, rev, memq, wait int) {
 	for _, nd := range s.nodes {
 		for dim := 0; dim < s.d; dim++ {
 			fwd += len(nd.out[dim])
@@ -576,147 +391,51 @@ func (s *Sim) StallReport() string {
 		memq += len(nd.memQ)
 		wait += nd.wait.Len()
 	}
-	metaN := 0
-	for _, shard := range s.meta {
-		metaN += len(shard)
-	}
-	detail := fmt.Sprintf("fwd=%d rev=%d memq=%d wait=%d meta=%d", fwd, rev, memq, wait, metaN)
-	crashed := ""
-	if s.flt != nil {
-		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
-	}
-	return flow.StallReport("hypercube", s.wd, s.InFlight(), crashed, detail)
+	return
 }
 
-// Run advances the given number of cycles, stopping early if the watchdog
-// trips.  A parallel machine starts its persistent pool workers here, once
-// per Run, and retires them on return.
-func (s *Sim) Run(cycles int) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < cycles; i++ {
-		if s.wd.Tripped() {
-			return
-		}
-		s.Step()
-	}
+func (s *Sim) queued() int {
+	fwd, rev, memq, wait := s.occupancy()
+	return fwd + rev + memq + wait
+}
+
+func (s *Sim) stallDetail() string {
+	fwd, rev, memq, wait := s.occupancy()
+	return fmt.Sprintf("fwd=%d rev=%d memq=%d wait=%d", fwd, rev, memq, wait)
 }
 
 // Stats snapshots the run counters.
-func (s *Sim) Stats() Stats { return s.stats }
+func (s *Sim) Stats() Stats {
+	st := s.stats
+	st.Totals = s.Totals()
+	return st
+}
 
-// Snapshot captures the run's instrumentation behind the shared
-// cross-engine API (see internal/stats).
-func (s *Sim) Snapshot() stats.Snapshot {
-	var rejects int64
+// observe adds the direct fabric's counters and gauges to a snapshot the
+// rim has started.
+func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 	maxRev := 0
 	for _, nd := range s.nodes {
-		rejects += nd.wait.Rejections
+		c.CombineRejects += nd.wait.Rejections
 		if nd.maxRev > maxRev {
 			maxRev = nd.maxRev
 		}
 	}
-	snap := stats.Snapshot{
-		Engine: "hypercube",
-		Counters: engine.Counters{
-			Cycles:           s.stats.Cycles,
-			Issued:           s.stats.Issued,
-			Completed:        s.stats.Completed,
-			Replies:          s.stats.Completed,
-			Combines:         s.stats.Combines,
-			CombineRejects:   rejects,
-			MemOps:           s.stats.MemOps,
-			FwdHops:          s.stats.FwdHops,
-			RevHops:          s.stats.RevHops,
-			SaturationCycles: s.stats.SaturationCycles,
-			HoldsRev:         s.stats.HoldsRev,
-			HoldsMem:         s.stats.HoldsMem,
-			HoldsMemOut:      s.stats.HoldsMemOut,
-			WatchdogTrips:    s.stats.WatchdogTrips,
-			Checkpoints:      s.stats.Checkpoints,
-		}.Map(),
-		Gauges: map[string]int64{
-			"memq_max":              s.memQHW.Load(),
-			"max_mem_queue":         s.memQHW.Load(),
-			"max_rev_queue":         int64(maxRev),
-			"saturation_max_streak": s.stats.SaturationMaxStreak,
-		},
-		Histograms: map[string]stats.HistogramSnapshot{
-			"latency_cycles": s.lat.Snapshot(),
-		},
-	}
-	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.orphans, s.rec.Counters())
-	}
-	return snap
-}
-
-// Recovery exposes the crash–restart ledger (nil without crash windows).
-func (s *Sim) Recovery() *recover.Manager { return s.rec }
-
-// Faults exposes the fault injector (nil on a healthy machine).
-func (s *Sim) Faults() *faults.Injector { return s.flt }
-
-// Tracker exposes the exactly-once delivery ledger (nil on a healthy
-// machine).
-func (s *Sim) Tracker() *faults.Tracker { return s.trk }
-
-// Orphans reports replies that arrived with no request metadata (fault mode
-// only).
-func (s *Sim) Orphans() int64 { return s.orphans }
-
-// InFlight counts requests anywhere in the machine.  Under a fault plan the
-// tracker's ledger answers instead (see internal/network.Sim.InFlight).
-func (s *Sim) InFlight() int {
-	if s.trk != nil {
-		return s.trk.Outstanding()
-	}
-	n := 0
-	for _, p := range s.pending {
-		if p != nil {
-			n++
-		}
-	}
-	for _, nd := range s.nodes {
-		for dim := 0; dim < s.d; dim++ {
-			n += len(nd.out[dim]) + len(nd.rout[dim])
-		}
-		n += len(nd.memQ)
-		n += nd.wait.Len()
-	}
-	for i := 0; i < s.n; i++ {
-		n += s.mem.Module(i).QueueLen()
-	}
-	return n
-}
-
-// Drain runs until empty or the bound is hit, reporting success.  A
-// watchdog trip ends the drain immediately: a stalled machine will not
-// empty no matter how many more cycles it is given.
-func (s *Sim) Drain(maxCycles int) bool {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < maxCycles; i++ {
-		if s.wd.Tripped() {
-			return false
-		}
-		s.Step()
-		if s.InFlight() == 0 {
-			return true
-		}
-	}
-	return s.InFlight() == 0
+	c.HotCompleted, c.ColdCompleted = 0, 0
+	c.Combines = s.stats.Combines
+	c.MemOps = s.Totals().MemRequests
+	c.FwdHops, c.RevHops = s.stats.FwdHops, s.stats.RevHops
+	c.HoldsRev, c.HoldsMem, c.HoldsMemOut = s.stats.HoldsRev, s.stats.HoldsMem, s.stats.HoldsMemOut
+	gauges["memq_max"] = s.memQHW.Load()
+	gauges["max_mem_queue"] = s.memQHW.Load()
+	gauges["max_rev_queue"] = int64(maxRev)
 }
 
 // arriveFwd lands a request at node cur: into the memory combining queue
 // when home, otherwise into the output queue of its next dimension,
 // combining when possible.  Reports false when the target queue is full.
 func (s *Sim) arriveFwd(cur int, m fwdM) bool {
-	home := s.homeOf(m.req.Addr)
+	home := s.homeOf(m.Req.Addr)
 	dim := s.topo.FwdLink(cur, home)
 	nd := s.nodes[cur]
 	var q *[]fwdM
@@ -726,7 +445,7 @@ func (s *Sim) arriveFwd(cur int, m fwdM) bool {
 		q = &nd.out[dim]
 	}
 	// The M2.3 scan shared with the other engines via core.CombineAtTail.
-	tc, rejected, ok := core.CombineAtTail(*q, fwdMReq, m.req, s.pol, nd.wait.CanPush)
+	tc, rejected, ok := core.CombineAtTail(*q, fwdMReq, m.Req, s.pol, nd.wait.CanPush)
 	if rejected {
 		nd.wait.Rejections++
 	}
@@ -738,12 +457,15 @@ func (s *Sim) arriveFwd(cur int, m fwdM) bool {
 		}
 		if nd.wait.Push(tc.Rec.ID1, hrec{
 			Record: tc.Rec,
-			dst2:   second.src,
-			issue2: second.issue,
-			hot2:   second.hot,
-			reps2:  second.req.Reps,
+			dst2:   second.Src,
+			issue2: second.Issue,
+			hot2:   second.Hot,
+			reps2:  second.Req.Reps,
 		}) {
-			*queued = fwdM{req: tc.Combined, src: first.src, issue: first.issue, hot: first.hot, moved: queued.moved}
+			*queued = fwdM{
+				Fwd:   engine.Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot},
+				moved: queued.moved,
+			}
 			s.stats.Combines++
 			return true
 		}
@@ -763,7 +485,7 @@ func (s *Sim) arriveFwd(cur int, m fwdM) bool {
 		}
 		return false
 	}
-	m.moved = s.cycle
+	m.moved = s.Cycle()
 	*q = append(*q, m)
 	if dim < 0 {
 		s.memQHW.Observe(int64(len(*q)))
@@ -772,7 +494,7 @@ func (s *Sim) arriveFwd(cur int, m fwdM) bool {
 }
 
 // fwdMReq projects a queued message to its request for the shared scan.
-func fwdMReq(m *fwdM) *core.Request { return &m.req }
+func fwdMReq(m *fwdM) *core.Request { return &m.Req }
 
 // arriveRev lands a reply at node cur: decombine against the wait buffer,
 // deliver when home, otherwise queue on the next reverse dimension.  The
@@ -797,7 +519,7 @@ func (s *Sim) arriveRev(cur int, r revM, sink *[]revM) {
 		s.deliverHome(cur, r)
 		return
 	}
-	r.moved = s.cycle
+	r.moved = s.Cycle()
 	nd := s.nodes[cur]
 	nd.rout[dim] = append(nd.rout[dim], r)
 	if n := len(nd.rout[dim]); n > nd.maxRev {
@@ -805,146 +527,25 @@ func (s *Sim) arriveRev(cur int, r revM, sink *[]revM) {
 	}
 }
 
-// memEnter crosses the adversarial terminal link into node i's module:
-// the request is stamped at the last trusted hop (combining finished in
-// the node's combining queue), possibly corrupted on the wire, verified,
-// and quarantined on mismatch; the retransmit machinery then repairs the
-// loss exactly-once.  The duplicate draw comes after verification so
-// dup_injected counts only messages that actually entered twice; the
-// second copy is answered from the reply cache and its reply orphans.
-func (s *Sim) memEnter(i int, m fwdM, memOps *int64) {
-	m.req = core.StampRequest(m.req)
-	wire := m.req
-	site := faults.Site(2, i, 0)
-	if mask := s.flt.CorruptMask(site, m.req.ID, m.req.Attempt); mask != 0 {
-		wire = core.CorruptRequest(wire, mask)
-	}
-	if !core.RequestOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: equivalent to a detected drop on this link
-	}
-	s.meta[i][wire.ID] = m
-	s.mem.Module(i).Enqueue(wire)
-	*memOps++
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && s.mem.Module(i).CanEnqueue() {
-		// The duplicate deep-copies its Srcs/Reps slices — a shallow
-		// second enqueue would share backing arrays with the first.
-		s.mem.Module(i).Enqueue(wire.Clone())
-		*memOps++
-	}
-}
-
-// drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of Step — Validate rejects adversarial plans
-// with Workers > 1 — so release order is defined by the serial sweep.  A
-// forward release finding its module crashed or busy re-holds one cycle
-// (the deferral bound is on the adversarial link, not on ordinary
-// backpressure), and held messages are never re-reordered.
-func (s *Sim) drainLimbo() {
-	if len(s.fwdLimbo) > 0 {
-		keep := s.fwdLimbo[:0]
-		for _, h := range s.fwdLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			if s.modDead(h.node) || s.mem.Module(h.node).QueueLen() != 0 {
-				h.release = s.cycle + 1
-				keep = append(keep, h)
-				continue
-			}
-			s.memEnter(h.node, h.m, &s.stats.MemOps)
-		}
-		s.fwdLimbo = keep
-	}
-	if len(s.revLimbo) > 0 {
-		keep := s.revLimbo[:0]
-		for _, h := range s.revLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			s.deliverHomeVerified(h.node, h.r)
-		}
-		s.revLimbo = keep
-	}
-}
-
-// deliverHome completes a reply at its requesting node.  Under an
-// adversarial plan the router→processor handoff is the terminal link:
-// the reply is stamped here — the last trusted hop — then possibly
-// deferred, duplicated, or corrupted before deliverHomeVerified checks it.
+// deliverHome completes a reply at its requesting node: the
+// router→processor handoff is the processor terminal link.
 func (s *Sim) deliverHome(cur int, r revM) {
-	if s.adv {
-		r.rep = core.StampReply(r.rep)
-		site := faults.Site(3, cur, 0)
-		if d := s.flt.ReorderDelay(site, r.rep.ID, r.rep.Attempt); d > 0 {
-			s.revLimbo = append(s.revLimbo,
-				cubeHeldRev{release: s.cycle + d, node: cur, r: r})
-			return
-		}
-		s.deliverHomeVerified(cur, r)
-		return
-	}
-	s.deliverHomeCommon(cur, r)
-}
-
-// deliverHomeVerified is the processor side of the adversarial terminal
-// link: corrupt on the wire, verify, quarantine on mismatch (the
-// processor retransmits and the reply cache answers), and deliver —
-// twice when the link duplicates, with the tracker suppressing the
-// second copy.
-func (s *Sim) deliverHomeVerified(cur int, r revM) {
-	site := faults.Site(3, cur, 0)
-	wire := r.rep
-	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
-		wire = core.CorruptReply(wire, mask)
-	}
-	if !core.ReplyOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: the retransmit machinery re-drives the op
-	}
-	r.rep = wire
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) {
-		// The duplicate's reply must own its Leaves map: a shallow copy
-		// shares it with the original (see core.Reply.Clone).
-		dup := r
-		dup.rep = r.rep.Clone()
-		s.deliverHomeCommon(cur, dup)
-	}
-	s.deliverHomeCommon(cur, r)
-}
-
-func (s *Sim) deliverHomeCommon(cur int, r revM) {
-	if s.trk != nil {
-		if _, ok := s.trk.Deliver(r.rep.ID, s.cycle); !ok {
-			return // duplicate of an already-delivered reply; suppressed
-		}
-	}
-	if s.rec != nil {
-		s.rec.NoteDelivered(r.rep.ID)
-	}
-	s.stats.Completed++
-	s.stats.LatencySum += s.cycle - r.issue
-	s.lat.Record(s.cycle - r.issue)
-	s.inj[cur].Deliver(r.rep, s.cycle)
+	s.Deliver(faults.Site(3, cur, 0), cur, r.rep, r.issue, r.hot)
 }
 
 func (s *Sim) drainReverse() {
+	cycle := s.Cycle()
 	for i, nd := range s.nodes {
-		if s.flt != nil && s.stallMask[i] {
-			continue // stalled router moves nothing this cycle
-		}
-		if s.nodeDead(i) {
-			continue // crashed router moves nothing until it restarts
+		if s.down(i) {
+			continue
 		}
 		for dim := 0; dim < s.d; dim++ {
 			q := nd.rout[dim]
-			if len(q) == 0 || q[0].moved == s.cycle {
+			if len(q) == 0 || q[0].moved == cycle {
 				continue
 			}
 			next := s.topo.Neighbor(i, dim)
-			if s.nodeDead(next) {
+			if s.SwitchDead(0, next) {
 				// Dead downstream router: hold the reply so the crash costs
 				// only the flushed state, not a stream of new losses.
 				s.stats.HoldsRev++
@@ -961,9 +562,7 @@ func (s *Sim) drainReverse() {
 			r := q[0]
 			copy(q, q[1:])
 			nd.rout[dim] = q[:len(q)-1]
-			if s.flt != nil && (s.flt.DropReply(
-				faults.Site(1, next, dim), r.rep.ID, r.rep.Attempt) ||
-				s.flt.DropLinkRev(1, next, s.cycle)) {
+			if s.LinkDropsRev(1, next, dim, &r.rep) {
 				continue // reply lost on the reverse link
 			}
 			s.stats.RevHops++
@@ -978,7 +577,7 @@ func (s *Sim) tickMemory() {
 		return
 	}
 	for i := 0; i < s.n; i++ {
-		s.tickNode(i, &s.stats.MemOps, &s.stats.HoldsMemOut, &s.orphans, &s.stats.Checkpoints, nil)
+		s.tickNode(i, &s.stats.HoldsMemOut, s.Own(), nil)
 	}
 }
 
@@ -997,11 +596,9 @@ func (s *Sim) tickMemoryParallel() {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		s.stats.MemOps += sh.memOps
 		s.stats.HoldsMemOut += sh.holdsMemOut
-		s.orphans += sh.orphans
-		s.stats.Checkpoints += sh.ckpts
-		*sh = cubeShard{}
+		sh.holdsMemOut = 0
+		s.Merge(&sh.rim)
 	}
 }
 
@@ -1013,7 +610,7 @@ func (s *Sim) tickWorker(w int) {
 	lo, hi := par.Split(s.n, workers, w)
 	for i := lo; i < hi; i++ {
 		s.delivBuf[i] = s.delivBuf[i][:0]
-		s.tickNode(i, &sh.memOps, &sh.holdsMemOut, &sh.orphans, &sh.ckpts, &s.delivBuf[i])
+		s.tickNode(i, &sh.holdsMemOut, &sh.rim, &s.delivBuf[i])
 	}
 }
 
@@ -1022,39 +619,22 @@ func (s *Sim) tickWorker(w int) {
 // the moment service starts), then emit a completed reply into the reverse
 // path.  Counters accumulate through the pointers so parallel workers stay
 // on their own shards; deliveries land in sink when non-nil.
-func (s *Sim) tickNode(i int, memOps, holdsMemOut, orphans, ckpts *int64, sink *[]revM) {
-	if s.nodeDead(i) {
+func (s *Sim) tickNode(i int, holdsMemOut *int64, sh *engine.Shard, sink *[]revM) {
+	if s.SwitchDead(0, i) {
 		return // crashed node: no feed, no service, no emission
 	}
-	if s.rec != nil && s.rec.CheckpointDue(s.cycle) && !s.modDead(i) {
-		s.mem.Module(i).Checkpoint()
-		*ckpts++
-	}
-	if s.modDead(i) {
+	if !s.ModuleUp(i, sh) {
 		return // crashed module: the router forwards, memory serves nothing
 	}
 	nd := s.nodes[i]
-	routerUp := s.flt == nil || !s.stallMask[i]
-	if routerUp && len(nd.memQ) > 0 && s.mem.Module(i).QueueLen() == 0 {
+	if !s.SwitchStalled(0, i) && len(nd.memQ) > 0 && s.Memory().Module(i).QueueLen() == 0 {
 		m := nd.memQ[0]
 		copy(nd.memQ, nd.memQ[1:])
 		nd.memQ = nd.memQ[:len(nd.memQ)-1]
-		if s.adv {
-			if d := s.flt.ReorderDelay(faults.Site(2, i, 0),
-				m.req.ID, m.req.Attempt); d > 0 {
-				s.fwdLimbo = append(s.fwdLimbo,
-					cubeHeldFwd{release: s.cycle + d, node: i, m: m})
-			} else {
-				s.memEnter(i, m, memOps)
-			}
-		} else {
-			s.meta[i][m.req.ID] = m
-			s.mem.Module(i).Enqueue(m.req)
-			*memOps++
-		}
+		s.EnterMemory(faults.Site(2, i, 0), i, m.Fwd, sh)
 	}
-	if s.flt != nil && s.flt.MemStalled(i, s.cycle) {
-		return // module inside a slowdown window serves nothing
+	if s.MemStalled(i) {
+		return
 	}
 	if !nd.canAcceptRev(s.cfg.RevQueueCap) {
 		// No reverse credit at this node: the module holds its
@@ -1062,48 +642,34 @@ func (s *Sim) tickNode(i int, memOps, holdsMemOut, orphans, ckpts *int64, sink *
 		*holdsMemOut++
 		return
 	}
-	rep, ok := s.mem.Module(i).Tick()
+	rep, m, ok := s.Serve(i, sh)
 	if !ok {
 		return
 	}
-	m, found := s.meta[i][rep.ID]
-	if !found {
-		if s.flt != nil {
-			*orphans++ // losing copy of an original/retransmit pair
-			return
-		}
-		panic(fmt.Sprintf("hypercube: cycle %d, node %d: reply id %d (%v) without metadata",
-			s.cycle, i, rep.ID, rep))
-	}
-	delete(s.meta[i], rep.ID)
-	s.arriveRev(i, revM{rep: rep, dst: m.src, issue: m.issue, hot: m.hot}, sink)
+	s.arriveRev(i, revM{rep: rep, dst: m.Src, issue: m.Issue, hot: m.Hot}, sink)
 }
 
 func (s *Sim) drainForward() {
-	rot := int(s.cycle)
+	cycle := s.Cycle()
+	rot := int(cycle)
 	for off := range s.nodes {
 		i := (off + rot) % s.n
 		nd := s.nodes[i]
-		if s.flt != nil && s.stallMask[i] {
-			continue // stalled router moves nothing this cycle
-		}
-		if s.nodeDead(i) {
-			continue // crashed router moves nothing until it restarts
+		if s.down(i) {
+			continue
 		}
 		for dd := 0; dd < s.d; dd++ {
 			dim := (dd + rot) % s.d
 			q := nd.out[dim]
-			if len(q) == 0 || q[0].moved == s.cycle {
+			if len(q) == 0 || q[0].moved == cycle {
 				continue
 			}
 			m := q[0]
 			next := s.topo.Neighbor(i, dim)
-			if s.nodeDead(next) {
+			if s.SwitchDead(0, next) {
 				continue // dead downstream router: hold the request here
 			}
-			if s.flt != nil && (s.flt.DropForward(
-				faults.Site(1, next, dim), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(1, next, s.cycle)) {
+			if s.LinkDropsFwd(1, next, dim, &m.Req) {
 				copy(q, q[1:])
 				nd.out[dim] = q[:len(q)-1]
 				continue // request lost on the forward link
@@ -1119,54 +685,25 @@ func (s *Sim) drainForward() {
 	}
 }
 
+// injectAll offers each live node's request to its own router, in rotating
+// order.  A dead router's processor port holds its traffic unasked.
 func (s *Sim) injectAll() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for off := 0; off < s.n; off++ {
 		i := (off + rot) % s.n
-		if s.nodeDead(i) {
-			continue // dead router: the processor port holds its traffic
-		}
-		if s.flt != nil && len(s.retry[i]) > 0 {
-			// Retransmissions take the node's injection slot, bypassing
-			// the pending slot (a held fresh request may be waiting on
-			// exactly the delivery this retransmit recovers).
-			m := s.retry[i][0]
-			if s.flt.DropForward(faults.Site(0, i, 0), m.req.ID, m.req.Attempt) {
-				s.retry[i] = s.retry[i][1:]
-				continue
-			}
-			if s.arriveFwd(i, m) {
-				s.retry[i] = s.retry[i][1:]
-				s.stats.FwdHops++
-			}
+		if s.SwitchDead(0, i) {
 			continue
 		}
-		if s.pending[i] == nil {
-			inj, ok := s.inj[i].Next(s.cycle)
-			if !ok {
-				continue
-			}
-			req := inj.Req
-			if s.trk != nil {
-				if req.Reps == nil && len(req.Srcs) == 1 {
-					req = req.WithReps()
-				}
-				s.trk.Track(i, req, inj.Hot, s.cycle)
-			}
-			m := fwdM{req: req, src: i, issue: s.cycle, hot: inj.Hot}
-			s.pending[i] = &m
-			s.stats.Issued++
-		}
-		m := s.pending[i]
-		if s.trk != nil && m.req.Attempt == 0 && s.trk.HeldBack(i, m.req.Addr) {
-			continue // hold: earlier same-address request undelivered
-		}
-		if s.flt != nil && s.flt.DropForward(faults.Site(0, i, 0), m.req.ID, m.req.Attempt) {
-			s.pending[i] = nil // lost on the processor-to-router link
+		m := s.Offer(i)
+		if m == nil {
 			continue
 		}
-		if s.arriveFwd(i, *m) {
-			s.pending[i] = nil
+		if flt := s.Faults(); flt != nil && flt.DropForward(faults.Site(0, i, 0), m.Req.ID, m.Req.Attempt) {
+			s.Lost(i) // on the processor-to-router link
+			continue
+		}
+		if s.arriveFwd(i, fwdM{Fwd: *m}) {
+			s.Sent(i)
 			s.stats.FwdHops++
 		}
 	}

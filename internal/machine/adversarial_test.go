@@ -28,27 +28,27 @@ var advWirings = []struct {
 	name  string
 	procs int
 	ops   int
-	build func(*faults.Plan, []network.Injector) faultEngine
+	build func(*faults.Plan, []network.Injector) Engine
 }{
-	{"omega2", 8, 12, func(p *faults.Plan, inj []network.Injector) faultEngine {
-		return netProbe{network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)}
+	{"omega2", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
+		return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
 	}},
-	{"omega4", 16, 8, func(p *faults.Plan, inj []network.Injector) faultEngine {
-		return netProbe{network.NewSim(network.Config{Procs: 16, Radix: 4, WaitBufCap: 64, Faults: p}, inj)}
+	{"omega4", 16, 8, func(p *faults.Plan, inj []network.Injector) Engine {
+		return network.NewSim(network.Config{Procs: 16, Radix: 4, WaitBufCap: 64, Faults: p}, inj)
 	}},
-	{"fattree", 8, 12, func(p *faults.Plan, inj []network.Injector) faultEngine {
-		return netProbe{network.NewSim(network.Config{
-			Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)}
+	{"fattree", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
+		return network.NewSim(network.Config{
+			Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)
 	}},
-	{"busnet", 8, 12, func(p *faults.Plan, inj []network.Injector) faultEngine {
-		return busProbe{busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)}
+	{"busnet", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
+		return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
 	}},
-	{"hypercube", 8, 12, func(p *faults.Plan, inj []network.Injector) faultEngine {
-		return cubeProbe{hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)}
+	{"hypercube", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
+		return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
 	}},
-	{"torus", 8, 12, func(p *faults.Plan, inj []network.Injector) faultEngine {
-		return cubeProbe{hypercube.NewSim(hypercube.Config{
-			Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)}
+	{"torus", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
+		return hypercube.NewSim(hypercube.Config{
+			Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)
 	}},
 }
 
@@ -58,7 +58,7 @@ var advWirings = []struct {
 // vacuous-pass guard across seeds (a short run may legitimately draw zero
 // of one kind at one seed).
 func runAdversarialSoak(t *testing.T, name string, procs, ops int, seed uint64,
-	build func(*faults.Plan, []network.Injector) faultEngine) map[string]int64 {
+	build func(*faults.Plan, []network.Injector) Engine) map[string]int64 {
 	t.Helper()
 	plan := faults.DefaultAdversarial(seed)
 	progs := faultPrograms(procs, ops)
@@ -70,7 +70,7 @@ func runAdversarialSoak(t *testing.T, name string, procs, ops int, seed uint64,
 	}
 	final := map[word.Addr]word.Word{}
 	for a := word.Addr(0); a < 32; a++ {
-		final[a] = eng.PeekMem(a)
+		final[a] = eng.Memory().Peek(a)
 	}
 	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
 		t.Fatalf("%s seed %d: M2 violated under adversarial delivery: %v", name, seed, err)
@@ -80,7 +80,7 @@ func runAdversarialSoak(t *testing.T, name string, procs, ops int, seed uint64,
 		t.Fatalf("%s seed %d: issued %d != completed %d", name, seed,
 			snap.Counters["issued"], snap.Counters["completed"])
 	}
-	if got := eng.Outstanding(); got != 0 {
+	if got := eng.InFlight(); got != 0 {
 		t.Fatalf("%s seed %d: %d requests never delivered", name, seed, got)
 	}
 	return snap.Counters
@@ -177,7 +177,7 @@ func TestNetworkDupSuppression(t *testing.T) {
 			}
 			final := map[word.Addr]word.Word{}
 			for a := word.Addr(0); a < 32; a++ {
-				final[a] = eng.PeekMem(a)
+				final[a] = eng.Memory().Peek(a)
 			}
 			if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
 				t.Fatalf("M2 violated under duplication: %v", err)

@@ -7,10 +7,8 @@ import (
 	"combining/internal/busnet"
 	"combining/internal/faults"
 	"combining/internal/hypercube"
-	"combining/internal/memory"
 	"combining/internal/network"
 	"combining/internal/rmw"
-	"combining/internal/stats"
 	"combining/internal/word"
 )
 
@@ -36,20 +34,10 @@ func hotPrograms(nprocs, reqs int) [][]Instr {
 	return progs
 }
 
-// soakEngine is what the soak needs from a transport: stepping, the
-// shared snapshot schema, memory, and the watchdog's stall report.
-type soakEngine interface {
-	Engine
-	Snapshot() stats.Snapshot
-	Memory() *memory.Array
-	Stalled() bool
-	StallReport() string
-}
-
 // runBackpressureSoak drives the hot-spot programs and checks completion,
 // serial-reply correctness, zero watchdog trips, and the gauge bounds.
 func runBackpressureSoak(t *testing.T, name string, nprocs, reqs, maxCycles int,
-	build func([]network.Injector) soakEngine, gaugeBounds map[string]int64) {
+	build func([]network.Injector) Engine, gaugeBounds map[string]int64) {
 	t.Helper()
 	progs := hotPrograms(nprocs, reqs)
 	m, inj := NewInjectors(progs)
@@ -115,8 +103,8 @@ func serialGroundTruth(ops []rmw.Mapping) ([]word.Word, word.Word) {
 // a wait record — see DESIGN.md).
 const soakWaitCap = 4
 
-func netSoak(plan *faults.Plan) func([]network.Injector) soakEngine {
-	return func(inj []network.Injector) soakEngine {
+func netSoak(plan *faults.Plan) func([]network.Injector) Engine {
+	return func(inj []network.Injector) Engine {
 		return network.NewSim(network.Config{
 			Procs: 64, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
 			WaitBufCap: soakWaitCap, Faults: plan,
@@ -124,8 +112,8 @@ func netSoak(plan *faults.Plan) func([]network.Injector) soakEngine {
 	}
 }
 
-func cubeSoak(plan *faults.Plan) func([]network.Injector) soakEngine {
-	return func(inj []network.Injector) soakEngine {
+func cubeSoak(plan *faults.Plan) func([]network.Injector) Engine {
+	return func(inj []network.Injector) Engine {
 		return hypercube.NewSim(hypercube.Config{
 			Nodes: 64, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
 			WaitBufCap: soakWaitCap, Faults: plan,
@@ -133,8 +121,8 @@ func cubeSoak(plan *faults.Plan) func([]network.Injector) soakEngine {
 	}
 }
 
-func busSoak(plan *faults.Plan) func([]network.Injector) soakEngine {
-	return func(inj []network.Injector) soakEngine {
+func busSoak(plan *faults.Plan) func([]network.Injector) Engine {
+	return func(inj []network.Injector) Engine {
 		return busnet.NewSim(busnet.Config{
 			Procs: 64, Banks: 8, QueueCap: 1, BankQueueCap: 1,
 			WaitBufCap: soakWaitCap, Faults: plan,
@@ -170,8 +158,12 @@ func TestBackpressureSoakBusnet(t *testing.T) {
 
 // wedgedEngine is a transport whose watchdog trips after a fixed number
 // of steps — a stand-in for a livelocked network (a real clean engine is
-// deadlock-free by construction and cannot be wedged from outside).
-type wedgedEngine struct{ steps, tripAt int }
+// deadlock-free by construction and cannot be wedged from outside).  The
+// embedded nil Engine fills out the method set Run never touches.
+type wedgedEngine struct {
+	Engine
+	steps, tripAt int
+}
 
 func (w *wedgedEngine) Step()         { w.steps++ }
 func (w *wedgedEngine) InFlight() int { return 1 }

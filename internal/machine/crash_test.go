@@ -40,7 +40,7 @@ func crashDropPlan(seed uint64) *faults.Plan {
 // crash machinery actually engaged (crashes, restores, checkpoints all
 // nonzero — a plan whose windows never hit is a vacuous pass).
 func runCrashSoak(t *testing.T, name string, seed uint64,
-	build func(*faults.Plan, []network.Injector) faultEngine) {
+	build func(*faults.Plan, []network.Injector) Engine) {
 	t.Helper()
 	plan := crashDropPlan(seed)
 	progs := faultPrograms(8, 16)
@@ -52,7 +52,7 @@ func runCrashSoak(t *testing.T, name string, seed uint64,
 	}
 	final := map[word.Addr]word.Word{}
 	for a := word.Addr(0); a < 32; a++ {
-		final[a] = eng.PeekMem(a)
+		final[a] = eng.Memory().Peek(a)
 	}
 	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
 		t.Fatalf("%s seed %d: M2 violated under crashes: %v", name, seed, err)
@@ -62,7 +62,7 @@ func runCrashSoak(t *testing.T, name string, seed uint64,
 		t.Fatalf("%s seed %d: issued %d != completed %d", name, seed,
 			snap.Counters["issued"], snap.Counters["completed"])
 	}
-	if got := eng.Outstanding(); got != 0 {
+	if got := eng.InFlight(); got != 0 {
 		t.Fatalf("%s seed %d: %d requests never delivered", name, seed, got)
 	}
 	for _, key := range []string{"crashes", "restores", "checkpoints", "crash_cycles"} {
@@ -79,42 +79,42 @@ func runCrashSoak(t *testing.T, name string, seed uint64,
 
 func TestNetworkUnderCrashPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "network", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)}
+		runCrashSoak(t, "network", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
 
 func TestFatTreeUnderCrashPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "fattree", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{
-				Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)}
+		runCrashSoak(t, "fattree", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return network.NewSim(network.Config{
+				Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
 
 func TestBusnetUnderCrashPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "busnet", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return busProbe{busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)}
+		runCrashSoak(t, "busnet", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
 
 func TestHypercubeUnderCrashPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "hypercube", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return cubeProbe{hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)}
+		runCrashSoak(t, "hypercube", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
 
 func TestTorusUnderCrashPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "torus", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return cubeProbe{hypercube.NewSim(hypercube.Config{
-				Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)}
+		runCrashSoak(t, "torus", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return hypercube.NewSim(hypercube.Config{
+				Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
@@ -151,27 +151,27 @@ func TestCrashSeedParityAcrossWirings(t *testing.T) {
 	wirings := []struct {
 		name  string
 		procs int
-		build func(*faults.Plan, []network.Injector) faultEngine
+		build func(*faults.Plan, []network.Injector) Engine
 	}{
-		{"network-r2", 8, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)}
+		{"network-r2", 8, func(p *faults.Plan, inj []network.Injector) Engine {
+			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"network-r4", 16, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{Procs: 16, Radix: 4, WaitBufCap: 64, Faults: p}, inj)}
+		{"network-r4", 16, func(p *faults.Plan, inj []network.Injector) Engine {
+			return network.NewSim(network.Config{Procs: 16, Radix: 4, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"fattree", 8, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{
-				Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)}
+		{"fattree", 8, func(p *faults.Plan, inj []network.Injector) Engine {
+			return network.NewSim(network.Config{
+				Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"busnet", 8, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return busProbe{busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)}
+		{"busnet", 8, func(p *faults.Plan, inj []network.Injector) Engine {
+			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"hypercube", 8, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return cubeProbe{hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)}
+		{"hypercube", 8, func(p *faults.Plan, inj []network.Injector) Engine {
+			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
 		}},
-		{"torus", 8, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return cubeProbe{hypercube.NewSim(hypercube.Config{
-				Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)}
+		{"torus", 8, func(p *faults.Plan, inj []network.Injector) Engine {
+			return hypercube.NewSim(hypercube.Config{
+				Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)
 		}},
 	}
 	const seed = 99

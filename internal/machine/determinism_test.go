@@ -31,7 +31,7 @@ type detResult struct {
 }
 
 func runAtWidth(t *testing.T, name string, nprocs, reqs, maxCycles int,
-	build func([]network.Injector) soakEngine) detResult {
+	build func([]network.Injector) Engine) detResult {
 	t.Helper()
 	progs := hotPrograms(nprocs, reqs)
 	m, inj := NewInjectors(progs)
@@ -53,7 +53,7 @@ func runAtWidth(t *testing.T, name string, nprocs, reqs, maxCycles int,
 }
 
 func runDeterminismCheck(t *testing.T, name string, nprocs, reqs, maxCycles int,
-	build func(workers int) func([]network.Injector) soakEngine) {
+	build func(workers int) func([]network.Injector) Engine) {
 	t.Helper()
 	want := runAtWidth(t, name+"/w1", nprocs, reqs, maxCycles, build(1))
 
@@ -87,9 +87,9 @@ func runDeterminismCheck(t *testing.T, name string, nprocs, reqs, maxCycles int,
 	}
 }
 
-func netDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakEngine {
-	return func(workers int) func([]network.Injector) soakEngine {
-		return func(inj []network.Injector) soakEngine {
+func netDet(plan *faults.Plan) func(workers int) func([]network.Injector) Engine {
+	return func(workers int) func([]network.Injector) Engine {
+		return func(inj []network.Injector) Engine {
 			return network.NewSim(network.Config{
 				Procs: 64, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
 				WaitBufCap: soakWaitCap, Faults: plan, Workers: workers,
@@ -98,9 +98,9 @@ func netDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakEn
 	}
 }
 
-func cubeDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakEngine {
-	return func(workers int) func([]network.Injector) soakEngine {
-		return func(inj []network.Injector) soakEngine {
+func cubeDet(plan *faults.Plan) func(workers int) func([]network.Injector) Engine {
+	return func(workers int) func([]network.Injector) Engine {
+		return func(inj []network.Injector) Engine {
 			return hypercube.NewSim(hypercube.Config{
 				Nodes: 64, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
 				WaitBufCap: soakWaitCap, Faults: plan, Workers: workers,
@@ -109,9 +109,9 @@ func cubeDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakE
 	}
 }
 
-func busDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakEngine {
-	return func(workers int) func([]network.Injector) soakEngine {
-		return func(inj []network.Injector) soakEngine {
+func busDet(plan *faults.Plan) func(workers int) func([]network.Injector) Engine {
+	return func(workers int) func([]network.Injector) Engine {
+		return func(inj []network.Injector) Engine {
 			return busnet.NewSim(busnet.Config{
 				Procs: 64, Banks: 8, QueueCap: 1, BankQueueCap: 1,
 				WaitBufCap: soakWaitCap, Faults: plan, Workers: workers,

@@ -9,7 +9,6 @@ import (
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
-	"combining/internal/stats"
 	"combining/internal/word"
 )
 
@@ -37,34 +36,10 @@ func faultPrograms(nprocs, ops int) [][]Instr {
 	return progs
 }
 
-// faultEngine abstracts the three cycle-driven transports for the shared
-// fault soak: an Engine plus the probes the assertions need.
-type faultEngine interface {
-	Engine
-	Snapshot() stats.Snapshot
-	Outstanding() int
-	PeekMem(a word.Addr) word.Word
-}
-
-type netProbe struct{ *network.Sim }
-
-func (p netProbe) Outstanding() int              { return p.Tracker().Outstanding() }
-func (p netProbe) PeekMem(a word.Addr) word.Word { return p.Memory().Peek(a) }
-
-type busProbe struct{ *busnet.Sim }
-
-func (p busProbe) Outstanding() int              { return p.Tracker().Outstanding() }
-func (p busProbe) PeekMem(a word.Addr) word.Word { return p.Memory().Peek(a) }
-
-type cubeProbe struct{ *hypercube.Sim }
-
-func (p cubeProbe) Outstanding() int              { return p.Tracker().Outstanding() }
-func (p cubeProbe) PeekMem(a word.Addr) word.Word { return p.Memory().Peek(a) }
-
 // runFaultSoak drives hot-spot programs on one engine under a fault plan
 // and checks exactly-once completion plus per-location serializability
 // (Theorem 4.2 surviving an unhealthy network).
-func runFaultSoak(t *testing.T, name string, seed uint64, build func(*faults.Plan, []network.Injector) faultEngine) {
+func runFaultSoak(t *testing.T, name string, seed uint64, build func(*faults.Plan, []network.Injector) Engine) {
 	t.Helper()
 	plan := faults.Default(seed)
 	progs := faultPrograms(8, 12)
@@ -76,7 +51,7 @@ func runFaultSoak(t *testing.T, name string, seed uint64, build func(*faults.Pla
 	}
 	final := map[word.Addr]word.Word{}
 	for a := word.Addr(0); a < 32; a++ {
-		final[a] = eng.PeekMem(a)
+		final[a] = eng.Memory().Peek(a)
 	}
 	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
 		t.Fatalf("%s seed %d: M2 violated under faults: %v", name, seed, err)
@@ -89,7 +64,7 @@ func runFaultSoak(t *testing.T, name string, seed uint64, build func(*faults.Pla
 		t.Fatalf("%s seed %d: issued %d != completed %d", name, seed,
 			snap.Counters["issued"], snap.Counters["completed"])
 	}
-	if got := eng.Outstanding(); got != 0 {
+	if got := eng.InFlight(); got != 0 {
 		t.Fatalf("%s seed %d: %d requests never delivered", name, seed, got)
 	}
 }
@@ -98,8 +73,8 @@ func runFaultSoak(t *testing.T, name string, seed uint64, build func(*faults.Pla
 // plan (1% drops each way, a switch blackout, a module slowdown).
 func TestNetworkUnderFaultPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runFaultSoak(t, "network", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)}
+		runFaultSoak(t, "network", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
@@ -107,8 +82,8 @@ func TestNetworkUnderFaultPlan(t *testing.T) {
 // TestBusnetUnderFaultPlan soaks the bus machine under the default plan.
 func TestBusnetUnderFaultPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runFaultSoak(t, "busnet", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return busProbe{busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)}
+		runFaultSoak(t, "busnet", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }
@@ -116,8 +91,8 @@ func TestBusnetUnderFaultPlan(t *testing.T) {
 // TestHypercubeUnderFaultPlan soaks the hypercube under the default plan.
 func TestHypercubeUnderFaultPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7} {
-		runFaultSoak(t, "hypercube", seed, func(p *faults.Plan, inj []network.Injector) faultEngine {
-			return cubeProbe{hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)}
+		runFaultSoak(t, "hypercube", seed, func(p *faults.Plan, inj []network.Injector) Engine {
+			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
 		})
 	}
 }

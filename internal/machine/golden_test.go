@@ -57,26 +57,26 @@ func (h hotTagged) Next(cycle int64) (network.Injection, bool) {
 
 var goldenWirings = []struct {
 	name  string
-	build func(plan *faults.Plan, workers int, inj []network.Injector) soakEngine
+	build func(plan *faults.Plan, workers int, inj []network.Injector) Engine
 }{
-	{"omega", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+	{"omega", func(p *faults.Plan, w int, inj []network.Injector) Engine {
 		return network.NewSim(network.Config{Procs: goldenProcs, WaitBufCap: 8, Faults: p, Workers: w}, inj)
 	}},
-	{"omega4", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+	{"omega4", func(p *faults.Plan, w int, inj []network.Injector) Engine {
 		return network.NewSim(network.Config{Procs: goldenProcs, Radix: 4, WaitBufCap: 8, Faults: p, Workers: w}, inj)
 	}},
-	{"fattree", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+	{"fattree", func(p *faults.Plan, w int, inj []network.Injector) Engine {
 		return network.NewSim(network.Config{
 			Topology: engine.FatTreeOf(goldenProcs, 2), WaitBufCap: 8, Faults: p, Workers: w}, inj)
 	}},
-	{"hypercube", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+	{"hypercube", func(p *faults.Plan, w int, inj []network.Injector) Engine {
 		return hypercube.NewSim(hypercube.Config{Nodes: goldenProcs, WaitBufCap: 8, Faults: p, Workers: w}, inj)
 	}},
-	{"torus", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+	{"torus", func(p *faults.Plan, w int, inj []network.Injector) Engine {
 		return hypercube.NewSim(hypercube.Config{
 			Topology: engine.TorusOf(8, 8), WaitBufCap: 8, Faults: p, Workers: w}, inj)
 	}},
-	{"bus", func(p *faults.Plan, w int, inj []network.Injector) soakEngine {
+	{"bus", func(p *faults.Plan, w int, inj []network.Injector) Engine {
 		return busnet.NewSim(busnet.Config{Procs: goldenProcs, Banks: 8, WaitBufCap: 8, Faults: p, Workers: w}, inj)
 	}},
 }
@@ -93,7 +93,7 @@ var goldenPlans = []struct {
 
 // goldenDigest runs the program set to completion on one machine and hashes
 // what it left behind.
-func goldenDigest(t *testing.T, name string, eng soakEngine, m *Machine) string {
+func goldenDigest(t *testing.T, name string, eng Engine, m *Machine) string {
 	t.Helper()
 	m.BindEngine(eng)
 	if !m.Run(400000) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
@@ -142,11 +143,9 @@ func (p *Proc) Completed(i int) bool { return p.done[i] }
 func (p *Proc) DoneCycle(i int) int64 { return p.doneCycle[i] }
 
 // Engine is any cycle-driven transport the programs can run on: the Omega
-// network, the hypercube, or the bus machine.
-type Engine interface {
-	Step()
-	InFlight() int
-}
+// network, the hypercube, or the bus machine — the one method set
+// internal/engine declares for all of them.
+type Engine = engine.Machine
 
 // Machine couples programs to a simulated transport and records a timed
 // history for the consistency checkers.
@@ -246,25 +245,18 @@ func (m *Machine) History() *serial.History { return m.hist.History() }
 // linearizability checker.
 func (m *Machine) TimedHistory() *serial.TimedHistory { return &m.hist }
 
-// stallDetector is implemented by engines with a progress watchdog (the
-// Omega network, the hypercube, the bus machine): Stalled reports that
-// the watchdog tripped — no progress signature change for its whole
-// limit while requests were in flight.
-type stallDetector interface{ Stalled() bool }
-
 // Run steps the machine until every program completes or maxCycles pass;
-// it reports whether all programs completed.  On an engine with a
-// progress watchdog, Run fails fast when it trips instead of burning the
-// rest of the cycle budget on a wedged network; the engine's StallReport
-// has the replayable queue snapshot.
+// it reports whether all programs completed.  Run fails fast when the
+// engine's progress watchdog trips instead of burning the rest of the cycle
+// budget on a wedged network; the engine's StallReport has the replayable
+// queue snapshot.
 func (m *Machine) Run(maxCycles int) bool {
-	sd, _ := m.engine.(stallDetector)
 	for c := 0; c < maxCycles; c++ {
 		m.engine.Step()
 		if m.allDone() {
 			return true
 		}
-		if sd != nil && sd.Stalled() {
+		if m.engine.Stalled() {
 			return false
 		}
 	}

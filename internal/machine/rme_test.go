@@ -105,7 +105,7 @@ func (c *lockClient) Deliver(rep core.Reply, cycle int64) {
 // rounds complete), and exactly-once acquisition.  It returns the per-round
 // acquire latencies across all clients.
 func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
-	build func([]network.Injector) faultEngine) []int64 {
+	build func([]network.Injector) Engine) []int64 {
 	t.Helper()
 	clients := make([]*lockClient, nprocs)
 	inj := make([]network.Injector, nprocs)
@@ -119,7 +119,6 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 		inj[i] = clients[i]
 	}
 	eng := build(inj)
-	sd, _ := any(eng).(stallDetector)
 	done := func() bool {
 		for _, c := range clients {
 			if !c.Done() {
@@ -130,7 +129,7 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 	}
 	for c := 0; c < maxCycles && !done(); c++ {
 		eng.Step()
-		if sd != nil && sd.Stalled() {
+		if eng.Stalled() {
 			t.Fatalf("%s: engine stalled mid-protocol", name)
 		}
 	}
@@ -138,7 +137,7 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 		t.Fatalf("%s: protocol did not complete in %d cycles (in flight %d)",
 			name, maxCycles, eng.InFlight())
 	}
-	if got := eng.Outstanding(); got != 0 {
+	if got := eng.InFlight(); got != 0 {
 		t.Fatalf("%s: %d requests never delivered", name, got)
 	}
 
@@ -150,7 +149,7 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 		lat = append(lat, c.latencies...)
 	}
 	want := int64(nprocs * rounds)
-	if got := eng.PeekMem(rmeCtrAddr).Val; got != want {
+	if got := eng.Memory().Peek(rmeCtrAddr).Val; got != want {
 		t.Fatalf("%s: counter = %d, want %d — a lost update means two clients "+
 			"were inside the critical section at once", name, got, want)
 	}
@@ -158,7 +157,7 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 		t.Fatalf("%s: %d successful acquires, want %d (exactly-once violated)",
 			name, acquires, want)
 	}
-	if w := eng.PeekMem(rmeLockAddr); w.Tag != word.Empty {
+	if w := eng.Memory().Peek(rmeLockAddr); w.Tag != word.Empty {
 		t.Fatalf("%s: lock word still held after all releases: %v", name, w)
 	}
 	if naks == 0 && nprocs > 1 {
@@ -167,16 +166,16 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 	return lat
 }
 
-func rmeEngines(plan *faults.Plan) map[string]func([]network.Injector) faultEngine {
-	return map[string]func([]network.Injector) faultEngine{
-		"network": func(inj []network.Injector) faultEngine {
-			return netProbe{network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: plan}, inj)}
+func rmeEngines(plan *faults.Plan) map[string]func([]network.Injector) Engine {
+	return map[string]func([]network.Injector) Engine{
+		"network": func(inj []network.Injector) Engine {
+			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: plan}, inj)
 		},
-		"busnet": func(inj []network.Injector) faultEngine {
-			return busProbe{busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: plan}, inj)}
+		"busnet": func(inj []network.Injector) Engine {
+			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: plan}, inj)
 		},
-		"hypercube": func(inj []network.Injector) faultEngine {
-			return cubeProbe{hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: plan}, inj)}
+		"hypercube": func(inj []network.Injector) Engine {
+			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: plan}, inj)
 		},
 	}
 }
@@ -210,7 +209,7 @@ func TestRMELockUnderCrashPlan(t *testing.T) {
 		clients[i] = &lockClient{proc: word.ProcID(i), ids: word.Partition(i, 8), nprocs: 8, rounds: 16}
 		inj[i] = clients[i]
 	}
-	eng := netProbe{network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: crashDropPlan(1)}, inj)}
+	eng := network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: crashDropPlan(1)}, inj)
 	for c := 0; c < 400000; c++ {
 		eng.Step()
 	}

@@ -39,7 +39,7 @@ func counterKeys(t *testing.T, name string, counters map[string]int64) []string 
 
 // runSchemaEngine drives a soak engine through a short hot-spot workload
 // and returns its sorted snapshot counter keys.
-func runSchemaEngine(t *testing.T, name string, build func([]network.Injector) soakEngine) []string {
+func runSchemaEngine(t *testing.T, name string, build func([]network.Injector) Engine) []string {
 	t.Helper()
 	const nprocs, reqs = 16, 4
 	progs := hotPrograms(nprocs, reqs)
@@ -104,13 +104,13 @@ func TestSnapshotSchemaParity(t *testing.T) {
 		}
 
 		got := map[string][]string{
-			"network": runSchemaEngine(t, "network", func(inj []network.Injector) soakEngine {
+			"network": runSchemaEngine(t, "network", func(inj []network.Injector) Engine {
 				return network.NewSim(network.Config{Procs: 16, Faults: netPlan}, inj)
 			}),
-			"hypercube": runSchemaEngine(t, "hypercube", func(inj []network.Injector) soakEngine {
+			"hypercube": runSchemaEngine(t, "hypercube", func(inj []network.Injector) Engine {
 				return hypercube.NewSim(hypercube.Config{Nodes: 16, Faults: cubePlan}, inj)
 			}),
-			"busnet": runSchemaEngine(t, "busnet", func(inj []network.Injector) soakEngine {
+			"busnet": runSchemaEngine(t, "busnet", func(inj []network.Injector) Engine {
 				return busnet.NewSim(busnet.Config{Procs: 16, Banks: 4, Faults: busPlan}, inj)
 			}),
 			"asyncnet": runSchemaAsync(t, "asyncnet", asyncPlan),

@@ -16,9 +16,9 @@ import (
 // topologies, clean and under a fault plan, with the Workers=1 run checked
 // against the core.SerialReplies ground truth at 64 processors.
 
-func fatTreeDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakEngine {
-	return func(workers int) func([]network.Injector) soakEngine {
-		return func(inj []network.Injector) soakEngine {
+func fatTreeDet(plan *faults.Plan) func(workers int) func([]network.Injector) Engine {
+	return func(workers int) func([]network.Injector) Engine {
+		return func(inj []network.Injector) Engine {
 			return network.NewSim(network.Config{
 				Topology: engine.FatTreeOf(64, 2),
 				QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
@@ -28,9 +28,9 @@ func fatTreeDet(plan *faults.Plan) func(workers int) func([]network.Injector) so
 	}
 }
 
-func torusDet(plan *faults.Plan) func(workers int) func([]network.Injector) soakEngine {
-	return func(workers int) func([]network.Injector) soakEngine {
-		return func(inj []network.Injector) soakEngine {
+func torusDet(plan *faults.Plan) func(workers int) func([]network.Injector) Engine {
+	return func(workers int) func([]network.Injector) Engine {
+		return func(inj []network.Injector) Engine {
 			return hypercube.NewSim(hypercube.Config{
 				Topology: engine.TorusOf(8, 8),
 				QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
@@ -55,8 +55,8 @@ func TestDeterminismTorus(t *testing.T) {
 // one clean determinism pass at radix 4 to pin the staged core's generic
 // conflict groups on a genuinely different partition shape.
 func TestDeterminismFatTreeRadix4(t *testing.T) {
-	build := func(workers int) func([]network.Injector) soakEngine {
-		return func(inj []network.Injector) soakEngine {
+	build := func(workers int) func([]network.Injector) Engine {
+		return func(inj []network.Injector) Engine {
 			return network.NewSim(network.Config{
 				Topology: engine.FatTreeOf(64, 4),
 				QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,

@@ -1,12 +1,14 @@
 package network
 
-// Regression tests for the duplicate-delivery aliasing bug: before the
-// Clone/cloneForDup fixes, the dup branches shallow-copied messages, so
-// the original and the duplicate shared the path header's backing array
-// and the reply's Leaves map.  That was latent until path recycling
-// landed — deliverCommon returns every delivered header to the injection
-// pool, so a shared header was recycled twice, and two later in-flight
-// requests would build their routes in the same array.
+// Regression tests for the duplicate-delivery aliasing bug: the dup
+// branches once shallow-copied messages, so the original and the duplicate
+// shared the path header's backing array and the reply's Leaves map.  That
+// was latent until path recycling landed — every delivered header returns
+// to the injection pool, so a shared header was recycled twice, and two
+// later in-flight requests would build their routes in the same array.
+// Today the header is recycled once, as the reply leaves stage 0 and before
+// the terminal link can duplicate it, and the rim's duplicate is a
+// core.Reply.Clone.
 
 import (
 	"bytes"
@@ -19,36 +21,21 @@ import (
 	"combining/internal/word"
 )
 
-// TestCloneForDupIndependence: a duplicated reply message must own its
-// path header and Leaves map outright.
-func TestCloneForDupIndependence(t *testing.T) {
-	r := revMsg{
-		rep: core.Reply{
-			ID:  7,
-			Val: word.W(42),
-			Leaves: map[word.ReqID]word.Word{
-				7: word.W(42), 9: word.W(43),
-			},
-		},
-		path:       append(make([]uint8, 0, 4), 1, 0),
-		issueCycle: 5,
-		hot:        true,
-		slots:      1,
+// TestReplyCloneIndependence: a duplicated reply (processor-side dup
+// branch of the rim's terminal link) must own its Leaves map outright.
+func TestReplyCloneIndependence(t *testing.T) {
+	r := core.Reply{
+		ID:     7,
+		Val:    word.W(42),
+		Leaves: map[word.ReqID]word.Word{7: word.W(42), 9: word.W(43)},
 	}
-	c := r.cloneForDup()
-	if &c.path[0] == &r.path[0] {
-		t.Fatalf("cloneForDup shares the path backing array")
+	c := r.Clone()
+	c.Leaves[7] = word.W(99)
+	if r.Leaves[7] != word.W(42) {
+		t.Errorf("mutating the clone's Leaves changed the original: %v", r.Leaves)
 	}
-	c.path[0] = 9
-	c.rep.Leaves[7] = word.W(99)
-	if r.path[0] != 1 {
-		t.Errorf("mutating the clone's path changed the original: %v", r.path)
-	}
-	if r.rep.Leaves[7] != word.W(42) {
-		t.Errorf("mutating the clone's Leaves changed the original: %v", r.rep.Leaves)
-	}
-	if c.issueCycle != r.issueCycle || c.hot != r.hot || c.slots != r.slots {
-		t.Errorf("cloneForDup dropped scalar fields: %+v vs %+v", c, r)
+	if c.ID != r.ID || c.Val != r.Val || len(c.Leaves) != len(r.Leaves) {
+		t.Errorf("Clone dropped fields: %+v vs %+v", c, r)
 	}
 }
 
@@ -92,7 +79,7 @@ func TestDupDeliveryPathPoolIntegrity(t *testing.T) {
 	if !sim.Drain(50000) {
 		t.Fatalf("drain did not reach quiescence")
 	}
-	if sim.stats.Completed == 0 {
+	if sim.Stats().Completed == 0 {
 		t.Fatalf("workload completed nothing — the dup plan never exercised delivery")
 	}
 	// At quiescence every delivered header is back in the pool; each entry

@@ -26,7 +26,7 @@ func TestInvariantsUnderLoad(t *testing.T) {
 		sim := NewSim(Config{Procs: n, QueueCap: 3, WaitBufCap: waitCap}, inj)
 		for c := 0; c < cycles; c++ {
 			sim.Step()
-			st := sim.stats
+			st := sim.Totals()
 			// Conservation: issued = completed + in flight.
 			if got := st.Completed + int64(sim.InFlight()); got != st.Issued {
 				t.Fatalf("waitCap=%d cycle %d: %d issued but %d completed+inflight",
@@ -166,10 +166,10 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 		t.Fatalf("stall report lacks the diagnostic queue snapshot:\n%s", rep)
 	}
 	// Run must refuse to burn a fresh budget on a tripped machine.
-	start := sim.cycle
+	start := sim.Cycle()
 	sim.Run(10000)
-	if sim.cycle != start {
-		t.Fatalf("Run stepped %d more cycles after the watchdog tripped", sim.cycle-start)
+	if sim.Cycle() != start {
+		t.Fatalf("Run stepped %d more cycles after the watchdog tripped", sim.Cycle()-start)
 	}
 }
 
@@ -193,14 +193,16 @@ func TestPathHeadersConsistent(t *testing.T) {
 	k := sim.k
 	for c := 0; c < 500; c++ {
 		sim.Step()
-		for _, shard := range sim.meta {
-			for id, m := range shard {
-				if len(m.path) != k {
-					t.Fatalf("request %d at memory has %d path entries, want %d", id, len(m.path), k)
-				}
-				for _, p := range m.path {
-					if p > 1 {
-						t.Fatalf("request %d has port %d in its path", id, p)
+		for _, sw := range sim.stages[k-1] {
+			for _, q := range sw.outQ {
+				for _, m := range q {
+					if len(m.Path) != k {
+						t.Fatalf("request %d at the memory link has %d path entries, want %d", m.Req.ID, len(m.Path), k)
+					}
+					for _, p := range m.Path {
+						if p > 1 {
+							t.Fatalf("request %d has port %d in its path", m.Req.ID, p)
+						}
 					}
 				}
 			}

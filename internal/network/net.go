@@ -6,10 +6,7 @@ import (
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/flow"
-	"combining/internal/memory"
 	"combining/internal/par"
-	"combining/internal/recover"
 	"combining/internal/rmw"
 	"combining/internal/stats"
 	"combining/internal/word"
@@ -153,24 +150,20 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// DefaultWatchdogCycles is the default no-progress limit: far above the
-// fault plans' capped retransmit backoff (RetryCap defaults to 512 cycles),
-// so only a genuine livelock or deadlock can trip it.
-const DefaultWatchdogCycles = 10000
+// The port types and the watchdog default live with the rim in
+// internal/engine; the aliases keep every caller of this package compiling
+// unchanged.
+type (
+	Injection = engine.Injection
+	Injector  = engine.Injector
+)
 
-// Stats aggregates one simulation run.
+const DefaultWatchdogCycles = engine.DefaultWatchdogCycles
+
+// Stats aggregates one simulation run: the rim's totals plus the staged
+// fabric's own hop, hold and combine counters.
 type Stats struct {
-	Cycles    int64
-	Issued    int64
-	Completed int64
-
-	// Latency sums, split by traffic class for the tree-saturation
-	// experiment (E9).
-	LatencySum     int64
-	HotCompleted   int64
-	HotLatencySum  int64
-	ColdCompleted  int64
-	ColdLatencySum int64
+	engine.Totals
 
 	// Combines counts combine events across all switches; Rejects counts
 	// combines refused because a wait buffer was full.
@@ -190,27 +183,14 @@ type Stats struct {
 	// last-stage switch.
 	HoldsRev, HoldsMem, HoldsMemOut int64
 
-	// SaturationCycles counts cycles the queue tree was saturated end to
-	// end (every stage had a full forward queue); SaturationMaxStreak is
-	// the longest such run — the tree-saturation signature of E14.
-	SaturationCycles    int64
-	SaturationMaxStreak int64
-
-	// WatchdogTrips is 1 if the progress watchdog declared a stall.
-	WatchdogTrips int64
-
-	// Checkpoints counts module checkpoints committed (crash plans only).
-	Checkpoints int64
-
 	// Latency is the round-trip histogram (cycles), recorded per
 	// completion through the shared instrumentation subsystem.
 	Latency stats.HistogramSnapshot
 
 	// Traffic accounting (E11): link traversals and value slots moved,
 	// in each direction.
-	FwdHops, RevHops     int64
-	FwdSlots, RevSlots   int64
-	MemRequests, MemAcks int64
+	FwdHops, RevHops   int64
+	FwdSlots, RevSlots int64
 }
 
 // Percentile returns the approximate q-quantile (0 < q ≤ 1) of the
@@ -218,151 +198,29 @@ type Stats struct {
 // within the bucket.
 func (s Stats) Percentile(q float64) float64 { return s.Latency.Percentile(q) }
 
-// MeanLatency returns average round-trip cycles over completed requests.
-func (s Stats) MeanLatency() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.Completed)
-}
-
-// ColdMeanLatency returns the mean latency of non-hot traffic.
-func (s Stats) ColdMeanLatency() float64 {
-	if s.ColdCompleted == 0 {
-		return 0
-	}
-	return float64(s.ColdLatencySum) / float64(s.ColdCompleted)
-}
-
-// HotMeanLatency returns the mean latency of hot-spot traffic.
-func (s Stats) HotMeanLatency() float64 {
-	if s.HotCompleted == 0 {
-		return 0
-	}
-	return float64(s.HotLatencySum) / float64(s.HotCompleted)
-}
-
-// Bandwidth returns completed memory operations per cycle.
-func (s Stats) Bandwidth() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Completed) / float64(s.Cycles)
-}
-
-// Injection is one request offered by an injector, tagged for metrics.
-type Injection struct {
-	Req core.Request
-	Hot bool
-}
-
-// Injector supplies traffic for one processor port and consumes replies.
-// Implementations need not be safe for concurrent use; the simulator calls
-// them from a single goroutine.
-type Injector interface {
-	// Next offers the next request at the given cycle.  ok=false means
-	// the processor has nothing to issue this cycle.  A request returned
-	// by Next is guaranteed to be injected (possibly stalled for queue
-	// space first); Next is not called again until then.
-	Next(cycle int64) (Injection, bool)
-	// Deliver hands a completed reply back.
-	Deliver(rep core.Reply, cycle int64)
-}
-
-// heldFwd is a request deferred by link-level reordering on its terminal
-// link (last-stage switch → memory module): it re-enters the module at
-// release, or one cycle later per cycle the module is crashed or full.
-type heldFwd struct {
-	release int64
-	mod     int
-	m       fwdMsg
-}
-
-// heldRev is a reply deferred by link-level reordering on its terminal
-// link (stage-0 switch → processor); it is delivered at release.
-type heldRev struct {
-	release int64
-	proc    int
-	r       revMsg
-}
-
-// Sim is the cycle-driven machine: processors (injectors), the forward and
-// reverse Omega network, and the memory modules.
+// Sim is the cycle-driven machine: the rim (processor ports, terminal
+// links, memory modules, step frame — the embedded engine.Shell) around the
+// forward and reverse staged network.
 type Sim struct {
+	engine.Shell
+
 	cfg    Config
 	topo   engine.Staged // the wiring; all routing arithmetic lives here
 	n      int           // processors
 	k      int           // stages
 	radix  int           // switch degree
 	stages [][]*switchNode
-	mem    *memory.Array
-	inj    []Injector
 
-	// pending holds a request accepted from an injector but not yet
-	// admitted into stage 0 (backpressure at the processor port);
-	// hasPending marks the occupied slots.  Values, not pointers: the
-	// message is copied in and out so the steady-state injection path
-	// never forces a heap escape.
-	pending    []fwdMsg
-	hasPending []bool
-	// pathFree recycles delivered replies' path headers back to the
-	// injection path (getPath/putPath).  Every array holds capacity for
-	// all k stages, so the appends along the forward path never regrow
-	// one — the steady-state cycle path allocates nothing.  Only
-	// single-goroutine phases touch it (injection, worker-0 delivery
-	// commit).
+	// pathFree recycles path headers (getPath/putPath): a reply's header
+	// returns when it leaves stage 0, a request's when the port's offer is
+	// refused.  Every array holds capacity for all k stages, so the appends
+	// along the forward path never regrow one — the steady-state cycle
+	// path allocates nothing.  Only single-goroutine phases touch it
+	// (injection, worker-0 delivery commit).
 	pathFree [][]uint8
-	// meta preserves message metadata across the memory module, which
-	// only transports core requests.  It is sharded per module: entry
-	// meta[mod][id] is written by the stage-(k−1) switch feeding module
-	// mod and consumed when that module's reply emerges, so under the
-	// parallel stepper each shard has exactly one owner per phase.  The
-	// values are boxed: fwdMsg is larger than a map's inline-value limit,
-	// so storing it directly would heap-allocate a hidden box on every
-	// insert — instead metaFree recycles the boxes per module (same
-	// single-owner sharding as meta itself), keeping the steady-state
-	// memory handoff allocation-free.
-	meta     []map[word.ReqID]*fwdMsg
-	metaFree [][]*fwdMsg
 
-	cycle int64
+	// stats holds the fabric's own counters; the rim's are in the Shell.
 	stats Stats
-	// lat records per-completion round-trip latency in cycles.
-	lat stats.Histogram
-
-	// wd is the progress watchdog; sat the tree-saturation monitor.
-	wd  *flow.Watchdog
-	sat flow.Saturation
-
-	// Fault-mode state (nil/zero on a healthy machine).
-	flt *faults.Injector
-	trk *faults.Tracker
-	// retry queues retransmissions per processor, drained ahead of fresh
-	// traffic by injectAll.
-	retry [][]fwdMsg
-	// stallMask caches this cycle's per-switch stall decisions so each
-	// switch-cycle is counted once.
-	stallMask [][]bool
-	// Crash–restart state (nil/empty unless the plan has crash windows):
-	// rec is the recovery ledger, crashMask/memDead this cycle's dead
-	// components.  Both masks are filled serially at the top of Step with
-	// edge detection — a rising edge flushes the component, a falling edge
-	// counts the restore — so every Workers width sees identical crash
-	// schedules.
-	rec       *recover.Manager
-	crashMask [][]bool
-	memDead   []bool
-	// orphans counts replies arriving with no request metadata — the
-	// expected fate of the losing copy when an original and a retransmit
-	// both reach memory (satellite of the metadata panic).
-	orphans int64
-	// Adversarial-delivery state (plan.HasAdversarial(); Validate rejects
-	// Workers > 1 with such plans): adv arms the integrity layer on the
-	// terminal links, and fwdLimbo/revLimbo hold reordered messages until
-	// their release cycle (drained serially at the top of Step).
-	adv      bool
-	fwdLimbo []heldFwd
-	revLimbo []heldRev
 
 	// Parallel stepper state (Config.Workers > 1, nil/empty otherwise):
 	// the worker pool (persistent workers bracketed by Run/Drain), the
@@ -406,63 +264,20 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 			stages[s][i] = newSwitch(s, i, radix, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap, pol, cfg.BuggyLoadForwarding)
 		}
 	}
-	memOpts := []memory.Option{memory.WithServiceTime(cfg.MemService)}
-	if cfg.MemQueueCap > 0 {
-		memOpts = append(memOpts, memory.WithQueueCap(cfg.MemQueueCap))
-	}
-	if cfg.Faults != nil {
-		memOpts = append(memOpts, memory.WithReplyCache())
-		if cfg.Faults.HasCrashes() {
-			memOpts = append(memOpts, memory.WithCheckpoints())
-		}
-		if cfg.Faults.Canary == "nodedup" {
-			memOpts = append(memOpts, memory.WithNoDedupCanary())
-		}
-	}
-	meta := make([]map[word.ReqID]*fwdMsg, n)
-	for i := range meta {
-		meta[i] = make(map[word.ReqID]*fwdMsg)
-	}
-	s := &Sim{
-		cfg:        cfg,
-		topo:       topo,
-		n:          n,
-		k:          k,
-		radix:      radix,
-		stages:     stages,
-		mem:        memory.NewArray(n, memOpts...),
-		inj:        inj,
-		pending:    make([]fwdMsg, n),
-		hasPending: make([]bool, n),
-		meta:       meta,
-		metaFree:   make([][]*fwdMsg, n),
-		wd:         flow.NewWatchdog(cfg.WatchdogCycles),
-	}
-	if cfg.Faults != nil {
-		s.flt = faults.NewInjector(*cfg.Faults)
-		s.trk = faults.NewTracker(s.flt)
-		s.adv = s.flt.Plan().HasAdversarial()
-		s.retry = make([][]fwdMsg, n)
-		s.stallMask = make([][]bool, k)
-		for i := range s.stallMask {
-			s.stallMask[i] = make([]bool, n/radix)
-		}
-		if plan := s.flt.Plan(); plan.HasCrashes() {
-			s.rec = recover.New(plan.CheckpointEvery)
-			s.crashMask = make([][]bool, k)
-			for i := range s.crashMask {
-				s.crashMask[i] = make([]bool, n/radix)
-			}
-			s.memDead = make([]bool, n)
-		}
-	}
+	s := &Sim{cfg: cfg, topo: topo, n: n, k: k, radix: radix, stages: stages}
 	if cfg.Trace != nil {
+		// Switches stamp no cycle of their own; the machine's clock is
+		// the rim's.  Ports are traced by wrapping their injectors.
+		trace := func(e Event) {
+			e.Cycle = s.Cycle()
+			cfg.Trace(e)
+		}
 		for _, stage := range stages {
 			for _, sw := range stage {
-				sw.trace = cfg.Trace
-				sw.cycleRef = &s.cycle
+				sw.trace = trace
 			}
 		}
+		inj = tracedPorts(inj, cfg.Trace)
 	}
 	// Validation rejected Workers > 1 with tracing on, so reaching here
 	// with a pool means the serial fallback can no longer happen silently.
@@ -481,14 +296,30 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 			s.revGroups[st] = engine.RevGroups(topo, st)
 		}
 	}
+	s.Shell.Init(engine.ShellConfig{
+		Engine: "network",
+		Hooks: engine.Hooks{
+			Sweep:     s.sweep,
+			Flush:     func(stage, idx int) []word.ReqID { return s.stages[stage][idx].crash() },
+			CanFeed:   func(mod int) bool { return s.Memory().Module(mod).CanEnqueue() },
+			Saturated: s.treeSaturated,
+			Hops:      func() int64 { return s.stats.FwdHops + s.stats.RevHops },
+			Queued:    s.queued,
+			Detail:    s.stallDetail,
+			Observe:   s.observe,
+		},
+		Injectors:      inj,
+		Pool:           s.pool,
+		Modules:        n,
+		Service:        cfg.MemService,
+		MemQueueCap:    cfg.MemQueueCap,
+		Stages:         k,
+		Width:          n / radix,
+		WatchdogCycles: cfg.WatchdogCycles,
+		Faults:         cfg.Faults,
+	})
 	return s
 }
-
-// Memory exposes the module array (for initialization and inspection).
-func (s *Sim) Memory() *memory.Array { return s.mem }
-
-// Cycle returns the current cycle number.
-func (s *Sim) Cycle() int64 { return s.cycle }
 
 // Topology exposes the wiring the machine was built with.
 func (s *Sim) Topology() engine.Staged { return s.topo }
@@ -500,29 +331,11 @@ func (s *Sim) outPortFor(stage int, dst int) int {
 }
 
 // destModule is the home module of an address.
-func (s *Sim) destModule(addr word.Addr) int { return s.mem.HomeOf(addr) }
+func (s *Sim) destModule(addr word.Addr) int { return s.Memory().HomeOf(addr) }
 
-// Step advances the machine one cycle.
-func (s *Sim) Step() {
-	s.cycle++
-	s.stats.Cycles++
-	if s.flt != nil {
-		for stage := range s.stallMask {
-			for si := range s.stallMask[stage] {
-				s.stallMask[stage][si] = s.flt.Stalled(stage, si, s.cycle)
-			}
-		}
-		if s.rec != nil {
-			s.updateCrashState()
-		}
-		for _, p := range s.trk.Expired(s.cycle) {
-			s.retry[p.Proc] = append(s.retry[p.Proc],
-				fwdMsg{req: p.Req, path: s.getPath(), issueCycle: p.IssueCycle, hot: p.Hot})
-		}
-		if s.adv {
-			s.drainLimbo()
-		}
-	}
+// sweep is the fabric's share of one cycle: replies descend, modules tick,
+// requests ascend, processors inject.
+func (s *Sim) sweep() {
 	if s.pool != nil {
 		s.runPhases()
 	} else {
@@ -531,53 +344,12 @@ func (s *Sim) Step() {
 		s.drainForward()
 	}
 	s.injectAll()
-
-	s.sat.Observe(s.treeSaturated())
-	s.stats.SaturationCycles = s.sat.Cycles()
-	s.stats.SaturationMaxStreak = s.sat.MaxStreak()
-	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
-		s.stats.WatchdogTrips++
-	}
 }
 
-// updateCrashState advances the crash–restart masks one cycle, serially so
-// every Workers width sees the same schedule.  A rising edge (component
-// entering its window) flushes the component's volatile state and records
-// the lost in-flight operations; a falling edge is the restart — the
-// component rejoins empty (switch) or at its last checkpoint (module).
-func (s *Sim) updateCrashState() {
-	for stage := range s.crashMask {
-		for si := range s.crashMask[stage] {
-			dead := s.flt.SwitchCrashed(stage, si, s.cycle)
-			if dead && !s.crashMask[stage][si] {
-				s.rec.NoteCrash()
-				s.rec.NoteLost(s.trk, s.stages[stage][si].crash())
-			} else if !dead && s.crashMask[stage][si] {
-				s.rec.NoteRestore()
-			}
-			s.crashMask[stage][si] = dead
-		}
-	}
-	for mod := 0; mod < s.n; mod++ {
-		dead := s.flt.MemCrashed(mod, s.cycle)
-		if dead && !s.memDead[mod] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.mem.Module(mod).Crash())
-		} else if !dead && s.memDead[mod] {
-			s.rec.NoteRestore()
-		}
-		s.memDead[mod] = dead
-	}
-}
-
-// swDead reports whether the switch at (stage, idx) is crashed this cycle.
-func (s *Sim) swDead(stage, idx int) bool {
-	return s.rec != nil && s.crashMask[stage][idx]
-}
-
-// modDead reports whether module mod is crashed this cycle.
-func (s *Sim) modDead(mod int) bool {
-	return s.rec != nil && s.memDead[mod]
+// down reports whether the switch at (stage, idx) moves nothing this cycle:
+// blacked out by a stall window, or crashed until its restart.
+func (s *Sim) down(stage, idx int) bool {
+	return s.SwitchStalled(stage, idx) || s.SwitchDead(stage, idx)
 }
 
 // treeSaturated reports whether the queue tree is saturated end to end this
@@ -606,30 +378,9 @@ func (s *Sim) treeSaturated() bool {
 	return true
 }
 
-// progressSig is the watchdog's monotone progress signature: any message
-// movement — injection, a hop in either direction, a memory service cycle,
-// a delivery, or a fault event that consumes a message — changes it.  If it
-// freezes with work in flight, nothing is moving anywhere.
-func (s *Sim) progressSig() int64 {
-	sig := s.stats.Issued + s.stats.Completed + s.stats.FwdHops +
-		s.stats.RevHops + s.stats.MemAcks + s.orphans
-	for mod := 0; mod < s.n; mod++ {
-		sig += s.mem.Module(mod).BusyCycles
-	}
-	if s.flt != nil {
-		sig += s.flt.Injected()
-	}
-	return sig
-}
-
-// Stalled reports whether the progress watchdog has tripped: work was in
-// flight and nothing moved for Config.WatchdogCycles cycles.
-func (s *Sim) Stalled() bool { return s.wd.Tripped() }
-
-// StallReport formats the watchdog diagnostic with a queue snapshot — the
-// state dump a failing soak prints next to its replay seed.
-func (s *Sim) StallReport() string {
-	detail := fmt.Sprintf("pending=%d meta=%d", s.pendingCount(), s.metaCount())
+// stallDetail is the per-stage queue occupancy a stall report prints.
+func (s *Sim) stallDetail() string {
+	detail := ""
 	for st, stage := range s.stages {
 		fwd, rev, wait := 0, 0, 0
 		for _, sw := range stage {
@@ -639,73 +390,27 @@ func (s *Sim) StallReport() string {
 			}
 			wait += sw.wait.Len()
 		}
-		detail += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", st, fwd, rev, wait)
+		detail += fmt.Sprintf("stage %d: fwd=%d rev=%d wait=%d\n", st, fwd, rev, wait)
 	}
 	memQ := 0
 	for mod := 0; mod < s.n; mod++ {
-		memQ += s.mem.Module(mod).QueueLen()
+		memQ += s.Memory().Module(mod).QueueLen()
 	}
-	detail += fmt.Sprintf("\nmemory queued=%d", memQ)
-	crashed := ""
-	if s.flt != nil {
-		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
-	}
-	return flow.StallReport("network", s.wd, s.InFlight(), crashed, detail)
+	return detail + fmt.Sprintf("memory queued=%d", memQ)
 }
 
-// metaInsert files a request's metadata under its module shard, reusing a
-// recycled box so the steady-state insert allocates nothing.  The free
-// list shares meta's ownership partition: the stage-(k−1) switch phase
-// and the memory phase split over the same index range, so module mod's
-// list is only ever touched by the worker owning switch mod/radix.
-func (s *Sim) metaInsert(mod int, m fwdMsg) {
-	var box *fwdMsg
-	if free := s.metaFree[mod]; len(free) > 0 {
-		box = free[len(free)-1]
-		s.metaFree[mod] = free[:len(free)-1]
-	} else {
-		box = new(fwdMsg)
-	}
-	*box = m
-	s.meta[mod][m.req.ID] = box
-}
-
-// metaCount sums the per-module metadata shards (requests in memory).
-func (s *Sim) metaCount() int {
+// queued counts messages and wait records held in the switches.
+func (s *Sim) queued() int {
 	n := 0
-	for _, shard := range s.meta {
-		n += len(shard)
-	}
-	return n
-}
-
-func (s *Sim) pendingCount() int {
-	n := 0
-	for _, occupied := range s.hasPending {
-		if occupied {
-			n++
+	for _, stage := range s.stages {
+		for _, sw := range stage {
+			for port := 0; port < s.radix; port++ {
+				n += len(sw.outQ[port]) + len(sw.revQ[port])
+			}
+			n += sw.wait.Len()
 		}
 	}
 	return n
-}
-
-// Run advances the machine the given number of cycles, stopping early if
-// the progress watchdog trips (a stalled machine makes no further progress
-// by definition; callers check Stalled / StallReport).  A parallel machine
-// starts its persistent workers here, once per Run — not once per cycle —
-// and retires them on return; a bare Step outside Run still works through
-// the pool's spawn fallback.
-func (s *Sim) Run(cycles int) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < cycles; i++ {
-		if s.wd.Tripped() {
-			return
-		}
-		s.Step()
-	}
 }
 
 // drainReverse moves one reply per reverse link per cycle, destination side
@@ -713,7 +418,7 @@ func (s *Sim) Run(cycles int) {
 // order rotate with the cycle so contending streams share a downstream
 // queue fairly (round-robin arbitration, as in real switches).
 func (s *Sim) drainReverse() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	n0 := len(s.stages[0])
 	for si := 0; si < n0; si++ {
 		s.revSwitch0((si+rot)%n0, &s.stats, nil)
@@ -733,14 +438,11 @@ func (s *Sim) drainReverse() {
 // serial replay instead of delivered inline, because injectors and the
 // retry tracker are single-goroutine.
 func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
-	if s.flt != nil && s.stallMask[0][idx] {
-		return // blacked-out switch moves nothing this cycle
-	}
-	if s.swDead(0, idx) {
-		return // crashed switch moves nothing until it restarts
+	if s.down(0, idx) {
+		return
 	}
 	sw := s.stages[0][idx]
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
 		if len(sw.revQ[port]) == 0 {
@@ -748,9 +450,7 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 		}
 		inLine := sw.index*s.radix + port
 		r := sw.popRev(port)
-		if s.flt != nil && (s.flt.DropReply(
-			faults.Site(0, sw.index, port), r.rep.ID, r.rep.Attempt) ||
-			s.flt.DropLinkRev(0, sw.index, s.cycle)) {
+		if s.LinkDropsRev(0, sw.index, port, &r.rep) {
 			continue // reply lost on the reverse link
 		}
 		st.RevHops++
@@ -764,6 +464,15 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 	}
 }
 
+// deliver hands a reply that has left stage 0 to the processor terminal
+// link.  Its path header is empty by now — stage 0 popped the last entry —
+// and returns to the injection pool here, before the link can duplicate the
+// reply: every copy the rim delivers is header-free.
+func (s *Sim) deliver(proc int, r revMsg) {
+	s.putPath(r.path)
+	s.Deliver(faults.Site(0, proc, 0), proc, r.rep, r.issueCycle, r.hot)
+}
+
 // revSwitch makes the reverse move for one switch of stage ≥ 1: pop one
 // reply per port and hand it to the previous-stage switch when its reserved
 // credits allow.  The previous-stage switches of stage-s switch idx are
@@ -771,14 +480,11 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 // idx/radix touch the same previous-stage set — the conflict groups the
 // parallel stepper partitions on.
 func (s *Sim) revSwitch(stage, idx int, st *Stats) {
-	if s.flt != nil && s.stallMask[stage][idx] {
-		return // blacked-out switch moves nothing this cycle
-	}
-	if s.swDead(stage, idx) {
-		return // crashed switch moves nothing until it restarts
+	if s.down(stage, idx) {
+		return
 	}
 	sw := s.stages[stage][idx]
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
 		if len(sw.revQ[port]) == 0 {
@@ -787,7 +493,7 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 		inLine := sw.index*s.radix + port
 		prevLine := s.topo.PrevLine(stage, inLine)
 		prev := s.stages[stage-1][prevLine/s.radix]
-		if s.swDead(stage-1, prevLine/s.radix) {
+		if s.SwitchDead(stage-1, prevLine/s.radix) {
 			// Downstream switch is dead: hold the reply here so the crash
 			// costs only the flushed state, not a stream of new losses.
 			st.HoldsRev++
@@ -802,9 +508,7 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 			continue
 		}
 		r := sw.popRev(port)
-		if s.flt != nil && (s.flt.DropReply(
-			faults.Site(stage, sw.index, port), r.rep.ID, r.rep.Attempt) ||
-			s.flt.DropLinkRev(stage, sw.index, s.cycle)) {
+		if s.LinkDropsRev(stage, sw.index, port, &r.rep) {
 			continue // reply lost on the reverse link
 		}
 		st.RevHops++
@@ -813,182 +517,22 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 	}
 }
 
-// memEnter crosses the adversarial terminal link into module mod: the
-// request is stamped at the last trusted hop (the switch — combining has
-// legitimately rewritten the op by now), possibly corrupted on the wire,
-// verified, and quarantined on mismatch; the retransmit machinery then
-// repairs the loss exactly-once.  The duplicate draw comes after
-// verification so dup_injected counts only messages that actually entered
-// the module twice.  Metadata is keyed and stored before corruption can
-// strike, never after — a quarantined request leaves no shard entry.
-func (s *Sim) memEnter(mod int, m fwdMsg, st *Stats) {
-	m.req = core.StampRequest(m.req)
-	wire := m.req
-	site := faults.Site(s.k, mod, 0)
-	if mask := s.flt.CorruptMask(site, m.req.ID, m.req.Attempt); mask != 0 {
-		wire = core.CorruptRequest(wire, mask)
-	}
-	if !core.RequestOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: equivalent to a detected drop on this link
-	}
-	st.MemRequests++
-	s.metaInsert(mod, m)
-	s.mem.Module(mod).Enqueue(wire)
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && s.mem.Module(mod).CanEnqueue() {
-		// Network-born duplicate: the link re-emits a message the sender
-		// never retransmitted.  The reply cache answers the second copy
-		// from its leaf values; its reply finds no metadata and orphans.
-		// The copy deep-copies its Srcs/Reps slices — a shallow second
-		// enqueue would share backing arrays with the first.
-		st.MemRequests++
-		s.mem.Module(mod).Enqueue(wire.Clone())
-	}
-}
-
-// drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of Step — Validate rejects adversarial plans
-// with Workers > 1 — so release order is defined by the serial sweep.  A
-// forward release finding its module crashed or full re-holds one cycle
-// (the deferral bound is on the adversarial link, not on ordinary
-// backpressure), and held messages are never re-reordered, so the
-// deferral is bounded by ReorderMax plus the backpressure already counted
-// against every request.
-func (s *Sim) drainLimbo() {
-	if len(s.fwdLimbo) > 0 {
-		keep := s.fwdLimbo[:0]
-		for _, h := range s.fwdLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			if s.modDead(h.mod) || !s.mem.Module(h.mod).CanEnqueue() {
-				h.release = s.cycle + 1
-				keep = append(keep, h)
-				continue
-			}
-			s.memEnter(h.mod, h.m, &s.stats)
-		}
-		s.fwdLimbo = keep
-	}
-	if len(s.revLimbo) > 0 {
-		keep := s.revLimbo[:0]
-		for _, h := range s.revLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			s.deliverVerified(h.proc, h.r)
-		}
-		s.revLimbo = keep
-	}
-}
-
-// deliver hands a reply across the terminal link to its processor.  Under
-// an adversarial plan the link may defer (reorder), duplicate, or corrupt
-// it; the reply is stamped here — the last trusted hop — and verified on
-// the far side by deliverVerified.
-func (s *Sim) deliver(proc int, r revMsg) {
-	if s.adv {
-		r.rep = core.StampReply(r.rep)
-		site := faults.Site(0, proc, 0)
-		if d := s.flt.ReorderDelay(site, r.rep.ID, r.rep.Attempt); d > 0 {
-			s.revLimbo = append(s.revLimbo,
-				heldRev{release: s.cycle + d, proc: proc, r: r})
-			return
-		}
-		s.deliverVerified(proc, r)
-		return
-	}
-	s.deliverCommon(proc, r)
-}
-
-// deliverVerified is the processor side of the adversarial terminal link:
-// corrupt on the wire, verify the checksum, quarantine on mismatch (the
-// processor retransmits and the reply cache answers), and deliver — twice
-// when the link duplicates, with the tracker suppressing the second copy.
-func (s *Sim) deliverVerified(proc int, r revMsg) {
-	site := faults.Site(0, proc, 0)
-	wire := r.rep
-	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
-		wire = core.CorruptReply(wire, mask)
-	}
-	if !core.ReplyOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: the retransmit machinery re-drives the op
-	}
-	r.rep = wire
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) {
-		// The duplicate must own its storage: a shallow copy would share
-		// the path array (recycled per delivery by deliverCommon) and the
-		// Leaves map with the original, so delivering the same revMsg
-		// twice corrupts whichever copy is processed second.
-		s.deliverCommon(proc, r.cloneForDup())
-	}
-	s.deliverCommon(proc, r)
-}
-
-func (s *Sim) deliverCommon(proc int, r revMsg) {
-	// The reply has left the network: its path header (empty by now —
-	// stage 0 popped the last entry) returns to the injection pool.  This
-	// runs before the duplicate-suppression check on purpose: a suppressed
-	// copy's header recycles too, and post-clone every copy owns its own
-	// array.
-	s.putPath(r.path)
-	if s.trk != nil {
-		if _, ok := s.trk.Deliver(r.rep.ID, s.cycle); !ok {
-			return // duplicate of an already-delivered reply; suppressed
-		}
-	}
-	if s.rec != nil {
-		// A completion whose in-flight copy a crash flushed was re-driven
-		// here by the retry machinery — count the replay.
-		s.rec.NoteDelivered(r.rep.ID)
-	}
-	lat := s.cycle - r.issueCycle
-	s.stats.Completed++
-	s.stats.LatencySum += lat
-	s.lat.Record(lat)
-	if r.hot {
-		s.stats.HotCompleted++
-		s.stats.HotLatencySum += lat
-	} else {
-		s.stats.ColdCompleted++
-		s.stats.ColdLatencySum += lat
-	}
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(Event{Cycle: s.cycle, Kind: EvDeliver,
-			ID: r.rep.ID, Stage: -1, Switch: proc})
-	}
-	s.inj[proc].Deliver(r.rep, s.cycle)
-}
-
 // tickMemory advances every module and feeds completed replies into the
 // reverse side of the last stage.
 func (s *Sim) tickMemory() {
 	for mod := 0; mod < s.n; mod++ {
-		s.tickModule(mod, &s.stats, &s.orphans)
+		s.tickModule(mod, &s.stats, s.Own())
 	}
 }
 
 // tickModule advances one module one cycle.  A module touches only its own
 // metadata shard and the last-stage switch mod/radix, so the radix modules
 // behind one last-stage switch form a conflict group under the parallel
-// stepper; orphans accumulate through the pointer so each worker's count
-// stays on its own shard.
-func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
-	if s.modDead(mod) {
-		return // crashed module serves nothing until it restarts
-	}
-	if s.rec != nil && s.rec.CheckpointDue(s.cycle) {
-		// Commit the module's recovery image: executed-but-uncommitted
-		// leaves join the committed cache and withheld replies become
-		// releasable (output commit) — see memory.Module.Checkpoint.
-		s.mem.Module(mod).Checkpoint()
-		st.Checkpoints++
-	}
-	if s.flt != nil && s.flt.MemStalled(mod, s.cycle) {
-		return // module inside a slowdown window serves nothing
+// stepper; the rim's counts go through sh so each worker's stay on its own
+// shard.
+func (s *Sim) tickModule(mod int, st *Stats, sh *engine.Shard) {
+	if !s.ModuleUp(mod, sh) || s.MemStalled(mod) {
+		return
 	}
 	sw := s.stages[s.k-1][mod/s.radix]
 	if !sw.canAcceptReply() {
@@ -998,48 +542,30 @@ func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
 		st.HoldsMemOut++
 		return
 	}
-	rep, ok := s.mem.Module(mod).Tick()
+	rep, m, ok := s.Serve(mod, sh)
 	if !ok {
 		return
 	}
-	st.MemAcks++
-	box, found := s.meta[mod][rep.ID]
-	if !found {
-		if s.flt != nil {
-			// Expected under retransmission: when an original and a
-			// retransmit both reach memory, the first reply consumes
-			// the metadata and the second becomes an orphan.
-			*orphans++
-			return
-		}
-		panic(fmt.Sprintf("network: cycle %d, module %d: reply id %d (%v) with no request metadata",
-			s.cycle, mod, rep.ID, rep))
-	}
-	m := *box
-	*box = fwdMsg{}
-	s.metaFree[mod] = append(s.metaFree[mod], box)
-	delete(s.meta[mod], rep.ID)
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(Event{Cycle: s.cycle, Kind: EvMemServe,
-			ID: rep.ID, Addr: m.req.Addr, Stage: -1, Switch: mod})
+	if sw.trace != nil {
+		sw.trace(Event{Kind: EvMemServe, ID: rep.ID, Addr: m.Req.Addr, Stage: -1, Switch: mod})
 	}
 	sw.acceptReply(revMsg{
 		rep:        rep,
-		path:       m.path,
-		issueCycle: m.issueCycle,
-		hot:        m.hot,
-		slots:      boolSlots(rmw.NeedsValue(m.req.Op)),
+		path:       m.Path,
+		issueCycle: m.Issue,
+		hot:        m.Hot,
+		slots:      boolSlots(rmw.NeedsValue(m.Req.Op)),
 	})
 }
 
 // drainForward moves one request per forward link per cycle, memory side
 // first, with round-robin switch/port arbitration as in drainReverse.
 func (s *Sim) drainForward() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for stage := s.k - 1; stage >= 0; stage-- {
 		ns := len(s.stages[stage])
 		for si := 0; si < ns; si++ {
-			s.fwdSwitch(stage, (si+rot)%ns, &s.stats)
+			s.fwdSwitch(stage, (si+rot)%ns, &s.stats, s.Own())
 		}
 	}
 }
@@ -1051,15 +577,12 @@ func (s *Sim) drainForward() {
 // next-stage switches (idx mod n/radix²)·radix + port, so exactly the radix
 // switches congruent mod n/radix² share a next-stage set — the strided
 // conflict groups the parallel stepper partitions on.
-func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
-	if s.flt != nil && s.stallMask[stage][idx] {
-		return // blacked-out switch moves nothing this cycle
-	}
-	if s.swDead(stage, idx) {
-		return // crashed switch moves nothing until it restarts
+func (s *Sim) fwdSwitch(stage, idx int, st *Stats, sh *engine.Shard) {
+	if s.down(stage, idx) {
+		return
 	}
 	sw := s.stages[stage][idx]
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
 		if len(sw.outQ[port]) == 0 {
@@ -1068,67 +591,45 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
 		m := sw.outQ[port][0]
 		outLine := sw.index*s.radix + port
 		if stage == s.k-1 {
-			// The link into module outLine.
-			if s.modDead(outLine) {
-				// Dead module: hold the request in the switch — it was
-				// flushed once at the crash; nothing new is fed to it.
-				st.HoldsMem++
-				continue
-			}
-			if !s.mem.Module(outLine).CanEnqueue() {
-				// Bounded module input full: hold the request in
-				// the switch — the backpressure that turns a hot
-				// module into tree saturation instead of unbounded
-				// memory-side buffering.
+			// The link into module outLine.  A dead module was flushed
+			// once at its crash and is fed nothing new; a full one holds
+			// the request in the switch — the backpressure that turns a
+			// hot module into tree saturation instead of unbounded
+			// memory-side buffering.
+			if s.ModuleDead(outLine) || !s.Memory().Module(outLine).CanEnqueue() {
 				st.HoldsMem++
 				continue
 			}
 			sw.popFwd(port)
-			if s.flt != nil && (s.flt.DropForward(
-				faults.Site(s.k, outLine, 0), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(s.k, outLine, s.cycle)) {
+			if s.LinkDropsFwd(s.k, outLine, 0, &m.Req) {
 				continue // request lost on the memory link
 			}
 			st.FwdHops++
-			st.FwdSlots += int64(core.ValueSlots(m.req.Op))
-			if s.adv {
-				if d := s.flt.ReorderDelay(faults.Site(s.k, outLine, 0),
-					m.req.ID, m.req.Attempt); d > 0 {
-					s.fwdLimbo = append(s.fwdLimbo,
-						heldFwd{release: s.cycle + d, mod: outLine, m: m})
-					continue
-				}
-				s.memEnter(outLine, m, st)
-				continue
-			}
-			st.MemRequests++
-			s.metaInsert(outLine, m)
-			s.mem.Module(outLine).Enqueue(m.req)
+			st.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+			s.EnterMemory(faults.Site(s.k, outLine, 0), outLine, m, sh)
 			continue
 		}
 		nextLine := s.topo.NextLine(stage, outLine)
-		next := s.stages[stage+1][nextLine/s.radix]
-		if s.swDead(stage+1, nextLine/s.radix) {
+		nextIdx, nextPort := nextLine/s.radix, nextLine%s.radix
+		if s.SwitchDead(stage+1, nextIdx) {
 			continue // dead downstream switch: hold the request here
 		}
-		if s.flt != nil && (s.flt.DropForward(
-			faults.Site(stage+1, nextLine/s.radix, nextLine%s.radix), m.req.ID, m.req.Attempt) ||
-			s.flt.DropLinkFwd(stage+1, nextLine/s.radix, s.cycle)) {
+		if s.LinkDropsFwd(stage+1, nextIdx, nextPort, &m.Req) {
 			sw.popFwd(port)
 			continue // request lost on the inter-stage link
 		}
-		dst := s.destModule(m.req.Addr)
-		if next.tryAccept(m, s.outPortFor(stage+1, dst), uint8(nextLine%s.radix), st) {
+		dst := s.destModule(m.Req.Addr)
+		if s.stages[stage+1][nextIdx].tryAccept(m, s.outPortFor(stage+1, dst), uint8(nextPort), st) {
 			sw.popFwd(port)
 			st.FwdHops++
-			st.FwdSlots += int64(core.ValueSlots(m.req.Op))
+			st.FwdSlots += int64(core.ValueSlots(m.Req.Op))
 		}
 	}
 }
 
 // getPath returns an empty path header with capacity for all k stages,
-// reusing storage recycled by deliverCommon: at steady state the
-// inject→deliver loop cycles a fixed set of arrays and allocates nothing.
+// reusing recycled storage: at steady state the inject→deliver loop cycles
+// a fixed set of arrays and allocates nothing.
 func (s *Sim) getPath() []uint8 {
 	if n := len(s.pathFree); n > 0 {
 		p := s.pathFree[n-1]
@@ -1148,93 +649,44 @@ func (s *Sim) putPath(p []uint8) {
 	s.pathFree = append(s.pathFree, p[:0])
 }
 
-// injectAll offers each processor's next request to stage 0, in rotating
-// order so no processor port permanently outranks another.
+// injectAll offers each processor's request to stage 0, in rotating order
+// so no processor port permanently outranks another.  A port whose stage-0
+// switch is dead holds its offer; the path header is attached only for the
+// attempt, so a lost or refused offer never strands one.
 func (s *Sim) injectAll() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for pi := 0; pi < s.n; pi++ {
 		proc := (pi + rot) % s.n
-		if s.flt != nil && len(s.retry[proc]) > 0 {
-			// Retransmissions take the port's injection slot this cycle,
-			// bypassing the pending slot entirely: a fresh request held
-			// there (HeldBack) may be waiting on exactly the delivery
-			// this retransmit recovers.
-			m := s.retry[proc][0]
-			line := s.topo.ProcLine(proc)
-			if s.swDead(0, line/s.radix) {
-				continue // dead stage-0 switch: hold the retransmit
-			}
-			if s.flt.DropForward(faults.Site(0, line/s.radix, line%s.radix), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(0, line/s.radix, s.cycle) {
-				s.putPath(m.path)
-				s.retry[proc] = s.retry[proc][1:]
-				continue
-			}
-			sw := s.stages[0][line/s.radix]
-			dst := s.destModule(m.req.Addr)
-			if sw.tryAccept(m, s.outPortFor(0, dst), uint8(line%s.radix), &s.stats) {
-				s.retry[proc] = s.retry[proc][1:]
-				s.stats.FwdHops++
-				s.stats.FwdSlots += int64(core.ValueSlots(m.req.Op))
-			}
-			continue
-		}
-		if !s.hasPending[proc] {
-			inj, ok := s.inj[proc].Next(s.cycle)
-			if !ok {
-				continue
-			}
-			req := inj.Req
-			if s.trk != nil {
-				if req.Reps == nil && len(req.Srcs) == 1 {
-					// The reply cache needs every message to name its
-					// leaves exactly.
-					req = req.WithReps()
-				}
-				s.trk.Track(proc, req, inj.Hot, s.cycle)
-			}
-			s.pending[proc] = fwdMsg{req: req, path: s.getPath(), issueCycle: s.cycle, hot: inj.Hot}
-			s.hasPending[proc] = true
-			s.stats.Issued++
-			if s.cfg.Trace != nil {
-				s.cfg.Trace(Event{Cycle: s.cycle, Kind: EvInject,
-					ID: req.ID, Addr: req.Addr, Stage: -1, Switch: proc})
-			}
-		}
-		m := &s.pending[proc]
-		if s.trk != nil && m.req.Attempt == 0 && s.trk.HeldBack(proc, m.req.Addr) {
-			// An earlier request to the same address is undelivered; hold
-			// this one at the port so a drop cannot reorder the
-			// processor's own accesses to the location.
+		m := s.Offer(proc)
+		if m == nil {
 			continue
 		}
 		line := s.topo.ProcLine(proc)
-		if s.swDead(0, line/s.radix) {
-			continue // dead stage-0 switch: hold the request at the port
-		}
-		if s.flt != nil && (s.flt.DropForward(
-			faults.Site(0, line/s.radix, line%s.radix), m.req.ID, m.req.Attempt) ||
-			s.flt.DropLinkFwd(0, line/s.radix, s.cycle)) {
-			// Lost on the processor-to-stage-0 link; the header never
-			// entered the network, so it recycles immediately.
-			s.putPath(m.path)
-			s.hasPending[proc] = false
+		idx, port := line/s.radix, line%s.radix
+		if s.SwitchDead(0, idx) {
 			continue
 		}
-		sw := s.stages[0][line/s.radix]
-		dst := s.destModule(m.req.Addr)
-		if sw.tryAccept(*m, s.outPortFor(0, dst), uint8(line%s.radix), &s.stats) {
-			s.hasPending[proc] = false
-			s.stats.FwdHops++
-			s.stats.FwdSlots += int64(core.ValueSlots(m.req.Op))
+		if s.LinkDropsFwd(0, idx, port, &m.Req) {
+			s.Lost(proc) // on the processor-to-stage-0 link
+			continue
 		}
+		msg := *m
+		msg.Path = s.getPath()
+		dst := s.destModule(msg.Req.Addr)
+		if !s.stages[0][idx].tryAccept(msg, s.outPortFor(0, dst), uint8(port), &s.stats) {
+			s.putPath(msg.Path)
+			continue
+		}
+		s.Sent(proc)
+		s.stats.FwdHops++
+		s.stats.FwdSlots += int64(core.ValueSlots(msg.Req.Op))
 	}
 }
 
-// Stats snapshots the run statistics, folding in per-switch counters.
-func (s *Sim) Stats() Stats {
+// fabricStats folds the per-switch counters into the fabric's own half of
+// the run statistics.
+func (s *Sim) fabricStats() Stats {
 	st := s.stats
-	st.Latency = s.lat.Snapshot()
 	for _, stage := range s.stages {
 		for _, sw := range stage {
 			st.Rejects += sw.wait.Rejections
@@ -1243,113 +695,30 @@ func (s *Sim) Stats() Stats {
 			}
 		}
 	}
-	st.MaxMemQueue = s.mem.MaxQueueDepth()
+	st.MaxMemQueue = s.Memory().MaxQueueDepth()
 	return st
 }
 
-// Snapshot captures the run's instrumentation behind the shared
-// cross-engine API (see internal/stats).
-func (s *Sim) Snapshot() stats.Snapshot {
-	st := s.Stats()
-	snap := stats.Snapshot{
-		Engine: "network",
-		Counters: engine.Counters{
-			Cycles:           st.Cycles,
-			Issued:           st.Issued,
-			Completed:        st.Completed,
-			HotCompleted:     st.HotCompleted,
-			ColdCompleted:    st.ColdCompleted,
-			Replies:          st.Completed,
-			Combines:         st.Combines,
-			CombineRejects:   st.Rejects,
-			FwdHops:          st.FwdHops,
-			RevHops:          st.RevHops,
-			FwdSlots:         st.FwdSlots,
-			RevSlots:         st.RevSlots,
-			MemRequests:      st.MemRequests,
-			MemAcks:          st.MemAcks,
-			SaturationCycles: st.SaturationCycles,
-			HoldsRev:         st.HoldsRev,
-			HoldsMem:         st.HoldsMem,
-			HoldsMemOut:      st.HoldsMemOut,
-			WatchdogTrips:    st.WatchdogTrips,
-			Checkpoints:      st.Checkpoints,
-		}.Map(),
-		Gauges: map[string]int64{
-			"max_out_queue":         int64(st.MaxOutQueue),
-			"max_rev_queue":         int64(st.MaxRevQueue),
-			"max_mem_queue":         int64(st.MaxMemQueue),
-			"saturation_max_streak": st.SaturationMaxStreak,
-		},
-		Histograms: map[string]stats.HistogramSnapshot{
-			"latency_cycles": st.Latency,
-		},
-	}
-	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.orphans, s.rec.Counters())
-	}
-	return snap
+// Stats snapshots the run statistics.
+func (s *Sim) Stats() Stats {
+	st := s.fabricStats()
+	st.Totals = s.Totals()
+	st.Latency = s.Latency()
+	return st
 }
 
-// Recovery exposes the crash–restart ledger (nil without crash windows).
-func (s *Sim) Recovery() *recover.Manager { return s.rec }
-
-// Faults exposes the fault injector (nil on a healthy machine).
-func (s *Sim) Faults() *faults.Injector { return s.flt }
-
-// Tracker exposes the exactly-once delivery ledger (nil on a healthy
-// machine).
-func (s *Sim) Tracker() *faults.Tracker { return s.trk }
-
-// Orphans reports replies that arrived with no request metadata (fault mode
-// only; on a healthy machine an orphan is a bug and panics instead).
-func (s *Sim) Orphans() int64 { return s.orphans }
-
-// InFlight reports requests somewhere in the machine: pending at the
-// injection port, queued in switches, in memory, or replies in transit.
-// Under a fault plan, physical occupancy is the wrong notion — messages
-// vanish on dropped links and stale wait records linger by design — so the
-// tracker's ledger answers instead: requests issued but not yet delivered.
-func (s *Sim) InFlight() int {
-	if s.trk != nil {
-		return s.trk.Outstanding()
-	}
-	n := 0
-	for _, occupied := range s.hasPending {
-		if occupied {
-			n++
-		}
-	}
-	for _, stage := range s.stages {
-		for _, sw := range stage {
-			for port := 0; port < s.radix; port++ {
-				n += len(sw.outQ[port]) + len(sw.revQ[port])
-			}
-			n += sw.wait.Len()
-		}
-	}
-	for mod := 0; mod < s.n; mod++ {
-		n += s.mem.Module(mod).QueueLen()
-	}
-	return n
-}
-
-// Drain runs the machine until no requests remain in flight (injectors
-// willing, i.e. they stop offering traffic), up to the given cycle bound.
-// It reports whether the machine fully drained.
-func (s *Sim) Drain(maxCycles int) bool {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < maxCycles; i++ {
-		if s.wd.Tripped() {
-			return false // stalled: no amount of further cycles drains it
-		}
-		s.Step()
-		if s.InFlight() == 0 {
-			return true
-		}
-	}
-	return s.InFlight() == 0
+// observe adds the staged fabric's counters and gauges to a snapshot the
+// rim has started.
+func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
+	st := s.fabricStats()
+	tot := s.Totals()
+	c.Combines = st.Combines
+	c.CombineRejects = st.Rejects
+	c.FwdHops, c.RevHops = st.FwdHops, st.RevHops
+	c.FwdSlots, c.RevSlots = st.FwdSlots, st.RevSlots
+	c.MemRequests, c.MemAcks = tot.MemRequests, tot.MemAcks
+	c.HoldsRev, c.HoldsMem, c.HoldsMemOut = st.HoldsRev, st.HoldsMem, st.HoldsMemOut
+	gauges["max_out_queue"] = int64(st.MaxOutQueue)
+	gauges["max_rev_queue"] = int64(st.MaxRevQueue)
+	gauges["max_mem_queue"] = int64(st.MaxMemQueue)
 }

@@ -19,23 +19,14 @@
 package network
 
 import (
-	"fmt"
-
 	"combining/internal/core"
+	"combining/internal/engine"
 )
 
-// fwdMsg is a request message in flight, carrying its path header: the
-// input port used at each stage so far, pushed as it ascends.
-type fwdMsg struct {
-	req core.Request
-	// path[s] is the switch input port (0 or 1) the message used at
-	// stage s.  Replies pop these in reverse.
-	path []uint8
-	// issueCycle timestamps injection, for latency accounting.
-	issueCycle int64
-	// hot marks hot-spot traffic for the per-class latency metrics.
-	hot bool
-}
+// fwdMsg is a request message in flight — the rim's message, whose Path
+// header this fabric builds: the input port used at each stage so far,
+// pushed as the request ascends.  Replies pop the entries in reverse.
+type fwdMsg = engine.Fwd
 
 // revMsg is a reply message descending toward a processor.
 type revMsg struct {
@@ -68,20 +59,4 @@ type netRecord struct {
 	// reps2 names the second request's leaves so a crash flushing this
 	// record can report exactly which operations lost their reply path.
 	reps2 []core.Leaf
-}
-
-// cloneForDup returns a deep copy of the reply message for network-born
-// duplication: the path header and the reply's Leaves map are copied into
-// fresh storage, so the original's later path truncations — and
-// deliverCommon's recycling of the header into the injection pool — cannot
-// corrupt the duplicate, nor vice versa.
-func (r revMsg) cloneForDup() revMsg {
-	c := r
-	c.path = append(make([]uint8, 0, cap(r.path)), r.path...)
-	c.rep = r.rep.Clone()
-	return c
-}
-
-func (m fwdMsg) String() string {
-	return fmt.Sprintf("%v path=%v", m.req, m.path)
 }

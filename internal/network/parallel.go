@@ -31,18 +31,20 @@ package network
 import (
 	"sort"
 
+	"combining/internal/engine"
 	"combining/internal/par"
 )
 
-// netShard is one worker's private slice of the per-cycle statistics,
-// merged into Sim.stats by mergeShards after the phases.  The trailing
+// netShard is one worker's private slice of the per-cycle statistics — the
+// fabric's and, in rim, the shell's — merged by mergeShards after the
+// phases.  The trailing
 // pad keeps adjacent shards off one cache line: the shards live in a
 // contiguous slice and every worker writes its own on every phase, so
 // unpadded neighbors would false-share at the boundaries.
 type netShard struct {
-	st      Stats
-	orphans int64
-	_       [64]byte
+	st  Stats
+	rim engine.Shard
+	_   [64]byte
 }
 
 // delivery is a stage-0 reply buffered during the parallel reverse phase
@@ -66,7 +68,7 @@ func (s *Sim) runPhases() {
 
 // phaseWorker is the per-worker body of one parallel cycle.
 func (s *Sim) phaseWorker(w int) {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	workers := s.pool.Workers()
 	sh := &s.shards[w]
 
@@ -112,7 +114,7 @@ func (s *Sim) phaseWorker(w int) {
 	mlo, mhi := par.Split(ngm, workers, w)
 	for b := mlo; b < mhi; b++ {
 		for j := 0; j < s.radix; j++ {
-			s.tickModule(b*s.radix+j, &sh.st, &sh.orphans)
+			s.tickModule(b*s.radix+j, &sh.st, &sh.rim)
 		}
 	}
 	s.bar.Sync(w)
@@ -122,7 +124,7 @@ func (s *Sim) phaseWorker(w int) {
 	nsLast := len(s.stages[s.k-1])
 	flo, fhi := par.Split(nsLast, workers, w)
 	for idx := flo; idx < fhi; idx++ {
-		s.fwdSwitch(s.k-1, idx, &sh.st)
+		s.fwdSwitch(s.k-1, idx, &sh.st, &sh.rim)
 	}
 	if s.k > 1 {
 		s.bar.Sync(w)
@@ -133,7 +135,7 @@ func (s *Sim) phaseWorker(w int) {
 		groups := s.fwdGroups[stage]
 		glo, ghi := par.Split(len(groups), workers, w)
 		for g := glo; g < ghi; g++ {
-			s.runFwdGroup(stage, groups[g], rot, &sh.st)
+			s.runFwdGroup(stage, groups[g], rot, sh)
 		}
 		if stage > 0 {
 			s.bar.Sync(w)
@@ -158,14 +160,14 @@ func (s *Sim) runRevGroup(stage int, members []int, rot int, st *Stats) {
 
 // runFwdGroup processes one forward conflict group of a stage < k−1 in the
 // serial rotation order (same slot arithmetic as runRevGroup).
-func (s *Sim) runFwdGroup(stage int, members []int, rot int, st *Stats) {
+func (s *Sim) runFwdGroup(stage int, members []int, rot int, sh *netShard) {
 	ns := len(s.stages[stage])
 	split := sort.SearchInts(members, ((rot%ns)+ns)%ns)
 	for _, idx := range members[split:] {
-		s.fwdSwitch(stage, idx, st)
+		s.fwdSwitch(stage, idx, &sh.st, &sh.rim)
 	}
 	for _, idx := range members[:split] {
-		s.fwdSwitch(stage, idx, st)
+		s.fwdSwitch(stage, idx, &sh.st, &sh.rim)
 	}
 }
 
@@ -184,13 +186,10 @@ func (s *Sim) mergeShards() {
 		s.stats.RevHops += sh.st.RevHops
 		s.stats.FwdSlots += sh.st.FwdSlots
 		s.stats.RevSlots += sh.st.RevSlots
-		s.stats.MemRequests += sh.st.MemRequests
-		s.stats.MemAcks += sh.st.MemAcks
-		s.stats.Checkpoints += sh.st.Checkpoints
 		if sh.st.MaxOutQueue > s.stats.MaxOutQueue {
 			s.stats.MaxOutQueue = sh.st.MaxOutQueue
 		}
-		s.orphans += sh.orphans
-		*sh = netShard{}
+		s.Merge(&sh.rim)
+		sh.st = Stats{}
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/rmw"
 	"combining/internal/word"
 )
@@ -27,10 +28,9 @@ type switchNode struct {
 	// buggyForward enables the incorrect early-reply optimization of
 	// Section 5.1 (Config.BuggyLoadForwarding).
 	buggyForward bool
-	// trace, when non-nil, observes combine/decombine/reject events;
-	// cycleRef supplies the current cycle for event timestamps.
-	trace    func(Event)
-	cycleRef *int64
+	// trace, when non-nil, observes combine/decombine/reject events; the
+	// machine stamps the cycle.
+	trace func(Event)
 
 	// CombinedHere counts requests absorbed by combining at this switch.
 	CombinedHere int64
@@ -38,7 +38,7 @@ type switchNode struct {
 
 // fwdReq projects a queued forward message to its request for the shared
 // combine scan.
-func fwdReq(m *fwdMsg) *core.Request { return &m.req }
+func fwdReq(m *fwdMsg) *core.Request { return &m.Req }
 
 func newSwitch(stage, index, radix, outCap, revCap, waitCap int, pol core.Policy, buggyForward bool) *switchNode {
 	return &switchNode{
@@ -60,14 +60,14 @@ func newSwitch(stage, index, radix, outCap, revCap, waitCap int, pol core.Policy
 // appends to the queue if space remains.  It reports false when the
 // message cannot be accepted this cycle (the upstream holds it).
 func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) bool {
-	m.path = append(m.path, inPort)
+	m.Path = append(m.Path, inPort)
 	q := &sw.outQ[outPort]
 	if sw.buggyForward {
-		if _, isLoad := m.req.Op.(rmw.Load); isLoad {
+		if _, isLoad := m.Req.Op.(rmw.Load); isLoad {
 			for i := range *q {
 				queued := (*q)[i]
-				c, isConst := queued.req.Op.(rmw.Const)
-				if !isConst || queued.req.Addr != m.req.Addr {
+				c, isConst := queued.Req.Op.(rmw.Const)
+				if !isConst || queued.Req.Addr != m.Req.Addr {
 					continue
 				}
 				// Answer the load NOW with the store's value, while
@@ -75,10 +75,10 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 				// incorrect optimization.  The synthesized reply
 				// descends from this switch along the load's path.
 				sw.acceptReply(revMsg{
-					rep:        core.Reply{ID: m.req.ID, Val: word.W(c.V)},
-					path:       m.path,
-					issueCycle: m.issueCycle,
-					hot:        m.hot,
+					rep:        core.Reply{ID: m.Req.ID, Val: word.W(c.V)},
+					path:       m.Path,
+					issueCycle: m.Issue,
+					hot:        m.Hot,
 					slots:      1,
 				})
 				return true
@@ -88,14 +88,14 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 	// Only the LAST queued request for the address is a legal combining
 	// partner (M2.3) — the scan shared with the other engines via
 	// core.CombineAtTail.
-	tc, rejected, ok := core.CombineAtTail(*q, fwdReq, m.req, sw.pol, sw.wait.CanPush)
+	tc, rejected, ok := core.CombineAtTail(*q, fwdReq, m.Req, sw.pol, sw.wait.CanPush)
 	if rejected {
 		// A full wait buffer forfeits the combine; count the missed
 		// opportunity for the partial-combining ablation.
 		sw.wait.Rejections++
 		if sw.trace != nil {
-			sw.trace(Event{Cycle: *sw.cycleRef, Kind: EvCombineReject,
-				ID: m.req.ID, Addr: m.req.Addr, Stage: sw.stage, Switch: sw.index})
+			sw.trace(Event{Kind: EvCombineReject,
+				ID: m.Req.ID, Addr: m.Req.Addr, Stage: sw.stage, Switch: sw.index})
 		}
 	}
 	if ok {
@@ -109,25 +109,26 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 		}
 		nr := netRecord{
 			Record:     tc.Rec,
-			pathSecond: second.path,
-			issue2:     second.issueCycle,
-			hot2:       second.hot,
-			needs1:     rmw.NeedsValue(first.req.Op),
-			needs2:     rmw.NeedsValue(second.req.Op),
-			reps2:      second.req.Reps,
+			pathSecond: second.Path,
+			issue2:     second.Issue,
+			hot2:       second.Hot,
+			needs1:     rmw.NeedsValue(first.Req.Op),
+			needs2:     rmw.NeedsValue(second.Req.Op),
+			reps2:      second.Req.Reps,
 		}
 		if sw.wait.Push(tc.Rec.ID1, nr) {
 			*queued = fwdMsg{
-				req:        tc.Combined,
-				path:       first.path,
-				issueCycle: first.issueCycle,
-				hot:        first.hot,
+				Req:   tc.Combined,
+				Src:   first.Src,
+				Issue: first.Issue,
+				Hot:   first.Hot,
+				Path:  first.Path,
 			}
 			sw.CombinedHere++
 			st.Combines++
 			if sw.trace != nil {
-				sw.trace(Event{Cycle: *sw.cycleRef, Kind: EvCombine,
-					ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.req.Addr,
+				sw.trace(Event{Kind: EvCombine,
+					ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.Req.Addr,
 					Stage: sw.stage, Switch: sw.index})
 			}
 			return true
@@ -187,7 +188,7 @@ func (sw *switchNode) acceptReply(r revMsg) {
 	if rec, ok := sw.wait.PopMatch(r.rep.ID, match); ok {
 		r1, r2 := core.DecombineExact(rec.Record, r.rep)
 		if sw.trace != nil {
-			sw.trace(Event{Cycle: *sw.cycleRef, Kind: EvDecombine,
+			sw.trace(Event{Kind: EvDecombine,
 				ID: r1.ID, ID2: r2.ID, Stage: sw.stage, Switch: sw.index})
 		}
 		sw.acceptReply(revMsg{
@@ -222,40 +223,19 @@ func (sw *switchNode) acceptReply(r revMsg) {
 // nothing) and the second requester recovers by retransmitting.
 func (sw *switchNode) crash() []word.ReqID {
 	var ids []word.ReqID
-	addReq := func(req *core.Request) {
-		if req.Reps == nil {
-			ids = append(ids, req.ID)
-			return
-		}
-		for _, lf := range req.Reps {
-			ids = append(ids, lf.ID)
-		}
-	}
 	for port := range sw.outQ {
 		for i := range sw.outQ[port] {
-			addReq(&sw.outQ[port][i].req)
+			req := &sw.outQ[port][i].Req
+			ids = engine.LostLeaves(ids, req.Reps, req.ID)
 		}
 		sw.outQ[port] = nil
 		for i := range sw.revQ[port] {
-			rep := &sw.revQ[port][i].rep
-			if rep.Leaves == nil {
-				ids = append(ids, rep.ID)
-				continue
-			}
-			for id := range rep.Leaves {
-				ids = append(ids, id)
-			}
+			ids = engine.LostReply(ids, &sw.revQ[port][i].rep)
 		}
 		sw.revQ[port] = nil
 	}
 	for _, rec := range sw.wait.Flush() {
-		if rec.reps2 == nil {
-			ids = append(ids, rec.ID2)
-			continue
-		}
-		for _, lf := range rec.reps2 {
-			ids = append(ids, lf.ID)
-		}
+		ids = engine.LostLeaves(ids, rec.reps2, rec.ID2)
 	}
 	return ids
 }

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"combining/internal/core"
 	"combining/internal/word"
 )
 
@@ -99,4 +100,36 @@ func (l *TraceLog) Count(kind EventKind) int {
 		}
 	}
 	return n
+}
+
+// tracedPort wraps one processor's injector so the port's two events —
+// issue and delivery — reach the trace; the rim that owns the port is
+// trace-free.
+type tracedPort struct {
+	Injector
+	proc  int
+	trace func(Event)
+}
+
+func (t tracedPort) Next(cycle int64) (Injection, bool) {
+	in, ok := t.Injector.Next(cycle)
+	if ok {
+		t.trace(Event{Cycle: cycle, Kind: EvInject,
+			ID: in.Req.ID, Addr: in.Req.Addr, Stage: -1, Switch: t.proc})
+	}
+	return in, ok
+}
+
+func (t tracedPort) Deliver(rep core.Reply, cycle int64) {
+	t.trace(Event{Cycle: cycle, Kind: EvDeliver, ID: rep.ID, Stage: -1, Switch: t.proc})
+	t.Injector.Deliver(rep, cycle)
+}
+
+// tracedPorts wraps every injector of a traced machine.
+func tracedPorts(inj []Injector, trace func(Event)) []Injector {
+	out := make([]Injector, len(inj))
+	for p := range inj {
+		out[p] = tracedPort{Injector: inj[p], proc: p, trace: trace}
+	}
+	return out
 }
