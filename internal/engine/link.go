@@ -132,10 +132,12 @@ func (s *Shell) FlushMeta(lost func(m *Fwd)) {
 // nothing until it restarts; a live one commits its recovery image when a
 // checkpoint is due — executed-but-uncommitted leaves join the committed
 // cache and withheld replies become releasable (memory.Module.Checkpoint).
+// Without crash windows it inlines to one nil check.
 func (s *Shell) ModuleUp(mod int, sh *Shard) bool {
-	if s.rec == nil {
-		return true
-	}
+	return s.rec == nil || s.moduleUp(mod, sh)
+}
+
+func (s *Shell) moduleUp(mod int, sh *Shard) bool {
 	if s.memDead[mod] {
 		return false
 	}
@@ -179,21 +181,27 @@ func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, Fwd, bool) {
 	return rep, m, true
 }
 
-// Deliver carries a reply across the terminal link to processor proc.
-// Under an adversarial plan the link may defer (reorder), duplicate or
-// corrupt it; the reply is stamped here, the last trusted hop.
+// Deliver carries a reply across the terminal link to processor proc.  On
+// a trusted link with nothing behind it the reply simply completes.
 func (s *Shell) Deliver(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
 	if s.adv {
-		rep = core.StampReply(rep)
-		if d := s.flt.ReorderDelay(site, rep.ID, rep.Attempt); d > 0 {
-			s.revLimbo = append(s.revLimbo,
-				heldRev{release: s.cycle + d, site: site, proc: proc, rep: rep, issue: issue, hot: hot})
-			return
-		}
-		s.deliverVerified(site, proc, rep, issue, hot)
+		s.deliverStamped(site, proc, rep, issue, hot)
 		return
 	}
 	s.arrive(proc, rep, issue, hot)
+}
+
+// deliverStamped is the fabric side of the adversarial link, the last
+// trusted hop: the reply is stamped with its checksum, then the link may
+// defer it into limbo (reorder) before the far side sees it.
+func (s *Shell) deliverStamped(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
+	rep = core.StampReply(rep)
+	if d := s.flt.ReorderDelay(site, rep.ID, rep.Attempt); d > 0 {
+		s.revLimbo = append(s.revLimbo,
+			heldRev{release: s.cycle + d, site: site, proc: proc, rep: rep, issue: issue, hot: hot})
+		return
+	}
+	s.deliverVerified(site, proc, rep, issue, hot)
 }
 
 // deliverVerified is the processor side of the adversarial link: corrupt on
@@ -216,6 +224,7 @@ func (s *Shell) deliverVerified(site uint64, proc int, rep core.Reply, issue int
 	s.arrive(proc, rep, issue, hot)
 }
 
+// arrive is the far side of the processor link.
 func (s *Shell) arrive(proc int, rep core.Reply, issue int64, hot bool) {
 	if s.hooks.Reassemble != nil {
 		s.hooks.Reassemble(proc, rep, issue, hot)

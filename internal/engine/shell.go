@@ -299,8 +299,11 @@ func (s *Shell) Step() {
 	s.tot.Cycles++
 	if s.flt != nil {
 		// Each stall query counts a lost switch-cycle: once per site.
-		for d := range s.stall {
-			s.stall[d] = s.flt.Stalled(d/s.width, d%s.width, s.cycle)
+		for d, stage := 0, 0; d < len(s.stall); stage++ {
+			for idx := 0; idx < s.width; idx++ {
+				s.stall[d] = s.flt.Stalled(stage, idx, s.cycle)
+				d++
+			}
 		}
 		if s.rec != nil {
 			s.updateCrashState()
@@ -330,16 +333,18 @@ func (s *Shell) Step() {
 // checkpoint (module).  Every injector query counts a dead component-cycle,
 // so each site is asked exactly once per cycle.
 func (s *Shell) updateCrashState() {
-	for d := range s.swDead {
-		stage, idx := d/s.width, d%s.width
-		dead := s.flt.SwitchCrashed(stage, idx, s.cycle)
-		if dead && !s.swDead[d] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.hooks.Flush(stage, idx))
-		} else if !dead && s.swDead[d] {
-			s.rec.NoteRestore()
+	for d, stage := 0, 0; d < len(s.swDead); stage++ {
+		for idx := 0; idx < s.width; idx++ {
+			dead := s.flt.SwitchCrashed(stage, idx, s.cycle)
+			if dead && !s.swDead[d] {
+				s.rec.NoteCrash()
+				s.rec.NoteLost(s.trk, s.hooks.Flush(stage, idx))
+			} else if !dead && s.swDead[d] {
+				s.rec.NoteRestore()
+			}
+			s.swDead[d] = dead
+			d++
 		}
-		s.swDead[d] = dead
 	}
 	for mod := range s.memDead {
 		dead := s.flt.MemCrashed(mod, s.cycle)
@@ -526,16 +531,23 @@ func (s *Shell) ModuleDead(mod int) bool { return s.rec != nil && s.memDead[mod]
 
 // LinkDropsFwd reports whether the request crossing the link into site
 // (stage, index) at port dies there this cycle — to the plan's Bernoulli
-// forward drops or to a link-down window — counting the loss.
+// forward drops or to a link-down window — counting the loss.  The healthy
+// machine's answer inlines to one nil check per hop.
 func (s *Shell) LinkDropsFwd(stage, index, port int, req *core.Request) bool {
-	return s.flt != nil &&
-		(s.flt.DropForward(faults.Site(stage, index, port), req.ID, req.Attempt) ||
-			s.flt.DropLinkFwd(stage, index, s.cycle))
+	return s.flt != nil && s.dropsFwd(stage, index, port, req)
+}
+
+func (s *Shell) dropsFwd(stage, index, port int, req *core.Request) bool {
+	return s.flt.DropForward(faults.Site(stage, index, port), req.ID, req.Attempt) ||
+		s.flt.DropLinkFwd(stage, index, s.cycle)
 }
 
 // LinkDropsRev is LinkDropsFwd for a reply on the reverse link.
 func (s *Shell) LinkDropsRev(stage, index, port int, rep *core.Reply) bool {
-	return s.flt != nil &&
-		(s.flt.DropReply(faults.Site(stage, index, port), rep.ID, rep.Attempt) ||
-			s.flt.DropLinkRev(stage, index, s.cycle))
+	return s.flt != nil && s.dropsRev(stage, index, port, rep)
+}
+
+func (s *Shell) dropsRev(stage, index, port int, rep *core.Reply) bool {
+	return s.flt.DropReply(faults.Site(stage, index, port), rep.ID, rep.Attempt) ||
+		s.flt.DropLinkRev(stage, index, s.cycle)
 }
