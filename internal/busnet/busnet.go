@@ -227,7 +227,6 @@ func (s *Sim) Stats() Stats {
 // waiting for its bank), published under both the bus-specific and the
 // cross-engine name.
 func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
-	c.HotCompleted, c.ColdCompleted = 0, 0
 	c.Combines = s.stats.Combines
 	c.CombineRejects = s.wait.Rejections
 	c.BankOps = s.Totals().MemRequests

@@ -421,7 +421,6 @@ func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 			maxRev = nd.maxRev
 		}
 	}
-	c.HotCompleted, c.ColdCompleted = 0, 0
 	c.Combines = s.stats.Combines
 	c.MemOps = s.Totals().MemRequests
 	c.FwdHops, c.RevHops = s.stats.FwdHops, s.stats.RevHops

@@ -157,25 +157,25 @@ var goldenTable = map[string]string{
 	"fattree/crashdrop/w1":     "c09c732b412b8a23",
 	"fattree/crashdrop/w3":     "c09c732b412b8a23",
 	"fattree/adversarial/w1":   "979079b6b6009ff8",
-	"hypercube/clean/w1":       "5861ed926c23ba02",
-	"hypercube/clean/w3":       "5861ed926c23ba02",
-	"hypercube/faults/w1":      "217a0f2116d73b4e",
-	"hypercube/faults/w3":      "217a0f2116d73b4e",
-	"hypercube/crashdrop/w1":   "f07410764b63e073",
-	"hypercube/crashdrop/w3":   "f07410764b63e073",
-	"hypercube/adversarial/w1": "9d3716f5ecd8d84f",
-	"torus/clean/w1":           "f8b6e1e7087cdd68",
-	"torus/clean/w3":           "f8b6e1e7087cdd68",
-	"torus/faults/w1":          "92ef94d259f94c10",
-	"torus/faults/w3":          "92ef94d259f94c10",
-	"torus/crashdrop/w1":       "74670601af98e9c5",
-	"torus/crashdrop/w3":       "74670601af98e9c5",
-	"torus/adversarial/w1":     "5a6a6689e5168e7b",
-	"bus/clean/w1":             "15422c68375b93a5",
-	"bus/clean/w3":             "15422c68375b93a5",
-	"bus/faults/w1":            "2b88cecd2cb64a08",
-	"bus/faults/w3":            "2b88cecd2cb64a08",
-	"bus/crashdrop/w1":         "82df3a5ef124c2db",
-	"bus/crashdrop/w3":         "82df3a5ef124c2db",
-	"bus/adversarial/w1":       "754cd84a701b6ad4",
+	"hypercube/clean/w1":       "fc2c7bddd8966d57",
+	"hypercube/clean/w3":       "fc2c7bddd8966d57",
+	"hypercube/faults/w1":      "7f590e65929e2eaf",
+	"hypercube/faults/w3":      "7f590e65929e2eaf",
+	"hypercube/crashdrop/w1":   "ecd9c972c3b99efa",
+	"hypercube/crashdrop/w3":   "ecd9c972c3b99efa",
+	"hypercube/adversarial/w1": "ed15c7e1e8aa5480",
+	"torus/clean/w1":           "98e43d593c32fafd",
+	"torus/clean/w3":           "98e43d593c32fafd",
+	"torus/faults/w1":          "bafceec2172a1421",
+	"torus/faults/w3":          "bafceec2172a1421",
+	"torus/crashdrop/w1":       "155506248a3850a8",
+	"torus/crashdrop/w3":       "155506248a3850a8",
+	"torus/adversarial/w1":     "ec09f16f0e4fa26e",
+	"bus/clean/w1":             "f65ca731e48624a8",
+	"bus/clean/w3":             "f65ca731e48624a8",
+	"bus/faults/w1":            "89a5edc648c8de0d",
+	"bus/faults/w3":            "89a5edc648c8de0d",
+	"bus/crashdrop/w1":         "ca43e2544f9ebd5a",
+	"bus/crashdrop/w3":         "ca43e2544f9ebd5a",
+	"bus/adversarial/w1":       "7953a2d97faeae99",
 }

@@ -38,18 +38,29 @@ func counterKeys(t *testing.T, name string, counters map[string]int64) []string 
 }
 
 // runSchemaEngine drives a soak engine through a short hot-spot workload
-// and returns its sorted snapshot counter keys.
+// and returns its sorted snapshot counter keys.  Delivery accounting is
+// written once in the rim, so on every cycle engine each completion is
+// counted as exactly one of hot or cold — checked here with the requests
+// tagged, so the hot half is not vacuously zero.
 func runSchemaEngine(t *testing.T, name string, build func([]network.Injector) Engine) []string {
 	t.Helper()
 	const nprocs, reqs = 16, 4
 	progs := hotPrograms(nprocs, reqs)
 	m, inj := NewInjectors(progs)
+	for p := range inj {
+		inj[p] = hotTagged{inj[p]}
+	}
 	eng := build(inj)
 	m.BindEngine(eng)
 	if !m.Run(2000000) {
 		t.Fatalf("%s: did not complete (%d in flight)", name, eng.InFlight())
 	}
-	return counterKeys(t, name, eng.Snapshot().Counters)
+	c := eng.Snapshot().Counters
+	if c["hot_completed"]+c["cold_completed"] != c["completed"] || c["hot_completed"] == 0 {
+		t.Errorf("%s: hot_completed %d + cold_completed %d, completed %d",
+			name, c["hot_completed"], c["cold_completed"], c["completed"])
+	}
+	return counterKeys(t, name, c)
 }
 
 // runSchemaAsync runs the goroutine engine through the same shape of
