@@ -57,7 +57,7 @@ func (s *Shell) Merge(sh *Shard) {
 func (s *Shell) EnterMemory(site uint64, mod int, m Fwd, sh *Shard) {
 	if s.adv {
 		if d := s.flt.ReorderDelay(site, m.Req.ID, m.Req.Attempt); d > 0 {
-			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.cycle + d, site: site, mod: mod, m: m})
+			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.tot.Cycles + d, site: site, mod: mod, m: m})
 			return
 		}
 		s.memEnter(site, mod, m, sh)
@@ -141,7 +141,7 @@ func (s *Shell) moduleUp(mod int, sh *Shard) bool {
 	if s.memDead[mod] {
 		return false
 	}
-	if s.rec.CheckpointDue(s.cycle) {
+	if s.rec.CheckpointDue(s.tot.Cycles) {
 		s.mem.Module(mod).Checkpoint()
 		sh.Checkpoints++
 	}
@@ -151,7 +151,7 @@ func (s *Shell) moduleUp(mod int, sh *Shard) bool {
 // MemStalled is the second guard: a module inside a slowdown window serves
 // nothing this cycle (the lost module-cycle is counted).
 func (s *Shell) MemStalled(mod int) bool {
-	return s.flt != nil && s.flt.MemStalled(mod, s.cycle)
+	return s.flt != nil && s.flt.MemStalled(mod, s.tot.Cycles)
 }
 
 // Serve advances module mod one service cycle and, when a reply emerges,
@@ -169,7 +169,7 @@ func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, Fwd, bool) {
 	if !found {
 		if s.flt == nil {
 			panic(fmt.Sprintf("%s: cycle %d, module %d: reply id %d (%v) with no request metadata",
-				s.name, s.cycle, mod, rep.ID, rep))
+				s.name, s.tot.Cycles, mod, rep.ID, rep))
 		}
 		sh.Orphans++
 		return rep, Fwd{}, false
@@ -198,7 +198,7 @@ func (s *Shell) deliverStamped(site uint64, proc int, rep core.Reply, issue int6
 	rep = core.StampReply(rep)
 	if d := s.flt.ReorderDelay(site, rep.ID, rep.Attempt); d > 0 {
 		s.revLimbo = append(s.revLimbo,
-			heldRev{release: s.cycle + d, site: site, proc: proc, rep: rep, issue: issue, hot: hot})
+			heldRev{release: s.tot.Cycles + d, site: site, proc: proc, rep: rep, issue: issue, hot: hot})
 		return
 	}
 	s.deliverVerified(site, proc, rep, issue, hot)
@@ -238,7 +238,7 @@ func (s *Shell) arrive(proc int, rep core.Reply, issue int64, hot bool) {
 // latency, and the completion counters.
 func (s *Shell) Complete(proc int, rep core.Reply, issue int64, hot bool) {
 	if s.trk != nil {
-		if _, ok := s.trk.Deliver(rep.ID, s.cycle); !ok {
+		if _, ok := s.trk.Deliver(rep.ID, s.tot.Cycles); !ok {
 			return // duplicate of an already-delivered reply; suppressed
 		}
 	}
@@ -247,7 +247,7 @@ func (s *Shell) Complete(proc int, rep core.Reply, issue int64, hot bool) {
 		// here by the retry machinery — count the replay.
 		s.rec.NoteDelivered(rep.ID)
 	}
-	lat := s.cycle - issue
+	lat := s.tot.Cycles - issue
 	s.tot.Completed++
 	s.tot.LatencySum += lat
 	s.lat.Record(lat)
@@ -258,7 +258,7 @@ func (s *Shell) Complete(proc int, rep core.Reply, issue int64, hot bool) {
 		s.tot.ColdCompleted++
 		s.tot.ColdLatencySum += lat
 	}
-	s.inj[proc].Deliver(rep, s.cycle)
+	s.inj[proc].Deliver(rep, s.tot.Cycles)
 }
 
 // drainLimbo releases reordered messages whose deferral has elapsed.  It
@@ -273,12 +273,12 @@ func (s *Shell) drainLimbo() {
 	if len(s.fwdLimbo) > 0 {
 		keep := s.fwdLimbo[:0]
 		for _, h := range s.fwdLimbo {
-			if h.release > s.cycle {
+			if h.release > s.tot.Cycles {
 				keep = append(keep, h)
 				continue
 			}
 			if s.ModuleDead(h.mod) || !s.hooks.CanFeed(h.mod) {
-				h.release = s.cycle + 1
+				h.release = s.tot.Cycles + 1
 				keep = append(keep, h)
 				continue
 			}
@@ -289,7 +289,7 @@ func (s *Shell) drainLimbo() {
 	if len(s.revLimbo) > 0 {
 		keep := s.revLimbo[:0]
 		for _, h := range s.revLimbo {
-			if h.release > s.cycle {
+			if h.release > s.tot.Cycles {
 				keep = append(keep, h)
 				continue
 			}

@@ -20,7 +20,7 @@ func (s *Shell) Offer(p int) *Fwd {
 		return &s.retry[p][0]
 	}
 	if !s.hasPending[p] {
-		in, ok := s.inj[p].Next(s.cycle)
+		in, ok := s.inj[p].Next(s.tot.Cycles)
 		if !ok {
 			return nil
 		}
@@ -31,9 +31,9 @@ func (s *Shell) Offer(p int) *Fwd {
 				// leaves exactly.
 				req = req.WithReps()
 			}
-			s.trk.Track(p, req, in.Hot, s.cycle)
+			s.trk.Track(p, req, in.Hot, s.tot.Cycles)
 		}
-		s.pending[p] = Fwd{Req: req, Src: p, Issue: s.cycle, Hot: in.Hot}
+		s.pending[p] = Fwd{Req: req, Src: p, Issue: s.tot.Cycles, Hot: in.Hot}
 		s.hasPending[p] = true
 		s.tot.Issued++
 	}

@@ -189,12 +189,8 @@ type ShellConfig struct {
 // cycle engine embeds one and supplies Hooks; what the engine keeps is its
 // queues and the hop sweeps over them.
 //
-// Worker-phase rule: a parallel sweep may call SwitchStalled, SwitchDead,
-// ModuleDead, LinkDropsFwd, LinkDropsRev, and — for modules the worker
-// owns, with the worker's own Shard — ModuleUp, MemStalled, Serve and
-// EnterMemory.  Offer, Sent, Lost, Deliver and Complete belong to one
-// goroutine at a time.  Adversarial plans, whose limbo buffers EnterMemory
-// appends to, are rejected at Workers > 1 by Spec.
+// Which calls a parallel sweep's workers may make, and with whose Shard, is
+// the worker-phase rule in the package comment.
 type Shell struct {
 	name  string
 	hooks Hooks
@@ -202,11 +198,10 @@ type Shell struct {
 	mem   *memory.Array
 	pool  *par.Pool
 
-	cycle int64
-	tot   Totals
-	lat   stats.Histogram
-	wd    *flow.Watchdog
-	sat   flow.Saturation
+	tot Totals // tot.Cycles is the machine's clock
+	lat stats.Histogram
+	wd  *flow.Watchdog
+	sat flow.Saturation
 
 	// pending holds a request accepted from an injector but not yet taken
 	// by the fabric; values, not pointers, so the steady-state port never
@@ -295,20 +290,19 @@ func (s *Shell) Init(cfg ShellConfig) {
 // Step advances the machine one cycle: the frame's prologue, the fabric's
 // sweep, the frame's epilogue.
 func (s *Shell) Step() {
-	s.cycle++
 	s.tot.Cycles++
 	if s.flt != nil {
 		// Each stall query counts a lost switch-cycle: once per site.
 		for d, stage := 0, 0; d < len(s.stall); stage++ {
 			for idx := 0; idx < s.width; idx++ {
-				s.stall[d] = s.flt.Stalled(stage, idx, s.cycle)
+				s.stall[d] = s.flt.Stalled(stage, idx, s.tot.Cycles)
 				d++
 			}
 		}
 		if s.rec != nil {
 			s.updateCrashState()
 		}
-		for _, p := range s.trk.Expired(s.cycle) {
+		for _, p := range s.trk.Expired(s.tot.Cycles) {
 			s.retry[p.Proc] = append(s.retry[p.Proc],
 				Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot})
 		}
@@ -319,9 +313,7 @@ func (s *Shell) Step() {
 	s.hooks.Sweep()
 
 	s.sat.Observe(s.hooks.Saturated())
-	s.tot.SaturationCycles = s.sat.Cycles()
-	s.tot.SaturationMaxStreak = s.sat.MaxStreak()
-	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
+	if s.wd.Observe(s.tot.Cycles, s.InFlight(), s.progressSig()) {
 		s.tot.WatchdogTrips++
 	}
 }
@@ -335,7 +327,7 @@ func (s *Shell) Step() {
 func (s *Shell) updateCrashState() {
 	for d, stage := 0, 0; d < len(s.swDead); stage++ {
 		for idx := 0; idx < s.width; idx++ {
-			dead := s.flt.SwitchCrashed(stage, idx, s.cycle)
+			dead := s.flt.SwitchCrashed(stage, idx, s.tot.Cycles)
 			if dead && !s.swDead[d] {
 				s.rec.NoteCrash()
 				s.rec.NoteLost(s.trk, s.hooks.Flush(stage, idx))
@@ -347,7 +339,7 @@ func (s *Shell) updateCrashState() {
 		}
 	}
 	for mod := range s.memDead {
-		dead := s.flt.MemCrashed(mod, s.cycle)
+		dead := s.flt.MemCrashed(mod, s.tot.Cycles)
 		if dead && !s.memDead[mod] {
 			s.rec.NoteCrash()
 			s.rec.NoteLost(s.trk, s.mem.Module(mod).Crash())
@@ -461,18 +453,19 @@ func (s *Shell) StallReport() string {
 // cross-engine API (see internal/stats): the rim's counters, then whatever
 // the fabric adds, then the fault/recovery block when a plan is armed.
 func (s *Shell) Snapshot() stats.Snapshot {
+	t := s.Totals()
 	c := Counters{
-		Cycles:           s.tot.Cycles,
-		Issued:           s.tot.Issued,
-		Completed:        s.tot.Completed,
-		HotCompleted:     s.tot.HotCompleted,
-		ColdCompleted:    s.tot.ColdCompleted,
-		Replies:          s.tot.Completed,
-		SaturationCycles: s.tot.SaturationCycles,
-		WatchdogTrips:    s.tot.WatchdogTrips,
-		Checkpoints:      s.tot.Checkpoints,
+		Cycles:           t.Cycles,
+		Issued:           t.Issued,
+		Completed:        t.Completed,
+		HotCompleted:     t.HotCompleted,
+		ColdCompleted:    t.ColdCompleted,
+		Replies:          t.Completed,
+		SaturationCycles: t.SaturationCycles,
+		WatchdogTrips:    t.WatchdogTrips,
+		Checkpoints:      t.Checkpoints,
 	}
-	gauges := map[string]int64{"saturation_max_streak": s.tot.SaturationMaxStreak}
+	gauges := map[string]int64{"saturation_max_streak": t.SaturationMaxStreak}
 	s.hooks.Observe(&c, gauges)
 	snap := stats.Snapshot{
 		Engine:     s.name,
@@ -481,16 +474,20 @@ func (s *Shell) Snapshot() stats.Snapshot {
 		Histograms: map[string]stats.HistogramSnapshot{"latency_cycles": s.lat.Snapshot()},
 	}
 	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.tot.Orphans, s.rec.Counters())
+		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), t.Orphans, s.rec.Counters())
 	}
 	return snap
 }
 
 // Cycle returns the current cycle number.
-func (s *Shell) Cycle() int64 { return s.cycle }
+func (s *Shell) Cycle() int64 { return s.tot.Cycles }
 
 // Totals returns the rim's run counters.
-func (s *Shell) Totals() Totals { return s.tot }
+func (s *Shell) Totals() Totals {
+	t := s.tot
+	t.SaturationCycles, t.SaturationMaxStreak = s.sat.Cycles(), s.sat.MaxStreak()
+	return t
+}
 
 // Latency snapshots the round-trip histogram (cycles per completion).
 func (s *Shell) Latency() stats.HistogramSnapshot { return s.lat.Snapshot() }
@@ -539,7 +536,7 @@ func (s *Shell) LinkDropsFwd(stage, index, port int, req *core.Request) bool {
 
 func (s *Shell) dropsFwd(stage, index, port int, req *core.Request) bool {
 	return s.flt.DropForward(faults.Site(stage, index, port), req.ID, req.Attempt) ||
-		s.flt.DropLinkFwd(stage, index, s.cycle)
+		s.flt.DropLinkFwd(stage, index, s.tot.Cycles)
 }
 
 // LinkDropsRev is LinkDropsFwd for a reply on the reverse link.
@@ -549,5 +546,5 @@ func (s *Shell) LinkDropsRev(stage, index, port int, rep *core.Reply) bool {
 
 func (s *Shell) dropsRev(stage, index, port int, rep *core.Reply) bool {
 	return s.flt.DropReply(faults.Site(stage, index, port), rep.ID, rep.Attempt) ||
-		s.flt.DropLinkRev(stage, index, s.cycle)
+		s.flt.DropLinkRev(stage, index, s.tot.Cycles)
 }
