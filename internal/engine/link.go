@@ -186,9 +186,11 @@ func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, Fwd, bool) {
 func (s *Shell) Deliver(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
 	if s.adv {
 		s.deliverStamped(site, proc, rep, issue, hot)
-		return
+	} else if s.hooks.Reassemble != nil {
+		s.hooks.Reassemble(proc, rep, issue, hot)
+	} else {
+		s.Complete(proc, rep, issue, hot)
 	}
-	s.arrive(proc, rep, issue, hot)
 }
 
 // deliverStamped is the fabric side of the adversarial link, the last
@@ -224,7 +226,7 @@ func (s *Shell) deliverVerified(site uint64, proc int, rep core.Reply, issue int
 	s.arrive(proc, rep, issue, hot)
 }
 
-// arrive is the far side of the processor link.
+// arrive is the far side of the adversarial processor link.
 func (s *Shell) arrive(proc int, rep core.Reply, issue int64, hot bool) {
 	if s.hooks.Reassemble != nil {
 		s.hooks.Reassemble(proc, rep, issue, hot)

@@ -212,8 +212,8 @@ type Sim struct {
 	stages [][]*switchNode
 
 	// pathFree recycles path headers (getPath/putPath): a reply's header
-	// returns when it leaves stage 0, a request's when the port's offer is
-	// refused.  Every array holds capacity for all k stages, so the appends
+	// returns when it leaves stage 0, a request's when its offer is lost on
+	// the port link.  Every array holds capacity for all k stages, so the appends
 	// along the forward path never regrow one — the steady-state cycle
 	// path allocates nothing.  Only single-goroutine phases touch it
 	// (injection, worker-0 delivery commit).
@@ -650,9 +650,10 @@ func (s *Sim) putPath(p []uint8) {
 }
 
 // injectAll offers each processor's request to stage 0, in rotating order
-// so no processor port permanently outranks another.  A port whose stage-0
-// switch is dead holds its offer; the path header is attached only for the
-// attempt, so a lost or refused offer never strands one.
+// so no processor port permanently outranks another.  The offer gets its
+// path header here and keeps it at the port while it waits (a dead stage-0
+// switch or a full queue holds it); a lost offer's header never entered the
+// network and recycles at once.
 func (s *Sim) injectAll() {
 	rot := int(s.Cycle())
 	for pi := 0; pi < s.n; pi++ {
@@ -666,20 +667,20 @@ func (s *Sim) injectAll() {
 		if s.SwitchDead(0, idx) {
 			continue
 		}
+		if m.Path == nil {
+			m.Path = s.getPath()
+		}
 		if s.LinkDropsFwd(0, idx, port, &m.Req) {
+			s.putPath(m.Path)
 			s.Lost(proc) // on the processor-to-stage-0 link
 			continue
 		}
-		msg := *m
-		msg.Path = s.getPath()
-		dst := s.destModule(msg.Req.Addr)
-		if !s.stages[0][idx].tryAccept(msg, s.outPortFor(0, dst), uint8(port), &s.stats) {
-			s.putPath(msg.Path)
-			continue
+		dst := s.destModule(m.Req.Addr)
+		if s.stages[0][idx].tryAccept(*m, s.outPortFor(0, dst), uint8(port), &s.stats) {
+			s.stats.FwdHops++
+			s.stats.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+			s.Sent(proc)
 		}
-		s.Sent(proc)
-		s.stats.FwdHops++
-		s.stats.FwdSlots += int64(core.ValueSlots(msg.Req.Op))
 	}
 }
 
