@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test race bench benchcmp benchtest gobench experiments soak syncbench parbench profile fmt vet cover
+.PHONY: all check test race bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench profile fmt vet cover
 
 all: vet test
 
@@ -26,7 +26,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ .
+	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/engine/ ./internal/network/ .
 
 # bench regenerates the committed measured baseline (EXPERIMENTS.md
 # §Measured baselines).
@@ -75,12 +75,21 @@ syncbench:
 parbench:
 	go test -bench='BenchmarkParallelStep|BenchmarkBarrier' -benchmem ./internal/network/ ./internal/par/
 
-# profile runs a representative hot-spot sweep under the pprof hooks and
-# leaves cpu.out/mem.out for `go tool pprof -top`.
+# stepbench prices one serial cycle of the 256-processor omega machine and
+# the 256-node cube (BenchmarkStep: uniform, a 1/8 hot spot with combining,
+# the same with combining off; ns/cycle, ns/switch-visit, allocs) — the loop
+# every cycle-domain experiment and bench/run.sh's simulator workloads spend
+# their time in.
+stepbench:
+	go test -run '^$$' -bench=BenchmarkStep -benchmem ./internal/network/ ./internal/hypercube/
+
+# profile runs the omega BenchmarkStep under the CPU and memory profilers
+# and leaves cpu.out/mem.out (and the test binary they resolve against) for
+# `go tool pprof -top network.test cpu.out`.
 profile:
-	go run ./cmd/combsim -n 256 -rate 0.9 -cycles 2000 -h 0.125 -workers 4 \
-		-cpuprofile cpu.out -memprofile mem.out
-	@echo "profiles written: cpu.out mem.out (inspect with go tool pprof -top cpu.out)"
+	go test -run '^$$' -bench=BenchmarkStep -benchtime=20000x -o network.test \
+		-cpuprofile cpu.out -memprofile mem.out ./internal/network/
+	@echo "profiles written: cpu.out mem.out (inspect with go tool pprof -top network.test cpu.out)"
 
 fmt:
 	gofmt -w .

@@ -99,7 +99,7 @@ type Sim struct {
 	engine.Shell
 
 	cfg   Config
-	queue []qmsg
+	queue core.FIFO[qmsg] // the decoupling FIFO, bounded by Config.QueueCap
 	wait  *core.WaitBuffer[brec]
 	pol   core.Policy
 
@@ -119,13 +119,14 @@ type Sim struct {
 }
 
 // bankTick is one bank's compute-phase result: the reply its module
-// completed this cycle with the request it answers, if any, and the rim
-// counts the tick made — each bank is its own shard.  Padded: workers write
+// completed this cycle with the request it answers (the rim's filed box,
+// good until the bank's next reply), if any, and the rim counts the tick
+// made — each bank is its own shard.  Padded: workers write
 // adjacent entries of the contiguous buffer during the compute phase, and
 // unpadded neighbors would false-share at the split boundaries.
 type bankTick struct {
 	rep core.Reply
-	m   qmsg
+	m   *qmsg
 	ok  bool
 	rim engine.Shard
 	_   [64]byte
@@ -178,9 +179,10 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		panic(fmt.Sprintf("busnet: got %d injectors for %d processors", len(inj), cfg.Procs))
 	}
 	s := &Sim{
-		cfg:  cfg,
-		wait: core.NewWaitBuffer[brec](cfg.WaitBufCap),
-		pol:  core.Policy{AllowReversal: cfg.AllowReversal},
+		cfg:   cfg,
+		queue: core.NewFIFO[qmsg](cfg.QueueCap),
+		wait:  core.NewWaitBuffer[brec](cfg.WaitBufCap),
+		pol:   core.Policy{AllowReversal: cfg.AllowReversal},
 	}
 	if cfg.Workers > 1 {
 		s.pool = par.NewPool(cfg.Workers)
@@ -195,7 +197,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 			CanFeed:   func(bank int) bool { return s.Memory().Module(bank).CanEnqueue() },
 			Saturated: s.saturated,
 			Hops:      func() int64 { return s.stats.BusOps },
-			Queued:    func() int { return len(s.queue) + s.wait.Len() },
+			Queued:    func() int { return s.queue.Len() + s.wait.Len() },
 			Detail:    s.stallDetail,
 			Observe:   s.observe,
 			// The wait buffer sits on the processor side of the return bus.
@@ -241,10 +243,10 @@ func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 // bank — offered load has nowhere to go but the bus arbitration holds, the
 // bus machine's tree-saturation analogue.
 func (s *Sim) saturated() bool {
-	if len(s.queue) == 0 || len(s.queue) < s.cfg.QueueCap {
+	if !s.queue.Full() {
 		return false
 	}
-	bank := s.Memory().HomeOf(s.queue[0].Req.Addr)
+	bank := s.Memory().HomeOf(s.queue.Front().Req.Addr)
 	return !s.Memory().Module(bank).CanEnqueue()
 }
 
@@ -253,7 +255,7 @@ func (s *Sim) stallDetail() string {
 	for b := 0; b < s.cfg.Banks; b++ {
 		banks += s.Memory().Module(b).QueueLen()
 	}
-	return fmt.Sprintf("fifo=%d wait=%d banks=%d", len(s.queue), s.wait.Len(), banks)
+	return fmt.Sprintf("fifo=%d wait=%d banks=%d", s.queue.Len(), s.wait.Len(), banks)
 }
 
 // sweep is the fabric's share of one cycle: bank completions return (and
@@ -268,13 +270,13 @@ func (s *Sim) sweep() {
 			t := &s.tickBuf[b]
 			s.Merge(&t.rim)
 			if t.ok {
-				s.commitBank(t.rep, &t.m)
+				s.commitBank(t.rep, t.m)
 			}
 		}
 	} else {
 		for b := 0; b < s.cfg.Banks; b++ {
 			if rep, m, ok := s.tickBank(b, s.Own()); ok {
-				s.commitBank(rep, &m)
+				s.commitBank(rep, m)
 			}
 		}
 	}
@@ -286,17 +288,16 @@ func (s *Sim) sweep() {
 	// Dispatch the FIFO head when its bank has input-queue room (with the
 	// default BankQueueCap of 1: when the bank is idle).  A dead bank holds
 	// the head like a busy one.
-	if len(s.queue) > 0 {
-		head := s.queue[0]
+	if s.queue.Len() > 0 {
+		head := s.queue.Front()
 		bank := s.Memory().HomeOf(head.Req.Addr)
 		if s.ModuleDead(bank) || !s.Memory().Module(bank).CanEnqueue() {
 			s.stats.HOLBlocked++
 		} else {
-			copy(s.queue, s.queue[1:])
-			s.queue = s.queue[:len(s.queue)-1]
 			if !s.LinkDropsFwd(1, bank, 0, &head.Req) {
 				s.EnterMemory(faults.Site(1, bank, 0), bank, head, s.Own())
 			}
+			s.queue.Pop()
 		}
 	}
 
@@ -313,7 +314,7 @@ func (s *Sim) sweep() {
 			s.Lost(p)
 			break
 		}
-		if s.enqueue(*m) {
+		if s.enqueue(m) {
 			s.Sent(p)
 			break
 		}
@@ -334,9 +335,9 @@ func (s *Sim) tickWorker(w int) {
 // and the request it answers if one emerged.  Everything here is bank-local
 // (the slowdown-window decision is a pure hash with atomic counters), so
 // banks tick in parallel under Config.Workers.
-func (s *Sim) tickBank(b int, sh *engine.Shard) (core.Reply, qmsg, bool) {
+func (s *Sim) tickBank(b int, sh *engine.Shard) (core.Reply, *qmsg, bool) {
 	if !s.ModuleUp(b, sh) || s.MemStalled(b) {
-		return core.Reply{}, qmsg{}, false
+		return core.Reply{}, nil, false
 	}
 	return s.Serve(b, sh)
 }
@@ -358,63 +359,76 @@ func (s *Sim) commitBank(rep core.Reply, m *qmsg) {
 // leaf ids are the operations whose reply path was lost.
 func (s *Sim) crashBus() []word.ReqID {
 	var lost []word.ReqID
-	for i := range s.queue {
-		lost = engine.LostLeaves(lost, s.queue[i].Req.Reps, s.queue[i].Req.ID)
+	queued := s.queue.View()
+	for i := range queued {
+		lost = engine.LostLeaves(lost, queued[i].Req.Reps, queued[i].Req.ID)
 	}
 	for _, rec := range s.wait.Flush() {
 		lost = engine.LostLeaves(lost, rec.reps2, rec.ID2)
 	}
 	s.FlushMeta(func(m *qmsg) { lost = engine.LostLeaves(lost, m.Req.Reps, m.Req.ID) })
-	s.queue = s.queue[:0]
+	s.queue.Clear()
 	return lost
 }
 
 // fanOut is the far side of the return bus: a reply decombines against the
 // FIFO's wait buffer and every leaf completes at its own processor.
 func (s *Sim) fanOut(src int, rep core.Reply, issue int64, hot bool) {
-	match := func(r brec) bool { return core.CanDecombine(r.Record, rep) }
-	if rec, ok := s.wait.PopMatch(rep.ID, match); ok {
-		r1, r2 := core.DecombineExact(rec.Record, rep)
-		s.fanOut(src, r1, issue, hot)
-		s.fanOut(rec.src2, r2, rec.issue2, rec.hot2)
-		return
+	if s.wait.Len() > 0 {
+		match := func(r brec) bool { return core.CanDecombine(r.Record, rep) }
+		if rec, ok := s.wait.PopMatch(rep.ID, match); ok {
+			r1, r2 := core.DecombineExact(rec.Record, rep)
+			s.fanOut(src, r1, issue, hot)
+			s.fanOut(rec.src2, r2, rec.issue2, rec.hot2)
+			return
+		}
 	}
 	s.Complete(src, rep, issue, hot)
 }
 
 // enqueue inserts a request into the FIFO, combining with the most recent
 // same-address entry when possible (the M2.3 scan shared with the other
-// engines via core.CombineAtTail).
-func (s *Sim) enqueue(m qmsg) bool {
-	tc, rejected, ok := core.CombineAtTail(s.queue, qmsgReq, m.Req, s.pol, s.wait.CanPush)
+// engines via core.CombineAtTail).  m stays at its port, only read; the
+// FIFO's slot takes the one copy.
+func (s *Sim) enqueue(m *qmsg) bool {
+	if s.queue.Len() > 0 && s.tryCombine(m) {
+		s.stats.BusOps++
+		return true
+	}
+	if s.queue.Full() {
+		return false
+	}
+	*s.queue.Push() = *m
+	s.fifoHW.Observe(int64(s.queue.Len()))
+	s.stats.BusOps++
+	return true
+}
+
+// tryCombine attempts to merge m into the non-empty FIFO.
+func (s *Sim) tryCombine(m *qmsg) bool {
+	tc, rejected, ok := core.CombineAtTail(s.queue.View(), qmsgReq, m.Req, s.pol, s.wait.CanPush)
 	if rejected {
 		s.wait.Rejections++
 	}
-	if ok {
-		queued := &s.queue[tc.Index]
-		first, second := *queued, m
-		if tc.Swapped {
-			first, second = m, *queued
-		}
-		if s.wait.Push(tc.Rec.ID1, brec{
-			Record: tc.Rec,
-			src2:   second.Src,
-			issue2: second.Issue,
-			hot2:   second.Hot,
-			reps2:  second.Req.Reps,
-		}) {
-			*queued = qmsg{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot}
-			s.stats.Combines++
-			s.stats.BusOps++
-			return true
-		}
-	}
-	if len(s.queue) >= s.cfg.QueueCap {
+	if !ok {
 		return false
 	}
-	s.queue = append(s.queue, m)
-	s.fifoHW.Observe(int64(len(s.queue)))
-	s.stats.BusOps++
+	queued := &s.queue.View()[tc.Index]
+	first, second := queued, m
+	if tc.Swapped {
+		first, second = m, queued
+	}
+	if !s.wait.Push(tc.Rec.ID1, brec{
+		Record: tc.Rec,
+		src2:   second.Src,
+		issue2: second.Issue,
+		hot2:   second.Hot,
+		reps2:  second.Req.Reps,
+	}) {
+		return false
+	}
+	*queued = qmsg{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot}
+	s.stats.Combines++
 	return true
 }
 

@@ -184,13 +184,17 @@ func Combine(a, b Request, pol Policy) (Request, Record, bool) {
 	if a.Attempt != 0 || b.Attempt != 0 {
 		return Request{}, Record{}, false
 	}
-	first, second, reversed := a, b, false
-	if pol.AllowReversal && !sharesSource(a, b) && shouldReverse(a.Op, b.Op) {
-		first, second, reversed = b, a, true
-	}
-	op, ok := rmw.Compose(first.Op, second.Op)
+	// The natural order composes once; the reversed order is composed as
+	// well only when reversal is allowed and could pay.
+	op, ok := rmw.Compose(a.Op, b.Op)
 	if !ok {
 		return Request{}, Record{}, false
+	}
+	first, second, reversed := &a, &b, false
+	if pol.AllowReversal && rmw.NeedsValue(op) && !sharesSource(a, b) {
+		if rop, rok := rmw.Compose(b.Op, a.Op); rok && !rmw.NeedsValue(rop) {
+			first, second, reversed, op = &b, &a, true, rop
+		}
 	}
 	combined := Request{
 		ID:   first.ID,
@@ -203,18 +207,6 @@ func Combine(a, b Request, pol Policy) (Request, Record, bool) {
 	}
 	rec := Record{ID1: first.ID, ID2: second.ID, F: first.Op, Reversed: reversed}
 	return combined, rec, true
-}
-
-// shouldReverse reports whether serializing b before a strictly reduces
-// reply traffic: the reversed combination is a plain store (no value
-// returns through the network) while the natural order is not.
-func shouldReverse(fa, fb rmw.Mapping) bool {
-	natural, ok1 := rmw.Compose(fa, fb)
-	reversedOp, ok2 := rmw.Compose(fb, fa)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return rmw.NeedsValue(natural) && !rmw.NeedsValue(reversedOp)
 }
 
 // sharesSource reports whether the two messages represent requests from a

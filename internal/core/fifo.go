@@ -1,0 +1,114 @@
+package core
+
+// FIFO is the one queue of the cycle engines' data plane: switch output and
+// reverse queues, router link queues, the bus's decoupling FIFO, the memory
+// modules' input queues and the ports' retry lists.  Elements are accessed
+// in place — Front and Push hand out pointers into the storage — so a hop
+// is one write into the destination slot and a pop is an index increment.
+//
+// Storage is head-indexed: the live elements are buf[head:tail], always
+// contiguous, so View can hand CombineAtTail a plain slice.  When the tail
+// reaches the end of the storage the live elements slide to the front
+// (compaction) if there is dead storage there to reclaim; only a queue that
+// fills its storage doubles it, and a bounded FIFO's storage stops at its
+// bound: from there on it is fixed.  A queue that drains restarts at the
+// front, so one that holds a message or two — most of a machine's thousands
+// of queues — never slides at all, and a busy one slides a few adjacent
+// cache lines it has just read.  Storage starts empty and is sized by use:
+// the queues' storage is most of a machine's working set, and keeping it
+// small measured faster than slack that spares slides.  Once a queue has
+// seen its peak occupancy, Push allocates nothing.
+//
+// Pop does not clear the vacated slot: it is dead storage until a later
+// Push hands it out again, and whatever the element referenced (a path
+// header, Srcs, Reps, a Leaves map) stays reachable from it until then — at
+// most one stale element per dead slot, which is what the slide queues this
+// replaced left beyond len as well.  Nothing reads a dead slot, so a stale
+// reference can only delay collection, never alias a live message; the
+// price is that the slot Push returns holds a stale element and the caller
+// must assign it whole.  Clear zeroes the storage, so a flushed queue pins
+// nothing.
+//
+// The zero FIFO is an empty unbounded queue.  A FIFO is not safe for
+// concurrent use.
+type FIFO[T any] struct {
+	buf        []T
+	head, tail int
+	bound      int // > 0: neither Len nor the storage ever exceeds it
+}
+
+// NewFIFO returns an empty queue.  bound > 0 fixes its capacity: the caller
+// checks Full before Push, and pushing onto a full queue panics.  bound <= 0
+// means unbounded.
+func NewFIFO[T any](bound int) FIFO[T] {
+	if bound < 0 {
+		bound = 0
+	}
+	return FIFO[T]{bound: bound}
+}
+
+// Len returns the number of queued elements.
+func (q *FIFO[T]) Len() int { return q.tail - q.head }
+
+// Full reports whether a bounded queue is at its bound (never, when
+// unbounded).
+func (q *FIFO[T]) Full() bool { return q.bound > 0 && q.tail-q.head >= q.bound }
+
+// Front returns the oldest element, in place.  The pointer is valid until
+// the next Push, Pop or Clear; the queue must not be empty.
+func (q *FIFO[T]) Front() *T { return &q.buf[q.head:q.tail][0] }
+
+// Pop removes the oldest element.  The queue must not be empty.
+func (q *FIFO[T]) Pop() {
+	if q.head == q.tail {
+		panic("core: Pop on an empty FIFO")
+	}
+	q.head++
+	if q.head == q.tail {
+		// Empty: restart at the front, putting off the next slide.
+		q.head, q.tail = 0, 0
+	}
+}
+
+// Push appends a slot and returns it for the caller to fill.  The slot holds
+// a stale element, not the zero value: assign it whole.  The pointer is
+// valid until the next Push, Pop or Clear.
+func (q *FIFO[T]) Push() *T {
+	if q.Full() {
+		panic("core: Push on a full bounded FIFO (caller must check Full)")
+	}
+	if q.tail == len(q.buf) {
+		q.makeRoom()
+	}
+	q.tail++
+	return &q.buf[q.tail-1]
+}
+
+// makeRoom frees a slot past the tail: by sliding the live elements to the
+// front over dead storage, or, when the storage is full, by doubling it.
+func (q *FIFO[T]) makeRoom() {
+	if q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:q.tail])
+		q.head, q.tail = 0, n
+		return
+	}
+	grown := max(2*len(q.buf), 1)
+	if q.bound > 0 && grown > q.bound {
+		grown = q.bound // Push has checked Len < bound: this still grows
+	}
+	buf := make([]T, grown)
+	copy(buf, q.buf)
+	q.buf = buf
+}
+
+// View returns the live elements, oldest first, as a slice of the storage.
+// It is valid until the next Push, Pop or Clear; writes through it edit the
+// queue in place.
+func (q *FIFO[T]) View() []T { return q.buf[q.head:q.tail] }
+
+// Clear empties the queue and zeroes its storage, dropping every reference
+// the live and the dead slots held.
+func (q *FIFO[T]) Clear() {
+	clear(q.buf)
+	q.head, q.tail = 0, 0
+}

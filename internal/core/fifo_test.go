@@ -1,0 +1,165 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// fifoElem stands in for a message: a payload plus a reference-typed field
+// like the Path/Srcs/Reps a real one carries.
+type fifoElem struct {
+	id  int
+	ref []uint8
+}
+
+// TestFIFOModel drives a FIFO and a plain slice with the same random
+// push/pop sequence — bounded at 1 and at 4, and unbounded — and compares
+// Len, Full, Front and View after every operation.  The push bias swings so
+// the queue both fills (growth, the slide at the wrap) and drains (the
+// restart when empty).
+func TestFIFOModel(t *testing.T) {
+	for _, bound := range []int{1, 4, 0, -1} {
+		rng := rand.New(rand.NewSource(int64(17 + bound)))
+		q := NewFIFO[fifoElem](bound)
+		var model []fifoElem
+		next := 0
+		for step := 0; step < 20000; step++ {
+			bias := 0.35 + 0.3*float64((step/500)%2) // drain, then fill
+			full := bound > 0 && len(model) == bound
+			if q.Full() != full {
+				t.Fatalf("bound %d step %d: Full() = %v with %d queued", bound, step, q.Full(), len(model))
+			}
+			if rng.Float64() < bias {
+				if full {
+					continue
+				}
+				e := fifoElem{id: next, ref: []uint8{uint8(next)}}
+				next++
+				*q.Push() = e
+				model = append(model, e)
+			} else if len(model) > 0 {
+				if f := q.Front(); f.id != model[0].id {
+					t.Fatalf("bound %d step %d: Front id %d, model %d", bound, step, f.id, model[0].id)
+				}
+				q.Pop()
+				model = model[1:]
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("bound %d step %d: Len %d, model %d", bound, step, q.Len(), len(model))
+			}
+			view := q.View()
+			if len(view) != len(model) {
+				t.Fatalf("bound %d step %d: View has %d elements, model %d", bound, step, len(view), len(model))
+			}
+			for i := range view {
+				if view[i].id != model[i].id || &view[i].ref[0] != &model[i].ref[0] {
+					t.Fatalf("bound %d step %d: View[%d] = %+v, model %+v", bound, step, i, view[i], model[i])
+				}
+			}
+			if bound > 0 && len(q.buf) > bound {
+				t.Fatalf("bound %d step %d: storage grew to %d slots", bound, step, len(q.buf))
+			}
+		}
+		if next < 2000 {
+			t.Fatalf("bound %d: only %d pushes — the model ran idle", bound, next)
+		}
+	}
+}
+
+// TestFIFOSlideAtWrap pins the wrap: a bounded queue held near its bound
+// walks its tail to the end of the fixed storage, slides, and loses nothing.
+func TestFIFOSlideAtWrap(t *testing.T) {
+	q := NewFIFO[fifoElem](4)
+	for i := 0; i < 3; i++ {
+		*q.Push() = fifoElem{id: i}
+	}
+	slides := 0
+	for i := 3; i < 100; i++ {
+		wasAtEnd := q.tail == len(q.buf) && q.head > 0
+		*q.Push() = fifoElem{id: i}
+		if wasAtEnd {
+			slides++
+			if q.head != 0 {
+				t.Fatalf("push %d at the end of storage did not slide to the front (head %d)", i, q.head)
+			}
+		}
+		if got := q.Front().id; got != i-3 {
+			t.Fatalf("after push %d: front id %d, want %d", i, got, i-3)
+		}
+		q.Pop()
+		if v := q.View(); len(v) != 3 || v[0].id != i-2 || v[2].id != i {
+			t.Fatalf("after push %d: view %+v", i, v)
+		}
+	}
+	if slides == 0 || len(q.buf) != 4 {
+		t.Fatalf("%d slides in storage of %d slots; want some, in the bound's 4", slides, len(q.buf))
+	}
+}
+
+// TestFIFOGrowth: an unbounded queue keeps everything through repeated
+// doubling, and Clear drops every reference its storage held.
+func TestFIFOGrowth(t *testing.T) {
+	var q FIFO[fifoElem] // the zero value is an empty unbounded queue
+	for i := 0; i < 1000; i++ {
+		*q.Push() = fifoElem{id: i, ref: []uint8{1}}
+		if i%3 == 0 {
+			q.Pop()
+		}
+	}
+	if q.Len() != 1000-334 {
+		t.Fatalf("Len %d after 1000 pushes and 334 pops", q.Len())
+	}
+	for i, e := range q.View() {
+		if e.id != 334+i {
+			t.Fatalf("View[%d].id = %d, want %d", i, e.id, 334+i)
+		}
+	}
+	q.Clear()
+	if q.Len() != 0 {
+		t.Fatalf("Len %d after Clear", q.Len())
+	}
+	for i := range q.buf {
+		if q.buf[i].ref != nil {
+			t.Fatalf("slot %d still holds a reference after Clear", i)
+		}
+	}
+}
+
+// TestFIFOMisuse: popping an empty queue and pushing onto a full bounded one
+// are engine bugs and panic rather than corrupt the queue.
+func TestFIFOMisuse(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	q := NewFIFO[int](1)
+	mustPanic("Pop on empty", q.Pop)
+	mustPanic("Front on empty", func() { q.Front() })
+	*q.Push() = 1
+	mustPanic("Push on full", func() { q.Push() })
+}
+
+// TestFIFOSteadyStateZeroAlloc: once a queue has seen its working occupancy
+// its storage is fixed — pushes, pops and slides allocate nothing.
+func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
+	for _, bound := range []int{4, 0} {
+		q := NewFIFO[fifoElem](bound)
+		churn := func() {
+			for i := 0; i < 64; i++ {
+				for q.Len() < 3 {
+					*q.Push() = fifoElem{id: i}
+				}
+				q.Pop()
+			}
+		}
+		churn()
+		if allocs := testing.AllocsPerRun(50, churn); allocs != 0 {
+			t.Errorf("bound %d: %.1f allocs per steady-state churn, want 0", bound, allocs)
+		}
+	}
+}

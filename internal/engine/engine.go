@@ -51,7 +51,13 @@
 // hash decisions, atomic counters), and call ModuleUp, MemStalled, Serve
 // and EnterMemory for modules the worker owns, passing the worker's own
 // Shard — shard-only writes; the stepping goroutine folds shards in with
-// Merge.  Ports and deliveries belong to one goroutine at a time.
+// Merge.  Ports and deliveries belong to one goroutine at a time.  A module
+// has one owner per barrier-separated phase: its cycle API takes no lock
+// (see internal/memory).
+//
+// Messages cross the rim by pointer and are copied where they come to rest:
+// EnterMemory reads the caller's slot and files its own copy; Serve returns
+// the filed box itself, valid until that module's next reply emerges.
 //
 // What a topology supplies: pure wiring arithmetic, well under 150 lines
 // each.
@@ -60,9 +66,11 @@
 //     placement, the inter-stage permutations and their inverses, and
 //     destination-tag port selection — plus the conflict groups the
 //     deterministic parallel stepper partitions on, which
-//     RevGroups/FwdGroups derive generically from the wiring.  The hop
-//     sweeps and switch machinery live in internal/network and are reused
-//     unchanged by every staged wiring.
+//     RevGroups/FwdGroups derive generically from the wiring.  A step
+//     loop does not call the arithmetic per hop: CompileStaged evaluates
+//     it once into the per-stage tables (StagedTables) the sweeps index.
+//     The hop sweeps and switch machinery live in internal/network and
+//     are reused unchanged by every staged wiring.
 //
 //   - A Direct topology (hypercube, torus) supplies the link structure of
 //     a direct-connection machine — degree, neighbor map, and the

@@ -46,6 +46,7 @@ func (s *Shell) Merge(sh *Shard) {
 	s.tot.MemAcks += sh.MemAcks
 	s.tot.Checkpoints += sh.Checkpoints
 	s.tot.Orphans += sh.Orphans
+	s.tot.MemBusy += sh.MemBusy
 	*sh = Shard{}
 }
 
@@ -53,11 +54,12 @@ func (s *Shell) Merge(sh *Shard) {
 // and files its metadata until the reply emerges.  The caller has already
 // checked that the module can take it.  Under an adversarial plan the link
 // may first defer it into limbo; nothing is filed for a message that never
-// arrives.
-func (s *Shell) EnterMemory(site uint64, mod int, m Fwd, sh *Shard) {
+// arrives.  m is read, never kept: the caller's slot is free again when
+// EnterMemory returns.
+func (s *Shell) EnterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
 	if s.adv {
 		if d := s.flt.ReorderDelay(site, m.Req.ID, m.Req.Attempt); d > 0 {
-			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.tot.Cycles + d, site: site, mod: mod, m: m})
+			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.tot.Cycles + d, site: site, mod: mod, m: *m})
 			return
 		}
 		s.memEnter(site, mod, m, sh)
@@ -74,9 +76,9 @@ func (s *Shell) EnterMemory(site uint64, mod int, m Fwd, sh *Shard) {
 // duplicate draw comes after verification so dup_injected counts only
 // messages that actually entered the module twice; metadata is filed
 // before the duplicate and never for a quarantined request.
-func (s *Shell) memEnter(site uint64, mod int, m Fwd, sh *Shard) {
-	m.Req = core.StampRequest(m.Req)
-	wire := m.Req
+func (s *Shell) memEnter(site uint64, mod int, m *Fwd, sh *Shard) {
+	stamped := core.StampRequest(m.Req)
+	wire := stamped
 	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
 		wire = core.CorruptRequest(wire, mask)
 	}
@@ -86,7 +88,7 @@ func (s *Shell) memEnter(site uint64, mod int, m Fwd, sh *Shard) {
 	}
 	module := s.mem.Module(mod)
 	sh.MemRequests++
-	s.metaInsert(mod, m)
+	s.metaInsert(mod, m).Req = stamped
 	module.Enqueue(wire)
 	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && module.CanEnqueue() {
 		// Network-born duplicate: the link re-emits a message the sender
@@ -99,9 +101,10 @@ func (s *Shell) memEnter(site uint64, mod int, m Fwd, sh *Shard) {
 	}
 }
 
-// metaInsert files a request under its module's shard, reusing a recycled
-// box so the steady-state insert allocates nothing.
-func (s *Shell) metaInsert(mod int, m Fwd) {
+// metaInsert files a copy of a request under its module's shard and returns
+// the filed box, reusing a recycled one so the steady-state insert allocates
+// nothing.
+func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
 	var box *Fwd
 	if free := s.metaFree[mod]; len(free) > 0 {
 		box = free[len(free)-1]
@@ -109,8 +112,9 @@ func (s *Shell) metaInsert(mod int, m Fwd) {
 	} else {
 		box = new(Fwd)
 	}
-	*box = m
+	*box = *m
 	s.meta[mod][m.Req.ID] = box
+	return box
 }
 
 // FlushMeta discards every filed request — a fault domain that holds the
@@ -121,7 +125,6 @@ func (s *Shell) FlushMeta(lost func(m *Fwd)) {
 	for mod, shard := range s.meta {
 		for id, box := range shard {
 			lost(box)
-			*box = Fwd{}
 			s.metaFree[mod] = append(s.metaFree[mod], box)
 			delete(shard, id)
 		}
@@ -159,10 +162,17 @@ func (s *Shell) MemStalled(mod int) bool {
 // expected under retransmission — an original and a retransmit both reached
 // memory, the first reply consumed the metadata — and counts as an orphan;
 // on a healthy machine it is a bug.
-func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, Fwd, bool) {
-	rep, ok := s.mem.Module(mod).Tick()
+//
+// The returned request is the filed box itself, the caller's to read — to
+// route the reply — until module mod's next reply emerges: only then does
+// the box rejoin the free list metaInsert draws from.
+func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
+	module := s.mem.Module(mod)
+	busy := module.BusyCycles
+	rep, ok := module.Tick()
+	sh.MemBusy += module.BusyCycles - busy
 	if !ok {
-		return rep, Fwd{}, false
+		return rep, nil, false
 	}
 	sh.MemAcks++
 	box, found := s.meta[mod][rep.ID]
@@ -172,13 +182,14 @@ func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, Fwd, bool) {
 				s.name, s.tot.Cycles, mod, rep.ID, rep))
 		}
 		sh.Orphans++
-		return rep, Fwd{}, false
+		return rep, nil, false
 	}
-	m := *box
-	*box = Fwd{}
-	s.metaFree[mod] = append(s.metaFree[mod], box)
 	delete(s.meta[mod], rep.ID)
-	return rep, m, true
+	if prev := s.metaLent[mod]; prev != nil {
+		s.metaFree[mod] = append(s.metaFree[mod], prev)
+	}
+	s.metaLent[mod] = box
+	return rep, box, true
 }
 
 // Deliver carries a reply across the terminal link to processor proc.  On
@@ -284,7 +295,7 @@ func (s *Shell) drainLimbo() {
 				keep = append(keep, h)
 				continue
 			}
-			s.memEnter(h.site, h.mod, h.m, s.Own())
+			s.memEnter(h.site, h.mod, &h.m, s.Own())
 		}
 		s.fwdLimbo = keep
 	}

@@ -16,8 +16,8 @@ package engine
 // accesses to a location.  The returned message stays owned by the port
 // until Sent or Lost.
 func (s *Shell) Offer(p int) *Fwd {
-	if s.flt != nil && len(s.retry[p]) > 0 {
-		return &s.retry[p][0]
+	if s.flt != nil && s.retry[p].Len() > 0 {
+		return s.retry[p].Front()
 	}
 	if !s.hasPending[p] {
 		in, ok := s.inj[p].Next(s.tot.Cycles)
@@ -46,8 +46,8 @@ func (s *Shell) Offer(p int) *Fwd {
 
 // Sent records that the fabric accepted p's offer.
 func (s *Shell) Sent(p int) {
-	if s.flt != nil && len(s.retry[p]) > 0 {
-		s.retry[p] = s.retry[p][1:]
+	if s.flt != nil && s.retry[p].Len() > 0 {
+		s.retry[p].Pop()
 		return
 	}
 	s.hasPending[p] = false

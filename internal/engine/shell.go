@@ -79,6 +79,10 @@ type Shard struct {
 	MemAcks     int64 // replies that emerged from memory modules
 	Checkpoints int64 // module checkpoints committed
 	Orphans     int64 // module replies with no request metadata
+	// MemBusy counts module service cycles.  Serve is the only caller of
+	// Module.Tick, so the total is the sum of Module.BusyCycles without the
+	// watchdog signature walking the modules every cycle.
+	MemBusy int64
 }
 
 // Totals is the rim's half of an engine's run statistics; each engine's
@@ -209,7 +213,7 @@ type Shell struct {
 	// offered ahead of fresh traffic.
 	pending    []Fwd
 	hasPending []bool
-	retry      [][]Fwd
+	retry      []core.FIFO[Fwd]
 
 	// meta preserves a request across its memory module, which only
 	// transports core requests.  It is sharded per module: meta[mod] is
@@ -217,8 +221,12 @@ type Shell struct {
 	// reply emerges, so under a parallel stepper each shard has one owner
 	// per phase.  The boxes are recycled per module through metaFree (same
 	// ownership), keeping the steady-state memory handoff allocation-free.
+	// metaLent[mod] is the box Serve last handed its caller, which frees it
+	// at the module's next reply; a free box is never zeroed — metaInsert
+	// overwrites it whole.
 	meta     []map[word.ReqID]*Fwd
 	metaFree [][]*Fwd
+	metaLent []*Fwd
 
 	// Fault-mode state (nil/empty on a healthy machine).  stall and swDead
 	// are this cycle's masks over the Stages × Width switch sites, memDead
@@ -266,6 +274,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		hasPending: make([]bool, procs),
 		meta:       make([]map[word.ReqID]*Fwd, cfg.Modules),
 		metaFree:   make([][]*Fwd, cfg.Modules),
+		metaLent:   make([]*Fwd, cfg.Modules),
 		width:      cfg.Width,
 	}
 	for i := range s.meta {
@@ -278,7 +287,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 	s.trk = faults.NewTracker(s.flt)
 	plan := s.flt.Plan()
 	s.adv = plan.HasAdversarial()
-	s.retry = make([][]Fwd, procs)
+	s.retry = make([]core.FIFO[Fwd], procs)
 	s.stall = make([]bool, cfg.Stages*cfg.Width)
 	if plan.HasCrashes() {
 		s.rec = recover.New(plan.CheckpointEvery)
@@ -303,8 +312,7 @@ func (s *Shell) Step() {
 			s.updateCrashState()
 		}
 		for _, p := range s.trk.Expired(s.tot.Cycles) {
-			s.retry[p.Proc] = append(s.retry[p.Proc],
-				Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot})
+			*s.retry[p.Proc].Push() = Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot}
 		}
 		if s.adv {
 			s.drainLimbo()
@@ -313,7 +321,7 @@ func (s *Shell) Step() {
 	s.hooks.Sweep()
 
 	s.sat.Observe(s.hooks.Saturated())
-	if s.wd.Observe(s.tot.Cycles, s.InFlight(), s.progressSig()) {
+	if s.wd.Observe(s.tot.Cycles, s.progressSig(), s.InFlight) {
 		s.tot.WatchdogTrips++
 	}
 }
@@ -353,13 +361,13 @@ func (s *Shell) updateCrashState() {
 // progressSig is the watchdog's monotone progress signature: any message
 // movement — an issue, a hop, a module feed, service cycle or reply, a
 // delivery, or a fault event that consumes a message — changes it.  If it
-// freezes with work in flight, nothing is moving anywhere.
+// freezes with work in flight, nothing is moving anywhere.  Service cycles
+// count because a module may be the only thing moving for as long as its
+// service time, or until the next checkpoint releases its replies, and
+// neither is bounded by the watchdog limit.
 func (s *Shell) progressSig() int64 {
 	sig := s.tot.Issued + s.tot.Completed + s.tot.MemRequests + s.tot.MemAcks +
-		s.tot.Orphans + s.hooks.Hops()
-	for mod := 0; mod < s.mem.Modules(); mod++ {
-		sig += s.mem.Module(mod).BusyCycles
-	}
+		s.tot.Orphans + s.tot.MemBusy + s.hooks.Hops()
 	if s.flt != nil {
 		sig += s.flt.Injected()
 	}

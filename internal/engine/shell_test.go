@@ -18,14 +18,21 @@ import (
 type loopback struct {
 	Shell
 	moved int64
+	// blocked, when set, names modules the fabric never feeds: their
+	// requests wait at the ports forever.
+	blocked func(mod int) bool
 }
 
 func newLoopback(plan *faults.Plan, inj []Injector) *loopback {
-	l := &loopback{}
+	return newLoopbackWatched(plan, inj, 2, DefaultWatchdogCycles, nil)
+}
+
+func newLoopbackWatched(plan *faults.Plan, inj []Injector, service int, watchdog int64, blocked func(mod int) bool) *loopback {
+	l := &loopback{blocked: blocked}
 	l.Init(ShellConfig{
 		Engine: "loopback", Injectors: inj,
-		Modules: len(inj), Service: 2, MemQueueCap: 2,
-		WatchdogCycles: DefaultWatchdogCycles, Faults: plan,
+		Modules: len(inj), Service: service, MemQueueCap: 2,
+		WatchdogCycles: watchdog, Faults: plan,
 		Hooks: Hooks{
 			Sweep:     l.sweep,
 			CanFeed:   func(mod int) bool { return l.Memory().Module(mod).CanEnqueue() },
@@ -55,7 +62,7 @@ func (l *loopback) sweep() {
 			continue
 		}
 		mod := l.Memory().HomeOf(m.Req.Addr)
-		if l.ModuleDead(mod) || !l.Memory().Module(mod).CanEnqueue() {
+		if l.ModuleDead(mod) || !l.Memory().Module(mod).CanEnqueue() || (l.blocked != nil && l.blocked(mod)) {
 			continue
 		}
 		if l.LinkDropsFwd(0, mod, 0, &m.Req) {
@@ -63,7 +70,7 @@ func (l *loopback) sweep() {
 			continue
 		}
 		l.moved++
-		l.EnterMemory(faults.Site(0, mod, 0), mod, *m, l.Own())
+		l.EnterMemory(faults.Site(0, mod, 0), mod, m, l.Own())
 		l.Sent(p)
 	}
 }
@@ -103,6 +110,17 @@ func (a *adder) Deliver(rep core.Reply, _ int64) {
 	delete(a.hotIDs, rep.ID)
 }
 
+// newAdders builds one adder per processor.
+func newAdders(n, ops int) ([]*adder, []Injector) {
+	adders := make([]*adder, n)
+	inj := make([]Injector, n)
+	for p := range inj {
+		adders[p] = &adder{proc: p, nprocs: n, ops: ops, ids: word.Partition(p, n), hotIDs: map[word.ReqID]bool{}}
+		inj[p] = adders[p]
+	}
+	return adders, inj
+}
+
 // TestShellLoopback drives the rim through the fake fabric, clean and under
 // the two plans that exercise everything the rim owns — the adversarial
 // terminal links (reorder, duplicate, corrupt, limbo) and crash windows
@@ -125,12 +143,7 @@ func TestShellLoopback(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, ops = 8, 40
-			adders := make([]*adder, n)
-			inj := make([]Injector, n)
-			for p := range inj {
-				adders[p] = &adder{proc: p, nprocs: n, ops: ops, ids: word.Partition(p, n), hotIDs: map[word.ReqID]bool{}}
-				inj[p] = adders[p]
-			}
+			adders, inj := newAdders(n, ops)
 			l := newLoopback(tc.plan, inj)
 			var m Machine = l // the embedded shell is the whole Machine
 			if !m.Drain(200000) {
@@ -169,6 +182,16 @@ func TestShellLoopback(t *testing.T) {
 				t.Fatalf("shared cell = %v, serial %v", got, final)
 			}
 
+			// Every module tick went through Serve: the shard's service-cycle
+			// count is the modules' own.
+			var busy int64
+			for mod := 0; mod < n; mod++ {
+				busy += m.Memory().Module(mod).BusyCycles
+			}
+			if got := l.Totals().MemBusy; got != busy || busy == 0 {
+				t.Fatalf("MemBusy = %d, the modules served %d cycles", got, busy)
+			}
+
 			c := m.Snapshot().Counters
 			if c["issued"] != n*ops || c["completed"] != n*ops {
 				t.Fatalf("issued %d completed %d, want %d each", c["issued"], c["completed"], n*ops)
@@ -192,4 +215,43 @@ func repeat(op rmw.Mapping, n int) []rmw.Mapping {
 		ops[i] = op
 	}
 	return ops
+}
+
+// TestServedBoxOutlivesTheNextFeed: the request Serve returns is the filed
+// box itself, on loan until the same module's next reply — requests entering
+// the module in between must not be filed into it.
+func TestServedBoxOutlivesTheNextFeed(t *testing.T) {
+	_, inj := newAdders(1, 0)
+	l := newLoopback(nil, inj)
+	feed := func(id word.ReqID, src int) {
+		m := Fwd{Req: core.NewRequest(id, 0, rmw.FetchAdd(1), word.ProcID(src)), Src: src}
+		l.EnterMemory(faults.Site(0, 0, 0), 0, &m, l.Own())
+	}
+	serve := func() *Fwd {
+		for i := 0; i < 8; i++ {
+			if _, m, ok := l.Serve(0, l.Own()); ok {
+				return m
+			}
+		}
+		t.Fatal("the module served nothing in 8 cycles")
+		return nil
+	}
+	feed(1, 11)
+	first := serve()
+	feed(2, 22)
+	feed(3, 33)
+	if first.Req.ID != 1 || first.Src != 11 {
+		t.Fatalf("the served box was overwritten by a later feed: %+v", *first)
+	}
+	second := serve()
+	if second == first || second.Req.ID != 2 || second.Src != 22 {
+		t.Fatalf("second reply came back with %+v (same box as the first: %v)", *second, second == first)
+	}
+	feed(4, 44) // may now reuse the first box; the second is still on loan
+	if second.Req.ID != 2 || second.Src != 22 {
+		t.Fatalf("the second box was overwritten while on loan: %+v", *second)
+	}
+	if third := serve(); third.Req.ID != 3 || third.Src != 33 {
+		t.Fatalf("third reply came back with %+v", *third)
+	}
 }

@@ -20,9 +20,9 @@ import "fmt"
 
 // Watchdog declares livelock/deadlock when in-flight work makes no progress
 // for a configured number of cycles.  Engines feed it once per cycle with a
-// monotone progress signature (any message movement must change it) and the
-// current in-flight count; a quiescent machine (nothing in flight) never
-// trips.  The zero Watchdog is disabled.
+// monotone progress signature (any message movement must change it) and a
+// census of the requests in flight; a quiescent machine (nothing in flight)
+// never trips.  The zero Watchdog is disabled.
 type Watchdog struct {
 	limit int64
 
@@ -37,13 +37,15 @@ type Watchdog struct {
 func NewWatchdog(limit int64) *Watchdog { return &Watchdog{limit: limit} }
 
 // Observe feeds one cycle: sig is the engine's monotone progress signature,
-// inflight the number of requests somewhere in the machine.  It returns
-// true exactly once, on the cycle the watchdog trips.
-func (w *Watchdog) Observe(cycle int64, inflight int, sig int64) bool {
+// inflight counts the requests somewhere in the machine.  The census may be
+// a walk over every queue, so it is taken only when the verdict hangs on it:
+// on a cycle whose signature stood still.  Observe returns true exactly
+// once, on the cycle the watchdog trips.
+func (w *Watchdog) Observe(cycle, sig int64, inflight func() int) bool {
 	if w == nil || w.limit <= 0 || w.tripped {
 		return false
 	}
-	if inflight == 0 || sig != w.lastSig {
+	if sig != w.lastSig || inflight() == 0 {
 		w.lastSig = sig
 		w.lastChange = cycle
 		return false

@@ -5,18 +5,21 @@ import (
 	"testing"
 )
 
+// inflight is a constant in-flight census for Watchdog.Observe.
+func inflight(n int) func() int { return func() int { return n } }
+
 func TestWatchdogTripsOnlyWithInflightAndNoProgress(t *testing.T) {
 	w := NewWatchdog(10)
 
 	// Progress every cycle: never trips.
 	for c := int64(0); c < 100; c++ {
-		if w.Observe(c, 1, c) {
+		if w.Observe(c, c, inflight(1)) {
 			t.Fatalf("tripped at cycle %d despite progress", c)
 		}
 	}
 	// Quiescent (inflight 0) with a frozen signature: never trips.
 	for c := int64(100); c < 200; c++ {
-		if w.Observe(c, 0, 99) {
+		if w.Observe(c, 99, inflight(0)) {
 			t.Fatalf("tripped at cycle %d while quiescent", c)
 		}
 	}
@@ -24,7 +27,7 @@ func TestWatchdogTripsOnlyWithInflightAndNoProgress(t *testing.T) {
 	// last observed change (cycle 199), and only once.
 	tripAt := int64(-1)
 	for c := int64(200); c < 300; c++ {
-		if w.Observe(c, 3, 99) {
+		if w.Observe(c, 99, inflight(3)) {
 			if tripAt != -1 {
 				t.Fatalf("tripped twice (%d and %d)", tripAt, c)
 			}
@@ -39,10 +42,30 @@ func TestWatchdogTripsOnlyWithInflightAndNoProgress(t *testing.T) {
 	}
 }
 
+// TestWatchdogCensusOnlyWhenFrozen: the in-flight census is taken on exactly
+// the cycles whose signature stood still.
+func TestWatchdogCensusOnlyWhenFrozen(t *testing.T) {
+	w := NewWatchdog(10)
+	calls := 0
+	census := func() int { calls++; return 1 }
+	for c := int64(1); c <= 50; c++ {
+		w.Observe(c, c, census) // moving
+	}
+	if calls != 0 {
+		t.Fatalf("census taken %d times while the signature moved", calls)
+	}
+	for c := int64(51); c <= 55; c++ {
+		w.Observe(c, 50, census) // frozen
+	}
+	if calls != 5 {
+		t.Fatalf("census taken %d times over 5 frozen cycles", calls)
+	}
+}
+
 func TestWatchdogDisabledAndNil(t *testing.T) {
 	for _, w := range []*Watchdog{nil, NewWatchdog(0), NewWatchdog(-5)} {
 		for c := int64(0); c < 1000; c++ {
-			if w.Observe(c, 7, 42) {
+			if w.Observe(c, 42, inflight(7)) {
 				t.Fatal("disabled watchdog tripped")
 			}
 		}
@@ -59,7 +82,7 @@ func TestWatchdogResetsOnProgress(t *testing.T) {
 		if c%9 == 0 {
 			sig++ // progress just inside the limit
 		}
-		if w.Observe(c, 1, sig) {
+		if w.Observe(c, sig, inflight(1)) {
 			t.Fatalf("tripped at cycle %d despite periodic progress", c)
 		}
 	}
@@ -190,7 +213,7 @@ func TestAIMDHoldsSteadyInMidband(t *testing.T) {
 func TestStallReportFormat(t *testing.T) {
 	w := NewWatchdog(50)
 	for c := int64(0); !w.Tripped(); c++ {
-		w.Observe(c, 2, 7)
+		w.Observe(c, 7, inflight(2))
 	}
 	got := StallReport("network", w, 2, "", "queues: fwd=[1 1] rev=[0 0]")
 	for _, want := range []string{"network", "cycle 50", "2 in flight", "50 cycles", "queues:"} {

@@ -102,13 +102,13 @@ type hrec struct {
 }
 
 type node struct {
-	out  [][]fwdM // per-dimension forward queues (bounded)
-	rout [][]revM // per-dimension reverse queues (credit-bounded)
+	out  []core.FIFO[fwdM] // per-dimension forward queues (bounded)
+	rout []core.FIFO[revM] // per-dimension reverse queues (credit-bounded)
 	// memQ is the combining FIFO in front of the node's local memory —
 	// the Section 7 suggestion: all dimensions' traffic for this node's
 	// memory converges here, so this queue is where a hot spot combines
 	// hardest.  Bounded by Config.MemQueueCap.
-	memQ []fwdM
+	memQ core.FIFO[fwdM]
 	wait *core.WaitBuffer[hrec]
 	// maxRev is the reverse-queue high-water mark across dimensions.
 	maxRev int
@@ -125,8 +125,8 @@ func (nd *node) canAcceptRev(revCap int) bool {
 	if revCap <= 0 {
 		return true
 	}
-	for _, q := range nd.rout {
-		if len(q) >= revCap {
+	for dim := range nd.rout {
+		if nd.rout[dim].Len() >= revCap {
 			return false
 		}
 	}
@@ -162,7 +162,7 @@ type Sim struct {
 	cfg   Config
 	topo  engine.Direct // the link structure; all routing lives here
 	n, d  int           // node count and link degree
-	nodes []*node
+	nodes []node
 	pol   core.Policy
 
 	// stats holds the fabric's own counters (the rim's are in the Shell);
@@ -276,13 +276,16 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		s.shards = make([]cubeShard, s.pool.Workers())
 		s.delivBuf = make([][]revM, n)
 	}
-	s.nodes = make([]*node, n)
+	s.nodes = make([]node, n)
 	for i := range s.nodes {
-		s.nodes[i] = &node{
-			out:  make([][]fwdM, d),
-			rout: make([][]revM, d),
-			wait: core.NewWaitBuffer[hrec](cfg.WaitBufCap),
+		nd := &s.nodes[i]
+		nd.out = make([]core.FIFO[fwdM], d)
+		for dim := range nd.out {
+			nd.out[dim] = core.NewFIFO[fwdM](cfg.QueueCap)
 		}
+		nd.rout = make([]core.FIFO[revM], d)
+		nd.memQ = core.NewFIFO[fwdM](cfg.MemQueueCap)
+		nd.wait = core.NewWaitBuffer[hrec](cfg.WaitBufCap)
 	}
 	s.Shell.Init(engine.ShellConfig{
 		Engine: "hypercube",
@@ -333,24 +336,24 @@ func (s *Sim) down(i int) bool { return s.SwitchStalled(0, i) || s.SwitchDead(0,
 // crashNode flushes node i's volatile router state and rolls its module
 // back to the last checkpoint, returning every lost leaf id.
 func (s *Sim) crashNode(i int) []word.ReqID {
-	nd := s.nodes[i]
+	nd := &s.nodes[i]
 	var ids []word.ReqID
+	lostFwd := func(q *core.FIFO[fwdM]) {
+		held := q.View()
+		for j := range held {
+			ids = engine.LostLeaves(ids, held[j].Req.Reps, held[j].Req.ID)
+		}
+		q.Clear()
+	}
 	for dim := 0; dim < s.d; dim++ {
-		for j := range nd.out[dim] {
-			req := &nd.out[dim][j].Req
-			ids = engine.LostLeaves(ids, req.Reps, req.ID)
+		lostFwd(&nd.out[dim])
+		held := nd.rout[dim].View()
+		for j := range held {
+			ids = engine.LostReply(ids, &held[j].rep)
 		}
-		nd.out[dim] = nil
-		for j := range nd.rout[dim] {
-			ids = engine.LostReply(ids, &nd.rout[dim][j].rep)
-		}
-		nd.rout[dim] = nil
+		nd.rout[dim].Clear()
 	}
-	for j := range nd.memQ {
-		req := &nd.memQ[j].Req
-		ids = engine.LostLeaves(ids, req.Reps, req.ID)
-	}
-	nd.memQ = nil
+	lostFwd(&nd.memQ)
 	for _, rec := range nd.wait.Flush() {
 		ids = engine.LostLeaves(ids, rec.reps2, rec.ID2)
 	}
@@ -366,12 +369,13 @@ func (s *Sim) treeSaturated() bool {
 		return false
 	}
 	memFull, fwdFull := false, false
-	for _, nd := range s.nodes {
-		if len(nd.memQ) >= s.cfg.MemQueueCap {
+	for i := range s.nodes {
+		nd := &s.nodes[i]
+		if nd.memQ.Full() {
 			memFull = true
 		}
 		for dim := 0; dim < s.d && !fwdFull; dim++ {
-			fwdFull = len(nd.out[dim]) >= s.cfg.QueueCap
+			fwdFull = nd.out[dim].Full()
 		}
 		if memFull && fwdFull {
 			return true
@@ -383,12 +387,13 @@ func (s *Sim) treeSaturated() bool {
 // occupancy sums the router queues, memory combining queues and wait
 // buffers over all nodes.
 func (s *Sim) occupancy() (fwd, rev, memq, wait int) {
-	for _, nd := range s.nodes {
+	for i := range s.nodes {
+		nd := &s.nodes[i]
 		for dim := 0; dim < s.d; dim++ {
-			fwd += len(nd.out[dim])
-			rev += len(nd.rout[dim])
+			fwd += nd.out[dim].Len()
+			rev += nd.rout[dim].Len()
 		}
-		memq += len(nd.memQ)
+		memq += nd.memQ.Len()
 		wait += nd.wait.Len()
 	}
 	return
@@ -415,7 +420,8 @@ func (s *Sim) Stats() Stats {
 // rim has started.
 func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 	maxRev := 0
-	for _, nd := range s.nodes {
+	for i := range s.nodes {
+		nd := &s.nodes[i]
 		c.CombineRejects += nd.wait.Rejections
 		if nd.maxRev > maxRev {
 			maxRev = nd.maxRev
@@ -433,47 +439,21 @@ func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 // arriveFwd lands a request at node cur: into the memory combining queue
 // when home, otherwise into the output queue of its next dimension,
 // combining when possible.  Reports false when the target queue is full.
-func (s *Sim) arriveFwd(cur int, m fwdM) bool {
+// m is the message where it waits — the head slot of a neighbor's link
+// queue, or the processor port — and is only read: on acceptance it is
+// copied once into node cur's slot and the caller pops it.
+func (s *Sim) arriveFwd(cur int, m *engine.Fwd) bool {
 	home := s.homeOf(m.Req.Addr)
 	dim := s.topo.FwdLink(cur, home)
-	nd := s.nodes[cur]
-	var q *[]fwdM
-	if dim < 0 {
-		q = &nd.memQ
-	} else {
+	nd := &s.nodes[cur]
+	q := &nd.memQ
+	if dim >= 0 {
 		q = &nd.out[dim]
 	}
-	// The M2.3 scan shared with the other engines via core.CombineAtTail.
-	tc, rejected, ok := core.CombineAtTail(*q, fwdMReq, m.Req, s.pol, nd.wait.CanPush)
-	if rejected {
-		nd.wait.Rejections++
+	if q.Len() > 0 && s.tryCombine(nd, q, m) {
+		return true
 	}
-	if ok {
-		queued := &(*q)[tc.Index]
-		first, second := *queued, m
-		if tc.Swapped {
-			first, second = m, *queued
-		}
-		if nd.wait.Push(tc.Rec.ID1, hrec{
-			Record: tc.Rec,
-			dst2:   second.Src,
-			issue2: second.Issue,
-			hot2:   second.Hot,
-			reps2:  second.Req.Reps,
-		}) {
-			*queued = fwdM{
-				Fwd:   engine.Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot},
-				moved: queued.moved,
-			}
-			s.stats.Combines++
-			return true
-		}
-	}
-	qcap := s.cfg.QueueCap
-	if dim < 0 {
-		qcap = s.cfg.MemQueueCap
-	}
-	if qcap > 0 && len(*q) >= qcap {
+	if q.Full() {
 		if dim < 0 {
 			// Full memory combining queue: the request stays in its
 			// upstream dimension queue (or at the injection port) — the
@@ -484,11 +464,40 @@ func (s *Sim) arriveFwd(cur int, m fwdM) bool {
 		}
 		return false
 	}
-	m.moved = s.Cycle()
-	*q = append(*q, m)
+	slot := q.Push()
+	slot.Fwd, slot.moved = *m, s.Cycle()
 	if dim < 0 {
-		s.memQHW.Observe(int64(len(*q)))
+		s.memQHW.Observe(int64(q.Len()))
 	}
+	return true
+}
+
+// tryCombine attempts to merge m into the non-empty queue q of node nd — the
+// M2.3 scan shared with the other engines via core.CombineAtTail.
+func (s *Sim) tryCombine(nd *node, q *core.FIFO[fwdM], m *engine.Fwd) bool {
+	tc, rejected, ok := core.CombineAtTail(q.View(), fwdMReq, m.Req, s.pol, nd.wait.CanPush)
+	if rejected {
+		nd.wait.Rejections++
+	}
+	if !ok {
+		return false
+	}
+	queued := &q.View()[tc.Index]
+	first, second := &queued.Fwd, m
+	if tc.Swapped {
+		first, second = m, &queued.Fwd
+	}
+	if !nd.wait.Push(tc.Rec.ID1, hrec{
+		Record: tc.Rec,
+		dst2:   second.Src,
+		issue2: second.Issue,
+		hot2:   second.Hot,
+		reps2:  second.Req.Reps,
+	}) {
+		return false
+	}
+	queued.Fwd = engine.Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot}
+	s.stats.Combines++
 	return true
 }
 
@@ -501,46 +510,59 @@ func fwdMReq(m *fwdM) *core.Request { return &m.Req }
 // except the home delivery itself — which, when sink is non-nil (parallel
 // memory tick), is buffered there for the serial commit instead, because
 // injectors, the retry ledger and completion stats are single-goroutine.
-func (s *Sim) arriveRev(cur int, r revM, sink *[]revM) {
-	match := func(h hrec) bool { return core.CanDecombine(h.Record, r.rep) }
-	if rec, ok := s.nodes[cur].wait.PopMatch(r.rep.ID, match); ok {
-		r1, r2 := core.DecombineExact(rec.Record, r.rep)
-		s.arriveRev(cur, revM{rep: r1, dst: r.dst, issue: r.issue, hot: r.hot}, sink)
-		s.arriveRev(cur, revM{rep: r2, dst: rec.dst2, issue: rec.issue2, hot: rec.hot2}, sink)
+func (s *Sim) arriveRev(cur int, r *revM, sink *[]revM) {
+	nd := &s.nodes[cur]
+	if nd.wait.Len() > 0 && s.decombine(cur, r, sink) {
 		return
 	}
 	dim := s.topo.RevLink(cur, r.dst)
 	if dim < 0 {
 		if sink != nil {
-			*sink = append(*sink, r)
+			*sink = append(*sink, *r)
 			return
 		}
 		s.deliverHome(cur, r)
 		return
 	}
-	r.moved = s.Cycle()
-	nd := s.nodes[cur]
-	nd.rout[dim] = append(nd.rout[dim], r)
-	if n := len(nd.rout[dim]); n > nd.maxRev {
+	q := &nd.rout[dim]
+	slot := q.Push()
+	*slot = *r
+	slot.moved = s.Cycle()
+	if n := q.Len(); n > nd.maxRev {
 		nd.maxRev = n
 	}
 }
 
+// decombine undoes the most recent combine recorded at node cur that reply r
+// answers, if there is one, landing both replies it yields there.
+func (s *Sim) decombine(cur int, r *revM, sink *[]revM) bool {
+	match := func(h hrec) bool { return core.CanDecombine(h.Record, r.rep) }
+	rec, ok := s.nodes[cur].wait.PopMatch(r.rep.ID, match)
+	if !ok {
+		return false
+	}
+	r1, r2 := core.DecombineExact(rec.Record, r.rep)
+	s.arriveRev(cur, &revM{rep: r1, dst: r.dst, issue: r.issue, hot: r.hot}, sink)
+	s.arriveRev(cur, &revM{rep: r2, dst: rec.dst2, issue: rec.issue2, hot: rec.hot2}, sink)
+	return true
+}
+
 // deliverHome completes a reply at its requesting node: the
 // router→processor handoff is the processor terminal link.
-func (s *Sim) deliverHome(cur int, r revM) {
+func (s *Sim) deliverHome(cur int, r *revM) {
 	s.Deliver(faults.Site(3, cur, 0), cur, r.rep, r.issue, r.hot)
 }
 
 func (s *Sim) drainReverse() {
 	cycle := s.Cycle()
-	for i, nd := range s.nodes {
+	for i := range s.nodes {
+		nd := &s.nodes[i]
 		if s.down(i) {
 			continue
 		}
 		for dim := 0; dim < s.d; dim++ {
-			q := nd.rout[dim]
-			if len(q) == 0 || q[0].moved == cycle {
+			q := &nd.rout[dim]
+			if q.Len() == 0 || q.Front().moved == cycle {
 				continue
 			}
 			next := s.topo.Neighbor(i, dim)
@@ -558,14 +580,12 @@ func (s *Sim) drainReverse() {
 				s.stats.HoldsRev++
 				continue
 			}
-			r := q[0]
-			copy(q, q[1:])
-			nd.rout[dim] = q[:len(q)-1]
-			if s.LinkDropsRev(1, next, dim, &r.rep) {
-				continue // reply lost on the reverse link
-			}
-			s.stats.RevHops++
-			s.arriveRev(next, r, nil)
+			r := q.Front()
+			if !s.LinkDropsRev(1, next, dim, &r.rep) {
+				s.stats.RevHops++
+				s.arriveRev(next, r, nil)
+			} // else the reply is lost on the reverse link
+			q.Pop()
 		}
 	}
 }
@@ -589,8 +609,9 @@ func (s *Sim) tickMemory() {
 func (s *Sim) tickMemoryParallel() {
 	s.pool.Run(s.tickFn)
 	for i := 0; i < s.n; i++ {
-		for _, r := range s.delivBuf[i] {
-			s.deliverHome(i, r)
+		buf := s.delivBuf[i]
+		for j := range buf {
+			s.deliverHome(i, &buf[j])
 		}
 	}
 	for i := range s.shards {
@@ -625,12 +646,10 @@ func (s *Sim) tickNode(i int, holdsMemOut *int64, sh *engine.Shard, sink *[]revM
 	if !s.ModuleUp(i, sh) {
 		return // crashed module: the router forwards, memory serves nothing
 	}
-	nd := s.nodes[i]
-	if !s.SwitchStalled(0, i) && len(nd.memQ) > 0 && s.Memory().Module(i).QueueLen() == 0 {
-		m := nd.memQ[0]
-		copy(nd.memQ, nd.memQ[1:])
-		nd.memQ = nd.memQ[:len(nd.memQ)-1]
-		s.EnterMemory(faults.Site(2, i, 0), i, m.Fwd, sh)
+	nd := &s.nodes[i]
+	if !s.SwitchStalled(0, i) && nd.memQ.Len() > 0 && s.Memory().Module(i).QueueLen() == 0 {
+		s.EnterMemory(faults.Site(2, i, 0), i, &nd.memQ.Front().Fwd, sh)
+		nd.memQ.Pop()
 	}
 	if s.MemStalled(i) {
 		return
@@ -645,7 +664,7 @@ func (s *Sim) tickNode(i int, holdsMemOut *int64, sh *engine.Shard, sink *[]revM
 	if !ok {
 		return
 	}
-	s.arriveRev(i, revM{rep: rep, dst: m.Src, issue: m.Issue, hot: m.Hot}, sink)
+	s.arriveRev(i, &revM{rep: rep, dst: m.Src, issue: m.Issue, hot: m.Hot}, sink)
 }
 
 func (s *Sim) drainForward() {
@@ -653,33 +672,30 @@ func (s *Sim) drainForward() {
 	rot := int(cycle)
 	for off := range s.nodes {
 		i := (off + rot) % s.n
-		nd := s.nodes[i]
+		nd := &s.nodes[i]
 		if s.down(i) {
 			continue
 		}
 		for dd := 0; dd < s.d; dd++ {
 			dim := (dd + rot) % s.d
-			q := nd.out[dim]
-			if len(q) == 0 || q[0].moved == cycle {
+			q := &nd.out[dim]
+			if q.Len() == 0 || q.Front().moved == cycle {
 				continue
 			}
-			m := q[0]
+			m := &q.Front().Fwd
 			next := s.topo.Neighbor(i, dim)
 			if s.SwitchDead(0, next) {
 				continue // dead downstream router: hold the request here
 			}
 			if s.LinkDropsFwd(1, next, dim, &m.Req) {
-				copy(q, q[1:])
-				nd.out[dim] = q[:len(q)-1]
+				q.Pop()
 				continue // request lost on the forward link
 			}
-			if !s.arriveFwd(next, m) {
-				continue
+			// next ≠ i, so landing the request cannot move the slot m is in.
+			if s.arriveFwd(next, m) {
+				s.stats.FwdHops++
+				q.Pop()
 			}
-			s.stats.FwdHops++
-			q = nd.out[dim] // arriveFwd may not alias; re-read
-			copy(q, q[1:])
-			nd.out[dim] = q[:len(q)-1]
 		}
 	}
 }
@@ -701,7 +717,7 @@ func (s *Sim) injectAll() {
 			s.Lost(i) // on the processor-to-router link
 			continue
 		}
-		if s.arriveFwd(i, fwdM{Fwd: *m}) {
+		if s.arriveFwd(i, m) {
 			s.Sent(i)
 			s.stats.FwdHops++
 		}

@@ -12,7 +12,9 @@ import (
 // module-selection function sends all requests for a location to the same
 // module.
 type Array struct {
-	modules []*Module
+	// modules are contiguous, in module order: a cycle engine ticks every
+	// one of them every cycle, and walks them in that order.
+	modules []Module
 }
 
 // NewArray builds m interleaved modules.
@@ -20,11 +22,11 @@ func NewArray(m int, opts ...Option) *Array {
 	if m < 1 {
 		panic("memory: array needs at least one module")
 	}
-	mods := make([]*Module, m)
-	for i := range mods {
-		mods[i] = NewModule(opts...)
+	a := &Array{modules: make([]Module, m)}
+	for i := range a.modules {
+		a.modules[i].init(opts)
 	}
-	return &Array{modules: mods}
+	return a
 }
 
 // Modules returns the number of modules.
@@ -36,7 +38,7 @@ func (a *Array) HomeOf(addr word.Addr) int {
 }
 
 // Module returns module i.
-func (a *Array) Module(i int) *Module { return a.modules[i] }
+func (a *Array) Module(i int) *Module { return &a.modules[i] }
 
 // Do routes a request to its home module and executes it.
 func (a *Array) Do(req core.Request) core.Reply {
@@ -56,8 +58,8 @@ func (a *Array) Poke(addr word.Addr, w word.Word) {
 // TotalServed sums completed requests across modules.
 func (a *Array) TotalServed() int64 {
 	var n int64
-	for _, m := range a.modules {
-		n += m.Served
+	for i := range a.modules {
+		n += a.modules[i].Served
 	}
 	return n
 }
@@ -67,8 +69,8 @@ func (a *Array) TotalServed() int64 {
 // bound.
 func (a *Array) MaxQueueDepth() int {
 	max := 0
-	for _, m := range a.modules {
-		if d := m.MaxQueue(); d > max {
+	for i := range a.modules {
+		if d := a.modules[i].MaxQueue(); d > max {
 			max = d
 		}
 	}
@@ -80,8 +82,8 @@ func (a *Array) MaxQueueDepth() int {
 // it is safe while asynchronous traffic is in flight.
 func (a *Array) TotalDedupHits() int64 {
 	var n int64
-	for _, m := range a.modules {
-		n += m.DedupHitCount()
+	for i := range a.modules {
+		n += a.modules[i].DedupHitCount()
 	}
 	return n
 }

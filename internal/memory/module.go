@@ -4,15 +4,33 @@
 // returns the old value.  A module satisfies conditions (M2.1)–(M2.3) by
 // construction: it processes one request at a time in arrival order.
 //
-// The package offers two driving styles for the two network engines:
+// The package offers two driving styles for the two network engines, and
+// they lock differently:
 //
-//   - Cycle-driven (Enqueue/Tick): the cycle-accurate simulator feeds
-//     requests and collects replies on a clock, with a configurable service
-//     time per request.
-//   - Direct (Do): the asynchronous goroutine network calls Do, which
-//     executes the request under the module's mutex — the module acts as a
+//   - Cycle-driven (Enqueue, CanEnqueue, Tick, QueueLen, MaxQueue,
+//     PendingReplies, Checkpoint, Crash):
+//     the cycle-accurate simulators feed requests and collect replies on a
+//     clock, with a configurable service time per request.  These methods
+//     take no lock.  They are single-owner: one engine owns the module and
+//     calls them either from its stepping goroutine or — under a parallel
+//     stepper — from exactly one worker per barrier-separated phase (the
+//     barrier is the happens-before edge that hands the module from the
+//     phase that ticks it to the phase that feeds it).  A mutex here bought
+//     nothing, since the engines never share a module inside a phase, and
+//     cost a lock and an unlock per module per cycle whether or not the
+//     module held work.
+//   - Direct (Do, and Peek, Poke, DedupHitCount):
+//     the asynchronous goroutine network calls Do from many goroutines at
+//     once, so these run under the module's mutex — the module acts as a
 //     monitor, which is exactly "memory is locked only during the execution
-//     of the update operation".
+//     of the update operation".  Tests and drivers read cells with Peek
+//     while asynchronous traffic is still executing, so the readers lock
+//     too.
+//
+// The two styles do not mix on one module while it is being stepped: an
+// engine's driver calls Peek, Poke or Do between steps, never during one.
+// Different modules of one Array are independent — stepping one while
+// another serves Do is fine (TestModuleOwnershipHandoff).
 package memory
 
 import (
@@ -24,21 +42,29 @@ import (
 
 // Module is one memory module: a bank of cells plus a FIFO request queue.
 type Module struct {
-	mu sync.Mutex
+	// The fields a cycle-driven tick reads come first, so an idle tick — most
+	// ticks of most modules — stays within the struct's first cache lines.
 
-	cells map[word.Addr]word.Word
-
-	// queue is the cycle-driven request FIFO; queueCap bounds it (0 means
-	// unbounded) and maxQueue records its high-water mark including the
-	// request in service.
-	queue    []core.Request
+	// queue is the cycle-driven request FIFO, bounded by queueCap (0 means
+	// unbounded); the request in service stays at its front until it
+	// completes, so its length is the module's occupancy.  maxQueue records
+	// the high-water mark.
+	queue    core.FIFO[core.Request]
 	queueCap int
 	maxQueue int
 	// serviceTime is cycles per request (≥ 1).
 	serviceTime int
-	// busy counts remaining cycles of the in-flight request.
-	busy    int
-	current core.Request
+	// busy counts remaining cycles of the request in service (the queue's
+	// front); 0 means no request is in service.
+	busy int
+	// ckpt selects checkpoint mode (WithCheckpoints); its state is below.
+	ckpt bool
+
+	cells map[word.Addr]word.Word
+
+	// mu makes the module a monitor for Do and the direct-mode readers; the
+	// cycle-driven methods do not take it (see the package comment).
+	mu sync.Mutex
 
 	// Served counts completed requests.
 	Served int64
@@ -73,11 +99,10 @@ type Module struct {
 	// can never un-execute an operation whose reply already escaped.
 	// releasable are committed replies draining to the network one per
 	// Tick.
-	ckpt       bool
 	delta      map[word.ReqID]word.Word
 	undo       map[word.Addr]word.Word
 	held       []core.Reply
-	releasable []core.Reply
+	releasable core.FIFO[core.Reply]
 }
 
 // Option configures a Module.
@@ -144,14 +169,20 @@ func WithNoDedupCanary() Option {
 
 // NewModule returns an empty module; all cells read as the zero word.
 func NewModule(opts ...Option) *Module {
-	m := &Module{
-		cells:       make(map[word.Addr]word.Word),
-		serviceTime: 1,
-	}
+	m := new(Module)
+	m.init(opts)
+	return m
+}
+
+// init makes the zero Module an empty one, in place (an Array's modules are
+// contiguous).
+func (m *Module) init(opts []Option) {
+	m.cells = make(map[word.Addr]word.Word)
+	m.serviceTime = 1
 	for _, o := range opts {
 		o(m)
 	}
-	return m
+	m.queue = core.NewFIFO[core.Request](m.queueCap)
 }
 
 // Peek reads a cell without a memory operation (test/diagnostic use).
@@ -177,28 +208,30 @@ func (m *Module) Do(req core.Request) core.Reply {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	return m.execLocked(req)
+	return m.exec(&req)
 }
 
-func (m *Module) execLocked(req core.Request) core.Reply {
+// exec executes one request against the cells.  Its caller holds the lock
+// (Do) or owns the module (Tick).
+func (m *Module) exec(req *core.Request) core.Reply {
 	if m.replyCache != nil {
-		return m.execCachedLocked(req)
+		return m.execCached(req)
 	}
 	cell := m.cells[req.Addr]
-	reply := core.Execute(&cell, req)
+	reply := core.Execute(&cell, *req)
 	m.cells[req.Addr] = cell
 	m.Served++
 	return reply
 }
 
-// execCachedLocked executes a request leaf by leaf against the reply cache.
+// execCached executes a request leaf by leaf against the reply cache.
 // A request without Reps (plain traffic on a fault-armed module) is treated
 // as its own single leaf.  Each uncached leaf applies its own mapping in
 // representation (serialization) order; cached leaves are skipped, so a
 // message mixing delivered and undelivered leaves — an original overtaken by
 // a partial retransmit, or vice versa — still executes every operation
 // exactly once.
-func (m *Module) execCachedLocked(req core.Request) core.Reply {
+func (m *Module) execCached(req *core.Request) core.Reply {
 	leaves := req.Reps
 	if leaves == nil {
 		leaves = []core.Leaf{{ID: req.ID, Src: 0, Op: req.Op}}
@@ -206,14 +239,14 @@ func (m *Module) execCachedLocked(req core.Request) core.Reply {
 	cell := m.cells[req.Addr]
 	vals := make(map[word.ReqID]word.Word, len(leaves))
 	for _, lf := range leaves {
-		if v, ok := m.cacheGetLocked(lf.ID); ok {
+		if v, ok := m.cacheGet(lf.ID); ok {
 			m.DedupHits++
 			vals[lf.ID] = v
 			continue
 		}
 		old := cell
 		cell = lf.Op.Apply(old)
-		m.cachePutLocked(lf.ID, old)
+		m.cachePut(lf.ID, old)
 		vals[lf.ID] = old
 	}
 	if m.ckpt {
@@ -226,9 +259,9 @@ func (m *Module) execCachedLocked(req core.Request) core.Reply {
 	return core.Reply{ID: req.ID, Val: vals[req.ID], Attempt: req.Attempt, Leaves: vals}
 }
 
-// cacheGetLocked consults the exactly-once ledger: the uncommitted delta
-// first, then the committed cache.
-func (m *Module) cacheGetLocked(id word.ReqID) (word.Word, bool) {
+// cacheGet consults the exactly-once ledger: the uncommitted delta first,
+// then the committed cache.
+func (m *Module) cacheGet(id word.ReqID) (word.Word, bool) {
 	if m.canaryNoDedup {
 		return word.Word{}, false
 	}
@@ -241,9 +274,9 @@ func (m *Module) cacheGetLocked(id word.ReqID) (word.Word, bool) {
 	return v, ok
 }
 
-// cachePutLocked records a fresh leaf execution — uncommitted until the
-// next checkpoint when in checkpoint mode.
-func (m *Module) cachePutLocked(id word.ReqID, v word.Word) {
+// cachePut records a fresh leaf execution — uncommitted until the next
+// checkpoint when in checkpoint mode.
+func (m *Module) cachePut(id word.ReqID, v word.Word) {
 	if m.ckpt {
 		m.delta[id] = v
 		return
@@ -260,94 +293,64 @@ func (m *Module) DedupHitCount() int64 {
 	return m.DedupHits
 }
 
-// Enqueue appends a request to the module's FIFO (cycle-driven mode).  On a
-// bounded module the caller must check CanEnqueue first and hold the request
-// upstream when it reports false; overflowing a bounded queue is an engine
-// bug and panics.
+// Enqueue appends a request to the module's FIFO (cycle-driven mode; owner
+// only, see the package comment).  On a bounded module the caller must check
+// CanEnqueue first and hold the request upstream when it reports false;
+// overflowing a bounded queue is an engine bug and panics.
 func (m *Module) Enqueue(req core.Request) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	if m.queueCap > 0 && m.queueLenLocked() >= m.queueCap {
+	if m.queue.Full() {
 		panic("memory: Enqueue on a full bounded module (caller must check CanEnqueue)")
 	}
-	m.queue = append(m.queue, req)
-	if n := m.queueLenLocked(); n > m.maxQueue {
+	*m.queue.Push() = req
+	if n := m.queue.Len(); n > m.maxQueue {
 		m.maxQueue = n
 	}
 }
 
-// CanEnqueue reports whether the module has room for one more request.
-func (m *Module) CanEnqueue() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	return m.queueCap <= 0 || m.queueLenLocked() < m.queueCap
-}
+// CanEnqueue reports whether the module has room for one more request
+// (owner only).
+func (m *Module) CanEnqueue() bool { return !m.queue.Full() }
 
 // QueueCap returns the configured input-queue bound (0 when unbounded).
 func (m *Module) QueueCap() int { return m.queueCap }
 
-// MaxQueue returns the input-queue high-water mark (including the request
-// in service).
-func (m *Module) MaxQueue() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// MaxQueue returns the input-queue high-water mark, including the request
+// in service (owner only).
+func (m *Module) MaxQueue() int { return m.maxQueue }
 
-	return m.maxQueue
-}
+// QueueLen reports pending requests, including the one in service (owner
+// only).
+func (m *Module) QueueLen() int { return m.queue.Len() }
 
-func (m *Module) queueLenLocked() int {
-	n := len(m.queue)
-	if m.busy > 0 {
-		n++
-	}
-	return n
-}
-
-// QueueLen reports pending requests, including the one in service.
-func (m *Module) QueueLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	return m.queueLenLocked()
-}
-
-// Tick advances the module one cycle.  It returns a completed reply, if
-// any, and ok reporting whether a reply was produced this cycle.  With
-// service time s, a request completes s cycles after it starts service.
+// Tick advances the module one cycle (owner only).  It returns a completed
+// reply, if any, and ok reporting whether a reply was produced this cycle.
+// With service time s, a request completes s cycles after it starts service.
 func (m *Module) Tick() (core.Reply, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	if !m.ckpt {
-		return m.serviceLocked()
+		return m.service()
 	}
 	// Checkpoint mode: service continues (completed replies join held),
 	// while at most one previously committed reply drains per Tick — the
 	// output-commit gate adds latency but preserves the engines'
 	// one-reply-per-module-per-cycle contract and steady-state rate.
-	if rep, ok := m.serviceLocked(); ok {
+	if rep, ok := m.service(); ok {
 		m.held = append(m.held, rep)
 	}
-	if len(m.releasable) == 0 {
+	if m.releasable.Len() == 0 {
 		return core.Reply{}, false
 	}
-	rep := m.releasable[0]
-	copy(m.releasable, m.releasable[1:])
-	m.releasable = m.releasable[:len(m.releasable)-1]
+	rep := *m.releasable.Front()
+	m.releasable.Pop()
 	return rep, true
 }
 
-// serviceLocked advances the service pipeline one cycle.
-func (m *Module) serviceLocked() (core.Reply, bool) {
+// service advances the service pipeline one cycle.  The request in service
+// executes in place at the queue's front and leaves the queue on completion.
+func (m *Module) service() (core.Reply, bool) {
 	if m.busy == 0 {
-		if len(m.queue) == 0 {
+		if m.queue.Len() == 0 {
 			return core.Reply{}, false
 		}
-		m.current = m.queue[0]
-		copy(m.queue, m.queue[1:])
-		m.queue = m.queue[:len(m.queue)-1]
 		m.busy = m.serviceTime
 	}
 	m.BusyCycles++
@@ -355,17 +358,16 @@ func (m *Module) serviceLocked() (core.Reply, bool) {
 	if m.busy > 0 {
 		return core.Reply{}, false
 	}
-	return m.execLocked(m.current), true
+	rep := m.exec(m.queue.Front())
+	m.queue.Pop()
+	return rep, true
 }
 
 // Checkpoint commits the module's recovery image: leaves executed since the
 // last checkpoint join the committed cache, the undo log clears, and held
 // replies become releasable.  Engines call it every Plan.CheckpointEvery
-// cycles; the cost is O(changes since the last checkpoint).
+// cycles (owner only); the cost is O(changes since the last checkpoint).
 func (m *Module) Checkpoint() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	if !m.ckpt {
 		return
 	}
@@ -374,7 +376,9 @@ func (m *Module) Checkpoint() {
 	}
 	clear(m.delta)
 	clear(m.undo)
-	m.releasable = append(m.releasable, m.held...)
+	for i := range m.held {
+		*m.releasable.Push() = m.held[i]
+	}
 	m.held = m.held[:0]
 }
 
@@ -386,10 +390,8 @@ func (m *Module) Checkpoint() {
 // layer tracks them and counts the ones the retry machinery later
 // re-drives to completion.  Committed cache entries survive, so leaves of
 // flushed-but-committed replies are answered from the cache on retransmit.
+// Owner only.
 func (m *Module) Crash() []word.ReqID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	if !m.ckpt {
 		return nil
 	}
@@ -397,20 +399,17 @@ func (m *Module) Crash() []word.ReqID {
 	for id := range m.delta {
 		lost[id] = struct{}{}
 	}
-	addReq := func(req core.Request) {
+	// The queue's front is the request in service, if any.
+	queued := m.queue.View()
+	for i := range queued {
+		req := &queued[i]
 		if req.Reps == nil {
 			lost[req.ID] = struct{}{}
-			return
+			continue
 		}
 		for _, lf := range req.Reps {
 			lost[lf.ID] = struct{}{}
 		}
-	}
-	for _, req := range m.queue {
-		addReq(req)
-	}
-	if m.busy > 0 {
-		addReq(m.current)
 	}
 	addRep := func(rep core.Reply) {
 		if rep.Leaves == nil {
@@ -424,7 +423,7 @@ func (m *Module) Crash() []word.ReqID {
 	for _, rep := range m.held {
 		addRep(rep)
 	}
-	for _, rep := range m.releasable {
+	for _, rep := range m.releasable.View() {
 		addRep(rep)
 	}
 	for addr, w := range m.undo {
@@ -432,11 +431,10 @@ func (m *Module) Crash() []word.ReqID {
 	}
 	clear(m.undo)
 	clear(m.delta)
-	m.queue = m.queue[:0]
+	m.queue.Clear()
 	m.busy = 0
-	m.current = core.Request{}
 	m.held = m.held[:0]
-	m.releasable = m.releasable[:0]
+	m.releasable.Clear()
 
 	ids := make([]word.ReqID, 0, len(lost))
 	for id := range lost {
@@ -448,9 +446,4 @@ func (m *Module) Crash() []word.ReqID {
 // PendingReplies reports withheld plus releasable replies (checkpoint
 // mode) — in-flight work the engines fold into their InFlight gauge so
 // drain loops and the watchdog see output-committed replies coming.
-func (m *Module) PendingReplies() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	return len(m.held) + len(m.releasable)
-}
+func (m *Module) PendingReplies() int { return len(m.held) + m.releasable.Len() }

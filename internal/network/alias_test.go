@@ -165,6 +165,9 @@ type fixedInjector struct {
 	op          rmw.Mapping
 	srcs        []word.ProcID
 	outstanding int
+	// hotEvery > 0 sends every hotEvery-th request to the shared address
+	// nprocs instead (module 0's second cell): a hot spot.
+	hotEvery, issued int
 }
 
 func newFixedInjector(proc, nprocs int) *fixedInjector {
@@ -182,8 +185,13 @@ func (f *fixedInjector) Next(cycle int64) (Injection, bool) {
 		return Injection{}, false
 	}
 	f.outstanding++
+	f.issued++
 	id := f.ids.NextPartitioned(f.nprocs)
-	return Injection{Req: core.Request{ID: id, Addr: f.addr, Op: f.op, Srcs: f.srcs}}, true
+	addr := f.addr
+	if f.hotEvery > 0 && f.issued%f.hotEvery == 0 {
+		addr = word.Addr(f.nprocs)
+	}
+	return Injection{Req: core.Request{ID: id, Addr: addr, Op: f.op, Srcs: f.srcs}}, true
 }
 
 func (f *fixedInjector) Deliver(core.Reply, int64) { f.outstanding-- }
@@ -220,5 +228,28 @@ func TestSerialStepZeroAlloc(t *testing.T) {
 	sim.Run(512)
 	if allocs := testing.AllocsPerRun(200, func() { sim.Step() }); allocs != 0 {
 		t.Errorf("steady-state serial step: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestSaturatedStepZeroAlloc: a hot spot with combining off — every arrival
+// at a queue holding the hot address finds a combinable partner and is
+// refused by the zero-capacity wait buffer, and held requests repeat the
+// scan every cycle — allocates nothing either: rmw.Combinable is a
+// predicate, and the refused combine builds no mapping.
+func TestSaturatedStepZeroAlloc(t *testing.T) {
+	const n = 16
+	inj := make([]Injector, n)
+	for p := range inj {
+		f := newFixedInjector(p, n)
+		f.hotEvery = 8
+		inj[p] = f
+	}
+	sim := NewSim(Config{Procs: n, WaitBufCap: 0}, inj)
+	sim.Run(2048)
+	if sim.Stats().Rejects == 0 {
+		t.Fatalf("no combine was refused in %d cycles — the hot spot never met itself in a queue", sim.Cycle())
+	}
+	if allocs := testing.AllocsPerRun(200, func() { sim.Step() }); allocs != 0 {
+		t.Errorf("steady-state saturated step: %.1f allocs/op, want 0", allocs)
 	}
 }

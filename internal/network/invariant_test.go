@@ -36,9 +36,9 @@ func TestInvariantsUnderLoad(t *testing.T) {
 			for s, stage := range sim.stages {
 				for i, sw := range stage {
 					for port := 0; port < 2; port++ {
-						if len(sw.outQ[port]) > 3 {
+						if sw.outQ[port].Len() > 3 {
 							t.Fatalf("waitCap=%d: stage %d switch %d port %d queue %d > cap 3",
-								waitCap, s, i, port, len(sw.outQ[port]))
+								waitCap, s, i, port, sw.outQ[port].Len())
 						}
 					}
 				}
@@ -92,10 +92,10 @@ func TestReverseQueueBoundInvariant(t *testing.T) {
 		sim.Step()
 		for s, stage := range sim.stages {
 			for i, sw := range stage {
-				for port, q := range sw.revQ {
-					if len(q) > bound {
+				for port := range sw.revQ {
+					if q := &sw.revQ[port]; q.Len() > bound {
 						t.Fatalf("cycle %d: stage %d switch %d port %d reverse queue %d > bound %d",
-							c, s, i, port, len(q), bound)
+							c, s, i, port, q.Len(), bound)
 					}
 				}
 			}
@@ -194,8 +194,8 @@ func TestPathHeadersConsistent(t *testing.T) {
 	for c := 0; c < 500; c++ {
 		sim.Step()
 		for _, sw := range sim.stages[k-1] {
-			for _, q := range sw.outQ {
-				for _, m := range q {
+			for port := range sw.outQ {
+				for _, m := range sw.outQ[port].View() {
 					if len(m.Path) != k {
 						t.Fatalf("request %d at the memory link has %d path entries, want %d", m.Req.ID, len(m.Path), k)
 					}

@@ -204,12 +204,17 @@ func (s Stats) Percentile(q float64) float64 { return s.Latency.Percentile(q) }
 type Sim struct {
 	engine.Shell
 
-	cfg    Config
-	topo   engine.Staged // the wiring; all routing arithmetic lives here
-	n      int           // processors
-	k      int           // stages
-	radix  int           // switch degree
-	stages [][]*switchNode
+	cfg   Config
+	topo  engine.Staged // the wiring; all routing arithmetic lives here
+	n     int           // processors
+	k     int           // stages
+	radix int           // switch degree
+	// wire is topo evaluated once: the sweeps index it instead of redoing
+	// the wiring arithmetic for every message on every hop.
+	wire *engine.StagedTables
+	// stages[s] is column s of the network, its switches contiguous in
+	// sweep order.
+	stages [][]switchNode
 
 	// pathFree recycles path headers (getPath/putPath): a reply's header
 	// returns when it leaves stage 0, a request's when its offer is lost on
@@ -257,14 +262,31 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	radix := cfg.Radix
 	k := topo.Stages()
 	pol := core.Policy{AllowReversal: cfg.AllowReversal}
-	stages := make([][]*switchNode, k)
+	stages := make([][]switchNode, k)
 	for s := range stages {
-		stages[s] = make([]*switchNode, n/radix)
+		stages[s] = make([]switchNode, n/radix)
+		// The column's queues, contiguous in line order like its switches;
+		// each switch takes its radix-wide window.
+		outQ := make([]core.FIFO[fwdMsg], n)
+		revQ := make([]core.FIFO[revMsg], n)
+		for line := range outQ {
+			outQ[line] = core.NewFIFO[fwdMsg](cfg.QueueCap)
+		}
 		for i := range stages[s] {
-			stages[s][i] = newSwitch(s, i, radix, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap, pol, cfg.BuggyLoadForwarding)
+			lo, hi := i*radix, (i+1)*radix
+			stages[s][i] = switchNode{
+				stage:        s,
+				index:        i,
+				outQ:         outQ[lo:hi:hi],
+				revQ:         revQ[lo:hi:hi],
+				revCap:       cfg.RevQueueCap,
+				wait:         *core.NewWaitBuffer[netRecord](cfg.WaitBufCap),
+				pol:          pol,
+				buggyForward: cfg.BuggyLoadForwarding,
+			}
 		}
 	}
-	s := &Sim{cfg: cfg, topo: topo, n: n, k: k, radix: radix, stages: stages}
+	s := &Sim{cfg: cfg, topo: topo, n: n, k: k, radix: radix, wire: engine.CompileStaged(topo), stages: stages}
 	if cfg.Trace != nil {
 		// Switches stamp no cycle of their own; the machine's clock is
 		// the rim's.  Ports are traced by wrapping their injectors.
@@ -273,8 +295,8 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 			cfg.Trace(e)
 		}
 		for _, stage := range stages {
-			for _, sw := range stage {
-				sw.trace = trace
+			for i := range stage {
+				stage[i].trace = trace
 			}
 		}
 		inj = tracedPorts(inj, cfg.Trace)
@@ -324,10 +346,10 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 // Topology exposes the wiring the machine was built with.
 func (s *Sim) Topology() engine.Staged { return s.topo }
 
-// outPortFor selects the switch output port at a stage by the topology's
-// destination-tag routing rule.
-func (s *Sim) outPortFor(stage int, dst int) int {
-	return s.topo.OutPort(stage, dst)
+// outPortFor selects the switch output port at a stage for the request's
+// home module, by the topology's destination-tag routing rule.
+func (s *Sim) outPortFor(stage int, addr word.Addr) int {
+	return int(s.wire.OutPort[stage][s.destModule(addr)])
 }
 
 // destModule is the home module of an address.
@@ -363,9 +385,10 @@ func (s *Sim) treeSaturated() bool {
 	}
 	for _, stage := range s.stages {
 		full := false
-		for _, sw := range stage {
+		for i := range stage {
+			sw := &stage[i]
 			for port := 0; port < s.radix && !full; port++ {
-				full = len(sw.outQ[port]) >= s.cfg.QueueCap
+				full = sw.outQ[port].Full()
 			}
 			if full {
 				break
@@ -383,10 +406,11 @@ func (s *Sim) stallDetail() string {
 	detail := ""
 	for st, stage := range s.stages {
 		fwd, rev, wait := 0, 0, 0
-		for _, sw := range stage {
+		for i := range stage {
+			sw := &stage[i]
 			for port := 0; port < s.radix; port++ {
-				fwd += len(sw.outQ[port])
-				rev += len(sw.revQ[port])
+				fwd += sw.outQ[port].Len()
+				rev += sw.revQ[port].Len()
 			}
 			wait += sw.wait.Len()
 		}
@@ -403,9 +427,10 @@ func (s *Sim) stallDetail() string {
 func (s *Sim) queued() int {
 	n := 0
 	for _, stage := range s.stages {
-		for _, sw := range stage {
+		for i := range stage {
+			sw := &stage[i]
 			for port := 0; port < s.radix; port++ {
-				n += len(sw.outQ[port]) + len(sw.revQ[port])
+				n += sw.outQ[port].Len() + sw.revQ[port].Len()
 			}
 			n += sw.wait.Len()
 		}
@@ -419,14 +444,13 @@ func (s *Sim) queued() int {
 // queue fairly (round-robin arbitration, as in real switches).
 func (s *Sim) drainReverse() {
 	rot := int(s.Cycle())
-	n0 := len(s.stages[0])
-	for si := 0; si < n0; si++ {
-		s.revSwitch0((si+rot)%n0, &s.stats, nil)
+	ns := s.n / s.radix
+	for i := 0; i < ns; i++ {
+		s.revSwitch0((i+rot)%ns, &s.stats, nil)
 	}
 	for stage := 1; stage < s.k; stage++ {
-		ns := len(s.stages[stage])
-		for si := 0; si < ns; si++ {
-			s.revSwitch(stage, (si+rot)%ns, &s.stats)
+		for i := 0; i < ns; i++ {
+			s.revSwitch(stage, (i+rot)%ns, &s.stats)
 		}
 	}
 }
@@ -441,26 +465,26 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 	if s.down(0, idx) {
 		return
 	}
-	sw := s.stages[0][idx]
+	sw := &s.stages[0][idx]
 	rot := int(s.Cycle())
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
-		if len(sw.revQ[port]) == 0 {
+		q := &sw.revQ[port]
+		if q.Len() == 0 {
 			continue
 		}
-		inLine := sw.index*s.radix + port
-		r := sw.popRev(port)
-		if s.LinkDropsRev(0, sw.index, port, &r.rep) {
-			continue // reply lost on the reverse link
-		}
-		st.RevHops++
-		st.RevSlots += int64(r.slots)
-		proc := s.topo.LineProc(inLine)
-		if sink != nil {
-			*sink = append(*sink, delivery{proc: proc, r: r})
-			continue
-		}
-		s.deliver(proc, r)
+		r := q.Front()
+		if !s.LinkDropsRev(0, idx, port, &r.rep) {
+			st.RevHops++
+			st.RevSlots += int64(r.slots)
+			proc := int(s.wire.LineProc[idx*s.radix+port])
+			if sink != nil {
+				*sink = append(*sink, delivery{proc: proc, r: *r})
+			} else {
+				s.deliver(proc, r)
+			}
+		} // else the reply is lost on the reverse link
+		q.Pop()
 	}
 }
 
@@ -468,7 +492,7 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 // link.  Its path header is empty by now — stage 0 popped the last entry —
 // and returns to the injection pool here, before the link can duplicate the
 // reply: every copy the rim delivers is header-free.
-func (s *Sim) deliver(proc int, r revMsg) {
+func (s *Sim) deliver(proc int, r *revMsg) {
 	s.putPath(r.path)
 	s.Deliver(faults.Site(0, proc, 0), proc, r.rep, r.issueCycle, r.hot)
 }
@@ -483,17 +507,18 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 	if s.down(stage, idx) {
 		return
 	}
-	sw := s.stages[stage][idx]
+	sw := &s.stages[stage][idx]
+	wire := s.wire.Prev[stage][idx*s.radix:]
 	rot := int(s.Cycle())
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
-		if len(sw.revQ[port]) == 0 {
+		q := &sw.revQ[port]
+		if q.Len() == 0 {
 			continue
 		}
-		inLine := sw.index*s.radix + port
-		prevLine := s.topo.PrevLine(stage, inLine)
-		prev := s.stages[stage-1][prevLine/s.radix]
-		if s.SwitchDead(stage-1, prevLine/s.radix) {
+		prevIdx := int(wire[port].Switch)
+		prev := &s.stages[stage-1][prevIdx]
+		if s.SwitchDead(stage-1, prevIdx) {
 			// Downstream switch is dead: hold the reply here so the crash
 			// costs only the flushed state, not a stream of new losses.
 			st.HoldsRev++
@@ -507,34 +532,42 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 			st.HoldsRev++
 			continue
 		}
-		r := sw.popRev(port)
-		if s.LinkDropsRev(stage, sw.index, port, &r.rep) {
-			continue // reply lost on the reverse link
-		}
-		st.RevHops++
-		st.RevSlots += int64(r.slots)
-		prev.acceptReply(r)
+		r := q.Front()
+		if !s.LinkDropsRev(stage, idx, port, &r.rep) {
+			st.RevHops++
+			st.RevSlots += int64(r.slots)
+			prev.acceptReply(r)
+		} // else the reply is lost on the reverse link
+		q.Pop()
 	}
 }
 
 // tickMemory advances every module and feeds completed replies into the
 // reverse side of the last stage.
 func (s *Sim) tickMemory() {
-	for mod := 0; mod < s.n; mod++ {
-		s.tickModule(mod, &s.stats, s.Own())
+	for b := 0; b < s.n/s.radix; b++ {
+		s.tickModules(b, &s.stats, s.Own())
+	}
+}
+
+// tickModules advances the radix modules behind last-stage switch b, in
+// module order — one conflict group of the parallel stepper's memory phase.
+func (s *Sim) tickModules(b int, st *Stats, sh *engine.Shard) {
+	sw := &s.stages[s.k-1][b]
+	for mod := b * s.radix; mod < (b+1)*s.radix; mod++ {
+		s.tickModule(mod, sw, st, sh)
 	}
 }
 
 // tickModule advances one module one cycle.  A module touches only its own
-// metadata shard and the last-stage switch mod/radix, so the radix modules
-// behind one last-stage switch form a conflict group under the parallel
-// stepper; the rim's counts go through sh so each worker's stay on its own
-// shard.
-func (s *Sim) tickModule(mod int, st *Stats, sh *engine.Shard) {
+// metadata shard and sw, the last-stage switch mod/radix, so the radix
+// modules behind one last-stage switch form a conflict group under the
+// parallel stepper; the rim's counts go through sh so each worker's stay on
+// its own shard.
+func (s *Sim) tickModule(mod int, sw *switchNode, st *Stats, sh *engine.Shard) {
 	if !s.ModuleUp(mod, sh) || s.MemStalled(mod) {
 		return
 	}
-	sw := s.stages[s.k-1][mod/s.radix]
 	if !sw.canAcceptReply() {
 		// The last-stage switch has no reverse credit: the module's
 		// output port is blocked, so it holds its completed request
@@ -549,7 +582,7 @@ func (s *Sim) tickModule(mod int, st *Stats, sh *engine.Shard) {
 	if sw.trace != nil {
 		sw.trace(Event{Kind: EvMemServe, ID: rep.ID, Addr: m.Req.Addr, Stage: -1, Switch: mod})
 	}
-	sw.acceptReply(revMsg{
+	sw.acceptReply(&revMsg{
 		rep:        rep,
 		path:       m.Path,
 		issueCycle: m.Issue,
@@ -562,10 +595,10 @@ func (s *Sim) tickModule(mod int, st *Stats, sh *engine.Shard) {
 // first, with round-robin switch/port arbitration as in drainReverse.
 func (s *Sim) drainForward() {
 	rot := int(s.Cycle())
+	ns := s.n / s.radix
 	for stage := s.k - 1; stage >= 0; stage-- {
-		ns := len(s.stages[stage])
-		for si := 0; si < ns; si++ {
-			s.fwdSwitch(stage, (si+rot)%ns, &s.stats, s.Own())
+		for i := 0; i < ns; i++ {
+			s.fwdSwitch(stage, (i+rot)%ns, &s.stats, s.Own())
 		}
 	}
 }
@@ -581,16 +614,22 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats, sh *engine.Shard) {
 	if s.down(stage, idx) {
 		return
 	}
-	sw := s.stages[stage][idx]
+	sw := &s.stages[stage][idx]
+	last := stage == s.k-1
+	var wire []engine.Hop
+	if !last {
+		wire = s.wire.Next[stage][idx*s.radix:]
+	}
 	rot := int(s.Cycle())
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
-		if len(sw.outQ[port]) == 0 {
+		q := &sw.outQ[port]
+		if q.Len() == 0 {
 			continue
 		}
-		m := sw.outQ[port][0]
-		outLine := sw.index*s.radix + port
-		if stage == s.k-1 {
+		m := q.Front()
+		if last {
+			outLine := idx*s.radix + port
 			// The link into module outLine.  A dead module was flushed
 			// once at its crash and is fed nothing new; a full one holds
 			// the request in the switch — the backpressure that turns a
@@ -600,29 +639,26 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats, sh *engine.Shard) {
 				st.HoldsMem++
 				continue
 			}
-			sw.popFwd(port)
-			if s.LinkDropsFwd(s.k, outLine, 0, &m.Req) {
-				continue // request lost on the memory link
-			}
-			st.FwdHops++
-			st.FwdSlots += int64(core.ValueSlots(m.Req.Op))
-			s.EnterMemory(faults.Site(s.k, outLine, 0), outLine, m, sh)
+			if !s.LinkDropsFwd(s.k, outLine, 0, &m.Req) {
+				st.FwdHops++
+				st.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+				s.EnterMemory(faults.Site(s.k, outLine, 0), outLine, m, sh)
+			} // else the request is lost on the memory link
+			q.Pop()
 			continue
 		}
-		nextLine := s.topo.NextLine(stage, outLine)
-		nextIdx, nextPort := nextLine/s.radix, nextLine%s.radix
+		nextIdx, nextPort := int(wire[port].Switch), int(wire[port].Port)
 		if s.SwitchDead(stage+1, nextIdx) {
 			continue // dead downstream switch: hold the request here
 		}
 		if s.LinkDropsFwd(stage+1, nextIdx, nextPort, &m.Req) {
-			sw.popFwd(port)
+			q.Pop()
 			continue // request lost on the inter-stage link
 		}
-		dst := s.destModule(m.Req.Addr)
-		if s.stages[stage+1][nextIdx].tryAccept(m, s.outPortFor(stage+1, dst), uint8(nextPort), st) {
-			sw.popFwd(port)
+		if s.stages[stage+1][nextIdx].tryAccept(m, s.outPortFor(stage+1, m.Req.Addr), uint8(nextPort), st) {
 			st.FwdHops++
 			st.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+			q.Pop()
 		}
 	}
 }
@@ -656,31 +692,34 @@ func (s *Sim) putPath(p []uint8) {
 // network and recycles at once.
 func (s *Sim) injectAll() {
 	rot := int(s.Cycle())
-	for pi := 0; pi < s.n; pi++ {
-		proc := (pi + rot) % s.n
-		m := s.Offer(proc)
-		if m == nil {
-			continue
-		}
-		line := s.topo.ProcLine(proc)
-		idx, port := line/s.radix, line%s.radix
-		if s.SwitchDead(0, idx) {
-			continue
-		}
-		if m.Path == nil {
-			m.Path = s.getPath()
-		}
-		if s.LinkDropsFwd(0, idx, port, &m.Req) {
-			s.putPath(m.Path)
-			s.Lost(proc) // on the processor-to-stage-0 link
-			continue
-		}
-		dst := s.destModule(m.Req.Addr)
-		if s.stages[0][idx].tryAccept(*m, s.outPortFor(0, dst), uint8(port), &s.stats) {
-			s.stats.FwdHops++
-			s.stats.FwdSlots += int64(core.ValueSlots(m.Req.Op))
-			s.Sent(proc)
-		}
+	for i := 0; i < s.n; i++ {
+		s.inject((i + rot) % s.n)
+	}
+}
+
+// inject offers processor proc's request, if it has one, to its stage-0
+// switch.
+func (s *Sim) inject(proc int) {
+	m := s.Offer(proc)
+	if m == nil {
+		return
+	}
+	idx, port := int(s.wire.ProcLine[proc].Switch), int(s.wire.ProcLine[proc].Port)
+	if s.SwitchDead(0, idx) {
+		return
+	}
+	if m.Path == nil {
+		m.Path = s.getPath()
+	}
+	if s.LinkDropsFwd(0, idx, port, &m.Req) {
+		s.putPath(m.Path)
+		s.Lost(proc) // on the processor-to-stage-0 link
+		return
+	}
+	if s.stages[0][idx].tryAccept(m, s.outPortFor(0, m.Req.Addr), uint8(port), &s.stats) {
+		s.stats.FwdHops++
+		s.stats.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+		s.Sent(proc)
 	}
 }
 
@@ -689,7 +728,8 @@ func (s *Sim) injectAll() {
 func (s *Sim) fabricStats() Stats {
 	st := s.stats
 	for _, stage := range s.stages {
-		for _, sw := range stage {
+		for i := range stage {
+			sw := &stage[i]
 			st.Rejects += sw.wait.Rejections
 			if sw.maxRev > st.MaxRevQueue {
 				st.MaxRevQueue = sw.maxRev

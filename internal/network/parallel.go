@@ -90,8 +90,9 @@ func (s *Sim) phaseWorker(w int) {
 	// claim under the race detector.
 	if w == 0 {
 		for si := 0; si < n0; si++ {
-			for _, d := range s.delivBuf[si] {
-				s.deliver(d.proc, d.r)
+			buf := s.delivBuf[si]
+			for i := range buf {
+				s.deliver(buf[i].proc, &buf[i].r)
 			}
 		}
 	}
@@ -113,9 +114,7 @@ func (s *Sim) phaseWorker(w int) {
 	ngm := s.n / s.radix
 	mlo, mhi := par.Split(ngm, workers, w)
 	for b := mlo; b < mhi; b++ {
-		for j := 0; j < s.radix; j++ {
-			s.tickModule(b*s.radix+j, &sh.st, &sh.rim)
-		}
+		s.tickModules(b, &sh.st, &sh.rim)
 	}
 	s.bar.Sync(w)
 

@@ -16,11 +16,13 @@ import (
 type switchNode struct {
 	stage, index int
 
-	outQ   [][]fwdMsg // one forward FIFO per output port (radix k)
-	revQ   [][]revMsg // one reverse FIFO per input port
-	wait   *core.WaitBuffer[netRecord]
+	// One forward FIFO per output port, bounded by Config.QueueCap, and one
+	// reverse FIFO per input port, unbounded as storage: admission is by
+	// credit (revCap, canAcceptReply), occupancy by the wait buffer.
+	outQ   []core.FIFO[fwdMsg]
+	revQ   []core.FIFO[revMsg]
+	wait   core.WaitBuffer[netRecord]
 	pol    core.Policy
-	outCap int // forward queue capacity; <= 0 means unbounded
 	revCap int // reverse base credit per port; <= 0 means unbounded
 	// maxRev is the reverse-queue high-water mark across this switch's
 	// ports — the observable the bounded-fan-out invariant is asserted on.
@@ -31,41 +33,29 @@ type switchNode struct {
 	// trace, when non-nil, observes combine/decombine/reject events; the
 	// machine stamps the cycle.
 	trace func(Event)
-
-	// CombinedHere counts requests absorbed by combining at this switch.
-	CombinedHere int64
 }
 
 // fwdReq projects a queued forward message to its request for the shared
 // combine scan.
 func fwdReq(m *fwdMsg) *core.Request { return &m.Req }
 
-func newSwitch(stage, index, radix, outCap, revCap, waitCap int, pol core.Policy, buggyForward bool) *switchNode {
-	return &switchNode{
-		stage:        stage,
-		index:        index,
-		outQ:         make([][]fwdMsg, radix),
-		revQ:         make([][]revMsg, radix),
-		outCap:       outCap,
-		revCap:       revCap,
-		wait:         core.NewWaitBuffer[netRecord](waitCap),
-		pol:          pol,
-		buggyForward: buggyForward,
-	}
-}
-
 // tryAccept routes a forward message into the output queue for outPort,
 // stamping the input port into the path header.  It first attempts to
 // combine with a queued request to the same address; failing that it
 // appends to the queue if space remains.  It reports false when the
 // message cannot be accepted this cycle (the upstream holds it).
-func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) bool {
-	m.Path = append(m.Path, inPort)
+//
+// m is the message where it waits — the head slot of the upstream queue, or
+// the processor port — and is only read: on acceptance it is copied, once,
+// into this switch's slot, and the caller then pops it.  On refusal it is
+// untouched (the stamp went into spare capacity of the header, beyond its
+// length).
+func (sw *switchNode) tryAccept(m *fwdMsg, outPort int, inPort uint8, st *Stats) bool {
+	path := append(m.Path, inPort)
 	q := &sw.outQ[outPort]
 	if sw.buggyForward {
 		if _, isLoad := m.Req.Op.(rmw.Load); isLoad {
-			for i := range *q {
-				queued := (*q)[i]
+			for _, queued := range q.View() {
 				c, isConst := queued.Req.Op.(rmw.Const)
 				if !isConst || queued.Req.Addr != m.Req.Addr {
 					continue
@@ -74,9 +64,9 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 				// the store is still on its way to memory — the
 				// incorrect optimization.  The synthesized reply
 				// descends from this switch along the load's path.
-				sw.acceptReply(revMsg{
+				sw.acceptReply(&revMsg{
 					rep:        core.Reply{ID: m.Req.ID, Val: word.W(c.V)},
-					path:       m.Path,
+					path:       path,
 					issueCycle: m.Issue,
 					hot:        m.Hot,
 					slots:      1,
@@ -85,10 +75,26 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 			}
 		}
 	}
-	// Only the LAST queued request for the address is a legal combining
-	// partner (M2.3) — the scan shared with the other engines via
-	// core.CombineAtTail.
-	tc, rejected, ok := core.CombineAtTail(*q, fwdReq, m.Req, sw.pol, sw.wait.CanPush)
+	if q.Len() > 0 && sw.tryCombine(q, m, path, st) {
+		return true
+	}
+	if q.Full() {
+		return false
+	}
+	slot := q.Push()
+	*slot = *m
+	slot.Path = path
+	if n := q.Len(); n > st.MaxOutQueue {
+		st.MaxOutQueue = n
+	}
+	return true
+}
+
+// tryCombine attempts to merge m into the non-empty queue q.  Only the LAST
+// queued request for the address is a legal combining partner (M2.3) — the
+// scan shared with the other engines via core.CombineAtTail.
+func (sw *switchNode) tryCombine(q *core.FIFO[fwdMsg], m *fwdMsg, path []uint8, st *Stats) bool {
+	tc, rejected, ok := core.CombineAtTail(q.View(), fwdReq, m.Req, sw.pol, sw.wait.CanPush)
 	if rejected {
 		// A full wait buffer forfeits the combine; count the missed
 		// opportunity for the partial-combining ablation.
@@ -98,50 +104,43 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 				ID: m.Req.ID, Addr: m.Req.Addr, Stage: sw.stage, Switch: sw.index})
 		}
 	}
-	if ok {
-		queued := &(*q)[tc.Index]
-		// The message whose id the combined request carries is the
-		// one serialized first; the other's routing state goes into
-		// the wait-buffer record.
-		first, second := *queued, m
-		if tc.Swapped {
-			first, second = m, *queued
-		}
-		nr := netRecord{
-			Record:     tc.Rec,
-			pathSecond: second.Path,
-			issue2:     second.Issue,
-			hot2:       second.Hot,
-			needs1:     rmw.NeedsValue(first.Req.Op),
-			needs2:     rmw.NeedsValue(second.Req.Op),
-			reps2:      second.Req.Reps,
-		}
-		if sw.wait.Push(tc.Rec.ID1, nr) {
-			*queued = fwdMsg{
-				Req:   tc.Combined,
-				Src:   first.Src,
-				Issue: first.Issue,
-				Hot:   first.Hot,
-				Path:  first.Path,
-			}
-			sw.CombinedHere++
-			st.Combines++
-			if sw.trace != nil {
-				sw.trace(Event{Kind: EvCombine,
-					ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.Req.Addr,
-					Stage: sw.stage, Switch: sw.index})
-			}
-			return true
-		}
-		// Full despite CanPush — cannot happen single-threaded; fall
-		// through to plain queueing.
-	}
-	if sw.outCap > 0 && len(*q) >= sw.outCap {
+	if !ok {
 		return false
 	}
-	*q = append(*q, m)
-	if n := len(*q); n > st.MaxOutQueue {
-		st.MaxOutQueue = n
+	queued := &q.View()[tc.Index]
+	// The message whose id the combined request carries is the one
+	// serialized first; the other's routing state goes into the wait-buffer
+	// record.
+	first, firstPath, second, secondPath := queued, queued.Path, m, path
+	if tc.Swapped {
+		first, firstPath, second, secondPath = m, path, queued, queued.Path
+	}
+	nr := netRecord{
+		Record:     tc.Rec,
+		pathSecond: secondPath,
+		issue2:     second.Issue,
+		hot2:       second.Hot,
+		needs1:     rmw.NeedsValue(first.Req.Op),
+		needs2:     rmw.NeedsValue(second.Req.Op),
+		reps2:      second.Req.Reps,
+	}
+	if !sw.wait.Push(tc.Rec.ID1, nr) {
+		// Full despite CanPush — cannot happen single-threaded; fall back
+		// to plain queueing.
+		return false
+	}
+	*queued = fwdMsg{
+		Req:   tc.Combined,
+		Src:   first.Src,
+		Issue: first.Issue,
+		Hot:   first.Hot,
+		Path:  firstPath,
+	}
+	st.Combines++
+	if sw.trace != nil {
+		sw.trace(Event{Kind: EvCombine,
+			ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.Req.Addr,
+			Stage: sw.stage, Switch: sw.index})
 	}
 	return true
 }
@@ -161,8 +160,8 @@ func (sw *switchNode) canAcceptReply() bool {
 	if sw.revCap <= 0 {
 		return true
 	}
-	for _, q := range sw.revQ {
-		if len(q) >= sw.revCap {
+	for port := range sw.revQ {
+		if sw.revQ[port].Len() >= sw.revCap {
 			return false
 		}
 	}
@@ -176,8 +175,25 @@ func (sw *switchNode) canAcceptReply() bool {
 // exactly the messages combining removed, so total reverse traffic never
 // exceeds the uncombined load — recorded as the maxRev high-water mark and
 // asserted in invariant_test.go; admission is gated by canAcceptReply, which
-// is why the appends below need no capacity check.
-func (sw *switchNode) acceptReply(r revMsg) {
+// is why the pushes below need no capacity check.  r is read, not kept: the
+// one copy made is into the reverse queue's slot.
+func (sw *switchNode) acceptReply(r *revMsg) {
+	if sw.wait.Len() > 0 && sw.decombine(r) {
+		return
+	}
+	q := &sw.revQ[r.path[sw.stage]]
+	slot := q.Push()
+	*slot = *r
+	slot.path = r.path[:sw.stage]
+	if n := q.Len(); n > sw.maxRev {
+		sw.maxRev = n
+	}
+}
+
+// decombine undoes the most recent combine recorded here that reply r
+// answers, if there is one, and accepts the two replies it yields (each of
+// which may decombine further).
+func (sw *switchNode) decombine(r *revMsg) bool {
 	// PopMatch skips records the reply cannot answer: under fault
 	// injection a record goes stale when its combined message is dropped
 	// downstream, and a later (retransmitted) reply for the same id must
@@ -185,34 +201,30 @@ func (sw *switchNode) acceptReply(r revMsg) {
 	// a combine that never reached memory.  On a healthy network every
 	// record matches and this is exactly Pop.
 	match := func(nr netRecord) bool { return core.CanDecombine(nr.Record, r.rep) }
-	if rec, ok := sw.wait.PopMatch(r.rep.ID, match); ok {
-		r1, r2 := core.DecombineExact(rec.Record, r.rep)
-		if sw.trace != nil {
-			sw.trace(Event{Kind: EvDecombine,
-				ID: r1.ID, ID2: r2.ID, Stage: sw.stage, Switch: sw.index})
-		}
-		sw.acceptReply(revMsg{
-			rep:        r1,
-			path:       r.path,
-			issueCycle: r.issueCycle,
-			hot:        r.hot,
-			slots:      boolSlots(rec.needs1),
-		})
-		sw.acceptReply(revMsg{
-			rep:        r2,
-			path:       rec.pathSecond,
-			issueCycle: rec.issue2,
-			hot:        rec.hot2,
-			slots:      boolSlots(rec.needs2),
-		})
-		return
+	rec, ok := sw.wait.PopMatch(r.rep.ID, match)
+	if !ok {
+		return false
 	}
-	port := r.path[sw.stage]
-	r.path = r.path[:sw.stage]
-	sw.revQ[port] = append(sw.revQ[port], r)
-	if n := len(sw.revQ[port]); n > sw.maxRev {
-		sw.maxRev = n
+	r1, r2 := core.DecombineExact(rec.Record, r.rep)
+	if sw.trace != nil {
+		sw.trace(Event{Kind: EvDecombine,
+			ID: r1.ID, ID2: r2.ID, Stage: sw.stage, Switch: sw.index})
 	}
+	sw.acceptReply(&revMsg{
+		rep:        r1,
+		path:       r.path,
+		issueCycle: r.issueCycle,
+		hot:        r.hot,
+		slots:      boolSlots(rec.needs1),
+	})
+	sw.acceptReply(&revMsg{
+		rep:        r2,
+		path:       rec.pathSecond,
+		issueCycle: rec.issue2,
+		hot:        rec.hot2,
+		slots:      boolSlots(rec.needs2),
+	})
+	return true
 }
 
 // crash flushes the switch's volatile state — forward queues, reverse
@@ -224,15 +236,16 @@ func (sw *switchNode) acceptReply(r revMsg) {
 func (sw *switchNode) crash() []word.ReqID {
 	var ids []word.ReqID
 	for port := range sw.outQ {
-		for i := range sw.outQ[port] {
-			req := &sw.outQ[port][i].Req
-			ids = engine.LostLeaves(ids, req.Reps, req.ID)
+		fwd := sw.outQ[port].View()
+		for i := range fwd {
+			ids = engine.LostLeaves(ids, fwd[i].Req.Reps, fwd[i].Req.ID)
 		}
-		sw.outQ[port] = nil
-		for i := range sw.revQ[port] {
-			ids = engine.LostReply(ids, &sw.revQ[port][i].rep)
+		sw.outQ[port].Clear()
+		rev := sw.revQ[port].View()
+		for i := range rev {
+			ids = engine.LostReply(ids, &rev[i].rep)
 		}
-		sw.revQ[port] = nil
+		sw.revQ[port].Clear()
 	}
 	for _, rec := range sw.wait.Flush() {
 		ids = engine.LostLeaves(ids, rec.reps2, rec.ID2)
@@ -245,22 +258,4 @@ func boolSlots(needs bool) int {
 		return 1
 	}
 	return 0
-}
-
-// popFwd removes and returns the head of the forward queue for port.
-func (sw *switchNode) popFwd(port int) fwdMsg {
-	q := sw.outQ[port]
-	m := q[0]
-	copy(q, q[1:])
-	sw.outQ[port] = q[:len(q)-1]
-	return m
-}
-
-// popRev removes and returns the head of the reverse queue for port.
-func (sw *switchNode) popRev(port int) revMsg {
-	q := sw.revQ[port]
-	m := q[0]
-	copy(q, q[1:])
-	sw.revQ[port] = q[:len(q)-1]
-	return m
 }

@@ -63,3 +63,8 @@ func (m Affine) compose(g Mapping) (Mapping, bool) {
 	}
 	return Affine{A: ga.A * m.A, B: ga.A*m.B + ga.B}, true
 }
+
+func (m Affine) composable(g Mapping) bool {
+	_, ok := g.(Affine)
+	return ok
+}

@@ -131,3 +131,8 @@ func (m Assoc) compose(g Mapping) (Mapping, bool) {
 	}
 	return Assoc{Op: m.Op, A: m.Op.eval(m.A, ga.A)}, true
 }
+
+func (m Assoc) composable(g Mapping) bool {
+	ga, ok := g.(Assoc)
+	return ok && ga.Op == m.Op
+}

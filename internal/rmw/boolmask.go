@@ -167,6 +167,11 @@ func (m Bool) compose(g Mapping) (Mapping, bool) {
 	}, true
 }
 
+func (m Bool) composable(g Mapping) bool {
+	_, ok := g.(Bool)
+	return ok
+}
+
 // ComposeBoolUnary returns the entry of the paper's 4×4 composition table:
 // the operation equivalent to f followed by g.  It is derived from the mask
 // algebra, not hand-coded; the test suite checks it against the table

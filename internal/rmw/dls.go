@@ -210,6 +210,19 @@ func (m Table) compose(g Mapping) (Mapping, bool) {
 	return Table{T: out}, true
 }
 
+// composable mirrors compose: g must be expressible as a table (asTable's
+// three cases) over the same state set.
+func (m Table) composable(g Mapping) bool {
+	switch gg := g.(type) {
+	case Table:
+		return gg.States() == m.States()
+	case Const, Load:
+		return true
+	default:
+		return false
+	}
+}
+
 // asTable converts g into a table over n states when possible: tables pass
 // through, a Const v becomes "store v, keep state" in every state, and a
 // Load becomes the identity table.  Other untagged families would need the

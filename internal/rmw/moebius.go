@@ -84,6 +84,11 @@ func (m Moebius) compose(g Mapping) (Mapping, bool) {
 	}, true
 }
 
+func (m Moebius) composable(g Mapping) bool {
+	_, ok := g.(Moebius)
+	return ok
+}
+
 // MoebiusRat is the exact rational Möbius function, used to demonstrate
 // that the combining transformation is algebraically exact — divergence in
 // the float64 family is purely rounding, the "same shortcomings as compiler

@@ -97,6 +97,10 @@ type Mapping interface {
 	// combinable.  Callers use the package-level Compose, which also
 	// handles the universal identity/constant rules.
 	compose(g Mapping) (Mapping, bool)
+
+	// composable reports whether compose(g) would succeed, without
+	// building the result.  Combinable is its package-level caller.
+	composable(g Mapping) bool
 }
 
 // TagSensitive reports whether a mapping reads or writes the word's state
@@ -190,6 +194,7 @@ func (Load) EncodedBits() int { return 8 }
 func (Load) String() string { return "id" }
 
 func (Load) compose(g Mapping) (Mapping, bool) { return g, true }
+func (Load) composable(Mapping) bool           { return true }
 
 // Const is the constant mapping I_v: RMW(X, I_v) stores v.  When the old
 // value is wanted (NeedOld) the operation is a swap; when it is ignored the
@@ -238,6 +243,13 @@ func (c Const) compose(g Mapping) (Mapping, bool) {
 	return nil, false
 }
 
+// composable mirrors compose: a plain store absorbs only a table, and every
+// table has a state count the store can be spread over.
+func (c Const) composable(g Mapping) bool {
+	_, ok := g.(Table)
+	return ok
+}
+
 // ComposeAll folds Compose over a serial chain f₁, …, fₙ, returning
 // f₁∘…∘fₙ.  It reports ok=false as soon as two neighbours fail to combine.
 // An empty chain yields the identity.
@@ -254,8 +266,26 @@ func ComposeAll(fs ...Mapping) (Mapping, bool) {
 }
 
 // Combinable reports whether two mappings can combine, without building the
-// combined mapping.
+// combined mapping: the same rules as Compose in the same order, each
+// reduced to its condition, so it allocates nothing and
+// Combinable(f, g) == (Compose(f, g) succeeds) for every pair.  The queue
+// scan asks it once per same-address arrival, which on a saturated network
+// with combining off is every held request every cycle.
 func Combinable(f, g Mapping) bool {
-	_, ok := Compose(f, g)
-	return ok
+	if f == nil || g == nil {
+		return false
+	}
+	if _, ok := g.(Const); ok && !TagSensitive(f) {
+		return true
+	}
+	if _, ok := f.(Const); ok && !TagSensitive(g) {
+		return true
+	}
+	if _, ok := f.(Load); ok {
+		return true
+	}
+	if _, ok := g.(Load); ok {
+		return true
+	}
+	return f.composable(g)
 }
