@@ -66,7 +66,7 @@ type Watchdog = flow.Watchdog
 type Saturation = flow.Saturation
 
 // DefaultWatchdogCycles is the default watchdog limit.
-const DefaultWatchdogCycles = network.DefaultWatchdogCycles
+const DefaultWatchdogCycles = engine.DefaultWatchdogCycles
 
 // ---- Engine core (internal/engine) ----
 

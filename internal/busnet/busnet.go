@@ -20,8 +20,6 @@ import (
 	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/par"
-	"combining/internal/stats"
-	"combining/internal/word"
 )
 
 // Config parameterizes the bus machine.
@@ -63,73 +61,37 @@ type Config struct {
 	Faults *faults.Plan
 }
 
-// qmsg is a request in the decoupling FIFO: the rim's message as it is.
-// Replies return by Src.
-type qmsg = engine.Fwd
-
-type brec struct {
-	core.Record
-	src2   int
-	issue2 int64
-	hot2   bool
-	// reps2 names the second request's leaves so a crash flushing this
-	// record can report exactly which operations lost their reply path.
-	reps2 []core.Leaf
-}
-
-// Stats summarizes a run: the rim's totals plus the bus's own counters.
+// Stats summarizes a run: the shared totals plus the bus's names for two of
+// them.
 type Stats struct {
 	engine.Totals
 
-	Combines int64
-	// BusOps counts requests the bus carried into the decoupling FIFO —
-	// the movement signature the progress watchdog keys on.
+	// BusOps counts requests the bus carried into the decoupling FIFO.
 	BusOps int64
 	// HOLBlocked counts cycles the FIFO head was stalled on a busy bank.
 	HOLBlocked int64
 }
 
-// Sim is the cycle-driven bus machine: the rim (processor ports, terminal
-// links, banks, step frame — the embedded engine.Shell) around one bus and
-// its decoupling FIFO.  The machine has two kinds of fault domain: the bus
-// + FIFO (switch site (0, 0) — a stall window freezes it, a crash flushes
-// the FIFO, the wait buffer and the reply metadata) and each bank (a crash
-// rolls the module back to its last checkpoint).
+// Sim is the cycle-driven bus machine: the shared shell (processor ports,
+// terminal links, banks, step frame, station and hops — the embedded
+// engine.Shell) around the smallest wiring there is: one station holding the
+// decoupling FIFO and its wait buffer, one link per bank out of it, and the
+// bus into it.  The machine has two kinds of fault domain: the bus + FIFO
+// (switch site (0, 0) — a stall window freezes it, a crash flushes the FIFO,
+// the wait buffer and the reply metadata) and each bank (a crash rolls the
+// module back to its last checkpoint).
 type Sim struct {
 	engine.Shell
 
-	cfg   Config
-	queue core.FIFO[qmsg] // the decoupling FIFO, bounded by Config.QueueCap
-	wait  *core.WaitBuffer[brec]
-	pol   core.Policy
-
-	// stats holds the bus's own counters (the rim's are in the Shell);
-	// fifoHW tracks the deepest decoupling FIFO observed.
-	stats  Stats
-	fifoHW stats.HighWater
+	cfg  Config
+	fifo *core.FIFO[engine.Fwd] // the decoupling FIFO, bounded by Config.QueueCap
 
 	// Parallel bank-scan state (Config.Workers > 1, nil otherwise): the
-	// worker pool (persistent workers bracketed by Run/Drain), the scan
-	// function bound once at construction so the cycle loop builds no
-	// closures, and the per-bank completion buffer filled in the compute
-	// phase and committed serially in bank order.  See DESIGN.md §6.
-	pool    *par.Pool
-	tickFn  func(w int)
-	tickBuf []bankTick
-}
-
-// bankTick is one bank's compute-phase result: the reply its module
-// completed this cycle with the request it answers (the rim's filed box,
-// good until the bank's next reply), if any, and the rim counts the tick
-// made — each bank is its own shard.  Padded: workers write
-// adjacent entries of the contiguous buffer during the compute phase, and
-// unpadded neighbors would false-share at the split boundaries.
-type bankTick struct {
-	rep core.Reply
-	m   *qmsg
-	ok  bool
-	rim engine.Shard
-	_   [64]byte
+	// worker pool (persistent workers bracketed by Run/Drain) and the scan
+	// function, bound once at construction so the cycle loop builds no
+	// closures.  See DESIGN.md §6.
+	pool   *par.Pool
+	tickFn func(w int)
 }
 
 // Validate reports whether the configuration is usable, with the
@@ -178,64 +140,68 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	if len(inj) != cfg.Procs {
 		panic(fmt.Sprintf("busnet: got %d injectors for %d processors", len(inj), cfg.Procs))
 	}
-	s := &Sim{
-		cfg:   cfg,
-		queue: core.NewFIFO[qmsg](cfg.QueueCap),
-		wait:  core.NewWaitBuffer[brec](cfg.WaitBufCap),
-		pol:   core.Policy{AllowReversal: cfg.AllowReversal},
-	}
+	s := &Sim{cfg: cfg}
 	if cfg.Workers > 1 {
 		s.pool = par.NewPool(cfg.Workers)
 		s.tickFn = s.tickWorker
-		s.tickBuf = make([]bankTick, cfg.Banks)
 	}
+	station := engine.NewStations(1, 1, 0, cfg.QueueCap, 0, cfg.WaitBufCap,
+		core.Policy{AllowReversal: cfg.AllowReversal})
+	s.fifo = &station[0].Fwd[0]
 	s.Shell.Init(engine.ShellConfig{
-		Engine: "busnet",
-		Hooks: engine.Hooks{
-			Sweep:     s.sweep,
-			Flush:     func(_, _ int) []word.ReqID { return s.crashBus() },
-			CanFeed:   func(bank int) bool { return s.Memory().Module(bank).CanEnqueue() },
-			Saturated: s.saturated,
-			Hops:      func() int64 { return s.stats.BusOps },
-			Queued:    func() int { return s.queue.Len() + s.wait.Len() },
-			Detail:    s.stallDetail,
-			Observe:   s.observe,
-			// The wait buffer sits on the processor side of the return bus.
-			Reassemble: s.fanOut,
-		},
+		Engine:         "busnet",
+		Hooks:          engine.Hooks{Sweep: s.sweep, Saturated: s.saturated, Observe: s.observe},
 		Injectors:      inj,
 		Pool:           s.pool,
 		Modules:        cfg.Banks,
 		Service:        cfg.BankService,
 		MemQueueCap:    cfg.BankQueueCap,
+		Stations:       station,
+		Links:          busLinks(cfg.Procs, cfg.Banks),
 		Stages:         1,
-		Width:          1,
 		WatchdogCycles: cfg.WatchdogCycles,
 		Faults:         cfg.Faults,
 	})
 	return s
 }
 
-// Stats snapshots the counters.
-func (s *Sim) Stats() Stats {
-	st := s.stats
-	st.Totals = s.Totals()
-	return st
+// busLinks is the bus machine's wiring: every processor's link enters the one
+// station (fault coordinate (0, 0, p)), every request joins its one queue,
+// and a reply — which carries no path and finds every processor attached
+// there — leaves it for its processor at once.  The station sits on the
+// processors' side of the return bus (Behind), whose fault coordinate is
+// (2, 0, p), and keeps the reply metadata of every bank (Holds).
+func busLinks(procs, banks int) *engine.Links {
+	lk := &engine.Links{
+		Proc: make([]engine.Link, procs), ProcAt: make([]engine.Coord, procs),
+		Home:  make([]engine.Coord, procs),
+		Route: [][]uint8{make([]uint8, banks)}, Back: [][]int8{make([]int8, procs)},
+		Holds: make([]int32, banks), Behind: make([]int32, procs),
+	}
+	for p := 0; p < procs; p++ {
+		lk.ProcAt[p], lk.Home[p] = engine.Coord{Port: int32(p)}, engine.Coord{Stage: 2, Port: int32(p)}
+		lk.Back[0][p] = -1
+	}
+	return lk
 }
 
-// observe adds the bus's counters and gauges to a snapshot the rim has
-// started.  HOLBlocked doubles as holds_mem: a head-of-line block IS this
-// machine's memory-input hold (the blocked request sits at the FIFO head
-// waiting for its bank), published under both the bus-specific and the
-// cross-engine name.
+// Stats snapshots the counters.
+func (s *Sim) Stats() Stats {
+	t := s.Totals()
+	return Stats{Totals: t, BusOps: t.FwdHops, HOLBlocked: t.HoldsMem}
+}
+
+// observe names the bus's counters and gauges in a snapshot the shell has
+// started.  A head-of-line block IS this machine's memory-input hold (the
+// blocked request sits at the FIFO head waiting for its bank), published
+// under both the bus-specific and the cross-engine name; a bus grant is its
+// one kind of forward hop.
 func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
-	c.Combines = s.stats.Combines
-	c.CombineRejects = s.wait.Rejections
-	c.BankOps = s.Totals().MemRequests
-	c.BusOps = s.stats.BusOps
-	c.HOLBlocked = s.stats.HOLBlocked
-	c.HoldsMem = s.stats.HOLBlocked
-	gauges["fifo_max"] = s.fifoHW.Load()
+	t := s.Totals()
+	c.BankOps = t.MemRequests
+	c.BusOps = t.FwdHops
+	c.HOLBlocked = t.HoldsMem
+	gauges["fifo_max"] = int64(s.Station(0).Peak(0))
 	gauges["max_mem_queue"] = int64(s.Memory().MaxQueueDepth())
 }
 
@@ -243,81 +209,52 @@ func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 // bank — offered load has nowhere to go but the bus arbitration holds, the
 // bus machine's tree-saturation analogue.
 func (s *Sim) saturated() bool {
-	if !s.queue.Full() {
+	if !s.fifo.Full() {
 		return false
 	}
-	bank := s.Memory().HomeOf(s.queue.Front().Req.Addr)
+	bank := s.Memory().HomeOf(s.fifo.Front().Req.Addr)
 	return !s.Memory().Module(bank).CanEnqueue()
 }
 
-func (s *Sim) stallDetail() string {
-	banks := 0
-	for b := 0; b < s.cfg.Banks; b++ {
-		banks += s.Memory().Module(b).QueueLen()
-	}
-	return fmt.Sprintf("fifo=%d wait=%d banks=%d", s.queue.Len(), s.wait.Len(), banks)
-}
-
-// sweep is the fabric's share of one cycle: bank completions return (and
-// decombine), the FIFO head dispatches, and one processor wins the bus.
+// sweep is the bus's schedule: bank completions cross the return bus (and
+// decombine behind it), the FIFO head dispatches, and one processor wins the
+// bus.
 func (s *Sim) sweep() {
-	// Bank completions: tick every bank (compute — bank-local), then
-	// commit the completed replies in ascending bank order (drop decisions,
-	// decombining and delivery all touch shared state).
+	// Banks tick — bank-local, so under Config.Workers in parallel, each
+	// worker a contiguous range — and the completed replies that survive the
+	// return bus commit in ascending bank order: decombining and delivery
+	// touch shared state.
 	if s.pool != nil {
 		s.pool.Run(s.tickFn)
-		for b := range s.tickBuf {
-			t := &s.tickBuf[b]
-			s.Merge(&t.rim)
-			if t.ok {
-				s.commitBank(t.rep, t.m)
-			}
-		}
 	} else {
 		for b := 0; b < s.cfg.Banks; b++ {
-			if rep, m, ok := s.tickBank(b, s.Own()); ok {
-				s.commitBank(rep, m)
-			}
+			s.Tick(b, -1, s.Lane(0))
 		}
 	}
+	s.Commit()
 
-	if s.SwitchStalled(0, 0) || s.SwitchDead(0, 0) {
+	if s.Down(0) {
 		return // blackout or crash: the bus and decoupling FIFO freeze
 	}
 
 	// Dispatch the FIFO head when its bank has input-queue room (with the
 	// default BankQueueCap of 1: when the bank is idle).  A dead bank holds
 	// the head like a busy one.
-	if s.queue.Len() > 0 {
-		head := s.queue.Front()
-		bank := s.Memory().HomeOf(head.Req.Addr)
-		if s.ModuleDead(bank) || !s.Memory().Module(bank).CanEnqueue() {
-			s.stats.HOLBlocked++
+	if s.fifo.Len() > 0 {
+		head := s.fifo.Front()
+		if bank := s.Memory().HomeOf(head.Req.Addr); !s.MemReady(bank) {
+			s.Lane(0).HoldsMem++
+		} else if s.LinkDropsFwd(1, bank, 0, &head.Req) {
+			s.fifo.Pop()
 		} else {
-			if !s.LinkDropsFwd(1, bank, 0, &head.Req) {
-				s.EnterMemory(faults.Site(1, bank, 0), bank, head, s.Own())
-			}
-			s.queue.Pop()
+			s.Feed(s.fifo, bank, faults.Site(1, bank, 0), s.Lane(0))
 		}
 	}
 
 	// Bus arbitration: round-robin; the bus carries one request per cycle,
 	// and a transfer lost on the bus still consumes it.
-	rot := int(s.Cycle())
-	for off := 0; off < s.cfg.Procs; off++ {
-		p := (off + rot) % s.cfg.Procs
-		m := s.Offer(p)
-		if m == nil {
-			continue
-		}
-		if s.LinkDropsFwd(0, 0, p, &m.Req) {
-			s.Lost(p)
-			break
-		}
-		if s.enqueue(m) {
-			s.Sent(p)
-			break
-		}
+	turn := s.Turn()
+	for off := 0; off < s.cfg.Procs && !s.Inject((off+turn)%s.cfg.Procs); off++ {
 	}
 }
 
@@ -326,111 +263,6 @@ func (s *Sim) sweep() {
 func (s *Sim) tickWorker(w int) {
 	lo, hi := par.Split(s.cfg.Banks, s.pool.Workers(), w)
 	for b := lo; b < hi; b++ {
-		t := &s.tickBuf[b]
-		t.rep, t.m, t.ok = s.tickBank(b, &t.rim)
+		s.Tick(b, -1, s.Lane(w))
 	}
 }
-
-// tickBank advances bank b one service cycle, returning a completed reply
-// and the request it answers if one emerged.  Everything here is bank-local
-// (the slowdown-window decision is a pure hash with atomic counters), so
-// banks tick in parallel under Config.Workers.
-func (s *Sim) tickBank(b int, sh *engine.Shard) (core.Reply, *qmsg, bool) {
-	if !s.ModuleUp(b, sh) || s.MemStalled(b) {
-		return core.Reply{}, nil, false
-	}
-	return s.Serve(b, sh)
-}
-
-// commitBank sends one completed reply down the return bus — the
-// processor terminal link — unless the link drops it.
-func (s *Sim) commitBank(rep core.Reply, m *qmsg) {
-	if s.LinkDropsRev(2, 0, m.Src, &rep) {
-		return // reply lost on the return path
-	}
-	s.Deliver(faults.Site(2, 0, m.Src), m.Src, rep, m.Issue, m.Hot)
-}
-
-// crashBus flushes the bus fault domain: the decoupling FIFO, the wait
-// buffer, and the reply metadata all vanish.  Requests already inside a
-// bank keep executing, but with their metadata gone the replies surface as
-// orphans at a dead FIFO — the retransmission path re-drives them through
-// the bank reply caches, so exactly-once survives the flush.  The returned
-// leaf ids are the operations whose reply path was lost.
-func (s *Sim) crashBus() []word.ReqID {
-	var lost []word.ReqID
-	queued := s.queue.View()
-	for i := range queued {
-		lost = engine.LostLeaves(lost, queued[i].Req.Reps, queued[i].Req.ID)
-	}
-	for _, rec := range s.wait.Flush() {
-		lost = engine.LostLeaves(lost, rec.reps2, rec.ID2)
-	}
-	s.FlushMeta(func(m *qmsg) { lost = engine.LostLeaves(lost, m.Req.Reps, m.Req.ID) })
-	s.queue.Clear()
-	return lost
-}
-
-// fanOut is the far side of the return bus: a reply decombines against the
-// FIFO's wait buffer and every leaf completes at its own processor.
-func (s *Sim) fanOut(src int, rep core.Reply, issue int64, hot bool) {
-	if s.wait.Len() > 0 {
-		match := func(r brec) bool { return core.CanDecombine(r.Record, rep) }
-		if rec, ok := s.wait.PopMatch(rep.ID, match); ok {
-			r1, r2 := core.DecombineExact(rec.Record, rep)
-			s.fanOut(src, r1, issue, hot)
-			s.fanOut(rec.src2, r2, rec.issue2, rec.hot2)
-			return
-		}
-	}
-	s.Complete(src, rep, issue, hot)
-}
-
-// enqueue inserts a request into the FIFO, combining with the most recent
-// same-address entry when possible (the M2.3 scan shared with the other
-// engines via core.CombineAtTail).  m stays at its port, only read; the
-// FIFO's slot takes the one copy.
-func (s *Sim) enqueue(m *qmsg) bool {
-	if s.queue.Len() > 0 && s.tryCombine(m) {
-		s.stats.BusOps++
-		return true
-	}
-	if s.queue.Full() {
-		return false
-	}
-	*s.queue.Push() = *m
-	s.fifoHW.Observe(int64(s.queue.Len()))
-	s.stats.BusOps++
-	return true
-}
-
-// tryCombine attempts to merge m into the non-empty FIFO.
-func (s *Sim) tryCombine(m *qmsg) bool {
-	tc, rejected, ok := core.CombineAtTail(s.queue.View(), qmsgReq, m.Req, s.pol, s.wait.CanPush)
-	if rejected {
-		s.wait.Rejections++
-	}
-	if !ok {
-		return false
-	}
-	queued := &s.queue.View()[tc.Index]
-	first, second := queued, m
-	if tc.Swapped {
-		first, second = m, queued
-	}
-	if !s.wait.Push(tc.Rec.ID1, brec{
-		Record: tc.Rec,
-		src2:   second.Src,
-		issue2: second.Issue,
-		hot2:   second.Hot,
-		reps2:  second.Req.Reps,
-	}) {
-		return false
-	}
-	*queued = qmsg{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot}
-	s.stats.Combines++
-	return true
-}
-
-// qmsgReq projects a queued message to its request for the shared scan.
-func qmsgReq(m *qmsg) *core.Request { return &m.Req }

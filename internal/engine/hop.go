@@ -1,0 +1,344 @@
+package engine
+
+import (
+	"fmt"
+
+	"combining/internal/core"
+	"combining/internal/faults"
+	"combining/internal/rmw"
+	"combining/internal/word"
+)
+
+// The hops: what moves a message from one station to the next, into a
+// module, out of one, in from a processor and back to it.  Each is written
+// once over the stations and the compiled Links; a wiring's schedule — the
+// order in which its stations hop in a cycle — is straight code over them.
+//
+// Worker-phase rule: FwdHop, RevHop, Feed and Tick write only the stations
+// and modules they are handed, the far ends of their links, and the caller's
+// Lane; a parallel schedule calls them from its workers for stations whose
+// link ends no other worker touches in the same phase (a conflict group),
+// passing each worker its own lane.  Link-drop draws are hash decisions with
+// atomic counters.  Ports and deliveries — Inject, Commit — belong to one
+// goroutine at a time.
+
+// Turn is this cycle's arbitration offset: of n contenders, number
+// (i+Turn())%n is served i-th.  Schedules rotate their station order by it
+// and pass it down to the hops, which rotate their ports; it is read, never
+// stored.
+func (s *Shell) Turn() int { return int(s.tot.Cycles) }
+
+// Station exposes station at (stage·width + index) for the wiring's
+// saturation predicate and gauges, and for tests.
+func (s *Shell) Station(at int) *Station { return &s.stations[at] }
+
+// Down reports whether station at moves nothing this cycle: blacked out by
+// a stall window, or crashed until its restart.  Dead is the second half.
+func (s *Shell) Down(at int) bool { return s.flt != nil && (s.stall[at] || s.Dead(at)) }
+func (s *Shell) Dead(at int) bool { return s.rec != nil && s.swDead[at] }
+
+// arrive lands request m at station to, on the queue its module routes to.
+func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
+	path := m.Path
+	if path != nil {
+		path = append(path, uint8(in))
+	}
+	out := int(s.links.Route[to][s.mem.HomeOf(m.Req.Addr)])
+	return s.stations[to].AcceptFwd(m, out, path, s.tot.Cycles, sh)
+}
+
+// FwdHop makes station at's forward move: the head of each link queue, in
+// rotating port order, crosses its link — into the next station when that
+// one takes it, into the memory module the link ends at when the module has
+// room.  A dead downstream station or a full queue holds the request where
+// it is, so a crash costs the flushed state and not a stream of new losses;
+// a request that already hopped this cycle waits.
+func (s *Shell) FwdHop(at, turn int, ln *Lane) {
+	if s.Down(at) {
+		return
+	}
+	st := &s.stations[at]
+	n := s.links.Ports
+	for pi := 0; pi < n; pi++ {
+		port := (pi + turn) % n
+		q := &st.Fwd[port]
+		if q.Len() == 0 {
+			continue
+		}
+		m := q.Front()
+		if m.Moved == s.tot.Cycles {
+			continue
+		}
+		l := s.links.Fwd[at*n+port]
+		if l.To < 0 {
+			// The link into a module.  A full one holds the request in the
+			// station — the backpressure that turns a hot module into tree
+			// saturation instead of unbounded memory-side buffering.
+			mod := int(-1 - l.To)
+			if !s.MemReady(mod) {
+				ln.HoldsMem++
+				continue
+			}
+			c := &s.links.FwdAt[at*n+port]
+			if s.lostFwd(c, &m.Req) {
+				q.Pop()
+				continue
+			}
+			s.countFwd(m, &ln.Shard)
+			s.Feed(q, mod, c.site(), ln)
+			continue
+		}
+		if s.Dead(int(l.To)) {
+			continue
+		}
+		if s.lostFwd(&s.links.FwdAt[at*n+port], &m.Req) {
+			q.Pop()
+			continue // lost on the link
+		}
+		// l.To ≠ at, so landing the request cannot move the slot m is in.
+		if s.arrive(l.To, l.In, m, &ln.Shard) {
+			s.countFwd(m, &ln.Shard)
+			q.Pop()
+		}
+	}
+}
+
+func (s *Shell) countFwd(m *Fwd, sh *Shard) {
+	sh.FwdHops++
+	sh.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+}
+
+// MemReady reports whether module mod can be fed now: it is up and the
+// wiring's feed rule (Hooks.CanFeed; by default, room in its input queue)
+// admits one more request.
+func (s *Shell) MemReady(mod int) bool {
+	if s.ModuleDead(mod) {
+		return false
+	}
+	if s.hooks.CanFeed != nil {
+		return s.hooks.CanFeed(mod)
+	}
+	return s.mem.Module(mod).CanEnqueue()
+}
+
+// Feed carries the head of q across the terminal link named by site into
+// module mod, which MemReady has said can take it.
+func (s *Shell) Feed(q *core.FIFO[Fwd], mod int, site uint64, ln *Lane) {
+	s.enterMemory(site, mod, q.Front(), &ln.Shard)
+	q.Pop()
+}
+
+// RevHop makes station at's reverse move: the head of each reverse queue
+// crosses its link when the station at the far end is alive and has the
+// reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
+// ends at a processor brings the reply home.
+func (s *Shell) RevHop(at, turn int, ln *Lane) {
+	if s.Down(at) {
+		return
+	}
+	st := &s.stations[at]
+	n := s.links.RevPorts
+	for pi := 0; pi < n; pi++ {
+		port := (pi + turn) % n
+		q := &st.Rev[port]
+		if q.Len() == 0 {
+			continue
+		}
+		r := q.Front()
+		if r.Moved == s.tot.Cycles {
+			continue
+		}
+		to := int(s.links.Rev[at*n+port].To)
+		if to >= 0 && (s.Dead(to) || !s.stations[to].CanAcceptRev()) {
+			// Held here; the credits this pop needs were already replenished
+			// this cycle if the downstream station moved anything.
+			ln.HoldsRev++
+			continue
+		}
+		if !s.lostRev(&s.links.RevAt[at*n+port], &r.Rep) {
+			ln.RevHops++
+			ln.RevSlots += int64(r.Slots)
+			if to >= 0 {
+				s.stations[to].AcceptRev(r, s.tot.Cycles, &ln.Home)
+			} else {
+				ln.Home = append(ln.Home, *r)
+			}
+		} // else the reply is lost on the reverse link
+		q.Pop()
+	}
+}
+
+// Tick advances module mod one service cycle and lands the reply that
+// emerges, if one does, at station at.  A station without reverse credit
+// blocks the module's output: it holds its completed request rather than
+// emit a reply with nowhere to go.  With at < 0 — a wiring with nothing
+// between its modules and the processor links — the reply crosses the link
+// home at once.  Tick is the only caller of serve, and routes the reply
+// before it returns: the filed box serve lends is never outlived.
+func (s *Shell) Tick(mod, at int, ln *Lane) {
+	if !s.ModuleUp(mod, &ln.Shard) || s.MemStalled(mod) {
+		return
+	}
+	if at >= 0 && !s.stations[at].CanAcceptRev() {
+		ln.HoldsMemOut++
+		return
+	}
+	rep, m, ok := s.serve(mod, &ln.Shard)
+	if !ok {
+		return
+	}
+	r := Rev{Rep: rep, Path: m.Path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Slots: slots(rmw.NeedsValue(m.Req.Op))}
+	if at < 0 {
+		if !s.lostRev(&s.links.Home[r.Src], &r.Rep) {
+			ln.Home = append(ln.Home, r)
+		}
+		return
+	}
+	st := &s.stations[at]
+	if st.Trace != nil {
+		st.Trace(StationEvent{Kind: Served, ID: rep.ID, Addr: m.Req.Addr, Module: mod})
+	}
+	st.AcceptRev(&r, s.tot.Cycles, &ln.Home)
+}
+
+// Commit hands every reply the cycle's hops brought home to its processor's
+// terminal link, lane by lane in order.  A reply's path header is spent by
+// now and returns to the injection pool here, before the link can duplicate
+// the reply: every copy the shell delivers is header-free.  Deliveries touch
+// injectors, the retry ledger and the completion counters, none of which a
+// hop reads or writes, so a schedule may commit any time between the hops
+// that bring replies home and injection.
+func (s *Shell) Commit() {
+	for i := range s.lanes {
+		home := s.lanes[i].Home
+		for j := range home {
+			r := &home[j]
+			s.putPath(r.Path)
+			s.Deliver(s.links.Home[r.Src].site(), r.Src, r.Rep, r.Issue, r.Hot)
+		}
+		s.lanes[i].Home = home[:0]
+	}
+}
+
+// Inject offers processor p's request, if it has one, to the station its
+// link enters, and reports whether the link carried a message — accepted, or
+// lost on the way.  A dead station or a full queue holds the offer at the
+// port.  On wirings that record paths the offer gets its header here and
+// keeps it while it waits; a lost offer's header never entered the fabric
+// and recycles at once.
+func (s *Shell) Inject(p int) bool {
+	m := s.Offer(p)
+	if m == nil {
+		return false
+	}
+	l := s.links.Proc[p]
+	if s.Dead(int(l.To)) {
+		return false
+	}
+	if m.Path == nil && s.links.PathLen > 0 {
+		m.Path = s.getPath()
+	}
+	if s.lostFwd(&s.links.ProcAt[p], &m.Req) {
+		s.putPath(m.Path)
+		s.Lost(p)
+		return true
+	}
+	if !s.arrive(l.To, l.In, m, &s.lanes[0].Shard) {
+		return false
+	}
+	s.countFwd(m, &s.lanes[0].Shard)
+	s.Sent(p)
+	return true
+}
+
+// lostFwd draws the fate of a request crossing the link at c; lostRev a
+// reply's.  The healthy machine's answer inlines to one nil check per hop.
+func (s *Shell) lostFwd(c *Coord, req *core.Request) bool {
+	return s.flt != nil && s.dropsFwd(int(c.Stage), int(c.Index), int(c.Port), req)
+}
+
+func (s *Shell) lostRev(c *Coord, rep *core.Reply) bool {
+	return s.flt != nil && s.dropsRev(int(c.Stage), int(c.Index), int(c.Port), rep)
+}
+
+func (c Coord) site() uint64 { return faults.Site(int(c.Stage), int(c.Index), int(c.Port)) }
+
+// getPath returns an empty path header with capacity for the whole route,
+// reusing recycled storage: at steady state the inject→commit loop cycles a
+// fixed set of arrays and allocates nothing.  Only single-goroutine phases
+// touch the pool (Inject, Commit).
+func (s *Shell) getPath() []uint8 {
+	if n := len(s.pathFree); n > 0 {
+		p := s.pathFree[n-1]
+		s.pathFree = s.pathFree[:n-1]
+		return p
+	}
+	return make([]uint8, 0, s.links.PathLen)
+}
+
+// putPath recycles a path header whose message left the machine.  Undersized
+// arrays (grown by append on messages that entered without a pooled header)
+// are dropped so getPath's capacity guarantee holds.
+func (s *Shell) putPath(p []uint8) {
+	if p != nil && cap(p) >= s.links.PathLen {
+		s.pathFree = append(s.pathFree, p[:0])
+	}
+}
+
+// PathPool exposes the recycled path headers, for the aliasing audit.
+func (s *Shell) PathPool() [][]uint8 { return s.pathFree }
+
+// flush empties switch fault domain at on its crash edge — the station, the
+// modules it hosts, the reply metadata it holds — and returns the leaf
+// request ids whose only copy was there.  Requests inside a module whose
+// metadata went keep executing; their replies surface as orphans and the
+// retransmit path re-drives them through the reply caches.
+func (s *Shell) flush(at int) []word.ReqID {
+	lost := s.stations[at].Crash()
+	for mod, host := range s.links.Hosts {
+		if int(host) == at {
+			lost = append(lost, s.mem.Module(mod).Crash()...)
+		}
+	}
+	for mod, holder := range s.links.Holds {
+		if int(holder) != at {
+			continue
+		}
+		for id, box := range s.meta[mod] {
+			lost = LostLeaves(lost, box.Req.Reps, box.Req.ID)
+			s.metaFree[mod] = append(s.metaFree[mod], box)
+			delete(s.meta[mod], id)
+		}
+	}
+	return lost
+}
+
+// queued counts messages and wait records held in the stations (a clean
+// machine's in-flight census adds ports and modules).
+func (s *Shell) queued() int {
+	n := 0
+	for i := range s.stations {
+		fwd, rev, wait := s.stations[i].Occupancy()
+		n += fwd + rev + wait
+	}
+	return n
+}
+
+// detail renders the queue occupancy a stall report prints, a line per
+// stage of stations.
+func (s *Shell) detail() string {
+	out := ""
+	for stage := 0; stage*s.width < len(s.stations); stage++ {
+		fwd, rev, wait := 0, 0, 0
+		for i := stage * s.width; i < (stage+1)*s.width; i++ {
+			f, r, w := s.stations[i].Occupancy()
+			fwd, rev, wait = fwd+f, rev+r, wait+w
+		}
+		out += fmt.Sprintf("stage %d: fwd=%d rev=%d wait=%d\n", stage, fwd, rev, wait)
+	}
+	memQ := 0
+	for mod := 0; mod < s.mem.Modules(); mod++ {
+		memQ += s.mem.Module(mod).QueueLen()
+	}
+	return out + fmt.Sprintf("memory queued=%d", memQ)
+}

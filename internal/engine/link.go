@@ -37,26 +37,41 @@ type heldRev struct {
 	hot     bool
 }
 
-// Own returns the shell's own counter shard, for serial callers.
-func (s *Shell) Own() *Shard { return &s.tot.Shard }
+// Lane returns stepping goroutine w's lane: pool worker w's, or — Lane(0) —
+// the serial schedule's.
+func (s *Shell) Lane(w int) *Lane { return &s.lanes[w] }
 
-// Merge folds a worker's shard into the run totals and clears it.
-func (s *Shell) Merge(sh *Shard) {
-	s.tot.MemRequests += sh.MemRequests
-	s.tot.MemAcks += sh.MemAcks
-	s.tot.Checkpoints += sh.Checkpoints
-	s.tot.Orphans += sh.Orphans
-	s.tot.MemBusy += sh.MemBusy
-	*sh = Shard{}
+// mergeLanes folds every lane's counters into the run totals and clears
+// them.  The observation multiset equals the serial schedule's, so the sums
+// add to exactly its totals.
+func (s *Shell) mergeLanes() {
+	t := &s.tot.Shard
+	for i := range s.lanes {
+		sh := &s.lanes[i].Shard
+		t.MemRequests += sh.MemRequests
+		t.MemAcks += sh.MemAcks
+		t.Checkpoints += sh.Checkpoints
+		t.Orphans += sh.Orphans
+		t.MemBusy += sh.MemBusy
+		t.Combines += sh.Combines
+		t.FwdHops += sh.FwdHops
+		t.RevHops += sh.RevHops
+		t.FwdSlots += sh.FwdSlots
+		t.RevSlots += sh.RevSlots
+		t.HoldsRev += sh.HoldsRev
+		t.HoldsMem += sh.HoldsMem
+		t.HoldsMemOut += sh.HoldsMemOut
+		*sh = Shard{}
+	}
 }
 
-// EnterMemory carries a request across the terminal link into module mod
+// enterMemory carries a request across the terminal link into module mod
 // and files its metadata until the reply emerges.  The caller has already
 // checked that the module can take it.  Under an adversarial plan the link
 // may first defer it into limbo; nothing is filed for a message that never
 // arrives.  m is read, never kept: the caller's slot is free again when
-// EnterMemory returns.
-func (s *Shell) EnterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
+// enterMemory returns.
+func (s *Shell) enterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
 	if s.adv {
 		if d := s.flt.ReorderDelay(site, m.Req.ID, m.Req.Attempt); d > 0 {
 			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.tot.Cycles + d, site: site, mod: mod, m: *m})
@@ -117,20 +132,6 @@ func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
 	return box
 }
 
-// FlushMeta discards every filed request — a fault domain that holds the
-// reply routing state died — calling lost for each.  Requests already
-// inside a module keep executing; their replies surface as orphans and the
-// retransmit path re-drives them through the reply caches.
-func (s *Shell) FlushMeta(lost func(m *Fwd)) {
-	for mod, shard := range s.meta {
-		for id, box := range shard {
-			lost(box)
-			s.metaFree[mod] = append(s.metaFree[mod], box)
-			delete(shard, id)
-		}
-	}
-}
-
 // ModuleUp is the first guard of every module tick: a crashed module serves
 // nothing until it restarts; a live one commits its recovery image when a
 // checkpoint is due — executed-but-uncommitted leaves join the committed
@@ -157,7 +158,7 @@ func (s *Shell) MemStalled(mod int) bool {
 	return s.flt != nil && s.flt.MemStalled(mod, s.tot.Cycles)
 }
 
-// Serve advances module mod one service cycle and, when a reply emerges,
+// serve advances module mod one service cycle and, when a reply emerges,
 // returns it with the request it answers.  A reply with no filed request is
 // expected under retransmission — an original and a retransmit both reached
 // memory, the first reply consumed the metadata — and counts as an orphan;
@@ -166,7 +167,7 @@ func (s *Shell) MemStalled(mod int) bool {
 // The returned request is the filed box itself, the caller's to read — to
 // route the reply — until module mod's next reply emerges: only then does
 // the box rejoin the free list metaInsert draws from.
-func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
+func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 	module := s.mem.Module(mod)
 	busy := module.BusyCycles
 	rep, ok := module.Tick()
@@ -197,10 +198,8 @@ func (s *Shell) Serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 func (s *Shell) Deliver(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
 	if s.adv {
 		s.deliverStamped(site, proc, rep, issue, hot)
-	} else if s.hooks.Reassemble != nil {
-		s.hooks.Reassemble(proc, rep, issue, hot)
 	} else {
-		s.Complete(proc, rep, issue, hot)
+		s.landed(proc, rep, issue, hot)
 	}
 }
 
@@ -232,18 +231,26 @@ func (s *Shell) deliverVerified(site uint64, proc int, rep core.Reply, issue int
 		return // quarantined: the retransmit machinery re-drives the op
 	}
 	if s.flt.Duplicate(site, rep.ID, rep.Attempt) {
-		s.arrive(proc, rep.Clone(), issue, hot)
+		s.landed(proc, rep.Clone(), issue, hot)
 	}
-	s.arrive(proc, rep, issue, hot)
+	s.landed(proc, rep, issue, hot)
 }
 
-// arrive is the far side of the adversarial processor link.
-func (s *Shell) arrive(proc int, rep core.Reply, issue int64, hot bool) {
-	if s.hooks.Reassemble != nil {
-		s.hooks.Reassemble(proc, rep, issue, hot)
+// landed is the far side of the processor link.  On a wiring whose wait
+// buffer sits behind that link (Links.Behind: the bus) the reply decombines
+// there and every leaf completes at its own processor; otherwise replies
+// cross the link already decombined.
+func (s *Shell) landed(proc int, rep core.Reply, issue int64, hot bool) {
+	if s.links.Behind == nil {
+		s.Complete(proc, rep, issue, hot)
 		return
 	}
-	s.Complete(proc, rep, issue, hot)
+	buf := s.behindBuf[:0]
+	s.stations[s.links.Behind[proc]].AcceptRev(&Rev{Rep: rep, Src: proc, Issue: issue, Hot: hot}, s.tot.Cycles, &buf)
+	for i := range buf {
+		s.Complete(buf[i].Src, buf[i].Rep, buf[i].Issue, buf[i].Hot)
+	}
+	s.behindBuf = buf[:0]
 }
 
 // Complete hands one decombined reply to its processor and does the
@@ -290,12 +297,12 @@ func (s *Shell) drainLimbo() {
 				keep = append(keep, h)
 				continue
 			}
-			if s.ModuleDead(h.mod) || !s.hooks.CanFeed(h.mod) {
+			if !s.MemReady(h.mod) {
 				h.release = s.tot.Cycles + 1
 				keep = append(keep, h)
 				continue
 			}
-			s.memEnter(h.site, h.mod, &h.m, s.Own())
+			s.memEnter(h.site, h.mod, &h.m, &s.tot.Shard)
 		}
 		s.fwdLimbo = keep
 	}

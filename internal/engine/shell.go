@@ -68,25 +68,54 @@ type Fwd struct {
 	// rim only carries it across the memory module.  Fabrics that route
 	// replies by Src leave it nil.
 	Path []uint8
+	// Moved is the cycle the request last hopped: a message crosses one link
+	// per cycle whatever order a schedule visits the stations in.
+	Moved int64
 }
 
-// Shard is the block of counters the terminal links and module guards
-// write.  Every such call takes the caller's shard, so a worker phase
-// writes only memory it owns; serial callers pass Shell.Own and parallel
-// steppers fold their per-worker shards in with Shell.Merge.
+// Shard is a block of run counters: what the terminal links, the module
+// guards and the hops write.
 type Shard struct {
 	MemRequests int64 // requests handed to memory modules
 	MemAcks     int64 // replies that emerged from memory modules
 	Checkpoints int64 // module checkpoints committed
 	Orphans     int64 // module replies with no request metadata
-	// MemBusy counts module service cycles.  Serve is the only caller of
+	// MemBusy counts module service cycles.  serve is the only caller of
 	// Module.Tick, so the total is the sum of Module.BusyCycles without the
 	// watchdog signature walking the modules every cycle.
 	MemBusy int64
+
+	// Combines counts combine events across all stations.
+	Combines int64
+	// FwdHops and RevHops count link traversals — with the counts above, the
+	// movement signature the progress watchdog keys on; FwdSlots and
+	// RevSlots the value slots those messages carried (E11).
+	FwdHops, RevHops   int64
+	FwdSlots, RevSlots int64
+	// Backpressure accounting: HoldsRev counts replies held upstream by the
+	// reserved-credit check, HoldsMem requests held at a terminal queue's
+	// head by a module without room, HoldsMemOut module completions held by
+	// a station without reverse credit.
+	HoldsRev, HoldsMem, HoldsMemOut int64
 }
 
-// Totals is the rim's half of an engine's run statistics; each engine's
-// Stats embeds it beside its own hop and hold counters.
+// Lane is one goroutine's working set inside a cycle: the counters its hops
+// write and the replies they brought home to a processor.  Every hop takes
+// the caller's lane, so a worker phase writes only memory it owns; a serial
+// schedule uses Lane(0) throughout and a parallel one hands worker w
+// Lane(w).  Commit delivers the lanes' replies, lane by lane in order — a
+// parallel schedule that splits its work into contiguous ascending ranges
+// thus delivers in the serial order — and the shell folds the counters into
+// the totals after every sweep.  The pad keeps adjacent lanes of the
+// contiguous slice off one cache line.
+type Lane struct {
+	Shard
+	Home []Rev
+	_    [64]byte
+}
+
+// Totals is a machine's run statistics; each engine's Stats embeds it beside
+// the gauges only its wiring has.
 type Totals struct {
 	Cycles    int64
 	Issued    int64
@@ -130,39 +159,22 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// Hooks is everything a fabric supplies to the rim.  All but Reassemble
-// are required; Flush is never called when the machine has no switch fault
-// domains (Stages·Width == 0).  The shell calls them from the stepping
-// goroutine only.
+// Hooks is what a wiring supplies beyond its stations and its links.  Sweep,
+// Saturated and Observe are required.  The shell calls them from the
+// stepping goroutine only.
 type Hooks struct {
-	// Sweep moves one cycle's messages: the reverse, memory and forward
-	// hop sweeps and the port arbitration loop, in the fabric's order.
+	// Sweep is the wiring's schedule: one cycle's hops — reverse, module
+	// ticks, forward, injection — in the wiring's order.
 	Sweep func()
-	// Flush empties the switch fault domain (stage, index) on its crash
-	// edge and returns the leaf request ids whose only copy was there.
-	Flush func(stage, index int) []word.ReqID
-	// CanFeed reports whether module mod can take one more request now —
-	// the fabric's own feed rule, asked when a reordered request leaves
-	// limbo.
+	// CanFeed, when set, replaces the default module feed rule (room in the
+	// module's input queue): whether module mod can take one more request
+	// now.
 	CanFeed func(mod int) bool
-	// Saturated is the fabric's tree-saturation predicate for this cycle.
+	// Saturated is the wiring's tree-saturation predicate for this cycle.
 	Saturated func() bool
-	// Hops is the fabric's monotone message-movement count, the part of
-	// the watchdog's progress signature the rim cannot see.
-	Hops func() int64
-	// Queued counts messages and wait records held in the fabric's own
-	// queues (a clean machine's in-flight census adds ports and modules).
-	Queued func() int
-	// Detail renders the fabric's queue occupancy for a stall report.
-	Detail func() string
-	// Observe adds the fabric's hop, hold and combine counters and its
-	// gauges to a snapshot the rim has started.
+	// Observe names the wiring's own counters and gauges in a snapshot the
+	// shell has started (combines, rejects and holds are already in it).
 	Observe func(c *Counters, gauges map[string]int64)
-	// Reassemble, when set, is the far side of the processor terminal
-	// link: a fabric whose wait buffer sits behind that link (the bus)
-	// decombines there and ends every leaf in Complete.  nil means replies
-	// cross the link already decombined.
-	Reassemble func(proc int, rep core.Reply, issue int64, hot bool)
 }
 
 // ShellConfig sizes a Shell.
@@ -177,30 +189,48 @@ type ShellConfig struct {
 	// Modules, Service and MemQueueCap shape the memory array
 	// (MemQueueCap <= 0 leaves the module input queues unbounded).
 	Modules, Service, MemQueueCap int
-	// Stages × Width are the switch fault domains: site (stage, index)
-	// for index < Width is what stall and crash windows select.
-	Stages, Width  int
+	// Stations are the wiring's combining stations and Links its compiled
+	// table.  The stations are the switch fault domains, Stages rows of
+	// them: site (stage, index) of a stall or crash window is station
+	// stage·(len(Stations)/Stages) + index.
+	Stations       []Station
+	Links          *Links
+	Stages         int
 	WatchdogCycles int64
 	Faults         *faults.Plan
 }
 
-// Shell is the wiring-independent rim of a cycle machine.  It owns the
+// Shell is the wiring-independent part of a cycle machine.  It owns the
 // step frame (cycle advance, stall and crash masks with edge detection,
 // retransmit expiry, limbo release, saturation monitor, watchdog), the
 // processor ports, both terminal links with their integrity layer, the
-// memory array with its module guards and request metadata, and the
-// observation surface (Run, Drain, InFlight, StallReport, Snapshot).  A
-// cycle engine embeds one and supplies Hooks; what the engine keeps is its
-// queues and the hop sweeps over them.
+// memory array with its module guards and request metadata, the stations
+// and the hops between them (hop.go), and the observation surface (Run,
+// Drain, InFlight, StallReport, Snapshot).  A cycle engine embeds one and
+// supplies its stations, its compiled links and Hooks — a schedule and
+// little else.
 //
-// Which calls a parallel sweep's workers may make, and with whose Shard, is
-// the worker-phase rule in the package comment.
+// Which calls a parallel schedule's workers may make, and with whose Shard,
+// is the worker-phase rule in hop.go.
 type Shell struct {
 	name  string
 	hooks Hooks
 	inj   []Injector
 	mem   *memory.Array
 	pool  *par.Pool
+
+	stations []Station
+	links    *Links
+	// lanes are the stepping goroutines' working sets, one per pool worker
+	// (one when serial); behindBuf is the processor links' scratch for a
+	// wait buffer behind them (Links.Behind).
+	lanes     []Lane
+	behindBuf []Rev
+	// pathFree recycles path headers (getPath/putPath): a reply's header
+	// returns when it arrives, a request's when its offer is lost on the
+	// port link.  Every array holds capacity for the whole route, so the
+	// appends along the forward path never regrow one.
+	pathFree [][]uint8
 
 	tot Totals // tot.Cycles is the machine's clock
 	lat stats.Histogram
@@ -275,7 +305,20 @@ func (s *Shell) Init(cfg ShellConfig) {
 		meta:       make([]map[word.ReqID]*Fwd, cfg.Modules),
 		metaFree:   make([][]*Fwd, cfg.Modules),
 		metaLent:   make([]*Fwd, cfg.Modules),
-		width:      cfg.Width,
+		stations:   cfg.Stations,
+		links:      cfg.Links,
+	}
+	if cfg.Stages > 0 {
+		s.width = len(cfg.Stations) / cfg.Stages
+	}
+	s.lanes = make([]Lane, 1)
+	if cfg.Pool != nil {
+		s.lanes = make([]Lane, cfg.Pool.Workers())
+	}
+	for i := range s.stations {
+		if s.links.Back != nil {
+			s.stations[i].Back = s.links.Back[i]
+		}
 	}
 	for i := range s.meta {
 		s.meta[i] = make(map[word.ReqID]*Fwd)
@@ -288,16 +331,16 @@ func (s *Shell) Init(cfg ShellConfig) {
 	plan := s.flt.Plan()
 	s.adv = plan.HasAdversarial()
 	s.retry = make([]core.FIFO[Fwd], procs)
-	s.stall = make([]bool, cfg.Stages*cfg.Width)
+	s.stall = make([]bool, len(cfg.Stations))
 	if plan.HasCrashes() {
 		s.rec = recover.New(plan.CheckpointEvery)
-		s.swDead = make([]bool, cfg.Stages*cfg.Width)
+		s.swDead = make([]bool, len(cfg.Stations))
 		s.memDead = make([]bool, cfg.Modules)
 	}
 }
 
-// Step advances the machine one cycle: the frame's prologue, the fabric's
-// sweep, the frame's epilogue.
+// Step advances the machine one cycle: the frame's prologue, the wiring's
+// schedule, the frame's epilogue.
 func (s *Shell) Step() {
 	s.tot.Cycles++
 	if s.flt != nil {
@@ -319,6 +362,7 @@ func (s *Shell) Step() {
 		}
 	}
 	s.hooks.Sweep()
+	s.mergeLanes()
 
 	s.sat.Observe(s.hooks.Saturated())
 	if s.wd.Observe(s.tot.Cycles, s.progressSig(), s.InFlight) {
@@ -338,7 +382,7 @@ func (s *Shell) updateCrashState() {
 			dead := s.flt.SwitchCrashed(stage, idx, s.tot.Cycles)
 			if dead && !s.swDead[d] {
 				s.rec.NoteCrash()
-				s.rec.NoteLost(s.trk, s.hooks.Flush(stage, idx))
+				s.rec.NoteLost(s.trk, s.flush(d))
 			} else if !dead && s.swDead[d] {
 				s.rec.NoteRestore()
 			}
@@ -367,7 +411,7 @@ func (s *Shell) updateCrashState() {
 // neither is bounded by the watchdog limit.
 func (s *Shell) progressSig() int64 {
 	sig := s.tot.Issued + s.tot.Completed + s.tot.MemRequests + s.tot.MemAcks +
-		s.tot.Orphans + s.tot.MemBusy + s.hooks.Hops()
+		s.tot.Orphans + s.tot.MemBusy + s.tot.FwdHops + s.tot.RevHops
 	if s.flt != nil {
 		sig += s.flt.Injected()
 	}
@@ -421,7 +465,7 @@ func (s *Shell) InFlight() int {
 	if s.trk != nil {
 		return s.trk.Outstanding()
 	}
-	return s.atPorts() + s.hooks.Queued() + s.inMemory()
+	return s.atPorts() + s.queued() + s.inMemory()
 }
 
 func (s *Shell) atPorts() int {
@@ -453,13 +497,13 @@ func (s *Shell) StallReport() string {
 	if s.flt != nil {
 		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
 	}
-	detail := fmt.Sprintf("pending=%d meta=%d\n%s", s.atPorts(), s.inMemory(), s.hooks.Detail())
+	detail := fmt.Sprintf("pending=%d meta=%d\n%s", s.atPorts(), s.inMemory(), s.detail())
 	return flow.StallReport(s.name, s.wd, s.InFlight(), crashed, detail)
 }
 
 // Snapshot captures the run's instrumentation behind the shared
-// cross-engine API (see internal/stats): the rim's counters, then whatever
-// the fabric adds, then the fault/recovery block when a plan is armed.
+// cross-engine API (see internal/stats): the shared counters, then what the
+// wiring names its own, then the fault/recovery block when a plan is armed.
 func (s *Shell) Snapshot() stats.Snapshot {
 	t := s.Totals()
 	c := Counters{
@@ -472,6 +516,13 @@ func (s *Shell) Snapshot() stats.Snapshot {
 		SaturationCycles: t.SaturationCycles,
 		WatchdogTrips:    t.WatchdogTrips,
 		Checkpoints:      t.Checkpoints,
+		Combines:         t.Combines,
+		HoldsRev:         t.HoldsRev,
+		HoldsMem:         t.HoldsMem,
+		HoldsMemOut:      t.HoldsMemOut,
+	}
+	for i := range s.stations {
+		c.CombineRejects += s.stations[i].Wait.Rejections
 	}
 	gauges := map[string]int64{"saturation_max_streak": t.SaturationMaxStreak}
 	s.hooks.Observe(&c, gauges)
@@ -518,18 +569,6 @@ func (s *Shell) Recovery() *recover.Manager { return s.rec }
 // both reach memory (fault mode only; on a healthy machine an orphan is a
 // bug and panics instead).
 func (s *Shell) Orphans() int64 { return s.tot.Orphans }
-
-// SwitchStalled reports whether switch site (stage, index) is inside a
-// stall window this cycle.
-func (s *Shell) SwitchStalled(stage, index int) bool {
-	return s.flt != nil && s.stall[stage*s.width+index]
-}
-
-// SwitchDead reports whether switch site (stage, index) is crashed this
-// cycle.
-func (s *Shell) SwitchDead(stage, index int) bool {
-	return s.rec != nil && s.swDead[stage*s.width+index]
-}
 
 // ModuleDead reports whether module mod is crashed this cycle.
 func (s *Shell) ModuleDead(mod int) bool { return s.rec != nil && s.memDead[mod] }

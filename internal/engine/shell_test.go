@@ -10,36 +10,45 @@ import (
 	"combining/internal/word"
 )
 
-// loopback is the smallest fabric the shell can drive, and the whole of what
-// a new wiring writes: a sweep.  Each port hands straight to the memory
-// terminal link of its request's home module; each module reply hands
-// straight to the processor terminal link.  No switches, no queues, no
-// combining — so everything the tests below observe is the rim's doing.
-type loopback struct {
-	Shell
-	moved int64
-	// blocked, when set, names modules the fabric never feeds: their
-	// requests wait at the ports forever.
-	blocked func(mod int) bool
-}
+// loopback is the degenerate wiring: one station, every processor's link
+// into it, one forward queue and one link per memory module out of it (a
+// crossbar), and nothing on the way back — a module's reply crosses the
+// processor link at once.  Its table is a dozen lines and its schedule four
+// calls; the wait buffer is off (capacity 0), so everything the tests below
+// observe is the shell's doing.
+type loopback struct{ Shell }
 
 func newLoopback(plan *faults.Plan, inj []Injector) *loopback {
 	return newLoopbackWatched(plan, inj, 2, DefaultWatchdogCycles, nil)
 }
 
+// newLoopbackWatched also sets the module service time and the watchdog
+// limit; blocked, when set, names modules the fabric never feeds: their
+// requests wait in the station forever.
 func newLoopbackWatched(plan *faults.Plan, inj []Injector, service int, watchdog int64, blocked func(mod int) bool) *loopback {
-	l := &loopback{blocked: blocked}
+	n := len(inj)
+	lk := &Links{
+		Ports: n, Fwd: make([]Link, n), FwdAt: make([]Coord, n),
+		Proc: make([]Link, n), ProcAt: make([]Coord, n), Home: make([]Coord, n),
+		Route: [][]uint8{make([]uint8, n)}, Back: [][]int8{make([]int8, n)},
+	}
+	for i := 0; i < n; i++ {
+		lk.Fwd[i], lk.FwdAt[i] = Link{To: int32(-1 - i)}, Coord{0, int32(i), 0}
+		lk.ProcAt[i], lk.Home[i] = Coord{2, int32(i), 0}, Coord{1, int32(i), 0}
+		lk.Route[0][i], lk.Back[0][i] = uint8(i), -1
+	}
+	l := &loopback{}
 	l.Init(ShellConfig{
 		Engine: "loopback", Injectors: inj,
-		Modules: len(inj), Service: service, MemQueueCap: 2,
+		Modules: n, Service: service, MemQueueCap: 2,
+		Stations: NewStations(1, n, 0, 2, 0, 0, core.Policy{}), Links: lk, Stages: 1,
 		WatchdogCycles: watchdog, Faults: plan,
 		Hooks: Hooks{
-			Sweep:     l.sweep,
-			CanFeed:   func(mod int) bool { return l.Memory().Module(mod).CanEnqueue() },
+			Sweep: l.sweep,
+			CanFeed: func(mod int) bool {
+				return l.Memory().Module(mod).CanEnqueue() && (blocked == nil || !blocked(mod))
+			},
 			Saturated: func() bool { return false },
-			Hops:      func() int64 { return l.moved },
-			Queued:    func() int { return 0 },
-			Detail:    func() string { return "" },
 			Observe:   func(*Counters, map[string]int64) {},
 		},
 	})
@@ -48,30 +57,12 @@ func newLoopbackWatched(plan *faults.Plan, inj []Injector, service int, watchdog
 
 func (l *loopback) sweep() {
 	for mod := 0; mod < l.Memory().Modules(); mod++ {
-		if !l.ModuleUp(mod, l.Own()) || l.MemStalled(mod) {
-			continue
-		}
-		if rep, m, ok := l.Serve(mod, l.Own()); ok && !l.LinkDropsRev(1, m.Src, 0, &rep) {
-			l.moved++
-			l.Deliver(faults.Site(1, m.Src, 0), m.Src, rep, m.Issue, m.Hot)
-		}
+		l.Tick(mod, -1, l.Lane(0))
 	}
+	l.FwdHop(0, 0, l.Lane(0))
+	l.Commit()
 	for p := 0; p < l.Memory().Modules(); p++ {
-		m := l.Offer(p)
-		if m == nil {
-			continue
-		}
-		mod := l.Memory().HomeOf(m.Req.Addr)
-		if l.ModuleDead(mod) || !l.Memory().Module(mod).CanEnqueue() || (l.blocked != nil && l.blocked(mod)) {
-			continue
-		}
-		if l.LinkDropsFwd(0, mod, 0, &m.Req) {
-			l.Lost(p)
-			continue
-		}
-		l.moved++
-		l.EnterMemory(faults.Site(0, mod, 0), mod, m, l.Own())
-		l.Sent(p)
+		l.Inject(p)
 	}
 }
 
@@ -121,14 +112,16 @@ func newAdders(n, ops int) ([]*adder, []Injector) {
 	return adders, inj
 }
 
-// TestShellLoopback drives the rim through the fake fabric, clean and under
-// the two plans that exercise everything the rim owns — the adversarial
+// TestShellLoopback drives the shell through the degenerate wiring, clean and
+// under the two plans that exercise everything the rim owns — the adversarial
 // terminal links (reorder, duplicate, corrupt, limbo) and crash windows
 // with drops (crash edges, checkpoints, retry lists, module guards) — and
 // checks exactly-once completion and agreement with core.SerialReplies.
 func TestShellLoopback(t *testing.T) {
+	// Default's stall window (cycles 50–120) freezes the one station, so the
+	// module crash comes after it, when module 0 holds work to lose.
 	crashDrop := faults.Default(5)
-	crashDrop.MemCrashes = []faults.Window{{Stage: -1, Index: 0, From: 120, To: 200}}
+	crashDrop.MemCrashes = []faults.Window{{Stage: -1, Index: 0, From: 150, To: 230}}
 	crashDrop.LinkCrashes = []faults.Window{{Stage: 1, Index: 3, From: 60, To: 90}}
 	for _, tc := range []struct {
 		name    string
@@ -182,7 +175,7 @@ func TestShellLoopback(t *testing.T) {
 				t.Fatalf("shared cell = %v, serial %v", got, final)
 			}
 
-			// Every module tick went through Serve: the shard's service-cycle
+			// Every module tick went through serve: the shard's service-cycle
 			// count is the modules' own.
 			var busy int64
 			for mod := 0; mod < n; mod++ {
@@ -217,7 +210,7 @@ func repeat(op rmw.Mapping, n int) []rmw.Mapping {
 	return ops
 }
 
-// TestServedBoxOutlivesTheNextFeed: the request Serve returns is the filed
+// TestServedBoxOutlivesTheNextFeed: the request serve returns is the filed
 // box itself, on loan until the same module's next reply — requests entering
 // the module in between must not be filed into it.
 func TestServedBoxOutlivesTheNextFeed(t *testing.T) {
@@ -225,11 +218,11 @@ func TestServedBoxOutlivesTheNextFeed(t *testing.T) {
 	l := newLoopback(nil, inj)
 	feed := func(id word.ReqID, src int) {
 		m := Fwd{Req: core.NewRequest(id, 0, rmw.FetchAdd(1), word.ProcID(src)), Src: src}
-		l.EnterMemory(faults.Site(0, 0, 0), 0, &m, l.Own())
+		l.enterMemory(faults.Site(0, 0, 0), 0, &m, &l.Lane(0).Shard)
 	}
 	serve := func() *Fwd {
 		for i := 0; i < 8; i++ {
-			if _, m, ok := l.Serve(0, l.Own()); ok {
+			if _, m, ok := l.serve(0, &l.Lane(0).Shard); ok {
 				return m
 			}
 		}

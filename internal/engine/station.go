@@ -1,0 +1,317 @@
+package engine
+
+import (
+	"combining/internal/core"
+	"combining/internal/rmw"
+	"combining/internal/word"
+)
+
+// The combining station of Section 4, Figure 1: output FIFOs, a wait buffer,
+// decombining on the way back.  An omega switch, a cube or torus router with
+// its memory combining queue, the bus's decoupling FIFO and a goroutine
+// switch of internal/asyncnet are all this one type; what differs between
+// them is how many queues a station has and what its links lead to, which is
+// the wiring's business (Links), not the station's.
+//
+// Messages arrive by pointer and are copied once, into the slot they come to
+// rest in (DESIGN.md §6.2): AcceptFwd and AcceptRev read the caller's
+// message — the head slot of an upstream queue, a processor port, a module's
+// filed box — and never keep the pointer; on refusal it is untouched.
+
+// Rev is a reply in flight.  Path routes it on wirings whose replies retrace
+// a recorded header (the entry for the station it is arriving at is last);
+// Src, the issuing processor, routes it on wirings that route by address and
+// names the port it is delivered to on all of them.
+type Rev struct {
+	Rep   core.Reply
+	Path  []uint8
+	Src   int
+	Issue int64 // first injection cycle of the request it answers
+	Hot   bool
+	// Slots is the number of data values the reply carries (0 for a bare
+	// store acknowledgment), for the traffic accounting of E11.
+	Slots uint8
+	// Moved is the cycle the reply last hopped: a message crosses one link
+	// per cycle whatever order a schedule visits the stations in.
+	Moved int64
+}
+
+// Record is a wait-buffer entry: the core combine record plus the routing
+// state and metric tags of the request serialized second, whose reply the
+// station synthesizes.
+type Record struct {
+	core.Record
+	Path2  []uint8
+	Src2   int
+	Issue2 int64
+	Hot2   bool
+	// Needs1 and Needs2 record whether each constituent's reply carries a
+	// value.
+	Needs1, Needs2 bool
+	// Reps2 names the second request's leaves so a crash flushing this
+	// record reports exactly which operations lost their reply path.
+	Reps2 []core.Leaf
+}
+
+// StationEvent is what a station's Trace hook observes.
+type StationEvent struct {
+	Kind    StationEventKind
+	ID, ID2 word.ReqID
+	Addr    word.Addr
+	Module  int // Served only
+}
+
+// StationEventKind classifies station events.
+type StationEventKind uint8
+
+const (
+	Combined StationEventKind = iota
+	Rejected
+	Decombined
+	Served
+)
+
+// Station is one combining node: a FIFO per forward output and per reverse
+// output, and one wait buffer.
+type Station struct {
+	Fwd  []core.FIFO[Fwd]
+	Rev  []core.FIFO[Rev]
+	Wait core.WaitBuffer[Record]
+
+	// Back routes a reply that carries no path: Back[src] is the reverse
+	// queue toward processor src, or -1 when src is attached here.  nil on
+	// wirings whose replies pop a recorded path instead.
+	Back []int8
+	// Trace, when non-nil, observes combine, reject, decombine and module
+	// service events here.
+	Trace func(StationEvent)
+	// Intercept, when non-nil, sees every arriving request before the
+	// combine scan and reports whether it disposed of it — the seat of the
+	// Section 5.1 ablation (network.Config.BuggyLoadForwarding).
+	Intercept func(st *Station, out int, m *Fwd, path []uint8, now int64) bool
+
+	pol    core.Policy
+	revCap int // reverse base credit per queue; <= 0 means unbounded
+	maxRev int
+	ports  []portStat
+}
+
+// portStat is one forward queue's high-water mark and refusal count.
+type portStat struct {
+	peak    int
+	refused int64
+}
+
+// NewStations builds count stations of fwd forward and rev reverse queues,
+// each column of queues contiguous in station order.  queueCap bounds the
+// forward queues (<= 0: unbounded); the reverse queues are unbounded as
+// storage and admitted by credit (revCap, CanAcceptRev).
+func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy) []Station {
+	fq := make([]core.FIFO[Fwd], count*fwd)
+	for i := range fq {
+		fq[i] = core.NewFIFO[Fwd](queueCap)
+	}
+	rq := make([]core.FIFO[Rev], count*rev)
+	ps := make([]portStat, count*fwd)
+	sts := make([]Station, count)
+	for i := range sts {
+		sts[i] = Station{
+			Fwd:    fq[i*fwd : (i+1)*fwd : (i+1)*fwd],
+			Rev:    rq[i*rev : (i+1)*rev : (i+1)*rev],
+			Wait:   *core.NewWaitBuffer[Record](waitCap),
+			pol:    pol,
+			revCap: revCap,
+			ports:  ps[i*fwd : (i+1)*fwd : (i+1)*fwd],
+		}
+	}
+	return sts
+}
+
+func fwdReq(m *Fwd) *core.Request { return &m.Req }
+
+// AcceptFwd takes request m into forward queue out: combined with the most
+// recent queued request for its address when the pair combines and the wait
+// buffer has room, else appended, else — the queue is full — refused, and
+// the upstream holds it.  path is m's header with this station's entry
+// stamped (nil on wirings that route replies by Src).
+func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now int64, sh *Shard) bool {
+	if st.Intercept != nil && st.Intercept(st, out, m, path, now) {
+		return true
+	}
+	q := &st.Fwd[out]
+	if q.Len() > 0 && st.combine(q, m, path, sh) {
+		return true
+	}
+	if q.Full() {
+		st.ports[out].refused++
+		return false
+	}
+	slot := q.Push()
+	*slot = *m
+	slot.Path, slot.Moved = path, now
+	if n := q.Len(); n > st.ports[out].peak {
+		st.ports[out].peak = n
+	}
+	return true
+}
+
+// combine attempts to merge m into the non-empty queue q.  Only the LAST
+// queued request for the address is a legal partner (M2.3, core.CombineAtTail).
+func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path []uint8, sh *Shard) bool {
+	tc, rejected, ok := core.CombineAtTail(q.View(), fwdReq, m.Req, st.pol, st.Wait.CanPush)
+	if rejected {
+		// A full wait buffer forfeits the combine (partial combining, A1).
+		st.Wait.Rejections++
+		if st.Trace != nil {
+			st.Trace(StationEvent{Kind: Rejected, ID: m.Req.ID, Addr: m.Req.Addr})
+		}
+	}
+	if !ok {
+		return false
+	}
+	queued := &q.View()[tc.Index]
+	// The message whose id the combined request carries is serialized first;
+	// the other's routing state goes into the wait-buffer record.
+	first, firstPath, second, secondPath := queued, queued.Path, m, path
+	if tc.Swapped {
+		first, firstPath, second, secondPath = m, path, queued, queued.Path
+	}
+	if !st.Wait.Push(tc.Rec.ID1, Record{
+		Record: tc.Rec,
+		Path2:  secondPath,
+		Src2:   second.Src,
+		Issue2: second.Issue,
+		Hot2:   second.Hot,
+		Needs1: rmw.NeedsValue(first.Req.Op),
+		Needs2: rmw.NeedsValue(second.Req.Op),
+		Reps2:  second.Req.Reps,
+	}) {
+		return false
+	}
+	*queued = Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot,
+		Path: firstPath, Moved: queued.Moved}
+	sh.Combines++
+	if st.Trace != nil {
+		st.Trace(StationEvent{Kind: Combined, ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.Req.Addr})
+	}
+	return true
+}
+
+// CanAcceptRev is the reserved-credit check: a reply may enter only while
+// every reverse queue sits below the base credit — all of them, because the
+// decombining fan-out is unknown until the wait buffer is consulted.  An
+// accepted reply then appends its whole fan-out unconditionally: each leaf
+// beyond the first consumes a wait record this station created, so the
+// records double as reserved credits and per-queue occupancy stays ≤ revCap +
+// wait-buffer capacity.  Holding a reply upstream cannot deadlock: reverse
+// queues drain toward the processors, which always consume.
+func (st *Station) CanAcceptRev() bool {
+	if st.revCap <= 0 {
+		return true
+	}
+	for i := range st.Rev {
+		if st.Rev[i].Len() >= st.revCap {
+			return false
+		}
+	}
+	return true
+}
+
+// AcceptRev takes a reply arriving from the memory side: it undoes every
+// combine recorded here that the reply answers (most recent first, several
+// for a k-way combine) and queues each resulting reply toward its processor;
+// one whose processor is attached here is appended to home instead.
+func (st *Station) AcceptRev(r *Rev, now int64, home *[]Rev) {
+	if st.Wait.Len() > 0 && st.decombine(r, now, home) {
+		return
+	}
+	port, path := -1, r.Path
+	if st.Back != nil {
+		port = int(st.Back[r.Src])
+	} else {
+		port, path = int(path[len(path)-1]), path[:len(path)-1]
+	}
+	if port < 0 {
+		*home = append(*home, *r)
+		return
+	}
+	q := &st.Rev[port]
+	slot := q.Push()
+	*slot = *r
+	slot.Path, slot.Moved = path, now
+	if n := q.Len(); n > st.maxRev {
+		st.maxRev = n
+	}
+}
+
+// decombine undoes the most recent combine recorded here that r answers.
+// PopMatch skips records the reply cannot answer: under fault injection a
+// record goes stale when its combined message is dropped downstream, and a
+// later (retransmitted) reply for the same id must pass through rather than
+// synthesize a second requester's reply from a combine that never reached
+// memory.  On a healthy machine every record matches.
+func (st *Station) decombine(r *Rev, now int64, home *[]Rev) bool {
+	match := func(rec Record) bool { return core.CanDecombine(rec.Record, r.Rep) }
+	rec, ok := st.Wait.PopMatch(r.Rep.ID, match)
+	if !ok {
+		return false
+	}
+	r1, r2 := core.DecombineExact(rec.Record, r.Rep)
+	if st.Trace != nil {
+		st.Trace(StationEvent{Kind: Decombined, ID: r1.ID, ID2: r2.ID})
+	}
+	st.AcceptRev(&Rev{Rep: r1, Path: r.Path, Src: r.Src, Issue: r.Issue, Hot: r.Hot, Slots: slots(rec.Needs1)}, now, home)
+	st.AcceptRev(&Rev{Rep: r2, Path: rec.Path2, Src: rec.Src2, Issue: rec.Issue2, Hot: rec.Hot2, Slots: slots(rec.Needs2)}, now, home)
+	return true
+}
+
+func slots(needs bool) uint8 {
+	if needs {
+		return 1
+	}
+	return 0
+}
+
+// Crash flushes the station's volatile state — every queue and the wait
+// buffer — and returns the leaf request ids whose only copy here was lost.
+// A flushed wait record is a double loss: the second requester's routing
+// state is gone, so even if the combined message's reply returns it passes
+// through and the second requester recovers by retransmitting.
+func (st *Station) Crash() []word.ReqID {
+	var ids []word.ReqID
+	for i := range st.Fwd {
+		for _, m := range st.Fwd[i].View() {
+			ids = LostLeaves(ids, m.Req.Reps, m.Req.ID)
+		}
+		st.Fwd[i].Clear()
+	}
+	for i := range st.Rev {
+		held := st.Rev[i].View()
+		for j := range held {
+			ids = LostReply(ids, &held[j].Rep)
+		}
+		st.Rev[i].Clear()
+	}
+	for _, rec := range st.Wait.Flush() {
+		ids = LostLeaves(ids, rec.Reps2, rec.ID2)
+	}
+	return ids
+}
+
+// Occupancy counts the messages and wait records the station holds.
+func (st *Station) Occupancy() (fwd, rev, wait int) {
+	for i := range st.Fwd {
+		fwd += st.Fwd[i].Len()
+	}
+	for i := range st.Rev {
+		rev += st.Rev[i].Len()
+	}
+	return fwd, rev, st.Wait.Len()
+}
+
+// Peak is forward queue out's high-water mark, Refused the arrivals it
+// turned away full, MaxRev the high-water mark across the reverse queues —
+// the observable the reserved-credit bound is asserted on.
+func (st *Station) Peak(out int) int      { return st.ports[out].peak }
+func (st *Station) Refused(out int) int64 { return st.ports[out].refused }
+func (st *Station) MaxRev() int           { return st.maxRev }

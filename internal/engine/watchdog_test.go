@@ -10,12 +10,14 @@ import (
 // Step took the in-flight census every cycle: the step epilogue now takes
 // it only on a cycle whose progress signature stood still, which is exactly
 // when the watchdog's verdict depends on it.  A module the fabric never
-// feeds leaves one request at its port forever; with a 64-cycle limit the
-// trip cycle and the stall report below are the ones that eager epilogue
-// produced (recorded on the commit before the change), on a clean machine —
-// whose census walks ports and metadata — and under a drop plan, whose
-// census is the retry tracker's ledger and whose signature also counts
-// injected faults.
+// feeds leaves processor 1's two private requests in the station forever;
+// with a 64-cycle limit the trip cycle and the stall report below are the
+// ones the eager epilogue produces (re-recorded with flow.Watchdog.Observe
+// taking the census unconditionally when the loopback became a one-station
+// wiring, whose extra hop moved them from 91 and 141), on a clean machine —
+// whose census walks ports, stations and metadata — and under a drop plan,
+// whose census is the retry tracker's ledger and whose signature also
+// counts injected faults.
 func TestWatchdogPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -23,10 +25,12 @@ func TestWatchdogPinned(t *testing.T) {
 		trip   int64
 		report string
 	}{
-		{"clean", nil, 91,
-			"loopback: watchdog tripped at cycle 91: 1 in flight, no progress for 64 cycles\npending=1 meta=0\n"},
-		{"drops", faults.Default(5), 141,
-			"loopback: watchdog tripped at cycle 141: 1 in flight, no progress for 64 cycles\npending=1 meta=0\n"},
+		{"clean", nil, 96,
+			"loopback: watchdog tripped at cycle 96: 2 in flight, no progress for 64 cycles\npending=0 meta=0\n" +
+				"stage 0: fwd=2 rev=0 wait=0\nmemory queued=0"},
+		{"drops", faults.Default(5), 194,
+			"loopback: watchdog tripped at cycle 194: 2 in flight, no progress for 64 cycles\npending=1 meta=0\n" +
+				"stage 0: fwd=2 rev=0 wait=0\nmemory queued=0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, inj := newAdders(4, 6)

@@ -85,8 +85,8 @@ func TestDupDeliveryPathPoolIntegrity(t *testing.T) {
 	// At quiescence every delivered header is back in the pool; each entry
 	// must be a distinct array.  (&p[:1][0] is legal for the zero-length
 	// entries because every pooled array keeps capacity k.)
-	seen := make(map[*uint8]bool, len(sim.pathFree))
-	for _, p := range sim.pathFree {
+	seen := make(map[*uint8]bool, len(sim.PathPool()))
+	for _, p := range sim.PathPool() {
 		ptr := &p[:1][0]
 		if seen[ptr] {
 			t.Fatalf("path array %p recycled into the pool twice — a dup delivery shared its header", ptr)

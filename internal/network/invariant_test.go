@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/rmw"
 	"combining/internal/word"
 )
@@ -33,13 +34,12 @@ func TestInvariantsUnderLoad(t *testing.T) {
 					waitCap, c, st.Issued, got)
 			}
 			// Queue capacity respected everywhere.
-			for s, stage := range sim.stages {
-				for i, sw := range stage {
-					for port := 0; port < 2; port++ {
-						if sw.outQ[port].Len() > 3 {
-							t.Fatalf("waitCap=%d: stage %d switch %d port %d queue %d > cap 3",
-								waitCap, s, i, port, sw.outQ[port].Len())
-						}
+			for at := 0; at < sim.k*sim.ns; at++ {
+				sw := sim.Station(at)
+				for port := range sw.Fwd {
+					if sw.Fwd[port].Len() > 3 {
+						t.Fatalf("waitCap=%d: stage %d switch %d port %d queue %d > cap 3",
+							waitCap, at/sim.ns, at%sim.ns, port, sw.Fwd[port].Len())
 					}
 				}
 			}
@@ -56,18 +56,16 @@ func TestInvariantsUnderLoad(t *testing.T) {
 			t.Fatalf("waitCap=%d: completed %d != issued %d after drain", waitCap, st.Completed, st.Issued)
 		}
 		// All wait buffers must be empty at quiescence.
-		for _, stage := range sim.stages {
-			for _, sw := range stage {
-				if sw.wait.Len() != 0 {
-					t.Fatalf("waitCap=%d: wait buffer holds %d records after drain", waitCap, sw.wait.Len())
-				}
+		for at := 0; at < sim.k*sim.ns; at++ {
+			if n := sim.Station(at).Wait.Len(); n != 0 {
+				t.Fatalf("waitCap=%d: wait buffer holds %d records after drain", waitCap, n)
 			}
 		}
 	}
 }
 
-// TestReverseQueueBoundInvariant checks the reserved-credit bound that
-// used to be a prose claim in acceptReply's comment: a reply is accepted
+// TestReverseQueueBoundInvariant checks the reserved-credit bound
+// (engine.Station.CanAcceptRev) on the whole machine: a reply is accepted
 // only while every reverse port sits below RevQueueCap, and each extra
 // decombined leaf consumes a wait-buffer record, so per-port reverse
 // occupancy can never exceed RevQueueCap + WaitBufCap.  Checked every
@@ -90,13 +88,12 @@ func TestReverseQueueBoundInvariant(t *testing.T) {
 	sim := NewSim(Config{Procs: n, QueueCap: 2, RevQueueCap: revCap, WaitBufCap: waitCap}, inj)
 	for c := 0; c < cycles; c++ {
 		sim.Step()
-		for s, stage := range sim.stages {
-			for i, sw := range stage {
-				for port := range sw.revQ {
-					if q := &sw.revQ[port]; q.Len() > bound {
-						t.Fatalf("cycle %d: stage %d switch %d port %d reverse queue %d > bound %d",
-							c, s, i, port, q.Len(), bound)
-					}
+		for at := 0; at < sim.k*sim.ns; at++ {
+			sw := sim.Station(at)
+			for port := range sw.Rev {
+				if q := &sw.Rev[port]; q.Len() > bound {
+					t.Fatalf("cycle %d: stage %d switch %d port %d reverse queue %d > bound %d",
+						c, at/sim.ns, at%sim.ns, port, q.Len(), bound)
 				}
 			}
 		}
@@ -145,7 +142,7 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	const limit = 200
 	inj, _ := emptyInjectors(8)
 	sim := NewSim(Config{Procs: 8, WaitBufCap: 4, WatchdogCycles: limit}, inj)
-	if !sim.stages[0][0].wait.Push(word.ReqID(999), netRecord{}) {
+	if !sim.Station(0).Wait.Push(word.ReqID(999), engine.Record{}) {
 		t.Fatal("could not plant the orphan wait record")
 	}
 	steps := 0
@@ -193,9 +190,10 @@ func TestPathHeadersConsistent(t *testing.T) {
 	k := sim.k
 	for c := 0; c < 500; c++ {
 		sim.Step()
-		for _, sw := range sim.stages[k-1] {
-			for port := range sw.outQ {
-				for _, m := range sw.outQ[port].View() {
+		for at := (k - 1) * sim.ns; at < k*sim.ns; at++ {
+			sw := sim.Station(at)
+			for port := range sw.Fwd {
+				for _, m := range sw.Fwd[port].View() {
 					if len(m.Path) != k {
 						t.Fatalf("request %d at the memory link has %d path entries, want %d", m.Req.ID, len(m.Path), k)
 					}

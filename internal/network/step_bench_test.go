@@ -38,7 +38,7 @@ func BenchmarkStep(b *testing.B) {
 				sim.Step()
 			}
 			perCycle := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			visits := float64(2 * sim.k * n / sim.radix)
+			visits := float64(2 * sim.k * sim.ns)
 			b.ReportMetric(perCycle, "ns/cycle")
 			b.ReportMetric(perCycle/visits, "ns/switch-visit")
 		})
