@@ -1,8 +1,11 @@
 // Package asyncnet is an asynchronous, goroutine-per-switch implementation
-// of the combining Omega network: the same topology, routing and combining
-// rules as the cycle-accurate simulator (internal/network), but driven by
-// real concurrency — each switch is a process communicating over channels,
-// and each processor port is a calling goroutine that blocks for its reply.
+// of the combining Omega network: the same wiring (engine.OmegaOf, compiled
+// by engine.CompileStaged) and the same combining station (engine.Station)
+// as the cycle-accurate simulator (internal/network), but driven by real
+// concurrency — each switch is a process that owns one station and drains
+// its queues into channels, and each processor port is a calling goroutine
+// that blocks for its reply.  The paper's claim in its strongest form: one
+// station under a clocked sweep and under goroutines and channels.
 //
 // Where the cycle simulator measures queueing phenomena, this engine
 // exercises the combining mechanism under genuine nondeterministic
@@ -16,7 +19,6 @@ package asyncnet
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -29,18 +31,6 @@ import (
 	"combining/internal/stats"
 	"combining/internal/word"
 )
-
-// fwdMsg is a request in flight with its path header.
-type fwdMsg struct {
-	req  core.Request
-	path []uint8
-}
-
-// revMsg is a reply in flight.
-type revMsg struct {
-	rep  core.Reply
-	path []uint8
-}
 
 // Config parameterizes the asynchronous network.
 type Config struct {
@@ -76,10 +66,13 @@ type Config struct {
 
 // Net is a running asynchronous combining network.
 type Net struct {
-	cfg      Config
-	n, k     int
-	mem      *memory.Array
-	switches [][]*aswitch
+	cfg Config
+	n   int
+	mem *memory.Array
+	// links is the omega wiring, compiled; switch (stage, i) is station
+	// stage·n/2 + i of it and of switches.
+	links    *engine.Links
+	switches []*aswitch
 	ports    []*Port
 
 	done chan struct{}
@@ -121,40 +114,35 @@ type Net struct {
 	recoveryLat stats.Histogram
 }
 
-// aswitch is one switch process.
+// aswitch is one switch process: the goroutine that owns station at.
 type aswitch struct {
-	net          *Net
-	stage, index int
+	net   *Net
+	stage int
+	at    int
+	st    *engine.Station
 
-	fwdIn [2]chan fwdMsg
-	revIn chan revMsg // replies from the memory side
+	fwdIn [2]chan engine.Fwd
+	revIn chan engine.Rev // replies from the memory side
 
 	// Downstream targets, wired by New.
-	fwdOut [2]func(fwdMsg) // send toward memory
-	revOut [2]func(revMsg) // send toward processors
-
-	wait *core.WaitBuffer[arec]
-	pol  core.Policy
+	fwdOut [2]func(*engine.Fwd) // send toward memory
+	revOut [2]func(*engine.Rev) // send toward processors
 }
-
-// arec is the wait-buffer record with the second request's path.
-type arec struct {
-	core.Record
-	pathSecond []uint8
-}
-
-// fwdReq projects a queued forward message to its request for the shared
-// combine scan.
-func fwdReq(m *fwdMsg) *core.Request { return &m.req }
 
 // Port is one processor's connection to the network.  A Port may pipeline
 // up to the configured window of outstanding requests (RMWAsync) and is
 // not safe for concurrent use; run one goroutine per port.
 type Port struct {
-	net         *Net
-	proc        word.ProcID
-	ids         *word.IDGen
-	reply       chan revMsg
+	net  *Net
+	proc word.ProcID
+	ids  *word.IDGen
+	// in is the first-stage inbox the port's link enters, on input port
+	// inPort, at fault site site.
+	in     chan engine.Fwd
+	inPort uint8
+	site   uint64
+
+	reply       chan engine.Rev
 	window      int
 	outstanding int
 	buffered    map[word.ReqID]word.Word
@@ -215,13 +203,17 @@ func (c *Config) normalize() error {
 	return nil
 }
 
+// site is a compiled link coordinate as a fault hash key.
+func site(c engine.Coord) uint64 { return faults.Site(int(c.Stage), int(c.Index), int(c.Port)) }
+
 // New starts the network's switch goroutines.
 func New(cfg Config) *Net {
 	if err := cfg.normalize(); err != nil {
 		panic(err)
 	}
 	n := cfg.Procs
-	k := bits.TrailingZeros(uint(n))
+	links := engine.CompileStaged(engine.OmegaOf(n, 2))
+	k := links.PathLen
 	var memOpts []memory.Option
 	if cfg.Faults != nil {
 		memOpts = append(memOpts, memory.WithReplyCache())
@@ -229,8 +221,8 @@ func New(cfg Config) *Net {
 	net := &Net{
 		cfg:     cfg,
 		n:       n,
-		k:       k,
 		mem:     memory.NewArray(n, memOpts...),
+		links:   links,
 		done:    make(chan struct{}),
 		batchHW: make([]stats.HighWater, k),
 	}
@@ -241,34 +233,31 @@ func New(cfg Config) *Net {
 	if cfg.Combining {
 		waitCap = core.Unbounded
 	}
-	pol := core.Policy{AllowReversal: cfg.AllowReversal}
-
-	net.switches = make([][]*aswitch, k)
-	for s := range net.switches {
-		net.switches[s] = make([]*aswitch, n/2)
-		for i := range net.switches[s] {
-			sw := &aswitch{
-				net:   net,
-				stage: s,
-				index: i,
-				revIn: make(chan revMsg, cfg.ChanCap),
-				wait:  core.NewWaitBuffer[arec](waitCap),
-				pol:   pol,
-			}
-			sw.fwdIn[0] = make(chan fwdMsg, cfg.ChanCap)
-			sw.fwdIn[1] = make(chan fwdMsg, cfg.ChanCap)
-			net.switches[s][i] = sw
-		}
+	// The stations' queues are unbounded staging: a switch drains them into
+	// its channels — the engine's bounded queues — before it takes another
+	// batch.
+	stations := engine.NewStations(k*n/2, 2, 2, 0, 0, waitCap, core.Policy{AllowReversal: cfg.AllowReversal})
+	net.switches = make([]*aswitch, len(stations))
+	for at := range stations {
+		sw := &aswitch{net: net, stage: at / (n / 2), at: at, st: &stations[at],
+			revIn: make(chan engine.Rev, cfg.ChanCap)}
+		sw.fwdIn[0] = make(chan engine.Fwd, cfg.ChanCap)
+		sw.fwdIn[1] = make(chan engine.Fwd, cfg.ChanCap)
+		net.switches[at] = sw
 	}
 
-	// Ports and their reply channels.
+	// Ports, their reply channels and their links into stage 0.
 	net.ports = make([]*Port, n)
 	for p := 0; p < n; p++ {
+		l := links.Proc[p]
 		net.ports[p] = &Port{
 			net:      net,
 			proc:     word.ProcID(p),
 			ids:      word.Partition(p, n),
-			reply:    make(chan revMsg, cfg.ChanCap),
+			in:       net.switches[l.To].fwdIn[l.In],
+			inPort:   uint8(l.In),
+			site:     site(links.ProcAt[p]),
+			reply:    make(chan engine.Rev, cfg.ChanCap),
 			window:   cfg.Window,
 			buffered: make(map[word.ReqID]word.Word),
 			issued:   make(map[word.ReqID]time.Time),
@@ -277,102 +266,83 @@ func New(cfg Config) *Net {
 		}
 	}
 
-	// Wire the topology: stage s switch i output line (2i+b) shuffles
-	// into stage s+1; the last stage feeds memory inline and decombines
-	// the reply in place (a self-send into its own bounded revIn could
-	// block forever, since only this goroutine drains it).  Forward sends
-	// service the sender's reply side while blocked, so every channel may
-	// be as small as one slot without deadlock.  Every hop passes through
-	// a fault hook; sends select against done so stale fault-mode
-	// duplicates cannot wedge a switch at shutdown.
-	for s := 0; s < k; s++ {
-		for i := 0; i < n/2; i++ {
-			sw := net.switches[s][i]
-			for b := 0; b < 2; b++ {
-				outLine := i<<1 | b
-				if s == k-1 {
-					mod := outLine
-					site := faults.Site(k, mod, 0)
-					sw.fwdOut[b] = func(m fwdMsg) {
-						if net.flt != nil && net.flt.DropForward(site, m.req.ID, m.req.Attempt) {
-							return
-						}
-						rep := net.mem.Module(mod).Do(m.req)
-						if net.flt != nil && net.flt.DropReply(site, rep.ID, rep.Attempt) {
-							return
-						}
-						// Decombine in place: this goroutine owns the wait
-						// buffer, and routing through the bounded revIn
-						// would be a self-send that deadlocks once full.
-						sw.handleRev(revMsg{rep: rep, path: m.path})
+	// Wire the links: a forward link into the next stage stamps its input
+	// port into the path and sends; one that ends at a module feeds memory
+	// inline and decombines the reply in place (a self-send into the
+	// switch's own bounded revIn could block forever, since only this
+	// goroutine drains it).  Forward sends service the sender's reply side
+	// while blocked, so every channel may be as small as one slot without
+	// deadlock.  Every hop passes through a fault hook; sends select against
+	// done so stale fault-mode duplicates cannot wedge a switch at shutdown.
+	for at, sw := range net.switches {
+		for b := 0; b < 2; b++ {
+			l, where := links.Fwd[at*2+b], site(links.FwdAt[at*2+b])
+			if l.To < 0 {
+				mod := int(-1 - l.To)
+				sw.fwdOut[b] = func(m *engine.Fwd) {
+					if net.flt != nil && net.flt.DropForward(where, m.Req.ID, m.Req.Attempt) {
+						return
 					}
-				} else {
-					nextLine := net.shuffle(outLine)
-					next := net.switches[s+1][nextLine>>1]
-					inPort := uint8(nextLine & 1)
-					target := next.fwdIn[nextLine&1]
-					site := faults.Site(s+1, nextLine>>1, nextLine&1)
-					sw.fwdOut[b] = func(m fwdMsg) {
-						if net.flt != nil && net.flt.DropForward(site, m.req.ID, m.req.Attempt) {
-							return
-						}
-						m.path = append(m.path, inPort)
-						// Service-while-blocked: while the downstream inbox
-						// is full, keep draining our own revIn.  A blocked
-						// forward chain ascends the stages; every switch on
-						// it stays live on its reply side, so replies drain,
-						// wait records clear, and the head of the chain
-						// eventually frees a slot — requests can never block
-						// replies, the cycle that deadlocks bounded buffers.
-						select {
-						case target <- m:
-							return
-						default:
-							net.creditStalls.Inc()
-						}
-						for {
-							select {
-							case target <- m:
-								return
-							case r := <-sw.revIn:
-								sw.handleRev(r)
-							case <-net.done:
-								return
-							}
-						}
+					rep := net.mem.Module(mod).Do(m.Req)
+					if net.flt != nil && net.flt.DropReply(where, rep.ID, rep.Attempt) {
+						return
+					}
+					sw.handleRev(engine.Rev{Rep: rep, Path: m.Path})
+				}
+				continue
+			}
+			target, inPort := net.switches[l.To].fwdIn[l.In], uint8(l.In)
+			sw.fwdOut[b] = func(m *engine.Fwd) {
+				if net.flt != nil && net.flt.DropForward(where, m.Req.ID, m.Req.Attempt) {
+					return
+				}
+				out := *m
+				out.Path = append(out.Path, inPort)
+				// Service-while-blocked: while the downstream inbox
+				// is full, keep draining our own revIn.  A blocked
+				// forward chain ascends the stages; every switch on
+				// it stays live on its reply side, so replies drain,
+				// wait records clear, and the head of the chain
+				// eventually frees a slot — requests can never block
+				// replies, the cycle that deadlocks bounded buffers.
+				select {
+				case target <- out:
+					return
+				default:
+					net.creditStalls.Inc()
+				}
+				for {
+					select {
+					case target <- out:
+						return
+					case r := <-sw.revIn:
+						sw.handleRev(r)
+					case <-net.done:
+						return
 					}
 				}
 			}
-			// Reverse wiring: replies leaving input port p of stage s.
-			for p := 0; p < 2; p++ {
-				inLine := i<<1 | p
-				site := faults.Site(s, i, p)
-				if s == 0 {
-					port := net.ports[net.unshuffle(inLine)]
-					sw.revOut[p] = func(r revMsg) {
-						if net.flt != nil && net.flt.DropReply(site, r.rep.ID, r.rep.Attempt) {
-							return
-						}
-						if !send(net.done, port.reply, r) {
-							net.orphans.Inc()
-						}
-					}
-				} else {
-					prevLine := net.unshuffle(inLine)
-					prev := net.switches[s-1][prevLine>>1]
-					sw.revOut[p] = func(r revMsg) {
-						if net.flt != nil && net.flt.DropReply(site, r.rep.ID, r.rep.Attempt) {
-							return
-						}
-						if !send(net.done, prev.revIn, r) {
-							net.orphans.Inc()
-						}
-					}
-				}
-			}
-			net.wg.Add(1)
-			go sw.run()
 		}
+		// Reverse links: replies leaving input port p.
+		for p := 0; p < 2; p++ {
+			l, where := links.Rev[at*2+p], site(links.RevAt[at*2+p])
+			var target chan engine.Rev
+			if l.To >= 0 {
+				target = net.switches[l.To].revIn
+			} else {
+				target = net.ports[-1-l.To].reply
+			}
+			sw.revOut[p] = func(r *engine.Rev) {
+				if net.flt != nil && net.flt.DropReply(where, r.Rep.ID, r.Rep.Attempt) {
+					return
+				}
+				if !send(net.done, target, *r) {
+					net.orphans.Inc()
+				}
+			}
+		}
+		net.wg.Add(1)
+		go sw.run()
 	}
 	return net
 }
@@ -389,9 +359,6 @@ func send[T any](done chan struct{}, ch chan T, v T) bool {
 		return false
 	}
 }
-
-func (n *Net) shuffle(line int) int   { return (line<<1 | line>>(n.k-1)) & (n.n - 1) }
-func (n *Net) unshuffle(line int) int { return (line>>1 | (line&1)<<(n.k-1)) & (n.n - 1) }
 
 // Close shuts the switch goroutines down.  All ports must be idle (no
 // outstanding requests).
@@ -478,22 +445,22 @@ type Pending struct {
 // whose request is no longer in the issued ledger is a duplicate (a
 // retransmit raced its original); it is counted and suppressed, and live
 // reports false.
-func (p *Port) absorb(r revMsg) (v word.Word, live bool) {
-	t0, ok := p.issued[r.rep.ID]
+func (p *Port) absorb(r engine.Rev) (v word.Word, live bool) {
+	t0, ok := p.issued[r.Rep.ID]
 	if !ok {
 		if p.net.flt == nil {
 			// Unreachable on a healthy network: every reply matches an
 			// in-flight request.
 			p.outstanding--
-			return r.rep.Val, true
+			return r.Rep.Val, true
 		}
 		p.net.duplicates.Inc()
 		return word.Word{}, false
 	}
 	p.net.rtt.Record(time.Since(t0).Nanoseconds())
-	delete(p.issued, r.rep.ID)
-	if inf, ok := p.inflight[r.rep.ID]; ok {
-		delete(p.inflight, r.rep.ID)
+	delete(p.issued, r.Rep.ID)
+	if inf, ok := p.inflight[r.Rep.ID]; ok {
+		delete(p.inflight, r.Rep.ID)
 		if c := p.liveAddr[inf.req.Addr]; c <= 1 {
 			delete(p.liveAddr, inf.req.Addr)
 		} else {
@@ -505,14 +472,14 @@ func (p *Port) absorb(r revMsg) (v word.Word, live bool) {
 		}
 	}
 	p.outstanding--
-	return r.rep.Val, true
+	return r.Rep.Val, true
 }
 
 // recv blocks for the next reply.  Under a fault plan it also plays the
 // processor's timeout role: while waiting it retransmits any in-flight
 // request whose deadline has passed, with the plan's capped exponential
 // backoff.
-func (p *Port) recv() revMsg {
+func (p *Port) recv() engine.Rev {
 	if p.net.flt == nil {
 		return <-p.reply
 	}
@@ -560,13 +527,11 @@ func (p *Port) retransmitExpired() {
 		inf.req.Attempt++
 		inf.deadline = now.Add(p.timeoutAfter(inf.req.Attempt + 1))
 		p.net.retries.Inc()
-		line := p.net.shuffle(int(p.proc))
-		if p.net.flt.DropForward(faults.Site(0, line>>1, line&1), inf.req.ID, inf.req.Attempt) {
+		if p.net.flt.DropForward(p.site, inf.req.ID, inf.req.Attempt) {
 			continue
 		}
-		sw := p.net.switches[0][line>>1]
 		select {
-		case sw.fwdIn[line&1] <- fwdMsg{req: inf.req, path: []uint8{uint8(line & 1)}}:
+		case p.in <- engine.Fwd{Req: inf.req, Path: []uint8{p.inPort}}:
 		default:
 		}
 	}
@@ -584,7 +549,7 @@ func (p *Port) timeoutAfter(attempt uint32) time.Duration {
 func (p *Port) absorbToBuffer() {
 	r := p.recv()
 	if v, live := p.absorb(r); live {
-		p.buffered[r.rep.ID] = v
+		p.buffered[r.Rep.ID] = v
 	}
 }
 
@@ -594,20 +559,21 @@ func (p *Port) absorbToBuffer() {
 // reverse sends and get back to draining the very inbox the port is
 // waiting on.  This is the processor end of the service-while-blocked
 // discipline that makes ChanCap=1 deadlock-free.
-func (p *Port) sendFwd(ch chan fwdMsg, m fwdMsg) {
+func (p *Port) sendFwd(req core.Request) {
+	m := engine.Fwd{Req: req, Path: []uint8{p.inPort}}
 	select {
-	case ch <- m:
+	case p.in <- m:
 		return
 	default:
 		p.net.creditStalls.Inc()
 	}
 	for {
 		select {
-		case ch <- m:
+		case p.in <- m:
 			return
 		case r := <-p.reply:
 			if v, live := p.absorb(r); live {
-				p.buffered[r.rep.ID] = v
+				p.buffered[r.Rep.ID] = v
 			}
 		case <-p.net.done:
 			return
@@ -638,8 +604,6 @@ func (p *Port) RMWAsync(addr word.Addr, op rmw.Mapping) *Pending {
 	now := time.Now()
 	p.issued[id] = now
 	p.net.issuedReqs.Inc()
-	line := p.net.shuffle(int(p.proc))
-	sw := p.net.switches[0][line>>1]
 	if p.net.flt != nil {
 		req = req.WithReps()
 		p.inflight[id] = &inflightReq{
@@ -648,11 +612,11 @@ func (p *Port) RMWAsync(addr word.Addr, op rmw.Mapping) *Pending {
 			deadline: now.Add(p.timeoutAfter(1)),
 		}
 		p.liveAddr[addr]++
-		if !p.net.flt.DropForward(faults.Site(0, line>>1, line&1), id, 0) {
-			p.sendFwd(sw.fwdIn[line&1], fwdMsg{req: req, path: []uint8{uint8(line & 1)}})
+		if !p.net.flt.DropForward(p.site, id, 0) {
+			p.sendFwd(req)
 		}
 	} else {
-		p.sendFwd(sw.fwdIn[line&1], fwdMsg{req: req, path: []uint8{uint8(line & 1)}})
+		p.sendFwd(req)
 	}
 	p.outstanding++
 	return &Pending{port: p, id: id, epoch: p.epoch}
@@ -692,13 +656,13 @@ func (h *Pending) WaitErr() (word.Word, error) {
 		if !live {
 			continue
 		}
-		if r.rep.ID == h.id {
+		if r.Rep.ID == h.id {
 			return v, nil
 		}
-		if _, dup := p.buffered[r.rep.ID]; dup {
-			panic(fmt.Sprintf("asyncnet: duplicate reply %v", r.rep))
+		if _, dup := p.buffered[r.Rep.ID]; dup {
+			panic(fmt.Sprintf("asyncnet: duplicate reply %v", r.Rep))
 		}
-		p.buffered[r.rep.ID] = v
+		p.buffered[r.Rep.ID] = v
 	}
 }
 
@@ -744,9 +708,10 @@ func (sw *aswitch) run() {
 
 // handleFwd drains whatever else is immediately available on the input
 // channels — the asynchronous analogue of requests meeting in a queue —
-// combines same-address batches, and forwards the survivors.
-func (sw *aswitch) handleFwd(first fwdMsg) {
-	batch := []fwdMsg{first}
+// lets the station combine same-address arrivals, and drains its forward
+// queues into the links.
+func (sw *aswitch) handleFwd(first engine.Fwd) {
+	batch := []engine.Fwd{first}
 	// Bounded spin, then park: poll both inboxes, give concurrently
 	// released stragglers one scheduling quantum to land (so they can
 	// combine — the asynchronous analogue of messages meeting in a switch
@@ -781,57 +746,41 @@ func (sw *aswitch) handleFwd(first fwdMsg) {
 		runtime.Gosched()
 	}
 	sw.net.batchHW[sw.stage].Observe(int64(len(batch)))
-	var combined, rejected int64
-	var out []fwdMsg
-	for _, m := range batch {
-		// Combine only with the most recent same-address message,
-		// preserving per-location arrival order (M2.3) — the scan shared
-		// with the cycle engines via core.CombineAtTail.
-		tc, rej, ok := core.CombineAtTail(out, fwdReq, m.req, sw.pol, sw.wait.CanPush)
-		if rej {
-			rejected++
-		}
-		if ok {
-			firstMsg, secondMsg := out[tc.Index], m
-			if tc.Swapped {
-				firstMsg, secondMsg = m, out[tc.Index]
-			}
-			if sw.wait.Push(tc.Rec.ID1, arec{Record: tc.Rec, pathSecond: secondMsg.path}) {
-				out[tc.Index] = fwdMsg{req: tc.Combined, path: firstMsg.path}
-				combined++
-				continue
-			}
-		}
-		out = append(out, m)
+	// The station combines an arrival only with the most recent queued
+	// request for its address, preserving per-location arrival order (M2.3);
+	// its queues are unbounded, so nothing is refused.
+	var sh engine.Shard
+	route := sw.net.links.Route[sw.at]
+	for i := range batch {
+		m := &batch[i]
+		sw.st.AcceptFwd(m, int(route[sw.net.mem.HomeOf(m.Req.Addr)]), m.Path, 0, &sh)
 	}
-	if combined > 0 {
-		sw.net.combines.Add(combined)
+	if sh.Combines > 0 {
+		sw.net.combines.Add(sh.Combines)
 	}
-	if rejected > 0 {
+	if rejected := sw.st.Wait.Rejections; rejected > 0 {
 		sw.net.rejects.Add(rejected)
+		sw.st.Wait.Rejections = 0
 	}
-	for _, m := range out {
-		dst := sw.net.mem.HomeOf(m.req.Addr)
-		port := dst >> (sw.net.k - 1 - sw.stage) & 1
-		sw.fwdOut[port](m)
+	for port := range sw.st.Fwd {
+		for q := &sw.st.Fwd[port]; q.Len() > 0; q.Pop() {
+			sw.fwdOut[port](q.Front())
+		}
 	}
 }
 
-// handleRev decombines a reply against the wait buffer (repeatedly, for
-// k-way combines) and routes the results toward the processors.  Under a
-// fault plan the reply carries its exact leaf set, and only records whose
-// second request is among those leaves decombine — a retransmitted
-// original must not satisfy a wait record left by a lost combined copy
-// (the deprived partner recovers by its own retransmit instead).
-func (sw *aswitch) handleRev(r revMsg) {
-	match := func(a arec) bool { return core.CanDecombine(a.Record, r.rep) }
-	if rec, ok := sw.wait.PopMatch(r.rep.ID, match); ok {
-		r1, r2 := core.DecombineExact(rec.Record, r.rep)
-		sw.handleRev(revMsg{rep: r1, path: r.path})
-		sw.handleRev(revMsg{rep: r2, path: rec.pathSecond})
-		return
+// handleRev lets the station decombine a reply against its wait buffer
+// (repeatedly, for k-way combines) and drains the results toward the
+// processors.  Under a fault plan the reply carries its exact leaf set, and
+// only records whose second request is among those leaves decombine — a
+// retransmitted original must not satisfy a wait record left by a lost
+// combined copy (the deprived partner recovers by its own retransmit
+// instead).
+func (sw *aswitch) handleRev(r engine.Rev) {
+	sw.st.AcceptRev(&r, 0, nil) // never home: a reply's path is spent at its port, not before
+	for port := range sw.st.Rev {
+		for q := &sw.st.Rev[port]; q.Len() > 0; q.Pop() {
+			sw.revOut[port](q.Front())
+		}
 	}
-	port := r.path[sw.stage]
-	r.path = r.path[:sw.stage]
-	sw.revOut[port](r)
 }

@@ -3,6 +3,7 @@ package asyncnet
 import (
 	"testing"
 
+	"combining/internal/engine"
 	"combining/internal/faults"
 )
 
@@ -19,15 +20,15 @@ func TestOrphanRepliesCounted(t *testing.T) {
 	// Stage-0 switch 0, input port 0 delivers to a processor's reply
 	// channel (capacity 1): the first send lands, the second would block —
 	// after Close it must be discarded and counted instead.
-	sw := net.switches[0][0]
-	sw.revOut[0](revMsg{})
+	sw := net.switches[0]
+	sw.revOut[0](&engine.Rev{})
 	if got := net.orphans.Load(); got != 0 {
 		t.Fatalf("orphans after deliverable send = %d, want 0", got)
 	}
 
 	net.Close()
-	sw.revOut[0](revMsg{})
-	sw.revOut[0](revMsg{})
+	sw.revOut[0](&engine.Rev{})
+	sw.revOut[0](&engine.Rev{})
 
 	snap := net.Snapshot()
 	got, ok := snap.Counters["orphan_replies"]
