@@ -201,7 +201,7 @@ func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 	c.BankOps = t.MemRequests
 	c.BusOps = t.FwdHops
 	c.HOLBlocked = t.HoldsMem
-	gauges["fifo_max"] = int64(s.Station(0).Peak(0))
+	gauges["fifo_max"] = int64(s.fifo.Peak())
 	gauges["max_mem_queue"] = int64(s.Memory().MaxQueueDepth())
 }
 
@@ -253,8 +253,7 @@ func (s *Sim) sweep() {
 
 	// Bus arbitration: round-robin; the bus carries one request per cycle,
 	// and a transfer lost on the bus still consumes it.
-	turn := s.Turn()
-	for off := 0; off < s.cfg.Procs && !s.Inject((off+turn)%s.cfg.Procs); off++ {
+	for i, p := 0, s.Turn(s.cfg.Procs); i < s.cfg.Procs && !s.Inject(p); i, p = i+1, engine.Next(p, s.cfg.Procs) {
 	}
 }
 

@@ -34,7 +34,8 @@ package core
 type FIFO[T any] struct {
 	buf        []T
 	head, tail int
-	bound      int // > 0: neither Len nor the storage ever exceeds it
+	bound      int32 // > 0: neither Len nor the storage ever exceeds it
+	peak       int32 // the most elements the queue has held
 }
 
 // NewFIFO returns an empty queue.  bound > 0 fixes its capacity: the caller
@@ -44,7 +45,7 @@ func NewFIFO[T any](bound int) FIFO[T] {
 	if bound < 0 {
 		bound = 0
 	}
-	return FIFO[T]{bound: bound}
+	return FIFO[T]{bound: int32(bound)}
 }
 
 // Len returns the number of queued elements.
@@ -52,7 +53,11 @@ func (q *FIFO[T]) Len() int { return q.tail - q.head }
 
 // Full reports whether a bounded queue is at its bound (never, when
 // unbounded).
-func (q *FIFO[T]) Full() bool { return q.bound > 0 && q.tail-q.head >= q.bound }
+func (q *FIFO[T]) Full() bool { return q.bound > 0 && q.tail-q.head >= int(q.bound) }
+
+// Peak returns the queue's high-water mark: the most elements it has held
+// at once since it was made (Clear does not reset it).
+func (q *FIFO[T]) Peak() int { return int(q.peak) }
 
 // Front returns the oldest element, in place.  The pointer is valid until
 // the next Push, Pop or Clear; the queue must not be empty.
@@ -81,6 +86,9 @@ func (q *FIFO[T]) Push() *T {
 		q.makeRoom()
 	}
 	q.tail++
+	if n := int32(q.tail - q.head); n > q.peak {
+		q.peak = n
+	}
 	return &q.buf[q.tail-1]
 }
 
@@ -93,8 +101,8 @@ func (q *FIFO[T]) makeRoom() {
 		return
 	}
 	grown := max(2*len(q.buf), 1)
-	if q.bound > 0 && grown > q.bound {
-		grown = q.bound // Push has checked Len < bound: this still grows
+	if q.bound > 0 && grown > int(q.bound) {
+		grown = int(q.bound) // Push has checked Len < bound: this still grows
 	}
 	buf := make([]T, grown)
 	copy(buf, q.buf)

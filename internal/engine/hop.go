@@ -22,11 +22,23 @@ import (
 // atomic counters.  Ports and deliveries — Inject, Commit — belong to one
 // goroutine at a time.
 
-// Turn is this cycle's arbitration offset: of n contenders, number
-// (i+Turn())%n is served i-th.  Schedules rotate their station order by it
-// and pass it down to the hops, which rotate their ports; it is read, never
-// stored.
-func (s *Shell) Turn() int { return int(s.tot.Cycles) }
+// Turn is the arbiter: of n contenders — the stations of a column, the
+// ports of a station, the processors on a bus — number Turn(n) is served
+// first this cycle and the rest follow in order (Next), wrapping.  It is a
+// pure function of the cycle: schedules read it once per sweep and pass the
+// port turn down to the hops; nothing is stored between calls.
+func (s *Shell) Turn(n int) int { return int(s.tot.Cycles % int64(n)) }
+
+// Next is the contender served after i of n.
+func Next(i, n int) int {
+	if i+1 == n {
+		return 0
+	}
+	return i + 1
+}
+
+// now is the stamp a message that hops this cycle carries away.
+func (s *Shell) now() uint32 { return uint32(s.tot.Cycles) }
 
 // Station exposes station at (stage·width + index) for the wiring's
 // saturation predicate and gauges, and for tests.
@@ -43,30 +55,29 @@ func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
 	if path != nil {
 		path = append(path, uint8(in))
 	}
-	out := int(s.links.Route[to][s.mem.HomeOf(m.Req.Addr)])
-	return s.stations[to].AcceptFwd(m, out, path, s.tot.Cycles, sh)
+	st := &s.stations[to]
+	return st.AcceptFwd(m, int(st.Route[s.mem.HomeOf(m.Req.Addr)]), path, s.now(), sh)
 }
 
-// FwdHop makes station at's forward move: the head of each link queue, in
-// rotating port order, crosses its link — into the next station when that
+// FwdHop makes station at's forward move: the head of each link queue, port
+// first first, crosses its link — into the next station when that
 // one takes it, into the memory module the link ends at when the module has
 // room.  A dead downstream station or a full queue holds the request where
 // it is, so a crash costs the flushed state and not a stream of new losses;
 // a request that already hopped this cycle waits.
-func (s *Shell) FwdHop(at, turn int, ln *Lane) {
+func (s *Shell) FwdHop(at, first int, ln *Lane) {
 	if s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
 	n := s.links.Ports
-	for pi := 0; pi < n; pi++ {
-		port := (pi + turn) % n
+	for i, port := 0, first; i < n; i, port = i+1, Next(port, n) {
 		q := &st.Fwd[port]
 		if q.Len() == 0 {
 			continue
 		}
 		m := q.Front()
-		if m.Moved == s.tot.Cycles {
+		if m.Moved == s.now() {
 			continue
 		}
 		l := s.links.Fwd[at*n+port]
@@ -132,20 +143,19 @@ func (s *Shell) Feed(q *core.FIFO[Fwd], mod int, site uint64, ln *Lane) {
 // crosses its link when the station at the far end is alive and has the
 // reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
 // ends at a processor brings the reply home.
-func (s *Shell) RevHop(at, turn int, ln *Lane) {
+func (s *Shell) RevHop(at, first int, ln *Lane) {
 	if s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
 	n := s.links.RevPorts
-	for pi := 0; pi < n; pi++ {
-		port := (pi + turn) % n
+	for i, port := 0, first; i < n; i, port = i+1, Next(port, n) {
 		q := &st.Rev[port]
 		if q.Len() == 0 {
 			continue
 		}
 		r := q.Front()
-		if r.Moved == s.tot.Cycles {
+		if r.Moved == s.now() {
 			continue
 		}
 		to := int(s.links.Rev[at*n+port].To)
@@ -159,7 +169,7 @@ func (s *Shell) RevHop(at, turn int, ln *Lane) {
 			ln.RevHops++
 			ln.RevSlots += int64(r.Slots)
 			if to >= 0 {
-				s.stations[to].AcceptRev(r, s.tot.Cycles, &ln.Home)
+				s.stations[to].AcceptRev(r, s.now(), &ln.Home)
 			} else {
 				ln.Home = append(ln.Home, *r)
 			}
@@ -198,7 +208,7 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 	if st.Trace != nil {
 		st.Trace(StationEvent{Kind: Served, ID: rep.ID, Addr: m.Req.Addr, Module: mod})
 	}
-	st.AcceptRev(&r, s.tot.Cycles, &ln.Home)
+	st.AcceptRev(&r, s.now(), &ln.Home)
 }
 
 // Commit hands every reply the cycle's hops brought home to its processor's

@@ -246,7 +246,7 @@ func (s *Shell) landed(proc int, rep core.Reply, issue int64, hot bool) {
 		return
 	}
 	buf := s.behindBuf[:0]
-	s.stations[s.links.Behind[proc]].AcceptRev(&Rev{Rep: rep, Src: proc, Issue: issue, Hot: hot}, s.tot.Cycles, &buf)
+	s.stations[s.links.Behind[proc]].AcceptRev(&Rev{Rep: rep, Src: proc, Issue: issue, Hot: hot}, s.now(), &buf)
 	for i := range buf {
 		s.Complete(buf[i].Src, buf[i].Rep, buf[i].Issue, buf[i].Hot)
 	}

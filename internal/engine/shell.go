@@ -63,14 +63,16 @@ type Fwd struct {
 	Issue int64
 	// Hot marks hot-spot traffic for the per-class completion counters.
 	Hot bool
+	// Moved stamps the cycle the request last hopped: a message crosses one
+	// link per cycle whatever order a schedule visits the stations in.  It
+	// is the cycle's low 32 bits — all a stamp that is only ever compared
+	// with the current cycle needs — so the message stays 144 bytes.
+	Moved uint32
 	// Path is the reply route header of fabrics whose replies retrace a
 	// recorded path (Section 4.1): the fabric attaches and extends it, the
 	// rim only carries it across the memory module.  Fabrics that route
 	// replies by Src leave it nil.
 	Path []uint8
-	// Moved is the cycle the request last hopped: a message crosses one link
-	// per cycle whatever order a schedule visits the stations in.
-	Moved int64
 }
 
 // Shard is a block of run counters: what the terminal links, the module
@@ -316,6 +318,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		s.lanes = make([]Lane, cfg.Pool.Workers())
 	}
 	for i := range s.stations {
+		s.stations[i].Route = s.links.Route[i]
 		if s.links.Back != nil {
 			s.stations[i].Back = s.links.Back[i]
 		}

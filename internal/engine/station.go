@@ -31,9 +31,8 @@ type Rev struct {
 	// Slots is the number of data values the reply carries (0 for a bare
 	// store acknowledgment), for the traffic accounting of E11.
 	Slots uint8
-	// Moved is the cycle the reply last hopped: a message crosses one link
-	// per cycle whatever order a schedule visits the stations in.
-	Moved int64
+	// Moved stamps the cycle the reply last hopped (see Fwd.Moved).
+	Moved uint32
 }
 
 // Record is a wait-buffer entry: the core combine record plus the routing
@@ -72,34 +71,33 @@ const (
 )
 
 // Station is one combining node: a FIFO per forward output and per reverse
-// output, and one wait buffer.
+// output, and one wait buffer.  The fields are laid out by what touches
+// them: a request arriving at a queue with no partner reads the first cache
+// line, a reply the second and third.
 type Station struct {
-	Fwd  []core.FIFO[Fwd]
+	Fwd []core.FIFO[Fwd]
+	// Route[module] is the forward queue a request for that module joins
+	// here (the station's row of Links.Route).
+	Route []uint8
+	// Intercept, when non-nil, sees every arriving request before the
+	// combine scan and reports whether it disposed of it — the seat of the
+	// Section 5.1 ablation (network.Config.BuggyLoadForwarding).
+	Intercept func(st *Station, out int, m *Fwd, path []uint8, now uint32) bool
+	// Trace, when non-nil, observes combine, reject, decombine and module
+	// service events here.
+	Trace func(StationEvent)
+
 	Rev  []core.FIFO[Rev]
 	Wait core.WaitBuffer[Record]
 
 	// Back routes a reply that carries no path: Back[src] is the reverse
-	// queue toward processor src, or -1 when src is attached here.  nil on
-	// wirings whose replies pop a recorded path instead.
-	Back []int8
-	// Trace, when non-nil, observes combine, reject, decombine and module
-	// service events here.
-	Trace func(StationEvent)
-	// Intercept, when non-nil, sees every arriving request before the
-	// combine scan and reports whether it disposed of it — the seat of the
-	// Section 5.1 ablation (network.Config.BuggyLoadForwarding).
-	Intercept func(st *Station, out int, m *Fwd, path []uint8, now int64) bool
-
-	pol    core.Policy
-	revCap int // reverse base credit per queue; <= 0 means unbounded
-	maxRev int
-	ports  []portStat
-}
-
-// portStat is one forward queue's high-water mark and refusal count.
-type portStat struct {
-	peak    int
-	refused int64
+	// queue toward processor src, or -1 when src is attached here (the
+	// station's row of Links.Back).  nil on wirings whose replies pop a
+	// recorded path instead.
+	Back    []int8
+	refused []int64 // per forward queue: arrivals turned away full
+	revCap  int     // reverse base credit per queue; <= 0 means unbounded
+	pol     core.Policy
 }
 
 // NewStations builds count stations of fwd forward and rev reverse queues,
@@ -112,16 +110,16 @@ func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy
 		fq[i] = core.NewFIFO[Fwd](queueCap)
 	}
 	rq := make([]core.FIFO[Rev], count*rev)
-	ps := make([]portStat, count*fwd)
+	refused := make([]int64, count*fwd)
 	sts := make([]Station, count)
 	for i := range sts {
 		sts[i] = Station{
-			Fwd:    fq[i*fwd : (i+1)*fwd : (i+1)*fwd],
-			Rev:    rq[i*rev : (i+1)*rev : (i+1)*rev],
-			Wait:   *core.NewWaitBuffer[Record](waitCap),
-			pol:    pol,
-			revCap: revCap,
-			ports:  ps[i*fwd : (i+1)*fwd : (i+1)*fwd],
+			Fwd:     fq[i*fwd : (i+1)*fwd : (i+1)*fwd],
+			Rev:     rq[i*rev : (i+1)*rev : (i+1)*rev],
+			Wait:    *core.NewWaitBuffer[Record](waitCap),
+			refused: refused[i*fwd : (i+1)*fwd : (i+1)*fwd],
+			revCap:  revCap,
+			pol:     pol,
 		}
 	}
 	return sts
@@ -134,7 +132,7 @@ func fwdReq(m *Fwd) *core.Request { return &m.Req }
 // buffer has room, else appended, else — the queue is full — refused, and
 // the upstream holds it.  path is m's header with this station's entry
 // stamped (nil on wirings that route replies by Src).
-func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now int64, sh *Shard) bool {
+func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now uint32, sh *Shard) bool {
 	if st.Intercept != nil && st.Intercept(st, out, m, path, now) {
 		return true
 	}
@@ -143,15 +141,12 @@ func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now int64, sh *Shard
 		return true
 	}
 	if q.Full() {
-		st.ports[out].refused++
+		st.refused[out]++
 		return false
 	}
 	slot := q.Push()
 	*slot = *m
 	slot.Path, slot.Moved = path, now
-	if n := q.Len(); n > st.ports[out].peak {
-		st.ports[out].peak = n
-	}
 	return true
 }
 
@@ -221,7 +216,7 @@ func (st *Station) CanAcceptRev() bool {
 // combine recorded here that the reply answers (most recent first, several
 // for a k-way combine) and queues each resulting reply toward its processor;
 // one whose processor is attached here is appended to home instead.
-func (st *Station) AcceptRev(r *Rev, now int64, home *[]Rev) {
+func (st *Station) AcceptRev(r *Rev, now uint32, home *[]Rev) {
 	if st.Wait.Len() > 0 && st.decombine(r, now, home) {
 		return
 	}
@@ -235,13 +230,9 @@ func (st *Station) AcceptRev(r *Rev, now int64, home *[]Rev) {
 		*home = append(*home, *r)
 		return
 	}
-	q := &st.Rev[port]
-	slot := q.Push()
+	slot := st.Rev[port].Push()
 	*slot = *r
 	slot.Path, slot.Moved = path, now
-	if n := q.Len(); n > st.maxRev {
-		st.maxRev = n
-	}
 }
 
 // decombine undoes the most recent combine recorded here that r answers.
@@ -250,7 +241,7 @@ func (st *Station) AcceptRev(r *Rev, now int64, home *[]Rev) {
 // later (retransmitted) reply for the same id must pass through rather than
 // synthesize a second requester's reply from a combine that never reached
 // memory.  On a healthy machine every record matches.
-func (st *Station) decombine(r *Rev, now int64, home *[]Rev) bool {
+func (st *Station) decombine(r *Rev, now uint32, home *[]Rev) bool {
 	match := func(rec Record) bool { return core.CanDecombine(rec.Record, r.Rep) }
 	rec, ok := st.Wait.PopMatch(r.Rep.ID, match)
 	if !ok {
@@ -280,8 +271,9 @@ func slots(needs bool) uint8 {
 func (st *Station) Crash() []word.ReqID {
 	var ids []word.ReqID
 	for i := range st.Fwd {
-		for _, m := range st.Fwd[i].View() {
-			ids = LostLeaves(ids, m.Req.Reps, m.Req.ID)
+		held := st.Fwd[i].View()
+		for j := range held {
+			ids = LostLeaves(ids, held[j].Req.Reps, held[j].Req.ID)
 		}
 		st.Fwd[i].Clear()
 	}
@@ -309,9 +301,15 @@ func (st *Station) Occupancy() (fwd, rev, wait int) {
 	return fwd, rev, st.Wait.Len()
 }
 
-// Peak is forward queue out's high-water mark, Refused the arrivals it
-// turned away full, MaxRev the high-water mark across the reverse queues —
-// the observable the reserved-credit bound is asserted on.
-func (st *Station) Peak(out int) int      { return st.ports[out].peak }
-func (st *Station) Refused(out int) int64 { return st.ports[out].refused }
-func (st *Station) MaxRev() int           { return st.maxRev }
+// Refused counts the arrivals forward queue out turned away full; MaxRev is
+// the high-water mark across the reverse queues — the observable the
+// reserved-credit bound is asserted on.
+func (st *Station) Refused(out int) int64 { return st.refused[out] }
+
+func (st *Station) MaxRev() int {
+	peak := 0
+	for i := range st.Rev {
+		peak = max(peak, st.Rev[i].Peak())
+	}
+	return peak
+}

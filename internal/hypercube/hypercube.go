@@ -238,16 +238,16 @@ func (s *Sim) sweep() {
 		}
 	}
 	// Requests, nodes and links in rotating order.
-	turn := s.Turn()
-	for off := 0; off < s.n; off++ {
-		s.FwdHop((off+turn)%s.n, turn, ln)
+	node0, link0 := s.Turn(s.n), s.Turn(s.d)
+	for i, node := 0, node0; i < s.n; i, node = i+1, engine.Next(node, s.n) {
+		s.FwdHop(node, link0, ln)
 	}
 	// Deliveries, then injection.  A dead node's processor is dead with it:
 	// its port is not asked.
 	s.Commit()
-	for off := 0; off < s.n; off++ {
-		if i := (off + turn) % s.n; !s.Dead(i) {
-			s.Inject(i)
+	for i, node := 0, node0; i < s.n; i, node = i+1, engine.Next(node, s.n) {
+		if !s.Dead(node) {
+			s.Inject(node)
 		}
 	}
 }
@@ -313,7 +313,7 @@ func (s *Sim) memQueues() (g struct {
 	for i := 0; i < s.n; i++ {
 		st := s.Station(i)
 		g.held += st.Refused(s.d)
-		g.peak = max(g.peak, st.Peak(s.d))
+		g.peak = max(g.peak, st.Fwd[s.d].Peak())
 		g.maxRev = max(g.maxRev, st.MaxRev())
 	}
 	return g

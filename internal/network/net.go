@@ -316,7 +316,7 @@ func (s *Sim) tracer(stage, idx int) func(engine.StationEvent) {
 // meets a queued store to its address is answered NOW with the store's
 // value, while the store is still on its way to memory.  The synthesized
 // reply descends from this switch along the load's path.
-func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path []uint8, now int64) bool {
+func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path []uint8, now uint32) bool {
 	if _, isLoad := m.Req.Op.(rmw.Load); !isLoad {
 		return false
 	}
@@ -337,28 +337,27 @@ func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path []uint8, now i
 // arbitration, as in real switches).  Column order alone keeps every message
 // to one hop per cycle here; the hops' stamps agree with it.
 func (s *Sim) sweep() {
-	turn := s.Turn()
 	if s.pool != nil {
 		s.pool.Run(s.stepFn)
 	} else {
-		ln := s.Lane(0)
+		ln, sw0, port0 := s.Lane(0), s.Turn(s.ns), s.Turn(s.cfg.Radix)
 		for stage := 0; stage < s.k; stage++ {
-			for i := 0; i < s.ns; i++ {
-				s.RevHop(stage*s.ns+(i+turn)%s.ns, turn, ln)
+			for i, sw := 0, sw0; i < s.ns; i, sw = i+1, engine.Next(sw, s.ns) {
+				s.RevHop(stage*s.ns+sw, port0, ln)
 			}
 		}
 		for mod := 0; mod < s.n; mod++ {
 			s.Tick(mod, s.memSwitch(mod), ln)
 		}
 		for stage := s.k - 1; stage >= 0; stage-- {
-			for i := 0; i < s.ns; i++ {
-				s.FwdHop(stage*s.ns+(i+turn)%s.ns, turn, ln)
+			for i, sw := 0, sw0; i < s.ns; i, sw = i+1, engine.Next(sw, s.ns) {
+				s.FwdHop(stage*s.ns+sw, port0, ln)
 			}
 		}
 		s.Commit()
 	}
-	for i := 0; i < s.n; i++ {
-		s.Inject((i + turn) % s.n)
+	for i, p := 0, s.Turn(s.n); i < s.n; i, p = i+1, engine.Next(p, s.n) {
+		s.Inject(p)
 	}
 }
 
@@ -398,7 +397,7 @@ func (s *Sim) Stats() Stats {
 		st.Rejects += sw.Wait.Rejections
 		st.MaxRevQueue = max(st.MaxRevQueue, sw.MaxRev())
 		for port := range sw.Fwd {
-			st.MaxOutQueue = max(st.MaxOutQueue, sw.Peak(port))
+			st.MaxOutQueue = max(st.MaxOutQueue, sw.Fwd[port].Peak())
 		}
 	}
 	return st

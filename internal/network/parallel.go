@@ -31,6 +31,7 @@ package network
 import (
 	"sort"
 
+	"combining/internal/engine"
 	"combining/internal/par"
 )
 
@@ -43,7 +44,7 @@ import (
 // steady-state cost of a cycle is the channel dispatch and the phase
 // barriers — nothing allocates.
 func (s *Sim) phaseWorker(w int) {
-	turn := s.Turn()
+	sw0, port0 := s.Turn(s.ns), s.Turn(s.cfg.Radix)
 	workers := s.pool.Workers()
 	ln := s.Lane(w)
 
@@ -52,7 +53,7 @@ func (s *Sim) phaseWorker(w int) {
 	// each switch is its own conflict group.
 	lo, hi := par.Split(s.ns, workers, w)
 	for si := lo; si < hi; si++ {
-		s.RevHop((si+turn)%s.ns, turn, ln)
+		s.RevHop((si+sw0)%s.ns, port0, ln)
 	}
 	s.bar.Sync(w)
 
@@ -74,9 +75,8 @@ func (s *Sim) phaseWorker(w int) {
 		groups := s.revGroups[stage]
 		glo, ghi := par.Split(len(groups), workers, w)
 		for _, g := range groups[glo:ghi] {
-			first := sort.SearchInts(g, turn%s.ns)
-			for j := range g {
-				s.RevHop(stage*s.ns+g[(first+j)%len(g)], turn, ln)
+			for i, j := 0, sort.SearchInts(g, sw0)%len(g); i < len(g); i, j = i+1, engine.Next(j, len(g)) {
+				s.RevHop(stage*s.ns+g[j], port0, ln)
 			}
 		}
 		s.bar.Sync(w)
@@ -93,7 +93,7 @@ func (s *Sim) phaseWorker(w int) {
 	// Forward, stage k−1: each switch owns its modules and metadata
 	// shards outright, so switch order is free.
 	for idx := mlo; idx < mhi; idx++ {
-		s.FwdHop((s.k-1)*s.ns+idx, turn, ln)
+		s.FwdHop((s.k-1)*s.ns+idx, port0, ln)
 	}
 	if s.k > 1 {
 		s.bar.Sync(w)
@@ -104,9 +104,8 @@ func (s *Sim) phaseWorker(w int) {
 		groups := s.fwdGroups[stage]
 		glo, ghi := par.Split(len(groups), workers, w)
 		for _, g := range groups[glo:ghi] {
-			first := sort.SearchInts(g, turn%s.ns)
-			for j := range g {
-				s.FwdHop(stage*s.ns+g[(first+j)%len(g)], turn, ln)
+			for i, j := 0, sort.SearchInts(g, sw0)%len(g); i < len(g); i, j = i+1, engine.Next(j, len(g)) {
+				s.FwdHop(stage*s.ns+g[j], port0, ln)
 			}
 		}
 		if stage > 0 {
