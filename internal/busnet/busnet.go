@@ -150,7 +150,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	s.fifo = &station[0].Fwd[0]
 	s.Shell.Init(engine.ShellConfig{
 		Engine:         "busnet",
-		Hooks:          engine.Hooks{Sweep: s.sweep, Saturated: s.saturated, Observe: s.observe},
+		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.saturated, Observe: s.observe},
 		Injectors:      inj,
 		Pool:           s.pool,
 		Modules:        cfg.Banks,
@@ -173,7 +173,8 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 // (2, 0, p), and keeps the reply metadata of every bank (Holds).
 func busLinks(procs, banks int) *engine.Links {
 	lk := &engine.Links{
-		Proc: make([]engine.Link, procs), ProcAt: make([]engine.Coord, procs),
+		Ports: 1, // the FIFO is a link queue: its link is the memory bus to the banks
+		Proc:  make([]engine.Link, procs), ProcAt: make([]engine.Coord, procs),
 		Home:  make([]engine.Coord, procs),
 		Route: [][]uint8{make([]uint8, banks)}, Back: [][]int8{make([]int8, procs)},
 		Holds: make([]int32, banks), Behind: make([]int32, procs),
@@ -244,7 +245,7 @@ func (s *Sim) sweep() {
 		head := s.fifo.Front()
 		if bank := s.Memory().HomeOf(head.Req.Addr); !s.MemReady(bank) {
 			s.Lane(0).HoldsMem++
-		} else if s.LinkDropsFwd(1, bank, 0, &head.Req) {
+		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &head.Req) {
 			s.fifo.Pop()
 		} else {
 			s.Feed(s.fifo, bank, faults.Site(1, bank, 0), s.Lane(0))

@@ -50,13 +50,24 @@ func (s *Shell) Down(at int) bool { return s.flt != nil && (s.stall[at] || s.Dea
 func (s *Shell) Dead(at int) bool { return s.rec != nil && s.swDead[at] }
 
 // arrive lands request m at station to, on the queue its module routes to.
+// Refused by the station's memory combining queue (queue Ports, beyond the
+// link queues), the request is held by memory and counted so: the hold that
+// turns a hot node into backpressure instead of unbounded memory-side
+// buffering.
 func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
 	path := m.Path
 	if path != nil {
 		path = append(path, uint8(in))
 	}
 	st := &s.stations[to]
-	return st.AcceptFwd(m, int(st.Route[s.mem.HomeOf(m.Req.Addr)]), path, s.now(), sh)
+	out := int(st.Route[s.mem.HomeOf(m.Req.Addr)])
+	if st.AcceptFwd(m, out, path, s.now(), sh) {
+		return true
+	}
+	if out == s.links.Ports {
+		sh.HoldsMem++
+	}
+	return false
 }
 
 // FwdHop makes station at's forward move: the head of each link queue, port
@@ -80,34 +91,22 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 		if m.Moved == s.now() {
 			continue
 		}
-		l := s.links.Fwd[at*n+port]
-		if l.To < 0 {
-			// The link into a module.  A full one holds the request in the
-			// station — the backpressure that turns a hot module into tree
-			// saturation instead of unbounded memory-side buffering.
-			mod := int(-1 - l.To)
-			if !s.MemReady(mod) {
-				ln.HoldsMem++
-				continue
-			}
-			c := &s.links.FwdAt[at*n+port]
-			if s.lostFwd(c, &m.Req) {
-				q.Pop()
-				continue
-			}
+		l, c := s.links.Fwd[at*n+port], &s.links.FwdAt[at*n+port]
+		mod := int(-1 - l.To) // when the link ends at a module
+		switch {
+		case l.To >= 0 && s.Dead(int(l.To)):
+			// held: the station at the far end is dead
+		case l.To < 0 && !s.MemReady(mod):
+			// held: the backpressure that turns a hot module into tree
+			// saturation instead of unbounded memory-side buffering
+			ln.HoldsMem++
+		case s.LostFwd(c, &m.Req):
+			q.Pop()
+		case l.To < 0:
 			s.countFwd(m, &ln.Shard)
 			s.Feed(q, mod, c.site(), ln)
-			continue
-		}
-		if s.Dead(int(l.To)) {
-			continue
-		}
-		if s.lostFwd(&s.links.FwdAt[at*n+port], &m.Req) {
-			q.Pop()
-			continue // lost on the link
-		}
-		// l.To ≠ at, so landing the request cannot move the slot m is in.
-		if s.arrive(l.To, l.In, m, &ln.Shard) {
+		case s.arrive(l.To, l.In, m, &ln.Shard):
+			// l.To ≠ at, so landing the request could not move the slot m is in.
 			s.countFwd(m, &ln.Shard)
 			q.Pop()
 		}
@@ -120,17 +119,8 @@ func (s *Shell) countFwd(m *Fwd, sh *Shard) {
 }
 
 // MemReady reports whether module mod can be fed now: it is up and the
-// wiring's feed rule (Hooks.CanFeed; by default, room in its input queue)
-// admits one more request.
-func (s *Shell) MemReady(mod int) bool {
-	if s.ModuleDead(mod) {
-		return false
-	}
-	if s.hooks.CanFeed != nil {
-		return s.hooks.CanFeed(mod)
-	}
-	return s.mem.Module(mod).CanEnqueue()
-}
+// wiring's feed rule (Hooks.CanFeed) admits one more request.
+func (s *Shell) MemReady(mod int) bool { return !s.ModuleDead(mod) && s.hooks.CanFeed(mod) }
 
 // Feed carries the head of q across the terminal link named by site into
 // module mod, which MemReady has said can take it.
@@ -165,9 +155,11 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 			ln.HoldsRev++
 			continue
 		}
-		if !s.lostRev(&s.links.RevAt[at*n+port], &r.Rep) {
+		if !s.LostRev(&s.links.RevAt[at*n+port], &r.Rep) {
 			ln.RevHops++
-			ln.RevSlots += int64(r.Slots)
+			if r.Valued {
+				ln.RevSlots++
+			}
 			if to >= 0 {
 				s.stations[to].AcceptRev(r, s.now(), &ln.Home)
 			} else {
@@ -186,8 +178,20 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 // home at once.  Tick is the only caller of serve, and routes the reply
 // before it returns: the filed box serve lends is never outlived.
 func (s *Shell) Tick(mod, at int, ln *Lane) {
-	if !s.ModuleUp(mod, &ln.Shard) || s.MemStalled(mod) {
-		return
+	if s.rec != nil {
+		if s.memDead[mod] {
+			return // crashed: it serves nothing until its restart
+		}
+		if s.rec.CheckpointDue(s.tot.Cycles) {
+			// Commit the recovery image: executed-but-uncommitted leaves
+			// join the committed cache and withheld replies become
+			// releasable (memory.Module.Checkpoint).
+			s.mem.Module(mod).Checkpoint()
+			ln.Checkpoints++
+		}
+	}
+	if s.flt != nil && s.flt.MemStalled(mod, s.tot.Cycles) {
+		return // inside a slowdown window: the lost module-cycle is counted
 	}
 	if at >= 0 && !s.stations[at].CanAcceptRev() {
 		ln.HoldsMemOut++
@@ -197,16 +201,16 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 	if !ok {
 		return
 	}
-	r := Rev{Rep: rep, Path: m.Path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Slots: slots(rmw.NeedsValue(m.Req.Op))}
+	r := Rev{Rep: rep, Path: m.Path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Valued: rmw.NeedsValue(m.Req.Op)}
 	if at < 0 {
-		if !s.lostRev(&s.links.Home[r.Src], &r.Rep) {
+		if !s.LostRev(&s.links.Home[r.Src], &r.Rep) {
 			ln.Home = append(ln.Home, r)
 		}
 		return
 	}
 	st := &s.stations[at]
 	if st.Trace != nil {
-		st.Trace(StationEvent{Kind: Served, ID: rep.ID, Addr: m.Req.Addr, Module: mod})
+		st.Trace(Served, rep.ID, 0, m.Req.Addr)
 	}
 	st.AcceptRev(&r, s.now(), &ln.Home)
 }
@@ -224,7 +228,8 @@ func (s *Shell) Commit() {
 		for j := range home {
 			r := &home[j]
 			s.putPath(r.Path)
-			s.Deliver(s.links.Home[r.Src].site(), r.Src, r.Rep, r.Issue, r.Hot)
+			r.Path = nil
+			s.deliver(s.links.Home[r.Src].site(), r)
 		}
 		s.lanes[i].Home = home[:0]
 	}
@@ -248,9 +253,9 @@ func (s *Shell) Inject(p int) bool {
 	if m.Path == nil && s.links.PathLen > 0 {
 		m.Path = s.getPath()
 	}
-	if s.lostFwd(&s.links.ProcAt[p], &m.Req) {
+	if s.LostFwd(&s.links.ProcAt[p], &m.Req) {
 		s.putPath(m.Path)
-		s.Lost(p)
+		s.Sent(p) // the port moves on as if it had been sent: recovery is the retry tracker's timeout
 		return true
 	}
 	if !s.arrive(l.To, l.In, m, &s.lanes[0].Shard) {
@@ -261,14 +266,18 @@ func (s *Shell) Inject(p int) bool {
 	return true
 }
 
-// lostFwd draws the fate of a request crossing the link at c; lostRev a
-// reply's.  The healthy machine's answer inlines to one nil check per hop.
-func (s *Shell) lostFwd(c *Coord, req *core.Request) bool {
-	return s.flt != nil && s.dropsFwd(int(c.Stage), int(c.Index), int(c.Port), req)
+// LostFwd reports whether the request crossing the link at c dies there this
+// cycle — to the plan's Bernoulli forward drops or to a link-down window —
+// counting the loss; LostRev is the same for a reply.  The healthy machine's
+// answer inlines to one nil check per hop, and never reads c.
+func (s *Shell) LostFwd(c *Coord, req *core.Request) bool {
+	return s.flt != nil && (s.flt.DropForward(c.site(), req.ID, req.Attempt) ||
+		s.flt.DropLinkFwd(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 
-func (s *Shell) lostRev(c *Coord, rep *core.Reply) bool {
-	return s.flt != nil && s.dropsRev(int(c.Stage), int(c.Index), int(c.Port), rep)
+func (s *Shell) LostRev(c *Coord, rep *core.Reply) bool {
+	return s.flt != nil && (s.flt.DropReply(c.site(), rep.ID, rep.Attempt) ||
+		s.flt.DropLinkRev(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 
 func (c Coord) site() uint64 { return faults.Site(int(c.Stage), int(c.Index), int(c.Port)) }
@@ -324,31 +333,26 @@ func (s *Shell) flush(at int) []word.ReqID {
 }
 
 // queued counts messages and wait records held in the stations (a clean
-// machine's in-flight census adds ports and modules).
+// machine's in-flight census adds ports and modules); detail renders them,
+// with the modules' queues, for a stall report.
 func (s *Shell) queued() int {
-	n := 0
-	for i := range s.stations {
-		fwd, rev, wait := s.stations[i].Occupancy()
-		n += fwd + rev + wait
-	}
-	return n
+	fwd, rev, wait := s.occupancy()
+	return fwd + rev + wait
 }
 
-// detail renders the queue occupancy a stall report prints, a line per
-// stage of stations.
 func (s *Shell) detail() string {
-	out := ""
-	for stage := 0; stage*s.width < len(s.stations); stage++ {
-		fwd, rev, wait := 0, 0, 0
-		for i := stage * s.width; i < (stage+1)*s.width; i++ {
-			f, r, w := s.stations[i].Occupancy()
-			fwd, rev, wait = fwd+f, rev+r, wait+w
-		}
-		out += fmt.Sprintf("stage %d: fwd=%d rev=%d wait=%d\n", stage, fwd, rev, wait)
-	}
+	fwd, rev, wait := s.occupancy()
 	memQ := 0
 	for mod := 0; mod < s.mem.Modules(); mod++ {
 		memQ += s.mem.Module(mod).QueueLen()
 	}
-	return out + fmt.Sprintf("memory queued=%d", memQ)
+	return fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, wait, memQ)
+}
+
+func (s *Shell) occupancy() (fwd, rev, wait int) {
+	for i := range s.stations {
+		f, r, w := s.stations[i].Occupancy()
+		fwd, rev, wait = fwd+f, rev+r, wait+w
+	}
+	return fwd, rev, wait
 }

@@ -26,15 +26,12 @@ type heldFwd struct {
 	m       Fwd
 }
 
-// heldRev is a reply deferred by reordering on the link to processor proc;
-// it is delivered at release.
+// heldRev is a reply deferred by reordering on the link to its processor; it
+// is delivered at release.
 type heldRev struct {
 	release int64
 	site    uint64
-	proc    int
-	rep     core.Reply
-	issue   int64
-	hot     bool
+	r       Rev
 }
 
 // Lane returns stepping goroutine w's lane: pool worker w's, or — Lane(0) —
@@ -132,32 +129,6 @@ func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
 	return box
 }
 
-// ModuleUp is the first guard of every module tick: a crashed module serves
-// nothing until it restarts; a live one commits its recovery image when a
-// checkpoint is due — executed-but-uncommitted leaves join the committed
-// cache and withheld replies become releasable (memory.Module.Checkpoint).
-// Without crash windows it inlines to one nil check.
-func (s *Shell) ModuleUp(mod int, sh *Shard) bool {
-	return s.rec == nil || s.moduleUp(mod, sh)
-}
-
-func (s *Shell) moduleUp(mod int, sh *Shard) bool {
-	if s.memDead[mod] {
-		return false
-	}
-	if s.rec.CheckpointDue(s.tot.Cycles) {
-		s.mem.Module(mod).Checkpoint()
-		sh.Checkpoints++
-	}
-	return true
-}
-
-// MemStalled is the second guard: a module inside a slowdown window serves
-// nothing this cycle (the lost module-cycle is counted).
-func (s *Shell) MemStalled(mod int) bool {
-	return s.flt != nil && s.flt.MemStalled(mod, s.tot.Cycles)
-}
-
 // serve advances module mod one service cycle and, when a reply emerges,
 // returns it with the request it answers.  A reply with no filed request is
 // expected under retransmission — an original and a retransmit both reached
@@ -193,92 +164,89 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 	return rep, box, true
 }
 
-// Deliver carries a reply across the terminal link to processor proc.  On
-// a trusted link with nothing behind it the reply simply completes.
-func (s *Shell) Deliver(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
-	if s.adv {
-		s.deliverStamped(site, proc, rep, issue, hot)
-	} else {
-		s.landed(proc, rep, issue, hot)
-	}
-}
-
-// deliverStamped is the fabric side of the adversarial link, the last
-// trusted hop: the reply is stamped with its checksum, then the link may
-// defer it into limbo (reorder) before the far side sees it.
-func (s *Shell) deliverStamped(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
-	rep = core.StampReply(rep)
-	if d := s.flt.ReorderDelay(site, rep.ID, rep.Attempt); d > 0 {
-		s.revLimbo = append(s.revLimbo,
-			heldRev{release: s.tot.Cycles + d, site: site, proc: proc, rep: rep, issue: issue, hot: hot})
+// deliver carries a reply that has left the fabric across the terminal link
+// to its processor (r.Src).  On a trusted link it simply lands; under an
+// adversarial plan this is the last trusted hop: the reply is stamped with
+// its checksum, then the link may defer it into limbo (reorder) before the
+// far side sees it.  r is the caller's to reuse afterwards.
+func (s *Shell) deliver(site uint64, r *Rev) {
+	if !s.adv {
+		s.landed(r)
 		return
 	}
-	s.deliverVerified(site, proc, rep, issue, hot)
+	r.Rep = core.StampReply(r.Rep)
+	if d := s.flt.ReorderDelay(site, r.Rep.ID, r.Rep.Attempt); d > 0 {
+		s.revLimbo = append(s.revLimbo, heldRev{release: s.tot.Cycles + d, site: site, r: *r})
+		return
+	}
+	s.deliverVerified(site, r)
 }
 
 // deliverVerified is the processor side of the adversarial link: corrupt on
 // the wire, verify the checksum, quarantine on mismatch (the processor
-// retransmits and the reply cache answers), and deliver — twice when the
-// link duplicates, with the tracker suppressing the second copy.  The
-// duplicate owns its Leaves map: a shallow copy would share it with the
-// original (core.Reply.Clone).
-func (s *Shell) deliverVerified(site uint64, proc int, rep core.Reply, issue int64, hot bool) {
-	if mask := s.flt.CorruptMask(site, rep.ID, rep.Attempt); mask != 0 {
-		rep = core.CorruptReply(rep, mask)
+// retransmits and the reply cache answers), and land — twice when the link
+// duplicates, with the tracker suppressing the second copy.  The duplicate
+// owns its Leaves map: a shallow copy would share it with the original
+// (core.Reply.Clone).
+func (s *Shell) deliverVerified(site uint64, r *Rev) {
+	if mask := s.flt.CorruptMask(site, r.Rep.ID, r.Rep.Attempt); mask != 0 {
+		r.Rep = core.CorruptReply(r.Rep, mask)
 	}
-	if !core.ReplyOK(rep) {
+	if !core.ReplyOK(r.Rep) {
 		s.flt.NoteCorruptDropped()
 		return // quarantined: the retransmit machinery re-drives the op
 	}
-	if s.flt.Duplicate(site, rep.ID, rep.Attempt) {
-		s.landed(proc, rep.Clone(), issue, hot)
+	if s.flt.Duplicate(site, r.Rep.ID, r.Rep.Attempt) {
+		dup := *r
+		dup.Rep = r.Rep.Clone()
+		s.landed(&dup)
 	}
-	s.landed(proc, rep, issue, hot)
+	s.landed(r)
 }
 
 // landed is the far side of the processor link.  On a wiring whose wait
 // buffer sits behind that link (Links.Behind: the bus) the reply decombines
 // there and every leaf completes at its own processor; otherwise replies
 // cross the link already decombined.
-func (s *Shell) landed(proc int, rep core.Reply, issue int64, hot bool) {
+func (s *Shell) landed(r *Rev) {
 	if s.links.Behind == nil {
-		s.Complete(proc, rep, issue, hot)
+		s.complete(r)
 		return
 	}
 	buf := s.behindBuf[:0]
-	s.stations[s.links.Behind[proc]].AcceptRev(&Rev{Rep: rep, Src: proc, Issue: issue, Hot: hot}, s.now(), &buf)
+	s.stations[s.links.Behind[r.Src]].AcceptRev(r, s.now(), &buf)
 	for i := range buf {
-		s.Complete(buf[i].Src, buf[i].Rep, buf[i].Issue, buf[i].Hot)
+		s.complete(&buf[i])
 	}
 	s.behindBuf = buf[:0]
 }
 
-// Complete hands one decombined reply to its processor and does the
+// complete hands one decombined reply to its processor and does the
 // delivery accounting: duplicate suppression, the crash-replay ledger,
 // latency, and the completion counters.
-func (s *Shell) Complete(proc int, rep core.Reply, issue int64, hot bool) {
+func (s *Shell) complete(r *Rev) {
 	if s.trk != nil {
-		if _, ok := s.trk.Deliver(rep.ID, s.tot.Cycles); !ok {
+		if _, ok := s.trk.Deliver(r.Rep.ID, s.tot.Cycles); !ok {
 			return // duplicate of an already-delivered reply; suppressed
 		}
 	}
 	if s.rec != nil {
 		// A completion whose in-flight copy a crash flushed was re-driven
 		// here by the retry machinery — count the replay.
-		s.rec.NoteDelivered(rep.ID)
+		s.rec.NoteDelivered(r.Rep.ID)
 	}
-	lat := s.tot.Cycles - issue
+	lat := s.tot.Cycles - r.Issue
 	s.tot.Completed++
 	s.tot.LatencySum += lat
 	s.lat.Record(lat)
-	if hot {
+	if r.Hot {
 		s.tot.HotCompleted++
 		s.tot.HotLatencySum += lat
 	} else {
 		s.tot.ColdCompleted++
 		s.tot.ColdLatencySum += lat
 	}
-	s.inj[proc].Deliver(rep, s.tot.Cycles)
+	s.inj[r.Src].Deliver(r.Rep, s.tot.Cycles)
 }
 
 // drainLimbo releases reordered messages whose deferral has elapsed.  It
@@ -313,7 +281,7 @@ func (s *Shell) drainLimbo() {
 				keep = append(keep, h)
 				continue
 			}
-			s.deliverVerified(h.site, h.proc, h.rep, h.issue, h.hot)
+			s.deliverVerified(h.site, &h.r)
 		}
 		s.revLimbo = keep
 	}

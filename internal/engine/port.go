@@ -2,8 +2,8 @@ package engine
 
 // The processor port: what a processor offers the fabric each cycle.  The
 // fabric keeps its own arbitration loop — which ports it visits, in what
-// order, and what a lost transfer costs — and drives each port through
-// Offer, then Sent or Lost.
+// order, and what a lost transfer costs — and Inject drives each port
+// through Offer, then Sent.
 
 // Offer returns the request processor p would send this cycle, or nil when
 // it has none.  A retransmission takes the port's slot ahead of fresh
@@ -14,7 +14,7 @@ package engine
 // tracker, and held at the port while an earlier request by p to the same
 // address is undelivered, so a drop cannot reorder the processor's own
 // accesses to a location.  The returned message stays owned by the port
-// until Sent or Lost.
+// until Sent.
 func (s *Shell) Offer(p int) *Fwd {
 	if s.flt != nil && s.retry[p].Len() > 0 {
 		return s.retry[p].Front()
@@ -52,8 +52,3 @@ func (s *Shell) Sent(p int) {
 	}
 	s.hasPending[p] = false
 }
-
-// Lost records that p's offer died on the port's link.  The port moves on
-// exactly as if the message had been sent: recovery is the retry tracker's
-// timeout, not the port's business.
-func (s *Shell) Lost(p int) { s.Sent(p) }

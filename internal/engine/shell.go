@@ -161,16 +161,16 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// Hooks is what a wiring supplies beyond its stations and its links.  Sweep,
-// Saturated and Observe are required.  The shell calls them from the
-// stepping goroutine only.
+// Hooks is what a wiring supplies beyond its stations and its links; all
+// four are required.  The shell calls them from the stepping goroutine,
+// CanFeed also from a parallel schedule's workers for modules they own.
 type Hooks struct {
 	// Sweep is the wiring's schedule: one cycle's hops — reverse, module
 	// ticks, forward, injection — in the wiring's order.
 	Sweep func()
-	// CanFeed, when set, replaces the default module feed rule (room in the
-	// module's input queue): whether module mod can take one more request
-	// now.
+	// CanFeed is the wiring's module feed rule: whether module mod can take
+	// one more request now (RoomInModule: whenever its input queue has
+	// room).
 	CanFeed func(mod int) bool
 	// Saturated is the wiring's tree-saturation predicate for this cycle.
 	Saturated func() bool
@@ -310,9 +310,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		stations:   cfg.Stations,
 		links:      cfg.Links,
 	}
-	if cfg.Stages > 0 {
-		s.width = len(cfg.Stations) / cfg.Stages
-	}
+	s.width = len(cfg.Stations) / cfg.Stages
 	s.lanes = make([]Lane, 1)
 	if cfg.Pool != nil {
 		s.lanes = make([]Lane, cfg.Pool.Workers())
@@ -428,13 +426,7 @@ func (s *Shell) progressSig() int64 {
 // and retires them on return; a bare Step outside Run still works through
 // the pool's spawn fallback.
 func (s *Shell) Run(cycles int) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < cycles && !s.wd.Tripped(); i++ {
-		s.Step()
-	}
+	s.run(cycles, func() bool { return false })
 }
 
 // Drain runs the machine until no requests remain in flight (injectors
@@ -443,20 +435,22 @@ func (s *Shell) Run(cycles int) {
 // drain at once, since no amount of further cycles empties a stalled
 // machine.
 func (s *Shell) Drain(maxCycles int) bool {
+	s.run(maxCycles, func() bool { return s.InFlight() == 0 })
+	return s.InFlight() == 0
+}
+
+// run steps up to cycles times, stopping after a step that leaves done true
+// or the watchdog tripped.
+func (s *Shell) run(cycles int, done func() bool) {
 	if s.pool != nil {
 		s.pool.Start()
 		defer s.pool.Stop()
 	}
-	for i := 0; i < maxCycles; i++ {
-		if s.wd.Tripped() {
-			return false
-		}
-		s.Step()
-		if s.InFlight() == 0 {
-			return true
+	for i := 0; i < cycles && !s.wd.Tripped(); i++ {
+		if s.Step(); done() {
+			return
 		}
 	}
-	return s.InFlight() == 0
 }
 
 // InFlight reports requests somewhere in the machine: pending at a port,
@@ -557,44 +551,9 @@ func (s *Shell) Latency() stats.HistogramSnapshot { return s.lat.Snapshot() }
 // Memory exposes the module array (for initialization and inspection).
 func (s *Shell) Memory() *memory.Array { return s.mem }
 
-// Faults exposes the fault injector (nil on a healthy machine).
-func (s *Shell) Faults() *faults.Injector { return s.flt }
-
-// Tracker exposes the exactly-once delivery ledger (nil on a healthy
-// machine).
-func (s *Shell) Tracker() *faults.Tracker { return s.trk }
-
-// Recovery exposes the crash–restart ledger (nil without crash windows).
-func (s *Shell) Recovery() *recover.Manager { return s.rec }
-
-// Orphans reports module replies that arrived with no request metadata —
-// the expected fate of the losing copy when an original and a retransmit
-// both reach memory (fault mode only; on a healthy machine an orphan is a
-// bug and panics instead).
-func (s *Shell) Orphans() int64 { return s.tot.Orphans }
+// RoomInModule is the common feed rule (Hooks.CanFeed): a module takes a
+// request whenever its input queue has room.
+func (s *Shell) RoomInModule(mod int) bool { return s.mem.Module(mod).CanEnqueue() }
 
 // ModuleDead reports whether module mod is crashed this cycle.
 func (s *Shell) ModuleDead(mod int) bool { return s.rec != nil && s.memDead[mod] }
-
-// LinkDropsFwd reports whether the request crossing the link into site
-// (stage, index) at port dies there this cycle — to the plan's Bernoulli
-// forward drops or to a link-down window — counting the loss.  The healthy
-// machine's answer inlines to one nil check per hop.
-func (s *Shell) LinkDropsFwd(stage, index, port int, req *core.Request) bool {
-	return s.flt != nil && s.dropsFwd(stage, index, port, req)
-}
-
-func (s *Shell) dropsFwd(stage, index, port int, req *core.Request) bool {
-	return s.flt.DropForward(faults.Site(stage, index, port), req.ID, req.Attempt) ||
-		s.flt.DropLinkFwd(stage, index, s.tot.Cycles)
-}
-
-// LinkDropsRev is LinkDropsFwd for a reply on the reverse link.
-func (s *Shell) LinkDropsRev(stage, index, port int, rep *core.Reply) bool {
-	return s.flt != nil && s.dropsRev(stage, index, port, rep)
-}
-
-func (s *Shell) dropsRev(stage, index, port int, rep *core.Reply) bool {
-	return s.flt.DropReply(faults.Site(stage, index, port), rep.ID, rep.Attempt) ||
-		s.flt.DropLinkRev(stage, index, s.tot.Cycles)
-}

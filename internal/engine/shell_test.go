@@ -143,37 +143,7 @@ func TestShellLoopback(t *testing.T) {
 				t.Fatalf("did not drain (stalled=%v):\n%s", m.Stalled(), m.StallReport())
 			}
 
-			var hot []int64
-			for p, a := range adders {
-				if len(a.hot)+len(a.private) != ops {
-					t.Fatalf("proc %d got %d replies for %d requests", p, len(a.hot)+len(a.private), ops)
-				}
-				hot = append(hot, a.hot...)
-				// The private cell has one writer with one request outstanding
-				// (the window of two alternates cells), so its replies arrive
-				// in program order: the serial replies as issued.
-				want, final := core.SerialReplies(word.Word{}, repeat(rmw.FetchAdd(1), len(a.private)))
-				for i, v := range a.private {
-					if v != want[i].Val {
-						t.Fatalf("proc %d private reply %d = %d, serial %d", p, i, v, want[i].Val)
-					}
-				}
-				if got := m.Memory().Peek(word.Addr(n + p)); got != final {
-					t.Fatalf("proc %d private cell = %v, serial %v", p, got, final)
-				}
-			}
-			// The shared cell: some serial order of all the adds produced
-			// exactly these replies, each once.
-			sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
-			want, final := core.SerialReplies(word.Word{}, repeat(rmw.FetchAdd(1), len(hot)))
-			for i, v := range hot {
-				if v != want[i].Val {
-					t.Fatalf("sorted shared reply %d = %d, serial %d (lost or doubled add)", i, v, want[i].Val)
-				}
-			}
-			if got := m.Memory().Peek(0); got != final {
-				t.Fatalf("shared cell = %v, serial %v", got, final)
-			}
+			checkAdders(t, m, adders, ops, tc.engaged)
 
 			// Every module tick went through serve: the shard's service-cycle
 			// count is the modules' own.
@@ -184,21 +154,61 @@ func TestShellLoopback(t *testing.T) {
 			if got := l.Totals().MemBusy; got != busy || busy == 0 {
 				t.Fatalf("MemBusy = %d, the modules served %d cycles", got, busy)
 			}
-
-			c := m.Snapshot().Counters
-			if c["issued"] != n*ops || c["completed"] != n*ops {
-				t.Fatalf("issued %d completed %d, want %d each", c["issued"], c["completed"], n*ops)
-			}
-			if c["hot_completed"]+c["cold_completed"] != c["completed"] || c["hot_completed"] != int64(len(hot)) {
-				t.Fatalf("hot %d + cold %d vs completed %d (%d shared adds)",
-					c["hot_completed"], c["cold_completed"], c["completed"], len(hot))
-			}
-			for _, key := range tc.engaged {
-				if c[key] == 0 {
-					t.Errorf("counter %s is zero — the plan never exercised it\n%v", key, c)
-				}
-			}
 		})
+	}
+}
+
+// checkAdders verifies a drained machine driven by newAdders: every request
+// answered exactly once, every cell's replies the ones a serial memory hands
+// out (core.SerialReplies), the completion counters consistent, and every
+// counter the plan was meant to engage nonzero — no vacuous pass.
+func checkAdders(t *testing.T, m Machine, adders []*adder, ops int, engaged []string) {
+	t.Helper()
+	n := len(adders)
+	var hot []int64
+	for p, a := range adders {
+		if len(a.hot)+len(a.private) != ops {
+			t.Fatalf("proc %d got %d replies for %d requests", p, len(a.hot)+len(a.private), ops)
+		}
+		hot = append(hot, a.hot...)
+		// The private cell has one writer with one request outstanding
+		// (the window of two alternates cells), so its replies arrive
+		// in program order: the serial replies as issued.
+		want, final := core.SerialReplies(word.Word{}, repeat(rmw.FetchAdd(1), len(a.private)))
+		for i, v := range a.private {
+			if v != want[i].Val {
+				t.Fatalf("proc %d private reply %d = %d, serial %d", p, i, v, want[i].Val)
+			}
+		}
+		if got := m.Memory().Peek(word.Addr(n + p)); got != final {
+			t.Fatalf("proc %d private cell = %v, serial %v", p, got, final)
+		}
+	}
+	// The shared cell: some serial order of all the adds produced
+	// exactly these replies, each once.
+	sort.Slice(hot, func(i, j int) bool { return hot[i] < hot[j] })
+	want, final := core.SerialReplies(word.Word{}, repeat(rmw.FetchAdd(1), len(hot)))
+	for i, v := range hot {
+		if v != want[i].Val {
+			t.Fatalf("sorted shared reply %d = %d, serial %d (lost or doubled add)", i, v, want[i].Val)
+		}
+	}
+	if got := m.Memory().Peek(0); got != final {
+		t.Fatalf("shared cell = %v, serial %v", got, final)
+	}
+
+	c := m.Snapshot().Counters
+	if total := int64(n * ops); c["issued"] != total || c["completed"] != total {
+		t.Fatalf("issued %d completed %d, want %d each", c["issued"], c["completed"], total)
+	}
+	if c["hot_completed"]+c["cold_completed"] != c["completed"] || c["hot_completed"] != int64(len(hot)) {
+		t.Fatalf("hot %d + cold %d vs completed %d (%d shared adds)",
+			c["hot_completed"], c["cold_completed"], c["completed"], len(hot))
+	}
+	for _, key := range engaged {
+		if c[key] == 0 {
+			t.Errorf("counter %s is zero — the plan never exercised it\n%v", key, c)
+		}
 	}
 }
 

@@ -28,9 +28,9 @@ type Rev struct {
 	Src   int
 	Issue int64 // first injection cycle of the request it answers
 	Hot   bool
-	// Slots is the number of data values the reply carries (0 for a bare
-	// store acknowledgment), for the traffic accounting of E11.
-	Slots uint8
+	// Valued marks a reply that carries a data value (a bare store
+	// acknowledgment does not), for the traffic accounting of E11.
+	Valued bool
 	// Moved stamps the cycle the reply last hopped (see Fwd.Moved).
 	Moved uint32
 }
@@ -52,28 +52,20 @@ type Record struct {
 	Reps2 []core.Leaf
 }
 
-// StationEvent is what a station's Trace hook observes.
-type StationEvent struct {
-	Kind    StationEventKind
-	ID, ID2 word.ReqID
-	Addr    word.Addr
-	Module  int // Served only
-}
-
-// StationEventKind classifies station events.
-type StationEventKind uint8
+// EventKind classifies what a station's Trace hook observes.
+type EventKind uint8
 
 const (
-	Combined StationEventKind = iota
-	Rejected
-	Decombined
-	Served
+	Combined   EventKind = iota // id absorbed id2
+	Rejected                    // id's combine forfeited to a full wait buffer
+	Decombined                  // id's reply split off id2's
+	Served                      // a module answered id (Shell.Tick)
 )
 
 // Station is one combining node: a FIFO per forward output and per reverse
 // output, and one wait buffer.  The fields are laid out by what touches
 // them: a request arriving at a queue with no partner reads the first cache
-// line, a reply the second and third.
+// line, a reply the rest.
 type Station struct {
 	Fwd []core.FIFO[Fwd]
 	// Route[module] is the forward queue a request for that module joins
@@ -85,7 +77,7 @@ type Station struct {
 	Intercept func(st *Station, out int, m *Fwd, path []uint8, now uint32) bool
 	// Trace, when non-nil, observes combine, reject, decombine and module
 	// service events here.
-	Trace func(StationEvent)
+	Trace func(kind EventKind, id, id2 word.ReqID, addr word.Addr)
 
 	Rev  []core.FIFO[Rev]
 	Wait core.WaitBuffer[Record]
@@ -94,10 +86,9 @@ type Station struct {
 	// queue toward processor src, or -1 when src is attached here (the
 	// station's row of Links.Back).  nil on wirings whose replies pop a
 	// recorded path instead.
-	Back    []int8
-	refused []int64 // per forward queue: arrivals turned away full
-	revCap  int     // reverse base credit per queue; <= 0 means unbounded
-	pol     core.Policy
+	Back   []int8
+	revCap int // reverse base credit per queue; <= 0 means unbounded
+	pol    core.Policy
 }
 
 // NewStations builds count stations of fwd forward and rev reverse queues,
@@ -110,16 +101,14 @@ func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy
 		fq[i] = core.NewFIFO[Fwd](queueCap)
 	}
 	rq := make([]core.FIFO[Rev], count*rev)
-	refused := make([]int64, count*fwd)
 	sts := make([]Station, count)
 	for i := range sts {
 		sts[i] = Station{
-			Fwd:     fq[i*fwd : (i+1)*fwd : (i+1)*fwd],
-			Rev:     rq[i*rev : (i+1)*rev : (i+1)*rev],
-			Wait:    *core.NewWaitBuffer[Record](waitCap),
-			refused: refused[i*fwd : (i+1)*fwd : (i+1)*fwd],
-			revCap:  revCap,
-			pol:     pol,
+			Fwd:    fq[i*fwd : (i+1)*fwd : (i+1)*fwd],
+			Rev:    rq[i*rev : (i+1)*rev : (i+1)*rev],
+			Wait:   *core.NewWaitBuffer[Record](waitCap),
+			revCap: revCap,
+			pol:    pol,
 		}
 	}
 	return sts
@@ -141,7 +130,6 @@ func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now uint32, sh *Shar
 		return true
 	}
 	if q.Full() {
-		st.refused[out]++
 		return false
 	}
 	slot := q.Push()
@@ -158,7 +146,7 @@ func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path []uint8, sh *Shard) b
 		// A full wait buffer forfeits the combine (partial combining, A1).
 		st.Wait.Rejections++
 		if st.Trace != nil {
-			st.Trace(StationEvent{Kind: Rejected, ID: m.Req.ID, Addr: m.Req.Addr})
+			st.Trace(Rejected, m.Req.ID, 0, m.Req.Addr)
 		}
 	}
 	if !ok {
@@ -187,7 +175,7 @@ func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path []uint8, sh *Shard) b
 		Path: firstPath, Moved: queued.Moved}
 	sh.Combines++
 	if st.Trace != nil {
-		st.Trace(StationEvent{Kind: Combined, ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.Req.Addr})
+		st.Trace(Combined, tc.Rec.ID1, tc.Rec.ID2, m.Req.Addr)
 	}
 	return true
 }
@@ -249,18 +237,11 @@ func (st *Station) decombine(r *Rev, now uint32, home *[]Rev) bool {
 	}
 	r1, r2 := core.DecombineExact(rec.Record, r.Rep)
 	if st.Trace != nil {
-		st.Trace(StationEvent{Kind: Decombined, ID: r1.ID, ID2: r2.ID})
+		st.Trace(Decombined, r1.ID, r2.ID, 0)
 	}
-	st.AcceptRev(&Rev{Rep: r1, Path: r.Path, Src: r.Src, Issue: r.Issue, Hot: r.Hot, Slots: slots(rec.Needs1)}, now, home)
-	st.AcceptRev(&Rev{Rep: r2, Path: rec.Path2, Src: rec.Src2, Issue: rec.Issue2, Hot: rec.Hot2, Slots: slots(rec.Needs2)}, now, home)
+	st.AcceptRev(&Rev{Rep: r1, Path: r.Path, Src: r.Src, Issue: r.Issue, Hot: r.Hot, Valued: rec.Needs1}, now, home)
+	st.AcceptRev(&Rev{Rep: r2, Path: rec.Path2, Src: rec.Src2, Issue: rec.Issue2, Hot: rec.Hot2, Valued: rec.Needs2}, now, home)
 	return true
-}
-
-func slots(needs bool) uint8 {
-	if needs {
-		return 1
-	}
-	return 0
 }
 
 // Crash flushes the station's volatile state — every queue and the wait
@@ -301,11 +282,8 @@ func (st *Station) Occupancy() (fwd, rev, wait int) {
 	return fwd, rev, st.Wait.Len()
 }
 
-// Refused counts the arrivals forward queue out turned away full; MaxRev is
-// the high-water mark across the reverse queues — the observable the
-// reserved-credit bound is asserted on.
-func (st *Station) Refused(out int) int64 { return st.refused[out] }
-
+// MaxRev is the high-water mark across the reverse queues — the observable
+// the reserved-credit bound is asserted on.
 func (st *Station) MaxRev() int {
 	peak := 0
 	for i := range st.Rev {

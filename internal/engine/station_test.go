@@ -1,0 +1,382 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"combining/internal/core"
+	"combining/internal/rmw"
+	"combining/internal/word"
+)
+
+// Tests of the combining station by itself — no shell, no wiring, no clock:
+// requests are pushed at it, a model memory pops its forward queues and
+// answers, and the replies it hands back are compared with what a serial
+// memory would have said (core.SerialReplies).
+
+// families is one generator per combinable family of Section 5: the
+// mappings a family draws combine with each other, so a stream that keeps
+// one family per address exercises rmw.Compose for that family at every
+// combine.
+var families = []struct {
+	name string
+	draw func(r *rand.Rand) rmw.Mapping
+}{
+	{"load-store-swap", func(r *rand.Rand) rmw.Mapping {
+		return []rmw.Mapping{rmw.Load{}, rmw.StoreOf(r.Int64N(100)), rmw.SwapOf(r.Int64N(100))}[r.IntN(3)]
+	}},
+	{"fetch-add", func(r *rand.Rand) rmw.Mapping { return rmw.FetchAdd(r.Int64N(9) - 4) }},
+	{"fetch-or", func(r *rand.Rand) rmw.Mapping { return rmw.FetchOr(r.Int64N(256)) }},
+	{"fetch-and", func(r *rand.Rand) rmw.Mapping { return rmw.FetchAnd(r.Int64N(256)) }},
+	{"fetch-xor", func(r *rand.Rand) rmw.Mapping { return rmw.FetchXor(r.Int64N(256)) }},
+	{"fetch-min", func(r *rand.Rand) rmw.Mapping { return rmw.FetchMin(r.Int64N(100)) }},
+	{"fetch-max", func(r *rand.Rand) rmw.Mapping { return rmw.FetchMax(r.Int64N(100)) }},
+	{"boolean-masks", func(r *rand.Rand) rmw.Mapping {
+		m := uint64(r.Int64N(1 << 16))
+		return []rmw.Mapping{rmw.BoolOf(rmw.BLoad), rmw.BoolSetBits(m), rmw.BoolClearBits(m),
+			rmw.BoolComplementBits(m), rmw.PartialStore(m, uint64(r.Int64N(1<<16)))}[r.IntN(5)]
+	}},
+	{"affine", func(r *rand.Rand) rmw.Mapping {
+		return []rmw.Mapping{rmw.AffineAdd(r.Int64N(5)), rmw.AffineMul(r.Int64N(3) + 1), rmw.AffineRSub(r.Int64N(10))}[r.IntN(3)]
+	}},
+	// Möbius maps compose by matrix product in floating point; the stream
+	// keeps to pole-free maps over small dyadic values, where one rounding
+	// and two agree exactly.
+	{"moebius", func(r *rand.Rand) rmw.Mapping {
+		return []rmw.Mapping{rmw.MoebiusAdd(1.5), rmw.MoebiusAdd(-0.25), rmw.MoebiusMul(-1)}[r.IntN(3)]
+	}},
+	{"full-empty", func(r *rand.Rand) rmw.Mapping {
+		return []rmw.Mapping{rmw.FELoad(), rmw.FELoadClear(), rmw.FEStoreSet(r.Int64N(9)), rmw.FEStoreIfClearSet(r.Int64N(9)),
+			rmw.FEStoreClear(3), rmw.FELoadIfSetClear(), rmw.FEStoreIfSet(5), rmw.FEStoreIfClear(6)}[r.IntN(8)]
+	}},
+	{"rme-lock", func(r *rand.Rand) rmw.Mapping {
+		return []rmw.Mapping{rmw.RMEAcquire(r.Int64N(8) + 1), rmw.RMERelease(), rmw.RMEInspect()}[r.IntN(3)]
+	}},
+	{"test-and-set", func(*rand.Rand) rmw.Mapping { return rmw.TestAndSet() }},
+}
+
+// bench is one station under test with its model memory: cells, the leaf
+// requests in the order memory serialized them (per address), and every
+// leaf reply the station has handed back.
+type bench struct {
+	t       *testing.T
+	st      *Station
+	deg     int
+	cells   map[word.Addr]word.Word
+	serial  map[word.Addr][]core.Leaf
+	replies map[word.ReqID]word.Word
+	nextID  word.ReqID
+	sh      Shard
+}
+
+func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *bench {
+	st := NewStations(1, deg, deg, queueCap, revCap, waitCap, core.Policy{AllowReversal: reversal})
+	return &bench{t: t, st: &st[0], deg: deg, cells: map[word.Addr]word.Word{},
+		serial: map[word.Addr][]core.Leaf{}, replies: map[word.ReqID]word.Word{}}
+}
+
+// offer pushes one request from processor src, arriving on input port in; it
+// joins the queue its address routes to.  It reports whether the station
+// took it.
+func (b *bench) offer(src, in int, addr word.Addr, op rmw.Mapping) (word.ReqID, bool) {
+	b.nextID++
+	m := Fwd{Req: core.NewRequest(b.nextID, addr, op, word.ProcID(src)).WithReps(), Src: src}
+	return b.nextID, b.st.AcceptFwd(&m, int(addr)%b.deg, []uint8{uint8(in)}, 0, &b.sh)
+}
+
+// serve pops the head of forward queue out — the message reaches memory —
+// executes it and, unless lose is set, hands the station the reply.
+func (b *bench) serve(out int, lose bool) {
+	m := *b.st.Fwd[out].Front()
+	b.st.Fwd[out].Pop()
+	if lose {
+		return
+	}
+	b.serial[m.Req.Addr] = append(b.serial[m.Req.Addr], m.Req.Reps...)
+	cell := b.cells[m.Req.Addr]
+	rep := core.Execute(&cell, m.Req)
+	b.cells[m.Req.Addr] = cell
+	var home []Rev
+	b.st.AcceptRev(&Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
+	if len(home) != 0 {
+		b.t.Fatalf("a reply with an unspent path came home: %+v", home)
+	}
+}
+
+// drain pops up to max replies, reverse queue start first, and files them.
+func (b *bench) drain(start, max int) {
+	for i := range b.st.Rev {
+		port := (start + i) % len(b.st.Rev)
+		for q := &b.st.Rev[port]; q.Len() > 0 && max > 0; max-- {
+			r := q.Front()
+			if _, dup := b.replies[r.Rep.ID]; dup {
+				b.t.Fatalf("request %d answered twice", r.Rep.ID)
+			}
+			if len(r.Path) != 0 {
+				b.t.Fatalf("reply %d left on port %d with path %v", r.Rep.ID, port, r.Path)
+			}
+			b.replies[r.Rep.ID] = r.Rep.Val
+			q.Pop()
+		}
+	}
+}
+
+// check compares every leaf reply with the serial execution of its cell.
+func (b *bench) check(label string) {
+	b.t.Helper()
+	answered := 0
+	for addr, leaves := range b.serial {
+		ops := make([]rmw.Mapping, len(leaves))
+		for i, lf := range leaves {
+			ops[i] = lf.Op
+		}
+		want, final := core.SerialReplies(word.Word{}, ops)
+		for i, lf := range leaves {
+			got, ok := b.replies[lf.ID]
+			if !ok || got != want[i] {
+				b.t.Fatalf("%s: cell %d, leaf %d (%v, %d-th in serial order): reply %v (present %v), serial %v",
+					label, addr, lf.ID, lf.Op, i, got, ok, want[i])
+			}
+		}
+		if b.cells[addr] != final {
+			b.t.Fatalf("%s: cell %d holds %v, serial %v", label, addr, b.cells[addr], final)
+		}
+		answered += len(leaves)
+	}
+	if answered != len(b.replies) {
+		b.t.Fatalf("%s: %d replies for %d leaves that reached memory", label, len(b.replies), answered)
+	}
+}
+
+// TestStationModel: random request streams — one hot address, or a few with
+// a family each — into one station at wait-buffer capacities 0, 1, 3 and
+// unbounded, with and without order reversal, memory serving the queues in
+// random interleaving; every decombined leaf must carry the value the serial
+// execution of its cell gives it, each exactly once, and the station must be
+// empty afterwards.
+func TestStationModel(t *testing.T) {
+	for fi, fam := range families {
+		for _, waitCap := range []int{0, 1, 3, core.Unbounded} {
+			for _, reversal := range []bool{false, true} {
+				for _, addrs := range []int{1, 5} {
+					label := fmt.Sprintf("%s/wait%d/reversal=%v/addrs=%d", fam.name, waitCap, reversal, addrs)
+					r := rand.New(rand.NewPCG(uint64(fi*100+waitCap+3), uint64(addrs)))
+					b := newBench(t, 3, 0, 0, waitCap, reversal)
+					for step := 0; step < 400; step++ {
+						switch {
+						case r.IntN(3) > 0:
+							addr := word.Addr(r.IntN(addrs))
+							// Each address keeps one family; the others fall
+							// back on the next ones in the table.
+							op := families[(fi+int(addr))%len(families)].draw(r)
+							if _, ok := b.offer(r.IntN(8), r.IntN(3), addr, op); !ok {
+								t.Fatalf("%s: an unbounded queue refused a request", label)
+							}
+						case r.IntN(2) == 0:
+							if out := r.IntN(3); b.st.Fwd[out].Len() > 0 {
+								b.serve(out, false)
+							}
+						default:
+							b.drain(r.IntN(3), r.IntN(4))
+						}
+					}
+					for out := range b.st.Fwd {
+						for b.st.Fwd[out].Len() > 0 {
+							b.serve(out, false)
+						}
+					}
+					b.drain(0, 1<<30)
+					b.check(label)
+					if fwd, rev, wait := b.st.Occupancy(); fwd+rev+wait != 0 {
+						t.Fatalf("%s: station holds %d/%d/%d after the drain", label, fwd, rev, wait)
+					}
+					if int(b.nextID) != len(b.replies) {
+						t.Fatalf("%s: %d requests, %d replies", label, b.nextID, len(b.replies))
+					}
+					if waitCap == 0 && (b.sh.Combines != 0 || (addrs == 1 && b.st.Wait.Rejections == 0)) {
+						t.Fatalf("%s: %d combines, %d rejections with the wait buffer off", label, b.sh.Combines, b.st.Wait.Rejections)
+					}
+					if waitCap == core.Unbounded && addrs == 1 && b.sh.Combines == 0 {
+						t.Fatalf("%s: a hot stream never combined", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStationKWayCombine: k requests for one cell meeting in one queue leave
+// as one message and come back as k replies, undone most recent first.
+func TestStationKWayCombine(t *testing.T) {
+	for _, k := range []int{2, 3, 8, 33} {
+		b := newBench(t, 2, 0, 0, core.Unbounded, false)
+		for i := 0; i < k; i++ {
+			b.offer(i, i%2, 4, rmw.FetchAdd(int64(i+1)))
+		}
+		if n := b.st.Fwd[0].Len(); n != 1 || b.st.Wait.Len() != k-1 || b.sh.Combines != int64(k-1) {
+			t.Fatalf("k=%d: %d messages queued, %d records, %d combines", k, n, b.st.Wait.Len(), b.sh.Combines)
+		}
+		b.serve(0, false)
+		b.drain(0, 1<<30)
+		b.check(fmt.Sprintf("k=%d", k))
+		if len(b.replies) != k || b.st.Wait.Len() != 0 {
+			t.Fatalf("k=%d: %d replies, %d records left", k, len(b.replies), b.st.Wait.Len())
+		}
+	}
+}
+
+// TestStationStaleRecordPassesThrough: a combined message dropped downstream
+// leaves its record behind; when the first requester's retransmit is
+// answered — by a reply that names its leaves exactly, as a reply-caching
+// module's does — the reply passes through (PopMatch skips the record) and
+// nothing is synthesized for the second requester, who recovers by its own
+// retransmit.
+func TestStationStaleRecordPassesThrough(t *testing.T) {
+	b := newBench(t, 2, 0, 0, core.Unbounded, false)
+	first, _ := b.offer(1, 0, 6, rmw.FetchAdd(1))
+	second, _ := b.offer(2, 1, 6, rmw.FetchAdd(10))
+	b.serve(0, true) // the combined message dies on the next link
+	if b.st.Wait.Len() != 1 {
+		t.Fatalf("%d records after the combine", b.st.Wait.Len())
+	}
+	var home []Rev
+	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
+		Leaves: map[word.ReqID]word.Word{first: word.W(40)}}, Path: []uint8{0}, Src: 1}, 0, &home)
+	b.drain(0, 1<<30)
+	if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
+		t.Fatalf("replies after the retransmit's answer: %v", b.replies)
+	}
+	if _, ok := b.replies[second]; ok || b.st.Wait.Len() != 1 {
+		t.Fatalf("the stale record was consumed (records left: %d, replies %v)", b.st.Wait.Len(), b.replies)
+	}
+	// The reply of the combine itself — both leaves named — does match.
+	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40),
+		Leaves: map[word.ReqID]word.Word{first: word.W(40), second: word.W(41)}}, Path: []uint8{0}, Src: 1}, 0, &home)
+	if b.st.Wait.Len() != 0 || b.st.Rev[1].Len() != 1 || b.st.Rev[1].Front().Rep.Val != word.W(41) {
+		t.Fatalf("the matching reply did not decombine: %d records, %d replies toward the second requester",
+			b.st.Wait.Len(), b.st.Rev[1].Len())
+	}
+}
+
+// TestStationReverseBound: whatever the degree, a station that admits
+// replies only through CanAcceptRev never holds more than revCap + waitCap
+// replies in one reverse queue — each leaf beyond the first consumes a wait
+// record the station itself created (TestReverseQueueBoundInvariant asserts
+// the same on a whole omega network).
+func TestStationReverseBound(t *testing.T) {
+	for _, deg := range []int{1, 2, 3, 5, 8} {
+		const revCap, waitCap = 2, 3
+		r := rand.New(rand.NewPCG(uint64(deg), 7))
+		b := newBench(t, deg, 0, revCap, waitCap, true)
+		held, peak := 0, 0
+		for step := 0; step < 3000; step++ {
+			switch r.IntN(3) {
+			case 0:
+				// Most requests arrive on one port: their replies leave by it.
+				b.offer(r.IntN(16), r.IntN(deg)*(r.IntN(4)/3), word.Addr(r.IntN(2)), rmw.FetchAdd(1))
+			case 1:
+				if out := r.IntN(deg); b.st.Fwd[out].Len() > 0 {
+					if !b.st.CanAcceptRev() {
+						held++ // memory holds its reply: no credit
+						continue
+					}
+					b.serve(out, false)
+				}
+			default:
+				b.drain(r.IntN(deg), 1)
+			}
+			for port := range b.st.Rev {
+				if n := b.st.Rev[port].Len(); n > revCap+waitCap {
+					t.Fatalf("degree %d: reverse queue %d holds %d > %d + %d", deg, port, n, revCap, waitCap)
+				}
+				peak = max(peak, b.st.Rev[port].Len())
+			}
+		}
+		if held == 0 || peak <= revCap || b.st.MaxRev() != peak {
+			t.Fatalf("degree %d: %d holds, peak %d (MaxRev %d): the bound was never approached", deg, held, peak, b.st.MaxRev())
+		}
+	}
+}
+
+// TestStationCrashReturnsWhatItHeld: the flush reports exactly the leaves
+// whose only copy was in the station — in a forward queue (every leaf of a
+// combined message), in a wait record (the second requester's), or in a
+// reverse queue — and leaves it empty.
+func TestStationCrashReturnsWhatItHeld(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 13))
+	b := newBench(t, 3, 0, 0, 4, true)
+	for step := 0; step < 300; step++ {
+		switch r.IntN(5) {
+		case 0, 1, 2:
+			b.offer(r.IntN(8), r.IntN(3), word.Addr(r.IntN(4)), rmw.FetchAdd(1))
+		case 3:
+			if out := r.IntN(3); b.st.Fwd[out].Len() > 0 {
+				b.serve(out, false)
+			}
+		default:
+			b.drain(r.IntN(3), 1)
+		}
+	}
+	// Make sure all three places hold something: two requests that meet in
+	// queue 0, and an answered message whose replies nobody has collected.
+	b.offer(1, 0, 0, rmw.FetchAdd(1))
+	b.offer(2, 1, 0, rmw.FetchAdd(1))
+	b.offer(3, 2, 1, rmw.FetchAdd(1))
+	b.serve(1, false)
+	fwd, rev, wait := b.st.Occupancy()
+	if fwd == 0 || rev == 0 || wait == 0 {
+		t.Fatalf("the station holds %d/%d/%d: nothing to lose in one of the three places", fwd, rev, wait)
+	}
+	lost := map[word.ReqID]bool{}
+	for _, id := range b.st.Crash() {
+		lost[id] = true
+	}
+	// Nothing is inside the model memory between steps, so every request not
+	// yet answered was in the station.
+	for id := word.ReqID(1); id <= b.nextID; id++ {
+		if _, answered := b.replies[id]; answered == lost[id] {
+			t.Fatalf("request %d: answered %v, reported lost %v", id, answered, lost[id])
+		}
+	}
+	if fwd, rev, wait := b.st.Occupancy(); fwd+rev+wait != 0 {
+		t.Fatalf("the station holds %d/%d/%d after the flush", fwd, rev, wait)
+	}
+}
+
+// TestStationSteadyStateZeroAlloc: at steady state — queues at their working
+// size — taking a request, taking a reply that decombines nothing, and
+// refusing a combine for want of a wait record allocate nothing.  (A
+// committed combine merges source sets into fresh storage: that allocation
+// is the combine's meaning, not the station's overhead.)
+func TestStationSteadyStateZeroAlloc(t *testing.T) {
+	st := &NewStations(1, 2, 2, 4, 0, 0, core.Policy{})[0]
+	var sh Shard
+	var home []Rev
+	hot := Fwd{Req: core.NewRequest(1, 8, rmw.FetchAdd(1), 0), Src: 0}
+	path := []uint8{1}
+	st.AcceptFwd(&hot, 0, path, 0, &sh) // the partner every later arrival finds
+	// The messages live outside the round, as they do in a machine: the
+	// station is handed pointers into queues, ports and filed boxes.
+	m, r := hot, Rev{Path: path}
+	cycle := func() {
+		m.Req.ID++
+		if !st.AcceptFwd(&m, 0, path, 0, &sh) {
+			panic("refused below capacity")
+		}
+		st.Fwd[0].Pop()
+		r.Rep.ID = m.Req.ID
+		st.AcceptRev(&r, 0, &home)
+		st.Rev[1].Pop()
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	before := st.Wait.Rejections
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("accept + pass-through reply: %.1f allocs per round, want 0", allocs)
+	}
+	if st.Wait.Rejections == before || sh.Combines != 0 {
+		t.Fatalf("the rounds never met a partner (%d rejections, %d combines)", st.Wait.Rejections-before, sh.Combines)
+	}
+}

@@ -25,7 +25,8 @@ type Coord struct{ Stage, Index, Port int32 }
 type Links struct {
 	// Ports and RevPorts are the forward and reverse links per station.  A
 	// station may own one forward queue more than it has links: queue Ports,
-	// the combining queue in front of its own memory (Section 7).
+	// the combining queue in front of its own memory (Section 7); a request
+	// refused there counts as held by memory.
 	Ports, RevPorts int
 	// Fwd[station·Ports+port] and Rev[station·RevPorts+port] are the links
 	// out of a station's queues, FwdAt and RevAt their fault coordinates.

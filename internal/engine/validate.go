@@ -40,11 +40,6 @@ type Spec struct {
 	Banks int
 	// Workers is the parallel-stepper width; negative is rejected.
 	Workers int
-	// Injectors is the supplied injector count, enforced only when
-	// CheckInjectors is set: the config-only Validate cannot see the
-	// injector slice, the constructor can.
-	Injectors      int
-	CheckInjectors bool
 	// Window is the asyncnet pipeline window; negative is rejected.
 	Window int
 	// Service is a service-time knob (memory or bank); negative is
@@ -115,18 +110,5 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%s: adversarial fault plans (reorder/dup/corrupt) require the serial stepper; set Workers <= 1",
 			s.Engine)
 	}
-	if s.CheckInjectors && s.Injectors != s.Procs {
-		return fmt.Errorf("%s: got %d injectors for %d %s", s.Engine, s.Injectors, s.Procs,
-			pluralField(field))
-	}
 	return nil
-}
-
-func pluralField(field string) string {
-	switch field {
-	case "Nodes":
-		return "nodes"
-	default:
-		return "processors"
-	}
 }

@@ -76,9 +76,9 @@ type Config struct {
 
 // Stats summarizes a run.  Its hop, hold and combine counters are the shared
 // ones (engine.Totals): FwdHops and RevHops count link traversals, HoldsRev
-// replies held by the reverse-credit check, HoldsMemOut module completions
-// blocked on reverse credit; HoldsMem here counts arrivals refused by a full
-// memory combining queue.
+// replies held by the reverse-credit check, HoldsMem arrivals refused by a
+// full memory combining queue, HoldsMemOut module completions blocked on
+// reverse credit.
 type Stats struct {
 	engine.Totals
 }
@@ -298,35 +298,20 @@ func (s *Sim) treeSaturated() bool {
 }
 
 // Stats snapshots the run counters.
-func (s *Sim) Stats() Stats {
-	st := Stats{Totals: s.Totals()}
-	st.HoldsMem = s.memQueues().held
-	return st
-}
-
-// memQueues folds the nodes' memory combining queues and reverse queues
-// into the machine-wide gauges.
-func (s *Sim) memQueues() (g struct {
-	held         int64
-	peak, maxRev int
-}) {
-	for i := 0; i < s.n; i++ {
-		st := s.Station(i)
-		g.held += st.Refused(s.d)
-		g.peak = max(g.peak, st.Fwd[s.d].Peak())
-		g.maxRev = max(g.maxRev, st.MaxRev())
-	}
-	return g
-}
+func (s *Sim) Stats() Stats { return Stats{Totals: s.Totals()} }
 
 // observe names the direct machine's counters and gauges in a snapshot the
 // shell has started.
 func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
-	t, g := s.Totals(), s.memQueues()
+	t := s.Totals()
 	c.MemOps = t.MemRequests
 	c.FwdHops, c.RevHops = t.FwdHops, t.RevHops
-	c.HoldsMem = g.held
-	gauges["memq_max"] = int64(g.peak)
-	gauges["max_mem_queue"] = int64(g.peak)
-	gauges["max_rev_queue"] = int64(g.maxRev)
+	memQ, maxRev := 0, 0
+	for i := 0; i < s.n; i++ {
+		memQ = max(memQ, s.Station(i).Fwd[s.d].Peak())
+		maxRev = max(maxRev, s.Station(i).MaxRev())
+	}
+	gauges["memq_max"] = int64(memQ)
+	gauges["max_mem_queue"] = int64(memQ)
+	gauges["max_rev_queue"] = int64(maxRev)
 }

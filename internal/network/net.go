@@ -278,7 +278,7 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	}
 	s.Shell.Init(engine.ShellConfig{
 		Engine:         "network",
-		Hooks:          engine.Hooks{Sweep: s.sweep, Saturated: s.treeSaturated, Observe: s.observe},
+		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.treeSaturated, Observe: s.observe},
 		Injectors:      inj,
 		Pool:           s.pool,
 		Modules:        n,
@@ -299,13 +299,13 @@ func (s *Sim) Topology() engine.Staged { return s.topo }
 // tracer is switch (stage, idx)'s event hook: switches stamp no cycle of
 // their own — the machine's clock is the shell's — and do not know where
 // they are.
-func (s *Sim) tracer(stage, idx int) func(engine.StationEvent) {
+func (s *Sim) tracer(stage, idx int) func(engine.EventKind, word.ReqID, word.ReqID, word.Addr) {
 	kinds := [...]EventKind{engine.Combined: EvCombine, engine.Rejected: EvCombineReject,
 		engine.Decombined: EvDecombine, engine.Served: EvMemServe}
-	return func(e engine.StationEvent) {
-		ev := Event{Cycle: s.Cycle(), Kind: kinds[e.Kind], ID: e.ID, ID2: e.ID2, Addr: e.Addr, Stage: stage, Switch: idx}
-		if e.Kind == engine.Served {
-			ev.Stage, ev.Switch = -1, e.Module
+	return func(kind engine.EventKind, id, id2 word.ReqID, addr word.Addr) {
+		ev := Event{Cycle: s.Cycle(), Kind: kinds[kind], ID: id, ID2: id2, Addr: addr, Stage: stage, Switch: idx}
+		if kind == engine.Served {
+			ev.Stage, ev.Switch = -1, s.Memory().HomeOf(addr)
 		}
 		s.cfg.Trace(ev)
 	}
@@ -323,7 +323,7 @@ func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path []uint8, now u
 	for _, queued := range sw.Fwd[out].View() {
 		if c, isConst := queued.Req.Op.(rmw.Const); isConst && queued.Req.Addr == m.Req.Addr {
 			sw.AcceptRev(&engine.Rev{Rep: core.Reply{ID: m.Req.ID, Val: word.W(c.V)},
-				Path: path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Slots: 1}, now, nil) // never home: the path is not spent
+				Path: path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Valued: true}, now, nil) // never home: the path is not spent
 			return true
 		}
 	}
