@@ -11,6 +11,12 @@
 // bank when that bank is idle (head-of-line blocking on a busy bank is
 // precisely the conflict combining removes); replies decombine against the
 // FIFO's wait buffer and return to the issuing processor.
+//
+// The FIFO and its wait buffer are one engine.Station — the station of the
+// staged and direct machines, degree one — and the bus, the dispatch and the
+// return bus are engine.Shell's hops; what this package keeps is the link
+// table (busLinks) and the schedule (sweep): bank ticks and return, head
+// dispatch, one bus transfer per cycle.
 package busnet
 
 import (

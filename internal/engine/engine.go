@@ -1,86 +1,94 @@
 // Package engine is the common core the combining transports share: the
-// machine rim every cycle engine embeds (Shell), one configuration
-// validator (Spec), one snapshot counter schema (Counters), and the
-// topology abstractions the cycle engines are parameterized by.
+// combining station (Station), the machine every cycle engine embeds (Shell)
+// with the hops that move messages between stations, the compiled link table
+// they index (Links), one configuration validator (Spec), one snapshot
+// counter schema (Counters), and the topology abstractions the wirings are
+// parameterized by.
 //
-// The paper's central claim is that combining lives in the switches and
-// memory modules, not in any particular wiring (Section 7): whatever
-// connects processors to memory, replies retrace their requests and the
-// mechanism carries over.  The code says that once.  A cycle machine is a
-// fabric — queues and the hop sweeps over them — inside a rim that is the
-// same for every fabric.
+// The paper's central claim is that combining is a property of a queue with
+// a wait buffer (Section 4, Figure 1), not of any particular wiring (Section
+// 7): whatever connects processors to memory, replies retrace their requests
+// and the mechanism carries over — "the processors themselves act like
+// network switches".  The code says that once.  A cycle machine is stations,
+// a link table and a schedule.
 //
-// What the core owns (Shell):
+// What the core owns:
 //
+//   - the station (station.go): forward FIFOs, reverse FIFOs, one wait
+//     buffer of one record type, and the five things done to it — accept a
+//     request (combine at the tail, else push, else refuse), the
+//     reserved-credit check, accept a reply (decombine recursively, else
+//     queue it toward its processor or hand it over), crash flush, occupancy.
+//     One request message (Fwd) and one reply message (Rev) carry the
+//     superset of routing state: a recorded path or the issuing processor.
+//     internal/asyncnet's switch goroutines own the same station;
+//   - the hops (hop.go), each written once over the stations and the table:
+//     FwdHop and RevHop (a station's forward and reverse move), Tick (module
+//     guards, reverse credit, serve, route — the only caller of serve),
+//     MemReady/Feed (the terminal link into a module), Inject (offer, link
+//     draw, accept), Commit (deliver what the hops brought home), and the
+//     arbiter, Turn;
 //   - the step frame: cycle advance, the stall mask, crash-window edge
-//     detection with its ledger bookkeeping (one engine-supplied flush per
-//     switch fault domain; module rollback is the rim's own), retransmit
-//     expiry into per-port retry lists, limbo release, and after the sweep
-//     the saturation monitor and the progress watchdog;
+//     detection with its ledger bookkeeping (a station's crash flushes it,
+//     the modules it hosts and the metadata it holds; module rollback is the
+//     shell's own), retransmit expiry into per-port retry lists, limbo
+//     release, and after the sweep the lane merge, the saturation monitor and
+//     the progress watchdog;
 //   - the processor port: retry first, else the pending slot refilled from
 //     the injector, tracked, held back behind an earlier same-address
-//     request — exposed as Offer/Sent/Lost so each fabric keeps its own
-//     arbitration loop;
-//   - both terminal links: into memory (EnterMemory — metadata filed,
-//     request enqueued) and out to the processor (Deliver — duplicate
-//     suppression, replay ledger, latency, completion counters, the
-//     injector's Deliver), with the adversarial integrity layer — stamp at
-//     the last trusted hop, reorder into limbo, corrupt, verify,
-//     quarantine, duplicate with an owning clone — written once;
-//   - the memory array and the guards every module tick repeats (ModuleUp:
-//     crashed / checkpoint due; MemStalled), and Serve, which ticks a
-//     module and reunites the reply with its request;
+//     request;
+//   - both terminal links: into memory (metadata filed, request enqueued)
+//     and out to the processor (duplicate suppression, replay ledger,
+//     latency, completion counters, the injector's Deliver), with the
+//     adversarial integrity layer — stamp at the last trusted hop, reorder
+//     into limbo, corrupt, verify, quarantine, duplicate with an owning
+//     clone — written once;
+//   - the memory array and request metadata;
 //   - Run, Drain, InFlight, Stalled, StallReport, Snapshot and the
 //     accessors — the Machine interface drivers program against — plus
 //     config validation and defaults, the counter-key schema, and
 //     conflict-group derivation for parallel steppers.
 //
-// What an engine supplies (Hooks): Sweep (its reverse/memory/forward sweeps
-// and port arbitration), Flush (empty one switch fault domain, report the
-// lost leaves), CanFeed (its module feed rule, for limbo release),
-// Saturated (its saturation predicate), Hops and Queued (its movement
-// count and occupancy, for the watchdog and the in-flight census), Detail
-// (queue occupancy for a stall report), Observe (its hop, hold and combine
-// counters and gauges), and optionally Reassemble (a wait buffer behind the
-// processor link).  What it keeps is its queues, tryAccept/arriveFwd/
-// enqueue, the sweeps, and its Config.  internal/engine's loopback test
-// builds a whole machine from a 25-line sweep and nothing else.
+// What a wiring supplies (ShellConfig): its stations (NewStations), the
+// Links it compiles, and four Hooks — Sweep (its schedule: the order in
+// which its stations hop in a cycle, straight code over the hops), CanFeed
+// (its module feed rule), Saturated (its saturation predicate) and Observe
+// (which shared counters it publishes under which names, and its gauges).
+// The schedules stay code because they differ in machine semantics: the
+// staged network's pipeline order (internal/network, serially and as
+// barrier-separated phases over conflict groups), the direct machine's
+// store-and-forward sweep under the hops' one-link-per-cycle stamp
+// (internal/hypercube), the bus's single shared medium (internal/busnet).
+// internal/engine's tests build two more machines the repo ships nowhere:
+// a one-station crossbar (shell_test.go) and a binary reduction tree whose
+// interior stations host neither processor nor memory (tree_test.go), each a
+// table and a schedule of a few dozen lines.
 //
-// Worker-phase rule: a parallel sweep may read the masks (SwitchStalled,
-// SwitchDead, ModuleDead), draw link drops (LinkDropsFwd/LinkDropsRev —
-// hash decisions, atomic counters), and call ModuleUp, MemStalled, Serve
-// and EnterMemory for modules the worker owns, passing the worker's own
-// Shard — shard-only writes; the stepping goroutine folds shards in with
-// Merge.  Ports and deliveries belong to one goroutine at a time.  A module
-// has one owner per barrier-separated phase: its cycle API takes no lock
-// (see internal/memory).
+// The worker-phase rule — which hops a parallel schedule's workers may call,
+// and with whose Lane — is in hop.go.  A module has one owner per
+// barrier-separated phase: its cycle API takes no lock (see internal/memory).
 //
-// Messages cross the rim by pointer and are copied where they come to rest:
-// EnterMemory reads the caller's slot and files its own copy; Serve returns
-// the filed box itself, valid until that module's next reply emerges.
+// Messages cross the core by pointer and are copied where they come to
+// rest (DESIGN.md §6.2): a station reads the caller's slot and writes its
+// own; the memory link files its own copy, and serve lends the filed box
+// back only to Tick, which routes the reply before it returns.
 //
 // What a topology supplies: pure wiring arithmetic, well under 150 lines
-// each.
+// each, evaluated once by CompileStaged / CompileDirect.
 //
 //   - A Staged topology (omega, fat-tree/butterfly) supplies processor→line
 //     placement, the inter-stage permutations and their inverses, and
 //     destination-tag port selection — plus the conflict groups the
 //     deterministic parallel stepper partitions on, which
-//     RevGroups/FwdGroups derive generically from the wiring.  A step
-//     loop does not call the arithmetic per hop: CompileStaged evaluates
-//     it once into the per-stage tables (StagedTables) the sweeps index.
-//     The hop sweeps and switch machinery live in internal/network and
-//     are reused unchanged by every staged wiring.
+//     RevGroups/FwdGroups derive generically from the wiring.
 //
 //   - A Direct topology (hypercube, torus) supplies the link structure of
 //     a direct-connection machine — degree, neighbor map, and the
 //     forward/reverse routing functions, with the invariant that the
 //     reverse route retraces the forward route node for node (the paper's
 //     "only major restriction": replies return via the same route, so the
-//     wait buffers that combined a request see its reply).  The
-//     store-and-forward sweeps live in internal/hypercube and are reused
-//     unchanged by every direct wiring.
+//     wait buffers that combined a request see its reply).
 //
-// Adding a topology means writing the wiring functions and nothing else;
-// adding a fabric means writing a hop sweep and nothing else.
+// Adding a topology of either kind means writing the wiring functions and
+// nothing else; adding a wiring of a new kind means a table and a schedule.
 package engine

@@ -15,6 +15,13 @@
 // wait buffers see every reply whose request they combined.  For the
 // default cube, requests route e-cube (ascending dimension order) and
 // replies descend the dimensions.
+//
+// A node is an engine.Station and a hop an engine.Shell method, the same ones
+// the staged network and the bus run on; what this package keeps is the
+// direct wiring's schedule — reverse, feed-then-tick per node, forward,
+// inject, under the hops' one-link-per-cycle stamp — and its configuration.
+// The wiring arithmetic is compiled once (engine.CompileDirect); no sweep
+// calls it.
 package hypercube
 
 import (
