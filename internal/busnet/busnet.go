@@ -260,7 +260,10 @@ func (s *Sim) sweep() {
 
 	// Bus arbitration: round-robin; the bus carries one request per cycle,
 	// and a transfer lost on the bus still consumes it.
-	for i, p := 0, s.Turn(s.cfg.Procs); i < s.cfg.Procs && !s.Inject(p); i, p = i+1, engine.Next(p, s.cfg.Procs) {
+	for i, p := 0, s.Turn(s.cfg.Procs); i < s.cfg.Procs; i, p = i+1, engine.Next(p, s.cfg.Procs) {
+		if s.Inject(p) {
+			break
+		}
 	}
 }
 

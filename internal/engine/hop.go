@@ -70,10 +70,10 @@ func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
 	return false
 }
 
-// FwdHop makes station at's forward move: the head of each link queue, port
-// first first, crosses its link — into the next station when that
-// one takes it, into the memory module the link ends at when the module has
-// room.  A dead downstream station or a full queue holds the request where
+// FwdHop makes station at's forward move: the head of each link queue,
+// starting with port first, crosses its link — into the next station when
+// that one takes it, into the memory module the link ends at when the module
+// has room.  A dead downstream station or a full queue holds the request where
 // it is, so a crash costs the flushed state and not a stream of new losses;
 // a request that already hopped this cycle waits.
 func (s *Shell) FwdHop(at, first int, ln *Lane) {
@@ -228,7 +228,7 @@ func (s *Shell) Commit() {
 		for j := range home {
 			r := &home[j]
 			s.putPath(r.Path)
-			r.Path = nil
+			r.Path = nil // the link may hold r in limbo: not with a recycled header
 			s.deliver(s.links.Home[r.Src].site(), r)
 		}
 		s.lanes[i].Home = home[:0]

@@ -208,7 +208,7 @@ func (st *Station) AcceptRev(r *Rev, now uint32, home *[]Rev) {
 	if st.Wait.Len() > 0 && st.decombine(r, now, home) {
 		return
 	}
-	port, path := -1, r.Path
+	port, path := 0, r.Path
 	if st.Back != nil {
 		port = int(st.Back[r.Src])
 	} else {

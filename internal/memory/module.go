@@ -47,11 +47,9 @@ type Module struct {
 
 	// queue is the cycle-driven request FIFO, bounded by queueCap (0 means
 	// unbounded); the request in service stays at its front until it
-	// completes, so its length is the module's occupancy.  maxQueue records
-	// the high-water mark.
+	// completes, so its length is the module's occupancy.
 	queue    core.FIFO[core.Request]
 	queueCap int
-	maxQueue int
 	// serviceTime is cycles per request (≥ 1).
 	serviceTime int
 	// busy counts remaining cycles of the request in service (the queue's
@@ -302,9 +300,6 @@ func (m *Module) Enqueue(req core.Request) {
 		panic("memory: Enqueue on a full bounded module (caller must check CanEnqueue)")
 	}
 	*m.queue.Push() = req
-	if n := m.queue.Len(); n > m.maxQueue {
-		m.maxQueue = n
-	}
 }
 
 // CanEnqueue reports whether the module has room for one more request
@@ -316,7 +311,7 @@ func (m *Module) QueueCap() int { return m.queueCap }
 
 // MaxQueue returns the input-queue high-water mark, including the request
 // in service (owner only).
-func (m *Module) MaxQueue() int { return m.maxQueue }
+func (m *Module) MaxQueue() int { return m.queue.Peak() }
 
 // QueueLen reports pending requests, including the one in service (owner
 // only).

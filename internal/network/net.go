@@ -296,14 +296,16 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 // Topology exposes the wiring the machine was built with.
 func (s *Sim) Topology() engine.Staged { return s.topo }
 
+// stationEvents names the station's events in this package's trace.
+var stationEvents = [...]EventKind{engine.Combined: EvCombine, engine.Rejected: EvCombineReject,
+	engine.Decombined: EvDecombine, engine.Served: EvMemServe}
+
 // tracer is switch (stage, idx)'s event hook: switches stamp no cycle of
 // their own — the machine's clock is the shell's — and do not know where
 // they are.
 func (s *Sim) tracer(stage, idx int) func(engine.EventKind, word.ReqID, word.ReqID, word.Addr) {
-	kinds := [...]EventKind{engine.Combined: EvCombine, engine.Rejected: EvCombineReject,
-		engine.Decombined: EvDecombine, engine.Served: EvMemServe}
 	return func(kind engine.EventKind, id, id2 word.ReqID, addr word.Addr) {
-		ev := Event{Cycle: s.Cycle(), Kind: kinds[kind], ID: id, ID2: id2, Addr: addr, Stage: stage, Switch: idx}
+		ev := Event{Cycle: s.Cycle(), Kind: stationEvents[kind], ID: id, ID2: id2, Addr: addr, Stage: stage, Switch: idx}
 		if kind == engine.Served {
 			ev.Stage, ev.Switch = -1, s.Memory().HomeOf(addr)
 		}
