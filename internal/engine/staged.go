@@ -165,7 +165,7 @@ func RevGroups(t Staged, stage int) [][]int {
 
 // FwdGroups partitions the switches of stage < k-1 into the forward-sweep
 // conflict groups: switches sharing any next-stage switch, whose input
-// queues both sweeps' tryAccept calls contend on.
+// queues both switches' forward hops contend on.
 func FwdGroups(t Staged, stage int) [][]int {
 	return stageGroups(t, func(line int) int { return t.NextLine(stage, line) })
 }
