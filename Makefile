@@ -26,7 +26,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ .
+	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ .
 
 # bench regenerates the committed measured baseline (EXPERIMENTS.md
 # §Measured baselines).
@@ -77,7 +77,8 @@ parbench:
 
 # stepbench prices one serial cycle of the 256-processor omega machine and
 # the 256-node cube (BenchmarkStep: uniform, a 1/8 hot spot with combining,
-# the same with combining off; ns/cycle, ns/switch-visit, allocs) — the loop
+# the same with combining off, and on the cube the fault-mode cycle of
+# bench/run.sh's cube_faulted; ns/cycle, ns/switch-visit, allocs) — the loop
 # every cycle-domain experiment and bench/run.sh's simulator workloads spend
 # their time in.
 stepbench:

@@ -263,7 +263,9 @@ type Shell struct {
 	// Fault-mode state (nil/empty on a healthy machine).  stall and swDead
 	// are this cycle's masks over the Stages × Width switch sites, memDead
 	// over the modules; all three are filled serially at the top of Step,
-	// so every Workers width sees the same schedule.
+	// so every Workers width sees the same schedule.  masked says the last
+	// fill had a window open: the masks may hold a set bit, so the next
+	// cycle fills them again even if it is quiet (updateMasks).
 	flt     *faults.Injector
 	trk     *faults.Tracker
 	rec     *recover.Manager
@@ -271,6 +273,7 @@ type Shell struct {
 	stall   []bool
 	swDead  []bool
 	memDead []bool
+	masked  bool
 	// adv arms the integrity layer on the terminal links; the limbo
 	// buffers hold reordered messages until their release cycle.
 	adv      bool
@@ -345,15 +348,13 @@ func (s *Shell) Init(cfg ShellConfig) {
 func (s *Shell) Step() {
 	s.tot.Cycles++
 	if s.flt != nil {
-		// Each stall query counts a lost switch-cycle: once per site.
-		for d, stage := 0, 0; d < len(s.stall); stage++ {
-			for idx := 0; idx < s.width; idx++ {
-				s.stall[d] = s.flt.Stalled(stage, idx, s.tot.Cycles)
-				d++
-			}
-		}
-		if s.rec != nil {
-			s.updateCrashState()
+		// The masks change only while some window is open and on the cycle
+		// after the last one closes (the falling edges).  On any other cycle
+		// every site query would answer false and count nothing, and the
+		// masks are already clear.
+		if open := s.flt.WindowOpen(s.tot.Cycles); open || s.masked {
+			s.updateMasks()
+			s.masked = open
 		}
 		for _, p := range s.trk.Expired(s.tot.Cycles) {
 			*s.retry[p.Proc].Push() = Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot}
@@ -371,13 +372,23 @@ func (s *Shell) Step() {
 	}
 }
 
-// updateCrashState moves the crash masks one cycle with edge detection.  A
-// rising edge (component entering its window) flushes the component's
-// volatile state and records the lost in-flight operations; a falling edge
-// is the restart — the component rejoins empty (switch site) or at its last
-// checkpoint (module).  Every injector query counts a dead component-cycle,
-// so each site is asked exactly once per cycle.
-func (s *Shell) updateCrashState() {
+// updateMasks asks the injector about every site for this cycle: the stall
+// mask, then the crash masks with edge detection.  A rising edge (component
+// entering its crash window) flushes the component's volatile state and
+// records the lost in-flight operations; a falling edge is the restart — the
+// component rejoins empty (switch site) or at its last checkpoint (module).
+// A stall query counts a lost switch-cycle and a crash query a dead
+// component-cycle, so each site is asked exactly once per cycle.
+func (s *Shell) updateMasks() {
+	for d, stage := 0, 0; d < len(s.stall); stage++ {
+		for idx := 0; idx < s.width; idx++ {
+			s.stall[d] = s.flt.Stalled(stage, idx, s.tot.Cycles)
+			d++
+		}
+	}
+	if s.rec == nil {
+		return
+	}
 	for d, stage := 0, 0; d < len(s.swDead); stage++ {
 		for idx := 0; idx < s.width; idx++ {
 			dead := s.flt.SwitchCrashed(stage, idx, s.tot.Cycles)

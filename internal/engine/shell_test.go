@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -256,5 +257,112 @@ func TestServedBoxOutlivesTheNextFeed(t *testing.T) {
 	}
 	if third := serve(); third.Req.ID != 3 || third.Src != 33 {
 		t.Fatalf("third reply came back with %+v", *third)
+	}
+}
+
+// TestMaskEdges: the step prologue fills the stall and crash masks only
+// while some window is open and on the cycle after (Shell.updateMasks); a
+// machine that does so must be indistinguishable from one that asks every
+// site every cycle.  The plans are the ones the skip could get wrong —
+// windows that abut, windows that overlap, wildcard sites, long quiet gaps
+// between windows, a window closing on the run's last cycle and one still
+// open there.  Each runs twice, the second time with the skip forced off,
+// and both are held cycle by cycle to the injector's own per-site answers:
+// who is down, a crash noted (and the station flushed) on each rising edge,
+// a restore on each falling edge; at the end every counter and every reply
+// agrees.
+func TestMaskEdges(t *testing.T) {
+	const n, ops, total = 8, 150, 320
+	type W = faults.Window
+	for _, tc := range []struct {
+		name string
+		plan faults.Plan
+	}{
+		{"abutting", faults.Plan{Seed: 1,
+			Crashes:    []W{{Stage: 0, Index: 0, From: 10, To: 20}, {Stage: 0, Index: 0, From: 20, To: 30}},
+			MemCrashes: []W{{Stage: -1, Index: 2, From: 30, To: 40}, {Stage: -1, Index: 2, From: 40, To: 45}},
+			Stalls:     []W{{Stage: 0, Index: 0, From: 45, To: 50}, {Stage: 0, Index: 0, From: 50, To: 51}}}},
+		{"overlapping", faults.Plan{Seed: 2,
+			Stalls:     []W{{Stage: -1, Index: 0, From: 5, To: 15}, {Stage: 0, Index: -1, From: 12, To: 18}},
+			Crashes:    []W{{Stage: -1, Index: -1, From: 16, To: 26}, {Stage: 0, Index: 0, From: 20, To: 24}},
+			MemCrashes: []W{{Stage: -1, Index: -1, From: 22, To: 34}, {Stage: -1, Index: 3, From: 30, To: 60}}}},
+		{"far apart", faults.Plan{Seed: 3, DropFwd: 0.01,
+			Crashes:    []W{{Stage: 0, Index: 0, From: 40, To: 42}, {Stage: 0, Index: 0, From: 300, To: 301}},
+			MemCrashes: []W{{Stage: -1, Index: 0, From: 150, To: 153}},
+			Stalls:     []W{{Stage: 0, Index: 0, From: 1, To: 2}, {Stage: 0, Index: 0, From: 3, To: 3}}}},
+		{"last cycle", faults.Plan{Seed: 4,
+			Crashes:    []W{{Stage: 0, Index: 0, From: total - 10, To: total}},
+			MemCrashes: []W{{Stage: -1, Index: 1, From: total - 5, To: total + 1}, {Stage: -1, Index: -1, From: total - 30, To: total - 1}},
+			Stalls:     []W{{Stage: 0, Index: 0, From: total, To: total + 9}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(everyCycle bool) (*loopback, []*adder) {
+				adders, inj := newAdders(n, ops)
+				plan := tc.plan
+				l := newLoopback(&plan, inj)
+				oracle := faults.NewInjector(tc.plan)
+				var crashes, restores, flushed int64
+				swWas, modWas := false, make([]bool, n)
+				for c := int64(1); c <= total; c++ {
+					held, _, _ := l.Station(0).Occupancy()
+					l.masked = l.masked || everyCycle
+					l.Step()
+					stalled, dead := oracle.Stalled(0, 0, c), oracle.SwitchCrashed(0, 0, c)
+					if dead && !swWas {
+						crashes++
+						flushed += int64(held)
+					} else if !dead && swWas {
+						restores++
+					}
+					swWas = dead
+					if l.Down(0) != (stalled || dead) || l.Dead(0) != dead {
+						t.Fatalf("cycle %d: station down %v dead %v; the plan says stalled %v dead %v", c, l.Down(0), l.Dead(0), stalled, dead)
+					}
+					if fwd, _, _ := l.Station(0).Occupancy(); dead && fwd != 0 {
+						t.Fatalf("cycle %d: the crashed station holds %d requests", c, fwd)
+					}
+					for mod := range modWas {
+						dead := oracle.MemCrashed(mod, c)
+						if dead && !modWas[mod] {
+							crashes++
+						} else if !dead && modWas[mod] {
+							restores++
+						}
+						modWas[mod] = dead
+						if l.ModuleDead(mod) != dead {
+							t.Fatalf("cycle %d: module %d dead %v; the plan says %v", c, mod, l.ModuleDead(mod), dead)
+						}
+					}
+					if got := l.rec.Counters(); got.Crashes != crashes || got.Restores != restores {
+						t.Fatalf("cycle %d: %d crashes and %d restores noted; the plan's edges so far are %d and %d",
+							c, got.Crashes, got.Restores, crashes, restores)
+					}
+				}
+				got := l.Snapshot().Counters
+				if got["stall_cycles"] != oracle.StallCycles.Load() || got["crash_cycles"] != oracle.CrashCycles.Load() {
+					t.Fatalf("stall_cycles %d crash_cycles %d; asking every site every cycle counts %d and %d",
+						got["stall_cycles"], got["crash_cycles"], oracle.StallCycles.Load(), oracle.CrashCycles.Load())
+				}
+				if crashes == 0 || got["stall_cycles"] == 0 || (flushed > 0 && got["lost_in_flight"] == 0) {
+					t.Fatalf("vacuous plan: %d crashes, %d stall cycles, %d requests flushed, %d lost in flight",
+						crashes, got["stall_cycles"], flushed, got["lost_in_flight"])
+				}
+				return l, adders
+			}
+			skipping, adders := run(false)
+			asking, askAdders := run(true)
+			if a, b := skipping.Snapshot().Counters, asking.Snapshot().Counters; !reflect.DeepEqual(a, b) {
+				t.Fatalf("the runs differ:\nskipping quiet cycles: %v\nasking every cycle:    %v", a, b)
+			}
+			for p := range adders {
+				if !reflect.DeepEqual(adders[p].hot, askAdders[p].hot) || !reflect.DeepEqual(adders[p].private, askAdders[p].private) {
+					t.Fatalf("proc %d saw different replies in the two runs", p)
+				}
+			}
+			if !skipping.Drain(200000) {
+				t.Fatalf("did not drain:\n%s", skipping.StallReport())
+			}
+			checkAdders(t, skipping, adders, ops, []string{"crashes", "restores"})
+		})
 	}
 }

@@ -114,8 +114,6 @@ func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy
 	return sts
 }
 
-func fwdReq(m *Fwd) *core.Request { return &m.Req }
-
 // AcceptFwd takes request m into forward queue out: combined with the most
 // recent queued request for its address when the pair combines and the wait
 // buffer has room, else appended, else — the queue is full — refused, and
@@ -139,28 +137,42 @@ func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now uint32, sh *Shar
 }
 
 // combine attempts to merge m into the non-empty queue q.  Only the LAST
-// queued request for the address is a legal partner (M2.3, core.CombineAtTail).
+// queued request for the address is a legal partner (M2.3).  The step is
+// core.CombineAtTail, which defines it and which the tests hold this scan
+// to; it is written out here because a blocked head runs it every cycle, and
+// nearly always to find no partner or no room: the scan reads the address
+// field in place, and the combined request and its record are built only
+// once the pair is known to combine and the wait buffer to have room.
 func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path []uint8, sh *Shard) bool {
-	tc, rejected, ok := core.CombineAtTail(q.View(), fwdReq, m.Req, st.pol, st.Wait.CanPush)
-	if rejected {
+	held := q.View()
+	i := len(held) - 1
+	for i >= 0 && held[i].Req.Addr != m.Req.Addr {
+		i--
+	}
+	if i < 0 || !rmw.Combinable(held[i].Req.Op, m.Req.Op) {
+		return false
+	}
+	if !st.Wait.CanPush() {
 		// A full wait buffer forfeits the combine (partial combining, A1).
 		st.Wait.Rejections++
 		if st.Trace != nil {
 			st.Trace(Rejected, m.Req.ID, 0, m.Req.Addr)
 		}
+		return false
 	}
+	queued := &held[i]
+	combined, rec, ok := core.Combine(queued.Req, m.Req, st.pol)
 	if !ok {
 		return false
 	}
-	queued := &q.View()[tc.Index]
 	// The message whose id the combined request carries is serialized first;
 	// the other's routing state goes into the wait-buffer record.
 	first, firstPath, second, secondPath := queued, queued.Path, m, path
-	if tc.Swapped {
+	if rec.ID1 == m.Req.ID { // order reversal serialized the arrival first
 		first, firstPath, second, secondPath = m, path, queued, queued.Path
 	}
-	if !st.Wait.Push(tc.Rec.ID1, Record{
-		Record: tc.Rec,
+	if !st.Wait.Push(rec.ID1, Record{
+		Record: rec,
 		Path2:  secondPath,
 		Src2:   second.Src,
 		Issue2: second.Issue,
@@ -171,11 +183,11 @@ func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path []uint8, sh *Shard) b
 	}) {
 		return false
 	}
-	*queued = Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot,
+	*queued = Fwd{Req: combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot,
 		Path: firstPath, Moved: queued.Moved}
 	sh.Combines++
 	if st.Trace != nil {
-		st.Trace(Combined, tc.Rec.ID1, tc.Rec.ID2, m.Req.Addr)
+		st.Trace(Combined, rec.ID1, rec.ID2, m.Req.Addr)
 	}
 	return true
 }

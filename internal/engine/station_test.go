@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"combining/internal/core"
@@ -379,4 +380,137 @@ func TestStationSteadyStateZeroAlloc(t *testing.T) {
 	if st.Wait.Rejections == before || sh.Combines != 0 {
 		t.Fatalf("the rounds never met a partner (%d rejections, %d combines)", st.Wait.Rejections-before, sh.Combines)
 	}
+}
+
+// TestStationScanMatchesCombineAtTail: the station writes the tail scan out
+// (Station.combine); core.CombineAtTail remains its definition.  Random
+// queues — filled behind the station's back, so a non-combinable partner can
+// shadow a combinable one, which no sequence of accepts produces with room in
+// the wait buffer — meet random arrivals: fresh and retransmitted, with the
+// wait buffer off, full, nearly full and unbounded, with and without order
+// reversal.  Whatever CombineAtTail says of the queue as it stood — partner
+// index, combined request, record, which of the two was serialized first,
+// whether a full buffer forfeited the combine — the station must have done.
+func TestStationScanMatchesCombineAtTail(t *testing.T) {
+	r := rand.New(rand.NewPCG(17, 19))
+	draw := func(id word.ReqID) Fwd {
+		var op rmw.Mapping
+		switch r.IntN(4) {
+		case 0, 1:
+			op = families[0].draw(r) // load, store, swap: reversal pays here
+		case 2:
+			op = rmw.FetchAdd(r.Int64N(5))
+		default:
+			op = rmw.FetchOr(r.Int64N(5)) // combines with no add
+		}
+		src := r.IntN(6)
+		m := Fwd{Req: core.NewRequest(id, word.Addr(r.IntN(3)), op, word.ProcID(src)).WithReps(),
+			Src: src, Issue: int64(id), Hot: r.IntN(2) == 0, Path: []uint8{uint8(id)}}
+		if r.IntN(8) == 0 {
+			m.Req.Attempt = 1
+		}
+		return m
+	}
+	reqOf := func(m *Fwd) *core.Request { return &m.Req }
+	var combined, swapped, rejectedN, shadowed, retransmits int
+	for trial := 0; trial < 4000; trial++ {
+		pol := core.Policy{AllowReversal: r.IntN(2) == 0}
+		waitCap := []int{0, 2, 2, core.Unbounded}[r.IntN(4)]
+		st := &NewStations(1, 1, 1, 0, 0, waitCap, pol)[0]
+		var events []EventKind
+		st.Trace = func(kind EventKind, _, _ word.ReqID, _ word.Addr) { events = append(events, kind) }
+		for i := r.IntN(3); i > 0; i-- {
+			st.Wait.Push(word.ReqID(1000+i), Record{}) // other combines' records
+		}
+		q := &st.Fwd[0]
+		for i := r.IntN(7); i > 0; i-- {
+			*q.Push() = draw(word.ReqID(i))
+		}
+		m := draw(100)
+		before := append([]Fwd(nil), q.View()...)
+		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.Wait.CanPush)
+		rejections, records := st.Wait.Rejections, st.Wait.Len()
+
+		var sh Shard
+		if !st.AcceptFwd(&m, 0, m.Path, 7, &sh) {
+			t.Fatalf("trial %d: an unbounded queue refused the request", trial)
+		}
+		after := q.View()
+
+		if got := st.Wait.Rejections - rejections; (got == 1) != rejected || got > 1 {
+			t.Fatalf("trial %d: %d rejections counted, CombineAtTail says rejected=%v", trial, got, rejected)
+		}
+		wantEvents := []EventKind(nil)
+		if rejected {
+			wantEvents = append(wantEvents, Rejected)
+			rejectedN++
+		}
+		if ok {
+			wantEvents = append(wantEvents, Combined)
+		}
+		if !reflect.DeepEqual(events, wantEvents) {
+			t.Fatalf("trial %d: trace events %v, want %v", trial, events, wantEvents)
+		}
+		if !ok {
+			// Appended whole, nothing else touched.
+			want := append(before, m)
+			want[len(before)].Moved = 7
+			if !reflect.DeepEqual(after, want) || st.Wait.Len() != records || sh.Combines != 0 {
+				t.Fatalf("trial %d: no combine, yet the queue is\n%+v\nwant\n%+v\n(%d records, were %d)", trial, after, want, st.Wait.Len(), records)
+			}
+			// Which of the interesting refusals was it?
+			if p := lastFor(before, m.Req.Addr); p >= 0 {
+				fresh := m.Req.Attempt == 0 && before[p].Req.Attempt == 0
+				switch combinable := rmw.Combinable(before[p].Req.Op, m.Req.Op); {
+				case combinable && !fresh:
+					retransmits++
+				case !combinable && fresh && hasCombinable(before[:p], m):
+					shadowed++
+				}
+			}
+			continue
+		}
+		combined++
+		partner := before[tc.Index]
+		first, second := partner, m
+		if tc.Swapped {
+			first, second = m, partner
+			swapped++
+		}
+		want := append([]Fwd(nil), before...)
+		want[tc.Index] = Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot, Path: first.Path, Moved: partner.Moved}
+		if !reflect.DeepEqual(after, want) {
+			t.Fatalf("trial %d: after the combine the queue is\n%+v\nwant\n%+v", trial, after, want)
+		}
+		rec, found := st.Wait.Pop(tc.Rec.ID1)
+		wantRec := Record{Record: tc.Rec, Path2: second.Path, Src2: second.Src, Issue2: second.Issue, Hot2: second.Hot,
+			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op), Reps2: second.Req.Reps}
+		if !found || !reflect.DeepEqual(rec, wantRec) || st.Wait.Len() != records || sh.Combines != 1 {
+			t.Fatalf("trial %d: record %+v (found %v), want %+v; %d combines", trial, rec, found, wantRec, sh.Combines)
+		}
+	}
+	if combined == 0 || swapped == 0 || rejectedN == 0 || shadowed == 0 || retransmits == 0 {
+		t.Fatalf("%d combines, %d reversed, %d rejected, %d shadowed partners, %d retransmits refused: a case never came up",
+			combined, swapped, rejectedN, shadowed, retransmits)
+	}
+}
+
+// lastFor is the position of the last queued request for addr, or -1.
+func lastFor(queue []Fwd, addr word.Addr) int {
+	for i := len(queue) - 1; i >= 0; i-- {
+		if queue[i].Req.Addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+// hasCombinable reports whether some queued request would combine with m.
+func hasCombinable(queue []Fwd, m Fwd) bool {
+	for i := range queue {
+		if queue[i].Req.Addr == m.Req.Addr && queue[i].Req.Attempt == 0 && rmw.Combinable(queue[i].Req.Op, m.Req.Op) {
+			return true
+		}
+	}
+	return false
 }

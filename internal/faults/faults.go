@@ -16,7 +16,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"combining/internal/stats"
 	"combining/internal/word"
@@ -226,6 +229,10 @@ func GenCrashPlan(seed uint64, n int, horizon, dead int64) *Plan {
 // injector from every switch without serializing them.
 type Injector struct {
 	plan Plan
+	// open is when the plan's site masks can be anything but all-clear: the
+	// cycle intervals covered by some Stalls, Crashes or MemCrashes window,
+	// merged and sorted once (WindowOpen).
+	open []span
 
 	// DropsFwd and DropsRev count dropped request and reply hops;
 	// StallCycles and MemStallCycles count switch-cycles and
@@ -261,7 +268,33 @@ func NewInjector(p Plan) *Injector {
 	if p.ReorderMax <= 0 && p.Reorder > 0 {
 		p.ReorderMax = 8
 	}
-	return &Injector{plan: p}
+	return &Injector{plan: p, open: mergeSpans(p.Stalls, p.Crashes, p.MemCrashes)}
+}
+
+// span is a half-open cycle interval [from, to).
+type span struct{ from, to int64 }
+
+// mergeSpans returns the union of the windows' cycle intervals, whatever
+// their sites, as disjoint, non-adjacent spans in increasing order.
+func mergeSpans(lists ...[]Window) []span {
+	var spans []span
+	for _, ws := range lists {
+		for _, w := range ws {
+			if w.From < w.To {
+				spans = append(spans, span{w.From, w.To})
+			}
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.from, b.from) })
+	merged := spans[:0]
+	for _, sp := range spans {
+		if n := len(merged); n > 0 && sp.from <= merged[n-1].to {
+			merged[n-1].to = max(merged[n-1].to, sp.to)
+		} else {
+			merged = append(merged, sp)
+		}
+	}
+	return merged
 }
 
 // Plan returns the (default-filled) plan the injector answers for.
@@ -398,6 +431,19 @@ func (f *Injector) Stalled(stage, index int, cycle int64) bool {
 		}
 	}
 	return false
+}
+
+// WindowOpen reports whether any stall, switch-crash or module-crash window,
+// at any site, covers the cycle.  When none does, Stalled, SwitchCrashed and
+// MemCrashed answer false for every site and count nothing, so an engine
+// that keeps per-site masks of their answers may leave all-clear masks alone
+// on such a cycle.  Pure, and answered from intervals merged once in
+// NewInjector.
+func (f *Injector) WindowOpen(cycle int64) bool {
+	// The first span that ends after the cycle is the only one that can
+	// cover it.
+	i := sort.Search(len(f.open), func(i int) bool { return f.open[i].to > cycle })
+	return i < len(f.open) && f.open[i].from <= cycle
 }
 
 // MemStalled reports whether memory module mod is inside a slowdown window

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"combining/internal/word"
@@ -126,5 +127,51 @@ func TestTimeoutBackoff(t *testing.T) {
 	def := NewInjector(Plan{Seed: 1})
 	if def.Timeout(1) != 64 || def.Timeout(20) != 512 {
 		t.Fatalf("default backoff = %d..%d, want 64..512", def.Timeout(1), def.Timeout(20))
+	}
+}
+
+// TestWindowOpen: the merged intervals answer, for every cycle, exactly
+// whether some stall, switch-crash or module-crash window covers it — over
+// random window sets with empty, nested, abutting and overlapping windows —
+// and whenever the answer is no, every per-site query is false and counts
+// nothing.
+func TestWindowOpen(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 9))
+	for trial := 0; trial < 200; trial++ {
+		var plan Plan
+		for _, ws := range []*[]Window{&plan.Stalls, &plan.Crashes, &plan.MemCrashes} {
+			for i := r.IntN(4); i > 0; i-- {
+				from := r.Int64N(60)
+				*ws = append(*ws, Window{Stage: r.IntN(3) - 1, Index: r.IntN(4) - 1, From: from, To: from + r.Int64N(12)})
+			}
+		}
+		// Link and module-slowdown windows are not the masks' business.
+		plan.LinkCrashes = []Window{{Stage: -1, Index: -1, From: 0, To: 100}}
+		plan.MemStalls = plan.LinkCrashes
+		flt := NewInjector(plan)
+		for cycle := int64(-2); cycle < 80; cycle++ {
+			want := false
+			for _, ws := range [][]Window{plan.Stalls, plan.Crashes, plan.MemCrashes} {
+				for _, w := range ws {
+					want = want || (w.From <= cycle && cycle < w.To)
+				}
+			}
+			if got := flt.WindowOpen(cycle); got != want {
+				t.Fatalf("trial %d: WindowOpen(%d) = %v, the windows say %v\n%+v", trial, cycle, got, want, plan)
+			}
+			if want {
+				continue
+			}
+			for stage := 0; stage < 2; stage++ {
+				for idx := 0; idx < 3; idx++ {
+					if flt.Stalled(stage, idx, cycle) || flt.SwitchCrashed(stage, idx, cycle) || flt.MemCrashed(idx, cycle) {
+						t.Fatalf("trial %d: a site query is true at quiet cycle %d\n%+v", trial, cycle, plan)
+					}
+				}
+			}
+		}
+		if quiet := flt.StallCycles.Load() + flt.CrashCycles.Load(); quiet != 0 {
+			t.Fatalf("trial %d: %d cycles counted on quiet cycles", trial, quiet)
+		}
 	}
 }

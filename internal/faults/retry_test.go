@@ -1,0 +1,307 @@
+package faults
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"sort"
+	"testing"
+
+	"combining/internal/core"
+	"combining/internal/rmw"
+	"combining/internal/word"
+)
+
+// modelTracker is the tracker as it was first written, kept as the reference
+// the indexed one is held to: one map of live requests, a count per
+// (proc, addr), and an Expired that walks the whole map every call.
+type modelTracker struct {
+	flt      *Injector
+	live     map[word.ReqID]*Pending
+	liveAddr map[addrKey]int
+
+	retries, duplicates, recovered int64
+}
+
+type addrKey struct {
+	proc int
+	addr word.Addr
+}
+
+func newModelTracker(flt *Injector) *modelTracker {
+	return &modelTracker{flt: flt, live: map[word.ReqID]*Pending{}, liveAddr: map[addrKey]int{}}
+}
+
+func (t *modelTracker) Track(proc int, req core.Request, hot bool, now int64) {
+	t.live[req.ID] = &Pending{Proc: proc, Req: req, Hot: hot, IssueCycle: now, Deadline: now + t.flt.Timeout(1)}
+	t.liveAddr[addrKey{proc, req.Addr}]++
+}
+
+func (t *modelTracker) HeldBack(proc int, addr word.Addr) bool {
+	return t.liveAddr[addrKey{proc, addr}] > 1
+}
+
+func (t *modelTracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
+	p, ok := t.live[id]
+	if !ok {
+		t.duplicates++
+		return Pending{}, false
+	}
+	delete(t.live, id)
+	k := addrKey{p.Proc, p.Req.Addr}
+	if t.liveAddr[k]--; t.liveAddr[k] == 0 {
+		delete(t.liveAddr, k)
+	}
+	if p.Req.Attempt > 0 {
+		t.recovered++
+	}
+	return *p, true
+}
+
+func (t *modelTracker) Expired(now int64) []Pending {
+	var out []Pending
+	for _, p := range t.live {
+		if now < p.Deadline {
+			continue
+		}
+		if !t.oldestLive(p) {
+			p.Deadline = now + t.flt.Timeout(1)
+			continue
+		}
+		p.Req.Attempt++
+		p.Deadline = now + t.flt.Timeout(p.Req.Attempt+1)
+		t.retries++
+		out = append(out, *p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Proc != out[j].Proc {
+			return out[i].Proc < out[j].Proc
+		}
+		return out[i].Req.ID < out[j].Req.ID
+	})
+	return out
+}
+
+func (t *modelTracker) oldestLive(p *Pending) bool {
+	if t.liveAddr[addrKey{p.Proc, p.Req.Addr}] < 2 {
+		return true
+	}
+	for _, q := range t.live {
+		if q != p && q.Proc == p.Proc && q.Req.Addr == p.Req.Addr && q.Req.ID < p.Req.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// modelPlans are the retry parameters the schedules run under: the defaults
+// (a backed-off deadline lands in the bucket it was read from), a short
+// timeout, backoffs longer than one revolution of the wheel, and a timeout
+// beyond the largest wheel.
+var modelPlans = []Plan{
+	{Seed: 1},
+	{Seed: 2, RetryTimeout: 8, RetryCap: 40},
+	{Seed: 3, RetryTimeout: 50, RetryCap: 400},
+	{Seed: 4, RetryTimeout: 5000, RetryCap: 5000},
+}
+
+// runTrackerSchedule drives the tracker and the model with one schedule, two
+// bytes a step, and fails on the first difference: in what Deliver and
+// Expired return, or afterwards in Outstanding, in Live of every id ever
+// issued and in HeldBack of every (proc, addr).  The first byte picks the
+// step — track (to a shared address half the time, so a processor's requests
+// pile up on it and HeldBack and the deferral fire), deliver a live request,
+// deliver again one already delivered, advance a cycle, skip cycles — and
+// the second its operand.  It returns how many retransmits and deferrals it
+// saw.
+func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, deferred int) {
+	t.Helper()
+	const procs, addrs = 4, 3
+	trk, model := NewTracker(NewInjector(plan)), newModelTracker(NewInjector(plan))
+	var now int64
+	var issued []word.ReqID
+	seq := make([]int, procs)
+	liveIDs := func() []word.ReqID {
+		ids := make([]word.ReqID, 0, len(model.live))
+		for id := range model.live {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}
+	deliver := func(step int, id word.ReqID) {
+		got, gotOK := trk.Deliver(id, now)
+		want, wantOK := model.Deliver(id, now)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Deliver(%d) at %d = %+v, %v; the model says %+v, %v", step, id, now, got, gotOK, want, wantOK)
+		}
+	}
+	expire := func(step int) {
+		before := map[word.ReqID]int64{}
+		for id, p := range model.live {
+			before[id] = p.Deadline
+		}
+		got, want := trk.Expired(now), model.Expired(now)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("step %d: Expired(%d) =\n%+v\nthe model says\n%+v", step, now, got, want)
+		}
+		retries += len(want)
+		for id, p := range model.live {
+			if p.Req.Attempt == 0 && p.Deadline != before[id] {
+				deferred++
+			}
+		}
+	}
+	for step := 0; step+1 < len(schedule); step += 2 {
+		op, arg := schedule[step]%10, int(schedule[step+1])
+		switch {
+		case op < 4:
+			proc, addr := arg%procs, word.Addr(0)
+			if arg&4 != 0 {
+				addr = word.Addr(arg/8%addrs + 1)
+			}
+			// Ids increase per processor, as the ports issue them.
+			id := word.ReqID(seq[proc]*procs + proc + 1)
+			seq[proc]++
+			req := core.NewRequest(id, addr, rmw.FetchAdd(1), word.ProcID(proc))
+			trk.Track(proc, req, addr == 0, now)
+			model.Track(proc, req, addr == 0, now)
+			issued = append(issued, id)
+		case op < 6:
+			if ids := liveIDs(); len(ids) > 0 {
+				deliver(step, ids[arg%len(ids)])
+			}
+		case op == 6:
+			if len(issued) > 0 {
+				deliver(step, issued[arg%len(issued)]) // a duplicate, most of the time
+			} else {
+				deliver(step, word.ReqID(arg+1)) // never tracked
+			}
+		case op < 9:
+			now++
+			expire(step)
+		default:
+			now += int64(arg) * int64(arg) / 16 // up to 4064 cycles unobserved
+			expire(step)
+		}
+		if trk.Outstanding() != len(model.live) {
+			t.Fatalf("step %d: Outstanding = %d, the model holds %d", step, trk.Outstanding(), len(model.live))
+		}
+		for _, id := range issued {
+			if _, want := model.live[id]; trk.Live(id) != want {
+				t.Fatalf("step %d: Live(%d) = %v, the model says %v", step, id, !want, want)
+			}
+		}
+		for proc := 0; proc < procs; proc++ {
+			for addr := word.Addr(0); addr <= addrs; addr++ {
+				if got, want := trk.HeldBack(proc, addr), model.HeldBack(proc, addr); got != want {
+					t.Fatalf("step %d: HeldBack(%d, %d) = %v, the model says %v", step, proc, addr, got, want)
+				}
+			}
+		}
+	}
+	if trk.Retries.Load() != model.retries || trk.Duplicates.Load() != model.duplicates || trk.Recovered.Load() != model.recovered {
+		t.Fatalf("counters: %d retries, %d duplicates, %d recovered; the model counted %d, %d, %d",
+			trk.Retries.Load(), trk.Duplicates.Load(), trk.Recovered.Load(), model.retries, model.duplicates, model.recovered)
+	}
+	return retries, deferred
+}
+
+// TestTrackerMatchesModel holds the indexed tracker to the full-scan model
+// over seeded random schedules under every plan of modelPlans, and checks
+// that the schedules reached what they were written to reach: retransmits,
+// deferrals behind an older request to the same address, and duplicates.
+func TestTrackerMatchesModel(t *testing.T) {
+	for pi, plan := range modelPlans {
+		retries, deferred := 0, 0
+		for seed := uint64(0); seed < 24; seed++ {
+			r := rand.New(rand.NewPCG(seed, uint64(pi)))
+			schedule := make([]byte, 1200)
+			for i := range schedule {
+				schedule[i] = byte(r.UintN(256))
+			}
+			rt, df := runTrackerSchedule(t, plan, schedule)
+			retries, deferred = retries+rt, deferred+df
+		}
+		if retries == 0 || deferred == 0 {
+			t.Errorf("plan %d: %d retransmits, %d deferrals — the schedules never got there", pi, retries, deferred)
+		}
+	}
+}
+
+// FuzzTrackerModel is TestTrackerMatchesModel with the schedule, and the
+// choice among modelPlans, left to the fuzzer.
+func FuzzTrackerModel(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 9, 255, 4, 0, 7, 0, 6, 0})
+	f.Add(uint8(1), []byte{0, 1, 0, 1, 0, 1, 9, 12, 9, 12, 4, 0, 9, 40, 6, 1})
+	f.Add(uint8(2), []byte{1, 2, 1, 6, 9, 30, 9, 30, 9, 60, 5, 1, 9, 90})
+	f.Add(uint8(3), []byte{2, 3, 9, 255, 9, 255, 2, 3, 9, 255, 4, 0})
+	f.Fuzz(func(t *testing.T, plan uint8, schedule []byte) {
+		runTrackerSchedule(t, modelPlans[int(plan)%len(modelPlans)], schedule)
+	})
+}
+
+// TestTrackerSteadyStateZeroAlloc: once the boxes, the buckets and the
+// scratch slices have reached their working size, a round of issue, expiry
+// (with a retransmit in it) and delivery allocates nothing.
+func TestTrackerSteadyStateZeroAlloc(t *testing.T) {
+	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 4, RetryCap: 8}))
+	const procs = 8
+	reqs := make([]core.Request, procs)
+	for p := range reqs {
+		reqs[p] = core.NewRequest(0, word.Addr(p%3), rmw.FetchAdd(1), word.ProcID(p))
+	}
+	var now int64
+	var next word.ReqID
+	retried := 0
+	round := func() {
+		// Every processor issues; the requests wait out a timeout or two,
+		// are retransmitted, and are then all delivered.
+		first := next
+		for p := range reqs {
+			next++
+			reqs[p].ID = next
+			trk.Track(p, reqs[p], false, now)
+		}
+		for i := 0; i < 6; i++ {
+			now++
+			retried += len(trk.Expired(now))
+		}
+		for id := first + 1; id <= next; id++ {
+			trk.Deliver(id, now)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	if retried == 0 || trk.Outstanding() != 0 {
+		t.Fatalf("warm-up: %d retransmits, %d outstanding", retried, trk.Outstanding())
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("Track + Expired + Deliver: %.1f allocs per round, want 0", allocs)
+	}
+}
+
+// FuzzPlanRoundTrip: ParsePlan never panics, and a plan it accepts survives
+// EncodePlan and ParsePlan unchanged — the spec a chaos reproducer prints is
+// the plan that failed.
+func FuzzPlanRoundTrip(f *testing.F) {
+	for _, p := range []*Plan{{}, Default(3), DefaultAdversarial(7), DefaultCrash(5), GenCrashPlan(13, 3, 4000, 80)} {
+		f.Add(EncodePlan(p))
+	}
+	f.Add("seed=1,canary= a=b ,retry=0,stalls=-1:-1:0:0+0:0:5:5")
+	f.Add("dropfwd=NaN,droprev=-0,dup=0x1p-4,corrupt=1e-320")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		enc := EncodePlan(p)
+		back, err := ParsePlan(enc)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) accepted, but its encoding %q is rejected: %v", spec, enc, err)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("round trip changed the plan\nspec: %q\nenc:  %q\nin:   %+v\nout:  %+v", spec, enc, p, back)
+		}
+	})
+}

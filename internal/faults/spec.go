@@ -136,7 +136,7 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f >= 1 {
+	if !(f >= 0 && f < 1) { // NaN parses, and is outside too
 		return 0, fmt.Errorf("probability outside [0, 1)")
 	}
 	return f, nil

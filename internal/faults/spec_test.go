@@ -59,6 +59,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"seed=5,bogus=1":           "unknown plan spec key",
 		"dup=1.5":                  "probability outside [0, 1)",
 		"corrupt=-0.1":             "probability outside [0, 1)",
+		"dropfwd=NaN":              "probability outside [0, 1)",
 		"reorder=abc":              "reorder",
 		"retry=-5":                 "must be >= 0",
 		"stalls=1:2:3":             "not stage:index:from:to",
