@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test race bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench profile loc fmt vet cover
+.PHONY: all check test race fuzz bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench profile loc fmt vet cover
 
 all: vet test
 
@@ -10,7 +10,7 @@ all: vet test
 # soak (checkpointed recovery on every wiring, crash-only and crash+drop),
 # the chaos fuzzer (randomized adversarial fault plans on all six
 # wirings, with the vacuous-pass guard), and the pkg/sync library soak
-# (MCS lock, tournament barrier, sharded counter at 100k goroutines,
+# (MCS lock, combining-tree barrier, sharded counter at 100k goroutines,
 # differentially checked against the serial oracle).
 check:
 	go build ./...
@@ -27,6 +27,17 @@ test:
 
 race:
 	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ .
+
+# fuzz runs every native fuzz target for five seconds (go test takes one
+# -fuzz target per invocation).  Their seed corpora already run as unit
+# tests under `go test ./...`; this is the part that mutates.  A failing
+# input lands in the package's testdata/fuzz/ — commit it with the fix.
+fuzz:
+	go test ./internal/rmw/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=5s
+	go test ./internal/rmw/ -run '^$$' -fuzz '^FuzzComposeSemantics$$' -fuzztime=5s
+	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime=5s
+	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzTrackerModel$$' -fuzztime=5s
+	go test ./internal/core/ -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime=5s
 
 # bench regenerates the committed measured baseline (EXPERIMENTS.md
 # §Measured baselines).
@@ -61,11 +72,12 @@ soak:
 
 # syncbench runs the pkg/sync microbenchmarks against their stdlib
 # baselines (sharded counter vs bare atomic vs mutex; MCS vs sync.Mutex;
-# tournament barrier vs WaitGroup fork-join), the lock and barrier pairs
+# combining-tree barrier vs WaitGroup fork-join), the lock and barrier pairs
 # both matched (one goroutine per P) and oversubscribed (64 goroutines on
-# the same Ps, the *Oversub benchmarks).  The wall-clock sweeps that
-# land in BENCH_combining.json's sync_primitives section come from
-# cmd/experiments (`make bench`).
+# the same Ps, the *Oversub benchmarks), and BenchmarkSyncBarrierGrid, the
+# three barrier families at widths 2–64 (EXPERIMENTS.md E23).  The
+# wall-clock sweeps that land in BENCH_combining.json's sync_primitives
+# section come from cmd/experiments (`make bench`).
 syncbench:
 	go test -bench=BenchmarkSync -benchmem ./pkg/sync/
 

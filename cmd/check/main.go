@@ -49,7 +49,7 @@
 // With -synclib it soaks the pkg/sync primitives at acceptance scale:
 // the MCS lock guards a non-atomic counter from 100k goroutines with every
 // critical section's observed old value checked against the Lemma 4.1
-// serial oracle; the tournament barrier holds thousands of participants in
+// serial oracle; the combining-tree barrier holds thousands of participants in
 // phase lockstep (plus one 100k-wide episode); the sharded counter's Read
 // must equal combining.SerialReplies on the full trace of adds.  Run it
 // under -race (the Makefile and CI do).
@@ -84,7 +84,7 @@ func main() {
 		parallel = flag.Bool("parallel", false, "determinism soak: cycle engines at Workers = 1, 2, 4 must match byte-for-byte")
 		doCrash  = flag.Bool("crash", false, "crash–restart soak: checkpointed recovery on every wiring, crash-only and crash+drop")
 		doChaos  = flag.Bool("chaos", false, "fault-plan fuzzer: sampled plans mixing every fault kind on all six wirings; violations shrink to a replayable reproducer")
-		synclib  = flag.Bool("synclib", false, "pkg/sync soak: MCS lock, tournament barrier and sharded counter at 100k goroutines, differentially checked against the serial oracle")
+		synclib  = flag.Bool("synclib", false, "pkg/sync soak: MCS lock, combining-tree barrier and sharded counter at 100k goroutines, differentially checked against the serial oracle")
 		canary   = flag.String("canary", "", "arm a named seeded bug (e.g. nodedup) in every chaos plan — the fuzzer must find and shrink it")
 		verbose  = flag.Bool("v", false, "log every execution")
 	)

@@ -16,7 +16,7 @@ import (
 //   - MCSLock guarding a deliberately non-atomic counter at hot-spot
 //     scale, with every critical section's observed old value checked
 //     against the Lemma 4.1 serial oracle on the same fetch-and-add trace;
-//   - the tournament Barrier holding ~hot-spot-many participants in phase
+//   - the combining-tree Barrier holding ~hot-spot-many participants in phase
 //     lockstep across episodes;
 //   - the sharded Counter against combining.SerialReplies on the full
 //     trace of adds.

@@ -13,7 +13,7 @@ import (
 // pkg/sync library primitives against their stdlib baselines, wall-clock,
 // on hot-spot workloads.  Counters at a sweep of goroutine counts (the
 // software image of the paper's N-processor hot spot), the MCS queue lock
-// against sync.Mutex, and the tournament barrier against the idiomatic
+// against sync.Mutex, and the combining-tree barrier against the idiomatic
 // WaitGroup fork-join.  HostCPUs is the honesty field: on a single-core
 // host the sharded counter cannot beat a bare atomic — there is no cache
 // traffic to avoid — and every number is scheduler throughput, not memory
@@ -105,7 +105,7 @@ func benchSyncLocks(gs []int, totalOps int) []syncPoint {
 	return pts
 }
 
-// benchSyncBarriers times episodes of the tournament barrier at each width
+// benchSyncBarriers times episodes of the combining-tree barrier at each width
 // against the stdlib equivalent of one episode: forking n-1 goroutines and
 // joining them with a WaitGroup.
 func benchSyncBarriers(widths []int, episodes int) []syncPoint {
@@ -126,6 +126,9 @@ func benchSyncBarriers(widths []int, episodes int) []syncPoint {
 		wg.Wait()
 		elapsed := time.Since(start)
 		pts = append(pts, syncPoint{
+			// Historical key: the barrier was a static tournament when the
+			// committed BENCH_combining.json was cut, and benchcmp matches
+			// points by name.  The rename rides with ROADMAP item 4's split.
 			Primitive:  "tournament_barrier",
 			Goroutines: n,
 			TotalOps:   episodes,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -162,4 +163,96 @@ func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("bound %d: %.1f allocs per steady-state churn, want 0", bound, allocs)
 		}
 	}
+}
+
+// FuzzFIFO drives a FIFO[int] and a plain slice through the same op string
+// — one byte an op: push (refused by a full queue, which must then panic on
+// Push), pop (likewise on an empty one), an edit through Front, an edit
+// through View, Clear — at bounds 0 (unbounded) to 8, and after every op
+// compares Len, Full, Peak, Front and View with the model and checks the
+// storage rules: head ≤ tail ≤ len, an empty queue stands at the front,
+// a bounded queue's storage never passes its bound, Clear leaves zeroes.
+// The seeds walk the four storage moves (doubling, the slide at the end of
+// storage, the restart when drained, Clear then reuse).
+func FuzzFIFO(f *testing.F) {
+	const push, pop, front, view, clr = 0, 3, 5, 6, 7
+	f.Add(uint8(0), []byte{push, push, push, push, push, push, push, push, push, pop, pop, view, pop})       // doubling 1→16
+	f.Add(uint8(4), []byte{push, push, push, pop, push, pop, push, pop, push, front, pop, push, push, push}) // slides in fixed storage, then full
+	f.Add(uint8(0), []byte{push, pop, push, pop, push, push, pop, pop, pop, push})                           // drains and restarts at the front
+	f.Add(uint8(8), []byte{push, push, push, push, push, pop, pop, clr, push, push, push, pop, view, clr, clr, push})
+	f.Add(uint8(1), []byte{push, push, front, pop, pop, push, clr, push})
+	f.Add(uint8(3), []byte{push, push, pop, push, push, push, pop, push, pop, push, pop, push, view, front})
+	f.Fuzz(func(t *testing.T, b uint8, ops []byte) {
+		bound := int(b % 9)
+		q := NewFIFO[int](bound)
+		var model []int
+		next, peak := 1, 0
+		panics := func(f func()) (did bool) {
+			defer func() { did = recover() != nil }()
+			f()
+			return
+		}
+		for step, op := range ops {
+			full := bound > 0 && len(model) == bound
+			switch op % 8 {
+			case 0, 1, 2:
+				if full {
+					if !panics(func() { q.Push() }) {
+						t.Fatalf("step %d: Push on a full queue of bound %d did not panic", step, bound)
+					}
+					break
+				}
+				*q.Push() = next
+				model = append(model, next)
+				next++
+				peak = max(peak, len(model))
+			case 3, 4:
+				if len(model) == 0 {
+					if !panics(q.Pop) {
+						t.Fatalf("step %d: Pop on an empty queue did not panic", step)
+					}
+					break
+				}
+				q.Pop()
+				model = model[1:]
+			case 5:
+				if len(model) > 0 {
+					*q.Front() = -next
+					model[0] = -next
+					next++
+				}
+			case 6:
+				if len(model) > 0 {
+					i := int(op>>3) % len(model)
+					q.View()[i] = -next
+					model[i] = -next
+					next++
+				}
+			case 7:
+				q.Clear()
+				model = model[:0]
+				for i, v := range q.buf {
+					if v != 0 {
+						t.Fatalf("step %d: slot %d holds %d after Clear", step, i, v)
+					}
+				}
+			}
+			if q.Len() != len(model) || q.Full() != (bound > 0 && len(model) == bound) || q.Peak() != peak {
+				t.Fatalf("step %d bound %d: Len %d Full %v Peak %d, model has %d queued and peak %d",
+					step, bound, q.Len(), q.Full(), q.Peak(), len(model), peak)
+			}
+			if got := q.View(); !slices.Equal(got, model) {
+				t.Fatalf("step %d bound %d: View %v, model %v", step, bound, got, model)
+			}
+			if len(model) > 0 && q.Front() != &q.View()[0] {
+				t.Fatalf("step %d: Front is not the first slot of View", step)
+			}
+			if q.head < 0 || q.head > q.tail || q.tail > len(q.buf) || (q.head == q.tail && q.head != 0) {
+				t.Fatalf("step %d: head %d tail %d in %d slots", step, q.head, q.tail, len(q.buf))
+			}
+			if bound > 0 && len(q.buf) > bound {
+				t.Fatalf("step %d: storage of %d slots behind bound %d", step, len(q.buf), bound)
+			}
+		}
+	})
 }

@@ -24,6 +24,7 @@ import (
 var (
 	ErrShortEncoding   = errors.New("rmw: truncated mapping encoding")
 	ErrUnknownEncoding = errors.New("rmw: unknown mapping opcode")
+	ErrOpenTable       = errors.New("rmw: table transition leaves its state set")
 )
 
 const (
@@ -177,6 +178,11 @@ func Decode(buf []byte) (Mapping, int, error) {
 				off += 8
 			default:
 				tr.Act = Keep
+			}
+			if int(tr.Next) >= n {
+				// An automaton that steps outside its own states composes
+				// wrongly: the next table treats the stray tag as a failure.
+				return nil, 0, ErrOpenTable
 			}
 			trans[s] = tr
 		}

@@ -101,6 +101,13 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		}
 	})
+	t.Run("open-table", func(t *testing.T) {
+		// Two states, the second stepping to a third that does not exist.
+		buf := []byte{wireTable, 1, 0, 0, 2, 0}
+		if _, _, err := Decode(buf); !errors.Is(err, ErrOpenTable) {
+			t.Fatalf("err = %v, want ErrOpenTable", err)
+		}
+	})
 	t.Run("bad-assoc-op", func(t *testing.T) {
 		buf := bytes.Repeat([]byte{0}, 9)
 		buf[0] = wireAssoc // op nibble 0 is invalid

@@ -39,7 +39,10 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzComposeSemantics: for any two decodable mappings, a successful
-// composition preserves serial semantics.
+// composition preserves serial semantics — bit for bit, which is why the
+// float64 Möbius family is left out: its composition is a matrix product
+// that rounds differently from applying the two functions in turn (§5.4's
+// own caveat; TestMoebius* hold it to the exact rational version instead).
 func FuzzComposeSemantics(f *testing.F) {
 	f.Add(Encode(FetchAdd(3)), Encode(FetchAdd(4)), int64(10), uint8(0))
 	f.Add(Encode(StoreOf(5)), Encode(Load{}), int64(-2), uint8(1))
@@ -52,11 +55,18 @@ func FuzzComposeSemantics(f *testing.F) {
 			return
 		}
 		h, ok := Compose(fm, gm)
-		if !ok {
+		if _, float := h.(Moebius); !ok || float {
 			return
 		}
-		// Tables only accept tags within their state count; clamp.
-		x := word.Word{Val: xv, Tag: word.Tag(tag % 2)}
+		// A table only accepts tags within its state count (a stray tag is
+		// a usage error, not a composition case): clamp to the smaller one.
+		states := word.MaxStates
+		for _, m := range []Mapping{fm, gm} {
+			if tb, ok := m.(Table); ok {
+				states = min(states, tb.States())
+			}
+		}
+		x := word.Word{Val: xv, Tag: word.Tag(int(tag) % states)}
 		want := gm.Apply(fm.Apply(x))
 		if got := h.Apply(x); got != want {
 			t.Fatalf("compose(%v, %v)(%v) = %v, want %v", fm, gm, x, got, want)

@@ -1,7 +1,7 @@
 package sync
 
 import (
-	"math/bits"
+	"sync/atomic"
 
 	"combining/internal/par"
 )
@@ -13,50 +13,90 @@ type flag struct {
 	_ [par.CacheLine - 16]byte
 }
 
-// localSense is a participant's private sense bit, padded so flipping it
-// never invalidates a line another participant reads.
-type localSense struct {
-	v uint32
+// node is one switch of the combining tree, on its own cache line: it holds
+// the name (index + 1) of the subtree representative that reached it first
+// this episode, or 0.
+type node struct {
+	v atomic.Uint32
 	_ [par.CacheLine - 4]byte
 }
 
-// Barrier is a tournament (combining-tree) barrier for a fixed set of n
-// participants.  The bracket is static: in round r, participant w is the
-// round's winner when w ≡ 0 (mod 2^(r+1)) and its opponent is w + 2^r (a
-// bye when that exceeds n−1).  A loser stores its arrival into the
-// winner's round flag — the software image of a combined fetch-and-add
-// climbing one level of the paper's combining tree — and then waits on its
-// own wakeup flag.  The undefeated participant 0 plays the memory module:
-// once its last opponent arrives, the whole machine has arrived, and the
-// release retraces the bracket top-down, each winner waking the losers of
-// the rounds it won with one store apiece.
+// local is a participant's private episode number, padded so advancing it
+// never invalidates a line another participant reads.
+type local struct {
+	episode uint32
+	_       [par.CacheLine - 4]byte
+}
+
+const (
+	// episodeEnd is one past the last episode number: numbers run 1 to
+	// episodeEnd−1 and start over, so they never carry par.Wait's parked bit
+	// and never equal a flag's zero value.
+	episodeEnd = 1 << 31
+	// maxRounds bounds the tree height: a name is a uint32.  (Memory bounds
+	// it long before: a participant costs three cache lines.)
+	maxRounds = 32
+)
+
+// Barrier is a combining-tree barrier for a fixed set of n participants, the
+// paper's barrier fetch-and-add in software: arrivals combine pairwise on
+// the way up a fan-in-2 tree, the release decombines on the way down, and
+// nobody waits in the forward direction.
 //
-// Every flag lives on its own cache line, is written by exactly one peer
-// and read by exactly one owner, so arrivals generate O(1) remote
-// references per participant and nothing serializes on a central counter.
-// The barrier is reusable via sense reversal: each participant flips a
-// private sense bit per episode and all flags are compared against it, so
-// no flag is ever reset and a fast participant re-entering the next
-// episode cannot be confused with a slow one leaving the last.
+// The level-r node of participant w is i = w>>(r+1); it joins the subtree
+// that starts at participant (2i)<<r with the one that starts at (2i+1)<<r,
+// and is a bye when the second is empty.  Arriving at a node is one swap of the
+// caller's name into it.  Zero back: first here — the other subtree has
+// not arrived, so the caller stops climbing and waits on its own wake-up
+// flag.  A name back: last here — both subtrees have arrived, so the
+// caller clears the node, remembers whom it beat, and carries the combined
+// arrival up.  Winners are dynamic: at every node the later of the two
+// climbs, so whoever is last at the root has seen the whole machine arrive
+// without waiting once, and every other participant waits exactly once.
+// The release retraces each climber's remembered names top-down with one
+// store apiece, and each woken participant does the same for the names it
+// collected before it stopped — the swap doing the wait buffer's job.
+//
+// A node holds only a name; the waiting is done on per-participant flags,
+// so a flag has one owner for the life of the barrier.  A flag is written
+// only in the episodes its owner waits, so a one-bit sense cannot tell a
+// fresh release from one two episodes old; flags carry the episode number
+// instead.  It runs from 1 to 2³¹−1, and a participant zeroes its own flag
+// when its number starts over, so the flag always holds a smaller number of
+// the current run or zero and never the one its owner is about to await.
+//
+// Every node and flag is on its own cache line.  A node takes two swaps and
+// one clear per episode, a flag one store, so an episode is O(1) remote
+// references per node, n−1 wake-ups in all, and nothing serializes on a
+// central counter.
 //
 // Barrier implements the same Sync(worker) contract as the phase barriers
 // in internal/par and reuses their episode spin policy: the spin budget is
 // re-evaluated against GOMAXPROCS once per episode (by participant 0), and
 // collapses to zero whenever the participants outnumber the processors.
-// Every wait is a par.Wait: a participant that outlasts the budget parks on
-// its flag's own channel (at once when the budget is zero), so an early
+// The one wait is a par.Wait: a participant that outlasts the budget parks
+// on its flag's own channel (at once when the budget is zero), so an early
 // arriver costs the scheduler nothing until the one store it waits for,
 // and that store — a swap — is still the only remote write per signal.
 type Barrier struct {
 	par.SpinPolicy
-	n       int
-	rounds  int
-	arrival [][]flag // arrival[w][r]: written by loser w+2^r, read by winner w
-	wake    []flag   // wake[w]: written by the winner that beat w
-	sense   []localSense
+	n      int
+	rounds int
+	nodes  [][]node // nodes[r][w>>(r+1)]
+	wake   []flag   // wake[w]: written by whoever beat w, awaited by w
+	local  []local
+	census *census // nil outside tests
 }
 
-// NewBarrier returns a tournament barrier for n participants (n ≥ 1;
+// census counts an episode's remote references, for the tests that hold
+// the barrier to its O(1)-per-node claim.
+type census struct {
+	swaps  [][]atomic.Int64 // per node, shaped like Barrier.nodes
+	sets   atomic.Int64
+	awaits []atomic.Int64 // per participant
+}
+
+// NewBarrier returns a combining-tree barrier for n participants (n ≥ 1;
 // smaller values clamp to 1).  Participants are identified by the fixed
 // indices 0..n−1 passed to Wait.
 func NewBarrier(n int) *Barrier {
@@ -69,16 +109,12 @@ func NewBarrier(n int) *Barrier {
 	}
 	b := &Barrier{n: n, rounds: rounds}
 	b.Init(n)
-	b.arrival = make([][]flag, n)
-	for w := 0; w < n; w++ {
-		wins := rounds // participant 0 survives every round
-		if w != 0 {
-			wins = bits.TrailingZeros(uint(w))
-		}
-		b.arrival[w] = make([]flag, wins)
+	b.nodes = make([][]node, rounds)
+	for r := range b.nodes {
+		b.nodes[r] = make([]node, (n-1)>>(r+1)+1)
 	}
 	b.wake = make([]flag, n)
-	b.sense = make([]localSense, n)
+	b.local = make([]local, n)
 	return b
 }
 
@@ -95,36 +131,47 @@ func (b *Barrier) Wait(w int) {
 	if w == 0 {
 		b.Refresh()
 	}
-	s := b.sense[w].v ^ 1
-	b.sense[w].v = s
-	spin := b.SpinBudget()
-	lost := b.rounds
+	e := b.local[w].episode + 1
+	if e == episodeEnd {
+		// Nobody can be writing the flag: a peer stores into it only after
+		// reading its owner's name out of a node, and the name is not there.
+		b.wake[w].v.Init(0)
+		e = 1
+	}
+	b.local[w].episode = e
+	c := b.census
+
+	var beat [maxRounds]uint32 // names collected on the way up
+	won := 0
 	for r := 0; r < b.rounds; r++ {
-		if w&((1<<(r+1))-1) == 0 {
-			// Winner of round r: absorb the opponent's arrival (a bye
-			// when the opponent index falls off the bracket).
-			opp := w + 1<<r
-			if opp < b.n {
-				b.arrival[w][r].v.Await(s, spin)
+		i := w >> (r + 1)
+		if (2*i+1)<<r >= b.n {
+			continue // bye: the other subtree is empty
+		}
+		nd := &b.nodes[r][i]
+		if c != nil {
+			c.swaps[r][i].Add(1)
+		}
+		name := nd.v.Swap(uint32(w + 1))
+		if name == 0 {
+			if c != nil {
+				c.awaits[w].Add(1)
 			}
-		} else {
-			// Loser of round r: combine our arrival into the winner,
-			// then wait locally until the release wave reaches us.
-			win := w - 1<<r
-			b.arrival[win][r].v.Set(s)
-			b.wake[w].v.Await(s, spin)
-			lost = r
+			b.wake[w].v.Await(e, b.SpinBudget())
 			break
 		}
+		nd.v.Store(0)
+		beat[won] = name
+		won++
 	}
-	// Release: wake the loser of every round we won, top level first —
-	// the decombining walk back down the tree.  Participant 0 reaches
-	// here with lost == rounds and starts the wave.
-	for r := lost - 1; r >= 0; r-- {
-		opp := w + 1<<r
-		if opp < b.n {
-			b.wake[opp].v.Set(s)
+	// Release: wake everyone we beat, top level first — the decombining
+	// walk back down the tree.  Whoever was last at the root starts it.
+	for won > 0 {
+		won--
+		if c != nil {
+			c.sets.Add(1)
 		}
+		b.wake[beat[won]-1].v.Set(e)
 	}
 }
 

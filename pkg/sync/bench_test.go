@@ -1,11 +1,13 @@
 package sync_test
 
 import (
+	"fmt"
 	"runtime"
 	stdsync "sync"
 	"sync/atomic"
 	"testing"
 
+	"combining/internal/par"
 	csync "combining/pkg/sync"
 )
 
@@ -98,9 +100,9 @@ func BenchmarkSyncStdMutexLockOversub(b *testing.B) {
 	benchStdMutexLock(b)
 }
 
-// benchBarrier times one episode of an n-wide tournament barrier.
-func benchBarrier(b *testing.B, n int) {
-	bar := csync.NewBarrier(n)
+// benchBarrier times one episode of an n-wide barrier, driven through the
+// internal/par phase-barrier contract.
+func benchBarrier(b *testing.B, bar par.Barrier, n int) {
 	var wg stdsync.WaitGroup
 	start := make(chan struct{})
 	for w := 1; w < n; w++ {
@@ -109,14 +111,14 @@ func benchBarrier(b *testing.B, n int) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < b.N; i++ {
-				bar.Wait(w)
+				bar.Sync(w)
 			}
 		}(w)
 	}
 	b.ResetTimer()
 	close(start)
 	for i := 0; i < b.N; i++ {
-		bar.Wait(0)
+		bar.Sync(0)
 	}
 	b.StopTimer()
 	wg.Wait()
@@ -135,7 +137,35 @@ func benchForkJoin(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkSyncBarrier(b *testing.B)                  { benchBarrier(b, matchedWidth()) }
-func BenchmarkSyncWaitGroupForkJoin(b *testing.B)        { benchForkJoin(b, matchedWidth()) }
-func BenchmarkSyncBarrierOversub(b *testing.B)           { benchBarrier(b, oversubWidth) }
+func BenchmarkSyncBarrier(b *testing.B) {
+	benchBarrier(b, csync.NewBarrier(matchedWidth()), matchedWidth())
+}
+func BenchmarkSyncWaitGroupForkJoin(b *testing.B) { benchForkJoin(b, matchedWidth()) }
+func BenchmarkSyncBarrierOversub(b *testing.B) {
+	benchBarrier(b, csync.NewBarrier(oversubWidth), oversubWidth)
+}
 func BenchmarkSyncWaitGroupForkJoinOversub(b *testing.B) { benchForkJoin(b, oversubWidth) }
+
+// BenchmarkSyncBarrierGrid is ROADMAP item 5's grid: the repo's three
+// reusable barrier families at widths from matched to far oversubscribed.
+// The combining tree parks its waiters; internal/par's sense-reversing and
+// dissemination barriers spin and then yield, which is what the two-worker
+// phase barrier of the parallel stepper wants and what 64 goroutines on two
+// Ps cannot afford.  EXPERIMENTS.md E23 has the table.
+func BenchmarkSyncBarrierGrid(b *testing.B) {
+	families := []struct {
+		name string
+		make func(n int) par.Barrier
+	}{
+		{"tree", func(n int) par.Barrier { return csync.NewBarrier(n) }},
+		{"sense", func(n int) par.Barrier { return par.NewSenseBarrier(n) }},
+		{"dissemination", func(n int) par.Barrier { return par.NewDisseminationBarrier(n) }},
+	}
+	for _, f := range families {
+		for _, n := range []int{2, 4, 8, 16, 64} {
+			b.Run(fmt.Sprintf("%s/width=%d", f.name, n), func(b *testing.B) {
+				benchBarrier(b, f.make(n), n)
+			})
+		}
+	}
+}

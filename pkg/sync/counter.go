@@ -66,6 +66,11 @@ func NewCounterShards(k int) *Counter {
 	return &Counter{shards: make([]shard, n)}
 }
 
+// readBuf is how many shards Read combines on its own stack: NewCounter's
+// one per processor fits on any host up to 64 Ps, and a wider counter pays
+// one allocation per Read.
+const readBuf = 64
+
 // Shards reports the shard count.
 func (c *Counter) Shards() int { return len(c.shards) }
 
@@ -86,7 +91,12 @@ func (c *Counter) Add(delta int64) {
 // sum.  Concurrent with adders it returns a snapshot (every add is counted
 // exactly once — by this read or a later one); quiescent it is exact.
 func (c *Counter) Read() int64 {
-	vals := make([]int64, len(c.shards))
+	var buf [readBuf]int64
+	vals := buf[:]
+	if len(c.shards) > len(buf) {
+		vals = make([]int64, len(c.shards))
+	}
+	vals = vals[:len(c.shards)]
 	for i := range c.shards {
 		vals[i] = c.shards[i].v.Load()
 	}

@@ -91,6 +91,25 @@ func TestCounterAddAllocFree(t *testing.T) {
 	}
 }
 
+// TestCounterReadAllocFree: Read combines the shards on its own stack at
+// every width NewCounter produces on hosts up to 64 Ps; a wider counter
+// still reads right, from the heap.
+func TestCounterReadAllocFree(t *testing.T) {
+	for _, c := range []*csync.Counter{csync.NewCounter(), csync.NewCounterShards(64), csync.NewCounterShards(256)} {
+		for i := 0; i < 1000; i++ {
+			c.Add(3)
+		}
+		var got int64
+		avg := testing.AllocsPerRun(1000, func() { got = c.Read() })
+		if got != 3000 {
+			t.Fatalf("%d shards: Read() = %d, want 3000", c.Shards(), got)
+		}
+		if c.Shards() <= 64 && avg != 0 {
+			t.Fatalf("%d shards: Read allocates %.2f objects per call, want 0", c.Shards(), avg)
+		}
+	}
+}
+
 // TestCounterHotSpot100k is the acceptance-scale soak: 100k goroutines
 // hammering one counter, under the race detector in `make check`.
 func TestCounterHotSpot100k(t *testing.T) {

@@ -25,12 +25,13 @@
 //     remote write.  O(1) remote references per acquisition regardless of
 //     contention.
 //
-//   - Barrier — a tournament (combining-tree) barrier with statically
-//     assigned winners.  Each arrival is the software image of a combined
-//     fetch-and-add propagating up a combining tree: a loser's arrival
-//     flag is "combined" into its subtree winner, the champion plays the
-//     memory module and releases the tree top-down.  Local flags only;
-//     reusable via sense reversal.
+//   - Barrier — a combining-tree barrier with dynamic winners, the
+//     software image of a combined fetch-and-add: an arrival is one swap
+//     of the caller's name into a tree node, the first of two to reach a
+//     node waits on its own flag, the last carries the combined arrival
+//     up, and whoever is last at the root never waits and releases the
+//     tree top-down, one store per participant.  Local flags only;
+//     reusable via per-participant episode numbers.
 //
 //   - Counter — a sharded combining counter: adds land on per-processor
 //     cache-line-padded shards (fetch-and-add on a line nothing else
