@@ -39,20 +39,25 @@ fuzz:
 	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzTrackerModel$$' -fuzztime=5s
 	go test ./internal/core/ -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime=5s
 
-# bench regenerates the committed measured baseline (EXPERIMENTS.md
-# §Measured baselines).
+# bench regenerates the committed cycle-domain baseline (EXPERIMENTS.md
+# §Measured baselines): ten sections, 82 points, every one a function of its
+# seed, so a second run writes the same bytes.
 bench:
 	go run ./cmd/experiments -bench -out BENCH_combining.json
 
 # benchcmp is the cycle-domain regression gate (CI runs it): it regenerates
-# the full baseline into /tmp (~25 s) and diffs it against the committed
-# one.  Cycle-domain metrics (bandwidth, latency in cycles, combines) are
-# deterministic, so -fail exits 1 if any of them moved at all or a
-# committed point is missing; wall-clock metrics and the clockless
-# asyncnet_faa section are annotated, expected to wobble, and never fail.
+# the baseline into a temporary directory (~6 s on two processors) and diffs
+# it against the committed one — -fail exits 1 if any results value or
+# digest moved at all or a committed point is missing — then generates it a
+# second time and requires the two fresh files to be the same bytes.  The
+# file holds nothing wall-clock: those numbers come from `make parbench`,
+# `make syncbench` and bench/run.sh.
 benchcmp:
-	go run ./cmd/experiments -bench -out /tmp/BENCH_combining_new.json
-	go run ./cmd/benchcmp -fail BENCH_combining.json /tmp/BENCH_combining_new.json
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; set -x; \
+	go run ./cmd/experiments -bench -out $$d/first.json; \
+	go run ./cmd/benchcmp -fail BENCH_combining.json $$d/first.json; \
+	go run ./cmd/experiments -bench -out $$d/second.json; \
+	cmp $$d/first.json $$d/second.json
 
 # benchtest vets and tests bench/, the repo's benchmark (BENCHMARK.json).
 # It is a nested module the root `go build ./...` never compiles, so this
@@ -75,15 +80,18 @@ soak:
 # combining-tree barrier vs WaitGroup fork-join), the lock and barrier pairs
 # both matched (one goroutine per P) and oversubscribed (64 goroutines on
 # the same Ps, the *Oversub benchmarks), and BenchmarkSyncBarrierGrid, the
-# three barrier families at widths 2–64 (EXPERIMENTS.md E23).  The
-# wall-clock sweeps that land in BENCH_combining.json's sync_primitives
-# section come from cmd/experiments (`make bench`).
+# three barrier families at widths 2–64 (EXPERIMENTS.md E23).  This is the
+# live home of what BENCH_combining.json's sync_primitives section used to
+# record once; bench/run.sh's sync_* workloads measure the same primitives
+# with an estimator.
 syncbench:
 	go test -bench=BenchmarkSync -benchmem ./pkg/sync/
 
-# parbench runs the parallel-stepper and barrier microbenchmarks (E15
-# curve; the full sweeps also land in BENCH_combining.json under
-# parallel_speedup and barrier_microbench).
+# parbench runs the parallel-stepper and barrier microbenchmarks (the E15
+# curve and barrier table) — the live home of what BENCH_combining.json's
+# parallel_speedup and barrier_microbench sections used to record once;
+# bench/run.sh --trace 1 reports par.speedup_vs_serial and
+# par.barrier_sync_ns with an estimator.
 parbench:
 	go test -bench='BenchmarkParallelStep|BenchmarkBarrier' -benchmem ./internal/network/ ./internal/par/
 
@@ -105,14 +113,15 @@ profile:
 	@echo "profiles written: cpu.out mem.out (inspect with go tool pprof -top network.test cpu.out)"
 
 # loc prints the code-line count the simplification issues are judged by
-# (ISSUEs 14–16): per package, the lines of its non-test Go files that are
-# neither blank nor comment-only — grep -vc '^\s*\(//.*\)\?$$'.
-# Informational; CI prints it and never fails on it.
+# (ISSUEs 14–16, 19): per directory, the lines of its non-test Go files that
+# are neither blank nor comment-only — grep -vc '^\s*\(//.*\)\?$$'.  The
+# engine packages are totalled; the two commands behind BENCH_combining.json
+# follow.  Informational; CI prints it and never fails on it.
 loc:
-	@total=0; for p in engine network hypercube busnet asyncnet; do n=0; \
-	for f in internal/$$p/*.go; do case $$f in *_test.go) continue;; esac; \
-	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; \
-	printf '%-10s %5d\n' $$p $$n; total=$$((total + n)); done; printf '%-10s %5d\n' total $$total
+	@count() { n=0; for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \
+	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${1#internal/} $$n; }; \
+	total=0; for p in engine network hypercube busnet asyncnet; do count internal/$$p; total=$$((total + n)); done; \
+	printf '%-15s %5d\n' total $$total; count cmd/experiments; count cmd/benchcmp
 
 fmt:
 	gofmt -w .

@@ -1,30 +1,25 @@
 // Command benchcmp compares two BENCH_combining.json baselines
-// benchstat-style: points are matched across files by their parameter
-// fields (procs, hot_fraction, workers, …), the metric fields of matched
-// pairs are diffed, and every change is printed as old → new with the
-// percentage delta.
+// (combining-bench/v2).  The file says what is what: a point's "params" are
+// its identity, every number in its "results" and its "digest" are
+// cycle-domain — deterministic for equal params — so points are matched
+// across the files by params and any difference at all is printed as
+// old → new.
 //
 // Usage:
 //
-//	benchcmp [-threshold 5] [-all] [-fail] old.json new.json
+//	benchcmp [-all] [-fail] old.json new.json
 //
-// The two clocks are treated differently.  Cycle-domain metrics —
-// bandwidth, latency in cycles, combines — are deterministic for equal
-// parameters: any difference at all is reported.  Wall-clock metrics wobble
-// run to run and host to host: -threshold sets their reporting cutoff in
-// percent (default 5).  -all prints every matched metric.
-//
-// -fail makes the comparison a regression gate: exit status 1 iff a
-// cycle-domain metric differs at all, or a point (or section) of the old
-// file is missing from the new one.  Wall-clock changes are reported and
-// never fail; neither does the asyncnet_faa section, whose goroutine engine
-// has no cycle clock, so even its combine count rides on the scheduler.
+// -all prints every matched value, not just the changes.  -fail makes the
+// comparison a regression gate: exit status 1 iff a value differs, or a
+// point, a section or a results key of the old file is missing from the new
+// one.
 //
 //	go run ./cmd/experiments -bench -out /tmp/new.json
 //	go run ./cmd/benchcmp -fail BENCH_combining.json /tmp/new.json
 //
-// Points present only in the new file (a new sweep section, a new cell)
-// are listed but never fail the comparison — schema growth is expected.
+// What only the new file has (a new section, a new cell, a new results key)
+// is listed and never fails the comparison — growth is expected.  A file of
+// another schema, or one with a section that does not parse, is exit 2.
 package main
 
 import (
@@ -32,87 +27,49 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// metricFields are the per-point result fields; everything else scalar in
-// a point is treated as its identity.  The value marks the wall-clock
-// metrics (they vary across runs and hosts even when the simulation is
-// unchanged); false is the cycle domain.
-var metricFields = map[string]bool{
-	"bandwidth_ops_per_cycle": false,
-	"mean_latency_cycles":     false,
-	"p99_latency_cycles":      false,
-	"combines":                false,
-	"elapsed_ns":              true,
-	"ns_per_cycle":            true,
-	"speedup_vs_serial":       true,
-	"ns_per_sync":             true,
-	"ns_per_op":               true,
-	"ops_per_sec":             true,
+const schema = "combining-bench/v2"
+
+// point is one entry of a section, as cmd/experiments -bench writes it.
+type point struct {
+	Params  map[string]any     `json:"params"`
+	Results map[string]float64 `json:"results"`
+	Digest  string             `json:"digest"`
 }
 
-// clocklessSections hold points measured on the goroutine engine: there is
-// no cycle clock, so their cycle-domain-named counts (combines) depend on
-// the scheduler and never fail the gate.
-var clocklessSections = map[string]bool{"asyncnet_faa": true}
-
-// ignoredFields are neither identity nor metric: nested objects and
-// host-dependent context.
-var ignoredFields = map[string]bool{
-	"snapshot":  true,
-	"host_cpus": true,
-}
-
-type point map[string]any
-
-// identity renders a point's parameter fields as a stable "k=v k=v" key.
+// identity renders a point's params as a stable "k=v k=v" key.
 func identity(p point) string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		if _, isMetric := metricFields[k]; isMetric || ignoredFields[k] {
-			continue
-		}
-		if _, isObj := p[k].(map[string]any); isObj {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%v", k, p[k]))
+	parts := make([]string, 0, len(p.Params))
+	for _, k := range slices.Sorted(maps.Keys(p.Params)) {
+		parts = append(parts, fmt.Sprintf("%s=%v", k, p.Params[k]))
 	}
 	return strings.Join(parts, " ")
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 5, "report wall-clock metrics whose relative change exceeds this percentage")
-	all := flag.Bool("all", false, "print every matched metric, not just the changes")
-	failOn := flag.Bool("fail", false, "exit with status 1 if a cycle-domain metric differs or an old point is missing")
+	all := flag.Bool("all", false, "print every matched value, not just the changes")
+	failOn := flag.Bool("fail", false, "exit with status 1 if a value differs or something in the old file is missing")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcmp [-threshold pct] [-all] [-fail] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: benchcmp [-all] [-fail] old.json new.json")
 		os.Exit(2)
 	}
-	if *threshold < 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: -threshold must be ≥ 0, got %g\n", *threshold)
-		os.Exit(2)
+	var reps [2]map[string][]point
+	for i := range reps {
+		rep, err := load(flag.Arg(i))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
+			os.Exit(2)
+		}
+		reps[i] = rep
 	}
-	oldRep, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
-		os.Exit(2)
-	}
-	newRep, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
-		os.Exit(2)
-	}
-	res := compare(os.Stdout, oldRep, newRep, flag.Arg(0), flag.Arg(1), *threshold, *all)
+	res := compare(os.Stdout, reps[0], reps[1], flag.Arg(0), flag.Arg(1), *all)
 	if *failOn && res.regressed() {
 		os.Exit(1)
 	}
@@ -120,94 +77,88 @@ func main() {
 
 // result tallies one comparison.
 type result struct {
-	compared  int // metric pairs diffed
-	cycleDiff int // cycle-domain metrics that differ at all (clockless sections excluded)
-	wallDiff  int // wall-clock or clockless metrics beyond the threshold
-	missing   int // old points with no counterpart in the new file
+	compared int // values diffed: results keys and digests
+	diffs    int // values that differ, and old results keys the new point lacks
+	missing  int // old points with no counterpart in the new file
 }
 
 // regressed is the -fail verdict.
-func (r result) regressed() bool { return r.cycleDiff > 0 || r.missing > 0 }
+func (r result) regressed() bool { return r.diffs > 0 || r.missing > 0 }
 
-// compare diffs two reports onto w; oldName and newName label one-sided
-// points.
-func compare(w io.Writer, oldRep, newRep map[string][]point, oldName, newName string, threshold float64, all bool) result {
-	sections := make([]string, 0, len(oldRep))
-	for sec := range oldRep {
-		sections = append(sections, sec)
-	}
-	for sec := range newRep {
-		if _, ok := oldRep[sec]; !ok {
-			sections = append(sections, sec)
-		}
-	}
-	sort.Strings(sections)
-
+// compare diffs two reports onto w; oldName and newName label what only one
+// side has.
+func compare(w io.Writer, oldRep, newRep map[string][]point, oldName, newName string, all bool) result {
 	var res result
-	for _, sec := range sections {
-		oldPts, newPts := index(oldRep[sec]), index(newRep[sec])
-		if oldPts == nil && newPts != nil {
-			fmt.Fprintf(w, "%s: section only in %s (%d points)\n", sec, newName, len(newPts))
+	for _, sec := range slices.Sorted(maps.Keys(oldRep)) {
+		newList, ok := newRep[sec]
+		if !ok {
+			fmt.Fprintf(w, "%s: section only in %s (%d points)\n", sec, oldName, len(oldRep[sec]))
+			res.missing += len(oldRep[sec])
 			continue
 		}
-		if newPts == nil && oldPts != nil {
-			fmt.Fprintf(w, "%s: section only in %s (%d points)\n", sec, oldName, len(oldPts))
-			res.missing += len(oldPts)
-			continue
+		newPts := make(map[string]point, len(newList))
+		for _, p := range newList {
+			newPts[identity(p)] = p
 		}
-		ids := make([]string, 0, len(oldPts))
-		for id := range oldPts {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		seen := make(map[string]bool, len(oldRep[sec]))
+		for _, op := range oldRep[sec] {
+			id := identity(op)
+			seen[id] = true
 			np, ok := newPts[id]
 			if !ok {
 				fmt.Fprintf(w, "%s: point only in %s: %s\n", sec, oldName, id)
 				res.missing++
 				continue
 			}
-			op := oldPts[id]
-			for _, metric := range sortedMetrics(op) {
-				ov, ook := toFloat(op[metric])
-				nv, nok := toFloat(np[metric])
-				if !ook || !nok {
+			for _, k := range slices.Sorted(maps.Keys(op.Results)) {
+				ov := op.Results[k]
+				nv, ok := np.Results[k]
+				if !ok {
+					fmt.Fprintf(w, "%s: %s\n    %-24s only in %s\n", sec, id, k, oldName)
+					res.diffs++
 					continue
 				}
 				res.compared++
-				delta := relDelta(ov, nv)
-				note, report := "", ov != nv
-				if wall := metricFields[metric]; wall || clocklessSections[sec] {
-					note = "  (clockless)"
-					if wall {
-						note = "  (wall-clock)"
-					}
-					report = math.Abs(delta) > threshold
-					if report {
-						res.wallDiff++
-					}
-				} else if report {
-					res.cycleDiff++
+				if ov != nv {
+					res.diffs++
 				}
-				if report || all {
-					fmt.Fprintf(w, "%s: %s\n    %-24s %12.4f → %12.4f   %+7.2f%%%s\n",
-						sec, id, metric, ov, nv, delta, note)
+				if ov != nv || all {
+					fmt.Fprintf(w, "%s: %s\n    %-24s %12.4f → %12.4f   %+7.2f%%\n", sec, id, k, ov, nv, relDelta(ov, nv))
 				}
 			}
+			for _, k := range slices.Sorted(maps.Keys(np.Results)) {
+				if _, ok := op.Results[k]; !ok {
+					fmt.Fprintf(w, "%s: %s\n    %-24s only in %s\n", sec, id, k, newName)
+				}
+			}
+			res.compared++
+			if op.Digest != np.Digest {
+				res.diffs++
+			}
+			if op.Digest != np.Digest || all {
+				fmt.Fprintf(w, "%s: %s\n    %-24s %s → %s\n", sec, id, "digest", op.Digest, np.Digest)
+			}
 		}
-		for id := range newPts {
-			if _, ok := oldPts[id]; !ok {
+		for _, p := range newList {
+			if id := identity(p); !seen[id] {
 				fmt.Fprintf(w, "%s: point only in %s: %s\n", sec, newName, id)
 			}
 		}
 	}
-	fmt.Fprintf(w, "%d metrics compared: %d cycle-domain differences, %d old points missing, %d wall-clock beyond ±%g%%\n",
-		res.compared, res.cycleDiff, res.missing, res.wallDiff, threshold)
+	for _, sec := range slices.Sorted(maps.Keys(newRep)) {
+		if _, ok := oldRep[sec]; !ok {
+			fmt.Fprintf(w, "%s: section only in %s (%d points)\n", sec, newName, len(newRep[sec]))
+		}
+	}
+	fmt.Fprintf(w, "%d values compared: %d cycle-domain differences, %d old points missing\n",
+		res.compared, res.diffs, res.missing)
 	return res
 }
 
-// load reads a bench report as section → raw point list, skipping the
-// scalar header fields (schema, quick).
+// load reads a bench report as section → points.  The schema must be the one
+// this command understands and every other top-level key must be a list of
+// points: guessing at anything else is how a stale or mistyped baseline
+// would pass.
 func load(path string) (map[string][]point, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -217,44 +168,20 @@ func load(path string) (map[string][]point, error) {
 	if err := json.Unmarshal(raw, &top); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	rep := make(map[string][]point)
+	var got string
+	if err := json.Unmarshal(top["schema"], &got); err != nil || got != schema {
+		return nil, fmt.Errorf("%s: schema %q, want %q (regenerate it with `make bench`)", path, got, schema)
+	}
+	delete(top, "schema")
+	rep := make(map[string][]point, len(top))
 	for sec, body := range top {
 		var pts []point
 		if err := json.Unmarshal(body, &pts); err != nil {
-			continue // scalar header field (schema, quick)
+			return nil, fmt.Errorf("%s: section %s: %v", path, sec, err)
 		}
 		rep[sec] = pts
 	}
 	return rep, nil
-}
-
-// index keys a section's points by identity; nil input stays nil so the
-// caller can distinguish a missing section from an empty one.
-func index(pts []point) map[string]point {
-	if pts == nil {
-		return nil
-	}
-	idx := make(map[string]point, len(pts))
-	for _, p := range pts {
-		idx[identity(p)] = p
-	}
-	return idx
-}
-
-func sortedMetrics(p point) []string {
-	ms := make([]string, 0, len(metricFields))
-	for m := range metricFields {
-		if _, ok := p[m]; ok {
-			ms = append(ms, m)
-		}
-	}
-	sort.Strings(ms)
-	return ms
-}
-
-func toFloat(v any) (float64, bool) {
-	f, ok := v.(float64)
-	return f, ok
 }
 
 // relDelta is the percentage change new vs old, defined as 0 when both

@@ -92,8 +92,9 @@ func TestParallelMinimumNetwork(t *testing.T) {
 }
 
 // BenchmarkParallelStep measures per-cycle step cost across worker widths
-// under a saturating hot-spot load — the parallel_speedup numbers in
-// BENCH_combining.json come from the cmd/experiments twin of this loop.
+// under a saturating hot-spot load (`make parbench`, the E15 curve);
+// bench/run.sh's omega_parallel workload reports the same ratio with an
+// estimator as par.speedup_vs_serial.
 func BenchmarkParallelStep(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, w := range []int{1, 2, 4, 8} {

@@ -200,53 +200,6 @@ type paddedUint64 struct {
 	_ [CacheLine - 8]byte
 }
 
-// CountingBarrier is the spawn-era barrier kept for comparison: a shared
-// count and a monotonically increasing phase number on adjacent fields.
-// Every arrival and every release-wait hits the same cache line, so it
-// serializes on the coherence protocol as width grows — the baseline the
-// BenchmarkBarrier microbenchmark measures the padded barriers against.
-type CountingBarrier struct {
-	SpinPolicy
-	count atomic.Int32
-	phase atomic.Uint64
-}
-
-// NewCountingBarrier returns a counting barrier for n participants (n ≥ 1).
-func NewCountingBarrier(n int) *CountingBarrier {
-	if n < 1 {
-		n = 1
-	}
-	b := &CountingBarrier{}
-	b.Init(n)
-	return b
-}
-
-// Sync blocks until all n participants have called it for the current
-// phase.  The phase counter never repeats, so a fast worker racing ahead
-// into the next Sync cannot be confused with a slow one still leaving the
-// last.
-func (b *CountingBarrier) Sync(int) {
-	if b.n == 1 {
-		return
-	}
-	p := b.phase.Load()
-	if b.count.Add(1) == b.n {
-		// Last arriver: refresh the spin policy, reset the count for the
-		// next phase, then open the gate.  The order matters — the count
-		// must be ready before any released waiter can add to it again.
-		b.Refresh()
-		b.count.Store(0)
-		b.phase.Add(1)
-		return
-	}
-	spin := b.SpinBudget()
-	for spins := int32(0); b.phase.Load() == p; spins++ {
-		if spins >= spin {
-			runtime.Gosched()
-		}
-	}
-}
-
 // SenseBarrier is a central sense-reversing barrier with cache-line-padded
 // state: the arrival count, the release sense, and each worker's local
 // sense all live on their own lines, so arrivals contend only on the count

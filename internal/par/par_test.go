@@ -139,7 +139,6 @@ func TestPoolRunAllocFree(t *testing.T) {
 func barrierKinds(n int) map[string]Barrier {
 	return map[string]Barrier{
 		"auto":          NewBarrier(n),
-		"counting":      NewCountingBarrier(n),
 		"sense":         NewSenseBarrier(n),
 		"dissemination": NewDisseminationBarrier(n),
 	}
@@ -289,7 +288,7 @@ func TestSplitEdgeCases(t *testing.T) {
 	}
 }
 
-// BenchmarkBarrier compares the three barrier implementations at the
+// BenchmarkBarrier compares the two barrier implementations at the
 // widths the engines run (the E15 microbenchmark; `make parbench`).  Each
 // op is one full barrier episode across all workers.
 func BenchmarkBarrier(b *testing.B) {
@@ -298,7 +297,6 @@ func BenchmarkBarrier(b *testing.B) {
 			name string
 			bar  Barrier
 		}{
-			{"counting", NewCountingBarrier(workers)},
 			{"sense", NewSenseBarrier(workers)},
 			{"dissemination", NewDisseminationBarrier(workers)},
 		}

@@ -182,8 +182,9 @@ func (s HistogramSnapshot) Percentile(q float64) float64 {
 
 // Snapshot is a point-in-time view of one engine's instrumentation — the
 // one cross-engine observation API.  Every engine (network, asyncnet,
-// busnet, hypercube) produces one; MarshalJSON gives the stable wire form
-// the bench baseline (BENCH_combining.json) records.
+// busnet, hypercube) produces one; JSON gives the stable wire form whose
+// hash the bench baseline (BENCH_combining.json) records as each point's
+// digest.
 type Snapshot struct {
 	// Engine names the producing engine ("network", "asyncnet", ...).
 	Engine string `json:"engine"`

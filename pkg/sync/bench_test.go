@@ -11,9 +11,10 @@ import (
 	csync "combining/pkg/sync"
 )
 
-// Stdlib-baseline benchmarks for the three primitives.  CI runs these in
-// smoke mode (-benchtime=1x); cmd/experiments runs the real wall-clock
-// sweeps that land in BENCH_combining.json's sync_primitives section.
+// Stdlib-baseline benchmarks for the three primitives — the one wall-clock
+// home of these comparisons beside bench/run.sh's sync_* workloads
+// (BENCH_combining.json is cycle-domain only).  CI runs them in smoke mode
+// (-benchtime=1x); `make syncbench` runs them for real.
 //
 // The lock and barrier benchmarks come in two regimes: matched (one
 // goroutine per P, where spinning pays) and oversubscribed (oversubWidth

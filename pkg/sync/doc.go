@@ -49,5 +49,6 @@
 // equivalent RMW trace) and with race-detector soaks at 100k+ goroutines
 // on hot-spot workloads (`cmd/check -synclib`).  Benchmarks against the
 // stdlib baselines (sync.Mutex, sync.WaitGroup, bare atomic.AddInt64) are
-// in BENCH_combining.json under sync_primitives.
+// the BenchmarkSync* family here (`make syncbench`) and the sync_* workloads
+// of bench/run.sh.
 package sync
