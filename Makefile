@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test race fuzz bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench profile loc fmt vet cover
+.PHONY: all check test race fuzz smoke bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench profile loc fmt vet cover
 
 all: vet test
 
@@ -38,6 +38,25 @@ fuzz:
 	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime=5s
 	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzTrackerModel$$' -fuzztime=5s
 	go test ./internal/core/ -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime=5s
+
+# smoke drives the two commands that take -topology once on every wiring the
+# registry names (CI runs it; the commands have no test files, and nothing
+# else ever ran combsim off the omega path): a short combsim sweep whose
+# cold-latency column must be non-zero on every row, and a generated trace
+# replayed.  The names come from the registry by way of the unknown-topology
+# message, so a new wiring is smoked the day it is registered.
+smoke:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; \
+	names=$$($$d/combsim -topology '?' 2>&1 | sed -n 's/.*(want \(.*\))$$/\1/p' | tr -d ,); \
+	test -n "$$names" || { echo "smoke: no wiring names in the unknown-topology message"; exit 1; }; \
+	$$d/replay -gen -n 16 -ops 20 > $$d/trace.txt; \
+	for t in $$names; do \
+		$$d/combsim -topology $$t -n 16 -cycles 300 -csv > $$d/$$t.csv; \
+		awk -F, -v t=$$t 'NR > 1 && $$6 + 0 == 0 { print "smoke: " t ": cold_latency is zero: " $$0; bad = 1 } END { exit bad }' $$d/$$t.csv; \
+		$$d/replay -topology $$t -n 16 $$d/trace.txt > $$d/$$t.txt; \
+		echo "smoke: $$t ok ($$(($$(wc -l < $$d/$$t.csv) - 1)) combsim rows; $$(head -1 $$d/$$t.txt))"; \
+	done
 
 # bench regenerates the committed cycle-domain baseline (EXPERIMENTS.md
 # §Measured baselines): ten sections, 82 points, every one a function of its
@@ -113,15 +132,17 @@ profile:
 	@echo "profiles written: cpu.out mem.out (inspect with go tool pprof -top network.test cpu.out)"
 
 # loc prints the code-line count the simplification issues are judged by
-# (ISSUEs 14–16, 19): per directory, the lines of its non-test Go files that
-# are neither blank nor comment-only — grep -vc '^\s*\(//.*\)\?$$'.  The
-# engine packages are totalled; the two commands behind BENCH_combining.json
-# follow.  Informational; CI prints it and never fails on it.
+# (ISSUEs 14–16, 19, 20): per directory, the lines of its non-test Go files
+# that are neither blank nor comment-only — grep -vc '^\s*\(//.*\)\?$$'.
+# The engine packages are totalled; the two commands behind
+# BENCH_combining.json and the drivers that build machines by name follow.
+# Informational; CI prints it and never fails on it.
 loc:
 	@count() { n=0; for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \
 	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${1#internal/} $$n; }; \
 	total=0; for p in engine network hypercube busnet asyncnet; do count internal/$$p; total=$$((total + n)); done; \
-	printf '%-15s %5d\n' total $$total; count cmd/experiments; count cmd/benchcmp
+	printf '%-15s %5d\n' total $$total; \
+	for p in cmd/experiments cmd/benchcmp cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring; do count $$p; done
 
 fmt:
 	gofmt -w .

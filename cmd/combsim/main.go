@@ -5,7 +5,7 @@
 //
 //	combsim [-n 64] [-rate 0.6] [-cycles 4000] [-window 4] [-seed 1]
 //	        [-h 0,0.0625,0.125,0.25] [-queue 4] [-revqueue 0] [-memqueue 0]
-//	        [-adaptive] [-csv] [-topology omega|fattree|hypercube|torus|bus]
+//	        [-adaptive] [-csv] [-topology omega|omega4|fattree|bus|hypercube|torus]
 //	        [-drop 0.01] [-crash 0] [-crashseed 0] [-plan <spec>] [-workers 1]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -36,10 +36,10 @@
 // across that many goroutines (output is identical at any setting; see
 // DESIGN.md §6).
 //
-// -topology picks the machine: the paper's omega network, a fat-tree
-// (k-ary butterfly) on the same staged engine, the binary hypercube, a
-// near-square torus on the same direct-connection engine, or the bus
-// machine.
+// -topology picks the machine, any name internal/wiring registers: the
+// paper's omega network at radix 2 or 4, a fat-tree (k-ary butterfly) on
+// the same staged engine, the binary hypercube, a near-square torus on the
+// same direct-connection engine, or the bus machine.
 //
 // -cpuprofile and -memprofile write pprof profiles of the sweep (the CPU
 // profile covers the simulation loop; the heap profile is captured after
@@ -67,7 +67,7 @@ import (
 
 func main() {
 	var (
-		n         = flag.Int("n", 64, "processors (power of two)")
+		n         = flag.Int("n", 64, "processors (power of two; power of four on -topology omega4)")
 		rate      = flag.Float64("rate", 0.6, "per-cycle issue probability")
 		cycles    = flag.Int("cycles", 4000, "cycles per point")
 		window    = flag.Int("window", 4, "outstanding requests per processor")
@@ -78,7 +78,7 @@ func main() {
 		memQueue  = flag.Int("memqueue", 0, "memory-side queue capacity (0 = engine default, negative = unbounded; bank queue on -topology bus)")
 		adaptive  = flag.Bool("adaptive", false, "AIMD admission control instead of a fixed window (-window is the initial window)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of a table")
-		topo      = flag.String("topology", "omega", "omega, fattree, hypercube, torus, or bus")
+		topo      = flag.String("topology", "omega", "one of "+strings.Join(combining.Wirings(), ", "))
 		drop      = flag.Float64("drop", 0, "per-hop drop probability (arms the fault/recovery layer)")
 		crash     = flag.Int("crash", 0, "crash–restart windows of each kind to schedule (0 = none)")
 		crashseed = flag.Uint64("crashseed", 0, "seed for the crash schedule (0 = reuse -seed)")
@@ -92,11 +92,6 @@ func main() {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "combsim: "+format+"\n", args...)
 		os.Exit(2)
-	}
-	switch *topo {
-	case "omega", "fattree", "hypercube", "torus", "bus":
-	default:
-		fail("unknown topology %q (want omega, fattree, hypercube, torus, or bus)", *topo)
 	}
 	if *rate <= 0 || *rate > 1 {
 		fail("-rate must be in (0, 1], got %g", *rate)
@@ -138,10 +133,6 @@ func main() {
 		fail("-h lists no hot fractions")
 	}
 
-	type point struct {
-		bandwidth, latency, coldLatency float64
-		combines                        int64
-	}
 	injectors := func(h float64) []combining.Injector {
 		inj := make([]combining.Injector, *n)
 		for p := 0; p < *n; p++ {
@@ -183,69 +174,15 @@ func main() {
 		plan.LinkCrashes = gen.LinkCrashes
 		plan.CheckpointEvery = gen.CheckpointEvery
 	}
-	// Config builders per topology: the staged engine runs omega and the
-	// fat-tree, the direct-connection engine the hypercube and the torus —
-	// new wirings are pure configuration, not new machines.
-	netCfg := func(waitCap int) combining.NetConfig {
-		cfg := combining.NetConfig{Procs: *n, QueueCap: *queue, RevQueueCap: *revQueue,
-			MemQueueCap: *memQueue, WaitBufCap: waitCap, Faults: plan, Workers: *workers}
-		if *topo == "fattree" {
-			cfg.Topology = combining.FatTreeTopology(*n, 2)
-		}
-		return cfg
-	}
-	cubeCfg := func(waitCap int) combining.CubeConfig {
-		cfg := combining.CubeConfig{Nodes: *n, QueueCap: *queue, RevQueueCap: *revQueue,
-			MemQueueCap: *memQueue, WaitBufCap: waitCap, Faults: plan, Workers: *workers}
-		if *topo == "torus" {
-			cfg.Topology = combining.SquareTorusTopology(*n)
-		}
-		return cfg
-	}
-	busCfg := func(waitCap int) combining.BusConfig {
-		return combining.BusConfig{Procs: *n, Banks: 8, QueueCap: *queue,
-			BankQueueCap: *memQueue, WaitBufCap: waitCap, Faults: plan, Workers: *workers}
-	}
-
-	// One representative config validates the whole sweep up front (points
-	// differ only in the wait-buffer capacity, which Validate never
-	// rejects): a bad -n or -workers is a one-line error, not a stack
-	// trace from inside an engine constructor.
-	var cfgErr error
-	switch *topo {
-	case "omega", "fattree":
-		cfgErr = netCfg(0).Validate()
-	case "hypercube", "torus":
-		cfgErr = cubeCfg(0).Validate()
-	case "bus":
-		cfgErr = busCfg(0).Validate()
-	}
-	if cfgErr != nil {
-		fail("%v", cfgErr)
-	}
-
-	run := func(h float64, comb bool) point {
-		waitCap := 0
-		if comb {
-			waitCap = combining.Unbounded
-		}
-		switch *topo {
-		case "omega", "fattree":
-			sim := combining.NewSim(netCfg(waitCap), injectors(h))
-			sim.Run(*cycles)
-			st := sim.Stats()
-			return point{st.Bandwidth(), st.MeanLatency(), st.ColdMeanLatency(), st.Combines}
-		case "hypercube", "torus":
-			sim := combining.NewCubeSim(cubeCfg(waitCap), injectors(h))
-			sim.Run(*cycles)
-			st := sim.Stats()
-			return point{st.Bandwidth(), st.MeanLatency(), 0, st.Combines}
-		default:
-			sim := combining.NewBusSim(busCfg(waitCap), injectors(h))
-			sim.Run(*cycles)
-			st := sim.Stats()
-			return point{st.Bandwidth(), st.MeanLatency(), 0, st.Combines}
-		}
+	// One config for every wiring — a topology is a name, not a machine.  The
+	// bus sweeps run on eight banks.  Validating it once covers the whole
+	// sweep (points differ only in the wait-buffer capacity, which Validate
+	// never rejects): a bad -topology, -n or -workers is a one-line error,
+	// not a stack trace from inside an engine constructor.
+	cfg := combining.WiringConfig{Procs: *n, QueueCap: *queue, RevQueueCap: *revQueue,
+		MemQueueCap: *memQueue, Banks: 8, Faults: plan, Workers: *workers}
+	if err := combining.ValidateWiring(*topo, cfg); err != nil {
+		fail("%v", err)
 	}
 
 	if *cpuprof != "" {
@@ -291,16 +228,25 @@ func main() {
 	}
 	for _, h := range hs {
 		for _, comb := range []bool{false, true} {
-			pt := run(h, comb)
+			cfg.WaitBufCap = 0
+			if comb {
+				cfg.WaitBufCap = combining.Unbounded
+			}
+			sim, err := combining.NewWiring(*topo, cfg, injectors(h))
+			if err != nil {
+				fail("%v", err)
+			}
+			sim.Run(*cycles)
+			t := sim.Totals()
 			limit := combining.AsymptoticHotBandwidth(*n, h)
 			if *csv {
 				fmt.Printf("%d,%g,%v,%.4f,%.2f,%.2f,%d,%.4f\n",
-					*n, h, comb, pt.bandwidth, pt.latency,
-					pt.coldLatency, pt.combines, limit)
+					*n, h, comb, t.Bandwidth(), t.MeanLatency(),
+					t.ColdMeanLatency(), t.Combines, limit)
 			} else {
 				fmt.Printf(" %6.4f  %-4v |  %9.2f  %8.1f  %9.1f  %9d | %6.2f\n",
-					h, comb, pt.bandwidth, pt.latency,
-					pt.coldLatency, pt.combines, limit)
+					h, comb, t.Bandwidth(), t.MeanLatency(),
+					t.ColdMeanLatency(), t.Combines, limit)
 			}
 		}
 	}

@@ -231,33 +231,22 @@ func benchSections() []sweep {
 		}
 	}
 
-	// topology_sweep: the same hot-spot workload through every wiring — the
-	// staged engine on omega and the fat-tree, the direct engine on the
-	// hypercube and the near-square torus.
+	// topology_sweep: the same hot-spot workload through the staged engine on
+	// omega and the fat-tree and the direct engine on the hypercube and the
+	// near-square torus, each built from its name.
 	topology := sweep{name: "topology_sweep", lift: []string{"combines"}}
-	for _, wiring := range []struct {
-		name  string
-		build func(waitCap int, inj []combining.Injector) engine.Machine
-	}{
-		{"omega", func(wc int, inj []combining.Injector) engine.Machine {
-			return combining.NewSim(combining.NetConfig{Procs: n, QueueCap: 4, WaitBufCap: wc}, inj)
-		}},
-		{"fattree", func(wc int, inj []combining.Injector) engine.Machine {
-			return combining.NewSim(combining.NetConfig{Procs: n, QueueCap: 4, WaitBufCap: wc,
-				Topology: combining.FatTreeTopology(n, 2)}, inj)
-		}},
-		{"hypercube", func(wc int, inj []combining.Injector) engine.Machine {
-			return combining.NewCubeSim(combining.CubeConfig{Nodes: n, QueueCap: 4, WaitBufCap: wc}, inj)
-		}},
-		{"torus", func(wc int, inj []combining.Injector) engine.Machine {
-			return combining.NewCubeSim(combining.CubeConfig{Nodes: n, QueueCap: 4, WaitBufCap: wc,
-				Topology: combining.SquareTorusTopology(n)}, inj)
-		}},
-	} {
+	for _, wiring := range []string{"omega", "fattree", "hypercube", "torus"} {
 		for _, comb := range onOff {
 			topology.cells = append(topology.cells, timed(
-				map[string]any{"topology": wiring.name, "procs": n, "hot_fraction": 0.25, "combining": comb}, cycles,
-				func() rig { return rig{m: wiring.build(waitCap(comb), hot(n, 0.25))} }))
+				map[string]any{"topology": wiring, "procs": n, "hot_fraction": 0.25, "combining": comb}, cycles,
+				func() rig {
+					m, err := combining.NewWiring(wiring,
+						combining.WiringConfig{Procs: n, QueueCap: 4, WaitBufCap: waitCap(comb)}, hot(n, 0.25))
+					if err != nil {
+						panic(err)
+					}
+					return rig{m: m}
+				}))
 		}
 	}
 

@@ -13,9 +13,10 @@
 //	<cycle> <proc> <addr> <op> [arg]
 //	op ∈ load | store v | swap v | add a | or a | and a | xor a | min a | max a
 //
-// -topology picks the wiring: the radix-2 or radix-4 omega network or the
-// fat-tree on the staged engine, the binary hypercube or near-square torus
-// on the direct engine, or the bus machine.
+// -topology picks the wiring, any name internal/wiring registers: the
+// radix-2 or radix-4 omega network or the fat-tree on the staged engine,
+// the binary hypercube or near-square torus on the direct engine, or the
+// bus machine.
 //
 // -plan replays under an explicit deterministic fault plan, written as the
 // comma-joined key=value spec EncodeFaultPlan emits (e.g.
@@ -45,6 +46,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"strings"
 
 	combining "combining"
 )
@@ -52,7 +54,7 @@ import (
 func main() {
 	var (
 		n         = flag.Int("n", 16, "processors (power of two; power of four on -topology omega4)")
-		topo      = flag.String("topology", "omega", "omega, omega4, fattree, hypercube, torus, or bus")
+		topo      = flag.String("topology", "omega", "one of "+strings.Join(combining.Wirings(), ", "))
 		comb      = flag.Bool("combining", true, "enable combining")
 		queue     = flag.Int("queue", 4, "switch queue capacity")
 		gen       = flag.Bool("gen", false, "generate a synthetic trace to stdout instead of replaying")
@@ -70,11 +72,6 @@ func main() {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "replay: "+format+"\n", args...)
 		os.Exit(2)
-	}
-	switch *topo {
-	case "omega", "omega4", "fattree", "hypercube", "torus", "bus":
-	default:
-		fail("unknown topology %q (want omega, omega4, fattree, hypercube, torus, or bus)", *topo)
 	}
 	if *crash < 0 {
 		fail("-crash must be ≥ 0 — a count of crash windows, got %d", *crash)
@@ -107,12 +104,20 @@ func main() {
 		}
 	}
 
-	if *chaosRun {
-		runChaos(*topo, *n, *ops, *addrs, *seed, plan)
-		return
-	}
 	if *gen {
 		generate(*n, *ops, *genHot, *seed)
+		return
+	}
+	// One validation for either machine below (they differ only in queue
+	// and wait-buffer sizes and the plan, none of which a serial machine's
+	// Validate rejects): a bad -topology or -n is a one-line error, not a
+	// stack trace from an engine constructor.
+	cfg := combining.WiringConfig{Procs: *n, QueueCap: *queue}
+	if err := combining.ValidateWiring(*topo, cfg); err != nil {
+		fail("%v", err)
+	}
+	if *chaosRun {
+		runChaos(*topo, *n, *ops, *addrs, *seed, plan)
 		return
 	}
 
@@ -135,9 +140,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
 	}
-	waitCap := 0
 	if *comb {
-		waitCap = combining.Unbounded
+		cfg.WaitBufCap = combining.Unbounded
 	}
 	if *crash > 0 {
 		cs := *crashseed
@@ -155,7 +159,8 @@ func main() {
 		plan = combining.GenCrashPlan(cs, *crash, horizon, 80)
 		plan.RetryTimeout = 512
 	}
-	eng, err := buildEngine(*topo, *n, *queue, waitCap, plan, inj)
+	cfg.Faults = plan
+	eng, err := combining.NewWiring(*topo, cfg, inj)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -176,11 +181,8 @@ func main() {
 	fmt.Printf("bandwidth %.3f ops/cycle, combines %d, memory accesses %d\n",
 		float64(c["completed"])/float64(cycles), c["combines"],
 		c["mem_requests"]+c["mem_ops"]+c["bank_ops"])
-	if sim, ok := eng.(*combining.Sim); ok {
-		st := sim.Stats()
-		fmt.Printf("mean latency %.1f cycles, wait-buffer rejects %d\n",
-			st.MeanLatency(), st.Rejects)
-	}
+	fmt.Printf("mean latency %.1f cycles, wait-buffer rejects %d\n",
+		eng.Totals().MeanLatency(), c["combine_rejects"])
 	if plan != nil {
 		fmt.Printf("faults injected %d, retries %d, dedup hits %d\n",
 			c["faults_injected"], c["retries"], c["dedup_hits"])
@@ -193,40 +195,6 @@ func main() {
 	if !allDone(reps) {
 		fmt.Fprintln(os.Stderr, "replay: trace did not complete within the cycle bound")
 		os.Exit(1)
-	}
-}
-
-// buildEngine constructs the selected wiring, validating its config for a
-// one-line error instead of a constructor panic.
-func buildEngine(topo string, n, queue, waitCap int, plan *combining.FaultPlan, inj []combining.Injector) (combining.MachineEngine, error) {
-	switch topo {
-	case "omega", "omega4", "fattree":
-		cfg := combining.NetConfig{Procs: n, QueueCap: queue, WaitBufCap: waitCap, Faults: plan}
-		if topo == "omega4" {
-			cfg.Radix = 4
-		}
-		if topo == "fattree" {
-			cfg.Topology = combining.FatTreeTopology(n, 2)
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return combining.NewSim(cfg, inj), nil
-	case "hypercube", "torus":
-		cfg := combining.CubeConfig{Nodes: n, QueueCap: queue, WaitBufCap: waitCap, Faults: plan}
-		if topo == "torus" {
-			cfg.Topology = combining.SquareTorusTopology(n)
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return combining.NewCubeSim(cfg, inj), nil
-	default:
-		cfg := combining.BusConfig{Procs: n, Banks: 4, QueueCap: queue, WaitBufCap: waitCap, Faults: plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return combining.NewBusSim(cfg, inj), nil
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"combining/internal/rmw"
 	"combining/internal/serial"
 	"combining/internal/stats"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -89,6 +90,18 @@ var (
 	CubeTopology        = engine.CubeOf
 	TorusTopology       = engine.TorusOf
 	SquareTorusTopology = engine.SquareTorusOf
+)
+
+// WiringConfig is what the six shipped cycle wirings share; Wirings names
+// them, ValidateWiring is the one-line config check commands run up front,
+// and NewWiring builds a named wiring over its injectors — the one switch
+// from a topology name to a machine (internal/wiring).
+type WiringConfig = wiring.Config
+
+var (
+	Wirings        = wiring.Names
+	ValidateWiring = wiring.Validate
+	NewWiring      = wiring.New
 )
 
 // EngineCounterKeys lists the canonical snapshot counter schema every
@@ -444,6 +457,8 @@ var (
 	// accept back.
 	EncodeFaultPlan = faults.EncodePlan
 	ParseFaultPlan  = faults.ParsePlan
+	// FaultCanaries lists the seeded bugs FaultPlan.Canary may name.
+	FaultCanaries = faults.Canaries
 )
 
 // RecoveryManager is the per-run crash–restart ledger (internal/recover):
@@ -460,14 +475,16 @@ type RecoveryManager = recover.Manager
 type ChaosScenario = chaos.Scenario
 
 var (
-	// ChaosWirings lists the six cycle-engine wirings the fuzzer rotates
-	// through.
-	ChaosWirings = chaos.Wirings
 	// NewChaosScenario derives the index-th scenario of a fuzz run.
 	NewChaosScenario = chaos.NewScenario
 	// RunChaos executes one scenario and returns its snapshot counters
 	// plus the first invariant violation (nil if clean).
 	RunChaos = chaos.Run
+	// CheckBattery is the invariant battery RunChaos and every cmd/check
+	// soak share: run the bound programs to completion, per-location
+	// serializability against final memory, issued == completed, nothing
+	// left in flight.
+	CheckBattery = chaos.Battery
 	// ShrinkChaos minimizes a failing scenario under a rerun budget.
 	ShrinkChaos = chaos.Shrink
 	// ChaosWindows counts a plan's fault windows — the shrink metric.

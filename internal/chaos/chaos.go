@@ -24,16 +24,13 @@ package chaos
 import (
 	"fmt"
 	"math/rand/v2"
-	"strings"
 
-	"combining/internal/busnet"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
 	"combining/internal/machine"
-	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -41,7 +38,7 @@ import (
 // sampled fault plan.  Run is a pure function of the Scenario, so a failing
 // case replays from its fields alone and Shrink can bisect it.
 type Scenario struct {
-	// Topology names the wiring, one of Wirings().
+	// Topology names the wiring, one of wiring.Names().
 	Topology string
 	// Procs, Ops and Addrs shape the workload: processors, operations per
 	// processor, and the (hot) shared address range.
@@ -50,14 +47,6 @@ type Scenario struct {
 	WorkloadSeed uint64
 	// Plan is the fault plan under test.
 	Plan *faults.Plan
-}
-
-// Wirings lists the six cycle-engine wirings the fuzzer rotates through:
-// the radix-2 and radix-4 omega networks and the fat-tree on the staged
-// engine, the bus machine, and the hypercube and torus on the direct
-// engine.
-func Wirings() []string {
-	return []string{"omega", "omega4", "fattree", "bus", "hypercube", "torus"}
 }
 
 // maxCycles bounds one scenario run; sampled windows end by cycle ~2100
@@ -164,82 +153,51 @@ func Programs(seed uint64, procs, ops, addrs int) [][]machine.Instr {
 	return progs
 }
 
-// newEngine builds and validates the scenario's wiring.
-func newEngine(sc Scenario, inj []network.Injector) (engine.Machine, error) {
-	switch sc.Topology {
-	case "omega":
-		cfg := network.Config{Procs: sc.Procs, WaitBufCap: 64, Faults: sc.Plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return network.NewSim(cfg, inj), nil
-	case "omega4":
-		cfg := network.Config{Procs: sc.Procs, Radix: 4, WaitBufCap: 64, Faults: sc.Plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return network.NewSim(cfg, inj), nil
-	case "fattree":
-		cfg := network.Config{Topology: engine.FatTreeOf(sc.Procs, 2), WaitBufCap: 64, Faults: sc.Plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return network.NewSim(cfg, inj), nil
-	case "bus":
-		cfg := busnet.Config{Procs: sc.Procs, Banks: 4, WaitBufCap: 64, Faults: sc.Plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return busnet.NewSim(cfg, inj), nil
-	case "hypercube":
-		cfg := hypercube.Config{Nodes: sc.Procs, WaitBufCap: 64, Faults: sc.Plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return hypercube.NewSim(cfg, inj), nil
-	case "torus":
-		cfg := hypercube.Config{Topology: engine.SquareTorusOf(sc.Procs), WaitBufCap: 64, Faults: sc.Plan}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return hypercube.NewSim(cfg, inj), nil
-	default:
-		return nil, fmt.Errorf("chaos: unknown topology %q (want %s)", sc.Topology, strings.Join(Wirings(), ", "))
-	}
-}
-
 // Run executes one scenario and checks its invariants, returning the
 // engine's snapshot counters (for vacuous-pass accounting) and the first
 // violation found, nil if the run is clean.  Run is deterministic: the
 // same Scenario always produces the same counters and the same verdict.
 func Run(sc Scenario) (map[string]int64, error) {
-	progs := Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs)
-	m, inj := machine.NewInjectors(progs)
-	eng, err := newEngine(sc, inj)
+	m, inj := machine.NewInjectors(Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs))
+	eng, err := wiring.New(sc.Topology, wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Faults: sc.Plan}, inj)
 	if err != nil {
 		return nil, err
 	}
 	m.BindEngine(eng)
+	return Battery(m, eng, sc.Addrs, maxCycles)
+}
+
+// Battery is the invariant battery every soak runs: it drives the programs
+// of m on the engine they are bound to and checks that they complete within
+// maxCycles, that the history is per-location serializable against the
+// final contents of addresses [0, addrs) (Theorem 4.2), and that RMW
+// semantics are exactly-once — issued == completed with nothing left in
+// flight.  It returns the engine's snapshot counters and the first
+// violation, nil if the run is clean; a watchdog trip is reported with the
+// engine's replayable stall report.
+func Battery(m *machine.Machine, eng engine.Machine, addrs, maxCycles int) (map[string]int64, error) {
 	if !m.Run(maxCycles) {
+		if eng.Stalled() {
+			return eng.Snapshot().Counters, fmt.Errorf("watchdog tripped: %s", eng.StallReport())
+		}
 		return eng.Snapshot().Counters,
 			fmt.Errorf("programs did not complete within %d cycles (%d in flight)", maxCycles, eng.InFlight())
 	}
-	snap := eng.Snapshot()
+	c := eng.Snapshot().Counters
 	final := map[word.Addr]word.Word{}
-	for a := 0; a < sc.Addrs; a++ {
+	for a := 0; a < addrs; a++ {
 		final[word.Addr(a)] = eng.Memory().Peek(word.Addr(a))
 	}
 	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
-		return snap.Counters, fmt.Errorf("per-location serializability violated: %v", err)
+		return c, fmt.Errorf("per-location serializability violated: %v", err)
 	}
-	if snap.Counters["issued"] != snap.Counters["completed"] {
-		return snap.Counters, fmt.Errorf("exactly-once violated: issued %d != completed %d",
-			snap.Counters["issued"], snap.Counters["completed"])
+	if c["issued"] != c["completed"] {
+		return c, fmt.Errorf("exactly-once violated: issued %d != completed %d", c["issued"], c["completed"])
 	}
 	if n := eng.InFlight(); n != 0 {
-		return snap.Counters, fmt.Errorf("%d requests still in flight after completion", n)
+		return c, fmt.Errorf("%d requests still in flight after completion", n)
 	}
-	return snap.Counters, nil
+	return c, nil
 }
 
 // Windows counts the fault windows in a plan — the size metric the

@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"combining/internal/wiring"
 )
 
 // TestChaosCleanAllWirings runs a small fixed-seed fuzz budget on every
@@ -13,7 +15,7 @@ import (
 func TestChaosCleanAllWirings(t *testing.T) {
 	total := map[string]int64{}
 	index := 0
-	for _, topo := range Wirings() {
+	for _, topo := range wiring.Names() {
 		for round := 0; round < 2; round++ {
 			sc := NewScenario(topo, 1, index)
 			index++

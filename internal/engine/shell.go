@@ -47,6 +47,7 @@ type Machine interface {
 	Stalled() bool
 	StallReport() string
 	Snapshot() stats.Snapshot
+	Totals() Totals
 	Memory() *memory.Array
 }
 
@@ -294,7 +295,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		if cfg.Faults.HasCrashes() {
 			memOpts = append(memOpts, memory.WithCheckpoints())
 		}
-		if cfg.Faults.Canary == "nodedup" {
+		if cfg.Faults.Canary == faults.CanaryNoDedup {
 			memOpts = append(memOpts, memory.WithNoDedupCanary())
 		}
 	}

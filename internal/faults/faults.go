@@ -110,9 +110,7 @@ type Plan struct {
 	Corrupt float64
 
 	// Canary names a deliberately seeded bug used to validate the chaos
-	// fuzzer end to end ("" = none).  "nodedup" disables the memory-side
-	// reply-cache dedup so duplicated deliveries double-execute — a bug
-	// cmd/check -chaos must find and shrink to a minimal reproducer.
+	// fuzzer end to end ("" = none, otherwise one of Canaries).
 	Canary string
 
 	// RetryTimeout is the base retransmit timeout in cycles (cycle-driven
@@ -123,6 +121,16 @@ type Plan struct {
 	// k is min(RetryTimeout << (k-1), RetryCap).  Default 8×RetryTimeout.
 	RetryCap int64
 }
+
+// CanaryNoDedup disables the memory-side reply-cache dedup so duplicated
+// deliveries double-execute — a bug cmd/check -chaos must find and shrink to
+// a minimal reproducer.
+const CanaryNoDedup = "nodedup"
+
+// Canaries lists the seeded bugs the engines know how to arm.  A name
+// outside it would arm nothing and pass for a clean run, so ParsePlan and
+// cmd/check -canary reject it where it enters.
+var Canaries = []string{CanaryNoDedup}
 
 func (p Plan) String() string {
 	s := fmt.Sprintf("plan{seed=%d drop_fwd=%g drop_rev=%g stalls=%d mem_stalls=%d crashes=%d mem_crashes=%d link_crashes=%d ckpt=%d",

@@ -289,6 +289,7 @@ func FuzzPlanRoundTrip(f *testing.F) {
 		f.Add(EncodePlan(p))
 	}
 	f.Add("seed=1,canary= a=b ,retry=0,stalls=-1:-1:0:0+0:0:5:5")
+	f.Add("seed=1,dup=0.02,canary=nodedup,retry=256")
 	f.Add("dropfwd=NaN,droprev=-0,dup=0x1p-4,corrupt=1e-320")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)

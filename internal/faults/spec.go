@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -105,6 +106,9 @@ func ParsePlan(s string) (*Plan, error) {
 			p.Corrupt, err = parseProb(v)
 		case "canary":
 			p.Canary = v
+			if !slices.Contains(Canaries, v) {
+				err = fmt.Errorf("unknown canary (want %s)", strings.Join(Canaries, ", "))
+			}
 		case "retry":
 			p.RetryTimeout, err = parseNonNeg(v)
 		case "retrycap":

@@ -57,6 +57,8 @@ func TestParsePlanErrors(t *testing.T) {
 		"   ":                      "empty plan spec",
 		"seed":                     "not key=value",
 		"seed=5,bogus=1":           "unknown plan spec key",
+		"seed=5,canary=nodedupe":   "unknown canary (want nodedup)",
+		"canary=":                  "unknown canary",
 		"dup=1.5":                  "probability outside [0, 1)",
 		"corrupt=-0.1":             "probability outside [0, 1)",
 		"dropfwd=NaN":              "probability outside [0, 1)",

@@ -3,12 +3,11 @@ package machine
 import (
 	"testing"
 
-	"combining/internal/busnet"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -36,63 +35,48 @@ func faultPrograms(nprocs, ops int) [][]Instr {
 	return progs
 }
 
-// runFaultSoak drives hot-spot programs on one engine under a fault plan
-// and checks exactly-once completion plus per-location serializability
-// (Theorem 4.2 surviving an unhealthy network).
-func runFaultSoak(t *testing.T, name string, seed uint64, build func(*faults.Plan, []network.Injector) Engine) {
-	t.Helper()
-	plan := faults.Default(seed)
-	progs := faultPrograms(8, 12)
-	m, inj := NewInjectors(progs)
-	eng := build(plan, inj)
-	m.BindEngine(eng)
-	if !m.Run(400000) {
-		t.Fatalf("%s seed %d: programs did not complete (in flight %d)", name, seed, eng.InFlight())
-	}
-	final := map[word.Addr]word.Word{}
-	for a := word.Addr(0); a < 32; a++ {
-		final[a] = eng.Memory().Peek(a)
-	}
-	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
-		t.Fatalf("%s seed %d: M2 violated under faults: %v", name, seed, err)
-	}
-	snap := eng.Snapshot()
-	if snap.Counters["faults_injected"] == 0 {
-		t.Fatalf("%s seed %d: plan injected no faults", name, seed)
-	}
-	if snap.Counters["issued"] != snap.Counters["completed"] {
-		t.Fatalf("%s seed %d: issued %d != completed %d", name, seed,
-			snap.Counters["issued"], snap.Counters["completed"])
-	}
-	if got := eng.InFlight(); got != 0 {
-		t.Fatalf("%s seed %d: %d requests never delivered", name, seed, got)
-	}
-}
-
-// TestNetworkUnderFaultPlan soaks the Omega network under the default fault
-// plan (1% drops each way, a switch blackout, a module slowdown).
-func TestNetworkUnderFaultPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runFaultSoak(t, "network", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
-}
-
-// TestBusnetUnderFaultPlan soaks the bus machine under the default plan.
-func TestBusnetUnderFaultPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runFaultSoak(t, "busnet", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
-}
-
-// TestHypercubeUnderFaultPlan soaks the hypercube under the default plan.
-func TestHypercubeUnderFaultPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runFaultSoak(t, "hypercube", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
+// TestWiringsUnderFaultPlan soaks every registered wiring under the default
+// fault plan (1% drops each way, a switch blackout, a module slowdown):
+// hot-spot programs must complete exactly once and stay per-location
+// serializable (Theorem 4.2 surviving an unhealthy network).
+func TestWiringsUnderFaultPlan(t *testing.T) {
+	for _, name := range wiring.Names() {
+		t.Run(name, func(t *testing.T) {
+			procs, ops := 8, 12
+			if name == "omega4" {
+				// A power of four, and a shorter program: the checker's
+				// search grows steeply with operations per hot address.
+				procs, ops = 16, 6
+			}
+			for _, seed := range []uint64{1, 2, 3, 7} {
+				m, inj := NewInjectors(faultPrograms(procs, ops))
+				eng, err := wiring.New(name, wiring.Config{Procs: procs, WaitBufCap: 64, Faults: faults.Default(seed)}, inj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.BindEngine(eng)
+				if !m.Run(400000) {
+					t.Fatalf("seed %d: programs did not complete (in flight %d)", seed, eng.InFlight())
+				}
+				final := map[word.Addr]word.Word{}
+				for a := word.Addr(0); a < 32; a++ {
+					final[a] = eng.Memory().Peek(a)
+				}
+				if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
+					t.Fatalf("seed %d: M2 violated under faults: %v", seed, err)
+				}
+				snap := eng.Snapshot()
+				if snap.Counters["faults_injected"] == 0 {
+					t.Fatalf("seed %d: plan injected no faults", seed)
+				}
+				if snap.Counters["issued"] != snap.Counters["completed"] {
+					t.Fatalf("seed %d: issued %d != completed %d", seed,
+						snap.Counters["issued"], snap.Counters["completed"])
+				}
+				if got := eng.InFlight(); got != 0 {
+					t.Fatalf("seed %d: %d requests never delivered", seed, got)
+				}
+			}
 		})
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"combining/internal/busnet"
-	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
 	"combining/internal/network"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -17,7 +15,7 @@ import (
 // commits.  The determinism tests compare Workers widths to each other
 // within one build; nothing else compares a run to what the same run
 // produced before a change.  One fixed program set runs on each of the six
-// wirings under four plans, serially and — where the plan allows a
+// registered wirings (built by name, through internal/wiring) under four plans, serially and — where the plan allows a
 // parallel stepper — at Workers 3, and an FNV-1a digest of the marshalled
 // Snapshot plus the final memory image must equal the committed table.  A
 // refactor that claims "same behaviour" leaves the table alone; a change
@@ -55,32 +53,6 @@ func (h hotTagged) Next(cycle int64) (network.Injection, bool) {
 	return in, ok
 }
 
-var goldenWirings = []struct {
-	name  string
-	build func(plan *faults.Plan, workers int, inj []network.Injector) Engine
-}{
-	{"omega", func(p *faults.Plan, w int, inj []network.Injector) Engine {
-		return network.NewSim(network.Config{Procs: goldenProcs, WaitBufCap: 8, Faults: p, Workers: w}, inj)
-	}},
-	{"omega4", func(p *faults.Plan, w int, inj []network.Injector) Engine {
-		return network.NewSim(network.Config{Procs: goldenProcs, Radix: 4, WaitBufCap: 8, Faults: p, Workers: w}, inj)
-	}},
-	{"fattree", func(p *faults.Plan, w int, inj []network.Injector) Engine {
-		return network.NewSim(network.Config{
-			Topology: engine.FatTreeOf(goldenProcs, 2), WaitBufCap: 8, Faults: p, Workers: w}, inj)
-	}},
-	{"hypercube", func(p *faults.Plan, w int, inj []network.Injector) Engine {
-		return hypercube.NewSim(hypercube.Config{Nodes: goldenProcs, WaitBufCap: 8, Faults: p, Workers: w}, inj)
-	}},
-	{"torus", func(p *faults.Plan, w int, inj []network.Injector) Engine {
-		return hypercube.NewSim(hypercube.Config{
-			Topology: engine.TorusOf(8, 8), WaitBufCap: 8, Faults: p, Workers: w}, inj)
-	}},
-	{"bus", func(p *faults.Plan, w int, inj []network.Injector) Engine {
-		return busnet.NewSim(busnet.Config{Procs: goldenProcs, Banks: 8, WaitBufCap: 8, Faults: p, Workers: w}, inj)
-	}},
-}
-
 var goldenPlans = []struct {
 	name string
 	plan func() *faults.Plan
@@ -111,19 +83,25 @@ func goldenDigest(t *testing.T, name string, eng Engine, m *Machine) string {
 }
 
 func TestGoldenDigests(t *testing.T) {
-	for _, wiring := range goldenWirings {
+	for _, name := range wiring.Names() {
 		for _, pl := range goldenPlans {
 			widths := []int{1, 3}
 			if plan := pl.plan(); plan != nil && plan.HasAdversarial() {
 				widths = []int{1} // relaxed-delivery plans pin the serial stepper
 			}
 			for _, w := range widths {
-				key := fmt.Sprintf("%s/%s/w%d", wiring.name, pl.name, w)
+				key := fmt.Sprintf("%s/%s/w%d", name, pl.name, w)
 				m, inj := NewInjectors(goldenPrograms())
 				for p := range inj {
 					inj[p] = hotTagged{inj[p]}
 				}
-				got := goldenDigest(t, key, wiring.build(pl.plan(), w, inj), m)
+				// The bus rows were committed on eight banks.
+				eng, err := wiring.New(name, wiring.Config{
+					Procs: goldenProcs, WaitBufCap: 8, Banks: 8, Faults: pl.plan(), Workers: w}, inj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := goldenDigest(t, key, eng, m)
 				if want, ok := goldenTable[key]; !ok || got != want {
 					t.Errorf("golden digest moved:\n\t%q: %q,   (committed: %q)", key, got, want)
 				}
