@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test race fuzz smoke bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench profile loc fmt vet cover
+.PHONY: all check test race fuzz smoke bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench stepcmp profile loc fmt vet cover
 
 all: vet test
 
@@ -122,6 +122,38 @@ parbench:
 # their time in.
 stepbench:
 	go test -run '^$$' -bench=BenchmarkStep -benchmem ./internal/network/ ./internal/hypercube/
+
+# stepcmp prices the working tree's serial cycle against another commit's, as
+# E20, E22 and E26 each did by hand: BenchmarkStep's two test binaries are
+# built once for REF (a `git archive` of it in a temporary directory, which
+# honours TMPDIR) and once for the working tree, then run alternately for
+# ROUNDS rounds of 3000 cycles, the order flipped every round — this host's
+# clock swings 10–30 % between runs, so only interleaved pairs compare.
+# Prints min / first quartile / median µs per cycle of each side and the
+# ratios ref/tree (> 1: the tree is faster).  No threshold; CI runs it with
+# ROUNDS=2 REF=HEAD as a smoke.
+REF ?= HEAD
+ROUNDS ?= 12
+stepcmp:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir $$d/ref; \
+	git archive $(REF) | tar -x -C $$d/ref; \
+	for p in network hypercube; do \
+		(cd $$d/ref && go test -c -o $$d/ref-$$p.test ./internal/$$p/); \
+		go test -c -o $$d/tree-$$p.test ./internal/$$p/; \
+	done; \
+	run() { for p in network hypercube; do \
+		(cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench '^BenchmarkStep$$' -test.benchtime 3000x -test.timeout 10m) | \
+		awk -v side=$$1 -v p=$$p '/^BenchmarkStep\// { sub(/^BenchmarkStep\//, "", $$1); sub(/-[0-9]+$$/, "", $$1); \
+			for (i = 3; i < NF; i++) if ($$(i+1) == "ns/cycle") print side, p "/" $$1, $$i / 1000 }'; done; }; \
+	for r in $$(seq 1 $(ROUNDS)); do \
+		if [ $$((r % 2)) = 1 ]; then run ref; run tree; else run tree; run ref; fi; \
+	done | sort -k2,2 -k1,1 -k3,3g | awk ' \
+		function q(f) { i = 1 + (n - 1) * f; lo = int(i); return v[lo] + (i - lo) * (v[lo < n ? lo + 1 : lo] - v[lo]) } \
+		function flush() { if (n) { m[key] = v[1]; q1[key] = q(0.25); md[key] = q(0.5) } n = 0 } \
+		{ if ($$1 " " $$2 != key) { flush(); key = $$1 " " $$2; if ($$1 == "ref") cases[++nc] = $$2 } v[++n] = $$3 } \
+		END { flush(); printf "%-26s %27s   %27s   %s\n", "us/cycle: min / q1 / median", "$(REF)", "working tree", "ratio min / q1 / median"; \
+		for (c = 1; c <= nc; c++) { a = "ref " cases[c]; b = "tree " cases[c]; \
+			printf "%-26s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b] } }'
 
 # profile runs the omega BenchmarkStep under the CPU and memory profilers
 # and leaves cpu.out/mem.out (and the test binary they resolve against) for

@@ -763,7 +763,7 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 		sw.st.Wait.Rejections = 0
 	}
 	for port := range sw.st.Fwd {
-		for q := &sw.st.Fwd[port]; q.Len() > 0; q.Pop() {
+		for q := &sw.st.Fwd[port]; q.Len() > 0; sw.st.PopFwd(port) {
 			sw.fwdOut[port](q.Front())
 		}
 	}
@@ -779,7 +779,7 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 func (sw *aswitch) handleRev(r engine.Rev) {
 	sw.st.AcceptRev(&r, 0, nil) // never home: a reply's path is spent at its port, not before
 	for port := range sw.st.Rev {
-		for q := &sw.st.Rev[port]; q.Len() > 0; q.Pop() {
+		for q := &sw.st.Rev[port]; q.Len() > 0; sw.st.PopRev(port) {
 			sw.revOut[port](q.Front())
 		}
 	}

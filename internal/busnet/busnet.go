@@ -252,9 +252,9 @@ func (s *Sim) sweep() {
 		if bank := s.Memory().HomeOf(head.Req.Addr); !s.MemReady(bank) {
 			s.Lane(0).HoldsMem++
 		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &head.Req) {
-			s.fifo.Pop()
+			s.Station(0).PopFwd(0)
 		} else {
-			s.Feed(s.fifo, bank, faults.Site(1, bank, 0), s.Lane(0))
+			s.Feed(0, 0, bank, faults.Site(1, bank, 0), s.Lane(0))
 		}
 	}
 

@@ -172,7 +172,8 @@ func Run(sc Scenario) (map[string]int64, error) {
 // maxCycles, that the history is per-location serializable against the
 // final contents of addresses [0, addrs) (Theorem 4.2), and that RMW
 // semantics are exactly-once — issued == completed with nothing left in
-// flight.  It returns the engine's snapshot counters and the first
+// flight — and that the occupancy index the sweeps skip on still counts
+// what the queues hold (engine.Shell.CheckLoads).  It returns the engine's snapshot counters and the first
 // violation, nil if the run is clean; a watchdog trip is reported with the
 // engine's replayable stall report.
 func Battery(m *machine.Machine, eng engine.Machine, addrs, maxCycles int) (map[string]int64, error) {
@@ -196,6 +197,9 @@ func Battery(m *machine.Machine, eng engine.Machine, addrs, maxCycles int) (map[
 	}
 	if n := eng.InFlight(); n != 0 {
 		return c, fmt.Errorf("%d requests still in flight after completion", n)
+	}
+	if err := eng.CheckLoads(); err != nil {
+		return c, fmt.Errorf("occupancy index out of step with the queues: %v", err)
 	}
 	return c, nil
 }

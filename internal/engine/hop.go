@@ -75,9 +75,11 @@ func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
 // that one takes it, into the memory module the link ends at when the module
 // has room.  A dead downstream station or a full queue holds the request where
 // it is, so a crash costs the flushed state and not a stream of new losses;
-// a request that already hopped this cycle waits.
+// a request that already hopped this cycle waits.  A station whose forward
+// queues are empty has no move to make and nothing to count, and the index
+// says so without touching it.
 func (s *Shell) FwdHop(at, first int, ln *Lane) {
-	if s.Down(at) {
+	if s.loads[at].Fwd == 0 || s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
@@ -101,14 +103,14 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 			// saturation instead of unbounded memory-side buffering
 			ln.HoldsMem++
 		case s.LostFwd(c, &m.Req):
-			q.Pop()
+			st.PopFwd(port)
 		case l.To < 0:
 			s.countFwd(m, &ln.Shard)
-			s.Feed(q, mod, c.site(), ln)
+			s.Feed(at, port, mod, c.site(), ln)
 		case s.arrive(l.To, l.In, m, &ln.Shard):
 			// l.To ≠ at, so landing the request could not move the slot m is in.
 			s.countFwd(m, &ln.Shard)
-			q.Pop()
+			st.PopFwd(port)
 		}
 	}
 }
@@ -122,11 +124,13 @@ func (s *Shell) countFwd(m *Fwd, sh *Shard) {
 // wiring's feed rule (Hooks.CanFeed) admits one more request.
 func (s *Shell) MemReady(mod int) bool { return !s.ModuleDead(mod) && s.hooks.CanFeed(mod) }
 
-// Feed carries the head of q across the terminal link named by site into
-// module mod, which MemReady has said can take it.
-func (s *Shell) Feed(q *core.FIFO[Fwd], mod int, site uint64, ln *Lane) {
-	s.enterMemory(site, mod, q.Front(), &ln.Shard)
-	q.Pop()
+// Feed carries the head of station at's forward queue port across the
+// terminal link named by site into module mod, which MemReady has said can
+// take it.
+func (s *Shell) Feed(at, port, mod int, site uint64, ln *Lane) {
+	st := &s.stations[at]
+	s.enterMemory(site, mod, st.Fwd[port].Front(), &ln.Shard)
+	st.PopFwd(port)
 }
 
 // RevHop makes station at's reverse move: the head of each reverse queue
@@ -134,7 +138,7 @@ func (s *Shell) Feed(q *core.FIFO[Fwd], mod int, site uint64, ln *Lane) {
 // reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
 // ends at a processor brings the reply home.
 func (s *Shell) RevHop(at, first int, ln *Lane) {
-	if s.Down(at) {
+	if s.loads[at].Rev == 0 || s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
@@ -166,7 +170,7 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 				ln.Home = append(ln.Home, *r)
 			}
 		} // else the reply is lost on the reverse link
-		q.Pop()
+		st.PopRev(port)
 	}
 }
 
@@ -177,7 +181,15 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 // between its modules and the processor links — the reply crosses the link
 // home at once.  Tick is the only caller of serve, and routes the reply
 // before it returns: the filed box serve lends is never outlived.
+//
+// A healthy machine's idle module is skipped on the index alone.  With no
+// fault plan the guards below count nothing, a module holding no request
+// serves nothing, and the credit hold — which an idle module behind a
+// credit-less station does count — needs a reply queued at the station.
 func (s *Shell) Tick(mod, at int, ln *Lane) {
+	if s.flt == nil && s.memLoad[mod] == 0 && (at < 0 || s.loads[at].Rev == 0) {
+		return
+	}
 	if s.rec != nil {
 		if s.memDead[mod] {
 			return // crashed: it serves nothing until its restart
@@ -317,6 +329,7 @@ func (s *Shell) flush(at int) []word.ReqID {
 	for mod, host := range s.links.Hosts {
 		if int(host) == at {
 			lost = append(lost, s.mem.Module(mod).Crash()...)
+			s.memLoad[mod] = 0
 		}
 	}
 	for mod, holder := range s.links.Holds {
@@ -334,7 +347,7 @@ func (s *Shell) flush(at int) []word.ReqID {
 
 // queued counts messages and wait records held in the stations (a clean
 // machine's in-flight census adds ports and modules); detail renders them,
-// with the modules' queues, for a stall report.
+// stage by stage and with the modules' queues, for a stall report.
 func (s *Shell) queued() int {
 	fwd, rev, wait := s.occupancy()
 	return fwd + rev + wait
@@ -346,13 +359,56 @@ func (s *Shell) detail() string {
 	for mod := 0; mod < s.mem.Modules(); mod++ {
 		memQ += s.mem.Module(mod).QueueLen()
 	}
-	return fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, wait, memQ)
+	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, wait, memQ)
+	for stage := 0; stage*s.width < len(s.loads); stage++ {
+		fwd, rev := sumLoads(s.loads[stage*s.width : (stage+1)*s.width])
+		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d", stage, fwd, rev)
+	}
+	return out
 }
 
 func (s *Shell) occupancy() (fwd, rev, wait int) {
+	fwd, rev = sumLoads(s.loads)
 	for i := range s.stations {
-		f, r, w := s.stations[i].Occupancy()
-		fwd, rev, wait = fwd+f, rev+r, wait+w
+		wait += s.stations[i].Wait.Len()
 	}
 	return fwd, rev, wait
+}
+
+// Loads is the occupancy index: entry stage·width + index counts the
+// requests and replies queued at that station, current after every hop.  It
+// is the shell's own array, the caller's to read between steps.
+func (s *Shell) Loads() []Load { return s.loads }
+
+// CheckLoads recounts every queue the occupancy index counts — the
+// stations' FIFOs, and each module's input queue with the replies it
+// withholds — and reports the first entry that disagrees: the invariant
+// every skipped visit rests on.
+func (s *Shell) CheckLoads() error {
+	for at := range s.stations {
+		st, got := &s.stations[at], Load{}
+		for i := range st.Fwd {
+			got.Fwd += int32(st.Fwd[i].Len())
+		}
+		for i := range st.Rev {
+			got.Rev += int32(st.Rev[i].Len())
+		}
+		if got != s.loads[at] {
+			return fmt.Errorf("%s: cycle %d: station %d holds %+v, the index says %+v", s.name, s.tot.Cycles, at, got, s.loads[at])
+		}
+	}
+	for mod, n := range s.memLoad {
+		if m := s.mem.Module(mod); m.QueueLen()+m.PendingReplies() != int(n) {
+			return fmt.Errorf("%s: cycle %d: module %d holds %d requests and %d withheld replies, the index says %d",
+				s.name, s.tot.Cycles, mod, m.QueueLen(), m.PendingReplies(), n)
+		}
+	}
+	return nil
+}
+
+func sumLoads(loads []Load) (fwd, rev int) {
+	for _, l := range loads {
+		fwd, rev = fwd+int(l.Fwd), rev+int(l.Rev)
+	}
+	return fwd, rev
 }

@@ -80,6 +80,7 @@ func (s *Shell) enterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
 	sh.MemRequests++
 	s.metaInsert(mod, m)
 	s.mem.Module(mod).Enqueue(m.Req)
+	s.memLoad[mod]++
 }
 
 // memEnter is the module side of the adversarial link: the request is
@@ -102,6 +103,7 @@ func (s *Shell) memEnter(site uint64, mod int, m *Fwd, sh *Shard) {
 	sh.MemRequests++
 	s.metaInsert(mod, m).Req = stamped
 	module.Enqueue(wire)
+	s.memLoad[mod]++
 	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && module.CanEnqueue() {
 		// Network-born duplicate: the link re-emits a message the sender
 		// never retransmitted.  The reply cache answers the second copy
@@ -110,6 +112,7 @@ func (s *Shell) memEnter(site uint64, mod int, m *Fwd, sh *Shard) {
 		// enqueue would share backing arrays with the first.
 		sh.MemRequests++
 		module.Enqueue(wire.Clone())
+		s.memLoad[mod]++
 	}
 }
 
@@ -147,6 +150,7 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 		return rep, nil, false
 	}
 	sh.MemAcks++
+	s.memLoad[mod]--
 	box, found := s.meta[mod][rep.ID]
 	if !found {
 		if s.flt == nil {

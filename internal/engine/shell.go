@@ -49,6 +49,7 @@ type Machine interface {
 	Snapshot() stats.Snapshot
 	Totals() Totals
 	Memory() *memory.Array
+	CheckLoads() error
 }
 
 // Fwd is a request in flight, as the rim sees it: the port creates one per
@@ -224,6 +225,15 @@ type Shell struct {
 
 	stations []Station
 	links    *Links
+	// The occupancy index: what a sweep reads before it touches a station
+	// or a module (DESIGN.md §6.2).  loads[at] counts station at's queued
+	// requests and replies and is written through the station (Station.load);
+	// memLoad[mod] counts the requests inside module mod — queued, in
+	// service, or answered and withheld — and is written beside every
+	// Enqueue, emerging reply and Crash.  Each entry has the owner of the
+	// queue it counts, phase by phase.
+	loads   []Load
+	memLoad []int32
 	// lanes are the stepping goroutines' working sets, one per pool worker
 	// (one when serial); behindBuf is the processor links' scratch for a
 	// wait buffer behind them (Links.Behind).
@@ -313,6 +323,8 @@ func (s *Shell) Init(cfg ShellConfig) {
 		metaLent:   make([]*Fwd, cfg.Modules),
 		stations:   cfg.Stations,
 		links:      cfg.Links,
+		loads:      make([]Load, len(cfg.Stations)),
+		memLoad:    make([]int32, cfg.Modules),
 	}
 	s.width = len(cfg.Stations) / cfg.Stages
 	s.lanes = make([]Lane, 1)
@@ -320,6 +332,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		s.lanes = make([]Lane, cfg.Pool.Workers())
 	}
 	for i := range s.stations {
+		s.stations[i].load = &s.loads[i]
 		s.stations[i].Route = s.links.Route[i]
 		if s.links.Back != nil {
 			s.stations[i].Back = s.links.Back[i]
@@ -408,6 +421,7 @@ func (s *Shell) updateMasks() {
 		if dead && !s.memDead[mod] {
 			s.rec.NoteCrash()
 			s.rec.NoteLost(s.trk, s.mem.Module(mod).Crash())
+			s.memLoad[mod] = 0
 		} else if !dead && s.memDead[mod] {
 			s.rec.NoteRestore()
 		}

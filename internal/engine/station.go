@@ -62,6 +62,11 @@ const (
 	Served                      // a module answered id (Shell.Tick)
 )
 
+// Load counts the messages a station's forward and reverse queues hold.  A
+// shell keeps its stations' counts in one dense array in sweep order
+// (Shell.Loads), so a sweep finds an empty station without touching it.
+type Load struct{ Fwd, Rev int32 }
+
 // Station is one combining node: a FIFO per forward output and per reverse
 // output, and one wait buffer.  The fields are laid out by what touches
 // them: a request arriving at a queue with no partner reads the first cache
@@ -75,6 +80,11 @@ type Station struct {
 	// combine scan and reports whether it disposed of it — the seat of the
 	// Section 5.1 ablation (network.Config.BuggyLoadForwarding).
 	Intercept func(st *Station, out int, m *Fwd, path []uint8, now uint32) bool
+	// load is the station's occupancy count, kept by whoever pushes and
+	// pops its queues: AcceptFwd, AcceptRev, PopFwd, PopRev and Crash, and
+	// nobody else.  A station alone counts in storage of its own; a shell
+	// re-seats the pointer in its index (Shell.Init).
+	load *Load
 	// Trace, when non-nil, observes combine, reject, decombine and module
 	// service events here.
 	Trace func(kind EventKind, id, id2 word.ReqID, addr word.Addr)
@@ -107,6 +117,7 @@ func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy
 			Fwd:    fq[i*fwd : (i+1)*fwd : (i+1)*fwd],
 			Rev:    rq[i*rev : (i+1)*rev : (i+1)*rev],
 			Wait:   *core.NewWaitBuffer[Record](waitCap),
+			load:   new(Load),
 			revCap: revCap,
 			pol:    pol,
 		}
@@ -133,7 +144,20 @@ func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now uint32, sh *Shar
 	slot := q.Push()
 	*slot = *m
 	slot.Path, slot.Moved = path, now
+	st.load.Fwd++
 	return true
+}
+
+// PopFwd and PopRev drop the head of a forward or reverse queue: the message
+// has crossed its link, or was lost on it.
+func (st *Station) PopFwd(port int) {
+	st.Fwd[port].Pop()
+	st.load.Fwd--
+}
+
+func (st *Station) PopRev(port int) {
+	st.Rev[port].Pop()
+	st.load.Rev--
 }
 
 // combine attempts to merge m into the non-empty queue q.  Only the LAST
@@ -233,6 +257,7 @@ func (st *Station) AcceptRev(r *Rev, now uint32, home *[]Rev) {
 	slot := st.Rev[port].Push()
 	*slot = *r
 	slot.Path, slot.Moved = path, now
+	st.load.Rev++
 }
 
 // decombine undoes the most recent combine recorded here that r answers.
@@ -280,18 +305,13 @@ func (st *Station) Crash() []word.ReqID {
 	for _, rec := range st.Wait.Flush() {
 		ids = LostLeaves(ids, rec.Reps2, rec.ID2)
 	}
+	*st.load = Load{}
 	return ids
 }
 
 // Occupancy counts the messages and wait records the station holds.
 func (st *Station) Occupancy() (fwd, rev, wait int) {
-	for i := range st.Fwd {
-		fwd += st.Fwd[i].Len()
-	}
-	for i := range st.Rev {
-		rev += st.Rev[i].Len()
-	}
-	return fwd, rev, st.Wait.Len()
+	return int(st.load.Fwd), int(st.load.Rev), st.Wait.Len()
 }
 
 // MaxRev is the high-water mark across the reverse queues — the observable

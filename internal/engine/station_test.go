@@ -90,7 +90,7 @@ func (b *bench) offer(src, in int, addr word.Addr, op rmw.Mapping) (word.ReqID, 
 // executes it and, unless lose is set, hands the station the reply.
 func (b *bench) serve(out int, lose bool) {
 	m := *b.st.Fwd[out].Front()
-	b.st.Fwd[out].Pop()
+	b.st.PopFwd(out)
 	if lose {
 		return
 	}
@@ -118,7 +118,7 @@ func (b *bench) drain(start, max int) {
 				b.t.Fatalf("reply %d left on port %d with path %v", r.Rep.ID, port, r.Path)
 			}
 			b.replies[r.Rep.ID] = r.Rep.Val
-			q.Pop()
+			b.st.PopRev(port)
 		}
 	}
 }
@@ -365,10 +365,10 @@ func TestStationSteadyStateZeroAlloc(t *testing.T) {
 		if !st.AcceptFwd(&m, 0, path, 0, &sh) {
 			panic("refused below capacity")
 		}
-		st.Fwd[0].Pop()
+		st.PopFwd(0)
 		r.Rep.ID = m.Req.ID
 		st.AcceptRev(&r, 0, &home)
-		st.Rev[1].Pop()
+		st.PopRev(1)
 	}
 	for i := 0; i < 16; i++ {
 		cycle()

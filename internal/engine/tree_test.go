@@ -56,11 +56,11 @@ func treeLinks() *Links {
 
 type tree struct{ Shell }
 
-func newTree(plan *faults.Plan, inj []Injector) *tree {
+func newTree(plan *faults.Plan, inj []Injector, revCap int) *tree {
 	t := &tree{}
 	t.Init(ShellConfig{
 		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
-		Stations: NewStations(treeProcs-1, 1, 2, 4, 4, core.Unbounded, core.Policy{}),
+		Stations: NewStations(treeProcs-1, 1, 2, 4, revCap, core.Unbounded, core.Policy{}),
 		Links:    treeLinks(), Stages: 1, WatchdogCycles: DefaultWatchdogCycles, Faults: plan,
 		Hooks: Hooks{
 			Sweep:     t.sweep,
@@ -112,11 +112,43 @@ func TestTreeWiring(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const ops = 60
 			adders, inj := newAdders(treeProcs, ops)
-			var m Machine = newTree(tc.plan, inj)
+			var m Machine = newTree(tc.plan, inj, 4)
 			if !m.Drain(400000) {
 				t.Fatalf("did not drain (stalled=%v):\n%s", m.Stalled(), m.StallReport())
 			}
 			checkAdders(t, m, adders, ops, tc.engaged)
 		})
+	}
+}
+
+// TestIdleModuleCountsCreditHold: a module with nothing to serve, behind a
+// station at its reverse credit limit, still counts a held completion every
+// cycle — Tick's credit check comes before it asks the module anything.  The
+// occupancy index lets Tick skip an idle module only while the station's
+// reverse queues are empty too; a skip on the module's count alone would
+// lose exactly these holds and move holds_mem_out in every digest.
+func TestIdleModuleCountsCreditHold(t *testing.T) {
+	_, inj := newAdders(treeProcs, 0)
+	tr := newTree(nil, inj, 1)
+	root, ln := tr.Station(0), tr.Lane(0)
+	tr.Tick(0, 0, ln)
+	if ln.HoldsMemOut != 0 {
+		t.Fatalf("an empty machine counted %d credit holds", ln.HoldsMemOut)
+	}
+	// One reply queued toward child 1 puts the root at its credit limit.
+	root.AcceptRev(&Rev{Rep: core.Reply{ID: 1}, Path: []uint8{0, 0, 1}}, 0, nil)
+	if root.CanAcceptRev() || tr.Memory().Module(0).QueueLen() != 0 {
+		t.Fatalf("setup: root has credit (%v) or the module is not idle", root.CanAcceptRev())
+	}
+	for i := 0; i < 3; i++ {
+		tr.Tick(0, 0, ln)
+	}
+	if ln.HoldsMemOut != 3 {
+		t.Errorf("idle module behind a credit-less station: %d holds over 3 ticks, want 3", ln.HoldsMemOut)
+	}
+	root.PopRev(1)
+	tr.Tick(0, 0, ln)
+	if ln.HoldsMemOut != 3 {
+		t.Errorf("a hold was counted with the credit back: %d", ln.HoldsMemOut)
 	}
 }

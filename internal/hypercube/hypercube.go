@@ -276,8 +276,8 @@ func (s *Sim) tickNode(i int, ln *engine.Lane) {
 	if s.Dead(i) {
 		return // crashed node: no feed, no service, no emission
 	}
-	if q := &s.Station(i).Fwd[s.d]; !s.Down(i) && q.Len() > 0 && s.MemReady(i) {
-		s.Feed(q, i, faults.Site(2, i, 0), ln)
+	if !s.Down(i) && s.Station(i).Fwd[s.d].Len() > 0 && s.MemReady(i) {
+		s.Feed(i, s.d, i, faults.Site(2, i, 0), ln)
 	}
 	s.Tick(i, i, ln)
 }

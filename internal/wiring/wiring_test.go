@@ -1,10 +1,14 @@
 package wiring
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"combining/internal/engine"
+	"combining/internal/faults"
 	"combining/internal/machine"
+	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/word"
 )
@@ -58,5 +62,95 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if _, err := New("ring", Config{Procs: 16}, nil); err == nil {
 		t.Error("New built an unregistered wiring")
+	}
+}
+
+// budgeted caps an injector's issues so a drain can finish.
+type budgeted struct {
+	engine.Injector
+	left int
+}
+
+func (b *budgeted) Next(cycle int64) (engine.Injection, bool) {
+	if b.left == 0 {
+		return engine.Injection{}, false
+	}
+	in, ok := b.Injector.Next(cycle)
+	if ok {
+		b.left--
+	}
+	return in, ok
+}
+
+// TestLoadsMatchQueues holds the occupancy index (engine.Shell.Loads and the
+// per-module counts beside it) to the queues it stands for: on every wiring,
+// healthy, under drops, under station, module and link crashes with their
+// flushes and restarts, and under a reordering, duplicating link, serially
+// and at Workers 3, a recount after every cycle of a hot-spot run must agree
+// with the index (Shell.CheckLoads) — the hops skip a station or a module on
+// the index alone, so an entry one short hides a message for good.  The
+// healthy machine must also drain to an index of zeros.
+func TestLoadsMatchQueues(t *testing.T) {
+	const procs, cycles = 16, 400
+	plans := []struct {
+		name    string
+		plan    func() *faults.Plan
+		engaged []string
+	}{
+		{"healthy", func() *faults.Plan { return nil }, nil},
+		{"drop", func() *faults.Plan { return &faults.Plan{Seed: 3, DropFwd: 0.02, DropRev: 0.02} }, []string{"drops_fwd", "drops_rev"}},
+		{"crash", func() *faults.Plan { return faults.GenCrashPlan(5, 3, 300, 40) }, []string{"crashes", "restores", "lost_in_flight"}},
+		{"reorder+dup", func() *faults.Plan { return &faults.Plan{Seed: 7, Reorder: 0.05, ReorderMax: 8, Dup: 0.05} },
+			[]string{"reordered_held", "dup_injected"}},
+	}
+	for _, name := range Names() {
+		for _, pl := range plans {
+			widths := []int{1, 3}
+			if plan := pl.plan(); plan != nil && plan.HasAdversarial() {
+				widths = []int{1} // relaxed-delivery plans pin the serial stepper
+			}
+			for _, w := range widths {
+				t.Run(fmt.Sprintf("%s/%s/w%d", name, pl.name, w), func(t *testing.T) {
+					inj := make([]engine.Injector, procs)
+					for p := range inj {
+						inj[p] = &budgeted{network.NewStochastic(p, procs,
+							network.TrafficConfig{Rate: 0.9, HotFraction: 0.25, Window: 4}, 11), 1 << 30}
+					}
+					eng, err := New(name, Config{Procs: procs, WaitBufCap: 4, Workers: w, Faults: pl.plan()}, inj)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for c := 0; c < cycles; c++ {
+						eng.Step()
+						if err := eng.CheckLoads(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					counters := eng.Snapshot().Counters
+					for _, key := range append(pl.engaged, "completed", "combines") {
+						if counters[key] == 0 {
+							t.Errorf("%s = 0 after %d cycles: the run never exercised it", key, cycles)
+						}
+					}
+					if pl.plan() != nil {
+						return
+					}
+					for p := range inj {
+						inj[p].(*budgeted).left = 0
+					}
+					if !eng.Drain(10000) {
+						t.Fatalf("did not drain:\n%s", eng.StallReport())
+					}
+					if err := eng.CheckLoads(); err != nil {
+						t.Fatal(err)
+					}
+					for at, l := range eng.(interface{ Loads() []engine.Load }).Loads() {
+						if l != (engine.Load{}) {
+							t.Errorf("station %d still counts %+v on a drained machine", at, l)
+						}
+					}
+				})
+			}
+		}
 	}
 }
