@@ -139,7 +139,7 @@ type Port struct {
 	// in is the first-stage inbox the port's link enters, on input port
 	// inPort, at fault site site.
 	in     chan engine.Fwd
-	inPort uint8
+	inPort int32
 	site   uint64
 
 	reply       chan engine.Rev
@@ -255,7 +255,7 @@ func New(cfg Config) *Net {
 			proc:     word.ProcID(p),
 			ids:      word.Partition(p, n),
 			in:       net.switches[l.To].fwdIn[l.In],
-			inPort:   uint8(l.In),
+			inPort:   l.In,
 			site:     site(links.ProcAt[p]),
 			reply:    make(chan engine.Rev, cfg.ChanCap),
 			window:   cfg.Window,
@@ -291,13 +291,13 @@ func New(cfg Config) *Net {
 				}
 				continue
 			}
-			target, inPort := net.switches[l.To].fwdIn[l.In], uint8(l.In)
+			target, inPort := net.switches[l.To].fwdIn[l.In], l.In
 			sw.fwdOut[b] = func(m *engine.Fwd) {
 				if net.flt != nil && net.flt.DropForward(where, m.Req.ID, m.Req.Attempt) {
 					return
 				}
 				out := *m
-				out.Path = append(out.Path, inPort)
+				out.Path = out.Path.Push(inPort)
 				// Service-while-blocked: while the downstream inbox
 				// is full, keep draining our own revIn.  A blocked
 				// forward chain ascends the stages; every switch on
@@ -531,7 +531,7 @@ func (p *Port) retransmitExpired() {
 			continue
 		}
 		select {
-		case p.in <- engine.Fwd{Req: inf.req, Path: []uint8{p.inPort}}:
+		case p.in <- engine.Fwd{Req: inf.req, Path: engine.Path(0).Push(p.inPort)}:
 		default:
 		}
 	}
@@ -560,7 +560,7 @@ func (p *Port) absorbToBuffer() {
 // waiting on.  This is the processor end of the service-while-blocked
 // discipline that makes ChanCap=1 deadlock-free.
 func (p *Port) sendFwd(req core.Request) {
-	m := engine.Fwd{Req: req, Path: []uint8{p.inPort}}
+	m := engine.Fwd{Req: req, Path: engine.Path(0).Push(p.inPort)}
 	select {
 	case p.in <- m:
 		return

@@ -55,13 +55,9 @@ func (s *Shell) Dead(at int) bool { return s.rec != nil && s.swDead[at] }
 // turns a hot node into backpressure instead of unbounded memory-side
 // buffering.
 func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
-	path := m.Path
-	if path != nil {
-		path = append(path, uint8(in))
-	}
 	st := &s.stations[to]
 	out := int(st.Route[s.mem.HomeOf(m.Req.Addr)])
-	if st.AcceptFwd(m, out, path, s.now(), sh) {
+	if st.AcceptFwd(m, out, m.Path.Push(in), s.now(), sh) {
 		return true
 	}
 	if out == s.links.Ports {
@@ -128,9 +124,8 @@ func (s *Shell) MemReady(mod int) bool { return !s.ModuleDead(mod) && s.hooks.Ca
 // terminal link named by site into module mod, which MemReady has said can
 // take it.
 func (s *Shell) Feed(at, port, mod int, site uint64, ln *Lane) {
-	st := &s.stations[at]
-	s.enterMemory(site, mod, st.Fwd[port].Front(), &ln.Shard)
-	st.PopFwd(port)
+	s.enterMemory(site, mod, s.stations[at].Fwd[port].Front(), &ln.Shard)
+	s.stations[at].PopFwd(port)
 }
 
 // RevHop makes station at's reverse move: the head of each reverse queue
@@ -228,19 +223,15 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 }
 
 // Commit hands every reply the cycle's hops brought home to its processor's
-// terminal link, lane by lane in order.  A reply's path header is spent by
-// now and returns to the injection pool here, before the link can duplicate
-// the reply: every copy the shell delivers is header-free.  Deliveries touch
-// injectors, the retry ledger and the completion counters, none of which a
-// hop reads or writes, so a schedule may commit any time between the hops
-// that bring replies home and injection.
+// terminal link, lane by lane in order.  Deliveries touch injectors, the
+// retry ledger and the completion counters, none of which a hop reads or
+// writes, so a schedule may commit any time between the hops that bring
+// replies home and injection.
 func (s *Shell) Commit() {
 	for i := range s.lanes {
 		home := s.lanes[i].Home
 		for j := range home {
 			r := &home[j]
-			s.putPath(r.Path)
-			r.Path = nil // the link may hold r in limbo: not with a recycled header
 			s.deliver(s.links.Home[r.Src].site(), r)
 		}
 		s.lanes[i].Home = home[:0]
@@ -250,9 +241,7 @@ func (s *Shell) Commit() {
 // Inject offers processor p's request, if it has one, to the station its
 // link enters, and reports whether the link carried a message — accepted, or
 // lost on the way.  A dead station or a full queue holds the offer at the
-// port.  On wirings that record paths the offer gets its header here and
-// keeps it while it waits; a lost offer's header never entered the fabric
-// and recycles at once.
+// port.
 func (s *Shell) Inject(p int) bool {
 	m := s.Offer(p)
 	if m == nil {
@@ -262,11 +251,7 @@ func (s *Shell) Inject(p int) bool {
 	if s.Dead(int(l.To)) {
 		return false
 	}
-	if m.Path == nil && s.links.PathLen > 0 {
-		m.Path = s.getPath()
-	}
 	if s.LostFwd(&s.links.ProcAt[p], &m.Req) {
-		s.putPath(m.Path)
 		s.Sent(p) // the port moves on as if it had been sent: recovery is the retry tracker's timeout
 		return true
 	}
@@ -294,31 +279,6 @@ func (s *Shell) LostRev(c *Coord, rep *core.Reply) bool {
 
 func (c Coord) site() uint64 { return faults.Site(int(c.Stage), int(c.Index), int(c.Port)) }
 
-// getPath returns an empty path header with capacity for the whole route,
-// reusing recycled storage: at steady state the inject→commit loop cycles a
-// fixed set of arrays and allocates nothing.  Only single-goroutine phases
-// touch the pool (Inject, Commit).
-func (s *Shell) getPath() []uint8 {
-	if n := len(s.pathFree); n > 0 {
-		p := s.pathFree[n-1]
-		s.pathFree = s.pathFree[:n-1]
-		return p
-	}
-	return make([]uint8, 0, s.links.PathLen)
-}
-
-// putPath recycles a path header whose message left the machine.  Undersized
-// arrays (grown by append on messages that entered without a pooled header)
-// are dropped so getPath's capacity guarantee holds.
-func (s *Shell) putPath(p []uint8) {
-	if p != nil && cap(p) >= s.links.PathLen {
-		s.pathFree = append(s.pathFree, p[:0])
-	}
-}
-
-// PathPool exposes the recycled path headers, for the aliasing audit.
-func (s *Shell) PathPool() [][]uint8 { return s.pathFree }
-
 // flush empties switch fault domain at on its crash edge — the station, the
 // modules it hosts, the reply metadata it holds — and returns the leaf
 // request ids whose only copy was there.  Requests inside a module whose
@@ -345,34 +305,30 @@ func (s *Shell) flush(at int) []word.ReqID {
 	return lost
 }
 
-// queued counts messages and wait records held in the stations (a clean
-// machine's in-flight census adds ports and modules); detail renders them,
-// stage by stage and with the modules' queues, for a stall report.
-func (s *Shell) queued() int {
-	fwd, rev, wait := s.occupancy()
-	return fwd + rev + wait
+// occupancy counts the messages and wait records stations lo to hi-1 hold:
+// the queues from the index, the wait buffers from the stations.  A clean
+// machine's in-flight census adds ports and modules to the whole range;
+// detail renders it, stage by stage and with the modules' queues, for a
+// stall report.
+func (s *Shell) occupancy(lo, hi int) (fwd, rev, wait int) {
+	for at := lo; at < hi; at++ {
+		fwd, rev, wait = fwd+int(s.loads[at].Fwd), rev+int(s.loads[at].Rev), wait+s.stations[at].Wait.Len()
+	}
+	return fwd, rev, wait
 }
 
 func (s *Shell) detail() string {
-	fwd, rev, wait := s.occupancy()
+	fwd, rev, wait := s.occupancy(0, len(s.loads))
 	memQ := 0
 	for mod := 0; mod < s.mem.Modules(); mod++ {
 		memQ += s.mem.Module(mod).QueueLen()
 	}
 	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, wait, memQ)
 	for stage := 0; stage*s.width < len(s.loads); stage++ {
-		fwd, rev := sumLoads(s.loads[stage*s.width : (stage+1)*s.width])
-		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d", stage, fwd, rev)
+		fwd, rev, wait := s.occupancy(stage*s.width, (stage+1)*s.width)
+		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", stage, fwd, rev, wait)
 	}
 	return out
-}
-
-func (s *Shell) occupancy() (fwd, rev, wait int) {
-	fwd, rev = sumLoads(s.loads)
-	for i := range s.stations {
-		wait += s.stations[i].Wait.Len()
-	}
-	return fwd, rev, wait
 }
 
 // Loads is the occupancy index: entry stage·width + index counts the
@@ -399,16 +355,8 @@ func (s *Shell) CheckLoads() error {
 	}
 	for mod, n := range s.memLoad {
 		if m := s.mem.Module(mod); m.QueueLen()+m.PendingReplies() != int(n) {
-			return fmt.Errorf("%s: cycle %d: module %d holds %d requests and %d withheld replies, the index says %d",
-				s.name, s.tot.Cycles, mod, m.QueueLen(), m.PendingReplies(), n)
+			return fmt.Errorf("%s: cycle %d: module %d holds %d, the index says %d", s.name, s.tot.Cycles, mod, m.QueueLen()+m.PendingReplies(), n)
 		}
 	}
 	return nil
-}
-
-func sumLoads(loads []Load) (fwd, rev int) {
-	for _, l := range loads {
-		fwd, rev = fwd+int(l.Fwd), rev+int(l.Rev)
-	}
-	return fwd, rev
 }

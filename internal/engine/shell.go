@@ -68,13 +68,13 @@ type Fwd struct {
 	// Moved stamps the cycle the request last hopped: a message crosses one
 	// link per cycle whatever order a schedule visits the stations in.  It
 	// is the cycle's low 32 bits — all a stamp that is only ever compared
-	// with the current cycle needs — so the message stays 144 bytes.
+	// with the current cycle needs — so the message stays 128 bytes.
 	Moved uint32
 	// Path is the reply route header of fabrics whose replies retrace a
-	// recorded path (Section 4.1): the fabric attaches and extends it, the
+	// recorded path (Section 4.1): the fabric extends it hop by hop, the
 	// rim only carries it across the memory module.  Fabrics that route
-	// replies by Src leave it nil.
-	Path []uint8
+	// replies by Src never read it.
+	Path Path
 }
 
 // Shard is a block of run counters: what the terminal links, the module
@@ -239,11 +239,6 @@ type Shell struct {
 	// wait buffer behind them (Links.Behind).
 	lanes     []Lane
 	behindBuf []Rev
-	// pathFree recycles path headers (getPath/putPath): a reply's header
-	// returns when it arrives, a request's when its offer is lost on the
-	// port link.  Every array holds capacity for the whole route, so the
-	// appends along the forward path never regrow one.
-	pathFree [][]uint8
 
 	tot Totals // tot.Cycles is the machine's clock
 	lat stats.Histogram
@@ -488,7 +483,8 @@ func (s *Shell) InFlight() int {
 	if s.trk != nil {
 		return s.trk.Outstanding()
 	}
-	return s.atPorts() + s.queued() + s.inMemory()
+	fwd, rev, wait := s.occupancy(0, len(s.loads))
+	return s.atPorts() + fwd + rev + wait + s.inMemory()
 }
 
 func (s *Shell) atPorts() int {

@@ -68,6 +68,10 @@ func (b stagedBase) validate(name string) error {
 	if !IsPowerOf(b.procs, b.radix) {
 		return fmt.Errorf("%s: Procs must be a positive power of Radix %d, got %d", name, b.radix, b.procs)
 	}
+	if b.stages*pathBits > 64 || b.radix > 1<<pathBits {
+		return fmt.Errorf("%s: %d stages of radix %d do not fit the reply path header (%d bits a stage in 64)",
+			name, b.stages, b.radix, pathBits)
+	}
 	return nil
 }
 

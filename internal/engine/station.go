@@ -18,13 +18,31 @@ import (
 // message — the head slot of an upstream queue, a processor port, a module's
 // filed box — and never keep the pointer; on refusal it is untouched.
 
+// Path is the reply route header of Section 4.1: the input port a request
+// took at every station on its way, which its reply pops to retrace the
+// route — the paper's log₂N-bit return address, here four bits a hop in one
+// word, the last hop lowest.  A value, it is copied with its message and
+// never shared: a duplicated reply owns its route.  Sixteen hops of at most
+// sixteen ports fit (CompileStaged holds a wiring to that); on wirings that
+// route replies by Src (Station.Back) the hops stamp it all the same and
+// nothing reads it.
+type Path uint64
+
+const pathBits = 4
+
+// Push is p extended by one hop through input port in.
+func (p Path) Push(in int32) Path { return p<<pathBits | Path(in) }
+
+// Pop splits off the last hop's input port.
+func (p Path) Pop() (in int, rest Path) { return int(p & (1<<pathBits - 1)), p >> pathBits }
+
 // Rev is a reply in flight.  Path routes it on wirings whose replies retrace
 // a recorded header (the entry for the station it is arriving at is last);
 // Src, the issuing processor, routes it on wirings that route by address and
 // names the port it is delivered to on all of them.
 type Rev struct {
 	Rep   core.Reply
-	Path  []uint8
+	Path  Path
 	Src   int
 	Issue int64 // first injection cycle of the request it answers
 	Hot   bool
@@ -40,7 +58,7 @@ type Rev struct {
 // station synthesizes.
 type Record struct {
 	core.Record
-	Path2  []uint8
+	Path2  Path
 	Src2   int
 	Issue2 int64
 	Hot2   bool
@@ -79,7 +97,7 @@ type Station struct {
 	// Intercept, when non-nil, sees every arriving request before the
 	// combine scan and reports whether it disposed of it — the seat of the
 	// Section 5.1 ablation (network.Config.BuggyLoadForwarding).
-	Intercept func(st *Station, out int, m *Fwd, path []uint8, now uint32) bool
+	Intercept func(st *Station, out int, m *Fwd, path Path, now uint32) bool
 	// load is the station's occupancy count, kept by whoever pushes and
 	// pops its queues: AcceptFwd, AcceptRev, PopFwd, PopRev and Crash, and
 	// nobody else.  A station alone counts in storage of its own; a shell
@@ -129,8 +147,8 @@ func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy
 // recent queued request for its address when the pair combines and the wait
 // buffer has room, else appended, else — the queue is full — refused, and
 // the upstream holds it.  path is m's header with this station's entry
-// stamped (nil on wirings that route replies by Src).
-func (st *Station) AcceptFwd(m *Fwd, out int, path []uint8, now uint32, sh *Shard) bool {
+// stamped.
+func (st *Station) AcceptFwd(m *Fwd, out int, path Path, now uint32, sh *Shard) bool {
 	if st.Intercept != nil && st.Intercept(st, out, m, path, now) {
 		return true
 	}
@@ -167,7 +185,7 @@ func (st *Station) PopRev(port int) {
 // nearly always to find no partner or no room: the scan reads the address
 // field in place, and the combined request and its record are built only
 // once the pair is known to combine and the wait buffer to have room.
-func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path []uint8, sh *Shard) bool {
+func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path Path, sh *Shard) bool {
 	held := q.View()
 	i := len(held) - 1
 	for i >= 0 && held[i].Req.Addr != m.Req.Addr {
@@ -248,7 +266,7 @@ func (st *Station) AcceptRev(r *Rev, now uint32, home *[]Rev) {
 	if st.Back != nil {
 		port = int(st.Back[r.Src])
 	} else {
-		port, path = int(path[len(path)-1]), path[:len(path)-1]
+		port, path = path.Pop()
 	}
 	if port < 0 {
 		*home = append(*home, *r)

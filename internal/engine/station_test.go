@@ -83,7 +83,7 @@ func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *
 func (b *bench) offer(src, in int, addr word.Addr, op rmw.Mapping) (word.ReqID, bool) {
 	b.nextID++
 	m := Fwd{Req: core.NewRequest(b.nextID, addr, op, word.ProcID(src)).WithReps(), Src: src}
-	return b.nextID, b.st.AcceptFwd(&m, int(addr)%b.deg, []uint8{uint8(in)}, 0, &b.sh)
+	return b.nextID, b.st.AcceptFwd(&m, int(addr)%b.deg, Path(0).Push(int32(in)), 0, &b.sh)
 }
 
 // serve pops the head of forward queue out — the message reaches memory —
@@ -114,8 +114,8 @@ func (b *bench) drain(start, max int) {
 			if _, dup := b.replies[r.Rep.ID]; dup {
 				b.t.Fatalf("request %d answered twice", r.Rep.ID)
 			}
-			if len(r.Path) != 0 {
-				b.t.Fatalf("reply %d left on port %d with path %v", r.Rep.ID, port, r.Path)
+			if r.Path != 0 {
+				b.t.Fatalf("reply %d left on port %d with path %#x", r.Rep.ID, port, r.Path)
 			}
 			b.replies[r.Rep.ID] = r.Rep.Val
 			b.st.PopRev(port)
@@ -243,7 +243,7 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 	}
 	var home []Rev
 	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
-		Leaves: map[word.ReqID]word.Word{first: word.W(40)}}, Path: []uint8{0}, Src: 1}, 0, &home)
+		Leaves: map[word.ReqID]word.Word{first: word.W(40)}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
 	b.drain(0, 1<<30)
 	if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
 		t.Fatalf("replies after the retransmit's answer: %v", b.replies)
@@ -253,7 +253,7 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 	}
 	// The reply of the combine itself — both leaves named — does match.
 	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40),
-		Leaves: map[word.ReqID]word.Word{first: word.W(40), second: word.W(41)}}, Path: []uint8{0}, Src: 1}, 0, &home)
+		Leaves: map[word.ReqID]word.Word{first: word.W(40), second: word.W(41)}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
 	if b.st.Wait.Len() != 0 || b.st.Rev[1].Len() != 1 || b.st.Rev[1].Front().Rep.Val != word.W(41) {
 		t.Fatalf("the matching reply did not decombine: %d records, %d replies toward the second requester",
 			b.st.Wait.Len(), b.st.Rev[1].Len())
@@ -355,7 +355,7 @@ func TestStationSteadyStateZeroAlloc(t *testing.T) {
 	var sh Shard
 	var home []Rev
 	hot := Fwd{Req: core.NewRequest(1, 8, rmw.FetchAdd(1), 0), Src: 0}
-	path := []uint8{1}
+	path := Path(0).Push(1)
 	st.AcceptFwd(&hot, 0, path, 0, &sh) // the partner every later arrival finds
 	// The messages live outside the round, as they do in a machine: the
 	// station is handed pointers into queues, ports and filed boxes.
@@ -405,7 +405,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		}
 		src := r.IntN(6)
 		m := Fwd{Req: core.NewRequest(id, word.Addr(r.IntN(3)), op, word.ProcID(src)).WithReps(),
-			Src: src, Issue: int64(id), Hot: r.IntN(2) == 0, Path: []uint8{uint8(id)}}
+			Src: src, Issue: int64(id), Hot: r.IntN(2) == 0, Path: Path(id)}
 		if r.IntN(8) == 0 {
 			m.Req.Attempt = 1
 		}

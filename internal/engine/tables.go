@@ -56,8 +56,13 @@ type Links struct {
 
 // CompileStaged evaluates t into links.  Station (s, i) is s·(n/radix)+i and
 // its port p carries line i·radix+p; the hot tables take 17 bytes per line
-// per stage: 34 KB for the 256-processor omega network, 170 KB at 1024.
+// per stage: 34 KB for the 256-processor omega network, 170 KB at 1024.  A
+// wiring its own Validate rejects — one whose route does not fit a Path —
+// is a caller's bug here, and panics.
 func CompileStaged(t Staged) *Links {
+	if err := t.Validate(); err != nil {
+		panic(err)
+	}
 	n, radix, k := t.Procs(), t.Radix(), t.Stages()
 	width := n / radix
 	end := func(stage, line int) (Link, Coord) {

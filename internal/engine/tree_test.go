@@ -136,7 +136,7 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 		t.Fatalf("an empty machine counted %d credit holds", ln.HoldsMemOut)
 	}
 	// One reply queued toward child 1 puts the root at its credit limit.
-	root.AcceptRev(&Rev{Rep: core.Reply{ID: 1}, Path: []uint8{0, 0, 1}}, 0, nil)
+	root.AcceptRev(&Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, nil)
 	if root.CanAcceptRev() || tr.Memory().Module(0).QueueLen() != 0 {
 		t.Fatalf("setup: root has credit (%v) or the module is not idle", root.CanAcceptRev())
 	}

@@ -27,10 +27,10 @@ func TestWatchdogPinned(t *testing.T) {
 	}{
 		{"clean", nil, 96,
 			"loopback: watchdog tripped at cycle 96: 2 in flight, no progress for 64 cycles\npending=0 meta=0\n" +
-				"stations: fwd=2 rev=0 wait=0\nmemory queued=0\nstage 0: fwd=2 rev=0"},
+				"stations: fwd=2 rev=0 wait=0\nmemory queued=0\nstage 0: fwd=2 rev=0 wait=0"},
 		{"drops", faults.Default(5), 194,
 			"loopback: watchdog tripped at cycle 194: 2 in flight, no progress for 64 cycles\npending=1 meta=0\n" +
-				"stations: fwd=2 rev=0 wait=0\nmemory queued=0\nstage 0: fwd=2 rev=0"},
+				"stations: fwd=2 rev=0 wait=0\nmemory queued=0\nstage 0: fwd=2 rev=0 wait=0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, inj := newAdders(4, 6)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"combining/internal/core"
@@ -37,6 +38,17 @@ func TestConfigValidation(t *testing.T) {
 		inj, _ := emptyInjectors(3)
 		NewSim(Config{Procs: 8}, inj)
 	})
+	// A route the reply path header cannot hold (engine.Path: sixteen hops
+	// of sixteen ports) is a validation error, not a panic in the table
+	// compiler.
+	for _, cfg := range []Config{{Procs: 1024, Radix: 32}, {Procs: 1 << 17}} {
+		if err := cfg.Validate(); err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("Procs %d, Radix %d: want a one-line error, got %v", cfg.Procs, cfg.Radix, err)
+		}
+	}
+	if err := (Config{Procs: 256, Radix: 16}).Validate(); err != nil {
+		t.Errorf("radix 16 fits the path header, yet: %v", err)
+	}
 }
 
 func TestDrainTimeout(t *testing.T) {

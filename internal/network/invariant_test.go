@@ -178,8 +178,10 @@ func TestZeroWindowDefaults(t *testing.T) {
 	}
 }
 
-// TestPathHeadersConsistent: every request that reaches memory carries a
-// path header with exactly one entry per stage, each a valid port bit.
+// TestPathHeadersConsistent: every request waiting at the memory link
+// carries a path header with exactly one entry per stage — popped stage by
+// stage and followed back across the wiring's inverse permutations, it
+// leads to the processor that issued the request and is then spent.
 func TestPathHeadersConsistent(t *testing.T) {
 	const n = 16
 	inj := make([]Injector, n)
@@ -187,24 +189,31 @@ func TestPathHeadersConsistent(t *testing.T) {
 		inj[p] = NewStochastic(p, n, TrafficConfig{Rate: 0.8, HotFraction: 0.3, Window: 4}, 33)
 	}
 	sim := NewSim(Config{Procs: n, WaitBufCap: core.Unbounded}, inj)
-	k := sim.k
+	k, radix := sim.k, sim.cfg.Radix
+	checked := 0
 	for c := 0; c < 500; c++ {
 		sim.Step()
-		for at := (k - 1) * sim.ns; at < k*sim.ns; at++ {
-			sw := sim.Station(at)
+		for idx := 0; idx < sim.ns; idx++ {
+			sw := sim.Station((k-1)*sim.ns + idx)
 			for port := range sw.Fwd {
 				for _, m := range sw.Fwd[port].View() {
-					if len(m.Path) != k {
-						t.Fatalf("request %d at the memory link has %d path entries, want %d", m.Req.ID, len(m.Path), k)
+					path, at, in := m.Path, idx, 0
+					for stage := k - 1; stage > 0; stage-- {
+						in, path = path.Pop()
+						at = sim.topo.PrevLine(stage, at*radix+in) / radix
 					}
-					for _, p := range m.Path {
-						if p > 1 {
-							t.Fatalf("request %d has port %d in its path", m.Req.ID, p)
-						}
+					in, path = path.Pop()
+					if src := sim.topo.LineProc(at*radix + in); src != m.Src || path != 0 {
+						t.Fatalf("request %d from processor %d: its header %#x leads to processor %d, leaving %#x",
+							m.Req.ID, m.Src, m.Path, src, path)
 					}
+					checked++
 				}
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no request was ever seen waiting at the memory link")
 	}
 }
 

@@ -152,6 +152,11 @@ func (c *Config) normalize() error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
+	if c.Topology == nil {
+		if err := engine.OmegaOf(c.Procs, c.Radix).Validate(); err != nil {
+			return fmt.Errorf("network: %w", err)
+		}
+	}
 	if c.Topology != nil && c.Radix != c.Topology.Radix() {
 		return fmt.Errorf("network: Radix %d disagrees with the topology's radix (%d)",
 			c.Radix, c.Topology.Radix())
@@ -318,7 +323,7 @@ func (s *Sim) tracer(stage, idx int) func(engine.EventKind, word.ReqID, word.Req
 // meets a queued store to its address is answered NOW with the store's
 // value, while the store is still on its way to memory.  The synthesized
 // reply descends from this switch along the load's path.
-func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path []uint8, now uint32) bool {
+func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path engine.Path, now uint32) bool {
 	if _, isLoad := m.Req.Op.(rmw.Load); !isLoad {
 		return false
 	}

@@ -31,7 +31,7 @@ func BenchmarkStep(b *testing.B) {
 				inj[p] = NewStochastic(p, n, TrafficConfig{Rate: 0.9, HotFraction: bc.hot, Window: 4}, 5)
 			}
 			sim := NewSim(Config{Procs: n, WaitBufCap: bc.waitCap}, inj)
-			sim.Run(2000) // queues, the path pool and the metadata boxes at their working size
+			sim.Run(2000) // queues and the metadata boxes at their working size
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
