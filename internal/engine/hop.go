@@ -75,7 +75,13 @@ func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
 // queues are empty has no move to make and nothing to count, and the index
 // says so without touching it.
 func (s *Shell) FwdHop(at, first int, ln *Lane) {
-	if s.loads[at].Fwd == 0 || s.Down(at) {
+	if s.loads[at].Fwd != 0 {
+		s.fwdHop(at, first, ln)
+	}
+}
+
+func (s *Shell) fwdHop(at, first int, ln *Lane) {
+	if s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
@@ -133,7 +139,13 @@ func (s *Shell) Feed(at, port, mod int, site uint64, ln *Lane) {
 // reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
 // ends at a processor brings the reply home.
 func (s *Shell) RevHop(at, first int, ln *Lane) {
-	if s.loads[at].Rev == 0 || s.Down(at) {
+	if s.loads[at].Rev != 0 {
+		s.revHop(at, first, ln)
+	}
+}
+
+func (s *Shell) revHop(at, first int, ln *Lane) {
+	if s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
