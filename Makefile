@@ -151,9 +151,9 @@ stepcmp:
 		function q(f) { i = 1 + (n - 1) * f; lo = int(i); return v[lo] + (i - lo) * (v[lo < n ? lo + 1 : lo] - v[lo]) } \
 		function flush() { if (n) { m[key] = v[1]; q1[key] = q(0.25); md[key] = q(0.5) } n = 0 } \
 		{ if ($$1 " " $$2 != key) { flush(); key = $$1 " " $$2; if ($$1 == "ref") cases[++nc] = $$2 } v[++n] = $$3 } \
-		END { flush(); printf "%-26s %27s   %27s   %s\n", "us/cycle: min / q1 / median", "$(REF)", "working tree", "ratio min / q1 / median"; \
+		END { flush(); printf "%-28s %26s   %26s   %s\n", "us/cycle: min / q1 / median", "$(REF)", "working tree", "ratio min / q1 / median"; \
 		for (c = 1; c <= nc; c++) { a = "ref " cases[c]; b = "tree " cases[c]; \
-			printf "%-26s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b] } }'
+			printf "%-28s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b] } }'
 
 # profile runs the omega BenchmarkStep under the CPU and memory profilers
 # and leaves cpu.out/mem.out (and the test binary they resolve against) for

@@ -71,19 +71,11 @@ func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
 // that one takes it, into the memory module the link ends at when the module
 // has room.  A dead downstream station or a full queue holds the request where
 // it is, so a crash costs the flushed state and not a stream of new losses;
-// a request that already hopped this cycle waits.
-//
-// A station whose forward queues are empty has no move to make and nothing
-// to count, and the index says so without touching it: FwdHop is that test
-// alone, small enough to inline into a schedule's loop, and fwdHop the move.
+// a request that already hopped this cycle waits.  A station whose forward
+// queues are empty has no move to make and nothing to count, and the index
+// says so without touching it.
 func (s *Shell) FwdHop(at, first int, ln *Lane) {
-	if s.loads[at].Fwd != 0 {
-		s.fwdHop(at, first, ln)
-	}
-}
-
-func (s *Shell) fwdHop(at, first int, ln *Lane) {
-	if s.Down(at) {
+	if s.loads[at].Fwd == 0 || s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
@@ -139,16 +131,9 @@ func (s *Shell) Feed(at, port, mod int, site uint64, ln *Lane) {
 // RevHop makes station at's reverse move: the head of each reverse queue
 // crosses its link when the station at the far end is alive and has the
 // reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
-// ends at a processor brings the reply home.  Like FwdHop it is the index
-// test, inlined; revHop is the move.
+// ends at a processor brings the reply home.
 func (s *Shell) RevHop(at, first int, ln *Lane) {
-	if s.loads[at].Rev != 0 {
-		s.revHop(at, first, ln)
-	}
-}
-
-func (s *Shell) revHop(at, first int, ln *Lane) {
-	if s.Down(at) {
+	if s.loads[at].Rev == 0 || s.Down(at) {
 		return
 	}
 	st := &s.stations[at]
