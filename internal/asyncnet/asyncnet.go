@@ -136,11 +136,12 @@ type Port struct {
 	net  *Net
 	proc word.ProcID
 	ids  *word.IDGen
-	// in is the first-stage inbox the port's link enters, on input port
-	// inPort, at fault site site.
-	in     chan engine.Fwd
-	inPort int32
-	site   uint64
+	// in is the first-stage inbox the port's link enters, at fault site
+	// site; path is the header a request leaves the port with, stamped with
+	// the input port the link occupies there.
+	in   chan engine.Fwd
+	path engine.Path
+	site uint64
 
 	reply       chan engine.Rev
 	window      int
@@ -255,7 +256,7 @@ func New(cfg Config) *Net {
 			proc:     word.ProcID(p),
 			ids:      word.Partition(p, n),
 			in:       net.switches[l.To].fwdIn[l.In],
-			inPort:   l.In,
+			path:     engine.Path(0).Push(l.In),
 			site:     site(links.ProcAt[p]),
 			reply:    make(chan engine.Rev, cfg.ChanCap),
 			window:   cfg.Window,
@@ -531,7 +532,7 @@ func (p *Port) retransmitExpired() {
 			continue
 		}
 		select {
-		case p.in <- engine.Fwd{Req: inf.req, Path: engine.Path(0).Push(p.inPort)}:
+		case p.in <- engine.Fwd{Req: inf.req, Path: p.path}:
 		default:
 		}
 	}
@@ -560,7 +561,7 @@ func (p *Port) absorbToBuffer() {
 // waiting on.  This is the processor end of the service-while-blocked
 // discipline that makes ChanCap=1 deadlock-free.
 func (p *Port) sendFwd(req core.Request) {
-	m := engine.Fwd{Req: req, Path: engine.Path(0).Push(p.inPort)}
+	m := engine.Fwd{Req: req, Path: p.path}
 	select {
 	case p.in <- m:
 		return

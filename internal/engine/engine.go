@@ -15,10 +15,13 @@
 // What the core owns:
 //
 //   - the station (station.go): forward FIFOs, reverse FIFOs, one wait
-//     buffer of one record type, and the five things done to it — accept a
+//     buffer of one record type, and the six things done to it — accept a
 //     request (combine at the tail, else push, else refuse), the
 //     reserved-credit check, accept a reply (decombine recursively, else
-//     queue it toward its processor or hand it over), crash flush, occupancy.
+//     queue it toward its processor or hand it over), pop a head, crash
+//     flush, occupancy — the only code that pushes or pops a station queue,
+//     and so the only code that keeps the occupancy index (Shell.Loads) the
+//     hops read before they touch a station or a module.
 //     One request message (Fwd) and one reply message (Rev) carry the
 //     superset of routing state: a recorded path or the issuing processor.
 //     internal/asyncnet's switch goroutines own the same station;

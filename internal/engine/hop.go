@@ -15,8 +15,9 @@ import (
 // order in which its stations hop in a cycle — is straight code over them.
 //
 // Worker-phase rule: FwdHop, RevHop, Feed and Tick write only the stations
-// and modules they are handed, the far ends of their links, and the caller's
-// Lane; a parallel schedule calls them from its workers for stations whose
+// and modules they are handed, the far ends of their links, those stations'
+// and modules' entries of the occupancy index, and the caller's Lane; a
+// parallel schedule calls them from its workers for stations whose
 // link ends no other worker touches in the same phase (a conflict group),
 // passing each worker its own lane.  Link-drop draws are hash decisions with
 // atomic counters.  Ports and deliveries — Inject, Commit — belong to one
@@ -231,8 +232,7 @@ func (s *Shell) Commit() {
 	for i := range s.lanes {
 		home := s.lanes[i].Home
 		for j := range home {
-			r := &home[j]
-			s.deliver(s.links.Home[r.Src].site(), r)
+			s.deliver(s.links.Home[home[j].Src].site(), &home[j])
 		}
 		s.lanes[i].Home = home[:0]
 	}
