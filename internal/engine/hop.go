@@ -16,12 +16,12 @@ import (
 //
 // Worker-phase rule: FwdHop, RevHop, Feed and Tick write only the stations
 // and modules they are handed, the far ends of their links, those stations'
-// and modules' entries of the occupancy index, and the caller's Lane; a
-// parallel schedule calls them from its workers for stations whose
-// link ends no other worker touches in the same phase (a conflict group),
-// passing each worker its own lane.  Link-drop draws are hash decisions with
-// atomic counters.  Ports and deliveries — Inject, Commit — belong to one
-// goroutine at a time.
+// and modules' entries of the occupancy index and the forward limbo, and the
+// caller's Lane; a schedule calls them from its pool's workers for stations
+// whose link ends no other worker touches in the same phase (a conflict
+// group), passing each worker its own lane.  Link-fault draws are hash
+// decisions with atomic counters.  Ports and deliveries — Inject, Commit —
+// belong to one goroutine at a time.
 
 // Turn is the arbiter: of n contenders — the stations of a column, the
 // ports of a station, the processors on a bus — number Turn(n) is served

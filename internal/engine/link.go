@@ -16,13 +16,12 @@ import (
 // loss exactly-once.  The fabric names each link by the fault site it
 // passes in; the shell never interprets it.
 
-// heldFwd is a request deferred by reordering on the link into module mod:
-// it enters the module at release, or one cycle later per cycle the module
-// cannot take it.
+// heldFwd is a request deferred by reordering on the link into a module
+// (the one whose limbo holds it): it enters the module at release, or one
+// cycle later per cycle the module cannot take it.
 type heldFwd struct {
 	release int64
 	site    uint64
-	mod     int
 	m       Fwd
 }
 
@@ -34,8 +33,8 @@ type heldRev struct {
 	r       Rev
 }
 
-// Lane returns stepping goroutine w's lane: pool worker w's, or — Lane(0) —
-// the serial schedule's.
+// Lane returns pool worker w's lane; Lane(0) is also the stepping
+// goroutine's outside the pool.
 func (s *Shell) Lane(w int) *Lane { return &s.lanes[w] }
 
 // mergeLanes folds every lane's counters into the run totals and clears
@@ -71,7 +70,7 @@ func (s *Shell) mergeLanes() {
 func (s *Shell) enterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
 	if s.adv {
 		if d := s.flt.ReorderDelay(site, m.Req.ID, m.Req.Attempt); d > 0 {
-			s.fwdLimbo = append(s.fwdLimbo, heldFwd{release: s.tot.Cycles + d, site: site, mod: mod, m: *m})
+			s.fwdLimbo[mod] = append(s.fwdLimbo[mod], heldFwd{release: s.tot.Cycles + d, site: site, m: *m})
 			return
 		}
 		s.memEnter(site, mod, m, sh)
@@ -254,29 +253,32 @@ func (s *Shell) complete(r *Rev) {
 }
 
 // drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of Step — adversarial plans are rejected at
-// Workers > 1 — so release order is defined by the serial sweep.  A forward
-// release finding its module crashed or unable to take it re-holds one
-// cycle (the deferral bound is on the adversarial link, not on ordinary
-// backpressure), and held messages are never re-reordered, so the deferral
-// is bounded by ReorderMax plus the backpressure already counted against
-// every request.
+// runs serially at the top of Step, module by module: a module's limbo
+// releases in the order its link deferred them, and modules share nothing a
+// release touches, so no other order is observable.  A forward release
+// finding its module crashed or unable to take it re-holds one cycle (the
+// deferral bound is on the adversarial link, not on ordinary backpressure),
+// and held messages are never re-reordered, so the deferral is bounded by
+// ReorderMax plus the backpressure already counted against every request.
 func (s *Shell) drainLimbo() {
-	if len(s.fwdLimbo) > 0 {
-		keep := s.fwdLimbo[:0]
-		for _, h := range s.fwdLimbo {
+	for mod, held := range s.fwdLimbo {
+		if len(held) == 0 {
+			continue
+		}
+		keep := held[:0]
+		for _, h := range held {
 			if h.release > s.tot.Cycles {
 				keep = append(keep, h)
 				continue
 			}
-			if !s.MemReady(h.mod) {
+			if !s.MemReady(mod) {
 				h.release = s.tot.Cycles + 1
 				keep = append(keep, h)
 				continue
 			}
-			s.memEnter(h.site, h.mod, &h.m, &s.tot.Shard)
+			s.memEnter(h.site, mod, &h.m, &s.tot.Shard)
 		}
-		s.fwdLimbo = keep
+		s.fwdLimbo[mod] = keep
 	}
 	if len(s.revLimbo) > 0 {
 		keep := s.revLimbo[:0]

@@ -105,11 +105,11 @@ type Shard struct {
 
 // Lane is one goroutine's working set inside a cycle: the counters its hops
 // write and the replies they brought home to a processor.  Every hop takes
-// the caller's lane, so a worker phase writes only memory it owns; a serial
-// schedule uses Lane(0) throughout and a parallel one hands worker w
-// Lane(w).  Commit delivers the lanes' replies, lane by lane in order — a
-// parallel schedule that splits its work into contiguous ascending ranges
-// thus delivers in the serial order — and the shell folds the counters into
+// the caller's lane, so a worker phase writes only memory it owns: pool
+// worker w uses Lane(w), and what a schedule runs outside its pool uses
+// Lane(0).  Commit delivers the lanes' replies, lane by lane in order — a
+// schedule whose workers take contiguous ascending ranges thus delivers in
+// the same order at every width — and the shell folds the counters into
 // the totals after every sweep.  The pad keeps adjacent lanes of the
 // contiguous slice off one cache line.
 type Lane struct {
@@ -165,7 +165,7 @@ func ratio(num, den int64) float64 {
 
 // Hooks is what a wiring supplies beyond its stations and its links; all
 // four are required.  The shell calls them from the stepping goroutine,
-// CanFeed also from a parallel schedule's workers for modules they own.
+// CanFeed also from a schedule's pool workers for modules they own.
 type Hooks struct {
 	// Sweep is the wiring's schedule: one cycle's hops — reverse, module
 	// ticks, forward, injection — in the wiring's order.
@@ -187,8 +187,8 @@ type ShellConfig struct {
 	Engine    string
 	Hooks     Hooks
 	Injectors []Injector
-	// Pool, when non-nil, is the fabric's worker pool; Run and Drain keep
-	// its workers alive across their cycles.
+	// Pool is the fabric's worker pool, one lane per worker; Run and Drain
+	// keep its workers alive across their cycles.  nil means one worker.
 	Pool *par.Pool
 	// Modules, Service and MemQueueCap shape the memory array
 	// (MemQueueCap <= 0 leaves the module input queues unbounded).
@@ -234,9 +234,9 @@ type Shell struct {
 	// queue it counts, phase by phase.
 	loads   []Load
 	memLoad []int32
-	// lanes are the stepping goroutines' working sets, one per pool worker
-	// (one when serial); behindBuf is the processor links' scratch for a
-	// wait buffer behind them (Links.Behind).
+	// lanes are the stepping goroutines' working sets, one per pool worker;
+	// behindBuf is the processor links' scratch for a wait buffer behind
+	// them (Links.Behind).
 	lanes     []Lane
 	behindBuf []Rev
 
@@ -281,9 +281,12 @@ type Shell struct {
 	memDead []bool
 	masked  bool
 	// adv arms the integrity layer on the terminal links; the limbo
-	// buffers hold reordered messages until their release cycle.
+	// buffers hold reordered messages until their release cycle.  The
+	// forward limbo is per module — fwdLimbo[mod] is owned like meta[mod],
+	// by whoever feeds module mod — so each module's releases keep the order
+	// its link deferred them in at any width (DESIGN.md §8).
 	adv      bool
-	fwdLimbo []heldFwd
+	fwdLimbo [][]heldFwd
 	revLimbo []heldRev
 }
 
@@ -321,11 +324,11 @@ func (s *Shell) Init(cfg ShellConfig) {
 		loads:      make([]Load, len(cfg.Stations)),
 		memLoad:    make([]int32, cfg.Modules),
 	}
-	s.width = len(cfg.Stations) / cfg.Stages
-	s.lanes = make([]Lane, 1)
-	if cfg.Pool != nil {
-		s.lanes = make([]Lane, cfg.Pool.Workers())
+	if s.pool == nil {
+		s.pool = par.NewPool(1)
 	}
+	s.width = len(cfg.Stations) / cfg.Stages
+	s.lanes = make([]Lane, s.pool.Workers())
 	for i := range s.stations {
 		s.stations[i].load = &s.loads[i]
 		s.stations[i].Route = s.links.Route[i]
@@ -343,6 +346,9 @@ func (s *Shell) Init(cfg ShellConfig) {
 	s.trk = faults.NewTracker(s.flt)
 	plan := s.flt.Plan()
 	s.adv = plan.HasAdversarial()
+	if s.adv {
+		s.fwdLimbo = make([][]heldFwd, cfg.Modules)
+	}
 	s.retry = make([]core.FIFO[Fwd], procs)
 	s.stall = make([]bool, len(cfg.Stations))
 	if plan.HasCrashes() {
@@ -442,10 +448,10 @@ func (s *Shell) progressSig() int64 {
 
 // Run advances the machine the given number of cycles, stopping early if
 // the progress watchdog trips (a stalled machine makes no further progress
-// by definition; callers check Stalled / StallReport).  A parallel machine
-// starts its persistent workers here, once per Run — not once per cycle —
-// and retires them on return; a bare Step outside Run still works through
-// the pool's spawn fallback.
+// by definition; callers check Stalled / StallReport).  A pool wider than
+// one starts its persistent workers here, once per Run — not once per
+// cycle — and retires them on return; a bare Step outside Run still works
+// through the pool's spawn fallback.
 func (s *Shell) Run(cycles int) {
 	s.run(cycles, func() bool { return false })
 }
@@ -463,10 +469,8 @@ func (s *Shell) Drain(maxCycles int) bool {
 // run steps up to cycles times, stopping after a step that leaves done true
 // or the watchdog tripped.
 func (s *Shell) run(cycles int, done func() bool) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
+	s.pool.Start()
+	defer s.pool.Stop()
 	for i := 0; i < cycles && !s.wd.Tripped(); i++ {
 		if s.Step(); done() {
 			return
