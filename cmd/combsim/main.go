@@ -17,9 +17,8 @@
 // With -plan the sweep runs under an explicit fault plan written as the
 // comma-joined key=value spec EncodeFaultPlan emits — including the
 // adversarial delivery kinds (reorder, dup, corrupt) the shorthand flags
-// cannot express.  -plan is exclusive with -drop and -crash, and
-// adversarial plans require -workers 1 (the serial stepper defines limbo
-// release order).
+// cannot express.  -plan is exclusive with -drop and -crash; like every
+// plan it runs at any -workers.
 //
 // With -crash > 0 the plan additionally schedules that many seeded
 // crash–restart windows of each kind (switch, memory module, link) across

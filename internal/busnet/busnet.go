@@ -54,10 +54,10 @@ type Config struct {
 	// AllowReversal enables the Section 5.1 optimization.
 	AllowReversal bool
 	// Workers shards the bank-service scan of each cycle across this many
-	// goroutines (see internal/par and DESIGN.md §6): banks tick in
-	// parallel — each touches only its own module — and completions commit
-	// serially in bank order, so output is byte-for-byte identical at any
-	// setting.  0 or 1 keep the single-threaded stepper.
+	// goroutines (see internal/par and DESIGN.md §6.1); 0 and 1 mean one.
+	// Banks tick in parallel — each touches only its own module — and
+	// completions commit serially in bank order, so output is byte-for-byte
+	// identical at any width, under every fault plan.
 	Workers int
 	// Faults, when non-nil, arms the deterministic fault plan and the
 	// recovery layer (see internal/faults and internal/network.Config).
@@ -92,10 +92,10 @@ type Sim struct {
 	cfg  Config
 	fifo *core.FIFO[engine.Fwd] // the decoupling FIFO, bounded by Config.QueueCap
 
-	// Parallel bank-scan state (Config.Workers > 1, nil otherwise): the
-	// worker pool (persistent workers bracketed by Run/Drain) and the scan
-	// function, bound once at construction so the cycle loop builds no
-	// closures.  See DESIGN.md §6.
+	// The bank scan: the worker pool (Config.Workers wide, persistent
+	// workers bracketed by Run/Drain) and the scan function, bound once at
+	// construction so the cycle loop builds no closures.  See DESIGN.md
+	// §6.1.
 	pool   *par.Pool
 	tickFn func(w int)
 }
@@ -117,8 +117,6 @@ func (c *Config) normalize() error {
 		Banks:    c.Banks,
 		Workers:  c.Workers,
 		Service:  c.BankService,
-		AdversarialSerial: c.Faults != nil && c.Faults.HasAdversarial() &&
-			c.Workers > 1,
 	}
 	if err := spec.Validate(); err != nil {
 		return err
@@ -146,11 +144,8 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	if len(inj) != cfg.Procs {
 		panic(fmt.Sprintf("busnet: got %d injectors for %d processors", len(inj), cfg.Procs))
 	}
-	s := &Sim{cfg: cfg}
-	if cfg.Workers > 1 {
-		s.pool = par.NewPool(cfg.Workers)
-		s.tickFn = s.tickWorker
-	}
+	s := &Sim{cfg: cfg, pool: par.NewPool(cfg.Workers)}
+	s.tickFn = s.tickWorker
 	station := engine.NewStations(1, 1, 0, cfg.QueueCap, 0, cfg.WaitBufCap,
 		core.Policy{AllowReversal: cfg.AllowReversal})
 	s.fifo = &station[0].Fwd[0]
@@ -227,17 +222,11 @@ func (s *Sim) saturated() bool {
 // decombine behind it), the FIFO head dispatches, and one processor wins the
 // bus.
 func (s *Sim) sweep() {
-	// Banks tick — bank-local, so under Config.Workers in parallel, each
-	// worker a contiguous range — and the completed replies that survive the
-	// return bus commit in ascending bank order: decombining and delivery
-	// touch shared state.
-	if s.pool != nil {
-		s.pool.Run(s.tickFn)
-	} else {
-		for b := 0; b < s.cfg.Banks; b++ {
-			s.Tick(b, -1, s.Lane(0))
-		}
-	}
+	// Banks tick — bank-local, so each of the pool's workers takes a
+	// contiguous range — and the completed replies that survive the return
+	// bus commit in ascending bank order: decombining and delivery touch
+	// shared state.
+	s.pool.Run(s.tickFn)
 	s.Commit()
 
 	if s.Down(0) {
@@ -267,8 +256,8 @@ func (s *Sim) sweep() {
 	}
 }
 
-// tickWorker is the per-worker body of the parallel bank compute phase,
-// bound to Sim.tickFn once at construction.
+// tickWorker is the per-worker body of the bank compute phase, bound to
+// Sim.tickFn once at construction.
 func (s *Sim) tickWorker(w int) {
 	lo, hi := par.Split(s.cfg.Banks, s.pool.Workers(), w)
 	for b := lo; b < hi; b++ {

@@ -58,17 +58,18 @@
 // (its module feed rule), Saturated (its saturation predicate) and Observe
 // (which shared counters it publishes under which names, and its gauges).
 // The schedules stay code because they differ in machine semantics: the
-// staged network's pipeline order (internal/network, serially and as
-// barrier-separated phases over conflict groups), the direct machine's
-// store-and-forward sweep under the hops' one-link-per-cycle stamp
-// (internal/hypercube), the bus's single shared medium (internal/busnet).
+// staged network's pipeline order (internal/network, barrier-separated
+// phases over conflict groups that one worker or several run), the direct
+// machine's store-and-forward sweep under the hops' one-link-per-cycle
+// stamp (internal/hypercube), the bus's single shared medium
+// (internal/busnet).
 // internal/engine's tests build two more machines the repo ships nowhere:
 // a one-station crossbar (shell_test.go) and a binary reduction tree whose
 // interior stations host neither processor nor memory (tree_test.go), each a
 // table and a schedule of a few dozen lines.
 //
-// The worker-phase rule — which hops a parallel schedule's workers may call,
-// and with whose Lane — is in hop.go.  A module has one owner per
+// The worker-phase rule — which hops a schedule's pool workers may call, and
+// with whose Lane — is in hop.go.  A module has one owner per
 // barrier-separated phase: its cycle API takes no lock (see internal/memory).
 //
 // Messages cross the core by pointer and are copied where they come to
@@ -82,7 +83,7 @@
 //   - A Staged topology (omega, fat-tree/butterfly) supplies processor→line
 //     placement, the inter-stage permutations and their inverses, and
 //     destination-tag port selection — plus the conflict groups the
-//     deterministic parallel stepper partitions on, which
+//     deterministic stepper partitions on, which
 //     RevGroups/FwdGroups derive generically from the wiring.
 //
 //   - A Direct topology (hypercube, torus) supplies the link structure of

@@ -50,12 +50,6 @@ type Spec struct {
 	// to the serial stepper would hand out serial numbers labeled
 	// parallel.
 	TraceSerial bool
-	// AdversarialSerial rejects adversarial delivery plans (reordering,
-	// network-born duplication, payload corruption) combined with the
-	// parallel stepper: limbo release and re-emission order is defined by
-	// the serial sweep, and a silent serial fallback would mislabel the
-	// run just like TraceSerial.
-	AdversarialSerial bool
 	// Topology, when non-nil, is validated too (wiring parameters).
 	Topology interface{ Validate() error }
 	// TopologySize/TopologyField reject a Config whose explicit size
@@ -104,10 +98,6 @@ func (s Spec) Validate() error {
 	}
 	if s.TraceSerial {
 		return fmt.Errorf("%s: Trace requires the serial stepper; set Workers <= 1 or drop the trace",
-			s.Engine)
-	}
-	if s.AdversarialSerial {
-		return fmt.Errorf("%s: adversarial fault plans (reorder/dup/corrupt) require the serial stepper; set Workers <= 1",
 			s.Engine)
 	}
 	return nil

@@ -155,8 +155,7 @@ func (p Plan) HasCrashes() bool {
 // HasAdversarial reports whether the plan relaxes delivery beyond loss:
 // reordering, network-born duplication, or payload corruption.  Engines arm
 // the integrity layer (checksum stamping and verification, limbo buffers)
-// only when it does, and the parallel stepper refuses such plans — limbo
-// release order is defined by the serial sweep.
+// only when it does.
 func (p Plan) HasAdversarial() bool {
 	return p.Reorder > 0 || p.Dup > 0 || p.Corrupt > 0
 }

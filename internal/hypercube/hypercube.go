@@ -69,10 +69,10 @@ type Config struct {
 	MemService int
 	// Workers shards the memory-tick phase of each cycle — module service,
 	// metadata, decombining, all node-local — across this many goroutines
-	// (see internal/par and DESIGN.md §6).  0 or 1 keep the single-threaded
-	// stepper; either way output is byte-for-byte identical.  The forward
-	// and reverse drains stay serial: their credit checks read neighbor
-	// queues mutated earlier in the same sweep.
+	// (see internal/par and DESIGN.md §6.1); 0 and 1 mean one.  Output is
+	// byte-for-byte identical at any width, under every fault plan.  The
+	// forward and reverse drains stay on the stepping goroutine: their
+	// credit checks read neighbor queues mutated earlier in the same sweep.
 	Workers int
 	// Faults, when non-nil, arms the deterministic fault plan and the
 	// recovery layer (see internal/faults and internal/network.Config).
@@ -108,10 +108,10 @@ type Sim struct {
 	topo engine.Direct // the link structure; compiled into the shell's Links
 	n, d int           // node count and link degree
 
-	// Parallel memory-tick state (Config.Workers > 1, nil/empty
-	// otherwise): worker pool (persistent workers bracketed by
-	// Run/Drain), the tick function bound once at construction so the
-	// cycle loop builds no closures.  See DESIGN.md §6.
+	// The memory-tick phase: the worker pool (Config.Workers wide,
+	// persistent workers bracketed by Run/Drain) and the tick function,
+	// bound once at construction so the cycle loop builds no closures.  See
+	// DESIGN.md §6.1.
 	pool   *par.Pool
 	tickFn func(w int)
 }
@@ -133,8 +133,6 @@ func (c *Config) normalize() error {
 		Banks:   1,
 		Workers: c.Workers,
 		Service: c.MemService,
-		AdversarialSerial: c.Faults != nil && c.Faults.HasAdversarial() &&
-			c.Workers > 1,
 	}
 	if c.Topology != nil {
 		if c.Nodes == 0 {
@@ -187,11 +185,8 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		panic(fmt.Sprintf("hypercube: got %d injectors for %d nodes", len(inj), cfg.Nodes))
 	}
 	topo := cfg.resolveTopology()
-	s := &Sim{cfg: cfg, topo: topo, n: cfg.Nodes, d: topo.Degree()}
-	if cfg.Workers > 1 {
-		s.pool = par.NewPool(cfg.Workers)
-		s.tickFn = s.tickWorker
-	}
+	s := &Sim{cfg: cfg, topo: topo, n: cfg.Nodes, d: topo.Degree(), pool: par.NewPool(cfg.Workers)}
+	s.tickFn = s.tickWorker
 	nodes := engine.NewStations(s.n, s.d+1, s.d, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap,
 		core.Policy{AllowReversal: cfg.AllowReversal})
 	for i := range nodes {
@@ -235,15 +230,9 @@ func (s *Sim) sweep() {
 		s.RevHop(i, 0, ln)
 	}
 	// Memory: every node's feed and tick touch only that node's station,
-	// metadata shard and module, so under Config.Workers each node is its
-	// own conflict group and each worker takes a contiguous range of them.
-	if s.pool != nil {
-		s.pool.Run(s.tickFn)
-	} else {
-		for i := 0; i < s.n; i++ {
-			s.tickNode(i, ln)
-		}
-	}
+	// metadata shard, limbo and module, so each node is its own conflict
+	// group and each of the pool's workers takes a contiguous range of them.
+	s.pool.Run(s.tickFn)
 	// Requests, nodes and links in rotating order.
 	node0, link0 := s.Turn(s.n), s.Turn(s.d)
 	for i, node := 0, node0; i < s.n; i, node = i+1, engine.Next(node, s.n) {
@@ -259,8 +248,8 @@ func (s *Sim) sweep() {
 	}
 }
 
-// tickWorker is the per-worker body of the parallel memory tick, bound to
-// Sim.tickFn once at construction.
+// tickWorker is the per-worker body of the memory tick, bound to Sim.tickFn
+// once at construction.
 func (s *Sim) tickWorker(w int) {
 	lo, hi := par.Split(s.n, s.pool.Workers(), w)
 	for i := lo; i < hi; i++ {

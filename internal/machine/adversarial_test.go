@@ -141,23 +141,6 @@ func TestAdversarialDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdversarialRejectsParallelStepper pins the Validate contract: limbo
-// release order is defined by the serial sweep, so an adversarial plan
-// combined with Workers > 1 must be rejected, not silently serialized.
-func TestAdversarialRejectsParallelStepper(t *testing.T) {
-	plan := faults.DefaultAdversarial(1)
-	cfgs := []interface{ Validate() error }{
-		network.Config{Procs: 8, Workers: 4, Faults: plan},
-		busnet.Config{Procs: 8, Banks: 4, Workers: 4, Faults: plan},
-		hypercube.Config{Nodes: 8, Workers: 4, Faults: plan},
-	}
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d: adversarial plan with Workers=4 validated; want rejection", i)
-		}
-	}
-}
-
 // TestNetworkDupSuppression is the reply-cache hardening table test: a
 // plan that injects only network-born duplicates (no drops, so Attempt
 // numbers always collide at 0) must complete exactly-once on every

@@ -15,8 +15,8 @@ import (
 // commits.  The determinism tests compare Workers widths to each other
 // within one build; nothing else compares a run to what the same run
 // produced before a change.  One fixed program set runs on each of the six
-// registered wirings (built by name, through internal/wiring) under four plans, serially and — where the plan allows a
-// parallel stepper — at Workers 3, and an FNV-1a digest of the marshalled
+// registered wirings (built by name, through internal/wiring) under four
+// plans, at Workers 1 and 3, and an FNV-1a digest of the marshalled
 // Snapshot plus the final memory image must equal the committed table.  A
 // refactor that claims "same behaviour" leaves the table alone; a change
 // that means to move a counter edits exactly the rows it moves and says why.
@@ -85,11 +85,7 @@ func goldenDigest(t *testing.T, name string, eng Engine, m *Machine) string {
 func TestGoldenDigests(t *testing.T) {
 	for _, name := range wiring.Names() {
 		for _, pl := range goldenPlans {
-			widths := []int{1, 3}
-			if plan := pl.plan(); plan != nil && plan.HasAdversarial() {
-				widths = []int{1} // relaxed-delivery plans pin the serial stepper
-			}
-			for _, w := range widths {
+			for _, w := range []int{1, 3} {
 				key := fmt.Sprintf("%s/%s/w%d", name, pl.name, w)
 				m, inj := NewInjectors(goldenPrograms())
 				for p := range inj {
@@ -121,6 +117,7 @@ var goldenTable = map[string]string{
 	"omega/crashdrop/w1":       "b4cca465284a0427",
 	"omega/crashdrop/w3":       "b4cca465284a0427",
 	"omega/adversarial/w1":     "75e8edab8a7d532f",
+	"omega/adversarial/w3":     "75e8edab8a7d532f",
 	"omega4/clean/w1":          "a6608ed54f5e7ea6",
 	"omega4/clean/w3":          "a6608ed54f5e7ea6",
 	"omega4/faults/w1":         "81eb391a9432d534",
@@ -128,6 +125,7 @@ var goldenTable = map[string]string{
 	"omega4/crashdrop/w1":      "85af83f5fd99d1fb",
 	"omega4/crashdrop/w3":      "85af83f5fd99d1fb",
 	"omega4/adversarial/w1":    "afbab0e5ace24833",
+	"omega4/adversarial/w3":    "afbab0e5ace24833",
 	"fattree/clean/w1":         "748b271a60143555",
 	"fattree/clean/w3":         "748b271a60143555",
 	"fattree/faults/w1":        "ad31ff16c948c632",
@@ -135,6 +133,7 @@ var goldenTable = map[string]string{
 	"fattree/crashdrop/w1":     "c09c732b412b8a23",
 	"fattree/crashdrop/w3":     "c09c732b412b8a23",
 	"fattree/adversarial/w1":   "979079b6b6009ff8",
+	"fattree/adversarial/w3":   "979079b6b6009ff8",
 	"hypercube/clean/w1":       "fc2c7bddd8966d57",
 	"hypercube/clean/w3":       "fc2c7bddd8966d57",
 	"hypercube/faults/w1":      "7f590e65929e2eaf",
@@ -142,6 +141,7 @@ var goldenTable = map[string]string{
 	"hypercube/crashdrop/w1":   "ecd9c972c3b99efa",
 	"hypercube/crashdrop/w3":   "ecd9c972c3b99efa",
 	"hypercube/adversarial/w1": "ed15c7e1e8aa5480",
+	"hypercube/adversarial/w3": "ed15c7e1e8aa5480",
 	"torus/clean/w1":           "98e43d593c32fafd",
 	"torus/clean/w3":           "98e43d593c32fafd",
 	"torus/faults/w1":          "bafceec2172a1421",
@@ -149,6 +149,7 @@ var goldenTable = map[string]string{
 	"torus/crashdrop/w1":       "155506248a3850a8",
 	"torus/crashdrop/w3":       "155506248a3850a8",
 	"torus/adversarial/w1":     "ec09f16f0e4fa26e",
+	"torus/adversarial/w3":     "ec09f16f0e4fa26e",
 	"bus/clean/w1":             "f65ca731e48624a8",
 	"bus/clean/w3":             "f65ca731e48624a8",
 	"bus/faults/w1":            "89a5edc648c8de0d",
@@ -156,4 +157,5 @@ var goldenTable = map[string]string{
 	"bus/crashdrop/w1":         "ca43e2544f9ebd5a",
 	"bus/crashdrop/w3":         "ca43e2544f9ebd5a",
 	"bus/adversarial/w1":       "7953a2d97faeae99",
+	"bus/adversarial/w3":       "7953a2d97faeae99",
 }

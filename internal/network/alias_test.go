@@ -125,20 +125,6 @@ func TestDeliveryCommitOverlap(t *testing.T) {
 	}
 }
 
-// TestAdversarialPlanRejectsParallel: relaxed-delivery plans pin the
-// serial stepper — limbo release order is defined by the serial sweep —
-// so Workers > 1 with such a plan must fail validation.
-func TestAdversarialPlanRejectsParallel(t *testing.T) {
-	cfg := Config{Procs: 16, Workers: 2, Faults: faults.DefaultAdversarial(1)}
-	if err := cfg.Validate(); err == nil {
-		t.Fatalf("adversarial plan with Workers > 1 passed validation")
-	}
-	cfg.Workers = 1
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("adversarial plan with Workers = 1 rejected: %v", err)
-	}
-}
-
 // fixedInjector drives the zero-allocation audit: window-4 fetch-and-add
 // traffic to a per-processor private address, so no two requests ever
 // combine (combining merges source sets into fresh storage, a semantic

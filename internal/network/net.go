@@ -14,9 +14,9 @@
 //
 // A switch is an engine.Station and a hop an engine.Shell method; what this
 // package keeps is the staged wiring's schedule — the order in which the
-// columns hop in a cycle, serially (sweep) and as barrier-separated phases
-// over conflict groups (parallel.go) — its configuration, and the omega-only
-// instruments: event tracing and the Section 5.1 ablation.
+// columns hop in a cycle, as barrier-separated phases over conflict groups
+// that one worker or several run (parallel.go) — its configuration, and the
+// omega-only instruments: event tracing and the Section 5.1 ablation.
 //
 // It is the instrument for the hot-spot experiments (E8, E9, A1): the
 // phenomena of Pfister & Norton [20] — bandwidth collapse toward the
@@ -90,11 +90,12 @@ type Config struct {
 	// MemService is the memory module service time in cycles (default 1).
 	MemService int
 	// Workers shards each cycle's switch, memory-module and delivery work
-	// across this many goroutines (see internal/par and DESIGN.md §6).
-	// 0 or 1 keep the single-threaded stepper.  Worker count is
-	// unobservable in the simulation: every counter, histogram and reply
-	// is byte-for-byte identical at any setting.  Tracing (Trace non-nil)
-	// forces the serial stepper so event order stays the serial order.
+	// across this many goroutines (see internal/par and DESIGN.md §6.1);
+	// 0 and 1 run the same phases on the stepping goroutine alone.  Worker
+	// count is unobservable in the simulation, under every fault plan:
+	// every counter, histogram and reply is byte-for-byte identical at any
+	// setting.  Tracing (Trace non-nil) requires Workers <= 1, so event
+	// order is the one-worker order.
 	Workers int
 	// Faults, when non-nil, arms the deterministic fault plan (see
 	// internal/faults) and with it the full recovery layer: requests carry
@@ -141,8 +142,6 @@ func (c *Config) normalize() error {
 		Workers:     c.Workers,
 		Service:     c.MemService,
 		TraceSerial: c.Trace != nil && c.Workers > 1,
-		AdversarialSerial: c.Faults != nil && c.Faults.HasAdversarial() &&
-			c.Workers > 1,
 	}
 	if c.Topology != nil {
 		spec.Topology = c.Topology
@@ -225,18 +224,16 @@ type Sim struct {
 	k    int           // stages
 	ns   int           // switches per stage
 
-	// Parallel stepper state (Config.Workers > 1, nil/empty otherwise):
-	// the worker pool (persistent workers bracketed by Run/Drain), the
-	// phase barrier, the phase function handed to the pool each cycle
-	// (bound once at construction so the cycle loop allocates no
-	// closures).  See parallel.go and DESIGN.md §6.
-	pool   *par.Pool
-	bar    par.Barrier
-	stepFn func(w int)
-	// Conflict-group partitions per stage, derived from the wiring at
-	// construction (nil when serial); see engine.FwdGroups/RevGroups.
-	fwdGroups [][][]int
-	revGroups [][][]int
+	// The stepper: the worker pool (Config.Workers wide, persistent
+	// workers bracketed by Run/Drain), the phase barrier, the phase
+	// function handed to the pool each cycle (bound once at construction so
+	// the cycle loop allocates no closures), and the owner tables —
+	// fwdOwner[at] and revOwner[at] are the worker that hops station at in
+	// its forward and reverse phase.  See parallel.go and DESIGN.md §6.1.
+	pool               *par.Pool
+	bar                par.Barrier
+	stepFn             func(w int)
+	fwdOwner, revOwner []int32
 }
 
 // NewSim builds a machine; injectors must supply exactly cfg.Procs entries.
@@ -266,21 +263,10 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	if cfg.Trace != nil {
 		inj = tracedPorts(inj, cfg.Trace) // ports are traced by wrapping their injectors
 	}
-	// Validation rejected Workers > 1 with tracing on, so reaching here
-	// with a pool means the serial fallback can no longer happen silently.
-	if cfg.Workers > 1 {
-		s.pool = par.NewPool(cfg.Workers)
-		s.bar = par.NewBarrier(s.pool.Workers())
-		s.stepFn = s.phaseWorker
-		s.fwdGroups = make([][][]int, k)
-		s.revGroups = make([][][]int, k)
-		for st := 0; st+1 < k; st++ {
-			s.fwdGroups[st] = engine.FwdGroups(topo, st)
-		}
-		for st := 1; st < k; st++ {
-			s.revGroups[st] = engine.RevGroups(topo, st)
-		}
-	}
+	s.pool = par.NewPool(cfg.Workers)
+	s.bar = par.NewBarrier(s.pool.Workers())
+	s.stepFn = s.phaseWorker
+	s.fwdOwner, s.revOwner = s.owners()
 	s.Shell.Init(engine.ShellConfig{
 		Engine:         "network",
 		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.treeSaturated, Observe: s.observe},
@@ -338,31 +324,14 @@ func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path engine.Path, n
 }
 
 // sweep is the staged network's schedule: replies descend, destination side
-// first; modules tick; requests ascend, memory side first; processors
-// inject.  Station order within a column rotates with the cycle so
-// contending streams share a downstream queue fairly (round-robin
-// arbitration, as in real switches).  Column order alone keeps every message
-// to one hop per cycle here; the hops' stamps agree with it.
+// first; modules tick; requests ascend, memory side first (the pool's
+// phases, phaseWorker); processors inject.  Station order within a column
+// rotates with the cycle so contending streams share a downstream queue
+// fairly (round-robin arbitration, as in real switches).  Column order alone
+// keeps every message to one hop per cycle here; the hops' stamps agree
+// with it.
 func (s *Sim) sweep() {
-	if s.pool != nil {
-		s.pool.Run(s.stepFn)
-	} else {
-		ln, sw0, port0 := s.Lane(0), s.Turn(s.ns), s.Turn(s.cfg.Radix)
-		for stage := 0; stage < s.k; stage++ {
-			for i, sw := 0, sw0; i < s.ns; i, sw = i+1, engine.Next(sw, s.ns) {
-				s.RevHop(stage*s.ns+sw, port0, ln)
-			}
-		}
-		for mod := 0; mod < s.n; mod++ {
-			s.Tick(mod, s.memSwitch(mod), ln)
-		}
-		for stage := s.k - 1; stage >= 0; stage-- {
-			for i, sw := 0, sw0; i < s.ns; i, sw = i+1, engine.Next(sw, s.ns) {
-				s.FwdHop(stage*s.ns+sw, port0, ln)
-			}
-		}
-		s.Commit()
-	}
+	s.pool.Run(s.stepFn)
 	for i, p := 0, s.Turn(s.n); i < s.n; i, p = i+1, engine.Next(p, s.n) {
 		s.Inject(p)
 	}

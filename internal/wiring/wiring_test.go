@@ -105,11 +105,7 @@ func TestLoadsMatchQueues(t *testing.T) {
 	}
 	for _, name := range Names() {
 		for _, pl := range plans {
-			widths := []int{1, 3}
-			if plan := pl.plan(); plan != nil && plan.HasAdversarial() {
-				widths = []int{1} // relaxed-delivery plans pin the serial stepper
-			}
-			for _, w := range widths {
+			for _, w := range []int{1, 3} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, pl.name, w), func(t *testing.T) {
 					inj := make([]engine.Injector, procs)
 					for p := range inj {
