@@ -36,7 +36,8 @@
 // the five cycle wirings of -faults execute the same seeded workload at
 // Workers = 1, 2 and 4, and widths 2 and 4 must reproduce width 1's stats
 // snapshot byte for byte and its per-processor reply sequences (DESIGN.md
-// §6), clean and under fault plans.
+// §6), clean, under fault plans and under adversarial delivery plans
+// (reordering, duplication, corruption — each must fire).
 //
 // With -crash it runs the crash–restart soak (experiment E16): the same
 // five cycle wirings execute randomized programs while whole components
@@ -101,7 +102,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "small CI-sized soak (shrinks rounds/procs/ops)")
 		doFaults = flag.Bool("faults", false, "also soak five cycle wirings (omega, fattree, bus, hypercube, torus) and asyncnet under fault plans")
 		overload = flag.Bool("overload", false, "deadlock-freedom soak: every queue at capacity 1 on omega, bus, hypercube and asyncnet")
-		parallel = flag.Bool("parallel", false, "determinism soak: the five cycle wirings of -faults at Workers = 1, 2, 4 must match byte-for-byte")
+		parallel = flag.Bool("parallel", false, "determinism soak: the five cycle wirings of -faults at Workers = 1, 2, 4, clean, faulted and adversarial, must match byte-for-byte")
 		doCrash  = flag.Bool("crash", false, "crash–restart soak: checkpointed recovery on the five cycle wirings of -faults, crash-only and crash+drop")
 		doChaos  = flag.Bool("chaos", false, "fault-plan fuzzer: sampled plans mixing every fault kind on all six wirings; violations shrink to a replayable reproducer")
 		synclib  = flag.Bool("synclib", false, "pkg/sync soak: MCS lock, combining-tree barrier and sharded counter at 100k goroutines, differentially checked against the serial oracle")
@@ -271,10 +272,15 @@ func rows(procs, ops, addrs int) []soak {
 				return nil
 			}})
 	}
-	for _, mode := range cleanAndFaults {
-		// -parallel: the determinism contract of the sharded steppers.
-		table = append(table, soak{flag: "-parallel", name: "parallel-" + mode.name, wirings: five,
-			cfg: base, plan: mode.plan, progs: random, widths: []int{1, 2, 4}})
+	for _, mode := range append(cleanAndFaults, mode{"adversarial", combining.DefaultAdversarialPlan}) {
+		// -parallel: the determinism contract of the sharded steppers, under
+		// every kind of plan.
+		row := soak{flag: "-parallel", name: "parallel-" + mode.name, wirings: five,
+			cfg: base, plan: mode.plan, progs: random, widths: []int{1, 2, 4}}
+		if mode.name == "adversarial" {
+			row.engaged = []string{"reordered_held", "dup_injected", "corrupt_dropped"}
+		}
+		table = append(table, row)
 	}
 	for _, mode := range []mode{{"crash", combining.DefaultCrashPlan}, {"crash+drop", crashDrop}} {
 		table = append(table, soak{flag: "-crash", name: mode.name, wirings: five, cfg: base, plan: mode.plan,
@@ -370,7 +376,7 @@ func report(name, flag string, engaged []string, rs []result, verbose bool) (che
 	if engaged != nil {
 		tail = " (" + strings.Join(engagement, ", ") + ")"
 	}
-	fmt.Printf("%-26s %d executions verified%s\n", name, len(rs), tail)
+	fmt.Printf("%-30s %d executions verified%s\n", name, len(rs), tail)
 	return len(rs), failed
 }
 
@@ -537,7 +543,7 @@ func chaosSoak(rounds int, seed uint64, canary string, verbose bool) (checked, f
 		fmt.Printf("FAIL chaos: canary %q armed but no violation found across %d scenarios\n", canary, len(outcomes))
 		failed++
 	}
-	fmt.Printf("%-26s %d scenarios fuzzed on %d wirings (%d faults injected, %d violations)\n",
+	fmt.Printf("%-30s %d scenarios fuzzed on %d wirings (%d faults injected, %d violations)\n",
 		"chaos", len(outcomes), len(wirings), total["faults_injected"], violations)
 	return len(outcomes), failed
 }

@@ -22,6 +22,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 
@@ -153,18 +154,42 @@ func Programs(seed uint64, procs, ops, addrs int) [][]machine.Instr {
 	return progs
 }
 
-// Run executes one scenario and checks its invariants, returning the
-// engine's snapshot counters (for vacuous-pass accounting) and the first
-// violation found, nil if the run is clean.  Run is deterministic: the
-// same Scenario always produces the same counters and the same verdict.
+// Run executes one scenario at Workers 1 and checks its invariants, then
+// reruns it at Workers 3, whose snapshot must be the same bytes — the
+// worker count is unobservable under every plan (DESIGN.md §6.1).  It
+// returns the engine's snapshot counters (for vacuous-pass accounting) and
+// the first violation found, nil if the run is clean.  Run is
+// deterministic: the same Scenario always produces the same counters and
+// the same verdict.
 func Run(sc Scenario) (map[string]int64, error) {
-	m, inj := machine.NewInjectors(Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs))
-	eng, err := wiring.New(sc.Topology, wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Faults: sc.Plan}, inj)
+	m, eng, err := build(sc, 1)
 	if err != nil {
 		return nil, err
 	}
+	c, err := Battery(m, eng, sc.Addrs, maxCycles)
+	if err != nil {
+		return c, err
+	}
+	m3, eng3, err := build(sc, 3)
+	if err != nil {
+		return c, err
+	}
+	m3.Run(maxCycles)
+	if !bytes.Equal(eng3.Snapshot().JSON(), eng.Snapshot().JSON()) {
+		return c, fmt.Errorf("Workers=3 snapshot differs from Workers=1")
+	}
+	return c, nil
+}
+
+// build makes the scenario's machine at the given width, its programs bound.
+func build(sc Scenario, workers int) (*machine.Machine, engine.Machine, error) {
+	m, inj := machine.NewInjectors(Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs))
+	eng, err := wiring.New(sc.Topology, wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Workers: workers, Faults: sc.Plan}, inj)
+	if err != nil {
+		return nil, nil, err
+	}
 	m.BindEngine(eng)
-	return Battery(m, eng, sc.Addrs, maxCycles)
+	return m, eng, nil
 }
 
 // Battery is the invariant battery every soak runs: it drives the programs
