@@ -123,15 +123,17 @@ parbench:
 stepbench:
 	go test -run '^$$' -bench=BenchmarkStep -benchmem ./internal/network/ ./internal/hypercube/
 
-# stepcmp prices the working tree's serial cycle against another commit's, as
-# E20, E22 and E26 each did by hand: BenchmarkStep's two test binaries are
-# built once for REF (a `git archive` of it in a temporary directory, which
-# honours TMPDIR) and once for the working tree, then run alternately for
-# ROUNDS rounds of 3000 cycles, the order flipped every round — this host's
-# clock swings 10–30 % between runs, so only interleaved pairs compare.
-# Prints min / first quartile / median µs per cycle of each side and the
-# ratios ref/tree (> 1: the tree is faster).  No threshold; CI runs it with
-# ROUNDS=2 REF=HEAD as a smoke.
+# stepcmp prices the working tree's cycle against another commit's, as E20,
+# E22 and E26 each did by hand: BenchmarkStep's two test binaries are built
+# once for REF (a `git archive` of it in a temporary directory, which honours
+# TMPDIR) and once for the working tree, then run alternately for ROUNDS
+# rounds of 3000 cycles, the order flipped every round — this host's clock
+# swings 10–30 % between runs, so only interleaved pairs compare.  Beside
+# BenchmarkStep's cases it runs BenchmarkParallelStep's n1024/w1 and n1024/w2,
+# so a stepper change is screened at both widths.  Prints min / first
+# quartile / median µs per cycle (ns/op: one Step per op) of each side and
+# the ratios ref/tree (> 1: the tree is faster).  No threshold; CI runs it
+# with ROUNDS=2 REF=HEAD as a smoke.
 REF ?= HEAD
 ROUNDS ?= 12
 stepcmp:
@@ -141,10 +143,10 @@ stepcmp:
 		(cd $$d/ref && go test -c -o $$d/ref-$$p.test ./internal/$$p/); \
 		go test -c -o $$d/tree-$$p.test ./internal/$$p/; \
 	done; \
-	run() { for p in network hypercube; do \
-		(cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench '^BenchmarkStep$$' -test.benchtime 3000x -test.timeout 10m) | \
-		awk -v side=$$1 -v p=$$p '/^BenchmarkStep\// { sub(/^BenchmarkStep\//, "", $$1); sub(/-[0-9]+$$/, "", $$1); \
-			for (i = 3; i < NF; i++) if ($$(i+1) == "ns/cycle") print side, p "/" $$1, $$i / 1000 }'; done; }; \
+	run() { for c in 'network:^BenchmarkStep$$' 'network:^BenchmarkParallelStep$$/^n1024$$/^w[12]$$' 'hypercube:^BenchmarkStep$$'; do \
+		p=$${c%%:*}; (cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench "$${c#*:}" -test.benchtime 3000x -test.timeout 10m) | \
+		awk -v side=$$1 -v p=$$p '/^Benchmark(Parallel)?Step\// { sub(/^BenchmarkStep\//, "", $$1); sub(/^BenchmarkParallelStep\//, "parallel/", $$1); \
+			sub(/-[0-9]+$$/, "", $$1); for (i = 3; i < NF; i++) if ($$(i+1) == "ns/op") print side, p "/" $$1, $$i / 1000 }'; done; }; \
 	for r in $$(seq 1 $(ROUNDS)); do \
 		if [ $$((r % 2)) = 1 ]; then run ref; run tree; else run tree; run ref; fi; \
 	done | sort -k2,2 -k1,1 -k3,3g | awk ' \

@@ -92,9 +92,10 @@ func TestParallelMinimumNetwork(t *testing.T) {
 }
 
 // BenchmarkParallelStep measures per-cycle step cost across worker widths
-// under a saturating hot-spot load (`make parbench`, the E15 curve);
-// bench/run.sh's omega_parallel workload reports the same ratio with an
-// estimator as par.speedup_vs_serial.
+// under a saturating hot-spot load (`make parbench`, the E15 curve; `make
+// stepcmp` also runs its n1024/w1 and n1024/w2 cases); bench/run.sh's
+// omega_parallel workload reports the same ratio with an estimator as
+// par.speedup_vs_serial.
 func BenchmarkParallelStep(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, w := range []int{1, 2, 4, 8} {
@@ -106,18 +107,17 @@ func BenchmarkParallelStep(b *testing.B) {
 					}, 5)
 				}
 				sim := NewSim(Config{Procs: n, Workers: w}, inj)
-				if sim.pool != nil {
-					// Bare Step() bypasses Run's pool bracket; start the
-					// workers here so the loop measures persistent dispatch,
-					// not goroutine spawns.
-					sim.pool.Start()
-					defer sim.pool.Stop()
-				}
+				// Bare Step() bypasses Run's pool bracket; start the workers
+				// here so the loop measures persistent dispatch, not
+				// goroutine spawns.
+				sim.pool.Start()
+				defer sim.pool.Stop()
 				sim.Run(64) // fill the pipeline before timing
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sim.Step()
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
 			})
 		}
 	}
