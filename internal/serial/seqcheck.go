@@ -1,10 +1,6 @@
 package serial
 
-import (
-	"sort"
-
-	"combining/internal/word"
-)
+import "combining/internal/word"
 
 // SeqConsistent decides condition M1 — full sequential consistency — for a
 // small history: is there an interleaving of all operations, respecting
@@ -14,61 +10,40 @@ import (
 // litmus tests of Sections 3.2 and 5.1 (Collier's example, the
 // load-forwarding optimization).
 func SeqConsistent(h *History, initial map[word.Addr]word.Word) bool {
-	chains := h.byProcessor()
+	all := make([]int, len(h.ops))
+	for i := range all {
+		all[i] = i
+	}
+	chains := chains(h.ops, all)
 	mem := make(map[word.Addr]word.Word, len(initial))
 	for a, w := range initial {
 		mem[a] = w
 	}
 	pos := make([]int, len(chains))
-	total := 0
-	for _, c := range chains {
-		total += len(c)
-	}
 	var step func(done int) bool
 	step = func(done int) bool {
-		if done == total {
+		if done == len(h.ops) {
 			return true
 		}
-		for i, chain := range chains {
-			p := pos[i]
-			if p >= len(chain) {
+		for c, chain := range chains {
+			p := pos[c]
+			if p == len(chain) {
 				continue
 			}
-			op := chain[p]
+			op := &h.ops[chain[p]]
 			cur := mem[op.Addr]
 			if op.Reply != cur {
 				continue
 			}
-			pos[i]++
+			pos[c]++
 			mem[op.Addr] = op.Op.Apply(cur)
 			if step(done + 1) {
 				return true
 			}
 			mem[op.Addr] = cur
-			pos[i]--
+			pos[c]--
 		}
 		return false
 	}
 	return step(0)
-}
-
-// byProcessor groups the history into per-processor chains in program
-// order.
-func (h *History) byProcessor() [][]Op {
-	perProc := make(map[word.ProcID][]Op)
-	for _, op := range h.ops {
-		perProc[op.Proc] = append(perProc[op.Proc], op)
-	}
-	procs := make([]word.ProcID, 0, len(perProc))
-	for p := range perProc {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	out := make([][]Op, 0, len(procs))
-	for _, p := range procs {
-		chain := perProc[p]
-		sort.Slice(chain, func(i, j int) bool { return chain[i].Seq < chain[j].Seq })
-		out = append(out, chain)
-	}
-	return out
 }

@@ -81,24 +81,25 @@ func TestCheckM2MultiLocation(t *testing.T) {
 	}
 }
 
-func TestWitnessM2(t *testing.T) {
-	h := &History{}
-	h.Add(op(0, 1, 9, rmw.FetchAdd(10), 10))
-	h.Add(op(1, 1, 9, rmw.FetchAdd(10), 0))
-	h.Add(op(2, 1, 9, rmw.FetchAdd(10), 20))
-	w, err := WitnessM2(h, nil)
-	if err != nil {
-		t.Fatalf("witness search failed: %v", err)
+// TestLongChainMemoKey holds the memo key injective past two bytes per
+// chain position.  Processor 1's 65537 loads put its chain position at
+// 65536 just before its last load; a key that kept only the low 16 bits
+// of a position would read that state as position 0, which the search has
+// already failed with processor 0's add placed, and prune the one valid
+// serialization: the 65536 loads of 0, the add, the load of 1.
+func TestLongChainMemoKey(t *testing.T) {
+	const loads = 1 << 16
+	th := &TimedHistory{}
+	th.Add(TimedOp{Op: op(0, 1, 7, rmw.FetchAdd(1), 0)})
+	for s := 1; s <= loads; s++ {
+		th.Add(TimedOp{Op: op(1, s, 7, rmw.Load{}, 0)})
 	}
-	order := w[9]
-	if len(order) != 3 {
-		t.Fatalf("witness has %d ops", len(order))
+	th.Add(TimedOp{Op: op(1, loads+1, 7, rmw.Load{}, 1)})
+	if err := CheckM2(th.History(), nil); err != nil {
+		t.Errorf("CheckM2: %v", err)
 	}
-	wantProcs := []word.ProcID{1, 0, 2} // replies 0, 10, 20
-	for i, o := range order {
-		if o.Proc != wantProcs[i] {
-			t.Errorf("witness[%d] from proc %d, want %d", i, o.Proc, wantProcs[i])
-		}
+	if err := CheckLinearizable(th, nil, nil); err != nil {
+		t.Errorf("CheckLinearizable: %v", err)
 	}
 }
 
