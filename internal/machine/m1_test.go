@@ -30,7 +30,7 @@ func TestM1CollierAlwaysSC(t *testing.T) {
 		if !m.Run(1000) {
 			t.Fatal("programs did not complete")
 		}
-		a, b := m.Reply(0, 0).Val, m.Reply(0, 1).Val
+		a, b := m.Proc(0).Reply(0).Val, m.Proc(0).Reply(1).Val
 		if a == 1 && b == 0 {
 			t.Fatalf("trial %d: M1 machine produced the non-SC outcome a=1 b=0", trial)
 		}
@@ -82,14 +82,14 @@ func TestM1Semantics(t *testing.T) {
 		},
 	}
 	m := NewM1(progs)
-	m.Poke(3, word.W(100))
+	m.Memory().Poke(3, word.W(100))
 	if !m.Run(100) {
 		t.Fatal("program did not complete")
 	}
-	if got := m.Peek(3).Val; got != 112 {
+	if got := m.Memory().Peek(3).Val; got != 112 {
 		t.Fatalf("final = %d, want 112", got)
 	}
-	if got := m.Reply(0, 2).Val; got != 112 {
+	if got := m.Proc(0).Reply(2).Val; got != 112 {
 		t.Fatalf("load saw %d, want 112", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestM1Fences(t *testing.T) {
 	if !m.Run(100) {
 		t.Fatal("program did not complete")
 	}
-	if m.Peek(0).Val != 1 || m.Peek(1).Val != 2 {
+	if m.Memory().Peek(0).Val != 1 || m.Memory().Peek(1).Val != 2 {
 		t.Fatal("stores lost")
 	}
 }

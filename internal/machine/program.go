@@ -9,14 +9,18 @@
 //   - the RP3 fence instruction restores sequential consistency;
 //   - memory-side RMW versus the processor-side load/compute/store cycle
 //     (message counts and lost atomicity);
-//   - the incorrect "satisfy the load immediately" combining optimization.
+//   - the incorrect "satisfy the load immediately" combining optimization;
+//   - the stronger memory (M1), on which the same programs are always
+//     sequentially consistent.
 package machine
 
 import (
 	"fmt"
 
+	"combining/internal/busnet"
 	"combining/internal/core"
 	"combining/internal/engine"
+	"combining/internal/memory"
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
@@ -176,6 +180,21 @@ func New(cfg network.Config, programs [][]Instr) *Machine {
 	return m
 }
 
+// NewM1 builds a machine with the stronger memory of Section 3.2: "The
+// memory receives a sequential stream of requests from the processors; this
+// stream is obtained by merging the serial streams of requests generated by
+// individual processors…  The requests are processed in the order they
+// appear in this stream."  That stream is the bus machine with one bank and
+// combining off: the bus merges one request a cycle into the FIFO, and the
+// FIFO head is served in order.  Condition (M1) enforces sequential
+// consistency at the price of a central controller, so Collier's non-SC
+// outcome never appears here, with or without fences.
+func NewM1(programs [][]Instr) *Machine {
+	m, inj := newProcs(programs)
+	m.engine = busnet.NewSim(busnet.Config{Procs: len(programs), Banks: 1, BankService: 1}, inj)
+	return m
+}
+
 // NewInjectors builds the program-driven injectors without an engine, so
 // the same programs can run on any transport (hypercube, bus): construct
 // the engine from the returned injectors, then call BindEngine before Run.
@@ -234,6 +253,9 @@ func (m *Machine) noteReply(rep core.Reply, cycle int64) {
 // Sim exposes the underlying Omega network simulator (nil when the
 // machine was bound to another engine via NewInjectors/BindEngine).
 func (m *Machine) Sim() *network.Sim { return m.sim }
+
+// Memory returns the bound engine's memory.
+func (m *Machine) Memory() *memory.Array { return m.engine.Memory() }
 
 // Proc returns processor i's program state.
 func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
