@@ -103,16 +103,21 @@ type Net struct {
 
 	// flt answers fault decisions when the net runs under a plan.
 	flt *faults.Injector
-	// retries, duplicates and recovered count port-side retransmits,
-	// suppressed duplicate replies, and requests completed on a
-	// retransmitted attempt.
-	retries    stats.Counter
-	duplicates stats.Counter
-	recovered  stats.Counter
-	// recoveryLat is the extra round-trip latency paid by recovered
-	// requests (nanoseconds, wall clock — this engine has no cycles).
+	// start is when the net started: the ports' trackers run on ticks
+	// since then.
+	start time.Time
+	// recoveryLat is the round-trip latency of recovered requests
+	// (nanoseconds, wall clock — this engine has no cycles).
 	recoveryLat stats.Histogram
 }
+
+// tick is the trackers' clock unit: the plan's cycle-denominated backoff
+// schedule read as wall-clock time, so the default base timeout of 64
+// cycles is 3.2ms.
+const tick = 50 * time.Microsecond
+
+// now is the trackers' clock: ticks since the net started.
+func (n *Net) now() int64 { return int64(time.Since(n.start) / tick) }
 
 // aswitch is one switch process: the goroutine that owns station at.
 type aswitch struct {
@@ -147,30 +152,18 @@ type Port struct {
 	window      int
 	outstanding int
 	buffered    map[word.ReqID]word.Word
-	// issued stamps each in-flight request for round-trip latency; under
-	// a fault plan its membership doubles as the delivery ledger that
-	// detects duplicate replies.
+	// issued stamps each in-flight request for round-trip latency.
 	issued map[word.ReqID]time.Time
 	// epoch counts fences; a handle issued before the latest fence has
 	// been abandoned and may no longer be waited on.
 	epoch int
 
-	// inflight is the fault-mode retransmit ledger: the exact request
-	// (for re-sending), its attempt count, and the deadline after which
-	// the port retransmits.
-	inflight map[word.ReqID]*inflightReq
-	// liveAddr counts in-flight requests per location.  Fault mode keeps
-	// it at most one (the MSHR discipline): a drop plus retransmit could
-	// otherwise reorder this port's own accesses to a location, breaking
-	// M2 program order.
-	liveAddr map[word.Addr]int
-}
-
-// inflightReq is one fault-mode in-flight request at a port.
-type inflightReq struct {
-	req      core.Request
-	issuedAt time.Time
-	deadline time.Time
+	// trk is the port's exactly-once ledger under a fault plan (nil
+	// otherwise), the cycle engines' faults.Tracker on the net's tick
+	// clock: it retransmits what times out, holds a request while an
+	// earlier one by this port to the same location is undelivered, and
+	// suppresses duplicate replies.
+	trk *faults.Tracker
 }
 
 // Validate reports whether the configuration is usable, with the
@@ -226,6 +219,7 @@ func New(cfg Config) *Net {
 		links:   links,
 		done:    make(chan struct{}),
 		batchHW: make([]stats.HighWater, k),
+		start:   time.Now(),
 	}
 	if cfg.Faults != nil {
 		net.flt = faults.NewInjector(*cfg.Faults)
@@ -262,8 +256,9 @@ func New(cfg Config) *Net {
 			window:   cfg.Window,
 			buffered: make(map[word.ReqID]word.Word),
 			issued:   make(map[word.ReqID]time.Time),
-			inflight: make(map[word.ReqID]*inflightReq),
-			liveAddr: make(map[word.Addr]int),
+		}
+		if net.flt != nil {
+			net.ports[p].trk = faults.NewTracker(net.flt)
 		}
 	}
 
@@ -406,17 +401,21 @@ func (n *Net) Snapshot() stats.Snapshot {
 		// and crash windows are cycle-denominated, so on this clockless
 		// engine those keys (and the checkpoint/crash counters) are
 		// structurally zero, and recovery latency is wall-clock rather
-		// than cycles.
-		faults.AddValues(&snap, faults.Values{
-			Injected:   n.flt.Injected(),
-			DropsFwd:   n.flt.DropsFwd.Load(),
-			DropsRev:   n.flt.DropsRev.Load(),
-			Retries:    n.retries.Load(),
-			Duplicates: n.duplicates.Load(),
-			Recovered:  n.recovered.Load(),
-			DedupHits:  n.mem.TotalDedupHits(),
-			Orphans:    n.orphans.Load(),
-		})
+		// than cycles.  The port-side counters are the sums of the ports'
+		// trackers.
+		v := faults.Values{
+			Injected:  n.flt.Injected(),
+			DropsFwd:  n.flt.DropsFwd.Load(),
+			DropsRev:  n.flt.DropsRev.Load(),
+			DedupHits: n.mem.TotalDedupHits(),
+			Orphans:   n.orphans.Load(),
+		}
+		for _, p := range n.ports {
+			v.Retries += p.trk.Retries.Load()
+			v.Duplicates += p.trk.Duplicates.Load()
+			v.Recovered += p.trk.Recovered.Load()
+		}
+		faults.AddValues(&snap, v)
 		snap.Histograms["recovery_latency_ns"] = n.recoveryLat.Snapshot()
 	}
 	return snap
@@ -442,107 +441,61 @@ type Pending struct {
 }
 
 // absorb accounts a reply's arrival at the port — round-trip latency and
-// window release — and returns its value.  Under a fault plan a reply
-// whose request is no longer in the issued ledger is a duplicate (a
-// retransmit raced its original); it is counted and suppressed, and live
-// reports false.
+// window release — and returns its value.  Under a fault plan the tracker
+// delivers it first: a reply whose request it has already delivered is a
+// duplicate (a retransmit raced its original), counted there and
+// suppressed here, and live reports false.
 func (p *Port) absorb(r engine.Rev) (v word.Word, live bool) {
-	t0, ok := p.issued[r.Rep.ID]
-	if !ok {
-		if p.net.flt == nil {
-			// Unreachable on a healthy network: every reply matches an
-			// in-flight request.
-			p.outstanding--
-			return r.Rep.Val, true
+	id := r.Rep.ID
+	rtt := time.Since(p.issued[id]).Nanoseconds()
+	if p.trk != nil {
+		q, ok := p.trk.Deliver(id, p.net.now())
+		if !ok {
+			return word.Word{}, false
 		}
-		p.net.duplicates.Inc()
-		return word.Word{}, false
-	}
-	p.net.rtt.Record(time.Since(t0).Nanoseconds())
-	delete(p.issued, r.Rep.ID)
-	if inf, ok := p.inflight[r.Rep.ID]; ok {
-		delete(p.inflight, r.Rep.ID)
-		if c := p.liveAddr[inf.req.Addr]; c <= 1 {
-			delete(p.liveAddr, inf.req.Addr)
-		} else {
-			p.liveAddr[inf.req.Addr] = c - 1
-		}
-		if inf.req.Attempt > 0 {
-			p.net.recovered.Inc()
-			p.net.recoveryLat.Record(time.Since(inf.issuedAt).Nanoseconds())
+		if q.Req.Attempt > 0 {
+			p.net.recoveryLat.Record(rtt)
 		}
 	}
+	p.net.rtt.Record(rtt)
+	delete(p.issued, id)
 	p.outstanding--
 	return r.Rep.Val, true
 }
 
 // recv blocks for the next reply.  Under a fault plan it also plays the
-// processor's timeout role: while waiting it retransmits any in-flight
-// request whose deadline has passed, with the plan's capped exponential
-// backoff.
+// processor's timeout role: it wakes at least once a tick, and on every
+// wake re-sends what the tracker reports timed out.
 func (p *Port) recv() engine.Rev {
-	if p.net.flt == nil {
+	if p.trk == nil {
 		return <-p.reply
 	}
 	for {
 		select {
 		case r := <-p.reply:
+			p.retransmit()
 			return r
-		default:
-		}
-		timer := time.NewTimer(time.Until(p.nextDeadline()))
-		select {
-		case r := <-p.reply:
-			timer.Stop()
-			return r
-		case <-timer.C:
-			p.retransmitExpired()
+		case <-time.After(tick):
+			p.retransmit()
 		}
 	}
 }
 
-// nextDeadline is the earliest retransmit deadline among in-flight
-// requests, with a coarse fallback so an inconsistent ledger can't park
-// the port forever.
-func (p *Port) nextDeadline() time.Time {
-	d := time.Now().Add(time.Second)
-	for _, inf := range p.inflight {
-		if inf.deadline.Before(d) {
-			d = inf.deadline
-		}
-	}
-	return d
-}
-
-// retransmitExpired re-sends every in-flight request past its deadline.
-// The request keeps its id (the exactly-once key) and bumps Attempt, so
-// it will never combine and draws fresh drop randomness at every hop.
-// Sends are non-blocking: if the first-stage inbox is full the bumped
-// deadline simply retries later.
-func (p *Port) retransmitExpired() {
-	now := time.Now()
-	for _, inf := range p.inflight {
-		if now.Before(inf.deadline) {
-			continue
-		}
-		inf.req.Attempt++
-		inf.deadline = now.Add(p.timeoutAfter(inf.req.Attempt + 1))
-		p.net.retries.Inc()
-		if p.net.flt.DropForward(p.site, inf.req.ID, inf.req.Attempt) {
+// retransmit re-sends every request the tracker reports timed out, with
+// the plan's capped exponential backoff.  A copy keeps its id (the
+// exactly-once key) and bumps Attempt, so it will never combine and draws
+// fresh drop randomness at every hop.  Sends are non-blocking: if the
+// first-stage inbox is full, the tracker's next deadline retries later.
+func (p *Port) retransmit() {
+	for _, q := range p.trk.Expired(p.net.now()) {
+		if p.net.flt.DropForward(p.site, q.Req.ID, q.Req.Attempt) {
 			continue
 		}
 		select {
-		case p.in <- engine.Fwd{Req: inf.req, Path: p.path}:
+		case p.in <- engine.Fwd{Req: q.Req, Path: p.path}:
 		default:
 		}
 	}
-}
-
-// timeoutAfter converts the plan's cycle-denominated backoff schedule to
-// wall-clock time for this clockless engine: one "cycle" is 50µs, so the
-// default base timeout of 64 cycles is 3.2ms.
-func (p *Port) timeoutAfter(attempt uint32) time.Duration {
-	return time.Duration(p.net.flt.Timeout(attempt)) * 50 * time.Microsecond
 }
 
 // absorbToBuffer consumes one live reply and parks its value for the
@@ -592,31 +545,22 @@ func (p *Port) RMWAsync(addr word.Addr, op rmw.Mapping) *Pending {
 	for p.outstanding >= p.window {
 		p.absorbToBuffer()
 	}
-	if p.net.flt != nil {
-		// MSHR discipline: at most one in-flight request per location,
-		// or a retransmit could overtake this port's own later access to
-		// the same cell and break M2 program order.
-		for p.liveAddr[addr] > 0 {
+	id := p.ids.NextPartitioned(p.net.n)
+	req := core.NewRequest(id, addr, op, p.proc)
+	if p.trk != nil {
+		// The reply cache needs every message to name its leaves exactly.
+		req = req.WithReps()
+		p.trk.Track(int(p.proc), req, false, p.net.now())
+		// As Shell.Offer does: hold the request while an earlier one by
+		// this port to the same location is undelivered, or its retransmit
+		// could execute after this one and break M2 program order.
+		for p.trk.HeldBack(int(p.proc), addr) {
 			p.absorbToBuffer()
 		}
 	}
-	id := p.ids.NextPartitioned(p.net.n)
-	req := core.NewRequest(id, addr, op, p.proc)
-	now := time.Now()
-	p.issued[id] = now
+	p.issued[id] = time.Now()
 	p.net.issuedReqs.Inc()
-	if p.net.flt != nil {
-		req = req.WithReps()
-		p.inflight[id] = &inflightReq{
-			req:      req,
-			issuedAt: now,
-			deadline: now.Add(p.timeoutAfter(1)),
-		}
-		p.liveAddr[addr]++
-		if !p.net.flt.DropForward(p.site, id, 0) {
-			p.sendFwd(req)
-		}
-	} else {
+	if p.trk == nil || !p.net.flt.DropForward(p.site, id, 0) {
 		p.sendFwd(req)
 	}
 	p.outstanding++

@@ -93,6 +93,18 @@ func TestFaultSoakExactlyOnce(t *testing.T) {
 	if _, ok := snap.Histograms["recovery_latency_ns"]; !ok {
 		t.Fatal("snapshot missing recovery_latency_ns histogram")
 	}
+	// Every recovered request was retransmitted at least once and recorded
+	// one recovery latency.
+	recovered, retries := snap.Counters["recovered"], snap.Counters["retries"]
+	if recovered == 0 {
+		t.Fatal("drops fired but no request completed on a retransmit")
+	}
+	if retries < recovered {
+		t.Fatalf("%d retries but %d recovered requests", retries, recovered)
+	}
+	if n := snap.Histograms["recovery_latency_ns"].Count; n != recovered {
+		t.Fatalf("recovery_latency_ns holds %d samples, want one per recovered request (%d)", n, recovered)
+	}
 }
 
 // TestWaitErrAbandonedHandle checks the recoverable error path: WaitErr on
