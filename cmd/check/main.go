@@ -4,7 +4,7 @@
 // checker and the linearizability checker.  It is the long-running version
 // of the test suite's E4, intended for overnight confidence runs.
 //
-// Every soak but -synclib is a row of one table (rows, below): the wirings
+// Every cycle-engine soak is a row of one table (rows, below): the wirings
 // it runs on (names internal/wiring registers), their shared config, a
 // fault plan and a program set per seed, and the row's own check.  Every
 // round of every row first runs the one invariant battery
@@ -13,8 +13,9 @@
 // the row adds; the healthy rows add the linearizability checker.  Rounds
 // are independent machines and run on GOMAXPROCS goroutines; results print
 // in seed order, so the output does not depend on the width.  Every failure
-// prints the effective seed of the run, so `check -seed <that seed> -rounds
-// 1` plus the row's flag replays it exactly.
+// prints the replay command's flags: the effective seed of the run with
+// -rounds 1, the workload's shape (-procs, -ops, -addrs, which -quick
+// shrinks) and the row's flag, which together replay it exactly.
 //
 // With -faults it additionally soaks five cycle wirings — omega and the
 // fat-tree on the staged engine, the bus machine, the hypercube and the
@@ -60,17 +61,13 @@
 // every sampled plan, to prove the fuzzer finds and shrinks real bugs; a
 // name the engines do not know is rejected at flag-parse time.
 //
-// With -synclib it soaks the pkg/sync primitives at acceptance scale:
-// the MCS lock guards a non-atomic counter from 100k goroutines with every
-// critical section's observed old value checked against the Lemma 4.1
-// serial oracle; the combining-tree barrier holds thousands of participants in
-// phase lockstep (plus one 100k-wide episode); the sharded counter's Read
-// must equal combining.SerialReplies on the full trace of adds.  Run it
-// under -race (the Makefile and CI do).
+// The pkg/sync primitives' 100k-goroutine soaks are that package's tests
+// (TestMCSLockHotSpot100k, TestBarrierWide, TestCounterHotSpot100k), run
+// under the race detector by `go test -race ./...`.
 //
 // Usage: check [-rounds 50] [-procs 16] [-ops 20] [-addrs 4] [-seed 1]
 // [-quick] [-faults] [-overload] [-parallel] [-crash] [-chaos]
-// [-canary nodedup] [-synclib] [-v]
+// [-canary nodedup] [-v]
 package main
 
 import (
@@ -105,7 +102,6 @@ func main() {
 		parallel = flag.Bool("parallel", false, "determinism soak: the five cycle wirings of -faults at Workers = 1, 2, 4, clean, faulted and adversarial, must match byte-for-byte")
 		doCrash  = flag.Bool("crash", false, "crash–restart soak: checkpointed recovery on the five cycle wirings of -faults, crash-only and crash+drop")
 		doChaos  = flag.Bool("chaos", false, "fault-plan fuzzer: sampled plans mixing every fault kind on all six wirings; violations shrink to a replayable reproducer")
-		synclib  = flag.Bool("synclib", false, "pkg/sync soak: MCS lock, combining-tree barrier and sharded counter at 100k goroutines, differentially checked against the serial oracle")
 		canary   = flag.String("canary", "", "arm a named seeded bug (e.g. nodedup) in every chaos plan — the fuzzer must find and shrink it")
 		verbose  = flag.Bool("v", false, "log every execution")
 	)
@@ -137,6 +133,11 @@ func main() {
 
 	checked, failed := 0, 0
 	count := func(c, f int) { checked, failed = checked+c, failed+f }
+	// replay is what a failure's replay command adds to -seed and -rounds:
+	// the workload's shape, which -quick may have shrunk, and the row's flag.
+	replay := func(flag string) string {
+		return strings.TrimSpace(fmt.Sprintf("-procs %d -ops %d -addrs %d %s", *procs, *ops, *addrs, flag))
+	}
 	for _, s := range table {
 		// Rounds are independent machines: all of a row's run at once, and
 		// each wiring's are reported in seed order.
@@ -144,7 +145,7 @@ func main() {
 			return s.round(s.wirings[i / *rounds], *seed+uint64(i%*rounds), *addrs)
 		})
 		for w, wiring := range s.wirings {
-			count(report(wiring+"/"+s.name, s.flag, s.engaged, rs[w**rounds:(w+1)**rounds], *verbose))
+			count(report(wiring+"/"+s.name, replay(s.flag), s.engaged, rs[w**rounds:(w+1)**rounds], *verbose))
 		}
 	}
 	// The goroutine engine's rounds stay serial: each is already -procs
@@ -158,13 +159,10 @@ func main() {
 			rs[r].seed = *seed + uint64(r)
 			rs[r].counters, rs[r].err = asyncHotSpot(a.cfg(rs[r].seed), a.ops)
 		}
-		count(report("asyncnet/"+a.name, a.flag, a.engaged, rs, *verbose))
+		count(report("asyncnet/"+a.name, replay(a.flag), a.engaged, rs, *verbose))
 	}
 	if *doChaos {
 		count(chaosSoak(*rounds, *seed, *canary, *verbose))
-	}
-	if *synclib {
-		count(synclibSoak(*verbose))
 	}
 	fmt.Printf("\n%d executions checked, %d failures\n", checked, failed)
 	if failed > 0 {
@@ -349,15 +347,16 @@ func (s soak) round(wiring string, seed uint64, addrs int) result {
 }
 
 // report prints one soak's rounds in order — failures with their replay
-// hint, the vacuous-pass guard, the summary line — and counts them.
-func report(name, flag string, engaged []string, rs []result, verbose bool) (checked, failed int) {
+// hint (replay is its flags after -seed and -rounds), the vacuous-pass
+// guard, the summary line — and counts them.
+func report(name, replay string, engaged []string, rs []result, verbose bool) (checked, failed int) {
 	total := map[string]int64{}
 	for _, r := range rs {
 		for _, k := range engaged {
 			total[k] += r.counters[k]
 		}
 		if r.err != nil {
-			fmt.Printf("FAIL %s seed %d: %v (replay: -seed %d -rounds 1 %s)\n", name, r.seed, r.err, r.seed, flag)
+			fmt.Printf("FAIL %s seed %d: %v (replay: -seed %d -rounds 1 %s)\n", name, r.seed, r.err, r.seed, replay)
 			failed++
 		} else if verbose {
 			fmt.Printf("ok   %s seed %d: %d ops, %d combines, %d faults, %d retries\n", name, r.seed,

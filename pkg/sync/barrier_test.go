@@ -105,28 +105,30 @@ func TestBarrierDifferentialFAA(t *testing.T) {
 	}
 }
 
-// TestBarrierWide pushes the tree depth: 8192 participants, several
-// episodes, every goroutine waiting only on its own flag.
+// TestBarrierWide pushes the tree depth: 8192 participants for several
+// episodes, then one episode 100k wide, every goroutine waiting only on
+// its own flag; none may be released before all have arrived.
 func TestBarrierWide(t *testing.T) {
-	const n, episodes = 8192, 4
-	b := csync.NewBarrier(n)
-	var arrived atomic.Int64
-	var wg stdsync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for e := 0; e < episodes; e++ {
-				arrived.Add(1)
-				b.Wait(w)
-				if got := arrived.Load(); got < int64((e+1)*n) {
-					t.Errorf("participant %d released in episode %d with only %d arrivals", w, e, got)
-					return
+	for _, tc := range []struct{ n, episodes int }{{8192, 4}, {100_000, 1}} {
+		b := csync.NewBarrier(tc.n)
+		var arrived atomic.Int64
+		var wg stdsync.WaitGroup
+		for w := 0; w < tc.n; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for e := 0; e < tc.episodes; e++ {
+					arrived.Add(1)
+					b.Wait(w)
+					if got := arrived.Load(); got < int64((e+1)*tc.n) {
+						t.Errorf("width %d: participant %d released in episode %d with only %d arrivals", tc.n, w, e, got)
+						return
+					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // runScripted drives b through len(orders) episodes in which the

@@ -111,7 +111,8 @@ func TestCounterReadAllocFree(t *testing.T) {
 }
 
 // TestCounterHotSpot100k is the acceptance-scale soak: 100k goroutines
-// hammering one counter, under the race detector in `make check`.
+// hammering one counter, under the race detector in `make check`.  Read
+// must equal the final value of core.SerialReplies on the same adds.
 func TestCounterHotSpot100k(t *testing.T) {
 	const goroutines = 100_000
 	c := csync.NewCounter()
@@ -120,11 +121,16 @@ func TestCounterHotSpot100k(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
-			c.Add(1)
+			c.Add(int64(g%7 + 1))
 		}()
 	}
 	wg.Wait()
-	if got := c.Read(); got != goroutines {
-		t.Fatalf("Read() = %d, want %d", got, goroutines)
+	ops := make([]rmw.Mapping, goroutines)
+	for g := range ops {
+		ops[g] = rmw.FetchAdd(int64(g%7 + 1))
+	}
+	_, final := core.SerialReplies(word.W(0), ops)
+	if got := c.Read(); got != final.Val {
+		t.Fatalf("Read() = %d, serial oracle final = %d", got, final.Val)
 	}
 }

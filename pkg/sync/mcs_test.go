@@ -108,16 +108,20 @@ func TestMCSLockDifferentialSerialOracle(t *testing.T) {
 
 // TestMCSLockHotSpot100k is the acceptance-scale soak: 100k goroutines,
 // one critical section each, under the race detector in `make check`.
+// Every critical section's observed old value is checked against the
+// Lemma 4.1 serial oracle on the same fetch-and-add trace.
 func TestMCSLockHotSpot100k(t *testing.T) {
 	const goroutines = 100_000
 	var l csync.MCSLock
 	var v int64
+	olds := make([]int64, 0, goroutines)
 	var wg stdsync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
 			q := l.Lock()
+			olds = append(olds, v) // protected by the lock
 			v++
 			l.Unlock(q)
 		}()
@@ -125,5 +129,15 @@ func TestMCSLockHotSpot100k(t *testing.T) {
 	wg.Wait()
 	if v != goroutines {
 		t.Fatalf("final counter %d, want %d", v, goroutines)
+	}
+	ops := make([]rmw.Mapping, len(olds))
+	for i := range ops {
+		ops[i] = rmw.FetchAdd(1)
+	}
+	replies, _ := core.SerialReplies(word.W(0), ops)
+	for i, old := range olds {
+		if old != replies[i].Val {
+			t.Fatalf("critical section %d observed %d, serial oracle says %d", i, old, replies[i].Val)
+		}
 	}
 }
