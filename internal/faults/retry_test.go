@@ -15,9 +15,9 @@ import (
 // the indexed one is held to: one map of live requests, a count per
 // (proc, addr), and an Expired that walks the whole map every call.
 type modelTracker struct {
-	flt      *Injector
-	live     map[word.ReqID]*Pending
-	liveAddr map[addrKey]int
+	flt     *Injector
+	live    map[word.ReqID]*Pending
+	perAddr map[addrKey]int
 
 	retries, duplicates, recovered int64
 }
@@ -28,16 +28,16 @@ type addrKey struct {
 }
 
 func newModelTracker(flt *Injector) *modelTracker {
-	return &modelTracker{flt: flt, live: map[word.ReqID]*Pending{}, liveAddr: map[addrKey]int{}}
+	return &modelTracker{flt: flt, live: map[word.ReqID]*Pending{}, perAddr: map[addrKey]int{}}
 }
 
 func (t *modelTracker) Track(proc int, req core.Request, hot bool, now int64) {
 	t.live[req.ID] = &Pending{Proc: proc, Req: req, Hot: hot, IssueCycle: now, Deadline: now + t.flt.Timeout(1)}
-	t.liveAddr[addrKey{proc, req.Addr}]++
+	t.perAddr[addrKey{proc, req.Addr}]++
 }
 
 func (t *modelTracker) HeldBack(proc int, addr word.Addr) bool {
-	return t.liveAddr[addrKey{proc, addr}] > 1
+	return t.perAddr[addrKey{proc, addr}] > 1
 }
 
 func (t *modelTracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
@@ -48,8 +48,8 @@ func (t *modelTracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
 	}
 	delete(t.live, id)
 	k := addrKey{p.Proc, p.Req.Addr}
-	if t.liveAddr[k]--; t.liveAddr[k] == 0 {
-		delete(t.liveAddr, k)
+	if t.perAddr[k]--; t.perAddr[k] == 0 {
+		delete(t.perAddr, k)
 	}
 	if p.Req.Attempt > 0 {
 		t.recovered++
@@ -82,7 +82,7 @@ func (t *modelTracker) Expired(now int64) []Pending {
 }
 
 func (t *modelTracker) oldestLive(p *Pending) bool {
-	if t.liveAddr[addrKey{p.Proc, p.Req.Addr}] < 2 {
+	if t.perAddr[addrKey{p.Proc, p.Req.Addr}] < 2 {
 		return true
 	}
 	for _, q := range t.live {

@@ -46,8 +46,8 @@
 //
 // Every primitive is validated two ways in this repository: differentially
 // against the simulator's serial oracle (core.SerialReplies on the
-// equivalent RMW trace) and with race-detector soaks at 100k+ goroutines
-// on hot-spot workloads (`cmd/check -synclib`).  Benchmarks against the
+// equivalent RMW trace) and with race-detector soaks at 100k goroutines
+// on hot-spot workloads (the *HotSpot100k tests and TestBarrierWide).  Benchmarks against the
 // stdlib baselines (sync.Mutex, sync.WaitGroup, bare atomic.AddInt64) are
 // the BenchmarkSync* family here (`make syncbench`) and the sync_* workloads
 // of bench/run.sh.
