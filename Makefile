@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test race fuzz smoke bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench stepcmp profile loc fmt vet cover
+.PHONY: all check test testtime race fuzz smoke bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench stepcmp profile loc fmt vet cover
 
 all: vet test
 
@@ -23,6 +23,20 @@ check:
 
 test:
 	go test ./...
+
+# testtime is tier-1's time budget (CI runs it): the whole suite once,
+# uncached, with each package's elapsed seconds, slowest first, then the
+# suite's wall time.  It fails on a failing test, and on time only past
+# 60 s of wall time; the suite takes ~15 s on two processors.
+testtime:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; start=$$(date +%s); \
+	status=0; go test -count=1 -json ./... > $$d/test.json || status=$$?; \
+	wall=$$(($$(date +%s) - start)); \
+	sed -n 's/.*"Action":"\(pass\|fail\)","Package":"\([^"]*\)","Elapsed":\([0-9.]*\)}$$/\3 \2 \1/p' $$d/test.json | \
+		sort -rn | awk '{ printf "%7.2fs  %s%s\n", $$1, $$2, $$3 == "fail" ? "  FAIL" : "" }'; \
+	echo "testtime: $${wall}s wall (budget 60s)"; \
+	test $$status -eq 0 || { grep -h '"Action":"output"' $$d/test.json | grep -- '--- FAIL' | sed 's/.*"Output":"\(.*\)\\n"}$$/\1/' ; exit $$status; }; \
+	test $$wall -le 60 || { echo "testtime: over the 60s budget"; exit 1; }
 
 race:
 	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ .

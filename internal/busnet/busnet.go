@@ -240,7 +240,7 @@ func (s *Sim) sweep() {
 		head := s.fifo.Front()
 		if bank := s.Memory().HomeOf(head.Req.Addr); !s.MemReady(bank) {
 			s.Lane(0).HoldsMem++
-		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &head.Req) {
+		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &head.Req, false) {
 			s.Station(0).PopFwd(0)
 		} else {
 			s.Feed(0, 0, bank, faults.Site(1, bank, 0), s.Lane(0))

@@ -109,14 +109,18 @@ type Reply struct {
 	// transports account recovered (retransmitted) deliveries separately.
 	Attempt uint32
 
-	// Leaves, when non-nil, is the exact per-leaf value map produced by a
-	// reply-caching memory module: for every original request id the
-	// message represented, the value that request's operation saw.  Fault-
-	// tolerant transports decombine against this map (DecombineExact)
-	// instead of re-applying mappings, so a stale wait-buffer record —
-	// left behind when a combined message was dropped and its leaves
-	// retransmitted separately — can never synthesize a bogus reply.
-	Leaves map[word.ReqID]word.Word
+	// Leaves, when non-nil, is the exact per-leaf value list produced by a
+	// reply-caching memory module: for every original request the message
+	// represented, in serialization order (Lemma 4.1's representation
+	// list), the value that request's operation saw.  Fault-tolerant
+	// transports decombine against it (DecombineExact) instead of
+	// re-applying mappings, so a stale wait-buffer record — left behind
+	// when a combined message was dropped and its leaves retransmitted
+	// separately — can never synthesize a bogus reply.  The list is
+	// written once, by the module, and never again: every reply decombined
+	// from this one shares it.  A pointer, so a reply stays one word
+	// bigger than its value.
+	Leaves *[]LeafVal
 
 	// Sum is the end-to-end payload checksum over (id, val), stamped by
 	// the last trusted hop before an adversarial link and verified at
@@ -127,18 +131,53 @@ type Reply struct {
 // String renders the reply.
 func (p Reply) String() string { return fmt.Sprintf("⟨%d, %s⟩", p.ID, p.Val) }
 
-// Clone returns a copy of the reply whose Leaves map owns its storage —
+// Clone returns a copy of the reply whose leaf list owns its storage —
 // the reply-side counterpart of Request.Clone, for transports that
 // duplicate a reply in flight.
 func (p Reply) Clone() Reply {
 	c := p
 	if p.Leaves != nil {
-		c.Leaves = make(map[word.ReqID]word.Word, len(p.Leaves))
-		for id, v := range p.Leaves {
-			c.Leaves[id] = v
-		}
+		c.Leaves = NewLeafList(len(*p.Leaves))
+		copy(*c.Leaves, *p.Leaves)
 	}
 	return c
+}
+
+// Leaf returns the value leaf id saw at memory, and whether the reply's
+// leaf list names it.  The scan is linear: a list is as long as the
+// combining fan-in of its message.
+func (p Reply) Leaf(id word.ReqID) (word.Word, bool) {
+	if p.Leaves != nil {
+		for _, lv := range *p.Leaves {
+			if lv.ID == id {
+				return lv.Val, true
+			}
+		}
+	}
+	return word.Word{}, false
+}
+
+// LeafVal is one entry of a fat reply's leaf list: an original request and
+// the value its own operation saw.
+type LeafVal struct {
+	ID  word.ReqID
+	Val word.Word
+}
+
+// NewLeafList returns a list of n zero leaves for a reply-caching module to
+// fill.  A one-leaf list — every uncombined message — is a single
+// allocation, its slice header and its one entry side by side.
+func NewLeafList(n int) *[]LeafVal {
+	if n == 1 {
+		b := new(struct {
+			list []LeafVal
+			one  [1]LeafVal
+		})
+		b.list = b.one[:]
+		return &b.list
+	}
+	list := make([]LeafVal, n)
+	return &list
 }
 
 // Record is the wait-buffer entry saved when two requests combine: the two
@@ -259,22 +298,22 @@ func Decombine(rec Record, reply Reply) (Reply, Reply) {
 }
 
 // CanDecombine reports whether the record is the one the reply answers.  A
-// plain reply (no leaf map) answers any record keyed by its id, as on a
+// plain reply (no leaf list) answers any record keyed by its id, as on a
 // healthy network.  A fat reply answers only records whose second id appears
-// in its leaf map: a stale record — minted when a combined message was later
+// in its leaf list: a stale record — minted when a combined message was later
 // dropped and its leaves retransmitted separately — does not, and must stay
 // buffered (it is harmless; see WaitBuffer.PopMatch).
 func CanDecombine(rec Record, reply Reply) bool {
 	if reply.Leaves == nil {
 		return true
 	}
-	_, ok := reply.Leaves[rec.ID2]
+	_, ok := reply.Leaf(rec.ID2)
 	return ok
 }
 
 // DecombineExact splits a fat reply using the memory's exact per-leaf values
 // rather than re-applying the record's mapping.  Both halves inherit the
-// incoming leaf map and attempt so decombining recurses correctly through
+// incoming leaf list and attempt so decombining recurses correctly through
 // nested records.  Callers must have checked CanDecombine.
 func DecombineExact(rec Record, reply Reply) (Reply, Reply) {
 	if reply.Leaves == nil {
@@ -283,12 +322,12 @@ func DecombineExact(rec Record, reply Reply) (Reply, Reply) {
 	if reply.ID != rec.ID1 {
 		panic(fmt.Sprintf("core: decombining reply %v against record for id %d", reply, rec.ID1))
 	}
-	v2, ok := reply.Leaves[rec.ID2]
+	v2, ok := reply.Leaf(rec.ID2)
 	if !ok {
 		panic(fmt.Sprintf("core: DecombineExact for id %d without its leaf value", rec.ID2))
 	}
 	v1 := reply.Val
-	if lv, ok := reply.Leaves[rec.ID1]; ok {
+	if lv, ok := reply.Leaf(rec.ID1); ok {
 		v1 = lv
 	}
 	return Reply{ID: rec.ID1, Val: v1, Attempt: reply.Attempt, Leaves: reply.Leaves},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"combining/internal/rmw"
@@ -272,5 +273,56 @@ func TestTrafficNeverIncreases(t *testing.T) {
 				t.Errorf("%v+%v: combined reply carries %d slots > %d", fa, fb, got, lim)
 			}
 		}
+	}
+}
+
+// TestLeafListDecombine: a fat reply to a three-way combine, its leaf list
+// in representation order as a reply-caching module fills it, decombines
+// through DecombineExact into exactly the listed values — the value a cached
+// leaf was answered with included, which re-applying the record's mapping
+// would not give.  A stale record, one whose second id the list does not
+// name, is refused by CanDecombine, and a clone owns its list.
+func TestLeafListDecombine(t *testing.T) {
+	a := NewRequest(1, 100, rmw.FetchAdd(3), 0).WithReps()
+	b := NewRequest(2, 100, rmw.FetchAdd(5), 1).WithReps()
+	c := NewRequest(3, 100, rmw.FetchAdd(7), 2).WithReps()
+	ab, rec1, ok1 := Combine(a, b, Policy{})
+	abc, rec2, ok2 := Combine(ab, c, Policy{})
+	if !ok1 || !ok2 || len(abc.Reps) != 3 {
+		t.Fatalf("setup: combines %v %v, %d leaves", ok1, ok2, len(abc.Reps))
+	}
+	// Serialized from 10: a sees 10, b 13 — but b was answered before, from
+	// the reply cache, with 77 — and c 13+5.
+	cell, leaves := word.W(10), NewLeafList(len(abc.Reps))
+	for i, lf := range abc.Reps {
+		(*leaves)[i] = LeafVal{ID: lf.ID, Val: cell}
+		cell = lf.Op.Apply(cell)
+	}
+	(*leaves)[1].Val = word.W(77)
+	reply := Reply{ID: abc.ID, Val: word.W(10), Leaves: leaves}
+
+	if stale := (Record{ID1: 1, ID2: 9, F: rmw.FetchAdd(3)}); CanDecombine(stale, reply) {
+		t.Error("CanDecombine accepted a record for a leaf the reply does not name")
+	}
+	got := map[word.ReqID]int64{}
+	r, rc := DecombineExact(rec2, reply)
+	ra, rb := DecombineExact(rec1, r)
+	for _, rep := range []Reply{ra, rb, rc} {
+		if rep.Leaves != leaves {
+			t.Errorf("reply %d does not share the module's list", rep.ID)
+		}
+		got[rep.ID] = rep.Val.Val
+	}
+	if want := map[word.ReqID]int64{1: 10, 2: 77, 3: 18}; !reflect.DeepEqual(got, want) {
+		t.Errorf("decombined values %v, want %v", got, want)
+	}
+
+	cl := reply.Clone()
+	(*cl.Leaves)[0].Val = word.W(-1)
+	if v, ok := reply.Leaf(1); !ok || v != word.W(10) || len(*cl.Leaves) != 3 {
+		t.Errorf("writing the clone's list changed the original's: leaf 1 is %v", v)
+	}
+	if one := NewLeafList(1); len(*one) != 1 || cap(*one) != 1 {
+		t.Errorf("a one-leaf list has length %d and capacity %d", len(*one), cap(*one))
 	}
 }

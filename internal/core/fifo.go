@@ -21,7 +21,7 @@ package core
 //
 // Pop does not clear the vacated slot: it is dead storage until a later
 // Push hands it out again, and whatever the element referenced (a path
-// header, Srcs, Reps, a Leaves map) stays reachable from it until then — at
+// header, Srcs, Reps, a reply's leaf list) stays reachable from it until then — at
 // most one stale element per dead slot, which is what the slide queues this
 // replaced left beyond len as well.  Nothing reads a dead slot, so a stale
 // reference can only delay collection, never alias a live message; the
@@ -29,13 +29,23 @@ package core
 // must assign it whole.  Clear zeroes the storage, so a flushed queue pins
 // nothing.
 //
+// Ver is the queue's version: Push, Pop, Clear and Touch change it, and
+// nothing else does, so two reads that return the same version saw the same
+// queue.  A caller that rewrites a queued element in place through Front or
+// View calls Touch to say so.  The engines' refusal memo keys on it: a
+// request refused at a full queue is refused again while that queue, and
+// the one it waits at the head of, keep their versions.
+//
 // The zero FIFO is an empty unbounded queue.  A FIFO is not safe for
 // concurrent use.
 type FIFO[T any] struct {
-	buf        []T
-	head, tail int
+	buf []T
+	// head and tail are int32, like bound, so the version fits beside them
+	// in 48 bytes: no queue holds 2³¹ elements.
+	head, tail int32
 	bound      int32 // > 0: neither Len nor the storage ever exceeds it
 	peak       int32 // the most elements the queue has held
+	ver        uint32
 }
 
 // NewFIFO returns an empty queue.  bound > 0 fixes its capacity: the caller
@@ -49,15 +59,22 @@ func NewFIFO[T any](bound int) FIFO[T] {
 }
 
 // Len returns the number of queued elements.
-func (q *FIFO[T]) Len() int { return q.tail - q.head }
+func (q *FIFO[T]) Len() int { return int(q.tail - q.head) }
 
 // Full reports whether a bounded queue is at its bound (never, when
 // unbounded).
-func (q *FIFO[T]) Full() bool { return q.bound > 0 && q.tail-q.head >= int(q.bound) }
+func (q *FIFO[T]) Full() bool { return q.bound > 0 && q.tail-q.head >= q.bound }
 
 // Peak returns the queue's high-water mark: the most elements it has held
 // at once since it was made (Clear does not reset it).
 func (q *FIFO[T]) Peak() int { return int(q.peak) }
+
+// Ver returns the queue's version (see the type comment).
+func (q *FIFO[T]) Ver() uint32 { return q.ver }
+
+// Touch records an in-place rewrite of a queued element: it changes the
+// version and nothing else.
+func (q *FIFO[T]) Touch() { q.ver++ }
 
 // Front returns the oldest element, in place.  The pointer is valid until
 // the next Push, Pop or Clear; the queue must not be empty.
@@ -69,6 +86,7 @@ func (q *FIFO[T]) Pop() {
 		panic("core: Pop on an empty FIFO")
 	}
 	q.head++
+	q.ver++
 	if q.head == q.tail {
 		// Empty: restart at the front, putting off the next slide.
 		q.head, q.tail = 0, 0
@@ -82,11 +100,12 @@ func (q *FIFO[T]) Push() *T {
 	if q.Full() {
 		panic("core: Push on a full bounded FIFO (caller must check Full)")
 	}
-	if q.tail == len(q.buf) {
+	if int(q.tail) == len(q.buf) {
 		q.makeRoom()
 	}
 	q.tail++
-	if n := int32(q.tail - q.head); n > q.peak {
+	q.ver++
+	if n := q.tail - q.head; n > q.peak {
 		q.peak = n
 	}
 	return &q.buf[q.tail-1]
@@ -97,7 +116,7 @@ func (q *FIFO[T]) Push() *T {
 func (q *FIFO[T]) makeRoom() {
 	if q.head > 0 {
 		n := copy(q.buf, q.buf[q.head:q.tail])
-		q.head, q.tail = 0, n
+		q.head, q.tail = 0, int32(n)
 		return
 	}
 	grown := max(2*len(q.buf), 1)
@@ -119,4 +138,5 @@ func (q *FIFO[T]) View() []T { return q.buf[q.head:q.tail] }
 func (q *FIFO[T]) Clear() {
 	clear(q.buf)
 	q.head, q.tail = 0, 0
+	q.ver++
 }

@@ -76,7 +76,7 @@ func TestFIFOSlideAtWrap(t *testing.T) {
 	}
 	slides := 0
 	for i := 3; i < 100; i++ {
-		wasAtEnd := q.tail == len(q.buf) && q.head > 0
+		wasAtEnd := int(q.tail) == len(q.buf) && q.head > 0
 		*q.Push() = fifoElem{id: i}
 		if wasAtEnd {
 			slides++
@@ -168,20 +168,24 @@ func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
 // FuzzFIFO drives a FIFO[int] and a plain slice through the same op string
 // — one byte an op: push (refused by a full queue, which must then panic on
 // Push), pop (likewise on an empty one), an edit through Front, an edit
-// through View, Clear — at bounds 0 (unbounded) to 8, and after every op
-// compares Len, Full, Peak, Front and View with the model and checks the
+// through View, Clear, Touch — at bounds 0 (unbounded) to 8, and after every
+// op compares Len, Full, Peak, Front and View with the model and checks the
 // storage rules: head ≤ tail ≤ len, an empty queue stands at the front,
 // a bounded queue's storage never passes its bound, Clear leaves zeroes.
-// The seeds walk the four storage moves (doubling, the slide at the end of
-// storage, the restart when drained, Clear then reuse).
+// The version must change on every Push, Pop, Clear and Touch that happens,
+// and on nothing else: not on a refused one, not on an edit in place, not on
+// the reads the checks make.  The seeds walk the four storage moves
+// (doubling, the slide at the end of storage, the restart when drained,
+// Clear then reuse).
 func FuzzFIFO(f *testing.F) {
-	const push, pop, front, view, clr = 0, 3, 5, 6, 7
+	const push, pop, front, view, clr, touch = 0, 3, 5, 6, 7, 8
 	f.Add(uint8(0), []byte{push, push, push, push, push, push, push, push, push, pop, pop, view, pop})       // doubling 1→16
 	f.Add(uint8(4), []byte{push, push, push, pop, push, pop, push, pop, push, front, pop, push, push, push}) // slides in fixed storage, then full
 	f.Add(uint8(0), []byte{push, pop, push, pop, push, push, pop, pop, pop, push})                           // drains and restarts at the front
 	f.Add(uint8(8), []byte{push, push, push, push, push, pop, pop, clr, push, push, push, pop, view, clr, clr, push})
 	f.Add(uint8(1), []byte{push, push, front, pop, pop, push, clr, push})
 	f.Add(uint8(3), []byte{push, push, pop, push, push, push, pop, push, pop, push, pop, push, view, front})
+	f.Add(uint8(2), []byte{touch, push, push, push, front, touch, view, pop, pop, pop, touch, clr, touch})
 	f.Fuzz(func(t *testing.T, b uint8, ops []byte) {
 		bound := int(b % 9)
 		q := NewFIFO[int](bound)
@@ -194,7 +198,8 @@ func FuzzFIFO(f *testing.F) {
 		}
 		for step, op := range ops {
 			full := bound > 0 && len(model) == bound
-			switch op % 8 {
+			ver, changes := q.Ver(), false
+			switch op % 9 {
 			case 0, 1, 2:
 				if full {
 					if !panics(func() { q.Push() }) {
@@ -206,6 +211,7 @@ func FuzzFIFO(f *testing.F) {
 				model = append(model, next)
 				next++
 				peak = max(peak, len(model))
+				changes = true
 			case 3, 4:
 				if len(model) == 0 {
 					if !panics(q.Pop) {
@@ -215,6 +221,7 @@ func FuzzFIFO(f *testing.F) {
 				}
 				q.Pop()
 				model = model[1:]
+				changes = true
 			case 5:
 				if len(model) > 0 {
 					*q.Front() = -next
@@ -236,7 +243,15 @@ func FuzzFIFO(f *testing.F) {
 						t.Fatalf("step %d: slot %d holds %d after Clear", step, i, v)
 					}
 				}
+				changes = true
+			case 8:
+				q.Touch()
+				changes = true
 			}
+			if (q.Ver() != ver) != changes {
+				t.Fatalf("step %d: op %d moved the version %d → %d, want a change: %v", step, op%9, ver, q.Ver(), changes)
+			}
+			ver = q.Ver()
 			if q.Len() != len(model) || q.Full() != (bound > 0 && len(model) == bound) || q.Peak() != peak {
 				t.Fatalf("step %d bound %d: Len %d Full %v Peak %d, model has %d queued and peak %d",
 					step, bound, q.Len(), q.Full(), q.Peak(), len(model), peak)
@@ -247,11 +262,14 @@ func FuzzFIFO(f *testing.F) {
 			if len(model) > 0 && q.Front() != &q.View()[0] {
 				t.Fatalf("step %d: Front is not the first slot of View", step)
 			}
-			if q.head < 0 || q.head > q.tail || q.tail > len(q.buf) || (q.head == q.tail && q.head != 0) {
+			if q.head < 0 || q.head > q.tail || int(q.tail) > len(q.buf) || (q.head == q.tail && q.head != 0) {
 				t.Fatalf("step %d: head %d tail %d in %d slots", step, q.head, q.tail, len(q.buf))
 			}
 			if bound > 0 && len(q.buf) > bound {
 				t.Fatalf("step %d: storage of %d slots behind bound %d", step, len(q.buf), bound)
+			}
+			if q.Ver() != ver {
+				t.Fatalf("step %d: Len, Full, Peak, Front or View moved the version %d → %d", step, ver, q.Ver())
 			}
 		}
 	})

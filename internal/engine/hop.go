@@ -50,19 +50,77 @@ func (s *Shell) Station(at int) *Station { return &s.stations[at] }
 func (s *Shell) Down(at int) bool { return s.flt != nil && (s.stall[at] || s.Dead(at)) }
 func (s *Shell) Dead(at int) bool { return s.rec != nil && s.swDead[at] }
 
+// refusal remembers why the head of one forward link was last refused, so
+// that a head blocked behind a full queue — §1's tree saturation, where most
+// arrivals of a cycle are refusals — is refused again without the route, the
+// combine scan and the composition it took the first time.  AcceptFwd's
+// answer is a function of the request and of the station queue it joins
+// (its contents) and the wait buffer's room — and of nothing else while the
+// station has neither Intercept nor Trace.  A FIFO's version changes with its
+// contents, so the memo keys on the version of the queue the request heads
+// (a new head or one rewritten in place changes it), the version of the full
+// queue that refused it, and CanPush.  A match repeats the refusal's counts:
+// the rejection the combine scan made, if it made one, and the memory hold.
+// The zero memo matches nothing: a full queue has been pushed.
+type refusal struct {
+	up, down uint32
+	canPush  bool
+	rejected bool // the combine found its partner and a full wait buffer
+	held     bool // the refusing queue was the memory combining queue
+}
+
+// portRefusal is a processor port's memo.  The port's message heads no
+// queue, so its identity — id and attempt, which a retransmit changes —
+// stands in for the upstream version.
+type portRefusal struct {
+	id      word.ReqID
+	attempt uint32
+	refusal
+}
+
+// names reports whether the memo was written for message m.
+func (k *portRefusal) names(m *Fwd) bool { return k.id == m.Req.ID && k.attempt == m.Req.Attempt }
+
+// refusedAgain reports whether memo k says request m is refused at station
+// to exactly as it was the last time: the queue that refused m is still full
+// at the version k saw, and the wait buffer's room is as it was.  The caller
+// has matched the head.
+func (s *Shell) refusedAgain(to int32, m *Fwd, k *refusal) bool {
+	st := &s.stations[to]
+	q := &st.Fwd[st.Route[s.mem.HomeOf(m.Req.Addr)]]
+	return q.Full() && q.Ver() == k.down && st.Wait.CanPush() == k.canPush
+}
+
 // arrive lands request m at station to, on the queue its module routes to.
 // Refused by the station's memory combining queue (queue Ports, beyond the
 // link queues), the request is held by memory and counted so: the hold that
 // turns a hot node into backpressure instead of unbounded memory-side
-// buffering.
-func (s *Shell) arrive(to, in int32, m *Fwd, sh *Shard) bool {
+// buffering.  again is refusedAgain's answer for memo k, which arrive then
+// counts without asking the station; a refusal it does ask about is written
+// to k, up being the version of the queue m heads (0 at a port).
+func (s *Shell) arrive(to, in int32, m *Fwd, k *refusal, up uint32, again bool, sh *Shard) bool {
 	st := &s.stations[to]
+	if again {
+		if k.rejected {
+			st.Wait.Rejections++
+		}
+		if k.held {
+			sh.HoldsMem++
+		}
+		return false
+	}
 	out := int(st.Route[s.mem.HomeOf(m.Req.Addr)])
+	rejections := st.Wait.Rejections
 	if st.AcceptFwd(m, out, m.Path.Push(in), s.now(), sh) {
 		return true
 	}
-	if out == s.links.Ports {
+	held := out == s.links.Ports
+	if held {
 		sh.HoldsMem++
+	}
+	if st.Intercept == nil && st.Trace == nil {
+		*k = refusal{up: up, down: st.Fwd[out].Ver(), canPush: st.Wait.CanPush(),
+			rejected: st.Wait.Rejections != rejections, held: held}
 	}
 	return false
 }
@@ -90,8 +148,9 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 		if m.Moved == s.now() {
 			continue
 		}
-		l, c := s.links.Fwd[at*n+port], &s.links.FwdAt[at*n+port]
+		l, c, k := s.links.Fwd[at*n+port], &s.links.FwdAt[at*n+port], &s.fwdMemo[at*n+port]
 		mod := int(-1 - l.To) // when the link ends at a module
+		again := l.To >= 0 && k.up == q.Ver() && s.refusedAgain(l.To, m, k)
 		switch {
 		case l.To >= 0 && s.Dead(int(l.To)):
 			// held: the station at the far end is dead
@@ -99,12 +158,12 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 			// held: the backpressure that turns a hot module into tree
 			// saturation instead of unbounded memory-side buffering
 			ln.HoldsMem++
-		case s.LostFwd(c, &m.Req):
+		case s.LostFwd(c, &m.Req, again):
 			st.PopFwd(port)
 		case l.To < 0:
 			s.countFwd(m, &ln.Shard)
 			s.Feed(at, port, mod, c.site(), ln)
-		case s.arrive(l.To, l.In, m, &ln.Shard):
+		case s.arrive(l.To, l.In, m, k, q.Ver(), again, &ln.Shard):
 			// l.To ≠ at, so landing the request could not move the slot m is in.
 			s.countFwd(m, &ln.Shard)
 			st.PopFwd(port)
@@ -247,15 +306,17 @@ func (s *Shell) Inject(p int) bool {
 	if m == nil {
 		return false
 	}
-	l := s.links.Proc[p]
+	l, k := s.links.Proc[p], &s.portMemo[p]
 	if s.Dead(int(l.To)) {
 		return false
 	}
-	if s.LostFwd(&s.links.ProcAt[p], &m.Req) {
+	again := k.names(m) && s.refusedAgain(l.To, m, &k.refusal)
+	if s.LostFwd(&s.links.ProcAt[p], &m.Req, again) {
 		s.Sent(p) // the port moves on as if it had been sent: recovery is the retry tracker's timeout
 		return true
 	}
-	if !s.arrive(l.To, l.In, m, &s.lanes[0].Shard) {
+	if !s.arrive(l.To, l.In, m, &k.refusal, 0, again, &s.lanes[0].Shard) {
+		k.id, k.attempt = m.Req.ID, m.Req.Attempt
 		return false
 	}
 	s.countFwd(m, &s.lanes[0].Shard)
@@ -266,9 +327,12 @@ func (s *Shell) Inject(p int) bool {
 // LostFwd reports whether the request crossing the link at c dies there this
 // cycle — to the plan's Bernoulli forward drops or to a link-down window —
 // counting the loss; LostRev is the same for a reply.  The healthy machine's
-// answer inlines to one nil check per hop, and never reads c.
-func (s *Shell) LostFwd(c *Coord, req *core.Request) bool {
-	return s.flt != nil && (s.flt.DropForward(c.site(), req.ID, req.Attempt) ||
+// answer inlines to one nil check per hop, and never reads c.  again says the
+// same request was refused on the same link before (refusal): the drop
+// draw, a pure hash of (site, id, attempt), said no then and is not asked
+// again; the link-down window depends on the cycle and is.
+func (s *Shell) LostFwd(c *Coord, req *core.Request, again bool) bool {
+	return s.flt != nil && (!again && s.flt.DropForward(c.site(), req.ID, req.Attempt) ||
 		s.flt.DropLinkFwd(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 

@@ -189,7 +189,7 @@ func (s *Shell) deliver(site uint64, r *Rev) {
 // the wire, verify the checksum, quarantine on mismatch (the processor
 // retransmits and the reply cache answers), and land — twice when the link
 // duplicates, with the tracker suppressing the second copy.  The duplicate
-// owns its Leaves map: a shallow copy would share it with the original
+// owns its leaf list: a shallow copy would share it with the original
 // (core.Reply.Clone).
 func (s *Shell) deliverVerified(site uint64, r *Rev) {
 	if mask := s.flt.CorruptMask(site, r.Rep.ID, r.Rep.Attempt); mask != 0 {
@@ -311,8 +311,8 @@ func LostReply(ids []word.ReqID, rep *core.Reply) []word.ReqID {
 	if rep.Leaves == nil {
 		return append(ids, rep.ID)
 	}
-	for id := range rep.Leaves {
-		ids = append(ids, id)
+	for _, lv := range *rep.Leaves {
+		ids = append(ids, lv.ID)
 	}
 	return ids
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"testing"
 	"unsafe"
+
+	"combining/internal/core"
 )
 
 // TestPathRoundTrip: sixteen hops of sixteen ports — the most a header
@@ -57,6 +59,12 @@ func TestMessageLayout(t *testing.T) {
 		{"Fwd", unsafe.Sizeof(Fwd{}), 144 - 16},
 		{"Rev", unsafe.Sizeof(Rev{}), 96 - 16},
 		{"Record", unsafe.Sizeof(Record{}), 128 - 16},
+		// A queue's version fits beside its int32 indices; a link's
+		// refusal memo is two versions and three flags, a port's adds the
+		// message's identity.
+		{"core.FIFO[Fwd]", unsafe.Sizeof(core.FIFO[Fwd]{}), 48},
+		{"refusal", unsafe.Sizeof(refusal{}), 12},
+		{"portRefusal", unsafe.Sizeof(portRefusal{}), 24},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)

@@ -239,6 +239,11 @@ type Shell struct {
 	// them (Links.Behind).
 	lanes     []Lane
 	behindBuf []Rev
+	// fwdMemo[at·Ports+port] and portMemo[p] remember why the head of a
+	// forward link or of processor p's port was last refused (refusal,
+	// hop.go); each has the owner of the station or port it sits at.
+	fwdMemo  []refusal
+	portMemo []portRefusal
 
 	tot Totals // tot.Cycles is the machine's clock
 	lat stats.Histogram
@@ -323,6 +328,8 @@ func (s *Shell) Init(cfg ShellConfig) {
 		links:      cfg.Links,
 		loads:      make([]Load, len(cfg.Stations)),
 		memLoad:    make([]int32, cfg.Modules),
+		fwdMemo:    make([]refusal, len(cfg.Stations)*cfg.Links.Ports),
+		portMemo:   make([]portRefusal, procs),
 	}
 	if s.pool == nil {
 		s.pool = par.NewPool(1)

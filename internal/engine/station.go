@@ -181,7 +181,8 @@ func (st *Station) PopRev(port int) {
 // combine attempts to merge m into the non-empty queue q.  Only the LAST
 // queued request for the address is a legal partner (M2.3).  The step is
 // core.CombineAtTail, which defines it and which the tests hold this scan
-// to; it is written out here because a blocked head runs it every cycle, and
+// to; it is written out here because a blocked head runs it whenever the
+// queue it waits on changes (the refusal memo, hop.go, spares the rest), and
 // nearly always to find no partner or no room: the scan reads the address
 // field in place, and the combined request and its record are built only
 // once the pair is known to combine and the wait buffer to have room.
@@ -227,6 +228,7 @@ func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path Path, sh *Shard) bool
 	}
 	*queued = Fwd{Req: combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot,
 		Path: firstPath, Moved: queued.Moved}
+	q.Touch()
 	sh.Combines++
 	if st.Trace != nil {
 		st.Trace(Combined, rec.ID1, rec.ID2, m.Req.Addr)

@@ -243,7 +243,7 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 	}
 	var home []Rev
 	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
-		Leaves: map[word.ReqID]word.Word{first: word.W(40)}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
+		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
 	b.drain(0, 1<<30)
 	if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
 		t.Fatalf("replies after the retransmit's answer: %v", b.replies)
@@ -253,7 +253,7 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 	}
 	// The reply of the combine itself — both leaves named — does match.
 	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40),
-		Leaves: map[word.ReqID]word.Word{first: word.W(40), second: word.W(41)}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
+		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}, {ID: second, Val: word.W(41)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
 	if b.st.Wait.Len() != 0 || b.st.Rev[1].Len() != 1 || b.st.Rev[1].Front().Rep.Val != word.W(41) {
 		t.Fatalf("the matching reply did not decombine: %d records, %d replies toward the second requester",
 			b.st.Wait.Len(), b.st.Rev[1].Len())

@@ -5,6 +5,8 @@ import (
 
 	"combining/internal/core"
 	"combining/internal/faults"
+	"combining/internal/rmw"
+	"combining/internal/word"
 )
 
 // A wiring nobody planned for: a binary reduction tree, the shape of the
@@ -151,4 +153,183 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 	if ln.HoldsMemOut != 3 {
 		t.Errorf("a hold was counted with the credit back: %d", ln.HoldsMemOut)
 	}
+}
+
+// heldTree is the tree with a memory combining queue at the root — queue
+// Ports, beyond its one link queue, as a cube node has — two deep, and
+// wait buffers of one record.  The root's queue is full: a request for
+// another cell, then the head's partner, a request for the head's cell.
+// Its wait buffer is full too, so the head blocked at station 1 is refused
+// every cycle with a memory hold and a combine rejection.  Nothing sweeps
+// the tree; a test moves station 1's head by hand (hop).
+type heldTree struct {
+	*tree
+	root, st1 *Station
+	ln        *Lane
+}
+
+const (
+	hotAddr            word.Addr  = 3
+	headID, fillID     word.ReqID = 1, 99
+	partnerID, otherID word.ReqID = 2, 3
+)
+
+func newHeldTree(t *testing.T, partner, head rmw.Mapping) *heldTree {
+	lk := treeLinks()
+	lk.Route[0] = []uint8{1}
+	_, inj := newAdders(treeProcs, 0)
+	tr := &tree{}
+	tr.Init(ShellConfig{
+		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
+		Stations: NewStations(treeProcs-1, 2, 2, 2, 4, 1, core.Policy{}),
+		Links:    lk, Stages: 1, WatchdogCycles: DefaultWatchdogCycles,
+		Hooks: Hooks{
+			Sweep:     func() {},
+			CanFeed:   tr.RoomInModule,
+			Saturated: func() bool { return false },
+			Observe:   func(*Counters, map[string]int64) {},
+		},
+	})
+	h := &heldTree{tree: tr, root: tr.Station(0), st1: tr.Station(1), ln: tr.Lane(0)}
+	h.offer(t, h.root, 1, core.NewRequest(otherID, hotAddr+1, rmw.FetchAdd(1), 4), false)
+	h.offer(t, h.root, 1, core.NewRequest(partnerID, hotAddr, partner, 5), false)
+	h.root.Wait.Push(fillID, Record{})
+	h.offer(t, h.st1, 0, core.NewRequest(headID, hotAddr, head, 0), false)
+	return h
+}
+
+// offer lands req on queue out of station st, as a new message or, when
+// combine is set, combined into the one queued for its cell.
+func (h *heldTree) offer(t *testing.T, st *Station, out int, req core.Request, combine bool) {
+	t.Helper()
+	var sh Shard
+	if !st.AcceptFwd(&Fwd{Req: req}, out, Path(0).Push(1), uint32(h.tot.Cycles), &sh) || (sh.Combines == 1) != combine {
+		t.Fatalf("setup: request %d refused, or combined: %v", req.ID, sh.Combines == 1)
+	}
+}
+
+// hop moves the clock one cycle and makes station 1's forward move.
+func (h *heldTree) hop() {
+	h.tot.Cycles++
+	h.FwdHop(1, 0, h.ln)
+}
+
+// check fails the test unless the head is still blocked (or not) and the
+// root has counted the rejections and memory holds given.
+func (h *heldTree) check(t *testing.T, blocked bool, rejections, holds int64) {
+	t.Helper()
+	q := &h.st1.Fwd[0]
+	got := q.Len() == 1 && q.Front().Req.ID == headID
+	if got != blocked || h.root.Wait.Rejections != rejections || h.ln.HoldsMem != holds {
+		t.Fatalf("head blocked: %v, %d rejections, %d memory holds; want %v, %d, %d",
+			got, h.root.Wait.Rejections, h.ln.HoldsMem, blocked, rejections, holds)
+	}
+}
+
+// TestBlockedHeadMemo holds the refusal memo to the path it skips: a head
+// blocked n cycles counts the n rejections and memory holds the full path
+// would, and each thing AcceptFwd's answer depends on ends the memo on the
+// next cycle — a pop or an in-place combine at the refusing queue, a flip of
+// its wait buffer's room, an in-place combine into the head itself.  A load
+// combines with anything and a fetch-add with no fetch-or, so a combine in
+// place can turn a rejection into none.  Stations with Intercept or Trace
+// hooks see every arrival and keep no memo.
+func TestBlockedHeadMemo(t *testing.T) {
+	const n = 5
+	load, or, add := rmw.Mapping(rmw.Load{}), rmw.FetchOr(1), rmw.FetchAdd(2)
+	t.Run("counts", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		for range n {
+			h.hop()
+		}
+		h.check(t, true, n, n)
+		if k := h.fwdMemo[1]; k.up != h.st1.Fwd[0].Ver() || !k.rejected || !k.held {
+			t.Fatalf("the memo did not engage: %+v", k)
+		}
+	})
+	t.Run("pop", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		h.hop()
+		h.hop()
+		h.root.PopFwd(1)
+		h.hop()
+		h.check(t, false, 3, 2) // the partner is still there, the wait buffer still full
+	})
+	t.Run("wait buffer room", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		h.hop()
+		h.hop()
+		h.root.Wait.Pop(fillID)
+		h.hop()
+		h.check(t, false, 2, 2)
+		if h.root.Wait.Len() != 1 {
+			t.Fatalf("the head did not combine into its partner: %d wait records", h.root.Wait.Len())
+		}
+	})
+	t.Run("touch downstream", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		h.hop()
+		h.hop()
+		h.root.Wait.Pop(fillID)                                          // room for the record of …
+		h.offer(t, h.root, 1, core.NewRequest(7, hotAddr, add, 6), true) // … a fetch-add into the load
+		h.hop()
+		h.check(t, true, 2, 3)
+	})
+	t.Run("touch upstream", func(t *testing.T) {
+		h := newHeldTree(t, or, load)
+		h.hop()
+		h.hop()
+		h.offer(t, h.st1, 0, core.NewRequest(8, hotAddr, add, 1), true) // the head keeps its id and attempt
+		h.hop()
+		h.check(t, true, 2, 3)
+	})
+	t.Run("key", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		h.hop()
+		m, k := *h.st1.Fwd[0].Front(), &h.fwdMemo[1]
+		if k.up != h.st1.Fwd[0].Ver() || !h.refusedAgain(0, &m, k) {
+			t.Fatal("the memo does not match the refusal it just recorded")
+		}
+		if h.root.Fwd[1].Touch(); h.refusedAgain(0, &m, k) {
+			t.Error("the memo matched a touched refusing queue")
+		}
+		// A port's memo names its message: a new one, or a retransmit of
+		// the same, is not the message it was written for.
+		pk := portRefusal{id: m.Req.ID, attempt: m.Req.Attempt}
+		id, attempt := m, m
+		id.Req.ID++
+		attempt.Req.Attempt++
+		if !pk.names(&m) || pk.names(&id) || pk.names(&attempt) {
+			t.Errorf("a port memo for %d/%d names it %v, id %d %v, attempt %d %v", m.Req.ID, m.Req.Attempt,
+				pk.names(&m), id.Req.ID, pk.names(&id), attempt.Req.Attempt, pk.names(&attempt))
+		}
+	})
+	t.Run("intercept", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		calls := 0
+		h.root.Intercept = func(*Station, int, *Fwd, Path, uint32) bool { calls++; return false }
+		for range n {
+			h.hop()
+		}
+		h.check(t, true, n, n)
+		if calls != n || h.fwdMemo[1] != (refusal{}) {
+			t.Fatalf("%d cycles behind an Intercept station: %d calls, memo %+v", n, calls, h.fwdMemo[1])
+		}
+	})
+	t.Run("trace", func(t *testing.T) {
+		h := newHeldTree(t, load, or)
+		rejected := 0
+		h.root.Trace = func(kind EventKind, _, _ word.ReqID, _ word.Addr) {
+			if kind == Rejected {
+				rejected++
+			}
+		}
+		for range n {
+			h.hop()
+		}
+		h.check(t, true, n, n)
+		if rejected != n || h.fwdMemo[1] != (refusal{}) {
+			t.Fatalf("%d cycles behind a traced station: %d Rejected events, memo %+v", n, rejected, h.fwdMemo[1])
+		}
+	})
 }

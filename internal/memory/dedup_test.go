@@ -133,7 +133,7 @@ func TestReplyCacheDedup(t *testing.T) {
 					t.Fatalf("step %d: reply value %d, want %d", i, rep.Val.Val, want)
 				}
 				for id, want := range st.want {
-					got, ok := rep.Leaves[id]
+					got, ok := rep.Leaf(id)
 					if !ok {
 						t.Fatalf("step %d: reply missing leaf %d", i, id)
 					}

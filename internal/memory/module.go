@@ -228,24 +228,25 @@ func (m *Module) exec(req *core.Request) core.Reply {
 // representation (serialization) order; cached leaves are skipped, so a
 // message mixing delivered and undelivered leaves — an original overtaken by
 // a partial retransmit, or vice versa — still executes every operation
-// exactly once.
+// exactly once.  The reply's leaf list names every leaf's value in the same
+// order.
 func (m *Module) execCached(req *core.Request) core.Reply {
 	leaves := req.Reps
 	if leaves == nil {
 		leaves = []core.Leaf{{ID: req.ID, Src: 0, Op: req.Op}}
 	}
 	cell := m.cells[req.Addr]
-	vals := make(map[word.ReqID]word.Word, len(leaves))
-	for _, lf := range leaves {
-		if v, ok := m.cacheGet(lf.ID); ok {
+	vals := core.NewLeafList(len(leaves))
+	for i, lf := range leaves {
+		v, ok := m.cacheGet(lf.ID)
+		if ok {
 			m.DedupHits++
-			vals[lf.ID] = v
-			continue
+		} else {
+			v = cell
+			cell = lf.Op.Apply(v)
+			m.cachePut(lf.ID, v)
 		}
-		old := cell
-		cell = lf.Op.Apply(old)
-		m.cachePut(lf.ID, old)
-		vals[lf.ID] = old
+		(*vals)[i] = core.LeafVal{ID: lf.ID, Val: v}
 	}
 	if m.ckpt {
 		if _, logged := m.undo[req.Addr]; !logged {
@@ -254,7 +255,9 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 	}
 	m.cells[req.Addr] = cell
 	m.Served++
-	return core.Reply{ID: req.ID, Val: vals[req.ID], Attempt: req.Attempt, Leaves: vals}
+	rep := core.Reply{ID: req.ID, Attempt: req.Attempt, Leaves: vals}
+	rep.Val, _ = rep.Leaf(req.ID)
+	return rep
 }
 
 // cacheGet consults the exactly-once ledger: the uncommitted delta first,
@@ -411,8 +414,8 @@ func (m *Module) Crash() []word.ReqID {
 			lost[rep.ID] = struct{}{}
 			return
 		}
-		for id := range rep.Leaves {
-			lost[id] = struct{}{}
+		for _, lv := range *rep.Leaves {
+			lost[lv.ID] = struct{}{}
 		}
 	}
 	for _, rep := range m.held {

@@ -2,7 +2,7 @@ package network
 
 // Regression tests for the duplicate-delivery aliasing bug: the dup
 // branches once shallow-copied messages, so the original and the duplicate
-// shared the reply's Leaves map (and, while path headers were pooled byte
+// shared the reply's leaf list (and, while path headers were pooled byte
 // slices, the header's backing array — it is a value now, engine.Path, and
 // cannot be shared).  The rim's duplicate is a core.Reply.Clone.
 
@@ -18,19 +18,22 @@ import (
 )
 
 // TestReplyCloneIndependence: a duplicated reply (processor-side dup
-// branch of the rim's terminal link) must own its Leaves map outright.
+// branch of the rim's terminal link) must own its leaf list outright.
 func TestReplyCloneIndependence(t *testing.T) {
 	r := core.Reply{
 		ID:     7,
 		Val:    word.W(42),
-		Leaves: map[word.ReqID]word.Word{7: word.W(42), 9: word.W(43)},
+		Leaves: &[]core.LeafVal{{ID: 7, Val: word.W(42)}, {ID: 9, Val: word.W(43)}},
 	}
 	c := r.Clone()
-	c.Leaves[7] = word.W(99)
-	if r.Leaves[7] != word.W(42) {
-		t.Errorf("mutating the clone's Leaves changed the original: %v", r.Leaves)
+	if c.Leaves == r.Leaves || &(*c.Leaves)[0] == &(*r.Leaves)[0] {
+		t.Fatalf("Clone shares the leaf list")
 	}
-	if c.ID != r.ID || c.Val != r.Val || len(c.Leaves) != len(r.Leaves) {
+	(*c.Leaves)[0].Val = word.W(99)
+	if v, _ := r.Leaf(7); v != word.W(42) {
+		t.Errorf("mutating the clone's leaf list changed the original: %v", *r.Leaves)
+	}
+	if c.ID != r.ID || c.Val != r.Val || len(*c.Leaves) != len(*r.Leaves) {
 		t.Errorf("Clone dropped fields: %+v vs %+v", c, r)
 	}
 }
@@ -55,7 +58,7 @@ func TestRequestCloneIndependence(t *testing.T) {
 
 // TestDupDeliveryDrains is the end-to-end regression: under a
 // duplication-heavy plan every request issued is answered exactly once —
-// the duplicates, which own their route and their Leaves, are suppressed at
+// the duplicates, which own their route and their leaf list, are suppressed at
 // the port and decombine nothing twice — and the machine drains.
 func TestDupDeliveryDrains(t *testing.T) {
 	const n, budget = 16, 200
