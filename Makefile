@@ -130,8 +130,9 @@ parbench:
 
 # stepbench prices one serial cycle of the 256-processor omega machine and
 # the 256-node cube (BenchmarkStep: uniform, a 1/8 hot spot with combining,
-# the same with combining off, and on the cube the fault-mode cycle of
-# bench/run.sh's cube_faulted; ns/cycle, ns/switch-visit, allocs) — the loop
+# the same with combining off, and the fault-mode cycle — on the cube
+# bench/run.sh's cube_faulted, on omega the same plan plus a module
+# slowdown window; ns/cycle, ns/switch-visit, allocs) — the loop
 # every cycle-domain experiment and bench/run.sh's simulator workloads spend
 # their time in.
 stepbench:

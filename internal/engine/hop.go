@@ -237,12 +237,15 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 // home at once.  Tick is the only caller of serve, and routes the reply
 // before it returns: the filed box serve lends is never outlived.
 //
-// A healthy machine's idle module is skipped on the index alone.  With no
-// fault plan the guards below count nothing, a module holding no request
-// serves nothing, and the credit hold — which an idle module behind a
-// credit-less station does count — needs a reply queued at the station.
+// An idle module is skipped on the index alone.  A module with no work
+// (memLoad: no request queued and no reply released) serves nothing, and
+// the credit hold — which an idle module behind a credit-less station does
+// count — needs a reply queued at the station.  Under a fault plan the
+// checkpoint and slowdown guards below count per module-cycle, idle or
+// not, but only on a cycle that is not quiet (Shell.quiet: a checkpoint due
+// or a slowdown window open); on a quiet one they count nothing.
 func (s *Shell) Tick(mod, at int, ln *Lane) {
-	if s.flt == nil && s.memLoad[mod] == 0 && (at < 0 || s.loads[at].Rev == 0) {
+	if s.memLoad[mod] == 0 && (at < 0 || s.loads[at].Rev == 0) && (s.flt == nil || s.quiet) {
 		return
 	}
 	if s.rec != nil {
@@ -252,8 +255,9 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 		if s.rec.CheckpointDue(s.tot.Cycles) {
 			// Commit the recovery image: executed-but-uncommitted leaves
 			// join the committed cache and withheld replies become
-			// releasable (memory.Module.Checkpoint).
-			s.mem.Module(mod).Checkpoint()
+			// releasable (memory.Module.Checkpoint), work for the ticks to
+			// come.
+			s.memLoad[mod] += int32(s.mem.Module(mod).Checkpoint())
 			ln.Checkpoints++
 		}
 	}
@@ -330,15 +334,17 @@ func (s *Shell) Inject(p int) bool {
 // answer inlines to one nil check per hop, and never reads c.  again says the
 // same request was refused on the same link before (refusal): the drop
 // draw, a pure hash of (site, id, attempt), said no then and is not asked
-// again; the link-down window depends on the cycle and is.
+// again; the link-down window depends on the cycle and is, on a cycle that
+// some link-down window covers (linkOpen) — on any other it answers no for
+// every link and counts nothing.
 func (s *Shell) LostFwd(c *Coord, req *core.Request, again bool) bool {
 	return s.flt != nil && (!again && s.flt.DropForward(c.site(), req.ID, req.Attempt) ||
-		s.flt.DropLinkFwd(int(c.Stage), int(c.Index), s.tot.Cycles))
+		s.linkOpen && s.flt.DropLinkFwd(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 
 func (s *Shell) LostRev(c *Coord, rep *core.Reply) bool {
 	return s.flt != nil && (s.flt.DropReply(c.site(), rep.ID, rep.Attempt) ||
-		s.flt.DropLinkRev(int(c.Stage), int(c.Index), s.tot.Cycles))
+		s.linkOpen && s.flt.DropLinkRev(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 
 func (c Coord) site() uint64 { return faults.Site(int(c.Stage), int(c.Index), int(c.Port)) }
@@ -401,9 +407,9 @@ func (s *Shell) detail() string {
 func (s *Shell) Loads() []Load { return s.loads }
 
 // CheckLoads recounts every queue the occupancy index counts — the
-// stations' FIFOs, and each module's input queue with the replies it
-// withholds — and reports the first entry that disagrees: the invariant
-// every skipped visit rests on.
+// stations' FIFOs, and each module's input queue with the replies it has
+// released (memory.Module.Work) — and reports the first entry that
+// disagrees: the invariant every skipped visit rests on.
 func (s *Shell) CheckLoads() error {
 	for at := range s.stations {
 		st, got := &s.stations[at], Load{}
@@ -418,8 +424,8 @@ func (s *Shell) CheckLoads() error {
 		}
 	}
 	for mod, n := range s.memLoad {
-		if m := s.mem.Module(mod); m.QueueLen()+m.PendingReplies() != int(n) {
-			return fmt.Errorf("%s: cycle %d: module %d holds %d, the index says %d", s.name, s.tot.Cycles, mod, m.QueueLen()+m.PendingReplies(), n)
+		if work := s.mem.Module(mod).Work(); work != int(n) {
+			return fmt.Errorf("%s: cycle %d: module %d has %d to act on, the index says %d", s.name, s.tot.Cycles, mod, work, n)
 		}
 	}
 	return nil

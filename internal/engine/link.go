@@ -142,9 +142,14 @@ func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
 // the box rejoin the free list metaInsert draws from.
 func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 	module := s.mem.Module(mod)
-	busy := module.BusyCycles
+	busy, served := module.BusyCycles, module.Served
 	rep, ok := module.Tick()
 	sh.MemBusy += module.BusyCycles - busy
+	if s.rec != nil {
+		// Output commit: a request served this cycle left the queue for the
+		// withheld replies, which no tick moves before the next checkpoint.
+		s.memLoad[mod] -= int32(module.Served - served)
+	}
 	if !ok {
 		return rep, nil, false
 	}

@@ -228,10 +228,13 @@ type Shell struct {
 	// The occupancy index: what a sweep reads before it touches a station
 	// or a module (DESIGN.md §6.2).  loads[at] counts station at's queued
 	// requests and replies and is written through the station (Station.load);
-	// memLoad[mod] counts the requests inside module mod — queued, in
-	// service, or answered and withheld — and is written beside every
-	// Enqueue, emerging reply and Crash.  Each entry has the owner of the
-	// queue it counts, phase by phase.
+	// memLoad[mod] counts what a tick of module mod can act on
+	// (memory.Module.Work): its queued requests, the one in service among
+	// them, and its released replies, but not the replies output commit
+	// withholds.  It is written beside every Enqueue, in serve (a reply
+	// emerges; under checkpoints also a served request joins the withheld),
+	// beside Checkpoint (the released ones) and Crash.  Each entry has the
+	// owner of the queue it counts, phase by phase.
 	loads   []Load
 	memLoad []int32
 	// lanes are the stepping goroutines' working sets, one per pool worker;
@@ -276,15 +279,21 @@ type Shell struct {
 	// over the modules; all three are filled serially at the top of Step,
 	// so every Workers width sees the same schedule.  masked says the last
 	// fill had a window open: the masks may hold a set bit, so the next
-	// cycle fills them again even if it is quiet (updateMasks).
-	flt     *faults.Injector
-	trk     *faults.Tracker
-	rec     *recover.Manager
-	width   int
-	stall   []bool
-	swDead  []bool
-	memDead []bool
-	masked  bool
+	// cycle fills them again even if it is quiet (updateMasks).  quiet says
+	// no module tick has a per-cycle count to make this cycle — no checkpoint
+	// is due and no slowdown window is open — so Tick skips an idle module as
+	// on a healthy machine; linkOpen says some link-down window is open, so
+	// LostFwd and LostRev ask about it.  The prologue sets both.
+	flt      *faults.Injector
+	trk      *faults.Tracker
+	rec      *recover.Manager
+	width    int
+	stall    []bool
+	swDead   []bool
+	memDead  []bool
+	masked   bool
+	quiet    bool
+	linkOpen bool
 	// adv arms the integrity layer on the terminal links; the limbo
 	// buffers hold reordered messages until their release cycle.  The
 	// forward limbo is per module — fwdLimbo[mod] is owned like meta[mod],
@@ -378,6 +387,8 @@ func (s *Shell) Step() {
 			s.updateMasks()
 			s.masked = open
 		}
+		s.quiet = !s.rec.CheckpointDue(s.tot.Cycles) && !s.flt.MemStallOpen(s.tot.Cycles)
+		s.linkOpen = s.flt.LinkWindowOpen(s.tot.Cycles)
 		for _, p := range s.trk.Expired(s.tot.Cycles) {
 			*s.retry[p.Proc].Push() = Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot}
 		}

@@ -366,3 +366,66 @@ func TestMaskEdges(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultedTickCounts: under a fault plan Tick skips an idle module only
+// on a quiet cycle, because a tick counts per module-cycle on the others —
+// a checkpoint on every due cycle, a lost module-cycle inside a slowdown
+// window — whether or not the module holds work.  Under module crashes,
+// checkpoints and slowdown windows (some over every module, some over one,
+// one overlapping that module's crash), checkpoints must equal the live
+// modules summed over due cycles and mem_stall_cycles the live modules a
+// window matches summed over its cycles, with idle modules among both; the
+// index must match the modules after every cycle.
+func TestFaultedTickCounts(t *testing.T) {
+	const n, ops, total, every = 8, 20, 600, 16
+	type W = faults.Window
+	plan := faults.Plan{Seed: 6, DropFwd: 0.01, CheckpointEvery: every,
+		MemCrashes: []W{{Stage: -1, Index: 2, From: 40, To: 70}, {Stage: -1, Index: -1, From: 500, To: 510}},
+		MemStalls:  []W{{Stage: -1, Index: 1, From: 20, To: 60}, {Stage: -1, Index: 2, From: 50, To: 90}, {Stage: -1, Index: -1, From: 400, To: 440}},
+	}
+	adders, inj := newAdders(n, ops)
+	l := newLoopback(&plan, inj)
+	oracle := faults.NewInjector(plan)
+	var checkpoints, stalls, idleDue, idleStalled int64
+	for c := int64(1); c <= total; c++ {
+		// The loopback ticks its modules first, so what a module holds now is
+		// what its tick will find (a crash edge empties it first).
+		idle := make([]bool, n)
+		for mod := range idle {
+			idle[mod] = l.Memory().Module(mod).Work() == 0
+		}
+		l.Step()
+		if err := l.CheckLoads(); err != nil {
+			t.Fatal(err)
+		}
+		for mod := 0; mod < n; mod++ {
+			if oracle.MemCrashed(mod, c) {
+				continue
+			}
+			if c%every == 0 {
+				checkpoints++
+				if idle[mod] {
+					idleDue++
+				}
+			}
+			if oracle.MemStalled(mod, c) {
+				stalls++
+				if idle[mod] {
+					idleStalled++
+				}
+			}
+		}
+	}
+	got := l.Snapshot().Counters
+	if got["checkpoints"] != checkpoints || got["mem_stall_cycles"] != stalls {
+		t.Fatalf("checkpoints %d, mem_stall_cycles %d; the live modules sum to %d and %d",
+			got["checkpoints"], got["mem_stall_cycles"], checkpoints, stalls)
+	}
+	if idleDue == 0 || idleStalled == 0 {
+		t.Fatalf("vacuous plan: %d idle modules on due cycles, %d inside slowdown windows", idleDue, idleStalled)
+	}
+	if !l.Drain(200000) {
+		t.Fatalf("did not drain:\n%s", l.StallReport())
+	}
+	checkAdders(t, l, adders, ops, []string{"crashes", "restores", "checkpoints", "mem_stall_cycles", "drops_fwd"})
+}

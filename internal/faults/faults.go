@@ -238,8 +238,13 @@ type Injector struct {
 	plan Plan
 	// open is when the plan's site masks can be anything but all-clear: the
 	// cycle intervals covered by some Stalls, Crashes or MemCrashes window,
-	// merged and sorted once (WindowOpen).
-	open []span
+	// merged and sorted once (WindowOpen).  linkOpen and slowOpen are the
+	// same for the LinkCrashes (LinkWindowOpen) and the MemStalls
+	// (MemStallOpen) windows.
+	open, linkOpen, slowOpen []span
+	// first is each decision kind's first hash round, splitmix64(Seed ^
+	// kind): a constant of the plan, so NewInjector computes it once.
+	first firstRounds
 
 	// DropsFwd and DropsRev count dropped request and reply hops;
 	// StallCycles and MemStallCycles count switch-cycles and
@@ -275,11 +280,32 @@ func NewInjector(p Plan) *Injector {
 	if p.ReorderMax <= 0 && p.Reorder > 0 {
 		p.ReorderMax = 8
 	}
-	return &Injector{plan: p, open: mergeSpans(p.Stalls, p.Crashes, p.MemCrashes)}
+	return &Injector{
+		plan:     p,
+		open:     mergeSpans(p.Stalls, p.Crashes, p.MemCrashes),
+		linkOpen: mergeSpans(p.LinkCrashes),
+		slowOpen: mergeSpans(p.MemStalls),
+		first: firstRounds{
+			dropFwd:      splitmix64(p.Seed ^ kindDropFwd),
+			dropRev:      splitmix64(p.Seed ^ kindDropRev),
+			reorder:      splitmix64(p.Seed ^ kindReorder),
+			reorderDelay: splitmix64(p.Seed ^ kindReorderDelay),
+			dup:          splitmix64(p.Seed ^ kindDup),
+			corrupt:      splitmix64(p.Seed ^ kindCorrupt),
+			corruptBits:  splitmix64(p.Seed ^ kindCorruptBits),
+		},
+	}
 }
 
 // span is a half-open cycle interval [from, to).
 type span struct{ from, to int64 }
+
+// covers reports whether one of the merged spans holds the cycle: the first
+// span that ends after it is the only one that can.
+func covers(spans []span, cycle int64) bool {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].to > cycle })
+	return i < len(spans) && spans[i].from <= cycle
+}
 
 // mergeSpans returns the union of the windows' cycle intervals, whatever
 // their sites, as disjoint, non-adjacent spans in increasing order.
@@ -331,6 +357,11 @@ const (
 	kindCorruptBits  uint64 = 0x589965cc75374cc3
 )
 
+// firstRounds holds splitmix64(Seed ^ kind) for every kind above.
+type firstRounds struct {
+	dropFwd, dropRev, reorder, reorderDelay, dup, corrupt, corruptBits uint64
+}
+
 // Site packs a (stage, index, port) coordinate into a hash key; engines
 // with other geometries pack what they have (the hypercube uses node and
 // dimension, the bus machine a constant).
@@ -346,13 +377,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// decide draws the deterministic Bernoulli variable for one event.
-func (f *Injector) decide(kind, site uint64, id word.ReqID, attempt uint32, p float64) bool {
+// decide draws the deterministic Bernoulli variable for one event, first
+// being its kind's first hash round.
+func decide(first, site uint64, id word.ReqID, attempt uint32, p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	h := splitmix64(f.plan.Seed ^ kind)
-	h = splitmix64(h ^ site)
+	h := splitmix64(first ^ site)
 	h = splitmix64(h ^ uint64(id)<<8 ^ uint64(attempt))
 	// 53 uniform bits → [0, 1).
 	return float64(h>>11)/(1<<53) < p
@@ -361,7 +392,7 @@ func (f *Injector) decide(kind, site uint64, id word.ReqID, attempt uint32, p fl
 // DropForward reports whether the request hop for (id, attempt) at site is
 // dropped, counting the injection.
 func (f *Injector) DropForward(site uint64, id word.ReqID, attempt uint32) bool {
-	if !f.decide(kindDropFwd, site, id, attempt, f.plan.DropFwd) {
+	if !decide(f.first.dropFwd, site, id, attempt, f.plan.DropFwd) {
 		return false
 	}
 	f.DropsFwd.Inc()
@@ -371,7 +402,7 @@ func (f *Injector) DropForward(site uint64, id word.ReqID, attempt uint32) bool 
 // DropReply reports whether the reply hop for (id, attempt) at site is
 // dropped, counting the injection.
 func (f *Injector) DropReply(site uint64, id word.ReqID, attempt uint32) bool {
-	if !f.decide(kindDropRev, site, id, attempt, f.plan.DropRev) {
+	if !decide(f.first.dropRev, site, id, attempt, f.plan.DropRev) {
 		return false
 	}
 	f.DropsRev.Inc()
@@ -385,11 +416,10 @@ func (f *Injector) DropReply(site uint64, id word.ReqID, attempt uint32) bool {
 // buffer and re-delivers it at cycle+delay — after traffic that left the
 // same link later, relaxing per-link FIFO.
 func (f *Injector) ReorderDelay(site uint64, id word.ReqID, attempt uint32) int64 {
-	if !f.decide(kindReorder, site, id, attempt, f.plan.Reorder) {
+	if !decide(f.first.reorder, site, id, attempt, f.plan.Reorder) {
 		return 0
 	}
-	h := splitmix64(f.plan.Seed ^ kindReorderDelay)
-	h = splitmix64(h ^ site ^ uint64(id)<<8 ^ uint64(attempt))
+	h := splitmix64(f.first.reorderDelay ^ site ^ uint64(id)<<8 ^ uint64(attempt))
 	f.ReorderedHeld.Inc()
 	return 1 + int64(h%uint64(f.plan.ReorderMax))
 }
@@ -398,7 +428,7 @@ func (f *Injector) ReorderDelay(site uint64, id word.ReqID, attempt uint32) int6
 // (id, attempt) at site — a network-born duplicate the sender never
 // retransmitted, carrying the same id and attempt — counting the injection.
 func (f *Injector) Duplicate(site uint64, id word.ReqID, attempt uint32) bool {
-	if !f.decide(kindDup, site, id, attempt, f.plan.Dup) {
+	if !decide(f.first.dup, site, id, attempt, f.plan.Dup) {
 		return false
 	}
 	f.DupInjected.Inc()
@@ -412,11 +442,10 @@ func (f *Injector) Duplicate(site uint64, id word.ReqID, attempt uint32) bool {
 // corruptor) and the next receiver's verification quarantines the message,
 // reporting it through NoteCorruptDropped.
 func (f *Injector) CorruptMask(site uint64, id word.ReqID, attempt uint32) uint64 {
-	if !f.decide(kindCorrupt, site, id, attempt, f.plan.Corrupt) {
+	if !decide(f.first.corrupt, site, id, attempt, f.plan.Corrupt) {
 		return 0
 	}
-	h := splitmix64(f.plan.Seed ^ kindCorruptBits)
-	h = splitmix64(h ^ site ^ uint64(id)<<8 ^ uint64(attempt))
+	h := splitmix64(f.first.corruptBits ^ site ^ uint64(id)<<8 ^ uint64(attempt))
 	if h == 0 {
 		h = 1
 	}
@@ -446,12 +475,17 @@ func (f *Injector) Stalled(stage, index int, cycle int64) bool {
 // that keeps per-site masks of their answers may leave all-clear masks alone
 // on such a cycle.  Pure, and answered from intervals merged once in
 // NewInjector.
-func (f *Injector) WindowOpen(cycle int64) bool {
-	// The first span that ends after the cycle is the only one that can
-	// cover it.
-	i := sort.Search(len(f.open), func(i int) bool { return f.open[i].to > cycle })
-	return i < len(f.open) && f.open[i].from <= cycle
-}
+func (f *Injector) WindowOpen(cycle int64) bool { return covers(f.open, cycle) }
+
+// LinkWindowOpen reports whether any LinkCrashes window, at any site, covers
+// the cycle.  When none does, DropLinkFwd and DropLinkRev answer false for
+// every site and count nothing.  Pure, like WindowOpen.
+func (f *Injector) LinkWindowOpen(cycle int64) bool { return covers(f.linkOpen, cycle) }
+
+// MemStallOpen reports whether any MemStalls window, for any module, covers
+// the cycle.  When none does, MemStalled answers false for every module and
+// counts nothing.  Pure, like WindowOpen.
+func (f *Injector) MemStallOpen(cycle int64) bool { return covers(f.slowOpen, cycle) }
 
 // MemStalled reports whether memory module mod is inside a slowdown window
 // this cycle, counting the lost module-cycle.  MemStalls windows select the

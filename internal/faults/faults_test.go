@@ -175,3 +175,102 @@ func TestWindowOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkWindowOpen is TestWindowOpen for the two per-cycle answers an
+// engine asks before its per-hop and per-module queries: LinkWindowOpen
+// against a walk of the LinkCrashes windows and MemStallOpen against one of
+// the MemStalls windows.  Whenever an answer is no, every DropLinkFwd,
+// DropLinkRev or MemStalled query is false and counts nothing.
+func TestLinkWindowOpen(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 11))
+	walk := func(ws []Window, cycle int64) bool {
+		for _, w := range ws {
+			if w.From <= cycle && cycle < w.To {
+				return true
+			}
+		}
+		return false
+	}
+	for trial := 0; trial < 200; trial++ {
+		var plan Plan
+		for _, ws := range []*[]Window{&plan.LinkCrashes, &plan.MemStalls} {
+			for i := r.IntN(4); i > 0; i-- {
+				from := r.Int64N(60)
+				*ws = append(*ws, Window{Stage: r.IntN(3) - 1, Index: r.IntN(4) - 1, From: from, To: from + r.Int64N(12)})
+			}
+		}
+		// The mask windows are WindowOpen's business, not these answers'.
+		plan.Stalls = []Window{{Stage: -1, Index: -1, From: 0, To: 100}}
+		plan.Crashes, plan.MemCrashes = plan.Stalls, plan.Stalls
+		flt := NewInjector(plan)
+		for cycle := int64(-2); cycle < 80; cycle++ {
+			link, slow := walk(plan.LinkCrashes, cycle), walk(plan.MemStalls, cycle)
+			if got := flt.LinkWindowOpen(cycle); got != link {
+				t.Fatalf("trial %d: LinkWindowOpen(%d) = %v, the windows say %v\n%+v", trial, cycle, got, link, plan)
+			}
+			if got := flt.MemStallOpen(cycle); got != slow {
+				t.Fatalf("trial %d: MemStallOpen(%d) = %v, the windows say %v\n%+v", trial, cycle, got, slow, plan)
+			}
+			for stage := 0; stage < 2; stage++ {
+				for idx := 0; idx < 3; idx++ {
+					if !link && (flt.DropLinkFwd(stage, idx, cycle) || flt.DropLinkRev(stage, idx, cycle)) {
+						t.Fatalf("trial %d: a link drop at closed cycle %d\n%+v", trial, cycle, plan)
+					}
+					if !slow && flt.MemStalled(idx, cycle) {
+						t.Fatalf("trial %d: a module slowdown at closed cycle %d\n%+v", trial, cycle, plan)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecisionsPinned holds every per-event decision to the values it drew
+// before the kinds' first hash rounds were computed once per injector: on a
+// fixed grid of (seed, site, id, attempt), DropForward, DropReply and
+// Duplicate as one bit per point, ReorderDelay and CorruptMask as values.  A
+// decision that moves reshuffles every fault plan's schedule and every
+// digest recorded under one.
+func TestDecisionsPinned(t *testing.T) {
+	const drops, replies, dups = 0x322f47, 0x51a67a, 0xfef7e2
+	delays := []int64{0, 5, 8, 0, 6, 5, 0, 0, 5, 1, 2, 3, 0, 1, 0, 0, 0, 8, 4, 6, 3, 3, 2, 0}
+	masks := []uint64{
+		0, 0xeefa51b5f1755348, 0, 0,
+		0, 0, 0x35bc15cb5f6ba4e2, 0x4ee82c4e645cac56,
+		0x00a9047957108aaf, 0, 0, 0,
+		0, 0, 0, 0,
+		0x8268dcdd058a76e4, 0, 0, 0x2ea1d5eb605ef3a2,
+		0, 0, 0, 0,
+	}
+	var gotDrops, gotReplies, gotDups uint64
+	i := 0
+	for _, seed := range []uint64{3, 0x9e3779b97f4a7c15} {
+		flt := NewInjector(Plan{Seed: seed, DropFwd: 0.5, DropRev: 0.5, Reorder: 0.5, ReorderMax: 8, Dup: 0.5, Corrupt: 0.5})
+		for _, site := range []uint64{Site(0, 0, 0), Site(2, 7, 1), Site(1, 3, 0)} {
+			for _, id := range []word.ReqID{1, 4242} {
+				for _, attempt := range []uint32{0, 5} {
+					if flt.DropForward(site, id, attempt) {
+						gotDrops |= 1 << i
+					}
+					if flt.DropReply(site, id, attempt) {
+						gotReplies |= 1 << i
+					}
+					if flt.Duplicate(site, id, attempt) {
+						gotDups |= 1 << i
+					}
+					if d := flt.ReorderDelay(site, id, attempt); d != delays[i] {
+						t.Errorf("seed %#x site %#x id %d attempt %d: ReorderDelay %d, pinned %d", seed, site, id, attempt, d, delays[i])
+					}
+					if m := flt.CorruptMask(site, id, attempt); m != masks[i] {
+						t.Errorf("seed %#x site %#x id %d attempt %d: CorruptMask %#x, pinned %#x", seed, site, id, attempt, m, masks[i])
+					}
+					i++
+				}
+			}
+		}
+	}
+	if gotDrops != drops || gotReplies != replies || gotDups != dups {
+		t.Errorf("DropForward / DropReply / Duplicate bits %#x / %#x / %#x, pinned %#x / %#x / %#x",
+			gotDrops, gotReplies, gotDups, drops, replies, dups)
+	}
+}

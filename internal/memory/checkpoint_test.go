@@ -35,32 +35,45 @@ func TestCheckpointOutputCommit(t *testing.T) {
 	if got := m.Peek(3).Val; got != 5 {
 		t.Fatalf("cell = %d after execution, want 5", got)
 	}
-	if got := m.PendingReplies(); got != 1 {
-		t.Fatalf("PendingReplies = %d, want 1", got)
+	// A withheld reply is no work for a tick; the checkpoint releases it.
+	if got := m.Work(); got != 0 {
+		t.Fatalf("Work = %d with only a withheld reply, want 0", got)
 	}
-	m.Checkpoint()
+	if released := m.Checkpoint(); released != 1 {
+		t.Fatalf("Checkpoint released %d replies, want 1", released)
+	}
 	got := drain(m, 10)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("after checkpoint got replies %v, want [1]", got)
 	}
-	if m.PendingReplies() != 0 {
-		t.Fatalf("PendingReplies = %d after drain, want 0", m.PendingReplies())
+	if m.Work() != 0 || m.Checkpoint() != 0 {
+		t.Fatal("a reply was left behind after the drain")
 	}
 }
 
+// TestCheckpointReleasesOnePerTick: released replies drain one per Tick, and
+// Work counts the queue and the released replies — each request served into
+// the withheld lowers it, the checkpoint raises it by what it released, each
+// emerging reply lowers it.
 func TestCheckpointReleasesOnePerTick(t *testing.T) {
 	m := NewModule(WithCheckpoints())
 	for i := 1; i <= 3; i++ {
 		m.Enqueue(req(word.ReqID(i), 0, rmw.FetchAdd(1)))
 	}
-	drain(m, 5)
-	m.Checkpoint()
+	for want := 2; want >= 0; want-- {
+		if drain(m, 1); m.Work() != want {
+			t.Fatalf("Work = %d after a request was served, want %d", m.Work(), want)
+		}
+	}
+	if released := m.Checkpoint(); released != 3 || m.Work() != 3 {
+		t.Fatalf("Checkpoint released %d, Work %d; want 3 and 3", released, m.Work())
+	}
 	// One committed reply per Tick: the engines' one-reply-per-module-
 	// per-cycle contract.
 	for i := 1; i <= 3; i++ {
 		rep, ok := m.Tick()
-		if !ok || rep.ID != word.ReqID(i) {
-			t.Fatalf("tick %d: got (%v, %v), want reply %d", i, rep.ID, ok, i)
+		if !ok || rep.ID != word.ReqID(i) || m.Work() != 3-i {
+			t.Fatalf("tick %d: got (%v, %v) and Work %d, want reply %d and Work %d", i, rep.ID, ok, m.Work(), i, 3-i)
 		}
 	}
 	if _, ok := m.Tick(); ok {
@@ -131,9 +144,8 @@ func TestCrashFlushesQueueAndWithheldReplies(t *testing.T) {
 	if got := m.Peek(0).Val; got != 0 {
 		t.Fatalf("cell = %d after crash, want 0", got)
 	}
-	if m.QueueLen() != 0 || m.PendingReplies() != 0 {
-		t.Fatalf("volatile state survived the crash: queue %d, pending %d",
-			m.QueueLen(), m.PendingReplies())
+	if work, withheld := m.Work(), m.Checkpoint(); work != 0 || withheld != 0 {
+		t.Fatalf("volatile state survived the crash: work %d, withheld %d", work, withheld)
 	}
 }
 

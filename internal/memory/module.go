@@ -8,7 +8,7 @@
 // they lock differently:
 //
 //   - Cycle-driven (Enqueue, CanEnqueue, Tick, QueueLen, MaxQueue,
-//     PendingReplies, Checkpoint, Crash):
+//     Work, Checkpoint, Crash):
 //     the cycle-accurate simulators feed requests and collect replies on a
 //     clock, with a configurable service time per request.  These methods
 //     take no lock.  They are single-owner: one engine owns the module and
@@ -363,12 +363,14 @@ func (m *Module) service() (core.Reply, bool) {
 
 // Checkpoint commits the module's recovery image: leaves executed since the
 // last checkpoint join the committed cache, the undo log clears, and held
-// replies become releasable.  Engines call it every Plan.CheckpointEvery
-// cycles (owner only); the cost is O(changes since the last checkpoint).
-func (m *Module) Checkpoint() {
+// replies become releasable.  It returns how many it released, by which Work
+// rises.  Engines call it every Plan.CheckpointEvery cycles (owner only); the
+// cost is O(changes since the last checkpoint).
+func (m *Module) Checkpoint() int {
 	if !m.ckpt {
-		return
+		return 0
 	}
+	released := len(m.held)
 	for id, v := range m.delta {
 		m.replyCache[id] = v
 	}
@@ -378,6 +380,7 @@ func (m *Module) Checkpoint() {
 		*m.releasable.Push() = m.held[i]
 	}
 	m.held = m.held[:0]
+	return released
 }
 
 // Crash loses the module's volatile state and rolls persistent state back
@@ -441,7 +444,10 @@ func (m *Module) Crash() []word.ReqID {
 	return ids
 }
 
-// PendingReplies reports withheld plus releasable replies (checkpoint
-// mode) — in-flight work the engines fold into their InFlight gauge so
-// drain loops and the watchdog see output-committed replies coming.
-func (m *Module) PendingReplies() int { return len(m.held) + m.releasable.Len() }
+// Work reports what a Tick can act on (owner only): the queued requests,
+// including the one in service, and the released replies.  Withheld replies
+// are not work — no Tick moves them before the next Checkpoint — so a module
+// with Work 0 ticks to no effect until something is enqueued or released.
+// Work falls by one when a request completes (Served counts it) and, in
+// checkpoint mode, by one more when a released reply emerges.
+func (m *Module) Work() int { return m.queue.Len() + m.releasable.Len() }

@@ -4,37 +4,65 @@ import (
 	"testing"
 
 	"combining/internal/core"
+	"combining/internal/faults"
 )
 
 // BenchmarkStep prices one serial cycle of the 256-processor omega machine
 // under the three regimes bench/run.sh's omega workloads run (rate 0.9,
 // window 4): uniform traffic, a 1/8 hot spot with combining on, and the same
 // hot spot with combining off (tree saturation: full queues, credit holds and
-// a refused tail scan per held request per cycle).  ns/cycle is the cost of a
-// Step; ns/switch-visit divides it by the stages × switches the two sweeps
-// visit, the unit bench/'s engine.host_ns_per_switch_visit reports.  `make
-// stepbench` runs it with the hypercube twin; `make profile` profiles it.
+// a refused tail scan per held request per cycle).  A fourth case, faulted,
+// is the staged engine's fault rim: the hot spot at rate 0.6 under seeded
+// crash windows, 0.5 % drops both ways and one slowdown window over every
+// module, so module ticks run both the quiet-cycle skip and its guards.
+// ns/cycle is the cost of a Step; ns/switch-visit divides it by the stages ×
+// switches the two sweeps visit, the unit bench/'s
+// engine.host_ns_per_switch_visit reports.  `make stepbench` runs it with
+// the hypercube twin; `make profile` profiles it.
 func BenchmarkStep(b *testing.B) {
 	const n = 256
+	// The crash plan scatters its windows over [0, horizon): the faulted
+	// machine is rebuilt, off the clock, each time it steps past it, so every
+	// measured cycle is one the plan covers.
+	const warm, horizon = 1000, 4000
 	for _, bc := range []struct {
 		name    string
+		rate    float64
 		hot     float64
 		waitCap int
+		faulted bool
 	}{
-		{"uniform", 0, core.Unbounded},
-		{"hot8", 0.125, core.Unbounded},
-		{"hot8_nocombine", 0.125, 0},
+		{"uniform", 0.9, 0, core.Unbounded, false},
+		{"hot8", 0.9, 0.125, core.Unbounded, false},
+		{"hot8_nocombine", 0.9, 0.125, 0, false},
+		{"faulted", 0.6, 0.125, core.Unbounded, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			inj := make([]Injector, n)
-			for p := range inj {
-				inj[p] = NewStochastic(p, n, TrafficConfig{Rate: 0.9, HotFraction: bc.hot, Window: 4}, 5)
+			build := func() *Sim {
+				inj := make([]Injector, n)
+				for p := range inj {
+					inj[p] = NewStochastic(p, n, TrafficConfig{Rate: bc.rate, HotFraction: bc.hot, Window: 4}, 5)
+				}
+				cfg, warmup := Config{Procs: n, WaitBufCap: bc.waitCap}, 2000
+				if bc.faulted {
+					cfg.Faults = faults.GenCrashPlan(5, 6, horizon, 40)
+					cfg.Faults.DropFwd, cfg.Faults.DropRev = 0.005, 0.005
+					cfg.Faults.MemStalls = []faults.Window{{Stage: -1, Index: -1, From: 2000, To: 2200}}
+					warmup = warm
+				}
+				sim := NewSim(cfg, inj)
+				sim.Run(warmup) // queues and the metadata boxes at their working size
+				return sim
 			}
-			sim := NewSim(Config{Procs: n, WaitBufCap: bc.waitCap}, inj)
-			sim.Run(2000) // queues and the metadata boxes at their working size
+			sim := build()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if bc.faulted && sim.Cycle() == horizon {
+					b.StopTimer()
+					sim = build()
+					b.StartTimer()
+				}
 				sim.Step()
 			}
 			perCycle := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

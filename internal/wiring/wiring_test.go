@@ -85,11 +85,13 @@ func (b *budgeted) Next(cycle int64) (engine.Injection, bool) {
 // TestLoadsMatchQueues holds the occupancy index (engine.Shell.Loads and the
 // per-module counts beside it) to the queues it stands for: on every wiring,
 // healthy, under drops, under station, module and link crashes with their
-// flushes and restarts, and under a reordering, duplicating link, serially
-// and at Workers 3, a recount after every cycle of a hot-spot run must agree
-// with the index (Shell.CheckLoads) — the hops skip a station or a module on
-// the index alone, so an entry one short hides a message for good.  The
-// healthy machine must also drain to an index of zeros.
+// flushes, restarts and output commit, under a reordering, duplicating link,
+// and under switch stalls and module slowdowns, serially and at Workers 3, a
+// recount after every cycle of a hot-spot run must agree with the index
+// (Shell.CheckLoads: a module counts its queue and its released replies) —
+// the hops skip a station or a module on the index alone, so an entry one
+// short hides a message for good.  The healthy machine must also drain to an
+// index of zeros.
 func TestLoadsMatchQueues(t *testing.T) {
 	const procs, cycles = 16, 400
 	plans := []struct {
@@ -102,6 +104,12 @@ func TestLoadsMatchQueues(t *testing.T) {
 		{"crash", func() *faults.Plan { return faults.GenCrashPlan(5, 3, 300, 40) }, []string{"crashes", "restores", "lost_in_flight"}},
 		{"reorder+dup", func() *faults.Plan { return &faults.Plan{Seed: 7, Reorder: 0.05, ReorderMax: 8, Dup: 0.05} },
 			[]string{"reordered_held", "dup_injected"}},
+		{"slowdown", func() *faults.Plan {
+			return &faults.Plan{Seed: 9,
+				Stalls:    []faults.Window{{Stage: -1, Index: 0, From: 50, To: 90}},
+				MemStalls: []faults.Window{{Stage: -1, Index: -1, From: 100, To: 160}, {Stage: -1, Index: 1, From: 200, To: 260}},
+			}
+		}, []string{"stall_cycles", "mem_stall_cycles"}},
 	}
 	for _, name := range Names() {
 		for _, pl := range plans {
