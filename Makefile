@@ -58,10 +58,12 @@ fuzz:
 # else ever ran combsim off the omega path): a short combsim sweep whose
 # cold-latency column must be non-zero on every row, and a generated trace
 # replayed.  The names come from the registry by way of the unknown-topology
-# message, so a new wiring is smoked the day it is registered.
+# message, so a new wiring is smoked the day it is registered.  Then
+# cmd/trace's Figure 1 walkthrough, whose last line must report the replies
+# an exact serialization.
 smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; \
+	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; go build -o $$d/trace ./cmd/trace; \
 	names=$$($$d/combsim -topology '?' 2>&1 | sed -n 's/.*(want \(.*\))$$/\1/p' | tr -d ,); \
 	test -n "$$names" || { echo "smoke: no wiring names in the unknown-topology message"; exit 1; }; \
 	$$d/replay -gen -n 16 -ops 20 > $$d/trace.txt; \
@@ -70,7 +72,10 @@ smoke:
 		awk -F, -v t=$$t 'NR > 1 && $$6 + 0 == 0 { print "smoke: " t ": cold_latency is zero: " $$0; bad = 1 } END { exit bad }' $$d/$$t.csv; \
 		$$d/replay -topology $$t -n 16 $$d/trace.txt > $$d/$$t.txt; \
 		echo "smoke: $$t ok ($$(($$(wc -l < $$d/$$t.csv) - 1)) combsim rows; $$(head -1 $$d/$$t.txt))"; \
-	done
+	done; \
+	$$d/trace > $$d/walkthrough.txt; last=$$(tail -1 $$d/walkthrough.txt); \
+	case "$$last" in *': true') ;; *) echo "smoke: trace: $$last"; exit 1;; esac; \
+	echo "smoke: trace ok ($$(wc -l < $$d/walkthrough.txt) lines; $$last)"
 
 # bench regenerates the committed cycle-domain baseline (EXPERIMENTS.md
 # §Measured baselines): ten sections, 82 points, every one a function of its

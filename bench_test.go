@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	combining "combining"
+	"combining/internal/engine"
 )
 
 // ---- T1–T3, E12: mapping composition (tractability condition 2) ----
@@ -291,7 +292,7 @@ func BenchmarkHypercubeHotspot(b *testing.B) {
 			if comb {
 				waitCap = combining.Unbounded
 			}
-			var st combining.CubeStats
+			var st engine.Totals
 			for i := 0; i < b.N; i++ {
 				const n = 64
 				inj := make([]combining.Injector, n)
@@ -302,7 +303,7 @@ func BenchmarkHypercubeHotspot(b *testing.B) {
 				}
 				sim := combining.NewCubeSim(combining.CubeConfig{Nodes: n, WaitBufCap: waitCap}, inj)
 				sim.Run(2000)
-				st = sim.Stats()
+				st = sim.Totals()
 			}
 			b.ReportMetric(st.Bandwidth(), "ops/cycle")
 			b.ReportMetric(st.MeanLatency(), "cycles/op")
@@ -317,7 +318,7 @@ func BenchmarkBusCombining(b *testing.B) {
 			if comb {
 				waitCap = combining.Unbounded
 			}
-			var st combining.BusStats
+			var st engine.Totals
 			for i := 0; i < b.N; i++ {
 				const n = 16
 				inj := make([]combining.Injector, n)
@@ -328,7 +329,7 @@ func BenchmarkBusCombining(b *testing.B) {
 				}
 				sim := combining.NewBusSim(combining.BusConfig{Procs: n, Banks: 8, WaitBufCap: waitCap}, inj)
 				sim.Run(4000)
-				st = sim.Stats()
+				st = sim.Totals()
 			}
 			b.ReportMetric(st.Bandwidth(), "ops/cycle")
 		})

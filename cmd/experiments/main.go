@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	combining "combining"
+	"combining/internal/engine"
 )
 
 var quick = flag.Bool("quick", false, "shorter simulation runs")
@@ -307,7 +308,7 @@ func a6Model(cycles int) {
 func a2Variants(cycles int) {
 	section("A2", "combining on other topologies (Section 7)")
 	// Hypercube.
-	runCube := func(comb bool) combining.CubeStats {
+	runCube := func(comb bool) engine.Totals {
 		waitCap := 0
 		if comb {
 			waitCap = combining.Unbounded
@@ -320,14 +321,14 @@ func a2Variants(cycles int) {
 		}
 		sim := combining.NewCubeSim(combining.CubeConfig{Nodes: 64, WaitBufCap: waitCap}, inj)
 		sim.Run(cycles)
-		return sim.Stats()
+		return sim.Totals()
 	}
 	cn, cy := runCube(false), runCube(true)
 	fmt.Printf("hypercube (64 nodes, h=0.25): %.2f → %.2f ops/cycle, latency %.1f → %.1f\n",
 		cn.Bandwidth(), cy.Bandwidth(), cn.MeanLatency(), cy.MeanLatency())
 
 	// Bus.
-	runBus := func(comb bool) combining.BusStats {
+	runBus := func(comb bool) engine.Totals {
 		waitCap := 0
 		if comb {
 			waitCap = combining.Unbounded
@@ -340,9 +341,9 @@ func a2Variants(cycles int) {
 		}
 		sim := combining.NewBusSim(combining.BusConfig{Procs: 16, Banks: 8, WaitBufCap: waitCap}, inj)
 		sim.Run(cycles)
-		return sim.Stats()
+		return sim.Totals()
 	}
 	bn, by := runBus(false), runBus(true)
 	fmt.Printf("bus FIFO (16 procs, 8 banks, h=0.5): %.3f → %.3f ops/cycle, HOL blocking %d → %d cycles\n",
-		bn.Bandwidth(), by.Bandwidth(), bn.HOLBlocked, by.HOLBlocked)
+		bn.Bandwidth(), by.Bandwidth(), bn.HoldsMem, by.HoldsMem)
 }

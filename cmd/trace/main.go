@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	combining "combining"
 )
@@ -20,7 +21,18 @@ func main() {
 	addr := flag.Uint("addr", 5, "target address")
 	flag.Parse()
 
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "trace: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	if *per < 1 {
+		fail("-per must be ≥ 1, got %d", *per)
+	}
 	log := &combining.NetTraceLog{}
+	cfg := combining.NetConfig{Procs: *n, WaitBufCap: combining.Unbounded, Trace: log.Record}
+	if err := cfg.Validate(); err != nil {
+		fail("%v", err)
+	}
 	inj := make([]combining.Injector, *n)
 	scripts := make([]*scriptInjector, *n)
 	id := 1
@@ -35,15 +47,11 @@ func main() {
 		}
 		inj[p] = scripts[p]
 	}
-	sim := combining.NewSim(combining.NetConfig{
-		Procs:      *n,
-		WaitBufCap: combining.Unbounded,
-		Trace:      log.Record,
-	}, inj)
+	sim := combining.NewSim(cfg, inj)
 	want := int64(*n * *per)
 	for c := 0; c < 10000; c++ {
 		sim.Step()
-		if sim.Stats().Issued == want && sim.InFlight() == 0 {
+		if sim.Totals().Issued == want && sim.InFlight() == 0 {
 			break
 		}
 	}
@@ -51,7 +59,7 @@ func main() {
 	for _, e := range log.Events {
 		fmt.Println(e)
 	}
-	st := sim.Stats()
+	st := sim.Totals()
 	fmt.Printf("\n%d requests issued; %d combines; memory saw %d accesses; final value %d\n",
 		st.Issued, st.Combines, st.MemRequests, sim.Memory().Peek(combining.Addr(*addr)).Val)
 	vals := map[int64]bool{}

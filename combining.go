@@ -24,6 +24,7 @@ import (
 	"combining/internal/chaos"
 	"combining/internal/coord"
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/hypercube"
 	"combining/internal/machine"
@@ -203,8 +204,8 @@ type TrafficConfig = network.TrafficConfig
 // HotspotResult is one sweep point.
 type HotspotResult = network.HotspotResult
 
-// NetTraceLog collects the simulator's trace events.
-type NetTraceLog = network.TraceLog
+// NetTraceLog collects the simulator's trace events (NetConfig.Trace).
+type NetTraceLog = engine.TraceLog
 
 // Permutation traffic patterns for network baselines.
 type Permutation = network.Permutation
@@ -417,17 +418,11 @@ var CompilePath = pathexpr.Compile
 // CubeConfig parameterizes the hypercube machine.
 type CubeConfig = hypercube.Config
 
-// CubeStats summarizes a hypercube run.
-type CubeStats = hypercube.Stats
-
 // NewCubeSim builds the hypercube machine.
 var NewCubeSim = hypercube.NewSim
 
 // BusConfig parameterizes the bus machine.
 type BusConfig = busnet.Config
-
-// BusStats summarizes a bus run.
-type BusStats = busnet.Stats
 
 // NewBusSim builds the bus machine.
 var NewBusSim = busnet.NewSim

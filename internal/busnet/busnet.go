@@ -67,17 +67,6 @@ type Config struct {
 	Faults *faults.Plan
 }
 
-// Stats summarizes a run: the shared totals plus the bus's names for two of
-// them.
-type Stats struct {
-	engine.Totals
-
-	// BusOps counts requests the bus carried into the decoupling FIFO.
-	BusOps int64
-	// HOLBlocked counts cycles the FIFO head was stalled on a busy bank.
-	HOLBlocked int64
-}
-
 // Sim is the cycle-driven bus machine: the shared shell (processor ports,
 // terminal links, banks, step frame, station and hops — the embedded
 // engine.Shell) around the smallest wiring there is: one station holding the
@@ -185,12 +174,6 @@ func busLinks(procs, banks int) *engine.Links {
 		lk.Back[0][p] = -1
 	}
 	return lk
-}
-
-// Stats snapshots the counters.
-func (s *Sim) Stats() Stats {
-	t := s.Totals()
-	return Stats{Totals: t, BusOps: t.FwdHops, HOLBlocked: t.HoldsMem}
 }
 
 // observe names the bus's counters and gauges in a snapshot the shell has

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/word"
@@ -79,7 +80,7 @@ func TestBusFAA(t *testing.T) {
 // TestBusCombining (A2): combining in the decoupling FIFO improves
 // throughput under bank conflicts, as Section 7 claims.
 func TestBusCombining(t *testing.T) {
-	run := func(combining bool) Stats {
+	run := func(combining bool) engine.Totals {
 		const n = 16
 		waitCap := 0
 		if combining {
@@ -93,12 +94,12 @@ func TestBusCombining(t *testing.T) {
 		}
 		sim := NewSim(Config{Procs: n, Banks: 8, WaitBufCap: waitCap, BankService: 4}, inj)
 		sim.Run(6000)
-		return sim.Stats()
+		return sim.Totals()
 	}
 	noComb := run(false)
 	comb := run(true)
 	t.Logf("bus h=0.5: no-combining %.3f ops/cycle (HOL %d), combining %.3f (HOL %d, %d combines)",
-		noComb.Bandwidth(), noComb.HOLBlocked, comb.Bandwidth(), comb.HOLBlocked, comb.Combines)
+		noComb.Bandwidth(), noComb.HoldsMem, comb.Bandwidth(), comb.HoldsMem, comb.Combines)
 	if comb.Combines == 0 {
 		t.Fatal("no combining in the FIFO under a hot bank")
 	}
@@ -106,9 +107,9 @@ func TestBusCombining(t *testing.T) {
 		t.Errorf("combining bandwidth %.3f not ≥1.3× uncombined %.3f",
 			comb.Bandwidth(), noComb.Bandwidth())
 	}
-	if comb.HOLBlocked >= noComb.HOLBlocked {
+	if comb.HoldsMem >= noComb.HoldsMem {
 		t.Errorf("combining did not reduce head-of-line blocking: %d vs %d",
-			comb.HOLBlocked, noComb.HOLBlocked)
+			comb.HoldsMem, noComb.HoldsMem)
 	}
 }
 
@@ -137,7 +138,7 @@ func TestBusInterleavingSpreads(t *testing.T) {
 	if !sim.Drain(20000) {
 		t.Fatal("bus did not drain")
 	}
-	st := sim.Stats()
+	st := sim.Totals()
 	bw := float64(st.Completed) / float64(st.Cycles)
 	t.Logf("uniform bus throughput: %.3f ops/cycle over %d cycles", bw, st.Cycles)
 	if bw < 0.5 {
@@ -180,7 +181,7 @@ func TestBusDrainTimeout(t *testing.T) {
 }
 
 func TestBusStatsZero(t *testing.T) {
-	var st Stats
+	var st engine.Totals
 	if st.MeanLatency() != 0 || st.Bandwidth() != 0 {
 		t.Fatal("zero stats must report zeros")
 	}

@@ -47,6 +47,9 @@
 //     into limbo, corrupt, verify, quarantine, duplicate with an owning
 //     clone — written once;
 //   - the memory array and request metadata;
+//   - the event trace (trace.go): one vocabulary, written into per-station
+//     and per-port buffers by their owners and handed to the sink after
+//     each sweep in a fixed order, so a trace is the same at every width;
 //   - Run, Drain, InFlight, Stalled, StallReport, Snapshot and the
 //     accessors — the Machine interface drivers program against — plus
 //     config validation and defaults, the counter-key schema, and

@@ -16,10 +16,10 @@ import (
 //
 // Worker-phase rule: FwdHop, RevHop, Feed and Tick write only the stations
 // and modules they are handed, the far ends of their links, those stations'
-// and modules' entries of the occupancy index and the forward limbo, and the
-// caller's Lane; a schedule calls them from its pool's workers for stations
-// whose link ends no other worker touches in the same phase (a conflict
-// group), passing each worker its own lane.  Link-fault draws are hash
+// and modules' entries of the occupancy index, the forward limbo and the
+// event buffers, and the caller's Lane; a schedule calls them from its
+// pool's workers for stations whose link ends no other worker touches in
+// the same phase (a conflict group), passing each worker its own lane.  Link-fault draws are hash
 // decisions with atomic counters.  Ports and deliveries — Inject, Commit —
 // belong to one goroutine at a time.
 
@@ -56,12 +56,13 @@ func (s *Shell) Dead(at int) bool { return s.rec != nil && s.swDead[at] }
 // combine scan and the composition it took the first time.  AcceptFwd's
 // answer is a function of the request and of the station queue it joins
 // (its contents) and the wait buffer's room — and of nothing else while the
-// station has neither Intercept nor Trace.  A FIFO's version changes with its
-// contents, so the memo keys on the version of the queue the request heads
-// (a new head or one rewritten in place changes it), the version of the full
-// queue that refused it, and CanPush.  A match repeats the refusal's counts:
-// the rejection the combine scan made, if it made one, and the memory hold.
-// The zero memo matches nothing: a full queue has been pushed.
+// station has no Intercept.  A FIFO's version changes with its contents, so
+// the memo keys on the version of the queue the request heads (a new head or
+// one rewritten in place changes it), the version of the full queue that
+// refused it, and CanPush.  A match repeats the refusal's counts and its one
+// possible event: the rejection the combine scan made, if it made one, and
+// the memory hold.  The zero memo matches nothing: a full queue has been
+// pushed.
 type refusal struct {
 	up, down uint32
 	canPush  bool
@@ -103,6 +104,9 @@ func (s *Shell) arrive(to, in int32, m *Fwd, k *refusal, up uint32, again bool, 
 	if again {
 		if k.rejected {
 			st.Wait.Rejections++
+			if st.Trace != nil {
+				st.Trace(Rejected, m.Req.ID, 0, m.Req.Addr)
+			}
 		}
 		if k.held {
 			sh.HoldsMem++
@@ -118,7 +122,7 @@ func (s *Shell) arrive(to, in int32, m *Fwd, k *refusal, up uint32, again bool, 
 	if held {
 		sh.HoldsMem++
 	}
-	if st.Intercept == nil && st.Trace == nil {
+	if st.Intercept == nil {
 		*k = refusal{up: up, down: st.Fwd[out].Ver(), canPush: st.Wait.CanPush(),
 			rejected: st.Wait.Rejections != rejections, held: held}
 	}
@@ -279,11 +283,11 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 		}
 		return
 	}
-	st := &s.stations[at]
-	if st.Trace != nil {
-		st.Trace(Served, rep.ID, 0, m.Req.Addr)
+	if s.trace != nil {
+		s.events[at] = append(s.events[at],
+			Event{Cycle: s.tot.Cycles, Kind: Served, ID: rep.ID, Addr: m.Req.Addr, Stage: -1, Switch: mod})
 	}
-	st.AcceptRev(&r, s.now(), &ln.Home)
+	s.stations[at].AcceptRev(&r, s.now(), &ln.Home)
 }
 
 // Commit hands every reply the cycle's hops brought home to its processor's

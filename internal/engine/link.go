@@ -254,6 +254,9 @@ func (s *Shell) complete(r *Rev) {
 		s.tot.ColdCompleted++
 		s.tot.ColdLatencySum += lat
 	}
+	if s.trace != nil {
+		s.portEvent(Delivered, r.Rep.ID, 0, r.Src)
+	}
 	s.inj[r.Src].Deliver(r.Rep, s.tot.Cycles)
 }
 

@@ -25,6 +25,9 @@ func (s *Shell) Offer(p int) *Fwd {
 			return nil
 		}
 		req := in.Req
+		if s.trace != nil {
+			s.portEvent(Injected, req.ID, req.Addr, p)
+		}
 		if s.trk != nil {
 			if req.Reps == nil && len(req.Srcs) == 1 {
 				// The reply cache needs every message to name its

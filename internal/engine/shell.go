@@ -118,8 +118,8 @@ type Lane struct {
 	_    [64]byte
 }
 
-// Totals is a machine's run statistics; each engine's Stats embeds it beside
-// the gauges only its wiring has.
+// Totals is a machine's run statistics (Shell.Totals); the staged network's
+// Stats embeds it beside the gauges only its wiring has.
 type Totals struct {
 	Cycles    int64
 	Issued    int64
@@ -202,6 +202,11 @@ type ShellConfig struct {
 	Stages         int
 	WatchdogCycles int64
 	Faults         *faults.Plan
+	// Trace, when non-nil, receives every event of every cycle after the
+	// sweep, in the same order at every pool width (trace.go).  A module's
+	// service is recorded at the station its reply enters, so a wiring
+	// whose modules answer the processor links directly records none.
+	Trace func(Event)
 }
 
 // Shell is the wiring-independent part of a cycle machine.  It owns the
@@ -247,6 +252,12 @@ type Shell struct {
 	// hop.go); each has the owner of the station or port it sits at.
 	fwdMemo  []refusal
 	portMemo []portRefusal
+	// trace is the event sink (ShellConfig.Trace); events[at] is station at's
+	// buffer for the cycle and portEvents the processor ports', each with the
+	// owner of its station or of the ports (trace.go).
+	trace      func(Event)
+	events     [][]Event
+	portEvents []Event
 
 	tot Totals // tot.Cycles is the machine's clock
 	lat stats.Histogram
@@ -339,17 +350,24 @@ func (s *Shell) Init(cfg ShellConfig) {
 		memLoad:    make([]int32, cfg.Modules),
 		fwdMemo:    make([]refusal, len(cfg.Stations)*cfg.Links.Ports),
 		portMemo:   make([]portRefusal, procs),
+		trace:      cfg.Trace,
 	}
 	if s.pool == nil {
 		s.pool = par.NewPool(1)
 	}
 	s.width = len(cfg.Stations) / cfg.Stages
 	s.lanes = make([]Lane, s.pool.Workers())
+	if s.trace != nil {
+		s.events = make([][]Event, len(s.stations))
+	}
 	for i := range s.stations {
 		s.stations[i].load = &s.loads[i]
 		s.stations[i].Route = s.links.Route[i]
 		if s.links.Back != nil {
 			s.stations[i].Back = s.links.Back[i]
+		}
+		if s.trace != nil {
+			s.stations[i].Trace = s.tracer(i)
 		}
 	}
 	for i := range s.meta {
@@ -398,6 +416,9 @@ func (s *Shell) Step() {
 	}
 	s.hooks.Sweep()
 	s.mergeLanes()
+	if s.trace != nil {
+		s.emitEvents()
+	}
 
 	s.sat.Observe(s.hooks.Saturated())
 	if s.wd.Observe(s.tot.Cycles, s.progressSig(), s.InFlight) {

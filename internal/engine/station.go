@@ -70,16 +70,6 @@ type Record struct {
 	Reps2 []core.Leaf
 }
 
-// EventKind classifies what a station's Trace hook observes.
-type EventKind uint8
-
-const (
-	Combined   EventKind = iota // id absorbed id2
-	Rejected                    // id's combine forfeited to a full wait buffer
-	Decombined                  // id's reply split off id2's
-	Served                      // a module answered id (Shell.Tick)
-)
-
 // Load counts the messages a station's forward and reverse queues hold.  A
 // shell keeps its stations' counts in one dense array in sweep order
 // (Shell.Loads), so a sweep finds an empty station without touching it.
@@ -103,8 +93,8 @@ type Station struct {
 	// nobody else.  A station alone counts in storage of its own; a shell
 	// re-seats the pointer in its index (Shell.Init).
 	load *Load
-	// Trace, when non-nil, observes combine, reject, decombine and module
-	// service events here.
+	// Trace, when non-nil, observes the Combined, Rejected and Decombined
+	// events here (a traced shell installs it: ShellConfig.Trace).
 	Trace func(kind EventKind, id, id2 word.ReqID, addr word.Addr)
 
 	Rev  []core.FIFO[Rev]

@@ -232,8 +232,9 @@ func (h *heldTree) check(t *testing.T, blocked bool, rejections, holds int64) {
 // next cycle — a pop or an in-place combine at the refusing queue, a flip of
 // its wait buffer's room, an in-place combine into the head itself.  A load
 // combines with anything and a fetch-add with no fetch-or, so a combine in
-// place can turn a rejection into none.  Stations with Intercept or Trace
-// hooks see every arrival and keep no memo.
+// place can turn a rejection into none.  A station with an Intercept hook
+// sees every arrival and keeps no memo; a traced one memoises, and a memo
+// hit reports the rejection it repeats.
 func TestBlockedHeadMemo(t *testing.T) {
 	const n = 5
 	load, or, add := rmw.Mapping(rmw.Load{}), rmw.FetchOr(1), rmw.FetchAdd(2)
@@ -328,8 +329,8 @@ func TestBlockedHeadMemo(t *testing.T) {
 			h.hop()
 		}
 		h.check(t, true, n, n)
-		if rejected != n || h.fwdMemo[1] != (refusal{}) {
-			t.Fatalf("%d cycles behind a traced station: %d Rejected events, memo %+v", n, rejected, h.fwdMemo[1])
+		if k := h.fwdMemo[1]; rejected != n || k.up != h.st1.Fwd[0].Ver() || !k.rejected || !k.held {
+			t.Fatalf("%d cycles behind a traced station: %d Rejected events, memo %+v", n, rejected, k)
 		}
 	})
 }

@@ -45,11 +45,6 @@ type Spec struct {
 	// Service is a service-time knob (memory or bank); negative is
 	// rejected, 0 means the engine default.
 	Service int
-	// TraceSerial rejects the trace-with-parallel-stepper combination:
-	// tracing is single-goroutine by contract, and silently falling back
-	// to the serial stepper would hand out serial numbers labeled
-	// parallel.
-	TraceSerial bool
 	// Topology, when non-nil, is validated too (wiring parameters).
 	Topology interface{ Validate() error }
 	// TopologySize/TopologyField reject a Config whose explicit size
@@ -95,10 +90,6 @@ func (s Spec) Validate() error {
 	if s.Service < 0 {
 		return fmt.Errorf("%s: service time must be >= 0 (0 means the default), got %d",
 			s.Engine, s.Service)
-	}
-	if s.TraceSerial {
-		return fmt.Errorf("%s: Trace requires the serial stepper; set Workers <= 1 or drop the trace",
-			s.Engine)
 	}
 	return nil
 }

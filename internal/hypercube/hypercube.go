@@ -81,15 +81,6 @@ type Config struct {
 	Faults *faults.Plan
 }
 
-// Stats summarizes a run.  Its hop, hold and combine counters are the shared
-// ones (engine.Totals): FwdHops and RevHops count link traversals, HoldsRev
-// replies held by the reverse-credit check, HoldsMem arrivals refused by a
-// full memory combining queue, HoldsMemOut module completions blocked on
-// reverse credit.
-type Stats struct {
-	engine.Totals
-}
-
 // Sim is the cycle-driven direct-connection machine: the shared shell
 // (processor ports, terminal links, memory modules, step frame, stations and
 // hops — the embedded engine.Shell) under a store-and-forward schedule.
@@ -293,11 +284,12 @@ func (s *Sim) treeSaturated() bool {
 	return false
 }
 
-// Stats snapshots the run counters.
-func (s *Sim) Stats() Stats { return Stats{Totals: s.Totals()} }
-
 // observe names the direct machine's counters and gauges in a snapshot the
-// shell has started.
+// shell has started.  Its hop, hold and combine counters are the shared
+// ones (engine.Totals): FwdHops and RevHops count link traversals, HoldsRev
+// replies held by the reverse-credit check, HoldsMem arrivals refused by a
+// full memory combining queue, HoldsMemOut module completions blocked on
+// reverse credit.
 func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 	t := s.Totals()
 	c.MemOps = t.MemRequests

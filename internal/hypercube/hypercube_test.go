@@ -111,7 +111,7 @@ func TestHypercubeFAA(t *testing.T) {
 			}
 			seen += inc
 		}
-		st := sim.Stats()
+		st := sim.Totals()
 		if waitCap == 0 && st.Combines != 0 {
 			t.Errorf("combining happened with waitCap 0")
 		}
@@ -127,7 +127,7 @@ func TestHypercubeHotspot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	run := func(combining bool) Stats {
+	run := func(combining bool) engine.Totals {
 		const n = 64
 		waitCap := 0
 		if combining {
@@ -141,7 +141,7 @@ func TestHypercubeHotspot(t *testing.T) {
 		}
 		sim := NewSim(Config{Nodes: n, WaitBufCap: waitCap}, inj)
 		sim.Run(4000)
-		return sim.Stats()
+		return sim.Totals()
 	}
 	noComb := run(false)
 	comb := run(true)
@@ -234,7 +234,7 @@ func TestCubeConfigValidation(t *testing.T) {
 }
 
 func TestCubeStatsZero(t *testing.T) {
-	var st Stats
+	var st engine.Totals
 	if st.MeanLatency() != 0 || st.Bandwidth() != 0 {
 		t.Fatal("zero stats must report zeros")
 	}

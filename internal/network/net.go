@@ -15,8 +15,9 @@
 // A switch is an engine.Station and a hop an engine.Shell method; what this
 // package keeps is the staged wiring's schedule — the order in which the
 // columns hop in a cycle, as barrier-separated phases over conflict groups
-// that one worker or several run (parallel.go) — its configuration, and the
-// omega-only instruments: event tracing and the Section 5.1 ablation.
+// that one worker or several run (parallel.go) — its configuration, the
+// switch that turns the shell's event trace on (Config.Trace), and the
+// Section 5.1 ablation.
 //
 // It is the instrument for the hot-spot experiments (E8, E9, A1): the
 // phenomena of Pfister & Norton [20] — bandwidth collapse toward the
@@ -93,9 +94,8 @@ type Config struct {
 	// across this many goroutines (see internal/par and DESIGN.md §6.1);
 	// 0 and 1 run the same phases on the stepping goroutine alone.  Worker
 	// count is unobservable in the simulation, under every fault plan:
-	// every counter, histogram and reply is byte-for-byte identical at any
-	// setting.  Tracing (Trace non-nil) requires Workers <= 1, so event
-	// order is the one-worker order.
+	// every counter, histogram, reply and trace event is byte-for-byte
+	// identical at any setting.
 	Workers int
 	// Faults, when non-nil, arms the deterministic fault plan (see
 	// internal/faults) and with it the full recovery layer: requests carry
@@ -103,10 +103,12 @@ type Config struct {
 	// retransmit on timeout with capped backoff, and duplicate replies are
 	// suppressed at the ports.
 	Faults *faults.Plan
-	// Trace, when non-nil, observes every inject/combine/memory/
-	// decombine/deliver event (see trace.go).  Tracing a long run is
-	// expensive; it is meant for audits and walkthroughs.
-	Trace func(Event)
+	// Trace, when non-nil, observes every inject/combine/reject/memory/
+	// decombine/deliver event (engine.ShellConfig.Trace): a cycle's events
+	// arrive after its sweep, the ports' first, then each switch's in
+	// switch order, stage by stage.  Tracing a long run is expensive; it is
+	// meant for audits and walkthroughs.
+	Trace func(engine.Event)
 }
 
 // Validate reports whether the configuration is usable, with the
@@ -135,13 +137,12 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("network: Radix must be >= 2, got %d", c.Radix)
 	}
 	spec := engine.Spec{
-		Engine:      "network",
-		Procs:       c.Procs,
-		PowerOf:     c.Radix,
-		Banks:       1,
-		Workers:     c.Workers,
-		Service:     c.MemService,
-		TraceSerial: c.Trace != nil && c.Workers > 1,
+		Engine:  "network",
+		Procs:   c.Procs,
+		PowerOf: c.Radix,
+		Banks:   1,
+		Workers: c.Workers,
+		Service: c.MemService,
 	}
 	if c.Topology != nil {
 		spec.Topology = c.Topology
@@ -252,16 +253,10 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	s := &Sim{cfg: cfg, topo: topo, n: n, k: k, ns: n / cfg.Radix}
 	switches := engine.NewStations(k*s.ns, cfg.Radix, cfg.Radix, cfg.QueueCap, cfg.RevQueueCap,
 		cfg.WaitBufCap, core.Policy{AllowReversal: cfg.AllowReversal})
-	for at := range switches {
-		if cfg.Trace != nil {
-			switches[at].Trace = s.tracer(at/s.ns, at%s.ns)
-		}
-		if cfg.BuggyLoadForwarding {
+	if cfg.BuggyLoadForwarding {
+		for at := range switches {
 			switches[at].Intercept = forwardLoad
 		}
-	}
-	if cfg.Trace != nil {
-		inj = tracedPorts(inj, cfg.Trace) // ports are traced by wrapping their injectors
 	}
 	s.pool = par.NewPool(cfg.Workers)
 	s.bar = par.NewBarrier(s.pool.Workers())
@@ -280,29 +275,13 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 		Stages:         k,
 		WatchdogCycles: cfg.WatchdogCycles,
 		Faults:         cfg.Faults,
+		Trace:          cfg.Trace,
 	})
 	return s
 }
 
 // Topology exposes the wiring the machine was built with.
 func (s *Sim) Topology() engine.Staged { return s.topo }
-
-// stationEvents names the station's events in this package's trace.
-var stationEvents = [...]EventKind{engine.Combined: EvCombine, engine.Rejected: EvCombineReject,
-	engine.Decombined: EvDecombine, engine.Served: EvMemServe}
-
-// tracer is switch (stage, idx)'s event hook: switches stamp no cycle of
-// their own — the machine's clock is the shell's — and do not know where
-// they are.
-func (s *Sim) tracer(stage, idx int) func(engine.EventKind, word.ReqID, word.ReqID, word.Addr) {
-	return func(kind engine.EventKind, id, id2 word.ReqID, addr word.Addr) {
-		ev := Event{Cycle: s.Cycle(), Kind: stationEvents[kind], ID: id, ID2: id2, Addr: addr, Stage: stage, Switch: idx}
-		if kind == engine.Served {
-			ev.Stage, ev.Switch = -1, s.Memory().HomeOf(addr)
-		}
-		s.cfg.Trace(ev)
-	}
-}
 
 // forwardLoad is the *incorrect* optimization Section 5.1 warns against
 // (Config.BuggyLoadForwarding), as a station's Intercept hook: a load that

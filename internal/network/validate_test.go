@@ -10,8 +10,7 @@ import (
 // Regression tests for the validation drift the four hand-rolled fill()
 // copies had accumulated: Config.Validate is the one non-panicking path
 // (commands turn it into a one-line exit), NewSim panics with the very
-// same error, and the trace-with-parallel-stepper combination is rejected
-// outright instead of silently falling back to the serial stepper.
+// same error, and a traced machine may step at any width.
 
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
@@ -29,9 +28,7 @@ func TestConfigValidate(t *testing.T) {
 		{"radix one", Config{Procs: 8, Radix: 1}, "Radix must be >= 2"},
 		{"negative workers", Config{Procs: 8, Workers: -1}, "Workers must be >= 0"},
 		{"negative service", Config{Procs: 8, MemService: -1}, "service time must be >= 0"},
-		{"trace with workers", Config{Procs: 8, Workers: 2, Trace: func(Event) {}},
-			"Trace requires the serial stepper"},
-		{"trace serial ok", Config{Procs: 8, Workers: 1, Trace: func(Event) {}}, ""},
+		{"trace with workers ok", Config{Procs: 8, Workers: 2, Trace: func(engine.Event) {}}, ""},
 		{"workers no trace ok", Config{Procs: 8, Workers: 2}, ""},
 		{"size disagrees with topology", Config{Procs: 32, Topology: engine.FatTreeOf(16, 2)},
 			"disagrees with the topology's processor count"},
@@ -64,7 +61,7 @@ func TestConfigValidate(t *testing.T) {
 // value is exactly the Validate error — no second, drifting copy of the
 // checks.
 func TestNewSimPanicsWithValidateError(t *testing.T) {
-	cfg := Config{Procs: 8, Workers: 2, Trace: func(Event) {}}
+	cfg := Config{Procs: 12}
 	want := cfg.Validate()
 	if want == nil {
 		t.Fatal("test config unexpectedly valid")
@@ -79,5 +76,5 @@ func TestNewSimPanicsWithValidateError(t *testing.T) {
 			t.Fatalf("NewSim panic = %v, Validate error = %v", r, want)
 		}
 	}()
-	NewSim(cfg, make([]Injector, 8))
+	NewSim(cfg, make([]Injector, 12))
 }
