@@ -51,6 +51,7 @@ fuzz:
 	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime=5s
 	go test ./internal/faults/ -run '^$$' -fuzz '^FuzzTrackerModel$$' -fuzztime=5s
 	go test ./internal/core/ -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime=5s
+	go test ./internal/core/ -run '^$$' -fuzz '^FuzzWaitBuffer$$' -fuzztime=5s
 	go test ./internal/serial/ -run '^$$' -fuzz '^FuzzCheckers$$' -fuzztime=5s
 
 # smoke drives the two commands that take -topology once on every wiring the

@@ -59,19 +59,54 @@ func TestCombineForeignFamilies(t *testing.T) {
 }
 
 func TestCombineMergesSources(t *testing.T) {
+	pol := Policy{AllowReversal: true}
 	a := NewRequest(1, 9, rmw.FetchAdd(1), 4)
 	b := NewRequest(2, 9, rmw.FetchAdd(1), 2)
-	ab, _, _ := Combine(a, b, Policy{})
+	ab, _, _ := Combine(a, b, pol)
 	c := NewRequest(3, 9, rmw.FetchAdd(1), 3)
-	abc, _, _ := Combine(ab, c, Policy{})
+	abc, _, _ := Combine(ab, c, pol)
 	want := []word.ProcID{2, 3, 4}
-	if len(abc.Srcs) != len(want) {
-		t.Fatalf("Srcs = %v, want %v", abc.Srcs, want)
+	if len(abc.Srcs()) != len(want) {
+		t.Fatalf("Srcs = %v, want %v", abc.Srcs(), want)
 	}
 	for i, s := range want {
-		if abc.Srcs[i] != s {
-			t.Fatalf("Srcs = %v, want %v", abc.Srcs, want)
+		if abc.Srcs()[i] != s {
+			t.Fatalf("Srcs = %v, want %v", abc.Srcs(), want)
 		}
+	}
+}
+
+// TestSourcelessNeverReverses: a combine whose policy cannot reverse builds
+// no lineage, and a message without a source set is never reversed again —
+// its sources might include the other message's, so reversing could reorder
+// one processor's own requests.  The store behind a load reverses when both
+// sources are known and distinct, and not when either is missing.
+func TestSourcelessNeverReverses(t *testing.T) {
+	a := NewRequest(1, 5, rmw.FetchAdd(1), 0)
+	b := NewRequest(2, 5, rmw.FetchAdd(2), 1)
+	ab, _, ok := Combine(a, b, Policy{})
+	if !ok || ab.Lin != nil {
+		t.Fatalf("a combine without reversal or bookkeeping built lineage %+v", ab.Lin)
+	}
+	pol := Policy{AllowReversal: true}
+	load := NewRequest(3, 5, rmw.Load{}, 2)
+	store := NewRequest(4, 5, rmw.StoreOf(9), 3)
+	if _, rec, _ := Combine(load, store, pol); !rec.Reversed {
+		t.Fatal("a load and a store from distinct processors did not reverse")
+	}
+	sourceless := load
+	sourceless.Lin = nil
+	for _, pair := range [][2]Request{{sourceless, store}, {load, Request{ID: 4, Addr: 5, Op: rmw.StoreOf(9)}}} {
+		combined, rec, ok := Combine(pair[0], pair[1], pol)
+		if !ok || rec.Reversed {
+			t.Fatalf("combine %v + %v: ok %v, reversed %v; want combined in order", pair[0], pair[1], ok, rec.Reversed)
+		}
+		if combined.Srcs() != nil {
+			t.Fatalf("the union with an unknown source set is %v, want unknown", combined.Srcs())
+		}
+	}
+	if _, rec, _ := Combine(ab, store, pol); rec.Reversed {
+		t.Fatal("a combined message built without a lineage was reversed")
 	}
 }
 
@@ -288,13 +323,13 @@ func TestLeafListDecombine(t *testing.T) {
 	c := NewRequest(3, 100, rmw.FetchAdd(7), 2).WithReps()
 	ab, rec1, ok1 := Combine(a, b, Policy{})
 	abc, rec2, ok2 := Combine(ab, c, Policy{})
-	if !ok1 || !ok2 || len(abc.Reps) != 3 {
-		t.Fatalf("setup: combines %v %v, %d leaves", ok1, ok2, len(abc.Reps))
+	if !ok1 || !ok2 || len(abc.Reps()) != 3 {
+		t.Fatalf("setup: combines %v %v, %d leaves", ok1, ok2, len(abc.Reps()))
 	}
 	// Serialized from 10: a sees 10, b 13 — but b was answered before, from
 	// the reply cache, with 77 — and c 13+5.
-	cell, leaves := word.W(10), NewLeafList(len(abc.Reps))
-	for i, lf := range abc.Reps {
+	cell, leaves := word.W(10), NewLeafList(len(abc.Reps()))
+	for i, lf := range abc.Reps() {
 		(*leaves)[i] = LeafVal{ID: lf.ID, Val: cell}
 		cell = lf.Op.Apply(cell)
 	}

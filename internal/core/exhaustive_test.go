@@ -86,7 +86,7 @@ func runExhaustive(t *testing.T, ops []rmw.Mapping, pol Policy, initial word.Wor
 		for _, root := range roots {
 			reply := Execute(&cell, root.req)
 			collectEnum(t, root, reply, got)
-			order = append(order, root.req.Reps...)
+			order = append(order, root.req.Reps()...)
 		}
 		wantReplies, wantFinal := SerialReplies(initial, mappingsOf(order))
 		if cell != wantFinal {

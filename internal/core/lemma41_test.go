@@ -118,7 +118,7 @@ func runLemma41Trial(t *testing.T, rng *rand.Rand, tagged bool, pol Policy) {
 	for _, root := range roots {
 		// Lemma 4.1(1): the combined mapping equals the composition of
 		// the mappings it represents.
-		composed, ok := rmw.ComposeAll(mappingsOf(root.req.Reps)...)
+		composed, ok := rmw.ComposeAll(mappingsOf(root.req.Reps())...)
 		if !ok {
 			t.Fatal("representation list must recompose")
 		}
@@ -135,7 +135,7 @@ func runLemma41Trial(t *testing.T, rng *rand.Rand, tagged bool, pol Policy) {
 	// representation lists.
 	var order []Leaf
 	for _, root := range roots {
-		order = append(order, root.req.Reps...)
+		order = append(order, root.req.Reps()...)
 	}
 	if len(order) != n {
 		t.Fatalf("representation lists cover %d of %d requests", len(order), n)

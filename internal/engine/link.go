@@ -107,28 +107,82 @@ func (s *Shell) memEnter(site uint64, mod int, m *Fwd, sh *Shard) {
 		// Network-born duplicate: the link re-emits a message the sender
 		// never retransmitted.  The reply cache answers the second copy
 		// from its leaf values; its reply finds no metadata and orphans.
-		// The copy deep-copies its Srcs/Reps slices — a shallow second
-		// enqueue would share backing arrays with the first.
+		// The copy owns its lineage (core.Request.Clone).
 		sh.MemRequests++
 		module.Enqueue(wire.Clone())
 		s.memLoad[mod]++
 	}
 }
 
-// metaInsert files a copy of a request under its module's shard and returns
-// the filed box, reusing a recycled one so the steady-state insert allocates
-// nothing.
-func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
-	var box *Fwd
-	if free := s.metaFree[mod]; len(free) > 0 {
-		box = free[len(free)-1]
-		s.metaFree[mod] = free[:len(free)-1]
-	} else {
-		box = new(Fwd)
+// metaShard holds the requests one module has taken, filed by value in
+// filing order: the live boxes are filed[head:].  A module serves its queue
+// in order, so the reply that emerges answers the oldest box on a healthy
+// machine, and take finds it first.  Once the storage has grown to the
+// module's peak occupancy, filing allocates nothing.
+type metaShard struct {
+	filed []Fwd
+	head  int
+	// loan holds the boxes take lends, alternately: a lent box stays valid
+	// through the module's next reply, which lends the other.
+	loan [2]Fwd
+	turn int
+}
+
+// file copies m into the shard and returns the filed box.  An id already
+// filed is replaced in place — retransmits and duplicates re-file an id
+// under a fault plan — so the caller says whether to search (a healthy
+// machine never files an id twice).
+func (sh *metaShard) file(m *Fwd, search bool) *Fwd {
+	if search {
+		for i := sh.head; i < len(sh.filed); i++ {
+			if sh.filed[i].Req.ID == m.Req.ID {
+				sh.filed[i] = *m
+				return &sh.filed[i]
+			}
+		}
 	}
-	*box = *m
-	s.meta[mod][m.Req.ID] = box
-	return box
+	if sh.head > 0 && len(sh.filed) == cap(sh.filed) {
+		// Reclaim the taken boxes at the front before growing.
+		sh.filed = sh.filed[:copy(sh.filed, sh.filed[sh.head:])]
+		sh.head = 0
+	}
+	sh.filed = append(sh.filed, *m)
+	return &sh.filed[len(sh.filed)-1]
+}
+
+// take removes the box filed under id, scanning from the oldest, and lends
+// it to the caller.
+func (sh *metaShard) take(id word.ReqID) (*Fwd, bool) {
+	for i := sh.head; i < len(sh.filed); i++ {
+		if sh.filed[i].Req.ID != id {
+			continue
+		}
+		box := &sh.loan[sh.turn]
+		sh.turn ^= 1
+		*box = sh.filed[i]
+		if i == sh.head {
+			sh.head++
+		} else {
+			sh.filed = append(sh.filed[:i], sh.filed[i+1:]...)
+		}
+		if sh.head == len(sh.filed) {
+			sh.filed, sh.head = sh.filed[:0], 0
+		}
+		return box, true
+	}
+	return nil, false
+}
+
+// boxes returns the filed boxes, oldest first.
+func (sh *metaShard) boxes() []Fwd { return sh.filed[sh.head:] }
+
+// clear drops every filed box.
+func (sh *metaShard) clear() { sh.filed, sh.head = sh.filed[:0], 0 }
+
+// metaInsert files a copy of a request under its module's shard and returns
+// the filed box.
+func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
+	return s.meta[mod].file(m, s.flt != nil)
 }
 
 // serve advances module mod one service cycle and, when a reply emerges,
@@ -137,9 +191,9 @@ func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
 // memory, the first reply consumed the metadata — and counts as an orphan;
 // on a healthy machine it is a bug.
 //
-// The returned request is the filed box itself, the caller's to read — to
-// route the reply — until module mod's next reply emerges: only then does
-// the box rejoin the free list metaInsert draws from.
+// The returned request is a box the shard lends, the caller's to read — to
+// route the reply — until module mod's next reply emerges and lends the
+// other.
 func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 	module := s.mem.Module(mod)
 	busy, served := module.BusyCycles, module.Served
@@ -155,7 +209,7 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 	}
 	sh.MemAcks++
 	s.memLoad[mod]--
-	box, found := s.meta[mod][rep.ID]
+	box, found := s.meta[mod].take(rep.ID)
 	if !found {
 		if s.flt == nil {
 			panic(fmt.Sprintf("%s: cycle %d, module %d: reply id %d (%v) with no request metadata",
@@ -164,11 +218,6 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 		sh.Orphans++
 		return rep, nil, false
 	}
-	delete(s.meta[mod], rep.ID)
-	if prev := s.metaLent[mod]; prev != nil {
-		s.metaFree[mod] = append(s.metaFree[mod], prev)
-	}
-	s.metaLent[mod] = box
 	return rep, box, true
 }
 

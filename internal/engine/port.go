@@ -29,7 +29,7 @@ func (s *Shell) Offer(p int) *Fwd {
 			s.portEvent(Injected, req.ID, req.Addr, p)
 		}
 		if s.trk != nil {
-			if req.Reps == nil && len(req.Srcs) == 1 {
+			if req.Reps() == nil && len(req.Srcs()) == 1 {
 				// The reply cache needs every message to name its
 				// leaves exactly.
 				req = req.WithReps()

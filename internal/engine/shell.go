@@ -10,7 +10,6 @@ import (
 	"combining/internal/par"
 	"combining/internal/recover"
 	"combining/internal/stats"
-	"combining/internal/word"
 )
 
 // Injection is one request offered by an injector, tagged for metrics.
@@ -68,7 +67,7 @@ type Fwd struct {
 	// Moved stamps the cycle the request last hopped: a message crosses one
 	// link per cycle whatever order a schedule visits the stations in.  It
 	// is the cycle's low 32 bits — all a stamp that is only ever compared
-	// with the current cycle needs — so the message stays 128 bytes.
+	// with the current cycle needs — so the message stays 80 bytes.
 	Moved uint32
 	// Path is the reply route header of fabrics whose replies retrace a
 	// recorded path (Section 4.1): the fabric extends it hop by hop, the
@@ -273,17 +272,11 @@ type Shell struct {
 	retry      []core.FIFO[Fwd]
 
 	// meta preserves a request across its memory module, which only
-	// transports core requests.  It is sharded per module: meta[mod] is
-	// written by whoever feeds module mod and consumed when that module's
-	// reply emerges, so under a parallel stepper each shard has one owner
-	// per phase.  The boxes are recycled per module through metaFree (same
-	// ownership), keeping the steady-state memory handoff allocation-free.
-	// metaLent[mod] is the box Serve last handed its caller, which frees it
-	// at the module's next reply; a free box is never zeroed — metaInsert
-	// overwrites it whole.
-	meta     []map[word.ReqID]*Fwd
-	metaFree [][]*Fwd
-	metaLent []*Fwd
+	// transports core requests.  It is sharded per module (metaShard,
+	// link.go): meta[mod] is written by whoever feeds module mod and
+	// consumed when that module's reply emerges, so under a parallel stepper
+	// each shard has one owner per phase.
+	meta []metaShard
 
 	// Fault-mode state (nil/empty on a healthy machine).  stall and swDead
 	// are this cycle's masks over the Stages × Width switch sites, memDead
@@ -341,9 +334,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		wd:         flow.NewWatchdog(cfg.WatchdogCycles),
 		pending:    make([]Fwd, procs),
 		hasPending: make([]bool, procs),
-		meta:       make([]map[word.ReqID]*Fwd, cfg.Modules),
-		metaFree:   make([][]*Fwd, cfg.Modules),
-		metaLent:   make([]*Fwd, cfg.Modules),
+		meta:       make([]metaShard, cfg.Modules),
 		stations:   cfg.Stations,
 		links:      cfg.Links,
 		loads:      make([]Load, len(cfg.Stations)),
@@ -369,9 +360,6 @@ func (s *Shell) Init(cfg ShellConfig) {
 		if s.trace != nil {
 			s.stations[i].Trace = s.tracer(i)
 		}
-	}
-	for i := range s.meta {
-		s.meta[i] = make(map[word.ReqID]*Fwd)
 	}
 	if cfg.Faults == nil {
 		return
@@ -542,8 +530,8 @@ func (s *Shell) atPorts() int {
 
 func (s *Shell) inMemory() int {
 	n := 0
-	for _, shard := range s.meta {
-		n += len(shard)
+	for i := range s.meta {
+		n += len(s.meta[i].boxes())
 	}
 	return n
 }

@@ -212,7 +212,7 @@ func (st *Station) combine(q *core.FIFO[Fwd], m *Fwd, path Path, sh *Shard) bool
 		Hot2:   second.Hot,
 		Needs1: rmw.NeedsValue(first.Req.Op),
 		Needs2: rmw.NeedsValue(second.Req.Op),
-		Reps2:  second.Req.Reps,
+		Reps2:  second.Req.Reps(),
 	}) {
 		return false
 	}
@@ -301,7 +301,7 @@ func (st *Station) Crash() []word.ReqID {
 	for i := range st.Fwd {
 		held := st.Fwd[i].View()
 		for j := range held {
-			ids = LostLeaves(ids, held[j].Req.Reps, held[j].Req.ID)
+			ids = LostLeaves(ids, held[j].Req.Reps(), held[j].Req.ID)
 		}
 		st.Fwd[i].Clear()
 	}

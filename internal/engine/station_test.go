@@ -94,7 +94,7 @@ func (b *bench) serve(out int, lose bool) {
 	if lose {
 		return
 	}
-	b.serial[m.Req.Addr] = append(b.serial[m.Req.Addr], m.Req.Reps...)
+	b.serial[m.Req.Addr] = append(b.serial[m.Req.Addr], m.Req.Reps()...)
 	cell := b.cells[m.Req.Addr]
 	rep := core.Execute(&cell, m.Req)
 	b.cells[m.Req.Addr] = cell
@@ -484,7 +484,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		}
 		rec, found := st.Wait.Pop(tc.Rec.ID1)
 		wantRec := Record{Record: tc.Rec, Path2: second.Path, Src2: second.Src, Issue2: second.Issue, Hot2: second.Hot,
-			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op), Reps2: second.Req.Reps}
+			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op), Reps2: second.Req.Reps()}
 		if !found || !reflect.DeepEqual(rec, wantRec) || st.Wait.Len() != records || sh.Combines != 1 {
 			t.Fatalf("trial %d: record %+v (found %v), want %+v; %d combines", trial, rec, found, wantRec, sh.Combines)
 		}

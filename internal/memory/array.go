@@ -24,7 +24,7 @@ func NewArray(m int, opts ...Option) *Array {
 	}
 	a := &Array{modules: make([]Module, m)}
 	for i := range a.modules {
-		a.modules[i].init(opts)
+		a.modules[i].init(m, opts)
 	}
 	return a
 }

@@ -34,6 +34,7 @@
 package memory
 
 import (
+	"slices"
 	"sync"
 
 	"combining/internal/core"
@@ -58,7 +59,14 @@ type Module struct {
 	// ckpt selects checkpoint mode (WithCheckpoints); its state is below.
 	ckpt bool
 
-	cells map[word.Addr]word.Word
+	// The cells (load, store): cell addr lives at dense[addr/stride] while
+	// that index is inside the window, and in sparse, made by the first
+	// store past it, beyond.  stride is the module count of the Array the
+	// module belongs to (1 alone), so a module of an Array holds only the
+	// addresses the Array homes on it.
+	dense  []word.Word
+	sparse map[word.Addr]word.Word
+	stride int
 
 	// mu makes the module a monitor for Do and the direct-mode readers; the
 	// cycle-driven methods do not take it (see the package comment).
@@ -168,14 +176,45 @@ func WithNoDedupCanary() Option {
 // NewModule returns an empty module; all cells read as the zero word.
 func NewModule(opts ...Option) *Module {
 	m := new(Module)
-	m.init(opts)
+	m.init(1, opts)
 	return m
 }
 
-// init makes the zero Module an empty one, in place (an Array's modules are
-// contiguous).
-func (m *Module) init(opts []Option) {
-	m.cells = make(map[word.Addr]word.Word)
+// denseWindow is how many cells a module keeps in its dense slice: a
+// machine's address space is a few dozen cells per module, and the slice
+// grows only as far as the highest one stored.
+const denseWindow = 1024
+
+// load reads cell addr; store writes it.  Every cell access goes through
+// the pair.
+func (m *Module) load(addr word.Addr) word.Word {
+	if i := int(addr) / m.stride; i < denseWindow {
+		if i < len(m.dense) {
+			return m.dense[i]
+		}
+		return word.Word{}
+	}
+	return m.sparse[addr]
+}
+
+func (m *Module) store(addr word.Addr, w word.Word) {
+	if i := int(addr) / m.stride; i < denseWindow {
+		if i >= len(m.dense) {
+			m.dense = slices.Grow(m.dense, i+1-len(m.dense))[:i+1]
+		}
+		m.dense[i] = w
+		return
+	}
+	if m.sparse == nil {
+		m.sparse = make(map[word.Addr]word.Word)
+	}
+	m.sparse[addr] = w
+}
+
+// init makes the zero Module an empty one holding every stride-th address,
+// in place (an Array's modules are contiguous).
+func (m *Module) init(stride int, opts []Option) {
+	m.stride = stride
 	m.serviceTime = 1
 	for _, o := range opts {
 		o(m)
@@ -188,7 +227,7 @@ func (m *Module) Peek(addr word.Addr) word.Word {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	return m.cells[addr]
+	return m.load(addr)
 }
 
 // Poke sets a cell directly (initialization use).
@@ -196,7 +235,7 @@ func (m *Module) Poke(addr word.Addr, w word.Word) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	m.cells[addr] = w
+	m.store(addr, w)
 }
 
 // Do executes one request immediately and atomically, returning its reply.
@@ -215,9 +254,9 @@ func (m *Module) exec(req *core.Request) core.Reply {
 	if m.replyCache != nil {
 		return m.execCached(req)
 	}
-	cell := m.cells[req.Addr]
+	cell := m.load(req.Addr)
 	reply := core.Execute(&cell, *req)
-	m.cells[req.Addr] = cell
+	m.store(req.Addr, cell)
 	m.Served++
 	return reply
 }
@@ -231,11 +270,12 @@ func (m *Module) exec(req *core.Request) core.Reply {
 // exactly once.  The reply's leaf list names every leaf's value in the same
 // order.
 func (m *Module) execCached(req *core.Request) core.Reply {
-	leaves := req.Reps
+	leaves := req.Reps()
 	if leaves == nil {
 		leaves = []core.Leaf{{ID: req.ID, Src: 0, Op: req.Op}}
 	}
-	cell := m.cells[req.Addr]
+	before := m.load(req.Addr)
+	cell := before
 	vals := core.NewLeafList(len(leaves))
 	for i, lf := range leaves {
 		v, ok := m.cacheGet(lf.ID)
@@ -250,10 +290,10 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 	}
 	if m.ckpt {
 		if _, logged := m.undo[req.Addr]; !logged {
-			m.undo[req.Addr] = m.cells[req.Addr]
+			m.undo[req.Addr] = before
 		}
 	}
-	m.cells[req.Addr] = cell
+	m.store(req.Addr, cell)
 	m.Served++
 	rep := core.Reply{ID: req.ID, Attempt: req.Attempt, Leaves: vals}
 	rep.Val, _ = rep.Leaf(req.ID)
@@ -404,11 +444,11 @@ func (m *Module) Crash() []word.ReqID {
 	queued := m.queue.View()
 	for i := range queued {
 		req := &queued[i]
-		if req.Reps == nil {
+		if req.Reps() == nil {
 			lost[req.ID] = struct{}{}
 			continue
 		}
-		for _, lf := range req.Reps {
+		for _, lf := range req.Reps() {
 			lost[lf.ID] = struct{}{}
 		}
 	}
@@ -428,7 +468,7 @@ func (m *Module) Crash() []word.ReqID {
 		addRep(rep)
 	}
 	for addr, w := range m.undo {
-		m.cells[addr] = w
+		m.store(addr, w)
 	}
 	clear(m.undo)
 	clear(m.delta)

@@ -87,12 +87,11 @@ type Stochastic struct {
 
 	// faa is the default fetch-and-add(1) operation boxed once: storing a
 	// 16-byte rmw.Assoc into an interface per request would otherwise
-	// heap-allocate on the steady-state injection path.  srcs is likewise
-	// the one-element source set every request of this injector shares —
-	// safe because nothing in the machine grows a Srcs slice in place
-	// (combining always merges into fresh storage; see core.mergeSrcs).
-	faa  rmw.Mapping
-	srcs []word.ProcID
+	// heap-allocate on the steady-state injection path.  lin is likewise
+	// the one-source lineage every request of this injector shares — safe
+	// because nothing writes a lineage once it is built (core.Lineage).
+	faa rmw.Mapping
+	lin *core.Lineage
 
 	// Hot and Cold count issued requests by class.
 	Hot, Cold int64
@@ -125,7 +124,7 @@ func NewStochastic(proc, nprocs int, cfg TrafficConfig, seed uint64) *Stochastic
 		ids:    word.Partition(proc, nprocs),
 		nprocs: nprocs,
 		faa:    rmw.FetchAdd(1),
-		srcs:   []word.ProcID{word.ProcID(proc)},
+		lin:    core.SourceOf(word.ProcID(proc)),
 	}
 	if cfg.AddrSpace == 0 {
 		s.cfg.AddrSpace = word.Addr(64 * nprocs)
@@ -216,9 +215,9 @@ func (s *Stochastic) Next(cycle int64) (Injection, bool) {
 		s.issued[id] = cycle
 	}
 	// Built literally rather than through core.NewRequest so the request
-	// reuses the injector's shared one-element Srcs instead of allocating
-	// a fresh set per request.
-	return Injection{Req: core.Request{ID: id, Addr: addr, Op: op, Srcs: s.srcs}, Hot: hot}, true
+	// reuses the injector's shared lineage instead of allocating one per
+	// request.
+	return Injection{Req: core.Request{ID: id, Addr: addr, Op: op, Lin: s.lin}, Hot: hot}, true
 }
 
 // Deliver releases a window slot and, under Adaptive, feeds the round-trip
