@@ -288,10 +288,10 @@ func TestBlockedHeadMemo(t *testing.T) {
 		h := newHeldTree(t, load, or)
 		h.hop()
 		m, k := *h.st1.Fwd[0].Front(), &h.fwdMemo[1]
-		if k.up != h.st1.Fwd[0].Ver() || !h.refusedAgain(0, &m, k) {
+		if k.up != h.st1.Fwd[0].Ver() || !h.refusedAgain(0, k) {
 			t.Fatal("the memo does not match the refusal it just recorded")
 		}
-		if h.root.Fwd[1].Touch(); h.refusedAgain(0, &m, k) {
+		if h.root.Fwd[1].Touch(); h.refusedAgain(0, k) {
 			t.Error("the memo matched a touched refusing queue")
 		}
 		// A port's memo names its message: a new one, or a retransmit of
