@@ -260,6 +260,67 @@ func TestServedBoxOutlivesTheNextFeed(t *testing.T) {
 	}
 }
 
+// TestMetaShard walks one module's metadata shard through what its owner
+// does to it: file in order, re-file an id already filed (a retransmit or a
+// duplicate under a fault plan: the box is replaced where it stands), take
+// the head, take an id never filed (an orphan), take from behind the head,
+// and the holder's crash flush, which reports every filed leaf lost and
+// leaves the shard empty and usable.
+func TestMetaShard(t *testing.T) {
+	_, inj := newAdders(1, 0)
+	l := newLoopback(nil, inj)
+	l.links.Holds = []int32{0}
+	sh := &l.meta[0]
+	for i, tc := range []struct {
+		op    string // file, refile (file searching for the id), take or crash
+		id    word.ReqID
+		src   int          // the box filed, or the one take lends (-1: none)
+		lost  []word.ReqID // crash: the leaves reported lost
+		after []int        // the filed boxes' Src, oldest first
+	}{
+		{op: "file", id: 1, src: 10, after: []int{10}},
+		{op: "file", id: 2, src: 20, after: []int{10, 20}},
+		{op: "file", id: 3, src: 30, after: []int{10, 20, 30}},
+		{op: "refile", id: 2, src: 21, after: []int{10, 21, 30}},
+		{op: "take", id: 1, src: 10, after: []int{21, 30}},
+		{op: "take", id: 9, src: -1, after: []int{21, 30}},
+		{op: "take", id: 3, src: 30, after: []int{21}},
+		{op: "file", id: 4, src: 40, after: []int{21, 40}},
+		{op: "crash", lost: []word.ReqID{2, 4}},
+		{op: "take", id: 2, src: -1},
+		{op: "file", id: 5, src: 50, after: []int{50}},
+		{op: "refile", id: 6, src: 60, after: []int{50, 60}},
+		{op: "take", id: 6, src: 60, after: []int{50}},
+		{op: "take", id: 5, src: 50},
+	} {
+		switch tc.op {
+		case "file", "refile":
+			m := Fwd{Req: core.NewRequest(tc.id, 0, rmw.FetchAdd(1), word.ProcID(tc.src)), Src: tc.src}
+			if got := sh.file(&m, tc.op == "refile"); got.Req.ID != tc.id || got.Src != tc.src {
+				t.Fatalf("step %d: %s %d filed %+v", i, tc.op, tc.id, *got)
+			}
+		case "take":
+			got, ok := sh.take(tc.id)
+			if ok != (tc.src >= 0) || ok && (got.Req.ID != tc.id || got.Src != tc.src) {
+				t.Fatalf("step %d: take %d lent %+v (found %v), want Src %d", i, tc.id, got, ok, tc.src)
+			}
+		case "crash":
+			lost := l.flush(0)
+			sort.Slice(lost, func(a, b int) bool { return lost[a] < lost[b] })
+			if !reflect.DeepEqual(lost, tc.lost) {
+				t.Fatalf("step %d: the crash lost %v, want %v", i, lost, tc.lost)
+			}
+		}
+		var after []int
+		for _, box := range sh.boxes() {
+			after = append(after, box.Src)
+		}
+		if !reflect.DeepEqual(after, tc.after) || l.inMemory() != len(tc.after) {
+			t.Fatalf("step %d (%s %d): filed %v (%d in memory), want %v", i, tc.op, tc.id, after, l.inMemory(), tc.after)
+		}
+	}
+}
+
 // TestMaskEdges: the step prologue fills the stall and crash masks only
 // while some window is open and on the cycle after (Shell.updateMasks); a
 // machine that does so must be indistinguishable from one that asks every
