@@ -20,8 +20,8 @@ package core
 // seen its peak occupancy, Push allocates nothing.
 //
 // Pop does not clear the vacated slot: it is dead storage until a later
-// Push hands it out again, and whatever the element referenced (a path
-// header, Srcs, Reps, a reply's leaf list) stays reachable from it until then — at
+// Push hands it out again, and whatever the element referenced (a
+// request's lineage, a reply's leaf list) stays reachable from it until then — at
 // most one stale element per dead slot, which is what the slide queues this
 // replaced left beyond len as well.  Nothing reads a dead slot, so a stale
 // reference can only delay collection, never alias a live message; the
