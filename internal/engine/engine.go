@@ -77,7 +77,7 @@
 //
 // Messages cross the core by pointer and are copied where they come to
 // rest (DESIGN.md §6.2): a station reads the caller's slot and writes its
-// own; the memory link files its own copy, and serve lends the filed box
+// own; the memory link files its own copy, and serve lends it in a loan box
 // back only to Tick, which routes the reply before it returns.
 //
 // What a topology supplies: pure wiring arithmetic, well under 150 lines
