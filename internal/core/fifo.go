@@ -16,8 +16,11 @@ package core
 // of queues — never slides at all, and a busy one slides a few adjacent
 // cache lines it has just read.  Storage starts empty and is sized by use:
 // the queues' storage is most of a machine's working set, and keeping it
-// small measured faster than slack that spares slides.  Once a queue has
-// seen its peak occupancy, Push allocates nothing.
+// small measured faster than slack that spares slides.  The first storage
+// is two slots, not one: at the end of a 1024-processor omega run nearly
+// every link queue had peaked at exactly two messages, so starting at one
+// left a dead one-slot array behind in almost every queue.  Once a queue
+// has seen its peak occupancy, Push allocates nothing.
 //
 // Pop does not clear the vacated slot: it is dead storage until a later
 // Push hands it out again, and whatever the element referenced (a
@@ -119,7 +122,7 @@ func (q *FIFO[T]) makeRoom() {
 		q.head, q.tail = 0, int32(n)
 		return
 	}
-	grown := max(2*len(q.buf), 1)
+	grown := max(2*len(q.buf), 2)
 	if q.bound > 0 && grown > int(q.bound) {
 		grown = int(q.bound) // Push has checked Len < bound: this still grows
 	}

@@ -34,7 +34,6 @@
 package memory
 
 import (
-	"slices"
 	"sync"
 
 	"combining/internal/core"
@@ -59,12 +58,14 @@ type Module struct {
 	// ckpt selects checkpoint mode (WithCheckpoints); its state is below.
 	ckpt bool
 
-	// The cells (load, store): cell addr lives at dense[addr/stride] while
-	// that index is inside the window, and in sparse, made by the first
-	// store past it, beyond.  stride is the module count of the Array the
+	// The cells (load, store): cell addr has index i = addr/stride, and
+	// lives in page i/pageCells of the dense window while i is inside it,
+	// and in sparse, made by the first store past it, beyond.  A page is
+	// made by the first store into it and never moves, so the window grows
+	// without copying a cell.  stride is the module count of the Array the
 	// module belongs to (1 alone), so a module of an Array holds only the
 	// addresses the Array homes on it.
-	dense  []word.Word
+	pages  []*cellPage
 	sparse map[word.Addr]word.Word
 	stride int
 
@@ -180,17 +181,26 @@ func NewModule(opts ...Option) *Module {
 	return m
 }
 
-// denseWindow is how many cells a module keeps in its dense slice: a
-// machine's address space is a few dozen cells per module, and the slice
-// grows only as far as the highest one stored.
+// denseWindow is how many cells a module keeps in its dense pages: a
+// machine's address space is a few dozen cells per module, and pages are
+// made only where a cell is stored.
 const denseWindow = 1024
+
+// pageCells is the size of a dense page.  The tests and commands touch a
+// handful of cells per module — a hot cell, a counter, a program's few
+// variables, spread over the modules by interleaving — so a small page
+// wastes little on a module that holds two cells, and a module whose cells
+// run densely to a few dozen fills whole pages.
+const pageCells = 16
+
+type cellPage [pageCells]word.Word
 
 // load reads cell addr; store writes it.  Every cell access goes through
 // the pair.
 func (m *Module) load(addr word.Addr) word.Word {
 	if i := int(addr) / m.stride; i < denseWindow {
-		if i < len(m.dense) {
-			return m.dense[i]
+		if p := i / pageCells; p < len(m.pages) && m.pages[p] != nil {
+			return m.pages[p][i%pageCells]
 		}
 		return word.Word{}
 	}
@@ -199,10 +209,14 @@ func (m *Module) load(addr word.Addr) word.Word {
 
 func (m *Module) store(addr word.Addr, w word.Word) {
 	if i := int(addr) / m.stride; i < denseWindow {
-		if i >= len(m.dense) {
-			m.dense = slices.Grow(m.dense, i+1-len(m.dense))[:i+1]
+		p := i / pageCells
+		for len(m.pages) <= p {
+			m.pages = append(m.pages, nil)
 		}
-		m.dense[i] = w
+		if m.pages[p] == nil {
+			m.pages[p] = new(cellPage)
+		}
+		m.pages[p][i%pageCells] = w
 		return
 	}
 	if m.sparse == nil {
