@@ -230,11 +230,13 @@ func New(cfg Config) *Net {
 	}
 	// The stations' queues are unbounded staging: a switch drains them into
 	// its channels — the engine's bounded queues — before it takes another
-	// batch.
-	stations := engine.NewStations(k*n/2, 2, 2, 0, 0, waitCap, core.Policy{AllowReversal: cfg.AllowReversal})
-	net.switches = make([]*aswitch, len(stations))
-	for at := range stations {
-		sw := &aswitch{net: net, stage: at / (n / 2), at: at, st: &stations[at],
+	// batch.  Each station is made alone, over a message store of its own
+	// that only its switch goroutine touches; messages cross the channels
+	// in value form.
+	net.switches = make([]*aswitch, k*n/2)
+	for at := range net.switches {
+		st := engine.NewStations(1, 2, 2, 0, 0, waitCap, core.Policy{AllowReversal: cfg.AllowReversal})
+		sw := &aswitch{net: net, stage: at / (n / 2), at: at, st: &st[0],
 			revIn: make(chan engine.Rev, cfg.ChanCap)}
 		sw.fwdIn[0] = make(chan engine.Fwd, cfg.ChanCap)
 		sw.fwdIn[1] = make(chan engine.Fwd, cfg.ChanCap)
@@ -698,7 +700,7 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 	route := sw.net.links.Route[sw.at]
 	for i := range batch {
 		m := &batch[i]
-		sw.st.AcceptFwd(m, int(route[sw.net.mem.HomeOf(m.Req.Addr)]), m.Path, 0, &sh)
+		sw.st.PutFwd(m, int(route[sw.net.mem.HomeOf(m.Req.Addr)]), m.Path, 0, &sh)
 	}
 	if sh.Combines > 0 {
 		sw.net.combines.Add(sh.Combines)
@@ -708,8 +710,9 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 		sw.st.Wait.Rejections = 0
 	}
 	for port := range sw.st.Fwd {
-		for q := &sw.st.Fwd[port]; q.Len() > 0; sw.st.PopFwd(port) {
-			sw.fwdOut[port](q.Front())
+		for sw.st.Fwd[port].Len() > 0 {
+			m := sw.st.TakeFwd(port)
+			sw.fwdOut[port](&m)
 		}
 	}
 }
@@ -722,10 +725,11 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 // combined copy (the deprived partner recovers by its own retransmit
 // instead).
 func (sw *aswitch) handleRev(r engine.Rev) {
-	sw.st.AcceptRev(&r, 0, nil) // never home: a reply's path is spent at its port, not before
+	sw.st.PutRev(&r, 0, nil) // never home: a reply's path is spent at its port, not before
 	for port := range sw.st.Rev {
-		for q := &sw.st.Rev[port]; q.Len() > 0; sw.st.PopRev(port) {
-			sw.revOut[port](q.Front())
+		for sw.st.Rev[port].Len() > 0 {
+			r := sw.st.TakeRev(port)
+			sw.revOut[port](&r)
 		}
 	}
 }

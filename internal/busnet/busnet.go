@@ -79,7 +79,7 @@ type Sim struct {
 	engine.Shell
 
 	cfg  Config
-	fifo *core.FIFO[engine.Fwd] // the decoupling FIFO, bounded by Config.QueueCap
+	fifo *core.FIFO[engine.FwdEntry] // the decoupling FIFO, bounded by Config.QueueCap
 
 	// The bank scan: the worker pool (Config.Workers wide, persistent
 	// workers bracketed by Run/Drain) and the scan function, bound once at
@@ -197,7 +197,7 @@ func (s *Sim) saturated() bool {
 	if !s.fifo.Full() {
 		return false
 	}
-	bank := s.Memory().HomeOf(s.fifo.Front().Req.Addr)
+	bank := s.Memory().HomeOf(s.fifo.Front().Addr)
 	return !s.Memory().Module(bank).CanEnqueue()
 }
 
@@ -221,10 +221,10 @@ func (s *Sim) sweep() {
 	// the head like a busy one.
 	if s.fifo.Len() > 0 {
 		head := s.fifo.Front()
-		if bank := s.Memory().HomeOf(head.Req.Addr); !s.MemReady(bank) {
+		if bank := s.Memory().HomeOf(head.Addr); !s.MemReady(bank) {
 			s.Lane(0).HoldsMem++
-		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &head.Req, false) {
-			s.Station(0).PopFwd(0)
+		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &s.Station(0).Body(head.H).Req, false) {
+			s.Lose(0, 0, s.Lane(0))
 		} else {
 			s.Feed(0, 0, bank, faults.Site(1, bank, 0), s.Lane(0))
 		}

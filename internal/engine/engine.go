@@ -22,7 +22,7 @@
 //     flush, occupancy — the only code that pushes or pops a station queue,
 //     and so the only code that keeps the occupancy index (Shell.Loads) the
 //     hops read before they touch a station or a module.
-//     One request message (Fwd) and one reply message (Rev) carry the
+//     One request entry (FwdEntry) and one reply entry (RevEntry) carry the
 //     superset of routing state: a recorded path or the issuing processor.
 //     internal/asyncnet's switch goroutines own the same station;
 //   - the hops (hop.go), each written once over the stations and the table:
@@ -75,10 +75,12 @@
 // with whose Lane — is in hop.go.  A module has one owner per
 // barrier-separated phase: its cycle API takes no lock (see internal/memory).
 //
-// Messages cross the core by pointer and are copied where they come to
-// rest (DESIGN.md §6.2): a station reads the caller's slot and writes its
-// own; the memory link files its own copy, and serve lends it in a loan box
-// back only to Tick, which routes the reply before it returns.
+// Messages stay put (store.go, DESIGN.md §6.2): a station queue holds a
+// small entry — address or reply id, return path, the body's handle — and a
+// hop copies only that; the body stays in one slot of the shell's store from
+// the cycle the message enters the fabric until it leaves, and the memory
+// link files the entry, so the module's reply is written into the body of
+// the request it answers.
 //
 // What a topology supplies: pure wiring arithmetic, well under 150 lines
 // each, evaluated once by CompileStaged / CompileDirect.

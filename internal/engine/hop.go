@@ -16,8 +16,9 @@ import (
 //
 // Worker-phase rule: FwdHop, RevHop, Feed and Tick write only the stations
 // and modules they are handed, the far ends of their links, those stations'
-// and modules' entries of the occupancy index, the forward limbo and the
-// event buffers, and the caller's Lane; a schedule calls them from its
+// and modules' entries of the occupancy index, the bodies of the messages
+// those hold (store.go: they allocate none, and free into the lane), the
+// forward limbo and the event buffers, and the caller's Lane; a schedule calls them from its
 // pool's workers for stations whose link ends no other worker touches in
 // the same phase (a conflict group), passing each worker its own lane.  Link-fault draws are hash
 // decisions with atomic counters.  Ports and deliveries — Inject, Commit —
@@ -81,7 +82,7 @@ type portRefusal struct {
 	refusal
 }
 
-// names reports whether the memo was written for message m.
+// names reports whether the memo was written for message m, the port's.
 func (k *portRefusal) names(m *Fwd) bool { return k.id == m.Req.ID && k.attempt == m.Req.Attempt }
 
 // refusedAgain reports whether memo k says its request is refused at station
@@ -94,30 +95,17 @@ func (s *Shell) refusedAgain(to int32, k *refusal) bool {
 	return q.Full() && q.Ver() == k.down && st.Wait.CanPush() == k.canPush
 }
 
-// arrive lands request m at station to, on the queue its module routes to.
+// arrive lands request e at station to, on the queue its module routes to.
 // Refused by the station's memory combining queue (queue Ports, beyond the
 // link queues), the request is held by memory and counted so: the hold that
 // turns a hot node into backpressure instead of unbounded memory-side
-// buffering.  again is refusedAgain's answer for memo k, which arrive then
-// counts without asking the station; a refusal it does ask about is written
-// to k, up being the version of the queue m heads (0 at a port).
-func (s *Shell) arrive(to, in int32, m *Fwd, k *refusal, up uint32, again bool, sh *Shard) bool {
+// buffering.  The refusal is written to memo k, up being the version of the
+// queue e heads (0 at a port).
+func (s *Shell) arrive(to, in int32, e *FwdEntry, k *refusal, up uint32, sh *Shard) bool {
 	st := &s.stations[to]
-	if again {
-		if k.rejected {
-			st.Wait.Rejections++
-			if st.Trace != nil {
-				st.Trace(Rejected, m.Req.ID, 0, m.Req.Addr)
-			}
-		}
-		if k.held {
-			sh.HoldsMem++
-		}
-		return false
-	}
-	out := int(st.Route[s.mem.HomeOf(m.Req.Addr)])
+	out := int(st.Route[s.mem.HomeOf(e.Addr)])
 	rejections := st.Wait.Rejections
-	if st.AcceptFwd(m, out, m.Path.Push(in), s.now(), sh) {
+	if st.AcceptFwd(e, out, e.Path.Push(in), s.now(), sh) {
 		return true
 	}
 	held := out == s.links.Ports
@@ -131,6 +119,23 @@ func (s *Shell) arrive(to, in int32, m *Fwd, k *refusal, up uint32, again bool, 
 	return false
 }
 
+// refuseAgain counts the refusal memo k says station to would make again
+// (refusedAgain), without asking the station: the rejection its combine
+// scan made, if it made one, and the memory hold.  It reports whether the
+// station is traced and rejected the request: the caller, who knows its id,
+// records the event.
+func (s *Shell) refuseAgain(to int32, k *refusal, sh *Shard) bool {
+	st := &s.stations[to]
+	if k.held {
+		sh.HoldsMem++
+	}
+	if k.rejected {
+		st.Wait.Rejections++
+		return st.Trace != nil
+	}
+	return false
+}
+
 // FwdHop makes station at's forward move: the head of each link queue,
 // starting with port first, crosses its link — into the next station when
 // that one takes it, into the memory module the link ends at when the module
@@ -138,7 +143,8 @@ func (s *Shell) arrive(to, in int32, m *Fwd, k *refusal, up uint32, again bool, 
 // it is, so a crash costs the flushed state and not a stream of new losses;
 // a request that already hopped this cycle waits.  A station whose forward
 // queues are empty has no move to make and nothing to count, and the index
-// says so without touching it.
+// says so without touching it.  A hop reads the entry; only a fault draw, a
+// feed or a combine at the far end reads the body.
 func (s *Shell) FwdHop(at, first int, ln *Lane) {
 	if s.loads[at].Fwd == 0 || s.Down(at) {
 		return
@@ -150,8 +156,8 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 		if q.Len() == 0 {
 			continue
 		}
-		m := q.Front()
-		if m.Moved == s.now() {
+		e := q.Front()
+		if e.Moved == s.now() {
 			continue
 		}
 		l, c, k := s.links.Fwd[at*n+port], &s.links.FwdAt[at*n+port], &s.fwdMemo[at*n+port]
@@ -164,22 +170,33 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 			// held: the backpressure that turns a hot module into tree
 			// saturation instead of unbounded memory-side buffering
 			ln.HoldsMem++
-		case s.LostFwd(c, &m.Req, again):
-			st.PopFwd(port)
+		case s.flt != nil && s.LostFwd(c, &s.store.At(e.H).Req, again):
+			s.Lose(at, port, ln)
 		case l.To < 0:
-			s.countFwd(m, &ln.Shard)
+			s.countFwd(e, &ln.Shard)
 			s.Feed(at, port, mod, c.site(), ln)
-		case s.arrive(l.To, l.In, m, k, q.Ver(), again, &ln.Shard):
-			// l.To ≠ at, so landing the request could not move the slot m is in.
-			s.countFwd(m, &ln.Shard)
+		case again:
+			if s.refuseAgain(l.To, k, &ln.Shard) {
+				s.stations[l.To].Trace(Rejected, s.store.At(e.H).Req.ID, 0, e.Addr)
+			}
+		case s.arrive(l.To, l.In, e, k, q.Ver(), &ln.Shard):
+			// l.To ≠ at, so landing the request could not move the slot e is in.
+			s.countFwd(e, &ln.Shard)
 			st.PopFwd(port)
 		}
 	}
 }
 
-func (s *Shell) countFwd(m *Fwd, sh *Shard) {
+func (s *Shell) countFwd(e *FwdEntry, sh *Shard) {
 	sh.FwdHops++
-	sh.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+	sh.FwdSlots += int64(e.Slots)
+}
+
+// Lose drops the head of station at's forward queue port, lost on its link:
+// its body goes back through the lane.
+func (s *Shell) Lose(at, port int, ln *Lane) {
+	ln.free(s.stations[at].Fwd[port].Front().H)
+	s.stations[at].PopFwd(port)
 }
 
 // MemReady reports whether module mod can be fed now: it is up and the
@@ -190,14 +207,15 @@ func (s *Shell) MemReady(mod int) bool { return !s.ModuleDead(mod) && s.hooks.Ca
 // terminal link named by site into module mod, which MemReady has said can
 // take it.
 func (s *Shell) Feed(at, port, mod int, site uint64, ln *Lane) {
-	s.enterMemory(site, mod, s.stations[at].Fwd[port].Front(), &ln.Shard)
+	s.enterMemory(site, mod, s.stations[at].Fwd[port].Front(), ln)
 	s.stations[at].PopFwd(port)
 }
 
 // RevHop makes station at's reverse move: the head of each reverse queue
 // crosses its link when the station at the far end is alive and has the
 // reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
-// ends at a processor brings the reply home.
+// ends at a processor brings the reply home.  Like FwdHop it reads the
+// entry, and the body only for a fault draw or a decombine at the far end.
 func (s *Shell) RevHop(at, first int, ln *Lane) {
 	if s.loads[at].Rev == 0 || s.Down(at) {
 		return
@@ -209,8 +227,8 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 		if q.Len() == 0 {
 			continue
 		}
-		r := q.Front()
-		if r.Moved == s.now() {
+		e := q.Front()
+		if e.Moved == s.now() {
 			continue
 		}
 		to := int(s.links.Rev[at*n+port].To)
@@ -220,17 +238,19 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 			ln.HoldsRev++
 			continue
 		}
-		if !s.LostRev(&s.links.RevAt[at*n+port], &r.Rep) {
+		if !s.LostRev(&s.links.RevAt[at*n+port], e) {
 			ln.RevHops++
-			if r.Valued {
+			if e.Valued {
 				ln.RevSlots++
 			}
 			if to >= 0 {
-				s.stations[to].AcceptRev(r, s.now(), &ln.Home)
+				s.stations[to].AcceptRev(e, s.now(), &ln.Home)
 			} else {
-				ln.Home = append(ln.Home, *r)
+				ln.Home = append(ln.Home, *e)
 			}
-		} // else the reply is lost on the reverse link
+		} else { // lost on the reverse link
+			ln.free(e.H)
+		}
 		st.PopRev(port)
 	}
 }
@@ -240,8 +260,8 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 // blocks the module's output: it holds its completed request rather than
 // emit a reply with nowhere to go.  With at < 0 — a wiring with nothing
 // between its modules and the processor links — the reply crosses the link
-// home at once.  Tick is the only caller of serve, and routes the reply
-// before it returns: the box serve lends is never outlived.
+// home at once.  The module's reply is written into the body of the request
+// it answers, which the metadata shard kept.
 //
 // An idle module is skipped on the index alone.  A module with no work
 // (memLoad: no request queued and no reply released) serves nothing, and
@@ -278,30 +298,41 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 	if !ok {
 		return
 	}
-	r := Rev{Rep: rep, Path: m.Path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Valued: rmw.NeedsValue(m.Req.Op)}
+	b := s.store.At(m.H)
+	r := RevEntry{ID: rep.ID, Path: m.Path, H: m.H, Src: b.Src, Valued: rmw.NeedsValue(b.Req.Op)}
+	b.SetReply(rep)
 	if at < 0 {
-		if !s.LostRev(&s.links.Home[r.Src], &r.Rep) {
+		if !s.LostRev(&s.links.Home[r.Src], &r) {
 			ln.Home = append(ln.Home, r)
+		} else {
+			ln.free(r.H)
 		}
 		return
 	}
 	if s.trace != nil {
 		s.events[at] = append(s.events[at],
-			Event{Cycle: s.tot.Cycles, Kind: Served, ID: rep.ID, Addr: m.Req.Addr, Stage: -1, Switch: mod})
+			Event{Cycle: s.tot.Cycles, Kind: Served, ID: rep.ID, Addr: m.Addr, Stage: -1, Switch: mod})
 	}
 	s.stations[at].AcceptRev(&r, s.now(), &ln.Home)
 }
 
 // Commit hands every reply the cycle's hops brought home to its processor's
-// terminal link, lane by lane in order.  Deliveries touch injectors, the
-// retry ledger and the completion counters, none of which a hop reads or
+// terminal link, lane by lane in order, in value form: the body goes back
+// through lane 0, the committing goroutine's.  Deliveries touch injectors,
+// the retry ledger and the completion counters, none of which a hop reads or
 // writes, so a schedule may commit any time between the hops that bring
-// replies home and injection.
+// replies home and injection — on worker 0 while the others hop, unless a
+// wait buffer sits behind the processor links (Links.Behind): a reply
+// landing there is stored again (landed), so such a wiring commits outside
+// its pool's phases.
 func (s *Shell) Commit() {
+	freed := &s.lanes[0]
 	for i := range s.lanes {
 		home := s.lanes[i].Home
 		for j := range home {
-			s.deliver(s.links.Home[home[j].Src].site(), &home[j])
+			r := s.store.rev(&home[j])
+			freed.free(home[j].H)
+			s.deliver(s.links.Home[r.Src].site(), &r)
 		}
 		s.lanes[i].Home = home[:0]
 	}
@@ -325,11 +356,20 @@ func (s *Shell) Inject(p int) bool {
 		s.Sent(p) // the port moves on as if it had been sent: recovery is the retry tracker's timeout
 		return true
 	}
-	if !s.arrive(l.To, l.In, m, &k.refusal, 0, again, &s.lanes[0].Shard) {
+	sh := &s.lanes[0].Shard
+	if again {
+		if s.refuseAgain(l.To, &k.refusal, sh) {
+			s.stations[l.To].Trace(Rejected, m.Req.ID, 0, m.Req.Addr)
+		}
+		return false
+	}
+	e := s.store.put(m)
+	if !s.arrive(l.To, l.In, &e, &k.refusal, 0, sh) {
+		s.store.Free(e.H)
 		k.id, k.attempt = m.Req.ID, m.Req.Attempt
 		return false
 	}
-	s.countFwd(m, &s.lanes[0].Shard)
+	s.countFwd(&e, sh)
 	s.Sent(p)
 	return true
 }
@@ -337,27 +377,27 @@ func (s *Shell) Inject(p int) bool {
 // LostFwd reports whether the request crossing the link at c dies there this
 // cycle — to the plan's Bernoulli forward drops or to a link-down window —
 // counting the loss; LostRev is the same for a reply.  The healthy machine's
-// answer inlines to one nil check per hop, and never reads c.  again says the
-// same request was refused on the same link before (refusal): the drop
-// draw, a pure hash of (site, id, attempt), said no then and is not asked
-// again; the link-down window depends on the cycle and is, on a cycle that
-// some link-down window covers (linkOpen) — on any other it answers no for
-// every link and counts nothing.
+// answer inlines to one nil check per hop, and never reads c or a body.
+// again says the same request was refused on the same link before
+// (refusal): the drop draw, a pure hash of (site, id, attempt), said no then
+// and is not asked again; the link-down window depends on the cycle and is,
+// on a cycle that some link-down window covers (linkOpen) — on any other it
+// answers no for every link and counts nothing.
 func (s *Shell) LostFwd(c *Coord, req *core.Request, again bool) bool {
 	return s.flt != nil && (!again && s.flt.DropForward(c.site(), req.ID, req.Attempt) ||
 		s.linkOpen && s.flt.DropLinkFwd(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 
-func (s *Shell) LostRev(c *Coord, rep *core.Reply) bool {
-	return s.flt != nil && (s.flt.DropReply(c.site(), rep.ID, rep.Attempt) ||
+func (s *Shell) LostRev(c *Coord, e *RevEntry) bool {
+	return s.flt != nil && (s.flt.DropReply(c.site(), e.ID, s.store.At(e.H).Req.Attempt) ||
 		s.linkOpen && s.flt.DropLinkRev(int(c.Stage), int(c.Index), s.tot.Cycles))
 }
 
 func (c Coord) site() uint64 { return faults.Site(int(c.Stage), int(c.Index), int(c.Port)) }
 
 // flush empties switch fault domain at on its crash edge — the station, the
-// modules it hosts, the reply metadata it holds — and returns the leaf
-// request ids whose only copy was there.  Requests inside a module whose
+// modules it hosts, the reply metadata it holds, and the bodies of all of
+// them — and returns the leaf request ids whose only copy was there.  Requests inside a module whose
 // metadata went keep executing; their replies surface as orphans and the
 // retransmit path re-drives them through the reply caches.
 func (s *Shell) flush(at int) []word.ReqID {
@@ -372,9 +412,10 @@ func (s *Shell) flush(at int) []word.ReqID {
 		if int(holder) != at {
 			continue
 		}
-		boxes := s.meta[mod].boxes()
-		for i := range boxes {
-			lost = LostLeaves(lost, boxes[i].Req.Reps(), boxes[i].Req.ID)
+		for _, e := range s.meta[mod].boxes() {
+			b := s.store.At(e.H)
+			lost = LostLeaves(lost, b.Req.Reps(), b.Req.ID)
+			s.store.Free(e.H)
 		}
 		s.meta[mod].clear()
 	}
@@ -415,8 +456,12 @@ func (s *Shell) Loads() []Load { return s.loads }
 // CheckLoads recounts every queue the occupancy index counts — the
 // stations' FIFOs, and each module's input queue with the replies it has
 // released (memory.Module.Work) — and reports the first entry that
-// disagrees: the invariant every skipped visit rests on.
+// disagrees: the invariant every skipped visit rests on.  It also holds the
+// store closed: every live body is named by exactly one queue entry, wait
+// record or metadata entry (limbo and the lanes hold values, or nothing,
+// between steps).
 func (s *Shell) CheckLoads() error {
+	named := 0
 	for at := range s.stations {
 		st, got := &s.stations[at], Load{}
 		for i := range st.Fwd {
@@ -428,6 +473,14 @@ func (s *Shell) CheckLoads() error {
 		if got != s.loads[at] {
 			return fmt.Errorf("%s: cycle %d: station %d holds %+v, the index says %+v", s.name, s.tot.Cycles, at, got, s.loads[at])
 		}
+		named += int(got.Fwd+got.Rev) + st.Wait.Len()
+	}
+	for mod := range s.meta {
+		named += len(s.meta[mod].boxes())
+	}
+	if live := s.store.Live(); live != named {
+		return fmt.Errorf("%s: cycle %d: the store holds %d live bodies, the queues, wait buffers and metadata name %d",
+			s.name, s.tot.Cycles, live, named)
 	}
 	for mod, n := range s.memLoad {
 		if work := s.mem.Module(mod).Work(); work != int(n) {

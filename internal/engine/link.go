@@ -38,12 +38,18 @@ type heldRev struct {
 func (s *Shell) Lane(w int) *Lane { return &s.lanes[w] }
 
 // mergeLanes folds every lane's counters into the run totals and clears
-// them.  The observation multiset equals the serial schedule's, so the sums
-// add to exactly its totals.
+// them, and returns the bodies the lanes freed to the store.  The
+// observation multiset equals the serial schedule's, so the sums add to
+// exactly its totals.
 func (s *Shell) mergeLanes() {
 	t := &s.tot.Shard
 	for i := range s.lanes {
-		sh := &s.lanes[i].Shard
+		ln := &s.lanes[i]
+		for _, h := range ln.freed {
+			s.store.Free(h)
+		}
+		ln.freed = ln.freed[:0]
+		sh := &ln.Shard
 		t.MemRequests += sh.MemRequests
 		t.MemAcks += sh.MemAcks
 		t.Checkpoints += sh.Checkpoints
@@ -62,23 +68,25 @@ func (s *Shell) mergeLanes() {
 }
 
 // enterMemory carries a request across the terminal link into module mod
-// and files its metadata until the reply emerges.  The caller has already
-// checked that the module can take it.  Under an adversarial plan the link
-// may first defer it into limbo; nothing is filed for a message that never
-// arrives.  m is read, never kept: the caller's slot is free again when
-// enterMemory returns.
-func (s *Shell) enterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
+// and files its entry — its return path and its body — until the reply
+// emerges.  The caller has already checked that the module can take it.
+// Under an adversarial plan the link may first defer it into limbo, in
+// value form; nothing is filed for a message that never arrives.  e is read,
+// never kept: the caller's slot is free again when enterMemory returns.
+func (s *Shell) enterMemory(site uint64, mod int, e *FwdEntry, ln *Lane) {
 	if s.adv {
-		if d := s.flt.ReorderDelay(site, m.Req.ID, m.Req.Attempt); d > 0 {
-			s.fwdLimbo[mod] = append(s.fwdLimbo[mod], heldFwd{release: s.tot.Cycles + d, site: site, m: *m})
+		b := s.store.At(e.H)
+		if d := s.flt.ReorderDelay(site, b.Req.ID, b.Req.Attempt); d > 0 {
+			s.fwdLimbo[mod] = append(s.fwdLimbo[mod], heldFwd{release: s.tot.Cycles + d, site: site, m: s.store.fwd(e)})
+			ln.free(e.H)
 			return
 		}
-		s.memEnter(site, mod, m, sh)
+		s.memEnter(site, mod, e, ln)
 		return
 	}
-	sh.MemRequests++
-	s.metaInsert(mod, m)
-	s.mem.Module(mod).Enqueue(m.Req)
+	ln.MemRequests++
+	s.metaInsert(mod, e, ln)
+	s.mem.Module(mod).Enqueue(s.store.At(e.H).Req)
 	s.memLoad[mod]++
 }
 
@@ -87,20 +95,25 @@ func (s *Shell) enterMemory(site uint64, mod int, m *Fwd, sh *Shard) {
 // corrupted on the wire, verified, and quarantined on mismatch.  The
 // duplicate draw comes after verification so dup_injected counts only
 // messages that actually entered the module twice; metadata is filed
-// before the duplicate and never for a quarantined request.
-func (s *Shell) memEnter(site uint64, mod int, m *Fwd, sh *Shard) {
-	stamped := core.StampRequest(m.Req)
+// before the duplicate and never for a quarantined request, whose body is
+// freed.
+func (s *Shell) memEnter(site uint64, mod int, e *FwdEntry, ln *Lane) {
+	b := s.store.At(e.H)
+	stamped := core.StampRequest(b.Req)
 	wire := stamped
 	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
 		wire = core.CorruptRequest(wire, mask)
 	}
 	if !core.RequestOK(wire) {
 		s.flt.NoteCorruptDropped()
+		ln.free(e.H)
 		return // quarantined: equivalent to a detected drop on this link
 	}
 	module := s.mem.Module(mod)
+	sh := &ln.Shard
 	sh.MemRequests++
-	s.metaInsert(mod, m).Req = stamped
+	b.Req = stamped
+	s.metaInsert(mod, e, ln)
 	module.Enqueue(wire)
 	s.memLoad[mod]++
 	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && module.CanEnqueue() {
@@ -114,30 +127,30 @@ func (s *Shell) memEnter(site uint64, mod int, m *Fwd, sh *Shard) {
 	}
 }
 
-// metaShard holds the requests one module has taken, filed by value in
-// filing order: the live boxes are filed[head:].  A module serves its queue
-// in order, so the reply that emerges answers the oldest box on a healthy
-// machine, and take finds it first.  Once the storage has grown to the
-// module's peak occupancy, filing allocates nothing.
+// metaShard holds the entries of the requests one module has taken — each
+// its return path and its body's handle — in filing order: the live boxes
+// are filed[head:].  A module serves its queue in order, so the reply that
+// emerges answers the oldest box on a healthy machine, and take finds it
+// first.  Once the storage has grown to the module's peak occupancy, filing
+// allocates nothing.
 type metaShard struct {
-	filed []Fwd
+	filed []FwdEntry
 	head  int
-	// loan holds the boxes take lends, alternately: a lent box stays valid
-	// through the module's next reply, which lends the other.
-	loan [2]Fwd
-	turn int
 }
 
-// file copies m into the shard and returns the filed box.  An id already
-// filed is replaced in place — retransmits and duplicates re-file an id
-// under a fault plan — so the caller says whether to search (a healthy
-// machine never files an id twice).
-func (sh *metaShard) file(m *Fwd, search bool) *Fwd {
+// file files e in the shard.  An id already filed is replaced in place —
+// retransmits and duplicates re-file an id under a fault plan — so the
+// caller says whether to search (a healthy machine never files an id
+// twice); the replaced entry's handle is returned for the caller to free,
+// 0 when nothing was replaced.
+func (sh *metaShard) file(e *FwdEntry, store *Store, search bool) int32 {
 	if search {
+		id := store.At(e.H).Req.ID
 		for i := sh.head; i < len(sh.filed); i++ {
-			if sh.filed[i].Req.ID == m.Req.ID {
-				sh.filed[i] = *m
-				return &sh.filed[i]
+			if store.At(sh.filed[i].H).Req.ID == id {
+				old := sh.filed[i].H
+				sh.filed[i] = *e
+				return old
 			}
 		}
 	}
@@ -146,20 +159,18 @@ func (sh *metaShard) file(m *Fwd, search bool) *Fwd {
 		sh.filed = sh.filed[:copy(sh.filed, sh.filed[sh.head:])]
 		sh.head = 0
 	}
-	sh.filed = append(sh.filed, *m)
-	return &sh.filed[len(sh.filed)-1]
+	sh.filed = append(sh.filed, *e)
+	return 0
 }
 
-// take removes the box filed under id, scanning from the oldest, and lends
-// it to the caller.
-func (sh *metaShard) take(id word.ReqID) (*Fwd, bool) {
+// take removes the entry filed under id, scanning from the oldest, and
+// returns it.
+func (sh *metaShard) take(id word.ReqID, store *Store) (FwdEntry, bool) {
 	for i := sh.head; i < len(sh.filed); i++ {
-		if sh.filed[i].Req.ID != id {
+		e := sh.filed[i]
+		if store.At(e.H).Req.ID != id {
 			continue
 		}
-		box := &sh.loan[sh.turn]
-		sh.turn ^= 1
-		*box = sh.filed[i]
 		if i == sh.head {
 			sh.head++
 		} else {
@@ -168,33 +179,32 @@ func (sh *metaShard) take(id word.ReqID) (*Fwd, bool) {
 		if sh.head == len(sh.filed) {
 			sh.filed, sh.head = sh.filed[:0], 0
 		}
-		return box, true
+		return e, true
 	}
-	return nil, false
+	return FwdEntry{}, false
 }
 
-// boxes returns the filed boxes, oldest first.
-func (sh *metaShard) boxes() []Fwd { return sh.filed[sh.head:] }
+// boxes returns the filed entries, oldest first.
+func (sh *metaShard) boxes() []FwdEntry { return sh.filed[sh.head:] }
 
-// clear drops every filed box.
+// clear drops every filed entry.
 func (sh *metaShard) clear() { sh.filed, sh.head = sh.filed[:0], 0 }
 
-// metaInsert files a copy of a request under its module's shard and returns
-// the filed box.
-func (s *Shell) metaInsert(mod int, m *Fwd) *Fwd {
-	return s.meta[mod].file(m, s.flt != nil)
+// metaInsert files request e under its module's shard; a replaced entry's
+// body goes back through the lane.
+func (s *Shell) metaInsert(mod int, e *FwdEntry, ln *Lane) {
+	if old := s.meta[mod].file(e, s.store, s.flt != nil); old != 0 {
+		ln.free(old)
+	}
 }
 
 // serve advances module mod one service cycle and, when a reply emerges,
-// returns it with the request it answers.  A reply with no filed request is
-// expected under retransmission — an original and a retransmit both reached
-// memory, the first reply consumed the metadata — and counts as an orphan;
-// on a healthy machine it is a bug.
-//
-// The returned request is a box the shard lends, the caller's to read — to
-// route the reply — until module mod's next reply emerges and lends the
-// other.
-func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
+// returns it with the entry of the request it answers, whose body the
+// caller now owns.  A reply with no filed request is expected under
+// retransmission — an original and a retransmit both reached memory, the
+// first reply consumed the metadata — and counts as an orphan; on a healthy
+// machine it is a bug.
+func (s *Shell) serve(mod int, sh *Shard) (core.Reply, FwdEntry, bool) {
 	module := s.mem.Module(mod)
 	busy, served := module.BusyCycles, module.Served
 	rep, ok := module.Tick()
@@ -205,20 +215,20 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, *Fwd, bool) {
 		s.memLoad[mod] -= int32(module.Served - served)
 	}
 	if !ok {
-		return rep, nil, false
+		return rep, FwdEntry{}, false
 	}
 	sh.MemAcks++
 	s.memLoad[mod]--
-	box, found := s.meta[mod].take(rep.ID)
+	e, found := s.meta[mod].take(rep.ID, s.store)
 	if !found {
 		if s.flt == nil {
 			panic(fmt.Sprintf("%s: cycle %d, module %d: reply id %d (%v) with no request metadata",
 				s.name, s.tot.Cycles, mod, rep.ID, rep))
 		}
 		sh.Orphans++
-		return rep, nil, false
+		return rep, FwdEntry{}, false
 	}
-	return rep, box, true
+	return rep, e, true
 }
 
 // deliver carries a reply that has left the fabric across the terminal link
@@ -263,17 +273,20 @@ func (s *Shell) deliverVerified(site uint64, r *Rev) {
 
 // landed is the far side of the processor link.  On a wiring whose wait
 // buffer sits behind that link (Links.Behind: the bus) the reply decombines
-// there and every leaf completes at its own processor; otherwise replies
-// cross the link already decombined.
+// there — stored again for it, which Commit's caller allows (Commit) — and
+// every leaf completes at its own processor; otherwise replies cross the
+// link already decombined.
 func (s *Shell) landed(r *Rev) {
 	if s.links.Behind == nil {
 		s.complete(r)
 		return
 	}
 	buf := s.behindBuf[:0]
-	s.stations[s.links.Behind[r.Src]].AcceptRev(r, s.now(), &buf)
+	s.stations[s.links.Behind[r.Src]].PutRev(r, s.now(), &buf)
 	for i := range buf {
-		s.complete(&buf[i])
+		leaf := s.store.rev(&buf[i])
+		s.store.Free(buf[i].H)
+		s.complete(&leaf)
 	}
 	s.behindBuf = buf[:0]
 }
@@ -333,7 +346,8 @@ func (s *Shell) drainLimbo() {
 				keep = append(keep, h)
 				continue
 			}
-			s.memEnter(h.site, mod, &h.m, &s.tot.Shard)
+			e := s.store.put(&h.m)
+			s.memEnter(h.site, mod, &e, &s.lanes[0])
 		}
 		s.fwdLimbo[mod] = keep
 	}

@@ -48,11 +48,15 @@ func TestPathLimits(t *testing.T) {
 	CompileStaged(OmegaOf(1024, 32))
 }
 
-// TestMessageLayout pins what packing the path header bought: a request, a
-// reply and a wait record each lost the 16 bytes a slice header costs beyond
-// a word (144, 96 and 128 bytes before).  A core request keeps its source
-// set and representation list behind one lineage pointer, which took 48
-// bytes more off a request in flight.
+// TestMessageLayout pins what packing the path header bought — a wait
+// record lost the 16 bytes a slice header costs beyond a word (128 bytes
+// before), a request and a reply in value form the same (144 and 96), and a
+// core request keeps its source set and representation list behind one
+// lineage pointer, 48 bytes more off a request — and what keeping messages
+// put bought: a station queue carries a 24-byte request entry or a 32-byte
+// reply entry where it carried the 80-byte messages, and a wait record
+// names the absorbed request's body by handle instead of holding its
+// source, tags and leaves (112 bytes before).
 func TestMessageLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -61,11 +65,14 @@ func TestMessageLayout(t *testing.T) {
 		{"core.Request", unsafe.Sizeof(core.Request{}), 48},
 		{"Fwd", unsafe.Sizeof(Fwd{}), 144 - 16 - 48},
 		{"Rev", unsafe.Sizeof(Rev{}), 96 - 16},
-		{"Record", unsafe.Sizeof(Record{}), 128 - 16},
+		{"FwdEntry", unsafe.Sizeof(FwdEntry{}), 24},
+		{"RevEntry", unsafe.Sizeof(RevEntry{}), 32},
+		{"Body", unsafe.Sizeof(Body{}), 88},
+		{"Record", unsafe.Sizeof(Record{}), 72},
 		// A queue's version fits beside its int32 indices; a link's
 		// refusal memo is two versions and three flags, a port's adds the
 		// message's identity.
-		{"core.FIFO[Fwd]", unsafe.Sizeof(core.FIFO[Fwd]{}), 48},
+		{"core.FIFO[FwdEntry]", unsafe.Sizeof(core.FIFO[FwdEntry]{}), 48},
 		{"refusal", unsafe.Sizeof(refusal{}), 12},
 		{"portRefusal", unsafe.Sizeof(portRefusal{}), 24},
 	} {

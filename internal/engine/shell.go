@@ -51,10 +51,10 @@ type Machine interface {
 	CheckLoads() error
 }
 
-// Fwd is a request in flight, as the rim sees it: the port creates one per
-// issue, the fabric carries it hop by hop (wrapping it with whatever
-// per-hop state it needs), and the memory terminal link files it until the
-// module's reply emerges.
+// Fwd is a request in value form, as the rim sees it: the port creates one
+// per issue and holds it until the fabric takes it, and retry lists, the
+// forward limbo and asyncnet's channels carry it so.  Inside the fabric it
+// is an entry in a station queue over a body in the store (store.go).
 type Fwd struct {
 	Req core.Request
 	// Src is the issuing processor — the reply's destination on fabrics
@@ -64,11 +64,6 @@ type Fwd struct {
 	Issue int64
 	// Hot marks hot-spot traffic for the per-class completion counters.
 	Hot bool
-	// Moved stamps the cycle the request last hopped: a message crosses one
-	// link per cycle whatever order a schedule visits the stations in.  It
-	// is the cycle's low 32 bits — all a stamp that is only ever compared
-	// with the current cycle needs — so the message stays 80 bytes.
-	Moved uint32
 	// Path is the reply route header of fabrics whose replies retrace a
 	// recorded path (Section 4.1): the fabric extends it hop by hop, the
 	// rim only carries it across the memory module.  Fabrics that route
@@ -103,18 +98,20 @@ type Shard struct {
 }
 
 // Lane is one goroutine's working set inside a cycle: the counters its hops
-// write and the replies they brought home to a processor.  Every hop takes
-// the caller's lane, so a worker phase writes only memory it owns: pool
-// worker w uses Lane(w), and what a schedule runs outside its pool uses
-// Lane(0).  Commit delivers the lanes' replies, lane by lane in order — a
-// schedule whose workers take contiguous ascending ranges thus delivers in
-// the same order at every width — and the shell folds the counters into
-// the totals after every sweep.  The pad keeps adjacent lanes of the
-// contiguous slice off one cache line.
+// write, the replies they brought home to a processor and the bodies they
+// freed.  Every hop takes the caller's lane, so a worker phase writes only
+// memory it owns: pool worker w uses Lane(w), and what a schedule runs
+// outside its pool uses Lane(0).  Commit delivers the lanes' replies, lane
+// by lane in order — a schedule whose workers take contiguous ascending
+// ranges thus delivers in the same order at every width — and the shell
+// folds the counters into the totals, and the freed bodies into the store,
+// after every sweep.  The pad keeps adjacent lanes of the contiguous slice
+// off one cache line.
 type Lane struct {
 	Shard
-	Home []Rev
-	_    [64]byte
+	Home  []RevEntry
+	freed []int32
+	_     [64]byte
 }
 
 // Totals is a machine's run statistics (Shell.Totals); the staged network's
@@ -229,6 +226,9 @@ type Shell struct {
 
 	stations []Station
 	links    *Links
+	// store holds the bodies of the messages in the stations and the
+	// metadata shards (store.go); the stations share it.
+	store *Store
 	// The occupancy index: what a sweep reads before it touches a station
 	// or a module (DESIGN.md §6.2).  loads[at] counts station at's queued
 	// requests and replies and is written through the station (Station.load);
@@ -245,7 +245,7 @@ type Shell struct {
 	// behindBuf is the processor links' scratch for a wait buffer behind
 	// them (Links.Behind).
 	lanes     []Lane
-	behindBuf []Rev
+	behindBuf []RevEntry
 	// fwdMemo[at·Ports+port] and portMemo[p] remember why the head of a
 	// forward link or of processor p's port was last refused (refusal,
 	// hop.go); each has the owner of the station or port it sits at.
@@ -271,11 +271,12 @@ type Shell struct {
 	hasPending []bool
 	retry      []core.FIFO[Fwd]
 
-	// meta preserves a request across its memory module, which only
-	// transports core requests.  It is sharded per module (metaShard,
-	// link.go): meta[mod] is written by whoever feeds module mod and
-	// consumed when that module's reply emerges, so under a parallel stepper
-	// each shard has one owner per phase.
+	// meta preserves a request's entry — its return path and its body —
+	// across its memory module, which only transports core requests.  It is
+	// sharded per module (metaShard, link.go): meta[mod] is written by
+	// whoever feeds module mod and consumed when that module's reply
+	// emerges, so under a parallel stepper each shard has one owner per
+	// phase.
 	meta []metaShard
 
 	// Fault-mode state (nil/empty on a healthy machine).  stall and swDead
@@ -337,6 +338,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		meta:       make([]metaShard, cfg.Modules),
 		stations:   cfg.Stations,
 		links:      cfg.Links,
+		store:      cfg.Stations[0].store,
 		loads:      make([]Load, len(cfg.Stations)),
 		memLoad:    make([]int32, cfg.Modules),
 		fwdMemo:    make([]refusal, len(cfg.Stations)*cfg.Links.Ports),
@@ -352,6 +354,9 @@ func (s *Shell) Init(cfg ShellConfig) {
 		s.events = make([][]Event, len(s.stations))
 	}
 	for i := range s.stations {
+		if s.stations[i].store != s.store {
+			panic(fmt.Sprintf("%s: station %d was not made with station 0 (NewStations): its bodies are in another store", s.name, i))
+		}
 		s.stations[i].load = &s.loads[i]
 		s.stations[i].Route = s.links.Route[i]
 		if s.links.Back != nil {

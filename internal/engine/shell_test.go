@@ -221,51 +221,14 @@ func repeat(op rmw.Mapping, n int) []rmw.Mapping {
 	return ops
 }
 
-// TestServedBoxOutlivesTheNextFeed: the request serve returns is the filed
-// box itself, on loan until the same module's next reply — requests entering
-// the module in between must not be filed into it.
-func TestServedBoxOutlivesTheNextFeed(t *testing.T) {
-	_, inj := newAdders(1, 0)
-	l := newLoopback(nil, inj)
-	feed := func(id word.ReqID, src int) {
-		m := Fwd{Req: core.NewRequest(id, 0, rmw.FetchAdd(1), word.ProcID(src)), Src: src}
-		l.enterMemory(faults.Site(0, 0, 0), 0, &m, &l.Lane(0).Shard)
-	}
-	serve := func() *Fwd {
-		for i := 0; i < 8; i++ {
-			if _, m, ok := l.serve(0, &l.Lane(0).Shard); ok {
-				return m
-			}
-		}
-		t.Fatal("the module served nothing in 8 cycles")
-		return nil
-	}
-	feed(1, 11)
-	first := serve()
-	feed(2, 22)
-	feed(3, 33)
-	if first.Req.ID != 1 || first.Src != 11 {
-		t.Fatalf("the served box was overwritten by a later feed: %+v", *first)
-	}
-	second := serve()
-	if second == first || second.Req.ID != 2 || second.Src != 22 {
-		t.Fatalf("second reply came back with %+v (same box as the first: %v)", *second, second == first)
-	}
-	feed(4, 44) // may now reuse the first box; the second is still on loan
-	if second.Req.ID != 2 || second.Src != 22 {
-		t.Fatalf("the second box was overwritten while on loan: %+v", *second)
-	}
-	if third := serve(); third.Req.ID != 3 || third.Src != 33 {
-		t.Fatalf("third reply came back with %+v", *third)
-	}
-}
-
 // TestMetaShard walks one module's metadata shard through what its owner
 // does to it: file in order, re-file an id already filed (a retransmit or a
-// duplicate under a fault plan: the box is replaced where it stands), take
-// the head, take an id never filed (an orphan), take from behind the head,
-// and the holder's crash flush, which reports every filed leaf lost and
-// leaves the shard empty and usable.
+// duplicate under a fault plan: the entry is replaced where it stands, and
+// the replaced body handed back to be freed), take the head, take an id
+// never filed (an orphan), take from behind the head, and the holder's crash
+// flush, which reports every filed leaf lost, frees their bodies and leaves
+// the shard empty and usable.  The store stays closed throughout: its live
+// bodies are the filed ones.
 func TestMetaShard(t *testing.T) {
 	_, inj := newAdders(1, 0)
 	l := newLoopback(nil, inj)
@@ -274,7 +237,7 @@ func TestMetaShard(t *testing.T) {
 	for i, tc := range []struct {
 		op    string // file, refile (file searching for the id), take or crash
 		id    word.ReqID
-		src   int          // the box filed, or the one take lends (-1: none)
+		src   int          // the entry filed, or the one take returns (-1: none)
 		lost  []word.ReqID // crash: the leaves reported lost
 		after []int        // the filed boxes' Src, oldest first
 	}{
@@ -296,13 +259,20 @@ func TestMetaShard(t *testing.T) {
 		switch tc.op {
 		case "file", "refile":
 			m := Fwd{Req: core.NewRequest(tc.id, 0, rmw.FetchAdd(1), word.ProcID(tc.src)), Src: tc.src}
-			if got := sh.file(&m, tc.op == "refile"); got.Req.ID != tc.id || got.Src != tc.src {
-				t.Fatalf("step %d: %s %d filed %+v", i, tc.op, tc.id, *got)
+			e := l.store.put(&m)
+			if old := sh.file(&e, l.store, tc.op == "refile"); old != 0 {
+				l.store.Free(old)
 			}
 		case "take":
-			got, ok := sh.take(tc.id)
-			if ok != (tc.src >= 0) || ok && (got.Req.ID != tc.id || got.Src != tc.src) {
-				t.Fatalf("step %d: take %d lent %+v (found %v), want Src %d", i, tc.id, got, ok, tc.src)
+			got, ok := sh.take(tc.id, l.store)
+			if ok {
+				b := l.store.At(got.H)
+				if b.Req.ID != tc.id || int(b.Src) != tc.src {
+					t.Fatalf("step %d: take %d returned %+v, want Src %d", i, tc.id, *b, tc.src)
+				}
+				l.store.Free(got.H)
+			} else if tc.src >= 0 {
+				t.Fatalf("step %d: take %d found nothing, want Src %d", i, tc.id, tc.src)
 			}
 		case "crash":
 			lost := l.flush(0)
@@ -312,11 +282,12 @@ func TestMetaShard(t *testing.T) {
 			}
 		}
 		var after []int
-		for _, box := range sh.boxes() {
-			after = append(after, box.Src)
+		for _, e := range sh.boxes() {
+			after = append(after, int(l.store.At(e.H).Src))
 		}
-		if !reflect.DeepEqual(after, tc.after) || l.inMemory() != len(tc.after) {
-			t.Fatalf("step %d (%s %d): filed %v (%d in memory), want %v", i, tc.op, tc.id, after, l.inMemory(), tc.after)
+		if !reflect.DeepEqual(after, tc.after) || l.inMemory() != len(tc.after) || l.store.Live() != len(tc.after) {
+			t.Fatalf("step %d (%s %d): filed %v (%d in memory, %d bodies live), want %v",
+				i, tc.op, tc.id, after, l.inMemory(), l.store.Live(), tc.after)
 		}
 	}
 }

@@ -83,14 +83,13 @@ func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *
 func (b *bench) offer(src, in int, addr word.Addr, op rmw.Mapping) (word.ReqID, bool) {
 	b.nextID++
 	m := Fwd{Req: core.NewRequest(b.nextID, addr, op, word.ProcID(src)).WithReps(), Src: src}
-	return b.nextID, b.st.AcceptFwd(&m, int(addr)%b.deg, Path(0).Push(int32(in)), 0, &b.sh)
+	return b.nextID, b.st.PutFwd(&m, int(addr)%b.deg, Path(0).Push(int32(in)), 0, &b.sh)
 }
 
 // serve pops the head of forward queue out — the message reaches memory —
 // executes it and, unless lose is set, hands the station the reply.
 func (b *bench) serve(out int, lose bool) {
-	m := *b.st.Fwd[out].Front()
-	b.st.PopFwd(out)
+	m := b.st.TakeFwd(out)
 	if lose {
 		return
 	}
@@ -98,8 +97,8 @@ func (b *bench) serve(out int, lose bool) {
 	cell := b.cells[m.Req.Addr]
 	rep := core.Execute(&cell, m.Req)
 	b.cells[m.Req.Addr] = cell
-	var home []Rev
-	b.st.AcceptRev(&Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
+	var home []RevEntry
+	b.st.PutRev(&Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
 	if len(home) != 0 {
 		b.t.Fatalf("a reply with an unspent path came home: %+v", home)
 	}
@@ -110,7 +109,7 @@ func (b *bench) drain(start, max int) {
 	for i := range b.st.Rev {
 		port := (start + i) % len(b.st.Rev)
 		for q := &b.st.Rev[port]; q.Len() > 0 && max > 0; max-- {
-			r := q.Front()
+			r := b.st.TakeRev(port)
 			if _, dup := b.replies[r.Rep.ID]; dup {
 				b.t.Fatalf("request %d answered twice", r.Rep.ID)
 			}
@@ -118,7 +117,6 @@ func (b *bench) drain(start, max int) {
 				b.t.Fatalf("reply %d left on port %d with path %#x", r.Rep.ID, port, r.Path)
 			}
 			b.replies[r.Rep.ID] = r.Rep.Val
-			b.st.PopRev(port)
 		}
 	}
 }
@@ -241,8 +239,8 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 	if b.st.Wait.Len() != 1 {
 		t.Fatalf("%d records after the combine", b.st.Wait.Len())
 	}
-	var home []Rev
-	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
+	var home []RevEntry
+	b.st.PutRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
 		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
 	b.drain(0, 1<<30)
 	if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
@@ -252,9 +250,9 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 		t.Fatalf("the stale record was consumed (records left: %d, replies %v)", b.st.Wait.Len(), b.replies)
 	}
 	// The reply of the combine itself — both leaves named — does match.
-	b.st.AcceptRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40),
+	b.st.PutRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40),
 		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}, {ID: second, Val: word.W(41)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
-	if b.st.Wait.Len() != 0 || b.st.Rev[1].Len() != 1 || b.st.Rev[1].Front().Rep.Val != word.W(41) {
+	if b.st.Wait.Len() != 0 || b.st.Rev[1].Len() != 1 || b.st.Body(b.st.Rev[1].Front().H).Val != word.W(41) {
 		t.Fatalf("the matching reply did not decombine: %d records, %d replies toward the second requester",
 			b.st.Wait.Len(), b.st.Rev[1].Len())
 	}
@@ -333,6 +331,9 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 	for _, id := range b.st.Crash() {
 		lost[id] = true
 	}
+	if live := b.st.store.Live(); live != 0 {
+		t.Fatalf("%d bodies live after the flush", live)
+	}
 	// Nothing is inside the model memory between steps, so every request not
 	// yet answered was in the station.
 	for id := word.ReqID(1); id <= b.nextID; id++ {
@@ -345,30 +346,30 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 	}
 }
 
-// TestStationSteadyStateZeroAlloc: at steady state — queues at their working
-// size — taking a request, taking a reply that decombines nothing, and
-// refusing a combine for want of a wait record allocate nothing.  (A
-// committed combine merges source sets into fresh storage: that allocation
-// is the combine's meaning, not the station's overhead.)
+// TestStationSteadyStateZeroAlloc: at steady state — queues and store at
+// their working size — taking a request, taking a reply that decombines
+// nothing, and refusing a combine for want of a wait record allocate
+// nothing.  (A committed combine merges source sets into fresh storage: that
+// allocation is the combine's meaning, not the station's overhead.)
 func TestStationSteadyStateZeroAlloc(t *testing.T) {
 	st := &NewStations(1, 2, 2, 4, 0, 0, core.Policy{})[0]
 	var sh Shard
-	var home []Rev
+	var home []RevEntry
 	hot := Fwd{Req: core.NewRequest(1, 8, rmw.FetchAdd(1), 0), Src: 0}
 	path := Path(0).Push(1)
-	st.AcceptFwd(&hot, 0, path, 0, &sh) // the partner every later arrival finds
+	st.PutFwd(&hot, 0, path, 0, &sh) // the partner every later arrival finds
 	// The messages live outside the round, as they do in a machine: the
-	// station is handed pointers into queues, ports and filed boxes.
+	// station is handed pointers into ports and channels.
 	m, r := hot, Rev{Path: path}
 	cycle := func() {
 		m.Req.ID++
-		if !st.AcceptFwd(&m, 0, path, 0, &sh) {
+		if !st.PutFwd(&m, 0, path, 0, &sh) {
 			panic("refused below capacity")
 		}
-		st.PopFwd(0)
+		st.TakeFwd(0)
 		r.Rep.ID = m.Req.ID
-		st.AcceptRev(&r, 0, &home)
-		st.PopRev(1)
+		st.PutRev(&r, 0, &home)
+		st.TakeRev(1)
 	}
 	for i := 0; i < 16; i++ {
 		cycle()
@@ -424,18 +425,19 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		}
 		q := &st.Fwd[0]
 		for i := r.IntN(7); i > 0; i-- {
-			*q.Push() = draw(word.ReqID(i))
+			m := draw(word.ReqID(i))
+			*q.Push() = st.store.put(&m)
 		}
 		m := draw(100)
-		before := append([]Fwd(nil), q.View()...)
+		before := queued(st)
 		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.Wait.CanPush)
 		rejections, records := st.Wait.Rejections, st.Wait.Len()
 
 		var sh Shard
-		if !st.AcceptFwd(&m, 0, m.Path, 7, &sh) {
+		if !st.PutFwd(&m, 0, m.Path, 7, &sh) {
 			t.Fatalf("trial %d: an unbounded queue refused the request", trial)
 		}
-		after := q.View()
+		after, moved := queued(st), q.View()[q.Len()-1].Moved
 
 		if got := st.Wait.Rejections - rejections; (got == 1) != rejected || got > 1 {
 			t.Fatalf("trial %d: %d rejections counted, CombineAtTail says rejected=%v", trial, got, rejected)
@@ -452,10 +454,9 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 			t.Fatalf("trial %d: trace events %v, want %v", trial, events, wantEvents)
 		}
 		if !ok {
-			// Appended whole, nothing else touched.
+			// Appended whole, stamped, nothing else touched.
 			want := append(before, m)
-			want[len(before)].Moved = 7
-			if !reflect.DeepEqual(after, want) || st.Wait.Len() != records || sh.Combines != 0 {
+			if !reflect.DeepEqual(after, want) || moved != 7 || st.Wait.Len() != records || sh.Combines != 0 {
 				t.Fatalf("trial %d: no combine, yet the queue is\n%+v\nwant\n%+v\n(%d records, were %d)", trial, after, want, st.Wait.Len(), records)
 			}
 			// Which of the interesting refusals was it?
@@ -478,21 +479,36 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 			swapped++
 		}
 		want := append([]Fwd(nil), before...)
-		want[tc.Index] = Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot, Path: first.Path, Moved: partner.Moved}
-		if !reflect.DeepEqual(after, want) {
+		want[tc.Index] = Fwd{Req: tc.Combined, Src: first.Src, Issue: first.Issue, Hot: first.Hot, Path: first.Path}
+		if !reflect.DeepEqual(after, want) || q.View()[tc.Index].Moved != 0 {
 			t.Fatalf("trial %d: after the combine the queue is\n%+v\nwant\n%+v", trial, after, want)
 		}
 		rec, found := st.Wait.Pop(tc.Rec.ID1)
-		wantRec := Record{Record: tc.Rec, Path2: second.Path, Src2: second.Src, Issue2: second.Issue, Hot2: second.Hot,
-			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op), Reps2: second.Req.Reps()}
+		wantRec := Record{Record: tc.Rec, Path2: second.Path, H2: rec.H2,
+			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op)}
 		if !found || !reflect.DeepEqual(rec, wantRec) || st.Wait.Len() != records || sh.Combines != 1 {
 			t.Fatalf("trial %d: record %+v (found %v), want %+v; %d combines", trial, rec, found, wantRec, sh.Combines)
+		}
+		// The record keeps the second request's body: its source, tags and
+		// leaves, for the reply the decombine writes there.
+		wantBody := Body{Req: second.Req, Issue: second.Issue, Src: int32(second.Src), Hot: second.Hot}
+		if got := *st.Body(rec.H2); !reflect.DeepEqual(got, wantBody) {
+			t.Fatalf("trial %d: the record keeps body %+v, want %+v", trial, got, wantBody)
 		}
 	}
 	if combined == 0 || swapped == 0 || rejectedN == 0 || shadowed == 0 || retransmits == 0 {
 		t.Fatalf("%d combines, %d reversed, %d rejected, %d shadowed partners, %d retransmits refused: a case never came up",
 			combined, swapped, rejectedN, shadowed, retransmits)
 	}
+}
+
+// queued reads station st's forward queue 0 back in value form.
+func queued(st *Station) []Fwd {
+	var ms []Fwd
+	for _, e := range st.Fwd[0].View() {
+		ms = append(ms, st.store.fwd(&e))
+	}
+	return ms
 }
 
 // lastFor is the position of the last queued request for addr, or -1.

@@ -138,7 +138,7 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 		t.Fatalf("an empty machine counted %d credit holds", ln.HoldsMemOut)
 	}
 	// One reply queued toward child 1 puts the root at its credit limit.
-	root.AcceptRev(&Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, nil)
+	root.PutRev(&Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, nil)
 	if root.CanAcceptRev() || tr.Memory().Module(0).QueueLen() != 0 {
 		t.Fatalf("setup: root has credit (%v) or the module is not idle", root.CanAcceptRev())
 	}
@@ -148,7 +148,7 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 	if ln.HoldsMemOut != 3 {
 		t.Errorf("idle module behind a credit-less station: %d holds over 3 ticks, want 3", ln.HoldsMemOut)
 	}
-	root.PopRev(1)
+	root.TakeRev(1)
 	tr.Tick(0, 0, ln)
 	if ln.HoldsMemOut != 3 {
 		t.Errorf("a hold was counted with the credit back: %d", ln.HoldsMemOut)
@@ -203,7 +203,7 @@ func newHeldTree(t *testing.T, partner, head rmw.Mapping) *heldTree {
 func (h *heldTree) offer(t *testing.T, st *Station, out int, req core.Request, combine bool) {
 	t.Helper()
 	var sh Shard
-	if !st.AcceptFwd(&Fwd{Req: req}, out, Path(0).Push(1), uint32(h.tot.Cycles), &sh) || (sh.Combines == 1) != combine {
+	if !st.PutFwd(&Fwd{Req: req}, out, Path(0).Push(1), uint32(h.tot.Cycles), &sh) || (sh.Combines == 1) != combine {
 		t.Fatalf("setup: request %d refused, or combined: %v", req.ID, sh.Combines == 1)
 	}
 }
@@ -219,7 +219,7 @@ func (h *heldTree) hop() {
 func (h *heldTree) check(t *testing.T, blocked bool, rejections, holds int64) {
 	t.Helper()
 	q := &h.st1.Fwd[0]
-	got := q.Len() == 1 && q.Front().Req.ID == headID
+	got := q.Len() == 1 && h.st1.Body(q.Front().H).Req.ID == headID
 	if got != blocked || h.root.Wait.Rejections != rejections || h.ln.HoldsMem != holds {
 		t.Fatalf("head blocked: %v, %d rejections, %d memory holds; want %v, %d, %d",
 			got, h.root.Wait.Rejections, h.ln.HoldsMem, blocked, rejections, holds)
@@ -252,7 +252,7 @@ func TestBlockedHeadMemo(t *testing.T) {
 		h := newHeldTree(t, load, or)
 		h.hop()
 		h.hop()
-		h.root.PopFwd(1)
+		h.root.TakeFwd(1)
 		h.hop()
 		h.check(t, false, 3, 2) // the partner is still there, the wait buffer still full
 	})
@@ -287,7 +287,7 @@ func TestBlockedHeadMemo(t *testing.T) {
 	t.Run("key", func(t *testing.T) {
 		h := newHeldTree(t, load, or)
 		h.hop()
-		m, k := *h.st1.Fwd[0].Front(), &h.fwdMemo[1]
+		m, k := h.store.fwd(h.st1.Fwd[0].Front()), &h.fwdMemo[1]
 		if k.up != h.st1.Fwd[0].Ver() || !h.refusedAgain(0, k) {
 			t.Fatal("the memo does not match the refusal it just recorded")
 		}
@@ -308,7 +308,7 @@ func TestBlockedHeadMemo(t *testing.T) {
 	t.Run("intercept", func(t *testing.T) {
 		h := newHeldTree(t, load, or)
 		calls := 0
-		h.root.Intercept = func(*Station, int, *Fwd, Path, uint32) bool { calls++; return false }
+		h.root.Intercept = func(*Station, int, FwdEntry, Path, uint32) bool { calls++; return false }
 		for range n {
 			h.hop()
 		}

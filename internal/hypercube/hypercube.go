@@ -181,7 +181,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	nodes := engine.NewStations(s.n, s.d+1, s.d, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap,
 		core.Policy{AllowReversal: cfg.AllowReversal})
 	for i := range nodes {
-		nodes[i].Fwd[s.d] = core.NewFIFO[engine.Fwd](cfg.MemQueueCap)
+		nodes[i].Fwd[s.d] = core.NewFIFO[engine.FwdEntry](cfg.MemQueueCap)
 	}
 	s.Shell.Init(engine.ShellConfig{
 		Engine: "hypercube",

@@ -196,16 +196,17 @@ func TestPathHeadersConsistent(t *testing.T) {
 		for idx := 0; idx < sim.ns; idx++ {
 			sw := sim.Station((k-1)*sim.ns + idx)
 			for port := range sw.Fwd {
-				for _, m := range sw.Fwd[port].View() {
-					path, at, in := m.Path, idx, 0
+				for _, e := range sw.Fwd[port].View() {
+					m := sw.Body(e.H)
+					path, at, in := e.Path, idx, 0
 					for stage := k - 1; stage > 0; stage-- {
 						in, path = path.Pop()
 						at = sim.topo.PrevLine(stage, at*radix+in) / radix
 					}
 					in, path = path.Pop()
-					if src := sim.topo.LineProc(at*radix + in); src != m.Src || path != 0 {
+					if src := sim.topo.LineProc(at*radix + in); src != int(m.Src) || path != 0 {
 						t.Fatalf("request %d from processor %d: its header %#x leads to processor %d, leaving %#x",
-							m.Req.ID, m.Src, m.Path, src, path)
+							m.Req.ID, m.Src, e.Path, src, path)
 					}
 					checked++
 				}

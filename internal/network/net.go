@@ -287,15 +287,21 @@ func (s *Sim) Topology() engine.Staged { return s.topo }
 // (Config.BuggyLoadForwarding), as a station's Intercept hook: a load that
 // meets a queued store to its address is answered NOW with the store's
 // value, while the store is still on its way to memory.  The synthesized
-// reply descends from this switch along the load's path.
-func forwardLoad(sw *engine.Station, out int, m *engine.Fwd, path engine.Path, now uint32) bool {
+// reply descends from this switch along the load's path, written into the
+// load's body.
+func forwardLoad(sw *engine.Station, out int, e engine.FwdEntry, path engine.Path, now uint32) bool {
+	m := sw.Body(e.H)
 	if _, isLoad := m.Req.Op.(rmw.Load); !isLoad {
 		return false
 	}
 	for _, queued := range sw.Fwd[out].View() {
-		if c, isConst := queued.Req.Op.(rmw.Const); isConst && queued.Req.Addr == m.Req.Addr {
-			sw.AcceptRev(&engine.Rev{Rep: core.Reply{ID: m.Req.ID, Val: word.W(c.V)},
-				Path: path, Src: m.Src, Issue: m.Issue, Hot: m.Hot, Valued: true}, now, nil) // never home: the path is not spent
+		if queued.Addr != e.Addr {
+			continue
+		}
+		if c, isConst := sw.Body(queued.H).Req.Op.(rmw.Const); isConst {
+			m.SetReply(core.Reply{ID: m.Req.ID, Val: word.W(c.V)})
+			sw.AcceptRev(&engine.RevEntry{ID: m.Req.ID, Path: path, H: e.H, Src: m.Src, Valued: true},
+				now, nil) // never home: the path is not spent
 			return true
 		}
 	}
