@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test testtime race fuzz smoke bench benchcmp benchtest gobench experiments soak syncbench parbench stepbench stepcmp profile loc fmt vet cover
+.PHONY: all check test testtime race fuzz smoke bench benchcmp benchtest benchpairs gobench experiments soak syncbench parbench stepbench stepcmp profile loc fmt vet cover
 
 all: vet test
 
@@ -178,6 +178,23 @@ stepcmp:
 		for (c = 1; c <= nc; c++) { a = "ref " cases[c]; b = "tree " cases[c]; \
 			printf "%-28s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b] } }'
 
+# benchpairs runs the repository benchmark (bench/run.sh's program, at
+# BENCHMARK.json's 12 seconds) on REF and on the working tree in PAIRS
+# alternating pairs of WORKLOAD, the order flipped every pair and the seeds
+# of SEEDS (comma-separated) taken in turn.  Both binaries are built once
+# into a temporary directory (REF from a `git archive` of it, which honours
+# TMPDIR) and every run writes there, nothing under bench/.  For each
+# end-to-end metric it prints both sides' quartiles, the pairs the tree won
+# and the verdict: gain (nine pairs in ten won and a median gap wider than
+# REF's quartile spread), regression (median worse than the bound), within
+# bound, or unresolved (REF's spread wider than the bound).  CI runs it with
+# PAIRS=1 WORKLOAD=sync_matched REF=HEAD as a smoke.
+WORKLOAD ?= omega_parallel
+SEEDS ?= 1
+PAIRS ?= 10
+benchpairs:
+	go run ./cmd/benchpairs -ref $(REF) -workload $(WORKLOAD) -seeds $(SEEDS) -pairs $(PAIRS)
+
 # profile runs the omega BenchmarkStep under the CPU and memory profilers
 # and leaves cpu.out/mem.out (and the test binary they resolve against) for
 # `go tool pprof -top network.test cpu.out`.
@@ -199,7 +216,7 @@ loc:
 	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${1#internal/} $$n; }; \
 	total=0; for p in engine network hypercube busnet asyncnet; do count internal/$$p; total=$$((total + n)); done; \
 	printf '%-15s %5d\n' total $$total; \
-	for p in cmd/experiments cmd/benchcmp cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
+	for p in cmd/experiments cmd/benchcmp cmd/benchpairs cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
 	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -vch '^\s*\(//.*\)\?$$' | \
 		awk '{ n += $$1 } END { printf "%-15s %5d\n", "repo", n }'
 
