@@ -178,17 +178,18 @@ stepcmp:
 		for (c = 1; c <= nc; c++) { a = "ref " cases[c]; b = "tree " cases[c]; \
 			printf "%-28s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b] } }'
 
-# benchpairs runs the repository benchmark (bench/run.sh's program, at
-# BENCHMARK.json's 12 seconds) on REF and on the working tree in PAIRS
-# alternating pairs of WORKLOAD, the order flipped every pair and the seeds
-# of SEEDS (comma-separated) taken in turn.  Both binaries are built once
-# into a temporary directory (REF from a `git archive` of it, which honours
-# TMPDIR) and every run writes there, nothing under bench/.  For each
-# end-to-end metric it prints both sides' quartiles, the pairs the tree won
-# and the verdict: gain (nine pairs in ten won and a median gap wider than
-# REF's quartile spread), regression (median worse than the bound), within
-# bound, or unresolved (REF's spread wider than the bound).  CI runs it with
-# PAIRS=1 WORKLOAD=sync_matched REF=HEAD as a smoke.
+# benchpairs runs the repository benchmark (bench/run.sh's program, at its
+# own run length) on REF and on the working tree in PAIRS alternating pairs
+# of WORKLOAD, the order flipped every pair and the seeds of SEEDS
+# (comma-separated) taken in turn.  Both binaries are built once into a
+# temporary directory (REF from a `git archive` of it, which honours TMPDIR)
+# and every run writes there, nothing under bench/.  For each end-to-end
+# metric it prints both sides' quartiles, the pairs the tree won and the
+# verdict: failed more (the tree failed a larger share of operations), gain
+# (nine pairs in ten won and a median gap wider than REF's quartile spread),
+# better (every tree run beats every REF run), regression (median worse
+# than the bound), within bound, or unresolved (REF's spread wider than the
+# bound).  CI runs it with PAIRS=1 WORKLOAD=sync_matched REF=HEAD as a smoke.
 WORKLOAD ?= omega_parallel
 SEEDS ?= 1
 PAIRS ?= 10

@@ -12,16 +12,28 @@
 //     pairs and the tree first on odd ones;
 //   - a run's value of a metric is the one bench prints in its result line.
 //
-// For each metric it prints each side's median and quartiles, the pairs the
-// tree won (ties count for neither), and a verdict: "gain" when the tree
-// won at least nine pairs in ten and its median beats REF's by more than
-// the distance between REF's quartiles; "regression" when its median is
-// worse than REF's by more than the metric's bound; "within bound" when it
-// is not, and REF's quartiles lie closer together than the bound; and
-// "unresolved" otherwise — the spread is too wide to tell.
+// Every run is bench's own length, as bench/run.sh runs it.  For each metric
+// it prints each side's median and quartiles, the pairs the tree won (ties
+// count for neither), and a verdict, the first of these that holds:
 //
-//	go run ./cmd/benchpairs -ref HEAD~1 -workload omega_parallel -seeds 11,12 -pairs 10
-//	make benchpairs REF=HEAD~1 WORKLOAD=omega_parallel SEEDS=11,12 PAIRS=10
+//   - "failed more" when the tree's runs failed a larger share of their
+//     operations than REF's, whatever the metric;
+//
+//   - "gain" when the tree won at least nine pairs in ten and its median
+//     beats REF's by more than the distance between REF's quartiles;
+//
+//   - "better" when every tree run beats every REF run;
+//
+//   - "regression" when its median is worse than REF's by more than the
+//     metric's bound;
+//
+//   - "within bound" when REF's quartiles lie closer together than the
+//     bound;
+//
+//   - "unresolved" otherwise — the spread is too wide to tell.
+//
+//     go run ./cmd/benchpairs -ref HEAD~1 -workload omega_parallel -seeds 11,12 -pairs 10
+//     make benchpairs REF=HEAD~1 WORKLOAD=omega_parallel SEEDS=11,12 PAIRS=10
 package main
 
 import (
@@ -64,50 +76,57 @@ func main() {
 	workload := flag.String("workload", "", "the BENCHMARK.json workload to run (required)")
 	seedList := flag.String("seeds", "1", "comma-separated workload seeds, used in turn")
 	pairs := flag.Int("pairs", 10, "alternating pairs of runs")
-	seconds := flag.Int("seconds", 12, "bench -seconds of every run")
 	flag.Parse()
-	if *workload == "" || *pairs < 1 {
-		fail(fmt.Errorf("need -workload and -pairs >= 1"))
+	if err := compare(*ref, *workload, *seedList, *pairs); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpairs:", err)
+		os.Exit(1)
+	}
+}
+
+// compare builds both sides, runs the pairs and prints the table.
+func compare(ref, workload, seedList string, pairs int) error {
+	if workload == "" || pairs < 1 {
+		return fmt.Errorf("need -workload and -pairs >= 1")
 	}
 	var seeds []string
-	for _, s := range strings.Split(*seedList, ",") {
+	for _, s := range strings.Split(seedList, ",") {
 		if _, err := strconv.ParseUint(s, 10, 64); err != nil {
-			fail(fmt.Errorf("seed %q: %v", s, err))
+			return fmt.Errorf("seed %q: %v", s, err)
 		}
 		seeds = append(seeds, s)
 	}
 	metrics, err := endToEnd("BENCHMARK.json")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	dir, err := os.MkdirTemp("", "benchpairs")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	bins := map[string]string{"ref": filepath.Join(dir, "ref-bench"), "tree": filepath.Join(dir, "tree-bench")}
-	if err := archive(*ref, filepath.Join(dir, "ref")); err != nil {
-		fail(err)
+	if err := archive(ref, filepath.Join(dir, "ref")); err != nil {
+		return err
 	}
 	for side, src := range map[string]string{"ref": filepath.Join(dir, "ref"), "tree": "."} {
 		if err := build(filepath.Join(src, "bench"), bins[side]); err != nil {
-			fail(fmt.Errorf("building %s: %v", side, err))
+			return fmt.Errorf("building %s: %v", side, err)
 		}
 	}
 
 	runs := map[string][]result{}
-	for i := 0; i < *pairs; i++ {
+	for i := 0; i < pairs; i++ {
 		order := []string{"ref", "tree"}
 		if i%2 == 1 {
 			order = []string{"tree", "ref"}
 		}
 		for _, side := range order {
-			r, err := run(bins[side], filepath.Join(dir, "out-"+side), *workload, seeds[i%len(seeds)], *seconds)
+			r, err := run(bins[side], filepath.Join(dir, "out-"+side), workload, seeds[i%len(seeds)])
 			if err != nil {
-				fail(fmt.Errorf("pair %d, %s: %v", i+1, side, err))
+				return fmt.Errorf("pair %d, %s: %v", i+1, side, err)
 			}
 			runs[side] = append(runs[side], r)
-			fmt.Fprintf(os.Stderr, "pair %d/%d %-4s seed %s:", i+1, *pairs, side, seeds[i%len(seeds)])
+			fmt.Fprintf(os.Stderr, "pair %d/%d %-4s seed %s:", i+1, pairs, side, seeds[i%len(seeds)])
 			for _, m := range metrics {
 				fmt.Fprintf(os.Stderr, " %s %.6g", m.Name, r.Metrics[m.Name].Value)
 			}
@@ -115,13 +134,14 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%s, %d pairs, seeds %s: %s against the working tree\n", *workload, *pairs, *seedList, *ref)
-	fmt.Printf("%-12s %-6s %36s   %36s   %5s  %s\n", "metric", "unit", *ref+": q1 / median / q3", "tree: q1 / median / q3", "wins", "verdict")
+	fmt.Printf("%s, %d pairs, seeds %s: %s against the working tree\n", workload, pairs, seedList, ref)
+	fmt.Printf("%-12s %-6s %36s   %36s   %5s  %s\n", "metric", "unit", ref+": q1 / median / q3", "tree: q1 / median / q3", "wins", "verdict")
+	failedMore := failedShare(runs["tree"]) > failedShare(runs["ref"])
 	for _, m := range metrics {
 		a, b := values(runs["ref"], m.Name), values(runs["tree"], m.Name)
 		qa, qb := quartiles(a), quartiles(b)
 		fmt.Printf("%-12s %-6s %11.4g %11.4g %11.4g   %11.4g %11.4g %11.4g   %2d/%-2d  %s\n", m.Name, m.Unit,
-			qa[0], qa[1], qa[2], qb[0], qb[1], qb[2], wins(m, a, b), len(a), verdict(m, a, b))
+			qa[0], qa[1], qa[2], qb[0], qb[1], qb[2], wins(m, a, b), len(a), verdict(m, a, b, failedMore))
 	}
 	for side, rs := range runs {
 		for i, r := range rs {
@@ -137,15 +157,11 @@ func main() {
 		if a, b := runs["ref"][i].Digest, runs["tree"][i].Digest; a == b {
 			same++
 		} else {
-			fmt.Printf("pair %d: digest %s at %s, %s in the tree\n", i+1, a, *ref, b)
+			fmt.Printf("pair %d: digest %s at %s, %s in the tree\n", i+1, a, ref, b)
 		}
 	}
 	fmt.Printf("digests equal in %d of %d pairs\n", same, len(runs["ref"]))
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "benchpairs:", err)
-	os.Exit(1)
+	return nil
 }
 
 // endToEnd reads the end-to-end metrics from the benchmark's manifest.
@@ -188,15 +204,15 @@ func archive(ref, dir string) error {
 func build(dir, bin string) error {
 	cmd := exec.Command("go", "build", "-o", bin, ".")
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOFLAGS=-buildvcs=false", "GOWORK=off")
+	cmd.Env = append(os.Environ(), "GOFLAGS=-buildvcs=false", "GOTOOLCHAIN=local", "GOWORK=off")
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	return cmd.Run()
 }
 
 // run runs one bench invocation and returns its result line.
-func run(bin, out, workload, seed string, seconds int) (result, error) {
+func run(bin, out, workload, seed string) (result, error) {
 	var stdout bytes.Buffer
-	cmd := exec.Command(bin, "-out", out, "-workload", workload, "-seed", seed, "-seconds", strconv.Itoa(seconds))
+	cmd := exec.Command(bin, "-out", out, "-workload", workload, "-seed", seed)
 	cmd.Stdout, cmd.Stderr = &stdout, io.Discard
 	err := cmd.Run()
 	lines := bytes.Split(bytes.TrimSpace(stdout.Bytes()), []byte("\n"))
@@ -210,6 +226,24 @@ func run(bin, out, workload, seed string, seconds int) (result, error) {
 	}
 	r.Digest = detail.Digest
 	return r, nil
+}
+
+// failedShare is the share of the runs' operations that failed their checks;
+// a run that is not correct counts all its operations as failed.
+func failedShare(rs []result) float64 {
+	var failed, attempted int64
+	for _, r := range rs {
+		attempted += r.Attempted
+		if r.Correct {
+			failed += r.Failed
+		} else {
+			failed += r.Attempted
+		}
+	}
+	if attempted == 0 {
+		return 0
+	}
+	return float64(failed) / float64(attempted)
 }
 
 func values(rs []result, name string) []float64 {
@@ -255,12 +289,19 @@ func wins(m metric, a, b []float64) int {
 	return n
 }
 
-// verdict applies the rule in the command comment.
-func verdict(m metric, a, b []float64) string {
+// verdict applies the rule in the command comment; failedMore says the
+// tree's runs failed a larger share of their operations than REF's.
+func verdict(m metric, a, b []float64, failedMore bool) string {
+	if failedMore {
+		return "failed more"
+	}
 	qa, qb := quartiles(a), quartiles(b)
 	spread := qa[2] - qa[0]
 	if 10*wins(m, a, b) >= 9*len(a) && better(m, qb[1], qa[1]) && math.Abs(qb[1]-qa[1]) > spread {
 		return "gain"
+	}
+	if separated(m, a, b) {
+		return "better"
 	}
 	limit := qa[1] * (1 + m.Bound)
 	if m.Better == "higher" {
@@ -273,4 +314,16 @@ func verdict(m metric, a, b []float64) string {
 		return "within bound"
 	}
 	return "unresolved"
+}
+
+// separated reports whether every tree run (b) beats every REF run (a).
+func separated(m metric, a, b []float64) bool {
+	for _, x := range b {
+		for _, y := range a {
+			if !better(m, x, y) {
+				return false
+			}
+		}
+	}
+	return true
 }

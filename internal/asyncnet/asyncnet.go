@@ -130,8 +130,8 @@ type aswitch struct {
 	revIn chan engine.Rev // replies from the memory side
 
 	// Downstream targets, wired by New.
-	fwdOut [2]func(*engine.Fwd) // send toward memory
-	revOut [2]func(*engine.Rev) // send toward processors
+	fwdOut [2]func(engine.Fwd) // send toward memory
+	revOut [2]func(engine.Rev) // send toward processors
 }
 
 // Port is one processor's connection to the network.  A Port may pipeline
@@ -277,7 +277,7 @@ func New(cfg Config) *Net {
 			l, where := links.Fwd[at*2+b], site(links.FwdAt[at*2+b])
 			if l.To < 0 {
 				mod := int(-1 - l.To)
-				sw.fwdOut[b] = func(m *engine.Fwd) {
+				sw.fwdOut[b] = func(m engine.Fwd) {
 					if net.flt != nil && net.flt.DropForward(where, m.Req.ID, m.Req.Attempt) {
 						return
 					}
@@ -290,12 +290,11 @@ func New(cfg Config) *Net {
 				continue
 			}
 			target, inPort := net.switches[l.To].fwdIn[l.In], l.In
-			sw.fwdOut[b] = func(m *engine.Fwd) {
+			sw.fwdOut[b] = func(m engine.Fwd) {
 				if net.flt != nil && net.flt.DropForward(where, m.Req.ID, m.Req.Attempt) {
 					return
 				}
-				out := *m
-				out.Path = out.Path.Push(inPort)
+				m.Path = m.Path.Push(inPort)
 				// Service-while-blocked: while the downstream inbox
 				// is full, keep draining our own revIn.  A blocked
 				// forward chain ascends the stages; every switch on
@@ -304,14 +303,14 @@ func New(cfg Config) *Net {
 				// eventually frees a slot — requests can never block
 				// replies, the cycle that deadlocks bounded buffers.
 				select {
-				case target <- out:
+				case target <- m:
 					return
 				default:
 					net.creditStalls.Inc()
 				}
 				for {
 					select {
-					case target <- out:
+					case target <- m:
 						return
 					case r := <-sw.revIn:
 						sw.handleRev(r)
@@ -330,11 +329,11 @@ func New(cfg Config) *Net {
 			} else {
 				target = net.ports[-1-l.To].reply
 			}
-			sw.revOut[p] = func(r *engine.Rev) {
+			sw.revOut[p] = func(r engine.Rev) {
 				if net.flt != nil && net.flt.DropReply(where, r.Rep.ID, r.Rep.Attempt) {
 					return
 				}
-				if !send(net.done, target, *r) {
+				if !send(net.done, target, r) {
 					net.orphans.Inc()
 				}
 			}
@@ -711,8 +710,7 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 	}
 	for port := range sw.st.Fwd {
 		for sw.st.Fwd[port].Len() > 0 {
-			m := sw.st.TakeFwd(port)
-			sw.fwdOut[port](&m)
+			sw.fwdOut[port](sw.st.TakeFwd(port))
 		}
 	}
 }
@@ -728,8 +726,7 @@ func (sw *aswitch) handleRev(r engine.Rev) {
 	sw.st.PutRev(&r, 0, nil) // never home: a reply's path is spent at its port, not before
 	for port := range sw.st.Rev {
 		for sw.st.Rev[port].Len() > 0 {
-			r := sw.st.TakeRev(port)
-			sw.revOut[port](&r)
+			sw.revOut[port](sw.st.TakeRev(port))
 		}
 	}
 }
