@@ -18,3 +18,18 @@ func TestWaitTargetsFillOneCacheLine(t *testing.T) {
 		t.Errorf("barrier flag is %d bytes, want %d", s, par.CacheLine)
 	}
 }
+
+// TestMCSLockLayout pins the lock's two lines: the lock word and the wait
+// word its queue head parks on share one, which the releaser already owns
+// when it hands the lock over, and the tail that arrivals swap has its own.
+func TestMCSLockLayout(t *testing.T) {
+	var l MCSLock
+	line := func(off uintptr) uintptr { return off / par.CacheLine }
+	state, head := unsafe.Offsetof(l.state), unsafe.Offsetof(l.head)
+	if line(state) != line(head) || line(head) != line(head+unsafe.Sizeof(l.head)-1) {
+		t.Errorf("state at %d and head at %d..%d do not share a line", state, head, head+unsafe.Sizeof(l.head)-1)
+	}
+	if tail := unsafe.Offsetof(l.tail); line(tail) == line(state) || line(tail) == line(head+unsafe.Sizeof(l.head)-1) {
+		t.Errorf("tail at %d shares a line with the lock word", tail)
+	}
+}
