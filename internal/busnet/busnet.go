@@ -65,6 +65,9 @@ type Config struct {
 	// freezes the bus and decoupling FIFO; bank slowdowns key on the
 	// window's Index as the bank number.
 	Faults *faults.Plan
+	// Trace, when non-nil, observes every event of every cycle
+	// (engine.ShellConfig.Trace), as network.Config.Trace does.
+	Trace func(engine.Event)
 }
 
 // Sim is the cycle-driven bus machine: the shared shell (processor ports,
@@ -151,6 +154,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		Stages:         1,
 		WatchdogCycles: cfg.WatchdogCycles,
 		Faults:         cfg.Faults,
+		Trace:          cfg.Trace,
 	})
 	return s
 }

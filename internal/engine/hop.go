@@ -301,6 +301,14 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 	b := s.store.At(m.H)
 	r := RevEntry{ID: rep.ID, Path: m.Path, H: m.H, Src: b.Src, Valued: rmw.NeedsValue(b.Req.Op)}
 	b.SetReply(rep)
+	if s.trace != nil {
+		e := Event{Cycle: s.tot.Cycles, Kind: Served, ID: rep.ID, Addr: m.Addr, Stage: -1, Switch: mod}
+		if at < 0 {
+			s.modEvents[mod] = append(s.modEvents[mod], e)
+		} else {
+			s.events[at] = append(s.events[at], e)
+		}
+	}
 	if at < 0 {
 		if !s.LostRev(&s.links.Home[r.Src], &r) {
 			ln.Home = append(ln.Home, r)
@@ -308,10 +316,6 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 			ln.free(r.H)
 		}
 		return
-	}
-	if s.trace != nil {
-		s.events[at] = append(s.events[at],
-			Event{Cycle: s.tot.Cycles, Kind: Served, ID: rep.ID, Addr: m.Addr, Stage: -1, Switch: mod})
 	}
 	s.stations[at].AcceptRev(&r, s.now(), &ln.Home)
 }

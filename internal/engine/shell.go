@@ -252,11 +252,14 @@ type Shell struct {
 	fwdMemo  []refusal
 	portMemo []portRefusal
 	// trace is the event sink (ShellConfig.Trace); events[at] is station at's
-	// buffer for the cycle and portEvents the processor ports', each with the
-	// owner of its station or of the ports (trace.go).
+	// buffer for the cycle, portEvents the processor ports' and modEvents[mod]
+	// module mod's when no station sits between it and the processors (Tick
+	// with at < 0), each with the owner of its station, ports or module
+	// (trace.go).
 	trace      func(Event)
 	events     [][]Event
 	portEvents []Event
+	modEvents  [][]Event
 
 	tot Totals // tot.Cycles is the machine's clock
 	lat stats.Histogram
@@ -352,6 +355,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 	s.lanes = make([]Lane, s.pool.Workers())
 	if s.trace != nil {
 		s.events = make([][]Event, len(s.stations))
+		s.modEvents = make([][]Event, cfg.Modules)
 	}
 	for i := range s.stations {
 		if s.stations[i].store != s.store {

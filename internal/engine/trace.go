@@ -13,12 +13,13 @@ import (
 //
 // The events are written where they happen, by whoever owns the place: a
 // station's into its own buffer (the hook Init installs, and Tick for the
-// module service it routes there), a port's into the ports' buffer (Offer
-// and complete, on the stepping goroutine or worker 0 at Commit).  A
-// station has one writer per barrier-separated phase, so its sequence is
-// the same at every width, and Step hands the sink the cycle's events in a
-// fixed order — the ports', then each station's in station order — with no
-// merge and no sort.
+// module service it routes there), a module's with no station in front of
+// its reply into its own (Tick, on the bus), a port's into the ports'
+// buffer (Offer and complete, on the stepping goroutine or worker 0 at
+// Commit).  Each buffer has one writer per barrier-separated phase, so its
+// sequence is the same at every width, and Step hands the sink the cycle's
+// events in a fixed order — the ports', then each station's in station
+// order, then each such module's — with no merge and no sort.
 
 // EventKind classifies trace events.
 type EventKind uint8
@@ -123,7 +124,8 @@ func (s *Shell) portEvent(kind EventKind, id word.ReqID, addr word.Addr, p int) 
 }
 
 // emitEvents hands the sink the cycle's events — the ports', in the order
-// they were made, then each station's — and empties the buffers.
+// they were made, then each station's, then each module's own — and
+// empties the buffers.
 func (s *Shell) emitEvents() {
 	emit := func(buf []Event) []Event {
 		for _, e := range buf {
@@ -134,5 +136,8 @@ func (s *Shell) emitEvents() {
 	s.portEvents = emit(s.portEvents)
 	for at := range s.events {
 		s.events[at] = emit(s.events[at])
+	}
+	for mod := range s.modEvents {
+		s.modEvents[mod] = emit(s.modEvents[mod])
 	}
 }

@@ -79,6 +79,9 @@ type Config struct {
 	// Stall windows select a router by Index (node number, Stage ignored
 	// via -1 or 0); memory slowdowns select the node's module by Index.
 	Faults *faults.Plan
+	// Trace, when non-nil, observes every event of every cycle
+	// (engine.ShellConfig.Trace), as network.Config.Trace does.
+	Trace func(engine.Event)
 }
 
 // Sim is the cycle-driven direct-connection machine: the shared shell
@@ -202,6 +205,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		Stages:         1,
 		WatchdogCycles: cfg.WatchdogCycles,
 		Faults:         cfg.Faults,
+		Trace:          cfg.Trace,
 	})
 	return s
 }

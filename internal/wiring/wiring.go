@@ -46,6 +46,9 @@ type Config struct {
 	Workers int
 	// Faults, when non-nil, arms the fault plan and the recovery layer.
 	Faults *faults.Plan
+	// Trace, when non-nil, receives every engine event of every cycle
+	// (engine.ShellConfig.Trace); the trace is the same at every Workers.
+	Trace func(engine.Event)
 }
 
 // resolve maps a name to its validated engine configuration, returned as
@@ -55,7 +58,7 @@ func resolve(name string, c Config) (func([]engine.Injector) engine.Machine, err
 	case "omega", "omega4", "fattree":
 		cfg := network.Config{Procs: c.Procs, QueueCap: c.QueueCap, RevQueueCap: c.RevQueueCap,
 			MemQueueCap: c.MemQueueCap, WaitBufCap: c.WaitBufCap, AllowReversal: c.AllowReversal,
-			Workers: c.Workers, Faults: c.Faults}
+			Workers: c.Workers, Faults: c.Faults, Trace: c.Trace}
 		if name == "omega4" {
 			cfg.Radix = 4
 		}
@@ -66,7 +69,7 @@ func resolve(name string, c Config) (func([]engine.Injector) engine.Machine, err
 	case "hypercube", "torus":
 		cfg := hypercube.Config{Nodes: c.Procs, QueueCap: c.QueueCap, RevQueueCap: c.RevQueueCap,
 			MemQueueCap: c.MemQueueCap, WaitBufCap: c.WaitBufCap, AllowReversal: c.AllowReversal,
-			Workers: c.Workers, Faults: c.Faults}
+			Workers: c.Workers, Faults: c.Faults, Trace: c.Trace}
 		if name == "torus" {
 			cfg.Topology = engine.SquareTorusOf(c.Procs)
 		}
@@ -74,7 +77,7 @@ func resolve(name string, c Config) (func([]engine.Injector) engine.Machine, err
 	case "bus":
 		cfg := busnet.Config{Procs: c.Procs, Banks: c.Banks, QueueCap: c.QueueCap,
 			BankQueueCap: c.MemQueueCap, WaitBufCap: c.WaitBufCap, AllowReversal: c.AllowReversal,
-			Workers: c.Workers, Faults: c.Faults}
+			Workers: c.Workers, Faults: c.Faults, Trace: c.Trace}
 		if cfg.Banks == 0 {
 			cfg.Banks = 4
 		}
