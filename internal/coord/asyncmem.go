@@ -40,11 +40,3 @@ func (c portCell) Store(v int64) {
 func (c portCell) Swap(v int64) int64 {
 	return c.port.RMW(c.addr, rmw.SwapOf(v)).Val
 }
-
-func (c portCell) FetchOr(mask int64) int64 {
-	return c.port.RMW(c.addr, rmw.FetchOr(mask)).Val
-}
-
-func (c portCell) FetchAndMask(mask int64) int64 {
-	return c.port.RMW(c.addr, rmw.FetchAnd(mask)).Val
-}

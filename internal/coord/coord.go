@@ -1,8 +1,8 @@
 // Package coord implements the fetch-and-add coordination algorithms of
 // the Ultracomputer line (Gottlieb, Lubachevsky, Rudolph [10]; Section 2 of
-// the paper): counters, barriers, readers–writers, semaphores and a
-// bounded MPMC queue, all built on combinable RMW operations so that under
-// combining their hot spots do not serialize.
+// the paper): counters, barriers and a bounded MPMC queue, all built on
+// combinable RMW operations so that under combining their hot spots do not
+// serialize.
 //
 // Every algorithm is written against the Memory/Cell abstraction, so the
 // same code runs on native atomics (package-local testing) and through the
@@ -14,8 +14,7 @@
 // Construction convention: each participant builds its own instance of a
 // primitive over its own Memory view; instances constructed with the same
 // base address alias the same shared cells.  Constructors never write to
-// memory, so late joiners cannot clobber live state; primitives with
-// nonzero initial state have an explicit Init called by one participant.
+// memory, so late joiners cannot clobber live state.
 package coord
 
 import (
@@ -36,11 +35,6 @@ type Cell interface {
 	Store(v int64)
 	// Swap replaces the value and returns the old one.
 	Swap(v int64) int64
-	// FetchOr atomically ORs mask in and returns the old value
-	// (fetch-and-OR, Section 5.2).
-	FetchOr(mask int64) int64
-	// FetchAndMask atomically ANDs mask in and returns the old value.
-	FetchAndMask(mask int64) int64
 }
 
 // Memory hands out a participant's view of shared cells.  Views from
@@ -76,12 +70,10 @@ func (n *Native) Cell(addr word.Addr) Cell {
 
 type nativeCell struct{ v *atomic.Int64 }
 
-func (c nativeCell) FetchAdd(d int64) int64        { return c.v.Add(d) - d }
-func (c nativeCell) Load() int64                   { return c.v.Load() }
-func (c nativeCell) Store(v int64)                 { c.v.Store(v) }
-func (c nativeCell) Swap(v int64) int64            { return c.v.Swap(v) }
-func (c nativeCell) FetchOr(mask int64) int64      { return c.v.Or(mask) }
-func (c nativeCell) FetchAndMask(mask int64) int64 { return c.v.And(mask) }
+func (c nativeCell) FetchAdd(d int64) int64 { return c.v.Add(d) - d }
+func (c nativeCell) Load() int64            { return c.v.Load() }
+func (c nativeCell) Store(v int64)          { c.v.Store(v) }
+func (c nativeCell) Swap(v int64) int64     { return c.v.Swap(v) }
 
 // spin yields the processor between retries of a busy-wait loop.
 func spin() { runtime.Gosched() }
@@ -135,83 +127,6 @@ func (b *Barrier) Await() {
 		spin()
 	}
 }
-
-// Semaphore is a counting semaphore with busy-wait P (the paper's
-// busy-waiting model: a failed decrement is undone and retried).
-type Semaphore struct {
-	c Cell
-}
-
-// NewSemaphore binds a semaphore to a cell.  One participant must call
-// Init with the permit count before any P or V runs.
-func NewSemaphore(m Memory, addr word.Addr) *Semaphore {
-	return &Semaphore{c: m.Cell(addr)}
-}
-
-// Init sets the initial permit count.
-func (s *Semaphore) Init(permits int64) { s.c.Store(permits) }
-
-// P acquires one unit.
-func (s *Semaphore) P() {
-	for {
-		if s.c.FetchAdd(-1) > 0 {
-			return
-		}
-		s.c.FetchAdd(1)
-		spin()
-	}
-}
-
-// V releases one unit.
-func (s *Semaphore) V() { s.c.FetchAdd(1) }
-
-// RWLock is the fetch-and-add readers–writers protocol: readers add 1,
-// writers add W (larger than any possible reader count); an acquisition
-// that observes a conflicting weight undoes itself and retries.
-type RWLock struct {
-	c          Cell
-	maxReaders int64
-}
-
-// NewRWLock builds a readers-writer lock supporting up to maxReaders
-// concurrent readers.
-func NewRWLock(m Memory, addr word.Addr, maxReaders int) *RWLock {
-	if maxReaders < 1 {
-		panic("coord: RWLock needs maxReaders ≥ 1")
-	}
-	return &RWLock{c: m.Cell(addr), maxReaders: int64(maxReaders)}
-}
-
-func (l *RWLock) writerWeight() int64 { return l.maxReaders + 1 }
-
-// RLock acquires shared access.
-func (l *RWLock) RLock() {
-	for {
-		if l.c.FetchAdd(1) < l.maxReaders {
-			return
-		}
-		l.c.FetchAdd(-1)
-		spin()
-	}
-}
-
-// RUnlock releases shared access.
-func (l *RWLock) RUnlock() { l.c.FetchAdd(-1) }
-
-// Lock acquires exclusive access.
-func (l *RWLock) Lock() {
-	w := l.writerWeight()
-	for {
-		if l.c.FetchAdd(w) == 0 {
-			return
-		}
-		l.c.FetchAdd(-w)
-		spin()
-	}
-}
-
-// Unlock releases exclusive access.
-func (l *RWLock) Unlock() { l.c.FetchAdd(-l.writerWeight()) }
 
 // Queue is the bounded MPMC FIFO of the Ultracomputer operating system:
 // head and tail tickets are assigned by fetch-and-add (combinable, so a

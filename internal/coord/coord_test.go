@@ -102,75 +102,6 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	for _, s := range substrates(t) {
-		t.Run(s.name, func(t *testing.T) {
-			const permits = 3
-			var holders, maxHolders atomic.Int64
-			// Participant 0 initializes the permit count before anyone
-			// issues a P: a Store racing with a P's undo would inflate
-			// the permits.
-			ready := make(chan struct{})
-			s.run(t, func(id int, mem Memory) {
-				sem := NewSemaphore(mem, 7)
-				if id == 0 {
-					sem.Init(permits)
-					close(ready)
-				} else {
-					<-ready
-				}
-				for i := 0; i < 20; i++ {
-					sem.P()
-					h := holders.Add(1)
-					for {
-						m := maxHolders.Load()
-						if h <= m || maxHolders.CompareAndSwap(m, h) {
-							break
-						}
-					}
-					holders.Add(-1)
-					sem.V()
-				}
-			})
-			if got := maxHolders.Load(); got > permits {
-				t.Fatalf("%d concurrent holders exceeded %d permits", got, permits)
-			}
-			if maxHolders.Load() == 0 {
-				t.Fatal("semaphore never held")
-			}
-		})
-	}
-}
-
-func TestRWLock(t *testing.T) {
-	for _, s := range substrates(t) {
-		t.Run(s.name, func(t *testing.T) {
-			var readers, writers atomic.Int64
-			s.run(t, func(id int, mem Memory) {
-				l := NewRWLock(mem, 3, 64)
-				for i := 0; i < 15; i++ {
-					if id%4 == 0 { // a quarter are writers
-						l.Lock()
-						if writers.Add(1) != 1 || readers.Load() != 0 {
-							t.Error("writer overlapped with another holder")
-						}
-						writers.Add(-1)
-						l.Unlock()
-					} else {
-						l.RLock()
-						if writers.Load() != 0 {
-							t.Error("reader overlapped with a writer")
-						}
-						readers.Add(1)
-						readers.Add(-1)
-						l.RUnlock()
-					}
-				}
-			})
-		})
-	}
-}
-
 func TestQueue(t *testing.T) {
 	for _, s := range substrates(t) {
 		t.Run(s.name, func(t *testing.T) {

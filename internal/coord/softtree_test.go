@@ -98,8 +98,6 @@ func (c countingCell) FetchAdd(d int64) int64 {
 	c.m.mu.Unlock()
 	return c.inner.FetchAdd(d)
 }
-func (c countingCell) Load() int64                { return c.inner.Load() }
-func (c countingCell) Store(v int64)              { c.inner.Store(v) }
-func (c countingCell) Swap(v int64) int64         { return c.inner.Swap(v) }
-func (c countingCell) FetchOr(m int64) int64      { return c.inner.FetchOr(m) }
-func (c countingCell) FetchAndMask(m int64) int64 { return c.inner.FetchAndMask(m) }
+func (c countingCell) Load() int64        { return c.inner.Load() }
+func (c countingCell) Store(v int64)      { c.inner.Store(v) }
+func (c countingCell) Swap(v int64) int64 { return c.inner.Swap(v) }
