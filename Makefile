@@ -39,7 +39,7 @@ testtime:
 	test $$wall -le 60 || { echo "testtime: over the 60s budget"; exit 1; }
 
 race:
-	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ .
+	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ ./pkg/sync/ ./internal/par/ .
 
 # fuzz runs every native fuzz target for five seconds (go test takes one
 # -fuzz target per invocation).  Their seed corpora already run as unit
