@@ -19,11 +19,15 @@
 // swap whose old value says whether to send, so a parked waiter costs the
 // scheduler nothing and the O(1)-remote-reference counts below stand.
 //
-//   - MCSLock — the queue lock built on one atomic swap per acquisition
-//     (the paper's I_v constant mapping with the old value returned).  Each
-//     waiter waits on its own cache-line-padded queue node; handoff is one
-//     remote write.  O(1) remote references per acquisition regardless of
-//     contention.
+//   - MCSLock — the queue lock built on one atomic swap per queued
+//     acquisition (the paper's I_v constant mapping with the old value
+//     returned), behind a barging fast path: a running acquirer takes a
+//     free lock with one compare-and-swap.  Each queued waiter waits on its
+//     own cache-line-padded queue node, and only the queue head waits on
+//     the lock word; once the head parks, the next release hands the lock
+//     straight to it.  Not strictly FIFO — a barger can overtake a head
+//     that is still spinning, never a parked one — and O(1) remote
+//     references per acquisition regardless of contention.
 //
 //   - Barrier — a combining-tree barrier with dynamic winners, the
 //     software image of a combined fetch-and-add: an arrival is one swap

@@ -28,14 +28,16 @@ const (
 // The blocking variants (Put, Take) give producer/consumer handoff without
 // a lock on the data path: each value stored is consumed by exactly one
 // Take.  Blocked consumers queue on one MCSLock and blocked producers on
-// another, so each side has a single head waiter; it owns that side's
-// par.Wait word, which every opposite transition sets, and waits on it
-// spin-then-park like a lock waiter.
+// another, so each side has a single waiter holding its lock; that holder
+// owns the side's par.Wait word, which every opposite transition sets, and
+// waits on it spin-then-park like a lock waiter.  The side locks barge
+// (MCSLock), so a newly blocked caller may be served before one that
+// queued earlier and is still spinning.
 //
 // The zero value is an empty cell.
 type FECell struct {
 	state       atomic.Uint32
-	full, empty par.Wait // awaited by the head taker / head putter
+	full, empty par.Wait // awaited by the holder of takers / of putters
 	_           [par.CacheLine - 40]byte
 	val         int64 // guarded by state: written only empty→full, read only full→empty
 
@@ -49,8 +51,8 @@ func (c *FECell) publish(s uint32, w *par.Wait) {
 	w.Set(1)
 }
 
-// await runs try as the head of its side's queue until it succeeds.  The
-// head clears its word before each attempt and the opposite side sets it
+// await runs try as the holder of its side's lock until it succeeds.  The
+// holder clears its word before each attempt and the opposite side sets it
 // after each transition, so either the attempt sees the transition or the
 // Await sees the set (and a set that races the clear only costs a retry).
 func (c *FECell) await(queue *MCSLock, w *par.Wait, try func() bool) {
