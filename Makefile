@@ -150,8 +150,9 @@ stepbench:
 # TMPDIR) and once for the working tree, then run alternately for ROUNDS
 # rounds of 3000 cycles, the order flipped every round — this host's clock
 # swings 10–30 % between runs, so only interleaved pairs compare.  Beside
-# BenchmarkStep's cases it runs BenchmarkParallelStep's n1024/w1 and n1024/w2,
-# so a stepper change is screened at both widths.  Prints min / first
+# BenchmarkStep's cases it runs BenchmarkParallelStep's n1024/w1 and n1024/w2
+# and its n1024hot8/w1 and n1024hot8/w2 (bench/run.sh's omega_parallel
+# machine and traffic), so a stepper change is screened at both widths.  Prints min / first
 # quartile / median µs per cycle (ns/op: one Step per op) of each side and
 # the ratios ref/tree (> 1: the tree is faster).  No threshold; CI runs it
 # with ROUNDS=2 REF=HEAD as a smoke.
@@ -164,7 +165,7 @@ stepcmp:
 		(cd $$d/ref && go test -c -o $$d/ref-$$p.test ./internal/$$p/); \
 		go test -c -o $$d/tree-$$p.test ./internal/$$p/; \
 	done; \
-	run() { for c in 'network:^BenchmarkStep$$' 'network:^BenchmarkParallelStep$$/^n1024$$/^w[12]$$' 'hypercube:^BenchmarkStep$$'; do \
+	run() { for c in 'network:^BenchmarkStep$$' 'network:^BenchmarkParallelStep$$/^n1024(hot8)?$$/^w[12]$$' 'hypercube:^BenchmarkStep$$'; do \
 		p=$${c%%:*}; (cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench "$${c#*:}" -test.benchtime 3000x -test.timeout 10m) | \
 		awk -v side=$$1 -v p=$$p '/^Benchmark(Parallel)?Step\// { sub(/^BenchmarkStep\//, "", $$1); sub(/^BenchmarkParallelStep\//, "parallel/", $$1); \
 			sub(/-[0-9]+$$/, "", $$1); for (i = 3; i < NF; i++) if ($$(i+1) == "ns/op") print side, p "/" $$1, $$i / 1000 }'; done; }; \

@@ -65,9 +65,12 @@
 // (TestMCSLockHotSpot100k, TestBarrierWide, TestCounterHotSpot100k), run
 // under the race detector by `go test -race ./...`.
 //
+// -cpuprofile FILE writes a pprof CPU profile of the whole run, every row
+// included (go tool pprof -top FILE).
+//
 // Usage: check [-rounds 50] [-procs 16] [-ops 20] [-addrs 4] [-seed 1]
 // [-quick] [-faults] [-overload] [-parallel] [-crash] [-chaos]
-// [-canary nodedup] [-v]
+// [-canary nodedup] [-cpuprofile FILE] [-v]
 package main
 
 import (
@@ -77,6 +80,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -103,6 +107,7 @@ func main() {
 		doCrash  = flag.Bool("crash", false, "crash–restart soak: checkpointed recovery on the five cycle wirings of -faults, crash-only and crash+drop")
 		doChaos  = flag.Bool("chaos", false, "fault-plan fuzzer: sampled plans mixing every fault kind on all six wirings; violations shrink to a replayable reproducer")
 		canary   = flag.String("canary", "", "arm a named seeded bug (e.g. nodedup) in every chaos plan — the fuzzer must find and shrink it")
+		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		verbose  = flag.Bool("v", false, "log every execution")
 	)
 	flag.Parse()
@@ -127,6 +132,23 @@ func main() {
 		for _, w := range s.wirings {
 			if err := combining.ValidateWiring(w, s.cfg); err != nil {
 				usage("%v", err)
+			}
+		}
+	}
+
+	stopProfile := func() {}
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			usage("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			usage("-cpuprofile: %v", err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				usage("-cpuprofile: %v", err)
 			}
 		}
 	}
@@ -164,6 +186,7 @@ func main() {
 	if *doChaos {
 		count(chaosSoak(*rounds, *seed, *canary, *verbose))
 	}
+	stopProfile() // before any exit: os.Exit runs no deferred call
 	fmt.Printf("\n%d executions checked, %d failures\n", checked, failed)
 	if failed > 0 {
 		os.Exit(1)
