@@ -14,13 +14,17 @@ package core
 // bound: from there on it is fixed.  A queue that drains restarts at the
 // front, so one that holds a message or two — most of a machine's thousands
 // of queues — never slides at all, and a busy one slides a few adjacent
-// cache lines it has just read.  Storage starts empty and is sized by use:
-// the queues' storage is most of a machine's working set, and keeping it
-// small measured faster than slack that spares slides.  The first storage
-// is two slots, not one: at the end of a 1024-processor omega run nearly
-// every link queue had peaked at exactly two messages, so starting at one
-// left a dead one-slot array behind in almost every queue.  Once a queue
-// has seen its peak occupancy, Push allocates nothing.
+// cache lines it has just read.  Storage is sized by use: the queues'
+// storage is most of a machine's working set, and keeping it small measured
+// faster than slack that spares slides.  The first storage is two slots, not
+// one: at the end of a 1024-processor omega run nearly every link queue had
+// peaked at exactly two messages, so starting at one left a dead one-slot
+// array behind in almost every queue.  A queue's storage starts empty, and
+// its first Push allocates that first storage — unless SeedFIFOs has handed
+// it the first storage already, cut from one array shared with the queues
+// beside it, in the order a sweep visits them (a shell seeds its stations'
+// queues so).  Either way it never exceeds the bound, and once a queue has
+// seen its peak occupancy, Push allocates nothing.
 //
 // Pop does not clear the vacated slot: it is dead storage until a later
 // Push hands it out again, and whatever the element referenced (a
@@ -122,13 +126,44 @@ func (q *FIFO[T]) makeRoom() {
 		q.head, q.tail = 0, int32(n)
 		return
 	}
-	grown := max(2*len(q.buf), 2)
+	buf := make([]T, q.nextSize())
+	copy(buf, q.buf)
+	q.buf = buf
+}
+
+// nextSize is the storage a full queue grows to: double, the first storage
+// firstSlots, never past the bound.
+func (q *FIFO[T]) nextSize() int {
+	grown := max(2*len(q.buf), firstSlots)
 	if q.bound > 0 && grown > int(q.bound) {
 		grown = int(q.bound) // Push has checked Len < bound: this still grows
 	}
-	buf := make([]T, grown)
-	copy(buf, q.buf)
-	q.buf = buf
+	return grown
+}
+
+// firstSlots is a queue's first storage (see the type comment).
+const firstSlots = 2
+
+// SeedFIFOs gives every queue of qs that has no storage yet its first
+// storage — firstSlots, or its bound if that is less — from one new array,
+// in the order of qs.  A sweep that visits the queues in that order then
+// reads their first slots in address order instead of wherever each
+// queue's first Push happened to allocate them.  Growth past the first
+// storage allocates as before.
+func SeedFIFOs[T any](qs []FIFO[T]) {
+	n := 0
+	for i := range qs {
+		if qs[i].buf == nil {
+			n += qs[i].nextSize()
+		}
+	}
+	slab := make([]T, n)
+	for i := range qs {
+		if qs[i].buf == nil {
+			k := qs[i].nextSize()
+			qs[i].buf, slab = slab[:k:k], slab[k:]
+		}
+	}
 }
 
 // View returns the live elements, oldest first, as a slice of the storage.
