@@ -228,13 +228,14 @@ type Sim struct {
 	// The stepper: the worker pool (Config.Workers wide, persistent
 	// workers bracketed by Run/Drain), the phase barrier, the phase
 	// function handed to the pool each cycle (bound once at construction so
-	// the cycle loop allocates no closures), and the owner tables —
-	// fwdOwner[at] and revOwner[at] are the worker that hops station at in
-	// its forward and reverse phase.  See parallel.go and DESIGN.md §6.1.
-	pool               *par.Pool
-	bar                par.Barrier
-	stepFn             func(w int)
-	fwdOwner, revOwner []int32
+	// the cycle loop allocates no closures), and the switch lists —
+	// fwdList[w·k+stage] and revList[w·k+stage] are the switches of that
+	// stage worker w hops in its forward and reverse phase, ascending.  See
+	// parallel.go and DESIGN.md §6.1.
+	pool             *par.Pool
+	bar              par.Barrier
+	stepFn           func(w int)
+	fwdList, revList [][]int32
 }
 
 // NewSim builds a machine; injectors must supply exactly cfg.Procs entries.
@@ -261,7 +262,7 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	s.pool = par.NewPool(cfg.Workers)
 	s.bar = par.NewBarrier(s.pool.Workers())
 	s.stepFn = s.phaseWorker
-	s.fwdOwner, s.revOwner = s.owners()
+	s.fwdList, s.revList = switchLists(topo, s.pool.Workers())
 	s.Shell.Init(engine.ShellConfig{
 		Engine:         "network",
 		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.treeSaturated, Observe: s.observe},

@@ -4,12 +4,11 @@ package network
 // barrier-separated phases on an internal/par pool, with the work of every
 // phase partitioned into conflict groups — sets of switches (or modules)
 // that touch overlapping machine state.  Groups are spread across workers
-// by par.Split into a per-stage owner table built once; each worker walks a
-// stage in the cycle's rotation order and hops only the switches it owns,
-// which is the rotation order restricted to its groups.  One worker owns
-// everything, so at width one the walk is the plain serial sweep, and at
-// any width the machine state after each phase is the same.  The group
-// shapes per phase:
+// by par.Split into per-worker switch lists built once; each worker walks a
+// stage's list from the cycle's first switch on, wrapping, which is the
+// rotation order restricted to its groups.  One worker owns everything, so
+// at width one the walk is the plain serial sweep, and at any width the
+// machine state after each phase is the same.  The group shapes per phase:
 //
 //   reverse stage 0     each switch alone (delivers only to processors;
 //                       deliveries buffer per rotation slot and commit
@@ -31,38 +30,53 @@ package network
 // injector's counters are atomic with purely hash-derived decisions.
 
 import (
+	"slices"
+
 	"combining/internal/engine"
 	"combining/internal/par"
 )
 
-// owners builds the owner tables: for every station, the worker that hops
-// it in the forward and in the reverse sweep.  Reverse stage 0 splits
-// rotation slots instead (phaseWorker) and has no table.
-func (s *Sim) owners() (fwd, rev []int32) {
-	workers := s.pool.Workers()
-	fwd, rev = make([]int32, s.k*s.ns), make([]int32, s.k*s.ns)
-	own := func(table []int32, stage int, groups [][]int) {
+// switchLists builds the per-worker switch lists of wiring t at the given
+// width: fwd[w·k+stage] and rev[w·k+stage] are the switches of that stage
+// worker w hops in the forward and in the reverse sweep, ascending.
+// Reverse stage 0 splits rotation slots instead (phaseWorker) and has no
+// lists.
+func switchLists(t engine.Staged, workers int) (fwd, rev [][]int32) {
+	k, ns := t.Stages(), t.Procs()/t.Radix()
+	fwd, rev = make([][]int32, workers*k), make([][]int32, workers*k)
+	own := func(lists [][]int32, stage int, groups [][]int) {
 		for w := 0; w < workers; w++ {
 			lo, hi := par.Split(len(groups), workers, w)
+			var l []int32
 			for _, g := range groups[lo:hi] {
 				for _, sw := range g {
-					table[stage*s.ns+sw] = int32(w)
+					l = append(l, int32(sw))
 				}
 			}
+			slices.Sort(l)
+			lists[w*k+stage] = l
 		}
 	}
-	alone := make([][]int, s.ns)
+	alone := make([][]int, ns)
 	for sw := range alone {
 		alone[sw] = []int{sw}
 	}
-	own(fwd, s.k-1, alone)
-	for stage := 0; stage+1 < s.k; stage++ {
-		own(fwd, stage, engine.FwdGroups(s.topo, stage))
+	own(fwd, k-1, alone)
+	for stage := 0; stage+1 < k; stage++ {
+		own(fwd, stage, engine.FwdGroups(t, stage))
 	}
-	for stage := 1; stage < s.k; stage++ {
-		own(rev, stage, engine.RevGroups(s.topo, stage))
+	for stage := 1; stage < k; stage++ {
+		own(rev, stage, engine.RevGroups(t, stage))
 	}
 	return fwd, rev
+}
+
+// inTurn splits a worker's ascending switch list at the cycle's first
+// switch sw0: walking after and then before visits sw0, sw0+1, … wrapping
+// to sw0−1 — the cycle's rotation order — restricted to the list.
+func inTurn(list []int32, sw0 int) (after, before []int32) {
+	j, _ := slices.BinarySearch(list, int32(sw0))
+	return list[j:], list[:j]
 }
 
 // phaseWorker is the per-worker body of one cycle: the reverse, memory and
@@ -75,7 +89,7 @@ func (s *Sim) owners() (fwd, rev []int32) {
 // allocates.
 func (s *Sim) phaseWorker(w int) {
 	sw0, port0 := s.Turn(s.ns), s.Turn(s.cfg.Radix)
-	ln, me := s.Lane(w), int32(w)
+	ln := s.Lane(w)
 
 	// Reverse, stage 0: split over rotation slots, a contiguous range per
 	// worker, so the lanes in order hold the deliveries in rotation order;
@@ -91,11 +105,12 @@ func (s *Sim) phaseWorker(w int) {
 	// mid-sweep.
 	for stage := 1; stage < s.k; stage++ {
 		base := stage * s.ns
-		own := s.revOwner[base : base+s.ns]
-		for i, sw := 0, sw0; i < len(own); i, sw = i+1, engine.Next(sw, len(own)) {
-			if own[sw] == me {
-				s.RevHop(base+sw, port0, ln)
-			}
+		after, before := inTurn(s.revList[w*s.k+stage], sw0)
+		for _, sw := range after {
+			s.RevHop(base+int(sw), port0, ln)
+		}
+		for _, sw := range before {
+			s.RevHop(base+int(sw), port0, ln)
 		}
 		s.bar.Sync(w)
 	}
@@ -110,11 +125,12 @@ func (s *Sim) phaseWorker(w int) {
 	// Forward, stages k−1 … 0, in descending stage order.
 	for stage := s.k - 1; stage >= 0; stage-- {
 		base := stage * s.ns
-		own := s.fwdOwner[base : base+s.ns]
-		for i, sw := 0, sw0; i < len(own); i, sw = i+1, engine.Next(sw, len(own)) {
-			if own[sw] == me {
-				s.FwdHop(base+sw, port0, ln)
-			}
+		after, before := inTurn(s.fwdList[w*s.k+stage], sw0)
+		for _, sw := range after {
+			s.FwdHop(base+int(sw), port0, ln)
+		}
+		for _, sw := range before {
+			s.FwdHop(base+int(sw), port0, ln)
 		}
 		if stage > 0 {
 			s.bar.Sync(w)
