@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // fifoElem stands in for a message: a payload plus a reference-typed field
@@ -165,6 +166,57 @@ func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSeedFIFOs: SeedFIFOs cuts each storage-less queue's first storage —
+// two slots, one under a bound of 1 — from one array in column order, with
+// no slack between queues and none past a slot's end, and leaves a queue
+// that already has storage alone.  Each queue then fills to its bound
+// without passing it or writing into its neighbours' slots, and an unbounded
+// one grows past its first storage into storage of its own.
+func TestSeedFIFOs(t *testing.T) {
+	bounds := []int{1, 2, 3, 0, 1, 4}
+	col := make([]FIFO[int], len(bounds))
+	for i, b := range bounds {
+		col[i] = NewFIFO[int](b)
+	}
+	*col[5].Push() = 50 // has storage: not seeded
+	own := &col[5].buf[0]
+	SeedFIFOs(col)
+	if &col[5].buf[0] != own {
+		t.Fatal("SeedFIFOs replaced the storage of a queue that had some")
+	}
+	want := []int{1, 2, 2, 2, 1}
+	for i, n := range want {
+		if len(col[i].buf) != n || cap(col[i].buf) != n {
+			t.Fatalf("queue %d (bound %d): first storage of len %d cap %d, want %d", i, bounds[i], len(col[i].buf), cap(col[i].buf), n)
+		}
+		if i > 0 && unsafe.Pointer(&col[i].buf[0]) != unsafe.Add(unsafe.Pointer(&col[i-1].buf[0]), want[i-1]*int(unsafe.Sizeof(0))) {
+			t.Fatalf("queue %d's first storage does not follow queue %d's in one array", i, i-1)
+		}
+	}
+	for i := range col[:5] {
+		limit := bounds[i]
+		if limit == 0 {
+			limit = 5
+		}
+		for v := 0; v < limit; v++ {
+			*col[i].Push() = 10*i + v
+		}
+	}
+	for i := range col[:5] {
+		for v, got := range col[i].View() {
+			if got != 10*i+v {
+				t.Fatalf("queue %d holds %v: a neighbour wrote into its slots", i, col[i].View())
+			}
+		}
+		if b := bounds[i]; b > 0 && len(col[i].buf) > b {
+			t.Fatalf("queue %d: storage of %d slots behind bound %d", i, len(col[i].buf), b)
+		}
+	}
+	if len(col[3].buf) < 5 {
+		t.Fatalf("the unbounded queue holds 5 in %d slots", len(col[3].buf))
+	}
+}
+
 // FuzzFIFO drives a FIFO[int] and a plain slice through the same op string
 // — one byte an op: push (refused by a full queue, which must then panic on
 // Push), pop (likewise on an empty one), an edit through Front, an edit
@@ -176,7 +228,9 @@ func TestFIFOSteadyStateZeroAlloc(t *testing.T) {
 // and on nothing else: not on a refused one, not on an edit in place, not on
 // the reads the checks make.  The seeds walk the four storage moves
 // (doubling, the slide at the end of storage, the restart when drained,
-// Clear then reuse).
+// Clear then reuse).  With the top bit of the bound byte set, the queue is
+// the middle one of three seeded together (SeedFIFOs), its neighbours full
+// of sentinels that no op on it may touch.
 func FuzzFIFO(f *testing.F) {
 	const push, pop, front, view, clr, touch = 0, 3, 5, 6, 7, 8
 	f.Add(uint8(0), []byte{push, push, push, push, push, push, push, push, push, pop, pop, view, pop})       // doubling 1→16
@@ -186,9 +240,30 @@ func FuzzFIFO(f *testing.F) {
 	f.Add(uint8(1), []byte{push, push, front, pop, pop, push, clr, push})
 	f.Add(uint8(3), []byte{push, push, pop, push, push, push, pop, push, pop, push, pop, push, view, front})
 	f.Add(uint8(2), []byte{touch, push, push, push, front, touch, view, pop, pop, pop, touch, clr, touch})
+	f.Add(uint8(0x80|1), []byte{push, pop, push, push, front, pop, push, clr, push})                           // seeded at bound 1: one slot, fixed
+	f.Add(uint8(0x80|3), []byte{push, push, push, pop, push, pop, push, view, pop, pop, pop, push, clr, push}) // seeded two slots grow to the bound's 3
+	f.Add(uint8(0x80), []byte{push, push, push, push, push, pop, view, front, clr, push})                      // seeded, unbounded: grows off the slab
 	f.Fuzz(func(t *testing.T, b uint8, ops []byte) {
-		bound := int(b % 9)
-		q := NewFIFO[int](bound)
+		bound, seeded := int(b&0x7f%9), b&0x80 != 0
+		col := []FIFO[int]{NewFIFO[int](bound), NewFIFO[int](bound), NewFIFO[int](bound)}
+		q := &col[1]
+		if seeded {
+			SeedFIFOs(col)
+			for _, i := range []int{0, 2} {
+				for !col[i].Full() && col[i].Len() < 2 {
+					*col[i].Push() = -1000 - i
+				}
+			}
+		}
+		neighbours := func(step int) {
+			for _, i := range []int{0, 2} {
+				for _, v := range col[i].View() {
+					if v != -1000-i {
+						t.Fatalf("step %d: neighbour %d holds %v", step, i, col[i].View())
+					}
+				}
+			}
+		}
 		var model []int
 		next, peak := 1, 0
 		panics := func(f func()) (did bool) {
@@ -271,6 +346,7 @@ func FuzzFIFO(f *testing.F) {
 			if q.Ver() != ver {
 				t.Fatalf("step %d: Len, Full, Peak, Front or View moved the version %d → %d", step, ver, q.Ver())
 			}
+			neighbours(step)
 		}
 	})
 }
