@@ -119,7 +119,7 @@ soak:
 # combining-tree barrier vs WaitGroup fork-join), the lock and barrier pairs
 # both matched (one goroutine per P) and oversubscribed (64 goroutines on
 # the same Ps, the *Oversub benchmarks), and BenchmarkSyncBarrierGrid, the
-# three barrier families at widths 2–64 (EXPERIMENTS.md E23).  This is the
+# two barrier families at widths 2–64 (EXPERIMENTS.md E23).  This is the
 # live home of what BENCH_combining.json's sync_primitives section used to
 # record once; bench/run.sh's sync_* workloads measure the same primitives
 # with an estimator.
@@ -208,7 +208,8 @@ profile:
 # loc prints the code-line count simplification work is judged by: per
 # directory, the lines of its non-test Go files that are neither blank nor
 # comment-only — grep -vc '^\s*\(//.*\)\?$$'.  The engine packages are
-# totalled; the two commands behind BENCH_combining.json, the drivers that
+# totalled; internal/par, their pool and phase barrier, follows on its own
+# row, then the two commands behind BENCH_combining.json, the drivers that
 # build machines by name, the program harness and the checkers follow, and
 # last the same count over every non-test .go file of the repository
 # outside bench/.
@@ -218,7 +219,7 @@ loc:
 	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${1#internal/} $$n; }; \
 	total=0; for p in engine network hypercube busnet asyncnet; do count internal/$$p; total=$$((total + n)); done; \
 	printf '%-15s %5d\n' total $$total; \
-	for p in cmd/experiments cmd/benchcmp cmd/benchpairs cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
+	for p in internal/par cmd/experiments cmd/benchcmp cmd/benchpairs cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
 	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -vch '^\s*\(//.*\)\?$$' | \
 		awk '{ n += $$1 } END { printf "%-15s %5d\n", "repo", n }'
 

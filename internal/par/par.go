@@ -148,8 +148,8 @@ func (p *Pool) Run(fn func(w int)) {
 // Barrier is a reusable phase barrier for exactly n participants: every
 // caller of Sync blocks until all n have arrived, then all proceed.  Sync
 // takes the caller's worker index so implementations can keep per-worker
-// local state (a local sense, dissemination round flags) that is read and
-// written without cross-worker contention.
+// local state (a local sense) that is read and written without
+// cross-worker contention.
 //
 // All implementations re-evaluate their spin-versus-yield policy against
 // runtime.GOMAXPROCS on every barrier episode (not once at construction):
@@ -163,27 +163,11 @@ type Barrier interface {
 	Sync(w int)
 }
 
-// NewBarrier returns a barrier for n participants (n ≥ 1): a no-op for one
-// participant, a cache-line-padded central sense-reversing barrier for the
-// narrow widths the engines actually run (arrival is one fetch-and-add on a
-// line nothing else shares, release is one store every waiter reads), and a
-// dissemination barrier past 8 participants, where ⌈log₂ n⌉ pairwise
-// rounds beat n arrivals serialized on one counter line.
-func NewBarrier(n int) Barrier {
-	switch {
-	case n <= 1:
-		return noopBarrier{}
-	case n <= 8:
-		return NewSenseBarrier(n)
-	default:
-		return NewDisseminationBarrier(n)
-	}
-}
-
-// noopBarrier synchronizes a single participant: nothing to wait for.
-type noopBarrier struct{}
-
-func (noopBarrier) Sync(int) {}
+// NewBarrier returns a barrier for n participants (n ≥ 1): a
+// cache-line-padded central sense-reversing barrier, whose arrival is one
+// fetch-and-add on a line nothing else shares and whose release is one
+// store every waiter reads.  For one participant its Sync returns at once.
+func NewBarrier(n int) Barrier { return NewSenseBarrier(n) }
 
 type paddedInt32 struct {
 	v atomic.Int32
@@ -193,11 +177,6 @@ type paddedInt32 struct {
 type paddedUint32 struct {
 	v uint32
 	_ [CacheLine - 4]byte
-}
-
-type paddedUint64 struct {
-	v atomic.Uint64
-	_ [CacheLine - 8]byte
 }
 
 // SenseBarrier is a central sense-reversing barrier with cache-line-padded
@@ -246,68 +225,6 @@ func (b *SenseBarrier) Sync(w int) {
 			runtime.Gosched()
 		}
 	}
-}
-
-// DisseminationBarrier synchronizes n participants in ⌈log₂ n⌉ pairwise
-// rounds: in round r worker w signals worker (w+2ʳ) mod n and waits for the
-// signal from (w−2ʳ) mod n.  After the last round every worker transitively
-// depends on every other, with no central counter to serialize on.  Each
-// flag is written by exactly one peer and read by exactly one owner, on its
-// own cache line; flags carry the owner's monotonically increasing episode
-// number (a waiter proceeds once its flag reaches the episode it is in), so
-// a fast worker signalling two episodes ahead can never be mistaken for the
-// current round's peer.
-type DisseminationBarrier struct {
-	SpinPolicy
-	rounds int
-	flags  [][]paddedUint64 // [worker][round], written by the round-r peer
-	phase  []paddedUint64   // per-worker episode number, owner-only
-}
-
-// NewDisseminationBarrier returns a dissemination barrier for n
-// participants (n ≥ 1).
-func NewDisseminationBarrier(n int) *DisseminationBarrier {
-	if n < 1 {
-		n = 1
-	}
-	rounds := 0
-	for 1<<rounds < n {
-		rounds++
-	}
-	b := &DisseminationBarrier{rounds: rounds}
-	b.Init(n)
-	b.flags = make([][]paddedUint64, n)
-	for w := range b.flags {
-		b.flags[w] = make([]paddedUint64, rounds)
-	}
-	b.phase = make([]paddedUint64, n)
-	return b
-}
-
-// Sync blocks worker w until all n participants have arrived.
-func (b *DisseminationBarrier) Sync(w int) {
-	if b.n == 1 {
-		return
-	}
-	if w == 0 {
-		b.Refresh()
-	}
-	n := int(b.n)
-	p := b.phase[w].v.Load() + 1
-	spin := b.SpinBudget()
-	for r := 0; r < b.rounds; r++ {
-		peer := w + 1<<r
-		if peer >= n {
-			peer -= n
-		}
-		b.flags[peer][r].v.Store(p)
-		for spins := int32(0); b.flags[w][r].v.Load() < p; spins++ {
-			if spins >= spin {
-				runtime.Gosched()
-			}
-		}
-	}
-	b.phase[w].v.Store(p)
 }
 
 // Split partitions n work items into contiguous per-worker ranges,

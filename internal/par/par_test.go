@@ -138,9 +138,8 @@ func TestPoolRunAllocFree(t *testing.T) {
 
 func barrierKinds(n int) map[string]Barrier {
 	return map[string]Barrier{
-		"auto":          NewBarrier(n),
-		"sense":         NewSenseBarrier(n),
-		"dissemination": NewDisseminationBarrier(n),
+		"auto":  NewBarrier(n),
+		"sense": NewSenseBarrier(n),
 	}
 }
 
@@ -288,30 +287,22 @@ func TestSplitEdgeCases(t *testing.T) {
 	}
 }
 
-// BenchmarkBarrier compares the two barrier implementations at the
-// widths the engines run (the E15 microbenchmark; `make parbench`).  Each
-// op is one full barrier episode across all workers.
+// BenchmarkBarrier times the sense-reversing barrier at the widths the
+// engines run (the E15 microbenchmark; `make parbench`).  Each op is one
+// full barrier episode across all workers.
 func BenchmarkBarrier(b *testing.B) {
 	for _, workers := range []int{2, 4, 8, 16} {
-		kinds := []struct {
-			name string
-			bar  Barrier
-		}{
-			{"sense", NewSenseBarrier(workers)},
-			{"dissemination", NewDisseminationBarrier(workers)},
-		}
-		for _, k := range kinds {
-			b.Run(fmt.Sprintf("%s/w%d", k.name, workers), func(b *testing.B) {
-				p := NewPool(workers)
-				p.Start()
-				defer p.Stop()
-				b.ResetTimer()
-				p.Run(func(w int) {
-					for i := 0; i < b.N; i++ {
-						k.bar.Sync(w)
-					}
-				})
+		b.Run(fmt.Sprintf("sense/w%d", workers), func(b *testing.B) {
+			bar := NewSenseBarrier(workers)
+			p := NewPool(workers)
+			p.Start()
+			defer p.Stop()
+			b.ResetTimer()
+			p.Run(func(w int) {
+				for i := 0; i < b.N; i++ {
+					bar.Sync(w)
+				}
 			})
-		}
+		})
 	}
 }

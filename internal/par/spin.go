@@ -31,7 +31,7 @@ const (
 // SpinPolicy is the shared spin budget for n fixed participants,
 // re-evaluated against GOMAXPROCS once per barrier episode by whichever
 // participant the implementation designates (the last arriver for central
-// barriers, worker 0 for dissemination and combining-tree barriers) so a
+// barriers, worker 0 for the combining-tree barrier) so a
 // GOMAXPROCS change mid-run takes effect by the next episode without every
 // waiter hammering the scheduler lock.
 type SpinPolicy struct {

@@ -147,12 +147,12 @@ func BenchmarkSyncBarrierOversub(b *testing.B) {
 }
 func BenchmarkSyncWaitGroupForkJoinOversub(b *testing.B) { benchForkJoin(b, oversubWidth) }
 
-// BenchmarkSyncBarrierGrid is ROADMAP item 5's grid: the repo's three
+// BenchmarkSyncBarrierGrid is ROADMAP item 5's grid: the repo's two
 // reusable barrier families at widths from matched to far oversubscribed.
-// The combining tree parks its waiters; internal/par's sense-reversing and
-// dissemination barriers spin and then yield, which is what the two-worker
-// phase barrier of the parallel stepper wants and what 64 goroutines on two
-// Ps cannot afford.  EXPERIMENTS.md E23 has the table.
+// The combining tree parks its waiters; internal/par's sense-reversing
+// barrier spins and then yields, which is what the two-worker phase barrier
+// of the parallel stepper wants and what 64 goroutines on two Ps cannot
+// afford.  EXPERIMENTS.md E23 has the table.
 func BenchmarkSyncBarrierGrid(b *testing.B) {
 	families := []struct {
 		name string
@@ -160,7 +160,6 @@ func BenchmarkSyncBarrierGrid(b *testing.B) {
 	}{
 		{"tree", func(n int) par.Barrier { return csync.NewBarrier(n) }},
 		{"sense", func(n int) par.Barrier { return par.NewSenseBarrier(n) }},
-		{"dissemination", func(n int) par.Barrier { return par.NewDisseminationBarrier(n) }},
 	}
 	for _, f := range families {
 		for _, n := range []int{2, 4, 8, 16, 64} {
