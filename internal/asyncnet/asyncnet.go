@@ -1,6 +1,6 @@
 // Package asyncnet is an asynchronous, goroutine-per-switch implementation
 // of the combining Omega network: the same wiring (engine.OmegaOf, compiled
-// by engine.CompileStaged) and the same combining station (engine.Station)
+// by engine.CompileStaged) and the same combining station (engine.Stations)
 // as the cycle-accurate simulator (internal/network), but driven by real
 // concurrency — each switch is a process that owns one station and drains
 // its queues into channels, and each processor port is a calling goroutine
@@ -124,7 +124,7 @@ type aswitch struct {
 	net   *Net
 	stage int
 	at    int
-	st    *engine.Station
+	st    *engine.Stations // one station, row 0, over a store of its own
 
 	fwdIn [2]chan engine.Fwd
 	revIn chan engine.Rev // replies from the memory side
@@ -236,7 +236,7 @@ func New(cfg Config) *Net {
 	net.switches = make([]*aswitch, k*n/2)
 	for at := range net.switches {
 		st := engine.NewStations(1, 2, 2, 0, 0, waitCap, core.Policy{AllowReversal: cfg.AllowReversal})
-		sw := &aswitch{net: net, stage: at / (n / 2), at: at, st: &st[0],
+		sw := &aswitch{net: net, stage: at / (n / 2), at: at, st: st,
 			revIn: make(chan engine.Rev, cfg.ChanCap)}
 		sw.fwdIn[0] = make(chan engine.Fwd, cfg.ChanCap)
 		sw.fwdIn[1] = make(chan engine.Fwd, cfg.ChanCap)
@@ -699,18 +699,19 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 	route := sw.net.links.Route[sw.at]
 	for i := range batch {
 		m := &batch[i]
-		sw.st.PutFwd(m, int(route[sw.net.mem.HomeOf(m.Req.Addr)]), m.Path, 0, &sh)
+		sw.st.PutFwd(0, m, int(route[sw.net.mem.HomeOf(m.Req.Addr)]), m.Path, 0, &sh)
 	}
 	if sh.Combines > 0 {
 		sw.net.combines.Add(sh.Combines)
 	}
-	if rejected := sw.st.Wait.Rejections; rejected > 0 {
+	if rejected := sw.st.Wait[0].Rejections; rejected > 0 {
 		sw.net.rejects.Add(rejected)
-		sw.st.Wait.Rejections = 0
+		sw.st.Wait[0].Rejections = 0
 	}
-	for port := range sw.st.Fwd {
-		for sw.st.Fwd[port].Len() > 0 {
-			sw.fwdOut[port](sw.st.TakeFwd(port))
+	fwd := sw.st.Fwd(0)
+	for port := range fwd {
+		for fwd[port].Len() > 0 {
+			sw.fwdOut[port](sw.st.TakeFwd(0, port))
 		}
 	}
 }
@@ -723,10 +724,11 @@ func (sw *aswitch) handleFwd(first engine.Fwd) {
 // combined copy (the deprived partner recovers by its own retransmit
 // instead).
 func (sw *aswitch) handleRev(r engine.Rev) {
-	sw.st.PutRev(&r, 0, nil) // never home: a reply's path is spent at its port, not before
-	for port := range sw.st.Rev {
-		for sw.st.Rev[port].Len() > 0 {
-			sw.revOut[port](sw.st.TakeRev(port))
+	sw.st.PutRev(0, &r, 0, nil) // never home: a reply's path is spent at its port, not before
+	rev := sw.st.Rev(0)
+	for port := range rev {
+		for rev[port].Len() > 0 {
+			sw.revOut[port](sw.st.TakeRev(0, port))
 		}
 	}
 }

@@ -140,7 +140,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	s.tickFn = s.tickWorker
 	station := engine.NewStations(1, 1, 0, cfg.QueueCap, 0, cfg.WaitBufCap,
 		core.Policy{AllowReversal: cfg.AllowReversal})
-	s.fifo = &station[0].Fwd[0]
+	s.fifo = &station.Fwd(0)[0]
 	s.Shell.Init(engine.ShellConfig{
 		Engine:         "busnet",
 		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.saturated, Observe: s.observe},
@@ -227,7 +227,7 @@ func (s *Sim) sweep() {
 		head := s.fifo.Front()
 		if bank := s.Memory().HomeOf(head.Addr); !s.MemReady(bank) {
 			s.Lane(0).HoldsMem++
-		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &s.Station(0).Body(head.H).Req, false) {
+		} else if s.LostFwd(&engine.Coord{Stage: 1, Index: int32(bank)}, &s.Stations().Body(head.H).Req, false) {
 			s.Lose(0, 0, s.Lane(0))
 		} else {
 			s.Feed(0, 0, bank, faults.Site(1, bank, 0), s.Lane(0))

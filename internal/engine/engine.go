@@ -1,5 +1,5 @@
 // Package engine is the common core the combining transports share: the
-// combining station (Station), the machine every cycle engine embeds (Shell)
+// combining stations (Stations), the machine every cycle engine embeds (Shell)
 // with the hops that move messages between stations, the compiled link table
 // they index (Links), one configuration validator (Spec), one snapshot
 // counter schema (Counters), and the topology abstractions the wirings are
@@ -14,17 +14,19 @@
 //
 // What the core owns:
 //
-//   - the station (station.go): forward FIFOs, reverse FIFOs, one wait
-//     buffer of one record type, and the six things done to it — accept a
-//     request (combine at the tail, else push, else refuse), the
-//     reserved-credit check, accept a reply (decombine recursively, else
-//     queue it toward its processor or hand it over), pop a head, crash
-//     flush, occupancy — the only code that pushes or pops a station queue,
-//     and so the only code that keeps the occupancy index (Shell.Loads) the
-//     hops read before they touch a station or a module.
-//     One request entry (FwdEntry) and one reply entry (RevEntry) carry the
-//     superset of routing state: a recorded path or the issuing processor.
-//     internal/asyncnet's switch goroutines own the same station;
+//   - the stations (station.go): one struct of columns, in which station at
+//     is a row — its forward FIFOs, its reverse FIFOs, its wait buffer of
+//     one record type and its entry of the occupancy index (Shell.Loads)
+//     the hops read before they touch a station or a module — and the six
+//     things done to a station, each a method taking at: accept a request
+//     (combine at the tail, else push, else refuse), the reserved-credit
+//     check, accept a reply (decombine recursively, else queue it toward its
+//     processor or hand it over), pop a head, crash flush, occupancy.  Those
+//     methods are the only code that pushes or pops a station queue, and so
+//     the only code that writes the index.  One request entry (FwdEntry) and
+//     one reply entry (RevEntry) carry the superset of routing state: a
+//     recorded path or the issuing processor.  Each of internal/asyncnet's
+//     switch goroutines owns a Stations of one;
 //   - the hops (hop.go), each written once over the stations and the table:
 //     FwdHop and RevHop (a station's forward and reverse move), Tick (module
 //     guards, reverse credit, serve, route — the only caller of serve),

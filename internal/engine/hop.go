@@ -42,9 +42,9 @@ func Next(i, n int) int {
 // now is the stamp a message that hops this cycle carries away.
 func (s *Shell) now() uint32 { return uint32(s.tot.Cycles) }
 
-// Station exposes station at (stage·width + index) for the wiring's
-// saturation predicate and gauges, and for tests.
-func (s *Shell) Station(at int) *Station { return &s.stations[at] }
+// Stations exposes the stations, station at being stage·width + index, for
+// the wiring's saturation predicate and gauges, and for tests.
+func (s *Shell) Stations() *Stations { return s.st }
 
 // Down reports whether station at moves nothing this cycle: blacked out by
 // a stall window, or crashed until its restart.  Dead is the second half.
@@ -90,8 +90,8 @@ func (k *portRefusal) names(m *Fwd) bool { return k.id == m.Req.ID && k.attempt 
 // full at the version k saw, and the wait buffer's room is as it was.  The
 // caller has matched the head.
 func (s *Shell) refusedAgain(to int32, k *refusal) bool {
-	q := &s.fwdQ[int(to)*s.nf+int(k.out)]
-	return q.Full() && q.Ver() == k.down && s.stations[to].Wait.CanPush() == k.canPush
+	q := &s.st.fwd[int(to)*s.st.nf+int(k.out)]
+	return q.Full() && q.Ver() == k.down && s.st.Wait[to].CanPush() == k.canPush
 }
 
 // arrive lands request e at station to, on the queue its module routes to.
@@ -101,10 +101,10 @@ func (s *Shell) refusedAgain(to int32, k *refusal) bool {
 // buffering.  The refusal is written to memo k, up being the version of the
 // queue e heads (0 at a port).
 func (s *Shell) arrive(to, in int32, e *FwdEntry, k *refusal, up uint32, sh *Shard) bool {
-	st := &s.stations[to]
-	out := int(st.Route[s.mem.HomeOf(e.Addr)])
-	rejections := st.Wait.Rejections
-	if st.AcceptFwd(e, out, e.Path.Push(in), s.now(), sh) {
+	st, wait := s.st, &s.st.Wait[to]
+	out := int(s.links.Route[to][s.mem.HomeOf(e.Addr)])
+	rejections := wait.Rejections
+	if st.AcceptFwd(int(to), e, out, e.Path.Push(in), s.now(), sh) {
 		return true
 	}
 	held := out == s.links.Ports
@@ -112,8 +112,8 @@ func (s *Shell) arrive(to, in int32, e *FwdEntry, k *refusal, up uint32, sh *Sha
 		sh.HoldsMem++
 	}
 	if st.Intercept == nil {
-		*k = refusal{up: up, down: st.Fwd[out].Ver(), canPush: st.Wait.CanPush(),
-			rejected: st.Wait.Rejections != rejections, held: held, out: uint8(out)}
+		*k = refusal{up: up, down: st.fwd[int(to)*st.nf+out].Ver(), canPush: wait.CanPush(),
+			rejected: wait.Rejections != rejections, held: held, out: uint8(out)}
 	}
 	return false
 }
@@ -124,13 +124,12 @@ func (s *Shell) arrive(to, in int32, e *FwdEntry, k *refusal, up uint32, sh *Sha
 // station is traced and rejected the request: the caller, who knows its id,
 // records the event.
 func (s *Shell) refuseAgain(to int32, k *refusal, sh *Shard) bool {
-	st := &s.stations[to]
 	if k.held {
 		sh.HoldsMem++
 	}
 	if k.rejected {
-		st.Wait.Rejections++
-		return st.Trace != nil
+		s.st.Wait[to].Rejections++
+		return s.st.trace != nil
 	}
 	return false
 }
@@ -145,11 +144,12 @@ func (s *Shell) refuseAgain(to int32, k *refusal, sh *Shard) bool {
 // says so without touching it.  A hop reads the entry; only a fault draw, a
 // feed or a combine at the far end reads the body.
 func (s *Shell) FwdHop(at, first int, ln *Lane) {
-	if s.loads[at].Fwd == 0 || s.Down(at) {
+	st := s.st
+	if st.loads[at].Fwd == 0 || s.Down(at) {
 		return
 	}
 	n := s.links.Ports
-	qs := s.fwdQ[at*s.nf : at*s.nf+n]
+	qs := st.fwd[at*st.nf : at*st.nf+n]
 	for i, port := 0, first; i < n; i, port = i+1, Next(port, n) {
 		q := &qs[port]
 		if q.Len() == 0 {
@@ -176,12 +176,12 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 			s.Feed(at, port, mod, c.site(), ln)
 		case again:
 			if s.refuseAgain(l.To, k, &ln.Shard) {
-				s.stations[l.To].Trace(Rejected, s.store.At(e.H).Req.ID, 0, e.Addr)
+				st.trace(int(l.To), Rejected, s.store.At(e.H).Req.ID, 0, e.Addr)
 			}
 		case s.arrive(l.To, l.In, e, k, q.Ver(), &ln.Shard):
 			// l.To ≠ at, so landing the request could not move the slot e is in.
 			s.countFwd(e, &ln.Shard)
-			s.popFwd(at, port)
+			st.PopFwd(at, port)
 		}
 	}
 }
@@ -194,21 +194,8 @@ func (s *Shell) countFwd(e *FwdEntry, sh *Shard) {
 // Lose drops the head of station at's forward queue port, lost on its link:
 // its body goes back through the lane.
 func (s *Shell) Lose(at, port int, ln *Lane) {
-	ln.free(s.fwdQ[at*s.nf+port].Front().H)
-	s.popFwd(at, port)
-}
-
-// popFwd and popRev drop the head of station at's forward or reverse queue
-// port through the column tables, keeping the occupancy index: the
-// station's PopFwd and PopRev without reading the station.
-func (s *Shell) popFwd(at, port int) {
-	s.fwdQ[at*s.nf+port].Pop()
-	s.loads[at].Fwd--
-}
-
-func (s *Shell) popRev(at, port int) {
-	s.revQ[at*s.nr+port].Pop()
-	s.loads[at].Rev--
+	ln.free(s.st.Fwd(at)[port].Front().H)
+	s.st.PopFwd(at, port)
 }
 
 // MemReady reports whether module mod can be fed now: it is up and the
@@ -219,21 +206,22 @@ func (s *Shell) MemReady(mod int) bool { return !s.ModuleDead(mod) && s.hooks.Ca
 // terminal link named by site into module mod, which MemReady has said can
 // take it.
 func (s *Shell) Feed(at, port, mod int, site uint64, ln *Lane) {
-	s.enterMemory(site, mod, s.fwdQ[at*s.nf+port].Front(), ln)
-	s.popFwd(at, port)
+	s.enterMemory(site, mod, s.st.Fwd(at)[port].Front(), ln)
+	s.st.PopFwd(at, port)
 }
 
 // RevHop makes station at's reverse move: the head of each reverse queue
 // crosses its link when the station at the far end is alive and has the
-// reserved credit (Station.CanAcceptRev), and is held otherwise; a link that
+// reserved credit (Stations.CanAcceptRev), and is held otherwise; a link that
 // ends at a processor brings the reply home.  Like FwdHop it reads the
 // entry, and the body only for a fault draw or a decombine at the far end.
 func (s *Shell) RevHop(at, first int, ln *Lane) {
-	if s.loads[at].Rev == 0 || s.Down(at) {
+	st := s.st
+	if st.loads[at].Rev == 0 || s.Down(at) {
 		return
 	}
 	n := s.links.RevPorts
-	qs := s.revQ[at*s.nr : at*s.nr+n]
+	qs := st.rev[at*st.nr : at*st.nr+n]
 	for i, port := 0, first; i < n; i, port = i+1, Next(port, n) {
 		q := &qs[port]
 		if q.Len() == 0 {
@@ -244,7 +232,7 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 			continue
 		}
 		to := int(s.links.Rev[at*n+port].To)
-		if to >= 0 && (s.Dead(to) || !s.stations[to].CanAcceptRev()) {
+		if to >= 0 && (s.Dead(to) || !st.CanAcceptRev(to)) {
 			// Held here; the credits this pop needs were already replenished
 			// this cycle if the downstream station moved anything.
 			ln.HoldsRev++
@@ -256,14 +244,14 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 				ln.RevSlots++
 			}
 			if to >= 0 {
-				s.stations[to].AcceptRev(e, s.now(), &ln.Home)
+				st.AcceptRev(to, e, s.now(), &ln.Home)
 			} else {
 				ln.Home = append(ln.Home, *e)
 			}
 		} else { // lost on the reverse link
 			ln.free(e.H)
 		}
-		s.popRev(at, port)
+		st.PopRev(at, port)
 	}
 }
 
@@ -283,7 +271,7 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 // not, but only on a cycle that is not quiet (Shell.quiet: a checkpoint due
 // or a slowdown window open); on a quiet one they count nothing.
 func (s *Shell) Tick(mod, at int, ln *Lane) {
-	if s.memLoad[mod] == 0 && (at < 0 || s.loads[at].Rev == 0) && (s.flt == nil || s.quiet) {
+	if s.memLoad[mod] == 0 && (at < 0 || s.st.loads[at].Rev == 0) && (s.flt == nil || s.quiet) {
 		return
 	}
 	if s.rec != nil {
@@ -302,7 +290,7 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 	if s.flt != nil && s.flt.MemStalled(mod, s.tot.Cycles) {
 		return // inside a slowdown window: the lost module-cycle is counted
 	}
-	if at >= 0 && !s.stations[at].CanAcceptRev() {
+	if at >= 0 && !s.st.CanAcceptRev(at) {
 		ln.HoldsMemOut++
 		return
 	}
@@ -329,7 +317,7 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 		}
 		return
 	}
-	s.stations[at].AcceptRev(&r, s.now(), &ln.Home)
+	s.st.AcceptRev(at, &r, s.now(), &ln.Home)
 }
 
 // Commit hands every reply the cycle's hops brought home to its processor's
@@ -375,7 +363,7 @@ func (s *Shell) Inject(p int) bool {
 	sh := &s.lanes[0].Shard
 	if again {
 		if s.refuseAgain(l.To, &k.refusal, sh) {
-			s.stations[l.To].Trace(Rejected, m.Req.ID, 0, m.Req.Addr)
+			s.st.trace(int(l.To), Rejected, m.Req.ID, 0, m.Req.Addr)
 		}
 		return false
 	}
@@ -417,7 +405,7 @@ func (c Coord) site() uint64 { return faults.Site(int(c.Stage), int(c.Index), in
 // metadata went keep executing; their replies surface as orphans and the
 // retransmit path re-drives them through the reply caches.
 func (s *Shell) flush(at int) []word.ReqID {
-	lost := s.stations[at].Crash()
+	lost := s.st.Crash(at)
 	for mod, host := range s.links.Hosts {
 		if int(host) == at {
 			lost = append(lost, s.mem.Module(mod).Crash()...)
@@ -438,55 +426,36 @@ func (s *Shell) flush(at int) []word.ReqID {
 	return lost
 }
 
-// occupancy counts the messages and wait records stations lo to hi-1 hold:
-// the queues from the index, the wait buffers from the stations.  A clean
+// occupancy sums Stations.Occupancy over stations lo to hi-1.  A clean
 // machine's in-flight census adds ports and modules to the whole range;
 // detail renders it, stage by stage and with the modules' queues, for a
 // stall report.
 func (s *Shell) occupancy(lo, hi int) (fwd, rev, wait int) {
 	for at := lo; at < hi; at++ {
-		fwd, rev, wait = fwd+int(s.loads[at].Fwd), rev+int(s.loads[at].Rev), wait+s.stations[at].Wait.Len()
+		f, r, w := s.st.Occupancy(at)
+		fwd, rev, wait = fwd+f, rev+r, wait+w
 	}
 	return fwd, rev, wait
 }
 
 func (s *Shell) detail() string {
-	fwd, rev, wait := s.occupancy(0, len(s.loads))
+	fwd, rev, wait := s.occupancy(0, s.st.Len())
 	memQ := 0
 	for mod := 0; mod < s.mem.Modules(); mod++ {
 		memQ += s.mem.Module(mod).QueueLen()
 	}
 	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, wait, memQ)
-	for stage := 0; stage*s.width < len(s.loads); stage++ {
+	for stage := 0; stage*s.width < s.st.Len(); stage++ {
 		fwd, rev, wait := s.occupancy(stage*s.width, (stage+1)*s.width)
 		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", stage, fwd, rev, wait)
 	}
 	return out
 }
 
-// columnsAlias reports whether station at's Fwd and Rev are its rows of the
-// column tables: the queues the hops reach by index are the station's own.
-func (s *Shell) columnsAlias(at int) bool {
-	st := &s.stations[at]
-	return aliases(st.Fwd, s.fwdQ, at, s.nf) && aliases(st.Rev, s.revQ, at, s.nr)
-}
-
-// aliases reports whether row is row at of col at stride n: the same
-// storage, not a copy.
-func aliases[T any](row, col []T, at, n int) bool {
-	return len(row) == n && len(col) >= (at+1)*n && (n == 0 || &row[0] == &col[at*n])
-}
-
-// Columns returns the column tables: every station's forward and reverse
-// queues, one array each in station order, of which the stations' Fwd and
-// Rev are views.  They are the shell's own, the caller's to read between
-// steps.
-func (s *Shell) Columns() ([]core.FIFO[FwdEntry], []core.FIFO[RevEntry]) { return s.fwdQ, s.revQ }
-
 // Loads is the occupancy index: entry stage·width + index counts the
 // requests and replies queued at that station, current after every hop.  It
-// is the shell's own array, the caller's to read between steps.
-func (s *Shell) Loads() []Load { return s.loads }
+// is the stations' own array, the caller's to read between steps.
+func (s *Shell) Loads() []Load { return s.st.loads }
 
 // CheckLoads recounts every queue the occupancy index counts — the
 // stations' FIFOs, and each module's input queue with the replies it has
@@ -497,18 +466,19 @@ func (s *Shell) Loads() []Load { return s.loads }
 // between steps).
 func (s *Shell) CheckLoads() error {
 	named := 0
-	for at := range s.stations {
-		st, got := &s.stations[at], Load{}
-		for i := range st.Fwd {
-			got.Fwd += int32(st.Fwd[i].Len())
+	st := s.st
+	for at := range st.loads {
+		got, fwd, rev := Load{}, st.Fwd(at), st.Rev(at)
+		for i := range fwd {
+			got.Fwd += int32(fwd[i].Len())
 		}
-		for i := range st.Rev {
-			got.Rev += int32(st.Rev[i].Len())
+		for i := range rev {
+			got.Rev += int32(rev[i].Len())
 		}
-		if got != s.loads[at] {
-			return fmt.Errorf("%s: cycle %d: station %d holds %+v, the index says %+v", s.name, s.tot.Cycles, at, got, s.loads[at])
+		if got != st.loads[at] {
+			return fmt.Errorf("%s: cycle %d: station %d holds %+v, the index says %+v", s.name, s.tot.Cycles, at, got, st.loads[at])
 		}
-		named += int(got.Fwd+got.Rev) + st.Wait.Len()
+		named += int(got.Fwd+got.Rev) + st.Wait[at].Len()
 	}
 	for mod := range s.meta {
 		named += len(s.meta[mod].boxes())

@@ -282,7 +282,7 @@ func (s *Shell) landed(r *Rev) {
 		return
 	}
 	buf := s.behindBuf[:0]
-	s.stations[s.links.Behind[r.Src]].PutRev(r, s.now(), &buf)
+	s.st.PutRev(int(s.links.Behind[r.Src]), r, s.now(), &buf)
 	for i := range buf {
 		leaf := s.store.rev(&buf[i])
 		s.store.Free(buf[i].H)

@@ -192,8 +192,8 @@ type ShellConfig struct {
 	// Stations are the wiring's combining stations and Links its compiled
 	// table.  The stations are the switch fault domains, Stages rows of
 	// them: site (stage, index) of a stall or crash window is station
-	// stage·(len(Stations)/Stages) + index.
-	Stations       []Station
+	// stage·(Stations.Len()/Stages) + index.
+	Stations       *Stations
 	Links          *Links
 	Stages         int
 	WatchdogCycles int64
@@ -224,31 +224,20 @@ type Shell struct {
 	mem   *memory.Array
 	pool  *par.Pool
 
-	stations []Station
-	links    *Links
-	// fwdQ and revQ are the column tables: every station's forward and
-	// reverse queues, one array each in station order, station at's queue
-	// port at fwdQ[at·nf+port] and revQ[at·nr+port] (NewStations' columns;
-	// the stations' Fwd and Rev are views of them).  A hop reads and pops
-	// its own station's queues here, so a sweep walks the queue headers in
-	// address order and touches a Station only at a link's far end.
-	fwdQ   []core.FIFO[FwdEntry]
-	revQ   []core.FIFO[RevEntry]
-	nf, nr int
+	st    *Stations
+	links *Links
 	// store holds the bodies of the messages in the stations and the
-	// metadata shards (store.go); the stations share it.
+	// metadata shards (store.go): the stations' own.
 	store *Store
 	// The occupancy index: what a sweep reads before it touches a station
-	// or a module (DESIGN.md §6.2).  loads[at] counts station at's queued
-	// requests and replies and is written through the station (Station.load);
-	// memLoad[mod] counts what a tick of module mod can act on
+	// or a module (DESIGN.md §6.2).  Stations keeps its own entries
+	// (Shell.Loads); memLoad[mod] counts what a tick of module mod can act on
 	// (memory.Module.Work): its queued requests, the one in service among
 	// them, and its released replies, but not the replies output commit
 	// withholds.  It is written beside every Enqueue, in serve (a reply
 	// emerges; under checkpoints also a served request joins the withheld),
 	// beside Checkpoint (the released ones) and Crash.  Each entry has the
 	// owner of the queue it counts, phase by phase.
-	loads   []Load
 	memLoad []int32
 	// lanes are the stepping goroutines' working sets, one per pool worker;
 	// behindBuf is the processor links' scratch for a wait buffer behind
@@ -324,7 +313,7 @@ type Shell struct {
 // Init sizes the shell; the embedding engine calls it once from its
 // constructor, after validating its own Config.
 func (s *Shell) Init(cfg ShellConfig) {
-	procs := len(cfg.Injectors)
+	procs, st := len(cfg.Injectors), cfg.Stations
 	memOpts := []memory.Option{memory.WithServiceTime(cfg.Service)}
 	if cfg.MemQueueCap > 0 {
 		memOpts = append(memOpts, memory.WithQueueCap(cfg.MemQueueCap))
@@ -348,47 +337,29 @@ func (s *Shell) Init(cfg ShellConfig) {
 		pending:    make([]Fwd, procs),
 		hasPending: make([]bool, procs),
 		meta:       make([]metaShard, cfg.Modules),
-		stations:   cfg.Stations,
+		st:         st,
 		links:      cfg.Links,
-		store:      cfg.Stations[0].store,
-		loads:      make([]Load, len(cfg.Stations)),
+		store:      st.store,
 		memLoad:    make([]int32, cfg.Modules),
-		fwdMemo:    make([]refusal, len(cfg.Stations)*cfg.Links.Ports),
+		fwdMemo:    make([]refusal, st.Len()*cfg.Links.Ports),
 		portMemo:   make([]portRefusal, procs),
 		trace:      cfg.Trace,
 	}
 	if s.pool == nil {
 		s.pool = par.NewPool(1)
 	}
-	s.width = len(cfg.Stations) / cfg.Stages
+	s.width = st.Len() / cfg.Stages
 	s.lanes = make([]Lane, s.pool.Workers())
+	st.back = s.links.Back
 	if s.trace != nil {
-		s.events = make([][]Event, len(s.stations))
+		s.events = make([][]Event, st.Len())
 		s.modEvents = make([][]Event, cfg.Modules)
+		st.trace = s.stationEvent
 	}
-	cols := cfg.Stations[0].cols
-	s.fwdQ, s.revQ = cols.fwd, cols.rev
-	s.nf, s.nr = len(cfg.Stations[0].Fwd), len(cfg.Stations[0].Rev)
 	// Every queue's first storage in sweep order, after the wiring has set
 	// the bounds (the direct wirings' memory queues have their own).
-	core.SeedFIFOs(s.fwdQ)
-	core.SeedFIFOs(s.revQ)
-	for i := range s.stations {
-		if s.stations[i].store != s.store {
-			panic(fmt.Sprintf("%s: station %d was not made with station 0 (NewStations): its bodies are in another store", s.name, i))
-		}
-		if !s.columnsAlias(i) {
-			panic(fmt.Sprintf("%s: station %d's queues are not its rows of the column tables (NewStations)", s.name, i))
-		}
-		s.stations[i].load = &s.loads[i]
-		s.stations[i].Route = s.links.Route[i]
-		if s.links.Back != nil {
-			s.stations[i].Back = s.links.Back[i]
-		}
-		if s.trace != nil {
-			s.stations[i].Trace = s.tracer(i)
-		}
-	}
+	core.SeedFIFOs(st.fwd)
+	core.SeedFIFOs(st.rev)
 	if cfg.Faults == nil {
 		return
 	}
@@ -400,10 +371,10 @@ func (s *Shell) Init(cfg ShellConfig) {
 		s.fwdLimbo = make([][]heldFwd, cfg.Modules)
 	}
 	s.retry = make([]core.FIFO[Fwd], procs)
-	s.stall = make([]bool, len(cfg.Stations))
+	s.stall = make([]bool, st.Len())
 	if plan.HasCrashes() {
 		s.rec = recover.New(plan.CheckpointEvery)
-		s.swDead = make([]bool, len(cfg.Stations))
+		s.swDead = make([]bool, st.Len())
 		s.memDead = make([]bool, cfg.Modules)
 	}
 }
@@ -542,7 +513,7 @@ func (s *Shell) InFlight() int {
 	if s.trk != nil {
 		return s.trk.Outstanding()
 	}
-	fwd, rev, wait := s.occupancy(0, len(s.loads))
+	fwd, rev, wait := s.occupancy(0, s.st.Len())
 	return s.atPorts() + fwd + rev + wait + s.inMemory()
 }
 
@@ -599,8 +570,8 @@ func (s *Shell) Snapshot() stats.Snapshot {
 		HoldsMem:         t.HoldsMem,
 		HoldsMemOut:      t.HoldsMemOut,
 	}
-	for i := range s.stations {
-		c.CombineRejects += s.stations[i].Wait.Rejections
+	for i := range s.st.Wait {
+		c.CombineRejects += s.st.Wait[i].Rejections
 	}
 	gauges := map[string]int64{"saturation_max_streak": t.SaturationMaxStreak}
 	s.hooks.Observe(&c, gauges)

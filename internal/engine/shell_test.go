@@ -336,7 +336,7 @@ func TestMaskEdges(t *testing.T) {
 				var crashes, restores, flushed int64
 				swWas, modWas := false, make([]bool, n)
 				for c := int64(1); c <= total; c++ {
-					held, _, _ := l.Station(0).Occupancy()
+					held, _, _ := l.Stations().Occupancy(0)
 					l.masked = l.masked || everyCycle
 					l.Step()
 					stalled, dead := oracle.Stalled(0, 0, c), oracle.SwitchCrashed(0, 0, c)
@@ -350,7 +350,7 @@ func TestMaskEdges(t *testing.T) {
 					if l.Down(0) != (stalled || dead) || l.Dead(0) != dead {
 						t.Fatalf("cycle %d: station down %v dead %v; the plan says stalled %v dead %v", c, l.Down(0), l.Dead(0), stalled, dead)
 					}
-					if fwd, _, _ := l.Station(0).Occupancy(); dead && fwd != 0 {
+					if fwd, _, _ := l.Stations().Occupancy(0); dead && fwd != 0 {
 						t.Fatalf("cycle %d: the crashed station holds %d requests", c, fwd)
 					}
 					for mod := range modWas {

@@ -9,9 +9,9 @@ import (
 // The combining station of Section 4, Figure 1: output FIFOs, a wait buffer,
 // decombining on the way back.  An omega switch, a cube or torus router with
 // its memory combining queue, the bus's decoupling FIFO and a goroutine
-// switch of internal/asyncnet are all this one type; what differs between
-// them is how many queues a station has and what its links lead to, which is
-// the wiring's business (Links), not the station's.
+// switch of internal/asyncnet are all a row of this one type, Stations;
+// what differs between them is how many queues a station has and what its
+// links lead to, which is the wiring's business (Links), not the station's.
 //
 // A station queue holds entries, not messages (store.go): AcceptFwd and
 // AcceptRev copy the caller's entry — the head slot of an upstream queue, a
@@ -26,7 +26,7 @@ import (
 // word, the last hop lowest.  A value, it is copied with its message and
 // never shared: a duplicated reply owns its route.  Sixteen hops of at most
 // sixteen ports fit (CompileStaged holds a wiring to that); on wirings that
-// route replies by Src (Station.Back) the hops stamp it all the same and
+// route replies by Src (Links.Back) the hops stamp it all the same and
 // nothing reads it.
 type Path uint64
 
@@ -67,104 +67,92 @@ type Record struct {
 	Needs1, Needs2 bool
 }
 
-// Load counts the messages a station's forward and reverse queues hold.  A
-// shell keeps its stations' counts in one dense array in sweep order
+// Load counts the messages a station's forward and reverse queues hold.
+// Stations keeps every station's count in one dense array in sweep order
 // (Shell.Loads), so a sweep finds an empty station without touching it.
 type Load struct{ Fwd, Rev int32 }
 
-// Station is one combining node: a FIFO per forward output and per reverse
-// output, and one wait buffer.  The fields are laid out by what touches
-// them: a request arriving at a queue with no partner reads the first cache
-// line, a reply the rest.
-type Station struct {
-	Fwd []core.FIFO[FwdEntry]
-	// Route[module] is the forward queue a request for that module joins
-	// here (the station's row of Links.Route).
-	Route []uint8
-	// Intercept, when non-nil, sees every arriving request before the
-	// combine scan and reports whether it disposed of it — the seat of the
-	// Section 5.1 ablation (network.Config.BuggyLoadForwarding).
-	Intercept func(st *Station, out int, e FwdEntry, path Path, now uint32) bool
-	// load is the station's occupancy count, kept by whoever pushes and
-	// pops its queues: AcceptFwd, AcceptRev, PopFwd, PopRev and Crash, and
-	// the shell's popFwd and popRev (hop.go), which pop through the column
-	// tables and write the same index entry; nobody else.  A station alone
-	// counts in storage of its own; a shell re-seats the pointer in its
-	// index (Shell.Init).
-	load *Load
-	// store holds the bodies of the station's messages, shared by the
-	// stations NewStations made together.
+// Stations is a fabric's combining stations, a row each: station at has
+// forward queues fwd[at·nf:(at+1)·nf], reverse queues rev[at·nr:(at+1)·nr],
+// wait buffer Wait[at] and occupancy count loads[at].  Each column is one
+// array in station order, so a sweep in station order reads it in address
+// order, and the bodies of every station's messages are in one store.
+// Everything done to a station is a method here that takes its index.
+type Stations struct {
+	fwd    []core.FIFO[FwdEntry]
+	rev    []core.FIFO[RevEntry]
+	nf, nr int
+	Wait   []core.WaitBuffer[Record]
+	// loads[at] counts station at's queued requests and replies.  The
+	// methods that push and pop its queues keep it, and nothing else
+	// writes it.
+	loads []Load
 	store *Store
-	// Trace, when non-nil, observes the Combined, Rejected and Decombined
-	// events here (a traced shell installs it: ShellConfig.Trace).
-	Trace func(kind EventKind, id, id2 word.ReqID, addr word.Addr)
-
-	Rev  []core.FIFO[RevEntry]
-	Wait core.WaitBuffer[Record]
-
-	// Back routes a reply that carries no path: Back[src] is the reverse
-	// queue toward processor src, or -1 when src is attached here (the
-	// station's row of Links.Back).  nil on wirings whose replies pop a
-	// recorded path instead.
-	Back   []int8
+	// back is Links.Back: back[at][src] is the reverse queue of station at
+	// toward processor src, or -1 when src is attached there.  nil on
+	// wirings whose replies pop a recorded path, and until a shell takes the
+	// stations (Shell.Init).
+	back   [][]int8
 	revCap int // reverse base credit per queue; <= 0 means unbounded
 	pol    core.Policy
-	// cols holds the queues of the stations NewStations made together,
-	// whose Fwd and Rev are views of it.
-	cols *columns
+	// Intercept, when non-nil, sees every request arriving at a station
+	// before the combine scan and reports whether it disposed of it — the
+	// seat of the Section 5.1 ablation (network.Config.BuggyLoadForwarding).
+	Intercept func(st *Stations, at, out int, e FwdEntry, path Path, now uint32) bool
+	// trace, when non-nil, observes the Combined, Rejected and Decombined
+	// events at station at (a traced shell installs it: ShellConfig.Trace).
+	trace func(at int, kind EventKind, id, id2 word.ReqID, addr word.Addr)
 }
 
-// columns is the storage of the queues of the stations NewStations made
-// together: each column one array in station order, station at's forward
-// queues fwd[at·len(Fwd):] and its reverse queues rev[at·len(Rev):].  A
-// shell keeps the two arrays as its column tables (Shell.Init), so a hop
-// reaches a queue without reading the station it belongs to.
-type columns struct {
-	fwd []core.FIFO[FwdEntry]
-	rev []core.FIFO[RevEntry]
-}
-
-// NewStations builds count stations of fwd forward and rev reverse queues,
-// each column of queues contiguous in station order, over one new message
-// store.  queueCap bounds the forward queues (<= 0: unbounded); the reverse
-// queues are unbounded as storage and admitted by credit (revCap,
-// CanAcceptRev).
-func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy) []Station {
-	cols := &columns{fwd: make([]core.FIFO[FwdEntry], count*fwd), rev: make([]core.FIFO[RevEntry], count*rev)}
-	for i := range cols.fwd {
-		cols.fwd[i] = core.NewFIFO[FwdEntry](queueCap)
+// NewStations builds count stations of fwd forward and rev reverse queues
+// over one new message store.  queueCap bounds the forward queues (<= 0:
+// unbounded); the reverse queues are unbounded as storage and admitted by
+// credit (revCap, CanAcceptRev).
+func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy) *Stations {
+	st := &Stations{
+		fwd: make([]core.FIFO[FwdEntry], count*fwd), rev: make([]core.FIFO[RevEntry], count*rev),
+		nf: fwd, nr: rev,
+		Wait:  make([]core.WaitBuffer[Record], count),
+		loads: make([]Load, count),
+		store: NewStore(), revCap: revCap, pol: pol,
 	}
-	sts, store := make([]Station, count), NewStore()
-	for i := range sts {
-		sts[i] = Station{
-			Fwd:    cols.fwd[i*fwd : (i+1)*fwd : (i+1)*fwd],
-			Rev:    cols.rev[i*rev : (i+1)*rev : (i+1)*rev],
-			Wait:   *core.NewWaitBuffer[Record](waitCap),
-			load:   new(Load),
-			store:  store,
-			revCap: revCap,
-			pol:    pol,
-			cols:   cols,
-		}
+	for i := range st.fwd {
+		st.fwd[i] = core.NewFIFO[FwdEntry](queueCap)
 	}
-	return sts
+	for i := range st.Wait {
+		st.Wait[i] = *core.NewWaitBuffer[Record](waitCap)
+	}
+	return st
 }
 
-// Body returns the body handle h names in the station's store.
-func (st *Station) Body(h int32) *Body { return st.store.At(h) }
+// Len is the number of stations.
+func (st *Stations) Len() int { return len(st.loads) }
 
-// AcceptFwd takes request e into forward queue out: combined with the most
-// recent queued request for its address when the pair combines and the wait
-// buffer has room, else appended, else — the queue is full — refused, and
-// the upstream holds it.  path is e's header with this station's entry
-// stamped.  Its body stays in the store either way: a taken request's now
-// belongs to the queue or, absorbed by a combine, to the wait record.
-func (st *Station) AcceptFwd(e *FwdEntry, out int, path Path, now uint32, sh *Shard) bool {
-	if st.Intercept != nil && st.Intercept(st, out, *e, path, now) {
+// Fwd and Rev are station at's forward and reverse queues.
+func (st *Stations) Fwd(at int) []core.FIFO[FwdEntry] {
+	return st.fwd[at*st.nf : (at+1)*st.nf : (at+1)*st.nf]
+}
+
+func (st *Stations) Rev(at int) []core.FIFO[RevEntry] {
+	return st.rev[at*st.nr : (at+1)*st.nr : (at+1)*st.nr]
+}
+
+// Body returns the body handle h names in the stations' store.
+func (st *Stations) Body(h int32) *Body { return st.store.At(h) }
+
+// AcceptFwd takes request e into station at's forward queue out: combined
+// with the most recent queued request for its address when the pair
+// combines and the wait buffer has room, else appended, else — the queue is
+// full — refused, and the upstream holds it.  path is e's header with this
+// station's entry stamped.  Its body stays in the store either way: a taken
+// request's now belongs to the queue or, absorbed by a combine, to the wait
+// record.
+func (st *Stations) AcceptFwd(at int, e *FwdEntry, out int, path Path, now uint32, sh *Shard) bool {
+	if st.Intercept != nil && st.Intercept(st, at, out, *e, path, now) {
 		return true
 	}
-	q := &st.Fwd[out]
-	if q.Len() > 0 && st.combine(q, e, path, sh) {
+	q := &st.fwd[at*st.nf+out]
+	if q.Len() > 0 && st.combine(at, q, e, path, sh) {
 		return true
 	}
 	if q.Full() {
@@ -173,54 +161,54 @@ func (st *Station) AcceptFwd(e *FwdEntry, out int, path Path, now uint32, sh *Sh
 	slot := q.Push()
 	*slot = *e
 	slot.Path, slot.Moved = path, now
-	st.load.Fwd++
+	st.loads[at].Fwd++
 	return true
 }
 
 // PutFwd is AcceptFwd for a request in value form: its body is stored first
 // and freed again if the station refuses it.  It allocates, so it runs where
 // no pool worker does (store.go).
-func (st *Station) PutFwd(m *Fwd, out int, path Path, now uint32, sh *Shard) bool {
+func (st *Stations) PutFwd(at int, m *Fwd, out int, path Path, now uint32, sh *Shard) bool {
 	e := st.store.put(m)
-	if st.AcceptFwd(&e, out, path, now, sh) {
+	if st.AcceptFwd(at, &e, out, path, now, sh) {
 		return true
 	}
 	st.store.Free(e.H)
 	return false
 }
 
-// TakeFwd pops the head of forward queue port in value form, freeing its
-// body.
-func (st *Station) TakeFwd(port int) Fwd {
-	e := st.Fwd[port].Front()
+// TakeFwd pops the head of station at's forward queue port in value form,
+// freeing its body.
+func (st *Stations) TakeFwd(at, port int) Fwd {
+	e := st.fwd[at*st.nf+port].Front()
 	m := st.store.fwd(e)
 	st.store.Free(e.H)
-	st.PopFwd(port)
+	st.PopFwd(at, port)
 	return m
 }
 
-// PopFwd and PopRev drop the head of a forward or reverse queue: the message
-// has crossed its link, or was lost on it.
-func (st *Station) PopFwd(port int) {
-	st.Fwd[port].Pop()
-	st.load.Fwd--
+// PopFwd and PopRev drop the head of station at's forward or reverse queue
+// port: the message has crossed its link, or was lost on it.
+func (st *Stations) PopFwd(at, port int) {
+	st.fwd[at*st.nf+port].Pop()
+	st.loads[at].Fwd--
 }
 
-func (st *Station) PopRev(port int) {
-	st.Rev[port].Pop()
-	st.load.Rev--
+func (st *Stations) PopRev(at, port int) {
+	st.rev[at*st.nr+port].Pop()
+	st.loads[at].Rev--
 }
 
-// combine attempts to merge e into the non-empty queue q.  Only the LAST
-// queued request for the address is a legal partner (M2.3).  The step is
-// core.CombineAtTail, which defines it and which the tests hold this scan
+// combine attempts to merge e into station at's non-empty queue q.  Only the
+// LAST queued request for the address is a legal partner (M2.3).  The step
+// is core.CombineAtTail, which defines it and which the tests hold this scan
 // to; it is written out here because a blocked head runs it whenever the
 // queue it waits on changes (the refusal memo, hop.go, spares the rest), and
 // nearly always to find no partner or no room: the scan reads the entries'
 // addresses in place, the two bodies are read only for a partner, and the
 // combined request and its record are built only once the pair is known to
 // combine and the wait buffer to have room.
-func (st *Station) combine(q *core.FIFO[FwdEntry], e *FwdEntry, path Path, sh *Shard) bool {
+func (st *Stations) combine(at int, q *core.FIFO[FwdEntry], e *FwdEntry, path Path, sh *Shard) bool {
 	held := q.View()
 	i := len(held) - 1
 	for i >= 0 && held[i].Addr != e.Addr {
@@ -234,11 +222,12 @@ func (st *Station) combine(q *core.FIFO[FwdEntry], e *FwdEntry, path Path, sh *S
 	if !rmw.Combinable(qb.Req.Op, mb.Req.Op) {
 		return false
 	}
-	if !st.Wait.CanPush() {
+	wait := &st.Wait[at]
+	if !wait.CanPush() {
 		// A full wait buffer forfeits the combine (partial combining, A1).
-		st.Wait.Rejections++
-		if st.Trace != nil {
-			st.Trace(Rejected, mb.Req.ID, 0, e.Addr)
+		wait.Rejections++
+		if st.trace != nil {
+			st.trace(at, Rejected, mb.Req.ID, 0, e.Addr)
 		}
 		return false
 	}
@@ -257,48 +246,51 @@ func (st *Station) combine(q *core.FIFO[FwdEntry], e *FwdEntry, path Path, sh *S
 		path2, queued.Path = queued.Path, path
 		*qb, *mb = *mb, *qb
 	}
-	st.Wait.Push(rec.ID1, Record{Record: rec, Path2: path2, H2: e.H, Needs1: needs1, Needs2: needs2})
+	wait.Push(rec.ID1, Record{Record: rec, Path2: path2, H2: e.H, Needs1: needs1, Needs2: needs2})
 	qb.Req = combined
 	queued.Slots = uint8(core.ValueSlots(combined.Op))
 	q.Touch()
 	sh.Combines++
-	if st.Trace != nil {
-		st.Trace(Combined, rec.ID1, rec.ID2, e.Addr)
+	if st.trace != nil {
+		st.trace(at, Combined, rec.ID1, rec.ID2, e.Addr)
 	}
 	return true
 }
 
-// CanAcceptRev is the reserved-credit check: a reply may enter only while
-// every reverse queue sits below the base credit — all of them, because the
-// decombining fan-out is unknown until the wait buffer is consulted.  An
-// accepted reply then appends its whole fan-out unconditionally: each leaf
-// beyond the first consumes a wait record this station created, so the
-// records double as reserved credits and per-queue occupancy stays ≤ revCap +
-// wait-buffer capacity.  Holding a reply upstream cannot deadlock: reverse
-// queues drain toward the processors, which always consume.
-func (st *Station) CanAcceptRev() bool {
+// CanAcceptRev is the reserved-credit check: a reply may enter station at
+// only while every reverse queue there sits below the base credit — all of
+// them, because the decombining fan-out is unknown until the wait buffer is
+// consulted.  An accepted reply then appends its whole fan-out
+// unconditionally: each leaf beyond the first consumes a wait record this
+// station created, so the records double as reserved credits and per-queue
+// occupancy stays ≤ revCap + wait-buffer capacity.  Holding a reply upstream
+// cannot deadlock: reverse queues drain toward the processors, which always
+// consume.
+func (st *Stations) CanAcceptRev(at int) bool {
 	if st.revCap <= 0 {
 		return true
 	}
-	for i := range st.Rev {
-		if st.Rev[i].Len() >= st.revCap {
+	rev := st.Rev(at)
+	for i := range rev {
+		if rev[i].Len() >= st.revCap {
 			return false
 		}
 	}
 	return true
 }
 
-// AcceptRev takes a reply arriving from the memory side: it undoes every
-// combine recorded here that the reply answers (most recent first, several
-// for a k-way combine) and queues each resulting reply toward its processor;
-// one whose processor is attached here is appended to home instead.
-func (st *Station) AcceptRev(e *RevEntry, now uint32, home *[]RevEntry) {
-	if st.Wait.Len() > 0 && st.decombine(e, now, home) {
+// AcceptRev takes a reply arriving at station at from the memory side: it
+// undoes every combine recorded there that the reply answers (most recent
+// first, several for a k-way combine) and queues each resulting reply toward
+// its processor; one whose processor is attached there is appended to home
+// instead.
+func (st *Stations) AcceptRev(at int, e *RevEntry, now uint32, home *[]RevEntry) {
+	if st.Wait[at].Len() > 0 && st.decombine(at, e, now, home) {
 		return
 	}
 	port, path := 0, e.Path
-	if st.Back != nil {
-		port = int(st.Back[e.Src])
+	if st.back != nil {
+		port = int(st.back[at][e.Src])
 	} else {
 		port, path = path.Pop()
 	}
@@ -306,102 +298,103 @@ func (st *Station) AcceptRev(e *RevEntry, now uint32, home *[]RevEntry) {
 		*home = append(*home, *e)
 		return
 	}
-	slot := st.Rev[port].Push()
+	slot := st.rev[at*st.nr+port].Push()
 	*slot = *e
 	slot.Path, slot.Moved = path, now
-	st.load.Rev++
+	st.loads[at].Rev++
 }
 
 // PutRev is AcceptRev for a reply in value form, whose body it stores.  It
 // allocates, so it runs where no pool worker does (store.go).
-func (st *Station) PutRev(r *Rev, now uint32, home *[]RevEntry) {
+func (st *Stations) PutRev(at int, r *Rev, now uint32, home *[]RevEntry) {
 	e := st.store.putRev(r)
-	st.AcceptRev(&e, now, home)
+	st.AcceptRev(at, &e, now, home)
 }
 
-// TakeRev pops the head of reverse queue port in value form, freeing its
-// body.
-func (st *Station) TakeRev(port int) Rev {
-	e := st.Rev[port].Front()
+// TakeRev pops the head of station at's reverse queue port in value form,
+// freeing its body.
+func (st *Stations) TakeRev(at, port int) Rev {
+	e := st.rev[at*st.nr+port].Front()
 	r := st.store.rev(e)
 	st.store.Free(e.H)
-	st.PopRev(port)
+	st.PopRev(at, port)
 	return r
 }
 
-// decombine undoes the most recent combine recorded here that r answers.
-// PopMatch skips records the reply cannot answer: under fault injection a
-// record goes stale when its combined message is dropped downstream, and a
-// later (retransmitted) reply for the same id must pass through rather than
-// synthesize a second requester's reply from a combine that never reached
-// memory.  On a healthy machine every record matches.
-func (st *Station) decombine(e *RevEntry, now uint32, home *[]RevEntry) bool {
+// decombine undoes the most recent combine recorded at station at that r
+// answers.  PopMatch skips records the reply cannot answer: under fault
+// injection a record goes stale when its combined message is dropped
+// downstream, and a later (retransmitted) reply for the same id must pass
+// through rather than synthesize a second requester's reply from a combine
+// that never reached memory.  On a healthy machine every record matches.
+func (st *Stations) decombine(at int, e *RevEntry, now uint32, home *[]RevEntry) bool {
 	b := st.store.At(e.H)
 	rep := b.Reply()
 	match := func(rec Record) bool { return core.CanDecombine(rec.Record, rep) }
-	rec, ok := st.Wait.PopMatch(e.ID, match)
+	rec, ok := st.Wait[at].PopMatch(e.ID, match)
 	if !ok {
 		return false
 	}
 	r1, r2 := core.DecombineExact(rec.Record, rep)
-	if st.Trace != nil {
-		st.Trace(Decombined, r1.ID, r2.ID, 0)
+	if st.trace != nil {
+		st.trace(at, Decombined, r1.ID, r2.ID, 0)
 	}
 	b2 := st.store.At(rec.H2)
 	b.SetReply(r1)
 	b2.SetReply(r2)
-	st.AcceptRev(&RevEntry{ID: r1.ID, Path: e.Path, H: e.H, Src: e.Src, Valued: rec.Needs1}, now, home)
-	st.AcceptRev(&RevEntry{ID: r2.ID, Path: rec.Path2, H: rec.H2, Src: b2.Src, Valued: rec.Needs2}, now, home)
+	st.AcceptRev(at, &RevEntry{ID: r1.ID, Path: e.Path, H: e.H, Src: e.Src, Valued: rec.Needs1}, now, home)
+	st.AcceptRev(at, &RevEntry{ID: r2.ID, Path: rec.Path2, H: rec.H2, Src: b2.Src, Valued: rec.Needs2}, now, home)
 	return true
 }
 
-// Crash flushes the station's volatile state — every queue and the wait
+// Crash flushes station at's volatile state — every queue and the wait
 // buffer, and the bodies they held — and returns the leaf request ids whose
-// only copy here was lost.  A flushed wait record is a double loss: the
+// only copy there was lost.  A flushed wait record is a double loss: the
 // second requester's routing state is gone, so even if the combined
 // message's reply returns it passes through and the second requester
 // recovers by retransmitting.  It frees into the store, so it runs where no
 // pool worker does (the step prologue).
-func (st *Station) Crash() []word.ReqID {
+func (st *Stations) Crash(at int) []word.ReqID {
 	var ids []word.ReqID
-	for i := range st.Fwd {
-		held := st.Fwd[i].View()
+	fwd, rev := st.Fwd(at), st.Rev(at)
+	for i := range fwd {
+		held := fwd[i].View()
 		for j := range held {
 			b := st.store.At(held[j].H)
 			ids = LostLeaves(ids, b.Req.Reps(), b.Req.ID)
 			st.store.Free(held[j].H)
 		}
-		st.Fwd[i].Clear()
+		fwd[i].Clear()
 	}
-	for i := range st.Rev {
-		held := st.Rev[i].View()
+	for i := range rev {
+		held := rev[i].View()
 		for j := range held {
 			rep := st.store.At(held[j].H).Reply()
 			ids = LostReply(ids, &rep)
 			st.store.Free(held[j].H)
 		}
-		st.Rev[i].Clear()
+		rev[i].Clear()
 	}
-	for _, rec := range st.Wait.Flush() {
+	for _, rec := range st.Wait[at].Flush() {
 		b := st.store.At(rec.H2)
 		ids = LostLeaves(ids, b.Req.Reps(), rec.ID2)
 		st.store.Free(rec.H2)
 	}
-	*st.load = Load{}
+	st.loads[at] = Load{}
 	return ids
 }
 
-// Occupancy counts the messages and wait records the station holds.
-func (st *Station) Occupancy() (fwd, rev, wait int) {
-	return int(st.load.Fwd), int(st.load.Rev), st.Wait.Len()
+// Occupancy counts the messages and wait records station at holds.
+func (st *Stations) Occupancy(at int) (fwd, rev, wait int) {
+	return int(st.loads[at].Fwd), int(st.loads[at].Rev), st.Wait[at].Len()
 }
 
-// MaxRev is the high-water mark across the reverse queues — the observable
-// the reserved-credit bound is asserted on.
-func (st *Station) MaxRev() int {
-	peak := 0
-	for i := range st.Rev {
-		peak = max(peak, st.Rev[i].Peak())
+// MaxRev is the high-water mark across station at's reverse queues — the
+// observable the reserved-credit bound is asserted on.
+func (st *Stations) MaxRev(at int) int {
+	peak, rev := 0, st.Rev(at)
+	for i := range rev {
+		peak = max(peak, rev[i].Peak())
 	}
 	return peak
 }

@@ -62,7 +62,7 @@ var families = []struct {
 // leaf reply the station has handed back.
 type bench struct {
 	t       *testing.T
-	st      *Station
+	st      *Stations // one station, row 0
 	deg     int
 	cells   map[word.Addr]word.Word
 	serial  map[word.Addr][]core.Leaf
@@ -73,7 +73,7 @@ type bench struct {
 
 func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *bench {
 	st := NewStations(1, deg, deg, queueCap, revCap, waitCap, core.Policy{AllowReversal: reversal})
-	return &bench{t: t, st: &st[0], deg: deg, cells: map[word.Addr]word.Word{},
+	return &bench{t: t, st: st, deg: deg, cells: map[word.Addr]word.Word{},
 		serial: map[word.Addr][]core.Leaf{}, replies: map[word.ReqID]word.Word{}}
 }
 
@@ -83,13 +83,13 @@ func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *
 func (b *bench) offer(src, in int, addr word.Addr, op rmw.Mapping) (word.ReqID, bool) {
 	b.nextID++
 	m := Fwd{Req: core.NewRequest(b.nextID, addr, op, word.ProcID(src)).WithReps(), Src: src}
-	return b.nextID, b.st.PutFwd(&m, int(addr)%b.deg, Path(0).Push(int32(in)), 0, &b.sh)
+	return b.nextID, b.st.PutFwd(0, &m, int(addr)%b.deg, Path(0).Push(int32(in)), 0, &b.sh)
 }
 
 // serve pops the head of forward queue out — the message reaches memory —
 // executes it and, unless lose is set, hands the station the reply.
 func (b *bench) serve(out int, lose bool) {
-	m := b.st.TakeFwd(out)
+	m := b.st.TakeFwd(0, out)
 	if lose {
 		return
 	}
@@ -98,7 +98,7 @@ func (b *bench) serve(out int, lose bool) {
 	rep := core.Execute(&cell, m.Req)
 	b.cells[m.Req.Addr] = cell
 	var home []RevEntry
-	b.st.PutRev(&Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
+	b.st.PutRev(0, &Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
 	if len(home) != 0 {
 		b.t.Fatalf("a reply with an unspent path came home: %+v", home)
 	}
@@ -106,10 +106,10 @@ func (b *bench) serve(out int, lose bool) {
 
 // drain pops up to max replies, reverse queue start first, and files them.
 func (b *bench) drain(start, max int) {
-	for i := range b.st.Rev {
-		port := (start + i) % len(b.st.Rev)
-		for q := &b.st.Rev[port]; q.Len() > 0 && max > 0; max-- {
-			r := b.st.TakeRev(port)
+	for i := range b.st.Rev(0) {
+		port := (start + i) % len(b.st.Rev(0))
+		for q := &b.st.Rev(0)[port]; q.Len() > 0 && max > 0; max-- {
+			r := b.st.TakeRev(0, port)
 			if _, dup := b.replies[r.Rep.ID]; dup {
 				b.t.Fatalf("request %d answered twice", r.Rep.ID)
 			}
@@ -173,28 +173,28 @@ func TestStationModel(t *testing.T) {
 								t.Fatalf("%s: an unbounded queue refused a request", label)
 							}
 						case r.IntN(2) == 0:
-							if out := r.IntN(3); b.st.Fwd[out].Len() > 0 {
+							if out := r.IntN(3); b.st.Fwd(0)[out].Len() > 0 {
 								b.serve(out, false)
 							}
 						default:
 							b.drain(r.IntN(3), r.IntN(4))
 						}
 					}
-					for out := range b.st.Fwd {
-						for b.st.Fwd[out].Len() > 0 {
+					for out := range b.st.Fwd(0) {
+						for b.st.Fwd(0)[out].Len() > 0 {
 							b.serve(out, false)
 						}
 					}
 					b.drain(0, 1<<30)
 					b.check(label)
-					if fwd, rev, wait := b.st.Occupancy(); fwd+rev+wait != 0 {
+					if fwd, rev, wait := b.st.Occupancy(0); fwd+rev+wait != 0 {
 						t.Fatalf("%s: station holds %d/%d/%d after the drain", label, fwd, rev, wait)
 					}
 					if int(b.nextID) != len(b.replies) {
 						t.Fatalf("%s: %d requests, %d replies", label, b.nextID, len(b.replies))
 					}
-					if waitCap == 0 && (b.sh.Combines != 0 || (addrs == 1 && b.st.Wait.Rejections == 0)) {
-						t.Fatalf("%s: %d combines, %d rejections with the wait buffer off", label, b.sh.Combines, b.st.Wait.Rejections)
+					if waitCap == 0 && (b.sh.Combines != 0 || (addrs == 1 && b.st.Wait[0].Rejections == 0)) {
+						t.Fatalf("%s: %d combines, %d rejections with the wait buffer off", label, b.sh.Combines, b.st.Wait[0].Rejections)
 					}
 					if waitCap == core.Unbounded && addrs == 1 && b.sh.Combines == 0 {
 						t.Fatalf("%s: a hot stream never combined", label)
@@ -213,14 +213,14 @@ func TestStationKWayCombine(t *testing.T) {
 		for i := 0; i < k; i++ {
 			b.offer(i, i%2, 4, rmw.FetchAdd(int64(i+1)))
 		}
-		if n := b.st.Fwd[0].Len(); n != 1 || b.st.Wait.Len() != k-1 || b.sh.Combines != int64(k-1) {
-			t.Fatalf("k=%d: %d messages queued, %d records, %d combines", k, n, b.st.Wait.Len(), b.sh.Combines)
+		if n := b.st.Fwd(0)[0].Len(); n != 1 || b.st.Wait[0].Len() != k-1 || b.sh.Combines != int64(k-1) {
+			t.Fatalf("k=%d: %d messages queued, %d records, %d combines", k, n, b.st.Wait[0].Len(), b.sh.Combines)
 		}
 		b.serve(0, false)
 		b.drain(0, 1<<30)
 		b.check(fmt.Sprintf("k=%d", k))
-		if len(b.replies) != k || b.st.Wait.Len() != 0 {
-			t.Fatalf("k=%d: %d replies, %d records left", k, len(b.replies), b.st.Wait.Len())
+		if len(b.replies) != k || b.st.Wait[0].Len() != 0 {
+			t.Fatalf("k=%d: %d replies, %d records left", k, len(b.replies), b.st.Wait[0].Len())
 		}
 	}
 }
@@ -236,25 +236,25 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 	first, _ := b.offer(1, 0, 6, rmw.FetchAdd(1))
 	second, _ := b.offer(2, 1, 6, rmw.FetchAdd(10))
 	b.serve(0, true) // the combined message dies on the next link
-	if b.st.Wait.Len() != 1 {
-		t.Fatalf("%d records after the combine", b.st.Wait.Len())
+	if b.st.Wait[0].Len() != 1 {
+		t.Fatalf("%d records after the combine", b.st.Wait[0].Len())
 	}
 	var home []RevEntry
-	b.st.PutRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
+	b.st.PutRev(0, &Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
 		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
 	b.drain(0, 1<<30)
 	if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
 		t.Fatalf("replies after the retransmit's answer: %v", b.replies)
 	}
-	if _, ok := b.replies[second]; ok || b.st.Wait.Len() != 1 {
-		t.Fatalf("the stale record was consumed (records left: %d, replies %v)", b.st.Wait.Len(), b.replies)
+	if _, ok := b.replies[second]; ok || b.st.Wait[0].Len() != 1 {
+		t.Fatalf("the stale record was consumed (records left: %d, replies %v)", b.st.Wait[0].Len(), b.replies)
 	}
 	// The reply of the combine itself — both leaves named — does match.
-	b.st.PutRev(&Rev{Rep: core.Reply{ID: first, Val: word.W(40),
+	b.st.PutRev(0, &Rev{Rep: core.Reply{ID: first, Val: word.W(40),
 		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}, {ID: second, Val: word.W(41)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
-	if b.st.Wait.Len() != 0 || b.st.Rev[1].Len() != 1 || b.st.Body(b.st.Rev[1].Front().H).Val != word.W(41) {
+	if b.st.Wait[0].Len() != 0 || b.st.Rev(0)[1].Len() != 1 || b.st.Body(b.st.Rev(0)[1].Front().H).Val != word.W(41) {
 		t.Fatalf("the matching reply did not decombine: %d records, %d replies toward the second requester",
-			b.st.Wait.Len(), b.st.Rev[1].Len())
+			b.st.Wait[0].Len(), b.st.Rev(0)[1].Len())
 	}
 }
 
@@ -275,8 +275,8 @@ func TestStationReverseBound(t *testing.T) {
 				// Most requests arrive on one port: their replies leave by it.
 				b.offer(r.IntN(16), r.IntN(deg)*(r.IntN(4)/3), word.Addr(r.IntN(2)), rmw.FetchAdd(1))
 			case 1:
-				if out := r.IntN(deg); b.st.Fwd[out].Len() > 0 {
-					if !b.st.CanAcceptRev() {
+				if out := r.IntN(deg); b.st.Fwd(0)[out].Len() > 0 {
+					if !b.st.CanAcceptRev(0) {
 						held++ // memory holds its reply: no credit
 						continue
 					}
@@ -285,15 +285,15 @@ func TestStationReverseBound(t *testing.T) {
 			default:
 				b.drain(r.IntN(deg), 1)
 			}
-			for port := range b.st.Rev {
-				if n := b.st.Rev[port].Len(); n > revCap+waitCap {
+			for port := range b.st.Rev(0) {
+				if n := b.st.Rev(0)[port].Len(); n > revCap+waitCap {
 					t.Fatalf("degree %d: reverse queue %d holds %d > %d + %d", deg, port, n, revCap, waitCap)
 				}
-				peak = max(peak, b.st.Rev[port].Len())
+				peak = max(peak, b.st.Rev(0)[port].Len())
 			}
 		}
-		if held == 0 || peak <= revCap || b.st.MaxRev() != peak {
-			t.Fatalf("degree %d: %d holds, peak %d (MaxRev %d): the bound was never approached", deg, held, peak, b.st.MaxRev())
+		if held == 0 || peak <= revCap || b.st.MaxRev(0) != peak {
+			t.Fatalf("degree %d: %d holds, peak %d (MaxRev %d): the bound was never approached", deg, held, peak, b.st.MaxRev(0))
 		}
 	}
 }
@@ -310,7 +310,7 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 		case 0, 1, 2:
 			b.offer(r.IntN(8), r.IntN(3), word.Addr(r.IntN(4)), rmw.FetchAdd(1))
 		case 3:
-			if out := r.IntN(3); b.st.Fwd[out].Len() > 0 {
+			if out := r.IntN(3); b.st.Fwd(0)[out].Len() > 0 {
 				b.serve(out, false)
 			}
 		default:
@@ -323,12 +323,12 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 	b.offer(2, 1, 0, rmw.FetchAdd(1))
 	b.offer(3, 2, 1, rmw.FetchAdd(1))
 	b.serve(1, false)
-	fwd, rev, wait := b.st.Occupancy()
+	fwd, rev, wait := b.st.Occupancy(0)
 	if fwd == 0 || rev == 0 || wait == 0 {
 		t.Fatalf("the station holds %d/%d/%d: nothing to lose in one of the three places", fwd, rev, wait)
 	}
 	lost := map[word.ReqID]bool{}
-	for _, id := range b.st.Crash() {
+	for _, id := range b.st.Crash(0) {
 		lost[id] = true
 	}
 	if live := b.st.store.Live(); live != 0 {
@@ -341,7 +341,7 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 			t.Fatalf("request %d: answered %v, reported lost %v", id, answered, lost[id])
 		}
 	}
-	if fwd, rev, wait := b.st.Occupancy(); fwd+rev+wait != 0 {
+	if fwd, rev, wait := b.st.Occupancy(0); fwd+rev+wait != 0 {
 		t.Fatalf("the station holds %d/%d/%d after the flush", fwd, rev, wait)
 	}
 }
@@ -352,39 +352,39 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 // nothing.  (A committed combine merges source sets into fresh storage: that
 // allocation is the combine's meaning, not the station's overhead.)
 func TestStationSteadyStateZeroAlloc(t *testing.T) {
-	st := &NewStations(1, 2, 2, 4, 0, 0, core.Policy{})[0]
+	st := NewStations(1, 2, 2, 4, 0, 0, core.Policy{})
 	var sh Shard
 	var home []RevEntry
 	hot := Fwd{Req: core.NewRequest(1, 8, rmw.FetchAdd(1), 0), Src: 0}
 	path := Path(0).Push(1)
-	st.PutFwd(&hot, 0, path, 0, &sh) // the partner every later arrival finds
+	st.PutFwd(0, &hot, 0, path, 0, &sh) // the partner every later arrival finds
 	// The messages live outside the round, as they do in a machine: the
 	// station is handed pointers into ports and channels.
 	m, r := hot, Rev{Path: path}
 	cycle := func() {
 		m.Req.ID++
-		if !st.PutFwd(&m, 0, path, 0, &sh) {
+		if !st.PutFwd(0, &m, 0, path, 0, &sh) {
 			panic("refused below capacity")
 		}
-		st.TakeFwd(0)
+		st.TakeFwd(0, 0)
 		r.Rep.ID = m.Req.ID
-		st.PutRev(&r, 0, &home)
-		st.TakeRev(1)
+		st.PutRev(0, &r, 0, &home)
+		st.TakeRev(0, 1)
 	}
 	for i := 0; i < 16; i++ {
 		cycle()
 	}
-	before := st.Wait.Rejections
+	before := st.Wait[0].Rejections
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("accept + pass-through reply: %.1f allocs per round, want 0", allocs)
 	}
-	if st.Wait.Rejections == before || sh.Combines != 0 {
-		t.Fatalf("the rounds never met a partner (%d rejections, %d combines)", st.Wait.Rejections-before, sh.Combines)
+	if st.Wait[0].Rejections == before || sh.Combines != 0 {
+		t.Fatalf("the rounds never met a partner (%d rejections, %d combines)", st.Wait[0].Rejections-before, sh.Combines)
 	}
 }
 
 // TestStationScanMatchesCombineAtTail: the station writes the tail scan out
-// (Station.combine); core.CombineAtTail remains its definition.  Random
+// (Stations.combine); core.CombineAtTail remains its definition.  Random
 // queues — filled behind the station's back, so a non-combinable partner can
 // shadow a combinable one, which no sequence of accepts produces with room in
 // the wait buffer — meet random arrivals: fresh and retransmitted, with the
@@ -417,29 +417,29 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 	for trial := 0; trial < 4000; trial++ {
 		pol := core.Policy{AllowReversal: r.IntN(2) == 0}
 		waitCap := []int{0, 2, 2, core.Unbounded}[r.IntN(4)]
-		st := &NewStations(1, 1, 1, 0, 0, waitCap, pol)[0]
+		st := NewStations(1, 1, 1, 0, 0, waitCap, pol)
 		var events []EventKind
-		st.Trace = func(kind EventKind, _, _ word.ReqID, _ word.Addr) { events = append(events, kind) }
+		st.trace = func(_ int, kind EventKind, _, _ word.ReqID, _ word.Addr) { events = append(events, kind) }
 		for i := r.IntN(3); i > 0; i-- {
-			st.Wait.Push(word.ReqID(1000+i), Record{}) // other combines' records
+			st.Wait[0].Push(word.ReqID(1000+i), Record{}) // other combines' records
 		}
-		q := &st.Fwd[0]
+		q := &st.Fwd(0)[0]
 		for i := r.IntN(7); i > 0; i-- {
 			m := draw(word.ReqID(i))
 			*q.Push() = st.store.put(&m)
 		}
 		m := draw(100)
 		before := queued(st)
-		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.Wait.CanPush)
-		rejections, records := st.Wait.Rejections, st.Wait.Len()
+		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.Wait[0].CanPush)
+		rejections, records := st.Wait[0].Rejections, st.Wait[0].Len()
 
 		var sh Shard
-		if !st.PutFwd(&m, 0, m.Path, 7, &sh) {
+		if !st.PutFwd(0, &m, 0, m.Path, 7, &sh) {
 			t.Fatalf("trial %d: an unbounded queue refused the request", trial)
 		}
 		after, moved := queued(st), q.View()[q.Len()-1].Moved
 
-		if got := st.Wait.Rejections - rejections; (got == 1) != rejected || got > 1 {
+		if got := st.Wait[0].Rejections - rejections; (got == 1) != rejected || got > 1 {
 			t.Fatalf("trial %d: %d rejections counted, CombineAtTail says rejected=%v", trial, got, rejected)
 		}
 		wantEvents := []EventKind(nil)
@@ -456,8 +456,8 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		if !ok {
 			// Appended whole, stamped, nothing else touched.
 			want := append(before, m)
-			if !reflect.DeepEqual(after, want) || moved != 7 || st.Wait.Len() != records || sh.Combines != 0 {
-				t.Fatalf("trial %d: no combine, yet the queue is\n%+v\nwant\n%+v\n(%d records, were %d)", trial, after, want, st.Wait.Len(), records)
+			if !reflect.DeepEqual(after, want) || moved != 7 || st.Wait[0].Len() != records || sh.Combines != 0 {
+				t.Fatalf("trial %d: no combine, yet the queue is\n%+v\nwant\n%+v\n(%d records, were %d)", trial, after, want, st.Wait[0].Len(), records)
 			}
 			// Which of the interesting refusals was it?
 			if p := lastFor(before, m.Req.Addr); p >= 0 {
@@ -483,10 +483,10 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		if !reflect.DeepEqual(after, want) || q.View()[tc.Index].Moved != 0 {
 			t.Fatalf("trial %d: after the combine the queue is\n%+v\nwant\n%+v", trial, after, want)
 		}
-		rec, found := st.Wait.Pop(tc.Rec.ID1)
+		rec, found := st.Wait[0].Pop(tc.Rec.ID1)
 		wantRec := Record{Record: tc.Rec, Path2: second.Path, H2: rec.H2,
 			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op)}
-		if !found || !reflect.DeepEqual(rec, wantRec) || st.Wait.Len() != records || sh.Combines != 1 {
+		if !found || !reflect.DeepEqual(rec, wantRec) || st.Wait[0].Len() != records || sh.Combines != 1 {
 			t.Fatalf("trial %d: record %+v (found %v), want %+v; %d combines", trial, rec, found, wantRec, sh.Combines)
 		}
 		// The record keeps the second request's body: its source, tags and
@@ -503,9 +503,9 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 }
 
 // queued reads station st's forward queue 0 back in value form.
-func queued(st *Station) []Fwd {
+func queued(st *Stations) []Fwd {
 	var ms []Fwd
-	for _, e := range st.Fwd[0].View() {
+	for _, e := range st.Fwd(0)[0].View() {
 		ms = append(ms, st.store.fwd(&e))
 	}
 	return ms

@@ -12,7 +12,7 @@ import (
 // and how cmd/trace renders a Figure 1 walkthrough on a live machine.
 //
 // The events are written where they happen, by whoever owns the place: a
-// station's into its own buffer (the hook Init installs, and Tick for the
+// station's into its own buffer (stationEvent, and Tick for the
 // module service it routes there), a module's with no station in front of
 // its reply into its own (Tick, on the bus), a port's into the ports'
 // buffer (Offer and complete, on the stepping goroutine or worker 0 at
@@ -107,14 +107,12 @@ func (l *TraceLog) Count(kind EventKind) int {
 	return n
 }
 
-// tracer is station at's Trace hook: the event, stamped with the cycle and
-// the station's (stage, index), joins the station's buffer.
-func (s *Shell) tracer(at int) func(EventKind, word.ReqID, word.ReqID, word.Addr) {
-	stage, idx := at/s.width, at%s.width
-	return func(kind EventKind, id, id2 word.ReqID, addr word.Addr) {
-		s.events[at] = append(s.events[at],
-			Event{Cycle: s.tot.Cycles, Kind: kind, ID: id, ID2: id2, Addr: addr, Stage: stage, Switch: idx})
-	}
+// stationEvent records an event at station at, stamped with the cycle and
+// the station's (stage, index), in the station's buffer: the stations'
+// trace hook (Shell.Init).
+func (s *Shell) stationEvent(at int, kind EventKind, id, id2 word.ReqID, addr word.Addr) {
+	s.events[at] = append(s.events[at],
+		Event{Cycle: s.tot.Cycles, Kind: kind, ID: id, ID2: id2, Addr: addr, Stage: at / s.width, Switch: at % s.width})
 }
 
 // portEvent records an injection or delivery at processor p.

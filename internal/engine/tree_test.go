@@ -132,15 +132,15 @@ func TestTreeWiring(t *testing.T) {
 func TestIdleModuleCountsCreditHold(t *testing.T) {
 	_, inj := newAdders(treeProcs, 0)
 	tr := newTree(nil, inj, 1)
-	root, ln := tr.Station(0), tr.Lane(0)
+	sts, ln := tr.Stations(), tr.Lane(0)
 	tr.Tick(0, 0, ln)
 	if ln.HoldsMemOut != 0 {
 		t.Fatalf("an empty machine counted %d credit holds", ln.HoldsMemOut)
 	}
 	// One reply queued toward child 1 puts the root at its credit limit.
-	root.PutRev(&Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, nil)
-	if root.CanAcceptRev() || tr.Memory().Module(0).QueueLen() != 0 {
-		t.Fatalf("setup: root has credit (%v) or the module is not idle", root.CanAcceptRev())
+	sts.PutRev(0, &Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, nil)
+	if sts.CanAcceptRev(0) || tr.Memory().Module(0).QueueLen() != 0 {
+		t.Fatalf("setup: root has credit (%v) or the module is not idle", sts.CanAcceptRev(0))
 	}
 	for i := 0; i < 3; i++ {
 		tr.Tick(0, 0, ln)
@@ -148,7 +148,7 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 	if ln.HoldsMemOut != 3 {
 		t.Errorf("idle module behind a credit-less station: %d holds over 3 ticks, want 3", ln.HoldsMemOut)
 	}
-	root.TakeRev(1)
+	sts.TakeRev(0, 1)
 	tr.Tick(0, 0, ln)
 	if ln.HoldsMemOut != 3 {
 		t.Errorf("a hold was counted with the credit back: %d", ln.HoldsMemOut)
@@ -161,11 +161,11 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 // another cell, then the head's partner, a request for the head's cell.
 // Its wait buffer is full too, so the head blocked at station 1 is refused
 // every cycle with a memory hold and a combine rejection.  Nothing sweeps
-// the tree; a test moves station 1's head by hand (hop).
+// the tree; a test moves station 1's head by hand (hop).  Each processor
+// has one request to offer, which only a test that injects by hand asks for.
 type heldTree struct {
 	*tree
-	root, st1 *Station
-	ln        *Lane
+	ln *Lane
 }
 
 const (
@@ -174,15 +174,15 @@ const (
 	partnerID, otherID word.ReqID = 2, 3
 )
 
-func newHeldTree(t *testing.T, partner, head rmw.Mapping) *heldTree {
+func newHeldTree(t *testing.T, partner, head rmw.Mapping, plan *faults.Plan) *heldTree {
 	lk := treeLinks()
 	lk.Route[0] = []uint8{1}
-	_, inj := newAdders(treeProcs, 0)
+	_, inj := newAdders(treeProcs, 1)
 	tr := &tree{}
 	tr.Init(ShellConfig{
 		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
 		Stations: NewStations(treeProcs-1, 2, 2, 2, 4, 1, core.Policy{}),
-		Links:    lk, Stages: 1, WatchdogCycles: DefaultWatchdogCycles,
+		Links:    lk, Stages: 1, WatchdogCycles: DefaultWatchdogCycles, Faults: plan,
 		Hooks: Hooks{
 			Sweep:     func() {},
 			CanFeed:   tr.RoomInModule,
@@ -190,27 +190,34 @@ func newHeldTree(t *testing.T, partner, head rmw.Mapping) *heldTree {
 			Observe:   func(*Counters, map[string]int64) {},
 		},
 	})
-	h := &heldTree{tree: tr, root: tr.Station(0), st1: tr.Station(1), ln: tr.Lane(0)}
-	h.offer(t, h.root, 1, core.NewRequest(otherID, hotAddr+1, rmw.FetchAdd(1), 4), false)
-	h.offer(t, h.root, 1, core.NewRequest(partnerID, hotAddr, partner, 5), false)
-	h.root.Wait.Push(fillID, Record{})
-	h.offer(t, h.st1, 0, core.NewRequest(headID, hotAddr, head, 0), false)
+	h := &heldTree{tree: tr, ln: tr.Lane(0)}
+	h.offer(t, 0, 1, core.NewRequest(otherID, hotAddr+1, rmw.FetchAdd(1), 4), false)
+	h.offer(t, 0, 1, core.NewRequest(partnerID, hotAddr, partner, 5), false)
+	h.st.Wait[0].Push(fillID, Record{})
+	h.offer(t, 1, 0, core.NewRequest(headID, hotAddr, head, 0), false)
 	return h
 }
 
-// offer lands req on queue out of station st, as a new message or, when
+// offer lands req on queue out of station at, as a new message or, when
 // combine is set, combined into the one queued for its cell.
-func (h *heldTree) offer(t *testing.T, st *Station, out int, req core.Request, combine bool) {
+func (h *heldTree) offer(t *testing.T, at, out int, req core.Request, combine bool) {
 	t.Helper()
 	var sh Shard
-	if !st.PutFwd(&Fwd{Req: req}, out, Path(0).Push(1), uint32(h.tot.Cycles), &sh) || (sh.Combines == 1) != combine {
+	if !h.st.PutFwd(at, &Fwd{Req: req}, out, Path(0).Push(1), uint32(h.tot.Cycles), &sh) || (sh.Combines == 1) != combine {
 		t.Fatalf("setup: request %d refused, or combined: %v", req.ID, sh.Combines == 1)
 	}
 }
 
+// tick moves the clock one cycle: the part of Step's prologue the hops
+// read, with nothing swept.
+func (h *heldTree) tick() {
+	h.tot.Cycles++
+	h.linkOpen = h.flt != nil && h.flt.LinkWindowOpen(h.tot.Cycles)
+}
+
 // hop moves the clock one cycle and makes station 1's forward move.
 func (h *heldTree) hop() {
-	h.tot.Cycles++
+	h.tick()
 	h.FwdHop(1, 0, h.ln)
 }
 
@@ -218,11 +225,11 @@ func (h *heldTree) hop() {
 // root has counted the rejections and memory holds given.
 func (h *heldTree) check(t *testing.T, blocked bool, rejections, holds int64) {
 	t.Helper()
-	q := &h.st1.Fwd[0]
-	got := q.Len() == 1 && h.st1.Body(q.Front().H).Req.ID == headID
-	if got != blocked || h.root.Wait.Rejections != rejections || h.ln.HoldsMem != holds {
+	q := &h.st.Fwd(1)[0]
+	got := q.Len() == 1 && h.st.Body(q.Front().H).Req.ID == headID
+	if got != blocked || h.st.Wait[0].Rejections != rejections || h.ln.HoldsMem != holds {
 		t.Fatalf("head blocked: %v, %d rejections, %d memory holds; want %v, %d, %d",
-			got, h.root.Wait.Rejections, h.ln.HoldsMem, blocked, rejections, holds)
+			got, h.st.Wait[0].Rejections, h.ln.HoldsMem, blocked, rejections, holds)
 	}
 }
 
@@ -234,64 +241,67 @@ func (h *heldTree) check(t *testing.T, blocked bool, rejections, holds int64) {
 // combines with anything and a fetch-add with no fetch-or, so a combine in
 // place can turn a rejection into none.  A station with an Intercept hook
 // sees every arrival and keeps no memo; a traced one memoises, and a memo
-// hit reports the rejection it repeats.
+// hit reports the rejection it repeats.  A memo never spares a head its
+// link: on the first cycle a link-down window covers the link of a head
+// whose memo matches — a forward link, or a processor port's — the head is
+// lost there, counted in drops_fwd, and popped (the port marks it sent).
 func TestBlockedHeadMemo(t *testing.T) {
 	const n = 5
 	load, or, add := rmw.Mapping(rmw.Load{}), rmw.FetchOr(1), rmw.FetchAdd(2)
 	t.Run("counts", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		for range n {
 			h.hop()
 		}
 		h.check(t, true, n, n)
-		if k := h.fwdMemo[1]; k.up != h.st1.Fwd[0].Ver() || !k.rejected || !k.held {
+		if k := h.fwdMemo[1]; k.up != h.st.Fwd(1)[0].Ver() || !k.rejected || !k.held {
 			t.Fatalf("the memo did not engage: %+v", k)
 		}
 	})
 	t.Run("pop", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		h.hop()
 		h.hop()
-		h.root.TakeFwd(1)
+		h.st.TakeFwd(0, 1)
 		h.hop()
 		h.check(t, false, 3, 2) // the partner is still there, the wait buffer still full
 	})
 	t.Run("wait buffer room", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		h.hop()
 		h.hop()
-		h.root.Wait.Pop(fillID)
+		h.st.Wait[0].Pop(fillID)
 		h.hop()
 		h.check(t, false, 2, 2)
-		if h.root.Wait.Len() != 1 {
-			t.Fatalf("the head did not combine into its partner: %d wait records", h.root.Wait.Len())
+		if h.st.Wait[0].Len() != 1 {
+			t.Fatalf("the head did not combine into its partner: %d wait records", h.st.Wait[0].Len())
 		}
 	})
 	t.Run("touch downstream", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		h.hop()
 		h.hop()
-		h.root.Wait.Pop(fillID)                                          // room for the record of …
-		h.offer(t, h.root, 1, core.NewRequest(7, hotAddr, add, 6), true) // … a fetch-add into the load
+		h.st.Wait[0].Pop(fillID)                                    // room for the record of …
+		h.offer(t, 0, 1, core.NewRequest(7, hotAddr, add, 6), true) // … a fetch-add into the load
 		h.hop()
 		h.check(t, true, 2, 3)
 	})
 	t.Run("touch upstream", func(t *testing.T) {
-		h := newHeldTree(t, or, load)
+		h := newHeldTree(t, or, load, nil)
 		h.hop()
 		h.hop()
-		h.offer(t, h.st1, 0, core.NewRequest(8, hotAddr, add, 1), true) // the head keeps its id and attempt
+		h.offer(t, 1, 0, core.NewRequest(8, hotAddr, add, 1), true) // the head keeps its id and attempt
 		h.hop()
 		h.check(t, true, 2, 3)
 	})
 	t.Run("key", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		h.hop()
-		m, k := h.store.fwd(h.st1.Fwd[0].Front()), &h.fwdMemo[1]
-		if k.up != h.st1.Fwd[0].Ver() || !h.refusedAgain(0, k) {
+		m, k := h.store.fwd(h.st.Fwd(1)[0].Front()), &h.fwdMemo[1]
+		if k.up != h.st.Fwd(1)[0].Ver() || !h.refusedAgain(0, k) {
 			t.Fatal("the memo does not match the refusal it just recorded")
 		}
-		if h.root.Fwd[1].Touch(); h.refusedAgain(0, k) {
+		if h.st.Fwd(0)[1].Touch(); h.refusedAgain(0, k) {
 			t.Error("the memo matched a touched refusing queue")
 		}
 		// A port's memo names its message: a new one, or a retransmit of
@@ -306,9 +316,15 @@ func TestBlockedHeadMemo(t *testing.T) {
 		}
 	})
 	t.Run("intercept", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		calls := 0
-		h.root.Intercept = func(*Station, int, FwdEntry, Path, uint32) bool { calls++; return false }
+		h.st.Intercept = func(_ *Stations, at, _ int, _ FwdEntry, _ Path, _ uint32) bool {
+			if at != 0 {
+				t.Errorf("the Intercept hook was asked at station %d, not the root", at)
+			}
+			calls++
+			return false
+		}
 		for range n {
 			h.hop()
 		}
@@ -318,10 +334,10 @@ func TestBlockedHeadMemo(t *testing.T) {
 		}
 	})
 	t.Run("trace", func(t *testing.T) {
-		h := newHeldTree(t, load, or)
+		h := newHeldTree(t, load, or, nil)
 		rejected := 0
-		h.root.Trace = func(kind EventKind, _, _ word.ReqID, _ word.Addr) {
-			if kind == Rejected {
+		h.st.trace = func(at int, kind EventKind, _, _ word.ReqID, _ word.Addr) {
+			if kind == Rejected && at == 0 {
 				rejected++
 			}
 		}
@@ -329,8 +345,45 @@ func TestBlockedHeadMemo(t *testing.T) {
 			h.hop()
 		}
 		h.check(t, true, n, n)
-		if k := h.fwdMemo[1]; rejected != n || k.up != h.st1.Fwd[0].Ver() || !k.rejected || !k.held {
+		if k := h.fwdMemo[1]; rejected != n || k.up != h.st.Fwd(1)[0].Ver() || !k.rejected || !k.held {
 			t.Fatalf("%d cycles behind a traced station: %d Rejected events, memo %+v", n, rejected, k)
+		}
+	})
+	t.Run("link down", func(t *testing.T) {
+		// Station 1's link into the root is the forward-hop site (1, 0).
+		h := newHeldTree(t, load, or, &faults.Plan{LinkCrashes: []faults.Window{{Stage: 1, Index: 0, From: 3, To: 4}}})
+		h.hop()
+		h.hop()
+		if k := &h.fwdMemo[1]; k.up != h.st.Fwd(1)[0].Ver() || !h.refusedAgain(0, k) {
+			t.Fatal("setup: the memo does not match the head it refused")
+		}
+		h.check(t, true, 2, 2)
+		h.hop() // the window opens
+		h.check(t, false, 2, 2)
+		if drops := h.Snapshot().Counters["drops_fwd"]; drops != 1 || h.Loads()[1].Fwd != 0 || len(h.ln.freed) != 1 {
+			t.Fatalf("the head was not lost on the down link: drops_fwd %d, index %+v, %d bodies freed",
+				drops, h.Loads()[1], len(h.ln.freed))
+		}
+	})
+	t.Run("link down at a port", func(t *testing.T) {
+		// Processor 0's link enters station 3 at fault site (0, 3).  Two
+		// requests for other cells fill the queue its request joins.
+		h := newHeldTree(t, load, or, &faults.Plan{LinkCrashes: []faults.Window{{Stage: 0, Index: 3, From: 3, To: 4}}})
+		h.offer(t, 3, 0, core.NewRequest(10, hotAddr+2, add, 2), false)
+		h.offer(t, 3, 0, core.NewRequest(11, hotAddr+3, add, 3), false)
+		for range 2 {
+			h.tick()
+			if h.Inject(0) {
+				t.Fatal("setup: the port's request crossed into a full queue")
+			}
+		}
+		if k := &h.portMemo[0]; !k.names(h.Offer(0)) || !h.refusedAgain(3, &k.refusal) {
+			t.Fatal("setup: the port's memo does not match the request it refused")
+		}
+		h.tick() // the window opens
+		if !h.Inject(0) || h.hasPending[0] || h.Snapshot().Counters["drops_fwd"] != 1 {
+			t.Fatalf("the port's request was not lost on the down link: pending %v, drops_fwd %d",
+				h.hasPending[0], h.Snapshot().Counters["drops_fwd"])
 		}
 	})
 }

@@ -65,8 +65,6 @@ type Config struct {
 	WaitBufCap int
 	// AllowReversal enables the Section 5.1 optimization.
 	AllowReversal bool
-	// MemService is the local memory service time (default 1).
-	MemService int
 	// Workers shards the memory-tick phase of each cycle — module service,
 	// metadata, decombining, all node-local — across this many goroutines
 	// (see internal/par and DESIGN.md §6.1); 0 and 1 mean one.  Output is
@@ -126,7 +124,6 @@ func (c *Config) normalize() error {
 		Field:   "Nodes",
 		Banks:   1,
 		Workers: c.Workers,
-		Service: c.MemService,
 	}
 	if c.Topology != nil {
 		if c.Nodes == 0 {
@@ -149,9 +146,6 @@ func (c *Config) normalize() error {
 	}
 	if c.WatchdogCycles == 0 {
 		c.WatchdogCycles = engine.DefaultWatchdogCycles
-	}
-	if c.MemService == 0 {
-		c.MemService = 1
 	}
 	if c.MemQueueCap == 0 {
 		c.MemQueueCap = deg * c.QueueCap
@@ -183,8 +177,8 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	s.tickFn = s.tickWorker
 	nodes := engine.NewStations(s.n, s.d+1, s.d, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap,
 		core.Policy{AllowReversal: cfg.AllowReversal})
-	for i := range nodes {
-		nodes[i].Fwd[s.d] = core.NewFIFO[engine.FwdEntry](cfg.MemQueueCap)
+	for i := 0; i < s.n; i++ {
+		nodes.Fwd(i)[s.d] = core.NewFIFO[engine.FwdEntry](cfg.MemQueueCap)
 	}
 	s.Shell.Init(engine.ShellConfig{
 		Engine: "hypercube",
@@ -199,7 +193,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		Injectors:      inj,
 		Pool:           s.pool,
 		Modules:        s.n,
-		Service:        cfg.MemService,
+		Service:        1,
 		Stations:       nodes,
 		Links:          engine.CompileDirect(topo),
 		Stages:         1,
@@ -260,7 +254,7 @@ func (s *Sim) tickNode(i int, ln *engine.Lane) {
 	if s.Dead(i) {
 		return // crashed node: no feed, no service, no emission
 	}
-	if !s.Down(i) && s.Station(i).Fwd[s.d].Len() > 0 && s.MemReady(i) {
+	if !s.Down(i) && s.Stations().Fwd(i)[s.d].Len() > 0 && s.MemReady(i) {
 		s.Feed(i, s.d, i, faults.Site(2, i, 0), ln)
 	}
 	s.Tick(i, i, ln)
@@ -276,7 +270,7 @@ func (s *Sim) treeSaturated() bool {
 	}
 	memFull, fwdFull := false, false
 	for i := 0; i < s.n; i++ {
-		out := s.Station(i).Fwd
+		out := s.Stations().Fwd(i)
 		memFull = memFull || out[s.d].Full()
 		for dim := 0; dim < s.d && !fwdFull; dim++ {
 			fwdFull = out[dim].Full()
@@ -299,9 +293,10 @@ func (s *Sim) observe(c *engine.Counters, gauges map[string]int64) {
 	c.MemOps = t.MemRequests
 	c.FwdHops, c.RevHops = t.FwdHops, t.RevHops
 	memQ, maxRev := 0, 0
+	nodes := s.Stations()
 	for i := 0; i < s.n; i++ {
-		memQ = max(memQ, s.Station(i).Fwd[s.d].Peak())
-		maxRev = max(maxRev, s.Station(i).MaxRev())
+		memQ = max(memQ, nodes.Fwd(i)[s.d].Peak())
+		maxRev = max(maxRev, nodes.MaxRev(i))
 	}
 	gauges["memq_max"] = int64(memQ)
 	gauges["max_mem_queue"] = int64(memQ)

@@ -35,11 +35,11 @@ func TestInvariantsUnderLoad(t *testing.T) {
 			}
 			// Queue capacity respected everywhere.
 			for at := 0; at < sim.k*sim.ns; at++ {
-				sw := sim.Station(at)
-				for port := range sw.Fwd {
-					if sw.Fwd[port].Len() > 3 {
+				out := sim.Stations().Fwd(at)
+				for port := range out {
+					if out[port].Len() > 3 {
 						t.Fatalf("waitCap=%d: stage %d switch %d port %d queue %d > cap 3",
-							waitCap, at/sim.ns, at%sim.ns, port, sw.Fwd[port].Len())
+							waitCap, at/sim.ns, at%sim.ns, port, out[port].Len())
 					}
 				}
 			}
@@ -57,7 +57,7 @@ func TestInvariantsUnderLoad(t *testing.T) {
 		}
 		// All wait buffers must be empty at quiescence.
 		for at := 0; at < sim.k*sim.ns; at++ {
-			if n := sim.Station(at).Wait.Len(); n != 0 {
+			if n := sim.Stations().Wait[at].Len(); n != 0 {
 				t.Fatalf("waitCap=%d: wait buffer holds %d records after drain", waitCap, n)
 			}
 		}
@@ -65,7 +65,7 @@ func TestInvariantsUnderLoad(t *testing.T) {
 }
 
 // TestReverseQueueBoundInvariant checks the reserved-credit bound
-// (engine.Station.CanAcceptRev) on the whole machine: a reply is accepted
+// (engine.Stations.CanAcceptRev) on the whole machine: a reply is accepted
 // only while every reverse port sits below RevQueueCap, and each extra
 // decombined leaf consumes a wait-buffer record, so per-port reverse
 // occupancy can never exceed RevQueueCap + WaitBufCap.  Checked every
@@ -89,9 +89,9 @@ func TestReverseQueueBoundInvariant(t *testing.T) {
 	for c := 0; c < cycles; c++ {
 		sim.Step()
 		for at := 0; at < sim.k*sim.ns; at++ {
-			sw := sim.Station(at)
-			for port := range sw.Rev {
-				if q := &sw.Rev[port]; q.Len() > bound {
+			rev := sim.Stations().Rev(at)
+			for port := range rev {
+				if q := &rev[port]; q.Len() > bound {
 					t.Fatalf("cycle %d: stage %d switch %d port %d reverse queue %d > bound %d",
 						c, at/sim.ns, at%sim.ns, port, q.Len(), bound)
 				}
@@ -142,7 +142,7 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	const limit = 200
 	inj, _ := emptyInjectors(8)
 	sim := NewSim(Config{Procs: 8, WaitBufCap: 4, WatchdogCycles: limit}, inj)
-	if !sim.Station(0).Wait.Push(word.ReqID(999), engine.Record{}) {
+	if !sim.Stations().Wait[0].Push(word.ReqID(999), engine.Record{}) {
 		t.Fatal("could not plant the orphan wait record")
 	}
 	steps := 0
@@ -194,9 +194,10 @@ func TestPathHeadersConsistent(t *testing.T) {
 	for c := 0; c < 500; c++ {
 		sim.Step()
 		for idx := 0; idx < sim.ns; idx++ {
-			sw := sim.Station((k-1)*sim.ns + idx)
-			for port := range sw.Fwd {
-				for _, e := range sw.Fwd[port].View() {
+			sw := sim.Stations()
+			out := sw.Fwd((k-1)*sim.ns + idx)
+			for port := range out {
+				for _, e := range out[port].View() {
 					m := sw.Body(e.H)
 					path, at, in := e.Path, idx, 0
 					for stage := k - 1; stage > 0; stage-- {

@@ -61,7 +61,7 @@ type Config struct {
 	// queue: replies are admitted only while every port sits below it, and
 	// wait-buffer records then act as reserved credits for the decombining
 	// fan-out (per-port occupancy ≤ RevQueueCap + WaitBufCap — see
-	// engine.Station.CanAcceptRev and DESIGN.md).  0 defaults to QueueCap;
+	// engine.Stations.CanAcceptRev and DESIGN.md).  0 defaults to QueueCap;
 	// negative means unbounded (the pre-flow-control behavior).
 	RevQueueCap int
 	// MemQueueCap bounds each memory module's input queue, including the
@@ -88,8 +88,6 @@ type Config struct {
 	// satisfied before the store occurs in memory, breaking
 	// serializability; experiment E3 demonstrates the failure.
 	BuggyLoadForwarding bool
-	// MemService is the memory module service time in cycles (default 1).
-	MemService int
 	// Workers shards each cycle's switch, memory-module and delivery work
 	// across this many goroutines (see internal/par and DESIGN.md §6.1);
 	// 0 and 1 run the same phases on the stepping goroutine alone.  Worker
@@ -142,7 +140,6 @@ func (c *Config) normalize() error {
 		PowerOf: c.Radix,
 		Banks:   1,
 		Workers: c.Workers,
-		Service: c.MemService,
 	}
 	if c.Topology != nil {
 		spec.Topology = c.Topology
@@ -169,9 +166,6 @@ func (c *Config) normalize() error {
 	}
 	if c.MemQueueCap == 0 {
 		c.MemQueueCap = c.QueueCap
-	}
-	if c.MemService == 0 {
-		c.MemService = 1
 	}
 	if c.WatchdogCycles == 0 {
 		c.WatchdogCycles = engine.DefaultWatchdogCycles
@@ -255,9 +249,7 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	switches := engine.NewStations(k*s.ns, cfg.Radix, cfg.Radix, cfg.QueueCap, cfg.RevQueueCap,
 		cfg.WaitBufCap, core.Policy{AllowReversal: cfg.AllowReversal})
 	if cfg.BuggyLoadForwarding {
-		for at := range switches {
-			switches[at].Intercept = forwardLoad
-		}
+		switches.Intercept = forwardLoad
 	}
 	s.pool = par.NewPool(cfg.Workers)
 	s.bar = par.NewBarrier(s.pool.Workers())
@@ -269,7 +261,7 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 		Injectors:      inj,
 		Pool:           s.pool,
 		Modules:        n,
-		Service:        cfg.MemService,
+		Service:        1,
 		MemQueueCap:    cfg.MemQueueCap,
 		Stations:       switches,
 		Links:          engine.CompileStaged(topo),
@@ -290,18 +282,18 @@ func (s *Sim) Topology() engine.Staged { return s.topo }
 // value, while the store is still on its way to memory.  The synthesized
 // reply descends from this switch along the load's path, written into the
 // load's body.
-func forwardLoad(sw *engine.Station, out int, e engine.FwdEntry, path engine.Path, now uint32) bool {
+func forwardLoad(sw *engine.Stations, at, out int, e engine.FwdEntry, path engine.Path, now uint32) bool {
 	m := sw.Body(e.H)
 	if _, isLoad := m.Req.Op.(rmw.Load); !isLoad {
 		return false
 	}
-	for _, queued := range sw.Fwd[out].View() {
+	for _, queued := range sw.Fwd(at)[out].View() {
 		if queued.Addr != e.Addr {
 			continue
 		}
 		if c, isConst := sw.Body(queued.H).Req.Op.(rmw.Const); isConst {
 			m.SetReply(core.Reply{ID: m.Req.ID, Val: word.W(c.V)})
-			sw.AcceptRev(&engine.RevEntry{ID: m.Req.ID, Path: path, H: e.H, Src: m.Src, Valued: true},
+			sw.AcceptRev(at, &engine.RevEntry{ID: m.Req.ID, Path: path, H: e.H, Src: m.Src, Valued: true},
 				now, nil) // never home: the path is not spent
 			return true
 		}
@@ -339,7 +331,7 @@ func (s *Sim) treeSaturated() bool {
 	for stage := 0; stage < s.k; stage++ {
 		full := false
 		for i := stage * s.ns; i < (stage+1)*s.ns && !full; i++ {
-			out := s.Station(i).Fwd
+			out := s.Stations().Fwd(i)
 			for port := 0; port < len(out) && !full; port++ {
 				full = out[port].Full()
 			}
@@ -354,12 +346,13 @@ func (s *Sim) treeSaturated() bool {
 // Stats snapshots the run statistics, folding the per-switch gauges in.
 func (s *Sim) Stats() Stats {
 	st := Stats{Totals: s.Totals(), Latency: s.Latency(), MaxMemQueue: s.Memory().MaxQueueDepth()}
+	sws := s.Stations()
 	for at := 0; at < s.k*s.ns; at++ {
-		sw := s.Station(at)
-		st.Rejects += sw.Wait.Rejections
-		st.MaxRevQueue = max(st.MaxRevQueue, sw.MaxRev())
-		for port := range sw.Fwd {
-			st.MaxOutQueue = max(st.MaxOutQueue, sw.Fwd[port].Peak())
+		st.Rejects += sws.Wait[at].Rejections
+		st.MaxRevQueue = max(st.MaxRevQueue, sws.MaxRev(at))
+		out := sws.Fwd(at)
+		for port := range out {
+			st.MaxOutQueue = max(st.MaxOutQueue, out[port].Peak())
 		}
 	}
 	return st

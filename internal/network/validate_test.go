@@ -27,7 +27,6 @@ func TestConfigValidate(t *testing.T) {
 		{"non power of radix", Config{Procs: 32, Radix: 4}, "must be a positive power of 4"},
 		{"radix one", Config{Procs: 8, Radix: 1}, "Radix must be >= 2"},
 		{"negative workers", Config{Procs: 8, Workers: -1}, "Workers must be >= 0"},
-		{"negative service", Config{Procs: 8, MemService: -1}, "service time must be >= 0"},
 		{"trace with workers ok", Config{Procs: 8, Workers: 2, Trace: func(engine.Event) {}}, ""},
 		{"workers no trace ok", Config{Procs: 8, Workers: 2}, ""},
 		{"size disagrees with topology", Config{Procs: 32, Topology: engine.FatTreeOf(16, 2)},

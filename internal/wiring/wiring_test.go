@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/machine"
@@ -43,58 +42,6 @@ func TestEveryNameBuildsAndRuns(t *testing.T) {
 				t.Error("a 16-processor hot spot never combined")
 			}
 		})
-	}
-}
-
-// TestColumnsAliasStations: on every registered wiring, with its default
-// queues and with every queue at one slot, the shell's column tables are
-// the stations' queues themselves — station at's forward queue port is
-// entry at·len(Fwd)+port of the forward table, its reverse queue port entry
-// at·len(Rev)+port of the reverse one, every station has the same queue
-// counts, and the tables hold nothing else.
-func TestColumnsAliasStations(t *testing.T) {
-	const procs = 16
-	type shell interface {
-		Station(at int) *engine.Station
-		Loads() []engine.Load
-		Columns() ([]core.FIFO[engine.FwdEntry], []core.FIFO[engine.RevEntry])
-	}
-	for _, name := range Names() {
-		for _, cfg := range []Config{{Procs: procs}, {Procs: procs, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1}} {
-			t.Run(fmt.Sprintf("%s/queue%d", name, cfg.QueueCap), func(t *testing.T) {
-				inj := make([]engine.Injector, procs)
-				for p := range inj {
-					inj[p] = network.NewStochastic(p, procs, network.TrafficConfig{Rate: 0.5, Window: 2}, 1)
-				}
-				eng, err := New(name, cfg, inj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh := eng.(shell)
-				fwd, rev := sh.Columns()
-				stations := len(sh.Loads())
-				nf, nr := len(sh.Station(0).Fwd), len(sh.Station(0).Rev)
-				if nf == 0 || len(fwd) != stations*nf || len(rev) != stations*nr {
-					t.Fatalf("%d stations of %d+%d queues, column tables of %d and %d", stations, nf, nr, len(fwd), len(rev))
-				}
-				for at := 0; at < stations; at++ {
-					st := sh.Station(at)
-					if len(st.Fwd) != nf || len(st.Rev) != nr {
-						t.Fatalf("station %d has %d+%d queues, station 0 %d+%d", at, len(st.Fwd), len(st.Rev), nf, nr)
-					}
-					for port := range st.Fwd {
-						if &st.Fwd[port] != &fwd[at*nf+port] {
-							t.Fatalf("station %d forward queue %d is not forward column entry %d", at, port, at*nf+port)
-						}
-					}
-					for port := range st.Rev {
-						if &st.Rev[port] != &rev[at*nr+port] {
-							t.Fatalf("station %d reverse queue %d is not reverse column entry %d", at, port, at*nr+port)
-						}
-					}
-				}
-			})
-		}
 	}
 }
 
