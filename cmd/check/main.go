@@ -1,16 +1,18 @@
 // Command check is a correctness soak: it runs randomized programs on the
 // combining machine across configurations, seeds and operation families,
-// and verifies every execution with the Theorem 4.2 serializability
-// checker and the linearizability checker.  It is the long-running version
-// of the test suite's E4, intended for overnight confidence runs.
+// and verifies every execution against Theorem 4.2: per-location
+// serializability, and on runs whose trace certifies them, real-time order
+// too.  It is the long-running version of the test suite's E4, intended
+// for overnight confidence runs.
 //
 // Every cycle-engine soak is a row of one table (rows, below): the wirings
 // it runs on (names internal/wiring registers), their shared config, a
 // fault plan and a program set per seed, and the row's own check.  Every
 // round of every row first runs the one invariant battery
 // (combining.CheckBattery: completion, per-location serializability against
-// final memory, issued == completed, nothing in flight) and then only what
-// the row adds; the healthy rows add the linearizability checker.  Rounds
+// final memory — by the run's certificate, or by search where retransmits,
+// duplicates or crashes leave the trace's order stale — issued ==
+// completed, nothing in flight) and then only what the row adds.  Rounds
 // are independent machines and run on GOMAXPROCS goroutines; results print
 // in seed order, so the output does not depend on the width.  Every failure
 // prints the replay command's flags: the effective seed of the run with
@@ -240,16 +242,6 @@ func rows(procs, ops, addrs int) []soak {
 		plan func(uint64) *combining.FaultPlan
 	}
 	cleanAndFaults := []mode{{"clean", nil}, {"faults", combining.DefaultFaultPlan}}
-	linearizable := func(m *combining.Machine, eng combining.MachineEngine, _ map[string]int64) error {
-		final := map[combining.Addr]combining.Word{}
-		for a := 0; a < addrs; a++ {
-			final[combining.Addr(a)] = eng.Memory().Peek(combining.Addr(a))
-		}
-		if err := combining.CheckLinearizable(m.TimedHistory(), nil, final); err != nil {
-			return fmt.Errorf("linearizability: %v", err)
-		}
-		return nil
-	}
 
 	var table []soak
 	// The healthy soak: no faults, across the combining configurations.
@@ -269,7 +261,7 @@ func rows(procs, ops, addrs int) []soak {
 		if h.wiring == "omega4" && combining.ValidateWiring(h.wiring, cfg) != nil {
 			continue // radix 4 runs when -procs is a power of four
 		}
-		table = append(table, soak{name: h.name, wirings: []string{h.wiring}, cfg: cfg, progs: random, check: linearizable})
+		table = append(table, soak{name: h.name, wirings: []string{h.wiring}, cfg: cfg, progs: random})
 	}
 
 	table = append(table, soak{flag: "-faults", name: "faults", wirings: five, cfg: base,
@@ -326,44 +318,48 @@ func rows(procs, ops, addrs int) []soak {
 	return table
 }
 
-// round runs one seed of the row on one wiring.
+// round runs one seed of the row on one wiring: the battery and the row's
+// check at the first width, then every other width, which must reproduce
+// the first's snapshot and replies.
 func (s soak) round(wiring string, seed uint64, addrs int) result {
 	res := result{seed: seed}
 	widths := s.widths
 	if widths == nil {
 		widths = []int{1}
 	}
-	var snap []byte
-	var vals []int64
-	for i, w := range widths {
+	setup := func(w int) (combining.WiringConfig, [][]combining.Instr) {
 		cfg := s.cfg
 		cfg.Workers = w
 		if s.plan != nil {
 			cfg.Faults = s.plan(seed)
 		}
-		progs := s.progs(seed)
-		m, inj := combining.NewMachineInjectors(progs)
-		eng, err := combining.NewWiring(wiring, cfg, inj)
-		if err != nil {
+		return cfg, s.progs(seed)
+	}
+	cfg, progs := setup(widths[0])
+	m, eng, c, err := combining.CheckBattery(wiring, cfg, progs, addrs, maxCycles)
+	res.counters, res.err = c, err
+	if res.err == nil && s.check != nil {
+		res.err = s.check(m, eng, c)
+	}
+	if res.err != nil {
+		return res
+	}
+	snap, vals := eng.Snapshot().JSON(), replies(m, len(progs), len(progs[0]))
+	for _, w := range widths[1:] {
+		cfg, progs := setup(w)
+		m, eng, err := combining.BuildMachine(wiring, cfg, progs)
+		switch {
+		case err != nil:
 			res.err = err
-			return res
-		}
-		m.BindEngine(eng)
-		if i == 0 {
-			res.counters, res.err = combining.CheckBattery(m, eng, addrs, maxCycles)
-			if res.err == nil && s.check != nil {
-				res.err = s.check(m, eng, res.counters)
-			}
-			snap, vals = eng.Snapshot().JSON(), replies(m, len(progs), len(progs[0]))
-		} else if !m.Run(maxCycles) {
+		case !m.Run(maxCycles):
 			res.err = fmt.Errorf("Workers=%d: did not complete, %d in flight", w, eng.InFlight())
-		} else if !bytes.Equal(eng.Snapshot().JSON(), snap) {
+		case !bytes.Equal(eng.Snapshot().JSON(), snap):
 			res.err = fmt.Errorf("Workers=%d snapshot differs from Workers=%d", w, widths[0])
-		} else if !slices.Equal(replies(m, len(progs), len(progs[0])), vals) {
+		case !slices.Equal(replies(m, len(progs), len(progs[0])), vals):
 			res.err = fmt.Errorf("Workers=%d replies differ from Workers=%d", w, widths[0])
 		}
 		if res.err != nil {
-			break
+			return res
 		}
 	}
 	return res
@@ -518,6 +514,8 @@ func asyncHotSpot(cfg combining.AsyncConfig, opsPerPort int) (map[string]int64, 
 // reported as a cmd/replay command line.  The fuzz seed is -seed, so a CI
 // failure replays with the same flags; the vacuous-pass guard fails the
 // soak if any adversarial fault kind never fired across the whole budget.
+// The summary counts the scenarios the battery checked by search rather
+// than by certificate, by reason.
 func chaosSoak(rounds int, seed uint64, canary string, verbose bool) (checked, failed int) {
 	wirings := combining.Wirings()
 	type outcome struct {
@@ -565,8 +563,9 @@ func chaosSoak(rounds int, seed uint64, canary string, verbose bool) (checked, f
 		fmt.Printf("FAIL chaos: canary %q armed but no violation found across %d scenarios\n", canary, len(outcomes))
 		failed++
 	}
-	fmt.Printf("%-30s %d scenarios fuzzed on %d wirings (%d faults injected, %d violations)\n",
-		"chaos", len(outcomes), len(wirings), total["faults_injected"], violations)
+	fmt.Printf("%-30s %d scenarios fuzzed on %d wirings (%d faults injected, %d violations; by search: %d crash, %d dup, %d retransmit)\n",
+		"chaos", len(outcomes), len(wirings), total["faults_injected"], violations,
+		total["searched_crash"], total["searched_dup"], total["searched_retransmit"])
 	return len(outcomes), failed
 }
 

@@ -280,9 +280,12 @@ var (
 	CheckM2 = serial.CheckM2
 	// CheckM2WithFinal additionally explains the final memory contents.
 	CheckM2WithFinal = serial.CheckM2WithFinal
-	// CheckLinearizable verifies per-location linearizability against
-	// real-time operation intervals.
-	CheckLinearizable = serial.CheckLinearizable
+	// NewCertificateFold returns the trace sink (a Config's Trace is its
+	// Record) that folds a machine run into the serialization it built.
+	NewCertificateFold = serial.NewFold
+	// CheckCertificate replays that serialization against the history in
+	// one pass: per-location serializability and real-time order.
+	CheckCertificate = serial.CheckCertificate
 )
 
 // ---- Deterministic fault injection (internal/faults) ----
@@ -331,10 +334,14 @@ var (
 	// plus the first invariant violation (nil if clean).
 	RunChaos = chaos.Run
 	// CheckBattery is the invariant battery RunChaos and every cmd/check
-	// soak share: run the bound programs to completion, per-location
-	// serializability against final memory, issued == completed, nothing
-	// left in flight.
+	// soak share: build the programs' machine on a wiring, run it to
+	// completion, per-location serializability against final memory (by
+	// the run's certificate where its trace can give one), issued ==
+	// completed, nothing left in flight.
 	CheckBattery = chaos.Battery
+	// BuildMachine makes a programs' machine on a wiring named by
+	// internal/wiring, ready to Run.
+	BuildMachine = chaos.Build
 	// ShrinkChaos minimizes a failing scenario under a rerun budget.
 	ShrinkChaos = chaos.Shrink
 	// ChaosWindows counts a plan's fault windows — the shrink metric.

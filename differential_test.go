@@ -91,13 +91,15 @@ func TestDifferentialEngines(t *testing.T) {
 		{"omega-reversal", combining.NetConfig{Procs: diffProcs, WaitBufCap: combining.Unbounded, AllowReversal: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
+			fold := combining.NewCertificateFold()
+			cfg.net.Trace = fold.Record
 			m := combining.NewMachine(cfg.net, diffPrograms())
 			if !m.Run(100000) {
 				t.Fatal("did not complete")
 			}
 			checkSerialization(t, cfg.name, repliesOf(m),
 				m.Sim().Memory().Peek(diffAddr).Val)
-			if err := combining.CheckLinearizable(m.TimedHistory(), nil, nil); err != nil {
+			if err := combining.CheckCertificate(m.History(), fold.Certificate(), nil, nil); err != nil {
 				t.Errorf("%s: %v", cfg.name, err)
 			}
 		})

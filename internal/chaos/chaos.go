@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"combining/internal/engine"
 	"combining/internal/faults"
@@ -162,15 +163,14 @@ func Programs(seed uint64, procs, ops, addrs int) [][]machine.Instr {
 // deterministic: the same Scenario always produces the same counters and
 // the same verdict.
 func Run(sc Scenario) (map[string]int64, error) {
-	m, eng, err := build(sc, 1)
-	if err != nil {
-		return nil, err
-	}
-	c, err := Battery(m, eng, sc.Addrs, maxCycles)
+	progs := Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs)
+	cfg := wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Workers: 1, Faults: sc.Plan}
+	_, eng, c, err := Battery(sc.Topology, cfg, progs, sc.Addrs, maxCycles)
 	if err != nil {
 		return c, err
 	}
-	m3, eng3, err := build(sc, 3)
+	cfg.Workers = 3
+	m3, eng3, err := Build(sc.Topology, cfg, progs)
 	if err != nil {
 		return c, err
 	}
@@ -181,10 +181,10 @@ func Run(sc Scenario) (map[string]int64, error) {
 	return c, nil
 }
 
-// build makes the scenario's machine at the given width, its programs bound.
-func build(sc Scenario, workers int) (*machine.Machine, engine.Machine, error) {
-	m, inj := machine.NewInjectors(Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs))
-	eng, err := wiring.New(sc.Topology, wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Workers: workers, Faults: sc.Plan}, inj)
+// Build makes the programs' machine on the named wiring.
+func Build(topology string, cfg wiring.Config, progs [][]machine.Instr) (*machine.Machine, engine.Machine, error) {
+	m, inj := machine.NewInjectors(progs)
+	eng, err := wiring.New(topology, cfg, inj)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,21 +192,37 @@ func build(sc Scenario, workers int) (*machine.Machine, engine.Machine, error) {
 	return m, eng, nil
 }
 
-// Battery is the invariant battery every soak runs: it drives the programs
-// of m on the engine they are bound to and checks that they complete within
-// maxCycles, that the history is per-location serializable against the
-// final contents of addresses [0, addrs) (Theorem 4.2), and that RMW
+// Battery is the invariant battery every soak runs: it builds the programs'
+// machine on the named wiring with the trace folded into a
+// serial.Certificate, drives it, and checks that the programs complete
+// within maxCycles, that the history is per-location serializable against
+// the final contents of addresses [0, addrs) (Theorem 4.2), and that RMW
 // semantics are exactly-once — issued == completed with nothing left in
 // flight — and that the occupancy index the sweeps skip on still counts
-// what the queues hold (engine.Shell.CheckLoads).  It returns the engine's snapshot counters and the first
-// violation, nil if the run is clean; a watchdog trip is reported with the
-// engine's replayable stall report.
-func Battery(m *machine.Machine, eng engine.Machine, addrs, maxCycles int) (map[string]int64, error) {
+// what the queues hold (engine.Shell.CheckLoads).
+//
+// Serializability is checked by the certificate, which also checks
+// real-time order, unless the run retransmitted, duplicated or rolled back
+// an access; then the search decides, and the counters gain
+// "searched_crash", "searched_dup" or "searched_retransmit".  A rejected
+// certificate falls back to the search too, and fails the run whatever the
+// search says (serial.Check).
+//
+// It returns the machine, the engine, the engine's snapshot counters and
+// the first violation, nil if the run is clean; a watchdog trip is reported
+// with the engine's replayable stall report.
+func Battery(topology string, cfg wiring.Config, progs [][]machine.Instr, addrs, maxCycles int) (*machine.Machine, engine.Machine, map[string]int64, error) {
+	fold := serial.NewFold()
+	cfg.Trace = fold.Record
+	m, eng, err := Build(topology, cfg, progs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if !m.Run(maxCycles) {
 		if eng.Stalled() {
-			return eng.Snapshot().Counters, fmt.Errorf("watchdog tripped: %s", eng.StallReport())
+			return m, eng, eng.Snapshot().Counters, fmt.Errorf("watchdog tripped: %s", eng.StallReport())
 		}
-		return eng.Snapshot().Counters,
+		return m, eng, eng.Snapshot().Counters,
 			fmt.Errorf("programs did not complete within %d cycles (%d in flight)", maxCycles, eng.InFlight())
 	}
 	c := eng.Snapshot().Counters
@@ -214,60 +230,51 @@ func Battery(m *machine.Machine, eng engine.Machine, addrs, maxCycles int) (map[
 	for a := 0; a < addrs; a++ {
 		final[word.Addr(a)] = eng.Memory().Peek(word.Addr(a))
 	}
-	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
-		return c, fmt.Errorf("per-location serializability violated: %v", err)
+	// A crash window can roll a served access back, and a network-born
+	// duplicate or a retransmit can be served again, with no event to say
+	// so: those runs go to the search.
+	var cert serial.Certificate
+	switch {
+	case cfg.Faults != nil && cfg.Faults.HasCrashes():
+		c["searched_crash"] = 1
+	case c["dup_injected"] > 0:
+		c["searched_dup"] = 1
+	case c["retries"] > 0:
+		c["searched_retransmit"] = 1
+	default:
+		cert = fold.Certificate()
+	}
+	if err := serial.Check(m.History(), cert, nil, final); err != nil {
+		return m, eng, c, err
 	}
 	if c["issued"] != c["completed"] {
-		return c, fmt.Errorf("exactly-once violated: issued %d != completed %d", c["issued"], c["completed"])
+		return m, eng, c, fmt.Errorf("exactly-once violated: issued %d != completed %d", c["issued"], c["completed"])
 	}
 	if n := eng.InFlight(); n != 0 {
-		return c, fmt.Errorf("%d requests still in flight after completion", n)
+		return m, eng, c, fmt.Errorf("%d requests still in flight after completion", n)
 	}
 	if err := eng.CheckLoads(); err != nil {
-		return c, fmt.Errorf("occupancy index out of step with the queues: %v", err)
+		return m, eng, c, fmt.Errorf("occupancy index out of step with the queues: %v", err)
 	}
-	return c, nil
+	return m, eng, c, nil
 }
 
 // Windows counts the fault windows in a plan — the size metric the
 // shrinker minimizes and the acceptance bar ("shrunk to ≤ N windows")
 // measures.
 func Windows(p *faults.Plan) int {
-	return len(p.Stalls) + len(p.MemStalls) + len(p.Crashes) + len(p.MemCrashes) + len(p.LinkCrashes)
-}
-
-// windowLists gives the shrinker uniform access to the five window slices.
-var windowLists = []struct {
-	get func(*faults.Plan) []faults.Window
-	set func(*faults.Plan, []faults.Window)
-}{
-	{func(p *faults.Plan) []faults.Window { return p.Stalls }, func(p *faults.Plan, w []faults.Window) { p.Stalls = w }},
-	{func(p *faults.Plan) []faults.Window { return p.MemStalls }, func(p *faults.Plan, w []faults.Window) { p.MemStalls = w }},
-	{func(p *faults.Plan) []faults.Window { return p.Crashes }, func(p *faults.Plan, w []faults.Window) { p.Crashes = w }},
-	{func(p *faults.Plan) []faults.Window { return p.MemCrashes }, func(p *faults.Plan, w []faults.Window) { p.MemCrashes = w }},
-	{func(p *faults.Plan) []faults.Window { return p.LinkCrashes }, func(p *faults.Plan, w []faults.Window) { p.LinkCrashes = w }},
-}
-
-// probFields gives the shrinker uniform access to the five fault
-// probabilities.
-var probFields = []struct {
-	get func(*faults.Plan) float64
-	set func(*faults.Plan, float64)
-}{
-	{func(p *faults.Plan) float64 { return p.DropFwd }, func(p *faults.Plan, v float64) { p.DropFwd = v }},
-	{func(p *faults.Plan) float64 { return p.DropRev }, func(p *faults.Plan, v float64) { p.DropRev = v }},
-	{func(p *faults.Plan) float64 { return p.Reorder }, func(p *faults.Plan, v float64) { p.Reorder = v }},
-	{func(p *faults.Plan) float64 { return p.Dup }, func(p *faults.Plan, v float64) { p.Dup = v }},
-	{func(p *faults.Plan) float64 { return p.Corrupt }, func(p *faults.Plan, v float64) { p.Corrupt = v }},
+	n := 0
+	for _, ws := range p.WindowLists() {
+		n += len(*ws)
+	}
+	return n
 }
 
 func clonePlan(p *faults.Plan) *faults.Plan {
 	q := *p
-	q.Stalls = append([]faults.Window(nil), p.Stalls...)
-	q.MemStalls = append([]faults.Window(nil), p.MemStalls...)
-	q.Crashes = append([]faults.Window(nil), p.Crashes...)
-	q.MemCrashes = append([]faults.Window(nil), p.MemCrashes...)
-	q.LinkCrashes = append([]faults.Window(nil), p.LinkCrashes...)
+	for _, ws := range q.WindowLists() {
+		*ws = slices.Clone(*ws)
+	}
 	return &q
 }
 
@@ -302,12 +309,12 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, int) {
 			cur = cand
 			changed = true
 		}
-		for _, wl := range windowLists {
-			for i := 0; i < len(wl.get(cur.Plan)); i++ {
+		for k := range cur.Plan.WindowLists() {
+			for i := 0; i < len(*cur.Plan.WindowLists()[k]); i++ {
 				cand := cur
 				cand.Plan = clonePlan(cur.Plan)
-				ws := wl.get(cand.Plan)
-				wl.set(cand.Plan, append(ws[:i:i], ws[i+1:]...))
+				ws := cand.Plan.WindowLists()[k]
+				*ws = slices.Delete(*ws, i, i+1)
 				if fails(cand) {
 					cur = cand
 					changed = true
@@ -315,26 +322,26 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, int) {
 				}
 			}
 		}
-		for _, f := range probFields {
-			if f.get(cur.Plan) == 0 {
+		for k := range cur.Plan.Probs() {
+			if *cur.Plan.Probs()[k] == 0 {
 				continue
 			}
 			cand := cur
 			cand.Plan = clonePlan(cur.Plan)
-			f.set(cand.Plan, 0)
+			*cand.Plan.Probs()[k] = 0
 			if fails(cand) {
 				cur = cand
 				changed = true
 			}
 		}
-		for _, f := range probFields {
+		for k := range cur.Plan.Probs() {
 			// Halving keeps a strict subset of the fired faults (fixed
 			// hash thresholds), so this walks to the smallest probability
 			// that still triggers the violation.
-			for f.get(cur.Plan) > 1e-6 {
+			for p := *cur.Plan.Probs()[k]; p > 1e-6; p = *cur.Plan.Probs()[k] {
 				cand := cur
 				cand.Plan = clonePlan(cur.Plan)
-				f.set(cand.Plan, f.get(cur.Plan)/2)
+				*cand.Plan.Probs()[k] = p / 2
 				if !fails(cand) {
 					break
 				}

@@ -57,13 +57,19 @@ func TestChaosDeterminism(t *testing.T) {
 // the cache records replies but never answers from them, so duplicated
 // deliveries double-execute), the fuzzer must find a violation within a
 // small budget, shrink it to at most two fault windows, and the shrunk
-// scenario must replay the violation deterministically.
+// scenario must replay the violation deterministically.  Double execution
+// needs a duplicate or a retransmit, so the battery checks these runs by
+// search, and the failure class printed is the search's.
 func TestChaosCanaryFoundAndShrunk(t *testing.T) {
+	const class = "per-location serializability violated: "
 	var found *Scenario
 	for index := 0; index < 12 && found == nil; index++ {
 		sc := NewScenario("omega", 1, index)
 		sc.Plan.Canary = "nodedup"
 		if _, err := Run(sc); err != nil {
+			if !strings.HasPrefix(err.Error(), class) {
+				t.Fatalf("canary found as %q, want the class %q", err, class)
+			}
 			found = &sc
 		}
 	}
@@ -81,6 +87,9 @@ func TestChaosCanaryFoundAndShrunk(t *testing.T) {
 	_, err2 := Run(shrunk)
 	if err2 == nil || err1.Error() != err2.Error() {
 		t.Fatalf("shrunk scenario does not replay deterministically:\nfirst:  %v\nsecond: %v", err1, err2)
+	}
+	if !strings.HasPrefix(err1.Error(), class) {
+		t.Errorf("shrunk scenario fails as %q, want the class %q", err1, class)
 	}
 	repro := ReproCommand(shrunk)
 	for _, part := range []string{"-chaos", "-topology omega", "-plan '", "canary=nodedup"} {

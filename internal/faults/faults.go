@@ -132,18 +132,8 @@ const CanaryNoDedup = "nodedup"
 // cmd/check -canary reject it where it enters.
 var Canaries = []string{CanaryNoDedup}
 
-func (p Plan) String() string {
-	s := fmt.Sprintf("plan{seed=%d drop_fwd=%g drop_rev=%g stalls=%d mem_stalls=%d crashes=%d mem_crashes=%d link_crashes=%d ckpt=%d",
-		p.Seed, p.DropFwd, p.DropRev, len(p.Stalls), len(p.MemStalls),
-		len(p.Crashes), len(p.MemCrashes), len(p.LinkCrashes), p.CheckpointEvery)
-	if p.HasAdversarial() {
-		s += fmt.Sprintf(" reorder=%g/%d dup=%g corrupt=%g", p.Reorder, p.ReorderMax, p.Dup, p.Corrupt)
-	}
-	if p.Canary != "" {
-		s += " canary=" + p.Canary
-	}
-	return s + "}"
-}
+// String renders the plan as its spec string (EncodePlan).
+func (p Plan) String() string { return EncodePlan(&p) }
 
 // HasCrashes reports whether the plan contains any crash–restart windows.
 // Engines arm the checkpoint/crash machinery only when it does, so plans

@@ -18,61 +18,83 @@ import (
 //
 //	seed=7,dropfwd=0.01,reorder=0.02,reordermax=8,stalls=-1:0:50:120
 //
-// Keys: seed, dropfwd, droprev, reorder, reordermax, dup, corrupt, canary,
-// retry, retrycap, ckpt, stalls, memstalls, crashes, memcrashes,
-// linkcrashes.
+// Keys, in the order EncodePlan writes them: see Fields.
+
+// Field is one spec key and the Plan field it names.  Of returns a pointer
+// to that field: a *uint64 (the seed, always written), a *float64
+// probability, an *int64 count, a *string (the canary) or a *[]Window.
+type Field struct {
+	Key string
+	Of  func(*Plan) any
+}
+
+// Fields lists every spec key in the order EncodePlan writes them.
+// EncodePlan and ParsePlan range over it, and so do Probs and WindowLists.
+var Fields = []Field{
+	{"seed", func(p *Plan) any { return &p.Seed }},
+	{"dropfwd", func(p *Plan) any { return &p.DropFwd }},
+	{"droprev", func(p *Plan) any { return &p.DropRev }},
+	{"reorder", func(p *Plan) any { return &p.Reorder }},
+	{"reordermax", func(p *Plan) any { return &p.ReorderMax }},
+	{"dup", func(p *Plan) any { return &p.Dup }},
+	{"corrupt", func(p *Plan) any { return &p.Corrupt }},
+	{"canary", func(p *Plan) any { return &p.Canary }},
+	{"retry", func(p *Plan) any { return &p.RetryTimeout }},
+	{"retrycap", func(p *Plan) any { return &p.RetryCap }},
+	{"ckpt", func(p *Plan) any { return &p.CheckpointEvery }},
+	{"stalls", func(p *Plan) any { return &p.Stalls }},
+	{"memstalls", func(p *Plan) any { return &p.MemStalls }},
+	{"crashes", func(p *Plan) any { return &p.Crashes }},
+	{"memcrashes", func(p *Plan) any { return &p.MemCrashes }},
+	{"linkcrashes", func(p *Plan) any { return &p.LinkCrashes }},
+}
+
+// Probs returns pointers to p's five fault probabilities, in spec order.
+func (p *Plan) Probs() []*float64 { return fieldsOf[float64](p) }
+
+// WindowLists returns pointers to p's five window lists, in spec order.
+func (p *Plan) WindowLists() []*[]Window { return fieldsOf[[]Window](p) }
+
+// fieldsOf returns the fields of p of type T, in spec order.
+func fieldsOf[T any](p *Plan) []*T {
+	var out []*T
+	for _, f := range Fields {
+		if v, ok := f.Of(p).(*T); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
 
 // EncodePlan renders the plan as a spec string ParsePlan inverts.
 func EncodePlan(p *Plan) string {
 	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	add("seed", strconv.FormatUint(p.Seed, 10))
-	if p.DropFwd != 0 {
-		add("dropfwd", f(p.DropFwd))
-	}
-	if p.DropRev != 0 {
-		add("droprev", f(p.DropRev))
-	}
-	if p.Reorder != 0 {
-		add("reorder", f(p.Reorder))
-	}
-	if p.ReorderMax != 0 {
-		add("reordermax", strconv.FormatInt(p.ReorderMax, 10))
-	}
-	if p.Dup != 0 {
-		add("dup", f(p.Dup))
-	}
-	if p.Corrupt != 0 {
-		add("corrupt", f(p.Corrupt))
-	}
-	if p.Canary != "" {
-		add("canary", p.Canary)
-	}
-	if p.RetryTimeout != 0 {
-		add("retry", strconv.FormatInt(p.RetryTimeout, 10))
-	}
-	if p.RetryCap != 0 {
-		add("retrycap", strconv.FormatInt(p.RetryCap, 10))
-	}
-	if p.CheckpointEvery != 0 {
-		add("ckpt", strconv.FormatInt(p.CheckpointEvery, 10))
-	}
-	ws := func(k string, ws []Window) {
-		if len(ws) == 0 {
-			return
+	for _, f := range Fields {
+		var v string
+		switch x := f.Of(p).(type) {
+		case *uint64:
+			v = strconv.FormatUint(*x, 10)
+		case *float64:
+			if *x != 0 {
+				v = strconv.FormatFloat(*x, 'g', -1, 64)
+			}
+		case *int64:
+			if *x != 0 {
+				v = strconv.FormatInt(*x, 10)
+			}
+		case *string:
+			v = *x
+		case *[]Window:
+			strs := make([]string, len(*x))
+			for i, w := range *x {
+				strs[i] = fmt.Sprintf("%d:%d:%d:%d", w.Stage, w.Index, w.From, w.To)
+			}
+			v = strings.Join(strs, "+")
 		}
-		strs := make([]string, len(ws))
-		for i, w := range ws {
-			strs[i] = fmt.Sprintf("%d:%d:%d:%d", w.Stage, w.Index, w.From, w.To)
+		if v != "" {
+			parts = append(parts, f.Key+"="+v)
 		}
-		add(k, strings.Join(strs, "+"))
 	}
-	ws("stalls", p.Stalls)
-	ws("memstalls", p.MemStalls)
-	ws("crashes", p.Crashes)
-	ws("memcrashes", p.MemCrashes)
-	ws("linkcrashes", p.LinkCrashes)
 	return strings.Join(parts, ",")
 }
 
@@ -88,45 +110,25 @@ func ParsePlan(s string) (*Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("faults: plan spec entry %q is not key=value", part)
 		}
+		i := slices.IndexFunc(Fields, func(f Field) bool { return f.Key == k })
+		if i < 0 {
+			return nil, fmt.Errorf("faults: unknown plan spec key %q", k)
+		}
 		var err error
-		switch k {
-		case "seed":
-			p.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "dropfwd":
-			p.DropFwd, err = parseProb(v)
-		case "droprev":
-			p.DropRev, err = parseProb(v)
-		case "reorder":
-			p.Reorder, err = parseProb(v)
-		case "reordermax":
-			p.ReorderMax, err = parseNonNeg(v)
-		case "dup":
-			p.Dup, err = parseProb(v)
-		case "corrupt":
-			p.Corrupt, err = parseProb(v)
-		case "canary":
-			p.Canary = v
+		switch f := Fields[i].Of(p).(type) {
+		case *uint64:
+			*f, err = strconv.ParseUint(v, 10, 64)
+		case *float64:
+			*f, err = parseProb(v)
+		case *int64:
+			*f, err = parseNonNeg(v)
+		case *string:
+			*f = v
 			if !slices.Contains(Canaries, v) {
 				err = fmt.Errorf("unknown canary (want %s)", strings.Join(Canaries, ", "))
 			}
-		case "retry":
-			p.RetryTimeout, err = parseNonNeg(v)
-		case "retrycap":
-			p.RetryCap, err = parseNonNeg(v)
-		case "ckpt":
-			p.CheckpointEvery, err = parseNonNeg(v)
-		case "stalls":
-			p.Stalls, err = parseWindows(v)
-		case "memstalls":
-			p.MemStalls, err = parseWindows(v)
-		case "crashes":
-			p.Crashes, err = parseWindows(v)
-		case "memcrashes":
-			p.MemCrashes, err = parseWindows(v)
-		case "linkcrashes":
-			p.LinkCrashes, err = parseWindows(v)
-		default:
-			return nil, fmt.Errorf("faults: unknown plan spec key %q", k)
+		case *[]Window:
+			*f, err = parseWindows(v)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("faults: plan spec %s=%q: %v", k, v, err)

@@ -6,6 +6,7 @@ import (
 
 	"combining/internal/busnet"
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/hypercube"
 	"combining/internal/memory"
 	"combining/internal/network"
@@ -16,15 +17,15 @@ import (
 
 // Theorem 4.2 for the Section 7 transports: the same program machinery
 // (data dependencies, fences, timed histories) runs on the hypercube and
-// the bus, and every execution passes the serializability and
-// linearizability checkers.
+// the bus, and every execution passes the serializability search and the
+// certificate its trace builds, which also checks real-time order.
 
 type enginePeek interface {
 	Engine
 	Memory() *memory.Array
 }
 
-func runOnEngine(t *testing.T, build func([]network.Injector) enginePeek, seed uint64) {
+func runOnEngine(t *testing.T, build func([]network.Injector, func(engine.Event)) enginePeek, seed uint64) {
 	t.Helper()
 	const n, ops, addrSpace = 8, 15, 3
 	rng := rand.New(rand.NewPCG(seed, 5))
@@ -47,7 +48,8 @@ func runOnEngine(t *testing.T, build func([]network.Injector) enginePeek, seed u
 		}
 	}
 	m, inj := NewInjectors(progs)
-	eng := build(inj)
+	fold := serial.NewFold()
+	eng := build(inj, fold.Record)
 	m.BindEngine(eng)
 	if !m.Run(100000) {
 		t.Fatal("programs did not complete")
@@ -59,23 +61,23 @@ func runOnEngine(t *testing.T, build func([]network.Injector) enginePeek, seed u
 	if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
-	if err := serial.CheckLinearizable(m.TimedHistory(), nil, final); err != nil {
-		t.Errorf("seed %d: linearizability: %v", seed, err)
+	if err := serial.CheckCertificate(m.History(), fold.Certificate(), nil, final); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 }
 
 func TestTheorem42OnHypercube(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		runOnEngine(t, func(inj []network.Injector) enginePeek {
-			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: core.Unbounded}, inj)
+		runOnEngine(t, func(inj []network.Injector, trace func(engine.Event)) enginePeek {
+			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: core.Unbounded, Trace: trace}, inj)
 		}, seed)
 	}
 }
 
 func TestTheorem42OnBus(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		runOnEngine(t, func(inj []network.Injector) enginePeek {
-			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: core.Unbounded}, inj)
+		runOnEngine(t, func(inj []network.Injector, trace func(engine.Event)) enginePeek {
+			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: core.Unbounded, Trace: trace}, inj)
 		}, seed)
 	}
 }

@@ -73,7 +73,7 @@ type Proc struct {
 	outstanding int
 	replies     []word.Word // by instruction index; valid once done[i]
 	done        []bool
-	doneCycle   []int64
+	ops         []serial.Op // by instruction index, as issued and then answered
 	idToInstr   map[word.ReqID]int
 	issueSeq    int
 }
@@ -110,12 +110,11 @@ func (p *Proc) Next(cycle int64) (network.Injection, bool) {
 	}
 	id := p.ids.NextPartitioned(p.nprocs)
 	p.idToInstr[id] = p.next
+	p.issueSeq++
+	p.ops[p.next] = serial.Op{Proc: p.proc, Seq: p.issueSeq, Addr: addr, Op: op, ID: id, IssueAt: cycle}
 	p.next++
 	p.outstanding++
-	p.issueSeq++
-	req := core.NewRequest(id, addr, op, p.proc)
-	p.machine.noteIssue(p.proc, p.issueSeq, addr, op, id, cycle)
-	return network.Injection{Req: req}, true
+	return network.Injection{Req: core.NewRequest(id, addr, op, p.proc)}, true
 }
 
 // Deliver implements network.Injector.
@@ -127,9 +126,9 @@ func (p *Proc) Deliver(rep core.Reply, cycle int64) {
 	delete(p.idToInstr, rep.ID)
 	p.replies[idx] = rep.Val
 	p.done[idx] = true
-	p.doneCycle[idx] = cycle
+	p.ops[idx].Reply, p.ops[idx].DoneAt = rep.Val, cycle
 	p.outstanding--
-	p.machine.noteReply(rep, cycle)
+	p.machine.hist.Add(p.ops[idx])
 }
 
 // Done reports whether the program has fully completed.
@@ -144,7 +143,7 @@ func (p *Proc) Reply(i int) word.Word { return p.replies[i] }
 func (p *Proc) Completed(i int) bool { return p.done[i] }
 
 // DoneCycle returns the cycle instruction i's reply arrived (0 if pending).
-func (p *Proc) DoneCycle(i int) int64 { return p.doneCycle[i] }
+func (p *Proc) DoneCycle(i int) int64 { return p.ops[i].DoneAt }
 
 // Engine is any cycle-driven transport the programs can run on: the Omega
 // network, the hypercube, or the bus machine — the one method set
@@ -158,16 +157,7 @@ type Machine struct {
 	engine Engine
 	procs  []*Proc
 
-	hist    serial.TimedHistory
-	pending map[word.ReqID]pendingOp
-}
-
-type pendingOp struct {
-	proc    word.ProcID
-	seq     int
-	addr    word.Addr
-	op      rmw.Mapping
-	issueAt int64
+	hist serial.History
 }
 
 // New builds a machine running one program per processor on an Omega
@@ -206,7 +196,7 @@ func NewInjectors(programs [][]Instr) (*Machine, []network.Injector) {
 func (m *Machine) BindEngine(e Engine) { m.engine = e }
 
 func newProcs(programs [][]Instr) (*Machine, []network.Injector) {
-	m := &Machine{pending: make(map[word.ReqID]pendingOp)}
+	m := &Machine{}
 	inj := make([]network.Injector, len(programs))
 	m.procs = make([]*Proc, len(programs))
 	for i, prog := range programs {
@@ -218,36 +208,13 @@ func newProcs(programs [][]Instr) (*Machine, []network.Injector) {
 			machine:   m,
 			replies:   make([]word.Word, len(prog)),
 			done:      make([]bool, len(prog)),
-			doneCycle: make([]int64, len(prog)),
+			ops:       make([]serial.Op, len(prog)),
 			idToInstr: make(map[word.ReqID]int),
 		}
 		m.procs[i] = p
 		inj[i] = p
 	}
 	return m, inj
-}
-
-func (m *Machine) noteIssue(proc word.ProcID, seq int, addr word.Addr, op rmw.Mapping, id word.ReqID, cycle int64) {
-	m.pending[id] = pendingOp{proc: proc, seq: seq, addr: addr, op: op, issueAt: cycle}
-}
-
-func (m *Machine) noteReply(rep core.Reply, cycle int64) {
-	po, ok := m.pending[rep.ID]
-	if !ok {
-		panic(fmt.Sprintf("machine: reply %v without issue record", rep))
-	}
-	delete(m.pending, rep.ID)
-	m.hist.Add(serial.TimedOp{
-		Op: serial.Op{
-			Proc:  po.proc,
-			Seq:   po.seq,
-			Addr:  po.addr,
-			Op:    po.op,
-			Reply: rep.Val,
-		},
-		IssueAt: po.issueAt,
-		DoneAt:  cycle,
-	})
 }
 
 // Sim exposes the underlying Omega network simulator (nil when the
@@ -260,12 +227,9 @@ func (m *Machine) Memory() *memory.Array { return m.engine.Memory() }
 // Proc returns processor i's program state.
 func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 
-// History returns the recorded execution history without timestamps.
-func (m *Machine) History() *serial.History { return m.hist.History() }
-
-// TimedHistory returns the history with issue/completion cycles, for the
-// linearizability checker.
-func (m *Machine) TimedHistory() *serial.TimedHistory { return &m.hist }
+// History returns the recorded execution history, each operation with its
+// request id and its issue and completion cycles.
+func (m *Machine) History() *serial.History { return &m.hist }
 
 // Run steps the machine until every program completes or maxCycles pass;
 // it reports whether all programs completed.  Run fails fast when the

@@ -70,20 +70,16 @@ func ParseTrace(r io.Reader) ([]TraceEntry, error) {
 			op = rmw.StoreOf(arg)
 		case "swap":
 			op = rmw.SwapOf(arg)
-		case "add":
-			op = rmw.FetchAdd(arg)
-		case "or":
-			op = rmw.FetchOr(arg)
-		case "and":
-			op = rmw.FetchAnd(arg)
-		case "xor":
-			op = rmw.FetchXor(arg)
-		case "min":
-			op = rmw.FetchMin(arg)
-		case "max":
-			op = rmw.FetchMax(arg)
 		default:
-			return nil, fmt.Errorf("trace line %d: unknown op %q", lineNo, opName)
+			// The associative ops go by their θ names, as WriteTrace writes them.
+			for o := rmw.OpAdd; o <= rmw.OpMax; o++ {
+				if o.String() == opName {
+					op = rmw.Assoc{Op: o, A: arg}
+				}
+			}
+			if op == nil {
+				return nil, fmt.Errorf("trace line %d: unknown op %q", lineNo, opName)
+			}
 		}
 		out = append(out, TraceEntry{Cycle: cycle, Proc: proc, Addr: word.Addr(addr), Op: op})
 	}

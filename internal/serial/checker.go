@@ -18,7 +18,7 @@ import (
 // as the zero word.  It returns nil when a witness order exists for every
 // location.
 func CheckM2(h *History, initial map[word.Addr]word.Word) error {
-	return check(h.ops, nil, initial, nil)
+	return check(h.ops, initial, nil)
 }
 
 // CheckM2WithFinal is CheckM2 strengthened with the observed final memory
@@ -28,15 +28,14 @@ func CheckM2(h *History, initial map[word.Addr]word.Word) error {
 // produces reply-consistent histories whose final memory no serialization
 // explains.
 func CheckM2WithFinal(h *History, initial, final map[word.Addr]word.Word) error {
-	return check(h.ops, nil, initial, final)
+	return check(h.ops, initial, final)
 }
 
 // check runs the witness search on every location of ops, addresses
-// ascending, and reports the first that has no witness.  spans, when
-// non-nil, adds the real-time constraint of CheckLinearizable.
-func check(ops []Op, spans []span, initial, final map[word.Addr]word.Word) error {
+// ascending, and reports the first that has no witness.
+func check(ops []Op, initial, final map[word.Addr]word.Word) error {
 	for _, loc := range byLocation(ops) {
-		s := &search{ops: ops, spans: spans, chains: loc.chains, failed: make(map[string]bool)}
+		s := &search{ops: ops, chains: loc.chains, failed: make(map[string]bool)}
 		s.pos = make([]int, len(loc.chains))
 		for _, c := range loc.chains {
 			s.total += len(c)
@@ -47,17 +46,11 @@ func check(ops []Op, spans []span, initial, final map[word.Addr]word.Word) error
 		if s.step(initial[loc.addr], 0) {
 			continue
 		}
-		detail := fmt.Sprintf("no serialization of %d operations matches the observed replies", s.total)
-		if spans != nil {
-			detail = "no linearization matches replies and real-time order"
-		}
-		return &Violation{Addr: loc.addr, Detail: detail}
+		return &Violation{Addr: loc.addr,
+			Detail: fmt.Sprintf("no serialization of %d operations matches the observed replies", s.total)}
 	}
 	return nil
 }
-
-// span is one operation's observation interval; the zero span is untimed.
-type span struct{ issue, done int64 }
 
 // search finds a serialization of one location's operations by
 // backtracking over the frontier of its per-processor chains: at each step
@@ -68,9 +61,6 @@ type span struct{ issue, done int64 }
 // memoized.
 type search struct {
 	ops []Op
-	// spans, when non-nil, holds one interval per op and adds the
-	// real-time constraint (see eligible).
-	spans []span
 	// chains holds one chain of indices into ops per processor, in
 	// program order; pos is the frontier, the next position in each.
 	chains [][]int
@@ -108,9 +98,8 @@ func (s *search) step(val word.Word, done int) bool {
 		if p == len(chain) {
 			continue
 		}
-		i := chain[p]
-		op := &s.ops[i]
-		if op.Reply != val || !s.eligible(i) {
+		op := &s.ops[chain[p]]
+		if op.Reply != val {
 			continue
 		}
 		s.pos[c]++
@@ -121,23 +110,4 @@ func (s *search) step(val word.Word, done int) bool {
 	}
 	s.failed[key] = true
 	return false
-}
-
-// eligible reports whether ops[i] may be placed next: without spans every
-// frontier operation may; with them, no unplaced timed operation may have
-// completed before ops[i] was issued.  An untimed operation is
-// unconstrained.
-func (s *search) eligible(i int) bool {
-	if s.spans == nil || s.spans[i] == (span{}) {
-		return true
-	}
-	issue := s.spans[i].issue
-	for c, chain := range s.chains {
-		for _, j := range chain[s.pos[c]:] {
-			if j != i && s.spans[j] != (span{}) && s.spans[j].done < issue {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -4,8 +4,12 @@
 //   - CheckM2: per-location serializability — the memory behaved as if each
 //     location executed its requests in some order consistent with every
 //     processor's issue order (conditions M2.1–M2.3, the property
-//     Theorem 4.2 guarantees for combining networks);
-//   - CheckLinearizable: the same search with a real-time constraint added;
+//     Theorem 4.2 guarantees for combining networks), found by search;
+//   - CheckCertificate: the same property read off a machine run instead of
+//     searched for — the trace builds each location's service order
+//     (Certificate), and one pass replays it — plus the real-time order
+//     that makes it per-location linearizability; Check runs it with the
+//     search as the fallback;
 //   - SeqConsistent: full sequential consistency (condition M1), decidable
 //     only for small histories — used for the Collier example (Section 3.2)
 //     and the incorrect load-forwarding optimization (Section 5.1).
@@ -28,6 +32,12 @@ type Op struct {
 	Addr  word.Addr
 	Op    rmw.Mapping
 	Reply word.Word // the old value the operation observed
+	// ID is the request's id, which a Certificate places.
+	ID word.ReqID
+	// IssueAt and DoneAt bound the interval during which the memory access
+	// occurred (simulator cycles or any monotone clock); DoneAt 0 means
+	// untimed.
+	IssueAt, DoneAt int64
 }
 
 // History is a collection of completed operations from one execution.
