@@ -42,10 +42,6 @@ type Config struct {
 	// 1 — the classic decoupled-bus design where a bank accepts the next
 	// request only when idle.
 	BankQueueCap int
-	// WatchdogCycles is the progress watchdog limit (see
-	// internal/network.Config.WatchdogCycles): 0 defaults to
-	// engine.DefaultWatchdogCycles, negative disables.
-	WatchdogCycles int64
 	// WaitBufCap bounds the FIFO's wait buffer (0 disables combining).
 	WaitBufCap int
 	// BankService is cycles per memory operation (default 4 — banks are
@@ -119,9 +115,6 @@ func (c *Config) normalize() error {
 	if c.BankQueueCap == 0 {
 		c.BankQueueCap = 1
 	}
-	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = engine.DefaultWatchdogCycles
-	}
 	if c.BankService == 0 {
 		c.BankService = 4
 	}
@@ -142,19 +135,18 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		core.Policy{AllowReversal: cfg.AllowReversal})
 	s.fifo = &station.Fwd(0)[0]
 	s.Shell.Init(engine.ShellConfig{
-		Engine:         "busnet",
-		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.saturated, Observe: s.observe},
-		Injectors:      inj,
-		Pool:           s.pool,
-		Modules:        cfg.Banks,
-		Service:        cfg.BankService,
-		MemQueueCap:    cfg.BankQueueCap,
-		Stations:       station,
-		Links:          busLinks(cfg.Procs, cfg.Banks),
-		Stages:         1,
-		WatchdogCycles: cfg.WatchdogCycles,
-		Faults:         cfg.Faults,
-		Trace:          cfg.Trace,
+		Engine:      "busnet",
+		Hooks:       engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.saturated, Observe: s.observe},
+		Injectors:   inj,
+		Pool:        s.pool,
+		Modules:     cfg.Banks,
+		Service:     cfg.BankService,
+		MemQueueCap: cfg.BankQueueCap,
+		Stations:    station,
+		Links:       busLinks(cfg.Procs, cfg.Banks),
+		Stages:      1,
+		Faults:      cfg.Faults,
+		Trace:       cfg.Trace,
 	})
 	return s
 }

@@ -49,7 +49,7 @@ func (s *Shell) Stations() *Stations { return s.st }
 // Down reports whether station at moves nothing this cycle: blacked out by
 // a stall window, or crashed until its restart.  Dead is the second half.
 func (s *Shell) Down(at int) bool { return s.flt != nil && (s.stall[at] || s.Dead(at)) }
-func (s *Shell) Dead(at int) bool { return s.rec != nil && s.swDead[at] }
+func (s *Shell) Dead(at int) bool { return s.crash && s.swDead[at] }
 
 // refusal remembers why the head of one forward link was last refused, so
 // that a head blocked behind a full queue — §1's tree saturation, where most
@@ -274,11 +274,11 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 	if s.memLoad[mod] == 0 && (at < 0 || s.st.loads[at].Rev == 0) && (s.flt == nil || s.quiet) {
 		return
 	}
-	if s.rec != nil {
+	if s.crash {
 		if s.memDead[mod] {
 			return // crashed: it serves nothing until its restart
 		}
-		if s.rec.CheckpointDue(s.tot.Cycles) {
+		if s.rec.checkpointDue(s.tot.Cycles) {
 			// Commit the recovery image: executed-but-uncommitted leaves
 			// join the committed cache and withheld replies become
 			// releasable (memory.Module.Checkpoint), work for the ticks to

@@ -209,7 +209,7 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, FwdEntry, bool) {
 	busy, served := module.BusyCycles, module.Served
 	rep, ok := module.Tick()
 	sh.MemBusy += module.BusyCycles - busy
-	if s.rec != nil {
+	if s.crash {
 		// Output commit: a request served this cycle left the queue for the
 		// withheld replies, which no tick moves before the next checkpoint.
 		s.memLoad[mod] -= int32(module.Served - served)
@@ -300,10 +300,10 @@ func (s *Shell) complete(r *Rev) {
 			return // duplicate of an already-delivered reply; suppressed
 		}
 	}
-	if s.rec != nil {
+	if s.crash {
 		// A completion whose in-flight copy a crash flushed was re-driven
 		// here by the retry machinery — count the replay.
-		s.rec.NoteDelivered(r.Rep.ID)
+		s.rec.noteDelivered(r.Rep.ID)
 	}
 	lat := s.tot.Cycles - r.Issue
 	s.tot.Completed++

@@ -5,11 +5,10 @@ import (
 
 	"combining/internal/core"
 	"combining/internal/faults"
-	"combining/internal/flow"
 	"combining/internal/memory"
 	"combining/internal/par"
-	"combining/internal/recover"
 	"combining/internal/stats"
+	"combining/internal/word"
 )
 
 // Injection is one request offered by an injector, tagged for metrics.
@@ -31,9 +30,9 @@ type Injector interface {
 	Deliver(rep core.Reply, cycle int64)
 }
 
-// DefaultWatchdogCycles is the default no-progress limit: far above the
-// fault plans' capped retransmit backoff (RetryCap defaults to 512 cycles),
-// so only a genuine livelock or deadlock can trip it.
+// DefaultWatchdogCycles is every machine's no-progress limit (Stalled): far
+// above the fault plans' capped retransmit backoff (RetryCap defaults to 512
+// cycles), so only a genuine livelock or deadlock can trip it.
 const DefaultWatchdogCycles = 10000
 
 // Machine is what every cycle engine offers its drivers — soaks, replay,
@@ -193,11 +192,10 @@ type ShellConfig struct {
 	// table.  The stations are the switch fault domains, Stages rows of
 	// them: site (stage, index) of a stall or crash window is station
 	// stage·(Stations.Len()/Stages) + index.
-	Stations       *Stations
-	Links          *Links
-	Stages         int
-	WatchdogCycles int64
-	Faults         *faults.Plan
+	Stations *Stations
+	Links    *Links
+	Stages   int
+	Faults   *faults.Plan
 	// Trace, when non-nil, receives every event of every cycle after the
 	// sweep, in the same order at every pool width (trace.go).  A module's
 	// service is recorded at the station its reply enters, so a wiring
@@ -261,8 +259,8 @@ type Shell struct {
 
 	tot Totals // tot.Cycles is the machine's clock
 	lat stats.Histogram
-	wd  *flow.Watchdog
-	sat flow.Saturation
+	wd  watchdog
+	sat saturation
 
 	// pending holds a request accepted from an injector but not yet taken
 	// by the fabric; values, not pointers, so the steady-state port never
@@ -289,10 +287,13 @@ type Shell struct {
 	// no module tick has a per-cycle count to make this cycle — no checkpoint
 	// is due and no slowdown window is open — so Tick skips an idle module as
 	// on a healthy machine; linkOpen says some link-down window is open, so
-	// LostFwd and LostRev ask about it.  The prologue sets both.
+	// LostFwd and LostRev ask about it.  The prologue sets both.  crash says
+	// the plan has crash windows: swDead and memDead are live, and so is the
+	// crash ledger rec.
 	flt      *faults.Injector
 	trk      *faults.Tracker
-	rec      *recover.Manager
+	crash    bool
+	rec      ledger
 	width    int
 	stall    []bool
 	swDead   []bool
@@ -333,7 +334,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		inj:        cfg.Injectors,
 		mem:        memory.NewArray(cfg.Modules, memOpts...),
 		pool:       cfg.Pool,
-		wd:         flow.NewWatchdog(cfg.WatchdogCycles),
+		wd:         watchdog{limit: DefaultWatchdogCycles},
 		pending:    make([]Fwd, procs),
 		hasPending: make([]bool, procs),
 		meta:       make([]metaShard, cfg.Modules),
@@ -372,8 +373,8 @@ func (s *Shell) Init(cfg ShellConfig) {
 	}
 	s.retry = make([]core.FIFO[Fwd], procs)
 	s.stall = make([]bool, st.Len())
-	if plan.HasCrashes() {
-		s.rec = recover.New(plan.CheckpointEvery)
+	if s.crash = plan.HasCrashes(); s.crash {
+		s.rec = ledger{every: plan.CheckpointEvery, lost: make(map[word.ReqID]struct{})}
 		s.swDead = make([]bool, st.Len())
 		s.memDead = make([]bool, cfg.Modules)
 	}
@@ -392,7 +393,7 @@ func (s *Shell) Step() {
 			s.updateMasks()
 			s.masked = open
 		}
-		s.quiet = !s.rec.CheckpointDue(s.tot.Cycles) && !s.flt.MemStallOpen(s.tot.Cycles)
+		s.quiet = !(s.crash && s.rec.checkpointDue(s.tot.Cycles)) && !s.flt.MemStallOpen(s.tot.Cycles)
 		s.linkOpen = s.flt.LinkWindowOpen(s.tot.Cycles)
 		for _, p := range s.trk.Expired(s.tot.Cycles) {
 			*s.retry[p.Proc].Push() = Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot}
@@ -407,8 +408,8 @@ func (s *Shell) Step() {
 		s.emitEvents()
 	}
 
-	s.sat.Observe(s.hooks.Saturated())
-	if s.wd.Observe(s.tot.Cycles, s.progressSig(), s.InFlight) {
+	s.sat.observe(s.hooks.Saturated())
+	if s.wd.observe(s.tot.Cycles, s.progressSig(), s.InFlight) {
 		s.tot.WatchdogTrips++
 	}
 }
@@ -427,17 +428,17 @@ func (s *Shell) updateMasks() {
 			d++
 		}
 	}
-	if s.rec == nil {
+	if !s.crash {
 		return
 	}
 	for d, stage := 0, 0; d < len(s.swDead); stage++ {
 		for idx := 0; idx < s.width; idx++ {
 			dead := s.flt.SwitchCrashed(stage, idx, s.tot.Cycles)
 			if dead && !s.swDead[d] {
-				s.rec.NoteCrash()
-				s.rec.NoteLost(s.trk, s.flush(d))
+				s.rec.crashes++
+				s.rec.noteLost(s.trk, s.flush(d))
 			} else if !dead && s.swDead[d] {
-				s.rec.NoteRestore()
+				s.rec.restores++
 			}
 			s.swDead[d] = dead
 			d++
@@ -446,11 +447,11 @@ func (s *Shell) updateMasks() {
 	for mod := range s.memDead {
 		dead := s.flt.MemCrashed(mod, s.tot.Cycles)
 		if dead && !s.memDead[mod] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.mem.Module(mod).Crash())
+			s.rec.crashes++
+			s.rec.noteLost(s.trk, s.mem.Module(mod).Crash())
 			s.memLoad[mod] = 0
 		} else if !dead && s.memDead[mod] {
-			s.rec.NoteRestore()
+			s.rec.restores++
 		}
 		s.memDead[mod] = dead
 	}
@@ -497,7 +498,7 @@ func (s *Shell) Drain(maxCycles int) bool {
 func (s *Shell) run(cycles int, done func() bool) {
 	s.pool.Start()
 	defer s.pool.Stop()
-	for i := 0; i < cycles && !s.wd.Tripped(); i++ {
+	for i := 0; i < cycles && !s.wd.tripped(); i++ {
 		if s.Step(); done() {
 			return
 		}
@@ -536,23 +537,24 @@ func (s *Shell) inMemory() int {
 }
 
 // Stalled reports whether the progress watchdog has tripped: work was in
-// flight and nothing moved for the configured number of cycles.
-func (s *Shell) Stalled() bool { return s.wd.Tripped() }
+// flight and nothing moved for DefaultWatchdogCycles cycles.
+func (s *Shell) Stalled() bool { return s.wd.tripped() }
 
 // StallReport formats the watchdog diagnostic with a queue snapshot — the
 // state dump a failing soak prints next to its replay seed.
 func (s *Shell) StallReport() string {
 	crashed := ""
 	if s.flt != nil {
-		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
+		crashed = s.flt.ActiveCrashes(s.wd.tripCycle)
 	}
 	detail := fmt.Sprintf("pending=%d meta=%d\n%s", s.atPorts(), s.inMemory(), s.detail())
-	return flow.StallReport(s.name, s.wd, s.InFlight(), crashed, detail)
+	return stallReport(s.name, &s.wd, s.InFlight(), crashed, detail)
 }
 
 // Snapshot captures the run's instrumentation behind the shared
 // cross-engine API (see internal/stats): the shared counters, then what the
-// wiring names its own, then the fault/recovery block when a plan is armed.
+// wiring names its own, then the fault/recovery block and the
+// recovery-latency histogram when a plan is armed.
 func (s *Shell) Snapshot() stats.Snapshot {
 	t := s.Totals()
 	c := Counters{
@@ -582,7 +584,27 @@ func (s *Shell) Snapshot() stats.Snapshot {
 		Histograms: map[string]stats.HistogramSnapshot{"latency_cycles": s.lat.Snapshot()},
 	}
 	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), t.Orphans, s.rec.Counters())
+		faults.AddValues(&snap, faults.Values{
+			Injected:       s.flt.Injected(),
+			DropsFwd:       s.flt.DropsFwd.Load(),
+			DropsRev:       s.flt.DropsRev.Load(),
+			StallCycles:    s.flt.StallCycles.Load(),
+			MemStallCycles: s.flt.MemStallCycles.Load(),
+			Retries:        s.trk.Retries.Load(),
+			Duplicates:     s.trk.Duplicates.Load(),
+			Recovered:      s.trk.Recovered.Load(),
+			DedupHits:      s.mem.TotalDedupHits(),
+			Orphans:        t.Orphans,
+			ReorderedHeld:  s.flt.ReorderedHeld.Load(),
+			DupInjected:    s.flt.DupInjected.Load(),
+			CorruptDropped: s.flt.CorruptDropped.Load(),
+			Crashes:        s.rec.crashes,
+			Restores:       s.rec.restores,
+			Replayed:       s.rec.replayed,
+			LostInFlight:   s.rec.lostN,
+			CrashCycles:    s.flt.CrashCycles.Load(),
+		})
+		snap.Histograms["recovery_latency_cycles"] = s.trk.RecoveryLatency.Snapshot()
 	}
 	return snap
 }
@@ -593,7 +615,7 @@ func (s *Shell) Cycle() int64 { return s.tot.Cycles }
 // Totals returns the rim's run counters.
 func (s *Shell) Totals() Totals {
 	t := s.tot
-	t.SaturationCycles, t.SaturationMaxStreak = s.sat.Cycles(), s.sat.MaxStreak()
+	t.SaturationCycles, t.SaturationMaxStreak = s.sat.cycles, s.sat.maxStreak
 	return t
 }
 
@@ -608,4 +630,4 @@ func (s *Shell) Memory() *memory.Array { return s.mem }
 func (s *Shell) RoomInModule(mod int) bool { return s.mem.Module(mod).CanEnqueue() }
 
 // ModuleDead reports whether module mod is crashed this cycle.
-func (s *Shell) ModuleDead(mod int) bool { return s.rec != nil && s.memDead[mod] }
+func (s *Shell) ModuleDead(mod int) bool { return s.crash && s.memDead[mod] }

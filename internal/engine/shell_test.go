@@ -43,7 +43,7 @@ func newLoopbackWatched(plan *faults.Plan, inj []Injector, service int, watchdog
 		Engine: "loopback", Injectors: inj,
 		Modules: n, Service: service, MemQueueCap: 2,
 		Stations: NewStations(1, n, 0, 2, 0, 0, core.Policy{}), Links: lk, Stages: 1,
-		WatchdogCycles: watchdog, Faults: plan,
+		Faults: plan,
 		Hooks: Hooks{
 			Sweep: l.sweep,
 			CanFeed: func(mod int) bool {
@@ -53,6 +53,7 @@ func newLoopbackWatched(plan *faults.Plan, inj []Injector, service int, watchdog
 			Observe:   func(*Counters, map[string]int64) {},
 		},
 	})
+	l.wd.limit = watchdog
 	return l
 }
 
@@ -365,9 +366,9 @@ func TestMaskEdges(t *testing.T) {
 							t.Fatalf("cycle %d: module %d dead %v; the plan says %v", c, mod, l.ModuleDead(mod), dead)
 						}
 					}
-					if got := l.rec.Counters(); got.Crashes != crashes || got.Restores != restores {
+					if l.rec.crashes != crashes || l.rec.restores != restores {
 						t.Fatalf("cycle %d: %d crashes and %d restores noted; the plan's edges so far are %d and %d",
-							c, got.Crashes, got.Restores, crashes, restores)
+							c, l.rec.crashes, l.rec.restores, crashes, restores)
 					}
 				}
 				got := l.Snapshot().Counters

@@ -1,6 +1,6 @@
 package engine
 
-import "sort"
+import "combining/internal/stats"
 
 // Counters is the canonical counter schema every engine's Snapshot emits.
 // Each engine fills the fields it measures and leaves the rest zero, so
@@ -12,72 +12,40 @@ import "sort"
 // separate block appended by internal/faults when fault injection is
 // configured; gauges and histograms stay engine-specific.
 type Counters struct {
-	Cycles           int64 // simulated cycles (0 for the goroutine engine)
-	Issued           int64 // requests issued by processors
-	Completed        int64 // replies delivered back to their issuer
-	HotCompleted     int64 // completions against the hot-spot cell
-	ColdCompleted    int64 // completions against background addresses
-	Replies          int64 // replies absorbed at ports (== completed)
-	Combines         int64 // requests absorbed by combining en route
-	CombineRejects   int64 // combines forfeited to a full wait buffer
-	FwdHops          int64 // forward switch/router traversals
-	RevHops          int64 // reverse switch/router traversals
-	FwdSlots         int64 // forward payload slots moved (k-word transfers)
-	RevSlots         int64 // reverse payload slots moved
-	MemRequests      int64 // requests handed to memory modules
-	MemAcks          int64 // operations serviced by memory modules
-	MemOps           int64 // node-local memory operations (direct engines)
-	BankOps          int64 // bank operations (bus engine)
-	BusOps           int64 // bus grants (bus engine)
-	HOLBlocked       int64 // head-of-line blocking events (bus engine)
-	CreditStalls     int64 // sends stalled on exhausted credit (async engine)
-	SaturationCycles int64 // cycles the saturation detector held admission
-	HoldsRev         int64 // reverse transfers held by exhausted credit
-	HoldsMem         int64 // memory-input holds (full module queue)
-	HoldsMemOut      int64 // memory-output holds (reverse credit at the exit)
-	WatchdogTrips    int64 // forward-progress watchdog expirations
-	Checkpoints      int64 // module checkpoints committed (internal/recover)
+	Cycles           int64 `counter:"cycles"`            // simulated cycles (0 for the goroutine engine)
+	Issued           int64 `counter:"issued"`            // requests issued by processors
+	Completed        int64 `counter:"completed"`         // replies delivered back to their issuer
+	HotCompleted     int64 `counter:"hot_completed"`     // completions against the hot-spot cell
+	ColdCompleted    int64 `counter:"cold_completed"`    // completions against background addresses
+	Replies          int64 `counter:"replies"`           // replies absorbed at ports (== completed)
+	Combines         int64 `counter:"combines"`          // requests absorbed by combining en route
+	CombineRejects   int64 `counter:"combine_rejects"`   // combines forfeited to a full wait buffer
+	FwdHops          int64 `counter:"fwd_hops"`          // forward switch/router traversals
+	RevHops          int64 `counter:"rev_hops"`          // reverse switch/router traversals
+	FwdSlots         int64 `counter:"fwd_slots"`         // forward payload slots moved (k-word transfers)
+	RevSlots         int64 `counter:"rev_slots"`         // reverse payload slots moved
+	MemRequests      int64 `counter:"mem_requests"`      // requests handed to memory modules
+	MemAcks          int64 `counter:"mem_acks"`          // operations serviced by memory modules
+	MemOps           int64 `counter:"mem_ops"`           // node-local memory operations (direct engines)
+	BankOps          int64 `counter:"bank_ops"`          // bank operations (bus engine)
+	BusOps           int64 `counter:"bus_ops"`           // bus grants (bus engine)
+	HOLBlocked       int64 `counter:"hol_blocked"`       // head-of-line blocking events (bus engine)
+	CreditStalls     int64 `counter:"credit_stalls"`     // sends stalled on exhausted credit (async engine)
+	SaturationCycles int64 `counter:"saturation_cycles"` // cycles the saturation detector held admission
+	HoldsRev         int64 `counter:"holds_rev"`         // reverse transfers held by exhausted credit
+	HoldsMem         int64 `counter:"holds_mem"`         // memory-input holds (full module queue)
+	HoldsMemOut      int64 `counter:"holds_mem_out"`     // memory-output holds (reverse credit at the exit)
+	WatchdogTrips    int64 `counter:"watchdog_trips"`    // forward-progress watchdog expirations
+	Checkpoints      int64 `counter:"checkpoints"`       // module checkpoints committed under a crash plan
 }
 
 // Map renders the canonical schema; every key is always present.
 func (c Counters) Map() map[string]int64 {
-	return map[string]int64{
-		"cycles":            c.Cycles,
-		"issued":            c.Issued,
-		"completed":         c.Completed,
-		"hot_completed":     c.HotCompleted,
-		"cold_completed":    c.ColdCompleted,
-		"replies":           c.Replies,
-		"combines":          c.Combines,
-		"combine_rejects":   c.CombineRejects,
-		"fwd_hops":          c.FwdHops,
-		"rev_hops":          c.RevHops,
-		"fwd_slots":         c.FwdSlots,
-		"rev_slots":         c.RevSlots,
-		"mem_requests":      c.MemRequests,
-		"mem_acks":          c.MemAcks,
-		"mem_ops":           c.MemOps,
-		"bank_ops":          c.BankOps,
-		"bus_ops":           c.BusOps,
-		"hol_blocked":       c.HOLBlocked,
-		"credit_stalls":     c.CreditStalls,
-		"saturation_cycles": c.SaturationCycles,
-		"holds_rev":         c.HoldsRev,
-		"holds_mem":         c.HoldsMem,
-		"holds_mem_out":     c.HoldsMemOut,
-		"watchdog_trips":    c.WatchdogTrips,
-		"checkpoints":       c.Checkpoints,
-	}
+	m := make(map[string]int64)
+	stats.Render(c, m)
+	return m
 }
 
 // CounterKeys returns the canonical key set, sorted; the schema-parity
 // test compares every engine's Snapshot against it.
-func CounterKeys() []string {
-	m := Counters{}.Map()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func CounterKeys() []string { return stats.Render(Counters{}, nil) }

@@ -63,7 +63,7 @@ func newTree(plan *faults.Plan, inj []Injector, revCap int) *tree {
 	t.Init(ShellConfig{
 		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
 		Stations: NewStations(treeProcs-1, 1, 2, 4, revCap, core.Unbounded, core.Policy{}),
-		Links:    treeLinks(), Stages: 1, WatchdogCycles: DefaultWatchdogCycles, Faults: plan,
+		Links:    treeLinks(), Stages: 1, Faults: plan,
 		Hooks: Hooks{
 			Sweep:     t.sweep,
 			CanFeed:   t.RoomInModule,
@@ -182,7 +182,7 @@ func newHeldTree(t *testing.T, partner, head rmw.Mapping, plan *faults.Plan) *he
 	tr.Init(ShellConfig{
 		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
 		Stations: NewStations(treeProcs-1, 2, 2, 2, 4, 1, core.Policy{}),
-		Links:    lk, Stages: 1, WatchdogCycles: DefaultWatchdogCycles, Faults: plan,
+		Links:    lk, Stages: 1, Faults: plan,
 		Hooks: Hooks{
 			Sweep:     func() {},
 			CanFeed:   tr.RoomInModule,

@@ -12,7 +12,7 @@ import (
 // when the watchdog's verdict depends on it.  A module the fabric never
 // feeds leaves processor 1's two private requests in the station forever;
 // with a 64-cycle limit the trip cycle and the stall report below are the
-// ones the eager epilogue produces (re-recorded with flow.Watchdog.Observe
+// ones the eager epilogue produces (re-recorded with the watchdog's observe
 // taking the census unconditionally when the loopback became a one-station
 // wiring, whose extra hop moved them from 91 and 141), on a clean machine —
 // whose census walks ports, stations and metadata — and under a drop plan,
@@ -39,7 +39,7 @@ func TestWatchdogPinned(t *testing.T) {
 			if !l.Stalled() {
 				t.Fatalf("the machine ran %d cycles without tripping the watchdog", l.Cycle())
 			}
-			if got := l.wd.TripCycle(); got != tc.trip || l.Cycle() != tc.trip {
+			if got := l.wd.tripCycle; got != tc.trip || l.Cycle() != tc.trip {
 				t.Errorf("tripped at cycle %d (machine stopped at %d), pinned %d", got, l.Cycle(), tc.trip)
 			}
 			if got := l.Totals().WatchdogTrips; got != 1 {

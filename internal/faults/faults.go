@@ -82,7 +82,7 @@ type Plan struct {
 	LinkCrashes []Window
 
 	// CheckpointEvery is the checkpoint period K in cycles for modules run
-	// with checkpointing (internal/recover).  0 defaults to 64 when the
+	// with checkpointing (DESIGN.md §7.1).  0 defaults to 64 when the
 	// plan has crash windows; irrelevant otherwise.
 	CheckpointEvery int64
 

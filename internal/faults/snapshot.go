@@ -3,114 +3,48 @@ package faults
 import "combining/internal/stats"
 
 // Values is the fault/recovery counter block shared by every engine's
-// snapshot: one value per key of the schema AddValues writes.  The cycle
-// engines fill it from an Injector/Tracker pair via AddCounters; the
-// clockless asyncnet engine fills it from its own atomics (stall windows
-// are cycle-based and structurally zero there).
+// snapshot: one value per key of the schema AddValues writes, the key in
+// the field's tag.  The cycle engines' shell fills it from its
+// Injector/Tracker pair and its crash ledger; the clockless asyncnet engine
+// fills it from its own atomics (stall windows are cycle-based and
+// structurally zero there).
 type Values struct {
-	Injected       int64
-	DropsFwd       int64
-	DropsRev       int64
-	StallCycles    int64
-	MemStallCycles int64
-	Retries        int64
-	Duplicates     int64
-	Recovered      int64
-	DedupHits      int64
-	Orphans        int64
+	Injected       int64 `counter:"faults_injected"`
+	DropsFwd       int64 `counter:"drops_fwd"`
+	DropsRev       int64 `counter:"drops_rev"`
+	StallCycles    int64 `counter:"stall_cycles"`
+	MemStallCycles int64 `counter:"mem_stall_cycles"`
+	Retries        int64 `counter:"retries"`
+	Duplicates     int64 `counter:"duplicates_suppressed"`
+	Recovered      int64 `counter:"recovered"`
+	DedupHits      int64 `counter:"dedup_hits"`
+	Orphans        int64 `counter:"orphan_replies"`
 
 	// Adversarial-delivery block.  Structurally zero on the clockless
 	// asyncnet engine, whose limbo/dup/corrupt machinery is cycle-based
 	// like its stall windows.
-	ReorderedHeld  int64
-	DupInjected    int64
-	CorruptDropped int64
+	ReorderedHeld  int64 `counter:"reordered_held"`
+	DupInjected    int64 `counter:"dup_injected"`
+	CorruptDropped int64 `counter:"corrupt_dropped"`
 
-	// Crash–restart block (internal/recover).  Structurally zero on
+	// Crash–restart block (the cycle engines' crash ledger): crash and
+	// rejoin transitions, operations flushed from crashed queues, wait
+	// buffers and rolled-back state, and how many of those the retry
+	// machinery later re-drove to completion.  Structurally zero on
 	// engines without crash domains (the clockless asyncnet, whose crash
 	// windows are cycle-based like its stall windows).
-	Crashes      int64
-	Restores     int64
-	Replayed     int64
-	LostInFlight int64
-	CrashCycles  int64
+	Crashes      int64 `counter:"crashes"`
+	Restores     int64 `counter:"restores"`
+	Replayed     int64 `counter:"replayed_requests"`
+	LostInFlight int64 `counter:"lost_in_flight"`
+	CrashCycles  int64 `counter:"crash_cycles"`
 }
 
 // AddValues writes the shared fault-counter schema into a snapshot.  Every
 // engine publishes the same key set so tooling (cmd/check, the bench
 // reports) reads one schema regardless of transport.
-func AddValues(snap *stats.Snapshot, v Values) {
-	c := snap.Counters
-	c["faults_injected"] = v.Injected
-	c["drops_fwd"] = v.DropsFwd
-	c["drops_rev"] = v.DropsRev
-	c["stall_cycles"] = v.StallCycles
-	c["mem_stall_cycles"] = v.MemStallCycles
-	c["retries"] = v.Retries
-	c["duplicates_suppressed"] = v.Duplicates
-	c["recovered"] = v.Recovered
-	c["dedup_hits"] = v.DedupHits
-	c["orphan_replies"] = v.Orphans
-	c["reordered_held"] = v.ReorderedHeld
-	c["dup_injected"] = v.DupInjected
-	c["corrupt_dropped"] = v.CorruptDropped
-	c["crashes"] = v.Crashes
-	c["restores"] = v.Restores
-	c["replayed_requests"] = v.Replayed
-	c["lost_in_flight"] = v.LostInFlight
-	c["crash_cycles"] = v.CrashCycles
-}
+func AddValues(snap *stats.Snapshot, v Values) { stats.Render(v, snap.Counters) }
 
 // CounterKeys lists the keys AddValues writes, sorted — the fault half of
 // the snapshot-schema parity contract.
-func CounterKeys() []string {
-	return []string{
-		"corrupt_dropped", "crash_cycles", "crashes", "dedup_hits",
-		"drops_fwd", "drops_rev", "dup_injected", "duplicates_suppressed",
-		"faults_injected", "lost_in_flight", "mem_stall_cycles",
-		"orphan_replies", "recovered", "reordered_held",
-		"replayed_requests", "restores", "retries", "stall_cycles",
-	}
-}
-
-// Recovery is the crash–restart counter block a recover.Manager publishes;
-// the zero value is the clean-run block.
-type Recovery struct {
-	// Crashes counts crash transitions (components entering a window);
-	// Restores counts rejoin transitions.
-	Crashes, Restores int64
-	// Replayed counts lost in-flight operations later re-driven to
-	// completion by the retry machinery; LostInFlight counts operations
-	// flushed from crashed queues, wait buffers, and rolled-back state.
-	Replayed, LostInFlight int64
-}
-
-// AddCounters folds one run's fault/recovery counters into an engine
-// snapshot from the cycle engines' injector and tracker, plus the
-// cycle-denominated recovery-latency histogram.
-func AddCounters(snap *stats.Snapshot, flt *Injector, trk *Tracker, dedupHits, orphans int64, rec Recovery) {
-	AddValues(snap, Values{
-		Injected:       flt.Injected(),
-		DropsFwd:       flt.DropsFwd.Load(),
-		DropsRev:       flt.DropsRev.Load(),
-		StallCycles:    flt.StallCycles.Load(),
-		MemStallCycles: flt.MemStallCycles.Load(),
-		Retries:        trk.Retries.Load(),
-		Duplicates:     trk.Duplicates.Load(),
-		Recovered:      trk.Recovered.Load(),
-		DedupHits:      dedupHits,
-		Orphans:        orphans,
-		ReorderedHeld:  flt.ReorderedHeld.Load(),
-		DupInjected:    flt.DupInjected.Load(),
-		CorruptDropped: flt.CorruptDropped.Load(),
-		Crashes:        rec.Crashes,
-		Restores:       rec.Restores,
-		Replayed:       rec.Replayed,
-		LostInFlight:   rec.LostInFlight,
-		CrashCycles:    flt.CrashCycles.Load(),
-	})
-	if snap.Histograms == nil {
-		snap.Histograms = map[string]stats.HistogramSnapshot{}
-	}
-	snap.Histograms["recovery_latency_cycles"] = trk.RecoveryLatency.Snapshot()
-}
+func CounterKeys() []string { return stats.Render(Values{}, nil) }

@@ -57,10 +57,6 @@ type Config struct {
 	// dimension links, so it gets d link-queues' worth of buffering.
 	// Negative means unbounded (the pre-flow-control behavior).
 	MemQueueCap int
-	// WatchdogCycles is the progress watchdog limit (see
-	// internal/network.Config.WatchdogCycles): 0 defaults to
-	// engine.DefaultWatchdogCycles, negative disables.
-	WatchdogCycles int64
 	// WaitBufCap bounds each node's wait buffer (0 disables combining).
 	WaitBufCap int
 	// AllowReversal enables the Section 5.1 optimization.
@@ -144,9 +140,6 @@ func (c *Config) normalize() error {
 	if c.QueueCap == 0 {
 		c.QueueCap = 4
 	}
-	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = engine.DefaultWatchdogCycles
-	}
 	if c.MemQueueCap == 0 {
 		c.MemQueueCap = deg * c.QueueCap
 	}
@@ -190,16 +183,15 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 			Saturated: s.treeSaturated,
 			Observe:   s.observe,
 		},
-		Injectors:      inj,
-		Pool:           s.pool,
-		Modules:        s.n,
-		Service:        1,
-		Stations:       nodes,
-		Links:          engine.CompileDirect(topo),
-		Stages:         1,
-		WatchdogCycles: cfg.WatchdogCycles,
-		Faults:         cfg.Faults,
-		Trace:          cfg.Trace,
+		Injectors: inj,
+		Pool:      s.pool,
+		Modules:   s.n,
+		Service:   1,
+		Stations:  nodes,
+		Links:     engine.CompileDirect(topo),
+		Stages:    1,
+		Faults:    cfg.Faults,
+		Trace:     cfg.Trace,
 	})
 	return s
 }

@@ -139,9 +139,9 @@ func TestNegativeWindowPanics(t *testing.T) {
 // must declare the livelock right after its limit, count the trip in the
 // snapshot, emit a queue-snapshot report, and make Run return early.
 func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
-	const limit = 200
+	const limit = engine.DefaultWatchdogCycles
 	inj, _ := emptyInjectors(8)
-	sim := NewSim(Config{Procs: 8, WaitBufCap: 4, WatchdogCycles: limit}, inj)
+	sim := NewSim(Config{Procs: 8, WaitBufCap: 4}, inj)
 	if !sim.Stations().Wait[0].Push(word.ReqID(999), engine.Record{}) {
 		t.Fatal("could not plant the orphan wait record")
 	}

@@ -69,12 +69,6 @@ type Config struct {
 	// instead of absorbing unbounded backlog.  0 defaults to QueueCap;
 	// negative means unbounded.
 	MemQueueCap int
-	// WatchdogCycles is the progress watchdog limit: with work in flight
-	// and no message movement for this many cycles the machine declares
-	// livelock/deadlock (Stalled() reports it, soaks fail fast with a
-	// replayable seed).  0 defaults to 10000 — comfortably above the
-	// fault plans' capped retry backoff — and negative disables it.
-	WatchdogCycles int64
 	// WaitBufCap bounds each switch's wait buffer: 0 disables combining
 	// entirely, core.Unbounded removes the limit, and small positive
 	// values give partial combining (ablation A1).
@@ -167,9 +161,6 @@ func (c *Config) normalize() error {
 	if c.MemQueueCap == 0 {
 		c.MemQueueCap = c.QueueCap
 	}
-	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = engine.DefaultWatchdogCycles
-	}
 	return nil
 }
 
@@ -256,19 +247,18 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	s.stepFn = s.phaseWorker
 	s.fwdList, s.revList = switchLists(topo, s.pool.Workers())
 	s.Shell.Init(engine.ShellConfig{
-		Engine:         "network",
-		Hooks:          engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.treeSaturated, Observe: s.observe},
-		Injectors:      inj,
-		Pool:           s.pool,
-		Modules:        n,
-		Service:        1,
-		MemQueueCap:    cfg.MemQueueCap,
-		Stations:       switches,
-		Links:          engine.CompileStaged(topo),
-		Stages:         k,
-		WatchdogCycles: cfg.WatchdogCycles,
-		Faults:         cfg.Faults,
-		Trace:          cfg.Trace,
+		Engine:      "network",
+		Hooks:       engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.treeSaturated, Observe: s.observe},
+		Injectors:   inj,
+		Pool:        s.pool,
+		Modules:     n,
+		Service:     1,
+		MemQueueCap: cfg.MemQueueCap,
+		Stations:    switches,
+		Links:       engine.CompileStaged(topo),
+		Stages:      k,
+		Faults:      cfg.Faults,
+		Trace:       cfg.Trace,
 	})
 	return s
 }

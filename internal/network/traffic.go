@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"combining/internal/core"
-	"combining/internal/flow"
 	"combining/internal/rmw"
 	"combining/internal/word"
 )
@@ -77,7 +76,7 @@ type Stochastic struct {
 	// aimd is the adaptive admission controller (nil unless
 	// cfg.Adaptive); issued remembers each in-flight request's issue
 	// cycle so Deliver can feed the controller round-trip times.
-	aimd   *flow.AIMD
+	aimd   *AIMD
 	issued map[word.ReqID]int64
 
 	// zipfCDF is the normalized cumulative weight table for Zipfian
@@ -137,7 +136,7 @@ func NewStochastic(proc, nprocs int, cfg TrafficConfig, seed uint64) *Stochastic
 		if max <= 0 {
 			max = 4 * cfg.Window
 		}
-		s.aimd = flow.NewAIMD(cfg.Window, min, max)
+		s.aimd = newAIMD(cfg.Window, min, max)
 		s.issued = make(map[word.ReqID]int64)
 	}
 	if cfg.ZipfN > 0 {
@@ -168,7 +167,7 @@ func (s *Stochastic) Window() int {
 
 // Admission exposes the AIMD controller (nil unless Adaptive), for
 // experiment reporting: mean window, decrease count.
-func (s *Stochastic) Admission() *flow.AIMD { return s.aimd }
+func (s *Stochastic) Admission() *AIMD { return s.aimd }
 
 // Next draws the next request per the Bernoulli issue process, gated by
 // the deterministic burst schedule when one is configured.
@@ -230,6 +229,96 @@ func (s *Stochastic) Deliver(rep core.Reply, cycle int64) {
 			s.aimd.OnDeliver(cycle-at, cycle)
 		}
 	}
+}
+
+// AIMD is the additive-increase/multiplicative-decrease admission window a
+// traffic source consults before issuing: it shrinks when round trips
+// stretch well past the uncongested baseline (the congestion signal a
+// processor can observe without global state) and recovers additively as
+// the tree drains.  It is self-tuning: the baseline is the minimum RTT seen
+// this run, so no latency constant needs calibrating per topology.
+type AIMD struct {
+	min, max float64
+	win      float64
+
+	minRTT  int64
+	lastCut int64
+
+	// Decreases counts multiplicative window cuts; WindowSum and Samples
+	// accumulate the window at each delivery so MeanWindow reports the
+	// effective admission level of a run.
+	Decreases int64
+	WindowSum int64
+	Samples   int64
+}
+
+// newAIMD builds a controller starting at initial, clamped to [min, max].
+func newAIMD(initial, min, max int) *AIMD {
+	if min < 1 {
+		min = 1
+	}
+	if max < min {
+		max = min
+	}
+	a := &AIMD{min: float64(min), max: float64(max), win: float64(initial)}
+	if a.win < a.min {
+		a.win = a.min
+	}
+	if a.win > a.max {
+		a.win = a.max
+	}
+	return a
+}
+
+// Window returns the current admission window (at least 1).
+func (a *AIMD) Window() int { return int(a.win) }
+
+// MeanWindow returns the average window across deliveries (0 before any).
+func (a *AIMD) MeanWindow() float64 {
+	if a.Samples == 0 {
+		return 0
+	}
+	return float64(a.WindowSum) / float64(a.Samples)
+}
+
+// congestRTTFactor and recoverRTTFactor bracket the signal: a round trip
+// beyond congestRTTFactor× the minimum seen means queues on the path are
+// deep (cut the window); one within recoverRTTFactor× means the path is
+// drained (grow it).  Between the two the window holds steady, which keeps
+// the controller from oscillating on moderate queueing.
+const (
+	congestRTTFactor = 4
+	recoverRTTFactor = 2
+)
+
+// OnDeliver feeds one completed round trip: rtt in cycles, now the current
+// cycle.  Cuts are rate-limited to one per round-trip time so a single
+// congested window of deliveries is not punished once per reply.
+func (a *AIMD) OnDeliver(rtt, now int64) {
+	if rtt < 1 {
+		rtt = 1
+	}
+	if a.minRTT == 0 || rtt < a.minRTT {
+		a.minRTT = rtt
+	}
+	switch {
+	case rtt > congestRTTFactor*a.minRTT:
+		if now-a.lastCut >= rtt {
+			a.win /= 2
+			if a.win < a.min {
+				a.win = a.min
+			}
+			a.lastCut = now
+			a.Decreases++
+		}
+	case rtt <= recoverRTTFactor*a.minRTT:
+		a.win += 1 / a.win
+		if a.win > a.max {
+			a.win = a.max
+		}
+	}
+	a.WindowSum += int64(a.win)
+	a.Samples++
 }
 
 // HotspotResult is one point of the hot-spot sweep (experiment E8/E9).

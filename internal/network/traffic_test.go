@@ -124,3 +124,83 @@ func TestTrafficConfigPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestAIMDDecreasesUnderCongestionAndRecovers(t *testing.T) {
+	a := newAIMD(8, 1, 16)
+	if a.Window() != 8 {
+		t.Fatalf("initial window %d, want 8", a.Window())
+	}
+
+	// Establish the baseline RTT.
+	now := int64(0)
+	for i := 0; i < 10; i++ {
+		now += 10
+		a.OnDeliver(10, now)
+	}
+	if a.Window() < 8 {
+		t.Fatalf("window shrank to %d on uncongested deliveries", a.Window())
+	}
+
+	// Congested RTTs (>4× baseline): multiplicative decrease, rate-limited
+	// to one cut per RTT.
+	now += 1000
+	a.OnDeliver(100, now)
+	if a.Window() > 8/2 {
+		t.Fatalf("window %d after congestion, want ≤ 4", a.Window())
+	}
+	cutsSoFar := a.Decreases
+	a.OnDeliver(100, now+1) // within the same RTT window: no second cut
+	if a.Decreases != cutsSoFar {
+		t.Fatalf("second cut within one RTT (decreases %d → %d)", cutsSoFar, a.Decreases)
+	}
+
+	// Keep congesting across RTT windows: floor at min.
+	for i := 0; i < 20; i++ {
+		now += 200
+		a.OnDeliver(100, now)
+	}
+	if a.Window() != 1 {
+		t.Fatalf("window %d under sustained congestion, want floor 1", a.Window())
+	}
+
+	// Drained RTTs: additive recovery back toward max.
+	for i := 0; i < 500; i++ {
+		now += 10
+		a.OnDeliver(10, now)
+	}
+	if a.Window() != 16 {
+		t.Fatalf("window %d after sustained drain, want ceiling 16", a.Window())
+	}
+	if a.Decreases == 0 || a.Samples == 0 || a.MeanWindow() <= 0 {
+		t.Fatalf("instrumentation not populated: decreases=%d samples=%d mean=%g",
+			a.Decreases, a.Samples, a.MeanWindow())
+	}
+}
+
+func TestAIMDClamping(t *testing.T) {
+	a := newAIMD(0, 0, 0) // degenerate request: clamps to [1, 1]
+	if a.Window() != 1 {
+		t.Fatalf("window %d, want 1", a.Window())
+	}
+	a.OnDeliver(0, 0) // rtt clamps to 1; window stays in range
+	if a.Window() != 1 {
+		t.Fatalf("window %d after degenerate delivery, want 1", a.Window())
+	}
+
+	b := newAIMD(100, 2, 6)
+	if b.Window() != 6 {
+		t.Fatalf("initial window %d, want clamp to max 6", b.Window())
+	}
+}
+
+func TestAIMDHoldsSteadyInMidband(t *testing.T) {
+	a := newAIMD(8, 1, 16)
+	a.OnDeliver(10, 0) // baseline
+	w := a.Window()
+	for i := 1; i <= 100; i++ {
+		a.OnDeliver(30, int64(i*10)) // 3× baseline: between recover (2×) and congest (4×)
+	}
+	if a.Window() != w || a.Decreases != 0 {
+		t.Fatalf("mid-band RTTs moved the window: %d → %d (decreases %d)", w, a.Window(), a.Decreases)
+	}
+}

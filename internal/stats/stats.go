@@ -12,7 +12,10 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/bits"
+	"reflect"
+	"sort"
 	"sync/atomic"
 )
 
@@ -208,4 +211,25 @@ func (s Snapshot) JSON() []byte {
 		panic(err)
 	}
 	return b
+}
+
+// Render writes every field of the struct v into counters, under the key its
+// `counter:"key"` tag names (a nil map takes nothing), and returns those
+// keys sorted.  Every field must be an int64 with a tag: a counter block
+// declares its snapshot schema once, in its tags.
+func Render(v any, counters map[string]int64) []string {
+	rv := reflect.ValueOf(v)
+	keys := make([]string, rv.NumField())
+	for i := range keys {
+		f := rv.Type().Field(i)
+		keys[i] = f.Tag.Get("counter")
+		if keys[i] == "" || f.Type.Kind() != reflect.Int64 {
+			panic(fmt.Sprintf("stats: %s.%s is not a tagged int64 counter", rv.Type(), f.Name))
+		}
+		if counters != nil {
+			counters[keys[i]] = rv.Field(i).Int()
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -179,4 +180,27 @@ func TestConcurrentRecording(t *testing.T) {
 	if total != s.Count {
 		t.Fatalf("buckets hold %d of %d observations", total, s.Count)
 	}
+}
+
+// TestRender: a tagged block lands in the map under its tags, the keys come
+// back sorted whether or not a map is given, and an untagged field panics.
+func TestRender(t *testing.T) {
+	type block struct {
+		Zeta  int64 `counter:"zeta"`
+		Alpha int64 `counter:"alpha"`
+	}
+	m := map[string]int64{"other": 7}
+	keys := Render(block{Zeta: 2, Alpha: 1}, m)
+	if !reflect.DeepEqual(keys, []string{"alpha", "zeta"}) || !reflect.DeepEqual(Render(block{}, nil), keys) {
+		t.Fatalf("keys %v, want [alpha zeta] with or without a map", keys)
+	}
+	if want := map[string]int64{"other": 7, "alpha": 1, "zeta": 2}; !reflect.DeepEqual(m, want) {
+		t.Fatalf("rendered %v, want %v", m, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an untagged field rendered")
+		}
+	}()
+	Render(struct{ N int64 }{}, nil)
 }
