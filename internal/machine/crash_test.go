@@ -9,6 +9,7 @@ import (
 	"combining/internal/hypercube"
 	"combining/internal/network"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -19,10 +20,6 @@ import (
 // The acceptance bar is the same as for message-loss faults: exactly-once
 // completion, per-location serializability (Theorem 4.2), and byte-identical
 // runs at every Workers width.
-
-// crashPlan is the crash-only soak plan: DefaultCrash windows, no
-// Bernoulli drops.
-func crashPlan(seed uint64) *faults.Plan { return faults.DefaultCrash(seed) }
 
 // crashDropPlan combines the PR-2 message-loss plan with the crash
 // windows — components die while messages are also being lost, the
@@ -35,17 +32,19 @@ func crashDropPlan(seed uint64) *faults.Plan {
 	return p
 }
 
-// runCrashSoak drives hot-spot programs on one engine under a crash plan
-// and checks exactly-once completion, M2 serializability, and that the
-// crash machinery actually engaged (crashes, restores, checkpoints all
-// nonzero — a plan whose windows never hit is a vacuous pass).
-func runCrashSoak(t *testing.T, name string, seed uint64,
-	build func(*faults.Plan, []network.Injector) Engine) {
+// runCrashSoak drives hot-spot programs on the named wiring, 8 processors
+// (the bus with 4 banks), under a crash plan and checks exactly-once
+// completion, M2 serializability, and that the crash machinery actually
+// engaged (crashes, restores, checkpoints all nonzero — a plan whose
+// windows never hit is a vacuous pass).
+func runCrashSoak(t *testing.T, name string, seed uint64) {
 	t.Helper()
-	plan := crashDropPlan(seed)
 	progs := faultPrograms(8, 16)
 	m, inj := NewInjectors(progs)
-	eng := build(plan, inj)
+	eng, err := wiring.New(name, wiring.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: crashDropPlan(seed)}, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.BindEngine(eng)
 	if !m.Run(400000) {
 		t.Fatalf("%s seed %d: programs did not complete (in flight %d)", name, seed, eng.InFlight())
@@ -77,70 +76,22 @@ func runCrashSoak(t *testing.T, name string, seed uint64,
 	}
 }
 
-func TestNetworkUnderCrashPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "network", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
-}
-
-func TestFatTreeUnderCrashPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "fattree", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{
-				Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
-}
-
-func TestBusnetUnderCrashPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "busnet", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
-}
-
-func TestHypercubeUnderCrashPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "hypercube", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
-}
-
-func TestTorusUnderCrashPlan(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 7} {
-		runCrashSoak(t, "torus", seed, func(p *faults.Plan, inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{
-				Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)
-		})
-	}
+func TestUnderCrashPlan(t *testing.T) {
+	eachWiring(t, 8, func(t *testing.T, name string, _ uint64) {
+		for _, seed := range []uint64{1, 2, 3, 7} {
+			runCrashSoak(t, name, seed)
+		}
+	})
 }
 
 // Cross-worker determinism under crash plans: the 64-processor hot-spot
 // workload at Workers = 1/2/3/4/GOMAXPROCS must stay byte-identical while
 // components crash and restart, with the Workers=1 run checked against the
 // core.SerialReplies ground truth (the exactly-once acceptance bar).
-func TestCrashDeterminismNetwork(t *testing.T) {
-	runDeterminismCheck(t, "network/crash", 64, 4, 2000000, netDet(crashDropPlan(51)))
-}
-
-func TestCrashDeterminismHypercube(t *testing.T) {
-	runDeterminismCheck(t, "hypercube/crash", 64, 4, 2000000, cubeDet(crashDropPlan(52)))
-}
-
-func TestCrashDeterminismBusnet(t *testing.T) {
-	runDeterminismCheck(t, "busnet/crash", 64, 4, 2000000, busDet(crashDropPlan(53)))
-}
-
-func TestCrashDeterminismFatTree(t *testing.T) {
-	runDeterminismCheck(t, "fattree/crash", 64, 4, 2000000, fatTreeDet(crashDropPlan(54)))
-}
-
-func TestCrashDeterminismTorus(t *testing.T) {
-	runDeterminismCheck(t, "torus/crash", 64, 4, 2000000, torusDet(crashDropPlan(55)))
+func TestCrashDeterminism(t *testing.T) {
+	eachWiring(t, 64, func(t *testing.T, name string, seed uint64) {
+		runDeterminismCheck(t, name+"/crash", 64, 4, 2000000, byName(name, crashDropPlan(50+seed)))
+	})
 }
 
 // Seed parity: a generated crash schedule is a pure function of its seed,
