@@ -212,7 +212,8 @@ profile:
 # row, then the two commands behind BENCH_combining.json, the drivers that
 # build machines by name, the program harness and the checkers follow, and
 # last the same count over every non-test .go file of the repository
-# outside bench/.
+# outside bench/, and the number of directories holding one: its non-test
+# Go packages, so a change that deletes or adds a package shows it.
 # Informational; CI prints it and never fails on it.
 loc:
 	@count() { n=0; for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \
@@ -221,7 +222,9 @@ loc:
 	printf '%-15s %5d\n' total $$total; \
 	for p in internal/par cmd/experiments cmd/benchcmp cmd/benchpairs cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
 	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -vch '^\s*\(//.*\)\?$$' | \
-		awk '{ n += $$1 } END { printf "%-15s %5d\n", "repo", n }'
+		awk '{ n += $$1 } END { printf "%-15s %5d\n", "repo", n }'; \
+	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs -n1 dirname | sort -u | \
+		awk 'END { printf "%-15s %5d\n", "packages", NR }'
 
 fmt:
 	gofmt -w .
