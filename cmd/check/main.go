@@ -166,7 +166,7 @@ func main() {
 		// Rounds are independent machines: all of a row's run at once, and
 		// each wiring's are reported in seed order.
 		rs := each(len(s.wirings)**rounds, func(i int) result {
-			return s.round(s.wirings[i / *rounds], *seed+uint64(i%*rounds), *addrs)
+			return s.round(s.wirings[i / *rounds], *seed+uint64(i%*rounds))
 		})
 		for w, wiring := range s.wirings {
 			count(report(wiring+"/"+s.name, replay(s.flag), s.engaged, rs[w**rounds:(w+1)**rounds], *verbose))
@@ -321,7 +321,7 @@ func rows(procs, ops, addrs int) []soak {
 // round runs one seed of the row on one wiring: the battery and the row's
 // check at the first width, then every other width, which must reproduce
 // the first's snapshot and replies.
-func (s soak) round(wiring string, seed uint64, addrs int) result {
+func (s soak) round(wiring string, seed uint64) result {
 	res := result{seed: seed}
 	widths := s.widths
 	if widths == nil {
@@ -336,7 +336,7 @@ func (s soak) round(wiring string, seed uint64, addrs int) result {
 		return cfg, s.progs(seed)
 	}
 	cfg, progs := setup(widths[0])
-	m, eng, c, err := combining.CheckBattery(wiring, cfg, progs, addrs, maxCycles)
+	m, eng, c, err := combining.CheckBattery(wiring, cfg, progs, maxCycles)
 	res.counters, res.err = c, err
 	if res.err == nil && s.check != nil {
 		res.err = s.check(m, eng, c)

@@ -1,5 +1,8 @@
-// Command replay runs a request trace file through the cycle-accurate
-// combining machine, or replays one chaos-fuzzer scenario.
+// Command replay runs a request trace file, or one chaos-fuzzer scenario,
+// on the cycle-accurate combining machine through the invariant battery
+// (completion, per-location serializability against final memory,
+// exactly-once): it prints a summary and a verdict line, and exits 1 on a
+// violation.
 //
 // Usage:
 //
@@ -13,6 +16,9 @@
 //	<cycle> <proc> <addr> <op> [arg]
 //	op ∈ load | store v | swap v | add a | or a | and a | xor a | min a | max a
 //
+// Each line is one instruction of processor proc's program, issued no
+// earlier than cycle.
+//
 // -topology picks the wiring, any name internal/wiring registers: the
 // radix-2 or radix-4 omega network or the fat-tree on the staged engine,
 // the binary hypercube or near-square torus on the direct engine, or the
@@ -25,10 +31,8 @@
 //
 // With -chaos the positional trace is replaced by one fuzzer scenario:
 // the seeded randomized workload (-seed, -ops, -addrs) runs under -plan on
-// -topology, the invariant battery runs (completion, per-location
-// serializability against final memory, exactly-once), and a violation
-// prints and exits 1 — replaying a shrunk reproducer deterministically
-// reproduces the bug it was shrunk from.
+// -topology through the same battery — replaying a shrunk reproducer
+// deterministically reproduces the bug it was shrunk from.
 //
 // With -crash > 0 the trace replays under a deterministic crash–restart
 // plan: that many seeded crash windows of each kind (switch, memory
@@ -129,13 +133,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	entries, err := combining.ParseTrace(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
-		os.Exit(1)
-	}
-	inj, reps, err := combining.NewReplayInjectors(entries, *n)
+	progs, err := combining.ParseTrace(f, *n)
+	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
@@ -151,27 +150,20 @@ func main() {
 		// Spread the crash windows over the trace's issue span so they
 		// actually overlap live traffic.
 		horizon := int64(2000)
-		for _, e := range entries {
-			if e.Cycle+2000 > horizon {
-				horizon = e.Cycle + 2000
+		for _, prog := range progs {
+			for _, in := range prog {
+				horizon = max(horizon, in.MinCycle+2000)
 			}
 		}
 		plan = combining.GenCrashPlan(cs, *crash, horizon, 80)
 		plan.RetryTimeout = 512
 	}
 	cfg.Faults = plan
-	eng, err := combining.NewWiring(*topo, cfg, inj)
-	if err != nil {
+	const maxCycles = 10_000_000
+	_, eng, c, err := combining.CheckBattery(*topo, cfg, progs, maxCycles)
+	if eng == nil {
 		fail("%v", err)
 	}
-	const maxCycles = 10_000_000
-	for cycles := 0; cycles < maxCycles; cycles++ {
-		eng.Step()
-		if eng.InFlight() == 0 && allDone(reps) {
-			break
-		}
-	}
-	c := eng.Snapshot().Counters
 	fmt.Printf("replayed %d requests on %d processors (%s) in %d cycles\n",
 		c["issued"], *n, *topo, c["cycles"])
 	cycles := c["cycles"]
@@ -192,10 +184,11 @@ func main() {
 			c["crashes"], c["restores"], c["checkpoints"],
 			c["lost_in_flight"], c["replayed_requests"])
 	}
-	if !allDone(reps) {
-		fmt.Fprintln(os.Stderr, "replay: trace did not complete within the cycle bound")
+	if err != nil {
+		fmt.Printf("trace VIOLATION: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Printf("trace passed on %s: %d ops exactly-once, serializable\n", *topo, c["completed"])
 }
 
 // runChaos replays one fuzzer scenario and reports the verdict: exit 0
@@ -223,19 +216,10 @@ func runChaos(topo string, n, ops, addrs int, seed uint64, plan *combining.Fault
 		counters["dup_injected"], counters["corrupt_dropped"])
 }
 
-func allDone(reps []*combining.ReplayInjector) bool {
-	for _, r := range reps {
-		if !r.Done() {
-			return false
-		}
-	}
-	return true
-}
-
 func generate(n, ops int, h float64, seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, 2*seed+1))
-	var entries []combining.TraceEntry
-	for p := 0; p < n; p++ {
+	progs := make([][]combining.Instr, n)
+	for p := range progs {
 		cycle := int64(0)
 		for i := 0; i < ops; i++ {
 			cycle += int64(rng.IntN(4))
@@ -243,12 +227,10 @@ func generate(n, ops int, h float64, seed uint64) {
 			if rng.Float64() >= h {
 				addr = combining.Addr(1 + rng.IntN(64*n))
 			}
-			entries = append(entries, combining.TraceEntry{
-				Cycle: cycle, Proc: p, Addr: addr, Op: combining.FetchAdd(1),
-			})
+			progs[p] = append(progs[p], combining.Instr{Addr: addr, Op: combining.FetchAdd(1), MinCycle: cycle})
 		}
 	}
-	if err := combining.WriteTrace(os.Stdout, entries); err != nil {
+	if err := combining.WriteTrace(os.Stdout, progs); err != nil {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
 	}

@@ -2,7 +2,9 @@
 // simulator with event tracing and prints the full life of every request:
 // injection, combining (with the wait-buffer ids), the single memory
 // access, the decombining fan-out, and delivery — Figure 1 observed on a
-// live machine.
+// live machine.  The scenario is a program set (each processor issues its
+// fetch-and-adds back to back) run through the invariant battery, whose
+// verdict is the last line: the replies form an exact serialization.
 //
 // Usage: trace [-n 8] [-per 2] [-addr 5]
 package main
@@ -29,67 +31,27 @@ func main() {
 		fail("-per must be ≥ 1, got %d", *per)
 	}
 	log := &combining.NetTraceLog{}
-	cfg := combining.NetConfig{Procs: *n, WaitBufCap: combining.Unbounded, Trace: log.Record}
-	if err := cfg.Validate(); err != nil {
+	cfg := combining.WiringConfig{Procs: *n, WaitBufCap: combining.Unbounded, Trace: log.Record}
+	if err := combining.ValidateWiring("omega", cfg); err != nil {
 		fail("%v", err)
 	}
-	inj := make([]combining.Injector, *n)
-	scripts := make([]*scriptInjector, *n)
-	id := 1
-	for p := 0; p < *n; p++ {
-		scripts[p] = &scriptInjector{}
+	progs := make([][]combining.Instr, *n)
+	for p := range progs {
 		for r := 0; r < *per; r++ {
-			scripts[p].script = append(scripts[p].script, combining.Injection{
-				Req: combining.NewRequest(combining.ReqID(id), combining.Addr(*addr),
-					combining.FetchAdd(1), combining.ProcID(p)),
-			})
-			id++
-		}
-		inj[p] = scripts[p]
-	}
-	sim := combining.NewSim(cfg, inj)
-	want := int64(*n * *per)
-	for c := 0; c < 10000; c++ {
-		sim.Step()
-		if sim.Totals().Issued == want && sim.InFlight() == 0 {
-			break
+			progs[p] = append(progs[p], combining.RMW(combining.Addr(*addr), combining.FetchAdd(1)))
 		}
 	}
+	_, eng, _, err := combining.CheckBattery("omega", cfg, progs, 10000)
 
 	for _, e := range log.Events {
 		fmt.Println(e)
 	}
-	st := sim.Totals()
+	st := eng.Totals()
 	fmt.Printf("\n%d requests issued; %d combines; memory saw %d accesses; final value %d\n",
-		st.Issued, st.Combines, st.MemRequests, sim.Memory().Peek(combining.Addr(*addr)).Val)
-	vals := map[int64]bool{}
-	for _, s := range scripts {
-		for _, r := range s.replies {
-			vals[r.Val.Val] = true
-		}
+		st.Issued, st.Combines, st.MemRequests, eng.Memory().Peek(combining.Addr(*addr)).Val)
+	fmt.Printf("replies form the exact serialization 0..%d: %v\n", *n**per-1, err == nil)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+		os.Exit(1)
 	}
-	ok := true
-	for i := 0; i < *n**per; i++ {
-		ok = ok && vals[int64(i)]
-	}
-	fmt.Printf("replies form the exact serialization 0..%d: %v\n", *n**per-1, ok)
-}
-
-type scriptInjector struct {
-	script  []combining.Injection
-	next    int
-	replies []combining.Reply
-}
-
-func (s *scriptInjector) Next(int64) (combining.Injection, bool) {
-	if s.next >= len(s.script) {
-		return combining.Injection{}, false
-	}
-	inj := s.script[s.next]
-	s.next++
-	return inj, true
-}
-
-func (s *scriptInjector) Deliver(rep combining.Reply, _ int64) {
-	s.replies = append(s.replies, rep)
 }

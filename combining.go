@@ -220,27 +220,13 @@ var (
 	NewPermInjector = network.NewPermInjector
 )
 
-// TraceEntry is one parsed request of the replay trace format;
-// ReplayInjector feeds a trace slice into an engine.
-type (
-	TraceEntry     = network.TraceEntry
-	ReplayInjector = network.ReplayInjector
-)
-
-// Trace replay: parse/write the trace format and build injectors.
-var (
-	ParseTrace         = network.ParseTrace
-	WriteTrace         = network.WriteTrace
-	NewReplayInjectors = network.NewReplayInjectors
-)
-
 // Network simulator constructors and helpers.
 var (
 	NewSim                 = network.NewSim
 	NewStochastic          = network.NewStochastic
 	RunHotspot             = network.RunHotspot
 	RunHotspotTraffic      = network.RunHotspotTraffic
-	AsymptoticHotBandwidth = network.AsymptoticHotBandwidth
+	AsymptoticHotBandwidth = model.HotspotBandwidth
 )
 
 // PredictUniformLatency is the closed-form round-trip prediction of the
@@ -266,6 +252,10 @@ var (
 	NewM1               = machine.NewM1
 	NewMachineInjectors = machine.NewInjectors
 	RMW                 = machine.RMW
+	// ParseTrace reads a request trace into one program per processor;
+	// WriteTrace writes programs back in the trace format.
+	ParseTrace = machine.ParseTrace
+	WriteTrace = machine.WriteTrace
 )
 
 // History is a record of completed operations.
@@ -333,8 +323,8 @@ var (
 	// RunChaos executes one scenario and returns its snapshot counters
 	// plus the first invariant violation (nil if clean).
 	RunChaos = chaos.Run
-	// CheckBattery is the invariant battery RunChaos and every cmd/check
-	// soak share: build the programs' machine on a wiring, run it to
+	// CheckBattery is the invariant battery RunChaos, cmd/replay and every
+	// cmd/check soak share: build the programs' machine on a wiring, run it to
 	// completion, per-location serializability against final memory (by
 	// the run's certificate where its trace can give one), issued ==
 	// completed, nothing left in flight.

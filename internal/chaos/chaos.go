@@ -165,7 +165,7 @@ func Programs(seed uint64, procs, ops, addrs int) [][]machine.Instr {
 func Run(sc Scenario) (map[string]int64, error) {
 	progs := Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs)
 	cfg := wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Workers: 1, Faults: sc.Plan}
-	_, eng, c, err := Battery(sc.Topology, cfg, progs, sc.Addrs, maxCycles)
+	_, eng, c, err := Battery(sc.Topology, cfg, progs, maxCycles)
 	if err != nil {
 		return c, err
 	}
@@ -196,7 +196,7 @@ func Build(topology string, cfg wiring.Config, progs [][]machine.Instr) (*machin
 // machine on the named wiring with the trace folded into a
 // serial.Certificate, drives it, and checks that the programs complete
 // within maxCycles, that the history is per-location serializable against
-// the final contents of addresses [0, addrs) (Theorem 4.2), and that RMW
+// the final contents of every address it touches (Theorem 4.2), and that RMW
 // semantics are exactly-once — issued == completed with nothing left in
 // flight — and that the occupancy index the sweeps skip on still counts
 // what the queues hold (engine.Shell.CheckLoads).
@@ -208,12 +208,18 @@ func Build(topology string, cfg wiring.Config, progs [][]machine.Instr) (*machin
 // certificate falls back to the search too, and fails the run whatever the
 // search says (serial.Check).
 //
+// A caller's cfg.Trace still receives every event, after the fold.
+//
 // It returns the machine, the engine, the engine's snapshot counters and
 // the first violation, nil if the run is clean; a watchdog trip is reported
 // with the engine's replayable stall report.
-func Battery(topology string, cfg wiring.Config, progs [][]machine.Instr, addrs, maxCycles int) (*machine.Machine, engine.Machine, map[string]int64, error) {
+func Battery(topology string, cfg wiring.Config, progs [][]machine.Instr, maxCycles int) (*machine.Machine, engine.Machine, map[string]int64, error) {
 	fold := serial.NewFold()
-	cfg.Trace = fold.Record
+	if sink := cfg.Trace; sink != nil {
+		cfg.Trace = func(e engine.Event) { fold.Record(e); sink(e) }
+	} else {
+		cfg.Trace = fold.Record
+	}
 	m, eng, err := Build(topology, cfg, progs)
 	if err != nil {
 		return nil, nil, nil, err
@@ -227,8 +233,8 @@ func Battery(topology string, cfg wiring.Config, progs [][]machine.Instr, addrs,
 	}
 	c := eng.Snapshot().Counters
 	final := map[word.Addr]word.Word{}
-	for a := 0; a < addrs; a++ {
-		final[word.Addr(a)] = eng.Memory().Peek(word.Addr(a))
+	for _, op := range m.History().Ops() {
+		final[op.Addr] = eng.Memory().Peek(op.Addr)
 	}
 	// A crash window can roll a served access back, and a network-born
 	// duplicate or a retransmit can be served again, with no event to say

@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"combining/internal/engine"
 	"combining/internal/wiring"
 )
 
@@ -32,6 +34,30 @@ func TestChaosCleanAllWirings(t *testing.T) {
 	for _, key := range []string{"faults_injected", "reordered_held", "dup_injected", "corrupt_dropped"} {
 		if total[key] == 0 {
 			t.Errorf("vacuous pass — %s is zero across the whole budget", key)
+		}
+	}
+}
+
+// TestBatteryKeepsCallerTrace: the battery folds the trace into its
+// certificate without taking it from the caller — a caller's cfg.Trace
+// receives every event, the same list the machine traces without the
+// battery.
+func TestBatteryKeepsCallerTrace(t *testing.T) {
+	progs := Programs(3, 16, 6, 2)
+	for _, topo := range wiring.Names() {
+		var got, want engine.TraceLog
+		cfg := wiring.Config{Procs: 16, WaitBufCap: 4, Trace: got.Record}
+		if _, _, _, err := Battery(topo, cfg, progs, maxCycles); err != nil {
+			t.Fatalf("%s: %v", topo, err)
+		}
+		cfg.Trace = want.Record
+		m, _, err := Build(topo, cfg, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run(maxCycles)
+		if len(want.Events) == 0 || !slices.Equal(got.Events, want.Events) {
+			t.Errorf("%s: the caller's sink got %d events, the bare machine traced %d", topo, len(got.Events), len(want.Events))
 		}
 	}
 }

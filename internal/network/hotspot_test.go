@@ -2,6 +2,8 @@ package network
 
 import (
 	"testing"
+
+	"combining/internal/model"
 )
 
 // Experiments E8/E9: the hot-spot phenomena of Pfister & Norton [20] that
@@ -31,12 +33,12 @@ func TestHotspotBandwidthCollapse(t *testing.T) {
 	bwNo := noComb.Stats.Bandwidth()
 	bwComb := comb.Stats.Bandwidth()
 	t.Logf("N=%d h=%.3f: uniform %.2f, no-combining %.2f, combining %.2f ops/cycle (limit %.2f)",
-		n, h, bwUniform, bwNo, bwComb, AsymptoticHotBandwidth(n, h))
+		n, h, bwUniform, bwNo, bwComb, model.HotspotBandwidth(n, h))
 
 	// Without combining the hot module is the bottleneck: delivered
 	// bandwidth must sit near (below ~1.5×) the analytic limit and far
 	// below the uniform bandwidth.
-	limit := AsymptoticHotBandwidth(n, h)
+	limit := model.HotspotBandwidth(n, h)
 	if bwNo > 1.5*limit {
 		t.Errorf("no-combining bandwidth %.2f exceeds saturation limit %.2f by >50%%", bwNo, limit)
 	}

@@ -59,9 +59,6 @@ type TrafficConfig struct {
 	// the same request stream shifted into the on-windows.
 	BurstOn  int64
 	BurstOff int64
-	// MakeOp builds the operation for a request; nil means
-	// fetch-and-add(1), the Ultracomputer hot-spot operation.
-	MakeOp func(rng *rand.Rand, hot bool) rmw.Mapping
 }
 
 // Stochastic is the workload injector for one processor.
@@ -84,7 +81,8 @@ type Stochastic struct {
 	// uniform draw lands in (zipfCDF[r-1], zipfCDF[r]].
 	zipfCDF []float64
 
-	// faa is the default fetch-and-add(1) operation boxed once: storing a
+	// faa is the operation every request carries, fetch-and-add(1) (the
+	// Ultracomputer hot-spot operation), boxed once: storing a
 	// 16-byte rmw.Assoc into an interface per request would otherwise
 	// heap-allocate on the steady-state injection path.  lin is likewise
 	// the one-source lineage every request of this injector shares — safe
@@ -199,10 +197,6 @@ func (s *Stochastic) Next(cycle int64) (Injection, bool) {
 			}
 		}
 	}
-	op := s.faa
-	if s.cfg.MakeOp != nil {
-		op = s.cfg.MakeOp(s.rng, hot)
-	}
 	if hot {
 		s.Hot++
 	} else {
@@ -216,7 +210,7 @@ func (s *Stochastic) Next(cycle int64) (Injection, bool) {
 	// Built literally rather than through core.NewRequest so the request
 	// reuses the injector's shared lineage instead of allocating one per
 	// request.
-	return Injection{Req: core.Request{ID: id, Addr: addr, Op: op, Lin: s.lin}, Hot: hot}, true
+	return Injection{Req: core.Request{ID: id, Addr: addr, Op: s.faa, Lin: s.lin}, Hot: hot}, true
 }
 
 // Deliver releases a window slot and, under Adaptive, feeds the round-trip
@@ -361,13 +355,4 @@ func RunHotspotTraffic(nprocs int, traffic TrafficConfig, combining bool, cycles
 		Combining:   combining,
 		Stats:       sim.Stats(),
 	}
-}
-
-// AsymptoticHotBandwidth is the analytic saturation limit the sweep is
-// compared against: with fraction h of references directed at one module
-// and the rest spread over N modules, a non-combining memory delivers at
-// most 1/(h + (1−h)/N) references per cycle — the single hot module serves
-// one request per cycle and receives fraction h + (1−h)/N of all traffic.
-func AsymptoticHotBandwidth(nprocs int, h float64) float64 {
-	return 1 / (h + (1-h)/float64(nprocs))
 }
