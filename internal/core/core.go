@@ -97,6 +97,20 @@ func (r *Request) Reps() []Leaf {
 	return r.Lin.Reps
 }
 
+// AppendLeafIDs appends to ids the original requests the message stands
+// for: its own id when uncombined, otherwise every leaf of its
+// representation list.
+func (r *Request) AppendLeafIDs(ids []word.ReqID) []word.ReqID {
+	reps := r.Reps()
+	if len(reps) == 0 {
+		return append(ids, r.ID)
+	}
+	for _, lf := range reps {
+		ids = append(ids, lf.ID)
+	}
+	return ids
+}
+
 // Leaf records one original (uncombined) processor request inside a
 // representation list.
 type Leaf struct {
@@ -209,6 +223,18 @@ func (p Reply) Leaf(id word.ReqID) (word.Word, bool) {
 		}
 	}
 	return word.Word{}, false
+}
+
+// AppendLeafIDs appends to ids the original requests the reply answers:
+// its own id, or every entry of its leaf list.
+func (p Reply) AppendLeafIDs(ids []word.ReqID) []word.ReqID {
+	if p.Leaves == nil {
+		return append(ids, p.ID)
+	}
+	for _, lv := range *p.Leaves {
+		ids = append(ids, lv.ID)
+	}
+	return ids
 }
 
 // LeafVal is one entry of a fat reply's leaf list: an original request and

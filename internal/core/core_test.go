@@ -361,3 +361,27 @@ func TestLeafListDecombine(t *testing.T) {
 		t.Errorf("a one-leaf list has length %d and capacity %d", len(*one), cap(*one))
 	}
 }
+
+// TestAppendLeafIDs: a message stands for its own id until it combines
+// under bookkeeping, then for its representation list; a reply stands for
+// its own id, or for its leaf list when it carries one.
+func TestAppendLeafIDs(t *testing.T) {
+	a := NewRequest(1, 100, rmw.FetchAdd(3), 0)
+	b := NewRequest(2, 100, rmw.FetchAdd(5), 1)
+	if got := a.AppendLeafIDs([]word.ReqID{7}); !reflect.DeepEqual(got, []word.ReqID{7, 1}) {
+		t.Errorf("uncombined request: %v, want [7 1]", got)
+	}
+	ar, br := a.WithReps(), b.WithReps()
+	ab, _, _ := Combine(br, ar, Policy{})
+	if got := ab.AppendLeafIDs(nil); !reflect.DeepEqual(got, []word.ReqID{2, 1}) {
+		t.Errorf("combined request: %v, want its leaves [2 1]", got)
+	}
+	if got := (Reply{ID: 2}).AppendLeafIDs(nil); !reflect.DeepEqual(got, []word.ReqID{2}) {
+		t.Errorf("plain reply: %v, want [2]", got)
+	}
+	leaves := NewLeafList(2)
+	(*leaves)[0], (*leaves)[1] = LeafVal{ID: 2}, LeafVal{ID: 1}
+	if got := (Reply{ID: 2, Leaves: leaves}).AppendLeafIDs(nil); !reflect.DeepEqual(got, []word.ReqID{2, 1}) {
+		t.Errorf("fat reply: %v, want its leaves [2 1]", got)
+	}
+}

@@ -417,8 +417,7 @@ func (s *Shell) flush(at int) []word.ReqID {
 			continue
 		}
 		for _, e := range s.meta[mod].boxes() {
-			b := s.store.At(e.H)
-			lost = LostLeaves(lost, b.Req.Reps(), b.Req.ID)
+			lost = s.store.At(e.H).Req.AppendLeafIDs(lost)
 			s.store.Free(e.H)
 		}
 		s.meta[mod].clear()

@@ -363,27 +363,3 @@ func (s *Shell) drainLimbo() {
 		s.revLimbo = keep
 	}
 }
-
-// LostLeaves appends to ids the leaf request ids a flushed request or wait
-// record represented: its own id when uncombined, otherwise every leaf of
-// its representation list.  Flush hooks build their loss reports with it.
-func LostLeaves(ids []word.ReqID, reps []core.Leaf, id word.ReqID) []word.ReqID {
-	if len(reps) == 0 {
-		return append(ids, id)
-	}
-	for _, lf := range reps {
-		ids = append(ids, lf.ID)
-	}
-	return ids
-}
-
-// LostReply is LostLeaves for a flushed reply.
-func LostReply(ids []word.ReqID, rep *core.Reply) []word.ReqID {
-	if rep.Leaves == nil {
-		return append(ids, rep.ID)
-	}
-	for _, lv := range *rep.Leaves {
-		ids = append(ids, lv.ID)
-	}
-	return ids
-}

@@ -360,8 +360,7 @@ func (st *Stations) Crash(at int) []word.ReqID {
 	for i := range fwd {
 		held := fwd[i].View()
 		for j := range held {
-			b := st.store.At(held[j].H)
-			ids = LostLeaves(ids, b.Req.Reps(), b.Req.ID)
+			ids = st.store.At(held[j].H).Req.AppendLeafIDs(ids)
 			st.store.Free(held[j].H)
 		}
 		fwd[i].Clear()
@@ -369,15 +368,13 @@ func (st *Stations) Crash(at int) []word.ReqID {
 	for i := range rev {
 		held := rev[i].View()
 		for j := range held {
-			rep := st.store.At(held[j].H).Reply()
-			ids = LostReply(ids, &rep)
+			ids = st.store.At(held[j].H).Reply().AppendLeafIDs(ids)
 			st.store.Free(held[j].H)
 		}
 		rev[i].Clear()
 	}
 	for _, rec := range st.Wait[at].Flush() {
-		b := st.store.At(rec.H2)
-		ids = LostLeaves(ids, b.Req.Reps(), rec.ID2)
+		ids = st.store.At(rec.H2).Req.AppendLeafIDs(ids)
 		st.store.Free(rec.H2)
 	}
 	st.loads[at] = Load{}

@@ -34,6 +34,7 @@
 package memory
 
 import (
+	"slices"
 	"sync"
 
 	"combining/internal/core"
@@ -450,36 +451,20 @@ func (m *Module) Crash() []word.ReqID {
 	if !m.ckpt {
 		return nil
 	}
-	lost := make(map[word.ReqID]struct{})
+	var ids []word.ReqID
 	for id := range m.delta {
-		lost[id] = struct{}{}
+		ids = append(ids, id)
 	}
 	// The queue's front is the request in service, if any.
 	queued := m.queue.View()
 	for i := range queued {
-		req := &queued[i]
-		if req.Reps() == nil {
-			lost[req.ID] = struct{}{}
-			continue
-		}
-		for _, lf := range req.Reps() {
-			lost[lf.ID] = struct{}{}
-		}
-	}
-	addRep := func(rep core.Reply) {
-		if rep.Leaves == nil {
-			lost[rep.ID] = struct{}{}
-			return
-		}
-		for _, lv := range *rep.Leaves {
-			lost[lv.ID] = struct{}{}
-		}
+		ids = queued[i].AppendLeafIDs(ids)
 	}
 	for _, rep := range m.held {
-		addRep(rep)
+		ids = rep.AppendLeafIDs(ids)
 	}
 	for _, rep := range m.releasable.View() {
-		addRep(rep)
+		ids = rep.AppendLeafIDs(ids)
 	}
 	for addr, w := range m.undo {
 		m.store(addr, w)
@@ -491,11 +476,9 @@ func (m *Module) Crash() []word.ReqID {
 	m.held = m.held[:0]
 	m.releasable.Clear()
 
-	ids := make([]word.ReqID, 0, len(lost))
-	for id := range lost {
-		ids = append(ids, id)
-	}
-	return ids
+	// A leaf can be both executed (delta) and still named by a held reply.
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Work reports what a Tick can act on (owner only): the queued requests,
