@@ -58,7 +58,8 @@ fuzz:
 # registry names (CI runs it; the commands have no test files, and nothing
 # else ever ran combsim off the omega path): a short combsim sweep whose
 # cold-latency column must be non-zero on every row, and a generated trace
-# replayed.  The names come from the registry by way of the unknown-topology
+# replayed through the invariant battery, which must print its pass line.
+# The names come from the registry by way of the unknown-topology
 # message, so a new wiring is smoked the day it is registered.  Then
 # cmd/trace's Figure 1 walkthrough, whose last line must report the replies
 # an exact serialization.
@@ -72,6 +73,7 @@ smoke:
 		$$d/combsim -topology $$t -n 16 -cycles 300 -csv > $$d/$$t.csv; \
 		awk -F, -v t=$$t 'NR > 1 && $$6 + 0 == 0 { print "smoke: " t ": cold_latency is zero: " $$0; bad = 1 } END { exit bad }' $$d/$$t.csv; \
 		$$d/replay -topology $$t -n 16 $$d/trace.txt > $$d/$$t.txt; \
+		grep -q "^trace passed on $$t: " $$d/$$t.txt || { echo "smoke: replay $$t: no battery pass line"; cat $$d/$$t.txt; exit 1; }; \
 		echo "smoke: $$t ok ($$(($$(wc -l < $$d/$$t.csv) - 1)) combsim rows; $$(head -1 $$d/$$t.txt))"; \
 	done; \
 	$$d/trace > $$d/walkthrough.txt; last=$$(tail -1 $$d/walkthrough.txt); \
