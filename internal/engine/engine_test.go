@@ -275,6 +275,7 @@ func TestSpecValidate(t *testing.T) {
 		{"workers", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Workers: -1}, "Workers"},
 		{"window", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Window: -3}, "Window"},
 		{"service", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Service: -1}, "service time"},
+		{"queues", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Queues: MaxQueues + 1}, "33 queues a side"},
 		{"topology", Spec{Engine: "e", Procs: 6, Banks: 1, MinProcs: 1,
 			Topology: TorusOf(1, 4), TopologySize: 4, TopologyField: "node count"}, "dimension 0"},
 		{"topo-size", Spec{Engine: "e", Procs: 6, Banks: 1, MinProcs: 1,

@@ -530,3 +530,62 @@ func hasCombinable(queue []Fwd, m Fwd) bool {
 	}
 	return false
 }
+
+// TestRotationWalksMarkedPorts holds the hops' set-bit walk (rotation,
+// turnPort) to the loop it replaced: for i, port := 0, first; i < n;
+// i, port = i+1, Next(port, n), skipping every empty queue.  The walk must
+// name exactly the marked ports below n, in that order — for every n in
+// 1…17 and every first, over every mask up to n = 10 and random masks
+// beyond, with bit n (a direct node's memory queue, which no link serves)
+// set or not.
+func TestRotationWalksMarkedPorts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 1))
+	var want, got []int
+	for n := 1; n <= 17; n++ {
+		var masks []uint32
+		if n <= 10 {
+			for m := uint32(0); m < 1<<(n+1); m++ {
+				masks = append(masks, m)
+			}
+		} else {
+			for range 2000 {
+				masks = append(masks, rng.Uint32()&(1<<(n+1)-1))
+			}
+		}
+		for first := 0; first < n; first++ {
+			for _, mask := range masks {
+				want, got = want[:0], got[:0]
+				for i, port := 0, first; i < n; i, port = i+1, Next(port, n) {
+					if mask>>port&1 != 0 {
+						want = append(want, port)
+					}
+				}
+				for rot := rotation(mask, first, n); rot != 0; rot &= rot - 1 {
+					got = append(got, turnPort(rot, first, n))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d first=%d mask=%b: the walk visits %v, the loop %v", n, first, mask, got, want)
+				}
+			}
+		}
+	}
+	// The full width: 32 link queues, every bit a port.
+	for first := 0; first < MaxQueues; first += 7 {
+		n := 0
+		for rot := rotation(^uint32(0), first, MaxQueues); rot != 0; rot &= rot - 1 {
+			if port := turnPort(rot, first, MaxQueues); port != (first+n)%MaxQueues {
+				t.Fatalf("first=%d: step %d visits port %d", first, n, port)
+			}
+			n++
+		}
+		if n != MaxQueues {
+			t.Fatalf("first=%d: the full mask visits %d ports", first, n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewStations built a station of more queues than the index holds")
+		}
+	}()
+	NewStations(1, MaxQueues+1, 1, 0, 0, 0, core.Policy{})
+}

@@ -45,6 +45,10 @@ type Spec struct {
 	// Service is a service-time knob (memory or bank); negative is
 	// rejected, 0 means the engine default.
 	Service int
+	// Queues is the most queues a station of the wiring has on one side
+	// (a staged switch's radix, a direct node's degree plus its memory
+	// queue); more than MaxQueues do not fit the occupancy index.
+	Queues int
 	// Topology, when non-nil, is validated too (wiring parameters).
 	Topology interface{ Validate() error }
 	// TopologySize/TopologyField reject a Config whose explicit size
@@ -86,6 +90,10 @@ func (s Spec) Validate() error {
 	if s.Window < 0 {
 		return fmt.Errorf("%s: Window must be >= 0 (0 means the default), got %d",
 			s.Engine, s.Window)
+	}
+	if s.Queues > MaxQueues {
+		return fmt.Errorf("%s: a station of %d queues a side does not fit the occupancy index (at most %d)",
+			s.Engine, s.Queues, MaxQueues)
 	}
 	if s.Service < 0 {
 		return fmt.Errorf("%s: service time must be >= 0 (0 means the default), got %d",

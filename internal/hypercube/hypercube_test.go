@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"combining/internal/core"
@@ -231,6 +232,16 @@ func TestCubeConfigValidation(t *testing.T) {
 	mustPanic("injector mismatch", func() {
 		NewSim(Config{Nodes: 8}, make([]network.Injector, 4))
 	})
+	// Sixteen rings of two: degree 32 and the memory queue, one queue more
+	// than a station's occupancy masks hold.
+	dims := make([]int, 16)
+	for i := range dims {
+		dims[i] = 2
+	}
+	if err := (Config{Topology: engine.TorusOf(dims...)}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "33 queues a side") {
+		t.Errorf("a 33-queue node: want the occupancy-index error, got %v", err)
+	}
 }
 
 func TestCubeStatsZero(t *testing.T) {

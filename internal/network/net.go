@@ -134,6 +134,7 @@ func (c *Config) normalize() error {
 		PowerOf: c.Radix,
 		Banks:   1,
 		Workers: c.Workers,
+		Queues:  c.Radix,
 	}
 	if c.Topology != nil {
 		spec.Topology = c.Topology
