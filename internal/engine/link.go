@@ -293,7 +293,8 @@ func (s *Shell) landed(r *Rev) {
 
 // complete hands one decombined reply to its processor and does the
 // delivery accounting: duplicate suppression, the crash-replay ledger,
-// latency, and the completion counters.
+// latency, and the completion counters.  The delivery wakes the port: its
+// injector's answer and the tracker's hold may both have changed.
 func (s *Shell) complete(r *Rev) {
 	if s.trk != nil {
 		if _, ok := s.trk.Deliver(r.Rep.ID, s.tot.Cycles); !ok {
@@ -320,6 +321,7 @@ func (s *Shell) complete(r *Rev) {
 		s.portEvent(Delivered, r.Rep.ID, 0, r.Src)
 	}
 	s.inj[r.Src].Deliver(r.Rep, s.tot.Cycles)
+	s.asleep[r.Src] = false
 }
 
 // drainLimbo releases reordered messages whose deferral has elapsed.  It

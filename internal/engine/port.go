@@ -15,13 +15,23 @@ package engine
 // address is undelivered, so a drop cannot reorder the processor's own
 // accesses to a location.  The returned message stays owned by the port
 // until Sent.
+//
+// A port whose answer only a delivery can change sleeps until one (asleep):
+// its injector said so (Injection.UntilReply), or the tracker holds its
+// pending request back, which only Tracker.Deliver undoes.  Asking either
+// again before then would answer no and change nothing, so a sleeping
+// port's Offer returns nil at once; retransmits are still offered first.
 func (s *Shell) Offer(p int) *Fwd {
 	if s.flt != nil && s.retry[p].Len() > 0 {
 		return s.retry[p].Front()
 	}
+	if s.asleep[p] {
+		return nil
+	}
 	if !s.hasPending[p] {
 		in, ok := s.inj[p].Next(s.tot.Cycles)
 		if !ok {
+			s.asleep[p] = in.UntilReply
 			return nil
 		}
 		req := in.Req
@@ -42,6 +52,7 @@ func (s *Shell) Offer(p int) *Fwd {
 	}
 	m := &s.pending[p]
 	if s.trk != nil && m.Req.Attempt == 0 && s.trk.HeldBack(p, m.Req.Addr) {
+		s.asleep[p] = true
 		return nil
 	}
 	return m

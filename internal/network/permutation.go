@@ -71,7 +71,7 @@ func NewPermInjector(proc, nprocs int, perm Permutation, window int) *PermInject
 // Next issues whenever the window allows (full offered load).
 func (p *PermInjector) Next(int64) (Injection, bool) {
 	if p.outstanding >= p.window {
-		return Injection{}, false
+		return Injection{UntilReply: true}, false
 	}
 	p.outstanding++
 	id := p.ids.NextPartitioned(p.nprocs)

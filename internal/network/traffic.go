@@ -177,7 +177,8 @@ func (s *Stochastic) Next(cycle int64) (Injection, bool) {
 		return Injection{}, false
 	}
 	if s.outstanding >= s.Window() {
-		return Injection{}, false
+		// Only a Deliver frees a slot, and no draw was made.
+		return Injection{UntilReply: true}, false
 	}
 	if s.rng.Float64() >= s.cfg.Rate {
 		return Injection{}, false
