@@ -159,6 +159,7 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 // (2, 0, p), and keeps the reply metadata of every bank (Holds).
 func busLinks(procs, banks int) *engine.Links {
 	lk := &engine.Links{
+		Name:  "bus",
 		Ports: 1, // the FIFO is a link queue: its link is the memory bus to the banks
 		Proc:  make([]engine.Link, procs), ProcAt: make([]engine.Coord, procs),
 		Home:  make([]engine.Coord, procs),

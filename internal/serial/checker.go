@@ -69,28 +69,31 @@ type search struct {
 	// target, when non-nil, is the final value the serialization must
 	// reach.
 	target *word.Word
-	// failed memoizes dead frontier states (see key).
+	// failed memoizes dead frontier states (see key); buf is key's scratch.
 	failed map[string]bool
+	buf    []byte
 }
 
-// key encodes the frontier positions and the current cell value.  The
-// positions are uvarints, which are prefix-free, so the key is injective
-// however long a chain grows.
-func (s *search) key(val word.Word) string {
-	b := make([]byte, 0, len(s.pos)*2+9)
+// key encodes the frontier positions and the current cell value into the
+// search's scratch buffer, valid until the next call.  The positions are
+// uvarints, which are prefix-free, so the key is injective however long a
+// chain grows.  A lookup by string(key) does not allocate; only recording
+// a failed state builds the string.
+func (s *search) key(val word.Word) []byte {
+	b := s.buf[:0]
 	for _, p := range s.pos {
 		b = binary.AppendUvarint(b, uint64(p))
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(val.Val))
-	return string(append(b, byte(val.Tag)))
+	s.buf = append(b, byte(val.Tag))
+	return s.buf
 }
 
 func (s *search) step(val word.Word, done int) bool {
 	if done == s.total {
 		return s.target == nil || val == *s.target
 	}
-	key := s.key(val)
-	if s.failed[key] {
+	if s.failed[string(s.key(val))] {
 		return false
 	}
 	for c, chain := range s.chains {
@@ -108,6 +111,7 @@ func (s *search) step(val word.Word, done int) bool {
 		}
 		s.pos[c]--
 	}
-	s.failed[key] = true
+	// The recursion reused the buffer; the frontier is back where it was.
+	s.failed[string(s.key(val))] = true
 	return false
 }

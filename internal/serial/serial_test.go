@@ -152,22 +152,19 @@ func TestSeqConsistentStoreBuffering(t *testing.T) {
 	}
 }
 
-func TestCheckM2LargeFAAChain(t *testing.T) {
-	// A long single-location chain must check quickly thanks to the
-	// reply-value pruning: 200 unit FAAs with replies 0..199 spread
-	// round-robin over 8 processors.
+// largeFAAChain is 200 unit FAAs with replies 0..199 spread round-robin
+// over 8 processors: a long single-location chain.
+func largeFAAChain() *History {
 	h := &History{}
 	for i := 0; i < 200; i++ {
 		h.Add(op(word.ProcID(i%8), i/8+1, 5, rmw.FetchAdd(1), int64(i)))
 	}
-	if err := CheckM2(h, nil); err != nil {
-		t.Fatalf("long FAA chain rejected: %v", err)
-	}
+	return h
 }
 
-func TestCheckM2LoadsBranching(t *testing.T) {
-	// Many identical loads force branching; the memo must keep this
-	// tractable.  8 procs × 5 loads of the same value plus one store.
+// loadsBranching is 8 processors × 5 loads of the same value plus one
+// store: many identical loads, which force the search to branch.
+func loadsBranching() *History {
 	h := &History{}
 	for p := 0; p < 8; p++ {
 		for s := 1; s <= 5; s++ {
@@ -175,8 +172,39 @@ func TestCheckM2LoadsBranching(t *testing.T) {
 		}
 	}
 	h.Add(op(9, 1, 5, rmw.StoreOf(7), 0))
-	if err := CheckM2(h, nil); err != nil {
+	return h
+}
+
+func TestCheckM2LargeFAAChain(t *testing.T) {
+	// A long single-location chain must check quickly thanks to the
+	// reply-value pruning.
+	if err := CheckM2(largeFAAChain(), nil); err != nil {
+		t.Fatalf("long FAA chain rejected: %v", err)
+	}
+}
+
+func TestCheckM2LoadsBranching(t *testing.T) {
+	// Branching on identical loads; the memo must keep this tractable.
+	if err := CheckM2(loadsBranching(), nil); err != nil {
 		t.Fatalf("load-heavy history rejected: %v", err)
+	}
+}
+
+// BenchmarkCheckM2 prices the witness search on the two histories above;
+// run it with -benchmem, since the memo key is its allocation.
+func BenchmarkCheckM2(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		h    *History
+	}{{"LoadsBranching", loadsBranching()}, {"LargeFAAChain", largeFAAChain()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := CheckM2(c.h, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
