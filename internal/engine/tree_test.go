@@ -28,7 +28,7 @@ const treeProcs = 8
 func treeLinks() *Links {
 	const stations = treeProcs - 1
 	lk := &Links{
-		Ports: 1, RevPorts: 2, PathLen: 3,
+		Name: "tree", Ports: 1, RevPorts: 2, PathLen: 3,
 		Fwd: make([]Link, stations), FwdAt: make([]Coord, stations),
 		Rev: make([]Link, 2*stations), RevAt: make([]Coord, 2*stations),
 		Proc: make([]Link, treeProcs), ProcAt: make([]Coord, treeProcs), Home: make([]Coord, treeProcs),
