@@ -39,7 +39,7 @@ testtime:
 	test $$wall -le 60 || { echo "testtime: over the 60s budget"; exit 1; }
 
 race:
-	go test -race ./internal/asyncnet/ ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ ./pkg/sync/ ./internal/par/ .
+	go test -race ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ ./pkg/sync/ ./internal/par/ .
 
 # fuzz runs every native fuzz target for five seconds (go test takes one
 # -fuzz target per invocation).  Their seed corpora already run as unit
@@ -62,7 +62,11 @@ fuzz:
 # The names come from the registry by way of the unknown-topology
 # message, so a new wiring is smoked the day it is registered.  Then
 # cmd/trace's Figure 1 walkthrough, whose last line must report the replies
-# an exact serialization.
+# an exact serialization.  Then every program under examples/, each of which
+# must exit 0 and, but for the two that print only a table (hotspot,
+# pathexpr), end its verdict in a line ending ✓ or ": true".  Last, the
+# -faults, -overload and -crash soaks twice, whose outputs must be the same
+# bytes: every row is a function of its seed.
 smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; go build -o $$d/trace ./cmd/trace; \
@@ -78,7 +82,19 @@ smoke:
 	done; \
 	$$d/trace > $$d/walkthrough.txt; last=$$(tail -1 $$d/walkthrough.txt); \
 	case "$$last" in *': true') ;; *) echo "smoke: trace: $$last"; exit 1;; esac; \
-	echo "smoke: trace ok ($$(wc -l < $$d/walkthrough.txt) lines; $$last)"
+	echo "smoke: trace ok ($$(wc -l < $$d/walkthrough.txt) lines; $$last)"; \
+	for e in $$(ls examples); do \
+		go build -o $$d/example ./examples/$$e; \
+		$$d/example > $$d/$$e.txt || { echo "smoke: example $$e exited non-zero"; cat $$d/$$e.txt; exit 1; }; \
+		case $$e in hotspot|pathexpr) ;; \
+		*) grep -qE '(✓|: true)$$' $$d/$$e.txt || { echo "smoke: example $$e: no ✓ or true verdict"; cat $$d/$$e.txt; exit 1; };; esac; \
+		echo "smoke: example $$e ok ($$(tail -1 $$d/$$e.txt))"; \
+	done; \
+	go build -o $$d/check ./cmd/check; \
+	$$d/check -quick -faults -overload -crash > $$d/check1.txt; \
+	$$d/check -quick -faults -overload -crash > $$d/check2.txt; \
+	cmp $$d/check1.txt $$d/check2.txt || { echo "smoke: two cmd/check runs differ"; diff $$d/check1.txt $$d/check2.txt; exit 1; }; \
+	echo "smoke: check ok, two runs byte-identical ($$(tail -1 $$d/check1.txt))"
 
 # bench regenerates the committed cycle-domain baseline (EXPERIMENTS.md
 # §Measured baselines): ten sections, 82 points, every one a function of its
@@ -220,7 +236,7 @@ profile:
 loc:
 	@count() { n=0; for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \
 	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${1#internal/} $$n; }; \
-	total=0; for p in engine network hypercube busnet asyncnet; do count internal/$$p; total=$$((total + n)); done; \
+	total=0; for p in engine network hypercube busnet; do count internal/$$p; total=$$((total + n)); done; \
 	printf '%-15s %5d\n' total $$total; \
 	for p in internal/par cmd/experiments cmd/benchcmp cmd/benchpairs cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
 	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -vch '^\s*\(//.*\)\?$$' | \

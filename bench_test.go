@@ -204,35 +204,6 @@ func BenchmarkPrefixTree(b *testing.B) {
 	}
 }
 
-// ---- E10: simultaneous fetch-and-add through the async network ----
-
-func BenchmarkAsyncFAA(b *testing.B) {
-	for _, comb := range []bool{false, true} {
-		b.Run(fmt.Sprintf("combining=%v", comb), func(b *testing.B) {
-			const n = 16
-			net := combining.NewAsyncNet(combining.AsyncConfig{Procs: n, Combining: comb})
-			defer net.Close()
-			b.ResetTimer()
-			perPort := b.N/n + 1
-			var wg sync.WaitGroup
-			for p := 0; p < n; p++ {
-				wg.Add(1)
-				go func(port *combining.AsyncPort) {
-					defer wg.Done()
-					for i := 0; i < perPort; i++ {
-						port.FetchAdd(0, 1)
-					}
-				}(net.Port(p))
-			}
-			wg.Wait()
-			b.StopTimer()
-			if got := net.Memory().Peek(0).Val; got != int64(n*perPort) {
-				b.Fatalf("counter %d, want %d", got, n*perPort)
-			}
-		})
-	}
-}
-
 // ---- E1: memory-side vs processor-side RMW ----
 
 func BenchmarkRMWImplementation(b *testing.B) {
@@ -354,25 +325,6 @@ func BenchmarkBarrier(b *testing.B) {
 					bar.Await()
 				}
 			}()
-		}
-		wg.Wait()
-	})
-	b.Run("combining-net", func(b *testing.B) {
-		const n = 8
-		net := combining.NewAsyncNet(combining.AsyncConfig{Procs: n, Combining: true})
-		defer net.Close()
-		rounds := b.N/n + 1
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(port *combining.AsyncPort) {
-				defer wg.Done()
-				bar := combining.NewBarrier(combining.PortMemory{Port: port}, 0, n)
-				for r := 0; r < rounds; r++ {
-					bar.Await()
-				}
-			}(net.Port(id))
 		}
 		wg.Wait()
 	})

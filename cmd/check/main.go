@@ -22,18 +22,16 @@
 // With -faults it additionally soaks five cycle wirings — omega and the
 // fat-tree on the staged engine, the bus machine, the hypercube and the
 // torus on the direct engine — under deterministic fault plans (link
-// drops, switch blackouts, memory slowdowns), then the goroutine engine
-// (asyncnet) on a hot spot under 2 % drops, and checks that recovery
+// drops, switch blackouts, memory slowdowns), and checks that recovery
 // preserves per-location serializability and exactly-once RMW semantics.
 // A row whose plan injected nothing across every round is a vacuous pass
 // and fails.
 //
 // With -overload it runs the deadlock-freedom soak: a pure hot spot
-// driven through omega, the bus machine, the hypercube and asyncnet with
-// every queue at its minimum capacity (forward, reverse, and memory queues
-// at 1; channel capacity 1 on the goroutine engine), clean and under fault
-// plans, watchdog-guarded.  The runs must complete with zero watchdog
-// trips and replies matching the serial prefix sums.
+// driven through omega, the bus machine and the hypercube with every queue
+// at its minimum capacity (forward, reverse, and memory queues at 1), clean
+// and under fault plans, watchdog-guarded.  The runs must complete with zero
+// watchdog trips and replies matching the serial prefix sums.
 //
 // With -parallel it runs the determinism soak for the sharded steppers:
 // the five cycle wirings of -faults execute the same seeded workload at
@@ -103,8 +101,8 @@ func main() {
 		addrs    = flag.Int("addrs", 4, "shared addresses (smaller = hotter)")
 		seed     = flag.Uint64("seed", 1, "base seed; round r runs with seed+r")
 		quick    = flag.Bool("quick", false, "small CI-sized soak (shrinks rounds/procs/ops)")
-		doFaults = flag.Bool("faults", false, "also soak five cycle wirings (omega, fattree, bus, hypercube, torus) and asyncnet under fault plans")
-		overload = flag.Bool("overload", false, "deadlock-freedom soak: every queue at capacity 1 on omega, bus, hypercube and asyncnet")
+		doFaults = flag.Bool("faults", false, "also soak five cycle wirings (omega, fattree, bus, hypercube, torus) under fault plans")
+		overload = flag.Bool("overload", false, "deadlock-freedom soak: every queue at capacity 1 on omega, bus and hypercube")
 		parallel = flag.Bool("parallel", false, "determinism soak: the five cycle wirings of -faults at Workers = 1, 2, 4, clean, faulted and adversarial, must match byte-for-byte")
 		doCrash  = flag.Bool("crash", false, "crash–restart soak: checkpointed recovery on the five cycle wirings of -faults, crash-only and crash+drop")
 		doChaos  = flag.Bool("chaos", false, "fault-plan fuzzer: sampled plans mixing every fault kind on all six wirings; violations shrink to a replayable reproducer")
@@ -171,19 +169,6 @@ func main() {
 		for w, wiring := range s.wirings {
 			count(report(wiring+"/"+s.name, replay(s.flag), s.engaged, rs[w**rounds:(w+1)**rounds], *verbose))
 		}
-	}
-	// The goroutine engine's rounds stay serial: each is already -procs
-	// goroutines wide.
-	for _, a := range asyncRows(*procs, *ops) {
-		if !on[a.flag] {
-			continue
-		}
-		rs := make([]result, *rounds)
-		for r := range rs {
-			rs[r].seed = *seed + uint64(r)
-			rs[r].counters, rs[r].err = asyncHotSpot(a.cfg(rs[r].seed), a.ops)
-		}
-		count(report("asyncnet/"+a.name, replay(a.flag), a.engaged, rs, *verbose))
 	}
 	if *doChaos {
 		count(chaosSoak(*rounds, *seed, *canary, *verbose))
@@ -454,57 +439,6 @@ func prefixSums(vals []int64, final int64) error {
 		}
 	}
 	return nil
-}
-
-// asyncRow is one hot-spot soak of the goroutine engine.
-type asyncRow struct {
-	flag, name string
-	cfg        func(seed uint64) combining.AsyncConfig
-	ops        int // per port
-	engaged    []string
-}
-
-// asyncRows is asyncnet's share of -faults (every port hammers one counter
-// under 2 % drops each way) and of -overload (channel capacity 1 and a
-// pipelined window, clean and under the default fault plan).
-func asyncRows(procs, ops int) []asyncRow {
-	tight := func(plan *combining.FaultPlan) combining.AsyncConfig {
-		return combining.AsyncConfig{Procs: procs, Combining: true, Window: 4, ChanCap: 1, Faults: plan}
-	}
-	return []asyncRow{
-		{"-faults", "faults", func(seed uint64) combining.AsyncConfig {
-			return combining.AsyncConfig{Procs: procs, Combining: true,
-				Faults: &combining.FaultPlan{Seed: seed, DropFwd: 0.02, DropRev: 0.02}}
-		}, 8 * ops, []string{"faults_injected"}},
-		{"-overload", "overload-clean", func(uint64) combining.AsyncConfig { return tight(nil) }, ops, nil},
-		{"-overload", "overload-faults", func(seed uint64) combining.AsyncConfig {
-			return tight(combining.DefaultFaultPlan(seed))
-		}, ops, nil},
-	}
-}
-
-// asyncHotSpot runs one exactly-once soak on the goroutine engine: every
-// port fetch-and-adds one counter opsPerPort times, and the replies must be
-// the serial prefix sums.
-func asyncHotSpot(cfg combining.AsyncConfig, opsPerPort int) (map[string]int64, error) {
-	net := combining.NewAsyncNet(cfg)
-	defer net.Close()
-	const hot = combining.Addr(1)
-
-	vals := make([][]int64, cfg.Procs)
-	var wg sync.WaitGroup
-	for p := range vals {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			port := net.Port(p)
-			for i := 0; i < opsPerPort; i++ {
-				vals[p] = append(vals[p], port.RMW(hot, combining.FetchAdd(1)).Val)
-			}
-		}()
-	}
-	wg.Wait()
-	return net.Snapshot().Counters, prefixSums(slices.Concat(vals...), net.Memory().Peek(hot).Val)
 }
 
 // chaosSoak runs the fault-plan fuzzer (experiment E17): rounds sampled

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"sort"
-	"sync"
 
 	combining "combining"
 	"combining/internal/engine"
@@ -203,26 +202,24 @@ func e8e9Hotspot(cycles int) {
 }
 
 func e10SimultaneousFAA() {
-	section("E10", "simultaneous fetch-and-adds = parallel prefix (asynchronous engine)")
+	section("E10", "simultaneous fetch-and-adds = parallel prefix (omega, unbounded wait buffers)")
 	const n, rounds = 16, 30
-	net := combining.NewAsyncNet(combining.AsyncConfig{Procs: n, Combining: true})
-	defer net.Close()
-	var wg sync.WaitGroup
-	replies := make([][]int64, n)
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			port := net.Port(p)
-			for r := 0; r < rounds; r++ {
-				replies[p] = append(replies[p], port.FetchAdd(0, 1))
-			}
-		}(p)
+	progs := make([][]combining.Instr, n)
+	for p := range progs {
+		for r := 0; r < rounds; r++ {
+			progs[p] = append(progs[p], combining.RMW(0, combining.FetchAdd(1)))
+		}
 	}
-	wg.Wait()
+	m, eng, c, err := combining.CheckBattery("omega",
+		combining.WiringConfig{Procs: n, WaitBufCap: combining.Unbounded}, progs, 100_000)
+	if err != nil {
+		panic(err)
+	}
 	var all []int64
-	for _, rs := range replies {
-		all = append(all, rs...)
+	for p := 0; p < n; p++ {
+		for r := 0; r < rounds; r++ {
+			all = append(all, m.Proc(p).Reply(r).Val)
+		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	perm := true
@@ -230,8 +227,8 @@ func e10SimultaneousFAA() {
 		perm = perm && v == int64(i)
 	}
 	fmt.Printf("%d×%d concurrent FAA(X,1): final %d, replies form a permutation of 0..%d: %v\n",
-		n, rounds, net.Memory().Peek(0).Val, n*rounds-1, perm)
-	fmt.Printf("combining events: %d of %d requests\n", net.Combines(), n*rounds)
+		n, rounds, eng.Memory().Peek(0).Val, n*rounds-1, perm)
+	fmt.Printf("combining events: %d of %d requests\n", c["combines"], n*rounds)
 }
 
 func e11Traffic(cycles int) {

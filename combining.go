@@ -6,12 +6,12 @@
 // It provides the paper's read-modify-write formalism and every tractable
 // mapping family of Section 5; the memory-request combining mechanism of
 // Section 4 with its correctness machinery (Lemma 4.1 bookkeeping and the
-// Theorem 4.2 serializability checkers); two complete combining-network
-// engines — a cycle-accurate Omega-network simulator for the hot-spot
-// experiments and an asynchronous goroutine-per-switch network for running
-// real concurrent programs — plus the Section 7 variants (hypercube, bus
-// FIFO); the Section 6 parallel-prefix tree; and the classic fetch-and-add
-// coordination algorithms built on top.
+// Theorem 4.2 serializability checkers); one cycle-accurate combining
+// machine — the Omega network of the hot-spot experiments and the Section 7
+// variants (hypercube, torus, bus FIFO) on one engine core — that runs
+// programs, and an invariant battery that checks each run; the Section 6
+// parallel-prefix tree; and the classic fetch-and-add coordination
+// algorithms.
 //
 // The facade re-exports the names the commands, examples and root tests
 // use from the internal packages; see DESIGN.md for the system inventory
@@ -19,7 +19,6 @@
 package combining
 
 import (
-	"combining/internal/asyncnet"
 	"combining/internal/busnet"
 	"combining/internal/chaos"
 	"combining/internal/coord"
@@ -340,24 +339,10 @@ var (
 	ChaosRepro = chaos.ReproCommand
 )
 
-// ---- Asynchronous combining network (internal/asyncnet) ----
-
-// AsyncConfig parameterizes the goroutine network.
-type AsyncConfig = asyncnet.Config
-
-// AsyncPort is one processor's connection.
-type AsyncPort = asyncnet.Port
-
-// NewAsyncNet starts an asynchronous network.
-var NewAsyncNet = asyncnet.New
-
 // ---- Coordination primitives (internal/coord) ----
 
 // SharedMemory hands out per-participant views of shared cells.
 type SharedMemory = coord.Memory
-
-// PortMemory adapts an asyncnet port to SharedMemory.
-type PortMemory = coord.PortMemory
 
 // Coordination constructors: the native-atomics memory, the shared ticket
 // counter, the reusable N-party barrier, the bounded MPMC fetch-and-add

@@ -4,13 +4,12 @@ package combining_test
 // workload — each of N processors applies fetch-and-add(2^p) K times to
 // one hot cell — runs on the M1 machine (the one-bank bus), the
 // cycle-accurate Omega network (combining, partial, none, reversal), the
-// asynchronous goroutine network, the hypercube, and the bus FIFO.  Every
-// engine must produce the same final value and a reply multiset that
-// witnesses some serialization; Theorem 4.2 says combining changes neither.
+// hypercube, and the bus FIFO.  Every engine must produce the same final
+// value and a reply multiset that witnesses some serialization; Theorem 4.2
+// says combining changes neither.
 
 import (
 	"sort"
-	"sync"
 	"testing"
 
 	combining "combining"
@@ -104,30 +103,6 @@ func TestDifferentialEngines(t *testing.T) {
 			}
 		})
 	}
-
-	// Asynchronous goroutine network.
-	t.Run("asyncnet", func(t *testing.T) {
-		net := combining.NewAsyncNet(combining.AsyncConfig{Procs: diffProcs, Combining: true})
-		defer net.Close()
-		replies := make([][]int64, diffProcs)
-		var wg sync.WaitGroup
-		for p := 0; p < diffProcs; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				port := net.Port(p)
-				for i := 0; i < diffPer; i++ {
-					replies[p] = append(replies[p], port.FetchAdd(diffAddr, 1))
-				}
-			}(p)
-		}
-		wg.Wait()
-		var all []int64
-		for _, rs := range replies {
-			all = append(all, rs...)
-		}
-		checkSerialization(t, "asyncnet", all, net.Memory().Peek(diffAddr).Val)
-	})
 
 	// Hypercube and bus (script injectors).
 	t.Run("hypercube", func(t *testing.T) {

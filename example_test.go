@@ -3,7 +3,6 @@ package combining_test
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	combining "combining"
 )
@@ -64,23 +63,24 @@ func ExampleCompilePath() {
 	// Output: 2 true false
 }
 
-// A live combining network: concurrent fetch-and-adds serialize exactly.
-func ExampleNewAsyncNet() {
-	net := combining.NewAsyncNet(combining.AsyncConfig{Procs: 4, Combining: true})
-	defer net.Close()
-
-	var wg sync.WaitGroup
-	replies := make([]int64, 4)
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			replies[p] = net.Port(p).FetchAdd(0, 1)
-		}(p)
+// Simultaneous fetch-and-adds on the combining Omega machine serialize
+// exactly; the battery checks the run before the replies are read.
+func ExampleCheckBattery() {
+	progs := make([][]combining.Instr, 4)
+	for p := range progs {
+		progs[p] = []combining.Instr{combining.RMW(0, combining.FetchAdd(1))}
 	}
-	wg.Wait()
+	m, eng, _, err := combining.CheckBattery("omega",
+		combining.WiringConfig{Procs: 4, WaitBufCap: combining.Unbounded}, progs, 1000)
+	if err != nil {
+		panic(err)
+	}
+	replies := make([]int64, 4)
+	for p := range replies {
+		replies[p] = m.Proc(p).Reply(0).Val
+	}
 	sort.Slice(replies, func(i, j int) bool { return replies[i] < replies[j] })
-	fmt.Println(replies, net.Memory().Peek(0).Val)
+	fmt.Println(replies, eng.Memory().Peek(0).Val)
 	// Output: [0 1 2 3] 4
 }
 

@@ -1,59 +1,54 @@
 // Fullempty: HEP-style producer/consumer synchronization (Section 5.5).
 //
-// A shared cell carries a full/empty bit.  The producer writes with
-// store-if-clear-and-set (fails on a full cell); the consumer reads with
-// load-and-clear-if-set (fails on an empty cell).  Failed operations are
-// busy-wait retried — the paper's busy-waiting model — and every datum
-// crosses the cell exactly once, in order.
+// A shared cell carries a full/empty bit (pkg/sync's FECell).  The producer
+// writes with store-if-clear-and-set (fails on a full cell); the consumer
+// reads with load-and-clear-if-set (fails on an empty cell).  Failed
+// operations are busy-wait retried — the paper's busy-waiting model — and
+// every datum crosses the cell exactly once, in order.
 package main
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
-	combining "combining"
+	csync "combining/pkg/sync"
 )
 
 func main() {
 	const items = 20
-	net := combining.NewAsyncNet(combining.AsyncConfig{Procs: 4, Combining: true})
-	defer net.Close()
-	const cell = combining.Addr(2)
+	var cell csync.FECell
 
 	var wg sync.WaitGroup
 	wg.Add(2)
 
-	go func() { // producer on port 0
+	go func() { // producer
 		defer wg.Done()
-		port := net.Port(0)
 		for i := int64(1); i <= items; i++ {
-			for {
-				old := port.RMW(cell, combining.FEStoreIfClearSet(i*i))
-				if old.Tag == combining.Empty {
-					break // deposited
-				}
+			for !cell.TryPut(i * i) {
 				// Cell still full: the consumer has not taken the
 				// previous item; retry.
+				runtime.Gosched()
 			}
 		}
 	}()
 
-	go func() { // consumer on port 3
+	go func() { // consumer
 		defer wg.Done()
-		port := net.Port(3)
 		got := 0
 		for got < items {
-			old := port.RMW(cell, combining.FELoadIfSetClear())
-			if old.Tag != combining.Full {
+			v, ok := cell.TryTake()
+			if !ok {
+				runtime.Gosched()
 				continue // empty: retry
 			}
 			got++
-			fmt.Printf("item %2d: %4d\n", got, old.Val)
+			fmt.Printf("item %2d: %4d\n", got, v)
 		}
 	}()
 
 	wg.Wait()
-	if tag := net.Memory().Peek(cell).Tag; tag == combining.Empty {
+	if !cell.Full() {
 		fmt.Println("cell empty at the end ✓")
 	}
 }

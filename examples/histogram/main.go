@@ -1,16 +1,19 @@
 // Histogram: parallel scatter-add through the combining network.
 //
-// Workers bin a data stream by fetch-and-adding into a shared bucket
-// array.  Skewed data makes some buckets hot — the exact situation the
-// paper's combining mechanism targets: concurrent increments of a popular
-// bucket merge in the network instead of serializing at memory.
+// Eight processors bin a data stream by fetch-and-adding into a shared
+// bucket array, each running a straight-line program over its share of the
+// data on the cycle-accurate Omega machine.  Skewed data makes some buckets
+// hot — the exact situation the paper's combining mechanism targets:
+// concurrent increments of a popular bucket merge in the network instead of
+// serializing at memory.  The run is a function of the data, so the combine
+// count is the same on every run.
 package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand/v2"
 	"strings"
-	"sync"
 
 	combining "combining"
 )
@@ -32,22 +35,20 @@ func main() {
 		data[i] = b
 	}
 
-	net := combining.NewAsyncNet(combining.AsyncConfig{Procs: workers, Combining: true})
-	defer net.Close()
-
 	chunk := items / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			port := net.Port(w)
-			for _, b := range data[w*chunk : (w+1)*chunk] {
-				port.FetchAdd(combining.Addr(b), 1)
-			}
-		}(w)
+	progs := make([][]combining.Instr, workers)
+	for w := range progs {
+		for _, b := range data[w*chunk : (w+1)*chunk] {
+			progs[w] = append(progs[w], combining.RMW(combining.Addr(b), combining.FetchAdd(1)))
+		}
 	}
-	wg.Wait()
+	// The invariant battery runs the programs to completion and checks every
+	// reply against a serialization of the bucket's increments.
+	_, eng, counters, err := combining.CheckBattery("omega",
+		combining.WiringConfig{Procs: workers, WaitBufCap: combining.Unbounded}, progs, 1_000_000)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Verify against a sequential count and display.
 	want := make([]int64, buckets)
@@ -57,12 +58,12 @@ func main() {
 	fmt.Println("bucket  count")
 	ok := true
 	for b := 0; b < buckets; b++ {
-		got := net.Memory().Peek(combining.Addr(b)).Val
+		got := eng.Memory().Peek(combining.Addr(b)).Val
 		bar := strings.Repeat("█", int(got)/25)
 		fmt.Printf("  %2d  %6d  %s\n", b, got, bar)
 		ok = ok && got == want[b]
 	}
 	fmt.Printf("\nmatches the sequential histogram: %v\n", ok)
 	fmt.Printf("combining events while binning: %d of %d increments\n",
-		net.Combines(), items)
+		counters["combines"], items)
 }

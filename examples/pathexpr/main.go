@@ -23,34 +23,43 @@ func main() {
 	fmt.Printf("path expression compiled to a %d-state automaton over %v\n\n",
 		guard.States(), guard.Ops())
 
-	net := combining.NewAsyncNet(combining.AsyncConfig{Procs: 2, Combining: true})
-	defer net.Close()
-	port := net.Port(0)
+	// One processor runs the whole script as a program on the Omega
+	// machine; the guard answers each access with the automaton's old state.
 	const guardCell = combining.Addr(3)
-
-	try := func(op string) {
+	script := []string{
+		"open", "read", "read", "write", "close", // a legal session
+		"read", "close", // illegal attempts: nothing is open
+		"open", "write", "close", // and the object can be reopened
+	}
+	prog := make([]combining.Instr, len(script))
+	for i, op := range script {
 		m, ok := guard.Mapping(op)
 		if !ok {
 			log.Fatalf("unknown operation %q", op)
 		}
-		old := port.RMW(guardCell, m)
+		prog[i] = combining.RMW(guardCell, m)
+	}
+	mach, _, _, err := combining.CheckBattery("omega", combining.WiringConfig{Procs: 2},
+		[][]combining.Instr{prog, nil}, 10_000)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	for i, op := range script {
+		switch i {
+		case 0:
+			fmt.Println("a legal session:")
+		case 5:
+			fmt.Println("\nillegal attempts:")
+		case 7:
+			fmt.Println("\nand the object can be reopened:")
+		}
+		m, _ := guard.Mapping(op)
+		old := mach.Proc(0).Reply(i)
 		if m.Failed(old.Tag) {
 			fmt.Printf("  %-6s → REFUSED (automaton in state %d)\n", op, old.Tag)
-			return
+			continue
 		}
 		fmt.Printf("  %-6s → ok      (state %d → next)\n", op, old.Tag)
 	}
-
-	fmt.Println("a legal session:")
-	for _, op := range []string{"open", "read", "read", "write", "close"} {
-		try(op)
-	}
-
-	fmt.Println("\nillegal attempts:")
-	try("read")  // nothing is open
-	try("close") // nothing is open
-	fmt.Println("\nand the object can be reopened:")
-	try("open")
-	try("write")
-	try("close")
 }

@@ -6,11 +6,14 @@
 // iteration indexes with fetch-and-add on a shared counter (combinable, so
 // a burst of idle workers costs one memory access), push results through
 // the fetch-and-add MPMC queue, and synchronize phases with the
-// fetch-and-add barrier — all through a live combining network.
+// fetch-and-add barrier.  The workers spin at the barrier, which a
+// cycle-machine program cannot do, so the shared cells here are native
+// atomics (combining.NewNativeMemory).
 package main
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	combining "combining"
@@ -21,8 +24,7 @@ func main() {
 		workers    = 8
 		iterations = 200
 	)
-	net := combining.NewAsyncNet(combining.AsyncConfig{Procs: workers, Combining: true})
-	defer net.Close()
+	mem := combining.NewNativeMemory()
 
 	const (
 		counterAddr = combining.Addr(0)
@@ -37,12 +39,14 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			mem := combining.PortMemory{Port: net.Port(id)}
 			ctr := combining.NewCounter(mem, counterAddr)
 			bar := combining.NewBarrier(mem, barrierAddr, workers)
 
-			// Phase 1: self-scheduled loop — each worker pulls the
-			// next free iteration until the range is exhausted.
+			// Phase 1: self-scheduled loop — once every worker is
+			// present, each pulls the next free iteration until the
+			// range is exhausted, yielding its processor after each
+			// body as a longer one would be descheduled.
+			bar.Await()
 			for {
 				i := ctr.Inc()
 				if i >= iterations {
@@ -50,6 +54,7 @@ func main() {
 				}
 				results[i] = i * i // the loop body
 				grabbed[id]++
+				runtime.Gosched()
 			}
 			bar.Await()
 
@@ -73,8 +78,7 @@ func main() {
 		fmt.Printf("  worker %d: %3d\n", id, g)
 		total += g
 	}
-	fmt.Printf("total %d / %d, combining events in the network: %d\n",
-		total, iterations, net.Combines())
+	fmt.Printf("total %d / %d\n", total, iterations)
 	if total == iterations {
 		fmt.Println("every iteration executed exactly once ✓")
 	}

@@ -4,12 +4,10 @@
 // combinable RMW operations so that under combining their hot spots do not
 // serialize.
 //
-// Every algorithm is written against the Memory/Cell abstraction, so the
-// same code runs on native atomics (package-local testing) and through the
-// asynchronous combining network (one port per participant) — the paper's
-// claim that these constructs "form the basis for a completely parallel,
-// decentralized operating system" is exercised on the actual combining
-// substrate.
+// Every algorithm is written against the Memory/Cell abstraction and runs
+// on native atomics (Native).  The algorithms spin, so they run as
+// goroutines rather than as programs on the cycle machine, whose
+// instructions cannot loop on a reply.
 //
 // Construction convention: each participant builds its own instance of a
 // primitive over its own Memory view; instances constructed with the same
@@ -91,9 +89,6 @@ func NewCounter(m Memory, addr word.Addr) *Counter {
 // Inc adds one and returns the ticket (old value) — the fetch-and-add
 // idiom for index assignment.
 func (c *Counter) Inc() int64 { return c.c.FetchAdd(1) }
-
-// Value reads the counter.
-func (c *Counter) Value() int64 { return c.c.Load() }
 
 // Barrier is a reusable N-party phase barrier built from a count cell and
 // a generation cell, the standard fetch-and-add construction: the last

@@ -7,9 +7,8 @@
 // ⟨id₁, val⟩ returns, the saved record is popped and the two replies
 // ⟨id₁, val⟩ and ⟨id₂, f(val)⟩ are generated — Figure 1 of the paper.
 //
-// The package is transport-agnostic: both the cycle-accurate network
-// simulator (internal/network) and the asynchronous goroutine network
-// (internal/asyncnet) drive their switches with these primitives, and the
+// The package is transport-agnostic: every station of the cycle engines
+// (internal/engine) combines and decombines with these primitives, and the
 // correctness experiments exercise them directly over arbitrary combining
 // trees (Lemma 4.1, Theorem 4.2).
 package core

@@ -25,8 +25,7 @@
 //     methods are the only code that pushes or pops a station queue, and so
 //     the only code that writes the index.  One request entry (FwdEntry) and
 //     one reply entry (RevEntry) carry the superset of routing state: a
-//     recorded path or the issuing processor.  Each of internal/asyncnet's
-//     switch goroutines owns a Stations of one;
+//     recorded path or the issuing processor;
 //   - the hops (hop.go), each written once over the stations and the table:
 //     FwdHop and RevHop (a station's forward and reverse move), Tick (module
 //     guards, reverse credit, serve, route — the only caller of serve),

@@ -273,7 +273,6 @@ func TestSpecValidate(t *testing.T) {
 		{"min", Spec{Engine: "e", Procs: 0, MinProcs: 1, Banks: 1}, ">= 1"},
 		{"banks", Spec{Engine: "e", Procs: 4, MinProcs: 1, Banks: 0}, "Banks"},
 		{"workers", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Workers: -1}, "Workers"},
-		{"window", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Window: -3}, "Window"},
 		{"service", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Service: -1}, "service time"},
 		{"queues", Spec{Engine: "e", Procs: 8, PowerOf: 2, Banks: 1, Queues: MaxQueues + 1}, "33 queues a side"},
 		{"topology", Spec{Engine: "e", Procs: 6, Banks: 1, MinProcs: 1,

@@ -62,8 +62,8 @@ type Machine interface {
 }
 
 // Fwd is a request in value form, as the rim sees it: the port creates one
-// per issue and holds it until the fabric takes it, and retry lists, the
-// forward limbo and asyncnet's channels carry it so.  Inside the fabric it
+// per issue and holds it until the fabric takes it, and retry lists and the
+// forward limbo carry it so.  Inside the fabric it
 // is an entry in a station queue over a body in the store (store.go).
 type Fwd struct {
 	Req core.Request

@@ -4,7 +4,7 @@ import "combining/internal/stats"
 
 // Counters is the canonical counter schema every engine's Snapshot emits.
 // Each engine fills the fields it measures and leaves the rest zero, so
-// all four transports publish the identical counter key set — the parity
+// every transport publishes the identical counter key set — the parity
 // contract the differential schema test asserts.  A structurally-zero key
 // (e.g. bus_ops on the omega network) reads as "this engine has no such
 // event", which downstream tooling can subtract without first sniffing
@@ -12,7 +12,7 @@ import "combining/internal/stats"
 // separate block appended by internal/faults when fault injection is
 // configured; gauges and histograms stay engine-specific.
 type Counters struct {
-	Cycles           int64 `counter:"cycles"`            // simulated cycles (0 for the goroutine engine)
+	Cycles           int64 `counter:"cycles"`            // simulated cycles
 	Issued           int64 `counter:"issued"`            // requests issued by processors
 	Completed        int64 `counter:"completed"`         // replies delivered back to their issuer
 	HotCompleted     int64 `counter:"hot_completed"`     // completions against the hot-spot cell

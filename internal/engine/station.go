@@ -11,8 +11,8 @@ import (
 
 // The combining station of Section 4, Figure 1: output FIFOs, a wait buffer,
 // decombining on the way back.  An omega switch, a cube or torus router with
-// its memory combining queue, the bus's decoupling FIFO and a goroutine
-// switch of internal/asyncnet are all a row of this one type, Stations;
+// its memory combining queue and the bus's decoupling FIFO are all a row of
+// this one type, Stations;
 // what differs between them is how many queues a station has and what its
 // links lead to, which is the wiring's business (Links), not the station's.
 //

@@ -19,8 +19,8 @@ import (
 //
 //   - a body is allocated when a station takes a message in value form
 //     (Station.PutFwd, PutRev): a port's request or retransmit at Inject, a
-//     request released from the forward limbo, a reply landing behind the
-//     processor links (the bus), and every arrival at an asyncnet switch;
+//     request released from the forward limbo, and a reply landing behind
+//     the processor links (the bus);
 //   - a combine writes the combined request into the queued body and the
 //     wait record keeps the absorbed request's; a decombine writes the two
 //     replies into those two bodies; the module writes its reply into the
@@ -35,8 +35,7 @@ import (
 // returns the lanes' frees to the store after the sweep, as it folds their
 // counters.  A reply a hop brings home waits in its lane's home list as an
 // entry until Commit delivers it; outside the stations and those lists —
-// ports, retry lists, limbo, asyncnet's channels — messages are the values
-// Fwd and Rev.
+// ports, retry lists, limbo — messages are the values Fwd and Rev.
 
 // FwdEntry is a request in a station queue: its address and return path,
 // its body's handle, the cycle it last hopped, and the value slots it

@@ -24,7 +24,7 @@ func IsPowerOf(n, k int) bool {
 // Queue capacities share one convention across the engines and are not
 // rejected here: 0 means the engine default, negative means unbounded
 // (core.Unbounded), positive is a bound.  Every other overlapping knob
-// the four engines used to police separately is covered below.
+// the engines used to police separately is covered below.
 type Spec struct {
 	// Engine prefixes every error message ("network", "hypercube", ...).
 	Engine string
@@ -40,8 +40,6 @@ type Spec struct {
 	Banks int
 	// Workers is the parallel-stepper width; negative is rejected.
 	Workers int
-	// Window is the asyncnet pipeline window; negative is rejected.
-	Window int
 	// Service is a service-time knob (memory or bank); negative is
 	// rejected, 0 means the engine default.
 	Service int
@@ -86,10 +84,6 @@ func (s Spec) Validate() error {
 	if s.Workers < 0 {
 		return fmt.Errorf("%s: Workers must be >= 0 (0 and 1 both mean serial), got %d",
 			s.Engine, s.Workers)
-	}
-	if s.Window < 0 {
-		return fmt.Errorf("%s: Window must be >= 0 (0 means the default), got %d",
-			s.Engine, s.Window)
 	}
 	if s.Queues > MaxQueues {
 		return fmt.Errorf("%s: a station of %d queues a side does not fit the occupancy index (at most %d)",

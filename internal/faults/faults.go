@@ -1,13 +1,13 @@
-// Package faults is the deterministic fault-plan engine shared by all four
-// combining engines.  A Plan describes what goes wrong — link drops on the
+// Package faults is the deterministic fault-plan engine shared by the
+// three cycle engines.  A Plan describes what goes wrong — link drops on the
 // forward network, reply loss on the reverse network, switch stall/blackout
 // windows, memory-module slowdowns — and an Injector answers, for any
 // concrete event, whether the fault fires.
 //
 // Every decision is a pure hash of (plan seed, fault kind, site, request id,
 // attempt): the same plan produces the same faults on the cycle-driven
-// engines regardless of unrelated configuration, and on the goroutine engine
-// regardless of scheduling — a failing run replays from its seed alone.
+// engines regardless of unrelated configuration and of the stepper's width
+// — a failing run replays from its seed alone.
 // Theorem 4.2 makes combining transparent on a healthy network; this package
 // supplies the unhealthy ones, so the recovery layer (sequence-numbered
 // retransmits, memory-side reply caches — see internal/memory and the engine
@@ -113,9 +113,7 @@ type Plan struct {
 	// fuzzer end to end ("" = none, otherwise one of Canaries).
 	Canary string
 
-	// RetryTimeout is the base retransmit timeout in cycles (cycle-driven
-	// engines; the goroutine engine uses a wall-clock timeout instead).
-	// Default 64.
+	// RetryTimeout is the base retransmit timeout in cycles.  Default 64.
 	RetryTimeout int64
 	// RetryCap bounds the exponential backoff: the delay before attempt
 	// k is min(RetryTimeout << (k-1), RetryCap).  Default 8×RetryTimeout.
@@ -222,8 +220,9 @@ func GenCrashPlan(seed uint64, n int, horizon, dead int64) *Plan {
 }
 
 // Injector answers fault queries for one engine run and counts what it
-// injected.  Counters are lock-free so the goroutine engine can consult the
-// injector from every switch without serializing them.
+// injected.  Counters are lock-free and the plan is immutable after
+// NewInjector, so the parallel stepper's workers consult one injector from
+// every station at once without serializing them.
 type Injector struct {
 	plan Plan
 	// open is when the plan's site masks can be anything but all-clear: the

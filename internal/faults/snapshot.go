@@ -5,9 +5,7 @@ import "combining/internal/stats"
 // Values is the fault/recovery counter block shared by every engine's
 // snapshot: one value per key of the schema AddValues writes, the key in
 // the field's tag.  The cycle engines' shell fills it from its
-// Injector/Tracker pair and its crash ledger; the clockless asyncnet engine
-// fills it from its own atomics (stall windows are cycle-based and
-// structurally zero there).
+// Injector/Tracker pair and its crash ledger.
 type Values struct {
 	Injected       int64 `counter:"faults_injected"`
 	DropsFwd       int64 `counter:"drops_fwd"`
@@ -20,9 +18,8 @@ type Values struct {
 	DedupHits      int64 `counter:"dedup_hits"`
 	Orphans        int64 `counter:"orphan_replies"`
 
-	// Adversarial-delivery block.  Structurally zero on the clockless
-	// asyncnet engine, whose limbo/dup/corrupt machinery is cycle-based
-	// like its stall windows.
+	// Adversarial-delivery block: link reordering, network-born
+	// duplicates and corrupted payloads dropped at the terminal links.
 	ReorderedHeld  int64 `counter:"reordered_held"`
 	DupInjected    int64 `counter:"dup_injected"`
 	CorruptDropped int64 `counter:"corrupt_dropped"`
@@ -30,9 +27,8 @@ type Values struct {
 	// Crash–restart block (the cycle engines' crash ledger): crash and
 	// rejoin transitions, operations flushed from crashed queues, wait
 	// buffers and rolled-back state, and how many of those the retry
-	// machinery later re-drove to completion.  Structurally zero on
-	// engines without crash domains (the clockless asyncnet, whose crash
-	// windows are cycle-based like its stall windows).
+	// machinery later re-drove to completion.  Structurally zero under a
+	// plan without crash windows.
 	Crashes      int64 `counter:"crashes"`
 	Restores     int64 `counter:"restores"`
 	Replayed     int64 `counter:"replayed_requests"`

@@ -5,24 +5,20 @@ import (
 	"sort"
 	"testing"
 
-	"combining/internal/asyncnet"
 	"combining/internal/busnet"
 	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/hypercube"
 	"combining/internal/network"
-	"combining/internal/rmw"
-	"combining/internal/word"
 )
 
 // Snapshot-schema parity: every engine must publish exactly the canonical
 // counter key set — engine.CounterKeys() on a clean run, plus
 // faults.CounterKeys() under a fault plan — so tooling that reads one
 // engine's snapshot reads them all.  This is the regression test for the
-// schema drift the four hand-rolled snapshot builders had accumulated
-// (asyncnet hardcoding orphan_replies to zero was the worst of it): the
-// key sets are compared across engines, not just against the constant, so
-// a key added to one engine without the core helper fails loudly.
+// schema drift hand-rolled snapshot builders had accumulated: the key sets
+// are compared across engines, not just against the constant, so a key
+// added to one engine without the core helper fails loudly.
 
 func counterKeys(t *testing.T, name string, counters map[string]int64) []string {
 	t.Helper()
@@ -63,21 +59,6 @@ func runSchemaEngine(t *testing.T, name string, build func([]network.Injector) E
 	return counterKeys(t, name, c)
 }
 
-// runSchemaAsync runs the goroutine engine through the same shape of
-// workload and returns its sorted snapshot counter keys.
-func runSchemaAsync(t *testing.T, name string, plan *faults.Plan) []string {
-	t.Helper()
-	net := asyncnet.New(asyncnet.Config{Procs: 16, Combining: true, Window: 4, Faults: plan})
-	defer net.Close()
-	for p := 0; p < 16; p++ {
-		port := net.Port(p)
-		for i := 0; i < 4; i++ {
-			port.RMW(word.Addr(7), rmw.FetchAdd(1))
-		}
-	}
-	return counterKeys(t, name, net.Snapshot().Counters)
-}
-
 func TestSnapshotSchemaParity(t *testing.T) {
 	// Four plan regimes: clean (engine keys only), message faults,
 	// crash–restart plans, and adversarial delivery (reorder, duplication,
@@ -95,23 +76,13 @@ func TestSnapshotSchemaParity(t *testing.T) {
 		}
 
 		var netPlan, cubePlan, busPlan *faults.Plan
-		var asyncPlan *faults.Plan
 		switch mode {
 		case "faults":
 			netPlan, cubePlan, busPlan = faults.Default(41), faults.Default(42), faults.Default(43)
-			// The goroutine engine retries on wall-clock timeouts; a zero
-			// plan (no injected faults) keeps the run fast while still
-			// enabling the whole fault/recovery schema.
-			asyncPlan = &faults.Plan{Seed: 44}
 		case "crash":
 			netPlan, cubePlan, busPlan = crashDropPlan(41), crashDropPlan(42), crashDropPlan(43)
-			asyncPlan = &faults.Plan{Seed: 44}
 		case "adversarial":
-			// The adversarial kinds are terminal-link faults of the cycle
-			// engines; the goroutine engine runs the same zero plan as the
-			// other faulted regimes and must still publish the full schema.
 			netPlan, cubePlan, busPlan = faults.DefaultAdversarial(41), faults.DefaultAdversarial(42), faults.DefaultAdversarial(43)
-			asyncPlan = &faults.Plan{Seed: 44}
 		}
 
 		got := map[string][]string{
@@ -124,7 +95,6 @@ func TestSnapshotSchemaParity(t *testing.T) {
 			"busnet": runSchemaEngine(t, "busnet", func(inj []network.Injector) Engine {
 				return busnet.NewSim(busnet.Config{Procs: 16, Banks: 4, Faults: busPlan}, inj)
 			}),
-			"asyncnet": runSchemaAsync(t, "asyncnet", asyncPlan),
 		}
 
 		for name, keys := range got {

@@ -20,12 +20,11 @@
 //     cost a lock and an unlock per module per cycle whether or not the
 //     module held work.
 //   - Direct (Do, and Peek, Poke, DedupHitCount):
-//     the asynchronous goroutine network calls Do from many goroutines at
-//     once, so these run under the module's mutex — the module acts as a
-//     monitor, which is exactly "memory is locked only during the execution
-//     of the update operation".  Tests and drivers read cells with Peek
-//     while asynchronous traffic is still executing, so the readers lock
-//     too.
+//     a caller may call Do from many goroutines at once, so these run under
+//     the module's mutex — the module acts as a monitor, which is exactly
+//     "memory is locked only during the execution of the update operation".
+//     Tests read cells with Peek while other goroutines' Do traffic is
+//     still executing, so the readers lock too.
 //
 // The two styles do not mix on one module while it is being stepped: an
 // engine's driver calls Peek, Poke or Do between steps, never during one.

@@ -18,7 +18,7 @@ import (
 // it in the memory phase, and they swap roles every cycle so each method is
 // called from both goroutines — with nothing but the phase barrier between
 // them.  A third goroutine meanwhile hammers a different module of the same
-// Array through the locked monitor path (Do, Peek), as asyncnet's ports do.
+// Array through the locked monitor path (Do, Peek).
 func TestModuleOwnershipHandoff(t *testing.T) {
 	const cycles = 2000
 	arr := NewArray(2, WithServiceTime(1), WithQueueCap(2))

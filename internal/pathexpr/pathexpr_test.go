@@ -1,12 +1,13 @@
 package pathexpr
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"combining/internal/asyncnet"
+	"combining/internal/chaos"
+	"combining/internal/core"
+	"combining/internal/machine"
 	"combining/internal/rmw"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -113,73 +114,72 @@ func TestGuardMappingsCombine(t *testing.T) {
 }
 
 // TestGuardOnCombiningNetwork drives a path expression through the
-// asynchronous combining network: workers apply guarded operations with
-// busy-wait retry, and the observed global sequence must be a legal path.
+// combining Omega machine: half of eight processors attempt produce, the
+// other half consume, all at once, and the battery checks the run against a
+// serialization of the guard cell.  Inside the network the guard mappings
+// combine; each successful access must still have fired from the state the
+// automaton allows it in.
 func TestGuardOnCombiningNetwork(t *testing.T) {
 	g, err := Compile("(produce consume)*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := asyncnet.New(asyncnet.Config{Procs: 4, Combining: true})
-	defer net.Close()
+	const procs, attempts = 8, 25
 	const guardCell = word.Addr(9)
-	const rounds = 50
+	role := func(p int) string {
+		if p < procs/2 {
+			return "produce"
+		}
+		return "consume"
+	}
+	progs := make([][]machine.Instr, procs)
+	for p := range progs {
+		m, _ := g.Mapping(role(p))
+		for i := 0; i < attempts; i++ {
+			progs[p] = append(progs[p], machine.RMW(guardCell, m))
+		}
+	}
+	mach, eng, c, err := chaos.Battery("omega",
+		wiring.Config{Procs: procs, WaitBufCap: core.Unbounded}, progs, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c["combines"] == 0 {
+		t.Fatal("no guard mapping combined: the network was not exercised")
+	}
 
-	// The goroutines cannot observe the memory serialization order
+	// The processors cannot observe the memory serialization order
 	// directly, but the automaton already encodes it: a successful
 	// produce must have fired from state 0 and a successful consume
 	// from state 1, which the reply's old tag certifies.
-	var mu sync.Mutex
-	seen := map[string][]word.Tag{}
-	var stop atomic.Bool
-
-	apply := func(port *asyncnet.Port, opName string) bool {
-		m, _ := g.Mapping(opName)
-		old := port.RMW(guardCell, m)
-		if m.Failed(old.Tag) {
-			return false
+	succeeded := map[string]int{}
+	for p := range progs {
+		op := role(p)
+		m, _ := g.Mapping(op)
+		want := word.Tag(0)
+		if op == "consume" {
+			want = 1
 		}
-		mu.Lock()
-		seen[opName] = append(seen[opName], old.Tag)
-		mu.Unlock()
-		return true
-	}
-
-	var wg sync.WaitGroup
-	for p, role := range []string{"produce", "consume"} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			port := net.Port(p)
-			done := 0
-			for done < rounds && !stop.Load() {
-				if apply(port, role) {
-					done++
-				}
+		for i := range progs[p] {
+			old := mach.Proc(p).Reply(i)
+			if m.Failed(old.Tag) {
+				continue
 			}
-		}()
-	}
-	wg.Wait()
-	stop.Store(true)
-
-	if len(seen["produce"]) != rounds || len(seen["consume"]) != rounds {
-		t.Fatalf("successes: produce %d, consume %d, want %d each",
-			len(seen["produce"]), len(seen["consume"]), rounds)
-	}
-	for _, tag := range seen["produce"] {
-		if tag != 0 {
-			t.Fatalf("a produce succeeded from state %d", tag)
+			if old.Tag != want {
+				t.Fatalf("a %s succeeded from state %d", op, old.Tag)
+			}
+			succeeded[op]++
 		}
 	}
-	for _, tag := range seen["consume"] {
-		if tag != 1 {
-			t.Fatalf("a consume succeeded from state %d", tag)
-		}
+	t.Logf("%d produces and %d consumes succeeded, %d combines", succeeded["produce"], succeeded["consume"], c["combines"])
+	if succeeded["consume"] == 0 {
+		t.Fatal("no consume succeeded: the guard never alternated")
 	}
-	// Equal counts of alternating operations return the automaton to
-	// its start state.
-	if got := net.Memory().Peek(guardCell).Tag; got != 0 {
-		t.Fatalf("guard ended in state %d, want 0", got)
+	// Alternating operations leave the automaton in state produces −
+	// consumes.
+	if got, want := eng.Memory().Peek(guardCell).Tag, word.Tag(succeeded["produce"]-succeeded["consume"]); got != want {
+		t.Fatalf("guard ended in state %d after %d produces and %d consumes, want %d",
+			got, succeeded["produce"], succeeded["consume"], want)
 	}
 }
 

@@ -184,12 +184,12 @@ func (s HistogramSnapshot) Percentile(q float64) float64 {
 }
 
 // Snapshot is a point-in-time view of one engine's instrumentation — the
-// one cross-engine observation API.  Every engine (network, asyncnet,
-// busnet, hypercube) produces one; JSON gives the stable wire form whose
+// one cross-engine observation API.  Every engine (network, busnet,
+// hypercube) produces one; JSON gives the stable wire form whose
 // hash the bench baseline (BENCH_combining.json) records as each point's
 // digest.
 type Snapshot struct {
-	// Engine names the producing engine ("network", "asyncnet", ...).
+	// Engine names the producing engine ("network", "hypercube", ...).
 	Engine string `json:"engine"`
 	// Counters are monotone event totals (combines, completions, ...).
 	Counters map[string]int64 `json:"counters,omitempty"`

@@ -170,52 +170,6 @@ func BenchmarkSyncBarrierGrid(b *testing.B) {
 	}
 }
 
-// benchHandoff times one value handed from a producer to a consumer through
-// a one-slot cell that pairs producer/consumer pairs share: put and take
-// block, so each op is a full-to-empty round trip of the slot.
-func benchHandoff(b *testing.B, pairs int, put func(int64), take func() int64) {
-	var wg stdsync.WaitGroup
-	for p := 0; p < pairs; p++ {
-		n := b.N / pairs
-		if p < b.N%pairs {
-			n++
-		}
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				put(int64(i))
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				take()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// benchFECellHandoff is FECell's Put/Take hand-off; benchChanHandoff is its
-// stdlib baseline, a channel of capacity one.
-func benchFECellHandoff(b *testing.B, pairs int) {
-	var c csync.FECell
-	benchHandoff(b, pairs, c.Put, c.Take)
-}
-
-func benchChanHandoff(b *testing.B, pairs int) {
-	ch := make(chan int64, 1)
-	benchHandoff(b, pairs, func(v int64) { ch <- v }, func() int64 { return <-ch })
-}
-
-func BenchmarkSyncFECellHandoff(b *testing.B) { benchFECellHandoff(b, 1) }
-func BenchmarkSyncChanHandoff(b *testing.B)   { benchChanHandoff(b, 1) }
-func BenchmarkSyncFECellHandoffOversub(b *testing.B) {
-	benchFECellHandoff(b, oversubWidth/2)
-}
-func BenchmarkSyncChanHandoffOversub(b *testing.B) { benchChanHandoff(b, oversubWidth/2) }
-
 // BenchmarkSyncFECellTry is the non-blocking pair, TryPut then TryTake,
 // each succeeding, on one goroutine; BenchmarkSyncSelectTry is the same
 // pair as selects with a default case on a channel of capacity one.

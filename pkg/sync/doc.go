@@ -45,8 +45,8 @@
 //
 //   - FECell — a full/empty-bit synchronization cell (the paper's §5.5
 //     two-state tables, as in the Denelcor HEP): conditional stores fail
-//     on a full cell, consuming loads empty it, and the blocking variants
-//     give producer/consumer handoff, blocked callers queueing per side.
+//     on a full cell and consuming loads empty it, each answering false
+//     for the NAK; a producer/consumer hand-off busy-waits by retrying.
 //
 // Every primitive is validated two ways in this repository: differentially
 // against the simulator's serial oracle (core.SerialReplies on the

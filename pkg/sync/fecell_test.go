@@ -1,6 +1,7 @@
 package sync_test
 
 import (
+	"runtime"
 	stdsync "sync"
 	"testing"
 
@@ -54,9 +55,9 @@ func TestFECellDifferentialTables(t *testing.T) {
 	}
 }
 
-// TestFECellExactlyOnce soaks the producer/consumer handoff: many
-// producers Put distinct values, many consumers Take; every value must be
-// consumed exactly once.
+// TestFECellExactlyOnce soaks the producer/consumer hand-off in its
+// busy-waiting form: many producers retry TryPut on distinct values, many
+// consumers retry TryTake; every value must be consumed exactly once.
 func TestFECellExactlyOnce(t *testing.T) {
 	const producers, perProducer, consumers = 8, 500, 8
 	total := producers * perProducer
@@ -69,7 +70,12 @@ func TestFECellExactlyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < total/consumers; i++ {
-				got <- cell.Take()
+				v, ok := cell.TryTake()
+				for !ok {
+					runtime.Gosched()
+					v, ok = cell.TryTake()
+				}
+				got <- v
 			}
 		}()
 	}
@@ -79,7 +85,9 @@ func TestFECellExactlyOnce(t *testing.T) {
 		go func(p int) {
 			defer pw.Done()
 			for i := 0; i < perProducer; i++ {
-				cell.Put(int64(p*perProducer + i + 1))
+				for !cell.TryPut(int64(p*perProducer + i + 1)) {
+					runtime.Gosched()
+				}
 			}
 		}(p)
 	}
@@ -119,7 +127,7 @@ func TestFECellTrySemantics(t *testing.T) {
 	}
 	cell.Set(7)
 	cell.Set(9) // Set overwrites regardless of state
-	if v := cell.Take(); v != 9 {
-		t.Fatalf("Take = %d, want 9", v)
+	if v, ok := cell.TryTake(); !ok || v != 9 {
+		t.Fatalf("TryTake = (%d, %v), want (9, true)", v, ok)
 	}
 }

@@ -84,25 +84,6 @@ func TestBarrierWaitersPark(t *testing.T) {
 	}
 }
 
-// TestFECellTakersPark: consumers of an empty cell cost no CPU, and each
-// later Put wakes one of them.
-func TestFECellTakersPark(t *testing.T) {
-	const n = 64
-	var cell csync.FECell
-	var sum atomic.Int64
-	used := cpuWhileBlocked(t, n, func(int) { sum.Add(cell.Take()) }, func() {
-		for v := int64(1); v <= n; v++ {
-			cell.Put(v)
-		}
-	})
-	if got := sum.Load(); got != n*(n+1)/2 {
-		t.Fatalf("takers received a total of %d, want %d", got, n*(n+1)/2)
-	}
-	if used > maxBlockedCPU {
-		t.Fatalf("%d blocked takers used %v of CPU in 100ms, want under %v: they are not parked", n, used, maxBlockedCPU)
-	}
-}
-
 // TestParkedHandoffAllocFree: once a queue node or a barrier flag has
 // parked once, parking on it again allocates nothing — its channel is made
 // at most once.  AllocsPerRun pins GOMAXPROCS to 1, so the barrier's budget
