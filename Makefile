@@ -38,8 +38,12 @@ testtime:
 	test $$status -eq 0 || { grep -h '"Action":"output"' $$d/test.json | grep -- '--- FAIL' | sed 's/.*"Output":"\(.*\)\\n"}$$/\1/' ; exit $$status; }; \
 	test $$wall -le 60 || { echo "testtime: over the 60s budget"; exit 1; }
 
+# race runs the packages with concurrent state under the race detector,
+# then soaks internal/par's pool and barriers, the state every parallel
+# stepper's goroutines share, ten times over.
 race:
 	go test -race ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ ./pkg/sync/ ./internal/par/ .
+	go test -race -count=10 -run 'Pool|Barrier' ./internal/par/
 
 # fuzz runs every native fuzz target for five seconds (go test takes one
 # -fuzz target per invocation).  Their seed corpora already run as unit
@@ -145,12 +149,14 @@ syncbench:
 	go test -bench=BenchmarkSync -benchmem ./pkg/sync/
 
 # parbench runs the parallel-stepper and barrier microbenchmarks (the E15
-# curve and barrier table) — the live home of what BENCH_combining.json's
+# curve and barrier table) and the pool's dispatch (BenchmarkPoolRun: µs
+# per 2-worker Run of 20 barrier phases, with and without a serial gap
+# between Runs) — the live home of what BENCH_combining.json's
 # parallel_speedup and barrier_microbench sections used to record once;
 # bench/run.sh --trace 1 reports par.speedup_vs_serial and
 # par.barrier_sync_ns with an estimator.
 parbench:
-	go test -bench='BenchmarkParallelStep|BenchmarkBarrier' -benchmem ./internal/network/ ./internal/par/
+	go test -bench='BenchmarkParallelStep|BenchmarkBarrier|BenchmarkPoolRun' -benchmem ./internal/network/ ./internal/par/
 
 # stepbench prices one serial cycle of the 256-processor omega machine and
 # the 256-node cube (BenchmarkStep: uniform, a 1/8 hot spot with combining,

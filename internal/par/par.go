@@ -14,20 +14,28 @@
 // single-threaded stepper no matter how many workers run or how the runtime
 // schedules them.  DESIGN.md §6 carries the full argument.
 //
-// A Pool's workers are persistent: Start parks Workers-1 goroutines on
-// per-worker wake channels (the Go runtime parks a blocked channel receive
-// on a futex, so an idle pool costs nothing), each Run hands them the same
-// function value and joins them on a reused WaitGroup, and Stop retires
-// them.  The engines bracket their Run/Drain loops with Start/Stop, so a
-// million-cycle run costs Workers-1 goroutine starts total — not per cycle —
-// and the per-cycle dispatch (channel send, channel receive, WaitGroup
-// add/wait) allocates nothing.  Start/Stop nest by refcount.  A pool that
-// was never started still works: Run falls back to spawning its workers for
-// that one call, so a bare Step outside an engine Run stays correct, just
-// slower.  Worker 0 always runs on the caller's goroutine, so engine phases
-// that must stay single-threaded (injector callbacks, delivery commits) can
-// simply be guarded with `if w == 0` and still satisfy APIs that assume the
-// simulator's own goroutine.
+// A Pool's workers are persistent: Start spawns Workers-1 goroutines, each
+// of which waits for the next Run on its own Wait word (one cache line
+// that only the caller sets), and Run publishes a generation number to
+// every word, runs fn(0) itself, and awaits a done word that the last
+// worker to finish sets.  Every wait is local spinning in the paper's
+// sense: the waiter reads a line that only its waker sets.  While the pool
+// fits GOMAXPROCS both waits spin long enough to span one cycle's serial
+// section (injection and the step frame) before they park, so in the
+// steady state a cycle's dispatch is one swap per worker and a join is one
+// swap, with no trip through the scheduler; a pool wider than GOMAXPROCS
+// parks at once, and an idle pool costs nothing.  The engines bracket
+// their Run/Drain loops with Start/Stop, so a million-cycle run costs
+// Workers-1 goroutine starts total — not per cycle — and the per-cycle
+// dispatch allocates nothing.  Start/Stop nest by refcount, and the
+// outermost Stop returns only after its workers have left the pool, so no
+// spinning goroutine outlives the engine's Run.  A pool that was never
+// started still works: Run falls back to spawning its workers for that one
+// call and joining them on a WaitGroup, so a bare Step outside an engine
+// Run stays correct, just slower.  Worker 0 always runs on the caller's
+// goroutine, so engine phases that must stay single-threaded (injector
+// callbacks, delivery commits) can simply be guarded with `if w == 0` and
+// still satisfy APIs that assume the simulator's own goroutine.
 package par
 
 import (
@@ -36,14 +44,35 @@ import (
 	"sync/atomic"
 )
 
+// dispatchSpin is the spin budget, in loads of the wait word, of a pool
+// that fits GOMAXPROCS: a worker awaiting the next Run and the caller
+// awaiting the last worker's finish.  It has to outlast the caller's
+// serial section between two Runs — injection plus the step prologue and
+// epilogue, about 100 µs a cycle at 1024 processors (EXPERIMENTS.md E36) —
+// or the worker parks during injection and the next Run pays a wake-up
+// through the scheduler.  2^18 loads take about 0.4 ms on a 2-vCPU Xeon
+// (EXPERIMENTS.md E43).  There a budget of SpinLimit (256) loads parked
+// during injection and stepped the 1024-processor machine no faster than
+// the channel dispatch this pool replaced, while 2^18 cut its cycle by a
+// fifth or more.
+const dispatchSpin = 1 << 18
+
 // Pool runs a function on a fixed set of workers.
 type Pool struct {
 	workers int
-	refs    int // Start/Stop nesting depth; managed by the owning goroutine
+	refs    int    // Start/Stop nesting depth; managed by the owning goroutine
+	gen     uint32 // the last generation published; managed by the owning goroutine
+	spin    int32  // both waits' spin budget, fixed by the outermost Start
 	fn      func(w int)
-	wg      sync.WaitGroup
-	wake    []chan struct{}
-	stop    chan struct{}
+	lanes   []lane      // lanes[w] wakes worker w ≥ 1
+	pending paddedInt32 // workers yet to finish the current generation
+	done    lane        // the generation its last worker finished
+}
+
+// lane is one Wait word on its own cache line.
+type lane struct {
+	Wait
+	_ [CacheLine - 16]byte
 }
 
 // NewPool returns a pool of the given width; widths below 1 clamp to 1.
@@ -57,13 +86,16 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
-// Started reports whether persistent workers are currently parked.
+// Started reports whether persistent workers are running: spinning or
+// parked on their wait words between Runs.
 func (p *Pool) Started() bool { return p.refs > 0 }
 
 // Start spawns the pool's persistent workers (idempotent by refcount: each
 // Start must be matched by one Stop, and only the outermost pair spawns and
 // retires goroutines).  Start and Stop must be called from the goroutine
 // that calls Run — the same single-threaded discipline Run itself requires.
+// The outermost Start also fixes whether the pool's waits spin: they do
+// while the width fits GOMAXPROCS, and park at once otherwise.
 func (p *Pool) Start() {
 	if p.workers == 1 {
 		return
@@ -72,21 +104,28 @@ func (p *Pool) Start() {
 	if p.refs > 1 {
 		return
 	}
-	p.stop = make(chan struct{})
-	if p.wake == nil {
-		p.wake = make([]chan struct{}, p.workers)
-		for w := 1; w < p.workers; w++ {
-			p.wake[w] = make(chan struct{}, 1)
+	if p.lanes == nil {
+		// Each word's park channel is made here, not on its owner's first
+		// park, so no Run of the steady state allocates.
+		p.lanes = make([]lane, p.workers)
+		for w := range p.lanes {
+			p.lanes[w].ch = make(chan struct{}, 1)
 		}
+		p.done.ch = make(chan struct{}, 1)
+	}
+	p.spin = 0
+	if p.workers <= runtime.GOMAXPROCS(0) {
+		p.spin = dispatchSpin
 	}
 	for w := 1; w < p.workers; w++ {
-		go p.worker(w, p.wake[w], p.stop)
+		go p.worker(w, p.gen, p.spin)
 	}
 }
 
-// Stop retires the persistent workers started by the matching Start.  Any
-// Run in flight has already joined its workers, so the workers are parked
-// and exit on the closed stop channel.
+// Stop retires the persistent workers started by the matching Start.  The
+// outermost Stop publishes a generation with no function, which each
+// worker finishes by leaving, and returns once the last has: no worker
+// touches the pool, or spins, after Stop returns.
 func (p *Pool) Stop() {
 	if p.workers == 1 || p.refs == 0 {
 		return
@@ -95,34 +134,47 @@ func (p *Pool) Stop() {
 	if p.refs > 0 {
 		return
 	}
-	close(p.stop)
-	p.stop = nil
+	p.dispatch(nil)
 }
 
-func (p *Pool) worker(w int, wake <-chan struct{}, stop <-chan struct{}) {
+// worker runs worker w's side of every generation after gen, until the
+// generation that carries no function.
+func (p *Pool) worker(w int, gen uint32, spin int32) {
 	for {
-		select {
-		case <-wake:
-			p.fn(w)
-			p.wg.Done()
-		case <-stop:
+		gen = nextGen(gen)
+		p.lanes[w].Await(gen, spin)
+		fn := p.fn
+		if fn != nil {
+			fn(w)
+		}
+		if p.pending.v.Add(-1) == 0 {
+			p.done.Set(gen)
+		}
+		if fn == nil {
 			return
 		}
 	}
 }
 
+// nextGen steps a generation number, skipping values that carry Wait's
+// parked bit.
+func nextGen(gen uint32) uint32 { return (gen + 1) &^ parked }
+
 // Run executes fn(w) for every worker index w in [0, Workers) concurrently
 // and returns when all have finished.  fn(0) runs on the calling goroutine.
-// Between Start and Stop the persistent workers are dispatched — the wake
-// send happens-before the worker's read of fn, and the WaitGroup join
-// happens-after its call — and the dispatch allocates nothing.  Outside
-// Start/Stop the workers are spawned fresh for this one call.
+// Between Start and Stop the persistent workers are dispatched — the swap
+// that publishes a generation happens-before the worker's read of fn, and
+// the caller's read of the done word happens-after every worker's call —
+// and the dispatch allocates nothing.  Outside Start/Stop the workers are
+// spawned fresh for this one call.
 func (p *Pool) Run(fn func(w int)) {
 	if p.workers == 1 {
 		fn(0)
 		return
 	}
 	if p.refs == 0 {
+		// A fresh goroutine starts on the caller's own run queue, so
+		// waiting for it must park, not spin: join them on a WaitGroup.
 		var wg sync.WaitGroup
 		wg.Add(p.workers - 1)
 		for w := 1; w < p.workers; w++ {
@@ -135,13 +187,23 @@ func (p *Pool) Run(fn func(w int)) {
 		wg.Wait()
 		return
 	}
+	p.dispatch(fn)
+}
+
+// dispatch publishes the next generation with fn to every worker, runs
+// fn(0) on the caller when fn is not nil, and returns once every worker has
+// finished the generation.
+func (p *Pool) dispatch(fn func(w int)) {
+	p.gen = nextGen(p.gen)
 	p.fn = fn
-	p.wg.Add(p.workers - 1)
+	p.pending.v.Store(int32(p.workers - 1))
 	for w := 1; w < p.workers; w++ {
-		p.wake[w] <- struct{}{}
+		p.lanes[w].Set(p.gen)
 	}
-	fn(0)
-	p.wg.Wait()
+	if fn != nil {
+		fn(0)
+	}
+	p.done.Await(p.gen, p.spin)
 	p.fn = nil
 }
 

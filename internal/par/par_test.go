@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolRunsEveryWorkerOnce(t *testing.T) {
@@ -50,33 +51,113 @@ func TestPoolWorkerZeroOnCaller(t *testing.T) {
 
 // TestPoolPersistentWorkers drives many Runs through started workers and
 // checks every dispatch reaches every worker exactly once — the engine
-// cycle loop in miniature.
+// cycle loop in miniature.  It makes three passes: at the host's
+// GOMAXPROCS, where a pool that fits spins between Runs; under
+// GOMAXPROCS(1), where every wait parks at once; and with the caller
+// holding off each Run until every worker has spun out its budget and
+// parked, so the next Run must wake them all from the park.
 func TestPoolPersistentWorkers(t *testing.T) {
-	for _, workers := range []int{2, 3, 4, 8} {
-		p := NewPool(workers)
-		p.Start()
-		if !p.Started() {
-			t.Fatalf("workers=%d: pool not started after Start", workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	passes := []struct {
+		name  string
+		procs int // GOMAXPROCS for the pass; 0 keeps the host's
+		runs  int
+		parks bool // wait for every worker to park before each Run
+	}{
+		{"host", 0, 500, false},
+		{"GOMAXPROCS(1)", 1, 500, false},
+		{"spun out", 0, 20, true},
+	}
+	host := runtime.GOMAXPROCS(0)
+	for _, pass := range passes {
+		runtime.GOMAXPROCS(host)
+		if pass.procs > 0 {
+			runtime.GOMAXPROCS(pass.procs)
 		}
-		seen := make([]atomic.Int32, workers)
-		const runs = 500
-		for i := 0; i < runs; i++ {
+		for _, workers := range []int{2, 3, 4, 8} {
+			p := NewPool(workers)
+			p.Start()
+			if !p.Started() {
+				t.Fatalf("%s, workers=%d: pool not started after Start", pass.name, workers)
+			}
+			if pass.procs == 1 && p.spin != 0 {
+				t.Fatalf("%s, workers=%d: spin budget %d, want 0", pass.name, workers, p.spin)
+			}
+			seen := make([]atomic.Int32, workers)
+			for i := 0; i < pass.runs; i++ {
+				if pass.parks {
+					awaitParked(t, p)
+				}
+				p.Run(func(w int) { seen[w].Add(1) })
+			}
+			p.Stop()
+			if p.Started() {
+				t.Fatalf("%s, workers=%d: pool still started after Stop", pass.name, workers)
+			}
+			for w := range seen {
+				if got := seen[w].Load(); got != int32(pass.runs) {
+					t.Fatalf("%s, workers=%d: worker %d ran %d times, want %d", pass.name, workers, w, got, pass.runs)
+				}
+			}
+			// A stopped pool must still work via the fallback.
 			p.Run(func(w int) { seen[w].Add(1) })
-		}
-		p.Stop()
-		if p.Started() {
-			t.Fatalf("workers=%d: pool still started after Stop", workers)
-		}
-		for w := range seen {
-			if got := seen[w].Load(); got != runs {
-				t.Fatalf("workers=%d: worker %d ran %d times, want %d", workers, w, got, runs)
+			for w := range seen {
+				if got := seen[w].Load(); got != int32(pass.runs+1) {
+					t.Fatalf("%s, workers=%d: worker %d at %d after fallback Run, want %d", pass.name, workers, w, got, pass.runs+1)
+				}
 			}
 		}
-		// A stopped pool must still work via the spawn fallback.
-		p.Run(func(w int) { seen[w].Add(1) })
-		for w := range seen {
-			if got := seen[w].Load(); got != runs+1 {
-				t.Fatalf("workers=%d: worker %d at %d after fallback Run, want %d", workers, w, got, runs+1)
+	}
+}
+
+// awaitParked returns once every worker of the started pool p has spun out
+// its budget and parked on its wait word.
+func awaitParked(t *testing.T, p *Pool) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for w := 1; w < p.workers; w++ {
+		for p.lanes[w].v.Load()&parked == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: worker %d still spinning after a minute", p.workers, w)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestPoolStopJoinsWorkers checks the outermost Stop retires the workers
+// before it returns, so no goroutine the pool started, spinning or parked,
+// outlives it.  Under GOMAXPROCS(1) the count is exact the moment Stop
+// returns: the last worker sets the done word and returns before the
+// caller it readied can run.  With more processors that worker may still
+// be in its last few instructions, which a few yields cover.
+func TestPoolStopJoinsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	host := runtime.GOMAXPROCS(0)
+	for _, procs := range []int{1, host} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{2, 3, 8} {
+			before := runtime.NumGoroutine()
+			p := NewPool(workers)
+			p.Start()
+			p.Start()
+			for i := 0; i < 10; i++ {
+				p.Run(func(int) {})
+			}
+			p.Stop()
+			if got := runtime.NumGoroutine(); got < before+workers-1 {
+				t.Fatalf("GOMAXPROCS(%d), workers=%d: %d goroutines after the inner Stop, want %d or more", procs, workers, got, before+workers-1)
+			}
+			p.Stop()
+			yields := 0
+			if procs > 1 {
+				yields = 100
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == yields {
+					t.Fatalf("GOMAXPROCS(%d), workers=%d: %d goroutines after the outer Stop, want %d", procs, workers, runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
 			}
 		}
 	}
@@ -133,6 +214,26 @@ func TestPoolRunAllocFree(t *testing.T) {
 	p.Run(fn) // warm the wake path
 	if avg := testing.AllocsPerRun(100, func() { p.Run(fn) }); avg != 0 {
 		t.Fatalf("persistent Run allocates %.1f objects per dispatch, want 0", avg)
+	}
+}
+
+// TestPoolGenerationWrap runs a pool across the end of its generation
+// numbers: they must step over Wait's parked bit and start again, and every
+// Run on either side must reach every worker once.
+func TestPoolGenerationWrap(t *testing.T) {
+	p := NewPool(3)
+	p.gen = parked - 4
+	p.Start()
+	defer p.Stop()
+	var n atomic.Int32
+	for i := 1; i <= 8; i++ {
+		p.Run(func(int) { n.Add(1) })
+		if p.gen&parked != 0 {
+			t.Fatalf("run %d: generation %#x carries the parked bit", i, p.gen)
+		}
+		if got := n.Load(); got != int32(3*i) {
+			t.Fatalf("run %d (generation %#x): %d worker calls, want %d", i, p.gen, got, 3*i)
+		}
 	}
 }
 
@@ -306,3 +407,45 @@ func BenchmarkBarrier(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPoolRun prices the pool's dispatch and join (`make parbench`):
+// a 2-worker Run of 20 sense-barrier phases, each holding the same fixed
+// arithmetic on both workers, while the caller is busy for a fixed serial
+// gap between Runs — none, and 100 µs, about one cycle's injection at 1024
+// processors.  It reports µs per Run, the gap excluded: the phases' work
+// run side by side, plus whatever the wake-up and the join cost.
+func BenchmarkPoolRun(b *testing.B) {
+	const workers, phases, steps = 2, 20, 2000
+	for _, gap := range []time.Duration{0, 100 * time.Microsecond} {
+		b.Run(fmt.Sprintf("gap%dus", gap.Microseconds()), func(b *testing.B) {
+			bar := NewSenseBarrier(workers)
+			fn := func(w int) {
+				x := w
+				for i := 0; i < phases; i++ {
+					for j := 0; j < steps; j++ {
+						x = x*31 + j
+					}
+					bar.Sync(w)
+				}
+				poolRunSink[w].v.Store(int32(x))
+			}
+			p := NewPool(workers)
+			p.Start()
+			defer p.Stop()
+			p.Run(fn)
+			var inRun time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for t0 := time.Now(); time.Since(t0) < gap; {
+				}
+				t0 := time.Now()
+				p.Run(fn)
+				inRun += time.Since(t0)
+			}
+			b.ReportMetric(float64(inRun.Nanoseconds())/1e3/float64(b.N), "us/run")
+		})
+	}
+}
+
+// poolRunSink keeps BenchmarkPoolRun's arithmetic live, one line per worker.
+var poolRunSink [2]paddedInt32
