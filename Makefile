@@ -62,8 +62,9 @@ fuzz:
 # registry names (CI runs it; the commands have no test files, and nothing
 # else ever ran combsim off the omega path): a short combsim sweep whose
 # cold-latency column must be non-zero on every row, and a generated trace
-# replayed through the invariant battery, which must print its pass line.
-# The names come from the registry by way of the unknown-topology
+# replayed through the invariant battery, which must print its pass line,
+# and replay -chaos beside -queue, which must exit 2: a chaos scenario fixes
+# its own machine.  The names come from the registry by way of the unknown-topology
 # message, so a new wiring is smoked the day it is registered.  Then
 # cmd/trace's Figure 1 walkthrough, whose last line must report the replies
 # an exact serialization.  Then every program under examples/, each of which
@@ -77,6 +78,9 @@ smoke:
 	names=$$($$d/combsim -topology '?' 2>&1 | sed -n 's/.*(want \(.*\))$$/\1/p' | tr -d ,); \
 	test -n "$$names" || { echo "smoke: no wiring names in the unknown-topology message"; exit 1; }; \
 	$$d/replay -gen -n 16 -ops 20 > $$d/trace.txt; \
+	st=0; $$d/replay -chaos -plan seed=1 -queue 1 2> $$d/chaos-queue.txt || st=$$?; \
+	test $$st -eq 2 || { echo "smoke: replay -chaos -queue 1 exited $$st, want 2"; cat $$d/chaos-queue.txt; exit 1; }; \
+	echo "smoke: replay -chaos rejects -queue ($$(cat $$d/chaos-queue.txt))"; \
 	for t in $$names; do \
 		$$d/combsim -topology $$t -n 16 -cycles 300 -csv > $$d/$$t.csv; \
 		awk -F, -v t=$$t 'NR > 1 && $$6 + 0 == 0 { print "smoke: " t ": cold_latency is zero: " $$0; bad = 1 } END { exit bad }' $$d/$$t.csv; \
@@ -234,17 +238,18 @@ profile:
 # comment-only — grep -vc '^\s*\(//.*\)\?$$'.  The engine packages are
 # totalled; internal/par, their pool and phase barrier, follows on its own
 # row, then the two commands behind BENCH_combining.json, the drivers that
-# build machines by name, the program harness and the checkers follow, and
-# last the same count over every non-test .go file of the repository
+# build machines by name, the program harness, the checkers and the facade
+# (the root package) follow, and last the same count over every non-test .go file of the repository
 # outside bench/, and the number of directories holding one: its non-test
 # Go packages, so a change that deletes or adds a package shows it.
 # Informational; CI prints it and never fails on it.
 loc:
 	@count() { n=0; for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \
-	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${1#internal/} $$n; }; \
+	n=$$((n + $$(grep -vc '^\s*\(//.*\)\?$$' $$f))); done; printf '%-15s %5d\n' $${2:-$${1#internal/}} $$n; }; \
 	total=0; for p in engine network hypercube busnet; do count internal/$$p; total=$$((total + n)); done; \
 	printf '%-15s %5d\n' total $$total; \
 	for p in internal/par cmd/experiments cmd/benchcmp cmd/benchpairs cmd/check cmd/replay cmd/combsim internal/chaos internal/wiring internal/machine internal/serial; do count $$p; done; \
+	count . facade; \
 	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -vch '^\s*\(//.*\)\?$$' | \
 		awk '{ n += $$1 } END { printf "%-15s %5d\n", "repo", n }'; \
 	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs -n1 dirname | sort -u | \

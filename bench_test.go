@@ -153,18 +153,18 @@ func BenchmarkPartialCombining(b *testing.B) {
 		{"cap=0", 0}, {"cap=1", 1}, {"cap=4", 4}, {"cap=unbounded", combining.Unbounded},
 	} {
 		b.Run(cap.name, func(b *testing.B) {
-			var st combining.NetStats
+			build := wired(b, "omega", combining.WiringConfig{Procs: 64, WaitBufCap: cap.cap})
+			var st engine.Totals
 			for i := 0; i < b.N; i++ {
-				cfg := combining.NetConfig{Procs: 64, WaitBufCap: cap.cap}
 				inj := make([]combining.Injector, 64)
 				for p := 0; p < 64; p++ {
 					inj[p] = combining.NewStochastic(p, 64, combining.TrafficConfig{
 						Rate: 0.6, HotFraction: 0.25,
 					}, uint64(i+1))
 				}
-				sim := combining.NewSim(cfg, inj)
+				sim := build(inj)
 				sim.Run(2000)
-				st = sim.Stats()
+				st = sim.Totals()
 			}
 			b.ReportMetric(st.Bandwidth(), "ops/cycle")
 			b.ReportMetric(float64(st.Combines), "combines")
@@ -208,15 +208,16 @@ func BenchmarkPrefixTree(b *testing.B) {
 
 func BenchmarkRMWImplementation(b *testing.B) {
 	const n, perProc = 16, 10
-	run := func(progs [][]combining.Instr) combining.NetStats {
-		m := combining.NewMachine(combining.NetConfig{Procs: n, WaitBufCap: combining.Unbounded}, progs)
+	build := wired(b, "omega", combining.WiringConfig{Procs: n, WaitBufCap: combining.Unbounded})
+	run := func(progs [][]combining.Instr) engine.Totals {
+		m := combining.NewMachine(progs, build)
 		if !m.Run(1000000) {
 			b.Fatal("did not complete")
 		}
-		return m.Sim().Stats()
+		return m.Engine().Totals()
 	}
 	b.Run("memory-side", func(b *testing.B) {
-		var st combining.NetStats
+		var st engine.Totals
 		for i := 0; i < b.N; i++ {
 			progs := make([][]combining.Instr, n)
 			for p := 0; p < n; p++ {
@@ -230,7 +231,7 @@ func BenchmarkRMWImplementation(b *testing.B) {
 		b.ReportMetric(float64(st.Issued), "messages")
 	})
 	b.Run("processor-side", func(b *testing.B) {
-		var st combining.NetStats
+		var st engine.Totals
 		for i := 0; i < b.N; i++ {
 			progs := make([][]combining.Instr, n)
 			for p := 0; p < n; p++ {
@@ -263,16 +264,17 @@ func BenchmarkHypercubeHotspot(b *testing.B) {
 			if comb {
 				waitCap = combining.Unbounded
 			}
+			const n = 64
+			build := wired(b, "hypercube", combining.WiringConfig{Procs: n, WaitBufCap: waitCap})
 			var st engine.Totals
 			for i := 0; i < b.N; i++ {
-				const n = 64
 				inj := make([]combining.Injector, n)
 				for p := 0; p < n; p++ {
 					inj[p] = combining.NewStochastic(p, n, combining.TrafficConfig{
 						Rate: 0.5, HotFraction: 0.25, Window: 8,
 					}, uint64(i+1))
 				}
-				sim := combining.NewCubeSim(combining.CubeConfig{Nodes: n, WaitBufCap: waitCap}, inj)
+				sim := build(inj)
 				sim.Run(2000)
 				st = sim.Totals()
 			}
@@ -289,16 +291,17 @@ func BenchmarkBusCombining(b *testing.B) {
 			if comb {
 				waitCap = combining.Unbounded
 			}
+			const n = 16
+			build := wired(b, "bus", combining.WiringConfig{Procs: n, Banks: 8, WaitBufCap: waitCap})
 			var st engine.Totals
 			for i := 0; i < b.N; i++ {
-				const n = 16
 				inj := make([]combining.Injector, n)
 				for p := 0; p < n; p++ {
 					inj[p] = combining.NewStochastic(p, n, combining.TrafficConfig{
 						Rate: 1.0, HotFraction: 0.5, Window: 4, AddrSpace: 64,
 					}, uint64(i+1))
 				}
-				sim := combining.NewBusSim(combining.BusConfig{Procs: n, Banks: 8, WaitBufCap: waitCap}, inj)
+				sim := build(inj)
 				sim.Run(4000)
 				st = sim.Totals()
 			}
@@ -364,11 +367,11 @@ func BenchmarkPermutation(b *testing.B) {
 		{"transpose", combining.TransposePerm},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			var st combining.NetStats
+			var bandwidth float64
 			for i := 0; i < b.N; i++ {
-				st = combining.RunPermutation(64, tc.perm, 2000)
+				bandwidth = combining.RunPermutation(64, tc.perm, 2000).Bandwidth()
 			}
-			b.ReportMetric(st.Bandwidth(), "ops/cycle")
+			b.ReportMetric(bandwidth, "ops/cycle")
 		})
 	}
 }
@@ -387,15 +390,16 @@ func BenchmarkM1VersusM2(b *testing.B) {
 	}
 	b.Run("m1-central-fifo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m := combining.NewM1(progs())
+			m := combining.NewMachine(progs(), combining.M1)
 			if !m.Run(100000) {
 				b.Fatal("did not complete")
 			}
 		}
 	})
 	b.Run("m2-omega-combining", func(b *testing.B) {
+		build := wired(b, "omega", combining.WiringConfig{Procs: 16, WaitBufCap: combining.Unbounded})
 		for i := 0; i < b.N; i++ {
-			m := combining.NewMachine(combining.NetConfig{Procs: 16, WaitBufCap: combining.Unbounded}, progs())
+			m := combining.NewMachine(progs(), build)
 			if !m.Run(100000) {
 				b.Fatal("did not complete")
 			}
@@ -499,30 +503,4 @@ func BenchmarkSoftBarrier(b *testing.B) {
 			}
 		})
 	})
-}
-
-// ---- Switch radix ablation ----
-
-func BenchmarkRadix(b *testing.B) {
-	for _, radix := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("k=%d", radix), func(b *testing.B) {
-			var st combining.NetStats
-			for i := 0; i < b.N; i++ {
-				inj := make([]combining.Injector, 64)
-				for p := 0; p < 64; p++ {
-					inj[p] = combining.NewStochastic(p, 64, combining.TrafficConfig{
-						Rate: 0.5, HotFraction: 0.25, Window: 4,
-					}, uint64(i+1))
-				}
-				sim := combining.NewSim(combining.NetConfig{
-					Procs: 64, Radix: radix, WaitBufCap: combining.Unbounded,
-				}, inj)
-				sim.Run(2000)
-				st = sim.Stats()
-			}
-			b.ReportMetric(st.Bandwidth(), "ops/cycle")
-			b.ReportMetric(st.MeanLatency(), "cycles/op")
-			b.ReportMetric(st.Percentile(0.99), "p99-cycles")
-		})
-	}
 }

@@ -130,7 +130,7 @@ func main() {
 	// not a stack trace from an engine constructor mid-soak.
 	for _, s := range table {
 		for _, w := range s.wirings {
-			if err := combining.ValidateWiring(w, s.cfg); err != nil {
+			if _, err := combining.NewWiring(w, s.cfg); err != nil {
 				usage("%v", err)
 			}
 		}
@@ -243,7 +243,7 @@ func rows(procs, ops, addrs int) []soak {
 		{"radix-4", "omega4", combining.Unbounded, false},
 	} {
 		cfg := combining.WiringConfig{Procs: procs, WaitBufCap: h.waitBuf, AllowReversal: h.reversal}
-		if h.wiring == "omega4" && combining.ValidateWiring(h.wiring, cfg) != nil {
+		if _, err := combining.NewWiring(h.wiring, cfg); h.wiring == "omega4" && err != nil {
 			continue // radix 4 runs when -procs is a power of four
 		}
 		table = append(table, soak{name: h.name, wirings: []string{h.wiring}, cfg: cfg, progs: random})
@@ -332,13 +332,16 @@ func (s soak) round(wiring string, seed uint64) result {
 	snap, vals := eng.Snapshot().JSON(), replies(m, len(progs), len(progs[0]))
 	for _, w := range widths[1:] {
 		cfg, progs := setup(w)
-		m, eng, err := combining.BuildMachine(wiring, cfg, progs)
-		switch {
-		case err != nil:
+		build, err := combining.NewWiring(wiring, cfg)
+		if err != nil {
 			res.err = err
+			return res
+		}
+		m := combining.NewMachine(progs, build)
+		switch {
 		case !m.Run(maxCycles):
-			res.err = fmt.Errorf("Workers=%d: did not complete, %d in flight", w, eng.InFlight())
-		case !bytes.Equal(eng.Snapshot().JSON(), snap):
+			res.err = fmt.Errorf("Workers=%d: did not complete, %d in flight", w, m.Engine().InFlight())
+		case !bytes.Equal(m.Engine().Snapshot().JSON(), snap):
 			res.err = fmt.Errorf("Workers=%d snapshot differs from Workers=%d", w, widths[0])
 		case !slices.Equal(replies(m, len(progs), len(progs[0])), vals):
 			res.err = fmt.Errorf("Workers=%d replies differ from Workers=%d", w, widths[0])

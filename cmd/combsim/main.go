@@ -180,7 +180,7 @@ func main() {
 	// not a stack trace from inside an engine constructor.
 	cfg := combining.WiringConfig{Procs: *n, QueueCap: *queue, RevQueueCap: *revQueue,
 		MemQueueCap: *memQueue, Banks: 8, Faults: plan, Workers: *workers}
-	if err := combining.ValidateWiring(*topo, cfg); err != nil {
+	if _, err := combining.NewWiring(*topo, cfg); err != nil {
 		fail("%v", err)
 	}
 
@@ -231,10 +231,11 @@ func main() {
 			if comb {
 				cfg.WaitBufCap = combining.Unbounded
 			}
-			sim, err := combining.NewWiring(*topo, cfg, injectors(h))
+			build, err := combining.NewWiring(*topo, cfg)
 			if err != nil {
 				fail("%v", err)
 			}
+			sim := build(injectors(h))
 			sim.Run(*cycles)
 			t := sim.Totals()
 			limit := combining.AsymptoticHotBandwidth(*n, h)

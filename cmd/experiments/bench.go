@@ -121,10 +121,20 @@ func waitCap(comb bool) int {
 	return 0
 }
 
+// wired is the named wiring's build function.  Every config in this
+// command is fixed, so a rejected one is a bug here and panics.
+func wired(name string, cfg combining.WiringConfig) func([]combining.Injector) engine.Machine {
+	build, err := combining.NewWiring(name, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return build
+}
+
 // omega builds the machine every section but topology_sweep and
 // saturation_curve runs: queues of 4, wait buffers unbounded or absent.
 func omega(n int, comb bool, plan *combining.FaultPlan, inj []combining.Injector) engine.Machine {
-	return combining.NewSim(combining.NetConfig{Procs: n, QueueCap: 4, WaitBufCap: waitCap(comb), Faults: plan}, inj)
+	return wired("omega", combining.WiringConfig{Procs: n, QueueCap: 4, WaitBufCap: waitCap(comb), Faults: plan})(inj)
 }
 
 // hot is the workload most sections share: every processor issues at rate
@@ -213,7 +223,7 @@ func benchSections() []sweep {
 						Adaptive: adaptive, MinWindow: 1, MaxWindow: 16,
 					}
 					inj := stochastic(n, traffic, 7)
-					m := combining.NewSim(combining.NetConfig{Procs: n, QueueCap: 2, RevQueueCap: 2, MemQueueCap: 2}, inj)
+					m := wired("omega", combining.WiringConfig{Procs: n, QueueCap: 2, RevQueueCap: 2, MemQueueCap: 2})(inj)
 					return rig{m: m, extra: func(res map[string]any) {
 						meanWin, decreases := float64(traffic.Window), int64(0)
 						if adaptive {
@@ -240,12 +250,7 @@ func benchSections() []sweep {
 			topology.cells = append(topology.cells, timed(
 				map[string]any{"topology": wiring, "procs": n, "hot_fraction": 0.25, "combining": comb}, cycles,
 				func() rig {
-					m, err := combining.NewWiring(wiring,
-						combining.WiringConfig{Procs: n, QueueCap: 4, WaitBufCap: waitCap(comb)}, hot(n, 0.25))
-					if err != nil {
-						panic(err)
-					}
-					return rig{m: m}
+					return rig{m: wired(wiring, combining.WiringConfig{Procs: n, QueueCap: 4, WaitBufCap: waitCap(comb)})(hot(n, 0.25))}
 				}))
 		}
 	}

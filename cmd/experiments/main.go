@@ -80,10 +80,10 @@ func e1RMWImplementations() {
 				})
 		}
 	}
-	run := func(progs [][]combining.Instr) (combining.NetStats, int64) {
-		m := combining.NewMachine(combining.NetConfig{Procs: n, WaitBufCap: combining.Unbounded}, progs)
+	run := func(progs [][]combining.Instr) (engine.Totals, int64) {
+		m := combining.NewMachine(progs, wired("omega", combining.WiringConfig{Procs: n, WaitBufCap: combining.Unbounded}))
 		m.Run(1000000)
-		return m.Sim().Stats(), m.Sim().Memory().Peek(3).Val
+		return m.Engine().Totals(), m.Memory().Peek(3).Val
 	}
 	st1, v1 := run(memSide)
 	st2, v2 := run(procSide)
@@ -114,11 +114,12 @@ func e4Theorem42() {
 			progs[p] = append(progs[p], combining.RMW(combining.Addr(i%3), combining.FetchAdd(int64(p+1))))
 		}
 	}
-	m := combining.NewMachine(combining.NetConfig{Procs: n, WaitBufCap: combining.Unbounded, AllowReversal: true}, progs)
+	m := combining.NewMachine(progs,
+		wired("omega", combining.WiringConfig{Procs: n, WaitBufCap: combining.Unbounded, AllowReversal: true}))
 	m.Run(100000)
 	final := map[combining.Addr]combining.Word{}
 	for a := combining.Addr(0); a < 3; a++ {
-		final[a] = m.Sim().Memory().Peek(a)
+		final[a] = m.Memory().Peek(a)
 	}
 	if err := combining.CheckM2WithFinal(m.History(), nil, final); err != nil {
 		panic(err)
@@ -276,10 +277,11 @@ func a1PartialCombining(cycles int) {
 				Rate: 0.6, HotFraction: 0.25,
 			}, 5)
 		}
-		sim := combining.NewSim(combining.NetConfig{Procs: 64, WaitBufCap: cap.cap}, inj)
+		sim := wired("omega", combining.WiringConfig{Procs: 64, WaitBufCap: cap.cap})(inj)
 		sim.Run(cycles)
-		st := sim.Stats()
-		fmt.Printf(" %-11s | %9.2f  %8d  %8d\n", cap.name, st.Bandwidth(), st.Combines, st.Rejects)
+		st := sim.Totals()
+		fmt.Printf(" %-11s | %9.2f  %8d  %8d\n", cap.name, st.Bandwidth(), st.Combines,
+			sim.Snapshot().Counter("combine_rejects"))
 	}
 }
 
@@ -287,17 +289,20 @@ func a6Model(cycles int) {
 	section("A6", "the Kruskal–Snir 1983 analytic model vs this simulator")
 	fmt.Println("uniform traffic, mean round-trip latency (cycles):")
 	fmt.Println(" radix   load | measured  predicted  ratio")
-	for _, radix := range []int{2, 4} {
+	for _, w := range []struct {
+		name  string
+		radix int
+	}{{"omega", 2}, {"omega4", 4}} {
 		for _, p := range []float64{0.2, 0.4, 0.6} {
 			inj := make([]combining.Injector, 64)
 			for q := 0; q < 64; q++ {
 				inj[q] = combining.NewStochastic(q, 64, combining.TrafficConfig{Rate: p, Window: 32}, 3)
 			}
-			sim := combining.NewSim(combining.NetConfig{Procs: 64, Radix: radix, QueueCap: 64, WaitBufCap: 0}, inj)
+			sim := wired(w.name, combining.WiringConfig{Procs: 64, QueueCap: 64, WaitBufCap: 0})(inj)
 			sim.Run(cycles)
-			meas := sim.Stats().MeanLatency()
-			pred := combining.PredictUniformLatency(64, radix, p)
-			fmt.Printf("   %d    %.2f  | %7.2f   %7.2f    %.2f\n", radix, p, meas, pred, meas/pred)
+			meas := sim.Totals().MeanLatency()
+			pred := combining.PredictUniformLatency(64, w.radix, p)
+			fmt.Printf("   %d    %.2f  | %7.2f   %7.2f    %.2f\n", w.radix, p, meas, pred, meas/pred)
 		}
 	}
 }
@@ -316,7 +321,7 @@ func a2Variants(cycles int) {
 				Rate: 0.5, HotFraction: 0.25, Window: 8,
 			}, 11)
 		}
-		sim := combining.NewCubeSim(combining.CubeConfig{Nodes: 64, WaitBufCap: waitCap}, inj)
+		sim := wired("hypercube", combining.WiringConfig{Procs: 64, WaitBufCap: waitCap})(inj)
 		sim.Run(cycles)
 		return sim.Totals()
 	}
@@ -336,7 +341,7 @@ func a2Variants(cycles int) {
 				Rate: 1.0, HotFraction: 0.5, Window: 4, AddrSpace: 64,
 			}, 21)
 		}
-		sim := combining.NewBusSim(combining.BusConfig{Procs: 16, Banks: 8, WaitBufCap: waitCap}, inj)
+		sim := wired("bus", combining.WiringConfig{Procs: 16, Banks: 8, WaitBufCap: waitCap})(inj)
 		sim.Run(cycles)
 		return sim.Totals()
 	}

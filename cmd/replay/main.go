@@ -32,7 +32,9 @@
 // With -chaos the positional trace is replaced by one fuzzer scenario:
 // the seeded randomized workload (-seed, -ops, -addrs) runs under -plan on
 // -topology through the same battery — replaying a shrunk reproducer
-// deterministically reproduces the bug it was shrunk from.
+// deterministically reproduces the bug it was shrunk from.  The scenario
+// fixes its own machine (default queues, wait buffers of 64), so -queue and
+// -combining are rejected beside -chaos.
 //
 // With -crash > 0 the trace replays under a deterministic crash–restart
 // plan: that many seeded crash windows of each kind (switch, memory
@@ -99,6 +101,11 @@ func main() {
 		if flag.NArg() != 0 {
 			fail("-chaos takes no trace file")
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "queue" || f.Name == "combining" {
+				fail("-%s does not apply to -chaos — the scenario fixes its machine (default queues, wait buffers of 64)", f.Name)
+			}
+		})
 	}
 	var plan *combining.FaultPlan
 	if *planSpec != "" {
@@ -117,7 +124,7 @@ func main() {
 	// Validate rejects): a bad -topology or -n is a one-line error, not a
 	// stack trace from an engine constructor.
 	cfg := combining.WiringConfig{Procs: *n, QueueCap: *queue}
-	if err := combining.ValidateWiring(*topo, cfg); err != nil {
+	if _, err := combining.NewWiring(*topo, cfg); err != nil {
 		fail("%v", err)
 	}
 	if *chaosRun {

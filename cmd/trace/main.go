@@ -32,7 +32,7 @@ func main() {
 	}
 	log := &combining.NetTraceLog{}
 	cfg := combining.WiringConfig{Procs: *n, WaitBufCap: combining.Unbounded, Trace: log.Record}
-	if err := combining.ValidateWiring("omega", cfg); err != nil {
+	if _, err := combining.NewWiring("omega", cfg); err != nil {
 		fail("%v", err)
 	}
 	progs := make([][]combining.Instr, *n)

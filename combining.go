@@ -19,13 +19,11 @@
 package combining
 
 import (
-	"combining/internal/busnet"
 	"combining/internal/chaos"
 	"combining/internal/coord"
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
 	"combining/internal/machine"
 	"combining/internal/memory"
 	"combining/internal/model"
@@ -39,15 +37,15 @@ import (
 )
 
 // WiringConfig is what the six shipped cycle wirings share; Wirings names
-// them, ValidateWiring is the one-line config check commands run up front,
-// and NewWiring builds a named wiring over its injectors — the one switch
-// from a topology name to a machine (internal/wiring).
+// them, and NewWiring turns a name into the function that builds the wiring
+// over its injectors — the one switch from a topology name to a machine
+// (internal/wiring).  Its error is the one-line config check commands run
+// up front.
 type WiringConfig = wiring.Config
 
 var (
-	Wirings        = wiring.Names
-	ValidateWiring = wiring.Validate
-	NewWiring      = wiring.New
+	Wirings   = wiring.Names
+	NewWiring = wiring.New
 )
 
 // ---- Words and identifiers (internal/word) ----
@@ -182,12 +180,6 @@ var NewQueueingMemory = memory.NewQueueingModule
 
 // ---- Cycle-accurate network machine (internal/network) ----
 
-// NetConfig parameterizes the Omega-network simulator.
-type NetConfig = network.Config
-
-// NetStats aggregates a simulation run.
-type NetStats = network.Stats
-
 // Injector supplies traffic for one processor port.
 type Injector = network.Injector
 
@@ -203,7 +195,7 @@ type TrafficConfig = network.TrafficConfig
 // HotspotResult is one sweep point.
 type HotspotResult = network.HotspotResult
 
-// NetTraceLog collects the simulator's trace events (NetConfig.Trace).
+// NetTraceLog collects the simulator's trace events (WiringConfig.Trace).
 type NetTraceLog = engine.TraceLog
 
 // Permutation traffic patterns for network baselines.
@@ -219,9 +211,8 @@ var (
 	NewPermInjector = network.NewPermInjector
 )
 
-// Network simulator constructors and helpers.
+// Traffic generators, sweeps and the analytic bound.
 var (
-	NewSim                 = network.NewSim
 	NewStochastic          = network.NewStochastic
 	RunHotspot             = network.RunHotspot
 	RunHotspotTraffic      = network.RunHotspotTraffic
@@ -234,7 +225,9 @@ var PredictUniformLatency = model.UniformLatency
 
 // ---- Programs and histories (internal/machine, internal/serial) ----
 
-// Machine runs instruction streams on the simulated network.
+// Machine runs instruction streams on a cycle machine: NewMachine takes the
+// programs and the function that builds the machine over their injectors —
+// a NewWiring result or M1.
 type Machine = machine.Machine
 
 // Instr is one program instruction.
@@ -243,14 +236,15 @@ type Instr = machine.Instr
 // MachineEngine is any cycle-driven transport programs can run on — the one
 // method set (step, run, drain, watchdog, snapshot, memory) all three cycle
 // engines share.
-type MachineEngine = machine.Engine
+type MachineEngine = engine.Machine
 
 // Program builders.
 var (
-	NewMachine          = machine.New
-	NewM1               = machine.NewM1
-	NewMachineInjectors = machine.NewInjectors
-	RMW                 = machine.RMW
+	NewMachine = machine.New
+	// M1 builds the Section 3.2 stronger memory: the bus with one bank,
+	// combining off.
+	M1  = machine.M1
+	RMW = machine.RMW
 	// ParseTrace reads a request trace into one program per processor;
 	// WriteTrace writes programs back in the trace format.
 	ParseTrace = machine.ParseTrace
@@ -328,9 +322,6 @@ var (
 	// the run's certificate where its trace can give one), issued ==
 	// completed, nothing left in flight.
 	CheckBattery = chaos.Battery
-	// BuildMachine makes a programs' machine on a wiring named by
-	// internal/wiring, ready to Run.
-	BuildMachine = chaos.Build
 	// ShrinkChaos minimizes a failing scenario under a rerun budget.
 	ShrinkChaos = chaos.Shrink
 	// ChaosWindows counts a plan's fault windows — the shrink metric.
@@ -394,17 +385,3 @@ func LadnerFischer[T any](m Monoid[T], vals []T, k int) ([]T, prefix.Circuit) {
 
 // CompilePath compiles a path expression into combinable guard mappings.
 var CompilePath = pathexpr.Compile
-
-// ---- Section 7 variants ----
-
-// CubeConfig parameterizes the hypercube machine.
-type CubeConfig = hypercube.Config
-
-// NewCubeSim builds the hypercube machine.
-var NewCubeSim = hypercube.NewSim
-
-// BusConfig parameterizes the bus machine.
-type BusConfig = busnet.Config
-
-// NewBusSim builds the bus machine.
-var NewBusSim = busnet.NewSim

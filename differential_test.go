@@ -66,7 +66,7 @@ func TestDifferentialEngines(t *testing.T) {
 	// combine would hand the bank one request for two, so a bank that served
 	// every request saw none.
 	t.Run("m1", func(t *testing.T) {
-		m := combining.NewM1(diffPrograms())
+		m := combining.NewMachine(diffPrograms(), combining.M1)
 		if !m.Run(10000) {
 			t.Fatal("did not complete")
 		}
@@ -82,22 +82,22 @@ func TestDifferentialEngines(t *testing.T) {
 	// Omega network machine across combining configurations.
 	for _, cfg := range []struct {
 		name string
-		net  combining.NetConfig
+		net  combining.WiringConfig
 	}{
-		{"omega-none", combining.NetConfig{Procs: diffProcs, WaitBufCap: 0}},
-		{"omega-partial", combining.NetConfig{Procs: diffProcs, WaitBufCap: 1}},
-		{"omega-full", combining.NetConfig{Procs: diffProcs, WaitBufCap: combining.Unbounded}},
-		{"omega-reversal", combining.NetConfig{Procs: diffProcs, WaitBufCap: combining.Unbounded, AllowReversal: true}},
+		{"omega-none", combining.WiringConfig{Procs: diffProcs, WaitBufCap: 0}},
+		{"omega-partial", combining.WiringConfig{Procs: diffProcs, WaitBufCap: 1}},
+		{"omega-full", combining.WiringConfig{Procs: diffProcs, WaitBufCap: combining.Unbounded}},
+		{"omega-reversal", combining.WiringConfig{Procs: diffProcs, WaitBufCap: combining.Unbounded, AllowReversal: true}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			fold := combining.NewCertificateFold()
 			cfg.net.Trace = fold.Record
-			m := combining.NewMachine(cfg.net, diffPrograms())
+			m := combining.NewMachine(diffPrograms(), wired(t, "omega", cfg.net))
 			if !m.Run(100000) {
 				t.Fatal("did not complete")
 			}
 			checkSerialization(t, cfg.name, repliesOf(m),
-				m.Sim().Memory().Peek(diffAddr).Val)
+				m.Memory().Peek(diffAddr).Val)
 			if err := combining.CheckCertificate(m.History(), fold.Certificate(), nil, nil); err != nil {
 				t.Errorf("%s: %v", cfg.name, err)
 			}
@@ -107,7 +107,7 @@ func TestDifferentialEngines(t *testing.T) {
 	// Hypercube and bus (script injectors).
 	t.Run("hypercube", func(t *testing.T) {
 		inj, collect := scriptFleet()
-		sim := combining.NewCubeSim(combining.CubeConfig{Nodes: diffProcs, WaitBufCap: combining.Unbounded}, inj)
+		sim := wired(t, "hypercube", combining.WiringConfig{Procs: diffProcs, WaitBufCap: combining.Unbounded})(inj)
 		if !sim.Drain(10000) {
 			t.Fatal("did not drain")
 		}
@@ -115,7 +115,7 @@ func TestDifferentialEngines(t *testing.T) {
 	})
 	t.Run("bus", func(t *testing.T) {
 		inj, collect := scriptFleet()
-		sim := combining.NewBusSim(combining.BusConfig{Procs: diffProcs, Banks: 4, WaitBufCap: combining.Unbounded}, inj)
+		sim := wired(t, "bus", combining.WiringConfig{Procs: diffProcs, Banks: 4, WaitBufCap: combining.Unbounded})(inj)
 		if !sim.Drain(10000) {
 			t.Fatal("did not drain")
 		}

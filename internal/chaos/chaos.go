@@ -170,26 +170,16 @@ func Run(sc Scenario) (map[string]int64, error) {
 		return c, err
 	}
 	cfg.Workers = 3
-	m3, eng3, err := Build(sc.Topology, cfg, progs)
+	build, err := wiring.New(sc.Topology, cfg)
 	if err != nil {
 		return c, err
 	}
+	m3 := machine.New(progs, build)
 	m3.Run(maxCycles)
-	if !bytes.Equal(eng3.Snapshot().JSON(), eng.Snapshot().JSON()) {
+	if !bytes.Equal(m3.Engine().Snapshot().JSON(), eng.Snapshot().JSON()) {
 		return c, fmt.Errorf("Workers=3 snapshot differs from Workers=1")
 	}
 	return c, nil
-}
-
-// Build makes the programs' machine on the named wiring.
-func Build(topology string, cfg wiring.Config, progs [][]machine.Instr) (*machine.Machine, engine.Machine, error) {
-	m, inj := machine.NewInjectors(progs)
-	eng, err := wiring.New(topology, cfg, inj)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.BindEngine(eng)
-	return m, eng, nil
 }
 
 // Battery is the invariant battery every soak runs: it builds the programs'
@@ -220,10 +210,12 @@ func Battery(topology string, cfg wiring.Config, progs [][]machine.Instr, maxCyc
 	} else {
 		cfg.Trace = fold.Record
 	}
-	m, eng, err := Build(topology, cfg, progs)
+	build, err := wiring.New(topology, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	m := machine.New(progs, build)
+	eng := m.Engine()
 	if !m.Run(maxCycles) {
 		if eng.Stalled() {
 			return m, eng, eng.Snapshot().Counters, fmt.Errorf("watchdog tripped: %s", eng.StallReport())

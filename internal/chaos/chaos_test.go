@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"combining/internal/engine"
+	"combining/internal/machine"
 	"combining/internal/wiring"
 )
 
@@ -51,11 +52,11 @@ func TestBatteryKeepsCallerTrace(t *testing.T) {
 			t.Fatalf("%s: %v", topo, err)
 		}
 		cfg.Trace = want.Record
-		m, _, err := Build(topo, cfg, progs)
+		build, err := wiring.New(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Run(maxCycles)
+		machine.New(progs, build).Run(maxCycles)
 		if len(want.Events) == 0 || !slices.Equal(got.Events, want.Events) {
 			t.Errorf("%s: the caller's sink got %d events, the bare machine traced %d", topo, len(got.Events), len(want.Events))
 		}

@@ -3,12 +3,9 @@ package machine
 import (
 	"testing"
 
-	"combining/internal/busnet"
-	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
-	"combining/internal/network"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -25,31 +22,17 @@ import (
 // grows steeply with ops per hot address, and the extra processors
 // already double the draws each fault kind gets.
 var advWirings = []struct {
-	name  string
-	procs int
-	ops   int
-	build func(*faults.Plan, []network.Injector) Engine
+	name   string // the subtest
+	wiring string
+	procs  int
+	ops    int
 }{
-	{"omega2", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
-		return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
-	}},
-	{"omega4", 16, 8, func(p *faults.Plan, inj []network.Injector) Engine {
-		return network.NewSim(network.Config{Procs: 16, Radix: 4, WaitBufCap: 64, Faults: p}, inj)
-	}},
-	{"fattree", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
-		return network.NewSim(network.Config{
-			Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)
-	}},
-	{"busnet", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
-		return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
-	}},
-	{"hypercube", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
-		return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
-	}},
-	{"torus", 8, 12, func(p *faults.Plan, inj []network.Injector) Engine {
-		return hypercube.NewSim(hypercube.Config{
-			Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)
-	}},
+	{"omega2", "omega", 8, 12},
+	{"omega4", "omega4", 16, 8},
+	{"fattree", "fattree", 8, 12},
+	{"busnet", "bus", 8, 12},
+	{"hypercube", "hypercube", 8, 12},
+	{"torus", "torus", 8, 12},
 }
 
 // runAdversarialSoak drives hot-spot programs on one wiring under the
@@ -57,14 +40,12 @@ var advWirings = []struct {
 // returns the snapshot counters so the caller can aggregate the
 // vacuous-pass guard across seeds (a short run may legitimately draw zero
 // of one kind at one seed).
-func runAdversarialSoak(t *testing.T, name string, procs, ops int, seed uint64,
-	build func(*faults.Plan, []network.Injector) Engine) map[string]int64 {
+func runAdversarialSoak(t *testing.T, name, wiringName string, procs, ops int, seed uint64) map[string]int64 {
 	t.Helper()
 	plan := faults.DefaultAdversarial(seed)
 	progs := faultPrograms(procs, ops)
-	m, inj := NewInjectors(progs)
-	eng := build(plan, inj)
-	m.BindEngine(eng)
+	m := New(progs, wired(t, wiringName, wiring.Config{Procs: procs, WaitBufCap: 64, Faults: plan}))
+	eng := m.Engine()
 	if !m.Run(400000) {
 		t.Fatalf("%s seed %d: programs did not complete (in flight %d)", name, seed, eng.InFlight())
 	}
@@ -95,7 +76,7 @@ func TestAdversarialPlanAllWirings(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			total := map[string]int64{}
 			for _, seed := range []uint64{1, 3, 9} {
-				for k, v := range runAdversarialSoak(t, w.name, w.procs, w.ops, seed, w.build) {
+				for k, v := range runAdversarialSoak(t, w.name, w.wiring, w.procs, w.ops, seed) {
 					total[k] += v
 				}
 			}
@@ -115,13 +96,11 @@ func TestAdversarialDeterminism(t *testing.T) {
 	run := func() (counters map[string]int64, hist *serial.History) {
 		plan := faults.DefaultAdversarial(42)
 		progs := faultPrograms(8, 10)
-		m, inj := NewInjectors(progs)
-		sim := network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: plan}, inj)
-		m.BindEngine(sim)
+		m := New(progs, wired(t, "omega", wiring.Config{Procs: 8, WaitBufCap: 64, Faults: plan}))
 		if !m.Run(200000) {
 			t.Fatal("programs did not complete")
 		}
-		return sim.Snapshot().Counters, m.History()
+		return m.Engine().Snapshot().Counters, m.History()
 	}
 	c1, h1 := run()
 	c2, h2 := run()
@@ -152,9 +131,8 @@ func TestNetworkDupSuppression(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			plan := &faults.Plan{Seed: 7, Dup: 0.05, RetryTimeout: 512}
 			progs := faultPrograms(w.procs, w.ops)
-			m, inj := NewInjectors(progs)
-			eng := w.build(plan, inj)
-			m.BindEngine(eng)
+			m := New(progs, wired(t, w.wiring, wiring.Config{Procs: w.procs, WaitBufCap: 64, Faults: plan}))
+			eng := m.Engine()
 			if !m.Run(400000) {
 				t.Fatalf("programs did not complete (in flight %d)", eng.InFlight())
 			}

@@ -4,11 +4,10 @@ import (
 	"sort"
 	"testing"
 
-	"combining/internal/busnet"
+	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
-	"combining/internal/network"
 	"combining/internal/rmw"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -37,12 +36,11 @@ func hotPrograms(nprocs, reqs int) [][]Instr {
 // runBackpressureSoak drives the hot-spot programs and checks completion,
 // serial-reply correctness, zero watchdog trips, and the gauge bounds.
 func runBackpressureSoak(t *testing.T, name string, nprocs, reqs, maxCycles int,
-	build func([]network.Injector) Engine, gaugeBounds map[string]int64) {
+	build func([]engine.Injector) engine.Machine, gaugeBounds map[string]int64) {
 	t.Helper()
 	progs := hotPrograms(nprocs, reqs)
-	m, inj := NewInjectors(progs)
-	eng := build(inj)
-	m.BindEngine(eng)
+	m := New(progs, build)
+	eng := m.Engine()
 	if !m.Run(maxCycles) {
 		if eng.Stalled() {
 			t.Fatalf("%s: watchdog tripped:\n%s", name, eng.StallReport())
@@ -103,31 +101,11 @@ func serialGroundTruth(ops []rmw.Mapping) ([]word.Word, word.Word) {
 // a wait record — see DESIGN.md).
 const soakWaitCap = 4
 
-func netSoak(plan *faults.Plan) func([]network.Injector) Engine {
-	return func(inj []network.Injector) Engine {
-		return network.NewSim(network.Config{
-			Procs: 64, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
-			WaitBufCap: soakWaitCap, Faults: plan,
-		}, inj)
-	}
-}
-
-func cubeSoak(plan *faults.Plan) func([]network.Injector) Engine {
-	return func(inj []network.Injector) Engine {
-		return hypercube.NewSim(hypercube.Config{
-			Nodes: 64, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
-			WaitBufCap: soakWaitCap, Faults: plan,
-		}, inj)
-	}
-}
-
-func busSoak(plan *faults.Plan) func([]network.Injector) Engine {
-	return func(inj []network.Injector) Engine {
-		return busnet.NewSim(busnet.Config{
-			Procs: 64, Banks: 8, QueueCap: 1, BankQueueCap: 1,
-			WaitBufCap: soakWaitCap, Faults: plan,
-		}, inj)
-	}
+// soak is the minimal-capacity configuration: 64 processors, the bus with
+// 8 banks.
+func soak(plan *faults.Plan, workers int) wiring.Config {
+	return wiring.Config{Procs: 64, Banks: 8, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
+		WaitBufCap: soakWaitCap, Faults: plan, Workers: workers}
 }
 
 func TestBackpressureSoakNetwork(t *testing.T) {
@@ -135,8 +113,8 @@ func TestBackpressureSoakNetwork(t *testing.T) {
 		"max_rev_queue": 1 + soakWaitCap,
 		"max_mem_queue": 1,
 	}
-	runBackpressureSoak(t, "network/clean", 64, 16, 400000, netSoak(nil), bounds)
-	runBackpressureSoak(t, "network/faults", 64, 8, 2000000, netSoak(faults.Default(11)), bounds)
+	runBackpressureSoak(t, "network/clean", 64, 16, 400000, wired(t, "omega", soak(nil, 0)), bounds)
+	runBackpressureSoak(t, "network/faults", 64, 8, 2000000, wired(t, "omega", soak(faults.Default(11), 0)), bounds)
 }
 
 func TestBackpressureSoakHypercube(t *testing.T) {
@@ -144,24 +122,24 @@ func TestBackpressureSoakHypercube(t *testing.T) {
 		"max_rev_queue": 1 + soakWaitCap,
 		"max_mem_queue": 1,
 	}
-	runBackpressureSoak(t, "hypercube/clean", 64, 16, 400000, cubeSoak(nil), bounds)
-	runBackpressureSoak(t, "hypercube/faults", 64, 8, 2000000, cubeSoak(faults.Default(12)), bounds)
+	runBackpressureSoak(t, "hypercube/clean", 64, 16, 400000, wired(t, "hypercube", soak(nil, 0)), bounds)
+	runBackpressureSoak(t, "hypercube/faults", 64, 8, 2000000, wired(t, "hypercube", soak(faults.Default(12), 0)), bounds)
 }
 
 func TestBackpressureSoakBusnet(t *testing.T) {
 	bounds := map[string]int64{
 		"max_mem_queue": 1,
 	}
-	runBackpressureSoak(t, "busnet/clean", 64, 16, 400000, busSoak(nil), bounds)
-	runBackpressureSoak(t, "busnet/faults", 64, 8, 2000000, busSoak(faults.Default(13)), bounds)
+	runBackpressureSoak(t, "busnet/clean", 64, 16, 400000, wired(t, "bus", soak(nil, 0)), bounds)
+	runBackpressureSoak(t, "busnet/faults", 64, 8, 2000000, wired(t, "bus", soak(faults.Default(13), 0)), bounds)
 }
 
 // wedgedEngine is a transport whose watchdog trips after a fixed number
 // of steps — a stand-in for a livelocked network (a real clean engine is
 // deadlock-free by construction and cannot be wedged from outside).  The
-// embedded nil Engine fills out the method set Run never touches.
+// embedded nil engine.Machine fills out the method set Run never touches.
 type wedgedEngine struct {
-	Engine
+	engine.Machine
 	steps, tripAt int
 }
 
@@ -174,9 +152,8 @@ func (w *wedgedEngine) Stalled() bool { return w.steps >= w.tripAt }
 // the remaining cycle budget on a wedged transport.
 func TestRunFailsFastOnStall(t *testing.T) {
 	progs := hotPrograms(1, 1)
-	m, _ := NewInjectors(progs)
 	eng := &wedgedEngine{tripAt: 500}
-	m.BindEngine(eng)
+	m := New(progs, func([]engine.Injector) engine.Machine { return eng })
 	const budget = 1000000
 	if m.Run(budget) {
 		t.Fatal("Run reported completion on a wedged engine")

@@ -3,9 +3,9 @@ package machine
 import (
 	"testing"
 
-	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -73,13 +73,13 @@ func collierPrograms(withFences bool) [][]Instr {
 	return progs
 }
 
-func collierConfig() network.Config {
-	return network.Config{Procs: 8, QueueCap: 8, WaitBufCap: 0}
+func collierConfig() wiring.Config {
+	return wiring.Config{Procs: 8, QueueCap: 8, WaitBufCap: 0}
 }
 
 func runCollier(t *testing.T, withFences bool) (a, b int64, hist *serial.History) {
 	t.Helper()
-	m := New(collierConfig(), collierPrograms(withFences))
+	m := New(collierPrograms(withFences), wired(t, "omega", collierConfig()))
 	if !m.Run(5000) {
 		t.Fatal("programs did not complete")
 	}

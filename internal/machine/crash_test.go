@@ -3,11 +3,7 @@ package machine
 import (
 	"testing"
 
-	"combining/internal/busnet"
-	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
-	"combining/internal/network"
 	"combining/internal/serial"
 	"combining/internal/wiring"
 	"combining/internal/word"
@@ -40,12 +36,8 @@ func crashDropPlan(seed uint64) *faults.Plan {
 func runCrashSoak(t *testing.T, name string, seed uint64) {
 	t.Helper()
 	progs := faultPrograms(8, 16)
-	m, inj := NewInjectors(progs)
-	eng, err := wiring.New(name, wiring.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: crashDropPlan(seed)}, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.BindEngine(eng)
+	m := New(progs, wired(t, name, wiring.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: crashDropPlan(seed)}))
+	eng := m.Engine()
 	if !m.Run(400000) {
 		t.Fatalf("%s seed %d: programs did not complete (in flight %d)", name, seed, eng.InFlight())
 	}
@@ -90,7 +82,7 @@ func TestUnderCrashPlan(t *testing.T) {
 // core.SerialReplies ground truth (the exactly-once acceptance bar).
 func TestCrashDeterminism(t *testing.T) {
 	eachWiring(t, 64, func(t *testing.T, name string, seed uint64) {
-		runDeterminismCheck(t, name+"/crash", 64, 4, 2000000, byName(name, crashDropPlan(50+seed)))
+		runDeterminismCheck(t, name+"/crash", 64, 4, 2000000, byName(t, name, crashDropPlan(50+seed)))
 	})
 }
 
@@ -102,28 +94,8 @@ func TestCrashSeedParityAcrossWirings(t *testing.T) {
 	wirings := []struct {
 		name  string
 		procs int
-		build func(*faults.Plan, []network.Injector) Engine
 	}{
-		{"network-r2", 8, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: p}, inj)
-		}},
-		{"network-r4", 16, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{Procs: 16, Radix: 4, WaitBufCap: 64, Faults: p}, inj)
-		}},
-		{"fattree", 8, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{
-				Topology: engine.FatTreeOf(8, 2), WaitBufCap: 64, Faults: p}, inj)
-		}},
-		{"busnet", 8, func(p *faults.Plan, inj []network.Injector) Engine {
-			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: p}, inj)
-		}},
-		{"hypercube", 8, func(p *faults.Plan, inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: p}, inj)
-		}},
-		{"torus", 8, func(p *faults.Plan, inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{
-				Topology: engine.TorusOf(4, 2), WaitBufCap: 64, Faults: p}, inj)
-		}},
+		{"omega", 8}, {"omega4", 16}, {"fattree", 8}, {"bus", 8}, {"hypercube", 8}, {"torus", 8},
 	}
 	const seed = 99
 	for _, w := range wirings {
@@ -131,9 +103,8 @@ func TestCrashSeedParityAcrossWirings(t *testing.T) {
 			plan := faults.GenCrashPlan(seed, 2, 2000, 80)
 			plan.DropFwd, plan.DropRev = 0.01, 0.01
 			progs := faultPrograms(w.procs, 12)
-			m, inj := NewInjectors(progs)
-			eng := w.build(plan, inj)
-			m.BindEngine(eng)
+			m := New(progs, wired(t, w.name, wiring.Config{Procs: w.procs, WaitBufCap: 64, Faults: plan}))
+			eng := m.Engine()
 			if !m.Run(400000) {
 				t.Fatalf("%s: programs did not complete (in flight %d)", w.name, eng.InFlight())
 			}

@@ -32,12 +32,11 @@ type detResult struct {
 }
 
 func runAtWidth(t *testing.T, name string, nprocs, reqs, maxCycles int,
-	build func([]network.Injector) Engine) detResult {
+	build func([]engine.Injector) engine.Machine) detResult {
 	t.Helper()
 	progs := hotPrograms(nprocs, reqs)
-	m, inj := NewInjectors(progs)
-	eng := build(inj)
-	m.BindEngine(eng)
+	m := New(progs, build)
+	eng := m.Engine()
 	if !m.Run(maxCycles) {
 		if eng.Stalled() {
 			t.Fatalf("%s: watchdog tripped:\n%s", name, eng.StallReport())
@@ -54,7 +53,7 @@ func runAtWidth(t *testing.T, name string, nprocs, reqs, maxCycles int,
 }
 
 func runDeterminismCheck(t *testing.T, name string, nprocs, reqs, maxCycles int,
-	build func(workers int) func([]network.Injector) Engine) {
+	build func(workers int) func([]engine.Injector) engine.Machine) {
 	t.Helper()
 	want := runAtWidth(t, name+"/w1", nprocs, reqs, maxCycles, build(1))
 
@@ -88,25 +87,16 @@ func runDeterminismCheck(t *testing.T, name string, nprocs, reqs, maxCycles int,
 	}
 }
 
-// byName builds the named wiring for runDeterminismCheck: 64 processors at
-// the minimal queue capacities, the bus with 8 banks.
-func byName(name string, plan *faults.Plan) func(workers int) func([]network.Injector) Engine {
-	return func(workers int) func([]network.Injector) Engine {
-		return func(inj []network.Injector) Engine {
-			eng, err := wiring.New(name, wiring.Config{
-				Procs: 64, Banks: 8, QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,
-				WaitBufCap: soakWaitCap, Faults: plan, Workers: workers,
-			}, inj)
-			if err != nil {
-				panic(err)
-			}
-			return eng
-		}
+// byName builds the named wiring for runDeterminismCheck at the minimal
+// queue capacities (soak).
+func byName(t *testing.T, name string, plan *faults.Plan) func(workers int) func([]engine.Injector) engine.Machine {
+	return func(workers int) func([]engine.Injector) engine.Machine {
+		return wired(t, name, soak(plan, workers))
 	}
 }
 
 // eachWiring runs f as a subtest on every registered wiring, with the
-// wiring's seed offset; a name whose Validate rejects procs processors —
+// wiring's seed offset; a name wiring.New rejects at procs processors —
 // omega4 at 8 — is skipped.  The offsets are the order the families
 // were first written in (omega 1, hypercube 2, bus 3, fattree 4, torus 5);
 // any other name takes one past them plus its place in wiring.Names().
@@ -118,7 +108,7 @@ func eachWiring(t *testing.T, procs int, f func(t *testing.T, name string, seed 
 			seed = uint64(len(order) + 1 + i)
 		}
 		t.Run(name, func(t *testing.T) {
-			if err := wiring.Validate(name, wiring.Config{Procs: procs}); err != nil {
+			if _, err := wiring.New(name, wiring.Config{Procs: procs}); err != nil {
 				t.Skip(err)
 			}
 			f(t, name, seed)
@@ -128,8 +118,8 @@ func eachWiring(t *testing.T, procs int, f func(t *testing.T, name string, seed 
 
 func TestDeterminism(t *testing.T) {
 	eachWiring(t, 64, func(t *testing.T, name string, seed uint64) {
-		runDeterminismCheck(t, name+"/clean", 64, 8, 400000, byName(name, nil))
-		runDeterminismCheck(t, name+"/faults", 64, 4, 2000000, byName(name, faults.Default(30+seed)))
+		runDeterminismCheck(t, name+"/clean", 64, 8, 400000, byName(t, name, nil))
+		runDeterminismCheck(t, name+"/faults", 64, 4, 2000000, byName(t, name, faults.Default(30+seed)))
 	})
 }
 
@@ -138,8 +128,8 @@ func TestDeterminism(t *testing.T) {
 // one clean determinism pass at radix 4 to pin the staged core's generic
 // conflict groups on a genuinely different partition shape.
 func TestDeterminismFatTreeRadix4(t *testing.T) {
-	build := func(workers int) func([]network.Injector) Engine {
-		return func(inj []network.Injector) Engine {
+	build := func(workers int) func([]engine.Injector) engine.Machine {
+		return func(inj []engine.Injector) engine.Machine {
 			return network.NewSim(network.Config{
 				Topology: engine.FatTreeOf(64, 4),
 				QueueCap: 1, RevQueueCap: 1, MemQueueCap: 1,

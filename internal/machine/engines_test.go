@@ -4,14 +4,10 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"combining/internal/busnet"
 	"combining/internal/core"
-	"combining/internal/engine"
-	"combining/internal/hypercube"
-	"combining/internal/memory"
-	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -20,12 +16,7 @@ import (
 // the bus, and every execution passes the serializability search and the
 // certificate its trace builds, which also checks real-time order.
 
-type enginePeek interface {
-	Engine
-	Memory() *memory.Array
-}
-
-func runOnEngine(t *testing.T, build func([]network.Injector, func(engine.Event)) enginePeek, seed uint64) {
+func runOnEngine(t *testing.T, name string, seed uint64) {
 	t.Helper()
 	const n, ops, addrSpace = 8, 15, 3
 	rng := rand.New(rand.NewPCG(seed, 5))
@@ -47,10 +38,9 @@ func runOnEngine(t *testing.T, build func([]network.Injector, func(engine.Event)
 			progs[p] = append(progs[p], RMW(addr, op))
 		}
 	}
-	m, inj := NewInjectors(progs)
 	fold := serial.NewFold()
-	eng := build(inj, fold.Record)
-	m.BindEngine(eng)
+	m := New(progs, wired(t, name, wiring.Config{Procs: n, WaitBufCap: core.Unbounded, Trace: fold.Record}))
+	eng := m.Engine()
 	if !m.Run(100000) {
 		t.Fatal("programs did not complete")
 	}
@@ -68,17 +58,13 @@ func runOnEngine(t *testing.T, build func([]network.Injector, func(engine.Event)
 
 func TestTheorem42OnHypercube(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		runOnEngine(t, func(inj []network.Injector, trace func(engine.Event)) enginePeek {
-			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: core.Unbounded, Trace: trace}, inj)
-		}, seed)
+		runOnEngine(t, "hypercube", seed)
 	}
 }
 
 func TestTheorem42OnBus(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		runOnEngine(t, func(inj []network.Injector, trace func(engine.Event)) enginePeek {
-			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: core.Unbounded, Trace: trace}, inj)
-		}, seed)
+		runOnEngine(t, "bus", seed)
 	}
 }
 
@@ -88,9 +74,8 @@ func TestFenceOnHypercube(t *testing.T) {
 		{RMW(0, rmw.StoreOf(1)), Fence(), RMW(1, rmw.StoreOf(2))},
 		nil, nil, nil, nil, nil, nil, nil,
 	}
-	m, inj := NewInjectors(progs)
-	eng := hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: core.Unbounded}, inj)
-	m.BindEngine(eng)
+	m := New(progs, wired(t, "hypercube", wiring.Config{Procs: 8, WaitBufCap: core.Unbounded}))
+	eng := m.Engine()
 	if !m.Run(10000) {
 		t.Fatal("did not complete")
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"combining/internal/faults"
-	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
 	"combining/internal/wiring"
@@ -49,12 +48,8 @@ func TestWiringsUnderFaultPlan(t *testing.T) {
 				procs, ops = 16, 6
 			}
 			for _, seed := range []uint64{1, 2, 3, 7} {
-				m, inj := NewInjectors(faultPrograms(procs, ops))
-				eng, err := wiring.New(name, wiring.Config{Procs: procs, WaitBufCap: 64, Faults: faults.Default(seed)}, inj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.BindEngine(eng)
+				m := New(faultPrograms(procs, ops), wired(t, name, wiring.Config{Procs: procs, WaitBufCap: 64, Faults: faults.Default(seed)}))
+				eng := m.Engine()
 				if !m.Run(400000) {
 					t.Fatalf("seed %d: programs did not complete (in flight %d)", seed, eng.InFlight())
 				}
@@ -87,13 +82,11 @@ func TestNetworkFaultDeterminism(t *testing.T) {
 	run := func() (counters map[string]int64, hist *serial.History) {
 		plan := faults.Default(42)
 		progs := faultPrograms(8, 10)
-		m, inj := NewInjectors(progs)
-		sim := network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: plan}, inj)
-		m.BindEngine(sim)
+		m := New(progs, wired(t, "omega", wiring.Config{Procs: 8, WaitBufCap: 64, Faults: plan}))
 		if !m.Run(200000) {
 			t.Fatal("programs did not complete")
 		}
-		return sim.Snapshot().Counters, m.History()
+		return m.Engine().Snapshot().Counters, m.History()
 	}
 	c1, h1 := run()
 	c2, h2 := run()

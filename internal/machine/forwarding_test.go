@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"combining/internal/engine"
 	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
@@ -84,17 +85,17 @@ func forwardingPrograms() [][]Instr {
 func runForwarding(t *testing.T, buggy bool) (b, finalA int64, hist *serial.History, final map[word.Addr]word.Word) {
 	t.Helper()
 	cfg := network.Config{Procs: 8, QueueCap: 12, WaitBufCap: 0, BuggyLoadForwarding: buggy}
-	m := New(cfg, forwardingPrograms())
+	m := New(forwardingPrograms(), func(inj []engine.Injector) engine.Machine { return network.NewSim(cfg, inj) })
 	if !m.Run(10000) {
 		t.Fatal("programs did not complete")
 	}
 	p3 := m.Proc(1)
 	b = p3.Reply(0).Val + 1
-	finalA = m.Sim().Memory().Peek(fwdA).Val
+	finalA = m.Memory().Peek(fwdA).Val
 	final = map[word.Addr]word.Word{
-		fwdA: m.Sim().Memory().Peek(fwdA),
-		fwdB: m.Sim().Memory().Peek(fwdB),
-		fwdC: m.Sim().Memory().Peek(fwdC),
+		fwdA: m.Memory().Peek(fwdA),
+		fwdB: m.Memory().Peek(fwdB),
+		fwdC: m.Memory().Peek(fwdC),
 	}
 	return b, finalA, m.History(), final
 }
@@ -165,13 +166,13 @@ func TestBuggyForwardingDetectedStochastically(t *testing.T) {
 		}
 		fold := serial.NewFold()
 		cfg := network.Config{Procs: 16, QueueCap: 4, WaitBufCap: 0, BuggyLoadForwarding: buggy, Trace: fold.Record}
-		m := New(cfg, progs)
+		m := New(progs, func(inj []engine.Injector) engine.Machine { return network.NewSim(cfg, inj) })
 		if !m.Run(50000) {
 			t.Fatal("stochastic programs did not complete")
 		}
 		final := map[word.Addr]word.Word{
-			0: m.Sim().Memory().Peek(0),
-			1: m.Sim().Memory().Peek(1),
+			0: m.Memory().Peek(0),
+			1: m.Memory().Peek(1),
 		}
 		return serial.Check(m.History(), fold.Certificate(), nil, final)
 	}

@@ -81,11 +81,8 @@ func TestGoldenSaturated(t *testing.T) {
 					inj[p] = &budget{network.NewStochastic(p, satProcs, network.TrafficConfig{
 						Rate: 0.9, HotFraction: 0.25, AddrSpace: satAddrs, Window: 4}, 75), satOpsEach, fnv.New64a()}
 				}
-				eng, err := wiring.New(name, wiring.Config{Procs: satProcs, QueueCap: satQueueCap,
-					WaitBufCap: satWaitCap, Faults: pl.plan(), Workers: w}, inj)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng := wired(t, name, wiring.Config{Procs: satProcs, QueueCap: satQueueCap,
+					WaitBufCap: satWaitCap, Faults: pl.plan(), Workers: w})(inj)
 				if !eng.Drain(400000) {
 					t.Fatalf("%s: did not drain (%d in flight):\n%s", key, eng.InFlight(), eng.StallReport())
 				}

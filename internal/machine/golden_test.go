@@ -5,8 +5,8 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/network"
 	"combining/internal/wiring"
 	"combining/internal/word"
 )
@@ -45,9 +45,9 @@ func goldenPrograms() [][]Instr {
 // hotTagged marks requests to the shared counter as hot-spot traffic, so
 // the hot/cold completion split is part of what the digests pin (program
 // injectors leave every request untagged).
-type hotTagged struct{ network.Injector }
+type hotTagged struct{ engine.Injector }
 
-func (h hotTagged) Next(cycle int64) (network.Injection, bool) {
+func (h hotTagged) Next(cycle int64) (engine.Injection, bool) {
 	in, ok := h.Injector.Next(cycle)
 	in.Hot = ok && in.Req.Addr == hotCell
 	return in, ok
@@ -65,9 +65,9 @@ var goldenPlans = []struct {
 
 // goldenDigest runs the program set to completion on one machine and hashes
 // what it left behind.
-func goldenDigest(t *testing.T, name string, eng Engine, m *Machine) string {
+func goldenDigest(t *testing.T, name string, m *Machine) string {
 	t.Helper()
-	m.BindEngine(eng)
+	eng := m.Engine()
 	if !m.Run(400000) {
 		if eng.Stalled() {
 			t.Fatalf("%s: watchdog tripped:\n%s", name, eng.StallReport())
@@ -87,17 +87,16 @@ func TestGoldenDigests(t *testing.T) {
 		for _, pl := range goldenPlans {
 			for _, w := range []int{1, 3} {
 				key := fmt.Sprintf("%s/%s/w%d", name, pl.name, w)
-				m, inj := NewInjectors(goldenPrograms())
-				for p := range inj {
-					inj[p] = hotTagged{inj[p]}
-				}
 				// The bus rows were committed on eight banks.
-				eng, err := wiring.New(name, wiring.Config{
-					Procs: goldenProcs, WaitBufCap: 8, Banks: 8, Faults: pl.plan(), Workers: w}, inj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := goldenDigest(t, key, eng, m)
+				build := wired(t, name, wiring.Config{
+					Procs: goldenProcs, WaitBufCap: 8, Banks: 8, Faults: pl.plan(), Workers: w})
+				m := New(goldenPrograms(), func(inj []engine.Injector) engine.Machine {
+					for p := range inj {
+						inj[p] = hotTagged{inj[p]}
+					}
+					return build(inj)
+				})
+				got := goldenDigest(t, key, m)
 				if want, ok := goldenTable[key]; !ok || got != want {
 					t.Errorf("golden digest moved:\n\t%q: %q,   (committed: %q)", key, got, want)
 				}

@@ -5,12 +5,10 @@ import (
 	"sort"
 	"testing"
 
-	"combining/internal/busnet"
 	"combining/internal/core"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
-	"combining/internal/network"
 	"combining/internal/rmw"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -40,17 +38,10 @@ func TestProcessorLinkDown(t *testing.T) {
 		// network, node 1's own processor, and on the bus — one medium,
 		// index 0 — the one processor that wins the arbitration.
 		offers int64
-		build  func(*faults.Plan, []network.Injector) Engine
 	}{
-		{"omega", 1, 2, func(p *faults.Plan, inj []network.Injector) Engine {
-			return network.NewSim(network.Config{Procs: procs, WaitBufCap: 8, Faults: p}, inj)
-		}},
-		{"hypercube", 1, 1, func(p *faults.Plan, inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{Nodes: procs, WaitBufCap: 8, Faults: p}, inj)
-		}},
-		{"bus", 0, 1, func(p *faults.Plan, inj []network.Injector) Engine {
-			return busnet.NewSim(busnet.Config{Procs: procs, Banks: 4, WaitBufCap: 8, Faults: p}, inj)
-		}},
+		{"omega", 1, 2},
+		{"hypercube", 1, 1},
+		{"bus", 0, 1},
 	} {
 		for _, stage := range []int{0, -1} {
 			t.Run(fmt.Sprintf("%s/stage%d", tc.name, stage), func(t *testing.T) {
@@ -61,9 +52,8 @@ func TestProcessorLinkDown(t *testing.T) {
 					progs[p] = []Instr{RMW(0, rmw.FetchAdd(1)), RMW(0, rmw.FetchAdd(1))}
 					progs[p][0].MinCycle, progs[p][1].MinCycle = first, later
 				}
-				m, inj := NewInjectors(progs)
-				eng := tc.build(plan, inj)
-				m.BindEngine(eng)
+				m := New(progs, wired(t, tc.name, wiring.Config{Procs: procs, WaitBufCap: 8, Faults: plan}))
+				eng := m.Engine()
 				if !m.Run(100000) {
 					t.Fatalf("programs did not complete (%d in flight):\n%s", eng.InFlight(), eng.StallReport())
 				}

@@ -3,9 +3,9 @@ package machine
 import (
 	"testing"
 
-	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -63,7 +63,7 @@ func mpPrograms(withFences bool) [][]Instr {
 
 func runMP(t *testing.T, withFences bool) (flag, data int64, hist *serial.History) {
 	t.Helper()
-	m := New(network.Config{Procs: 8, QueueCap: 4, WaitBufCap: 0}, mpPrograms(withFences))
+	m := New(mpPrograms(withFences), wired(t, "omega", wiring.Config{Procs: 8, QueueCap: 4, WaitBufCap: 0}))
 	if !m.Run(10000) {
 		t.Fatal("programs did not complete")
 	}

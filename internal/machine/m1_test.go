@@ -26,7 +26,7 @@ func TestM1CollierAlwaysSC(t *testing.T) {
 				{Addr: A, Op: rmw.StoreOf(1)},
 			},
 		}
-		m := NewM1(progs)
+		m := New(progs, M1)
 		if !m.Run(1000) {
 			t.Fatal("programs did not complete")
 		}
@@ -62,7 +62,7 @@ func TestM1RandomProgramsSC(t *testing.T) {
 				progs[p] = append(progs[p], Instr{Addr: addr, Op: op, MinCycle: int64(rng.IntN(6))})
 			}
 		}
-		m := NewM1(progs)
+		m := New(progs, M1)
 		if !m.Run(1000) {
 			t.Fatal("programs did not complete")
 		}
@@ -81,7 +81,7 @@ func TestM1Semantics(t *testing.T) {
 			RMW(3, rmw.Load{}),
 		},
 	}
-	m := NewM1(progs)
+	m := New(progs, M1)
 	m.Memory().Poke(3, word.W(100))
 	if !m.Run(100) {
 		t.Fatal("program did not complete")
@@ -99,7 +99,7 @@ func TestM1Fences(t *testing.T) {
 	progs := [][]Instr{
 		{RMW(0, rmw.StoreOf(1)), Fence(), RMW(1, rmw.StoreOf(2))},
 	}
-	m := NewM1(progs)
+	m := New(progs, M1)
 	if !m.Run(100) {
 		t.Fatal("program did not complete")
 	}

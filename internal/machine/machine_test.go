@@ -5,11 +5,23 @@ import (
 	"testing"
 
 	"combining/internal/core"
-	"combining/internal/network"
+	"combining/internal/engine"
 	"combining/internal/rmw"
 	"combining/internal/serial"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
+
+// wired is the build function of a registered wiring; a config the wiring
+// rejects fails the test.
+func wired(t testing.TB, name string, cfg wiring.Config) func([]engine.Injector) engine.Machine {
+	t.Helper()
+	build, err := wiring.New(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return build
+}
 
 func TestProgramDependencies(t *testing.T) {
 	// Instruction 2 stores the value loaded by instruction 0 plus one.
@@ -25,12 +37,12 @@ func TestProgramDependencies(t *testing.T) {
 		},
 		nil, nil, nil,
 	}
-	m := New(network.Config{Procs: 4}, progs)
-	m.Sim().Memory().Poke(3, word.W(41))
+	m := New(progs, wired(t, "omega", wiring.Config{Procs: 4}))
+	m.Memory().Poke(3, word.W(41))
 	if !m.Run(1000) {
 		t.Fatal("program did not complete")
 	}
-	if got := m.Sim().Memory().Peek(5).Val; got != 42 {
+	if got := m.Memory().Peek(5).Val; got != 42 {
 		t.Fatalf("dependent store wrote %d, want 42", got)
 	}
 }
@@ -42,7 +54,7 @@ func TestFenceOrdersIssue(t *testing.T) {
 		{RMW(0, rmw.FetchAdd(1)), Fence(), RMW(1, rmw.FetchAdd(1))},
 		nil, nil, nil,
 	}
-	m := New(network.Config{Procs: 4}, progs)
+	m := New(progs, wired(t, "omega", wiring.Config{Procs: 4}))
 	if !m.Run(1000) {
 		t.Fatal("program did not complete")
 	}
@@ -67,11 +79,11 @@ func TestRMWImplementations(t *testing.T) {
 			memSide[p] = append(memSide[p], RMW(ctr, rmw.FetchAdd(1)))
 		}
 	}
-	m1 := New(network.Config{Procs: n, WaitBufCap: core.Unbounded}, memSide)
+	m1 := New(memSide, wired(t, "omega", wiring.Config{Procs: n, WaitBufCap: core.Unbounded}))
 	if !m1.Run(100000) {
 		t.Fatal("memory-side run did not complete")
 	}
-	if got := m1.Sim().Memory().Peek(ctr).Val; got != n*perProc {
+	if got := m1.Memory().Peek(ctr).Val; got != n*perProc {
 		t.Fatalf("memory-side counter = %d, want %d (atomicity lost?)", got, n*perProc)
 	}
 
@@ -93,13 +105,13 @@ func TestRMWImplementations(t *testing.T) {
 			)
 		}
 	}
-	m2 := New(network.Config{Procs: n, WaitBufCap: core.Unbounded}, procSide)
+	m2 := New(procSide, wired(t, "omega", wiring.Config{Procs: n, WaitBufCap: core.Unbounded}))
 	if !m2.Run(100000) {
 		t.Fatal("processor-side run did not complete")
 	}
-	got := m2.Sim().Memory().Peek(ctr).Val
+	got := m2.Memory().Peek(ctr).Val
 
-	st1, st2 := m1.Sim().Stats(), m2.Sim().Stats()
+	st1, st2 := m1.Engine().Totals(), m2.Engine().Totals()
 	t.Logf("memory-side: %d requests issued, %d cycles, counter %d",
 		st1.Issued, st1.Cycles, n*perProc)
 	t.Logf("processor-side: %d requests issued, %d cycles, counter %d (of %d)",
@@ -126,12 +138,12 @@ func TestTheorem42RandomPrograms(t *testing.T) {
 	const addrSpace = 4
 	configs := []struct {
 		name string
-		cfg  network.Config
+		cfg  wiring.Config
 	}{
-		{"no-combining", network.Config{Procs: n, WaitBufCap: 0}},
-		{"partial", network.Config{Procs: n, WaitBufCap: 1}},
-		{"full", network.Config{Procs: n, WaitBufCap: core.Unbounded}},
-		{"full+reversal", network.Config{Procs: n, WaitBufCap: core.Unbounded, AllowReversal: true}},
+		{"no-combining", wiring.Config{Procs: n, WaitBufCap: 0}},
+		{"partial", wiring.Config{Procs: n, WaitBufCap: 1}},
+		{"full", wiring.Config{Procs: n, WaitBufCap: core.Unbounded}},
+		{"full+reversal", wiring.Config{Procs: n, WaitBufCap: core.Unbounded, AllowReversal: true}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,13 +191,13 @@ func TestTheorem42RandomPrograms(t *testing.T) {
 				fold := serial.NewFold()
 				cfg := tc.cfg
 				cfg.Trace = fold.Record
-				m := New(cfg, progs)
+				m := New(progs, wired(t, "omega", cfg))
 				if !m.Run(100000) {
 					t.Fatal("programs did not complete")
 				}
 				final := make(map[word.Addr]word.Word, addrSpace)
 				for a := word.Addr(0); a < addrSpace; a++ {
-					final[a] = m.Sim().Memory().Peek(a)
+					final[a] = m.Memory().Peek(a)
 				}
 				if err := serial.CheckM2WithFinal(m.History(), nil, final); err != nil {
 					t.Errorf("seed %d: %v", seed, err)

@@ -21,7 +21,6 @@ import (
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/memory"
-	"combining/internal/network"
 	"combining/internal/rmw"
 	"combining/internal/serial"
 	"combining/internal/word"
@@ -78,27 +77,27 @@ type Proc struct {
 	issueSeq    int
 }
 
-var _ network.Injector = (*Proc)(nil)
+var _ engine.Injector = (*Proc)(nil)
 
-// Next implements network.Injector.  A fence or a dependency waiting on a
+// Next implements engine.Injector.  A fence or a dependency waiting on a
 // reply answers UntilReply: only Deliver can satisfy it.
-func (p *Proc) Next(cycle int64) (network.Injection, bool) {
+func (p *Proc) Next(cycle int64) (engine.Injection, bool) {
 	for p.next < len(p.prog) && p.prog[p.next].Fence {
 		if p.outstanding > 0 {
-			return network.Injection{UntilReply: true}, false
+			return engine.Injection{UntilReply: true}, false
 		}
 		p.next++ // fence satisfied
 	}
 	if p.next >= len(p.prog) {
-		return network.Injection{}, false
+		return engine.Injection{}, false
 	}
 	in := p.prog[p.next]
 	if cycle < in.MinCycle {
-		return network.Injection{}, false
+		return engine.Injection{}, false
 	}
 	for _, dep := range in.After {
 		if !p.done[dep] {
-			return network.Injection{UntilReply: true}, false
+			return engine.Injection{UntilReply: true}, false
 		}
 	}
 	addr := in.Addr
@@ -115,10 +114,10 @@ func (p *Proc) Next(cycle int64) (network.Injection, bool) {
 	p.ops[p.next] = serial.Op{Proc: p.proc, Seq: p.issueSeq, Addr: addr, Op: op, ID: id, IssueAt: cycle}
 	p.next++
 	p.outstanding++
-	return network.Injection{Req: core.NewRequest(id, addr, op, p.proc)}, true
+	return engine.Injection{Req: core.NewRequest(id, addr, op, p.proc)}, true
 }
 
-// Deliver implements network.Injector.
+// Deliver implements engine.Injector.
 func (p *Proc) Deliver(rep core.Reply, cycle int64) {
 	idx, ok := p.idToInstr[rep.ID]
 	if !ok {
@@ -143,59 +142,21 @@ func (p *Proc) Reply(i int) word.Word { return p.replies[i] }
 // DoneCycle returns the cycle instruction i's reply arrived (0 if pending).
 func (p *Proc) DoneCycle(i int) int64 { return p.ops[i].DoneAt }
 
-// Engine is any cycle-driven transport the programs can run on: the Omega
-// network, the hypercube, or the bus machine — the one method set
-// internal/engine declares for all of them.
-type Engine = engine.Machine
-
 // Machine couples programs to a simulated transport and records a timed
 // history for the consistency checkers.
 type Machine struct {
-	sim    *network.Sim
-	engine Engine
+	engine engine.Machine
 	procs  []*Proc
 
 	hist serial.History
 }
 
-// New builds a machine running one program per processor on an Omega
-// network; programs may be nil (idle processor).  The config's Procs must
-// match len(programs).
-func New(cfg network.Config, programs [][]Instr) *Machine {
-	m, inj := newProcs(programs)
-	m.sim = network.NewSim(cfg, inj)
-	m.engine = m.sim
-	return m
-}
-
-// NewM1 builds a machine with the stronger memory of Section 3.2: "The
-// memory receives a sequential stream of requests from the processors; this
-// stream is obtained by merging the serial streams of requests generated by
-// individual processors…  The requests are processed in the order they
-// appear in this stream."  That stream is the bus machine with one bank and
-// combining off: the bus merges one request a cycle into the FIFO, and the
-// FIFO head is served in order.  Condition (M1) enforces sequential
-// consistency at the price of a central controller, so Collier's non-SC
-// outcome never appears here, with or without fences.
-func NewM1(programs [][]Instr) *Machine {
-	m, inj := newProcs(programs)
-	m.engine = busnet.NewSim(busnet.Config{Procs: len(programs), Banks: 1, BankService: 1}, inj)
-	return m
-}
-
-// NewInjectors builds the program-driven injectors without an engine, so
-// the same programs can run on any transport (hypercube, bus): construct
-// the engine from the returned injectors, then call BindEngine before Run.
-func NewInjectors(programs [][]Instr) (*Machine, []network.Injector) {
-	return newProcs(programs)
-}
-
-// BindEngine attaches the transport the injectors were wired into.
-func (m *Machine) BindEngine(e Engine) { m.engine = e }
-
-func newProcs(programs [][]Instr) (*Machine, []network.Injector) {
+// New builds a machine running one program per processor (a nil program is
+// an idle processor) on the transport build makes from the processors'
+// injectors: a wiring.New result, M1, or any engine constructor.
+func New(programs [][]Instr, build func([]engine.Injector) engine.Machine) *Machine {
 	m := &Machine{}
-	inj := make([]network.Injector, len(programs))
+	inj := make([]engine.Injector, len(programs))
 	m.procs = make([]*Proc, len(programs))
 	for i, prog := range programs {
 		p := &Proc{
@@ -212,14 +173,27 @@ func newProcs(programs [][]Instr) (*Machine, []network.Injector) {
 		m.procs[i] = p
 		inj[i] = p
 	}
-	return m, inj
+	m.engine = build(inj)
+	return m
 }
 
-// Sim exposes the underlying Omega network simulator (nil when the
-// machine was bound to another engine via NewInjectors/BindEngine).
-func (m *Machine) Sim() *network.Sim { return m.sim }
+// M1 builds the stronger memory of Section 3.2: "The memory receives a
+// sequential stream of requests from the processors; this stream is
+// obtained by merging the serial streams of requests generated by
+// individual processors…  The requests are processed in the order they
+// appear in this stream."  That stream is the bus machine with one bank and
+// combining off: the bus merges one request a cycle into the FIFO, and the
+// FIFO head is served in order.  Condition (M1) enforces sequential
+// consistency at the price of a central controller, so Collier's non-SC
+// outcome never appears here, with or without fences.
+func M1(inj []engine.Injector) engine.Machine {
+	return busnet.NewSim(busnet.Config{Procs: len(inj), Banks: 1, BankService: 1}, inj)
+}
 
-// Memory returns the bound engine's memory.
+// Engine returns the transport the programs run on.
+func (m *Machine) Engine() engine.Machine { return m.engine }
+
+// Memory returns the engine's memory.
 func (m *Machine) Memory() *memory.Array { return m.engine.Memory() }
 
 // Proc returns processor i's program state.

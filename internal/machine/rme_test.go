@@ -3,12 +3,11 @@ package machine
 import (
 	"testing"
 
-	"combining/internal/busnet"
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
-	"combining/internal/network"
 	"combining/internal/rmw"
+	"combining/internal/wiring"
 	"combining/internal/word"
 )
 
@@ -27,7 +26,7 @@ const (
 )
 
 // lockClient is one processor of the RME experiment.  It is a plain
-// network.Injector, so the engines' tracking, retransmission, and dedup
+// engine.Injector, so the engines' tracking, retransmission, and dedup
 // machinery applies to its requests exactly as to program-driven traffic.
 type lockClient struct {
 	proc   word.ProcID
@@ -50,9 +49,9 @@ type lockClient struct {
 
 func (c *lockClient) Done() bool { return c.round >= c.rounds }
 
-func (c *lockClient) Next(cycle int64) (network.Injection, bool) {
+func (c *lockClient) Next(cycle int64) (engine.Injection, bool) {
 	if c.pending || c.Done() {
-		return network.Injection{}, false
+		return engine.Injection{}, false
 	}
 	var op rmw.Mapping
 	addr := rmeLockAddr
@@ -71,7 +70,7 @@ func (c *lockClient) Next(cycle int64) (network.Injection, bool) {
 	}
 	id := c.ids.NextPartitioned(c.nprocs)
 	c.pending, c.pendingID = true, id
-	return network.Injection{Req: core.NewRequest(id, addr, op, c.proc)}, true
+	return engine.Injection{Req: core.NewRequest(id, addr, op, c.proc)}, true
 }
 
 func (c *lockClient) Deliver(rep core.Reply, cycle int64) {
@@ -105,10 +104,10 @@ func (c *lockClient) Deliver(rep core.Reply, cycle int64) {
 // rounds complete), and exactly-once acquisition.  It returns the per-round
 // acquire latencies across all clients.
 func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
-	build func([]network.Injector) Engine) []int64 {
+	build func([]engine.Injector) engine.Machine) []int64 {
 	t.Helper()
 	clients := make([]*lockClient, nprocs)
-	inj := make([]network.Injector, nprocs)
+	inj := make([]engine.Injector, nprocs)
 	for i := range clients {
 		clients[i] = &lockClient{
 			proc:   word.ProcID(i),
@@ -166,24 +165,18 @@ func runRMESoak(t *testing.T, name string, nprocs, rounds, maxCycles int,
 	return lat
 }
 
-func rmeEngines(plan *faults.Plan) map[string]func([]network.Injector) Engine {
-	return map[string]func([]network.Injector) Engine{
-		"network": func(inj []network.Injector) Engine {
-			return network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: plan}, inj)
-		},
-		"busnet": func(inj []network.Injector) Engine {
-			return busnet.NewSim(busnet.Config{Procs: 8, Banks: 4, WaitBufCap: 64, Faults: plan}, inj)
-		},
-		"hypercube": func(inj []network.Injector) Engine {
-			return hypercube.NewSim(hypercube.Config{Nodes: 8, WaitBufCap: 64, Faults: plan}, inj)
-		},
+func rmeEngines(t *testing.T, plan *faults.Plan) map[string]func([]engine.Injector) engine.Machine {
+	builds := map[string]func([]engine.Injector) engine.Machine{}
+	for _, name := range []string{"omega", "bus", "hypercube"} {
+		builds[name] = wired(t, name, wiring.Config{Procs: 8, WaitBufCap: 64, Faults: plan})
 	}
+	return builds
 }
 
 // TestRMELockClean runs the lock protocol on a healthy machine: 8 clients,
 // 16 critical sections each, on all three cycle-driven transports.
 func TestRMELockClean(t *testing.T) {
-	for name, build := range rmeEngines(nil) {
+	for name, build := range rmeEngines(t, nil) {
 		lat := runRMESoak(t, name, 8, 16, 400000, build)
 		if len(lat) != 8*16 {
 			t.Fatalf("%s: recorded %d acquire latencies, want %d", name, len(lat), 8*16)
@@ -197,19 +190,19 @@ func TestRMELockClean(t *testing.T) {
 // must re-drive everything without ever admitting two holders.
 func TestRMELockUnderCrashPlan(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		for name, build := range rmeEngines(crashDropPlan(seed)) {
+		for name, build := range rmeEngines(t, crashDropPlan(seed)) {
 			runRMESoak(t, name, 8, 16, 400000, build)
 		}
 	}
 	// The crash plan must actually have bitten at least once: rerun one
 	// engine and inspect its counters.
 	clients := make([]*lockClient, 8)
-	inj := make([]network.Injector, 8)
+	inj := make([]engine.Injector, 8)
 	for i := range clients {
 		clients[i] = &lockClient{proc: word.ProcID(i), ids: word.Partition(i, 8), nprocs: 8, rounds: 16}
 		inj[i] = clients[i]
 	}
-	eng := network.NewSim(network.Config{Procs: 8, WaitBufCap: 64, Faults: crashDropPlan(1)}, inj)
+	eng := rmeEngines(t, crashDropPlan(1))["omega"](inj)
 	for c := 0; c < 400000; c++ {
 		eng.Step()
 	}
@@ -226,10 +219,8 @@ func TestRMELockUnderCrashPlan(t *testing.T) {
 // Crashes must cost something (dead-time shows up in somebody's acquire)
 // but the tail must stay bounded by the crash windows, not diverge.
 func TestRMERecoveryCost(t *testing.T) {
-	builds := rmeEngines(nil)
-	clean := runRMESoak(t, "network-clean", 8, 16, 400000, builds["network"])
-	crashed := runRMESoak(t, "network-crashed", 8, 16, 400000,
-		rmeEngines(crashDropPlan(2))["network"])
+	clean := runRMESoak(t, "network-clean", 8, 16, 400000, rmeEngines(t, nil)["omega"])
+	crashed := runRMESoak(t, "network-crashed", 8, 16, 400000, rmeEngines(t, crashDropPlan(2))["omega"])
 	var maxClean, maxCrashed int64
 	for _, l := range clean {
 		if l > maxClean {

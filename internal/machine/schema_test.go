@@ -5,11 +5,9 @@ import (
 	"sort"
 	"testing"
 
-	"combining/internal/busnet"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/hypercube"
-	"combining/internal/network"
+	"combining/internal/wiring"
 )
 
 // Snapshot-schema parity: every engine must publish exactly the canonical
@@ -33,21 +31,23 @@ func counterKeys(t *testing.T, name string, counters map[string]int64) []string 
 	return keys
 }
 
-// runSchemaEngine drives a soak engine through a short hot-spot workload
+// runSchemaEngine drives the named wiring through a short hot-spot workload
 // and returns its sorted snapshot counter keys.  Delivery accounting is
 // written once in the rim, so on every cycle engine each completion is
 // counted as exactly one of hot or cold — checked here with the requests
 // tagged, so the hot half is not vacuously zero.
-func runSchemaEngine(t *testing.T, name string, build func([]network.Injector) Engine) []string {
+func runSchemaEngine(t *testing.T, name string, plan *faults.Plan) []string {
 	t.Helper()
 	const nprocs, reqs = 16, 4
 	progs := hotPrograms(nprocs, reqs)
-	m, inj := NewInjectors(progs)
-	for p := range inj {
-		inj[p] = hotTagged{inj[p]}
-	}
-	eng := build(inj)
-	m.BindEngine(eng)
+	build := wired(t, name, wiring.Config{Procs: nprocs, Faults: plan})
+	m := New(progs, func(inj []engine.Injector) engine.Machine {
+		for p := range inj {
+			inj[p] = hotTagged{inj[p]}
+		}
+		return build(inj)
+	})
+	eng := m.Engine()
 	if !m.Run(2000000) {
 		t.Fatalf("%s: did not complete (%d in flight)", name, eng.InFlight())
 	}
@@ -86,15 +86,9 @@ func TestSnapshotSchemaParity(t *testing.T) {
 		}
 
 		got := map[string][]string{
-			"network": runSchemaEngine(t, "network", func(inj []network.Injector) Engine {
-				return network.NewSim(network.Config{Procs: 16, Faults: netPlan}, inj)
-			}),
-			"hypercube": runSchemaEngine(t, "hypercube", func(inj []network.Injector) Engine {
-				return hypercube.NewSim(hypercube.Config{Nodes: 16, Faults: cubePlan}, inj)
-			}),
-			"busnet": runSchemaEngine(t, "busnet", func(inj []network.Injector) Engine {
-				return busnet.NewSim(busnet.Config{Procs: 16, Banks: 4, Faults: busPlan}, inj)
-			}),
+			"omega":     runSchemaEngine(t, "omega", netPlan),
+			"hypercube": runSchemaEngine(t, "hypercube", cubePlan),
+			"bus":       runSchemaEngine(t, "bus", busPlan),
 		}
 
 		for name, keys := range got {

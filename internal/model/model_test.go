@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"combining/internal/network"
+	"combining/internal/wiring"
 )
 
 func TestKruskalSnirWaitShape(t *testing.T) {
@@ -46,7 +47,11 @@ func TestModelAgainstSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	for _, radix := range []int{2, 4} {
+	for _, w := range []struct {
+		name  string
+		radix int
+	}{{"omega", 2}, {"omega4", 4}} {
+		radix := w.radix
 		const n = 64
 		for _, p := range []float64{0.2, 0.4, 0.6} {
 			inj := make([]network.Injector, n)
@@ -57,11 +62,13 @@ func TestModelAgainstSimulator(t *testing.T) {
 					Rate: p, Window: 32,
 				}, 3)
 			}
-			sim := network.NewSim(network.Config{
-				Procs: n, Radix: radix, QueueCap: 64, WaitBufCap: 0,
-			}, inj)
+			build, err := wiring.New(w.name, wiring.Config{Procs: n, QueueCap: 64, WaitBufCap: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := build(inj)
 			sim.Run(6000)
-			measured := sim.Stats().MeanLatency()
+			measured := sim.Totals().MeanLatency()
 			predicted := UniformLatency(n, radix, p)
 			ratio := measured / predicted
 			t.Logf("radix=%d p=%.1f: measured %.2f, Kruskal–Snir %.2f (ratio %.2f)",

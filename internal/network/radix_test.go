@@ -124,3 +124,27 @@ func TestRadixAblation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRadix is the switch-radix ablation: the same 1/4 hot spot on 64
+// processors through 2×2, 4×4 and 8×8 switches, with combining on.
+func BenchmarkRadix(b *testing.B) {
+	for _, radix := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("k=%d", radix), func(b *testing.B) {
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				inj := make([]Injector, 64)
+				for p := 0; p < 64; p++ {
+					inj[p] = NewStochastic(p, 64, TrafficConfig{
+						Rate: 0.5, HotFraction: 0.25, Window: 4,
+					}, uint64(i+1))
+				}
+				sim := NewSim(Config{Procs: 64, Radix: radix, WaitBufCap: core.Unbounded}, inj)
+				sim.Run(2000)
+				st = sim.Stats()
+			}
+			b.ReportMetric(st.Bandwidth(), "ops/cycle")
+			b.ReportMetric(st.MeanLatency(), "cycles/op")
+			b.ReportMetric(st.Percentile(0.99), "p99-cycles")
+		})
+	}
+}

@@ -51,9 +51,11 @@ type Config struct {
 	Trace func(engine.Event)
 }
 
-// resolve maps a name to its validated engine configuration, returned as
-// the constructor that builds it.
-func resolve(name string, c Config) (func([]engine.Injector) engine.Machine, error) {
+// New returns the function that builds the named wiring over its injectors,
+// one per processor, or the one-line error a command prints before any run
+// starts when name is not a shipped wiring or cfg a machine it can build.
+// The function holds no per-machine state: each call builds a fresh machine.
+func New(name string, c Config) (func([]engine.Injector) engine.Machine, error) {
 	switch name {
 	case "omega", "omega4", "fattree":
 		cfg := network.Config{Procs: c.Procs, QueueCap: c.QueueCap, RevQueueCap: c.RevQueueCap,
@@ -84,20 +86,4 @@ func resolve(name string, c Config) (func([]engine.Injector) engine.Machine, err
 		return func(inj []engine.Injector) engine.Machine { return busnet.NewSim(cfg, inj) }, cfg.Validate()
 	}
 	return nil, fmt.Errorf("wiring: unknown topology %q (want %s)", name, strings.Join(Names(), ", "))
-}
-
-// Validate reports whether name is a shipped wiring and cfg a machine it
-// can build, as the one-line error a command prints before any run starts.
-func Validate(name string, cfg Config) error {
-	_, err := resolve(name, cfg)
-	return err
-}
-
-// New builds the named wiring over the given injectors, one per processor.
-func New(name string, cfg Config, inj []engine.Injector) (engine.Machine, error) {
-	build, err := resolve(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return build(inj), nil
 }

@@ -26,12 +26,12 @@ func TestEveryNameBuildsAndRuns(t *testing.T) {
 					progs[p] = append(progs[p], machine.RMW(word.Addr(0), rmw.FetchAdd(1)))
 				}
 			}
-			m, inj := machine.NewInjectors(progs)
-			eng, err := New(name, Config{Procs: procs, WaitBufCap: 64}, inj)
+			build, err := New(name, Config{Procs: procs, WaitBufCap: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.BindEngine(eng)
+			m := machine.New(progs, build)
+			eng := m.Engine()
 			if !m.Run(100000) {
 				t.Fatalf("hot-spot run did not complete (%d in flight)", eng.InFlight())
 			}
@@ -40,6 +40,42 @@ func TestEveryNameBuildsAndRuns(t *testing.T) {
 			}
 			if eng.Snapshot().Counters["combines"] == 0 {
 				t.Error("a 16-processor hot spot never combined")
+			}
+		})
+	}
+}
+
+// TestBuilderIsReusable: the function New returns holds no per-machine
+// state, so one result builds any number of machines.  On every wiring, under
+// crashes and drops, two machines built by one builder over identical fresh
+// programs and run one after the other must leave the same snapshot and
+// memory, byte for byte.
+func TestBuilderIsReusable(t *testing.T) {
+	const procs, ops = 16, 8
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			plan := faults.GenCrashPlan(5, 3, 300, 40)
+			plan.DropFwd, plan.DropRev = 0.01, 0.01
+			build, err := New(name, Config{Procs: procs, WaitBufCap: 4, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest := func() []byte {
+				progs := make([][]machine.Instr, procs)
+				for p := range progs {
+					for i := 0; i < ops; i++ {
+						progs[p] = append(progs[p], machine.RMW(word.Addr(i%3), rmw.FetchAdd(int64(p+1))))
+					}
+				}
+				m := machine.New(progs, build)
+				if !m.Run(200000) {
+					t.Fatalf("run did not complete (%d in flight)", m.Engine().InFlight())
+				}
+				return fmt.Appendf(m.Engine().Snapshot().JSON(), "|%v|%v|%v",
+					m.Memory().Peek(0), m.Memory().Peek(1), m.Memory().Peek(2))
+			}
+			if first, second := digest(), digest(); string(first) != string(second) {
+				t.Errorf("a second machine from the same builder differs:\n%s\nagainst\n%s", first, second)
 			}
 		})
 	}
@@ -60,12 +96,12 @@ func TestTraceReachesEveryWiring(t *testing.T) {
 				progs[p] = append(progs[p], machine.RMW(word.Addr(i%2), rmw.FetchAdd(int64(p+1))))
 			}
 		}
-		m, inj := machine.NewInjectors(progs)
-		eng, err := New(name, Config{Procs: procs, WaitBufCap: 64, Workers: workers, Trace: trace}, inj)
+		build, err := New(name, Config{Procs: procs, WaitBufCap: 64, Workers: workers, Trace: trace})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.BindEngine(eng)
+		m := machine.New(progs, build)
+		eng := m.Engine()
 		if !m.Run(100000) {
 			t.Fatalf("run did not complete (%d in flight)", eng.InFlight())
 		}
@@ -132,10 +168,10 @@ func TestTraceReachesEveryWiring(t *testing.T) {
 // processor count the wiring cannot have, and a name not in the registry —
 // the latter listing the names that are.
 func TestValidateErrors(t *testing.T) {
-	if err := Validate("omega4", Config{Procs: 8}); err == nil || strings.Contains(err.Error(), "\n") {
+	if _, err := New("omega4", Config{Procs: 8}); err == nil || strings.Contains(err.Error(), "\n") {
 		t.Errorf("omega4 at 8 processors: want a one-line error, got %v", err)
 	}
-	err := Validate("ring", Config{Procs: 16})
+	build, err := New("ring", Config{Procs: 16})
 	if err == nil || strings.Contains(err.Error(), "\n") {
 		t.Fatalf("unknown name: want a one-line error, got %v", err)
 	}
@@ -144,8 +180,8 @@ func TestValidateErrors(t *testing.T) {
 			t.Errorf("unknown-name error %q does not mention %q", err, want)
 		}
 	}
-	if _, err := New("ring", Config{Procs: 16}, nil); err == nil {
-		t.Error("New built an unregistered wiring")
+	if build != nil {
+		t.Error("New returned a builder for an unregistered wiring")
 	}
 }
 
@@ -154,10 +190,11 @@ func TestValidateErrors(t *testing.T) {
 // Snapshot.Engine) tell apart.
 func TestStallReportNamesWiring(t *testing.T) {
 	for _, name := range Names() {
-		eng, err := New(name, Config{Procs: 16}, make([]engine.Injector, 16))
+		build, err := New(name, Config{Procs: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng := build(make([]engine.Injector, 16))
 		want := name + ":"
 		if name == "omega4" {
 			want = "omega:" // the radix-4 omega network is an omega wiring
@@ -229,10 +266,11 @@ func TestLoadsMatchQueues(t *testing.T) {
 						inj[p] = &budgeted{network.NewStochastic(p, procs,
 							network.TrafficConfig{Rate: 0.9, HotFraction: 0.25, Window: 4}, 11), 1 << 30}
 					}
-					eng, err := New(name, Config{Procs: procs, WaitBufCap: 4, Workers: w, Faults: pl.plan()}, inj)
+					build, err := New(name, Config{Procs: procs, WaitBufCap: 4, Workers: w, Faults: pl.plan()})
 					if err != nil {
 						t.Fatal(err)
 					}
+					eng := build(inj)
 					for c := 0; c < cycles; c++ {
 						eng.Step()
 						if err := eng.CheckLoads(); err != nil {
@@ -310,15 +348,15 @@ func TestSleepingPortsUnobservable(t *testing.T) {
 			return p
 		}},
 	}
-	traffic := map[string]func() []engine.Injector{
-		"stochastic": func() []engine.Injector {
+	traffic := map[string]func(build func([]engine.Injector) engine.Machine) engine.Machine{
+		"stochastic": func(build func([]engine.Injector) engine.Machine) engine.Machine {
 			inj := make([]engine.Injector, procs)
 			for p := range inj {
 				inj[p] = network.NewStochastic(p, procs, network.TrafficConfig{Rate: 0.9, HotFraction: 0.25, Window: 4}, 11)
 			}
-			return inj
+			return build(inj)
 		},
-		"programs": func() []engine.Injector {
+		"programs": func(build func([]engine.Injector) engine.Machine) engine.Machine {
 			progs := make([][]machine.Instr, procs)
 			for p := range progs {
 				for i := 0; i < 12; i++ {
@@ -327,8 +365,7 @@ func TestSleepingPortsUnobservable(t *testing.T) {
 						machine.Fence())
 				}
 			}
-			_, inj := machine.NewInjectors(progs)
-			return inj
+			return machine.New(progs, build).Engine()
 		},
 	}
 	for _, name := range Names() {
@@ -336,16 +373,18 @@ func TestSleepingPortsUnobservable(t *testing.T) {
 			for _, kind := range []string{"stochastic", "programs"} {
 				t.Run(name+"/"+pl.name+"/"+kind, func(t *testing.T) {
 					run := func(strip bool) (snap string, trace []engine.Event, calls int) {
-						inj := traffic[kind]()
-						for p := range inj {
-							inj[p] = counted{inj[p], strip, &calls}
-						}
 						cfg := Config{Procs: procs, WaitBufCap: 4, Faults: pl.plan(),
 							Trace: func(e engine.Event) { trace = append(trace, e) }}
-						eng, err := New(name, cfg, inj)
+						build, err := New(name, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
+						eng := traffic[kind](func(inj []engine.Injector) engine.Machine {
+							for p := range inj {
+								inj[p] = counted{inj[p], strip, &calls}
+							}
+							return build(inj)
+						})
 						eng.Run(cycles)
 						return string(eng.Snapshot().JSON()), trace, calls
 					}
