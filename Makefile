@@ -57,34 +57,37 @@ fuzz:
 	go test ./internal/core/ -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime=5s
 	go test ./internal/core/ -run '^$$' -fuzz '^FuzzWaitBuffer$$' -fuzztime=5s
 	go test ./internal/serial/ -run '^$$' -fuzz '^FuzzCheckers$$' -fuzztime=5s
+	go test ./internal/wiring/ -run '^$$' -fuzz '^FuzzMachineRoundTrip$$' -fuzztime=5s
 
-# smoke drives the two commands that take -topology once on every wiring the
+# smoke drives the two commands that take -machine once on every wiring the
 # registry names (CI runs it; the commands have no test files, and nothing
 # else ever ran combsim off the omega path): a short combsim sweep whose
 # cold-latency column must be non-zero on every row, and a generated trace
 # replayed through the invariant battery, which must print its pass line,
-# and replay -chaos beside -queue, which must exit 2: a chaos scenario fixes
-# its own machine.  The names come from the registry by way of the unknown-topology
-# message, so a new wiring is smoked the day it is registered.  Then
-# cmd/trace's Figure 1 walkthrough, whose last line must report the replies
-# an exact serialization.  Then every program under examples/, each of which
-# must exit 0 and, but for the two that print only a table (hotspot,
-# pathexpr), end its verdict in a line ending ✓ or ": true".  Last, the
-# -faults, -overload and -crash soaks twice, whose outputs must be the same
-# bytes: every row is a function of its seed.
+# and a trace replay beside -h, which must exit 2: a mode rejects the flags
+# it does not read.  The names come from the registry by way of the
+# unknown-wiring message, so a new wiring is smoked the day it is
+# registered.  Then cmd/trace's Figure 1 walkthrough, whose last line must
+# report the replies an exact serialization.  Then every program under
+# examples/, each of which must exit 0 and, but for the two that print only
+# a table (hotspot, pathexpr), end its verdict in a line ending ✓ or
+# ": true".  Then the first reproducer the chaos fuzzer prints with the
+# nodedup canary armed, run as printed: it must exit 1 with a VIOLATION
+# line.  Last, the -faults, -overload and -crash soaks twice, whose outputs
+# must be the same bytes: every row is a function of its seed.
 smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; go build -o $$d/trace ./cmd/trace; \
-	names=$$($$d/combsim -topology '?' 2>&1 | sed -n 's/.*(want \(.*\))$$/\1/p' | tr -d ,); \
-	test -n "$$names" || { echo "smoke: no wiring names in the unknown-topology message"; exit 1; }; \
-	$$d/replay -gen -n 16 -ops 20 > $$d/trace.txt; \
-	st=0; $$d/replay -chaos -plan seed=1 -queue 1 2> $$d/chaos-queue.txt || st=$$?; \
-	test $$st -eq 2 || { echo "smoke: replay -chaos -queue 1 exited $$st, want 2"; cat $$d/chaos-queue.txt; exit 1; }; \
-	echo "smoke: replay -chaos rejects -queue ($$(cat $$d/chaos-queue.txt))"; \
+	names=$$($$d/combsim -machine '?' 2>&1 | sed -n 's/.*(want \(.*\))$$/\1/p' | tr -d ,); \
+	test -n "$$names" || { echo "smoke: no wiring names in the unknown-wiring message"; exit 1; }; \
+	$$d/replay -gen -machine omega,procs=16 -ops 20 > $$d/trace.txt; \
+	st=0; $$d/replay -h 0.9 $$d/trace.txt 2> $$d/stray-flag.txt || st=$$?; \
+	test $$st -eq 2 || { echo "smoke: replay -h 0.9 trace.txt exited $$st, want 2"; cat $$d/stray-flag.txt; exit 1; }; \
+	echo "smoke: a trace replay rejects -h ($$(cat $$d/stray-flag.txt))"; \
 	for t in $$names; do \
-		$$d/combsim -topology $$t -n 16 -cycles 300 -csv > $$d/$$t.csv; \
+		$$d/combsim -machine $$t,procs=16,queue=4,banks=8 -cycles 300 -csv > $$d/$$t.csv; \
 		awk -F, -v t=$$t 'NR > 1 && $$6 + 0 == 0 { print "smoke: " t ": cold_latency is zero: " $$0; bad = 1 } END { exit bad }' $$d/$$t.csv; \
-		$$d/replay -topology $$t -n 16 $$d/trace.txt > $$d/$$t.txt; \
+		$$d/replay -machine $$t,procs=16,queue=4,wait=-1 $$d/trace.txt > $$d/$$t.txt; \
 		grep -q "^trace passed on $$t: " $$d/$$t.txt || { echo "smoke: replay $$t: no battery pass line"; cat $$d/$$t.txt; exit 1; }; \
 		echo "smoke: $$t ok ($$(($$(wc -l < $$d/$$t.csv) - 1)) combsim rows; $$(head -1 $$d/$$t.txt))"; \
 	done; \
@@ -99,6 +102,12 @@ smoke:
 		echo "smoke: example $$e ok ($$(tail -1 $$d/$$e.txt))"; \
 	done; \
 	go build -o $$d/check ./cmd/check; \
+	$$d/check -chaos -rounds 2 -canary nodedup > $$d/canary.txt || true; \
+	repro=$$(sed -n 's/^ *replay: //p' $$d/canary.txt | head -1); \
+	test -n "$$repro" || { echo "smoke: check -chaos -canary nodedup printed no reproducer"; cat $$d/canary.txt; exit 1; }; \
+	st=0; sh -c "$$repro" > $$d/repro.txt 2>&1 || st=$$?; \
+	test $$st -eq 1 && grep -q VIOLATION $$d/repro.txt || { echo "smoke: $$repro exited $$st, want 1 with a VIOLATION line"; cat $$d/repro.txt; exit 1; }; \
+	echo "smoke: printed reproducer replays the violation ($$repro)"; \
 	$$d/check -quick -faults -overload -crash > $$d/check1.txt; \
 	$$d/check -quick -faults -overload -crash > $$d/check2.txt; \
 	cmp $$d/check1.txt $$d/check2.txt || { echo "smoke: two cmd/check runs differ"; diff $$d/check1.txt $$d/check2.txt; exit 1; }; \

@@ -74,7 +74,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -189,9 +188,9 @@ type soak struct {
 	cfg     combining.WiringConfig
 	plan    func(seed uint64) *combining.FaultPlan // nil = a healthy machine
 	progs   func(seed uint64) [][]combining.Instr
-	// widths are the Workers settings a round runs at (nil = serial only).
-	// The battery and check run on the first; every other width must
-	// reproduce the first's snapshot and replies exactly.
+	// widths are the Workers settings a round reruns at (nil = none).  The
+	// battery and check run serially; every width must reproduce that run's
+	// snapshot and replies exactly.
 	widths []int
 	// check is what the row adds to the battery, given the finished machine
 	// and its snapshot counters (nil = nothing).
@@ -230,23 +229,15 @@ func rows(procs, ops, addrs int) []soak {
 
 	var table []soak
 	// The healthy soak: no faults, across the combining configurations.
-	for _, h := range []struct {
-		name, wiring string
-		waitBuf      int
-		reversal     bool
-	}{
-		{"no-combining", "omega", 0, false},
-		{"partial-1", "omega", 1, false},
-		{"partial-4", "omega", 4, false},
-		{"full", "omega", combining.Unbounded, false},
-		{"full+reversal", "omega", combining.Unbounded, true},
-		{"radix-4", "omega4", combining.Unbounded, false},
+	for _, h := range [][2]string{
+		{"no-combining", "omega"}, {"partial-1", "omega,wait=1"}, {"partial-4", "omega,wait=4"},
+		{"full", "omega,wait=-1"}, {"full+reversal", "omega,wait=-1,reversal"}, {"radix-4", "omega4,wait=-1"},
 	} {
-		cfg := combining.WiringConfig{Procs: procs, WaitBufCap: h.waitBuf, AllowReversal: h.reversal}
-		if _, err := combining.NewWiring(h.wiring, cfg); h.wiring == "omega4" && err != nil {
+		wiring, cfg, err := combining.ParseMachine(fmt.Sprintf("%s,procs=%d", h[1], procs))
+		if wiring == "omega4" && err != nil {
 			continue // radix 4 runs when -procs is a power of four
 		}
-		table = append(table, soak{name: h.name, wirings: []string{h.wiring}, cfg: cfg, progs: random})
+		table = append(table, soak{name: h[0], wirings: []string{wiring}, cfg: cfg, progs: random})
 	}
 
 	table = append(table, soak{flag: "-faults", name: "faults", wirings: five, cfg: base,
@@ -261,7 +252,7 @@ func rows(procs, ops, addrs int) []soak {
 			wirings: []string{"omega", "bus", "hypercube"}, cfg: tight, plan: mode.plan,
 			progs: func(uint64) [][]combining.Instr { return hotSpot(procs, ops) },
 			check: func(m *combining.Machine, eng combining.MachineEngine, c map[string]int64) error {
-				if err := prefixSums(replies(m, procs, ops), eng.Memory().Peek(0).Val); err != nil {
+				if err := prefixSums(m.Replies(), eng.Memory().Peek(0).Val); err != nil {
 					return err
 				}
 				if c["watchdog_trips"] != 0 {
@@ -274,7 +265,7 @@ func rows(procs, ops, addrs int) []soak {
 		// -parallel: the determinism contract of the sharded steppers, under
 		// every kind of plan.
 		row := soak{flag: "-parallel", name: "parallel-" + mode.name, wirings: five,
-			cfg: base, plan: mode.plan, progs: random, widths: []int{1, 2, 4}}
+			cfg: base, plan: mode.plan, progs: random, widths: []int{2, 4}}
 		if mode.name == "adversarial" {
 			row.engaged = []string{"reordered_held", "dup_injected", "corrupt_dropped"}
 		}
@@ -304,53 +295,22 @@ func rows(procs, ops, addrs int) []soak {
 }
 
 // round runs one seed of the row on one wiring: the battery and the row's
-// check at the first width, then every other width, which must reproduce
-// the first's snapshot and replies.
+// check at Workers 1, then every other width, which must reproduce the
+// serial run's snapshot and replies.
 func (s soak) round(wiring string, seed uint64) result {
-	res := result{seed: seed}
-	widths := s.widths
-	if widths == nil {
-		widths = []int{1}
+	cfg, progs := s.cfg, s.progs(seed)
+	cfg.Workers = 1
+	if s.plan != nil {
+		cfg.Faults = s.plan(seed)
 	}
-	setup := func(w int) (combining.WiringConfig, [][]combining.Instr) {
-		cfg := s.cfg
-		cfg.Workers = w
-		if s.plan != nil {
-			cfg.Faults = s.plan(seed)
-		}
-		return cfg, s.progs(seed)
-	}
-	cfg, progs := setup(widths[0])
 	m, eng, c, err := combining.CheckBattery(wiring, cfg, progs, maxCycles)
-	res.counters, res.err = c, err
-	if res.err == nil && s.check != nil {
-		res.err = s.check(m, eng, c)
+	if err == nil && s.check != nil {
+		err = s.check(m, eng, c)
 	}
-	if res.err != nil {
-		return res
+	if err == nil {
+		err = combining.CheckWidths(wiring, cfg, progs, m, maxCycles, s.widths...)
 	}
-	snap, vals := eng.Snapshot().JSON(), replies(m, len(progs), len(progs[0]))
-	for _, w := range widths[1:] {
-		cfg, progs := setup(w)
-		build, err := combining.NewWiring(wiring, cfg)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		m := combining.NewMachine(progs, build)
-		switch {
-		case !m.Run(maxCycles):
-			res.err = fmt.Errorf("Workers=%d: did not complete, %d in flight", w, m.Engine().InFlight())
-		case !bytes.Equal(m.Engine().Snapshot().JSON(), snap):
-			res.err = fmt.Errorf("Workers=%d snapshot differs from Workers=%d", w, widths[0])
-		case !slices.Equal(replies(m, len(progs), len(progs[0])), vals):
-			res.err = fmt.Errorf("Workers=%d replies differ from Workers=%d", w, widths[0])
-		}
-		if res.err != nil {
-			return res
-		}
-	}
-	return res
+	return result{seed: seed, counters: c, err: err}
 }
 
 // report prints one soak's rounds in order — failures with their replay
@@ -415,18 +375,6 @@ func hotSpot(procs, ops int) [][]combining.Instr {
 		}
 	}
 	return progs
-}
-
-// replies lists every reply value of a finished machine of procs programs
-// of ops instructions, processor by processor in program order.
-func replies(m *combining.Machine, procs, ops int) []int64 {
-	vals := make([]int64, 0, procs*ops)
-	for p := 0; p < procs; p++ {
-		for i := 0; i < ops; i++ {
-			vals = append(vals, m.Proc(p).Reply(i).Val)
-		}
-	}
-	return vals
 }
 
 // prefixSums checks the replies of a fetch-and-add-1 hot spot against the

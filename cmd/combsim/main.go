@@ -3,42 +3,40 @@
 //
 // Usage:
 //
-//	combsim [-n 64] [-rate 0.6] [-cycles 4000] [-window 4] [-seed 1]
-//	        [-h 0,0.0625,0.125,0.25] [-queue 4] [-revqueue 0] [-memqueue 0]
-//	        [-adaptive] [-csv] [-topology omega|omega4|fattree|bus|hypercube|torus]
-//	        [-drop 0.01] [-crash 0] [-crashseed 0] [-plan <spec>] [-workers 1]
+//	combsim [-machine omega,procs=64,queue=4] [-rate 0.6] [-cycles 4000]
+//	        [-window 4] [-seed 1] [-h 0,0.0625,0.125,0.25] [-adaptive] [-csv]
+//	        [-plan <spec>] [-crash 0] [-crashseed 0]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// With -drop > 0 the sweep runs under a deterministic fault plan (that
-// drop probability per forward and reply hop, seeded by -seed) and the
-// engine's retransmit/dedup recovery layer — the E13 degradation curve
-// at the command line.
+// -machine is the machine as one spec (ParseMachine): a wiring name, any
+// name internal/wiring registers (the paper's omega network at radix 2 or
+// 4, a fat-tree (k-ary butterfly) on the same staged engine, the binary
+// hypercube, a near-square torus on the same direct-connection engine, or
+// the bus machine), then comma-joined keys: procs, queue, rev and mem (the
+// forward, reverse and memory-side queue capacities; on the bus mem is the
+// bank queue), banks (the bus's bank count), workers (goroutines sharding
+// each cycle's engine work; the output is identical at any setting, see
+// DESIGN.md §6) and a bare reversal.  0 takes the engine default and
+// negative is unbounded.  Every h runs twice, combining off and on: wait
+// is the wait-buffer capacity of the combining rows, unbounded when the
+// spec leaves it out.
 //
 // With -plan the sweep runs under an explicit fault plan written as the
-// comma-joined key=value spec EncodeFaultPlan emits — including the
-// adversarial delivery kinds (reorder, dup, corrupt) the shorthand flags
-// cannot express.  -plan is exclusive with -drop and -crash; like every
-// plan it runs at any -workers.
+// comma-joined key=value spec EncodeFaultPlan emits: drops, stalls and the
+// adversarial delivery kinds (reorder, dup, corrupt).  The E13 degradation
+// curve is -plan seed=1,dropfwd=0.01,droprev=0.01,retry=512, a drop
+// probability per forward and reply hop with a long base timeout.
 //
 // With -crash > 0 the plan additionally schedules that many seeded
 // crash–restart windows of each kind (switch, memory module, link) across
 // the run, arming deterministic checkpoints and the crash-recovery layer
 // (experiment E16).  -crashseed seeds the crash schedule independently of
 // the workload (0 reuses -seed), so the same traffic can be replayed under
-// different crash timings.
+// different crash timings.  A -plan that already schedules crashes is
+// rejected beside -crash.
 //
-// -revqueue and -memqueue bound the reverse and memory-side queues (0
-// takes the engine default, negative is unbounded; on the bus topology
-// -memqueue sets the bank queue).  -adaptive replaces the fixed window
-// with AIMD admission control (the E14 experiment): -window becomes the
-// controller's initial window.  -workers shards each cycle's engine work
-// across that many goroutines (output is identical at any setting; see
-// DESIGN.md §6).
-//
-// -topology picks the machine, any name internal/wiring registers: the
-// paper's omega network at radix 2 or 4, a fat-tree (k-ary butterfly) on
-// the same staged engine, the binary hypercube, a near-square torus on the
-// same direct-connection engine, or the bus machine.
+// -adaptive replaces the fixed window with AIMD admission control (the
+// E14 experiment): -window becomes the controller's initial window.
 //
 // -cpuprofile and -memprofile write pprof profiles of the sweep (the CPU
 // profile covers the simulation loop; the heap profile is captured after
@@ -49,10 +47,11 @@
 // Nonsense flag values are rejected at parse time with a one-line error
 // and exit status 2 rather than panicking (or silently producing a bogus
 // table) deep inside an engine: flag-shape checks here, everything the
-// engines police through Config.Validate before any point runs.
+// engines police through ParseMachine before any point runs.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -66,25 +65,19 @@ import (
 
 func main() {
 	var (
-		n         = flag.Int("n", 64, "processors (power of two; power of four on -topology omega4)")
-		rate      = flag.Float64("rate", 0.6, "per-cycle issue probability")
-		cycles    = flag.Int("cycles", 4000, "cycles per point")
-		window    = flag.Int("window", 4, "outstanding requests per processor")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		hList     = flag.String("h", "0,0.0625,0.125,0.25", "comma-separated hot fractions")
-		queue     = flag.Int("queue", 4, "switch output queue capacity")
-		revQueue  = flag.Int("revqueue", 0, "reverse queue capacity (0 = engine default, negative = unbounded)")
-		memQueue  = flag.Int("memqueue", 0, "memory-side queue capacity (0 = engine default, negative = unbounded; bank queue on -topology bus)")
-		adaptive  = flag.Bool("adaptive", false, "AIMD admission control instead of a fixed window (-window is the initial window)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of a table")
-		topo      = flag.String("topology", "omega", "one of "+strings.Join(combining.Wirings(), ", "))
-		drop      = flag.Float64("drop", 0, "per-hop drop probability (arms the fault/recovery layer)")
-		crash     = flag.Int("crash", 0, "crash–restart windows of each kind to schedule (0 = none)")
-		crashseed = flag.Uint64("crashseed", 0, "seed for the crash schedule (0 = reuse -seed)")
-		planSpec  = flag.String("plan", "", "explicit fault-plan spec (comma-joined key=value; exclusive with -drop/-crash)")
-		workers   = flag.Int("workers", 1, "goroutines sharding each cycle's engine work (0/1 = serial)")
-		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprof   = flag.String("memprofile", "", "write a pprof heap profile (captured after the sweep) to this file")
+		machineSpec = flag.String("machine", "omega,procs=64,queue=4", "machine spec: a wiring ("+strings.Join(combining.Wirings(), ", ")+"), then procs, queue, rev, mem, wait, banks, workers, reversal")
+		rate        = flag.Float64("rate", 0.6, "per-cycle issue probability")
+		cycles      = flag.Int("cycles", 4000, "cycles per point")
+		window      = flag.Int("window", 4, "outstanding requests per processor")
+		seed        = flag.Uint64("seed", 1, "workload seed")
+		hList       = flag.String("h", "0,0.0625,0.125,0.25", "comma-separated hot fractions")
+		adaptive    = flag.Bool("adaptive", false, "AIMD admission control instead of a fixed window (-window is the initial window)")
+		csv         = flag.Bool("csv", false, "emit CSV instead of a table")
+		crash       = flag.Int("crash", 0, "crash–restart windows of each kind to schedule (0 = none)")
+		crashseed   = flag.Uint64("crashseed", 0, "seed for the crash schedule (0 = reuse -seed)")
+		planSpec    = flag.String("plan", "", "explicit fault-plan spec (comma-joined key=value; see EncodeFaultPlan)")
+		cpuprof     = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+		memprof     = flag.String("memprofile", "", "write a pprof heap profile (captured after the sweep) to this file")
 	)
 	flag.Parse()
 
@@ -101,20 +94,11 @@ func main() {
 	if *window < 0 {
 		fail("-window must be ≥ 0 (0 means the default of 4), got %d", *window)
 	}
-	if *drop < 0 || *drop >= 1 {
-		fail("-drop must be in [0, 1) — a probability per hop, got %g", *drop)
-	}
-	if *workers < 0 {
-		fail("-workers must be ≥ 0 (0/1 = serial), got %d", *workers)
-	}
 	if *crash < 0 {
 		fail("-crash must be ≥ 0 — a count of crash windows, got %d", *crash)
 	}
 	if *crashseed != 0 && *crash == 0 {
 		fail("-crashseed %d without -crash — nothing to schedule", *crashseed)
-	}
-	if *planSpec != "" && (*drop > 0 || *crash > 0) {
-		fail("-plan is exclusive with -drop and -crash — the spec carries the whole plan")
 	}
 
 	var hs []float64
@@ -131,11 +115,20 @@ func main() {
 	if len(hs) == 0 {
 		fail("-h lists no hot fractions")
 	}
+	// The spec is the whole machine, and ParseMachine's check covers the
+	// whole sweep (points differ only in the wait-buffer capacity, which no
+	// engine rejects): a bad wiring, key or processor count is a one-line
+	// error, not a stack trace from inside an engine constructor.
+	topo, cfg, err := combining.ParseMachine(*machineSpec)
+	if err != nil {
+		fail("%v", err)
+	}
+	n := cfg.Procs
 
 	injectors := func(h float64) []combining.Injector {
-		inj := make([]combining.Injector, *n)
-		for p := 0; p < *n; p++ {
-			inj[p] = combining.NewStochastic(p, *n, combining.TrafficConfig{
+		inj := make([]combining.Injector, n)
+		for p := 0; p < n; p++ {
+			inj[p] = combining.NewStochastic(p, n, combining.TrafficConfig{
 				Rate: *rate, HotFraction: h, Window: *window, Adaptive: *adaptive,
 			}, *seed)
 		}
@@ -143,15 +136,12 @@ func main() {
 	}
 	var plan *combining.FaultPlan
 	if *planSpec != "" {
-		var err error
 		if plan, err = combining.ParseFaultPlan(*planSpec); err != nil {
 			fail("%v", err)
 		}
-	}
-	if *drop > 0 {
-		// A long base timeout keeps retransmits about real drops rather
-		// than congestion delay (see the E13 bench).
-		plan = &combining.FaultPlan{Seed: *seed, DropFwd: *drop, DropRev: *drop, RetryTimeout: 512}
+		if plan.HasCrashes() && *crash > 0 {
+			fail("-crash beside a -plan that already schedules crashes — pick one")
+		}
 	}
 	if *crash > 0 {
 		cs := *crashseed
@@ -173,16 +163,8 @@ func main() {
 		plan.LinkCrashes = gen.LinkCrashes
 		plan.CheckpointEvery = gen.CheckpointEvery
 	}
-	// One config for every wiring — a topology is a name, not a machine.  The
-	// bus sweeps run on eight banks.  Validating it once covers the whole
-	// sweep (points differ only in the wait-buffer capacity, which Validate
-	// never rejects): a bad -topology, -n or -workers is a one-line error,
-	// not a stack trace from inside an engine constructor.
-	cfg := combining.WiringConfig{Procs: *n, QueueCap: *queue, RevQueueCap: *revQueue,
-		MemQueueCap: *memQueue, Banks: 8, Faults: plan, Workers: *workers}
-	if _, err := combining.NewWiring(*topo, cfg); err != nil {
-		fail("%v", err)
-	}
+	cfg.Faults = plan
+	wait := cmp.Or(cfg.WaitBufCap, combining.Unbounded)
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -220,8 +202,8 @@ func main() {
 	if *csv {
 		fmt.Println("n,h,combining,bandwidth,mean_latency,cold_latency,combines,limit")
 	} else {
-		fmt.Printf("topology=%s N=%d rate=%.2f window=%d queue=%d cycles=%d\n\n",
-			*topo, *n, *rate, *window, *queue, *cycles)
+		fmt.Printf("machine=%s rate=%.2f window=%d cycles=%d\n\n",
+			combining.EncodeMachine(topo, cfg), *rate, *window, *cycles)
 		fmt.Println("   h     comb |  ops/cycle   latency   cold-lat   combines |  limit")
 		fmt.Println("-------------+--------------------------------------------+-------")
 	}
@@ -229,19 +211,19 @@ func main() {
 		for _, comb := range []bool{false, true} {
 			cfg.WaitBufCap = 0
 			if comb {
-				cfg.WaitBufCap = combining.Unbounded
+				cfg.WaitBufCap = wait
 			}
-			build, err := combining.NewWiring(*topo, cfg)
+			build, err := combining.NewWiring(topo, cfg)
 			if err != nil {
 				fail("%v", err)
 			}
 			sim := build(injectors(h))
 			sim.Run(*cycles)
 			t := sim.Totals()
-			limit := combining.AsymptoticHotBandwidth(*n, h)
+			limit := combining.AsymptoticHotBandwidth(n, h)
 			if *csv {
 				fmt.Printf("%d,%g,%v,%.4f,%.2f,%.2f,%d,%.4f\n",
-					*n, h, comb, t.Bandwidth(), t.MeanLatency(),
+					n, h, comb, t.Bandwidth(), t.MeanLatency(),
 					t.ColdMeanLatency(), t.Combines, limit)
 			} else {
 				fmt.Printf(" %6.4f  %-4v |  %9.2f  %8.1f  %9.1f  %9d | %6.2f\n",

@@ -216,12 +216,7 @@ func e10SimultaneousFAA() {
 	if err != nil {
 		panic(err)
 	}
-	var all []int64
-	for p := 0; p < n; p++ {
-		for r := 0; r < rounds; r++ {
-			all = append(all, m.Proc(p).Reply(r).Val)
-		}
-	}
+	all := m.Replies()
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	perm := true
 	for i, v := range all {

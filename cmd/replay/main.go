@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	replay -n 16 [-topology omega] [-combining] [-queue 4] [-plan <spec>]
+//	replay [-machine omega,procs=16,queue=4,wait=-1] [-plan <spec>]
 //	       [-crash 0] [-crashseed 0] trace.txt
-//	replay -gen -n 16 -ops 200 -h 0.25   (emit a synthetic trace to stdout)
-//	replay -chaos -topology torus -n 8 -ops 10 -addrs 4 -seed 7 -plan <spec>
+//	replay -gen [-machine bus,procs=16] -ops 200 -h 0.25   (emit a synthetic trace to stdout)
+//	replay -chaos -machine torus,procs=8,wait=64 -ops 10 -addrs 4 -seed 7 -plan <spec>
 //
 // Trace format: one request per line, "#" comments:
 //
@@ -19,10 +19,13 @@
 // Each line is one instruction of processor proc's program, issued no
 // earlier than cycle.
 //
-// -topology picks the wiring, any name internal/wiring registers: the
-// radix-2 or radix-4 omega network or the fat-tree on the staged engine,
-// the binary hypercube or near-square torus on the direct engine, or the
-// bus machine.
+// -machine is the machine as one spec (ParseMachine): a wiring name, any
+// name internal/wiring registers (the radix-2 or radix-4 omega network or
+// the fat-tree on the staged engine, the binary hypercube or near-square
+// torus on the direct engine, or the bus machine), then comma-joined keys
+// procs, queue, rev, mem, wait, banks, workers (0 is the engine default,
+// negative unbounded) and a bare reversal.  wait=-1, the default, combines
+// with unbounded wait buffers; leaving wait out turns combining off.
 //
 // -plan replays under an explicit deterministic fault plan, written as the
 // comma-joined key=value spec EncodeFaultPlan emits (e.g.
@@ -31,10 +34,9 @@
 //
 // With -chaos the positional trace is replaced by one fuzzer scenario:
 // the seeded randomized workload (-seed, -ops, -addrs) runs under -plan on
-// -topology through the same battery — replaying a shrunk reproducer
-// deterministically reproduces the bug it was shrunk from.  The scenario
-// fixes its own machine (default queues, wait buffers of 64), so -queue and
-// -combining are rejected beside -chaos.
+// -machine through the same battery — replaying a shrunk reproducer, which
+// prints both specs, deterministically reproduces the bug it was shrunk
+// from.
 //
 // With -crash > 0 the trace replays under a deterministic crash–restart
 // plan: that many seeded crash windows of each kind (switch, memory
@@ -43,8 +45,11 @@
 // default schedule for seed 1); the same trace under the same crash seed
 // replays identically.
 //
-// Nonsense flag values and flag combinations are rejected at parse time
-// with a one-line error and exit status 2.
+// Each mode reads only its own flags (modeFlags): a trace replay -machine,
+// -plan, -crash and -crashseed; -gen the processor count of -machine,
+// -ops, -h and -seed; -chaos -machine, -ops, -addrs, -seed and -plan.
+// Setting any other flag, like nonsense flag values and flag combinations,
+// is rejected at parse time with a one-line error and exit status 2.
 package main
 
 import (
@@ -52,26 +57,32 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"strings"
 
 	combining "combining"
 )
 
+// modeFlags lists the flags each mode reads.  Setting any other flag is an
+// error rather than a silent no-op.
+var modeFlags = map[string][]string{
+	"a trace replay": {"machine", "plan", "crash", "crashseed"},
+	"-gen":           {"gen", "machine", "ops", "h", "seed"},
+	"-chaos":         {"chaos", "machine", "ops", "addrs", "seed", "plan"},
+}
+
 func main() {
 	var (
-		n         = flag.Int("n", 16, "processors (power of two; power of four on -topology omega4)")
-		topo      = flag.String("topology", "omega", "one of "+strings.Join(combining.Wirings(), ", "))
-		comb      = flag.Bool("combining", true, "enable combining")
-		queue     = flag.Int("queue", 4, "switch queue capacity")
-		gen       = flag.Bool("gen", false, "generate a synthetic trace to stdout instead of replaying")
-		ops       = flag.Int("ops", 200, "requests per processor (generation and -chaos workloads)")
-		genHot    = flag.Float64("h", 0.25, "hot fraction when generating")
-		seed      = flag.Uint64("seed", 1, "workload seed (generation and -chaos)")
-		addrs     = flag.Int("addrs", 4, "shared addresses for -chaos workloads")
-		chaosRun  = flag.Bool("chaos", false, "replay one chaos-fuzzer scenario instead of a trace (requires -plan)")
-		planSpec  = flag.String("plan", "", "fault-plan spec (comma-joined key=value; see EncodeFaultPlan)")
-		crash     = flag.Int("crash", 0, "crash–restart windows of each kind to schedule (0 = none)")
-		crashseed = flag.Uint64("crashseed", 0, "seed for the crash schedule (0 = seed 1)")
+		machineSpec = flag.String("machine", "omega,procs=16,queue=4,wait=-1", "machine spec: a wiring ("+strings.Join(combining.Wirings(), ", ")+"), then procs, queue, rev, mem, wait, banks, workers, reversal")
+		gen         = flag.Bool("gen", false, "generate a synthetic trace to stdout instead of replaying")
+		ops         = flag.Int("ops", 200, "requests per processor (generation and -chaos workloads)")
+		genHot      = flag.Float64("h", 0.25, "hot fraction when generating")
+		seed        = flag.Uint64("seed", 1, "workload seed (generation and -chaos)")
+		addrs       = flag.Int("addrs", 4, "shared addresses for -chaos workloads")
+		chaosRun    = flag.Bool("chaos", false, "replay one chaos-fuzzer scenario instead of a trace (requires -plan)")
+		planSpec    = flag.String("plan", "", "fault-plan spec (comma-joined key=value; see EncodeFaultPlan)")
+		crash       = flag.Int("crash", 0, "crash–restart windows of each kind to schedule (0 = none)")
+		crashseed   = flag.Uint64("crashseed", 0, "seed for the crash schedule (0 = seed 1)")
 	)
 	flag.Parse()
 
@@ -79,6 +90,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "replay: "+format+"\n", args...)
 		os.Exit(2)
 	}
+	mode := "a trace replay"
+	if *chaosRun {
+		mode = "-chaos"
+	} else if *gen {
+		mode = "-gen"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(modeFlags[mode], f.Name) {
+			fail("-%s does not apply to %s, which reads -%s", f.Name, mode, strings.Join(modeFlags[mode], " -"))
+		}
+	})
 	if *crash < 0 {
 		fail("-crash must be ≥ 0 — a count of crash windows, got %d", *crash)
 	}
@@ -88,47 +110,36 @@ func main() {
 	if *planSpec != "" && *crash > 0 {
 		fail("-plan and -crash both specify the fault plan — pick one")
 	}
+	if mode != "a trace replay" && flag.NArg() != 0 {
+		fail("%s takes no trace file", mode)
+	}
 	if *chaosRun {
-		if *gen {
-			fail("-chaos and -gen are exclusive")
-		}
 		if *planSpec == "" {
 			fail("-chaos requires -plan — the scenario's fault plan")
 		}
 		if *addrs < 1 {
 			fail("-addrs must be ≥ 1, got %d", *addrs)
 		}
-		if flag.NArg() != 0 {
-			fail("-chaos takes no trace file")
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "queue" || f.Name == "combining" {
-				fail("-%s does not apply to -chaos — the scenario fixes its machine (default queues, wait buffers of 64)", f.Name)
-			}
-		})
+	}
+	// One check for every mode: a bad wiring, key or processor count is a
+	// one-line error, not a stack trace from an engine constructor.
+	topo, cfg, err := combining.ParseMachine(*machineSpec)
+	if err != nil {
+		fail("%v", err)
 	}
 	var plan *combining.FaultPlan
 	if *planSpec != "" {
-		var err error
 		if plan, err = combining.ParseFaultPlan(*planSpec); err != nil {
 			fail("%v", err)
 		}
 	}
-
 	if *gen {
-		generate(*n, *ops, *genHot, *seed)
+		generate(cfg.Procs, *ops, *genHot, *seed)
 		return
 	}
-	// One validation for either machine below (they differ only in queue
-	// and wait-buffer sizes and the plan, none of which a serial machine's
-	// Validate rejects): a bad -topology or -n is a one-line error, not a
-	// stack trace from an engine constructor.
-	cfg := combining.WiringConfig{Procs: *n, QueueCap: *queue}
-	if _, err := combining.NewWiring(*topo, cfg); err != nil {
-		fail("%v", err)
-	}
 	if *chaosRun {
-		runChaos(*topo, *n, *ops, *addrs, *seed, plan)
+		runChaos(combining.ChaosScenario{Wiring: topo, Config: cfg, Ops: *ops, Addrs: *addrs,
+			WorkloadSeed: *seed, Plan: plan})
 		return
 	}
 
@@ -140,14 +151,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
 	}
-	progs, err := combining.ParseTrace(f, *n)
+	progs, err := combining.ParseTrace(f, cfg.Procs)
 	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
-	}
-	if *comb {
-		cfg.WaitBufCap = combining.Unbounded
 	}
 	if *crash > 0 {
 		cs := *crashseed
@@ -167,12 +175,12 @@ func main() {
 	}
 	cfg.Faults = plan
 	const maxCycles = 10_000_000
-	_, eng, c, err := combining.CheckBattery(*topo, cfg, progs, maxCycles)
+	_, eng, c, err := combining.CheckBattery(topo, cfg, progs, maxCycles)
 	if eng == nil {
 		fail("%v", err)
 	}
 	fmt.Printf("replayed %d requests on %d processors (%s) in %d cycles\n",
-		c["issued"], *n, *topo, c["cycles"])
+		c["issued"], cfg.Procs, topo, c["cycles"])
 	cycles := c["cycles"]
 	if cycles == 0 {
 		cycles = 1
@@ -195,32 +203,26 @@ func main() {
 		fmt.Printf("trace VIOLATION: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("trace passed on %s: %d ops exactly-once, serializable\n", *topo, c["completed"])
+	fmt.Printf("trace passed on %s: %d ops exactly-once, serializable\n", topo, c["completed"])
 }
 
 // runChaos replays one fuzzer scenario and reports the verdict: exit 0
 // with a counter summary when every invariant holds, exit 1 with the
 // violation when the scenario reproduces a bug.
-func runChaos(topo string, n, ops, addrs int, seed uint64, plan *combining.FaultPlan) {
-	sc := combining.ChaosScenario{
-		Topology: topo, Procs: n, Ops: ops, Addrs: addrs,
-		WorkloadSeed: seed, Plan: plan,
-	}
+func runChaos(sc combining.ChaosScenario) {
 	counters, err := combining.RunChaos(sc)
 	if err != nil {
 		fmt.Printf("chaos scenario VIOLATION: %v\n", err)
-		if counters != nil {
-			fmt.Printf("counters: faults %d, retries %d, reordered %d, dup %d, corrupt-dropped %d\n",
-				counters["faults_injected"], counters["retries"], counters["reordered_held"],
-				counters["dup_injected"], counters["corrupt_dropped"])
-		}
-		os.Exit(1)
+	} else {
+		fmt.Printf("chaos scenario passed on %s: %d ops exactly-once, serializable\n",
+			sc.Wiring, counters["completed"])
 	}
-	fmt.Printf("chaos scenario passed on %s: %d ops exactly-once, serializable\n",
-		topo, counters["completed"])
 	fmt.Printf("counters: faults %d, retries %d, reordered %d, dup %d, corrupt-dropped %d\n",
 		counters["faults_injected"], counters["retries"], counters["reordered_held"],
 		counters["dup_injected"], counters["corrupt_dropped"])
+	if err != nil {
+		os.Exit(1)
+	}
 }
 
 func generate(n, ops int, h float64, seed uint64) {

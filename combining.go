@@ -40,12 +40,16 @@ import (
 // them, and NewWiring turns a name into the function that builds the wiring
 // over its injectors — the one switch from a topology name to a machine
 // (internal/wiring).  Its error is the one-line config check commands run
-// up front.
+// up front.  ParseMachine and EncodeMachine are the machine spec codec: a
+// name and config as one command-line word ("omega,procs=16,queue=4,wait=-1"),
+// the -machine flag of cmd/replay and cmd/combsim.
 type WiringConfig = wiring.Config
 
 var (
-	Wirings   = wiring.Names
-	NewWiring = wiring.New
+	Wirings       = wiring.Names
+	NewWiring     = wiring.New
+	ParseMachine  = wiring.ParseMachine
+	EncodeMachine = wiring.EncodeMachine
 )
 
 // ---- Words and identifiers (internal/word) ----
@@ -305,9 +309,10 @@ var (
 // ---- Chaos fuzzing (internal/chaos) ----
 
 // ChaosScenario is one fuzz case of the randomized fault-plan fuzzer: a
-// wiring, a seeded randomized workload, and a sampled fault plan.  Running
-// a scenario is a pure function of its fields, so violations replay and
-// shrink deterministically.
+// machine (a wiring name and its WiringConfig), a seeded randomized
+// workload, and a sampled fault plan.  Running a scenario is a pure
+// function of its fields, so violations replay and shrink
+// deterministically.
 type ChaosScenario = chaos.Scenario
 
 var (
@@ -322,11 +327,15 @@ var (
 	// the run's certificate where its trace can give one), issued ==
 	// completed, nothing left in flight.
 	CheckBattery = chaos.Battery
+	// CheckWidths reruns a finished machine's programs at other Workers
+	// widths, each of which must reproduce its snapshot and replies.
+	CheckWidths = chaos.AtWidths
 	// ShrinkChaos minimizes a failing scenario under a rerun budget.
 	ShrinkChaos = chaos.Shrink
 	// ChaosWindows counts a plan's fault windows — the shrink metric.
 	ChaosWindows = chaos.Windows
-	// ChaosRepro renders a scenario as a replayable cmd/replay command.
+	// ChaosRepro renders a scenario as a replayable cmd/replay command,
+	// its machine as a -machine spec beside its -plan.
 	ChaosRepro = chaos.ReproCommand
 )
 

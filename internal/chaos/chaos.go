@@ -36,15 +36,18 @@ import (
 	"combining/internal/word"
 )
 
-// Scenario is one fuzz case: a wiring, a seeded randomized workload, and a
+// Scenario is one fuzz case: a machine, a seeded randomized workload, and a
 // sampled fault plan.  Run is a pure function of the Scenario, so a failing
 // case replays from its fields alone and Shrink can bisect it.
 type Scenario struct {
-	// Topology names the wiring, one of wiring.Names().
-	Topology string
-	// Procs, Ops and Addrs shape the workload: processors, operations per
-	// processor, and the (hot) shared address range.
-	Procs, Ops, Addrs int
+	// Wiring names the wiring, one of wiring.Names(), and Config shapes its
+	// machine: Config.Procs processors run the workload.  Run arms Config
+	// with Plan and runs it at Workers 1 and 3, whatever Config says.
+	Wiring string
+	Config wiring.Config
+	// Ops and Addrs shape the workload: operations per processor and the
+	// (hot) shared address range.
+	Ops, Addrs int
 	// WorkloadSeed keys the randomized programs.
 	WorkloadSeed uint64
 	// Plan is the fault plan under test.
@@ -56,20 +59,21 @@ type Scenario struct {
 const maxCycles = 1_000_000
 
 // NewScenario derives the index-th scenario of a fuzz run: every field is
-// a pure function of (topology, fuzzSeed, index), so a fuzz run replays
-// from its seed and the failing index alone.  The radix-4 omega needs a
+// a pure function of (name, fuzzSeed, index), so a fuzz run replays from
+// its seed and the failing index alone.  The machine has the engines'
+// default queues and wait buffers of 64.  The radix-4 omega needs a
 // power-of-four processor count and gets a shorter program — the
 // serializability checker's search grows steeply with operations per hot
 // address.
-func NewScenario(topology string, fuzzSeed uint64, index int) Scenario {
+func NewScenario(name string, fuzzSeed uint64, index int) Scenario {
 	rng := rand.New(rand.NewPCG(fuzzSeed, uint64(index)*0x9e3779b97f4a7c15+0x1f83d9ab))
 	procs, ops := 8, 10
-	if topology == "omega4" {
+	if name == "omega4" {
 		procs, ops = 16, 6
 	}
 	return Scenario{
-		Topology:     topology,
-		Procs:        procs,
+		Wiring:       name,
+		Config:       wiring.Config{Procs: procs, WaitBufCap: 64},
 		Ops:          ops,
 		Addrs:        4,
 		WorkloadSeed: rng.Uint64(),
@@ -156,30 +160,44 @@ func Programs(seed uint64, procs, ops, addrs int) [][]machine.Instr {
 }
 
 // Run executes one scenario at Workers 1 and checks its invariants, then
-// reruns it at Workers 3, whose snapshot must be the same bytes — the
-// worker count is unobservable under every plan (DESIGN.md §6.1).  It
-// returns the engine's snapshot counters (for vacuous-pass accounting) and
-// the first violation found, nil if the run is clean.  Run is
-// deterministic: the same Scenario always produces the same counters and
-// the same verdict.
+// reruns it at Workers 3 (AtWidths) — the worker count is unobservable
+// under every plan (DESIGN.md §6.1).  It returns the engine's snapshot
+// counters (for vacuous-pass accounting) and the first violation found, nil
+// if the run is clean.  Run is deterministic: the same Scenario always
+// produces the same counters and the same verdict.
 func Run(sc Scenario) (map[string]int64, error) {
-	progs := Programs(sc.WorkloadSeed, sc.Procs, sc.Ops, sc.Addrs)
-	cfg := wiring.Config{Procs: sc.Procs, WaitBufCap: 64, Workers: 1, Faults: sc.Plan}
-	_, eng, c, err := Battery(sc.Topology, cfg, progs, maxCycles)
-	if err != nil {
-		return c, err
+	progs := Programs(sc.WorkloadSeed, sc.Config.Procs, sc.Ops, sc.Addrs)
+	cfg := sc.Config
+	cfg.Workers, cfg.Faults = 1, sc.Plan
+	m, _, c, err := Battery(sc.Wiring, cfg, progs, maxCycles)
+	if err == nil {
+		err = AtWidths(sc.Wiring, cfg, progs, m, maxCycles, 3)
 	}
-	cfg.Workers = 3
-	build, err := wiring.New(sc.Topology, cfg)
-	if err != nil {
-		return c, err
+	return c, err
+}
+
+// AtWidths reruns the programs of ref, a finished machine cfg built on the
+// named wiring, at each of widths Workers: every rerun must complete
+// within maxCycles and reproduce ref's snapshot and replies exactly.
+func AtWidths(name string, cfg wiring.Config, progs [][]machine.Instr, ref *machine.Machine, maxCycles int, widths ...int) error {
+	snap, vals, from := ref.Engine().Snapshot().JSON(), ref.Replies(), cfg.Workers
+	for _, w := range widths {
+		cfg.Workers = w
+		build, err := wiring.New(name, cfg)
+		if err != nil {
+			return err
+		}
+		m := machine.New(progs, build)
+		switch {
+		case !m.Run(maxCycles):
+			return fmt.Errorf("Workers=%d: did not complete, %d in flight", w, m.Engine().InFlight())
+		case !bytes.Equal(m.Engine().Snapshot().JSON(), snap):
+			return fmt.Errorf("Workers=%d snapshot differs from Workers=%d", w, from)
+		case !slices.Equal(m.Replies(), vals):
+			return fmt.Errorf("Workers=%d replies differ from Workers=%d", w, from)
+		}
 	}
-	m3 := machine.New(progs, build)
-	m3.Run(maxCycles)
-	if !bytes.Equal(m3.Engine().Snapshot().JSON(), eng.Snapshot().JSON()) {
-		return c, fmt.Errorf("Workers=3 snapshot differs from Workers=1")
-	}
-	return c, nil
+	return nil
 }
 
 // Battery is the invariant battery every soak runs: it builds the programs'
@@ -368,8 +386,9 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, int) {
 
 // ReproCommand renders a scenario as the cmd/replay command line that
 // replays it deterministically — the form a shrunk violation is reported
-// in.
+// in.  The machine travels as its spec (wiring.EncodeMachine) and the plan
+// as its own (faults.EncodePlan).
 func ReproCommand(sc Scenario) string {
-	return fmt.Sprintf("go run ./cmd/replay -chaos -topology %s -n %d -ops %d -addrs %d -seed %d -plan '%s'",
-		sc.Topology, sc.Procs, sc.Ops, sc.Addrs, sc.WorkloadSeed, faults.EncodePlan(sc.Plan))
+	return fmt.Sprintf("go run ./cmd/replay -chaos -machine %s -ops %d -addrs %d -seed %d -plan '%s'",
+		wiring.EncodeMachine(sc.Wiring, sc.Config), sc.Ops, sc.Addrs, sc.WorkloadSeed, faults.EncodePlan(sc.Plan))
 }

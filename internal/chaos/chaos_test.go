@@ -1,11 +1,16 @@
 package chaos
 
 import (
+	"flag"
+	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"combining/internal/engine"
+	"combining/internal/faults"
 	"combining/internal/machine"
 	"combining/internal/wiring"
 )
@@ -119,7 +124,7 @@ func TestChaosCanaryFoundAndShrunk(t *testing.T) {
 		t.Errorf("shrunk scenario fails as %q, want the class %q", err1, class)
 	}
 	repro := ReproCommand(shrunk)
-	for _, part := range []string{"-chaos", "-topology omega", "-plan '", "canary=nodedup"} {
+	for _, part := range []string{"-chaos", "-machine omega,procs=8,wait=64 ", "-plan '", "canary=nodedup"} {
 		if !strings.Contains(repro, part) {
 			t.Errorf("reproducer %q missing %q", repro, part)
 		}
@@ -127,10 +132,62 @@ func TestChaosCanaryFoundAndShrunk(t *testing.T) {
 	t.Logf("canary shrunk after %d reruns to %d window(s): %s", runs, Windows(shrunk.Plan), repro)
 }
 
+// TestReproCommandReplays: a reproducer's one-liner carries the whole
+// scenario, the machine's shape included.  Parsed back the way cmd/replay
+// parses it, it rebuilds an equal Scenario, and Run on that gives the same
+// verdict and counters — for one drawn scenario per wiring and for a
+// machine with small queues, small wait buffers and reversal.
+func TestReproCommandReplays(t *testing.T) {
+	var scs []Scenario
+	for i, name := range wiring.Names() {
+		scs = append(scs, NewScenario(name, 1, i))
+	}
+	shaped := NewScenario("omega", 1, 0)
+	shaped.Config.QueueCap, shaped.Config.WaitBufCap, shaped.Config.AllowReversal = 2, 4, true
+	scs = append(scs, shaped)
+	for _, sc := range scs {
+		repro := ReproCommand(sc)
+		args, ok := strings.CutPrefix(repro, "go run ./cmd/replay ")
+		if !ok {
+			t.Fatalf("reproducer %q does not run cmd/replay", repro)
+		}
+		var back Scenario
+		fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+		fs.Bool("chaos", false, "")
+		machineSpec := fs.String("machine", "", "")
+		fs.IntVar(&back.Ops, "ops", 0, "")
+		fs.IntVar(&back.Addrs, "addrs", 0, "")
+		fs.Uint64Var(&back.WorkloadSeed, "seed", 0, "")
+		planSpec := fs.String("plan", "", "")
+		if err := fs.Parse(strings.Fields(args)); err != nil || fs.NArg() != 0 {
+			t.Fatalf("reproducer %q does not parse as replay flags: %v", repro, err)
+		}
+		var err error
+		if back.Wiring, back.Config, err = wiring.ParseMachine(*machineSpec); err != nil {
+			t.Fatalf("reproducer %q: %v", repro, err)
+		}
+		if back.Plan, err = faults.ParsePlan(strings.Trim(*planSpec, "'")); err != nil {
+			t.Fatalf("reproducer %q: %v", repro, err)
+		}
+		if !reflect.DeepEqual(back, sc) {
+			t.Errorf("reproducer %q rebuilds\n%+v\nnot\n%+v", repro, back, sc)
+			continue
+		}
+		c1, err1 := Run(sc)
+		c2, err2 := Run(back)
+		if fmt.Sprint(err1) != fmt.Sprint(err2) || !maps.Equal(c1, c2) {
+			t.Errorf("reproducer %q replays differently: %v, %v vs %v, %v", repro, err1, c1, err2, c2)
+		}
+	}
+	if want := "-machine omega,procs=8,queue=2,wait=4,reversal "; !strings.Contains(ReproCommand(shaped), want) {
+		t.Errorf("reproducer %q does not carry %q", ReproCommand(shaped), want)
+	}
+}
+
 // TestChaosRejectsUnknownTopology pins the one-line config error path.
 func TestChaosRejectsUnknownTopology(t *testing.T) {
 	sc := NewScenario("omega", 1, 0)
-	sc.Topology = "ring"
+	sc.Wiring = "ring"
 	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "unknown topology") {
 		t.Fatalf("want unknown-topology error, got %v", err)
 	}
@@ -192,7 +249,7 @@ func TestShrinkPreservesSeedAndTopology(t *testing.T) {
 		t.Skip("no bus scenario triggers the canary at this seed; covered by the omega test")
 	}
 	shrunk, _ := Shrink(sc, 120)
-	if shrunk.Topology != sc.Topology || shrunk.WorkloadSeed != sc.WorkloadSeed ||
+	if shrunk.Wiring != sc.Wiring || !reflect.DeepEqual(shrunk.Config, sc.Config) || shrunk.WorkloadSeed != sc.WorkloadSeed ||
 		shrunk.Plan.Seed != sc.Plan.Seed || shrunk.Plan.Canary != sc.Plan.Canary {
 		t.Fatalf("shrinker changed scenario identity: %+v -> %+v", sc, shrunk)
 	}

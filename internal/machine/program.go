@@ -203,6 +203,17 @@ func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 // request id and its issue and completion cycles.
 func (m *Machine) History() *serial.History { return &m.hist }
 
+// Replies lists every reply value, processor by processor in program order.
+func (m *Machine) Replies() []int64 {
+	var vals []int64
+	for _, p := range m.procs {
+		for _, r := range p.replies {
+			vals = append(vals, r.Val)
+		}
+	}
+	return vals
+}
+
 // Run steps the machine until every program completes or maxCycles pass;
 // it reports whether all programs completed.  Run fails fast when the
 // engine's progress watchdog trips instead of burning the rest of the cycle

@@ -3,11 +3,14 @@
 // once (internal/engine), and this package lets the drivers say it once
 // too: the soaks, the chaos fuzzer, cmd/replay, cmd/combsim and the bench
 // table all build their machines here, from a name and the fields the six
-// shipped wirings share.
+// shipped wirings share.  On a command line and in a chaos reproducer the
+// name and those fields are one spec string (ParseMachine, EncodeMachine).
 package wiring
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"combining/internal/busnet"
@@ -86,4 +89,89 @@ func New(name string, c Config) (func([]engine.Injector) engine.Machine, error) 
 		return func(inj []engine.Injector) engine.Machine { return busnet.NewSim(cfg, inj) }, cfg.Validate()
 	}
 	return nil, fmt.Errorf("wiring: unknown topology %q (want %s)", name, strings.Join(Names(), ", "))
+}
+
+// Machine spec strings: a machine written as one command-line word that
+// EncodeMachine and ParseMachine invert exactly.  cmd/replay and cmd/combsim
+// take it as -machine, and the chaos fuzzer's reproducers carry it, so a
+// drawn machine shape travels in a one-liner beside its fault plan.
+//
+// Format: the wiring name, then comma-joined keys.  An integer key is
+// key=value with Config's conventions (0 is the engine default, negative is
+// unbounded, so wait=-1 is core.Unbounded); a bool key is bare.  An absent
+// key is zero, and EncodeMachine omits zero fields.
+//
+//	omega,procs=16,queue=2,rev=2,mem=2,wait=4,reversal,banks=4
+//
+// Faults and Trace are not part of a machine: a plan travels as its own
+// spec (faults.EncodePlan).
+
+// Field is one machine spec key and the Config field it names.  Of returns
+// a pointer to that field: an *int, or a *bool for a bare key.
+type Field struct {
+	Key string
+	Of  func(*Config) any
+}
+
+// Fields lists every machine spec key in the order EncodeMachine writes
+// them.
+var Fields = []Field{
+	{"procs", func(c *Config) any { return &c.Procs }},
+	{"queue", func(c *Config) any { return &c.QueueCap }},
+	{"rev", func(c *Config) any { return &c.RevQueueCap }},
+	{"mem", func(c *Config) any { return &c.MemQueueCap }},
+	{"wait", func(c *Config) any { return &c.WaitBufCap }},
+	{"reversal", func(c *Config) any { return &c.AllowReversal }},
+	{"banks", func(c *Config) any { return &c.Banks }},
+	{"workers", func(c *Config) any { return &c.Workers }},
+}
+
+// EncodeMachine renders a wiring name and config as a spec ParseMachine
+// inverts.
+func EncodeMachine(name string, c Config) string {
+	parts := []string{name}
+	for _, f := range Fields {
+		switch x := f.Of(&c).(type) {
+		case *int:
+			if *x != 0 {
+				parts = append(parts, f.Key+"="+strconv.Itoa(*x))
+			}
+		case *bool:
+			if *x {
+				parts = append(parts, f.Key)
+			}
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// ParseMachine parses a machine spec, rejecting unknown keys and malformed
+// values with a one-line error, and ends with New, so a machine the wiring
+// cannot build is rejected here too: one call is a command's whole
+// up-front check.
+func ParseMachine(spec string) (string, Config, error) {
+	parts := strings.Split(spec, ",")
+	var c Config
+	for _, part := range parts[1:] {
+		k, v, hasValue := strings.Cut(strings.TrimSpace(part), "=")
+		i := slices.IndexFunc(Fields, func(f Field) bool { return f.Key == k })
+		if i < 0 {
+			return "", Config{}, fmt.Errorf("wiring: unknown machine spec key %q", k)
+		}
+		var err error
+		switch f := Fields[i].Of(&c).(type) {
+		case *int:
+			*f, err = strconv.Atoi(v)
+		case *bool:
+			if *f = true; hasValue {
+				err = fmt.Errorf("takes no value")
+			}
+		}
+		if err != nil {
+			return "", Config{}, fmt.Errorf("wiring: machine spec %s: %v", part, err)
+		}
+	}
+	name := strings.TrimSpace(parts[0])
+	_, err := New(name, c)
+	return name, c, err
 }
