@@ -166,7 +166,7 @@ func main() {
 			return s.round(s.wirings[i / *rounds], *seed+uint64(i%*rounds))
 		})
 		for w, wiring := range s.wirings {
-			count(report(wiring+"/"+s.name, replay(s.flag), s.engaged, rs[w**rounds:(w+1)**rounds], *verbose))
+			count(report(wiring+"/"+s.name, replay(s.flag), s.engaged, s.retry, rs[w**rounds:(w+1)**rounds], *verbose))
 		}
 	}
 	if *doChaos {
@@ -198,12 +198,18 @@ type soak struct {
 	// engaged names the counters that must be nonzero over a wiring's rounds:
 	// a soak whose faults never fired is a vacuous pass and fails.
 	engaged []string
+	// retry says the summary line also reports the retry tracker: the range
+	// of the rounds' final retransmit timeouts and the retransmits per
+	// completion, so a retransmit storm shows in every soak log.
+	retry bool
 }
 
-// result is one round's verdict.
+// result is one round's verdict, and the retry tracker's timeout (the
+// snapshot's retry_timeout_cycles gauge) when the round ends.
 type result struct {
 	seed     uint64
 	counters map[string]int64
+	rto      int64
 	err      error
 }
 
@@ -241,7 +247,7 @@ func rows(procs, ops, addrs int) []soak {
 	}
 
 	table = append(table, soak{flag: "-faults", name: "faults", wirings: five, cfg: base,
-		plan: combining.DefaultFaultPlan, progs: random, engaged: []string{"faults_injected"}})
+		plan: combining.DefaultFaultPlan, progs: random, engaged: []string{"faults_injected"}, retry: true})
 
 	for _, mode := range cleanAndFaults {
 		// -overload: a pure hot spot with every queue at its minimum capacity
@@ -289,7 +295,7 @@ func rows(procs, ops, addrs int) []soak {
 				}
 				return nil
 			},
-			engaged: []string{"crashes", "restores", "checkpoints"}})
+			engaged: []string{"crashes", "restores", "checkpoints"}, retry: true})
 	}
 	return table
 }
@@ -310,18 +316,26 @@ func (s soak) round(wiring string, seed uint64) result {
 	if err == nil {
 		err = combining.CheckWidths(wiring, cfg, progs, m, maxCycles, s.widths...)
 	}
-	return result{seed: seed, counters: c, err: err}
+	r := result{seed: seed, counters: c, err: err}
+	if eng != nil {
+		r.rto = eng.Snapshot().Gauges["retry_timeout_cycles"]
+	}
+	return r
 }
 
 // report prints one soak's rounds in order — failures with their replay
 // hint (replay is its flags after -seed and -rounds), the vacuous-pass
 // guard, the summary line — and counts them.
-func report(name, replay string, engaged []string, rs []result, verbose bool) (checked, failed int) {
+func report(name, replay string, engaged []string, retry bool, rs []result, verbose bool) (checked, failed int) {
 	total := map[string]int64{}
+	var rtos []int64
 	for _, r := range rs {
 		for _, k := range engaged {
 			total[k] += r.counters[k]
 		}
+		total["retries"] += r.counters["retries"]
+		total["completed"] += r.counters["completed"]
+		rtos = append(rtos, r.rto)
 		if r.err != nil {
 			fmt.Printf("FAIL %s seed %d: %v (replay: -seed %d -rounds 1 %s)\n", name, r.seed, r.err, r.seed, replay)
 			failed++
@@ -338,8 +352,13 @@ func report(name, replay string, engaged []string, rs []result, verbose bool) (c
 		}
 		engagement = append(engagement, fmt.Sprintf("%d %s", total[k], k))
 	}
+	if retry && len(rs) > 0 {
+		engagement = append(engagement,
+			fmt.Sprintf("%.3f retransmits/completion", float64(total["retries"])/float64(max(total["completed"], 1))),
+			fmt.Sprintf("final RTO %d–%d cycles", slices.Min(rtos), slices.Max(rtos)))
+	}
 	tail := ""
-	if engaged != nil {
+	if engagement != nil {
 		tail = " (" + strings.Join(engagement, ", ") + ")"
 	}
 	fmt.Printf("%-30s %d executions verified%s\n", name, len(rs), tail)

@@ -25,7 +25,9 @@
 // comma-joined key=value spec EncodeFaultPlan emits: drops, stalls and the
 // adversarial delivery kinds (reorder, dup, corrupt).  The E13 degradation
 // curve is -plan seed=1,dropfwd=0.01,droprev=0.01,retry=512, a drop
-// probability per forward and reply hop with a long base timeout.
+// probability per forward and reply hop with a long retransmit timeout
+// floor (retry= is the floor of the estimated timeout, retrycap= its
+// ceiling).
 //
 // With -crash > 0 the plan additionally schedules that many seeded
 // crash–restart windows of each kind (switch, memory module, link) across

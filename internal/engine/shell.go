@@ -571,8 +571,9 @@ func (s *Shell) StallReport() string {
 
 // Snapshot captures the run's instrumentation behind the shared
 // cross-engine API (see internal/stats): the shared counters, then what the
-// wiring names its own, then the fault/recovery block and the
-// recovery-latency histogram when a plan is armed.
+// wiring names its own, then the fault/recovery block, the
+// recovery-latency histogram and the retry tracker's current timeout when a
+// plan is armed.
 func (s *Shell) Snapshot() stats.Snapshot {
 	t := s.Totals()
 	c := Counters{
@@ -623,6 +624,7 @@ func (s *Shell) Snapshot() stats.Snapshot {
 			CrashCycles:    s.flt.CrashCycles.Load(),
 		})
 		snap.Histograms["recovery_latency_cycles"] = s.trk.RecoveryLatency.Snapshot()
+		snap.Gauges["retry_timeout_cycles"] = s.trk.Timeout(1)
 	}
 	return snap
 }

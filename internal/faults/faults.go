@@ -113,10 +113,13 @@ type Plan struct {
 	// fuzzer end to end ("" = none, otherwise one of Canaries).
 	Canary string
 
-	// RetryTimeout is the base retransmit timeout in cycles.  Default 64.
+	// RetryTimeout is the floor of the retransmit timeout (RTO) in cycles,
+	// and the RTO itself until the first round trip is measured (see
+	// Tracker).  Default 64.
 	RetryTimeout int64
-	// RetryCap bounds the exponential backoff: the delay before attempt
-	// k is min(RetryTimeout << (k-1), RetryCap).  Default 8×RetryTimeout.
+	// RetryCap is the ceiling of the RTO and of its exponential backoff:
+	// the delay before attempt k is min(RTO << (k-1), RetryCap).  Default
+	// 8×RetryTimeout.
 	RetryCap int64
 }
 
@@ -575,20 +578,4 @@ func (f *Injector) ActiveCrashes(cycle int64) string {
 		}
 	}
 	return s
-}
-
-// Timeout returns the retransmit delay before the given attempt (1-based):
-// capped exponential backoff from the plan's base timeout.
-func (f *Injector) Timeout(attempt uint32) int64 {
-	d := f.plan.RetryTimeout
-	for i := uint32(1); i < attempt; i++ {
-		d <<= 1
-		if d >= f.plan.RetryCap {
-			return f.plan.RetryCap
-		}
-	}
-	if d > f.plan.RetryCap {
-		d = f.plan.RetryCap
-	}
-	return d
 }

@@ -39,8 +39,8 @@ var Fields = []Field{
 	{"dup", func(p *Plan) any { return &p.Dup }},
 	{"corrupt", func(p *Plan) any { return &p.Corrupt }},
 	{"canary", func(p *Plan) any { return &p.Canary }},
-	{"retry", func(p *Plan) any { return &p.RetryTimeout }},
-	{"retrycap", func(p *Plan) any { return &p.RetryCap }},
+	{"retry", func(p *Plan) any { return &p.RetryTimeout }}, // the RTO's floor, in cycles
+	{"retrycap", func(p *Plan) any { return &p.RetryCap }},  // the RTO's and the backoff's ceiling
 	{"ckpt", func(p *Plan) any { return &p.CheckpointEvery }},
 	{"stalls", func(p *Plan) any { return &p.Stalls }},
 	{"memstalls", func(p *Plan) any { return &p.MemStalls }},
