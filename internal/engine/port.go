@@ -8,7 +8,10 @@ package engine
 // Offer returns the request processor p would send this cycle, or nil when
 // it has none.  A retransmission takes the port's slot ahead of fresh
 // traffic, bypassing the pending slot entirely: a fresh request held there
-// may be waiting on exactly the delivery this retransmit recovers.
+// may be waiting on exactly the delivery this retransmit recovers.  A
+// retransmission the tracker no longer waits on — its request was delivered
+// while it queued, or a newer attempt is queued behind it — is dropped
+// unsent.
 // Otherwise the pending slot is offered, refilled from the injector when
 // empty; under a fault plan the fresh request is registered with the retry
 // tracker, and held at the port while an earlier request by p to the same
@@ -22,8 +25,12 @@ package engine
 // again before then would answer no and change nothing, so a sleeping
 // port's Offer returns nil at once; retransmits are still offered first.
 func (s *Shell) Offer(p int) *Fwd {
-	if s.flt != nil && s.retry[p].Len() > 0 {
-		return s.retry[p].Front()
+	if s.flt != nil {
+		for q := &s.retry[p]; q.Len() > 0; q.Pop() {
+			if m := q.Front(); s.trk.Current(m.Req.ID, m.Req.Attempt) {
+				return m
+			}
+		}
 	}
 	if s.asleep[p] {
 		return nil
