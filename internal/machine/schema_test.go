@@ -51,7 +51,13 @@ func runSchemaEngine(t *testing.T, name string, plan *faults.Plan) []string {
 	if !m.Run(2000000) {
 		t.Fatalf("%s: did not complete (%d in flight)", name, eng.InFlight())
 	}
-	c := eng.Snapshot().Counters
+	snap := eng.Snapshot()
+	// The retry tracker's timeout is a gauge of every faulted snapshot and
+	// of no clean one.
+	if _, ok := snap.Gauges["retry_timeout_cycles"]; ok != (plan != nil) {
+		t.Errorf("%s: retry_timeout_cycles gauge present = %v under plan %v", name, ok, plan != nil)
+	}
+	c := snap.Counters
 	if c["hot_completed"]+c["cold_completed"] != c["completed"] || c["hot_completed"] == 0 {
 		t.Errorf("%s: hot_completed %d + cold_completed %d, completed %d",
 			name, c["hot_completed"], c["cold_completed"], c["completed"])
