@@ -230,7 +230,7 @@ func (s *Sim) sweep() {
 	// Bus arbitration: round-robin; the bus carries one request per cycle,
 	// and a transfer lost on the bus still consumes it.
 	for i, p := 0, s.Turn(s.cfg.Procs); i < s.cfg.Procs; i, p = i+1, engine.Next(p, s.cfg.Procs) {
-		if s.Inject(p) {
+		if s.Inject(p, s.Lane(0)) {
 			break
 		}
 	}

@@ -50,6 +50,13 @@ func (s *Shell) mergeLanes() {
 		}
 		ln.freed = ln.freed[:0]
 		sh := &ln.Shard
+		t.Issued += sh.Issued
+		t.Completed += sh.Completed
+		t.LatencySum += sh.LatencySum
+		t.HotCompleted += sh.HotCompleted
+		t.HotLatencySum += sh.HotLatencySum
+		t.ColdCompleted += sh.ColdCompleted
+		t.ColdLatencySum += sh.ColdLatencySum
 		t.MemRequests += sh.MemRequests
 		t.MemAcks += sh.MemAcks
 		t.Checkpoints += sh.Checkpoints
@@ -235,10 +242,11 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, FwdEntry, bool) {
 // to its processor (r.Src).  On a trusted link it simply lands; under an
 // adversarial plan this is the last trusted hop: the reply is stamped with
 // its checksum, then the link may defer it into limbo (reorder) before the
-// far side sees it.  r is the caller's to reuse afterwards.
-func (s *Shell) deliver(site uint64, r *Rev) {
+// far side sees it.  r is the caller's to reuse afterwards; the completion
+// is counted in ln.
+func (s *Shell) deliver(site uint64, r *Rev, ln *Lane) {
 	if !s.adv {
-		s.landed(r)
+		s.landed(r, ln)
 		return
 	}
 	r.Rep = core.StampReply(r.Rep)
@@ -246,7 +254,7 @@ func (s *Shell) deliver(site uint64, r *Rev) {
 		s.revLimbo = append(s.revLimbo, heldRev{release: s.tot.Cycles + d, site: site, r: *r})
 		return
 	}
-	s.deliverVerified(site, r)
+	s.deliverVerified(site, r, ln)
 }
 
 // deliverVerified is the processor side of the adversarial link: corrupt on
@@ -255,7 +263,7 @@ func (s *Shell) deliver(site uint64, r *Rev) {
 // duplicates, with the tracker suppressing the second copy.  The duplicate
 // owns its leaf list: a shallow copy would share it with the original
 // (core.Reply.Clone).
-func (s *Shell) deliverVerified(site uint64, r *Rev) {
+func (s *Shell) deliverVerified(site uint64, r *Rev, ln *Lane) {
 	if mask := s.flt.CorruptMask(site, r.Rep.ID, r.Rep.Attempt); mask != 0 {
 		r.Rep = core.CorruptReply(r.Rep, mask)
 	}
@@ -266,9 +274,9 @@ func (s *Shell) deliverVerified(site uint64, r *Rev) {
 	if s.flt.Duplicate(site, r.Rep.ID, r.Rep.Attempt) {
 		dup := *r
 		dup.Rep = r.Rep.Clone()
-		s.landed(&dup)
+		s.landed(&dup, ln)
 	}
-	s.landed(r)
+	s.landed(r, ln)
 }
 
 // landed is the far side of the processor link.  On a wiring whose wait
@@ -276,9 +284,9 @@ func (s *Shell) deliverVerified(site uint64, r *Rev) {
 // there — stored again for it, which Commit's caller allows (Commit) — and
 // every leaf completes at its own processor; otherwise replies cross the
 // link already decombined.
-func (s *Shell) landed(r *Rev) {
+func (s *Shell) landed(r *Rev, ln *Lane) {
 	if s.links.Behind == nil {
-		s.complete(r)
+		s.complete(r, ln)
 		return
 	}
 	buf := s.behindBuf[:0]
@@ -286,16 +294,17 @@ func (s *Shell) landed(r *Rev) {
 	for i := range buf {
 		leaf := s.store.rev(&buf[i])
 		s.store.Free(buf[i].H)
-		s.complete(&leaf)
+		s.complete(&leaf, ln)
 	}
 	s.behindBuf = buf[:0]
 }
 
 // complete hands one decombined reply to its processor and does the
 // delivery accounting: duplicate suppression, the crash-replay ledger,
-// latency, and the completion counters.  The delivery wakes the port: its
-// injector's answer and the tracker's hold may both have changed.
-func (s *Shell) complete(r *Rev) {
+// latency, and the completion counters, which go to ln.  The delivery wakes
+// the port: its injector's answer and the tracker's hold may both have
+// changed.
+func (s *Shell) complete(r *Rev, ln *Lane) {
 	if s.trk != nil {
 		if _, ok := s.trk.Deliver(r.Rep.ID, s.tot.Cycles); !ok {
 			return // duplicate of an already-delivered reply; suppressed
@@ -306,16 +315,16 @@ func (s *Shell) complete(r *Rev) {
 		// here by the retry machinery — count the replay.
 		s.rec.noteDelivered(r.Rep.ID)
 	}
-	lat := s.tot.Cycles - r.Issue
-	s.tot.Completed++
-	s.tot.LatencySum += lat
+	lat, sh := s.tot.Cycles-r.Issue, &ln.Shard
+	sh.Completed++
+	sh.LatencySum += lat
 	s.lat.Record(lat)
 	if r.Hot {
-		s.tot.HotCompleted++
-		s.tot.HotLatencySum += lat
+		sh.HotCompleted++
+		sh.HotLatencySum += lat
 	} else {
-		s.tot.ColdCompleted++
-		s.tot.ColdLatencySum += lat
+		sh.ColdCompleted++
+		sh.ColdLatencySum += lat
 	}
 	if s.trace != nil {
 		s.portEvent(Delivered, r.Rep.ID, 0, r.Src)
@@ -360,7 +369,7 @@ func (s *Shell) drainLimbo() {
 				keep = append(keep, h)
 				continue
 			}
-			s.deliverVerified(h.site, &h.r)
+			s.deliverVerified(h.site, &h.r, &s.lanes[0])
 		}
 		s.revLimbo = keep
 	}

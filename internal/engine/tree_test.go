@@ -87,7 +87,7 @@ func (t *tree) sweep() {
 	}
 	t.Commit()
 	for p := 0; p < treeProcs; p++ {
-		t.Inject(p)
+		t.Inject(p, t.Lane(0))
 	}
 }
 
@@ -373,15 +373,15 @@ func TestBlockedHeadMemo(t *testing.T) {
 		h.offer(t, 3, 0, core.NewRequest(11, hotAddr+3, add, 3), false)
 		for range 2 {
 			h.tick()
-			if h.Inject(0) {
+			if h.Inject(0, h.Lane(0)) {
 				t.Fatal("setup: the port's request crossed into a full queue")
 			}
 		}
-		if k := &h.portMemo[0]; !k.names(h.Offer(0)) || !h.refusedAgain(3, &k.refusal) {
+		if k := &h.portMemo[0]; !k.names(h.Offer(0, h.Lane(0))) || !h.refusedAgain(3, &k.refusal) {
 			t.Fatal("setup: the port's memo does not match the request it refused")
 		}
 		h.tick() // the window opens
-		if !h.Inject(0) || h.hasPending[0] || h.Snapshot().Counters["drops_fwd"] != 1 {
+		if !h.Inject(0, h.Lane(0)) || h.hasPending[0] || h.Snapshot().Counters["drops_fwd"] != 1 {
 			t.Fatalf("the port's request was not lost on the down link: pending %v, drops_fwd %d",
 				h.hasPending[0], h.Snapshot().Counters["drops_fwd"])
 		}

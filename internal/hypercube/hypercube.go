@@ -26,6 +26,7 @@ package hypercube
 
 import (
 	"fmt"
+	"math/bits"
 
 	"combining/internal/core"
 	"combining/internal/engine"
@@ -221,7 +222,7 @@ func (s *Sim) sweep() {
 	s.Commit()
 	for i, node := 0, node0; i < s.n; i, node = i+1, engine.Next(node, s.n) {
 		if !s.Dead(node) {
-			s.Inject(node)
+			s.Inject(node, ln)
 		}
 	}
 }
@@ -259,11 +260,17 @@ func (s *Sim) treeSaturated() bool {
 		return false
 	}
 	memFull, fwdFull := false, false
+	loads, links := s.Loads(), uint32(1)<<s.d-1
 	for i := 0; i < s.n; i++ {
+		// Only a queue the occupancy index marks non-empty can be full.
+		mask := loads[i].Fwd
+		if mask == 0 {
+			continue
+		}
 		out := s.Stations().Fwd(i)
-		memFull = memFull || out[s.d].Full()
-		for dim := 0; dim < s.d && !fwdFull; dim++ {
-			fwdFull = out[dim].Full()
+		memFull = memFull || mask>>s.d&1 != 0 && out[s.d].Full()
+		for held := mask & links; held != 0 && !fwdFull; held &= held - 1 {
+			fwdFull = out[bits.TrailingZeros32(held)].Full()
 		}
 		if memFull && fwdFull {
 			return true

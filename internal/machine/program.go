@@ -15,7 +15,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"combining/internal/busnet"
 	"combining/internal/core"
@@ -62,17 +64,17 @@ func Fence() Instr { return Instr{Fence: true} }
 
 // Proc is a program-driven injector for one processor port.
 type Proc struct {
-	proc    word.ProcID
-	prog    []Instr
-	ids     *word.IDGen
-	nprocs  int
-	machine *Machine
+	proc   word.ProcID
+	prog   []Instr
+	ids    *word.IDGen
+	nprocs int
 
 	next        int
 	outstanding int
 	replies     []word.Word // by instruction index; valid once done[i]
 	done        []bool
 	ops         []serial.Op // by instruction index, as issued and then answered
+	completed   []int       // instruction indices, in the order their replies arrived
 	idToInstr   map[word.ReqID]int
 	issueSeq    int
 }
@@ -128,7 +130,7 @@ func (p *Proc) Deliver(rep core.Reply, cycle int64) {
 	p.done[idx] = true
 	p.ops[idx].Reply, p.ops[idx].DoneAt = rep.Val, cycle
 	p.outstanding--
-	p.machine.hist.Add(p.ops[idx])
+	p.completed = append(p.completed, idx)
 }
 
 // Done reports whether the program has fully completed.
@@ -143,12 +145,12 @@ func (p *Proc) Reply(i int) word.Word { return p.replies[i] }
 func (p *Proc) DoneCycle(i int) int64 { return p.ops[i].DoneAt }
 
 // Machine couples programs to a simulated transport and records a timed
-// history for the consistency checkers.
+// history for the consistency checkers.  Each processor records its own
+// completions: an engine may deliver to processors of different switches
+// from different goroutines (network.Sim's ports on their owner).
 type Machine struct {
 	engine engine.Machine
 	procs  []*Proc
-
-	hist serial.History
 }
 
 // New builds a machine running one program per processor (a nil program is
@@ -164,7 +166,6 @@ func New(programs [][]Instr, build func([]engine.Injector) engine.Machine) *Mach
 			prog:      prog,
 			ids:       word.Partition(i, len(programs)),
 			nprocs:    len(programs),
-			machine:   m,
 			replies:   make([]word.Word, len(prog)),
 			done:      make([]bool, len(prog)),
 			ops:       make([]serial.Op, len(prog)),
@@ -200,8 +201,23 @@ func (m *Machine) Memory() *memory.Array { return m.engine.Memory() }
 func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 
 // History returns the recorded execution history, each operation with its
-// request id and its issue and completion cycles.
-func (m *Machine) History() *serial.History { return &m.hist }
+// request id and its issue and completion cycles, in completion order: by
+// cycle, and within a cycle processor by processor, each in the order its
+// replies arrived — the same at every worker width.
+func (m *Machine) History() *serial.History {
+	var ops []serial.Op
+	for _, p := range m.procs {
+		for _, i := range p.completed {
+			ops = append(ops, p.ops[i])
+		}
+	}
+	slices.SortStableFunc(ops, func(a, b serial.Op) int { return cmp.Compare(a.DoneAt, b.DoneAt) })
+	h := new(serial.History)
+	for _, op := range ops {
+		h.Add(op)
+	}
+	return h
+}
 
 // Replies lists every reply value, processor by processor in program order.
 func (m *Machine) Replies() []int64 {

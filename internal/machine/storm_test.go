@@ -53,3 +53,33 @@ func TestRetransmitStormBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyCacheBounded runs the same machine for 4 000 cycles and holds
+// the modules' reply caches to what the ports can have outstanding: a leaf
+// leaves the cache at the first checkpoint after its processor's delivered
+// floor passes it, so at every 500-cycle mark the caches hold at most four
+// windows' worth of leaves per processor — executed since the last
+// checkpoint, or at or above a floor an undelivered request holds down —
+// however many the run has completed.  A cache that forgets nothing holds
+// every executed leaf: over 33 000 at cycle 4 000.
+func TestReplyCacheBounded(t *testing.T) {
+	const nodes, window = 256, 4
+	for seed := uint64(1); seed <= 3; seed++ {
+		plan := faults.GenCrashPlan(seed, 6, 4000, 40)
+		plan.DropFwd, plan.DropRev = 0.005, 0.005
+		inj := make([]engine.Injector, nodes)
+		for p := range inj {
+			inj[p] = network.NewStochastic(p, nodes, network.TrafficConfig{
+				Rate: 0.6, HotFraction: 0.125, Window: window}, seed)
+		}
+		eng := wired(t, "hypercube", wiring.Config{Procs: nodes, WaitBufCap: core.Unbounded, Faults: plan})(inj)
+		for cycle := 500; cycle <= 4000; cycle += 500 {
+			eng.Run(500)
+			cached, completed := eng.Memory().CachedLeaves(), eng.Snapshot().Counters["completed"]
+			if cached > 4*window*nodes {
+				t.Fatalf("seed %d, cycle %d: the reply caches hold %d leaves (%d completed, %d in flight), want at most %d",
+					seed, cycle, cached, completed, eng.InFlight(), 4*window*nodes)
+			}
+		}
+	}
+}

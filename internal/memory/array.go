@@ -87,3 +87,13 @@ func (a *Array) TotalDedupHits() int64 {
 	}
 	return n
 }
+
+// CachedLeaves counts the leaves the modules' reply caches hold, committed
+// or not (owner only: between steps).
+func (a *Array) CachedLeaves() int {
+	n := 0
+	for i := range a.modules {
+		n += len(a.modules[i].replyCache) + len(a.modules[i].delta)
+	}
+	return n
+}

@@ -175,3 +175,63 @@ func TestReplyCacheSwapExactlyOnce(t *testing.T) {
 		t.Fatalf("cell = %d, want 222 (retransmit re-executed a swap)", got)
 	}
 }
+
+// TestStaleCopyBelowFloor: once a processor's delivered floor passes a
+// leaf, the reply cache forgets it — at the next checkpoint, or without
+// checkpoints once the cache has doubled — and a stale copy of it arriving
+// later is skipped, counted as a cache hit, and does not re-execute.  A
+// combined copy executes its live leaf only.  Under the nodedup canary
+// nothing is skipped.
+func TestStaleCopyBelowFloor(t *testing.T) {
+	const addr = word.Addr(4)
+	a := leafReq(1, addr, rmw.FetchAdd(10), 0)
+	b := leafReq(2, addr, rmw.FetchAdd(100), 1)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"checkpoints", []Option{WithCheckpoints()}},
+		{"no checkpoints", []Option{WithReplyCache()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			floors := make([]word.ReqID, 2)
+			m := NewModule(append(tc.opts, WithDeliveredFloors(floors))...)
+			m.Do(a)
+			floors[0] = 2 // processor 0's id 1 has been delivered
+			if m.ckpt {
+				m.Checkpoint()
+			} else {
+				// Fill the cache to its prune size with another processor's
+				// live leaves.
+				for id := word.ReqID(101); len(m.replyCache) < minPrune-1; id += 2 {
+					m.Do(leafReq(id, addr+1, rmw.FetchAdd(1), 1))
+				}
+				m.Do(leafReq(999, addr+1, rmw.FetchAdd(1), 1))
+			}
+			if _, ok := m.replyCache[a.ID]; ok {
+				t.Fatal("a leaf below its processor's floor is still cached after a prune")
+			}
+			hits := m.DedupHits
+			m.Do(retry(a, 1))
+			if got := m.Peek(addr).Val; got != 10 || m.DedupHits != hits+1 {
+				t.Fatalf("a stale copy below its floor: cell %d, dedup hits %d → %d; want 10 and one hit", got, hits, m.DedupHits)
+			}
+			rep := m.Do(combined(a, b)) // a stale original met b on the way
+			if got := m.Peek(addr).Val; got != 110 || m.DedupHits != hits+2 {
+				t.Fatalf("a combined copy: cell %d, dedup hits %d; want 110 and one more hit", got, m.DedupHits)
+			}
+			if v, _ := rep.Leaf(b.ID); v.Val != 10 {
+				t.Fatalf("the live leaf saw %d, want 10", v.Val)
+			}
+		})
+	}
+	t.Run("nodedup canary", func(t *testing.T) {
+		floors := []word.ReqID{2}
+		m := NewModule(WithReplyCache(), WithDeliveredFloors(floors), WithNoDedupCanary())
+		m.Do(a)
+		m.Do(retry(a, 1))
+		if got := m.Peek(addr).Val; got != 20 {
+			t.Fatalf("canary: cell %d after a stale copy, want 20 (the planted double execution)", got)
+		}
+	})
+}

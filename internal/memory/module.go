@@ -87,13 +87,19 @@ type Module struct {
 
 	// replyCache, when non-nil, is the exactly-once ledger: for every
 	// original (leaf) request already executed, the value its operation
-	// saw.  Request ids are partitioned per processor (word.IDGen), so
-	// this flat map is the paper-level "per-processor reply cache" —
-	// retransmits of a delivered request hit the cache instead of
-	// re-executing a non-idempotent RMW.
-	replyCache map[word.ReqID]word.Word
-	// DedupHits counts leaf executions answered from the cache.
+	// saw and its processor.  Request ids are partitioned per processor
+	// (word.IDGen), so this flat map is the paper-level "per-processor
+	// reply cache" — retransmits of a delivered request hit the cache
+	// instead of re-executing a non-idempotent RMW.
+	replyCache map[word.ReqID]cached
+	// DedupHits counts leaf executions answered from the cache, or skipped
+	// below their processor's delivered floor.
 	DedupHits int64
+	// floors, when non-nil, are the processors' delivered floors
+	// (WithDeliveredFloors), and pruneAt the committed cache size at which
+	// a module without checkpoints next prunes.
+	floors  []word.ReqID
+	pruneAt int
 
 	// Checkpoint mode (WithCheckpoints): the module keeps an incremental
 	// recovery image so a crash rolls back to the last checkpoint in
@@ -106,11 +112,22 @@ type Module struct {
 	// can never un-execute an operation whose reply already escaped.
 	// releasable are committed replies draining to the network one per
 	// Tick.
-	delta      map[word.ReqID]word.Word
+	delta      map[word.ReqID]cached
 	undo       map[word.Addr]word.Word
 	held       []core.Reply
 	releasable core.FIFO[core.Reply]
 }
+
+// cached is one executed leaf in the reply cache: the value its operation
+// saw and the processor that issued it, whose delivered floor retires it.
+type cached struct {
+	val word.Word
+	src word.ProcID
+}
+
+// minPrune is the committed cache size below which a module without
+// checkpoints does not prune.
+const minPrune = 64
 
 // Option configures a Module.
 type Option func(*Module)
@@ -139,13 +156,24 @@ func WithQueueCap(cap int) Option {
 // executed leaf by leaf (they must carry Reps — see core.Request.WithReps):
 // leaves already in the cache are skipped, fresh leaves execute and are
 // recorded, and the reply carries the exact per-leaf value map so transports
-// decombine with core.DecombineExact.  The cache is unbounded for the run —
-// a simulator-side simplification of the bounded per-processor caches a real
-// machine would age out after the retransmit window closes.
+// decombine with core.DecombineExact.  Without WithDeliveredFloors the
+// cache keeps every leaf for the run.
 func WithReplyCache() Option {
 	return func(m *Module) {
-		m.replyCache = make(map[word.ReqID]word.Word)
+		m.replyCache = make(map[word.ReqID]cached)
 	}
+}
+
+// WithDeliveredFloors lets the reply cache forget what no copy can need:
+// floors[p] is processor p's delivered floor (faults.Tracker.Floors) —
+// every id of p below it has had its reply — which the caller writes
+// between ticks and a tick only reads.  A leaf below its processor's floor
+// is skipped and counted as a cache hit, its value never read (the port
+// suppresses the duplicate), and the committed cache drops such leaves at
+// each checkpoint, or without checkpoints whenever it has doubled since its
+// last prune.  The nodedup canary skips nothing.
+func WithDeliveredFloors(floors []word.ReqID) Option {
+	return func(m *Module) { m.floors, m.pruneAt = floors, minPrune }
 }
 
 // WithCheckpoints arms checkpoint/crash–restart mode (implies
@@ -155,10 +183,10 @@ func WithReplyCache() Option {
 func WithCheckpoints() Option {
 	return func(m *Module) {
 		if m.replyCache == nil {
-			m.replyCache = make(map[word.ReqID]word.Word)
+			m.replyCache = make(map[word.ReqID]cached)
 		}
 		m.ckpt = true
-		m.delta = make(map[word.ReqID]word.Word)
+		m.delta = make(map[word.ReqID]cached)
 		m.undo = make(map[word.Addr]word.Word)
 	}
 }
@@ -286,19 +314,19 @@ func (m *Module) exec(req *core.Request) core.Reply {
 func (m *Module) execCached(req *core.Request) core.Reply {
 	leaves := req.Reps()
 	if leaves == nil {
-		leaves = []core.Leaf{{ID: req.ID, Src: 0, Op: req.Op}}
+		leaves = []core.Leaf{{ID: req.ID, Src: -1, Op: req.Op}} // no processor: no floor
 	}
 	before := m.load(req.Addr)
 	cell := before
 	vals := core.NewLeafList(len(leaves))
 	for i, lf := range leaves {
 		v, ok := m.cacheGet(lf.ID)
-		if ok {
+		if ok || m.delivered(lf) {
 			m.DedupHits++
 		} else {
 			v = cell
 			cell = lf.Op.Apply(v)
-			m.cachePut(lf.ID, v)
+			m.cachePut(lf, v)
 		}
 		(*vals)[i] = core.LeafVal{ID: lf.ID, Val: v}
 	}
@@ -321,22 +349,43 @@ func (m *Module) cacheGet(id word.ReqID) (word.Word, bool) {
 		return word.Word{}, false
 	}
 	if m.ckpt {
-		if v, ok := m.delta[id]; ok {
-			return v, true
+		if c, ok := m.delta[id]; ok {
+			return c.val, true
 		}
 	}
-	v, ok := m.replyCache[id]
-	return v, ok
+	c, ok := m.replyCache[id]
+	return c.val, ok
+}
+
+// delivered reports whether leaf lf is below its processor's delivered
+// floor: its reply has reached the processor, so a copy here is stale.
+func (m *Module) delivered(lf core.Leaf) bool {
+	return m.floors != nil && !m.canaryNoDedup && lf.Src >= 0 && lf.ID < m.floors[lf.Src]
 }
 
 // cachePut records a fresh leaf execution — uncommitted until the next
-// checkpoint when in checkpoint mode.
-func (m *Module) cachePut(id word.ReqID, v word.Word) {
+// checkpoint when in checkpoint mode.  Without checkpoints a cache that has
+// doubled since its last prune prunes now.
+func (m *Module) cachePut(lf core.Leaf, v word.Word) {
 	if m.ckpt {
-		m.delta[id] = v
+		m.delta[lf.ID] = cached{v, lf.Src}
 		return
 	}
-	m.replyCache[id] = v
+	m.replyCache[lf.ID] = cached{v, lf.Src}
+	if m.floors != nil && len(m.replyCache) >= m.pruneAt {
+		m.prune()
+	}
+}
+
+// prune drops the committed leaves below their processors' delivered
+// floors and sets the size of the next prune without checkpoints.
+func (m *Module) prune() {
+	for id, c := range m.replyCache {
+		if c.src >= 0 && id < m.floors[c.src] {
+			delete(m.replyCache, id)
+		}
+	}
+	m.pruneAt = max(2*len(m.replyCache), minPrune)
 }
 
 // DedupHitCount returns the reply-cache hit count under the module lock,
@@ -425,10 +474,13 @@ func (m *Module) Checkpoint() int {
 		return 0
 	}
 	released := len(m.held)
-	for id, v := range m.delta {
-		m.replyCache[id] = v
+	for id, c := range m.delta {
+		m.replyCache[id] = c
 	}
 	clear(m.delta)
+	if m.floors != nil {
+		m.prune()
+	}
 	clear(m.undo)
 	for i := range m.held {
 		*m.releasable.Push() = m.held[i]

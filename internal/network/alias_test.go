@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"combining/internal/core"
+	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/rmw"
 	"combining/internal/word"
@@ -126,6 +127,41 @@ func TestDeliveryCommitOverlap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOwnPortsOverlap is TestDeliveryCommitOverlap's clean-path sibling:
+// with no plan, no trace and no Intercept every worker commits its own lane
+// and injects its own processors while the others still hop, and body
+// handles come from the lanes or, under the store's lock, from the store.
+// At width 8 and at GOMAXPROCS, on omega and on the fat-tree (whose
+// processors sit on their own lines, not the shuffled ones), the race
+// detector sees the overlap on every cycle and the snapshot still matches
+// the serial stepper byte for byte.
+func TestOwnPortsOverlap(t *testing.T) {
+	run := func(workers int, topo engine.Staged) []byte {
+		const n = 64
+		inj := make([]Injector, n)
+		for p := range inj {
+			inj[p] = NewStochastic(p, n, TrafficConfig{Rate: 0.7, HotFraction: 0.4, Window: 4}, 99)
+		}
+		sim := NewSim(Config{Procs: n, Topology: topo, Workers: workers}, inj)
+		if !sim.ownPorts {
+			t.Fatal("a clean machine must serve its ports on their owners")
+		}
+		sim.Run(2500)
+		if err := sim.CheckLoads(); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Snapshot().JSON()
+	}
+	for _, topo := range []engine.Staged{engine.OmegaOf(64, 2), engine.FatTreeOf(64, 2)} {
+		want := run(1, topo)
+		for _, w := range []int{8, runtime.GOMAXPROCS(0)} {
+			if got := run(w, topo); !bytes.Equal(got, want) {
+				t.Errorf("%s, Workers=%d snapshot differs from serial:\nserial: %s\nparallel: %s", topo.Name(), w, want, got)
+			}
+		}
 	}
 }
 
