@@ -113,24 +113,24 @@ var goldenTable = map[string]string{
 	"omega/clean/w3":           "755444adfcd24202",
 	"omega/faults/w1":          "3f8b2b770ee43e97",
 	"omega/faults/w3":          "3f8b2b770ee43e97",
-	"omega/crashdrop/w1":       "bcd8dd24eaef4b6e",
-	"omega/crashdrop/w3":       "bcd8dd24eaef4b6e",
+	"omega/crashdrop/w1":       "d1f6cd825e7811b7",
+	"omega/crashdrop/w3":       "d1f6cd825e7811b7",
 	"omega/adversarial/w1":     "044c59fb92b0003f",
 	"omega/adversarial/w3":     "044c59fb92b0003f",
 	"omega4/clean/w1":          "a6608ed54f5e7ea6",
 	"omega4/clean/w3":          "a6608ed54f5e7ea6",
 	"omega4/faults/w1":         "2307047428caaefe",
 	"omega4/faults/w3":         "2307047428caaefe",
-	"omega4/crashdrop/w1":      "989db24ddac3f97a",
-	"omega4/crashdrop/w3":      "989db24ddac3f97a",
+	"omega4/crashdrop/w1":      "0dfd284749eebad5",
+	"omega4/crashdrop/w3":      "0dfd284749eebad5",
 	"omega4/adversarial/w1":    "222d07b3129e9124",
 	"omega4/adversarial/w3":    "222d07b3129e9124",
 	"fattree/clean/w1":         "748b271a60143555",
 	"fattree/clean/w3":         "748b271a60143555",
 	"fattree/faults/w1":        "86f8e406d7a5d404",
 	"fattree/faults/w3":        "86f8e406d7a5d404",
-	"fattree/crashdrop/w1":     "be276a5c45f1dd04",
-	"fattree/crashdrop/w3":     "be276a5c45f1dd04",
+	"fattree/crashdrop/w1":     "fbdae6872fc46793",
+	"fattree/crashdrop/w3":     "fbdae6872fc46793",
 	"fattree/adversarial/w1":   "05998717c55dabb3",
 	"fattree/adversarial/w3":   "05998717c55dabb3",
 	"hypercube/clean/w1":       "fc2c7bddd8966d57",
@@ -145,16 +145,16 @@ var goldenTable = map[string]string{
 	"torus/clean/w3":           "98e43d593c32fafd",
 	"torus/faults/w1":          "71691c61d3693445",
 	"torus/faults/w3":          "71691c61d3693445",
-	"torus/crashdrop/w1":       "64483c4f6e67143f",
-	"torus/crashdrop/w3":       "64483c4f6e67143f",
+	"torus/crashdrop/w1":       "02ce126da0ad629d",
+	"torus/crashdrop/w3":       "02ce126da0ad629d",
 	"torus/adversarial/w1":     "f7e700d2f756b79c",
 	"torus/adversarial/w3":     "f7e700d2f756b79c",
 	"bus/clean/w1":             "f65ca731e48624a8",
 	"bus/clean/w3":             "f65ca731e48624a8",
-	"bus/faults/w1":            "d03737c639703fab",
-	"bus/faults/w3":            "d03737c639703fab",
-	"bus/crashdrop/w1":         "023da047efc8310d",
-	"bus/crashdrop/w3":         "023da047efc8310d",
-	"bus/adversarial/w1":       "697985c0ca24afb5",
-	"bus/adversarial/w3":       "697985c0ca24afb5",
+	"bus/faults/w1":            "8ee00a30cd4d90d8",
+	"bus/faults/w3":            "8ee00a30cd4d90d8",
+	"bus/crashdrop/w1":         "175a2f7ebb4e11e7",
+	"bus/crashdrop/w3":         "175a2f7ebb4e11e7",
+	"bus/adversarial/w1":       "d8c75d326a35e668",
+	"bus/adversarial/w3":       "d8c75d326a35e668",
 }
