@@ -90,7 +90,7 @@
 //     placement, the inter-stage permutations and their inverses, and
 //     destination-tag port selection — plus the conflict groups the
 //     deterministic stepper partitions on, which
-//     RevGroups/FwdGroups derive generically from the wiring.
+//     FwdBlocks/RevBlocks derive generically from the wiring.
 //
 //   - A Direct topology (hypercube, torus) supplies the link structure of
 //     a direct-connection machine — degree, neighbor map, and the

@@ -99,11 +99,11 @@ func TestStagedGroupsPartition(t *testing.T) {
 		}
 		for s := 0; s+1 < k; s++ {
 			s := s
-			check("fwd", s, FwdGroups(topo, s), func(line int) int { return topo.NextLine(s, line) })
+			check("fwd", s, FwdBlocks(topo, s, false), func(line int) int { return topo.NextLine(s, line) })
 		}
 		for s := 1; s < k; s++ {
 			s := s
-			check("rev", s, RevGroups(topo, s), func(line int) int { return topo.PrevLine(s, line) })
+			check("rev", s, RevBlocks(topo, s, false), func(line int) int { return topo.PrevLine(s, line) })
 		}
 	}
 }
@@ -126,7 +126,7 @@ func TestOmegaGroupsMatchAnalytic(t *testing.T) {
 				}
 				want = append(want, m)
 			}
-			if got := RevGroups(topo, s); !reflect.DeepEqual(got, want) {
+			if got := RevBlocks(topo, s, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("omega(%d,%d) rev stage %d: got %v want %v", tc.n, tc.r, s, got, want)
 			}
 		}
@@ -143,7 +143,7 @@ func TestOmegaGroupsMatchAnalytic(t *testing.T) {
 			}
 			// Generic groups are ordered by smallest member; the analytic
 			// strided groups already are (rem ascending).
-			if got := FwdGroups(topo, s); !reflect.DeepEqual(got, want) {
+			if got := FwdBlocks(topo, s, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("omega(%d,%d) fwd stage %d: got %v want %v", tc.n, tc.r, s, got, want)
 			}
 		}
