@@ -184,7 +184,11 @@ var NewQueueingMemory = memory.NewQueueingModule
 
 // ---- Cycle-accurate network machine (internal/network) ----
 
-// Injector supplies traffic for one processor port.
+// Injector supplies traffic for one processor port.  Injectors of
+// different ports may be called at the same time (a staged machine at
+// Workers > 1 serves each port on the worker that owns its first switch),
+// so they must not share unsynchronized mutable state; one injector's own
+// calls never overlap.  PartitionIDs gives each port its own id space.
 type Injector = network.Injector
 
 // Injection is one offered request.

@@ -74,8 +74,9 @@ type ReqID int64
 const NoReq ReqID = 0
 
 // IDGen hands out unique request identifiers.  It is not safe for
-// concurrent use; concurrent issuers (the asynchronous network) wrap it in
-// their own synchronization or use per-processor id spaces via Partition.
+// concurrent use.  The injectors of different ports may run at the same
+// time (engine.Injector), so each port takes its own id space from
+// Partition rather than sharing one generator.
 type IDGen struct {
 	next ReqID
 }
