@@ -38,11 +38,11 @@ testtime:
 	test $$status -eq 0 || { grep -h '"Action":"output"' $$d/test.json | grep -- '--- FAIL' | sed 's/.*"Output":"\(.*\)\\n"}$$/\1/' ; exit $$status; }; \
 	test $$wall -le 60 || { echo "testtime: over the 60s budget"; exit 1; }
 
-# race runs the packages with concurrent state under the race detector,
-# then soaks internal/par's pool and barriers, the state every parallel
+# race runs the packages with concurrent state, and every package whose
+# tests step machines at Workers > 1, under the race detector, then soaks internal/par's pool and barriers, the state every parallel
 # stepper's goroutines share, ten times over.
 race:
-	go test -race ./internal/coord/ ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ ./pkg/sync/ ./internal/par/ .
+	go test -race ./internal/pathexpr/ ./internal/memory/ ./internal/faults/ ./internal/engine/ ./internal/network/ ./internal/hypercube/ ./internal/busnet/ ./internal/machine/ ./internal/chaos/ ./internal/wiring/ ./pkg/sync/ ./internal/par/ .
 	go test -race -count=10 -run 'Pool|Barrier' ./internal/par/
 
 # fuzz runs every native fuzz target for five seconds (go test takes one

@@ -9,7 +9,6 @@ package combining_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	combining "combining"
@@ -310,29 +309,6 @@ func BenchmarkBusCombining(b *testing.B) {
 	}
 }
 
-// ---- Coordination primitives on both substrates ----
-
-func BenchmarkBarrier(b *testing.B) {
-	b.Run("native", func(b *testing.B) {
-		const n = 8
-		mem := combining.NewNativeMemory()
-		rounds := b.N/n + 1
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				bar := combining.NewBarrier(mem, 0, n)
-				for r := 0; r < rounds; r++ {
-					bar.Await()
-				}
-			}()
-		}
-		wg.Wait()
-	})
-}
-
 // ---- Checker cost ----
 
 func BenchmarkCheckM2(b *testing.B) {
@@ -418,33 +394,6 @@ func BenchmarkCompilePath(b *testing.B) {
 	}
 }
 
-// ---- The FAA queue under contention ----
-
-func BenchmarkFAAQueue(b *testing.B) {
-	mem := combining.NewNativeMemory()
-	const n = 8
-	perG := b.N/n + 1
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			q := combining.NewFAAQueue(mem, 0, 64)
-			if id%2 == 0 {
-				for i := 0; i < perG; i++ {
-					q.Enqueue(int64(i))
-				}
-			} else {
-				for i := 0; i < perG; i++ {
-					q.Dequeue()
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-}
-
 // ---- Ladner–Fischer circuit family ----
 
 func BenchmarkPrefixLadnerFischer(b *testing.B) {
@@ -459,48 +408,4 @@ func BenchmarkPrefixLadnerFischer(b *testing.B) {
 			}
 		})
 	}
-}
-
-// ---- Software combining tree vs flat barrier ----
-
-func BenchmarkSoftBarrier(b *testing.B) {
-	const n = 16
-	run := func(b *testing.B, await func(id int, mem combining.SharedMemory, rounds int)) {
-		mem := combining.NewNativeMemory()
-		rounds := b.N/n + 1
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for id := 0; id < n; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				await(id, mem, rounds)
-			}(id)
-		}
-		wg.Wait()
-	}
-	b.Run("flat-faa", func(b *testing.B) {
-		run(b, func(id int, mem combining.SharedMemory, rounds int) {
-			bar := combining.NewBarrier(mem, 0, n)
-			for r := 0; r < rounds; r++ {
-				bar.Await()
-			}
-		})
-	})
-	b.Run("software-tree-fanin2", func(b *testing.B) {
-		run(b, func(id int, mem combining.SharedMemory, rounds int) {
-			bar := combining.NewSoftBarrier(mem, 0, n, 2)
-			for r := 0; r < rounds; r++ {
-				bar.Await(id)
-			}
-		})
-	})
-	b.Run("software-tree-fanin4", func(b *testing.B) {
-		run(b, func(id int, mem combining.SharedMemory, rounds int) {
-			bar := combining.NewSoftBarrier(mem, 0, n, 4)
-			for r := 0; r < rounds; r++ {
-				bar.Await(id)
-			}
-		})
-	})
 }

@@ -10,8 +10,8 @@
 // machine — the Omega network of the hot-spot experiments and the Section 7
 // variants (hypercube, torus, bus FIFO) on one engine core — that runs
 // programs, and an invariant battery that checks each run; the Section 6
-// parallel-prefix tree; and the classic fetch-and-add coordination
-// algorithms.
+// parallel-prefix tree.  The fetch-and-add coordination algorithms run on
+// goroutines in combining/pkg/sync.
 //
 // The facade re-exports the names the commands, examples and root tests
 // use from the internal packages; see DESIGN.md for the system inventory
@@ -20,12 +20,10 @@ package combining
 
 import (
 	"combining/internal/chaos"
-	"combining/internal/coord"
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/machine"
-	"combining/internal/memory"
 	"combining/internal/model"
 	"combining/internal/network"
 	"combining/internal/pathexpr"
@@ -176,11 +174,6 @@ var (
 
 // Unbounded is the wait-buffer capacity for unlimited combining.
 const Unbounded = core.Unbounded
-
-// NewQueueingMemory builds the Section 5.5 queueing alternative
-// (internal/memory): conditional full/empty operations park at the
-// controller instead of returning negative acknowledgments.
-var NewQueueingMemory = memory.NewQueueingModule
 
 // ---- Cycle-accurate network machine (internal/network) ----
 
@@ -341,23 +334,6 @@ var (
 	// ChaosRepro renders a scenario as a replayable cmd/replay command,
 	// its machine as a -machine spec beside its -plan.
 	ChaosRepro = chaos.ReproCommand
-)
-
-// ---- Coordination primitives (internal/coord) ----
-
-// SharedMemory hands out per-participant views of shared cells.
-type SharedMemory = coord.Memory
-
-// Coordination constructors: the native-atomics memory, the shared ticket
-// counter, the reusable N-party barrier, the bounded MPMC fetch-and-add
-// queue and the software combining tree — the algorithmic fallback when
-// the network does not combine.
-var (
-	NewNativeMemory = coord.NewNative
-	NewCounter      = coord.NewCounter
-	NewBarrier      = coord.NewBarrier
-	NewFAAQueue     = coord.NewQueue
-	NewSoftBarrier  = coord.NewSoftBarrier
 )
 
 // ---- Parallel prefix (internal/prefix) ----

@@ -1,27 +1,29 @@
 // Barrier: the classic fetch-and-add barrier.
 //
-// 32 goroutine "processors" synchronize over ten phases.  Each barrier
-// episode is a burst of fetch-and-adds to one cell — the textbook hot spot
-// a combining network merges before it reaches memory.  The participants
-// spin on the generation cell, which a cycle-machine program cannot do, so
-// the cells here are native atomics (combining.NewNativeMemory).
+// 32 goroutine "processors" synchronize over ten phases.  Each phase every
+// participant takes a ticket from one fetch-and-add counter — the textbook
+// hot spot a combining network merges before it reaches memory — and then
+// waits at pkg/sync's Barrier, the software combining tree that does the
+// same merging for the barrier's own arrivals.  The participants spin,
+// which a cycle-machine program cannot do, so the counter is a native
+// atomic.
 package main
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	combining "combining"
+	csync "combining/pkg/sync"
 )
 
 func main() {
 	const n = 32
 	const phases = 10
 
-	mem := combining.NewNativeMemory()
+	bar := csync.NewBarrier(n)
+	var ctr atomic.Int64
 
-	// Each participant builds its own view of the shared barrier cells at
-	// address 0.
 	var wg sync.WaitGroup
 	order := make([][]int, phases)
 	var mu sync.Mutex
@@ -29,16 +31,14 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			bar := combining.NewBarrier(mem, 0, n)
-			ctr := combining.NewCounter(mem, 100)
 			for ph := 0; ph < phases; ph++ {
 				// Do some "work": grab a ticket on a phase-wide
 				// counter, then wait for everyone.
-				ticket := ctr.Inc()
+				ticket := ctr.Add(1) - 1
 				mu.Lock()
 				order[ph] = append(order[ph], int(ticket))
 				mu.Unlock()
-				bar.Await()
+				bar.Wait(id)
 			}
 		}(id)
 	}

@@ -4,19 +4,18 @@
 //
 // A parallel loop is scheduled with no central dispatcher: workers grab
 // iteration indexes with fetch-and-add on a shared counter (combinable, so
-// a burst of idle workers costs one memory access), push results through
-// the fetch-and-add MPMC queue, and synchronize phases with the
-// fetch-and-add barrier.  The workers spin at the barrier, which a
-// cycle-machine program cannot do, so the shared cells here are native
-// atomics (combining.NewNativeMemory).
+// a burst of idle workers costs one memory access) and synchronize phases
+// at pkg/sync's combining-tree Barrier.  The workers spin, which a
+// cycle-machine program cannot do, so the counter is a native atomic.
 package main
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
-	combining "combining"
+	csync "combining/pkg/sync"
 )
 
 func main() {
@@ -24,13 +23,8 @@ func main() {
 		workers    = 8
 		iterations = 200
 	)
-	mem := combining.NewNativeMemory()
-
-	const (
-		counterAddr = combining.Addr(0)
-		barrierAddr = combining.Addr(10)
-		queueAddr   = combining.Addr(20)
-	)
+	bar := csync.NewBarrier(workers)
+	var ctr atomic.Int64
 
 	results := make([]int64, iterations)
 	var grabbed [workers]int
@@ -39,16 +33,13 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			ctr := combining.NewCounter(mem, counterAddr)
-			bar := combining.NewBarrier(mem, barrierAddr, workers)
-
 			// Phase 1: self-scheduled loop — once every worker is
 			// present, each pulls the next free iteration until the
 			// range is exhausted, yielding its processor after each
 			// body as a longer one would be descheduled.
-			bar.Await()
+			bar.Wait(id)
 			for {
-				i := ctr.Inc()
+				i := ctr.Add(1) - 1
 				if i >= iterations {
 					break
 				}
@@ -56,7 +47,7 @@ func main() {
 				grabbed[id]++
 				runtime.Gosched()
 			}
-			bar.Await()
+			bar.Wait(id)
 
 			// Phase 2: worker 0 validates while the others wait at
 			// the next barrier.
@@ -67,7 +58,7 @@ func main() {
 					}
 				}
 			}
-			bar.Await()
+			bar.Wait(id)
 		}(id)
 	}
 	wg.Wait()

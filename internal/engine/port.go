@@ -87,7 +87,7 @@ func (s *Shell) Offer(p int, ln *Lane) *Fwd {
 func (s *Shell) Sent(p int) {
 	if s.flt != nil && s.retry[p].Len() > 0 {
 		s.retry[p].Pop()
-		s.trk.Retries.Inc()
+		s.trk.Retries.Add(1)
 		return
 	}
 	s.hasPending[p] = false

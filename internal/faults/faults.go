@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
-	"combining/internal/stats"
 	"combining/internal/word"
 )
 
@@ -242,9 +242,9 @@ type Injector struct {
 	// StallCycles and MemStallCycles count switch-cycles and
 	// module-cycles lost to windows; CrashCycles counts dead
 	// component-cycles inside crash windows.
-	DropsFwd, DropsRev          stats.Counter
-	StallCycles, MemStallCycles stats.Counter
-	CrashCycles                 stats.Counter
+	DropsFwd, DropsRev          atomic.Int64
+	StallCycles, MemStallCycles atomic.Int64
+	CrashCycles                 atomic.Int64
 
 	// ReorderedHeld counts hops deferred into a limbo buffer (delivered
 	// out of per-link FIFO order); DupInjected counts network-born
@@ -253,8 +253,8 @@ type Injector struct {
 	// checksum verification detected and quarantined.  CorruptDropped can
 	// lag CorruptInjected when a corrupted message dies of another fault
 	// (a drop, a dead link, a crash flush) before any receiver sees it.
-	ReorderedHeld, DupInjected      stats.Counter
-	CorruptInjected, CorruptDropped stats.Counter
+	ReorderedHeld, DupInjected      atomic.Int64
+	CorruptInjected, CorruptDropped atomic.Int64
 }
 
 // NewInjector builds the injector for a plan, filling retry and checkpoint
@@ -387,7 +387,7 @@ func (f *Injector) DropForward(site uint64, id word.ReqID, attempt uint32) bool 
 	if !decide(f.first.dropFwd, site, id, attempt, f.plan.DropFwd) {
 		return false
 	}
-	f.DropsFwd.Inc()
+	f.DropsFwd.Add(1)
 	return true
 }
 
@@ -397,7 +397,7 @@ func (f *Injector) DropReply(site uint64, id word.ReqID, attempt uint32) bool {
 	if !decide(f.first.dropRev, site, id, attempt, f.plan.DropRev) {
 		return false
 	}
-	f.DropsRev.Inc()
+	f.DropsRev.Add(1)
 	return true
 }
 
@@ -412,7 +412,7 @@ func (f *Injector) ReorderDelay(site uint64, id word.ReqID, attempt uint32) int6
 		return 0
 	}
 	h := splitmix64(f.first.reorderDelay ^ site ^ uint64(id)<<8 ^ uint64(attempt))
-	f.ReorderedHeld.Inc()
+	f.ReorderedHeld.Add(1)
 	return 1 + int64(h%uint64(f.plan.ReorderMax))
 }
 
@@ -423,7 +423,7 @@ func (f *Injector) Duplicate(site uint64, id word.ReqID, attempt uint32) bool {
 	if !decide(f.first.dup, site, id, attempt, f.plan.Dup) {
 		return false
 	}
-	f.DupInjected.Inc()
+	f.DupInjected.Add(1)
 	return true
 }
 
@@ -441,20 +441,20 @@ func (f *Injector) CorruptMask(site uint64, id word.ReqID, attempt uint32) uint6
 	if h == 0 {
 		h = 1
 	}
-	f.CorruptInjected.Inc()
+	f.CorruptInjected.Add(1)
 	return h
 }
 
 // NoteCorruptDropped counts one corrupt message a receiver's checksum
 // verification detected and quarantined.
-func (f *Injector) NoteCorruptDropped() { f.CorruptDropped.Inc() }
+func (f *Injector) NoteCorruptDropped() { f.CorruptDropped.Add(1) }
 
 // Stalled reports whether the switch at (stage, index) is inside a stall
 // window this cycle, counting the lost switch-cycle.
 func (f *Injector) Stalled(stage, index int, cycle int64) bool {
 	for _, w := range f.plan.Stalls {
 		if w.matches(stage, index, cycle) {
-			f.StallCycles.Inc()
+			f.StallCycles.Add(1)
 			return true
 		}
 	}
@@ -485,7 +485,7 @@ func (f *Injector) MemStallOpen(cycle int64) bool { return covers(f.slowOpen, cy
 func (f *Injector) MemStalled(mod int, cycle int64) bool {
 	for _, w := range f.plan.MemStalls {
 		if (w.Index == -1 || w.Index == mod) && cycle >= w.From && cycle < w.To {
-			f.MemStallCycles.Inc()
+			f.MemStallCycles.Add(1)
 			return true
 		}
 	}
@@ -499,7 +499,7 @@ func (f *Injector) MemStalled(mod int, cycle int64) bool {
 func (f *Injector) SwitchCrashed(stage, index int, cycle int64) bool {
 	for _, w := range f.plan.Crashes {
 		if w.matches(stage, index, cycle) {
-			f.CrashCycles.Inc()
+			f.CrashCycles.Add(1)
 			return true
 		}
 	}
@@ -512,7 +512,7 @@ func (f *Injector) SwitchCrashed(stage, index int, cycle int64) bool {
 func (f *Injector) MemCrashed(mod int, cycle int64) bool {
 	for _, w := range f.plan.MemCrashes {
 		if (w.Index == -1 || w.Index == mod) && cycle >= w.From && cycle < w.To {
-			f.CrashCycles.Inc()
+			f.CrashCycles.Add(1)
 			return true
 		}
 	}
@@ -537,7 +537,7 @@ func (f *Injector) DropLinkFwd(stage, index int, cycle int64) bool {
 	if !f.LinkDown(stage, index, cycle) {
 		return false
 	}
-	f.DropsFwd.Inc()
+	f.DropsFwd.Add(1)
 	return true
 }
 
@@ -547,7 +547,7 @@ func (f *Injector) DropLinkRev(stage, index int, cycle int64) bool {
 	if !f.LinkDown(stage, index, cycle) {
 		return false
 	}
-	f.DropsRev.Inc()
+	f.DropsRev.Add(1)
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"combining/internal/core"
 	"combining/internal/stats"
@@ -92,9 +93,9 @@ type Tracker struct {
 	// port (Current) is not one; Duplicates counts replies suppressed
 	// because the request had already been delivered; Recovered counts
 	// deliveries that needed at least one retransmit.
-	Retries    stats.Counter
-	Duplicates stats.Counter
-	Recovered  stats.Counter
+	Retries    atomic.Int64
+	Duplicates atomic.Int64
+	Recovered  atomic.Int64
 	// RecoveryLatency records round-trip cycles for recovered (retried)
 	// deliveries only — the fault-plan degradation metric.
 	RecoveryLatency stats.Histogram
@@ -248,7 +249,7 @@ func (t *Tracker) HeldBack(proc int, addr word.Addr) bool {
 func (t *Tracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
 	p, ok := t.live[id]
 	if !ok {
-		t.Duplicates.Inc()
+		t.Duplicates.Add(1)
 		return Pending{}, false
 	}
 	delete(t.live, id)
@@ -257,7 +258,7 @@ func (t *Tracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
 	mine[slices.Index(mine, p)] = mine[last]
 	t.byProc[p.Proc] = mine[:last]
 	if p.Req.Attempt > 0 {
-		t.Recovered.Inc()
+		t.Recovered.Add(1)
 		t.RecoveryLatency.Record(now - p.IssueCycle)
 	} else {
 		// Karn's rule: only a request sent once times a round trip; the

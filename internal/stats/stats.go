@@ -1,13 +1,13 @@
 // Package stats is the shared engine instrumentation subsystem: lock-free
-// counters, power-of-two latency histograms with percentile extraction, and
-// queue-depth high-water marks, all behind one JSON-serializable Snapshot.
+// power-of-two latency histograms with percentile extraction, and the one
+// JSON-serializable Snapshot every engine reports through.  Event counters
+// are plain sync/atomic integers in the packages that count.
 //
 // The combining mechanism is transparent (Theorem 4.2) only if observing it
-// never perturbs it: every recording primitive here is a single atomic
-// operation with no allocation and no lock, so the asynchronous engine can
-// record from every switch and port goroutine without serializing the hot
-// path it measures, and the cycle simulators pay one uncontended atomic per
-// event.  Snapshots copy the live values and are plain data thereafter.
+// never perturbs it: recording is a few atomic operations with no
+// allocation and no lock, so the workers of a parallel stepper record
+// without serializing the hot path they measure.  Snapshots copy the live
+// values and are plain data thereafter.
 package stats
 
 import (
@@ -18,36 +18,6 @@ import (
 	"sort"
 	"sync/atomic"
 )
-
-// Counter is a lock-free event counter.  The zero value is ready to use.
-// A Counter must not be copied after first use.
-type Counter struct{ v atomic.Int64 }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// HighWater tracks the maximum value observed.  The zero value is ready to
-// use and reports 0.  A HighWater must not be copied after first use.
-type HighWater struct{ v atomic.Int64 }
-
-// Observe raises the high-water mark to n if n exceeds it.
-func (h *HighWater) Observe(n int64) {
-	for {
-		cur := h.v.Load()
-		if n <= cur || h.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Load returns the high-water mark.
-func (h *HighWater) Load() int64 { return h.v.Load() }
 
 // NumBuckets sizes the power-of-two histograms: bucket i counts values in
 // [2^i, 2^(i+1)), bucket 0 holds 0–1, and the last bucket absorbs the tail.
@@ -60,7 +30,7 @@ const NumBuckets = 48
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
-	max     HighWater
+	max     atomic.Int64
 	buckets [NumBuckets]atomic.Int64
 }
 
@@ -77,7 +47,7 @@ func bucketOf(v int64) int {
 }
 
 // Record adds one observation: three uncontended atomic adds plus a
-// high-water CAS, no allocation.  The running max bounds the percentile
+// CAS on the running max, no allocation.  That max bounds the percentile
 // estimator, which would otherwise interpolate past the largest value ever
 // seen (all the way to the 2^NumBuckets sentinel for the clamped last
 // bucket).
@@ -87,7 +57,11 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	h.max.Observe(v)
+	for m := h.max.Load(); v > m; m = h.max.Load() {
+		if h.max.CompareAndSwap(m, v) {
+			break
+		}
+	}
 	h.buckets[bucketOf(v)].Add(1)
 }
 
