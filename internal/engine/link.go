@@ -306,7 +306,7 @@ func (s *Shell) landed(r *Rev, ln *Lane) {
 // changed.
 func (s *Shell) complete(r *Rev, ln *Lane) {
 	if s.trk != nil {
-		if _, ok := s.trk.Deliver(r.Rep.ID, s.tot.Cycles); !ok {
+		if _, ok := s.trk.Deliver(r.Src, r.Rep.ID, s.tot.Cycles); !ok {
 			return // duplicate of an already-delivered reply; suppressed
 		}
 	}

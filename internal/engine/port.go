@@ -34,7 +34,7 @@ import (
 func (s *Shell) Offer(p int, ln *Lane) *Fwd {
 	if s.flt != nil {
 		for q := &s.retry[p]; q.Len() > 0; q.Pop() {
-			if m := q.Front(); s.trk.Current(m.Req.ID, m.Req.Attempt) {
+			if m := q.Front(); s.trk.Current(p, m.Req.ID, m.Req.Attempt) {
 				return m
 			}
 		}

@@ -224,7 +224,7 @@ func TestOfferSkipsDeadRetransmits(t *testing.T) {
 	// request 1 is then delivered, and 2 and 3 time out again at 64 + 128
 	// and queue at attempt 2 behind their first copies.
 	requeue(64)
-	if _, ok := l.trk.Deliver(1, 100); !ok {
+	if _, ok := l.trk.Deliver(0, 1, 100); !ok {
 		t.Fatal("request 1 not delivered")
 	}
 	requeue(192)

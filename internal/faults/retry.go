@@ -44,8 +44,11 @@ type Pending struct {
 // trip — and under a fault plan the output-commit rule alone holds a reply
 // until the next checkpoint — retransmits nearly every request.
 //
-// The ledger pays per event, not per cycle.  Deadlines are indexed by a
-// hashed timing wheel: each live request's box sits in the doubly linked
+// The ledger pays per event, not per cycle.  A request is found in its
+// processor's live list, which is as long as the processor's window, and
+// each processor's delivered floor is kept up to date by the events that
+// move it (Track and Deliver), so Floors is a copy.  Deadlines are indexed
+// by a hashed timing wheel: each live request's box sits in the doubly linked
 // list of its deadline's bucket, arming a deadline moves it to another list
 // and a delivery unlinks it, both in O(1), and Expired reads only the
 // buckets of the cycles that have passed since it last ran.  A box more than
@@ -53,8 +56,6 @@ type Pending struct {
 // holds one pointer per bucket and nothing else: however the estimated
 // timeout moves deadlines about, its memory is the live boxes'.
 type Tracker struct {
-	live map[word.ReqID]*box
-
 	// srtt8 and rttvar4 are the round-trip estimate scaled by 8 and 4, so
 	// the gains 1/8 and 1/4 are shifts; sampled says the first sample has
 	// arrived.  rto is the timeout of a first attempt: RetryTimeout until
@@ -70,12 +71,16 @@ type Tracker struct {
 	// MSHR-style discipline a drop can reorder a processor's own accesses
 	// to a location — the retransmit of the earlier request executes after
 	// the later one — violating M2's per-processor program order.  A list is
-	// as long as the processor's window of outstanding requests, so the
-	// three questions asked of it (HeldBack, oldestLive, Floors) are short
-	// scans.  next[proc] is 1 + the last id the processor tracked (0 before
-	// its first): ids must increase per processor.
-	byProc [][]*box
-	next   []word.ReqID
+	// as long as the processor's window of outstanding requests, so every
+	// question asked of it (Deliver, Current, HeldBack, oldestLive) is a
+	// short scan.  next[proc] is 1 + the last id the processor tracked (0
+	// before its first): ids must increase per processor.
+	// delivered[proc] is the processor's delivered floor (see Floors), and
+	// live counts the boxes of every list.
+	byProc    [][]*box
+	next      []word.ReqID
+	delivered []word.ReqID
+	live      int
 
 	// wheel[c&mask] lists the boxes whose deadline is a cycle ≡ c; swept is
 	// the last cycle Expired has read.  due and out are Expired's scratch,
@@ -121,7 +126,6 @@ func NewTracker(flt *Injector) *Tracker {
 		size <<= 1
 	}
 	return &Tracker{
-		live:  make(map[word.ReqID]*box),
 		rto:   plan.RetryTimeout,
 		floor: plan.RetryTimeout,
 		ceil:  plan.RetryCap,
@@ -190,6 +194,7 @@ func (t *Tracker) Track(proc int, req core.Request, hot bool, now int64) {
 	for proc >= len(t.byProc) {
 		t.byProc = append(t.byProc, nil)
 		t.next = append(t.next, 0)
+		t.delivered = append(t.delivered, 0)
 	}
 	if req.ID < t.next[proc] {
 		panic(fmt.Sprintf("faults: processor %d tracks id %d after id %d", proc, req.ID, t.next[proc]-1))
@@ -203,27 +208,35 @@ func (t *Tracker) Track(proc int, req core.Request, hot bool, now int64) {
 	}
 	p.Pending = Pending{Proc: proc, Req: req, Hot: hot, IssueCycle: now}
 	t.arm(p, now+t.Timeout(1))
-	t.live[req.ID] = p
+	if len(t.byProc[proc]) == 0 {
+		t.delivered[proc] = req.ID // the only live id, and ids increase
+	}
 	t.byProc[proc] = append(t.byProc[proc], p)
+	t.live++
 }
 
 // Floors writes each processor's delivered floor into floors[proc]: its
 // smallest live id, else 1 + the last id it tracked (0 before its first).
 // Every id of the processor below its floor has been tracked and delivered,
 // so a copy of it still in the machine is stale: the memory's reply caches
-// skip and forget such leaves (memory.WithDeliveredFloors).
+// skip and forget such leaves (memory.WithDeliveredFloors).  Track and
+// Deliver keep the floors, so this is a copy.
 func (t *Tracker) Floors(floors []word.ReqID) {
-	for proc := range floors {
-		if proc >= len(t.next) {
-			floors[proc] = 0
-			continue
-		}
-		f := t.next[proc]
-		for _, q := range t.byProc[proc] {
-			f = min(f, q.Req.ID)
-		}
-		floors[proc] = f
+	clear(floors[copy(floors, t.delivered):])
+}
+
+// find returns the index of the processor's live request id in its list,
+// or -1.
+func (t *Tracker) find(proc int, id word.ReqID) int {
+	if proc < 0 || proc >= len(t.byProc) {
+		return -1
 	}
+	for i, q := range t.byProc[proc] {
+		if q.Req.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // HeldBack reports whether the processor's newest (already tracked) request
@@ -242,21 +255,29 @@ func (t *Tracker) HeldBack(proc int, addr word.Addr) bool {
 	return n > 1
 }
 
-// Deliver marks a reply's arrival at its processor port.  ok=false means
-// the request was already delivered (or never tracked): the reply is a
-// duplicate the port must suppress, counted here.  A request delivered on
-// its first attempt is a round-trip sample.
-func (t *Tracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
-	p, ok := t.live[id]
-	if !ok {
+// Deliver marks the arrival of a reply to request id at processor proc's
+// port.  ok=false means the processor's request was already delivered (or
+// never tracked): the reply is a duplicate the port must suppress, counted
+// here.  A request delivered on its first attempt is a round-trip sample.
+func (t *Tracker) Deliver(proc int, id word.ReqID, now int64) (Pending, bool) {
+	i := t.find(proc, id)
+	if i < 0 {
 		t.Duplicates.Add(1)
 		return Pending{}, false
 	}
-	delete(t.live, id)
-	mine := t.byProc[p.Proc]
-	last := len(mine) - 1
-	mine[slices.Index(mine, p)] = mine[last]
-	t.byProc[p.Proc] = mine[:last]
+	mine := t.byProc[proc]
+	p, last := mine[i], len(mine)-1
+	mine[i] = mine[last]
+	mine = mine[:last]
+	t.byProc[proc] = mine
+	t.live--
+	if id == t.delivered[proc] {
+		f := t.next[proc]
+		for _, q := range mine {
+			f = min(f, q.Req.ID)
+		}
+		t.delivered[proc] = f
+	}
 	if p.Req.Attempt > 0 {
 		t.Recovered.Add(1)
 		t.RecoveryLatency.Record(now - p.IssueCycle)
@@ -324,11 +345,12 @@ func (t *Tracker) oldestLive(p *box) bool {
 	return true
 }
 
-// Current reports whether a copy at this attempt is the one the tracker still
-// waits on: the request is undelivered and has not been retransmitted since.
-func (t *Tracker) Current(id word.ReqID, attempt uint32) bool {
-	p, ok := t.live[id]
-	return ok && p.Req.Attempt == attempt
+// Current reports whether a copy of processor proc's request id at this
+// attempt is the one the tracker still waits on: the request is undelivered
+// and has not been retransmitted since.
+func (t *Tracker) Current(proc int, id word.ReqID, attempt uint32) bool {
+	i := t.find(proc, id)
+	return i >= 0 && t.byProc[proc][i].Req.Attempt == attempt
 }
 
 // Outstanding reports requests still awaiting their first delivery.  A nil
@@ -337,17 +359,24 @@ func (t *Tracker) Outstanding() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.live)
+	return t.live
 }
 
-// Live reports whether one request is still awaiting its first delivery.
-// The recovery ledger filters crash-flushed ids through it: a flushed copy
+// Live reports whether one request, by any processor, is still awaiting its
+// first delivery.  The recovery ledger filters crash-flushed ids through it
+// at crash edges only, so it scans every processor's list: a flushed copy
 // of an already-delivered request (a retransmit the original outraced) is
 // redundant state, not lost work.
 func (t *Tracker) Live(id word.ReqID) bool {
 	if t == nil {
 		return false
 	}
-	_, ok := t.live[id]
-	return ok
+	for _, mine := range t.byProc {
+		for _, q := range mine {
+			if q.Req.ID == id {
+				return true
+			}
+		}
+	}
+	return false
 }

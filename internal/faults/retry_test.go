@@ -21,6 +21,8 @@ type modelTracker struct {
 	plan    Plan
 	live    map[word.ReqID]*Pending
 	perAddr map[addrKey]int
+	// next is 1 + each processor's last tracked id.
+	next map[int]word.ReqID
 
 	samples        int
 	srtt8, rttvar4 int64
@@ -34,7 +36,7 @@ type addrKey struct {
 }
 
 func newModelTracker(flt *Injector) *modelTracker {
-	return &modelTracker{plan: flt.Plan(), live: map[word.ReqID]*Pending{}, perAddr: map[addrKey]int{}}
+	return &modelTracker{plan: flt.Plan(), live: map[word.ReqID]*Pending{}, perAddr: map[addrKey]int{}, next: map[int]word.ReqID{}}
 }
 
 // rto is the first attempt's timeout: the plan's RetryTimeout until a
@@ -77,6 +79,19 @@ func (t *modelTracker) observe(r int64) {
 func (t *modelTracker) Track(proc int, req core.Request, hot bool, now int64) {
 	t.live[req.ID] = &Pending{Proc: proc, Req: req, Hot: hot, IssueCycle: now, Deadline: now + t.timeout(1)}
 	t.perAddr[addrKey{proc, req.Addr}]++
+	t.next[proc] = req.ID + 1
+}
+
+// floor is the processor's delivered floor by a full scan: its smallest
+// live id, else 1 + its last tracked id, else 0.
+func (t *modelTracker) floor(proc int) word.ReqID {
+	f := t.next[proc]
+	for _, p := range t.live {
+		if p.Proc == proc {
+			f = min(f, p.Req.ID)
+		}
+	}
+	return f
 }
 
 func (t *modelTracker) HeldBack(proc int, addr word.Addr) bool {
@@ -150,12 +165,12 @@ var modelPlans = []Plan{
 
 // runTrackerSchedule drives the tracker and the model with one schedule, two
 // bytes a step, and fails on the first difference: in what Deliver and
-// Expired return, or afterwards in Outstanding, in Live of every id ever
-// issued and in HeldBack of every (proc, addr).  The first byte picks the
-// step — track (to a shared address half the time, so a processor's requests
-// pile up on it and HeldBack and the deferral fire), deliver a live request,
-// deliver again one already delivered, advance a cycle, skip cycles — and
-// the second its operand.  It returns how many retransmits and deferrals it
+// Expired return, or afterwards in Outstanding, in Floors, in Live and
+// Current of every id ever issued and in HeldBack of every (proc, addr).
+// The first byte picks the step — track (to a shared address half the time,
+// so a processor's requests pile up on it and HeldBack and the deferral
+// fire), deliver a live request, deliver again one already delivered,
+// advance a cycle, skip cycles — and the second its operand.  It returns how many retransmits and deferrals it
 // saw.
 func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, deferred int) {
 	t.Helper()
@@ -164,6 +179,9 @@ func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, defe
 	var now int64
 	var issued []word.ReqID
 	seq := make([]int, procs)
+	floors := make([]word.ReqID, procs)
+	// owner is the processor that issued an id: ids are p + 1 + procs·k.
+	owner := func(id word.ReqID) int { return int(id-1) % procs }
 	liveIDs := func() []word.ReqID {
 		ids := make([]word.ReqID, 0, len(model.live))
 		for id := range model.live {
@@ -172,8 +190,8 @@ func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, defe
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return ids
 	}
-	deliver := func(step int, id word.ReqID) {
-		got, gotOK := trk.Deliver(id, now)
+	deliver := func(step int, proc int, id word.ReqID) {
+		got, gotOK := trk.Deliver(proc, id, now)
 		want, wantOK := model.Deliver(id, now)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: Deliver(%d) at %d = %+v, %v; the model says %+v, %v", step, id, now, got, gotOK, want, wantOK)
@@ -212,13 +230,15 @@ func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, defe
 			issued = append(issued, id)
 		case op < 6:
 			if ids := liveIDs(); len(ids) > 0 {
-				deliver(step, ids[arg%len(ids)])
+				id := ids[arg%len(ids)]
+				deliver(step, owner(id), id)
 			}
 		case op == 6:
 			if len(issued) > 0 {
-				deliver(step, issued[arg%len(issued)]) // a duplicate, most of the time
+				id := issued[arg%len(issued)]
+				deliver(step, owner(id), id) // a duplicate, most of the time
 			} else {
-				deliver(step, word.ReqID(arg+1)) // never tracked
+				deliver(step, arg%procs, word.ReqID(arg+1)) // never tracked
 			}
 		case op < 9:
 			now++
@@ -235,9 +255,25 @@ func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, defe
 				t.Fatalf("step %d: Timeout(%d) = %d, the model says %d", step, k, got, want)
 			}
 		}
+		trk.Floors(floors)
+		for proc, got := range floors {
+			if want := model.floor(proc); got != want {
+				t.Fatalf("step %d: Floors gives processor %d floor %d, the model's scan %d", step, proc, got, want)
+			}
+		}
 		for _, id := range issued {
-			if _, want := model.live[id]; trk.Live(id) != want {
-				t.Fatalf("step %d: Live(%d) = %v, the model says %v", step, id, !want, want)
+			p, live := model.live[id]
+			if trk.Live(id) != live {
+				t.Fatalf("step %d: Live(%d) = %v, the model says %v", step, id, !live, live)
+			}
+			attempts := []uint32{0, 1, 2}
+			if live {
+				attempts = append(attempts, p.Req.Attempt, p.Req.Attempt+1)
+			}
+			for _, a := range attempts {
+				if got, want := trk.Current(owner(id), id, a), live && p.Req.Attempt == a; got != want {
+					t.Fatalf("step %d: Current(%d, %d, %d) = %v, the model says %v", step, owner(id), id, a, got, want)
+				}
 			}
 		}
 		for proc := 0; proc < procs; proc++ {
@@ -301,7 +337,7 @@ func TestRetryTimeoutEstimator(t *testing.T) {
 			}
 		}
 		now += r
-		if _, ok := trk.Deliver(next, now); !ok {
+		if _, ok := trk.Deliver(0, next, now); !ok {
 			t.Fatalf("request %d not delivered", next)
 		}
 	}
@@ -399,7 +435,7 @@ func TestTrackerSteadyStateZeroAlloc(t *testing.T) {
 			retried += len(trk.Expired(now))
 		}
 		for id := first + 1; id <= next; id++ {
-			trk.Deliver(id, now)
+			trk.Deliver(int(id-first-1), id, now)
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -460,10 +496,10 @@ func TestTrackerFloors(t *testing.T) {
 	track(0, 6)
 	track(1, 4)
 	check(3, 4, 0)
-	trk.Deliver(3, 10)
+	trk.Deliver(0, 3, 10)
 	check(6, 4, 0)
-	trk.Deliver(4, 10)
-	trk.Deliver(6, 10)
+	trk.Deliver(1, 4, 10)
+	trk.Deliver(0, 6, 10)
 	check(7, 5, 0)
 	defer func() {
 		if recover() == nil {

@@ -93,7 +93,7 @@ func (a *Array) TotalDedupHits() int64 {
 func (a *Array) CachedLeaves() int {
 	n := 0
 	for i := range a.modules {
-		n += len(a.modules[i].replyCache) + len(a.modules[i].delta)
+		n += len(a.modules[i].replyCache)
 	}
 	return n
 }

@@ -96,24 +96,29 @@ type Module struct {
 	// below their processor's delivered floor.
 	DedupHits int64
 	// floors, when non-nil, are the processors' delivered floors
-	// (WithDeliveredFloors), and pruneAt the committed cache size at which
-	// a module without checkpoints next prunes.
+	// (WithDeliveredFloors), and pruneAt the cache size at which a module
+	// without checkpoints next prunes.
 	floors  []word.ReqID
 	pruneAt int
+	// order lists the cached leaves in the order they were executed, while
+	// a prune (floors) or a crash (checkpoints) may need them: prune walks
+	// it, not the map.  In checkpoint mode order[committed:] are the leaves
+	// executed since the last checkpoint, which a crash forgets.
+	order     []entry
+	committed int
 
 	// Checkpoint mode (WithCheckpoints): the module keeps an incremental
 	// recovery image so a crash rolls back to the last checkpoint in
-	// O(changes since checkpoint), not O(total state).  replyCache then
-	// holds only committed leaves; delta holds leaves executed since the
-	// last checkpoint; undo holds the pre-image of every cell modified
-	// since the last checkpoint.  held are replies produced since the last
-	// checkpoint — the output-commit rule keeps them inside the module
-	// until the checkpoint that covers their effects commits, so a crash
-	// can never un-execute an operation whose reply already escaped.
-	// releasable are committed replies draining to the network one per
-	// Tick.
-	delta      map[word.ReqID]cached
-	undo       map[word.Addr]word.Word
+	// O(changes since checkpoint), not O(total state).  replyCache holds
+	// committed and uncommitted leaves alike, order's tail names the
+	// uncommitted ones, and undo logs the pre-image of every cell write
+	// since the last checkpoint, oldest first.  held are replies produced
+	// since the last checkpoint — the output-commit rule keeps them inside
+	// the module until the checkpoint that covers their effects commits,
+	// so a crash can never un-execute an operation whose reply already
+	// escaped.  releasable are committed replies draining to the network
+	// one per Tick.
+	undo       []preimage
 	held       []core.Reply
 	releasable core.FIFO[core.Reply]
 }
@@ -123,6 +128,18 @@ type Module struct {
 type cached struct {
 	val word.Word
 	src word.ProcID
+}
+
+// entry names one cached leaf in order.
+type entry struct {
+	id  word.ReqID
+	src word.ProcID
+}
+
+// preimage is one undo record: a cell's value before a write.
+type preimage struct {
+	addr word.Addr
+	val  word.Word
 }
 
 // minPrune is the committed cache size below which a module without
@@ -169,9 +186,9 @@ func WithReplyCache() Option {
 // every id of p below it has had its reply — which the caller writes
 // between ticks and a tick only reads.  A leaf below its processor's floor
 // is skipped and counted as a cache hit, its value never read (the port
-// suppresses the duplicate), and the committed cache drops such leaves at
-// each checkpoint, or without checkpoints whenever it has doubled since its
-// last prune.  The nodedup canary skips nothing.
+// suppresses the duplicate), and the cache drops such leaves at each
+// checkpoint, or without checkpoints whenever it has doubled since its last
+// prune.  The nodedup canary skips nothing.
 func WithDeliveredFloors(floors []word.ReqID) Option {
 	return func(m *Module) { m.floors, m.pruneAt = floors, minPrune }
 }
@@ -186,8 +203,6 @@ func WithCheckpoints() Option {
 			m.replyCache = make(map[word.ReqID]cached)
 		}
 		m.ckpt = true
-		m.delta = make(map[word.ReqID]cached)
-		m.undo = make(map[word.Addr]word.Word)
 	}
 }
 
@@ -331,9 +346,7 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 		(*vals)[i] = core.LeafVal{ID: lf.ID, Val: v}
 	}
 	if m.ckpt {
-		if _, logged := m.undo[req.Addr]; !logged {
-			m.undo[req.Addr] = before
-		}
+		m.undo = append(m.undo, preimage{req.Addr, before})
 	}
 	m.store(req.Addr, cell)
 	m.Served++
@@ -342,16 +355,10 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 	return rep
 }
 
-// cacheGet consults the exactly-once ledger: the uncommitted delta first,
-// then the committed cache.
+// cacheGet consults the exactly-once ledger.
 func (m *Module) cacheGet(id word.ReqID) (word.Word, bool) {
 	if m.canaryNoDedup {
 		return word.Word{}, false
-	}
-	if m.ckpt {
-		if c, ok := m.delta[id]; ok {
-			return c.val, true
-		}
 	}
 	c, ok := m.replyCache[id]
 	return c.val, ok
@@ -367,24 +374,29 @@ func (m *Module) delivered(lf core.Leaf) bool {
 // checkpoint when in checkpoint mode.  Without checkpoints a cache that has
 // doubled since its last prune prunes now.
 func (m *Module) cachePut(lf core.Leaf, v word.Word) {
-	if m.ckpt {
-		m.delta[lf.ID] = cached{v, lf.Src}
-		return
-	}
 	m.replyCache[lf.ID] = cached{v, lf.Src}
-	if m.floors != nil && len(m.replyCache) >= m.pruneAt {
+	if m.floors == nil && !m.ckpt {
+		return // nothing is ever pruned or rolled back
+	}
+	m.order = append(m.order, entry{lf.ID, lf.Src})
+	if !m.ckpt && len(m.replyCache) >= m.pruneAt {
 		m.prune()
 	}
 }
 
-// prune drops the committed leaves below their processors' delivered
-// floors and sets the size of the next prune without checkpoints.
+// prune drops the cached leaves below their processors' delivered floors,
+// walking order and keeping the survivors in it, and sets the size of the
+// next prune without checkpoints.
 func (m *Module) prune() {
-	for id, c := range m.replyCache {
-		if c.src >= 0 && id < m.floors[c.src] {
-			delete(m.replyCache, id)
+	keep := m.order[:0]
+	for _, e := range m.order {
+		if e.src >= 0 && e.id < m.floors[e.src] {
+			delete(m.replyCache, e.id)
+		} else {
+			keep = append(keep, e)
 		}
 	}
+	m.order = keep
 	m.pruneAt = max(2*len(m.replyCache), minPrune)
 }
 
@@ -465,23 +477,24 @@ func (m *Module) service() (core.Reply, bool) {
 }
 
 // Checkpoint commits the module's recovery image: leaves executed since the
-// last checkpoint join the committed cache, the undo log clears, and held
-// replies become releasable.  It returns how many it released, by which Work
-// rises.  Engines call it every Plan.CheckpointEvery cycles (owner only); the
-// cost is O(changes since the last checkpoint).
+// last checkpoint become committed, the undo log truncates, and held replies
+// become releasable, each in O(changes since the last checkpoint).  With
+// delivered floors it then prunes: one pass over order, which holds only
+// the cached leaves not yet below their floors.  It returns how many
+// replies it released, by which Work rises.  Engines call it every
+// Plan.CheckpointEvery cycles (owner only).
 func (m *Module) Checkpoint() int {
 	if !m.ckpt {
 		return 0
 	}
 	released := len(m.held)
-	for id, c := range m.delta {
-		m.replyCache[id] = c
-	}
-	clear(m.delta)
 	if m.floors != nil {
 		m.prune()
+	} else {
+		m.order = m.order[:0] // committed leaves are never forgotten
 	}
-	clear(m.undo)
+	m.committed = len(m.order)
+	m.undo = m.undo[:0]
 	for i := range m.held {
 		*m.releasable.Push() = m.held[i]
 	}
@@ -503,9 +516,11 @@ func (m *Module) Crash() []word.ReqID {
 		return nil
 	}
 	var ids []word.ReqID
-	for id := range m.delta {
-		ids = append(ids, id)
+	for _, e := range m.order[m.committed:] {
+		delete(m.replyCache, e.id)
+		ids = append(ids, e.id)
 	}
+	m.order = m.order[:m.committed]
 	// The queue's front is the request in service, if any.
 	queued := m.queue.View()
 	for i := range queued {
@@ -517,17 +532,18 @@ func (m *Module) Crash() []word.ReqID {
 	for _, rep := range m.releasable.View() {
 		ids = rep.AppendLeafIDs(ids)
 	}
-	for addr, w := range m.undo {
-		m.store(addr, w)
+	// Newest first, so each cell ends at its oldest pre-image.
+	for i := len(m.undo) - 1; i >= 0; i-- {
+		m.store(m.undo[i].addr, m.undo[i].val)
 	}
-	clear(m.undo)
-	clear(m.delta)
+	m.undo = m.undo[:0]
 	m.queue.Clear()
 	m.busy = 0
 	m.held = m.held[:0]
 	m.releasable.Clear()
 
-	// A leaf can be both executed (delta) and still named by a held reply.
+	// A leaf can be both executed (uncommitted) and still named by a held
+	// reply.
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
