@@ -286,43 +286,63 @@ func TestPairBlocksClosed(t *testing.T) {
 // under a saturating hot-spot load (`make parbench`, the E15 curve): 30 %
 // of the traffic to one address with combining off.  Its n1024hot8 cases
 // are bench/run.sh's omega_parallel machine and traffic — 1024 processors,
-// combining on, a 1/8 hot spot — at Workers 1 and 2; `make stepcmp` runs
-// them and the n256 and n1024 cases at w1 and w2.  omega_parallel reports
-// the same ratio with an estimator as par.speedup_vs_serial.
+// combining on, a 1/8 hot spot — at Workers 1 and 2, and its n256faulted
+// cases BenchmarkStep/faulted's machine, plan and traffic at Workers 1 and
+// 2 (rebuilt off the clock at the plan's horizon, as there); `make stepcmp`
+// runs them and the n256 and n1024 cases at w1 and w2.  omega_parallel
+// reports the same ratio with an estimator as par.speedup_vs_serial.
 func BenchmarkParallelStep(b *testing.B) {
 	type shape struct {
 		name    string
 		n       int
+		rate    float64
 		hot     float64
 		waitCap int
 		warm    int
+		faulted bool
 		widths  []int
 	}
 	shapes := []shape{
-		{"n256", 256, 0.3, 0, 64, []int{1, 2, 4, 8}},
-		{"n1024", 1024, 0.3, 0, 64, []int{1, 2, 4, 8}},
-		{"n1024hot8", 1024, 0.125, core.Unbounded, 300, []int{1, 2}},
+		{"n256", 256, 0.9, 0.3, 0, 64, false, []int{1, 2, 4, 8}},
+		{"n1024", 1024, 0.9, 0.3, 0, 64, false, []int{1, 2, 4, 8}},
+		{"n1024hot8", 1024, 0.9, 0.125, core.Unbounded, 300, false, []int{1, 2}},
+		{"n256faulted", 256, 0.6, 0.125, core.Unbounded, faultedWarm, true, []int{1, 2}},
 	}
 	for _, sh := range shapes {
 		for _, w := range sh.widths {
 			b.Run(fmt.Sprintf("%s/w%d", sh.name, w), func(b *testing.B) {
-				inj := make([]Injector, sh.n)
-				for p := range inj {
-					inj[p] = NewStochastic(p, sh.n, TrafficConfig{
-						Rate: 0.9, HotFraction: sh.hot, Window: 4,
-					}, 5)
+				build := func() *Sim {
+					inj := make([]Injector, sh.n)
+					for p := range inj {
+						inj[p] = NewStochastic(p, sh.n, TrafficConfig{
+							Rate: sh.rate, HotFraction: sh.hot, Window: 4,
+						}, 5)
+					}
+					cfg := Config{Procs: sh.n, WaitBufCap: sh.waitCap, Workers: w}
+					if sh.faulted {
+						cfg.Faults = stepPlan()
+					}
+					sim := NewSim(cfg, inj)
+					// Bare Step() bypasses Run's pool bracket; start the
+					// workers here so the loop measures persistent dispatch,
+					// not goroutine spawns.
+					sim.pool.Start()
+					sim.Run(sh.warm) // fill the pipeline before timing
+					return sim
 				}
-				sim := NewSim(Config{Procs: sh.n, WaitBufCap: sh.waitCap, Workers: w}, inj)
-				// Bare Step() bypasses Run's pool bracket; start the workers
-				// here so the loop measures persistent dispatch, not
-				// goroutine spawns.
-				sim.pool.Start()
-				defer sim.pool.Stop()
-				sim.Run(sh.warm) // fill the pipeline before timing
+				sim := build()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if sh.faulted && sim.Cycle() == faultedHorizon {
+						b.StopTimer()
+						sim.pool.Stop()
+						sim = build()
+						b.StartTimer()
+					}
 					sim.Step()
 				}
+				b.StopTimer()
+				sim.pool.Stop()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
 			})
 		}

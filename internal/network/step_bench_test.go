@@ -21,10 +21,6 @@ import (
 // the hypercube twin; `make profile` profiles it.
 func BenchmarkStep(b *testing.B) {
 	const n = 256
-	// The crash plan scatters its windows over [0, horizon): the faulted
-	// machine is rebuilt, off the clock, each time it steps past it, so every
-	// measured cycle is one the plan covers.
-	const warm, horizon = 1000, 4000
 	for _, bc := range []struct {
 		name    string
 		rate    float64
@@ -45,10 +41,7 @@ func BenchmarkStep(b *testing.B) {
 				}
 				cfg, warmup := Config{Procs: n, WaitBufCap: bc.waitCap}, 2000
 				if bc.faulted {
-					cfg.Faults = faults.GenCrashPlan(5, 6, horizon, 40)
-					cfg.Faults.DropFwd, cfg.Faults.DropRev = 0.005, 0.005
-					cfg.Faults.MemStalls = []faults.Window{{Stage: -1, Index: -1, From: 2000, To: 2200}}
-					warmup = warm
+					cfg.Faults, warmup = stepPlan(), faultedWarm
 				}
 				sim := NewSim(cfg, inj)
 				sim.Run(warmup) // queues and the metadata boxes at their working size
@@ -58,7 +51,7 @@ func BenchmarkStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if bc.faulted && sim.Cycle() == horizon {
+				if bc.faulted && sim.Cycle() == faultedHorizon {
 					b.StopTimer()
 					sim = build()
 					b.StartTimer()
@@ -71,4 +64,19 @@ func BenchmarkStep(b *testing.B) {
 			b.ReportMetric(perCycle/visits, "ns/switch-visit")
 		})
 	}
+}
+
+// The faulted cases' crash plan scatters its windows over
+// [0, faultedHorizon): their machine warms for faultedWarm cycles and is
+// rebuilt, off the clock, each time it steps past the horizon, so every
+// measured cycle is one the plan covers.
+const faultedWarm, faultedHorizon = 1000, 4000
+
+// stepPlan is the faulted cases' plan: seeded crash windows, 0.5 % drops
+// both ways and one slowdown window over every module.
+func stepPlan() *faults.Plan {
+	plan := faults.GenCrashPlan(5, 6, faultedHorizon, 40)
+	plan.DropFwd, plan.DropRev = 0.005, 0.005
+	plan.MemStalls = []faults.Window{{Stage: -1, Index: -1, From: 2000, To: 2200}}
+	return plan
 }
