@@ -110,21 +110,21 @@ func stallReport(engine string, wd *watchdog, inflight int, crashed, detail stri
 // completion is lost and none duplicates — the same M2 argument as the
 // message-loss plans, extended to component loss.
 //
-// The ledger has no lock: it has one owner at a time (DESIGN.md §6.1).
-// Its writers are the step prologue, before the sweep (updateMasks, and
-// drainLimbo's deliveries), and during the sweep the one goroutine that
-// runs Commit.  No hop touches it, and Tick reads only the period, fixed
-// at Init.
+// The ledger keeps no set of lost ids: a lost operation is marked on its
+// box in the retry tracker (faults.Tracker.MarkLost), and the delivery
+// that returns a marked box counts a replay in the delivering lane
+// (Shard.Replayed), so the ports of different processors share nothing
+// here.  The ledger itself is written only by the step prologue, before the
+// sweep (updateMasks); no hop or port touches it, and Tick reads only the
+// period, fixed at Init.
 type ledger struct {
 	// every is the checkpoint period in cycles.
 	every int64
 
 	crashes, restores int64
-	// lost holds the leaf ids flushed by a crash and not yet delivered;
-	// lostN counts every id that entered it, replayed those a delivery
-	// took out again.
-	lost            map[word.ReqID]struct{}
-	lostN, replayed int64
+	// lostN counts the leaf ids a crash flushed while the tracker still
+	// owed them a delivery, each once.
+	lostN int64
 }
 
 // checkpointDue reports whether a checkpoint commits this cycle — a pure
@@ -132,28 +132,15 @@ type ledger struct {
 func (l *ledger) checkpointDue(cycle int64) bool { return cycle > 0 && cycle%l.every == 0 }
 
 // noteLost records leaf request ids flushed by a crash (queued messages,
-// wait-buffer trees, rolled-back executions, withheld replies).  Each id
-// counts once however many components lose copies of it, and only while
-// the tracker still owes it a delivery — a flushed duplicate of an
-// operation whose original reply already arrived is redundant state, not
-// lost work, and will never be re-driven.
+// wait-buffer trees, rolled-back executions, withheld replies) by marking
+// their boxes in the tracker.  Each id counts once however many components
+// lose copies of it, and only while the tracker still owes it a delivery —
+// a flushed duplicate of an operation whose original reply already arrived
+// is redundant state, not lost work, and will never be re-driven.
 func (l *ledger) noteLost(trk *faults.Tracker, ids []word.ReqID) {
 	for _, id := range ids {
-		if !trk.Live(id) {
-			continue
-		}
-		if _, ok := l.lost[id]; !ok {
-			l.lost[id] = struct{}{}
+		if trk.MarkLost(id) {
 			l.lostN++
 		}
-	}
-}
-
-// noteDelivered marks a completion: if the operation had been lost to a
-// crash, the retry machinery re-drove it and it counts as replayed.
-func (l *ledger) noteDelivered(id word.ReqID) {
-	if _, ok := l.lost[id]; ok {
-		delete(l.lost, id)
-		l.replayed++
 	}
 }

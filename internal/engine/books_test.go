@@ -128,12 +128,12 @@ func TestStallReportFormat(t *testing.T) {
 
 // newLedger is the ledger Init builds, with checkpoint period every.
 func newLedger(every int64) ledger {
-	return ledger{every: every, lost: make(map[word.ReqID]struct{})}
+	return ledger{every: every}
 }
 
 // tracking is a tracker that owes a delivery to each of ids.
 func tracking(ids ...word.ReqID) *faults.Tracker {
-	trk := faults.NewTracker(faults.NewInjector(faults.Plan{Seed: 1}))
+	trk := faults.NewTracker(faults.NewInjector(faults.Plan{Seed: 1}), 1)
 	for _, id := range ids {
 		trk.Track(0, core.Request{ID: id}, false, 0)
 	}
@@ -164,6 +164,9 @@ func TestCheckpointCadence(t *testing.T) {
 	}
 }
 
+// TestLostReplayedLedger: a crash marks the tracker's boxes (noteLost), and
+// a delivery that returns a marked box is a replay (complete counts it in
+// the lane).
 func TestLostReplayedLedger(t *testing.T) {
 	trk := tracking(1, 2, 3)
 	m := newLedger(64)
@@ -171,33 +174,47 @@ func TestLostReplayedLedger(t *testing.T) {
 	m.noteLost(trk, []word.ReqID{1, 2, 2, 3}) // dup in one flush counts once
 	m.noteLost(trk, []word.ReqID{3})          // second component losing a copy counts once
 	m.restores++
-	if got := len(m.lost); got != 3 {
-		t.Fatalf("outstanding = %d, want 3", got)
+	replayed := 0
+	deliver := func(id word.ReqID) {
+		if p, ok := trk.Deliver(0, id, 10); ok && p.Lost {
+			replayed++
+		}
 	}
-	m.noteDelivered(2)
-	m.noteDelivered(2) // double delivery of the same id counts once
-	m.noteDelivered(9) // never-lost id is not a replay
-	if m.crashes != 1 || m.restores != 1 || m.replayed != 1 || m.lostN != 3 {
+	deliver(2)
+	deliver(2) // double delivery of the same id replays once
+	deliver(9) // never-lost id is not a replay
+	if m.crashes != 1 || m.restores != 1 || replayed != 1 || m.lostN != 3 {
 		t.Fatalf("crashes %d restores %d replayed %d lost %d, want 1 1 1 3",
-			m.crashes, m.restores, m.replayed, m.lostN)
+			m.crashes, m.restores, replayed, m.lostN)
 	}
-	// An id lost again after delivery is new lost work.
+	// A delivered id is no longer owed: losing a copy of it again is not
+	// lost work.
 	m.noteLost(trk, []word.ReqID{2})
-	m.noteDelivered(2)
-	if m.lostN != 4 || m.replayed != 2 {
-		t.Fatalf("re-lost id: lost %d replayed %d, want lost 4 replayed 2", m.lostN, m.replayed)
+	if m.lostN != 3 {
+		t.Fatalf("a delivered id re-lost: lost %d, want 3", m.lostN)
 	}
-	if len(m.lost) != 2 {
-		t.Fatalf("outstanding = %d, want 2 (ids 1 and 3)", len(m.lost))
+	// A never-lost live id delivers as no replay; the still-marked ones do.
+	trk.Track(0, core.Request{ID: 4}, false, 0)
+	deliver(4)
+	deliver(1)
+	deliver(3)
+	if replayed != 3 {
+		t.Fatalf("replayed %d, want 3 (ids 2, 1 and 3)", replayed)
 	}
 }
 
 func TestNoteLostFiltersDeliveredViaTracker(t *testing.T) {
 	// A tracker that no longer owes id 5 a delivery: flushing a stale copy
 	// of it is not lost work.
-	trk := faults.NewTracker(faults.NewInjector(faults.Plan{Seed: 1}))
+	trk := tracking(5)
+	trk.Deliver(0, 5, 10)
 	m := newLedger(64)
 	m.noteLost(trk, []word.ReqID{5})
+	if m.lostN != 0 {
+		t.Fatalf("lost_in_flight = %d for a delivered id, want 0", m.lostN)
+	}
+	// Nor of one it never tracked.
+	m.noteLost(trk, []word.ReqID{6})
 	if m.lostN != 0 {
 		t.Fatalf("lost_in_flight = %d for an untracked id, want 0", m.lostN)
 	}

@@ -61,6 +61,7 @@ func (s *Shell) mergeLanes() {
 		t.MemAcks += sh.MemAcks
 		t.Checkpoints += sh.Checkpoints
 		t.Orphans += sh.Orphans
+		t.Replayed += sh.Replayed
 		t.MemBusy += sh.MemBusy
 		t.Combines += sh.Combines
 		t.FwdHops += sh.FwdHops
@@ -241,9 +242,9 @@ func (s *Shell) serve(mod int, sh *Shard) (core.Reply, FwdEntry, bool) {
 // deliver carries a reply that has left the fabric across the terminal link
 // to its processor (r.Src).  On a trusted link it simply lands; under an
 // adversarial plan this is the last trusted hop: the reply is stamped with
-// its checksum, then the link may defer it into limbo (reorder) before the
-// far side sees it.  r is the caller's to reuse afterwards; the completion
-// is counted in ln.
+// its checksum, then the link may defer it into ln's limbo (reorder) before
+// the far side sees it.  r is the caller's to reuse afterwards; the
+// completion is counted in ln.
 func (s *Shell) deliver(site uint64, r *Rev, ln *Lane) {
 	if !s.adv {
 		s.landed(r, ln)
@@ -251,7 +252,7 @@ func (s *Shell) deliver(site uint64, r *Rev, ln *Lane) {
 	}
 	r.Rep = core.StampReply(r.Rep)
 	if d := s.flt.ReorderDelay(site, r.Rep.ID, r.Rep.Attempt); d > 0 {
-		s.revLimbo = append(s.revLimbo, heldRev{release: s.tot.Cycles + d, site: site, r: *r})
+		ln.limbo = append(ln.limbo, heldRev{release: s.tot.Cycles + d, site: site, r: *r})
 		return
 	}
 	s.deliverVerified(site, r, ln)
@@ -300,22 +301,24 @@ func (s *Shell) landed(r *Rev, ln *Lane) {
 }
 
 // complete hands one decombined reply to its processor and does the
-// delivery accounting: duplicate suppression, the crash-replay ledger,
-// latency, and the completion counters, which go to ln.  The delivery wakes
-// the port: its injector's answer and the tracker's hold may both have
-// changed.
+// delivery accounting: duplicate suppression, crash replays, latency, and
+// the completion counters, which go to ln.  It touches only processor
+// r.Src's port, injector and tracker record, the atomic latency histogram
+// and ln.  The delivery wakes the port: its injector's answer and the
+// tracker's hold may both have changed.
 func (s *Shell) complete(r *Rev, ln *Lane) {
+	lat, sh := s.tot.Cycles-r.Issue, &ln.Shard
 	if s.trk != nil {
-		if _, ok := s.trk.Deliver(r.Src, r.Rep.ID, s.tot.Cycles); !ok {
+		p, ok := s.trk.Deliver(r.Src, r.Rep.ID, s.tot.Cycles)
+		if !ok {
 			return // duplicate of an already-delivered reply; suppressed
 		}
+		if p.Lost {
+			// A crash flushed an in-flight copy; the retry machinery
+			// re-drove it here.
+			sh.Replayed++
+		}
 	}
-	if s.crash {
-		// A completion whose in-flight copy a crash flushed was re-driven
-		// here by the retry machinery — count the replay.
-		s.rec.noteDelivered(r.Rep.ID)
-	}
-	lat, sh := s.tot.Cycles-r.Issue, &ln.Shard
 	sh.Completed++
 	sh.LatencySum += lat
 	s.lat.Record(lat)
@@ -334,9 +337,11 @@ func (s *Shell) complete(r *Rev, ln *Lane) {
 }
 
 // drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of Step, module by module: a module's limbo
-// releases in the order its link deferred them, and modules share nothing a
-// release touches, so no other order is observable.  A forward release
+// runs serially at the top of Step, module by module and then lane by lane:
+// a module's limbo releases in the order its link deferred them, and so
+// does a lane's, which holds every deferred reply of the processors whose
+// replies that lane delivers; modules share nothing a release touches, nor
+// do processors, so no other order is observable.  A forward release
 // finding its module crashed or unable to take it re-holds one cycle (the
 // deferral bound is on the adversarial link, not on ordinary backpressure),
 // and held messages are never re-reordered, so the deferral is bounded by
@@ -362,15 +367,16 @@ func (s *Shell) drainLimbo() {
 		}
 		s.fwdLimbo[mod] = keep
 	}
-	if len(s.revLimbo) > 0 {
-		keep := s.revLimbo[:0]
-		for _, h := range s.revLimbo {
+	for i := range s.lanes {
+		ln := &s.lanes[i]
+		keep := ln.limbo[:0]
+		for _, h := range ln.limbo {
 			if h.release > s.tot.Cycles {
 				keep = append(keep, h)
 				continue
 			}
 			s.deliverVerified(h.site, &h.r, &s.lanes[0])
 		}
-		s.revLimbo = keep
+		ln.limbo = keep
 	}
 }

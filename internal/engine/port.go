@@ -24,7 +24,9 @@ import (
 // and held at the port while an earlier request by p to the same
 // address is undelivered, so a drop cannot reorder the processor's own
 // accesses to a location; the issue is counted in ln.  The returned message
-// stays owned by the port until Sent.
+// stays owned by the port until Sent.  Offer and Sent touch only processor
+// p's state — its retry list, pending slot, injector, tracker record and
+// trace buffer — besides ln and the tracker's atomic counters.
 //
 // A port whose answer only a delivery can change sleeps until one (asleep):
 // its injector said so (Injection.UntilReply), or the tracker holds its

@@ -24,7 +24,7 @@ type Injection struct {
 //
 // One injector's calls never overlap: the shell calls Next and Deliver of a
 // port from one goroutine at a time.  Injectors of different ports may be
-// called at the same time — on a clean staged machine at Workers > 1 each
+// called at the same time — on any staged machine at Workers > 1 each
 // worker serves the ports of its own stage-0 switches — so an injector
 // must not share mutable state with another port's injector (an id
 // generator, a counter, a random source, a timer) unless it synchronizes
@@ -106,6 +106,9 @@ type Shard struct {
 	MemAcks     int64 // replies that emerged from memory modules
 	Checkpoints int64 // module checkpoints committed
 	Orphans     int64 // module replies with no request metadata
+	// Replayed counts deliveries of operations a crash had flushed
+	// (faults.Pending.Lost): the retry machinery re-drove them.
+	Replayed int64
 	// MemBusy counts module service cycles.  serve is the only caller of
 	// Module.Tick, so the total is the sum of Module.BusyCycles without the
 	// watchdog signature walking the modules every cycle.
@@ -126,19 +129,22 @@ type Shard struct {
 }
 
 // Lane is one goroutine's working set inside a cycle: the counters its hops
-// and ports write, the replies they brought home to a processor and the
-// bodies they freed.  Every hop takes the caller's lane, so a worker phase
-// writes only memory it owns: pool worker w uses Lane(w), and what a
-// schedule runs outside its pool uses Lane(0).  Commit delivers the lanes'
-// replies, lane by lane in order — a schedule whose workers take contiguous
-// ascending ranges thus delivers in the same order at every width —
-// CommitLane one lane's, and the shell folds the counters into the totals,
-// and the freed bodies into the store, after every sweep.  The pad keeps
-// adjacent lanes of the contiguous slice off one cache line.
+// and ports write, the replies they brought home to a processor, the
+// bodies they freed and the replies its deliveries' adversarial links
+// deferred (limbo, released by the next prologues).  Every hop takes the
+// caller's lane, so a worker phase writes only memory it owns: pool worker
+// w uses Lane(w), and what a schedule runs outside its pool uses Lane(0).
+// Commit delivers the lanes' replies, lane by lane in order — a schedule
+// whose workers take contiguous ascending ranges thus delivers in the same
+// order at every width — CommitLane one lane's, and the shell folds the
+// counters into the totals, and the freed bodies into the store, after
+// every sweep.  The pad keeps adjacent lanes of the contiguous slice off one
+// cache line.
 type Lane struct {
 	Shard
 	Home  []RevEntry
 	freed []int32
+	limbo []heldRev
 	_     [64]byte
 }
 
@@ -216,7 +222,9 @@ type ShellConfig struct {
 	Stages   int
 	Faults   *faults.Plan
 	// Trace, when non-nil, receives every event of every cycle after the
-	// sweep, in the same order at every pool width (trace.go).  A module's
+	// sweep, in the same order at every pool width (trace.go): each
+	// processor's port events in processor order, then each station's in
+	// station order, then each module's that no station fronts.  A module's
 	// service is recorded at the station its reply enters, so a wiring
 	// whose modules answer the processor links directly records none.
 	Trace func(Event)
@@ -267,13 +275,13 @@ type Shell struct {
 	fwdMemo  []refusal
 	portMemo []portRefusal
 	// trace is the event sink (ShellConfig.Trace); events[at] is station at's
-	// buffer for the cycle, portEvents the processor ports' and modEvents[mod]
+	// buffer for the cycle, portEvents[p] processor p's and modEvents[mod]
 	// module mod's when no station sits between it and the processors (Tick
-	// with at < 0), each with the owner of its station, ports or module
+	// with at < 0), each with the owner of its station, port or module
 	// (trace.go).
 	trace      func(Event)
 	events     [][]Event
-	portEvents []Event
+	portEvents [][]Event
 	modEvents  [][]Event
 
 	tot Totals // tot.Cycles is the machine's clock
@@ -331,10 +339,11 @@ type Shell struct {
 	// buffers hold reordered messages until their release cycle.  The
 	// forward limbo is per module — fwdLimbo[mod] is owned like meta[mod],
 	// by whoever feeds module mod — so each module's releases keep the order
-	// its link deferred them in at any width (DESIGN.md §8).
+	// its link deferred them in at any width (DESIGN.md §8); the reverse
+	// limbo is per lane (Lane.limbo), and a processor's replies all go
+	// through one lane, so each processor's releases keep theirs.
 	adv      bool
 	fwdLimbo [][]heldFwd
-	revLimbo []heldRev
 }
 
 // Init sizes the shell; the embedding engine calls it once from its
@@ -384,6 +393,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 	st.back = s.links.Back
 	if s.trace != nil {
 		s.events = make([][]Event, st.Len())
+		s.portEvents = make([][]Event, procs)
 		s.modEvents = make([][]Event, cfg.Modules)
 		st.trace = s.stationEvent
 	}
@@ -395,7 +405,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		return
 	}
 	s.flt = faults.NewInjector(*cfg.Faults)
-	s.trk = faults.NewTracker(s.flt)
+	s.trk = faults.NewTracker(s.flt, procs)
 	plan := s.flt.Plan()
 	s.adv = plan.HasAdversarial()
 	if s.adv {
@@ -404,7 +414,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 	s.retry = make([]core.FIFO[Fwd], procs)
 	s.stall = make([]bool, st.Len())
 	if s.crash = plan.HasCrashes(); s.crash {
-		s.rec = ledger{every: plan.CheckpointEvery, lost: make(map[word.ReqID]struct{})}
+		s.rec = ledger{every: plan.CheckpointEvery}
 		s.swDead = make([]bool, st.Len())
 		s.memDead = make([]bool, cfg.Modules)
 	}
@@ -589,7 +599,7 @@ func (s *Shell) StallReport() string {
 // cross-engine API (see internal/stats): the shared counters, then what the
 // wiring names its own, then the fault/recovery block, the
 // recovery-latency histogram and the retry tracker's current timeout when a
-// plan is armed.
+// plan is armed (settled first: Tracker.Settle).
 func (s *Shell) Snapshot() stats.Snapshot {
 	t := s.Totals()
 	c := Counters{
@@ -635,11 +645,14 @@ func (s *Shell) Snapshot() stats.Snapshot {
 			CorruptDropped: s.flt.CorruptDropped.Load(),
 			Crashes:        s.rec.crashes,
 			Restores:       s.rec.restores,
-			Replayed:       s.rec.replayed,
+			Replayed:       t.Replayed,
 			LostInFlight:   s.rec.lostN,
 			CrashCycles:    s.flt.CrashCycles.Load(),
 		})
 		snap.Histograms["recovery_latency_cycles"] = s.trk.RecoveryLatency.Snapshot()
+		// The timeout the next arm uses: the last cycle's round trips
+		// folded in, as the next Expired would first.
+		s.trk.Settle()
 		snap.Gauges["retry_timeout_cycles"] = s.trk.Timeout(1)
 	}
 	return snap

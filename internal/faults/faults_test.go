@@ -117,7 +117,7 @@ func TestStallWindows(t *testing.T) {
 // TestTimeoutBackoff: before the first round-trip sample the tracker's
 // timeouts are capped exponential backoff from the plan base.
 func TestTimeoutBackoff(t *testing.T) {
-	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 10, RetryCap: 35}))
+	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 10, RetryCap: 35}), 1)
 	want := []int64{10, 10, 20, 35, 35, 35}
 	for attempt, w := range want {
 		if got := trk.Timeout(uint32(attempt)); got != w {
@@ -125,7 +125,7 @@ func TestTimeoutBackoff(t *testing.T) {
 		}
 	}
 	// Defaults fill in: base 64, cap 8×64.
-	def := NewTracker(NewInjector(Plan{Seed: 1}))
+	def := NewTracker(NewInjector(Plan{Seed: 1}), 1)
 	if def.Timeout(1) != 64 || def.Timeout(20) != 512 {
 		t.Fatalf("default backoff = %d..%d, want 64..512", def.Timeout(1), def.Timeout(20))
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"combining/internal/core"
@@ -16,13 +17,20 @@ import (
 // (proc, addr), and an Expired that walks the whole map every call.  Its
 // round-trip estimator is RFC 6298 §2 written out step by step; srtt and
 // rttvar are kept in eighths and quarters so that its integer division
-// rounds as the tracker's shifts do.
+// rounds as the tracker's shifts do.  Like the tracker it settles at the top
+// of Expired: the round trips delivered since the last settle are folded
+// processor by processor in index order, each processor's in delivery
+// order, and only then are the requests tracked since given deadlines.
 type modelTracker struct {
 	plan    Plan
 	live    map[word.ReqID]*Pending
 	perAddr map[addrKey]int
 	// next is 1 + each processor's last tracked id.
 	next map[int]word.ReqID
+	// fresh are the ids tracked, and rtts[proc] the first-attempt round
+	// trips delivered, since the last settle.
+	fresh []word.ReqID
+	rtts  map[int][]int64
 
 	samples        int
 	srtt8, rttvar4 int64
@@ -36,7 +44,8 @@ type addrKey struct {
 }
 
 func newModelTracker(flt *Injector) *modelTracker {
-	return &modelTracker{plan: flt.Plan(), live: map[word.ReqID]*Pending{}, perAddr: map[addrKey]int{}, next: map[int]word.ReqID{}}
+	return &modelTracker{plan: flt.Plan(), live: map[word.ReqID]*Pending{}, perAddr: map[addrKey]int{},
+		next: map[int]word.ReqID{}, rtts: map[int][]int64{}}
 }
 
 // rto is the first attempt's timeout: the plan's RetryTimeout until a
@@ -77,9 +86,42 @@ func (t *modelTracker) observe(r int64) {
 }
 
 func (t *modelTracker) Track(proc int, req core.Request, hot bool, now int64) {
-	t.live[req.ID] = &Pending{Proc: proc, Req: req, Hot: hot, IssueCycle: now, Deadline: now + t.timeout(1)}
+	t.live[req.ID] = &Pending{Proc: proc, Req: req, Hot: hot, IssueCycle: now}
 	t.perAddr[addrKey{proc, req.Addr}]++
 	t.next[proc] = req.ID + 1
+	t.fresh = append(t.fresh, req.ID)
+}
+
+// markLost marks a live, unmarked request lost and reports whether it did.
+func (t *modelTracker) markLost(id word.ReqID) bool {
+	p, ok := t.live[id]
+	if !ok || p.Lost {
+		return false
+	}
+	p.Lost = true
+	return true
+}
+
+// settle folds the pending round trips, processors in index order, then
+// arms the requests tracked since the last settle that are still live.
+func (t *modelTracker) settle() {
+	procs := make([]int, 0, len(t.rtts))
+	for proc := range t.rtts {
+		procs = append(procs, proc)
+	}
+	sort.Ints(procs)
+	for _, proc := range procs {
+		for _, r := range t.rtts[proc] {
+			t.observe(r)
+		}
+	}
+	clear(t.rtts)
+	for _, id := range t.fresh {
+		if p, ok := t.live[id]; ok {
+			p.Deadline = p.IssueCycle + t.timeout(1)
+		}
+	}
+	t.fresh = t.fresh[:0]
 }
 
 // floor is the processor's delivered floor by a full scan: its smallest
@@ -112,12 +154,13 @@ func (t *modelTracker) Deliver(id word.ReqID, now int64) (Pending, bool) {
 	if p.Req.Attempt > 0 {
 		t.recovered++
 	} else {
-		t.observe(now - p.IssueCycle)
+		t.rtts[p.Proc] = append(t.rtts[p.Proc], now-p.IssueCycle)
 	}
 	return *p, true
 }
 
 func (t *modelTracker) Expired(now int64) []Pending {
+	t.settle()
 	var out []Pending
 	for _, p := range t.live {
 		if now < p.Deadline {
@@ -164,18 +207,19 @@ var modelPlans = []Plan{
 }
 
 // runTrackerSchedule drives the tracker and the model with one schedule, two
-// bytes a step, and fails on the first difference: in what Deliver and
-// Expired return, or afterwards in Outstanding, in Floors, in Live and
+// bytes a step, and fails on the first difference: in what Deliver, MarkLost
+// and Expired return, or afterwards in Outstanding, in Timeout, in Floors, in
 // Current of every id ever issued and in HeldBack of every (proc, addr).
 // The first byte picks the step — track (to a shared address half the time,
 // so a processor's requests pile up on it and HeldBack and the deferral
-// fire), deliver a live request, deliver again one already delivered,
-// advance a cycle, skip cycles — and the second its operand.  It returns how many retransmits and deferrals it
+// fire), deliver a live request, deliver again one already delivered or
+// (one time in four) mark an issued id lost, advance a cycle (settling),
+// skip cycles — and the second its operand.  It returns how many retransmits and deferrals it
 // saw.
 func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, deferred int) {
 	t.Helper()
 	const procs, addrs = 4, 3
-	trk, model := NewTracker(NewInjector(plan)), newModelTracker(NewInjector(plan))
+	trk, model := NewTracker(NewInjector(plan), procs), newModelTracker(NewInjector(plan))
 	var now int64
 	var issued []word.ReqID
 	seq := make([]int, procs)
@@ -233,6 +277,11 @@ func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, defe
 				id := ids[arg%len(ids)]
 				deliver(step, owner(id), id)
 			}
+		case op == 6 && arg%4 == 3 && len(issued) > 0:
+			id := issued[arg/4%len(issued)]
+			if got, want := trk.MarkLost(id), model.markLost(id); got != want {
+				t.Fatalf("step %d: MarkLost(%d) = %v, the model says %v", step, id, got, want)
+			}
 		case op == 6:
 			if len(issued) > 0 {
 				id := issued[arg%len(issued)]
@@ -263,9 +312,6 @@ func runTrackerSchedule(t *testing.T, plan Plan, schedule []byte) (retries, defe
 		}
 		for _, id := range issued {
 			p, live := model.live[id]
-			if trk.Live(id) != live {
-				t.Fatalf("step %d: Live(%d) = %v, the model says %v", step, id, !live, live)
-			}
 			attempts := []uint32{0, 1, 2}
 			if live {
 				attempts = append(attempts, p.Req.Attempt, p.Req.Attempt+1)
@@ -325,7 +371,9 @@ func TestRetryTimeoutEstimator(t *testing.T) {
 	var now int64
 	var next word.ReqID
 	// roundTrip tracks a request and delivers it r cycles later; with
-	// retransmit set it first lets the request time out and go again.
+	// retransmit set it first lets the request time out and go again.  It
+	// then settles, which folds the round trip into the estimate the caller
+	// reads.
 	roundTrip := func(trk *Tracker, r int64, retransmit bool) {
 		t.Helper()
 		next++
@@ -340,8 +388,9 @@ func TestRetryTimeoutEstimator(t *testing.T) {
 		if _, ok := trk.Deliver(0, next, now); !ok {
 			t.Fatalf("request %d not delivered", next)
 		}
+		trk.Settle()
 	}
-	trk := NewTracker(NewInjector(plan))
+	trk := NewTracker(NewInjector(plan), 1)
 	if got := trk.Timeout(1); got != 16 {
 		t.Fatalf("RTO before any sample = %d, want RetryTimeout 16", got)
 	}
@@ -375,12 +424,12 @@ func TestRetryTimeoutEstimator(t *testing.T) {
 	}
 	// Clamp: a huge first sample pins the RTO at the cap, a run of tiny ones
 	// brings it down to the floor and no further.
-	huge := NewTracker(NewInjector(plan))
+	huge := NewTracker(NewInjector(plan), 1)
 	roundTrip(huge, 1<<30, false)
 	if got := huge.Timeout(1); got != 1000 {
 		t.Fatalf("RTO after a sample of 2^30 = %d, want RetryCap 1000", got)
 	}
-	tiny := NewTracker(NewInjector(plan))
+	tiny := NewTracker(NewInjector(plan), 1)
 	for i := 0; i < 64; i++ {
 		roundTrip(tiny, 1, false)
 	}
@@ -390,7 +439,7 @@ func TestRetryTimeoutEstimator(t *testing.T) {
 	// The wheel: one revolution longer than RetryCap, up to its 4096 bound.
 	for _, p := range append([]Plan{plan}, modelPlans...) {
 		flt := NewInjector(p)
-		if c, n := flt.Plan().RetryCap, int64(len(NewTracker(flt).wheel)); n <= c && n < 4096 {
+		if c, n := flt.Plan().RetryCap, int64(len(NewTracker(flt, 1).wheel)); n <= c && n < 4096 {
 			t.Errorf("RetryCap %d: a wheel of %d buckets does not cover it", c, n)
 		}
 	}
@@ -412,8 +461,8 @@ func FuzzTrackerModel(f *testing.F) {
 // scratch slices have reached their working size, a round of issue, expiry
 // (with a retransmit in it) and delivery allocates nothing.
 func TestTrackerSteadyStateZeroAlloc(t *testing.T) {
-	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 4, RetryCap: 8}))
 	const procs = 8
+	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 4, RetryCap: 8}), procs)
 	reqs := make([]core.Request, procs)
 	for p := range reqs {
 		reqs[p] = core.NewRequest(0, word.Addr(p%3), rmw.FetchAdd(1), word.ProcID(p))
@@ -449,6 +498,58 @@ func TestTrackerSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTrackerPortsConcurrent: between settles, the ports of different
+// processors touch disjoint records, so two goroutines may drive Track,
+// Deliver, Current and HeldBack for processors 0 and 1 at once, as the
+// workers of a staged machine do for the processors of their own stage-0
+// switches.  Under -race a write either makes to state the other reads —
+// the estimator, the wheel, a shared free list or count — fails it.  Each
+// round delivers the previous round's requests (armed by the settle in
+// between) and half its own (never armed), then settles serially.
+func TestTrackerPortsConcurrent(t *testing.T) {
+	const procs, window = 2, 4
+	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 2, RetryCap: 64}), procs)
+	id := func(round, i, p int) word.ReqID { return word.ReqID((round*window+i)*procs + p + 1) }
+	var now int64
+	for round := 0; round < 64; round++ {
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < window; i++ {
+					trk.Track(p, core.NewRequest(id(round, i, p), word.Addr(i), rmw.FetchAdd(1), word.ProcID(p)), false, now)
+					trk.HeldBack(p, word.Addr(i))
+					if !trk.Current(p, id(round, i, p), 0) {
+						t.Errorf("round %d: processor %d's request %d is not current", round, p, id(round, i, p))
+					}
+				}
+				for i := 0; i < window; i++ {
+					if round > 0 && i%2 == 1 {
+						if _, ok := trk.Deliver(p, id(round-1, i, p), now); !ok {
+							t.Errorf("round %d: processor %d's request %d was not live", round, p, id(round-1, i, p))
+						}
+					}
+					if i%2 == 0 {
+						trk.Deliver(p, id(round, i, p), now)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		now++
+		if got := trk.Expired(now); len(got) != 0 {
+			t.Fatalf("round %d: %d retransmits before any deadline", round, len(got))
+		}
+	}
+	if got, want := trk.Outstanding(), procs*window/2; got != want {
+		t.Fatalf("outstanding %d, want %d (the last round's odd requests)", got, want)
+	}
+	if trk.Duplicates.Load() != 0 {
+		t.Fatalf("%d duplicates", trk.Duplicates.Load())
+	}
+}
+
 // FuzzPlanRoundTrip: ParsePlan never panics, and a plan it accepts survives
 // EncodePlan and ParsePlan unchanged — the spec a chaos reproducer prints is
 // the plan that failed.
@@ -479,7 +580,7 @@ func FuzzPlanRoundTrip(f *testing.F) {
 // else one past the last id it tracked, and 0 before its first; and Track
 // refuses an id that does not increase the processor's last.
 func TestTrackerFloors(t *testing.T) {
-	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 64, RetryCap: 512}))
+	trk := NewTracker(NewInjector(Plan{Seed: 1, RetryTimeout: 64, RetryCap: 512}), 3)
 	floors := make([]word.ReqID, 3)
 	check := func(want ...word.ReqID) {
 		t.Helper()

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,9 +149,11 @@ func TestLoadForwardingDisabledIsCorrect(t *testing.T) {
 // violation with the optimization enabled and none with it disabled.  A
 // forwarded load is answered at the station, so no Served event places it:
 // the certificate misses it and the search, which must then fail on the
-// final value, names the failure class.
+// final value, names the failure class.  Every run is made at Workers 1
+// and 3, whose workers serve their own ports and run the Intercept on their
+// own switches: the two must give the same trace and the same verdict.
 func TestBuggyForwardingDetectedStochastically(t *testing.T) {
-	run := func(seed uint64, buggy bool) error {
+	run := func(seed uint64, buggy bool, workers int) ([]engine.Event, error) {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		progs := make([][]Instr, 16)
 		for p := range progs {
@@ -164,8 +168,9 @@ func TestBuggyForwardingDetectedStochastically(t *testing.T) {
 			}
 			progs[p] = prog
 		}
-		fold := serial.NewFold()
-		cfg := network.Config{Procs: 16, QueueCap: 4, WaitBufCap: 0, BuggyLoadForwarding: buggy, Trace: fold.Record}
+		fold, log := serial.NewFold(), &engine.TraceLog{}
+		trace := func(e engine.Event) { fold.Record(e); log.Record(e) }
+		cfg := network.Config{Procs: 16, QueueCap: 4, WaitBufCap: 0, BuggyLoadForwarding: buggy, Workers: workers, Trace: trace}
 		m := New(progs, func(inj []engine.Injector) engine.Machine { return network.NewSim(cfg, inj) })
 		if !m.Run(50000) {
 			t.Fatal("stochastic programs did not complete")
@@ -174,7 +179,19 @@ func TestBuggyForwardingDetectedStochastically(t *testing.T) {
 			0: m.Memory().Peek(0),
 			1: m.Memory().Peek(1),
 		}
-		return serial.Check(m.History(), fold.Certificate(), nil, final)
+		return log.Events, serial.Check(m.History(), fold.Certificate(), nil, final)
+	}
+	// verdict runs a seed at both widths and returns the one-worker verdict.
+	verdict := func(seed uint64, buggy bool) error {
+		events, err := run(seed, buggy, 1)
+		events3, err3 := run(seed, buggy, 3)
+		if !slices.Equal(events3, events) {
+			t.Errorf("seed %d buggy=%v: Workers=3 traced %d events, one worker %d, or in another order", seed, buggy, len(events3), len(events))
+		}
+		if fmt.Sprint(err3) != fmt.Sprint(err) {
+			t.Errorf("seed %d buggy=%v: Workers=3 verdict %v, one worker %v", seed, buggy, err3, err)
+		}
+		return err
 	}
 
 	if testing.Short() {
@@ -182,13 +199,13 @@ func TestBuggyForwardingDetectedStochastically(t *testing.T) {
 	}
 	violations := 0
 	for seed := uint64(1); seed <= 5; seed++ {
-		if err := run(seed, true); err != nil {
+		if err := verdict(seed, true); err != nil {
 			if !strings.HasPrefix(err.Error(), "per-location serializability violated: ") {
 				t.Errorf("seed %d: caught as %q, want the search's class", seed, err)
 			}
 			violations++
 		}
-		if err := run(seed, false); err != nil {
+		if err := verdict(seed, false); err != nil {
 			t.Errorf("seed %d: correct network rejected: %v", seed, err)
 		}
 	}

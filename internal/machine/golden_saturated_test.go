@@ -114,10 +114,10 @@ func TestGoldenSaturated(t *testing.T) {
 var goldenSaturatedTable = map[string]string{
 	"omega/clean/w1":         "3a327a0fbca37a2f",
 	"omega/clean/w3":         "3a327a0fbca37a2f",
-	"omega/crashdrop/w1":     "b32bdaf2633ad095",
-	"omega/crashdrop/w3":     "b32bdaf2633ad095",
+	"omega/crashdrop/w1":     "dd150f02b5540851",
+	"omega/crashdrop/w3":     "dd150f02b5540851",
 	"hypercube/clean/w1":     "71de956571cb3edf",
 	"hypercube/clean/w3":     "71de956571cb3edf",
-	"hypercube/crashdrop/w1": "a69e5f0fa7fd45a6",
-	"hypercube/crashdrop/w3": "a69e5f0fa7fd45a6",
+	"hypercube/crashdrop/w1": "5859d2e634127d44",
+	"hypercube/crashdrop/w3": "5859d2e634127d44",
 }

@@ -113,48 +113,48 @@ var goldenTable = map[string]string{
 	"omega/clean/w3":           "755444adfcd24202",
 	"omega/faults/w1":          "3f8b2b770ee43e97",
 	"omega/faults/w3":          "3f8b2b770ee43e97",
-	"omega/crashdrop/w1":       "d1f6cd825e7811b7",
-	"omega/crashdrop/w3":       "d1f6cd825e7811b7",
-	"omega/adversarial/w1":     "044c59fb92b0003f",
-	"omega/adversarial/w3":     "044c59fb92b0003f",
+	"omega/crashdrop/w1":       "e97e56642ba1eea5",
+	"omega/crashdrop/w3":       "e97e56642ba1eea5",
+	"omega/adversarial/w1":     "e9e5fff8b33e358a",
+	"omega/adversarial/w3":     "e9e5fff8b33e358a",
 	"omega4/clean/w1":          "a6608ed54f5e7ea6",
 	"omega4/clean/w3":          "a6608ed54f5e7ea6",
 	"omega4/faults/w1":         "2307047428caaefe",
 	"omega4/faults/w3":         "2307047428caaefe",
-	"omega4/crashdrop/w1":      "0dfd284749eebad5",
-	"omega4/crashdrop/w3":      "0dfd284749eebad5",
+	"omega4/crashdrop/w1":      "dff6b451f1e7bb4e",
+	"omega4/crashdrop/w3":      "dff6b451f1e7bb4e",
 	"omega4/adversarial/w1":    "222d07b3129e9124",
 	"omega4/adversarial/w3":    "222d07b3129e9124",
 	"fattree/clean/w1":         "748b271a60143555",
 	"fattree/clean/w3":         "748b271a60143555",
 	"fattree/faults/w1":        "86f8e406d7a5d404",
 	"fattree/faults/w3":        "86f8e406d7a5d404",
-	"fattree/crashdrop/w1":     "fbdae6872fc46793",
-	"fattree/crashdrop/w3":     "fbdae6872fc46793",
+	"fattree/crashdrop/w1":     "abc0049c1b674128",
+	"fattree/crashdrop/w3":     "abc0049c1b674128",
 	"fattree/adversarial/w1":   "05998717c55dabb3",
 	"fattree/adversarial/w3":   "05998717c55dabb3",
 	"hypercube/clean/w1":       "fc2c7bddd8966d57",
 	"hypercube/clean/w3":       "fc2c7bddd8966d57",
 	"hypercube/faults/w1":      "9e14fd8f7f40d04a",
 	"hypercube/faults/w3":      "9e14fd8f7f40d04a",
-	"hypercube/crashdrop/w1":   "c9541bb06e96d634",
-	"hypercube/crashdrop/w3":   "c9541bb06e96d634",
+	"hypercube/crashdrop/w1":   "e6ddf1b81662d9de",
+	"hypercube/crashdrop/w3":   "e6ddf1b81662d9de",
 	"hypercube/adversarial/w1": "10bdecc81d95a661",
 	"hypercube/adversarial/w3": "10bdecc81d95a661",
 	"torus/clean/w1":           "98e43d593c32fafd",
 	"torus/clean/w3":           "98e43d593c32fafd",
 	"torus/faults/w1":          "71691c61d3693445",
 	"torus/faults/w3":          "71691c61d3693445",
-	"torus/crashdrop/w1":       "02ce126da0ad629d",
-	"torus/crashdrop/w3":       "02ce126da0ad629d",
+	"torus/crashdrop/w1":       "b7959100a7df795b",
+	"torus/crashdrop/w3":       "b7959100a7df795b",
 	"torus/adversarial/w1":     "f7e700d2f756b79c",
 	"torus/adversarial/w3":     "f7e700d2f756b79c",
 	"bus/clean/w1":             "f65ca731e48624a8",
 	"bus/clean/w3":             "f65ca731e48624a8",
-	"bus/faults/w1":            "8ee00a30cd4d90d8",
-	"bus/faults/w3":            "8ee00a30cd4d90d8",
-	"bus/crashdrop/w1":         "175a2f7ebb4e11e7",
-	"bus/crashdrop/w3":         "175a2f7ebb4e11e7",
+	"bus/faults/w1":            "b27da33490959073",
+	"bus/faults/w3":            "b27da33490959073",
+	"bus/crashdrop/w1":         "ccbed3336e401512",
+	"bus/crashdrop/w3":         "ccbed3336e401512",
 	"bus/adversarial/w1":       "d8c75d326a35e668",
 	"bus/adversarial/w3":       "d8c75d326a35e668",
 }

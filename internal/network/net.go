@@ -98,9 +98,9 @@ type Config struct {
 	Faults *faults.Plan
 	// Trace, when non-nil, observes every inject/combine/reject/memory/
 	// decombine/deliver event (engine.ShellConfig.Trace): a cycle's events
-	// arrive after its sweep, the ports' first, then each switch's in
-	// switch order, stage by stage.  Tracing a long run is expensive; it is
-	// meant for audits and walkthroughs.
+	// arrive after its sweep, each processor's in processor order first,
+	// then each switch's in switch order, stage by stage.  Tracing a long
+	// run is expensive; it is meant for audits and walkthroughs.
 	Trace func(engine.Event)
 }
 
@@ -218,15 +218,13 @@ type Sim struct {
 	// the cycle loop allocates no closures), the phases after reverse stage
 	// 0 and their switch lists — lists[(i·workers+w)·2+j] are the switches
 	// of phases[i].stages[j] worker w hops, ascending, and stage0[w] the
-	// stage-0 switches it owns.  ownPorts says each worker serves the ports
-	// of its stage-0 switches: ports[w] are their processors, ascending.  See
-	// parallel.go and DESIGN.md §6.1.
+	// stage-0 switches it owns, whose ports it serves: ports[w] are their
+	// processors, ascending.  See parallel.go and DESIGN.md §6.1.
 	pool          *par.Pool
 	bar           par.Barrier
 	stepFn        func(w int)
 	phases        []phase
 	lists, stage0 [][]int32
-	ownPorts      bool
 	ports         [][]int32
 }
 
@@ -254,7 +252,6 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	s.stepFn = s.phaseWorker
 	s.phases = stagedPhases(k)
 	s.lists, s.stage0 = switchLists(topo, s.pool.Workers(), s.phases)
-	s.ownPorts = cfg.Faults == nil && cfg.Trace == nil && !cfg.BuggyLoadForwarding
 	s.ports = portsOf(topo, s.stage0)
 	s.Shell.Init(engine.ShellConfig{
 		Engine:      "network",
@@ -301,23 +298,14 @@ func forwardLoad(sw *engine.Stations, at, out int, e engine.FwdEntry, path engin
 	return false
 }
 
-// sweep is the staged network's schedule: replies descend, destination side
-// first; modules tick; requests ascend, memory side first (the pool's
-// phases, phaseWorker); processors inject — each worker its own on a clean
-// machine, else the stepping goroutine all of them, in rotation order, after
-// the pool.  Station order within a column rotates with the cycle so
-// contending streams share a downstream queue fairly (round-robin
+// sweep is the staged network's schedule, the pool's phases (phaseWorker):
+// replies descend, destination side first; modules tick; requests ascend,
+// memory side first; each worker delivers to and injects the processors of
+// its own stage-0 switches.  Station order within a column rotates with the
+// cycle so contending streams share a downstream queue fairly (round-robin
 // arbitration, as in real switches).  Column order alone keeps every
 // message to one hop per cycle here; the hops' stamps agree with it.
-func (s *Sim) sweep() {
-	s.pool.Run(s.stepFn)
-	if s.ownPorts {
-		return
-	}
-	for i, p := 0, s.Turn(s.n); i < s.n; i, p = i+1, engine.Next(p, s.n) {
-		s.Inject(p, s.Lane(0))
-	}
-}
+func (s *Sim) sweep() { s.pool.Run(s.stepFn) }
 
 // memSwitch is the last-stage switch whose output line is wired to module
 // mod: its replies enter the network there.
