@@ -194,9 +194,10 @@ stepbench:
 # stepper change is screened at both widths and against both of
 # ROADMAP item 9's bars (w2/w1 at 1024 and at 256 processors).  Prints min / first
 # quartile / median µs per cycle (ns/op: one Step per op) of each side and
-# the ratios ref/tree (> 1: the tree is faster), then each side's w2/w1
-# speed-up of the medians per parallel case.  No threshold; CI runs it
-# with ROUNDS=2 REF=HEAD as a smoke.
+# the ratios ref/tree (> 1: the tree is faster), beside them each side's
+# heap allocations per cycle (allocs/op under -test.benchmem, the mean over
+# the rounds), then each side's w2/w1 speed-up of the medians per parallel
+# case.  No threshold; CI runs it with ROUNDS=2 REF=HEAD as a smoke.
 REF ?= HEAD
 ROUNDS ?= 12
 stepcmp:
@@ -207,18 +208,19 @@ stepcmp:
 		go test -c -o $$d/tree-$$p.test ./internal/$$p/; \
 	done; \
 	run() { for c in 'network:^BenchmarkStep$$' 'network:^BenchmarkParallelStep$$/^(n256|n1024|n1024hot8|n256faulted)$$/^w[12]$$' 'hypercube:^BenchmarkStep$$'; do \
-		p=$${c%%:*}; (cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench "$${c#*:}" -test.benchtime 3000x -test.timeout 10m) | \
+		p=$${c%%:*}; (cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench "$${c#*:}" -test.benchtime 3000x -test.benchmem -test.timeout 10m) | \
 		awk -v side=$$1 -v p=$$p '/^Benchmark(Parallel)?Step\// { sub(/^BenchmarkStep\//, "", $$1); sub(/^BenchmarkParallelStep\//, "parallel/", $$1); \
-			sub(/-[0-9]+$$/, "", $$1); for (i = 3; i < NF; i++) if ($$(i+1) == "ns/op") print side, p "/" $$1, $$i / 1000 }'; done; }; \
+			sub(/-[0-9]+$$/, "", $$1); for (i = 3; i < NF; i++) { if ($$(i+1) == "ns/op") us = $$i / 1000; if ($$(i+1) == "allocs/op") al = $$i } \
+			print side, p "/" $$1, us, al }'; done; }; \
 	for r in $$(seq 1 $(ROUNDS)); do \
 		if [ $$((r % 2)) = 1 ]; then run ref; run tree; else run tree; run ref; fi; \
 	done | sort -k2,2 -k1,1 -k3,3g | awk ' \
 		function q(f) { i = 1 + (n - 1) * f; lo = int(i); return v[lo] + (i - lo) * (v[lo < n ? lo + 1 : lo] - v[lo]) } \
-		function flush() { if (n) { m[key] = v[1]; q1[key] = q(0.25); md[key] = q(0.5) } n = 0 } \
-		{ if ($$1 " " $$2 != key) { flush(); key = $$1 " " $$2; if ($$1 == "ref") cases[++nc] = $$2 } v[++n] = $$3 } \
-		END { flush(); printf "%-28s %26s   %26s   %s\n", "us/cycle: min / q1 / median", "$(REF)", "working tree", "ratio min / q1 / median"; \
+		function flush() { if (n) { m[key] = v[1]; q1[key] = q(0.25); md[key] = q(0.5); al[key] = asum / n } n = 0; asum = 0 } \
+		{ if ($$1 " " $$2 != key) { flush(); key = $$1 " " $$2; if ($$1 == "ref") cases[++nc] = $$2 } v[++n] = $$3; asum += $$4 } \
+		END { flush(); printf "%-28s %26s   %26s   %-23s   %s\n", "us/cycle: min / q1 / median", "$(REF)", "working tree", "ratio min / q1 / median", "allocs/cycle ref / tree"; \
 		for (c = 1; c <= nc; c++) { a = "ref " cases[c]; b = "tree " cases[c]; \
-			printf "%-28s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b] } \
+			printf "%-28s %8.1f %8.1f %8.1f   %8.1f %8.1f %8.1f   %5.2fx %5.2fx %5.2fx   %7.1f %7.1f\n", cases[c], m[a], q1[a], md[a], m[b], q1[b], md[b], m[a]/m[b], q1[a]/q1[b], md[a]/md[b], al[a], al[b] } \
 		for (c = 1; c <= nc; c++) if (cases[c] ~ /\/w2$$/) { w = cases[c]; sub(/w2$$/, "w1", w); if (("ref " w) in md) { \
 			l = substr(w, 1, length(w) - 3); sub(/^network\//, "", l); \
 			printf "%-28s %26.2fx   %26.2fx\n", "w2/w1 " l, md["ref " w]/md["ref " cases[c]], md["tree " w]/md["tree " cases[c]] } } }'

@@ -22,9 +22,9 @@ import (
 
 // Request is a memory request message ⟨id, addr, f⟩ plus the metadata the
 // combining rules need, behind one pointer (Lineage): the set of issuing
-// processors it represents and, when Lemma 4.1 bookkeeping is enabled, the
-// ordered list of original requests it represents.  The message itself is
-// 48 bytes.
+// processors it represents and, when a combiner keeps Lemma 4.1's books
+// (Policy.Bookkeeping), the ordered list of original requests a combined
+// message represents.  The message itself is 48 bytes.
 type Request struct {
 	ID   word.ReqID
 	Addr word.Addr
@@ -62,9 +62,10 @@ type Lineage struct {
 	Srcs []word.ProcID
 
 	// Reps is the representation list of Lemma 4.1: the original
-	// requests, in serialization order.  It is carried only when the
-	// issuing machine enables debug bookkeeping; production transports
-	// leave it nil.
+	// requests, in serialization order.  Only a combined message built by
+	// a combiner that keeps the books (Policy.Bookkeeping) carries one; an
+	// uncombined message leaves it nil and stands for its own one leaf
+	// (Request.Leaves).
 	Reps []Leaf
 }
 
@@ -88,12 +89,30 @@ func (r *Request) Srcs() []word.ProcID {
 	return r.Lin.Srcs
 }
 
-// Reps returns the request's representation list (nil without bookkeeping).
+// Reps returns the request's explicit representation list: nil for an
+// uncombined request, and for a combined one built without bookkeeping.
 func (r *Request) Reps() []Leaf {
 	if r.Lin == nil {
 		return nil
 	}
 	return r.Lin.Reps
+}
+
+// Leaves returns the original requests the message stands for, in
+// serialization order: its representation list when it carries one,
+// otherwise its own implicit leaf — its id, its mapping and its one source
+// (-1 when the source set is not a single processor) — written into one,
+// so that an uncombined request needs no list of its own.
+func (r *Request) Leaves(one *[1]Leaf) []Leaf {
+	if reps := r.Reps(); reps != nil {
+		return reps
+	}
+	src := word.ProcID(-1)
+	if srcs := r.Srcs(); len(srcs) == 1 {
+		src = srcs[0]
+	}
+	one[0] = Leaf{ID: r.ID, Src: src, Op: r.Op}
+	return one[:]
 }
 
 // AppendLeafIDs appends to ids the original requests the message stands
@@ -121,26 +140,6 @@ type Leaf struct {
 // NewRequest builds a fresh (uncombined) request message.
 func NewRequest(id word.ReqID, addr word.Addr, op rmw.Mapping, src word.ProcID) Request {
 	return Request{ID: id, Addr: addr, Op: op, Lin: SourceOf(src)}
-}
-
-// WithReps returns a copy of the request carrying its own representation
-// leaf, enabling Lemma 4.1 bookkeeping through every later combine.  The
-// copy gets a lineage of its own, in one allocation, since the original's
-// may be shared; its source set is the original's, as no lineage is
-// written once built.
-func (r Request) WithReps() Request {
-	srcs := r.Srcs()
-	if len(srcs) != 1 {
-		panic("core: WithReps on an already-combined request")
-	}
-	b := new(struct {
-		Lineage
-		one [1]Leaf
-	})
-	b.one[0] = Leaf{ID: r.ID, Src: srcs[0], Op: r.Op}
-	b.Srcs, b.Reps = srcs, b.one[:]
-	r.Lin = &b.Lineage
-	return r
 }
 
 // Clone returns a copy of the request whose lineage owns its storage.
@@ -176,17 +175,21 @@ type Reply struct {
 	// transports account recovered (retransmitted) deliveries separately.
 	Attempt uint32
 
-	// Leaves, when non-nil, is the exact per-leaf value list produced by a
-	// reply-caching memory module: for every original request the message
-	// represented, in serialization order (Lemma 4.1's representation
-	// list), the value that request's operation saw.  Fault-tolerant
-	// transports decombine against it (DecombineExact) instead of
-	// re-applying mappings, so a stale wait-buffer record — left behind
-	// when a combined message was dropped and its leaves retransmitted
-	// separately — can never synthesize a bogus reply.  The list is
-	// written once, by the module, and never again: every reply decombined
-	// from this one shares it.  A pointer, so a reply stays one word
-	// bigger than its value.
+	// Leaves, when non-nil, makes the reply exact: it is the per-leaf
+	// value list produced by a reply-caching memory module — for every
+	// original request the message represented, in serialization order
+	// (Lemma 4.1's representation list), the value that request's
+	// operation saw.  Fault-tolerant transports decombine against it
+	// (DecombineExact) instead of re-applying mappings, so a stale
+	// wait-buffer record — left behind when a combined message was dropped
+	// and its leaves retransmitted separately — can never synthesize a
+	// bogus reply.  An exact reply to an uncombined request carries no
+	// list: its one leaf is its own id and Val, and Leaves is a shared
+	// marker (ExactReply) that the methods below read so.  A multi-leaf
+	// list is written once, by the module, and never again: every reply
+	// decombined from this one shares it.  Read it only through Leaf,
+	// AppendLeafIDs, CanDecombine and DecombineExact.  A pointer, so a
+	// reply stays one word bigger than its value.
 	Leaves *[]LeafVal
 
 	// Sum is the end-to-end payload checksum over (id, val), stamped by
@@ -198,23 +201,39 @@ type Reply struct {
 // String renders the reply.
 func (p Reply) String() string { return fmt.Sprintf("⟨%d, %s⟩", p.ID, p.Val) }
 
+// oneLeaf is the leaf-list marker of an exact one-leaf reply.  It is
+// shared by every such reply and never written; its list is empty, and
+// nothing reads it but its address.
+var oneLeaf = new([]LeafVal)
+
+// ExactReply returns the exact reply to an uncombined request: its one
+// leaf is id itself, which saw val.  It allocates nothing, and, unlike a
+// plain reply, answers no wait record (CanDecombine), since no record can
+// name its leaf second.
+func ExactReply(id word.ReqID, val word.Word, attempt uint32) Reply {
+	return Reply{ID: id, Val: val, Attempt: attempt, Leaves: oneLeaf}
+}
+
 // Clone returns a copy of the reply whose leaf list owns its storage —
 // the reply-side counterpart of Request.Clone, for transports that
-// duplicate a reply in flight.
+// duplicate a reply in flight.  A one-leaf reply has no list to copy.
 func (p Reply) Clone() Reply {
 	c := p
-	if p.Leaves != nil {
+	if p.Leaves != nil && p.Leaves != oneLeaf {
 		c.Leaves = NewLeafList(len(*p.Leaves))
 		copy(*c.Leaves, *p.Leaves)
 	}
 	return c
 }
 
-// Leaf returns the value leaf id saw at memory, and whether the reply's
-// leaf list names it.  The scan is linear: a list is as long as the
+// Leaf returns the value leaf id saw at memory, and whether the reply is
+// exact and names it.  The scan is linear: a list is as long as the
 // combining fan-in of its message.
 func (p Reply) Leaf(id word.ReqID) (word.Word, bool) {
-	if p.Leaves != nil {
+	switch {
+	case p.Leaves == oneLeaf:
+		return p.Val, id == p.ID
+	case p.Leaves != nil:
 		for _, lv := range *p.Leaves {
 			if lv.ID == id {
 				return lv.Val, true
@@ -227,7 +246,7 @@ func (p Reply) Leaf(id word.ReqID) (word.Word, bool) {
 // AppendLeafIDs appends to ids the original requests the reply answers:
 // its own id, or every entry of its leaf list.
 func (p Reply) AppendLeafIDs(ids []word.ReqID) []word.ReqID {
-	if p.Leaves == nil {
+	if p.Leaves == nil || p.Leaves == oneLeaf {
 		return append(ids, p.ID)
 	}
 	for _, lv := range *p.Leaves {
@@ -244,15 +263,16 @@ type LeafVal struct {
 }
 
 // NewLeafList returns a list of n zero leaves for a reply-caching module to
-// fill.  A one-leaf list — every uncombined message — is a single
-// allocation, its slice header and its one entry side by side.
+// fill, in one allocation: its slice header and its entries side by side
+// when n is 2, the fan-in of a single combine.  A reply with one leaf needs
+// no list (ExactReply).
 func NewLeafList(n int) *[]LeafVal {
-	if n == 1 {
+	if n == 2 {
 		b := new(struct {
 			list []LeafVal
-			one  [1]LeafVal
+			two  [2]LeafVal
 		})
-		b.list = b.one[:]
+		b.list = b.two[:]
 		return &b.list
 	}
 	list := make([]LeafVal, n)
@@ -284,6 +304,14 @@ type Policy struct {
 	// when the two messages share a represented processor, which would
 	// reorder a processor's own requests.
 	AllowReversal bool
+
+	// Bookkeeping carries Lemma 4.1's representation list through every
+	// combine: the combined message lists the original requests it
+	// represents, each part contributing its own list or, uncombined, its
+	// implicit leaf (Request.Leaves).  A machine whose memory keeps a reply
+	// cache needs it (a fault plan arms both); without it a combined
+	// message names only its own id.
+	Bookkeeping bool
 }
 
 // Combine attempts to combine request a (serialized first) with request b.
@@ -318,18 +346,34 @@ func Combine(a, b Request, pol Policy) (Request, Record, bool) {
 	// A lineage is built only when something reads it: the source set for a
 	// later reversal decision, the representation list for the bookkeeping.
 	// Without a source set the combined message is never reversed.
-	bookkeeping := a.Reps() != nil || b.Reps() != nil
-	if pol.AllowReversal || bookkeeping {
+	if pol.Bookkeeping {
+		var one1, one2 [1]Leaf
+		l1, l2 := first.Leaves(&one1), second.Leaves(&one2)
+		combined.Lin = lineageFor(len(l1) + len(l2))
+		combined.Lin.Reps = append(append(combined.Lin.Reps, l1...), l2...)
+	} else if pol.AllowReversal {
 		combined.Lin = &Lineage{}
-		if pol.AllowReversal {
-			combined.Lin.Srcs = mergeSrcs(a.Srcs(), b.Srcs())
-		}
-		if bookkeeping {
-			combined.Lin.Reps = append(append([]Leaf{}, first.Reps()...), second.Reps()...)
-		}
+	}
+	if pol.AllowReversal {
+		combined.Lin.Srcs = mergeSrcs(a.Srcs(), b.Srcs())
 	}
 	rec := Record{ID1: first.ID, ID2: second.ID, F: first.Op, Reversed: reversed}
 	return combined, rec, true
+}
+
+// lineageFor returns an empty lineage with room for n leaves, in one
+// allocation when n is 2, the fan-in of a combine of two uncombined
+// requests.
+func lineageFor(n int) *Lineage {
+	if n == 2 {
+		b := new(struct {
+			Lineage
+			two [2]Leaf
+		})
+		b.Reps = b.two[:0]
+		return &b.Lineage
+	}
+	return &Lineage{Reps: make([]Leaf, 0, n)}
 }
 
 // sharesSource reports whether the two messages may represent requests from
@@ -392,10 +436,11 @@ func Decombine(rec Record, reply Reply) (Reply, Reply) {
 
 // CanDecombine reports whether the record is the one the reply answers.  A
 // plain reply (no leaf list) answers any record keyed by its id, as on a
-// healthy network.  A fat reply answers only records whose second id appears
-// in its leaf list: a stale record — minted when a combined message was later
-// dropped and its leaves retransmitted separately — does not, and must stay
-// buffered (it is harmless; see WaitBuffer.PopMatch).
+// healthy network.  An exact reply answers only records whose second id
+// appears among its leaves: a stale record — minted when a combined message
+// was later dropped and its leaves retransmitted separately — does not, and
+// must stay buffered (it is harmless; see WaitBuffer.PopMatch).  A one-leaf
+// exact reply (ExactReply) answers no record at all.
 func CanDecombine(rec Record, reply Reply) bool {
 	if reply.Leaves == nil {
 		return true
@@ -404,7 +449,7 @@ func CanDecombine(rec Record, reply Reply) bool {
 	return ok
 }
 
-// DecombineExact splits a fat reply using the memory's exact per-leaf values
+// DecombineExact splits an exact reply using the memory's exact per-leaf values
 // rather than re-applying the record's mapping.  Both halves inherit the
 // incoming leaf list and attempt so decombining recurses correctly through
 // nested records.  Callers must have checked CanDecombine.

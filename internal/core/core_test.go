@@ -316,13 +316,16 @@ func TestTrafficNeverIncreases(t *testing.T) {
 // through DecombineExact into exactly the listed values — the value a cached
 // leaf was answered with included, which re-applying the record's mapping
 // would not give.  A stale record, one whose second id the list does not
-// name, is refused by CanDecombine, and a clone owns its list.
+// name, is refused by CanDecombine, and a clone owns its list.  The exact
+// one-leaf form, which carries no list, refuses the same stale record and
+// every other record keyed by its id, where a plain reply accepts them.
 func TestLeafListDecombine(t *testing.T) {
-	a := NewRequest(1, 100, rmw.FetchAdd(3), 0).WithReps()
-	b := NewRequest(2, 100, rmw.FetchAdd(5), 1).WithReps()
-	c := NewRequest(3, 100, rmw.FetchAdd(7), 2).WithReps()
-	ab, rec1, ok1 := Combine(a, b, Policy{})
-	abc, rec2, ok2 := Combine(ab, c, Policy{})
+	a := NewRequest(1, 100, rmw.FetchAdd(3), 0)
+	b := NewRequest(2, 100, rmw.FetchAdd(5), 1)
+	c := NewRequest(3, 100, rmw.FetchAdd(7), 2)
+	books := Policy{Bookkeeping: true}
+	ab, rec1, ok1 := Combine(a, b, books)
+	abc, rec2, ok2 := Combine(ab, c, books)
 	if !ok1 || !ok2 || len(abc.Reps()) != 3 {
 		t.Fatalf("setup: combines %v %v, %d leaves", ok1, ok2, len(abc.Reps()))
 	}
@@ -336,7 +339,8 @@ func TestLeafListDecombine(t *testing.T) {
 	(*leaves)[1].Val = word.W(77)
 	reply := Reply{ID: abc.ID, Val: word.W(10), Leaves: leaves}
 
-	if stale := (Record{ID1: 1, ID2: 9, F: rmw.FetchAdd(3)}); CanDecombine(stale, reply) {
+	stale := Record{ID1: 1, ID2: 9, F: rmw.FetchAdd(3)}
+	if CanDecombine(stale, reply) {
 		t.Error("CanDecombine accepted a record for a leaf the reply does not name")
 	}
 	got := map[word.ReqID]int64{}
@@ -357,8 +361,33 @@ func TestLeafListDecombine(t *testing.T) {
 	if v, ok := reply.Leaf(1); !ok || v != word.W(10) || len(*cl.Leaves) != 3 {
 		t.Errorf("writing the clone's list changed the original's: leaf 1 is %v", v)
 	}
-	if one := NewLeafList(1); len(*one) != 1 || cap(*one) != 1 {
-		t.Errorf("a one-leaf list has length %d and capacity %d", len(*one), cap(*one))
+	if two := NewLeafList(2); len(*two) != 2 || cap(*two) != 2 {
+		t.Errorf("a two-leaf list has length %d and capacity %d", len(*two), cap(*two))
+	}
+
+	one := ExactReply(1, word.W(10), 2)
+	if v, ok := one.Leaf(1); !ok || v != word.W(10) {
+		t.Errorf("one-leaf reply: leaf 1 is %v %v, want 10 true", v, ok)
+	}
+	if _, ok := one.Leaf(9); ok {
+		t.Error("one-leaf reply names a leaf other than its own")
+	}
+	for _, rec := range []Record{stale, rec1} {
+		if CanDecombine(rec, one) {
+			t.Errorf("CanDecombine accepted record %v for a one-leaf reply", rec)
+		}
+		if !CanDecombine(rec, Reply{ID: 1, Val: word.W(10)}) {
+			t.Errorf("CanDecombine refused record %v for a plain reply", rec)
+		}
+	}
+	if got := one.AppendLeafIDs(nil); !reflect.DeepEqual(got, []word.ReqID{1}) {
+		t.Errorf("one-leaf reply: leaves %v, want [1]", got)
+	}
+	if c := one.Clone(); c != one {
+		t.Errorf("one-leaf clone %+v differs from %+v", c, one)
+	}
+	if n := testing.AllocsPerRun(100, func() { one = ExactReply(1, word.W(10), 2).Clone() }); n != 0 {
+		t.Errorf("one-leaf reply: %.1f allocs, want 0", n)
 	}
 }
 
@@ -371,10 +400,19 @@ func TestAppendLeafIDs(t *testing.T) {
 	if got := a.AppendLeafIDs([]word.ReqID{7}); !reflect.DeepEqual(got, []word.ReqID{7, 1}) {
 		t.Errorf("uncombined request: %v, want [7 1]", got)
 	}
-	ar, br := a.WithReps(), b.WithReps()
-	ab, _, _ := Combine(br, ar, Policy{})
+	var one [1]Leaf
+	if got := a.Leaves(&one); !reflect.DeepEqual(got, []Leaf{{ID: 1, Src: 0, Op: rmw.FetchAdd(3)}}) {
+		t.Errorf("uncombined request: leaves %v, want its own", got)
+	}
+	if ab, _, _ := Combine(b, a, Policy{}); ab.Reps() != nil {
+		t.Errorf("combined without bookkeeping: representation list %v, want none", ab.Reps())
+	}
+	ab, _, _ := Combine(b, a, Policy{Bookkeeping: true})
 	if got := ab.AppendLeafIDs(nil); !reflect.DeepEqual(got, []word.ReqID{2, 1}) {
 		t.Errorf("combined request: %v, want its leaves [2 1]", got)
+	}
+	if got := ab.Reps(); len(got) != 2 || got[0].Src != 1 || got[1].Src != 0 {
+		t.Errorf("combined request: leaves %v, want sources [1 0]", got)
 	}
 	if got := (Reply{ID: 2}).AppendLeafIDs(nil); !reflect.DeepEqual(got, []word.ReqID{2}) {
 		t.Errorf("plain reply: %v, want [2]", got)

@@ -77,16 +77,17 @@ func runExhaustive(t *testing.T, ops []rmw.Mapping, pol Policy, initial word.Wor
 	n := len(ops)
 	reqs := make([]Request, n)
 	for i, op := range ops {
-		reqs[i] = NewRequest(word.ReqID(i+1), 3, op, word.ProcID(i)).WithReps()
+		reqs[i] = NewRequest(word.ReqID(i+1), 3, op, word.ProcID(i))
 	}
 	enumForests(t, reqs, 0, pol, nil, func(roots []*enumNode) {
 		cell := initial
 		got := make(map[word.ReqID]word.Word, n)
 		var order []Leaf
+		var one [1]Leaf
 		for _, root := range roots {
 			reply := Execute(&cell, root.req)
 			collectEnum(t, root, reply, got)
-			order = append(order, root.req.Reps()...)
+			order = append(order, root.req.Leaves(&one)...)
 		}
 		wantReplies, wantFinal := SerialReplies(initial, mappingsOf(order))
 		if cell != wantFinal {
@@ -111,7 +112,7 @@ func TestExhaustiveSmallConfigs(t *testing.T) {
 		rmw.StoreOf(9),
 		rmw.SwapOf(7),
 	}
-	for _, pol := range []Policy{{}, {AllowReversal: true}} {
+	for _, pol := range []Policy{{Bookkeeping: true}, {AllowReversal: true, Bookkeeping: true}} {
 		for n := 1; n <= 4; n++ {
 			// Enumerate all |opSet|^n assignments.
 			idx := make([]int, n)
@@ -157,7 +158,7 @@ func TestExhaustiveTagged(t *testing.T) {
 				for i, j := range idx {
 					ops[i] = opSet[j]
 				}
-				runExhaustive(t, ops, Policy{}, word.WT(50, tag))
+				runExhaustive(t, ops, Policy{Bookkeeping: true}, word.WT(50, tag))
 				i := 0
 				for ; i < n; i++ {
 					idx[i]++

@@ -91,7 +91,7 @@ func randRequests(rng *rand.Rand, n int, tagged bool) []Request {
 				op = rmw.FetchXor(v)
 			}
 		}
-		reqs[i] = NewRequest(word.ReqID(i+1), 7, op, word.ProcID(rng.IntN(8))).WithReps()
+		reqs[i] = NewRequest(word.ReqID(i+1), 7, op, word.ProcID(rng.IntN(8)))
 	}
 	return reqs
 }
@@ -115,10 +115,11 @@ func runLemma41Trial(t *testing.T, rng *rand.Rand, tagged bool, pol Policy) {
 	initial := word.WT(int64(rng.IntN(50)), word.Tag(rng.IntN(2)))
 	cell := initial
 	got := make(map[word.ReqID]word.Word, n)
+	var one [1]Leaf
 	for _, root := range roots {
 		// Lemma 4.1(1): the combined mapping equals the composition of
 		// the mappings it represents.
-		composed, ok := rmw.ComposeAll(mappingsOf(root.req.Reps())...)
+		composed, ok := rmw.ComposeAll(mappingsOf(root.req.Leaves(&one))...)
 		if !ok {
 			t.Fatal("representation list must recompose")
 		}
@@ -135,7 +136,7 @@ func runLemma41Trial(t *testing.T, rng *rand.Rand, tagged bool, pol Policy) {
 	// representation lists.
 	var order []Leaf
 	for _, root := range roots {
-		order = append(order, root.req.Reps()...)
+		order = append(order, root.req.Leaves(&one)...)
 	}
 	if len(order) != n {
 		t.Fatalf("representation lists cover %d of %d requests", len(order), n)
@@ -165,14 +166,14 @@ func mappingsOf(leaves []Leaf) []rmw.Mapping {
 func TestLemma41RandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 202))
 	for trial := 0; trial < 4000; trial++ {
-		runLemma41Trial(t, rng, false, Policy{})
+		runLemma41Trial(t, rng, false, Policy{Bookkeeping: true})
 	}
 }
 
 func TestLemma41TaggedFamilies(t *testing.T) {
 	rng := rand.New(rand.NewPCG(103, 204))
 	for trial := 0; trial < 4000; trial++ {
-		runLemma41Trial(t, rng, true, Policy{})
+		runLemma41Trial(t, rng, true, Policy{Bookkeeping: true})
 	}
 }
 
@@ -181,6 +182,6 @@ func TestLemma41WithReversal(t *testing.T) {
 	// the representation lists track it, so the same checks apply.
 	rng := rand.New(rand.NewPCG(105, 206))
 	for trial := 0; trial < 4000; trial++ {
-		runLemma41Trial(t, rng, false, Policy{AllowReversal: true})
+		runLemma41Trial(t, rng, false, Policy{AllowReversal: true, Bookkeeping: true})
 	}
 }

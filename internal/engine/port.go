@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"combining/internal/core"
 	"combining/internal/word"
 )
 
@@ -55,16 +56,13 @@ func (s *Shell) Offer(p int, ln *Lane) *Fwd {
 			s.portEvent(Injected, req.ID, req.Addr, p)
 		}
 		if s.trk != nil {
-			if req.Reps() == nil && len(req.Srcs()) == 1 {
-				// The reply cache needs every message to name its
-				// leaves exactly.
-				req = req.WithReps()
-			}
 			// The tracker keeps delivered floors per port, and the
 			// reply caches skip a leaf below its own Src's floor: a
 			// leaf naming another processor would be judged against
-			// that processor's deliveries.
-			for _, lf := range req.Reps() {
+			// that processor's deliveries.  An uncombined request's
+			// one leaf is implicit, its source its lineage's one.
+			var one [1]core.Leaf
+			for _, lf := range req.Leaves(&one) {
 				if lf.Src != word.ProcID(p) {
 					panic(fmt.Sprintf("engine: processor %d offered request %d whose leaf names processor %d", p, req.ID, lf.Src))
 				}

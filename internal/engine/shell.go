@@ -404,6 +404,9 @@ func (s *Shell) Init(cfg ShellConfig) {
 	if cfg.Faults == nil {
 		return
 	}
+	// The reply caches answer a combined message leaf by leaf, so every
+	// combine keeps the books.
+	st.pol.Bookkeeping = true
 	s.flt = faults.NewInjector(*cfg.Faults)
 	s.trk = faults.NewTracker(s.flt, procs)
 	plan := s.flt.Plan()

@@ -72,7 +72,7 @@ type bench struct {
 }
 
 func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *bench {
-	st := NewStations(1, deg, deg, queueCap, revCap, waitCap, core.Policy{AllowReversal: reversal})
+	st := NewStations(1, deg, deg, queueCap, revCap, waitCap, core.Policy{AllowReversal: reversal, Bookkeeping: true})
 	return &bench{t: t, st: st, deg: deg, cells: map[word.Addr]word.Word{},
 		serial: map[word.Addr][]core.Leaf{}, replies: map[word.ReqID]word.Word{}}
 }
@@ -82,7 +82,7 @@ func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *
 // took it.
 func (b *bench) offer(src, in int, addr word.Addr, op rmw.Mapping) (word.ReqID, bool) {
 	b.nextID++
-	m := Fwd{Req: core.NewRequest(b.nextID, addr, op, word.ProcID(src)).WithReps(), Src: src}
+	m := Fwd{Req: core.NewRequest(b.nextID, addr, op, word.ProcID(src)), Src: src}
 	return b.nextID, b.st.PutFwd(0, &m, int(addr)%b.deg, Path(0).Push(int32(in)), 0, &b.sh)
 }
 
@@ -93,7 +93,8 @@ func (b *bench) serve(out int, lose bool) {
 	if lose {
 		return
 	}
-	b.serial[m.Req.Addr] = append(b.serial[m.Req.Addr], m.Req.Reps()...)
+	var one [1]core.Leaf
+	b.serial[m.Req.Addr] = append(b.serial[m.Req.Addr], m.Req.Leaves(&one)...)
 	cell := b.cells[m.Req.Addr]
 	rep := core.Execute(&cell, m.Req)
 	b.cells[m.Req.Addr] = cell
@@ -228,33 +229,43 @@ func TestStationKWayCombine(t *testing.T) {
 // TestStationStaleRecordPassesThrough: a combined message dropped downstream
 // leaves its record behind; when the first requester's retransmit is
 // answered — by a reply that names its leaves exactly, as a reply-caching
-// module's does — the reply passes through (PopMatch skips the record) and
-// nothing is synthesized for the second requester, who recovers by its own
+// module's does, in a one-entry list or in the inline one-leaf form — the
+// reply passes through (PopMatch skips the record) and nothing is
+// synthesized for the second requester, who recovers by its own
 // retransmit.
 func TestStationStaleRecordPassesThrough(t *testing.T) {
-	b := newBench(t, 2, 0, 0, core.Unbounded, false)
-	first, _ := b.offer(1, 0, 6, rmw.FetchAdd(1))
-	second, _ := b.offer(2, 1, 6, rmw.FetchAdd(10))
-	b.serve(0, true) // the combined message dies on the next link
-	if b.st.Wait[0].Len() != 1 {
-		t.Fatalf("%d records after the combine", b.st.Wait[0].Len())
-	}
-	var home []RevEntry
-	b.st.PutRev(0, &Rev{Rep: core.Reply{ID: first, Val: word.W(40), Attempt: 1,
-		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
-	b.drain(0, 1<<30)
-	if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
-		t.Fatalf("replies after the retransmit's answer: %v", b.replies)
-	}
-	if _, ok := b.replies[second]; ok || b.st.Wait[0].Len() != 1 {
-		t.Fatalf("the stale record was consumed (records left: %d, replies %v)", b.st.Wait[0].Len(), b.replies)
-	}
-	// The reply of the combine itself — both leaves named — does match.
-	b.st.PutRev(0, &Rev{Rep: core.Reply{ID: first, Val: word.W(40),
-		Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}, {ID: second, Val: word.W(41)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
-	if b.st.Wait[0].Len() != 0 || b.st.Rev(0)[1].Len() != 1 || b.st.Body(b.st.Rev(0)[1].Front().H).Val != word.W(41) {
-		t.Fatalf("the matching reply did not decombine: %d records, %d replies toward the second requester",
-			b.st.Wait[0].Len(), b.st.Rev(0)[1].Len())
+	for _, tc := range []struct {
+		name   string
+		answer func(id word.ReqID) core.Reply
+	}{
+		{"list", func(id word.ReqID) core.Reply {
+			return core.Reply{ID: id, Val: word.W(40), Attempt: 1, Leaves: &[]core.LeafVal{{ID: id, Val: word.W(40)}}}
+		}},
+		{"inline", func(id word.ReqID) core.Reply { return core.ExactReply(id, word.W(40), 1) }},
+	} {
+		b := newBench(t, 2, 0, 0, core.Unbounded, false)
+		first, _ := b.offer(1, 0, 6, rmw.FetchAdd(1))
+		second, _ := b.offer(2, 1, 6, rmw.FetchAdd(10))
+		b.serve(0, true) // the combined message dies on the next link
+		if b.st.Wait[0].Len() != 1 {
+			t.Fatalf("%s: %d records after the combine", tc.name, b.st.Wait[0].Len())
+		}
+		var home []RevEntry
+		b.st.PutRev(0, &Rev{Rep: tc.answer(first), Path: Path(0).Push(0), Src: 1}, 0, &home)
+		b.drain(0, 1<<30)
+		if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
+			t.Fatalf("%s: replies after the retransmit's answer: %v", tc.name, b.replies)
+		}
+		if _, ok := b.replies[second]; ok || b.st.Wait[0].Len() != 1 {
+			t.Fatalf("%s: the stale record was consumed (records left: %d, replies %v)", tc.name, b.st.Wait[0].Len(), b.replies)
+		}
+		// The reply of the combine itself — both leaves named — does match.
+		b.st.PutRev(0, &Rev{Rep: core.Reply{ID: first, Val: word.W(40),
+			Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}, {ID: second, Val: word.W(41)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
+		if b.st.Wait[0].Len() != 0 || b.st.Rev(0)[1].Len() != 1 || b.st.Body(b.st.Rev(0)[1].Front().H).Val != word.W(41) {
+			t.Fatalf("%s: the matching reply did not decombine: %d records, %d replies toward the second requester",
+				tc.name, b.st.Wait[0].Len(), b.st.Rev(0)[1].Len())
+		}
 	}
 }
 
@@ -405,7 +416,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 			op = rmw.FetchOr(r.Int64N(5)) // combines with no add
 		}
 		src := r.IntN(6)
-		m := Fwd{Req: core.NewRequest(id, word.Addr(r.IntN(3)), op, word.ProcID(src)).WithReps(),
+		m := Fwd{Req: core.NewRequest(id, word.Addr(r.IntN(3)), op, word.ProcID(src)),
 			Src: src, Issue: int64(id), Hot: r.IntN(2) == 0, Path: Path(id)}
 		if r.IntN(8) == 0 {
 			m.Req.Attempt = 1
@@ -415,7 +426,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 	reqOf := func(m *Fwd) *core.Request { return &m.Req }
 	var combined, swapped, rejectedN, shadowed, retransmits int
 	for trial := 0; trial < 4000; trial++ {
-		pol := core.Policy{AllowReversal: r.IntN(2) == 0}
+		pol := core.Policy{AllowReversal: r.IntN(2) == 0, Bookkeeping: true}
 		waitCap := []int{0, 2, 2, core.Unbounded}[r.IntN(4)]
 		st := NewStations(1, 1, 1, 0, 0, waitCap, pol)
 		var events []EventKind

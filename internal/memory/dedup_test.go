@@ -8,10 +8,10 @@ import (
 	"combining/internal/word"
 )
 
-// leafReq builds a fresh single-leaf request carrying its representation,
-// as fault-mode transports issue them.
+// leafReq builds a fresh single-leaf request as fault-mode transports issue
+// it: its one leaf is implicit, its source the request's own.
 func leafReq(id word.ReqID, addr word.Addr, op rmw.Mapping, src word.ProcID) core.Request {
-	return core.NewRequest(id, addr, op, src).WithReps()
+	return core.NewRequest(id, addr, op, src)
 }
 
 // retry returns the request's k-th retransmission: same id and leaves,
@@ -21,10 +21,11 @@ func retry(r core.Request, k uint32) core.Request {
 	return r
 }
 
-// combined merges two leaf requests the way a switch would, so the message
-// reaching memory carries both representation leaves.
+// combined merges two leaf requests the way a fault-mode switch would,
+// keeping the books, so the message reaching memory carries both
+// representation leaves.
 func combined(a, b core.Request) core.Request {
-	c, _, ok := core.Combine(a, b, core.Policy{})
+	c, _, ok := core.Combine(a, b, core.Policy{Bookkeeping: true})
 	if !ok {
 		panic("dedup_test: requests did not combine")
 	}

@@ -170,10 +170,11 @@ func WithQueueCap(cap int) Option {
 }
 
 // WithReplyCache arms the module's exactly-once ledger.  Requests are then
-// executed leaf by leaf (they must carry Reps — see core.Request.WithReps):
-// leaves already in the cache are skipped, fresh leaves execute and are
-// recorded, and the reply carries the exact per-leaf value map so transports
-// decombine with core.DecombineExact.  Without WithDeliveredFloors the
+// executed leaf by leaf (core.Request.Leaves: a combined request must carry
+// its representation list — see core.Policy.Bookkeeping): leaves already in
+// the cache are skipped, fresh leaves execute and are recorded, and the
+// reply is exact, naming every leaf's value, so transports decombine with
+// core.DecombineExact.  Without WithDeliveredFloors the
 // cache keeps every leaf for the run.
 func WithReplyCache() Option {
 	return func(m *Module) {
@@ -319,23 +320,27 @@ func (m *Module) exec(req *core.Request) core.Reply {
 }
 
 // execCached executes a request leaf by leaf against the reply cache.
-// A request without Reps (plain traffic on a fault-armed module) is treated
-// as its own single leaf.  Each uncached leaf applies its own mapping in
-// representation (serialization) order; cached leaves are skipped, so a
-// message mixing delivered and undelivered leaves — an original overtaken by
-// a partial retransmit, or vice versa — still executes every operation
-// exactly once.  The reply's leaf list names every leaf's value in the same
-// order.
+// An uncombined request is its own single leaf (core.Request.Leaves), whose
+// source is the processor that issued it.  Each uncached leaf applies its
+// own mapping in representation (serialization) order; cached leaves are
+// skipped, so a message mixing delivered and undelivered leaves — an
+// original overtaken by a partial retransmit, or vice versa — still
+// executes every operation exactly once.  The reply is exact: a one-leaf
+// reply carries its value inline (core.ExactReply), a longer one a leaf
+// list naming every leaf's value in the same order.
 func (m *Module) execCached(req *core.Request) core.Reply {
-	leaves := req.Reps()
-	if leaves == nil {
-		leaves = []core.Leaf{{ID: req.ID, Src: -1, Op: req.Op}} // no processor: no floor
-	}
+	var one [1]core.Leaf
+	leaves := req.Leaves(&one)
 	before := m.load(req.Addr)
 	cell := before
-	vals := core.NewLeafList(len(leaves))
+	var vals *[]core.LeafVal
+	if len(leaves) > 1 {
+		vals = core.NewLeafList(len(leaves))
+	}
+	var v word.Word
 	for i, lf := range leaves {
-		v, ok := m.cacheGet(lf.ID)
+		var ok bool
+		v, ok = m.cacheGet(lf.ID)
 		if ok || m.delivered(lf) {
 			m.DedupHits++
 		} else {
@@ -343,13 +348,18 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 			cell = lf.Op.Apply(v)
 			m.cachePut(lf, v)
 		}
-		(*vals)[i] = core.LeafVal{ID: lf.ID, Val: v}
+		if vals != nil {
+			(*vals)[i] = core.LeafVal{ID: lf.ID, Val: v}
+		}
 	}
 	if m.ckpt {
 		m.undo = append(m.undo, preimage{req.Addr, before})
 	}
 	m.store(req.Addr, cell)
 	m.Served++
+	if vals == nil {
+		return core.ExactReply(req.ID, v, req.Attempt)
+	}
 	rep := core.Reply{ID: req.ID, Attempt: req.Attempt, Leaves: vals}
 	rep.Val, _ = rep.Leaf(req.ID)
 	return rep

@@ -42,9 +42,14 @@ func TestReplyCloneIndependence(t *testing.T) {
 }
 
 // TestRequestCloneIndependence: a duplicated request (memory-side dup
-// branch) must own its Srcs and Reps slices.
+// branch) must own its Srcs and Reps slices; the request here is combined
+// under bookkeeping, so it carries both.
 func TestRequestCloneIndependence(t *testing.T) {
-	r := core.NewRequest(3, 17, rmw.FetchAdd(1), 2).WithReps()
+	r, _, ok := core.Combine(core.NewRequest(3, 17, rmw.FetchAdd(1), 2), core.NewRequest(4, 17, rmw.FetchAdd(1), 6),
+		core.Policy{AllowReversal: true, Bookkeeping: true})
+	if !ok || len(r.Srcs()) != 2 || len(r.Reps()) != 2 {
+		t.Fatalf("setup: combined %v, sources %v, leaves %v", ok, r.Srcs(), r.Reps())
+	}
 	c := r.Clone()
 	if &c.Srcs()[0] == &r.Srcs()[0] {
 		t.Fatalf("Clone shares the Srcs backing array")
@@ -324,4 +329,61 @@ func TestCombiningStepAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFaultedStepAllocs: with a fault plan armed — no drops, no crashes,
+// so the exactly-once path runs on every operation but nothing is lost —
+// the hot spot's steady state allocates nothing per uncombined operation
+// and at most four times per combine, serially and at width 3: the composed
+// mapping rmw.Compose boxes, the combined message's lineage (its
+// representation list: one allocation for two leaves, two beyond) and the
+// exact reply's leaf list (likewise, one list per combined message, so at
+// most one per combine when it has two leaves and two per combine beyond).
+// An uncombined request carries no lineage of its own and its reply carries
+// its one leaf's value inline.  Mallocs are counted over many cycles, since
+// AllocsPerRun truncates to an integer.
+func TestFaultedStepAllocs(t *testing.T) {
+	const n, cycles, perCombine = 16, 4000, 4
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			inj := make([]Injector, n)
+			for p := range inj {
+				f := newFixedInjector(p, n)
+				f.hotEvery = 8
+				inj[p] = f
+			}
+			sim := NewSim(Config{Procs: n, Workers: workers, WaitBufCap: core.Unbounded, Faults: &faults.Plan{Seed: 1}}, inj)
+			sim.pool.Start()
+			defer sim.pool.Stop()
+			sim.Run(2048)
+			before := sim.Stats().Totals
+			allocs := countMallocs(func() {
+				for range cycles {
+					sim.Step()
+				}
+			})
+			after := sim.Stats().Totals
+			combines, ops := after.Combines-before.Combines, after.Completed-before.Completed
+			if combines == 0 || ops == 0 {
+				t.Fatalf("%d combines, %d operations in %d cycles — the hot spot never met itself in a queue", combines, ops, cycles)
+			}
+			t.Logf("%.3f allocs/cycle, %.3f ops/cycle, %.3f combines/cycle: %.3f allocs per combine",
+				float64(allocs)/cycles, float64(ops)/cycles, float64(combines)/cycles, float64(allocs)/float64(combines))
+			if allocs > perCombine*uint64(combines) {
+				t.Errorf("faulted step: %d allocs over %d cycles for %d combines and %d operations, want at most %d per combine and none per operation",
+					allocs, cycles, combines, ops, perCombine)
+			}
+		})
+	}
+}
+
+// countMallocs returns the heap allocations f makes, read from the
+// runtime's cumulative count.
+func countMallocs(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
 }
