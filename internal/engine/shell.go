@@ -332,6 +332,7 @@ type Shell struct {
 	stall    []bool
 	swDead   []bool
 	memDead  []bool
+	nextDead []bool // updateMasks' scratch
 	masked   bool
 	quiet    bool
 	linkOpen bool
@@ -420,6 +421,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		s.rec = ledger{every: plan.CheckpointEvery}
 		s.swDead = make([]bool, st.Len())
 		s.memDead = make([]bool, cfg.Modules)
+		s.nextDead = make([]bool, max(st.Len(), cfg.Modules))
 	}
 }
 
@@ -459,38 +461,32 @@ func (s *Shell) Step() {
 	}
 }
 
-// updateMasks asks the injector about every site for this cycle: the stall
-// mask, then the crash masks with edge detection.  A rising edge (component
-// entering its crash window) flushes the component's volatile state and
-// records the lost in-flight operations; a falling edge is the restart — the
-// component rejoins empty (switch site) or at its last checkpoint (module).
-// A stall query counts a lost switch-cycle and a crash query a dead
-// component-cycle, so each site is asked exactly once per cycle.
+// updateMasks fills this cycle's masks from the injector, which reads its
+// windows, not the sites: the stall mask, then the crash masks with edge
+// detection.  A rising edge (component entering its crash window) flushes the
+// component's volatile state and records the lost in-flight operations; a
+// falling edge is the restart — the component rejoins empty (switch site) or
+// at its last checkpoint (module).  Each stalled site counts a lost
+// switch-cycle and each dead component a dead component-cycle, once a cycle.
 func (s *Shell) updateMasks() {
-	for d, stage := 0, 0; d < len(s.stall); stage++ {
-		for idx := 0; idx < s.width; idx++ {
-			s.stall[d] = s.flt.Stalled(stage, idx, s.tot.Cycles)
-			d++
-		}
-	}
+	s.flt.StallMask(s.stall, s.width, s.tot.Cycles)
 	if !s.crash {
 		return
 	}
-	for d, stage := 0, 0; d < len(s.swDead); stage++ {
-		for idx := 0; idx < s.width; idx++ {
-			dead := s.flt.SwitchCrashed(stage, idx, s.tot.Cycles)
-			if dead && !s.swDead[d] {
-				s.rec.crashes++
-				s.rec.noteLost(s.trk, s.flush(d))
-			} else if !dead && s.swDead[d] {
-				s.rec.restores++
-			}
-			s.swDead[d] = dead
-			d++
+	next := s.nextDead[:len(s.swDead)]
+	s.flt.SwitchCrashMask(next, s.width, s.tot.Cycles)
+	for d, dead := range next {
+		if dead && !s.swDead[d] {
+			s.rec.crashes++
+			s.rec.noteLost(s.trk, s.flush(d))
+		} else if !dead && s.swDead[d] {
+			s.rec.restores++
 		}
 	}
-	for mod := range s.memDead {
-		dead := s.flt.MemCrashed(mod, s.tot.Cycles)
+	copy(s.swDead, next)
+	next = s.nextDead[:len(s.memDead)]
+	s.flt.MemCrashMask(next, s.tot.Cycles)
+	for mod, dead := range next {
 		if dead && !s.memDead[mod] {
 			s.rec.crashes++
 			s.rec.noteLost(s.trk, s.mem.Module(mod).Crash())
@@ -498,8 +494,8 @@ func (s *Shell) updateMasks() {
 		} else if !dead && s.memDead[mod] {
 			s.rec.restores++
 		}
-		s.memDead[mod] = dead
 	}
+	copy(s.memDead, next)
 }
 
 // progressSig is the watchdog's monotone progress signature: any message

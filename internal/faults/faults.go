@@ -519,6 +519,58 @@ func (f *Injector) MemCrashed(mod int, cycle int64) bool {
 	return false
 }
 
+// StallMask writes what Stalled answers this cycle for every switch site
+// into mask, site (stage, index) at stage·width + index, and counts the lost
+// switch-cycles as those calls would: one per site a window covers.  It
+// visits the windows, not the sites.
+func (f *Injector) StallMask(mask []bool, width int, cycle int64) {
+	f.StallCycles.Add(cover(mask, width, f.plan.Stalls, false, cycle))
+}
+
+// SwitchCrashMask is StallMask for the crash windows: mask[stage·width +
+// index] is what SwitchCrashed answers, and each dead site counts a dead
+// component-cycle.
+func (f *Injector) SwitchCrashMask(mask []bool, width int, cycle int64) {
+	f.CrashCycles.Add(cover(mask, width, f.plan.Crashes, false, cycle))
+}
+
+// MemCrashMask is SwitchCrashMask for the modules: mask[mod] is what
+// MemCrashed answers.
+func (f *Injector) MemCrashMask(mask []bool, cycle int64) {
+	f.CrashCycles.Add(cover(mask, len(mask), f.plan.MemCrashes, true, cycle))
+}
+
+// cover sets mask to the sites the windows cover at the cycle, in a grid of
+// width sites a stage (anyStage: Stage is ignored, as for modules), and
+// returns how many it set.
+func cover(mask []bool, width int, ws []Window, anyStage bool, cycle int64) int64 {
+	clear(mask)
+	n := int64(0)
+	set := func(d int) {
+		if !mask[d] {
+			mask[d] = true
+			n++
+		}
+	}
+	for _, w := range ws {
+		if cycle < w.From || cycle >= w.To || w.Index < -1 || w.Index >= width {
+			continue
+		}
+		for stage, d := 0, 0; d < len(mask); stage, d = stage+1, d+width {
+			switch {
+			case !anyStage && w.Stage != -1 && w.Stage != stage:
+			case w.Index == -1:
+				for i := d; i < d+width; i++ {
+					set(i)
+				}
+			default:
+				set(d + w.Index)
+			}
+		}
+	}
+	return n
+}
+
 // LinkDown reports whether the link at forward-hop site (stage, index) is
 // inside a link-crash window this cycle.  Pure query: callers count the
 // actual message losses through DropLinkFwd/DropLinkRev.

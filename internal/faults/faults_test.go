@@ -275,3 +275,52 @@ func TestDecisionsPinned(t *testing.T) {
 			gotDrops, gotReplies, gotDups, drops, replies, dups)
 	}
 }
+
+// TestMasksMatchSiteQueries: StallMask, SwitchCrashMask and MemCrashMask,
+// which visit the windows, answer for every site what Stalled,
+// SwitchCrashed and MemCrashed answer one site at a time, and count the
+// same lost and dead site-cycles — on random plans over a 3 × 4 grid whose
+// windows overlap, name wildcard stages and indexes, and name indexes and
+// stages the grid does not have.
+func TestMasksMatchSiteQueries(t *testing.T) {
+	const stages, width = 3, 4
+	r := rand.New(rand.NewPCG(53, 53))
+	draw := func() []Window {
+		ws := make([]Window, r.IntN(5))
+		for i := range ws {
+			from := int64(r.IntN(40))
+			ws[i] = Window{Stage: r.IntN(stages+2) - 1, Index: r.IntN(width+3) - 2, From: from, To: from + int64(r.IntN(20))}
+		}
+		return ws
+	}
+	for trial := 0; trial < 200; trial++ {
+		plan := Plan{Seed: uint64(trial), Stalls: draw(), Crashes: draw(), MemCrashes: draw()}
+		masks, sites := NewInjector(plan), NewInjector(plan)
+		stall, dead, mem := make([]bool, stages*width), make([]bool, stages*width), make([]bool, width)
+		for cycle := int64(0); cycle < 64; cycle++ {
+			masks.StallMask(stall, width, cycle)
+			masks.SwitchCrashMask(dead, width, cycle)
+			masks.MemCrashMask(mem, cycle)
+			for stage := 0; stage < stages; stage++ {
+				for idx := 0; idx < width; idx++ {
+					d := stage*width + idx
+					if s, c := sites.Stalled(stage, idx, cycle), sites.SwitchCrashed(stage, idx, cycle); stall[d] != s || dead[d] != c {
+						t.Fatalf("trial %d cycle %d site (%d, %d): masks say stalled %v dead %v, the queries %v %v\n%+v",
+							trial, cycle, stage, idx, stall[d], dead[d], s, c, plan)
+					}
+				}
+			}
+			for mod := range mem {
+				if c := sites.MemCrashed(mod, cycle); mem[mod] != c {
+					t.Fatalf("trial %d cycle %d module %d: mask says dead %v, the query %v\n%+v", trial, cycle, mod, mem[mod], c, plan)
+				}
+			}
+		}
+		if a, b := masks.StallCycles.Load(), sites.StallCycles.Load(); a != b {
+			t.Fatalf("trial %d: masks counted %d stall cycles, the queries %d", trial, a, b)
+		}
+		if a, b := masks.CrashCycles.Load(), sites.CrashCycles.Load(); a != b {
+			t.Fatalf("trial %d: masks counted %d crash cycles, the queries %d", trial, a, b)
+		}
+	}
+}
