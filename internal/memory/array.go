@@ -93,7 +93,9 @@ func (a *Array) TotalDedupHits() int64 {
 func (a *Array) CachedLeaves() int {
 	n := 0
 	for i := range a.modules {
-		n += len(a.modules[i].replyCache)
+		if c := a.modules[i].replyCache; c != nil {
+			n += c.len()
+		}
 	}
 	return n
 }

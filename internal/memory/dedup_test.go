@@ -204,12 +204,12 @@ func TestStaleCopyBelowFloor(t *testing.T) {
 			} else {
 				// Fill the cache to its prune size with another processor's
 				// live leaves.
-				for id := word.ReqID(101); len(m.replyCache) < minPrune-1; id += 2 {
+				for id := word.ReqID(101); m.replyCache.len() < minPrune-1; id += 2 {
 					m.Do(leafReq(id, addr+1, rmw.FetchAdd(1), 1))
 				}
 				m.Do(leafReq(999, addr+1, rmw.FetchAdd(1), 1))
 			}
-			if _, ok := m.replyCache[a.ID]; ok {
+			if _, ok := m.replyCache.get(a.ID); ok {
 				t.Fatal("a leaf below its processor's floor is still cached after a prune")
 			}
 			hits := m.DedupHits

@@ -20,18 +20,25 @@ type ledgerModel struct {
 	ckpt    bool
 	floors  []word.ReqID
 	cells   map[word.Addr]word.Word
-	cache   map[word.ReqID]cached
-	delta   map[word.ReqID]cached
+	cache   map[word.ReqID]modelLeaf
+	delta   map[word.ReqID]modelLeaf
 	undo    map[word.Addr]word.Word
 	pruneAt int
 	hits    int64
+}
+
+// modelLeaf is one executed leaf in the model's maps: the value its
+// operation saw and the processor that issued it.
+type modelLeaf struct {
+	val word.Word
+	src word.ProcID
 }
 
 func newLedgerModel(ckpt bool, floors []word.ReqID) *ledgerModel {
 	return &ledgerModel{
 		ckpt: ckpt, floors: floors, pruneAt: minPrune,
 		cells: map[word.Addr]word.Word{},
-		cache: map[word.ReqID]cached{}, delta: map[word.ReqID]cached{}, undo: map[word.Addr]word.Word{},
+		cache: map[word.ReqID]modelLeaf{}, delta: map[word.ReqID]modelLeaf{}, undo: map[word.Addr]word.Word{},
 	}
 }
 
@@ -52,8 +59,8 @@ func (l *ledgerModel) exec(req core.Request) core.Reply {
 			v = cell
 			cell = lf.Op.Apply(v)
 			if l.ckpt {
-				l.delta[lf.ID] = cached{v, lf.Src}
-			} else if l.cache[lf.ID] = (cached{v, lf.Src}); len(l.cache) >= l.pruneAt {
+				l.delta[lf.ID] = modelLeaf{v, lf.Src}
+			} else if l.cache[lf.ID] = (modelLeaf{v, lf.Src}); len(l.cache) >= l.pruneAt {
 				l.prune()
 			}
 		}
@@ -203,7 +210,7 @@ func runLedgerSchedule(t *testing.T, ckpt bool, schedule []byte) (hits int64, lo
 		if m.DedupHits != model.hits {
 			t.Fatalf("step %d: %d dedup hits, the model counts %d", step, m.DedupHits, model.hits)
 		}
-		if got, want := len(m.replyCache), len(model.cache)+len(model.delta); got != want {
+		if got, want := m.replyCache.len(), len(model.cache)+len(model.delta); got != want {
 			t.Fatalf("step %d: %d leaves cached, the model holds %d", step, got, want)
 		}
 		for a := word.Addr(0); a < addrs; a++ {
@@ -294,7 +301,7 @@ func TestCheckpointZeroAlloc(t *testing.T) {
 	if got := testing.AllocsPerRun(100, round); got != 0 {
 		t.Errorf("checkpoint round: %.1f allocs, want 0", got)
 	}
-	if n := len(m.replyCache); n > 2*perRound {
+	if n := m.replyCache.len(); n > 2*perRound {
 		t.Fatalf("%d leaves cached after the rounds, want at most %d", n, 2*perRound)
 	}
 	cachedLeaf := reqs[next-1]
