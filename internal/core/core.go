@@ -30,10 +30,13 @@ type Request struct {
 	Addr word.Addr
 
 	// Attempt is the retransmission counter under fault injection: 0 for
-	// an original request, k for its k-th retransmit.  The id never
-	// changes across attempts — it is the exactly-once key the memory
-	// reply cache deduplicates on — and a retransmit (Attempt > 0) never
-	// combines, so every copy reaching memory names its leaves exactly.
+	// an original request, k for its k-th retransmit; a combined message
+	// carries the larger of its parts'.  The id never changes across
+	// attempts — it is the exactly-once key the memory reply cache
+	// deduplicates on.  A retransmit combines like any request: under a
+	// plan every combine keeps the books (Policy.Bookkeeping), so the copy
+	// that reaches memory names its leaves exactly, and its reply names
+	// each leaf's value (DecombineExact).
 	Attempt uint32
 
 	Op rmw.Mapping
@@ -319,15 +322,18 @@ type Policy struct {
 // Combining fails — and the transport must forward the requests separately,
 // which is always correct ("partial combining") — when the addresses
 // differ or the mapping families do not compose.
+//
+// A retransmit (Attempt > 0) combines like a fresh request, and the
+// combined message's attempt is the larger of the two.  Under a plan the
+// books are kept, so a retransmitted leaf is one more leaf: the memory
+// skips it if its processor's delivered floor is past it or answers it
+// from the reply cache if it already executed, the exact reply names its
+// value, and if its original was delivered first the port suppresses the
+// second delivery.  A record the combine mints for a copy that is later
+// dropped goes stale and passes its id's later replies through
+// (CanDecombine).
 func Combine(a, b Request, pol Policy) (Request, Record, bool) {
 	if a.Addr != b.Addr {
-		return Request{}, Record{}, false
-	}
-	// Retransmits never combine: a retransmitted message must reach memory
-	// naming exactly the leaves it was issued with, so the reply cache can
-	// answer it precisely; folding it into fresh traffic would mint wait
-	// records for deliveries the original copy may already have made.
-	if a.Attempt != 0 || b.Attempt != 0 {
 		return Request{}, Record{}, false
 	}
 	// The natural order composes once; the reversed order is composed as
@@ -342,7 +348,7 @@ func Combine(a, b Request, pol Policy) (Request, Record, bool) {
 			first, second, reversed, op = &b, &a, true, rop
 		}
 	}
-	combined := Request{ID: first.ID, Addr: a.Addr, Op: op}
+	combined := Request{ID: first.ID, Addr: a.Addr, Op: op, Attempt: max(a.Attempt, b.Attempt)}
 	// A lineage is built only when something reads it: the source set for a
 	// later reversal decision, the representation list for the bookkeeping.
 	// Without a source set the combined message is never reversed.

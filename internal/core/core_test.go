@@ -58,6 +58,46 @@ func TestCombineForeignFamilies(t *testing.T) {
 	}
 }
 
+// TestRetransmitsCombine: a retransmit combines with a fresh request and
+// with another retransmit, in either order; the combined message carries
+// the larger attempt, and with the books kept its representation list names
+// every leaf, in serialization order, whatever attempt each copy was.
+func TestRetransmitsCombine(t *testing.T) {
+	pol := Policy{Bookkeeping: true}
+	req := func(id word.ReqID, src word.ProcID, attempt uint32) Request {
+		r := NewRequest(id, 9, rmw.FetchAdd(int64(id)), src)
+		r.Attempt = attempt
+		return r
+	}
+	for _, tc := range []struct{ a, b, want uint32 }{{1, 0, 1}, {0, 2, 2}, {3, 1, 3}, {2, 2, 2}} {
+		a, b := req(1, 0, tc.a), req(2, 1, tc.b)
+		ab, rec, ok := Combine(a, b, pol)
+		if !ok {
+			t.Fatalf("attempts %d and %d: no combine", tc.a, tc.b)
+		}
+		if ab.Attempt != tc.want || ab.ID != 1 || rec.ID1 != 1 || rec.ID2 != 2 {
+			t.Fatalf("attempts %d and %d: combined ⟨%d⟩ attempt %d, record (%d, %d); want ⟨1⟩ attempt %d, record (1, 2)",
+				tc.a, tc.b, ab.ID, ab.Attempt, rec.ID1, rec.ID2, tc.want)
+		}
+		// A third request, itself a retransmit, joins the combined one.
+		abc, _, ok := Combine(ab, req(3, 2, tc.a+tc.b), pol)
+		if !ok || abc.Attempt != max(tc.want, tc.a+tc.b) {
+			t.Fatalf("attempts %d and %d, then %d: combined %v attempt %d", tc.a, tc.b, tc.a+tc.b, ok, abc.Attempt)
+		}
+		var one [1]Leaf
+		var ids []word.ReqID
+		for _, lf := range abc.Leaves(&one) {
+			ids = append(ids, lf.ID)
+			if want := word.ProcID(lf.ID - 1); lf.Src != want {
+				t.Fatalf("leaf %d names processor %d, want %d", lf.ID, lf.Src, want)
+			}
+		}
+		if !reflect.DeepEqual(ids, []word.ReqID{1, 2, 3}) {
+			t.Fatalf("attempts %d and %d: the representation list names %v, want [1 2 3]", tc.a, tc.b, ids)
+		}
+	}
+}
+
 func TestCombineMergesSources(t *testing.T) {
 	pol := Policy{AllowReversal: true}
 	a := NewRequest(1, 9, rmw.FetchAdd(1), 4)

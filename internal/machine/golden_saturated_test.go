@@ -114,10 +114,10 @@ func TestGoldenSaturated(t *testing.T) {
 var goldenSaturatedTable = map[string]string{
 	"omega/clean/w1":         "3a327a0fbca37a2f",
 	"omega/clean/w3":         "3a327a0fbca37a2f",
-	"omega/crashdrop/w1":     "dd150f02b5540851",
-	"omega/crashdrop/w3":     "dd150f02b5540851",
+	"omega/crashdrop/w1":     "dd69526ba00b6a3d",
+	"omega/crashdrop/w3":     "dd69526ba00b6a3d",
 	"hypercube/clean/w1":     "71de956571cb3edf",
 	"hypercube/clean/w3":     "71de956571cb3edf",
-	"hypercube/crashdrop/w1": "5859d2e634127d44",
-	"hypercube/crashdrop/w3": "5859d2e634127d44",
+	"hypercube/crashdrop/w1": "77a403aba76e1488",
+	"hypercube/crashdrop/w3": "77a403aba76e1488",
 }

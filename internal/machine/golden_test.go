@@ -111,50 +111,50 @@ func TestGoldenDigests(t *testing.T) {
 var goldenTable = map[string]string{
 	"omega/clean/w1":           "755444adfcd24202",
 	"omega/clean/w3":           "755444adfcd24202",
-	"omega/faults/w1":          "3f8b2b770ee43e97",
-	"omega/faults/w3":          "3f8b2b770ee43e97",
-	"omega/crashdrop/w1":       "e97e56642ba1eea5",
-	"omega/crashdrop/w3":       "e97e56642ba1eea5",
-	"omega/adversarial/w1":     "e9e5fff8b33e358a",
-	"omega/adversarial/w3":     "e9e5fff8b33e358a",
+	"omega/faults/w1":          "d13d1df38a7c72ff",
+	"omega/faults/w3":          "d13d1df38a7c72ff",
+	"omega/crashdrop/w1":       "ee75e92ff06ea4cc",
+	"omega/crashdrop/w3":       "ee75e92ff06ea4cc",
+	"omega/adversarial/w1":     "e6c4e4f84615351a",
+	"omega/adversarial/w3":     "e6c4e4f84615351a",
 	"omega4/clean/w1":          "a6608ed54f5e7ea6",
 	"omega4/clean/w3":          "a6608ed54f5e7ea6",
-	"omega4/faults/w1":         "2307047428caaefe",
-	"omega4/faults/w3":         "2307047428caaefe",
-	"omega4/crashdrop/w1":      "dff6b451f1e7bb4e",
-	"omega4/crashdrop/w3":      "dff6b451f1e7bb4e",
-	"omega4/adversarial/w1":    "222d07b3129e9124",
-	"omega4/adversarial/w3":    "222d07b3129e9124",
+	"omega4/faults/w1":         "6d3736b1cb63451c",
+	"omega4/faults/w3":         "6d3736b1cb63451c",
+	"omega4/crashdrop/w1":      "fcb380127df84bd3",
+	"omega4/crashdrop/w3":      "fcb380127df84bd3",
+	"omega4/adversarial/w1":    "34279c7faf94a7cd",
+	"omega4/adversarial/w3":    "34279c7faf94a7cd",
 	"fattree/clean/w1":         "748b271a60143555",
 	"fattree/clean/w3":         "748b271a60143555",
-	"fattree/faults/w1":        "86f8e406d7a5d404",
-	"fattree/faults/w3":        "86f8e406d7a5d404",
-	"fattree/crashdrop/w1":     "abc0049c1b674128",
-	"fattree/crashdrop/w3":     "abc0049c1b674128",
-	"fattree/adversarial/w1":   "05998717c55dabb3",
-	"fattree/adversarial/w3":   "05998717c55dabb3",
+	"fattree/faults/w1":        "5fc6bd2d107c37b4",
+	"fattree/faults/w3":        "5fc6bd2d107c37b4",
+	"fattree/crashdrop/w1":     "4af6ebb8805624c4",
+	"fattree/crashdrop/w3":     "4af6ebb8805624c4",
+	"fattree/adversarial/w1":   "cdebf5bf2ee56a56",
+	"fattree/adversarial/w3":   "cdebf5bf2ee56a56",
 	"hypercube/clean/w1":       "fc2c7bddd8966d57",
 	"hypercube/clean/w3":       "fc2c7bddd8966d57",
-	"hypercube/faults/w1":      "9e14fd8f7f40d04a",
-	"hypercube/faults/w3":      "9e14fd8f7f40d04a",
-	"hypercube/crashdrop/w1":   "e6ddf1b81662d9de",
-	"hypercube/crashdrop/w3":   "e6ddf1b81662d9de",
-	"hypercube/adversarial/w1": "10bdecc81d95a661",
-	"hypercube/adversarial/w3": "10bdecc81d95a661",
+	"hypercube/faults/w1":      "796fd59debaa7636",
+	"hypercube/faults/w3":      "796fd59debaa7636",
+	"hypercube/crashdrop/w1":   "4acf0f32a595ebe6",
+	"hypercube/crashdrop/w3":   "4acf0f32a595ebe6",
+	"hypercube/adversarial/w1": "7eed5ede8fcc6e36",
+	"hypercube/adversarial/w3": "7eed5ede8fcc6e36",
 	"torus/clean/w1":           "98e43d593c32fafd",
 	"torus/clean/w3":           "98e43d593c32fafd",
-	"torus/faults/w1":          "71691c61d3693445",
-	"torus/faults/w3":          "71691c61d3693445",
-	"torus/crashdrop/w1":       "b7959100a7df795b",
-	"torus/crashdrop/w3":       "b7959100a7df795b",
-	"torus/adversarial/w1":     "f7e700d2f756b79c",
-	"torus/adversarial/w3":     "f7e700d2f756b79c",
+	"torus/faults/w1":          "a17914d8e6c76a26",
+	"torus/faults/w3":          "a17914d8e6c76a26",
+	"torus/crashdrop/w1":       "fe7d685c6ce54e0e",
+	"torus/crashdrop/w3":       "fe7d685c6ce54e0e",
+	"torus/adversarial/w1":     "5e534a515897e72d",
+	"torus/adversarial/w3":     "5e534a515897e72d",
 	"bus/clean/w1":             "f65ca731e48624a8",
 	"bus/clean/w3":             "f65ca731e48624a8",
-	"bus/faults/w1":            "b27da33490959073",
-	"bus/faults/w3":            "b27da33490959073",
-	"bus/crashdrop/w1":         "ccbed3336e401512",
-	"bus/crashdrop/w3":         "ccbed3336e401512",
-	"bus/adversarial/w1":       "d8c75d326a35e668",
-	"bus/adversarial/w3":       "d8c75d326a35e668",
+	"bus/faults/w1":            "0ff66cf6f00a3960",
+	"bus/faults/w3":            "0ff66cf6f00a3960",
+	"bus/crashdrop/w1":         "ee751a1cef73bdb6",
+	"bus/crashdrop/w3":         "ee751a1cef73bdb6",
+	"bus/adversarial/w1":       "6304ee510d33b622",
+	"bus/adversarial/w3":       "6304ee510d33b622",
 }
