@@ -189,7 +189,8 @@ stepbench:
 # rounds of 3000 cycles, the order flipped every round — this host's clock
 # swings 10–30 % between runs, so only interleaved pairs compare.  Beside
 # BenchmarkStep's cases it runs BenchmarkParallelStep's n256, n1024,
-# n1024hot8 (bench/run.sh's omega_parallel machine and traffic) and
+# n1024hot8 (bench/run.sh's omega_parallel machine and traffic), n1024sat
+# (the same with combining off: tree saturation at 1024 processors) and
 # n256faulted (BenchmarkStep/faulted's machine and plan) at w1 and w2, so a
 # stepper change is screened at both widths and against both of
 # ROADMAP item 9's bars (w2/w1 at 1024 and at 256 processors).  Prints min / first
@@ -207,7 +208,7 @@ stepcmp:
 		(cd $$d/ref && go test -c -o $$d/ref-$$p.test ./internal/$$p/); \
 		go test -c -o $$d/tree-$$p.test ./internal/$$p/; \
 	done; \
-	run() { for c in 'network:^BenchmarkStep$$' 'network:^BenchmarkParallelStep$$/^(n256|n1024|n1024hot8|n256faulted)$$/^w[12]$$' 'hypercube:^BenchmarkStep$$'; do \
+	run() { for c in 'network:^BenchmarkStep$$' 'network:^BenchmarkParallelStep$$/^(n256|n1024|n1024hot8|n1024sat|n256faulted)$$/^w[12]$$' 'hypercube:^BenchmarkStep$$'; do \
 		p=$${c%%:*}; (cd internal/$$p && $$d/$$1-$$p.test -test.run '^$$' -test.bench "$${c#*:}" -test.benchtime 3000x -test.benchmem -test.timeout 10m) | \
 		awk -v side=$$1 -v p=$$p '/^Benchmark(Parallel)?Step\// { sub(/^BenchmarkStep\//, "", $$1); sub(/^BenchmarkParallelStep\//, "parallel/", $$1); \
 			sub(/-[0-9]+$$/, "", $$1); for (i = 3; i < NF; i++) { if ($$(i+1) == "ns/op") us = $$i / 1000; if ($$(i+1) == "allocs/op") al = $$i } \

@@ -144,7 +144,6 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		MemQueueCap: cfg.BankQueueCap,
 		Stations:    station,
 		Links:       busLinks(cfg.Procs, cfg.Banks),
-		Stages:      1,
 		Faults:      cfg.Faults,
 		Trace:       cfg.Trace,
 	})

@@ -17,7 +17,9 @@ import (
 //
 // Worker-phase rule: FwdHop, RevHop, Feed and Tick write only the stations
 // and modules they are handed, the far ends of their links, those stations'
-// and modules' entries of the occupancy index, the bodies of the messages
+// and modules' entries of the occupancy index (and the stations' occupancy
+// words: the lane's own arrays, and when a pop empties a side every lane's
+// array for the side's owner, Stations), the bodies of the messages
 // those hold (store.go: they allocate none, and free into the lane), the
 // forward limbo and the event buffers, and the caller's Lane; a schedule calls them from its
 // pool's workers for stations whose link ends no other worker touches in
@@ -106,16 +108,16 @@ func (s *Shell) refusedAgain(to int32, k *refusal) bool {
 // turns a hot node into backpressure instead of unbounded memory-side
 // buffering.  The refusal is written to memo k, up being the version of the
 // queue e heads (0 at a port).
-func (s *Shell) arrive(to, in int32, e *FwdEntry, k *refusal, up uint32, sh *Shard) bool {
+func (s *Shell) arrive(to, in int32, e *FwdEntry, k *refusal, up uint32, ln *Lane) bool {
 	st, wait := s.st, &s.st.Wait[to]
 	out := int(s.links.Route[to][s.mem.HomeOf(e.Addr)])
 	rejections := wait.Rejections
-	if st.AcceptFwd(int(to), e, out, e.Path.Push(in), s.now(), sh) {
+	if st.AcceptFwd(int(to), e, out, e.Path.Push(in), s.now(), ln) {
 		return true
 	}
 	held := out == s.links.Ports
 	if held {
-		sh.HoldsMem++
+		ln.HoldsMem++
 	}
 	if st.Intercept == nil {
 		*k = refusal{up: up, down: st.fwd[int(to)*st.nf+out].Ver(), canPush: wait.CanPush(),
@@ -184,7 +186,7 @@ func (s *Shell) FwdHop(at, first int, ln *Lane) {
 			if s.refuseAgain(l.To, k, &ln.Shard) {
 				st.trace(int(l.To), Rejected, s.store.At(e.H).Req.ID, 0, e.Addr)
 			}
-		case s.arrive(l.To, l.In, e, k, q.Ver(), &ln.Shard):
+		case s.arrive(l.To, l.In, e, k, q.Ver(), ln):
 			// l.To ≠ at, so landing the request could not move the slot e is in.
 			s.countFwd(e, &ln.Shard)
 			st.PopFwd(at, port)
@@ -201,6 +203,64 @@ func rotation(mask uint32, first, n int) uint32 {
 	low := uint32(1)<<n - 1
 	mask &= low
 	return mask>>first | mask<<(n-first)&low
+}
+
+// HopRow makes the forward (or reverse) hop of the stations of row row
+// that worker w hops and whose side holds a message, in the arbiter's
+// rotation from the row's station first, each starting at port port0: the
+// sweep the occupancy words allow (Stations.occupied).  A station left out
+// would have moved nothing and counted nothing: FwdHop and RevHop return
+// on an empty mask.  Each word is read when the walk reaches it, so a
+// station a hop earlier in the row filled this cycle may be visited or
+// not, and either way moves nothing: what it holds is stamped with this
+// cycle.
+func (s *Shell) HopRow(fwd bool, row, first, w, port0 int, ln *Lane) {
+	st := s.st
+	rot, base := Rotate(first, st.rowLen), row*st.rowLen
+	for v := 0; v < rot.Visits(); v++ {
+		i, keep := rot.Word(v)
+		for m := st.occupied(fwd, row, i, w) & keep; m != 0; m &= m - 1 {
+			if at := base + i<<6 + bits.TrailingZeros64(m); fwd {
+				s.FwdHop(at, port0, ln)
+			} else {
+				s.RevHop(at, port0, ln)
+			}
+		}
+	}
+}
+
+// Rotation is the arbiter's order over a row of n stations or ports held as
+// bits, 64 to a word — first, Next(first, n), … wrapping — as a walk over
+// the words: visit v (0 ≤ v < Visits) reads word i and keeps the bits keep
+// marks (Word), taking them lowest first.  The first word is visited twice,
+// its bits from first on at the start and those before it at the end, so
+// the walk names a row's set bits in rotation order; a sweep reads each
+// word when it comes to it.  Bits past n must be clear.
+type Rotation struct {
+	i0, words int
+	b0        uint
+}
+
+// Rotate is the rotation over n bits from bit first.
+func Rotate(first, n int) Rotation {
+	return Rotation{i0: first >> 6, words: (n + 63) >> 6, b0: uint(first & 63)}
+}
+
+// Visits is the number of word visits: one more than the words.
+func (r Rotation) Visits() int { return r.words + 1 }
+
+// Word is visit v's word and the mask of its bits in turn.
+func (r Rotation) Word(v int) (i int, keep uint64) {
+	if i = r.i0 + v; i >= r.words {
+		i -= r.words
+	}
+	switch v {
+	case 0:
+		return i, ^uint64(0) << r.b0
+	case r.words:
+		return i, 1<<r.b0 - 1
+	}
+	return i, ^uint64(0)
 }
 
 // turnPort is the port the lowest bit of a rotation from first stands for.
@@ -270,7 +330,7 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 				ln.RevSlots++
 			}
 			if to >= 0 {
-				st.AcceptRev(to, e, s.now(), &ln.Home)
+				st.AcceptRev(to, e, s.now(), ln)
 			} else {
 				ln.Home = append(ln.Home, *e)
 			}
@@ -346,7 +406,7 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 		}
 		return
 	}
-	s.st.AcceptRev(at, &r, s.now(), &ln.Home)
+	s.st.AcceptRev(at, &r, s.now(), ln)
 }
 
 // Commit hands every reply the cycle's hops brought home to its processor's
@@ -413,7 +473,7 @@ func (s *Shell) Inject(p int, ln *Lane) bool {
 		return false
 	}
 	e := s.store.entry(s.alloc(ln), m)
-	if !s.arrive(l.To, l.In, &e, &k.refusal, 0, sh) {
+	if !s.arrive(l.To, l.In, &e, &k.refusal, 0, ln) {
 		ln.free(e.H)
 		k.id, k.attempt = m.Req.ID, m.Req.Attempt
 		return false
@@ -479,27 +539,20 @@ func (s *Shell) flush(at int) []word.ReqID {
 	return lost
 }
 
-// occupancy sums Stations.Occupancy over stations lo to hi-1.  A clean
-// machine's in-flight census adds ports and modules to the whole range;
-// detail renders it, stage by stage and with the modules' queues, for a
-// stall report.
-func (s *Shell) occupancy(lo, hi int) (fwd, rev, wait int) {
-	for at := lo; at < hi; at++ {
-		f, r, w := s.st.Occupancy(at)
-		fwd, rev, wait = fwd+f, rev+r, wait+w
-	}
-	return fwd, rev, wait
-}
-
+// detail renders the stations' census for a stall report, whole and stage
+// by stage — a stage is a row of the occupancy words, whose marked sides
+// count the queues (Stations.held) — with the wait records and the modules'
+// queues.
 func (s *Shell) detail() string {
-	fwd, rev, wait := s.occupancy(0, s.st.Len())
+	fwd, rev := s.st.held(0, s.st.rows)
 	memQ := 0
 	for mod := 0; mod < s.mem.Modules(); mod++ {
 		memQ += s.mem.Module(mod).QueueLen()
 	}
-	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, wait, memQ)
-	for stage := 0; stage*s.width < s.st.Len(); stage++ {
-		fwd, rev, wait := s.occupancy(stage*s.width, (stage+1)*s.width)
+	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, s.st.records(0, s.st.Len()), memQ)
+	for stage := 0; stage < s.st.rows; stage++ {
+		fwd, rev := s.st.held(stage, stage+1)
+		wait := s.st.records(stage*s.st.rowLen, (stage+1)*s.st.rowLen)
 		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", stage, fwd, rev, wait)
 	}
 	return out
@@ -521,13 +574,22 @@ func (s *Shell) Full() []uint32 { return s.st.full }
 // stations' FIFOs, whose bits must be set exactly when they are non-empty,
 // and each module's input queue with the replies it has released
 // (memory.Module.Work), which memLoad counts — and reports the first entry
-// that disagrees: the invariant every skipped visit rests on.  It also holds the
+// that disagrees: the invariant every skipped visit rests on.  The
+// occupancy words must agree with the masks: for every hop owner, the OR
+// of its lanes' arrays has a side's bit exactly when the side holds a
+// message, and no bit anywhere else.  It also holds the
 // store closed: every live body is named by exactly one queue entry, wait
 // record or metadata entry (limbo and the lanes hold values, or nothing,
 // between steps).
 func (s *Shell) CheckLoads() error {
 	named := 0
 	st := s.st
+	want := make([]uint64, st.stride) // the owners' arrays, OR'd over the lanes'
+	mark := func(pos []int32, at int, set bool) {
+		if set {
+			want[pos[at]>>6] |= 1 << (pos[at] & 63)
+		}
+	}
 	for at := range st.loads {
 		got, full, spent, fwd, rev := Load{}, uint32(0), uint32(0), st.Fwd(at), st.Rev(at)
 		for i := range fwd {
@@ -556,7 +618,19 @@ func (s *Shell) CheckLoads() error {
 			return fmt.Errorf("%s: cycle %d: station %d's full forward queues are %#b and its spent reverse queues %#b, the index says %#b and %#b",
 				s.name, s.tot.Cycles, at, full, spent, st.full[at], st.spent[at])
 		}
+		mark(st.fwdBit, at, got.Fwd != 0)
+		mark(st.revBit, at, got.Rev != 0)
 		named += st.Wait[at].Len()
+	}
+	for j := range want {
+		var got uint64
+		for i := j; i < len(st.occ); i += st.stride {
+			got |= st.occ[i]
+		}
+		if got != want[j] {
+			return fmt.Errorf("%s: cycle %d: hop owner %d's occupancy word %d reads %#x, the stations' masks give %#x",
+				s.name, s.tot.Cycles, j/st.span, j%st.span, got, want[j])
+		}
 	}
 	for mod := range s.meta {
 		named += len(s.meta[mod].boxes())

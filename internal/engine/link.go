@@ -290,14 +290,14 @@ func (s *Shell) landed(r *Rev, ln *Lane) {
 		s.complete(r, ln)
 		return
 	}
-	buf := s.behindBuf[:0]
-	s.st.PutRev(int(s.links.Behind[r.Src]), r, s.now(), &buf)
-	for i := range buf {
-		leaf := s.store.rev(&buf[i])
-		s.store.Free(buf[i].H)
+	b := &s.behind
+	s.st.PutRev(int(s.links.Behind[r.Src]), r, s.now(), b)
+	for i := range b.Home {
+		leaf := s.store.rev(&b.Home[i])
+		s.store.Free(b.Home[i].H)
 		s.complete(&leaf, ln)
 	}
-	s.behindBuf = buf[:0]
+	b.Home = b.Home[:0]
 }
 
 // complete hands one decombined reply to its processor and does the

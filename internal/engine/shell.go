@@ -138,13 +138,15 @@ type Shard struct {
 // whose workers take contiguous ascending ranges thus delivers in the same
 // order at every width — CommitLane one lane's, and the shell folds the
 // counters into the totals, and the freed bodies into the store, after
-// every sweep.  The pad keeps adjacent lanes of the contiguous slice off one
-// cache line.
+// every sweep.  w is the lane's index, which names the arrays of the
+// occupancy words its pushes write (Stations); the zero Lane is lane 0.  The
+// pad keeps adjacent lanes of the contiguous slice off one cache line.
 type Lane struct {
 	Shard
 	Home  []RevEntry
 	freed []int32
 	limbo []heldRev
+	w     int
 	_     [64]byte
 }
 
@@ -214,12 +216,11 @@ type ShellConfig struct {
 	// (MemQueueCap <= 0 leaves the module input queues unbounded).
 	Modules, Service, MemQueueCap int
 	// Stations are the wiring's combining stations and Links its compiled
-	// table.  The stations are the switch fault domains, Stages rows of
-	// them: site (stage, index) of a stall or crash window is station
-	// stage·(Stations.Len()/Stages) + index.
+	// table.  The stations are the switch fault domains, in the rows their
+	// occupancy words are laid out in (Stations.Own): site (stage, index)
+	// of a stall or crash window is station stage·rowLen + index.
 	Stations *Stations
 	Links    *Links
-	Stages   int
 	Faults   *faults.Plan
 	// Trace, when non-nil, receives every event of every cycle after the
 	// sweep, in the same order at every pool width (trace.go): each
@@ -265,10 +266,11 @@ type Shell struct {
 	// owner of the queue it counts, phase by phase.
 	memLoad []int32
 	// lanes are the stepping goroutines' working sets, one per pool worker;
-	// behindBuf is the processor links' scratch for a wait buffer behind
-	// them (Links.Behind).
-	lanes     []Lane
-	behindBuf []RevEntry
+	// behind is the processor links' scratch lane for a wait buffer behind
+	// them (Links.Behind), lane 0's writer: the links commit on one
+	// goroutine.
+	lanes  []Lane
+	behind Lane
 	// fwdMemo[at·Ports+port] and portMemo[p] remember why the head of a
 	// forward link or of processor p's port was last refused (refusal,
 	// hop.go); each has the owner of the station or port it sits at.
@@ -310,8 +312,8 @@ type Shell struct {
 	meta []metaShard
 
 	// Fault-mode state (nil/empty on a healthy machine).  stall and swDead
-	// are this cycle's masks over the Stages × Width switch sites, memDead
-	// over the modules; all three are filled serially at the top of Step,
+	// are this cycle's masks over the switch sites, a row of stations a
+	// stage, memDead over the modules; all three are filled serially at the top of Step,
 	// so every Workers width sees the same schedule.  masked says the last
 	// fill had a window open: the masks may hold a set bit, so the next
 	// cycle fills them again even if it is quiet (updateMasks).  quiet says
@@ -328,7 +330,6 @@ type Shell struct {
 	floors   []word.ReqID
 	crash    bool
 	rec      ledger
-	width    int
 	stall    []bool
 	swDead   []bool
 	memDead  []bool
@@ -389,8 +390,10 @@ func (s *Shell) Init(cfg ShellConfig) {
 	if s.pool == nil {
 		s.pool = par.NewPool(1)
 	}
-	s.width = st.Len() / cfg.Stages
 	s.lanes = make([]Lane, s.pool.Workers())
+	for w := range s.lanes {
+		s.lanes[w].w = w
+	}
 	st.back = s.links.Back
 	if s.trace != nil {
 		s.events = make([][]Event, st.Len())
@@ -469,12 +472,12 @@ func (s *Shell) Step() {
 // at its last checkpoint (module).  Each stalled site counts a lost
 // switch-cycle and each dead component a dead component-cycle, once a cycle.
 func (s *Shell) updateMasks() {
-	s.flt.StallMask(s.stall, s.width, s.tot.Cycles)
+	s.flt.StallMask(s.stall, s.st.rowLen, s.tot.Cycles)
 	if !s.crash {
 		return
 	}
 	next := s.nextDead[:len(s.swDead)]
-	s.flt.SwitchCrashMask(next, s.width, s.tot.Cycles)
+	s.flt.SwitchCrashMask(next, s.st.rowLen, s.tot.Cycles)
 	for d, dead := range next {
 		if dead && !s.swDead[d] {
 			s.rec.crashes++
@@ -555,8 +558,8 @@ func (s *Shell) InFlight() int {
 	if s.trk != nil {
 		return s.trk.Outstanding()
 	}
-	fwd, rev, wait := s.occupancy(0, s.st.Len())
-	return s.atPorts() + fwd + rev + wait + s.inMemory()
+	fwd, rev := s.st.held(0, s.st.rows)
+	return s.atPorts() + fwd + rev + s.st.records(0, s.st.Len()) + s.inMemory()
 }
 
 func (s *Shell) atPorts() int {

@@ -49,7 +49,7 @@ func newLoopbackWatched(plan *faults.Plan, inj []Injector, service int, watchdog
 	l.Init(ShellConfig{
 		Engine: "loopback", Injectors: inj,
 		Modules: n, Service: service, MemQueueCap: 2,
-		Stations: NewStations(1, n, 0, 2, 0, 0, core.Policy{}), Links: lk, Stages: 1,
+		Stations: NewStations(1, n, 0, 2, 0, 0, core.Policy{}), Links: lk,
 		Faults: plan,
 		Hooks: Hooks{
 			Sweep: l.sweep,

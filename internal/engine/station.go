@@ -81,6 +81,18 @@ type Load struct{ Fwd, Rev uint32 }
 // Load mask each.
 const MaxQueues = 32
 
+// The occupancy words are the index's second level: one bit per station
+// side, set exactly when the side's Load mask is non-zero, 64 to a word,
+// each row of stations (a stage, Own) starting a word — so a sweep walks a
+// row's set bits (occupied) instead of asking every station.  They come in
+// one array per (writer lane, hop owner) pair, the hop owner being the
+// worker that hops the side: a push that fills an empty side sets its bit
+// in the array of the pushing lane (Lane) and the side's owner, a pop that
+// empties it clears it in every array of that owner, and the owner reads
+// the OR of its own arrays.  Under the closed-block rule every word then
+// has one writer in any phase, with plain stores (DESIGN.md §6.1); at one
+// worker there is one array.
+
 // Stations is a fabric's combining stations, a row each: station at has
 // forward queues fwd[at·nf:(at+1)·nf], reverse queues rev[at·nr:(at+1)·nr],
 // wait buffer Wait[at] and occupancy masks loads[at].  Each column is one
@@ -99,7 +111,17 @@ type Stations struct {
 	loads []Load
 	full  []uint32
 	spent []uint32
-	store *Store
+	// occ holds the occupancy words: array (lane l, owner o) is
+	// occ[l·stride+o·span:][:span], the forward rows first, rowWords words a
+	// row.  fwdBit[at] and revBit[at] place station at's sides in their
+	// owner's arrays: word·64 + bit, the word counted from lane 0's first
+	// array.
+	occ            []uint64
+	span, stride   int
+	rows, rowLen   int
+	rowWords       int
+	fwdBit, revBit []int32
+	store          *Store
 	// back is Links.Back: back[at][src] is the reverse queue of station at
 	// toward processor src, or -1 when src is attached there.  nil on
 	// wirings whose replies pop a recorded path, and until a shell takes the
@@ -110,16 +132,18 @@ type Stations struct {
 	// Intercept, when non-nil, sees every request arriving at a station
 	// before the combine scan and reports whether it disposed of it — the
 	// seat of the Section 5.1 ablation (network.Config.BuggyLoadForwarding).
-	Intercept func(st *Stations, at, out int, e FwdEntry, path Path, now uint32) bool
+	// ln is the arriving hop's lane.
+	Intercept func(st *Stations, at, out int, e FwdEntry, path Path, now uint32, ln *Lane) bool
 	// trace, when non-nil, observes the Combined, Rejected and Decombined
 	// events at station at (a traced shell installs it: ShellConfig.Trace).
 	trace func(at int, kind EventKind, id, id2 word.ReqID, addr word.Addr)
 }
 
 // NewStations builds count stations of fwd forward and rev reverse queues
-// over one new message store.  queueCap bounds the forward queues (<= 0:
-// unbounded); the reverse queues are unbounded as storage and admitted by
-// credit (revCap, CanAcceptRev).  A side of more than MaxQueues queues is a
+// over one new message store, their occupancy words laid out as one row
+// that one worker hops until the wiring says otherwise (Own).  queueCap
+// bounds the forward queues (<= 0: unbounded); the reverse queues are
+// unbounded as storage and admitted by credit (revCap, CanAcceptRev).  A side of more than MaxQueues queues is a
 // caller's bug (a Config's Validate rejects the wiring), and panics.
 func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy) *Stations {
 	if fwd > MaxQueues || rev > MaxQueues {
@@ -139,7 +163,68 @@ func NewStations(count, fwd, rev, queueCap, revCap, waitCap int, pol core.Policy
 	for i := range st.Wait {
 		st.Wait[i] = *core.NewWaitBuffer[Record](waitCap)
 	}
+	st.Own(count, 1, nil)
 	return st
+}
+
+// Own lays the occupancy words out for rows of rowLen stations and a
+// schedule of workers lanes: owner(fwd, at) is the worker that hops station
+// at's forward or reverse side, and lanes 0 to workers−1 may push.  A nil
+// owner gives every side to worker 0.  The words start empty: a wiring
+// calls Own once, before any message enters.
+func (st *Stations) Own(rowLen, workers int, owner func(fwd bool, at int) int) {
+	rows := (st.Len() + rowLen - 1) / rowLen
+	st.rows, st.rowLen, st.rowWords = rows, rowLen, (rowLen+63)/64
+	st.span = (2*rows*st.rowWords + 7) &^ 7 // a whole number of cache lines
+	st.stride = workers * st.span
+	st.occ = make([]uint64, workers*st.stride)
+	st.fwdBit, st.revBit = make([]int32, st.Len()), make([]int32, st.Len())
+	for at := range st.fwdBit {
+		row, idx := at/rowLen, at%rowLen
+		for side, pos := range [2][]int32{st.fwdBit, st.revBit} {
+			o := 0
+			if owner != nil {
+				o = owner(side == 0, at)
+			}
+			pos[at] = int32((o*st.span+(side*rows+row)*st.rowWords+idx/64)<<6 | idx%64)
+		}
+	}
+}
+
+// mark sets station at's side bit (pos: fwdBit or revBit) in lane w's
+// array for the side's owner: a push filled the empty side.
+func (st *Stations) mark(pos []int32, at, w int) {
+	b := pos[at]
+	st.occ[w*st.stride+int(b>>6)] |= 1 << (b & 63)
+}
+
+// unmark clears station at's side bit in every lane's array for the side's
+// owner: a pop emptied it, or a crash.  Only a word holding the bit is
+// written.
+func (st *Stations) unmark(pos []int32, at int) {
+	b := pos[at]
+	bit := uint64(1) << (b & 63)
+	for i := int(b >> 6); i < len(st.occ); i += st.stride {
+		if st.occ[i]&bit != 0 {
+			st.occ[i] &^= bit
+		}
+	}
+}
+
+// occupied is worker w's occupancy word i of the given row's forward or
+// reverse side: bit j is set when station row·rowLen + 64i + j holds a
+// message on that side and w hops it.  It is the OR of w's arrays, and
+// only w writes them while it hops the row.
+func (st *Stations) occupied(fwd bool, row, i, w int) uint64 {
+	if !fwd {
+		row += st.rows
+	}
+	j := w*st.span + row*st.rowWords + i
+	var m uint64
+	for ; j < len(st.occ); j += st.stride {
+		m |= st.occ[j]
+	}
+	return m
 }
 
 // Len is the number of stations.
@@ -163,13 +248,14 @@ func (st *Stations) Body(h int32) *Body { return st.store.At(h) }
 // full — refused, and the upstream holds it.  path is e's header with this
 // station's entry stamped.  Its body stays in the store either way: a taken
 // request's now belongs to the queue or, absorbed by a combine, to the wait
-// record.
-func (st *Stations) AcceptFwd(at int, e *FwdEntry, out int, path Path, now uint32, sh *Shard) bool {
-	if st.Intercept != nil && st.Intercept(st, at, out, *e, path, now) {
+// record.  ln is the caller's lane: its counters, and the arrays of the
+// occupancy words it writes.
+func (st *Stations) AcceptFwd(at int, e *FwdEntry, out int, path Path, now uint32, ln *Lane) bool {
+	if st.Intercept != nil && st.Intercept(st, at, out, *e, path, now, ln) {
 		return true
 	}
 	q := &st.fwd[at*st.nf+out]
-	if q.Len() > 0 && st.combine(at, q, e, path, sh) {
+	if q.Len() > 0 && st.combine(at, q, e, path, ln) {
 		return true
 	}
 	if q.Full() {
@@ -178,6 +264,9 @@ func (st *Stations) AcceptFwd(at int, e *FwdEntry, out int, path Path, now uint3
 	slot := q.Push()
 	*slot = *e
 	slot.Path, slot.Moved = path, now
+	if st.loads[at].Fwd == 0 {
+		st.mark(st.fwdBit, at, ln.w)
+	}
 	st.loads[at].Fwd |= 1 << out
 	if q.Full() {
 		st.full[at] |= 1 << out
@@ -188,9 +277,9 @@ func (st *Stations) AcceptFwd(at int, e *FwdEntry, out int, path Path, now uint3
 // PutFwd is AcceptFwd for a request in value form: its body is stored first
 // and freed again if the station refuses it.  It allocates, so it runs where
 // no pool worker does (store.go).
-func (st *Stations) PutFwd(at int, m *Fwd, out int, path Path, now uint32, sh *Shard) bool {
+func (st *Stations) PutFwd(at int, m *Fwd, out int, path Path, now uint32, ln *Lane) bool {
 	e := st.store.put(m)
-	if st.AcceptFwd(at, &e, out, path, now, sh) {
+	if st.AcceptFwd(at, &e, out, path, now, ln) {
 		return true
 	}
 	st.store.Free(e.H)
@@ -210,12 +299,15 @@ func (st *Stations) TakeFwd(at, port int) Fwd {
 // PopFwd and PopRev drop the head of station at's forward or reverse queue
 // port: the message has crossed its link, or was lost on it.  A pop that
 // empties its queue clears the queue's bit, and a forward pop leaves its
-// queue below its bound.  A mask is written only when a bit changes: a
+// queue below its bound; one that empties its station's side clears its
+// occupancy bit.  A mask is written only when a bit changes: a
 // neighbouring station's entry may be another worker's, on the same line.
 func (st *Stations) PopFwd(at, port int) {
 	q := &st.fwd[at*st.nf+port]
 	if q.Pop(); q.Len() == 0 {
-		st.loads[at].Fwd &^= 1 << port
+		if st.loads[at].Fwd &^= 1 << port; st.loads[at].Fwd == 0 {
+			st.unmark(st.fwdBit, at)
+		}
 	}
 	if st.full[at]&(1<<port) != 0 {
 		st.full[at] &^= 1 << port
@@ -225,7 +317,9 @@ func (st *Stations) PopFwd(at, port int) {
 func (st *Stations) PopRev(at, port int) {
 	q := &st.rev[at*st.nr+port]
 	if q.Pop(); q.Len() == 0 {
-		st.loads[at].Rev &^= 1 << port
+		if st.loads[at].Rev &^= 1 << port; st.loads[at].Rev == 0 {
+			st.unmark(st.revBit, at)
+		}
 	}
 	if st.spent[at]&(1<<port) != 0 && q.Len() < st.revCap {
 		st.spent[at] &^= 1 << port
@@ -241,7 +335,7 @@ func (st *Stations) PopRev(at, port int) {
 // addresses in place, the two bodies are read only for a partner, and the
 // combined request and its record are built only once the pair is known to
 // combine and the wait buffer to have room.
-func (st *Stations) combine(at int, q *core.FIFO[FwdEntry], e *FwdEntry, path Path, sh *Shard) bool {
+func (st *Stations) combine(at int, q *core.FIFO[FwdEntry], e *FwdEntry, path Path, ln *Lane) bool {
 	held := q.View()
 	i := len(held) - 1
 	for i >= 0 && held[i].Addr != e.Addr {
@@ -283,7 +377,7 @@ func (st *Stations) combine(at int, q *core.FIFO[FwdEntry], e *FwdEntry, path Pa
 	qb.Req = combined
 	queued.Slots = uint8(core.ValueSlots(combined.Op))
 	q.Touch()
-	sh.Combines++
+	ln.Combines++
 	if st.trace != nil {
 		st.trace(at, Combined, rec.ID1, rec.ID2, e.Addr)
 	}
@@ -304,10 +398,10 @@ func (st *Stations) CanAcceptRev(at int) bool { return st.spent[at] == 0 }
 // AcceptRev takes a reply arriving at station at from the memory side: it
 // undoes every combine recorded there that the reply answers (most recent
 // first, several for a k-way combine) and queues each resulting reply toward
-// its processor; one whose processor is attached there is appended to home
-// instead.
-func (st *Stations) AcceptRev(at int, e *RevEntry, now uint32, home *[]RevEntry) {
-	if st.Wait[at].Len() > 0 && st.decombine(at, e, now, home) {
+// its processor; one whose processor is attached there is appended to the
+// caller's lane's Home instead.
+func (st *Stations) AcceptRev(at int, e *RevEntry, now uint32, ln *Lane) {
+	if st.Wait[at].Len() > 0 && st.decombine(at, e, now, ln) {
 		return
 	}
 	port, path := 0, e.Path
@@ -317,13 +411,16 @@ func (st *Stations) AcceptRev(at int, e *RevEntry, now uint32, home *[]RevEntry)
 		port, path = path.Pop()
 	}
 	if port < 0 {
-		*home = append(*home, *e)
+		ln.Home = append(ln.Home, *e)
 		return
 	}
 	q := &st.rev[at*st.nr+port]
 	slot := q.Push()
 	*slot = *e
 	slot.Path, slot.Moved = path, now
+	if st.loads[at].Rev == 0 {
+		st.mark(st.revBit, at, ln.w)
+	}
 	st.loads[at].Rev |= 1 << port
 	if st.revCap > 0 && q.Len() >= st.revCap {
 		st.spent[at] |= 1 << port
@@ -332,9 +429,9 @@ func (st *Stations) AcceptRev(at int, e *RevEntry, now uint32, home *[]RevEntry)
 
 // PutRev is AcceptRev for a reply in value form, whose body it stores.  It
 // allocates, so it runs where no pool worker does (store.go).
-func (st *Stations) PutRev(at int, r *Rev, now uint32, home *[]RevEntry) {
+func (st *Stations) PutRev(at int, r *Rev, now uint32, ln *Lane) {
 	e := st.store.putRev(r)
-	st.AcceptRev(at, &e, now, home)
+	st.AcceptRev(at, &e, now, ln)
 }
 
 // TakeRev pops the head of station at's reverse queue port in value form,
@@ -353,7 +450,7 @@ func (st *Stations) TakeRev(at, port int) Rev {
 // downstream, and a later (retransmitted) reply for the same id must pass
 // through rather than synthesize a second requester's reply from a combine
 // that never reached memory.  On a healthy machine every record matches.
-func (st *Stations) decombine(at int, e *RevEntry, now uint32, home *[]RevEntry) bool {
+func (st *Stations) decombine(at int, e *RevEntry, now uint32, ln *Lane) bool {
 	b := st.store.At(e.H)
 	rep := b.Reply()
 	match := func(rec Record) bool { return core.CanDecombine(rec.Record, rep) }
@@ -368,8 +465,8 @@ func (st *Stations) decombine(at int, e *RevEntry, now uint32, home *[]RevEntry)
 	b2 := st.store.At(rec.H2)
 	b.SetReply(r1)
 	b2.SetReply(r2)
-	st.AcceptRev(at, &RevEntry{ID: r1.ID, Path: e.Path, H: e.H, Src: e.Src, Valued: rec.Needs1, Attempt: attemptOf(r1.Attempt)}, now, home)
-	st.AcceptRev(at, &RevEntry{ID: r2.ID, Path: rec.Path2, H: rec.H2, Src: b2.Src, Valued: rec.Needs2, Attempt: attemptOf(r2.Attempt)}, now, home)
+	st.AcceptRev(at, &RevEntry{ID: r1.ID, Path: e.Path, H: e.H, Src: e.Src, Valued: rec.Needs1, Attempt: attemptOf(r1.Attempt)}, now, ln)
+	st.AcceptRev(at, &RevEntry{ID: r2.ID, Path: rec.Path2, H: rec.H2, Src: b2.Src, Valued: rec.Needs2, Attempt: attemptOf(r2.Attempt)}, now, ln)
 	return true
 }
 
@@ -403,6 +500,12 @@ func (st *Stations) Crash(at int) []word.ReqID {
 		ids = st.store.At(rec.H2).Req.AppendLeafIDs(ids)
 		st.store.Free(rec.H2)
 	}
+	if st.loads[at].Fwd != 0 {
+		st.unmark(st.fwdBit, at)
+	}
+	if st.loads[at].Rev != 0 {
+		st.unmark(st.revBit, at)
+	}
 	st.loads[at], st.full[at], st.spent[at] = Load{}, 0, 0
 	return ids
 }
@@ -418,6 +521,35 @@ func (st *Stations) Occupancy(at int) (fwd, rev, wait int) {
 		rev += st.rev[at*st.nr+bits.TrailingZeros32(m)].Len()
 	}
 	return fwd, rev, st.Wait[at].Len()
+}
+
+// held counts the messages queued at the stations of rows lo to hi−1,
+// reading only the sides the occupancy words mark: the in-flight census and
+// the stall report's per-stage detail.
+func (st *Stations) held(lo, hi int) (fwd, rev int) {
+	for row := lo; row < hi; row++ {
+		for i := 0; i < st.rowWords; i++ {
+			// Either side marked, in any lane's array for any owner.
+			var m uint64
+			for j := row*st.rowWords + i; j < len(st.occ); j += st.span {
+				m |= st.occ[j] | st.occ[j+st.rows*st.rowWords]
+			}
+			for ; m != 0; m &= m - 1 {
+				f, r, _ := st.Occupancy(row*st.rowLen + i<<6 + bits.TrailingZeros64(m))
+				fwd, rev = fwd+f, rev+r
+			}
+		}
+	}
+	return fwd, rev
+}
+
+// records counts the wait records stations lo to hi−1 hold.
+func (st *Stations) records(lo, hi int) int {
+	n := 0
+	for at := lo; at < hi; at++ {
+		n += st.Wait[at].Len()
+	}
+	return n
 }
 
 // MaxRev is the high-water mark across station at's reverse queues — the

@@ -71,7 +71,7 @@ type bench struct {
 	serial  map[word.Addr][]core.Leaf
 	replies map[word.ReqID]word.Word
 	nextID  word.ReqID
-	sh      Shard
+	sh      Lane
 }
 
 func newBench(t *testing.T, deg, queueCap, revCap, waitCap int, reversal bool) *bench {
@@ -101,10 +101,10 @@ func (b *bench) serve(out int, lose bool) {
 	cell := b.cells[m.Req.Addr]
 	rep := core.Execute(&cell, m.Req)
 	b.cells[m.Req.Addr] = cell
-	var home []RevEntry
+	var home Lane
 	b.st.PutRev(0, &Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
-	if len(home) != 0 {
-		b.t.Fatalf("a reply with an unspent path came home: %+v", home)
+	if len(home.Home) != 0 {
+		b.t.Fatalf("a reply with an unspent path came home: %+v", home.Home)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 		if b.st.Wait[0].Len() != 1 {
 			t.Fatalf("%s: %d records after the combine", tc.name, b.st.Wait[0].Len())
 		}
-		var home []RevEntry
+		var home Lane
 		b.st.PutRev(0, &Rev{Rep: tc.answer(first), Path: Path(0).Push(0), Src: 1}, 0, &home)
 		b.drain(0, 1<<30)
 		if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
@@ -367,8 +367,7 @@ func TestStationCrashReturnsWhatItHeld(t *testing.T) {
 // allocation is the combine's meaning, not the station's overhead.)
 func TestStationSteadyStateZeroAlloc(t *testing.T) {
 	st := NewStations(1, 2, 2, 4, 0, 0, core.Policy{})
-	var sh Shard
-	var home []RevEntry
+	var sh, home Lane
 	hot := Fwd{Req: core.NewRequest(1, 8, rmw.FetchAdd(1), 0), Src: 0}
 	path := Path(0).Push(1)
 	st.PutFwd(0, &hot, 0, path, 0, &sh) // the partner every later arrival finds
@@ -449,7 +448,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.Wait[0].CanPush)
 		rejections, records := st.Wait[0].Rejections, st.Wait[0].Len()
 
-		var sh Shard
+		var sh Lane
 		if !st.PutFwd(0, &m, 0, m.Path, 7, &sh) {
 			t.Fatalf("trial %d: an unbounded queue refused the request", trial)
 		}
@@ -643,7 +642,7 @@ func TestStationRetransmitCombinesExactlyOnce(t *testing.T) {
 		return m
 	}
 	offer := func(m Fwd) {
-		var sh Shard
+		var sh Lane
 		if !st.PutFwd(0, &m, 0, Path(0).Push(int32(m.Src)), 0, &sh) {
 			t.Fatalf("the station refused request %d", m.Req.ID)
 		}
@@ -660,7 +659,7 @@ func TestStationRetransmitCombinesExactlyOnce(t *testing.T) {
 		if !ok {
 			t.Fatalf("the module did not answer request %d", m.Req.ID)
 		}
-		var home []RevEntry
+		var home Lane
 		st.PutRev(0, &Rev{Rep: rep, Path: m.Path, Src: m.Src}, 0, &home)
 	}
 	got := map[word.ReqID]word.Word{}

@@ -112,7 +112,7 @@ func (l *TraceLog) Count(kind EventKind) int {
 // trace hook (Shell.Init).
 func (s *Shell) stationEvent(at int, kind EventKind, id, id2 word.ReqID, addr word.Addr) {
 	s.events[at] = append(s.events[at],
-		Event{Cycle: s.tot.Cycles, Kind: kind, ID: id, ID2: id2, Addr: addr, Stage: at / s.width, Switch: at % s.width})
+		Event{Cycle: s.tot.Cycles, Kind: kind, ID: id, ID2: id2, Addr: addr, Stage: at / s.st.rowLen, Switch: at % s.st.rowLen})
 }
 
 // portEvent records an injection or delivery at processor p, in p's

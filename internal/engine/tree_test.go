@@ -63,7 +63,7 @@ func newTree(plan *faults.Plan, inj []Injector, revCap int) *tree {
 	t.Init(ShellConfig{
 		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
 		Stations: NewStations(treeProcs-1, 1, 2, 4, revCap, core.Unbounded, core.Policy{}),
-		Links:    treeLinks(), Stages: 1, Faults: plan,
+		Links:    treeLinks(), Faults: plan,
 		Hooks: Hooks{
 			Sweep:     t.sweep,
 			CanFeed:   t.RoomInModule,
@@ -138,7 +138,7 @@ func TestIdleModuleCountsCreditHold(t *testing.T) {
 		t.Fatalf("an empty machine counted %d credit holds", ln.HoldsMemOut)
 	}
 	// One reply queued toward child 1 puts the root at its credit limit.
-	sts.PutRev(0, &Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, nil)
+	sts.PutRev(0, &Rev{Rep: core.Reply{ID: 1}, Path: Path(0).Push(0).Push(0).Push(1)}, 0, ln)
 	if sts.CanAcceptRev(0) || tr.Memory().Module(0).QueueLen() != 0 {
 		t.Fatalf("setup: root has credit (%v) or the module is not idle", sts.CanAcceptRev(0))
 	}
@@ -182,7 +182,7 @@ func newHeldTree(t *testing.T, partner, head rmw.Mapping, plan *faults.Plan) *he
 	tr.Init(ShellConfig{
 		Engine: "tree", Injectors: inj, Modules: 1, Service: 1, MemQueueCap: 4,
 		Stations: NewStations(treeProcs-1, 2, 2, 2, 4, 1, core.Policy{}),
-		Links:    lk, Stages: 1, Faults: plan,
+		Links:    lk, Faults: plan,
 		Hooks: Hooks{
 			Sweep:     func() {},
 			CanFeed:   tr.RoomInModule,
@@ -202,7 +202,7 @@ func newHeldTree(t *testing.T, partner, head rmw.Mapping, plan *faults.Plan) *he
 // combine is set, combined into the one queued for its cell.
 func (h *heldTree) offer(t *testing.T, at, out int, req core.Request, combine bool) {
 	t.Helper()
-	var sh Shard
+	var sh Lane
 	if !h.st.PutFwd(at, &Fwd{Req: req}, out, Path(0).Push(1), uint32(h.tot.Cycles), &sh) || (sh.Combines == 1) != combine {
 		t.Fatalf("setup: request %d refused, or combined: %v", req.ID, sh.Combines == 1)
 	}
@@ -318,7 +318,7 @@ func TestBlockedHeadMemo(t *testing.T) {
 	t.Run("intercept", func(t *testing.T) {
 		h := newHeldTree(t, load, or, nil)
 		calls := 0
-		h.st.Intercept = func(_ *Stations, at, _ int, _ FwdEntry, _ Path, _ uint32) bool {
+		h.st.Intercept = func(_ *Stations, at, _ int, _ FwdEntry, _ Path, _ uint32, _ *Lane) bool {
 			if at != 0 {
 				t.Errorf("the Intercept hook was asked at station %d, not the root", at)
 			}

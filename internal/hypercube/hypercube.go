@@ -173,6 +173,9 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	for i := 0; i < s.n; i++ {
 		nodes.Fwd(i)[s.d] = core.NewFIFO[engine.FwdEntry](cfg.MemQueueCap)
 	}
+	// One row of nodes, hopped by the stepping goroutine; the tick workers
+	// push and pop too, each on whole words of it (tickWorker).
+	nodes.Own(s.n, s.pool.Workers(), nil)
 	s.Shell.Init(engine.ShellConfig{
 		Engine: "hypercube",
 		Hooks: engine.Hooks{
@@ -189,7 +192,6 @@ func NewSim(cfg Config, inj []engine.Injector) *Sim {
 		Service:   1,
 		Stations:  nodes,
 		Links:     engine.CompileDirect(topo),
-		Stages:    1,
 		Faults:    cfg.Faults,
 		Trace:     cfg.Trace,
 	})
@@ -203,19 +205,16 @@ func (s *Sim) sweep() {
 	ln := s.Lane(0)
 	// Replies first, nodes and links in plain order.  Reverse hops strictly
 	// descend in dimension and the last one delivers (always consumes), so
-	// held replies cannot form a cycle.
-	for i := 0; i < s.n; i++ {
-		s.RevHop(i, 0, ln)
-	}
+	// held replies cannot form a cycle.  Both sweeps visit only the nodes
+	// the occupancy words mark (Shell.HopRow).
+	s.HopRow(false, 0, 0, 0, 0, ln)
 	// Memory: every node's feed and tick touch only that node's station,
 	// metadata shard, limbo and module, so each node is its own conflict
 	// group and each of the pool's workers takes a contiguous range of them.
 	s.pool.Run(s.tickFn)
 	// Requests, nodes and links in rotating order.
 	node0, link0 := s.Turn(s.n), s.Turn(s.d)
-	for i, node := 0, node0; i < s.n; i, node = i+1, engine.Next(node, s.n) {
-		s.FwdHop(node, link0, ln)
-	}
+	s.HopRow(true, 0, node0, 0, link0, ln)
 	// Deliveries, then injection.  A dead node's processor is dead with it:
 	// its port is not asked.
 	s.Commit()
@@ -227,10 +226,12 @@ func (s *Sim) sweep() {
 }
 
 // tickWorker is the per-worker body of the memory tick, bound to Sim.tickFn
-// once at construction.
+// once at construction.  Each worker takes whole words of the occupancy
+// index, 64 nodes, so no word has two writers: a feed that empties a node's
+// queues clears its bit in every lane's array.
 func (s *Sim) tickWorker(w int) {
-	lo, hi := par.Split(s.n, s.pool.Workers(), w)
-	for i := lo; i < hi; i++ {
+	lo, hi := par.Split((s.n+63)/64, s.pool.Workers(), w)
+	for i := lo * 64; i < min(hi*64, s.n); i++ {
 		s.tickNode(i, s.Lane(w))
 	}
 }

@@ -152,10 +152,10 @@ func TestOwnPortsOverlap(t *testing.T) {
 		traced bool
 		cycles int
 	}{
-		{"clean", nil, false, 1500},
-		{"crashdrop", crashDrop, false, 1500},
-		{"adversarial", faults.DefaultAdversarial(35), false, 1000},
-		{"traced", nil, true, 600},
+		{"clean", nil, false, 800},
+		{"crashdrop", crashDrop, false, 1000}, // past the last crash window, 900–940
+		{"adversarial", faults.DefaultAdversarial(35), false, 800},
+		{"traced", nil, true, 400},
 	}
 	run := func(workers int, topo engine.Staged, plan *faults.Plan, traced bool, cycles int) ([]byte, []engine.Event) {
 		const n = 64

@@ -214,17 +214,17 @@ type Sim struct {
 	// The stepper: the worker pool (Config.Workers wide, persistent
 	// workers bracketed by Run/Drain), the phase barrier, the phase
 	// function handed to the pool each cycle (bound once at construction so
-	// the cycle loop allocates no closures), the phases after reverse stage
-	// 0 and their switch lists — lists[(i·workers+w)·2+j] are the switches
-	// of phases[i].stages[j] worker w hops, ascending, and stage0[w] the
-	// stage-0 switches it owns, whose ports it serves: ports[w] are their
-	// processors, ascending.  See parallel.go and DESIGN.md §6.1.
-	pool          *par.Pool
-	bar           par.Barrier
-	stepFn        func(w int)
-	phases        []phase
-	lists, stage0 [][]int32
-	ports         [][]int32
+	// the cycle loop allocates no closures) and the phases after reverse
+	// stage 0.  Who hops what is in the stations' occupancy words
+	// (owners, engine.Stations.Own); beside them tick[w] marks the
+	// last-stage switches worker w hops and ticks, and ports[w] the
+	// processors it serves, those of the stage-0 switches it owns.  See
+	// parallel.go and DESIGN.md §6.1.
+	pool        *par.Pool
+	bar         par.Barrier
+	stepFn      func(w int)
+	phases      []phase
+	tick, ports [][]uint64
 }
 
 // NewSim builds a machine; injectors must supply exactly cfg.Procs entries.
@@ -250,8 +250,21 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	s.bar = par.NewBarrier(s.pool.Workers())
 	s.stepFn = s.phaseWorker
 	s.phases = stagedPhases(k)
-	s.lists, s.stage0 = switchLists(topo, s.pool.Workers(), s.phases)
-	s.ports = portsOf(topo, s.stage0)
+	fwd, rev := owners(topo, s.pool.Workers(), s.phases)
+	switches.Own(s.ns, s.pool.Workers(), func(side bool, at int) int {
+		if side {
+			return fwd[at]
+		}
+		return rev[at]
+	})
+	procs := make([]int, n)
+	for p := range procs {
+		procs[p] = fwd[topo.ProcLine(p)/cfg.Radix]
+	}
+	for w := 0; w < s.pool.Workers(); w++ {
+		s.tick = append(s.tick, ownBits(fwd[(k-1)*s.ns:], w))
+		s.ports = append(s.ports, ownBits(procs, w))
+	}
 	s.Shell.Init(engine.ShellConfig{
 		Engine:      "network",
 		Hooks:       engine.Hooks{Sweep: s.sweep, CanFeed: s.RoomInModule, Saturated: s.treeSaturated, Observe: s.observe},
@@ -262,7 +275,6 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 		MemQueueCap: cfg.MemQueueCap,
 		Stations:    switches,
 		Links:       engine.CompileStaged(topo),
-		Stages:      k,
 		Faults:      cfg.Faults,
 		Trace:       cfg.Trace,
 	})
@@ -278,7 +290,7 @@ func (s *Sim) Topology() engine.Staged { return s.topo }
 // value, while the store is still on its way to memory.  The synthesized
 // reply descends from this switch along the load's path, written into the
 // load's body.
-func forwardLoad(sw *engine.Stations, at, out int, e engine.FwdEntry, path engine.Path, now uint32) bool {
+func forwardLoad(sw *engine.Stations, at, out int, e engine.FwdEntry, path engine.Path, now uint32, ln *engine.Lane) bool {
 	m := sw.Body(e.H)
 	if _, isLoad := m.Req.Op.(rmw.Load); !isLoad {
 		return false
@@ -290,7 +302,7 @@ func forwardLoad(sw *engine.Stations, at, out int, e engine.FwdEntry, path engin
 		if c, isConst := sw.Body(queued.H).Req.Op.(rmw.Const); isConst {
 			m.SetReply(core.Reply{ID: m.Req.ID, Val: word.W(c.V)})
 			sw.AcceptRev(at, &engine.RevEntry{ID: m.Req.ID, Path: path, H: e.H, Src: m.Src, Valued: true},
-				now, nil) // never home: the path is not spent
+				now, ln) // never home: the path is not spent
 			return true
 		}
 	}

@@ -5,12 +5,14 @@ package network
 // or two adjacent ones, and its switches are partitioned into closed blocks
 // — sets of switches whose hops touch no machine state another block's
 // touch in the same phase.  Blocks are spread across workers by par.Split
-// into per-worker switch lists built once; each worker walks a stage's list
-// from the cycle's first switch on, wrapping, which is the rotation order
-// restricted to its blocks, and hops a pair's first stage before its
-// second.  One worker owns everything, so at width one the walk is the plain
-// serial sweep, and at any width every station sees the same operations in
-// the same order.  The phases, in order:
+// into owner tables built once, which lay out the stations' occupancy words
+// (engine.Stations.Own): each worker walks the set bits of its own words of
+// a stage from the cycle's first switch on, wrapping, which is the rotation
+// order restricted to its blocks and to the switches holding a message, and
+// hops a pair's first stage before its second.  One worker owns everything,
+// so at width one the walk is the serial sweep less its idle switches, and
+// at any width every station sees the same operations in the same order.
+// The phases, in order:
 //
 //   reverse stage 0       each switch alone (delivers only to processors)
 //   reverse 1+2, 3+4, …   pairs from the processor side, an odd stage left
@@ -48,7 +50,7 @@ package network
 // purely hash-derived decisions.
 
 import (
-	"slices"
+	"math/bits"
 
 	"combining/internal/engine"
 	"combining/internal/par"
@@ -84,61 +86,43 @@ func stagedPhases(k int) []phase {
 	return ps
 }
 
-// switchLists builds the per-worker switch lists of wiring t at the given
-// width over phases ps: lists[(i·workers+w)·2+j] are the switches of
-// ps[i].stages[j] worker w hops in that phase, ascending, and stage0[w] are
-// the stage-0 switches it owns in the last phase — the ones whose
-// processors it serves.
-func switchLists(t engine.Staged, workers int, ps []phase) (lists, stage0 [][]int32) {
+// owners builds the hop-owner tables of wiring t at the given width over
+// phases ps: fwd[stage·ns+sw] and rev[stage·ns+sw] are the workers that hop
+// switch sw of that stage forward and in reverse, the worker par.Split gives
+// its block in the phase that hops it.  Reverse stage 0, which precedes the
+// phases, goes to each switch's forward owner, which serves its ports.
+func owners(t engine.Staged, workers int, ps []phase) (fwd, rev []int) {
 	ns := t.Procs() / t.Radix()
-	lists = make([][]int32, len(ps)*workers*2)
-	for i, ph := range ps {
-		blocks := ph.blocks(t)
+	fwd, rev = make([]int, t.Stages()*ns), make([]int, t.Stages()*ns)
+	for _, ph := range ps {
+		own, blocks := rev, ph.blocks(t)
+		if ph.fwd {
+			own = fwd
+		}
 		for w := 0; w < workers; w++ {
 			lo, hi := par.Split(len(blocks), workers, w)
-			var l [2][]int32
 			for _, b := range blocks[lo:hi] {
 				for _, m := range b {
-					l[m/ns] = append(l[m/ns], int32(m%ns))
+					own[ph.stages[m/ns]*ns+m%ns] = w
 				}
 			}
-			for j := range ph.stages {
-				slices.Sort(l[j])
-				lists[(i*workers+w)*2+j] = l[j]
-			}
 		}
 	}
-	last := len(ps) - 1
-	for w := 0; w < workers; w++ {
-		stage0 = append(stage0, lists[(last*workers+w)*2+len(ps[last].stages)-1])
-	}
-	return lists, stage0
+	copy(rev[:ns], fwd[:ns])
+	return fwd, rev
 }
 
-// portsOf lists the processors each worker serves: ports[w] are those whose links enter the stage-0 switches stage0[w],
-// ascending.
-func portsOf(t engine.Staged, stage0 [][]int32) [][]int32 {
-	owner := make([]int, t.Procs()/t.Radix())
-	for w, sws := range stage0 {
-		for _, sw := range sws {
-			owner[sw] = w
+// ownBits is the set of the items own gives worker w, a bit an item, 64 to
+// a word: the walk a worker makes over its last-stage switches, which it
+// visits whether or not they hold a message, and over its processors.
+func ownBits(own []int, w int) []uint64 {
+	b := make([]uint64, (len(own)+63)/64)
+	for i, o := range own {
+		if o == w {
+			b[i>>6] |= 1 << (i & 63)
 		}
 	}
-	ports := make([][]int32, len(stage0))
-	for p := 0; p < t.Procs(); p++ {
-		w := owner[t.ProcLine(p)/t.Radix()]
-		ports[w] = append(ports[w], int32(p))
-	}
-	return ports
-}
-
-// inTurn splits a worker's ascending list of switches (or processors) at
-// the cycle's first one, first: walking after and then before visits
-// first, first+1, … wrapping to first−1 — the cycle's rotation order —
-// restricted to the list.
-func inTurn(list []int32, first int) (after, before []int32) {
-	j, _ := slices.BinarySearch(list, int32(first))
-	return list[j:], list[:j]
+	return b
 }
 
 // phaseWorker is the per-worker body of one cycle: reverse stage 0, then
@@ -150,23 +134,19 @@ func inTurn(list []int32, first int) (after, before []int32) {
 // nothing allocates.
 func (s *Sim) phaseWorker(w int) {
 	sw0, port0 := s.Turn(s.ns), s.Turn(s.cfg.Radix)
-	ln, workers := s.Lane(w), s.pool.Workers()
+	ln := s.Lane(w)
 
 	// Reverse, stage 0: each switch is its own block, and the worker hops
 	// the ones whose processors it serves.
-	after, before := inTurn(s.stage0[w], sw0)
-	s.hopAll(false, 0, after, port0, ln)
-	s.hopAll(false, 0, before, port0, ln)
+	s.hopAll(false, 0, w, sw0, port0, ln)
 	s.bar.Sync(w)
 
 	// The pairs; the barrier after each keeps the next phase's hops and
 	// credit checks from observing this one mid-sweep.
 	for i := range s.phases {
 		ph := &s.phases[i]
-		for j, stage := range ph.stages {
-			after, before := inTurn(s.lists[(i*workers+w)*2+j], sw0)
-			s.hopAll(ph.fwd, stage, after, port0, ln)
-			s.hopAll(ph.fwd, stage, before, port0, ln)
+		for _, stage := range ph.stages {
+			s.hopAll(ph.fwd, stage, w, sw0, port0, ln)
 		}
 		if i+1 < len(s.phases) {
 			s.bar.Sync(w)
@@ -181,36 +161,34 @@ func (s *Sim) phaseWorker(w int) {
 	// the race detector.  (Committing right after reverse stage 0 overlapped
 	// more and measured slower: E27.)
 	s.CommitLane(ln)
-	after, before = inTurn(s.ports[w], s.Turn(s.n))
-	for _, p := range after {
-		s.Inject(int(p), ln)
-	}
-	for _, p := range before {
-		s.Inject(int(p), ln)
+	rot, ports := engine.Rotate(s.Turn(s.n), s.n), s.ports[w]
+	for v := 0; v < rot.Visits(); v++ {
+		i, keep := rot.Word(v)
+		for m := ports[i] & keep; m != 0; m &= m - 1 {
+			s.Inject(i<<6|bits.TrailingZeros64(m), ln)
+		}
 	}
 }
 
-// hopAll hops the given switches of one stage in order; a forward hop at
-// the last stage first ticks the radix modules behind the switch, which
-// share its reverse credits.
-func (s *Sim) hopAll(fwd bool, stage int, sws []int32, port0 int, ln *engine.Lane) {
-	base, r := stage*s.ns, s.cfg.Radix
-	switch {
-	case !fwd:
-		for _, sw := range sws {
-			s.RevHop(base+int(sw), port0, ln)
-		}
-	case stage == s.k-1:
-		for _, sw := range sws {
-			at := base + int(sw)
-			for mod := int(sw) * r; mod < int(sw)*r+r; mod++ {
-				s.Tick(mod, at, ln)
+// hopAll hops worker w's switches of one stage in the cycle's rotation
+// order from sw0: those whose side holds a message (Shell.HopRow), but at
+// the last stage every one the worker owns, since a forward hop there first
+// ticks the radix modules behind the switch, which share its reverse
+// credits.
+func (s *Sim) hopAll(fwd bool, stage, w, sw0, port0 int, ln *engine.Lane) {
+	if !fwd || stage < s.k-1 {
+		s.HopRow(fwd, stage, sw0, w, port0, ln)
+		return
+	}
+	base, r, rot := stage*s.ns, s.cfg.Radix, engine.Rotate(sw0, s.ns)
+	for v := 0; v < rot.Visits(); v++ {
+		i, keep := rot.Word(v)
+		for m := s.tick[w][i] & keep; m != 0; m &= m - 1 {
+			sw := i<<6 | bits.TrailingZeros64(m)
+			for mod := sw * r; mod < sw*r+r; mod++ {
+				s.Tick(mod, base+sw, ln)
 			}
-			s.FwdHop(at, port0, ln)
-		}
-	default:
-		for _, sw := range sws {
-			s.FwdHop(base+int(sw), port0, ln)
+			s.FwdHop(base+sw, port0, ln)
 		}
 	}
 }

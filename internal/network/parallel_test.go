@@ -3,13 +3,13 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/par"
 )
 
 // snapshotAfter runs a seeded hot-spot workload for a fixed cycle count at
@@ -94,55 +94,54 @@ func TestParallelMinimumNetwork(t *testing.T) {
 	}
 }
 
-// TestSwitchListsVisitOwnerOrder: every worker's walk of its switch list
-// (switchLists, inTurn) visits exactly the switches, in exactly the order,
-// of the filter it replaced — the whole stage in the cycle's rotation order
-// from the first switch sw0, keeping those an owner table built from the
-// same blocks gives the worker.  Widths 1–8, every sw0, every stage of every
-// phase, on omega at radix 2 and 4 and on the fat-tree, 16 to 1024
-// processors.
+// TestSwitchListsVisitOwnerOrder: every worker's walk of a stage whose
+// switches all hold a message — hopAll's rotation (engine.Rotate) over the
+// words of the switches the owner tables give it — visits exactly the
+// switches, in exactly the order, of the filter it replaced: the whole
+// stage in the cycle's rotation order from the first switch sw0, keeping
+// those the worker owns.  Widths 1–8, every sw0, both sides of every stage,
+// on omega at radix 2 and 4 and on the fat-tree, 16 to 1024 processors.
 func TestSwitchListsVisitOwnerOrder(t *testing.T) {
 	for _, topo := range stagedTopos() {
 		k, ns := topo.Stages(), topo.Procs()/topo.Radix()
 		phases := stagedPhases(k)
 		for workers := 1; workers <= 8; workers++ {
-			lists, _ := switchLists(topo, workers, phases)
-			walks, next := make([][]int32, workers), make([]int, workers)
-			for i, ph := range phases {
-				// owner[j·ns+sw] is the worker that hops switch sw of the
-				// phase's stage j: the worker par.Split gives its block.
-				blocks := ph.blocks(topo)
-				owner := make([]int, 2*ns)
-				for w := 0; w < workers; w++ {
-					lo, hi := par.Split(len(blocks), workers, w)
-					for _, b := range blocks[lo:hi] {
-						for _, m := range b {
-							owner[m] = w
+			fwd, rev := owners(topo, workers, phases)
+			for row := 0; row < 2*k; row++ {
+				own := fwd[row/2*ns : (row/2+1)*ns]
+				if row%2 == 1 {
+					own = rev[row/2*ns : (row/2+1)*ns]
+				}
+				words := make([][]uint64, workers)
+				for w := range words {
+					words[w] = ownBits(own, w)
+				}
+				walks, next := make([][]int, workers), make([]int, workers)
+				for sw0 := 0; sw0 < ns; sw0++ {
+					rot := engine.Rotate(sw0, ns)
+					for w := range walks {
+						walks[w], next[w] = walks[w][:0], 0
+						for v := 0; v < rot.Visits(); v++ {
+							i, keep := rot.Word(v)
+							for m := words[w][i] & keep; m != 0; m &= m - 1 {
+								walks[w] = append(walks[w], i<<6|bits.TrailingZeros64(m))
+							}
 						}
 					}
-				}
-				for j, stage := range ph.stages {
-					own := owner[j*ns : (j+1)*ns]
-					for sw0 := 0; sw0 < ns; sw0++ {
-						// One pass of the rotation serves every worker: switch
-						// sw is the next its owner's walk must visit.
-						for w := range walks {
-							after, before := inTurn(lists[(i*workers+w)*2+j], sw0)
-							walks[w], next[w] = append(append(walks[w][:0], after...), before...), 0
+					// One pass of the rotation serves every worker: switch
+					// sw is the next its owner's walk must visit.
+					for n, sw := 0, sw0; n < ns; n, sw = n+1, engine.Next(sw, ns) {
+						w := own[sw]
+						if next[w] == len(walks[w]) || walks[w][next[w]] != sw {
+							t.Fatalf("%s n%d radix %d, %d workers, stage %d fwd %v, sw0 %d: worker %d walks %v, the owner table's order reaches switch %d at its step %d",
+								topo.Name(), topo.Procs(), topo.Radix(), workers, row/2, row%2 == 0, sw0, w, walks[w], sw, next[w])
 						}
-						for n, sw := 0, sw0; n < ns; n, sw = n+1, engine.Next(sw, ns) {
-							w := own[sw]
-							if next[w] == len(walks[w]) || walks[w][next[w]] != int32(sw) {
-								t.Fatalf("%s n%d radix %d, %d workers, phase %v stage %d, sw0 %d: worker %d walks %v, the owner table's order reaches switch %d at its step %d",
-									topo.Name(), topo.Procs(), topo.Radix(), workers, ph, stage, sw0, w, walks[w], sw, next[w])
-							}
-							next[w]++
-						}
-						for w := range walks {
-							if next[w] != len(walks[w]) {
-								t.Fatalf("%s n%d radix %d, %d workers, phase %v stage %d, sw0 %d: worker %d walks %v, the owner table gives it %d of them",
-									topo.Name(), topo.Procs(), topo.Radix(), workers, ph, stage, sw0, w, walks[w], next[w])
-							}
+						next[w]++
+					}
+					for w := range walks {
+						if next[w] != len(walks[w]) {
+							t.Fatalf("%s n%d radix %d, %d workers, stage %d fwd %v, sw0 %d: worker %d walks %v, the owner table gives it %d of them",
+								topo.Name(), topo.Procs(), topo.Radix(), workers, row/2, row%2 == 0, sw0, w, walks[w], next[w])
 						}
 					}
 				}
@@ -162,13 +161,13 @@ func stagedTopos() []engine.Staged {
 }
 
 // TestPairBlocksClosed checks the phases against the wiring itself, not
-// against the union-find that built them: in every phase each switch is
-// hopped by exactly one worker, and no two workers' hops land on one
-// switch — a first-stage switch's far-side switches, and a second-stage
-// switch's first-stage targets, belong to its own worker (the targets are
-// hopped earlier in the same phase).  Every module is ticked by the forward
-// owner of its last-stage switch, and the stage-0 switches a worker serves
-// ports on are the ones it owns in the last forward phase.  Omega radix 2
+// against the union-find that built them: in every phase no two workers'
+// hops land on one switch — a first-stage switch's far-side switches, and
+// a second-stage switch's first-stage targets, belong to its own worker
+// (the targets are hopped earlier in the same phase).  Every module is
+// ticked by the forward owner of its last-stage switch, and reverse stage
+// 0 is hopped by each switch's owner in the last forward phase, which
+// serves its ports.  Omega radix 2
 // and 4 and the fat-tree, 16 to 1024 processors, widths 1–8.
 func TestPairBlocksClosed(t *testing.T) {
 	for _, topo := range stagedTopos() {
@@ -189,28 +188,14 @@ func TestPairBlocksClosed(t *testing.T) {
 			}
 		}
 		for workers := 1; workers <= 8; workers++ {
-			lists, stage0 := switchLists(topo, workers, phases)
+			fwd, rev := owners(topo, workers, phases)
 			for i, ph := range phases {
-				// owner[j][sw] is the worker that hops switch sw of stage j.
-				owner := [2][]int{make([]int, ns), make([]int, ns)}
-				for j := range ph.stages {
-					for sw := range owner[j] {
-						owner[j][sw] = -1
-					}
-					for w := 0; w < workers; w++ {
-						for _, sw := range lists[(i*workers+w)*2+j] {
-							if owner[j][sw] >= 0 {
-								t.Fatalf("%s n%d w%d phase %v: switch %d of stage %d hopped by workers %d and %d",
-									topo.Name(), topo.Procs(), workers, ph, sw, ph.stages[j], owner[j][sw], w)
-							}
-							owner[j][sw] = w
-						}
-					}
-					for sw, w := range owner[j] {
-						if w < 0 {
-							t.Fatalf("%s n%d w%d phase %v: switch %d of stage %d hopped by no worker",
-								topo.Name(), topo.Procs(), workers, ph, sw, ph.stages[j])
-						}
+				// owner[j][sw] is the worker that hops switch sw of the
+				// phase's stage j.
+				var owner [2][]int
+				for j, stage := range ph.stages {
+					if owner[j] = rev[stage*ns : (stage+1)*ns]; ph.fwd {
+						owner[j] = fwd[stage*ns : (stage+1)*ns]
 					}
 				}
 				first := ph.stages[0]
@@ -268,12 +253,10 @@ func TestPairBlocksClosed(t *testing.T) {
 					}
 				}
 				if i == len(phases)-1 {
-					for w := 0; w < workers; w++ {
-						for _, sw := range stage0[w] {
-							if owner[len(ph.stages)-1][sw] != w {
-								t.Fatalf("%s n%d w%d: worker %d serves the ports of stage-0 switch %d, which worker %d hops",
-									topo.Name(), topo.Procs(), workers, w, sw, owner[len(ph.stages)-1][sw])
-							}
+					for sw := 0; sw < ns; sw++ {
+						if w := owner[len(ph.stages)-1][sw]; rev[sw] != w {
+							t.Fatalf("%s n%d w%d: worker %d hops stage-0 switch %d in reverse, and worker %d forward",
+								topo.Name(), topo.Procs(), workers, rev[sw], sw, w)
 						}
 					}
 				}
@@ -286,9 +269,11 @@ func TestPairBlocksClosed(t *testing.T) {
 // under a saturating hot-spot load (`make parbench`, the E15 curve): 30 %
 // of the traffic to one address with combining off.  Its n1024hot8 cases
 // are bench/run.sh's omega_parallel machine and traffic — 1024 processors,
-// combining on, a 1/8 hot spot — at Workers 1 and 2, and its n256faulted
-// cases BenchmarkStep/faulted's machine, plan and traffic at Workers 1 and
-// 2 (rebuilt off the clock at the plan's horizon, as there); `make stepcmp`
+// combining on, a 1/8 hot spot — at Workers 1 and 2, its n1024sat cases
+// the same with combining off (omega_saturated's tree saturation at 1024
+// processors: width × saturation), and its n256faulted cases
+// BenchmarkStep/faulted's machine, plan and traffic at Workers 1 and 2
+// (rebuilt off the clock at the plan's horizon, as there); `make stepcmp`
 // runs them and the n256 and n1024 cases at w1 and w2.  omega_parallel
 // reports the same ratio with an estimator as par.speedup_vs_serial.
 func BenchmarkParallelStep(b *testing.B) {
@@ -306,6 +291,7 @@ func BenchmarkParallelStep(b *testing.B) {
 		{"n256", 256, 0.9, 0.3, 0, 64, false, []int{1, 2, 4, 8}},
 		{"n1024", 1024, 0.9, 0.3, 0, 64, false, []int{1, 2, 4, 8}},
 		{"n1024hot8", 1024, 0.9, 0.125, core.Unbounded, 300, false, []int{1, 2}},
+		{"n1024sat", 1024, 0.9, 0.125, 0, 300, false, []int{1, 2}},
 		{"n256faulted", 256, 0.6, 0.125, core.Unbounded, faultedWarm, true, []int{1, 2}},
 	}
 	for _, sh := range shapes {

@@ -120,7 +120,7 @@ func TestTraceRejects(t *testing.T) {
 // crashes with drops, with combining unbounded and with a one-record wait
 // buffer that refuses most combines.
 func TestTraceWidthIndependent(t *testing.T) {
-	const cycles = 1500
+	const cycles = 800
 	crash := faults.GenCrashPlan(5, 3, cycles, 40)
 	crash.DropFwd, crash.DropRev = 0.005, 0.005
 	plans := []struct {

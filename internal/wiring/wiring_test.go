@@ -237,9 +237,12 @@ func (b *budgeted) Next(cycle int64) (engine.Injection, bool) {
 // index of zeros, the healthy one to an empty store; under a fault plan the
 // bodies left are exactly those of the wait records and metadata a lost
 // message left stale, which the machine keeps by design
-// (core.WaitBuffer.PopMatch).
+// (core.WaitBuffer.PopMatch).  The recount holds the occupancy words too:
+// at 16 processors a stage fits in one word, so omega and the cube also run
+// at 256, under crashes, at Workers 1, 2 and 3, where one word holds
+// stations that different workers hop (omega) or tick (the cube).
 func TestLoadsMatchQueues(t *testing.T) {
-	const procs, cycles = 16, 400
+	const cycles = 400
 	plans := []struct {
 		name    string
 		plan    func() *faults.Plan
@@ -257,55 +260,70 @@ func TestLoadsMatchQueues(t *testing.T) {
 			}
 		}, []string{"stall_cycles", "mem_stall_cycles"}},
 	}
+	type row struct {
+		name, label string
+		procs, w    int
+		plan        int
+	}
+	var rows []row
 	for _, name := range Names() {
-		for _, pl := range plans {
+		for i, pl := range plans {
 			for _, w := range []int{1, 3} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", name, pl.name, w), func(t *testing.T) {
-					inj := make([]engine.Injector, procs)
-					for p := range inj {
-						inj[p] = &budgeted{network.NewStochastic(p, procs,
-							network.TrafficConfig{Rate: 0.9, HotFraction: 0.25, Window: 4}, 11), 1 << 30}
-					}
-					build, err := New(name, Config{Procs: procs, WaitBufCap: 4, Workers: w, Faults: pl.plan()})
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng := build(inj)
-					for c := 0; c < cycles; c++ {
-						eng.Step()
-						if err := eng.CheckLoads(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					counters := eng.Snapshot().Counters
-					for _, key := range append(pl.engaged, "completed", "combines") {
-						if counters[key] == 0 {
-							t.Errorf("%s = 0 after %d cycles: the run never exercised it", key, cycles)
-						}
-					}
-					for p := range inj {
-						inj[p].(*budgeted).left = 0
-					}
-					if !eng.Drain(10000) {
-						t.Fatalf("did not drain:\n%s", eng.StallReport())
-					}
-					// Under a fault plan the ledger drains first: a
-					// superseded copy may still be on its way.
-					eng.Run(3000)
-					if err := eng.CheckLoads(); err != nil {
-						t.Fatal(err)
-					}
-					if bodies := eng.(interface{ Bodies() int }).Bodies(); pl.plan() == nil && bodies != 0 {
-						t.Errorf("%d bodies live on a drained machine", bodies)
-					}
-					for at, l := range eng.(interface{ Loads() []engine.Load }).Loads() {
-						if l != (engine.Load{}) {
-							t.Errorf("station %d still marks %+v on a drained machine", at, l)
-						}
-					}
-				})
+				rows = append(rows, row{name, fmt.Sprintf("%s/%s/w%d", name, pl.name, w), 16, w, i})
 			}
 		}
+	}
+	for _, name := range []string{"omega", "hypercube"} {
+		for _, w := range []int{1, 2, 3} {
+			rows = append(rows, row{name, fmt.Sprintf("%s/n256/crash/w%d", name, w), 256, w, 2})
+		}
+	}
+	for _, r := range rows {
+		name, procs, w, pl := r.name, r.procs, r.w, plans[r.plan]
+		t.Run(r.label, func(t *testing.T) {
+			inj := make([]engine.Injector, procs)
+			for p := range inj {
+				inj[p] = &budgeted{network.NewStochastic(p, procs,
+					network.TrafficConfig{Rate: 0.9, HotFraction: 0.25, Window: 4}, 11), 1 << 30}
+			}
+			build, err := New(name, Config{Procs: procs, WaitBufCap: 4, Workers: w, Faults: pl.plan()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := build(inj)
+			for c := 0; c < cycles; c++ {
+				eng.Step()
+				if err := eng.CheckLoads(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			counters := eng.Snapshot().Counters
+			for _, key := range append(pl.engaged, "completed", "combines") {
+				if counters[key] == 0 {
+					t.Errorf("%s = 0 after %d cycles: the run never exercised it", key, cycles)
+				}
+			}
+			for p := range inj {
+				inj[p].(*budgeted).left = 0
+			}
+			if !eng.Drain(10000) {
+				t.Fatalf("did not drain:\n%s", eng.StallReport())
+			}
+			// Under a fault plan the ledger drains first: a
+			// superseded copy may still be on its way.
+			eng.Run(3000)
+			if err := eng.CheckLoads(); err != nil {
+				t.Fatal(err)
+			}
+			if bodies := eng.(interface{ Bodies() int }).Bodies(); pl.plan() == nil && bodies != 0 {
+				t.Errorf("%d bodies live on a drained machine", bodies)
+			}
+			for at, l := range eng.(interface{ Loads() []engine.Load }).Loads() {
+				if l != (engine.Load{}) {
+					t.Errorf("station %d still marks %+v on a drained machine", at, l)
+				}
+			}
+		})
 	}
 }
 
