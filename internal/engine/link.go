@@ -71,6 +71,7 @@ func (s *Shell) mergeLanes() {
 		t.HoldsRev += sh.HoldsRev
 		t.HoldsMem += sh.HoldsMem
 		t.HoldsMemOut += sh.HoldsMemOut
+		t.Parks += sh.Parks
 		*sh = Shard{}
 	}
 }
@@ -305,7 +306,8 @@ func (s *Shell) landed(r *Rev, ln *Lane) {
 // the completion counters, which go to ln.  It touches only processor
 // r.Src's port, injector and tracker record, the atomic latency histogram
 // and ln.  The delivery wakes the port: its injector's answer and the
-// tracker's hold may both have changed.
+// tracker's hold may both have changed, and so, under a plan, may a parked
+// offer.
 func (s *Shell) complete(r *Rev, ln *Lane) {
 	lat, sh := s.tot.Cycles-r.Issue, &ln.Shard
 	if s.trk != nil {
@@ -334,6 +336,10 @@ func (s *Shell) complete(r *Rev, ln *Lane) {
 	}
 	s.inj[r.Src].Deliver(r.Rep, s.tot.Cycles)
 	s.asleep[r.Src] = false
+	if s.trk != nil && s.st.portParked[r.Src] {
+		// The delivery may have made the retransmit the port holds dead.
+		s.st.unparkPort(r.Src)
+	}
 }
 
 // drainLimbo releases reordered messages whose deferral has elapsed.  It

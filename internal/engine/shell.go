@@ -121,6 +121,9 @@ type Shard struct {
 	// RevSlots the value slots those messages carried (E11).
 	FwdHops, RevHops   int64
 	FwdSlots, RevSlots int64
+	// Parks counts refused heads and offers that parked (park.go): a
+	// host-side count, in no snapshot.
+	Parks int64
 	// Backpressure accounting: HoldsRev counts replies held upstream by the
 	// reserved-credit check, HoldsMem requests held at a terminal queue's
 	// head by a module without room, HoldsMemOut module completions held by
@@ -139,14 +142,17 @@ type Shard struct {
 // order at every width — CommitLane one lane's, and the shell folds the
 // counters into the totals, and the freed bodies into the store, after
 // every sweep.  w is the lane's index, which names the arrays of the
-// occupancy words its pushes write (Stations); the zero Lane is lane 0.  The
-// pad keeps adjacent lanes of the contiguous slice off one cache line.
+// occupancy words its pushes and wakes write (Stations); the zero Lane is
+// lane 0.  woke says a hop of the lane woke a parked head (park.go), which
+// the walk it is in may have to visit (HopRow).  The pad keeps adjacent
+// lanes of the contiguous slice off one cache line.
 type Lane struct {
 	Shard
 	Home  []RevEntry
 	freed []int32
 	limbo []heldRev
 	w     int
+	woke  bool
 	_     [64]byte
 }
 
@@ -395,6 +401,7 @@ func (s *Shell) Init(cfg ShellConfig) {
 		s.lanes[w].w = w
 	}
 	st.back = s.links.Back
+	s.initParks(procs, cfg.Faults)
 	if s.trace != nil {
 		s.events = make([][]Event, st.Len())
 		s.portEvents = make([][]Event, procs)
@@ -445,6 +452,9 @@ func (s *Shell) Step() {
 		s.linkOpen = s.flt.LinkWindowOpen(s.tot.Cycles)
 		for _, p := range s.trk.Expired(s.tot.Cycles) {
 			*s.retry[p.Proc].Push() = Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot}
+			if s.st.portParked[p.Proc] {
+				s.st.unparkPort(p.Proc) // the retransmit is offered first
+			}
 		}
 		if s.adv {
 			s.drainLimbo()
@@ -559,7 +569,7 @@ func (s *Shell) InFlight() int {
 		return s.trk.Outstanding()
 	}
 	fwd, rev := s.st.held(0, s.st.rows)
-	return s.atPorts() + fwd + rev + s.st.records(0, s.st.Len()) + s.inMemory()
+	return s.atPorts() + fwd + rev + s.st.records(0, s.st.rows) + s.inMemory()
 }
 
 func (s *Shell) atPorts() int {
@@ -618,9 +628,7 @@ func (s *Shell) Snapshot() stats.Snapshot {
 		HoldsRev:         t.HoldsRev,
 		HoldsMem:         t.HoldsMem,
 		HoldsMemOut:      t.HoldsMemOut,
-	}
-	for i := range s.st.Wait {
-		c.CombineRejects += s.st.Wait[i].Rejections
+		CombineRejects:   s.Rejections(),
 	}
 	gauges := map[string]int64{"saturation_max_streak": t.SaturationMaxStreak}
 	s.hooks.Observe(&c, gauges)

@@ -197,8 +197,8 @@ func TestStationModel(t *testing.T) {
 					if int(b.nextID) != len(b.replies) {
 						t.Fatalf("%s: %d requests, %d replies", label, b.nextID, len(b.replies))
 					}
-					if waitCap == 0 && (b.sh.Combines != 0 || (addrs == 1 && b.st.Wait[0].Rejections == 0)) {
-						t.Fatalf("%s: %d combines, %d rejections with the wait buffer off", label, b.sh.Combines, b.st.Wait[0].Rejections)
+					if waitCap == 0 && (b.sh.Combines != 0 || (addrs == 1 && b.st.wait[0].Rejections == 0)) {
+						t.Fatalf("%s: %d combines, %d rejections with the wait buffer off", label, b.sh.Combines, b.st.wait[0].Rejections)
 					}
 					if waitCap == core.Unbounded && addrs == 1 && b.sh.Combines == 0 {
 						t.Fatalf("%s: a hot stream never combined", label)
@@ -217,14 +217,14 @@ func TestStationKWayCombine(t *testing.T) {
 		for i := 0; i < k; i++ {
 			b.offer(i, i%2, 4, rmw.FetchAdd(int64(i+1)))
 		}
-		if n := b.st.Fwd(0)[0].Len(); n != 1 || b.st.Wait[0].Len() != k-1 || b.sh.Combines != int64(k-1) {
-			t.Fatalf("k=%d: %d messages queued, %d records, %d combines", k, n, b.st.Wait[0].Len(), b.sh.Combines)
+		if n := b.st.Fwd(0)[0].Len(); n != 1 || b.st.wait[0].Len() != k-1 || b.sh.Combines != int64(k-1) {
+			t.Fatalf("k=%d: %d messages queued, %d records, %d combines", k, n, b.st.wait[0].Len(), b.sh.Combines)
 		}
 		b.serve(0, false)
 		b.drain(0, 1<<30)
 		b.check(fmt.Sprintf("k=%d", k))
-		if len(b.replies) != k || b.st.Wait[0].Len() != 0 {
-			t.Fatalf("k=%d: %d replies, %d records left", k, len(b.replies), b.st.Wait[0].Len())
+		if len(b.replies) != k || b.st.wait[0].Len() != 0 {
+			t.Fatalf("k=%d: %d replies, %d records left", k, len(b.replies), b.st.wait[0].Len())
 		}
 	}
 }
@@ -250,8 +250,8 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 		first, _ := b.offer(1, 0, 6, rmw.FetchAdd(1))
 		second, _ := b.offer(2, 1, 6, rmw.FetchAdd(10))
 		b.serve(0, true) // the combined message dies on the next link
-		if b.st.Wait[0].Len() != 1 {
-			t.Fatalf("%s: %d records after the combine", tc.name, b.st.Wait[0].Len())
+		if b.st.wait[0].Len() != 1 {
+			t.Fatalf("%s: %d records after the combine", tc.name, b.st.wait[0].Len())
 		}
 		var home Lane
 		b.st.PutRev(0, &Rev{Rep: tc.answer(first), Path: Path(0).Push(0), Src: 1}, 0, &home)
@@ -259,15 +259,15 @@ func TestStationStaleRecordPassesThrough(t *testing.T) {
 		if got, ok := b.replies[first]; !ok || got != word.W(40) || len(b.replies) != 1 {
 			t.Fatalf("%s: replies after the retransmit's answer: %v", tc.name, b.replies)
 		}
-		if _, ok := b.replies[second]; ok || b.st.Wait[0].Len() != 1 {
-			t.Fatalf("%s: the stale record was consumed (records left: %d, replies %v)", tc.name, b.st.Wait[0].Len(), b.replies)
+		if _, ok := b.replies[second]; ok || b.st.wait[0].Len() != 1 {
+			t.Fatalf("%s: the stale record was consumed (records left: %d, replies %v)", tc.name, b.st.wait[0].Len(), b.replies)
 		}
 		// The reply of the combine itself — both leaves named — does match.
 		b.st.PutRev(0, &Rev{Rep: core.Reply{ID: first, Val: word.W(40),
 			Leaves: &[]core.LeafVal{{ID: first, Val: word.W(40)}, {ID: second, Val: word.W(41)}}}, Path: Path(0).Push(0), Src: 1}, 0, &home)
-		if b.st.Wait[0].Len() != 0 || b.st.Rev(0)[1].Len() != 1 || b.st.Body(b.st.Rev(0)[1].Front().H).Val != word.W(41) {
+		if b.st.wait[0].Len() != 0 || b.st.Rev(0)[1].Len() != 1 || b.st.Body(b.st.Rev(0)[1].Front().H).Val != word.W(41) {
 			t.Fatalf("%s: the matching reply did not decombine: %d records, %d replies toward the second requester",
-				tc.name, b.st.Wait[0].Len(), b.st.Rev(0)[1].Len())
+				tc.name, b.st.wait[0].Len(), b.st.Rev(0)[1].Len())
 		}
 	}
 }
@@ -387,12 +387,12 @@ func TestStationSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		cycle()
 	}
-	before := st.Wait[0].Rejections
+	before := st.wait[0].Rejections
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("accept + pass-through reply: %.1f allocs per round, want 0", allocs)
 	}
-	if st.Wait[0].Rejections == before || sh.Combines != 0 {
-		t.Fatalf("the rounds never met a partner (%d rejections, %d combines)", st.Wait[0].Rejections-before, sh.Combines)
+	if st.wait[0].Rejections == before || sh.Combines != 0 {
+		t.Fatalf("the rounds never met a partner (%d rejections, %d combines)", st.wait[0].Rejections-before, sh.Combines)
 	}
 }
 
@@ -436,7 +436,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		var events []EventKind
 		st.trace = func(_ int, kind EventKind, _, _ word.ReqID, _ word.Addr) { events = append(events, kind) }
 		for i := r.IntN(3); i > 0; i-- {
-			st.Wait[0].Push(word.ReqID(1000+i), Record{}) // other combines' records
+			st.wait[0].Push(word.ReqID(1000+i), Record{}) // other combines' records
 		}
 		q := &st.Fwd(0)[0]
 		for i := r.IntN(7); i > 0; i-- {
@@ -445,8 +445,8 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		}
 		m := draw(100)
 		before := queued(st)
-		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.Wait[0].CanPush)
-		rejections, records := st.Wait[0].Rejections, st.Wait[0].Len()
+		tc, rejected, ok := core.CombineAtTail(append([]Fwd(nil), before...), reqOf, m.Req, pol, st.wait[0].CanPush)
+		rejections, records := st.wait[0].Rejections, st.wait[0].Len()
 
 		var sh Lane
 		if !st.PutFwd(0, &m, 0, m.Path, 7, &sh) {
@@ -454,7 +454,7 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		}
 		after, moved := queued(st), q.View()[q.Len()-1].Moved
 
-		if got := st.Wait[0].Rejections - rejections; (got == 1) != rejected || got > 1 {
+		if got := st.wait[0].Rejections - rejections; (got == 1) != rejected || got > 1 {
 			t.Fatalf("trial %d: %d rejections counted, CombineAtTail says rejected=%v", trial, got, rejected)
 		}
 		wantEvents := []EventKind(nil)
@@ -471,8 +471,8 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		if !ok {
 			// Appended whole, stamped, nothing else touched.
 			want := append(before, m)
-			if !reflect.DeepEqual(after, want) || moved != 7 || st.Wait[0].Len() != records || sh.Combines != 0 {
-				t.Fatalf("trial %d: no combine, yet the queue is\n%+v\nwant\n%+v\n(%d records, were %d)", trial, after, want, st.Wait[0].Len(), records)
+			if !reflect.DeepEqual(after, want) || moved != 7 || st.wait[0].Len() != records || sh.Combines != 0 {
+				t.Fatalf("trial %d: no combine, yet the queue is\n%+v\nwant\n%+v\n(%d records, were %d)", trial, after, want, st.wait[0].Len(), records)
 			}
 			// Was it the interesting refusal?
 			if p := lastFor(before, m.Req.Addr); p >= 0 && !rmw.Combinable(before[p].Req.Op, m.Req.Op) && hasCombinable(before[:p], m) {
@@ -499,10 +499,10 @@ func TestStationScanMatchesCombineAtTail(t *testing.T) {
 		if !reflect.DeepEqual(after, want) || q.View()[tc.Index].Moved != 0 {
 			t.Fatalf("trial %d: after the combine the queue is\n%+v\nwant\n%+v", trial, after, want)
 		}
-		rec, found := st.Wait[0].Pop(tc.Rec.ID1)
+		rec, found := st.wait[0].Pop(tc.Rec.ID1)
 		wantRec := Record{Record: tc.Rec, Path2: second.Path, H2: rec.H2,
 			Needs1: rmw.NeedsValue(first.Req.Op), Needs2: rmw.NeedsValue(second.Req.Op)}
-		if !found || !reflect.DeepEqual(rec, wantRec) || st.Wait[0].Len() != records || sh.Combines != 1 {
+		if !found || !reflect.DeepEqual(rec, wantRec) || st.wait[0].Len() != records || sh.Combines != 1 {
 			t.Fatalf("trial %d: record %+v (found %v), want %+v; %d combines", trial, rec, found, wantRec, sh.Combines)
 		}
 		// The record keeps the second request's body: its source, tags and
@@ -684,7 +684,7 @@ func TestStationRetransmitCombinesExactlyOnce(t *testing.T) {
 	deliver() // A executed and delivered: processor 0's floor passes it
 	offer(req(a, 0, 1, 1))
 	offer(req(b, 1, 10, 0))
-	if n := st.Wait[0].Len(); n != 1 {
+	if n := st.wait[0].Len(); n != 1 {
 		t.Fatalf("the retransmit did not combine: %d records", n)
 	}
 	serve(false)
@@ -699,14 +699,14 @@ func TestStationRetransmitCombinesExactlyOnce(t *testing.T) {
 	offer(req(d, 0, 100, 1))
 	offer(req(e, 1, 1000, 0))
 	serve(true) // the combine of D's retransmit and E dies on the way
-	if n := st.Wait[0].Len(); n != 1 {
+	if n := st.wait[0].Len(); n != 1 {
 		t.Fatalf("%d records after the lost combine, want its stale one", n)
 	}
 	offer(req(d, 0, 100, 2))
 	serve(false)
 	deliver()
-	if _, ok := got[e]; ok || got[d] != word.W(11) || st.Wait[0].Len() != 1 {
-		t.Fatalf("D's answer: replies %v, %d records; want D alone at 11 and the stale record kept", got, st.Wait[0].Len())
+	if _, ok := got[e]; ok || got[d] != word.W(11) || st.wait[0].Len() != 1 {
+		t.Fatalf("D's answer: replies %v, %d records; want D alone at 11 and the stale record kept", got, st.wait[0].Len())
 	}
 	offer(req(e, 1, 1000, 1))
 	serve(false)

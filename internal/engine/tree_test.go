@@ -193,7 +193,7 @@ func newHeldTree(t *testing.T, partner, head rmw.Mapping, plan *faults.Plan) *he
 	h := &heldTree{tree: tr, ln: tr.Lane(0)}
 	h.offer(t, 0, 1, core.NewRequest(otherID, hotAddr+1, rmw.FetchAdd(1), 4), false)
 	h.offer(t, 0, 1, core.NewRequest(partnerID, hotAddr, partner, 5), false)
-	h.st.Wait[0].Push(fillID, Record{})
+	h.st.PushRecord(0, fillID, Record{})
 	h.offer(t, 1, 0, core.NewRequest(headID, hotAddr, head, 0), false)
 	return h
 }
@@ -227,9 +227,9 @@ func (h *heldTree) check(t *testing.T, blocked bool, rejections, holds int64) {
 	t.Helper()
 	q := &h.st.Fwd(1)[0]
 	got := q.Len() == 1 && h.st.Body(q.Front().H).Req.ID == headID
-	if got != blocked || h.st.Wait[0].Rejections != rejections || h.ln.HoldsMem != holds {
+	if got != blocked || h.st.wait[0].Rejections != rejections || h.ln.HoldsMem != holds {
 		t.Fatalf("head blocked: %v, %d rejections, %d memory holds; want %v, %d, %d",
-			got, h.st.Wait[0].Rejections, h.ln.HoldsMem, blocked, rejections, holds)
+			got, h.st.wait[0].Rejections, h.ln.HoldsMem, blocked, rejections, holds)
 	}
 }
 
@@ -270,18 +270,18 @@ func TestBlockedHeadMemo(t *testing.T) {
 		h := newHeldTree(t, load, or, nil)
 		h.hop()
 		h.hop()
-		h.st.Wait[0].Pop(fillID)
+		h.st.wait[0].Pop(fillID)
 		h.hop()
 		h.check(t, false, 2, 2)
-		if h.st.Wait[0].Len() != 1 {
-			t.Fatalf("the head did not combine into its partner: %d wait records", h.st.Wait[0].Len())
+		if h.st.wait[0].Len() != 1 {
+			t.Fatalf("the head did not combine into its partner: %d wait records", h.st.wait[0].Len())
 		}
 	})
 	t.Run("touch downstream", func(t *testing.T) {
 		h := newHeldTree(t, load, or, nil)
 		h.hop()
 		h.hop()
-		h.st.Wait[0].Pop(fillID)                                    // room for the record of …
+		h.st.wait[0].Pop(fillID)                                    // room for the record of …
 		h.offer(t, 0, 1, core.NewRequest(7, hotAddr, add, 6), true) // … a fetch-add into the load
 		h.hop()
 		h.check(t, true, 2, 3)

@@ -42,6 +42,18 @@ func (w Window) matches(stage, index int, cycle int64) bool {
 		cycle >= w.From && cycle < w.To
 }
 
+// Names reports whether some window of ws can ever cover site (stage,
+// index): it selects the site (-1 is any stage or index) and spans a cycle.
+// A hop that must not miss a window's cycle-by-cycle draw asks it up front.
+func Names(ws []Window, stage, index int) bool {
+	for _, w := range ws {
+		if w.From < w.To && (w.Stage == -1 || w.Stage == stage) && (w.Index == -1 || w.Index == index) {
+			return true
+		}
+	}
+	return false
+}
+
 // Plan is one deterministic fault scenario.  The zero Plan (with a seed)
 // injects nothing but still enables the recovery machinery, which is useful
 // for overhead measurements.

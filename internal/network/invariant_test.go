@@ -57,7 +57,7 @@ func TestInvariantsUnderLoad(t *testing.T) {
 		}
 		// All wait buffers must be empty at quiescence.
 		for at := 0; at < sim.k*sim.ns; at++ {
-			if n := sim.Stations().Wait[at].Len(); n != 0 {
+			if n := sim.Stations().Records(at); n != 0 {
 				t.Fatalf("waitCap=%d: wait buffer holds %d records after drain", waitCap, n)
 			}
 		}
@@ -142,7 +142,7 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	const limit = engine.DefaultWatchdogCycles
 	inj, _ := emptyInjectors(8)
 	sim := NewSim(Config{Procs: 8, WaitBufCap: 4}, inj)
-	if !sim.Stations().Wait[0].Push(word.ReqID(999), engine.Record{}) {
+	if !sim.Stations().PushRecord(0, word.ReqID(999), engine.Record{}) {
 		t.Fatal("could not plant the orphan wait record")
 	}
 	steps := 0

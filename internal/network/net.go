@@ -349,10 +349,9 @@ func (s *Sim) treeSaturated() bool {
 
 // Stats snapshots the run statistics, folding the per-switch gauges in.
 func (s *Sim) Stats() Stats {
-	st := Stats{Totals: s.Totals(), Latency: s.Latency(), MaxMemQueue: s.Memory().MaxQueueDepth()}
+	st := Stats{Totals: s.Totals(), Latency: s.Latency(), MaxMemQueue: s.Memory().MaxQueueDepth(), Rejects: s.Rejections()}
 	sws := s.Stations()
 	for at := 0; at < s.k*s.ns; at++ {
-		st.Rejects += sws.Wait[at].Rejections
 		st.MaxRevQueue = max(st.MaxRevQueue, sws.MaxRev(at))
 		out := sws.Fwd(at)
 		for port := range out {

@@ -14,7 +14,11 @@ import (
 // a refused tail scan per held request per cycle).  A fourth case, faulted,
 // is the staged engine's fault rim: the hot spot at rate 0.6 under seeded
 // crash windows, 0.5 % drops both ways and one slowdown window over every
-// module, so module ticks run both the quiet-cycle skip and its guards.
+// module, so module ticks run both the quiet-cycle skip and its guards.  A
+// fifth, hot8_wait4, is A1's partial combining: the hot spot with
+// four-record wait buffers, whose room changes under a blocked head, so its
+// refusals never park (engine/park.go) and every blocked head is visited
+// each cycle — the path parking must not slow.
 // ns/cycle is the cost of a Step; ns/switch-visit divides it by the stages ×
 // switches the two sweeps visit, the unit bench/'s
 // engine.host_ns_per_switch_visit reports.  `make stepbench` runs it with
@@ -31,6 +35,7 @@ func BenchmarkStep(b *testing.B) {
 		{"uniform", 0.9, 0, core.Unbounded, false},
 		{"hot8", 0.9, 0.125, core.Unbounded, false},
 		{"hot8_nocombine", 0.9, 0.125, 0, false},
+		{"hot8_wait4", 0.9, 0.125, 4, false},
 		{"faulted", 0.6, 0.125, core.Unbounded, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

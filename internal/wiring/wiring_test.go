@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
 	"combining/internal/machine"
@@ -240,7 +241,13 @@ func (b *budgeted) Next(cycle int64) (engine.Injection, bool) {
 // (core.WaitBuffer.PopMatch).  The recount holds the occupancy words too:
 // at 16 processors a stage fits in one word, so omega and the cube also run
 // at 256, under crashes, at Workers 1, 2 and 3, where one word holds
-// stations that different workers hop (omega) or tick (the cube).
+// stations that different workers hop (omega) or tick (the cube).  Those
+// rows' wait buffers hold four records, so no refused head parks
+// (engine/park.go); the parking rows — omega and the cube at 64
+// processors, one-slot queues, wait buffers of capacity 0 and unbounded,
+// healthy and under crashes with drops, at Workers 1, 2 and 3 — must park,
+// and the recount then also holds the parked heads, the waiter masks and
+// the wakes to each other.
 func TestLoadsMatchQueues(t *testing.T) {
 	const cycles = 400
 	plans := []struct {
@@ -260,22 +267,39 @@ func TestLoadsMatchQueues(t *testing.T) {
 			}
 		}, []string{"stall_cycles", "mem_stall_cycles"}},
 	}
+	plans = append(plans, struct {
+		name    string
+		plan    func() *faults.Plan
+		engaged []string
+	}{"crash+drop", func() *faults.Plan {
+		p := faults.GenCrashPlan(5, 3, 300, 40)
+		p.DropFwd, p.DropRev = 0.01, 0.01
+		return p
+	}, []string{"crashes", "restores", "drops_fwd"}})
 	type row struct {
-		name, label string
-		procs, w    int
-		plan        int
+		name, label       string
+		procs, w          int
+		plan              int
+		queueCap, waitCap int
 	}
 	var rows []row
 	for _, name := range Names() {
-		for i, pl := range plans {
+		for i, pl := range plans[:5] {
 			for _, w := range []int{1, 3} {
-				rows = append(rows, row{name, fmt.Sprintf("%s/%s/w%d", name, pl.name, w), 16, w, i})
+				rows = append(rows, row{name, fmt.Sprintf("%s/%s/w%d", name, pl.name, w), 16, w, i, 0, 4})
 			}
 		}
 	}
 	for _, name := range []string{"omega", "hypercube"} {
 		for _, w := range []int{1, 2, 3} {
-			rows = append(rows, row{name, fmt.Sprintf("%s/n256/crash/w%d", name, w), 256, w, 2})
+			rows = append(rows, row{name, fmt.Sprintf("%s/n256/crash/w%d", name, w), 256, w, 2, 0, 4})
+		}
+		for _, wait := range []int{0, core.Unbounded} {
+			for _, i := range []int{0, 5} {
+				for _, w := range []int{1, 2, 3} {
+					rows = append(rows, row{name, fmt.Sprintf("%s/parked/wait%d/%s/w%d", name, wait, plans[i].name, w), 64, w, i, 1, wait})
+				}
+			}
 		}
 	}
 	for _, r := range rows {
@@ -286,7 +310,7 @@ func TestLoadsMatchQueues(t *testing.T) {
 				inj[p] = &budgeted{network.NewStochastic(p, procs,
 					network.TrafficConfig{Rate: 0.9, HotFraction: 0.25, Window: 4}, 11), 1 << 30}
 			}
-			build, err := New(name, Config{Procs: procs, WaitBufCap: 4, Workers: w, Faults: pl.plan()})
+			build, err := New(name, Config{Procs: procs, QueueCap: r.queueCap, WaitBufCap: r.waitCap, Workers: w, Faults: pl.plan()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,11 +321,17 @@ func TestLoadsMatchQueues(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			counters := eng.Snapshot().Counters
-			for _, key := range append(pl.engaged, "completed", "combines") {
+			counters, combined := eng.Snapshot().Counters, "combines"
+			if r.waitCap == 0 {
+				combined = "combine_rejects"
+			}
+			for _, key := range append(pl.engaged, "completed", combined) {
 				if counters[key] == 0 {
 					t.Errorf("%s = 0 after %d cycles: the run never exercised it", key, cycles)
 				}
+			}
+			if parks := eng.Totals().Parks; (parks != 0) != (r.waitCap != 4) {
+				t.Errorf("%d refused heads parked after %d cycles with a wait buffer of %d", parks, cycles, r.waitCap)
 			}
 			for p := range inj {
 				inj[p].(*budgeted).left = 0
