@@ -56,10 +56,8 @@
 // shrunk to a minimal scenario (windows dropped, fault kinds zeroed,
 // probabilities halved) and reported as a `cmd/replay -chaos` command
 // line that replays it deterministically.  A soak in which an adversarial
-// fault kind never fired is a vacuous pass and fails.  -canary arms a
-// named seeded bug (e.g. "nodedup", which disables reply-cache dedup) in
-// every sampled plan, to prove the fuzzer finds and shrinks real bugs; a
-// name the engines do not know is rejected at flag-parse time.
+// fault kind never fired is a vacuous pass and fails.  That the fuzzer
+// finds and shrinks a real bug is mutants.txt's nodedup entry (cmd/mutate).
 //
 // The pkg/sync primitives' 100k-goroutine soaks are that package's tests
 // (TestMCSLockHotSpot100k, TestBarrierWide, TestCounterHotSpot100k), run
@@ -70,7 +68,7 @@
 //
 // Usage: check [-rounds 50] [-procs 16] [-ops 20] [-addrs 4] [-seed 1]
 // [-quick] [-faults] [-overload] [-parallel] [-crash] [-chaos]
-// [-canary nodedup] [-cpuprofile FILE] [-v]
+// [-cpuprofile FILE] [-v]
 package main
 
 import (
@@ -105,7 +103,6 @@ func main() {
 		parallel = flag.Bool("parallel", false, "determinism soak: the five cycle wirings of -faults at Workers = 1, 2, 4, clean, faulted and adversarial, must match byte-for-byte")
 		doCrash  = flag.Bool("crash", false, "crash–restart soak: checkpointed recovery on the five cycle wirings of -faults, crash-only and crash+drop")
 		doChaos  = flag.Bool("chaos", false, "fault-plan fuzzer: sampled plans mixing every fault kind on all six wirings; violations shrink to a replayable reproducer")
-		canary   = flag.String("canary", "", "arm a named seeded bug (e.g. nodedup) in every chaos plan — the fuzzer must find and shrink it")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		verbose  = flag.Bool("v", false, "log every execution")
 	)
@@ -113,12 +110,6 @@ func main() {
 	usage := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "check: "+format+"\n", args...)
 		os.Exit(2)
-	}
-	if *canary != "" && !*doChaos {
-		usage("-canary %s without -chaos — nothing to fuzz", *canary)
-	}
-	if *canary != "" && !slices.Contains(combining.FaultCanaries, *canary) {
-		usage("unknown -canary %q (want %s)", *canary, strings.Join(combining.FaultCanaries, ", "))
 	}
 	if *quick {
 		*rounds, *procs, *ops = 6, 8, 12
@@ -170,7 +161,7 @@ func main() {
 		}
 	}
 	if *doChaos {
-		count(chaosSoak(*rounds, *seed, *canary, *verbose))
+		count(chaosSoak(*rounds, *seed, *verbose))
 	}
 	stopProfile() // before any exit: os.Exit runs no deferred call
 	fmt.Printf("\n%d executions checked, %d failures\n", checked, failed)
@@ -420,7 +411,7 @@ func prefixSums(vals []int64, final int64) error {
 // soak if any adversarial fault kind never fired across the whole budget.
 // The summary counts the scenarios the battery checked by search rather
 // than by certificate, by reason.
-func chaosSoak(rounds int, seed uint64, canary string, verbose bool) (checked, failed int) {
+func chaosSoak(rounds int, seed uint64, verbose bool) (checked, failed int) {
 	wirings := combining.Wirings()
 	type outcome struct {
 		counters map[string]int64
@@ -431,7 +422,6 @@ func chaosSoak(rounds int, seed uint64, canary string, verbose bool) (checked, f
 	// Scenario index = round·len(wirings) + wiring, as the serial loop counted.
 	outcomes := each(rounds*len(wirings), func(index int) outcome {
 		sc := combining.NewChaosScenario(wirings[index%len(wirings)], seed, index)
-		sc.Plan.Canary = canary
 		var o outcome
 		if o.counters, o.err = combining.RunChaos(sc); o.err != nil {
 			o.shrunk, o.reruns = combining.ShrinkChaos(sc, 200)
@@ -462,10 +452,6 @@ func chaosSoak(rounds int, seed uint64, canary string, verbose bool) (checked, f
 			fmt.Printf("FAIL chaos: vacuous soak — %s is zero across %d scenarios\n", key, len(outcomes))
 			failed++
 		}
-	}
-	if canary != "" && violations == 0 {
-		fmt.Printf("FAIL chaos: canary %q armed but no violation found across %d scenarios\n", canary, len(outcomes))
-		failed++
 	}
 	fmt.Printf("%-30s %d scenarios fuzzed on %d wirings (%d faults injected, %d violations; by search: %d crash, %d dup, %d retransmit)\n",
 		"chaos", len(outcomes), len(wirings), total["faults_injected"], violations,

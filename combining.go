@@ -299,8 +299,6 @@ var (
 	// comma-joined key=value shell word, the form the chaos fuzzer emits
 	// reproducers in and cmd/replay / cmd/combsim accept back.
 	ParseFaultPlan = faults.ParsePlan
-	// FaultCanaries lists the seeded bugs FaultPlan.Canary may name.
-	FaultCanaries = faults.Canaries
 )
 
 // ---- Chaos fuzzing (internal/chaos) ----

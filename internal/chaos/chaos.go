@@ -302,14 +302,22 @@ func clonePlan(p *faults.Plan) *faults.Plan {
 // bound down while the violation reproduces.  A candidate is accepted
 // only if it still fails, so the result always replays the violation.
 func Shrink(sc Scenario, maxRuns int) (Scenario, int) {
+	return shrink(sc, maxRuns, func(c Scenario) bool {
+		_, err := Run(c)
+		return err != nil
+	})
+}
+
+// shrink is Shrink with the failure predicate as a parameter, so a test
+// can drive the passes with a failure it planted.
+func shrink(sc Scenario, maxRuns int, violates func(Scenario) bool) (Scenario, int) {
 	runs := 0
 	fails := func(c Scenario) bool {
 		if runs >= maxRuns {
 			return false
 		}
 		runs++
-		_, err := Run(c)
-		return err != nil
+		return violates(c)
 	}
 	cur := sc
 	for changed := true; changed && runs < maxRuns; {

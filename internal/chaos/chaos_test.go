@@ -84,52 +84,57 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosCanaryFoundAndShrunk is the end-to-end acceptance check for
-// the fuzzer: with the seeded reply-cache bug armed (Canary "nodedup" —
-// the cache records replies but never answers from them, so duplicated
-// deliveries double-execute), the fuzzer must find a violation within a
-// small budget, shrink it to at most two fault windows, and the shrunk
-// scenario must replay the violation deterministically.  Double execution
-// needs a duplicate or a retransmit, so the battery checks these runs by
-// search, and the failure class printed is the search's.
-func TestChaosCanaryFoundAndShrunk(t *testing.T) {
-	const class = "per-location serializability violated: "
+// dupsFail is a planted failure over real Run counters: a scenario "fails"
+// while its network duplicated a message.  The shrinker must keep it
+// failing while it drops every window and fault kind the duplicates do not
+// need.
+func dupsFail(t *testing.T) func(Scenario) bool {
+	return func(c Scenario) bool {
+		counters, err := Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", ReproCommand(c), err)
+		}
+		return counters["dup_injected"] > 0
+	}
+}
+
+// TestShrinkKeepsFailure is the shrinker's acceptance check, on a failure
+// planted through the unexported seam: from the first omega scenario whose
+// network duplicates a message, it must shrink to at most two fault
+// windows, and the shrunk scenario must still fail, replay its counters
+// exactly and print a reproducer that carries the machine and the plan.
+// That the fuzzer finds a real bug end to end is mutants.txt's nodedup
+// entry.
+func TestShrinkKeepsFailure(t *testing.T) {
+	fails := dupsFail(t)
 	var found *Scenario
 	for index := 0; index < 12 && found == nil; index++ {
-		sc := NewScenario("omega", 1, index)
-		sc.Plan.Canary = "nodedup"
-		if _, err := Run(sc); err != nil {
-			if !strings.HasPrefix(err.Error(), class) {
-				t.Fatalf("canary found as %q, want the class %q", err, class)
-			}
+		if sc := NewScenario("omega", 1, index); fails(sc) {
 			found = &sc
 		}
 	}
 	if found == nil {
-		t.Fatal("canary bug not found within 12 scenarios — the fuzzer cannot see double-execution")
+		t.Fatal("no omega scenario of 12 duplicates a message")
 	}
-	shrunk, runs := Shrink(*found, 200)
+	shrunk, runs := shrink(*found, 200, fails)
 	if w := Windows(shrunk.Plan); w > 2 {
 		t.Errorf("shrunk plan keeps %d fault windows, want <= 2: %v", w, shrunk.Plan)
 	}
-	_, err1 := Run(shrunk)
-	if err1 == nil {
+	if !fails(shrunk) {
 		t.Fatal("shrunk scenario no longer fails — shrinker accepted a passing candidate")
 	}
-	_, err2 := Run(shrunk)
-	if err2 == nil || err1.Error() != err2.Error() {
-		t.Fatalf("shrunk scenario does not replay deterministically:\nfirst:  %v\nsecond: %v", err1, err2)
-	}
-	if !strings.HasPrefix(err1.Error(), class) {
-		t.Errorf("shrunk scenario fails as %q, want the class %q", err1, class)
+	c1, _ := Run(shrunk)
+	c2, _ := Run(shrunk)
+	if !reflect.DeepEqual(c1, c2) {
+		t.Fatalf("shrunk scenario does not replay deterministically:\nfirst:  %v\nsecond: %v", c1, c2)
 	}
 	repro := ReproCommand(shrunk)
-	for _, part := range []string{"-chaos", "-machine omega,procs=8,wait=64 ", "-plan '", "canary=nodedup"} {
+	for _, part := range []string{"-chaos", "-machine omega,procs=8,wait=64 ", "-plan '", "dup="} {
 		if !strings.Contains(repro, part) {
 			t.Errorf("reproducer %q missing %q", repro, part)
 		}
 	}
-	t.Logf("canary shrunk after %d reruns to %d window(s): %s", runs, Windows(shrunk.Plan), repro)
+	t.Logf("shrunk after %d reruns to %d window(s): %s", runs, Windows(shrunk.Plan), repro)
 }
 
 // TestReproCommandReplays: a reproducer's one-liner carries the whole
@@ -237,20 +242,19 @@ func TestSamplePlanCoversKinds(t *testing.T) {
 // wiring, workload, or fault seed, or the reproducer would not replay the
 // original bug.
 func TestShrinkPreservesSeedAndTopology(t *testing.T) {
+	fails := dupsFail(t)
 	var sc Scenario
 	triggered := false
 	for index := 0; index < 12 && !triggered; index++ {
 		sc = NewScenario("bus", 5, index)
-		sc.Plan.Canary = "nodedup"
-		_, err := Run(sc)
-		triggered = err != nil
+		triggered = fails(sc)
 	}
 	if !triggered {
-		t.Skip("no bus scenario triggers the canary at this seed; covered by the omega test")
+		t.Fatal("no bus scenario of 12 duplicates a message")
 	}
-	shrunk, _ := Shrink(sc, 120)
+	shrunk, _ := shrink(sc, 120, fails)
 	if shrunk.Wiring != sc.Wiring || !reflect.DeepEqual(shrunk.Config, sc.Config) || shrunk.WorkloadSeed != sc.WorkloadSeed ||
-		shrunk.Plan.Seed != sc.Plan.Seed || shrunk.Plan.Canary != sc.Plan.Canary {
+		shrunk.Plan.Seed != sc.Plan.Seed {
 		t.Fatalf("shrinker changed scenario identity: %+v -> %+v", sc, shrunk)
 	}
 	if shrunk.Ops > sc.Ops || Windows(shrunk.Plan) > Windows(sc.Plan) {

@@ -369,9 +369,6 @@ func (s *Shell) Init(cfg ShellConfig) {
 		if cfg.Faults.HasCrashes() {
 			memOpts = append(memOpts, memory.WithCheckpoints())
 		}
-		if cfg.Faults.Canary == faults.CanaryNoDedup {
-			memOpts = append(memOpts, memory.WithNoDedupCanary())
-		}
 	}
 	*s = Shell{
 		name:       cfg.Engine,

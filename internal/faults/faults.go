@@ -121,10 +121,6 @@ type Plan struct {
 	// (NoteCorruptDropped), and the retransmit layer repairs it.
 	Corrupt float64
 
-	// Canary names a deliberately seeded bug used to validate the chaos
-	// fuzzer end to end ("" = none, otherwise one of Canaries).
-	Canary string
-
 	// RetryTimeout is the floor of the retransmit timeout (RTO) in cycles,
 	// and the RTO itself until the first round trip is measured (see
 	// Tracker).  Default 64.
@@ -134,16 +130,6 @@ type Plan struct {
 	// 8×RetryTimeout.
 	RetryCap int64
 }
-
-// CanaryNoDedup disables the memory-side reply-cache dedup so duplicated
-// deliveries double-execute — a bug cmd/check -chaos must find and shrink to
-// a minimal reproducer.
-const CanaryNoDedup = "nodedup"
-
-// Canaries lists the seeded bugs the engines know how to arm.  A name
-// outside it would arm nothing and pass for a clean run, so ParsePlan and
-// cmd/check -canary reject it where it enters.
-var Canaries = []string{CanaryNoDedup}
 
 // String renders the plan as its spec string (EncodePlan).
 func (p Plan) String() string { return EncodePlan(&p) }

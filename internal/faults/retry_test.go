@@ -557,8 +557,8 @@ func FuzzPlanRoundTrip(f *testing.F) {
 	for _, p := range []*Plan{{}, Default(3), DefaultAdversarial(7), DefaultCrash(5), GenCrashPlan(13, 3, 4000, 80)} {
 		f.Add(EncodePlan(p))
 	}
-	f.Add("seed=1,canary= a=b ,retry=0,stalls=-1:-1:0:0+0:0:5:5")
-	f.Add("seed=1,dup=0.02,canary=nodedup,retry=256")
+	f.Add("seed=1,ckpt= a=b ,retry=0,stalls=-1:-1:0:0+0:0:5:5")
+	f.Add("seed=1,dup=0.02,retry=256,retrycap=4096")
 	f.Add("dropfwd=NaN,droprev=-0,dup=0x1p-4,corrupt=1e-320")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)

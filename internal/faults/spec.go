@@ -22,7 +22,7 @@ import (
 
 // Field is one spec key and the Plan field it names.  Of returns a pointer
 // to that field: a *uint64 (the seed, always written), a *float64
-// probability, an *int64 count, a *string (the canary) or a *[]Window.
+// probability, an *int64 count or a *[]Window.
 type Field struct {
 	Key string
 	Of  func(*Plan) any
@@ -38,7 +38,6 @@ var Fields = []Field{
 	{"reordermax", func(p *Plan) any { return &p.ReorderMax }},
 	{"dup", func(p *Plan) any { return &p.Dup }},
 	{"corrupt", func(p *Plan) any { return &p.Corrupt }},
-	{"canary", func(p *Plan) any { return &p.Canary }},
 	{"retry", func(p *Plan) any { return &p.RetryTimeout }}, // the RTO's floor, in cycles
 	{"retrycap", func(p *Plan) any { return &p.RetryCap }},  // the RTO's and the backoff's ceiling
 	{"ckpt", func(p *Plan) any { return &p.CheckpointEvery }},
@@ -82,8 +81,6 @@ func EncodePlan(p *Plan) string {
 			if *x != 0 {
 				v = strconv.FormatInt(*x, 10)
 			}
-		case *string:
-			v = *x
 		case *[]Window:
 			strs := make([]string, len(*x))
 			for i, w := range *x {
@@ -122,11 +119,6 @@ func ParsePlan(s string) (*Plan, error) {
 			*f, err = parseProb(v)
 		case *int64:
 			*f, err = parseNonNeg(v)
-		case *string:
-			*f = v
-			if !slices.Contains(Canaries, v) {
-				err = fmt.Errorf("unknown canary (want %s)", strings.Join(Canaries, ", "))
-			}
 		case *[]Window:
 			*f, err = parseWindows(v)
 		}

@@ -9,12 +9,12 @@ import (
 // TestPlanSpecRoundTrip pins that EncodePlan and ParsePlan invert exactly
 // on the plans that actually travel as specs: the canned adversarial
 // plan, a generated crash schedule, and a hand-built plan exercising
-// every field including windows and the canary.
+// every field including windows.
 func TestPlanSpecRoundTrip(t *testing.T) {
 	full := &Plan{
 		Seed: 99, DropFwd: 0.01, DropRev: 0.002,
 		Reorder: 0.05, ReorderMax: 8, Dup: 0.02, Corrupt: 0.015,
-		Canary: "nodedup", RetryTimeout: 256, RetryCap: 12, CheckpointEvery: 64,
+		RetryTimeout: 256, RetryCap: 12, CheckpointEvery: 64,
 		Stalls:      []Window{{Stage: -1, Index: 2, From: 100, To: 180}},
 		MemStalls:   []Window{{Stage: -1, Index: 0, From: 40, To: 90}, {Stage: -1, Index: 3, From: 500, To: 560}},
 		Crashes:     []Window{{Stage: 0, Index: 1, From: 200, To: 300}},
@@ -57,8 +57,8 @@ func TestParsePlanErrors(t *testing.T) {
 		"   ":                      "empty plan spec",
 		"seed":                     "not key=value",
 		"seed=5,bogus=1":           "unknown plan spec key",
-		"seed=5,canary=nodedupe":   "unknown canary (want nodedup)",
-		"canary=":                  "unknown canary",
+		"seed=5,canary=nodedupe":   "unknown plan spec key",
+		"canary=":                  "unknown plan spec key",
 		"dup=1.5":                  "probability outside [0, 1)",
 		"corrupt=-0.1":             "probability outside [0, 1)",
 		"dropfwd=NaN":              "probability outside [0, 1)",

@@ -181,8 +181,7 @@ func TestReplyCacheSwapExactlyOnce(t *testing.T) {
 // leaf, the reply cache forgets it — at the next checkpoint, or without
 // checkpoints once the cache has doubled — and a stale copy of it arriving
 // later is skipped, counted as a cache hit, and does not re-execute.  A
-// combined copy executes its live leaf only.  Under the nodedup canary
-// nothing is skipped.
+// combined copy executes its live leaf only.
 func TestStaleCopyBelowFloor(t *testing.T) {
 	const addr = word.Addr(4)
 	a := leafReq(1, addr, rmw.FetchAdd(10), 0)
@@ -226,13 +225,4 @@ func TestStaleCopyBelowFloor(t *testing.T) {
 			}
 		})
 	}
-	t.Run("nodedup canary", func(t *testing.T) {
-		floors := []word.ReqID{2}
-		m := NewModule(WithReplyCache(), WithDeliveredFloors(floors), WithNoDedupCanary())
-		m.Do(a)
-		m.Do(retry(a, 1))
-		if got := m.Peek(addr).Val; got != 20 {
-			t.Fatalf("canary: cell %d after a stale copy, want 20 (the planted double execution)", got)
-		}
-	})
 }

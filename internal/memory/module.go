@@ -78,13 +78,6 @@ type Module struct {
 	// BusyCycles counts cycles the module spent serving.
 	BusyCycles int64
 
-	// canaryNoDedup disables reply-cache lookups (WithNoDedupCanary): the
-	// ledger still records executions but never answers from them, so any
-	// duplicated delivery double-executes.  Exists solely to give the
-	// chaos fuzzer a real bug to find; nothing enables it outside
-	// faults.Plan.Canary == "nodedup".
-	canaryNoDedup bool
-
 	// replyCache, when non-nil, is the exactly-once ledger: for every
 	// original (leaf) request already executed, the value its operation
 	// saw and its processor (leaves.go).  Request ids are partitioned per
@@ -183,7 +176,7 @@ func WithReplyCache() Option {
 // is skipped and counted as a cache hit, its value never read (the port
 // suppresses the duplicate), and the cache drops such leaves at each
 // checkpoint, or without checkpoints whenever it has doubled since its last
-// prune.  The nodedup canary skips nothing.
+// prune.
 func WithDeliveredFloors(floors []word.ReqID) Option {
 	return func(m *Module) { m.floors, m.pruneAt = floors, minPrune }
 }
@@ -199,17 +192,6 @@ func WithCheckpoints() Option {
 		}
 		m.ckpt = true
 	}
-}
-
-// WithNoDedupCanary seeds the "nodedup" canary bug: the reply cache stops
-// answering lookups, so retransmit-born and network-born duplicates
-// double-execute their non-idempotent RMWs.  The chaos fuzzer
-// (internal/chaos, cmd/check -chaos) must detect the resulting
-// exactly-once/M2 violations and shrink a triggering plan to a minimal
-// reproducer — this option is the planted ground truth for that test, not
-// a feature.
-func WithNoDedupCanary() Option {
-	return func(m *Module) { m.canaryNoDedup = true }
 }
 
 // NewModule returns an empty module; all cells read as the zero word.
@@ -361,16 +343,13 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 
 // cacheGet consults the exactly-once ledger.
 func (m *Module) cacheGet(id word.ReqID) (word.Word, bool) {
-	if m.canaryNoDedup {
-		return word.Word{}, false
-	}
 	return m.replyCache.get(id)
 }
 
 // delivered reports whether leaf lf is below its processor's delivered
 // floor: its reply has reached the processor, so a copy here is stale.
 func (m *Module) delivered(lf core.Leaf) bool {
-	return m.floors != nil && !m.canaryNoDedup && lf.Src >= 0 && lf.ID < m.floors[lf.Src]
+	return m.floors != nil && lf.Src >= 0 && lf.ID < m.floors[lf.Src]
 }
 
 // cachePut records a fresh leaf execution — uncommitted until the next

@@ -73,3 +73,49 @@ func FuzzComposeSemantics(f *testing.F) {
 		}
 	})
 }
+
+// FuzzComposeAssociative: the combining tree composes a queue's mappings
+// in whatever grouping its switches meet them, so for any three decodable
+// mappings both groupings, (f∘g)∘h and f∘(g∘h), wherever each composes,
+// must agree pointwise with applying f, g and h in turn — and so with each
+// other.  The float64 Möbius family is left out, as in
+// FuzzComposeSemantics.
+func FuzzComposeAssociative(f *testing.F) {
+	f.Add(Encode(FetchAdd(3)), Encode(FetchAdd(4)), Encode(FetchAdd(-9)), int64(10), uint8(0))
+	f.Add(Encode(StoreOf(5)), Encode(Load{}), Encode(SwapOf(2)), int64(-2), uint8(1))
+	f.Add(Encode(Affine{A: 2, B: 3}), Encode(FetchAdd(1)), Encode(Affine{A: -1, B: 7}), int64(4), uint8(0))
+	f.Add(Encode(FEStoreIfClearSet(1)), Encode(FELoadClear()), Encode(FEStoreIfClearSet(2)), int64(7), uint8(1))
+	f.Add(Encode(Bool{A: 1, B: 2}), Encode(Bool{A: 3, B: 4}), Encode(Bool{A: 5, B: 6}), int64(99), uint8(0))
+	f.Fuzz(func(t *testing.T, fb, gb, hb []byte, xv int64, tag uint8) {
+		var ms [3]Mapping
+		states := word.MaxStates
+		for i, b := range [][]byte{fb, gb, hb} {
+			m, _, err := Decode(b)
+			if _, float := m.(Moebius); err != nil || float {
+				return
+			}
+			if tb, ok := m.(Table); ok {
+				states = min(states, tb.States())
+			}
+			ms[i] = m
+		}
+		fm, gm, hm := ms[0], ms[1], ms[2]
+		x := word.Word{Val: xv, Tag: word.Tag(int(tag) % states)}
+		want := hm.Apply(gm.Apply(fm.Apply(x)))
+		group := func(a, b Mapping) (Mapping, bool) {
+			c, ok := Compose(a, b)
+			_, float := c.(Moebius)
+			return c, ok && !float
+		}
+		if fg, ok := group(fm, gm); ok {
+			if left, ok := group(fg, hm); ok && left.Apply(x) != want {
+				t.Fatalf("(f∘g)∘h with f=%v g=%v h=%v at %v: %v, want %v", fm, gm, hm, x, left.Apply(x), want)
+			}
+		}
+		if gh, ok := group(gm, hm); ok {
+			if right, ok := group(fm, gh); ok && right.Apply(x) != want {
+				t.Fatalf("f∘(g∘h) with f=%v g=%v h=%v at %v: %v, want %v", fm, gm, hm, x, right.Apply(x), want)
+			}
+		}
+	})
+}
