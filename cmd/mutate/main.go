@@ -4,15 +4,15 @@
 // check, a shell command line that passes on the repository and must fail
 // with the bug in place.
 //
-// It copies the working tree's tracked files into a temporary directory
-// (which honours TMPDIR) and never edits the repository.  Each distinct
-// kill check runs once on the unmutated copy first: a check that fails
-// there is an error, not a kill.  Then each entry's edits are applied, its
-// check runs under a fixed timeout and the files are restored.  A check
-// still running at the timeout is killed with its whole process group, so
-// no test binary outlives it.  Each entry prints killed, survived or timed
-// out with its wall time, and the command exits 1 on a survivor or an
-// error.
+// It copies the working tree's tracked files, mutants.txt among them, into
+// a temporary directory (which honours TMPDIR) and never edits the
+// repository.  Each distinct kill check runs once on the unmutated copy,
+// before the first entry that names it: a check that fails there is an
+// error, not a kill.  Then each entry's edits are applied, its check runs
+// under a fixed timeout and the files are restored.  A check still running
+// at the timeout is killed with its whole process group, so no test binary
+// outlives it.  Each entry prints killed, survived or timed out with its
+// wall time, and the command exits 1 on a survivor or an error.
 //
 //	go run ./cmd/mutate              # every entry (make mutate)
 //	go run ./cmd/mutate nodedup      # the named entries only
@@ -42,8 +42,8 @@ import (
 	"time"
 )
 
-// timeout bounds one kill check; the slowest committed check, a chaos
-// soak, takes about a minute.
+// timeout bounds one kill check; the slowest committed check, a lock test
+// that waits out its 60-second watchdog, takes about a minute.
 const timeout = 10 * time.Minute
 
 type edit struct{ file, old, new string }
@@ -56,7 +56,16 @@ type mutant struct {
 func main() { os.Exit(run(os.Args[1:])) }
 
 func run(names []string) int {
-	text, err := os.ReadFile("mutants.txt")
+	dir, err := os.MkdirTemp("", "mutate-")
+	var text []byte
+	if err == nil {
+		defer os.RemoveAll(dir)
+		// A tracked file deleted in the working tree is left out.
+		err = exec.Command("sh", "-c", `git ls-files -z | tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -xf - -C "$0"`, dir).Run()
+	}
+	if err == nil {
+		text, err = os.ReadFile(filepath.Join(dir, "mutants.txt"))
+	}
 	var list []mutant
 	if err == nil {
 		list, err = parse(string(text))
@@ -66,15 +75,6 @@ func run(names []string) int {
 		if len(list) != len(slices.Compact(slices.Sorted(slices.Values(names)))) {
 			err = fmt.Errorf("not every name of %q is an entry of mutants.txt", names)
 		}
-	}
-	dir := ""
-	if err == nil {
-		dir, err = os.MkdirTemp("", "mutate-")
-	}
-	if err == nil {
-		defer os.RemoveAll(dir)
-		// A tracked file deleted in the working tree is left out.
-		err = exec.Command("sh", "-c", `git ls-files -z | tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -xf - -C "$0"`, dir).Run()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mutate:", err)
