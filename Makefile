@@ -75,8 +75,9 @@ fuzz:
 # a table (hotspot, pathexpr), end its verdict in a line ending ✓ or
 # ": true".  Then cmd/mutate's nodedup entry, which must report killed: the
 # chaos fuzzer finds the seeded bug and the first reproducer it prints, run
-# as printed, exits 1 with a VIOLATION line.  Last, the -faults, -overload and -crash soaks twice, whose outputs
-# must be the same bytes: every row is a function of its seed.
+# as printed, exits 1 with a VIOLATION line.  Last, the -faults, -overload
+# and -crash soaks twice, whose outputs must be the same bytes: every row
+# is a function of its seed.
 smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; go build -o $$d/trace ./cmd/trace; \
@@ -262,10 +263,11 @@ profile:
 # comment-only — grep -vc '^\s*\(//.*\)\?$$'.  The engine packages are
 # totalled; internal/par, their pool and phase barrier, follows on its own
 # row, then the two commands behind BENCH_combining.json, the drivers that
-# build machines by name, cmd/mutate, the fault plans, the program harness, the checkers and the facade
-# (the root package) follow, and last the same count over every non-test .go file of the repository
-# outside bench/, and the number of directories holding one: its non-test
-# Go packages, so a change that deletes or adds a package shows it.
+# build machines by name, cmd/mutate, the fault plans, the program harness,
+# the checkers and the facade (the root package) follow, and last the same
+# count over every non-test .go file of the repository outside bench/, and
+# the number of directories holding one: its non-test Go packages, so a
+# change that deletes or adds a package shows it.
 # Informational; CI prints it and never fails on it.
 loc:
 	@count() { n=0; for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \

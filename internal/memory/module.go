@@ -316,7 +316,7 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 	var v word.Word
 	for i, lf := range leaves {
 		var ok bool
-		v, ok = m.cacheGet(lf.ID)
+		v, ok = m.replyCache.get(lf.ID)
 		if ok || m.delivered(lf) {
 			m.DedupHits++
 		} else {
@@ -339,11 +339,6 @@ func (m *Module) execCached(req *core.Request) core.Reply {
 	rep := core.Reply{ID: req.ID, Attempt: req.Attempt, Leaves: vals}
 	rep.Val, _ = rep.Leaf(req.ID)
 	return rep
-}
-
-// cacheGet consults the exactly-once ledger.
-func (m *Module) cacheGet(id word.ReqID) (word.Word, bool) {
-	return m.replyCache.get(id)
 }
 
 // delivered reports whether leaf lf is below its processor's delivered
