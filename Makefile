@@ -75,7 +75,9 @@ fuzz:
 # a table (hotspot, pathexpr), end its verdict in a line ending ✓ or
 # ": true".  Then cmd/mutate's nodedup entry, which must report killed: the
 # chaos fuzzer finds the seeded bug and the first reproducer it prints, run
-# as printed, exits 1 with a VIOLATION line.  Last, the -faults, -overload
+# as printed, exits 1 with a VIOLATION line; and its e57-port-settle entry,
+# a parked port that forgets the cycles it skipped, which must report
+# killed too.  Last, the -faults, -overload
 # and -crash soaks twice, whose outputs must be the same bytes: every row
 # is a function of its seed.
 smoke:
@@ -104,9 +106,9 @@ smoke:
 		*) grep -qE '(✓|: true)$$' $$d/$$e.txt || { echo "smoke: example $$e: no ✓ or true verdict"; cat $$d/$$e.txt; exit 1; };; esac; \
 		echo "smoke: example $$e ok ($$(tail -1 $$d/$$e.txt))"; \
 	done; \
-	go run ./cmd/mutate nodedup > $$d/mutate.txt || { echo "smoke: mutate nodedup failed"; cat $$d/mutate.txt; exit 1; }; \
-	grep -q '^killed .* nodedup ' $$d/mutate.txt || { echo "smoke: mutate nodedup was not killed"; cat $$d/mutate.txt; exit 1; }; \
-	echo "smoke: the fuzzer kills the nodedup mutant ($$(head -1 $$d/mutate.txt))"; \
+	go run ./cmd/mutate nodedup e57-port-settle > $$d/mutate.txt || { echo "smoke: mutate nodedup e57-port-settle failed"; cat $$d/mutate.txt; exit 1; }; \
+	for m in nodedup e57-port-settle; do grep -q "^killed .* $$m " $$d/mutate.txt || { echo "smoke: mutate $$m was not killed"; cat $$d/mutate.txt; exit 1; }; done; \
+	echo "smoke: the fuzzer kills the nodedup mutant, a port test the e57-port-settle one ($$(head -2 $$d/mutate.txt | tr '\n' ';'))"; \
 	go build -o $$d/check ./cmd/check; \
 	$$d/check -quick -faults -overload -crash > $$d/check1.txt; \
 	$$d/check -quick -faults -overload -crash > $$d/check2.txt; \
@@ -114,9 +116,11 @@ smoke:
 	echo "smoke: check ok, two runs byte-identical ($$(tail -1 $$d/check1.txt))"
 
 # mutate applies every seeded bug of mutants.txt to a copy of the working
-# tree and runs its kill check there (cmd/mutate): each entry prints killed,
-# survived or timed out with its wall time, and a survivor or an error
-# fails.  Too slow for CI, which runs the nodedup entry alone in smoke.
+# tree, compiles the edited packages with their tests and runs its kill
+# check there (cmd/mutate): each entry prints killed, survived, timed out or
+# error (a mutant that does not build) with its wall time, and a survivor
+# or an error fails.  Too slow for CI, which runs the nodedup and
+# e57-port-settle entries alone in smoke.
 mutate:
 	go run ./cmd/mutate
 

@@ -251,8 +251,8 @@ func TestParkedPortWakes(t *testing.T) {
 	}
 	h.offer(t, 3, 0, core.NewRequest(10, hotAddr+2, rmw.FetchAdd(1), 2), false)
 	h.tick()
-	if h.Inject(0, h.ln) || !h.st.portParked[0] || parks() != 1 {
-		t.Fatalf("setup: the refused offer did not park (parked %v, %d parks)", h.st.portParked[0], parks())
+	if h.Inject(0, h.ln) || !h.st.portParked(0) || parks() != 1 {
+		t.Fatalf("setup: the refused offer did not park (parked %v, %d parks)", h.st.portParked(0), parks())
 	}
 	// A parked port answers without consulting its offer: a message it
 	// would name differently goes unasked.
@@ -264,13 +264,13 @@ func TestParkedPortWakes(t *testing.T) {
 	h.pending[0].Req.ID = id
 	h.tick()
 	h.complete(&Rev{Rep: core.Reply{ID: first.ID}, Src: 0, Issue: 1}, h.ln)
-	if h.st.portParked[0] || h.st.waiters[3*h.st.nf] != 0 {
-		t.Fatalf("a delivery left the port parked (%v, waiters %#b)", h.st.portParked[0], h.st.waiters[3*h.st.nf])
+	if h.st.portParked(0) || h.st.waiters[3*h.st.nf] != 0 {
+		t.Fatalf("a delivery left the port parked (%v, waiters %#b)", h.st.portParked(0), h.st.waiters[3*h.st.nf])
 	}
-	if h.Inject(0, h.ln) || !h.st.portParked[0] || parks() != 2 {
-		t.Fatalf("the woken offer, refused again, did not park (parked %v, %d parks)", h.st.portParked[0], parks())
+	if h.Inject(0, h.ln) || !h.st.portParked(0) || parks() != 2 {
+		t.Fatalf("the woken offer, refused again, did not park (parked %v, %d parks)", h.st.portParked(0), parks())
 	}
-	for c := 0; h.st.portParked[0]; c++ {
+	for c := 0; h.st.portParked(0); c++ {
 		if c == 2000 {
 			t.Fatal("no retransmit fell due in 2000 cycles")
 		}
@@ -278,15 +278,163 @@ func TestParkedPortWakes(t *testing.T) {
 		if err := h.CheckLoads(); err != nil {
 			t.Fatal(err)
 		}
-		if h.st.portParked[0] && h.Inject(0, h.ln) {
+		if h.st.portParked(0) && h.Inject(0, h.ln) {
 			t.Fatal("a parked port's offer crossed into a full queue")
 		}
 	}
 	if h.retry[0].Len() != 1 || h.st.waiters[3*h.st.nf] != 0 {
 		t.Fatalf("woken with %d retransmits queued, waiters %#b", h.retry[0].Len(), h.st.waiters[3*h.st.nf])
 	}
-	if h.Inject(0, h.ln) || !h.st.portParked[0] || parks() != 3 || h.portMemo[0].attempt != 1 {
+	if h.Inject(0, h.ln) || !h.st.portParked(0) || parks() != 3 || h.portMemo[0].attempt != 1 {
 		t.Fatalf("the retransmit was not offered and refused: parked %v, %d parks, memo %+v",
-			h.st.portParked[0], parks(), h.portMemo[0])
+			h.st.portParked(0), parks(), h.portMemo[0])
+	}
+}
+
+// idle offers nothing until a reply, which never comes: its port sleeps.
+type idle struct{}
+
+func (idle) Next(int64) (Injection, bool) { return Injection{UntilReply: true}, false }
+func (idle) Deliver(core.Reply, int64)    {}
+
+// TestParkedPortCounts: a port whose offer parks on a rejecting refusal
+// leaves the walk (Shell.InjectPorts) and counts one rejection a cycle
+// without a visit — Rejections rises by exactly one at every cycle
+// boundary, and the snapshot with it — until a wake (a pop of the queue
+// that refused it), a delivery under a plan, or a retransmit falling due
+// ends the park before the cycle's injection; the cycle it ends in counts
+// the visit's own refusal, so the rise stays one.  Processor 0's link
+// enters station 3: its first request, for the hot cell, is taken; a
+// fetch-add for its private cell then fills the queue, so its second
+// request finds that partner, a wait buffer of no room, and a rejection.
+// The other processors sleep.
+func TestParkedPortCounts(t *testing.T) {
+	for _, end := range []string{"wake", "delivery", "retransmit"} {
+		t.Run(end, func(t *testing.T) {
+			var plan *faults.Plan
+			if end != "wake" {
+				plan = &faults.Plan{Seed: 1}
+			}
+			h := newParkTree(t, 0, rmw.FetchAdd(2), rmw.FetchAdd(2), plan)
+			for p := 1; p < treeProcs; p++ {
+				h.inj[p] = idle{}
+			}
+			var before func() // the cycle's event, ahead of its injection
+			h.hooks.Sweep = func() {
+				if before != nil {
+					before()
+					before = nil
+				}
+				h.InjectPorts(0, h.Turn(treeProcs), h.Lane(0), EveryPort)
+			}
+			if h.Step(); h.st.Fwd(3)[0].Len() != 1 {
+				t.Fatal("setup: the first request was not taken")
+			}
+			first := h.store.At(h.st.Fwd(3)[0].Front().H).Req
+			h.offer(t, 3, 0, core.NewRequest(10, word.Addr(treeProcs), rmw.FetchAdd(1), 2), false)
+			rejections := h.Rejections()
+			step := func(c int) {
+				t.Helper()
+				h.Step()
+				if err := h.CheckLoads(); err != nil {
+					t.Fatal(err)
+				}
+				got := h.Rejections()
+				if got != rejections+1 || h.Snapshot().Counters["combine_rejects"] != got {
+					t.Fatalf("cycle %d: %d rejections (snapshot %d), want %d", c, got, h.Snapshot().Counters["combine_rejects"], rejections+1)
+				}
+				rejections = got
+			}
+			const n = 6
+			for c := 0; c < n; c++ {
+				step(c)
+				if !h.st.portParked(0) || h.st.awake[0]&1 != 0 {
+					t.Fatalf("cycle %d: the refused port is not parked out of the walk", c)
+				}
+			}
+			parks := h.Totals().Parks
+			switch end {
+			case "wake":
+				before = func() { h.st.TakeFwd(3, 0) } // the hot request leaves
+				step(n)
+				if h.st.portParked(0) || h.st.Fwd(3)[0].Len() != 2 {
+					t.Fatal("the woken offer was not taken behind its partner")
+				}
+				h.Step()
+				if h.Rejections() != rejections {
+					t.Fatalf("a port with nothing to offer counted %d rejections", h.Rejections()-rejections)
+				}
+			case "delivery":
+				before = func() { h.complete(&Rev{Rep: core.Reply{ID: first.ID}, Src: 0, Issue: 1}, h.ln) }
+				step(n)
+				if !h.st.portParked(0) || h.Totals().Parks != parks+1 {
+					t.Fatalf("the woken offer did not park again: parked %v, %d parks", h.st.portParked(0), h.Totals().Parks-parks)
+				}
+			case "retransmit":
+				for c := n; h.retry[0].Len() == 0; c++ {
+					if c == 2000 {
+						t.Fatal("no retransmit fell due in 2000 cycles")
+					}
+					step(c)
+				}
+				if !h.st.portParked(0) || h.Totals().Parks != parks+1 || h.portMemo[0].attempt != 1 {
+					t.Fatalf("the retransmit did not park in turn: parked %v, %d parks, memo %+v", h.st.portParked(0), h.Totals().Parks-parks, h.portMemo[0])
+				}
+			}
+		})
+	}
+}
+
+// from offers one request from cycle at on, answering no before then; then
+// it sleeps.
+type from struct {
+	at  int64
+	req *core.Request
+}
+
+func (f *from) Next(cycle int64) (Injection, bool) {
+	switch {
+	case f.req == nil:
+		return Injection{UntilReply: true}, false
+	case cycle < f.at:
+		return Injection{}, false
+	}
+	r := *f.req
+	f.req = nil
+	return Injection{Req: r}, true
+}
+
+func (f *from) Deliver(core.Reply, int64) {}
+
+// TestPortWakeLaterInTheWalk is "wake later in the walk" for ports: station
+// 3's full queue ends with a fetch-or, which refuses processor 1's
+// fetch-add for its cell with room to spare, so the offer parks, counting
+// nothing.  At cycle 8 the walk starts at processor 0, whose store combines
+// into the fetch-or, making it a store the fetch-add combines with: the
+// walk must offer processor 1 in the same cycle, as the per-port loop
+// would have, though its bit was clear when the walk read the word.
+func TestPortWakeLaterInTheWalk(t *testing.T) {
+	h := newParkTree(t, core.Unbounded, rmw.FetchAdd(2), rmw.FetchAdd(2), nil)
+	h.offer(t, 3, 0, core.NewRequest(10, hotAddr+2, rmw.FetchAdd(1), 2), false)
+	h.offer(t, 3, 0, core.NewRequest(11, hotAddr, rmw.FetchOr(1), 3), false)
+	store, add := core.NewRequest(20, hotAddr, rmw.Const{V: 7}, 0), core.NewRequest(21, hotAddr, rmw.FetchAdd(1), 1)
+	h.inj[0], h.inj[1] = &from{at: treeProcs, req: &store}, &from{req: &add}
+	for p := 2; p < treeProcs; p++ {
+		h.inj[p] = idle{}
+	}
+	h.hooks.Sweep = func() { h.InjectPorts(0, h.Turn(treeProcs), h.Lane(0), EveryPort) }
+	for h.Cycle() < treeProcs-1 {
+		h.Step()
+	}
+	if !h.st.portParked(1) {
+		t.Fatal("setup: the refused fetch-add did not park")
+	}
+	h.Step()
+	if h.st.portParked(1) || h.hasPending[1] || h.hasPending[0] || h.st.Records(3) != 2 {
+		t.Fatalf("cycle %d: parked %v, pending %v %v, %d wait records at station 3; want both combined this cycle",
+			h.Cycle(), h.st.portParked(1), h.hasPending[0], h.hasPending[1], h.st.Records(3))
+	}
+	if err := h.CheckLoads(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -269,8 +269,12 @@ type Shell struct {
 	// withholds.  It is written beside every Enqueue, in serve (a reply
 	// emerges; under checkpoints also a served request joins the withheld),
 	// beside Checkpoint (the released ones) and Crash.  Each entry has the
-	// owner of the queue it counts, phase by phase.
+	// owner of the queue it counts, phase by phase.  busy holds the module
+	// words over it (initModules), which a schedule walks.
 	memLoad []int32
+	busy    []uint64
+	mspan   int
+	modBit  []int32
 	// lanes are the stepping goroutines' working sets, one per pool worker;
 	// behind is the processor links' scratch lane for a wait buffer behind
 	// them (Links.Behind), lane 0's writer: the links commit on one
@@ -399,6 +403,8 @@ func (s *Shell) Init(cfg ShellConfig) {
 	}
 	st.back = s.links.Back
 	s.initParks(procs, cfg.Faults)
+	st.initPorts(s.links)
+	s.initModules(cfg.Modules)
 	if s.trace != nil {
 		s.events = make([][]Event, st.Len())
 		s.portEvents = make([][]Event, procs)
@@ -449,9 +455,10 @@ func (s *Shell) Step() {
 		s.linkOpen = s.flt.LinkWindowOpen(s.tot.Cycles)
 		for _, p := range s.trk.Expired(s.tot.Cycles) {
 			*s.retry[p.Proc].Push() = Fwd{Req: p.Req, Src: p.Proc, Issue: p.IssueCycle, Hot: p.Hot}
-			if s.st.portParked[p.Proc] {
+			if s.st.portParked(p.Proc) {
 				s.st.unparkPort(p.Proc) // the retransmit is offered first
 			}
+			s.st.markPort(p.Proc)
 		}
 		if s.adv {
 			s.drainLimbo()
@@ -501,6 +508,7 @@ func (s *Shell) updateMasks() {
 			s.rec.crashes++
 			s.rec.noteLost(s.trk, s.mem.Module(mod).Crash())
 			s.memLoad[mod] = 0
+			s.clearModule(mod)
 		} else if !dead && s.memDead[mod] {
 			s.rec.restores++
 		}
@@ -684,6 +692,11 @@ func (s *Shell) Memory() *memory.Array { return s.mem }
 // RoomInModule is the common feed rule (Hooks.CanFeed): a module takes a
 // request whenever its input queue has room.
 func (s *Shell) RoomInModule(mod int) bool { return s.mem.Module(mod).CanEnqueue() }
+
+// Quiet reports whether a module tick has no per-cycle count to make this
+// cycle (Shell.quiet): always on a healthy machine.  On a cycle that is not
+// quiet a schedule ticks every module, idle or not.
+func (s *Shell) Quiet() bool { return s.flt == nil || s.quiet }
 
 // ModuleDead reports whether module mod is crashed this cycle.
 func (s *Shell) ModuleDead(mod int) bool { return s.crash && s.memDead[mod] }

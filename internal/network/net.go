@@ -216,15 +216,15 @@ type Sim struct {
 	// function handed to the pool each cycle (bound once at construction so
 	// the cycle loop allocates no closures) and the phases after reverse
 	// stage 0.  Who hops what is in the stations' occupancy words
-	// (owners, engine.Stations.Own); beside them tick[w] marks the
-	// last-stage switches worker w hops and ticks, and ports[w] the
-	// processors it serves, those of the stage-0 switches it owns.  See
-	// parallel.go and DESIGN.md §6.1.
-	pool        *par.Pool
-	bar         par.Barrier
-	stepFn      func(w int)
-	phases      []phase
-	tick, ports [][]uint64
+	// (owners, engine.Stations.Own), and with them who serves which
+	// processors and modules (the shell's port and module words); beside
+	// them tick[w] marks the last-stage switches worker w hops and ticks.
+	// See parallel.go and DESIGN.md §6.1.
+	pool   *par.Pool
+	bar    par.Barrier
+	stepFn func(w int)
+	phases []phase
+	tick   [][]uint64
 }
 
 // NewSim builds a machine; injectors must supply exactly cfg.Procs entries.
@@ -257,13 +257,8 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 		}
 		return rev[at]
 	})
-	procs := make([]int, n)
-	for p := range procs {
-		procs[p] = fwd[topo.ProcLine(p)/cfg.Radix]
-	}
 	for w := 0; w < s.pool.Workers(); w++ {
 		s.tick = append(s.tick, ownBits(fwd[(k-1)*s.ns:], w))
-		s.ports = append(s.ports, ownBits(procs, w))
 	}
 	s.Shell.Init(engine.ShellConfig{
 		Engine:      "network",

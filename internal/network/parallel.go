@@ -35,9 +35,11 @@ package network
 // Who owns the ports.  Each worker walks reverse stage 0 over the stage-0
 // switches it owns in the last forward phase, so its lane's home list holds
 // exactly its own processors' replies; after its forward hops it commits its
-// lane and injects its processors in the cycle's rotation order restricted
-// to them — so each switch's processors go in that switch's rotation order,
-// and at width one every processor goes in the serial order.  Processors on
+// lane and injects its processors that may act — their bits in its port
+// words (engine.Shell.InjectPorts) — in the cycle's rotation order
+// restricted to them, so each switch's processors go in that switch's
+// rotation order, and at width one every processor goes in the serial
+// order.  Processors on
 // different stage-0 switches share no state a port touches — under a fault
 // plan each has its own record in the retry tracker, whose shared estimator
 // and timing wheel only the next prologue's settle writes, its own trace
@@ -113,8 +115,7 @@ func owners(t engine.Staged, workers int, ps []phase) (fwd, rev []int) {
 }
 
 // ownBits is the set of the items own gives worker w, a bit an item, 64 to
-// a word: the walk a worker makes over its last-stage switches, which it
-// visits whether or not they hold a message, and over its processors.
+// a word: the last-stage switches it visits on a cycle that is not quiet.
 func ownBits(own []int, w int) []uint64 {
 	b := make([]uint64, (len(own)+63)/64)
 	for i, o := range own {
@@ -161,29 +162,31 @@ func (s *Sim) phaseWorker(w int) {
 	// the race detector.  (Committing right after reverse stage 0 overlapped
 	// more and measured slower: E27.)
 	s.CommitLane(ln)
-	rot, ports := engine.Rotate(s.Turn(s.n), s.n), s.ports[w]
-	for v := 0; v < rot.Visits(); v++ {
-		i, keep := rot.Word(v)
-		for m := ports[i] & keep; m != 0; m &= m - 1 {
-			s.Inject(i<<6|bits.TrailingZeros64(m), ln)
-		}
-	}
+	s.InjectPorts(w, s.Turn(s.n), ln, engine.EveryPort)
 }
 
 // hopAll hops worker w's switches of one stage in the cycle's rotation
-// order from sw0: those whose side holds a message (Shell.HopRow), but at
-// the last stage every one the worker owns, since a forward hop there first
-// ticks the radix modules behind the switch, which share its reverse
-// credits.
+// order from sw0: those whose side holds a message (Shell.HopRow).  At the
+// last stage a forward hop first ticks the radix modules behind the switch,
+// which share its reverse credits, so the walk there also takes the
+// switches whose reverse side holds a reply — a module behind one without
+// credit counts a hold, idle or not — or whose modules have work
+// (Shell.Busy), and on a cycle that is not quiet every switch it owns.
+// Nothing a hop of one last-stage switch does changes another's, so each
+// word is read once.
 func (s *Sim) hopAll(fwd bool, stage, w, sw0, port0 int, ln *engine.Lane) {
 	if !fwd || stage < s.k-1 {
 		s.HopRow(fwd, stage, sw0, w, port0, ln)
 		return
 	}
-	base, r, rot := stage*s.ns, s.cfg.Radix, engine.Rotate(sw0, s.ns)
+	base, r, rot, quiet := stage*s.ns, s.cfg.Radix, engine.Rotate(sw0, s.ns), s.Quiet()
 	for v := 0; v < rot.Visits(); v++ {
 		i, keep := rot.Word(v)
-		for m := s.tick[w][i] & keep; m != 0; m &= m - 1 {
+		m := s.tick[w][i] & keep
+		if due := s.Occupied(true, stage, i, w) | s.Pushed(false, stage, i, w); quiet && m&^due != 0 {
+			m &= due | s.busySwitches(w, i)
+		}
+		for ; m != 0; m &= m - 1 {
 			sw := i<<6 | bits.TrailingZeros64(m)
 			for mod := sw * r; mod < sw*r+r; mod++ {
 				s.Tick(mod, base+sw, ln)
@@ -191,4 +194,19 @@ func (s *Sim) hopAll(fwd bool, stage, w, sw0, port0 int, ln *engine.Lane) {
 			s.FwdHop(base+sw, port0, ln)
 		}
 	}
+}
+
+// busySwitches is word i of the last-stage switches behind which worker w
+// owns a module with work: switch sw's modules are sw·radix to
+// sw·radix+radix−1, so the word's switches own module words i·radix to
+// i·radix+radix−1.
+func (s *Sim) busySwitches(w, i int) uint64 {
+	var m uint64
+	r := s.cfg.Radix
+	for j := i * r; j < min((i+1)*r, (s.n+63)/64); j++ {
+		for b := s.Busy(w, j); b != 0; b &= b - 1 {
+			m |= 1 << ((j<<6|bits.TrailingZeros64(b))/r - i<<6)
+		}
+	}
+	return m
 }

@@ -457,3 +457,61 @@ func TestSleepingPortsUnobservable(t *testing.T) {
 		}
 	}
 }
+
+// TestParkingUnobservable: a station with an Intercept hook keeps no
+// refusal memo and parks nothing (engine/park.go), so every refusal takes
+// the full path, as before either existed.  On every wiring, with wait
+// buffers of fixed room (capacity 0, where refusals reject, and unbounded),
+// one-slot queues and a saturating hot spot, healthy and under crashes
+// with drops — where a bus transfer lost on the link stops the walk short
+// of parked ports (Shell.InjectPorts) — the snapshot must read the same
+// with a no-op hook as without one at every hundredth cycle, while the
+// run without it parks heads or ports and keeps its index whole.
+func TestParkingUnobservable(t *testing.T) {
+	const procs, cycles = 16, 600
+	crashDrop := func() *faults.Plan {
+		p := faults.GenCrashPlan(5, 3, 300, 40)
+		p.DropFwd, p.DropRev = 0.02, 0.01
+		return p
+	}
+	for _, name := range Names() {
+		for _, wait := range []int{0, core.Unbounded} {
+			for _, plan := range []func() *faults.Plan{func() *faults.Plan { return nil }, crashDrop} {
+				t.Run(fmt.Sprintf("%s/wait%d/faulted=%v", name, wait, plan() != nil), func(t *testing.T) {
+					build, err := New(name, Config{Procs: procs, QueueCap: 1, WaitBufCap: wait, Faults: plan()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var engs [2]engine.Machine
+					for i := range engs {
+						inj := make([]engine.Injector, procs)
+						for p := range inj {
+							inj[p] = network.NewStochastic(p, procs, network.TrafficConfig{Rate: 0.9, HotFraction: 0.5, Window: 4}, 13)
+						}
+						engs[i] = build(inj)
+					}
+					engs[1].(interface{ Stations() *engine.Stations }).Stations().Intercept =
+						func(*engine.Stations, int, int, engine.FwdEntry, engine.Path, uint32, *engine.Lane) bool {
+							return false
+						}
+					for c := 1; c <= cycles; c++ {
+						engs[0].Step()
+						engs[1].Step()
+						if err := engs[0].CheckLoads(); err != nil {
+							t.Fatal(err)
+						}
+						if c%100 != 0 {
+							continue
+						}
+						if a, b := engs[0].Snapshot().JSON(), engs[1].Snapshot().JSON(); string(a) != string(b) {
+							t.Fatalf("cycle %d: parking moved the snapshot:\n%s\nagainst\n%s", c, a, b)
+						}
+					}
+					if engs[0].Totals().Parks == 0 || engs[1].Totals().Parks != 0 {
+						t.Errorf("%d parks with the memo, %d without: want some, then none", engs[0].Totals().Parks, engs[1].Totals().Parks)
+					}
+				})
+			}
+		}
+	}
+}
