@@ -70,7 +70,9 @@ fuzz:
 # it does not read.  The names come from the registry by way of the
 # unknown-wiring message, so a new wiring is smoked the day it is
 # registered.  Then cmd/trace's Figure 1 walkthrough, whose last line must
-# report the replies an exact serialization.  Then every program under
+# report the replies an exact serialization, and `trace -addr 4294967296`,
+# which must exit 2: an address past 32 bits is refused, not truncated.
+# Then every program under
 # examples/, each of which must exit 0 and, but for the two that print only
 # a table (hotspot, pathexpr), end its verdict in a line ending ✓ or
 # ": true".  Then cmd/mutate's nodedup entry, which must report killed: the
@@ -99,6 +101,9 @@ smoke:
 	$$d/trace > $$d/walkthrough.txt; last=$$(tail -1 $$d/walkthrough.txt); \
 	case "$$last" in *': true') ;; *) echo "smoke: trace: $$last"; exit 1;; esac; \
 	echo "smoke: trace ok ($$(wc -l < $$d/walkthrough.txt) lines; $$last)"; \
+	st=0; $$d/trace -addr 4294967296 > /dev/null 2> $$d/wide-addr.txt || st=$$?; \
+	test $$st -eq 2 || { echo "smoke: trace -addr 4294967296 exited $$st, want 2"; cat $$d/wide-addr.txt; exit 1; }; \
+	echo "smoke: trace rejects an address past 32 bits ($$(cat $$d/wide-addr.txt))"; \
 	for e in $$(ls examples); do \
 		go build -o $$d/example ./examples/$$e; \
 		$$d/example > $$d/$$e.txt || { echo "smoke: example $$e exited non-zero"; cat $$d/$$e.txt; exit 1; }; \

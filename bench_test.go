@@ -171,38 +171,6 @@ func BenchmarkPartialCombining(b *testing.B) {
 	}
 }
 
-// ---- E7: parallel prefix ----
-
-func BenchmarkPrefixTree(b *testing.B) {
-	for _, n := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("async/n=%d", n), func(b *testing.B) {
-			vals := make([]int64, n)
-			for i := range vals {
-				vals[i] = int64(i + 1)
-			}
-			for i := 0; i < b.N; i++ {
-				combining.RunPrefixTree(combining.IntAdd(), vals)
-			}
-		})
-	}
-	for _, n := range []int{64, 1024, 16384} {
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(i + 1)
-		}
-		b.Run(fmt.Sprintf("sklansky/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				combining.Sklansky(combining.IntAdd(), vals)
-			}
-		})
-		b.Run(fmt.Sprintf("brent-kung/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				combining.BrentKung(combining.IntAdd(), vals)
-			}
-		})
-	}
-}
-
 // ---- E1: memory-side vs processor-side RMW ----
 
 func BenchmarkRMWImplementation(b *testing.B) {
@@ -391,21 +359,5 @@ func BenchmarkCompilePath(b *testing.B) {
 		if _, err := combining.CompilePath(expr); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---- Ladner–Fischer circuit family ----
-
-func BenchmarkPrefixLadnerFischer(b *testing.B) {
-	vals := make([]int64, 4096)
-	for i := range vals {
-		vals[i] = int64(i + 1)
-	}
-	for _, k := range []int{0, 2, 12} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				combining.LadnerFischer(combining.IntAdd(), vals, k)
-			}
-		})
 	}
 }

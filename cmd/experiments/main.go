@@ -8,9 +8,11 @@ import (
 	"flag"
 	"fmt"
 	"sort"
+	"strings"
 
 	combining "combining"
 	"combining/internal/engine"
+	"combining/internal/machine"
 )
 
 var quick = flag.Bool("quick", false, "shorter simulation runs")
@@ -159,21 +161,46 @@ func e5FullEmpty() {
 }
 
 func e7Prefix() {
-	section("E7", "parallel prefix (Section 6)")
-	fmt.Println("   n   | total ops (2n−2) | nontrivial (2n−2−⌈lg n⌉) | cycles (2⌈lg n⌉−2)")
-	for _, n := range []int{4, 16, 64, 256, 1024} {
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(i + 1)
+	section("E7", "parallel prefix: the combining tree the machine builds (Section 6)")
+	burst := func(w string, n int) machine.TreeCount {
+		progs := make([][]combining.Instr, n)
+		for p := range progs {
+			progs[p] = []combining.Instr{combining.RMW(0, combining.FetchAdd(1))}
 		}
-		_, _, ops := combining.RunPrefixTree(combining.IntAdd(), vals)
-		s := combining.AnalyzePrefix(n)
-		fmt.Printf(" %5d | %7d = %-7d | %10d = %-10d | %5d = %d\n",
-			n, ops.Total, 2*(n-1),
-			ops.Nontrivial, combining.PaperNontrivial(n),
-			s.Makespan, combining.PaperCycles(n))
+		var log combining.NetTraceLog
+		cfg := combining.WiringConfig{Procs: n, WaitBufCap: combining.Unbounded, Trace: log.Record}
+		if _, _, _, err := combining.CheckBattery(w, cfg, progs, 10_000); err != nil {
+			panic(err)
+		}
+		return machine.CountTree(log.Events)
 	}
-	fmt.Println("(measured = formula on every row: exact reproduction)")
+	fmt.Println("one synchronized burst of n FetchAdd(1) to one zeroed cell on omega, unbounded wait buffers, battery-checked")
+	fmt.Println("    n | compositions 2n−2 | accesses | trivial lg n | nontrivial 2n−2−lg n | cycles 2 lg n−2 | root combine, decombine | combines by stage")
+	for _, n := range []int{4, 16, 64, 256, 1024} {
+		c := burst("omega", n)
+		total := c.CombineTotal() + c.Decombines
+		fmt.Printf(" %4d | %-17s | %8d | %-12s | %-20s | %-15s | c%-3d c%-17d | %s\n", n,
+			fmt.Sprintf("%6d = %d", total, 2*n-2), c.Served,
+			fmt.Sprintf("%4d = %d", c.Trivial, 2*n-2-machine.PaperNontrivial(n)),
+			fmt.Sprintf("%8d = %d", total-c.Trivial, machine.PaperNontrivial(n)),
+			fmt.Sprintf("%4d = %d+2", len(c.Cycles), machine.PaperCycles(n)),
+			c.RootCombine, c.RootDecombine, strings.Trim(fmt.Sprint(c.Combines), "[]"))
+	}
+	fmt.Println("the 2 extra cycles are two named events: the root combine (stage lg n−1, cycle lg n), whose total")
+	fmt.Println("§6's schedule never waits on, and the root decombine (cycle lg n+2), the identity multiplication §6 skips")
+	fmt.Println("\nthe same burst on the other wirings (omega4, fattree: one n-leaf tree; the rest: forests, not asserted)")
+	fmt.Println(" wiring       n | combines | decombines | accesses | on served paths | composition cycles")
+	for _, w := range []struct {
+		name string
+		ns   []int
+	}{{"omega4", []int{16, 64, 256}}, {"fattree", []int{16, 64, 256}},
+		{"hypercube", []int{256}}, {"torus", []int{256}}, {"bus", []int{256}}} {
+		for _, n := range w.ns {
+			c := burst(w.name, n)
+			fmt.Printf(" %-9s %4d | %8d | %10d | %8d | %15d | %d\n",
+				w.name, n, c.CombineTotal(), c.Decombines, c.Served, c.Trivial, len(c.Cycles))
+		}
+	}
 }
 
 func e8e9Hotspot(cycles int) {

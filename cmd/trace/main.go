@@ -30,6 +30,9 @@ func main() {
 	if *per < 1 {
 		fail("-per must be ≥ 1, got %d", *per)
 	}
+	if uint(combining.Addr(*addr)) != *addr {
+		fail("-addr must fit the 32-bit address space, got %d", *addr)
+	}
 	log := &combining.NetTraceLog{}
 	cfg := combining.WiringConfig{Procs: *n, WaitBufCap: combining.Unbounded, Trace: log.Record}
 	if _, err := combining.NewWiring("omega", cfg); err != nil {

@@ -9,9 +9,10 @@
 // Theorem 4.2 serializability checkers); one cycle-accurate combining
 // machine — the Omega network of the hot-spot experiments and the Section 7
 // variants (hypercube, torus, bus FIFO) on one engine core — that runs
-// programs, and an invariant battery that checks each run; the Section 6
-// parallel-prefix tree.  The fetch-and-add coordination algorithms run on
-// goroutines in combining/pkg/sync.
+// programs, and an invariant battery that checks each run, whose trace
+// counts the Section 6 parallel-prefix tree the network builds.  The
+// fetch-and-add coordination algorithms run on goroutines in
+// combining/pkg/sync.
 //
 // The facade re-exports the names the commands, examples and root tests
 // use from the internal packages; see DESIGN.md for the system inventory
@@ -27,7 +28,6 @@ import (
 	"combining/internal/model"
 	"combining/internal/network"
 	"combining/internal/pathexpr"
-	"combining/internal/prefix"
 	"combining/internal/rmw"
 	"combining/internal/serial"
 	"combining/internal/wiring"
@@ -333,40 +333,6 @@ var (
 	// its machine as a -machine spec beside its -plan.
 	ChaosRepro = chaos.ReproCommand
 )
-
-// ---- Parallel prefix (internal/prefix) ----
-
-// Monoid supplies an associative operation for prefix computation.
-type Monoid[T any] = prefix.Monoid[T]
-
-// Prefix computations.
-var (
-	IntAdd          = prefix.IntAdd
-	AnalyzePrefix   = prefix.Analyze
-	PaperNontrivial = prefix.PaperNontrivial
-	PaperCycles     = prefix.PaperCycles
-)
-
-// RunPrefixTree executes the asynchronous Section 6 tree.
-func RunPrefixTree[T any](m Monoid[T], vals []T) (prefixes []T, total T, ops prefix.OpCount) {
-	return prefix.RunTree(m, vals)
-}
-
-// Sklansky computes inclusive prefixes with the minimum-depth circuit.
-func Sklansky[T any](m Monoid[T], vals []T) ([]T, prefix.Circuit) {
-	return prefix.Sklansky(m, vals)
-}
-
-// BrentKung computes inclusive prefixes with the size-frugal circuit.
-func BrentKung[T any](m Monoid[T], vals []T) ([]T, prefix.Circuit) {
-	return prefix.BrentKung(m, vals)
-}
-
-// LadnerFischer computes inclusive prefixes with the LF(k) circuit family
-// cited by Section 6, interpolating depth against size.
-func LadnerFischer[T any](m Monoid[T], vals []T, k int) ([]T, prefix.Circuit) {
-	return prefix.LadnerFischer(m, vals, k)
-}
 
 // ---- Path expressions (internal/pathexpr) ----
 

@@ -47,15 +47,6 @@ func ExampleFEStoreIfClearSet() {
 	// Output: 42/s1 false true
 }
 
-// Section 6: the asynchronous prefix tree computes exclusive prefixes
-// with 2n−2−⌈lg n⌉ nontrivial operations.
-func ExampleRunPrefixTree() {
-	prefixes, total, ops := combining.RunPrefixTree(combining.IntAdd(),
-		[]int64{5, 3, 9, 1, 7, 2, 8, 4})
-	fmt.Println(prefixes, total, ops.Nontrivial, combining.PaperNontrivial(8))
-	// Output: [0 5 8 17 18 25 27 35] 39 11 11
-}
-
 // Section 5.6: a path expression compiles to combinable guard mappings.
 func ExampleCompilePath() {
 	g, _ := combining.CompilePath("(produce consume)*")
