@@ -67,7 +67,8 @@ fuzz:
 # cold-latency column must be non-zero on every row, and a generated trace
 # replayed through the invariant battery, which must print its pass line,
 # and a trace replay beside -h, which must exit 2: a mode rejects the flags
-# it does not read.  The names come from the registry by way of the
+# it does not read; so must -gen and -chaos with -ops 0, and -gen with an
+# -h outside [0, 1].  The names come from the registry by way of the
 # unknown-wiring message, so a new wiring is smoked the day it is
 # registered.  Then cmd/trace's Figure 1 walkthrough, whose last line must
 # report the replies an exact serialization, and `trace -addr 4294967296`,
@@ -79,9 +80,9 @@ fuzz:
 # chaos fuzzer finds the seeded bug and the first reproducer it prints, run
 # as printed, exits 1 with a VIOLATION line; and its e57-port-settle entry,
 # a parked port that forgets the cycles it skipped, which must report
-# killed too.  Last, the -faults, -overload
-# and -crash soaks twice, whose outputs must be the same bytes: every row
-# is a function of its seed.
+# killed too.  Last, cmd/check with -addrs 0 and with -ops 0, each of which
+# must exit 2, and the -faults, -overload and -crash soaks twice, whose
+# outputs must be the same bytes: every row is a function of its seed.
 smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/combsim ./cmd/combsim; go build -o $$d/replay ./cmd/replay; go build -o $$d/trace ./cmd/trace; \
@@ -91,6 +92,11 @@ smoke:
 	st=0; $$d/replay -h 0.9 $$d/trace.txt 2> $$d/stray-flag.txt || st=$$?; \
 	test $$st -eq 2 || { echo "smoke: replay -h 0.9 trace.txt exited $$st, want 2"; cat $$d/stray-flag.txt; exit 1; }; \
 	echo "smoke: a trace replay rejects -h ($$(cat $$d/stray-flag.txt))"; \
+	for a in '-gen -ops 0' '-gen -h 2' '-gen -h -0.5' '-chaos -plan seed=1 -ops 0'; do \
+		st=0; $$d/replay $$a > /dev/null 2> $$d/bad-flag.txt || st=$$?; \
+		test $$st -eq 2 || { echo "smoke: replay $$a exited $$st, want 2"; cat $$d/bad-flag.txt; exit 1; }; \
+	done; \
+	echo "smoke: replay rejects -ops 0 and an -h outside [0, 1] ($$(cat $$d/bad-flag.txt))"; \
 	for t in $$names; do \
 		$$d/combsim -machine $$t,procs=16,queue=4,banks=8 -cycles 300 -csv > $$d/$$t.csv; \
 		awk -F, -v t=$$t 'NR > 1 && $$6 + 0 == 0 { print "smoke: " t ": cold_latency is zero: " $$0; bad = 1 } END { exit bad }' $$d/$$t.csv; \
@@ -115,6 +121,11 @@ smoke:
 	for m in nodedup e57-port-settle; do grep -q "^killed .* $$m " $$d/mutate.txt || { echo "smoke: mutate $$m was not killed"; cat $$d/mutate.txt; exit 1; }; done; \
 	echo "smoke: the fuzzer kills the nodedup mutant, a port test the e57-port-settle one ($$(head -2 $$d/mutate.txt | tr '\n' ';'))"; \
 	go build -o $$d/check ./cmd/check; \
+	for a in '-addrs 0' '-rounds 1 -ops 0'; do \
+		st=0; $$d/check $$a > /dev/null 2> $$d/bad-flag.txt || st=$$?; \
+		test $$st -eq 2 || { echo "smoke: check $$a exited $$st, want 2"; cat $$d/bad-flag.txt; exit 1; }; \
+	done; \
+	echo "smoke: check rejects -addrs 0 and -ops 0 ($$(cat $$d/bad-flag.txt))"; \
 	$$d/check -quick -faults -overload -crash > $$d/check1.txt; \
 	$$d/check -quick -faults -overload -crash > $$d/check2.txt; \
 	cmp $$d/check1.txt $$d/check2.txt || { echo "smoke: two cmd/check runs differ"; diff $$d/check1.txt $$d/check2.txt; exit 1; }; \

@@ -111,6 +111,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "check: "+format+"\n", args...)
 		os.Exit(2)
 	}
+	// A count below one would run nothing and pass, or panic mid-soak.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rounds", *rounds}, {"ops", *ops}, {"addrs", *addrs}} {
+		if f.v < 1 {
+			usage("-%s %d: want at least 1", f.name, f.v)
+		}
+	}
 	if *quick {
 		*rounds, *procs, *ops = 6, 8, 12
 	}

@@ -113,6 +113,12 @@ func main() {
 	if mode != "a trace replay" && flag.NArg() != 0 {
 		fail("%s takes no trace file", mode)
 	}
+	if mode != "a trace replay" && *ops < 1 {
+		fail("-ops must be ≥ 1, got %d", *ops)
+	}
+	if *gen && !(*genHot >= 0 && *genHot <= 1) {
+		fail("hot fraction %g in -h outside [0, 1]", *genHot)
+	}
 	if *chaosRun {
 		if *planSpec == "" {
 			fail("-chaos requires -plan — the scenario's fault plan")

@@ -19,8 +19,8 @@ import (
 // watchdog declares livelock/deadlock when in-flight work makes no progress
 // for limit cycles (DefaultWatchdogCycles on every machine).  The step
 // epilogue feeds it once per cycle with the monotone progress signature
-// (any message movement changes it) and a census of the requests in
-// flight; a quiescent machine (nothing in flight) never trips.
+// (any message movement changes it) and the requests in flight
+// (Shell.InFlight); a quiescent machine (nothing in flight) never trips.
 type watchdog struct {
 	limit      int64
 	lastSig    int64
@@ -31,15 +31,13 @@ type watchdog struct {
 }
 
 // observe feeds one cycle: sig is the machine's progress signature, inflight
-// counts the requests somewhere in the machine.  The census may be a walk
-// over every queue, so it is taken only when the verdict hangs on it: on a
-// cycle whose signature stood still.  observe returns true exactly once, on
-// the cycle the watchdog trips.
-func (w *watchdog) observe(cycle, sig int64, inflight func() int) bool {
+// counts the requests in flight.  observe returns true exactly once, on the
+// cycle the watchdog trips.
+func (w *watchdog) observe(cycle, sig int64, inflight int) bool {
 	if w.tripCycle != 0 {
 		return false
 	}
-	if sig != w.lastSig || inflight() == 0 {
+	if sig != w.lastSig || inflight == 0 {
 		w.lastSig = sig
 		w.lastChange = cycle
 		return false

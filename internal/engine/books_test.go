@@ -9,21 +9,18 @@ import (
 	"combining/internal/word"
 )
 
-// inflight is a constant in-flight census for watchdog.observe.
-func inflight(n int) func() int { return func() int { return n } }
-
 func TestWatchdogTripsOnlyWithInflightAndNoProgress(t *testing.T) {
 	w := watchdog{limit: 10}
 
 	// Progress every cycle: never trips.
 	for c := int64(0); c < 100; c++ {
-		if w.observe(c, c, inflight(1)) {
+		if w.observe(c, c, 1) {
 			t.Fatalf("tripped at cycle %d despite progress", c)
 		}
 	}
 	// Quiescent (inflight 0) with a frozen signature: never trips.
 	for c := int64(100); c < 200; c++ {
-		if w.observe(c, 99, inflight(0)) {
+		if w.observe(c, 99, 0) {
 			t.Fatalf("tripped at cycle %d while quiescent", c)
 		}
 	}
@@ -31,7 +28,7 @@ func TestWatchdogTripsOnlyWithInflightAndNoProgress(t *testing.T) {
 	// last observed change (cycle 199), and only once.
 	tripAt := int64(-1)
 	for c := int64(200); c < 300; c++ {
-		if w.observe(c, 99, inflight(3)) {
+		if w.observe(c, 99, 3) {
 			if tripAt != -1 {
 				t.Fatalf("tripped twice (%d and %d)", tripAt, c)
 			}
@@ -46,26 +43,6 @@ func TestWatchdogTripsOnlyWithInflightAndNoProgress(t *testing.T) {
 	}
 }
 
-// TestWatchdogCensusOnlyWhenFrozen: the in-flight census is taken on exactly
-// the cycles whose signature stood still.
-func TestWatchdogCensusOnlyWhenFrozen(t *testing.T) {
-	w := watchdog{limit: 10}
-	calls := 0
-	census := func() int { calls++; return 1 }
-	for c := int64(1); c <= 50; c++ {
-		w.observe(c, c, census) // moving
-	}
-	if calls != 0 {
-		t.Fatalf("census taken %d times while the signature moved", calls)
-	}
-	for c := int64(51); c <= 55; c++ {
-		w.observe(c, 50, census) // frozen
-	}
-	if calls != 5 {
-		t.Fatalf("census taken %d times over 5 frozen cycles", calls)
-	}
-}
-
 func TestWatchdogResetsOnProgress(t *testing.T) {
 	w := watchdog{limit: 10}
 	sig := int64(0)
@@ -73,7 +50,7 @@ func TestWatchdogResetsOnProgress(t *testing.T) {
 		if c%9 == 0 {
 			sig++ // progress just inside the limit
 		}
-		if w.observe(c, sig, inflight(1)) {
+		if w.observe(c, sig, 1) {
 			t.Fatalf("tripped at cycle %d despite periodic progress", c)
 		}
 	}
@@ -109,7 +86,7 @@ func TestSaturationCountsAndStreaks(t *testing.T) {
 func TestStallReportFormat(t *testing.T) {
 	w := watchdog{limit: 50}
 	for c := int64(0); !w.tripped(); c++ {
-		w.observe(c, 7, inflight(2))
+		w.observe(c, 7, 2)
 	}
 	got := stallReport("network", &w, 2, "", "queues: fwd=[1 1] rev=[0 0]")
 	for _, want := range []string{"network", "cycle 50", "2 in flight", "50 cycles", "queues:"} {

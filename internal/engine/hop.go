@@ -391,15 +391,15 @@ func (s *Shell) RevHop(at, first int, ln *Lane) {
 // home at once.  The module's reply is written into the body of the request
 // it answers, which the metadata shard kept.
 //
-// An idle module is skipped on the index alone.  A module with no work
-// (memLoad: no request queued and no reply released) serves nothing, and
+// An idle module is skipped on the index alone.  A module with no work (its
+// bit clear: no request queued and no reply released) serves nothing, and
 // the credit hold — which an idle module behind a credit-less station does
 // count — needs a reply queued at the station.  Under a fault plan the
-// checkpoint and slowdown guards below count per module-cycle, idle or
-// not, but only on a cycle that is not quiet (Shell.quiet: a checkpoint due
-// or a slowdown window open); on a quiet one they count nothing.
+// checkpoint and slowdown guards below count per module-cycle, idle or not,
+// but only on a cycle that is not quiet (Shell.quiet: a checkpoint due or a
+// slowdown window open); on a quiet one they count nothing.
 func (s *Shell) Tick(mod, at int, ln *Lane) {
-	if s.memLoad[mod] == 0 && (at < 0 || s.st.loads[at].Rev == 0) && (s.flt == nil || s.quiet) {
+	if !s.moduleBusy(mod) && (at < 0 || s.st.loads[at].Rev == 0) && (s.flt == nil || s.quiet) {
 		return
 	}
 	if s.crash {
@@ -411,9 +411,8 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 			// join the committed cache and withheld replies become
 			// releasable (memory.Module.Checkpoint), work for the ticks to
 			// come.
-			if s.memLoad[mod] += int32(s.mem.Module(mod).Checkpoint()); s.memLoad[mod] > 0 {
-				s.markModule(mod)
-			}
+			s.mem.Module(mod).Checkpoint()
+			s.settleModule(mod)
 			ln.Checkpoints++
 		}
 	}
@@ -424,7 +423,7 @@ func (s *Shell) Tick(mod, at int, ln *Lane) {
 		ln.HoldsMemOut++
 		return
 	}
-	if s.memLoad[mod] == 0 {
+	if !s.moduleBusy(mod) {
 		return // nothing queued, nothing released: the tick would serve nothing
 	}
 	rep, m, ok := s.serve(mod, &ln.Shard)
@@ -633,8 +632,7 @@ func (s *Shell) flush(at int) []word.ReqID {
 	for mod, host := range s.links.Hosts {
 		if int(host) == at {
 			lost = append(lost, s.mem.Module(mod).Crash()...)
-			s.memLoad[mod] = 0
-			s.clearModule(mod)
+			s.settleModule(mod)
 		}
 	}
 	for mod, holder := range s.links.Holds {
@@ -650,21 +648,25 @@ func (s *Shell) flush(at int) []word.ReqID {
 	return lost
 }
 
-// detail renders the stations' census for a stall report, whole and stage
-// by stage — a stage is a row of the occupancy words, whose marked sides
-// count the queues (Stations.held) — with the wait records and the modules'
-// queues.
+// detail renders what the stations hold for a stall report, whole and
+// stage by stage (a stage is a row of stations), with the modules' queues.
 func (s *Shell) detail() string {
-	fwd, rev := s.st.held(0, s.st.rows)
+	st := s.st
+	stages := make([][3]int, st.rows)
+	var all [3]int
+	for at := range st.loads {
+		f, r, w := st.Occupancy(at)
+		n := &stages[at/st.rowLen]
+		n[0], n[1], n[2] = n[0]+f, n[1]+r, n[2]+w
+		all[0], all[1], all[2] = all[0]+f, all[1]+r, all[2]+w
+	}
 	memQ := 0
 	for mod := 0; mod < s.mem.Modules(); mod++ {
 		memQ += s.mem.Module(mod).QueueLen()
 	}
-	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", fwd, rev, s.st.records(0, s.st.rows), memQ)
-	for stage := 0; stage < s.st.rows; stage++ {
-		fwd, rev := s.st.held(stage, stage+1)
-		wait := s.st.records(stage, stage+1)
-		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", stage, fwd, rev, wait)
+	out := fmt.Sprintf("stations: fwd=%d rev=%d wait=%d\nmemory queued=%d", all[0], all[1], all[2], memQ)
+	for stage, n := range stages {
+		out += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", stage, n[0], n[1], n[2])
 	}
 	return out
 }
@@ -684,17 +686,19 @@ func (s *Shell) Full() []uint32 { return s.st.full }
 // CheckLoads rereads every queue the occupancy index stands for — the
 // stations' FIFOs, whose bits must be set exactly when they are non-empty,
 // and each module's input queue with the replies it has released
-// (memory.Module.Work), which memLoad counts and the module words mark —
-// and every port the port words stand for (checkPorts), and reports the
-// first entry that disagrees: the invariant every skipped visit rests on.  The
-// occupancy words must agree with the masks: for every hop owner, the OR
-// of its lanes' arrays has a side's bit when the side holds a head that
-// may move — a reply, an unparked request, or a parked one a wake has
-// roused — and no bit where nothing may move; the parking state must be
-// whole (checkParks).  It also holds the store closed: every live body is
-// named by exactly one queue entry, wait record or metadata entry (limbo
-// and the lanes hold values, or nothing, between steps), and the lanes'
-// record counts to the wait buffers, row by row.
+// (memory.Module.Work), which the module words mark — and every port the
+// port words stand for (checkPorts), and reports the first entry that
+// disagrees: the invariant every skipped visit rests on.  The occupancy
+// words must agree with the masks: for every hop owner, the OR of its lanes'
+// arrays has a side's bit when the side holds a head that may move — a
+// reply, an unparked request, or a parked one a wake has roused — and no bit
+// where nothing may move; the parking state must be whole (checkParks).  It
+// also holds the store closed: every live body is named by exactly one queue
+// entry, wait record or metadata entry (limbo and the lanes hold values, or
+// nothing, between steps).  Last it holds the ledger, InFlight: on a clean
+// machine every request issued and not completed is a pending port, a queue
+// entry, a wait record or a metadata entry, and under a plan the retry
+// tracker awaits exactly as many.
 func (s *Shell) CheckLoads() error {
 	named := 0
 	st := s.st
@@ -704,7 +708,6 @@ func (s *Shell) CheckLoads() error {
 	// an in-place combine into it does, and the two look alike here).
 	want, may := make([]uint64, st.stride), make([]uint64, st.stride)
 	set := func(words []uint64, pos []int32, at int) { words[pos[at]>>6] |= 1 << (pos[at] & 63) }
-	recs := make([]int, st.rows)
 	for at := range st.loads {
 		got, full, spent, fwd, rev := Load{Park: st.loads[at].Park}, uint32(0), uint32(0), st.Fwd(at), st.Rev(at)
 		for i := range fwd {
@@ -746,7 +749,6 @@ func (s *Shell) CheckLoads() error {
 		if got.Rev != 0 {
 			set(want, st.revBit, at)
 		}
-		recs[at/st.rowLen] += st.wait[at].Len()
 		named += st.wait[at].Len()
 	}
 	for j := range want {
@@ -762,12 +764,6 @@ func (s *Shell) CheckLoads() error {
 	if err := s.checkWaiters(); err != nil {
 		return err
 	}
-	for row, n := range recs {
-		if got := st.records(row, row+1); got != n {
-			return fmt.Errorf("%s: cycle %d: row %d's wait buffers hold %d records, the lanes count %d",
-				s.name, s.tot.Cycles, row, n, got)
-		}
-	}
 	for mod := range s.meta {
 		named += len(s.meta[mod].boxes())
 	}
@@ -776,18 +772,26 @@ func (s *Shell) CheckLoads() error {
 			s.name, s.tot.Cycles, live, named)
 	}
 	busy := make([]uint64, len(s.busy))
-	for mod, n := range s.memLoad {
-		if work := s.mem.Module(mod).Work(); work != int(n) {
-			return fmt.Errorf("%s: cycle %d: module %d has %d to act on, the index says %d", s.name, s.tot.Cycles, mod, work, n)
-		}
-		if n > 0 {
+	for mod := range s.modBit {
+		if s.mem.Module(mod).Work() > 0 {
 			setBit(busy, s.modBit[mod])
 		}
 	}
 	if !slices.Equal(busy, s.busy) {
 		return fmt.Errorf("%s: cycle %d: the module words read %#x, the modules with work give %#x", s.name, s.tot.Cycles, s.busy, busy)
 	}
-	return s.checkPorts()
+	if err := s.checkPorts(); err != nil {
+		return err
+	}
+	if s.trk != nil {
+		if n := s.trk.Outstanding(); n != s.InFlight() {
+			return fmt.Errorf("%s: cycle %d: %d requests in flight, the retry tracker awaits %d", s.name, s.tot.Cycles, s.InFlight(), n)
+		}
+	} else if n := s.atPorts() + named; n != s.InFlight() {
+		return fmt.Errorf("%s: cycle %d: %d requests in flight, the ports, queues, wait records and metadata hold %d",
+			s.name, s.tot.Cycles, s.InFlight(), n)
+	}
+	return nil
 }
 
 // checkPorts holds the port words to the ports: a port's awake bit is set

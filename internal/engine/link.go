@@ -96,8 +96,7 @@ func (s *Shell) enterMemory(site uint64, mod int, e *FwdEntry, ln *Lane) {
 	ln.MemRequests++
 	s.metaInsert(mod, e, ln)
 	s.mem.Module(mod).Enqueue(s.store.At(e.H).Req)
-	s.memLoad[mod]++
-	s.markModule(mod)
+	s.settleModule(mod)
 }
 
 // memEnter is the module side of the adversarial link: the request is
@@ -125,8 +124,7 @@ func (s *Shell) memEnter(site uint64, mod int, e *FwdEntry, ln *Lane) {
 	b.Req = stamped
 	s.metaInsert(mod, e, ln)
 	module.Enqueue(wire)
-	s.memLoad[mod]++
-	s.markModule(mod)
+	s.settleModule(mod)
 	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && module.CanEnqueue() {
 		// Network-born duplicate: the link re-emits a message the sender
 		// never retransmitted.  The reply cache answers the second copy
@@ -134,21 +132,22 @@ func (s *Shell) memEnter(site uint64, mod int, e *FwdEntry, ln *Lane) {
 		// The copy owns its lineage (core.Request.Clone).
 		sh.MemRequests++
 		module.Enqueue(wire.Clone())
-		s.memLoad[mod]++
 	}
 }
 
-// The module words: bit mod is set exactly when memLoad[mod] > 0, when a
-// tick of module mod has something to act on.  They are laid out per owner,
-// as the port words are (portWords) — owner o's words are
-// [o·mspan, (o+1)·mspan), modBit[mod] placing module mod in its owner's —
-// the owner being the worker that hops the forward side of the station
-// whose link feeds the module (Stations.Own), which feeds and ticks it; a
-// wiring whose modules no link feeds (the cube's, the bus's banks) gives
-// them to owner 0 and its ticks whole words.  They change beside memLoad:
-// a feed and a checkpoint's release mark a module, a serve that leaves it
-// nothing and a crash clear it.  A skipped module counts nothing on a
-// quiet cycle (Tick), and a schedule visits every module on the others.
+// The module words: bit mod is set exactly when a tick of module mod has
+// something to act on (memory.Module.Work): a queued request, the one in
+// service among them, or a released reply, but not a reply output commit
+// withholds.  They are laid out per owner, as the port words are (portWords)
+// — owner o's words are [o·mspan, (o+1)·mspan), modBit[mod] placing module
+// mod in its owner's — the owner being the worker that hops the forward side
+// of the station whose link feeds the module (Stations.Own), which feeds and
+// ticks it; a wiring whose modules no link feeds (the cube's, the bus's
+// banks) gives them to owner 0 and its ticks whole words.  A feed, a serve,
+// a checkpoint's release and a crash settle the module's bit (settleModule)
+// from its work, the only events that change it.  A skipped module counts
+// nothing on a quiet cycle (Tick), and a schedule visits every module on the
+// others.
 
 // initModules lays the module words out for the modules the links feed.
 func (s *Shell) initModules(modules int) {
@@ -166,9 +165,17 @@ func (s *Shell) initModules(modules int) {
 	}
 }
 
-// markModule and clearModule set and clear module mod's bit.
-func (s *Shell) markModule(mod int)  { setBit(s.busy, s.modBit[mod]) }
-func (s *Shell) clearModule(mod int) { clearBit(s.busy, s.modBit[mod]) }
+// settleModule sets module mod's bit exactly when the module has work.
+func (s *Shell) settleModule(mod int) {
+	if s.mem.Module(mod).Work() > 0 {
+		setBit(s.busy, s.modBit[mod])
+	} else {
+		clearBit(s.busy, s.modBit[mod])
+	}
+}
+
+// moduleBusy reports module mod's bit: whether a tick has work to act on.
+func (s *Shell) moduleBusy(mod int) bool { return hasBit(s.busy, s.modBit[mod]) }
 
 // Busy is owner w's module word i: bit j is set when module 64i + j has
 // work, and w owns it.
@@ -253,24 +260,17 @@ func (s *Shell) metaInsert(mod int, e *FwdEntry, ln *Lane) {
 // machine it is a bug.
 func (s *Shell) serve(mod int, sh *Shard) (core.Reply, FwdEntry, bool) {
 	module := s.mem.Module(mod)
-	busy, served := module.BusyCycles, module.Served
+	busy := module.BusyCycles
 	rep, ok := module.Tick()
 	sh.MemBusy += module.BusyCycles - busy
-	if s.crash {
-		// Output commit: a request served this cycle left the queue for the
-		// withheld replies, which no tick moves before the next checkpoint.
-		s.memLoad[mod] -= int32(module.Served - served)
-	}
-	if ok {
-		sh.MemAcks++
-		s.memLoad[mod]--
-	}
-	if s.memLoad[mod] == 0 {
-		s.clearModule(mod)
-	}
+	// The tick may have emptied the module: a reply emerged or, under
+	// output commit, the request served left the queue for the withheld
+	// replies, which no tick moves before the next checkpoint.
+	s.settleModule(mod)
 	if !ok {
 		return rep, FwdEntry{}, false
 	}
+	sh.MemAcks++
 	e, found := s.meta[mod].take(rep.ID, s.store)
 	if !found {
 		if s.flt == nil {

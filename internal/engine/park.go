@@ -56,12 +56,12 @@ import (
 // per-port loop did not visit either: each parked one sits that cycle out
 // uncounted (passPorts).
 //
-// Who writes what (DESIGN.md §6.1): Park bits, the parked words and a
-// station head's registration only the side's owner, in its hop; a waiter
-// mask its queue's parkers (one closed block) and its wakers (the queue's
-// popper, which pairs with that block or runs in another phase, and the
-// station's pushers, that block too); a wake sets occupancy bits only in
-// the waker's lane's arrays, as a push does.  The step prologue (crash,
+// Who writes what (DESIGN.md §6.1): Park bits and a station head's
+// registration only the side's owner, in its hop; a waiter mask its queue's
+// parkers (one closed block) and its wakers (the queue's popper, which
+// pairs with that block or runs in another phase, and the station's
+// pushers, that block too); a wake sets occupancy bits only in the waker's
+// lane's arrays, as a push does.  The step prologue (crash,
 // retransmit) runs alone.
 
 // noSlot marks an input that never parks.
@@ -112,12 +112,7 @@ type parkedHead struct {
 // side can move (FwdHop clears the side's occupancy bit).
 func (st *Stations) park(at, port int, d int32, now uint32) {
 	q := at*st.nf + port
-	l := &st.loads[at]
-	if l.Park == 0 {
-		b := st.fwdBit[at]
-		st.parked[b>>6] |= 1 << (b & 63)
-	}
-	l.Park |= 1 << port
+	st.loads[at].Park |= 1 << port
 	st.heads[q] = parkedHead{on: d, since: now}
 	st.waiters[d] |= 1 << st.slot[q]
 }
@@ -126,12 +121,8 @@ func (st *Stations) park(at, port int, d int32, now uint32) {
 // move again.
 func (st *Stations) unpark(at, port int) {
 	q := at*st.nf + port
-	l := &st.loads[at]
 	st.waiters[st.heads[q].on] &^= 1 << st.slot[q]
-	if l.Park &^= 1 << port; l.Park == 0 {
-		b := st.fwdBit[at]
-		st.parked[b>>6] &^= 1 << (b & 63)
-	}
+	st.loads[at].Park &^= 1 << port
 }
 
 // parkPort parks processor p's offer on queue d: out of the walk until the
@@ -305,22 +296,15 @@ func (s *Shell) Rejections() int64 {
 	return n
 }
 
-// checkParks holds station at's parked heads to the rules CheckLoads
-// relies on: each waits at a link queue that may park, on the queue its
-// memo names, and the parked word marks the side exactly when one does.  A
-// head still registered there must still be refused by it — a change with
+// checkParks holds station at's parked heads to the rules CheckLoads relies
+// on: each waits at a link queue that may park, on the queue its memo names.
+// A head still registered there must still be refused by it — a change with
 // no wake would strand it; one no longer registered was woken, so its side
-// must be marked (roused).  changed reports a registered head whose own
-// queue has changed since it parked.
+// must be marked (roused).  changed reports a registered head whose own queue
+// has changed since it parked.
 func (s *Shell) checkParks(at int) (roused, changed bool, err error) {
 	st, n := s.st, s.links.Ports
-	park := st.loads[at].Park
-	b := st.fwdBit[at]
-	if (st.parked[b>>6]&(1<<(b&63)) != 0) != (park != 0) {
-		return false, false, fmt.Errorf("%s: cycle %d: station %d's parked word says %v, its heads parked %#b",
-			s.name, s.tot.Cycles, at, st.parked[b>>6]&(1<<(b&63)) != 0, park)
-	}
-	for m := park; m != 0; m &= m - 1 {
+	for m := st.loads[at].Park; m != 0; m &= m - 1 {
 		port := bits.TrailingZeros32(m)
 		if port >= n {
 			return false, false, fmt.Errorf("%s: cycle %d: station %d's memory queue is parked", s.name, s.tot.Cycles, at)

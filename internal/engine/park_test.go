@@ -100,6 +100,7 @@ func TestParkedHeadWakes(t *testing.T) {
 			h.hop()
 		}
 		h.st.TakeFwd(0, 0) // the other cell's request leaves; the partner stays
+		h.book(-1)
 		if !h.marked(1) || h.st.waiters[0] != 0 {
 			t.Fatalf("the pop did not wake the head: marked %v, waiters %#b", h.marked(1), h.st.waiters[0])
 		}
@@ -185,6 +186,7 @@ func TestParkedHeadWakes(t *testing.T) {
 		}
 		h.tick()
 		h.flush(0) // a crash edge: the root's queues go, and the head wakes
+		h.book(-2)
 		if !h.marked(1) || h.st.waiters[0] != 0 {
 			t.Fatalf("the crash did not wake the head: marked %v, waiters %#b", h.marked(1), h.st.waiters[0])
 		}
@@ -198,6 +200,7 @@ func TestParkedHeadWakes(t *testing.T) {
 		}
 		h.tick()
 		h.flush(1)
+		h.book(-1)
 		if h.Rejections() != n || h.st.wait[0].Rejections != n || h.Loads()[1] != (Load{}) || h.st.waiters[0] != 0 {
 			t.Fatalf("the flushed park: %d rejections (%d settled), index %+v, waiters %#b; want %d settled",
 				h.Rejections(), h.st.wait[0].Rejections, h.Loads()[1], h.st.waiters[0], n)
@@ -355,7 +358,7 @@ func TestParkedPortCounts(t *testing.T) {
 			parks := h.Totals().Parks
 			switch end {
 			case "wake":
-				before = func() { h.st.TakeFwd(3, 0) } // the hot request leaves
+				before = func() { h.st.TakeFwd(3, 0); h.book(-1) } // the hot request leaves
 				step(n)
 				if h.st.portParked(0) || h.st.Fwd(3)[0].Len() != 2 {
 					t.Fatal("the woken offer was not taken behind its partner")

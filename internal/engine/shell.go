@@ -59,6 +59,7 @@ type Machine interface {
 	Step()
 	Run(cycles int)
 	Drain(maxCycles int) bool
+	// InFlight is the requests issued and not yet completed (Shell.InFlight).
 	InFlight() int
 	Stalled() bool
 	StallReport() string
@@ -263,18 +264,11 @@ type Shell struct {
 	store *Store
 	// The occupancy index: what a sweep reads before it touches a station
 	// or a module (DESIGN.md §6.2).  Stations keeps its own entries
-	// (Shell.Loads); memLoad[mod] counts what a tick of module mod can act on
-	// (memory.Module.Work): its queued requests, the one in service among
-	// them, and its released replies, but not the replies output commit
-	// withholds.  It is written beside every Enqueue, in serve (a reply
-	// emerges; under checkpoints also a served request joins the withheld),
-	// beside Checkpoint (the released ones) and Crash.  Each entry has the
-	// owner of the queue it counts, phase by phase.  busy holds the module
-	// words over it (initModules), which a schedule walks.
-	memLoad []int32
-	busy    []uint64
-	mspan   int
-	modBit  []int32
+	// (Shell.Loads); busy holds the module words (initModules), one bit per
+	// module with something a tick can act on, which a schedule walks.
+	busy   []uint64
+	mspan  int
+	modBit []int32
 	// lanes are the stepping goroutines' working sets, one per pool worker;
 	// behind is the processor links' scratch lane for a wait buffer behind
 	// them (Links.Behind), lane 0's writer: the links commit on one
@@ -388,7 +382,6 @@ func (s *Shell) Init(cfg ShellConfig) {
 		st:         st,
 		links:      cfg.Links,
 		store:      st.store,
-		memLoad:    make([]int32, cfg.Modules),
 		fwdMemo:    make([]refusal, st.Len()*cfg.Links.Ports),
 		portMemo:   make([]portRefusal, procs),
 		trace:      cfg.Trace,
@@ -473,7 +466,7 @@ func (s *Shell) Step() {
 	}
 
 	s.sat.observe(s.hooks.Saturated())
-	if s.wd.observe(s.tot.Cycles, s.progressSig(), s.InFlight) {
+	if s.wd.observe(s.tot.Cycles, s.progressSig(), s.InFlight()) {
 		s.tot.WatchdogTrips++
 	}
 }
@@ -507,8 +500,7 @@ func (s *Shell) updateMasks() {
 		if dead && !s.memDead[mod] {
 			s.rec.crashes++
 			s.rec.noteLost(s.trk, s.mem.Module(mod).Crash())
-			s.memLoad[mod] = 0
-			s.clearModule(mod)
+			s.settleModule(mod)
 		} else if !dead && s.memDead[mod] {
 			s.rec.restores++
 		}
@@ -564,18 +556,17 @@ func (s *Shell) run(cycles int, done func() bool) {
 	}
 }
 
-// InFlight reports requests somewhere in the machine: pending at a port,
-// queued in the fabric, or inside a memory module.  Under a fault plan,
-// physical occupancy is the wrong notion — messages vanish on dropped links
-// and stale wait records linger by design — so the tracker's ledger answers
-// instead: requests issued but not yet delivered.
-func (s *Shell) InFlight() int {
-	if s.trk != nil {
-		return s.trk.Outstanding()
-	}
-	fwd, rev := s.st.held(0, s.st.rows)
-	return s.atPorts() + fwd + rev + s.st.records(0, s.st.rows) + s.inMemory()
-}
+// InFlight reports the requests issued and not yet completed.  On a clean
+// machine each is somewhere in it: pending at a port, queued in the fabric,
+// standing as the wait record of the combine that absorbed it, or inside a
+// memory module.  Under a fault plan a request may also be lost on a link
+// and owed a retransmit, and a stale wait record may linger, so the queues
+// do not count it; the retry tracker's ledger does, and it is the same
+// number (faults.Tracker.Outstanding): Offer tracks a request where it
+// counts the issue, and a completion counts only a first delivery.
+// CheckLoads holds the count to the queues on a clean machine and to the
+// tracker under a plan.
+func (s *Shell) InFlight() int { return int(s.tot.Issued - s.tot.Completed) }
 
 func (s *Shell) atPorts() int {
 	n := 0

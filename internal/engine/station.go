@@ -109,15 +109,8 @@ type Stations struct {
 	rev    []core.FIFO[RevEntry]
 	nf, nr int
 	wait   []core.WaitBuffer[Record]
-	// recs counts the wait records by lane and row: recs[l·recStride+row]
-	// is what lane l's combines at the row's stations pushed less what its
-	// decombines popped (lane 0's also less what crashes flushed), so the
-	// census sums a row without reading its buffers, and each count has one
-	// writer in any phase.  fixedRoom says every wait buffer's room is
-	// fixed — capacity 0 or unbounded — so a refusal never depends on it
-	// changing (park.go).
-	recs      []int64
-	recStride int
+	// fixedRoom says every wait buffer's room is fixed — capacity 0 or
+	// unbounded — so a refusal never depends on it changing (park.go).
 	fixedRoom bool
 	// loads[at] marks station at's non-empty queues, full[at] its forward
 	// queues at their bound and spent[at] its reverse queues holding their
@@ -136,10 +129,6 @@ type Stations struct {
 	rows, rowLen   int
 	rowWords       int
 	fwdBit, revBit []int32
-	// parked holds a bit per forward side with a parked head, at the side's
-	// fwdBit position in one array: each owner writes only its own span of
-	// it.  The census reads it beside the occupancy words.
-	parked []uint64
 	parks
 	portWords
 	store *Store
@@ -200,9 +189,6 @@ func (st *Stations) Own(rowLen, workers int, owner func(fwd bool, at int) int) {
 	st.span = (2*rows*st.rowWords + 7) &^ 7 // a whole number of cache lines
 	st.stride = workers * st.span
 	st.occ = make([]uint64, workers*st.stride)
-	st.parked = make([]uint64, st.stride)
-	st.recStride = (rows + 7) &^ 7
-	st.recs = make([]int64, workers*st.recStride)
 	st.fwdBit, st.revBit = make([]int32, st.Len()), make([]int32, st.Len())
 	for at := range st.fwdBit {
 		row, idx := at/rowLen, at%rowLen
@@ -244,9 +230,6 @@ func (st *Stations) fwdOwner(at int) int { return int(st.fwdBit[at]>>6) / st.spa
 func setBit(words []uint64, b int32)      { words[b>>6] |= 1 << (b & 63) }
 func clearBit(words []uint64, b int32)    { words[b>>6] &^= 1 << (b & 63) }
 func hasBit(words []uint64, b int32) bool { return words[b>>6]&(1<<(b&63)) != 0 }
-
-// row is the row station at is in.
-func (st *Stations) row(at int) int { return int(uint32(at) / uint32(st.rowLen)) }
 
 // occupied is worker w's occupancy word i of the given row's forward or
 // reverse side: bit j is set when station row·rowLen + 64i + j holds a
@@ -437,7 +420,6 @@ func (st *Stations) combine(at, out int, q *core.FIFO[FwdEntry], e *FwdEntry, pa
 		*qb, *mb = *mb, *qb
 	}
 	wait.Push(rec.ID1, Record{Record: rec, Path2: path2, H2: e.H, Needs1: needs1, Needs2: needs2})
-	st.recs[ln.w*st.recStride+st.row(at)]++
 	qb.Req = combined
 	queued.Slots = uint8(core.ValueSlots(combined.Op))
 	if q.Touch(); st.full[at]&(1<<out) != 0 || st.loads[at].Park&(1<<out) != 0 {
@@ -524,7 +506,6 @@ func (st *Stations) decombine(at int, e *RevEntry, now uint32, ln *Lane) bool {
 	if !ok {
 		return false
 	}
-	st.recs[ln.w*st.recStride+st.row(at)]--
 	r1, r2 := core.DecombineExact(rec.Record, rep)
 	if st.trace != nil {
 		st.trace(at, Decombined, r1.ID, r2.ID, 0)
@@ -568,12 +549,10 @@ func (st *Stations) Crash(at int) []word.ReqID {
 		}
 		rev[i].Clear()
 	}
-	flushed := st.wait[at].Flush()
-	for _, rec := range flushed {
+	for _, rec := range st.wait[at].Flush() {
 		ids = st.store.At(rec.H2).Req.AppendLeafIDs(ids)
 		st.store.Free(rec.H2)
 	}
-	st.recs[st.row(at)] -= int64(len(flushed))
 	if st.loads[at].Fwd != 0 {
 		st.unmark(st.fwdBit, at)
 	}
@@ -597,55 +576,15 @@ func (st *Stations) Occupancy(at int) (fwd, rev, wait int) {
 	return fwd, rev, st.wait[at].Len()
 }
 
-// held counts the messages queued at the stations of rows lo to hi−1,
-// reading only the sides the occupancy words or the parked words mark: the
-// in-flight census and the stall report's per-stage detail.
-func (st *Stations) held(lo, hi int) (fwd, rev int) {
-	for row := lo; row < hi; row++ {
-		for i := 0; i < st.rowWords; i++ {
-			// Either side marked, in any lane's array for any owner, or a
-			// forward side parked.
-			var m uint64
-			for j := row*st.rowWords + i; j < len(st.occ); j += st.span {
-				m |= st.occ[j] | st.occ[j+st.rows*st.rowWords]
-				if j < len(st.parked) {
-					m |= st.parked[j]
-				}
-			}
-			for ; m != 0; m &= m - 1 {
-				f, r, _ := st.Occupancy(row*st.rowLen + i<<6 + bits.TrailingZeros64(m))
-				fwd, rev = fwd+f, rev+r
-			}
-		}
-	}
-	return fwd, rev
-}
-
-// records counts the wait records the stations of rows lo to hi−1 hold,
-// from the lanes' counts (recs).
-func (st *Stations) records(lo, hi int) int {
-	var n int64
-	for l := 0; l < len(st.recs); l += st.recStride {
-		for _, c := range st.recs[l+lo : l+hi] {
-			n += c
-		}
-	}
-	return int(n)
-}
-
 // Records is the number of wait records station at holds.
 func (st *Stations) Records(at int) int { return st.wait[at].Len() }
 
 // PushRecord files rec in station at's wait buffer under id, as a combine
-// there would (counted as lane 0's), and reports whether the buffer had
-// room.  Only a combine files a record on a running machine; this is the
-// way to plant one — a record no reply will match, say — into a built one.
+// there would, and reports whether the buffer had room.  Only a combine
+// files a record on a running machine; this is the way to plant one — a
+// record no reply will match, say — into a built one.
 func (st *Stations) PushRecord(at int, id word.ReqID, rec Record) bool {
-	if !st.wait[at].Push(id, rec) {
-		return false
-	}
-	st.recs[st.row(at)]++
-	return true
+	return st.wait[at].Push(id, rec)
 }
 
 // MaxRev is the high-water mark across station at's reverse queues — the

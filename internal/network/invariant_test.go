@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -27,11 +28,10 @@ func TestInvariantsUnderLoad(t *testing.T) {
 		sim := NewSim(Config{Procs: n, QueueCap: 3, WaitBufCap: waitCap}, inj)
 		for c := 0; c < cycles; c++ {
 			sim.Step()
-			st := sim.Totals()
-			// Conservation: issued = completed + in flight.
-			if got := st.Completed + int64(sim.InFlight()); got != st.Issued {
-				t.Fatalf("waitCap=%d cycle %d: %d issued but %d completed+inflight",
-					waitCap, c, st.Issued, got)
+			// Conservation: every request issued and not completed is at a
+			// port, in a queue, in a wait record or in a module.
+			if err := sim.CheckLoads(); err != nil {
+				t.Fatalf("waitCap=%d cycle %d: %v", waitCap, c, err)
 			}
 			// Queue capacity respected everywhere.
 			for at := 0; at < sim.k*sim.ns; at++ {
@@ -134,23 +134,32 @@ func TestNegativeWindowPanics(t *testing.T) {
 
 // TestWatchdogTripsOnWedgedNetwork forces the one condition a correct
 // network cannot reach on its own — in-flight work with a frozen
-// progress signature — by planting an orphaned wait record that no reply
-// will ever match (the signature of a decombining bug).  The watchdog
-// must declare the livelock right after its limit, count the trip in the
-// snapshot, emit a queue-snapshot report, and make Run return early.
+// progress signature — by losing an issued request inside the fabric of a
+// machine with no fault plan to retransmit it (the signature of a
+// message-loss bug).  The watchdog must declare the livelock right after
+// its limit, count the trip in the snapshot, emit a queue-snapshot report,
+// and make Run return early.
 func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	const limit = engine.DefaultWatchdogCycles
-	inj, _ := emptyInjectors(8)
+	inj, scripts := emptyInjectors(8)
+	scripts[0].script = []Injection{{Req: core.NewRequest(1, 5, rmw.Load{}, 0)}}
 	sim := NewSim(Config{Procs: 8, WaitBufCap: 4}, inj)
-	if !sim.Stations().PushRecord(0, word.ReqID(999), engine.Record{}) {
-		t.Fatal("could not plant the orphan wait record")
+	sim.Step()
+	for at, l := range sim.Loads() {
+		if l.Fwd != 0 {
+			sim.Stations().TakeFwd(at, bits.TrailingZeros32(l.Fwd))
+			break
+		}
+	}
+	if sim.InFlight() != 1 || sim.Bodies() != 0 {
+		t.Fatalf("setup: %d in flight and %d live bodies, want the one issued request lost", sim.InFlight(), sim.Bodies())
 	}
 	steps := 0
 	for ; steps < 100000 && !sim.Stalled(); steps++ {
 		sim.Step()
 	}
 	if !sim.Stalled() {
-		t.Fatal("watchdog never tripped with a permanently wedged wait record")
+		t.Fatal("watchdog never tripped with a request lost for good")
 	}
 	if steps > limit+10 {
 		t.Fatalf("tripped only after %d cycles, limit %d", steps, limit)

@@ -18,7 +18,10 @@ import (
 // fifth, hot8_wait4, is A1's partial combining: the hot spot with
 // four-record wait buffers, whose room changes under a blocked head, so its
 // refusals never park (engine/park.go) and every blocked head is visited
-// each cycle — the path parking must not slow.
+// each cycle — the path parking must not slow.  A sixth, idle, is the
+// machine with nothing in flight (rate 0): the cycle's fixed cost — the
+// step frame, the walks over empty occupancy words, a Next call per port —
+// which every cycle pays under any load.
 // ns/cycle is the cost of a Step; ns/switch-visit divides it by the stages ×
 // switches the two sweeps visit, the unit bench/'s
 // engine.host_ns_per_switch_visit reports.  `make stepbench` runs it with
@@ -37,6 +40,7 @@ func BenchmarkStep(b *testing.B) {
 		{"hot8_nocombine", 0.9, 0.125, 0, false},
 		{"hot8_wait4", 0.9, 0.125, 4, false},
 		{"faulted", 0.6, 0.125, core.Unbounded, true},
+		{"idle", 0, 0, core.Unbounded, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			build := func() *Sim {
